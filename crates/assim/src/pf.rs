@@ -29,7 +29,6 @@ use mde_numeric::resilience::{
     RunOptions, RunReport, StopCause,
 };
 use mde_numeric::rng::{Rng, StreamFactory};
-use std::path::Path;
 
 /// Campaign tag written into every particle-filter checkpoint.
 const CAMPAIGN_PF: &str = "assim.particle-filter";
@@ -411,6 +410,12 @@ impl ParticleFilter {
     /// uninterrupted run. Step supervision (retry, best-effort
     /// degradation) is exactly that of
     /// [`ParticleFilter::run_supervised`].
+    ///
+    /// With [`RunOptions::resume`] set (a [`PfRun::checkpoint`], or
+    /// [`CampaignState::load`]) the run continues from that state's step; a
+    /// state whose campaign tag or fingerprint (particle count, seed,
+    /// observation count, state dimension) does not match is refused with a
+    /// typed [`AssimError::Checkpoint`].
     pub fn run_durable<M, Q>(
         &self,
         model: &M,
@@ -423,53 +428,14 @@ impl ParticleFilter {
         M::State: ParticleState,
         Q: Proposal<M>,
     {
-        let state = CampaignState::new(
+        let state = CampaignState::start_or_resume(
+            opts.resume.as_ref(),
             CAMPAIGN_PF,
             self.fingerprint::<M>(observations.len()),
             self.seed,
             observations.len() as u64,
-        );
+        )?;
         self.campaign(model, proposal, observations, opts, state)
-    }
-
-    /// Resume a durable filter run from an in-memory [`CampaignState`]
-    /// (as returned in [`PfRun::checkpoint`]). Refuses — with a typed
-    /// [`AssimError::Checkpoint`] — states whose campaign tag or
-    /// fingerprint (particle count, seed, observation count, state
-    /// dimension) does not match.
-    pub fn resume_durable<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        observations: &[M::Obs],
-        opts: &RunOptions,
-        state: CampaignState,
-    ) -> crate::Result<PfRun<M::State>>
-    where
-        M: StateSpaceModel,
-        M::State: ParticleState,
-        Q: Proposal<M>,
-    {
-        state.validate(CAMPAIGN_PF, self.fingerprint::<M>(observations.len()))?;
-        self.campaign(model, proposal, observations, opts, state)
-    }
-
-    /// Resume a durable filter run from a checkpoint file.
-    pub fn resume_durable_from<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        observations: &[M::Obs],
-        opts: &RunOptions,
-        path: &Path,
-    ) -> crate::Result<PfRun<M::State>>
-    where
-        M: StateSpaceModel,
-        M::State: ParticleState,
-        Q: Proposal<M>,
-    {
-        let state = CampaignState::load(path)?;
-        self.resume_durable(model, proposal, observations, opts, state)
     }
 
     /// Campaign identity: tag, particle count, seed, observation count,
@@ -555,8 +521,7 @@ impl ParticleFilter {
             state.cursor = t + 1;
             if let Some(spec) = &opts.checkpoint {
                 if spec.due(state.cursor) {
-                    let stats = state.save_stats(&spec.path).map_err(AssimError::from)?;
-                    stats.record_into(&mut state.report.metrics);
+                    state.save_ledgered(&spec.path)?;
                 }
             }
         }
@@ -572,8 +537,7 @@ impl ParticleFilter {
             }
         }
         if let Some(spec) = &opts.checkpoint {
-            let stats = state.save_stats(&spec.path).map_err(AssimError::from)?;
-            stats.record_into(&mut state.report.metrics);
+            state.save_ledgered(&spec.path)?;
         }
         Ok(PfRun {
             steps,
@@ -613,8 +577,8 @@ pub struct PfRun<S> {
     pub report: RunReport,
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopCause>,
-    /// The final campaign state; pass to
-    /// [`ParticleFilter::resume_durable`] to continue.
+    /// The final campaign state; hand it back through
+    /// [`RunOptions::resuming`] to continue.
     pub checkpoint: Option<CampaignState>,
 }
 
@@ -968,8 +932,9 @@ mod tests {
         let state = partial.checkpoint.unwrap();
         // The checkpoint round-trips through the binary codec losslessly.
         let state = CampaignState::decode(&state.encode()).unwrap();
+        let resume = RunOptions::default().resuming(state);
         let resumed = pf
-            .resume_durable(&m, &BootstrapProposal, &ys, &RunOptions::default(), state)
+            .run_durable(&m, &BootstrapProposal, &ys, &resume)
             .unwrap();
         assert!(resumed.stopped.is_none());
         assert_eq!(resumed.steps.len(), 12);
@@ -989,8 +954,9 @@ mod tests {
             .unwrap()
             .checkpoint
             .unwrap();
+        let foreign = RunOptions::default().resuming(foreign);
         assert!(matches!(
-            pf.resume_durable(&m, &BootstrapProposal, &ys, &RunOptions::default(), foreign),
+            pf.run_durable(&m, &BootstrapProposal, &ys, &foreign),
             Err(AssimError::Checkpoint(CheckpointError::Mismatch { .. }))
         ));
     }

@@ -1,19 +1,18 @@
 //! Scheduler adapter: runs a durable [`ParticleFilter`] campaign as a
-//! schedulable [`Campaign`].
+//! schedulable [`Campaign`](mde_numeric::Campaign).
 //!
 //! Each slice continues the filter from the last checkpointed observation
-//! step; the scheduler's control block (cancel token + deadline) is
-//! threaded into the filter's per-step boundary checks, so preemption and
-//! shedding land exactly between observation updates. The campaign's
-//! scalar summary is the filter's total log evidence over the completed
-//! steps — the model-comparison quantity an overload-aware analyst would
-//! track across degraded runs.
+//! step; the shared slice protocol ([`DurableSurface`]) threads the
+//! scheduler's control block (cancel token + deadline) into the filter's
+//! per-step boundary checks, so preemption and shedding land exactly
+//! between observation updates. The campaign's scalar summary is the
+//! filter's total log evidence over the completed steps — the
+//! model-comparison quantity an overload-aware analyst would track across
+//! degraded runs.
 
-use crate::pf::{ParticleFilter, ParticleState, PfRun, Proposal, StateSpaceModel};
-use mde_numeric::resilience::{RunOptions, RunPolicy, StopCause};
-use mde_numeric::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignState, CampaignStep, ErrorClass,
-};
+use crate::pf::{ParticleFilter, ParticleState, Proposal, StateSpaceModel};
+use mde_numeric::resilience::RunOptions;
+use mde_numeric::{DurableSurface, SliceRun};
 
 /// A durable particle-filter run packaged as a schedulable campaign.
 pub struct PfCampaign<M, Q>
@@ -27,7 +26,6 @@ where
     proposal: Q,
     observations: Vec<M::Obs>,
     opts: RunOptions,
-    state: Option<CampaignState>,
 }
 
 impl<M, Q> PfCampaign<M, Q>
@@ -50,75 +48,43 @@ where
             proposal,
             observations,
             opts,
-            state: None,
-        }
-    }
-
-    fn absorbs_shedding(&self) -> bool {
-        matches!(self.opts.policy, RunPolicy::BestEffort { .. })
-    }
-
-    fn run_slice(&mut self, ctl: &CampaignCtl) -> crate::Result<PfRun<M::State>> {
-        let mut opts = self.opts.clone();
-        opts.cancel = Some(ctl.cancel.clone());
-        if ctl.deadline.is_some() {
-            opts.deadline = ctl.deadline;
-        }
-        match self.state.take() {
-            Some(state) => self.filter.resume_durable(
-                &self.model,
-                &self.proposal,
-                &self.observations,
-                &opts,
-                state,
-            ),
-            None => self
-                .filter
-                .run_durable(&self.model, &self.proposal, &self.observations, &opts),
         }
     }
 }
 
-impl<M, Q> Campaign for PfCampaign<M, Q>
+impl<M, Q> DurableSurface for PfCampaign<M, Q>
 where
     M: StateSpaceModel + Send,
     M::State: ParticleState + Send,
     M::Obs: Send,
     Q: Proposal<M> + Send,
 {
-    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
-        let n_obs = self.observations.len() as u64;
-        let run = self.run_slice(ctl).map_err(|e| CampaignError {
-            message: e.to_string(),
-            severity: e.severity(),
-        })?;
-        let output = |run: PfRun<M::State>| {
-            let evidence: f64 = run
-                .steps
-                .iter()
-                .map(|s| s.ln_evidence_increment)
-                .filter(|v| v.is_finite())
-                .sum();
-            let value = (!run.steps.is_empty()).then_some(evidence);
-            CampaignOutput {
-                value,
-                report: run.report,
-            }
-        };
-        match run.stopped {
-            None => Ok(CampaignStep::Done(output(run))),
-            Some(StopCause::Shed) if self.absorbs_shedding() => {
-                let mut run = run;
-                let cursor = run.checkpoint.as_ref().map(|s| s.cursor).unwrap_or(n_obs);
-                run.report.record_shed(n_obs.saturating_sub(cursor));
-                Ok(CampaignStep::Done(output(run)))
-            }
-            Some(_) => {
-                let resumable = run.checkpoint.is_some();
-                self.state = run.checkpoint;
-                Ok(CampaignStep::Boundary { resumable })
-            }
-        }
+    type Error = crate::AssimError;
+
+    fn opts_mut(&mut self) -> &mut RunOptions {
+        &mut self.opts
+    }
+
+    fn run_slice(&mut self, opts: &RunOptions) -> crate::Result<SliceRun> {
+        let run = self
+            .filter
+            .run_durable(&self.model, &self.proposal, &self.observations, opts)?;
+        let evidence: f64 = run
+            .steps
+            .iter()
+            .map(|s| s.ln_evidence_increment)
+            .filter(|v| v.is_finite())
+            .sum();
+        Ok(SliceRun {
+            value: (!run.steps.is_empty()).then_some(evidence),
+            report: run.report,
+            stopped: run.stopped,
+            checkpoint: run.checkpoint,
+        })
+    }
+
+    fn boundaries(&self) -> Option<u64> {
+        Some(self.observations.len() as u64)
     }
 }
 
@@ -127,8 +93,9 @@ mod tests {
     use super::*;
     use crate::pf::BootstrapProposal;
     use mde_numeric::dist::Continuous;
-    use mde_numeric::resilience::CancelReason;
+    use mde_numeric::resilience::{CancelReason, CancelToken, RunPolicy};
     use mde_numeric::rng::Rng;
+    use mde_numeric::{Campaign, CampaignCtl, CampaignStep};
 
     /// Scalar random-walk model with Gaussian observations.
     struct Walk;
@@ -153,14 +120,36 @@ mod tests {
     }
 
     fn walk_campaign(policy: RunPolicy) -> PfCampaign<Walk, BootstrapProposal> {
+        walk_campaign_with(RunOptions::policy(policy))
+    }
+
+    fn walk_campaign_with(opts: RunOptions) -> PfCampaign<Walk, BootstrapProposal> {
         let obs: Vec<f64> = (0..6).map(|t| (t as f64) * 0.1).collect();
         PfCampaign::new(
             ParticleFilter::new(64, 11),
             Walk,
             BootstrapProposal,
             obs,
-            RunOptions::policy(policy),
+            opts,
         )
+    }
+
+    #[test]
+    fn submitter_cancel_token_is_honoured_and_terminal() {
+        // The submitter's own token, cancelled before the first slice: the
+        // campaign must finish with a partial result — not run every step
+        // (token ignored) and not report a boundary (re-queue would spin
+        // against the still-cancelled token).
+        let own = CancelToken::new();
+        own.cancel();
+        let mut c = walk_campaign_with(RunOptions::default().with_cancel(own));
+        match c.run(&CampaignCtl::new()).expect("cancelled slice") {
+            CampaignStep::Done(out) => {
+                assert_eq!(out.report.attempted, 0, "no step may run");
+                assert_eq!(out.value, None);
+            }
+            other => panic!("expected partial Done, got {other:?}"),
+        }
     }
 
     #[test]

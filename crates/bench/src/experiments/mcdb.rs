@@ -5,6 +5,7 @@ use mde_mcdb::mc::{GroupedMonteCarloQuery, MonteCarloQuery};
 use mde_mcdb::prelude::*;
 use mde_mcdb::query::{AggFunc, AggSpec};
 use mde_mcdb::vg::NormalVg;
+use mde_mcdb::RunOptions;
 use mde_numeric::rng::rng_from_seed;
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,7 +137,11 @@ pub fn mcdb_bundles_report() -> String {
 pub fn mcdb_risk_report() -> String {
     let db = catalog(200);
     let q = MonteCarloQuery::new(vec![sales_spec()], revenue_plan());
-    let res = q.run_parallel(&db, 4000, 7, 4).expect("MC run");
+    let opts = RunOptions::default().with_threads(4);
+    let res = q
+        .run_with_options(&db, 4000, 7, &opts)
+        .expect("MC run")
+        .result;
 
     // Truth: east region has 50 items; total = 1.1 * Σ N(100, 20) ⇒
     // N(5500, 1.1·20·√50 ≈ 155.6).
@@ -285,7 +290,8 @@ mod tests {
     fn risk_quantiles_match_closed_form() {
         let db = catalog(200);
         let q = MonteCarloQuery::new(vec![sales_spec()], revenue_plan());
-        let res = q.run_parallel(&db, 2000, 7, 4).unwrap();
+        let opts = RunOptions::default().with_threads(4);
+        let res = q.run_with_options(&db, 2000, 7, &opts).unwrap().result;
         let true_mean = 5500.0;
         let true_std = 1.1 * 20.0 * (50.0f64).sqrt();
         let q99 = res.quantile(0.99).unwrap();

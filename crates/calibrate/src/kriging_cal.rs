@@ -284,8 +284,9 @@ fn kriging_calibrate_inner(
 /// from scratch with [`GpModel::fit_unoptimized`] — per-evaluation
 /// covariance reconstruction and the scalar Cholesky, no workspace
 /// caching, no rank-1 borders. Kept as the differential oracle and the
-/// honest pre-optimization baseline for `BENCH_gp.json`; not for
-/// production use.
+/// honest pre-optimization baseline (the `calibrate.*` rows in
+/// `benchmark/README.md` time the production path); not for production
+/// use.
 pub fn kriging_calibrate_unoptimized(
     mut objective: impl FnMut(&[f64], usize) -> f64,
     bounds: &Bounds,

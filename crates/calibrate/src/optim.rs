@@ -17,8 +17,6 @@
 //! stopped by a deadline, a cancellation token, or an injected preemption
 //! notice and later resumed bit-identically from its [`CampaignState`].
 
-use std::path::Path;
-
 use mde_numeric::cache::ObjectiveScope;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::optim::OptimResult;
@@ -278,8 +276,9 @@ pub struct OptimRun {
     pub report: RunReport,
     /// Why the campaign stopped early, or `None` if it ran to completion.
     pub stopped: Option<StopCause>,
-    /// Final campaign state — pass to the matching `resume_*` function
-    /// (or persist with [`CampaignState::save`]) to continue the run.
+    /// Final campaign state — hand it back through
+    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
+    /// to continue the run.
     pub checkpoint: Option<CampaignState>,
 }
 
@@ -294,6 +293,12 @@ pub struct OptimRun {
 /// uninterrupted run. The checkpoint ledger stores each completed
 /// population (flattened `[x.., fx]` per individual); deadline, cancel,
 /// and preemption notices are honored before each boundary.
+///
+/// With [`RunOptions::resume`] set (an [`OptimRun::checkpoint`], or
+/// [`CampaignState::load`]) the campaign continues from that state's
+/// boundary; a state whose campaign tag or fingerprint (seed, bounds, GA
+/// configuration) does not match is refused with a typed
+/// [`CalibrateError::Checkpoint`].
 pub fn genetic_algorithm_durable(
     f: impl FnMut(&[f64]) -> f64,
     bounds: &Bounds,
@@ -302,43 +307,14 @@ pub fn genetic_algorithm_durable(
     opts: &RunOptions,
 ) -> crate::Result<OptimRun> {
     cfg.validate()?;
-    let state = CampaignState::new(
+    let state = CampaignState::start_or_resume(
+        opts.resume.as_ref(),
         CAMPAIGN_GA,
         ga_fingerprint(bounds, cfg, seed),
         seed,
         cfg.generations as u64 + 1,
-    );
+    )?;
     ga_campaign(f, bounds, cfg, seed, opts, state)
-}
-
-/// Resume a durable GA campaign from an in-memory [`CampaignState`] (as
-/// returned in [`OptimRun::checkpoint`]). Refuses — with a typed
-/// [`CalibrateError::Checkpoint`] — states whose campaign tag or
-/// fingerprint (seed, bounds, GA configuration) does not match.
-pub fn resume_genetic_algorithm(
-    f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    cfg: &GaConfig,
-    seed: u64,
-    opts: &RunOptions,
-    state: CampaignState,
-) -> crate::Result<OptimRun> {
-    cfg.validate()?;
-    state.validate(CAMPAIGN_GA, ga_fingerprint(bounds, cfg, seed))?;
-    ga_campaign(f, bounds, cfg, seed, opts, state)
-}
-
-/// Resume a durable GA campaign from a checkpoint file.
-pub fn resume_genetic_algorithm_from(
-    f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    cfg: &GaConfig,
-    seed: u64,
-    opts: &RunOptions,
-    path: &Path,
-) -> crate::Result<OptimRun> {
-    let state = CampaignState::load(path)?;
-    resume_genetic_algorithm(f, bounds, cfg, seed, opts, state)
 }
 
 /// Campaign identity for the durable GA: tag, seed, bounds, and every
@@ -457,8 +433,7 @@ fn ga_campaign(
         state.ints = vec![evals];
         if let Some(spec) = &opts.checkpoint {
             if spec.due(state.cursor) {
-                let stats = state.save_stats(&spec.path).map_err(CalibrateError::from)?;
-                stats.record_into(&mut state.report.metrics);
+                state.save_ledgered(&spec.path)?;
             }
         }
     }
@@ -485,7 +460,8 @@ fn ga_campaign(
 /// evaluation, each drawing its point from
 /// `StreamFactory::new(seed).child(i)`. The ledger stores each completed
 /// evaluation as `[x.., fx]`; a non-finite objective value is a retryable
-/// failure rather than a silent `+inf`.
+/// failure rather than a silent `+inf`. [`RunOptions::resume`] continues
+/// from a saved state exactly as for [`genetic_algorithm_durable`].
 pub fn random_search_durable(
     f: impl FnMut(&[f64]) -> f64,
     bounds: &Bounds,
@@ -499,41 +475,14 @@ pub fn random_search_durable(
             reason: "need at least one evaluation".into(),
         });
     }
-    let state = CampaignState::new(
+    let state = CampaignState::start_or_resume(
+        opts.resume.as_ref(),
         CAMPAIGN_RS,
         rs_fingerprint(bounds, evals, seed),
         seed,
         evals as u64,
-    );
+    )?;
     rs_campaign(f, bounds, opts, state)
-}
-
-/// Resume a durable random-search campaign from an in-memory
-/// [`CampaignState`]; tag/fingerprint mismatches yield a typed
-/// [`CalibrateError::Checkpoint`].
-pub fn resume_random_search(
-    f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    evals: usize,
-    seed: u64,
-    opts: &RunOptions,
-    state: CampaignState,
-) -> crate::Result<OptimRun> {
-    state.validate(CAMPAIGN_RS, rs_fingerprint(bounds, evals, seed))?;
-    rs_campaign(f, bounds, opts, state)
-}
-
-/// Resume a durable random-search campaign from a checkpoint file.
-pub fn resume_random_search_from(
-    f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    evals: usize,
-    seed: u64,
-    opts: &RunOptions,
-    path: &Path,
-) -> crate::Result<OptimRun> {
-    let state = CampaignState::load(path)?;
-    resume_random_search(f, bounds, evals, seed, opts, state)
 }
 
 /// Campaign identity for durable random search.
@@ -559,7 +508,7 @@ fn rs_campaign(
     let factory = StreamFactory::new(seed);
     let d = bounds.dim();
     let total = state.total;
-    validate_rs_ledger(&state, d)?;
+    validate_ledger(&state, d + 1)?;
     let mut stopped = None;
 
     for i in state.cursor..total {
@@ -626,8 +575,7 @@ fn rs_campaign(
         state.cursor = i + 1;
         if let Some(spec) = &opts.checkpoint {
             if spec.due(state.cursor) {
-                let stats = state.save_stats(&spec.path).map_err(CalibrateError::from)?;
-                stats.record_into(&mut state.report.metrics);
+                state.save_ledgered(&spec.path)?;
             }
         }
     }
@@ -750,8 +698,7 @@ fn seal_state(
         }
     }
     if let Some(spec) = &opts.checkpoint {
-        let stats = state.save_stats(&spec.path).map_err(CalibrateError::from)?;
-        stats.record_into(&mut state.report.metrics);
+        state.save_ledgered(&spec.path)?;
     }
     Ok(())
 }
@@ -767,40 +714,16 @@ fn encode_population(pop: &[(Vec<f64>, f64)]) -> Vec<f64> {
     out
 }
 
-/// Reconstruct the running population from the checkpoint ledger: entries
-/// must be strictly ascending and each payload exactly
-/// `population * (d + 1)` floats; the *last* entry is the live
-/// population. Structural disagreements surface as typed
-/// [`CheckpointError::Corrupt`] — never a panic.
+/// Reconstruct the running population from the checkpoint ledger: each
+/// payload is exactly `population * (d + 1)` floats and the *last* entry is
+/// the live population.
 fn decode_ledger_population(
     state: &CampaignState,
     population: usize,
     d: usize,
 ) -> crate::Result<Vec<(Vec<f64>, f64)>> {
     let width = d + 1;
-    let mut last_boundary = None;
-    for (b, payload) in &state.completed {
-        if last_boundary.is_some_and(|prev| *b <= prev) {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!("ledger entry {b} out of order"),
-            }));
-        }
-        if *b >= state.cursor {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!("ledger entry {b} beyond cursor {}", state.cursor),
-            }));
-        }
-        if payload.len() != population * width {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!(
-                    "ledger entry {b} has {} floats, expected {}",
-                    payload.len(),
-                    population * width
-                ),
-            }));
-        }
-        last_boundary = Some(*b);
-    }
+    validate_ledger(state, population * width)?;
     Ok(state
         .completed
         .last()
@@ -813,29 +736,28 @@ fn decode_ledger_population(
         .unwrap_or_default())
 }
 
-/// Validate the random-search ledger: ascending boundaries below the
-/// cursor, each payload exactly `d + 1` floats.
-fn validate_rs_ledger(state: &CampaignState, d: usize) -> crate::Result<()> {
+/// Validate a checkpoint ledger: strictly ascending boundaries below the
+/// cursor, each payload exactly `floats` long. Structural disagreements
+/// surface as typed [`CheckpointError::Corrupt`] — never a panic.
+fn validate_ledger(state: &CampaignState, floats: usize) -> crate::Result<()> {
+    let corrupt = |reason: String| {
+        Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
+            reason,
+        }))
+    };
     let mut last_boundary = None;
     for (b, payload) in &state.completed {
         if last_boundary.is_some_and(|prev| *b <= prev) {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!("ledger entry {b} out of order"),
-            }));
+            return corrupt(format!("ledger entry {b} out of order"));
         }
         if *b >= state.cursor {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!("ledger entry {b} beyond cursor {}", state.cursor),
-            }));
+            return corrupt(format!("ledger entry {b} beyond cursor {}", state.cursor));
         }
-        if payload.len() != d + 1 {
-            return Err(CalibrateError::Checkpoint(CheckpointError::Corrupt {
-                reason: format!(
-                    "ledger entry {b} has {} floats, expected {}",
-                    payload.len(),
-                    d + 1
-                ),
-            }));
+        if payload.len() != floats {
+            return corrupt(format!(
+                "ledger entry {b} has {} floats, expected {floats}",
+                payload.len()
+            ));
         }
         last_boundary = Some(*b);
     }
@@ -1039,15 +961,9 @@ mod tests {
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             let state = partial.checkpoint.expect("partial checkpoint");
             assert_eq!(state.cursor, cut);
-            let resumed = resume_genetic_algorithm(
-                rugged,
-                &bounds(),
-                &cfg,
-                11,
-                &RunOptions::default(),
-                state,
-            )
-            .expect("resume");
+            let resume = RunOptions::default().resuming(state);
+            let resumed =
+                genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &resume).expect("resume");
             assert!(resumed.stopped.is_none());
             let best = resumed.best.expect("best");
             assert_eq!(bits(&best.x), bits(&base_best.x), "cut at {cut}");
@@ -1067,9 +983,9 @@ mod tests {
             .expect("run");
         let state = run.checkpoint.expect("state");
         // Different seed → fingerprint mismatch, surfaced as a typed error.
-        let err =
-            resume_genetic_algorithm(rugged, &bounds(), &cfg, 12, &RunOptions::default(), state)
-                .expect_err("mismatched seed must be refused");
+        let resume = RunOptions::default().resuming(state);
+        let err = genetic_algorithm_durable(rugged, &bounds(), &cfg, 12, &resume)
+            .expect_err("mismatched seed must be refused");
         assert!(matches!(
             err,
             CalibrateError::Checkpoint(CheckpointError::Mismatch { .. })
@@ -1113,15 +1029,9 @@ mod tests {
             let partial = random_search_durable(rugged, &bounds(), evals, 11, &opts)
                 .expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
-            let resumed = resume_random_search(
-                rugged,
-                &bounds(),
-                evals,
-                11,
-                &RunOptions::default(),
-                partial.checkpoint.expect("state"),
-            )
-            .expect("resume");
+            let resume = RunOptions::default().resuming(partial.checkpoint.expect("state"));
+            let resumed =
+                random_search_durable(rugged, &bounds(), evals, 11, &resume).expect("resume");
             let best = resumed.best.expect("best");
             assert_eq!(bits(&best.x), bits(&base_best.x), "cut at {cut}");
             assert_eq!(best.fx.to_bits(), base_best.fx.to_bits());
@@ -1139,9 +1049,8 @@ mod tests {
         let state = run.checkpoint.expect("state");
         assert_eq!(state.cursor, 0);
         // The checkpoint resumes to the full result once time allows.
-        let resumed =
-            resume_random_search(rugged, &bounds(), 20, 11, &RunOptions::default(), state)
-                .expect("resume");
+        let resume = RunOptions::default().resuming(state);
+        let resumed = random_search_durable(rugged, &bounds(), 20, 11, &resume).expect("resume");
         assert_eq!(resumed.best.expect("best").evals, 20);
     }
 

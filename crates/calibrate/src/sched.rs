@@ -1,16 +1,15 @@
 //! Scheduler adapter: runs a durable random-search calibration as a
-//! schedulable [`Campaign`].
+//! schedulable [`Campaign`](mde_numeric::Campaign).
 //!
 //! Each slice continues the search from the last checkpointed evaluation;
-//! the scheduler's cancel token and deadline ride through the search's
-//! per-evaluation boundary checks. The campaign's scalar summary is the
-//! best objective value found over the completed evaluations.
+//! the shared slice protocol ([`DurableSurface`]) threads the scheduler's
+//! cancel token and deadline through the search's per-evaluation boundary
+//! checks. The campaign's scalar summary is the best objective value found
+//! over the completed evaluations.
 
-use crate::optim::{random_search_durable, resume_random_search, Bounds, OptimRun};
-use mde_numeric::resilience::{RunOptions, RunPolicy, StopCause};
-use mde_numeric::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignState, CampaignStep, ErrorClass,
-};
+use crate::optim::{random_search_durable, Bounds};
+use mde_numeric::resilience::RunOptions;
+use mde_numeric::{DurableSurface, SliceRun};
 
 /// A boxed objective function the scheduler can own and move across
 /// worker threads.
@@ -25,7 +24,6 @@ pub struct SearchCampaign {
     evals: usize,
     seed: u64,
     opts: RunOptions,
-    state: Option<CampaignState>,
 }
 
 impl SearchCampaign {
@@ -44,81 +42,74 @@ impl SearchCampaign {
             evals,
             seed,
             opts,
-            state: None,
-        }
-    }
-
-    fn absorbs_shedding(&self) -> bool {
-        matches!(self.opts.policy, RunPolicy::BestEffort { .. })
-    }
-
-    fn run_slice(&mut self, ctl: &CampaignCtl) -> crate::Result<OptimRun> {
-        let mut opts = self.opts.clone();
-        opts.cancel = Some(ctl.cancel.clone());
-        if ctl.deadline.is_some() {
-            opts.deadline = ctl.deadline;
-        }
-        match self.state.take() {
-            Some(state) => resume_random_search(
-                &mut self.objective,
-                &self.bounds,
-                self.evals,
-                self.seed,
-                &opts,
-                state,
-            ),
-            None => random_search_durable(
-                &mut self.objective,
-                &self.bounds,
-                self.evals,
-                self.seed,
-                &opts,
-            ),
         }
     }
 }
 
-impl Campaign for SearchCampaign {
-    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
-        let evals = self.evals as u64;
-        let run = self.run_slice(ctl).map_err(|e| CampaignError {
-            message: e.to_string(),
-            severity: e.severity(),
-        })?;
-        let output = |run: OptimRun| CampaignOutput {
+impl DurableSurface for SearchCampaign {
+    type Error = crate::CalibrateError;
+
+    fn opts_mut(&mut self) -> &mut RunOptions {
+        &mut self.opts
+    }
+
+    fn run_slice(&mut self, opts: &RunOptions) -> crate::Result<SliceRun> {
+        let run = random_search_durable(
+            &mut self.objective,
+            &self.bounds,
+            self.evals,
+            self.seed,
+            opts,
+        )?;
+        Ok(SliceRun {
             value: run.best.as_ref().map(|b| b.fx),
             report: run.report,
-        };
-        match run.stopped {
-            None => Ok(CampaignStep::Done(output(run))),
-            Some(StopCause::Shed) if self.absorbs_shedding() => {
-                let mut run = run;
-                let cursor = run.checkpoint.as_ref().map(|s| s.cursor).unwrap_or(evals);
-                run.report.record_shed(evals.saturating_sub(cursor));
-                Ok(CampaignStep::Done(output(run)))
-            }
-            Some(_) => {
-                let resumable = run.checkpoint.is_some();
-                self.state = run.checkpoint;
-                Ok(CampaignStep::Boundary { resumable })
-            }
-        }
+            stopped: run.stopped,
+            checkpoint: run.checkpoint,
+        })
+    }
+
+    fn boundaries(&self) -> Option<u64> {
+        Some(self.evals as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mde_numeric::resilience::CancelReason;
+    use mde_numeric::resilience::{CancelReason, CancelToken, RunPolicy};
+    use mde_numeric::{Campaign, CampaignCtl, CampaignStep};
 
     fn sphere_campaign(policy: RunPolicy) -> SearchCampaign {
+        sphere_campaign_with(RunOptions::policy(policy))
+    }
+
+    fn sphere_campaign_with(opts: RunOptions) -> SearchCampaign {
         SearchCampaign::new(
             |x: &[f64]| x.iter().map(|v| v * v).sum(),
             Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap(),
             24,
             5,
-            RunOptions::policy(policy),
+            opts,
         )
+    }
+
+    #[test]
+    fn submitter_cancel_token_is_honoured_and_terminal() {
+        // The submitter's own token, cancelled before the first slice: the
+        // campaign must finish with a partial result — not evaluate
+        // everything (token ignored) and not report a boundary (re-queue
+        // would spin against the still-cancelled token).
+        let own = CancelToken::new();
+        own.cancel();
+        let mut c = sphere_campaign_with(RunOptions::default().with_cancel(own));
+        match c.run(&CampaignCtl::new()).expect("cancelled slice") {
+            CampaignStep::Done(out) => {
+                assert_eq!(out.report.attempted, 0, "no evaluation may run");
+                assert_eq!(out.value, None);
+            }
+            other => panic!("expected partial Done, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! [`mde_numeric::resilience`], at the bottom of the workspace dependency
 //! graph, so that every execution layer can speak it:
 //!
-//! * [`mde_mcdb::mc::MonteCarloQuery::run_with_options`] /
-//!   [`run_parallel_with_options`](mde_mcdb::mc::MonteCarloQuery::run_parallel_with_options)
-//!   — supervised Monte Carlo query estimation;
+//! * [`mde_mcdb::mc::MonteCarloQuery::run_with_options`] — supervised
+//!   Monte Carlo query estimation, at any [`RunOptions::threads`] count;
 //! * [`crate::composite::ExecutablePlan::run_monte_carlo_supervised`] —
 //!   supervised composite-model campaigns;
 //! * the particle filter's supervised step loop in `mde-assim`.
@@ -38,14 +37,16 @@
 //! [`CancelToken`] cooperative cancellation, and the
 //! [`FaultKind::Preempt`] chaos fault. A stopped run is *not* an error:
 //! every durable surface returns its partial result, the partial report,
-//! a [`StopCause`], and a final checkpoint from which resumption is
-//! bit-identical to an uninterrupted run.
+//! a [`StopCause`], and a final checkpoint; handing that state back to the
+//! same entry point through [`RunOptions::resuming`] continues the run
+//! bit-identically to an uninterrupted one.
 
 pub use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint, SaveStats};
 pub use mde_numeric::resilience::backoff::{Backoff, BackoffConfig};
 pub use mde_numeric::resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use mde_numeric::resilience::sched::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, Priority,
+    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, DurableSurface, Overloaded,
+    Priority, SliceRun,
 };
 pub use mde_numeric::resilience::{
     catch_panic, retry_seed, supervise_replicate, AttemptFailure, CancelReason, CancelToken,

@@ -11,6 +11,7 @@
 
 use mde_mcdb::mc::{McResult, MonteCarloQuery};
 use mde_mcdb::prelude::*;
+use mde_numeric::resilience::RunOptions;
 use mde_numeric::stats::TrendAr1Model;
 
 /// A what-if analysis session: deterministic data plus attached stochastic
@@ -58,7 +59,7 @@ impl WhatIfSession {
         Ok(q.run(&self.catalog, n, seed)?)
     }
 
-    /// The parallel variant of [`WhatIfSession::what_if`].
+    /// [`WhatIfSession::what_if`] on `threads` worker threads (same samples).
     pub fn what_if_parallel(
         &self,
         plan: &Plan,
@@ -67,7 +68,8 @@ impl WhatIfSession {
         threads: usize,
     ) -> crate::Result<McResult> {
         let q = MonteCarloQuery::new(self.specs.clone(), plan.clone());
-        Ok(q.run_parallel(&self.catalog, n, seed, threads)?)
+        let opts = RunOptions::default().with_threads(threads);
+        Ok(q.run_with_options(&self.catalog, n, seed, &opts)?.result)
     }
 }
 

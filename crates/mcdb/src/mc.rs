@@ -7,8 +7,9 @@
 //! distribution features of interest such as moments and quantiles."
 //!
 //! [`MonteCarloQuery`] packages the stochastic-table specs with an
-//! aggregate query and runs `N` iterations (optionally across threads,
-//! standing in for MCDB's parallel-database backend). The result object
+//! aggregate query and runs `N` iterations (optionally across
+//! [`RunOptions::threads`] workers, standing in for MCDB's
+//! parallel-database backend). The result object
 //! answers the paper's analysis patterns:
 //!
 //! * moments and confidence intervals (plain MCDB);
@@ -33,9 +34,8 @@
 //! [`CancelToken`](mde_numeric::CancelToken) and the run stops at the next
 //! replicate boundary with a partial [`McRun`] — samples so far, partial
 //! ledger, final checkpoint — rather than an error. A preempted or
-//! expired campaign resumed via [`MonteCarloQuery::resume_from`] is
-//! bit-identical to one that was never interrupted, sequentially and in
-//! parallel.
+//! expired campaign handed back through [`RunOptions::resuming`] is
+//! bit-identical to one that was never interrupted, at any thread count.
 
 use crate::query::{Catalog, Plan, PreparedQuery};
 use crate::random_table::{PreparedRandomTable, RandomTableSpec};
@@ -50,8 +50,8 @@ use mde_numeric::rng::StreamFactory;
 use mde_numeric::stats::{
     mean_confidence_interval, proportion_confidence_interval, quantile, ConfidenceInterval, Summary,
 };
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Campaign tag written into every Monte Carlo checkpoint.
 const CAMPAIGN_MC: &str = "mcdb.monte-carlo";
@@ -76,13 +76,12 @@ impl MonteCarloQuery {
         &self.query
     }
 
-    /// Run `n` Monte Carlo iterations sequentially.
+    /// Run `n` Monte Carlo iterations: the three-argument convenience over
+    /// [`MonteCarloQuery::run_with_options`] with default options.
     ///
     /// Iteration `i` draws from stream `i` of a [`StreamFactory`] seeded
-    /// with `seed`, so results are identical to a parallel run with the
-    /// same seed. Equivalent to [`MonteCarloQuery::run_with_options`]
-    /// under [`RunPolicy::FailFast`]: the first failing replicate aborts
-    /// the run with a typed error (a panicking VG function surfaces as
+    /// with `seed`. Fail-fast: the first failing replicate aborts the run
+    /// with a typed error (a panicking VG function surfaces as
     /// [`McdbError::ReplicateFailed`](crate::McdbError::ReplicateFailed),
     /// never as a panic in the caller).
     pub fn run(&self, catalog: &Catalog, n: usize, seed: u64) -> crate::Result<McResult> {
@@ -91,45 +90,43 @@ impl MonteCarloQuery {
             .result)
     }
 
-    /// Run `n` iterations across `threads` worker threads.
-    ///
-    /// Deterministic: iteration `i` uses stream `i` regardless of which
-    /// thread executes it, so `run_parallel(.., seed)` equals
-    /// `run(.., seed)` sample-for-sample. Supervision is as in
-    /// [`MonteCarloQuery::run`] (fail-fast with typed errors).
-    pub fn run_parallel(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        threads: usize,
-    ) -> crate::Result<McResult> {
-        Ok(self
-            .run_parallel_with_options(catalog, n, seed, threads, &RunOptions::default())?
-            .result)
-    }
-
-    /// Run `n` supervised Monte Carlo iterations sequentially under a
-    /// [`RunPolicy`].
+    /// Run `n` supervised Monte Carlo iterations under `opts` — the one
+    /// options-taking entry point.
     ///
     /// Each replicate executes inside `catch_unwind`; panics, typed
     /// errors, and non-finite samples are classified and handled per the
-    /// policy:
+    /// [`RunPolicy`](mde_numeric::RunPolicy):
     ///
-    /// * [`RunPolicy::FailFast`] — abort on the first failure with the
-    ///   replicate's typed error.
-    /// * [`RunPolicy::Retry`] — re-execute the replicate on a fresh
-    ///   deterministic sub-seed ([`retry_seed`]) up to `max_attempts`.
-    /// * [`RunPolicy::BestEffort`] — drop failing replicates; the run
-    ///   succeeds as long as at least `min_fraction` of replicates
-    ///   produce a sample, and the returned [`RunReport`] carries the
-    ///   complete failure ledger.
+    /// * `FailFast` — abort on the first failure with the replicate's
+    ///   typed error.
+    /// * `Retry` — re-execute the replicate on a fresh deterministic
+    ///   sub-seed ([`retry_seed`]) up to `max_attempts`.
+    /// * `BestEffort` — drop failing replicates; the run succeeds as long
+    ///   as at least `min_fraction` of replicates produce a sample, and
+    ///   the returned [`RunReport`] carries the complete failure ledger.
     ///
     /// Fatal errors (unknown columns, invalid plans, bad parameters —
     /// anything that would fail identically on every attempt) abort the
-    /// run under every policy. Deterministic given `(seed, policy)`:
-    /// identical to [`MonteCarloQuery::run_parallel_with_options`] at any
-    /// thread count, including which replicates are retried or dropped.
+    /// run under every policy.
+    ///
+    /// [`RunOptions::threads`] workers share the replicates; the result —
+    /// samples, retries, drops, and the ledger — is bit-identical at any
+    /// count, because iteration `i` uses stream `i` and retry sub-seeds
+    /// are a pure function of `(seed, replicate, attempt)` no matter
+    /// which worker executes them.
+    ///
+    /// With [`RunOptions::resume`] set the run continues from that state's
+    /// cursor (as returned in [`McRun::checkpoint`], or loaded with
+    /// [`CampaignState::load`]) instead of replicate 0. The state must
+    /// carry this campaign's tag and seed/spec fingerprint — anything else
+    /// is a typed [`McdbError::Checkpoint`](crate::McdbError::Checkpoint) —
+    /// and the final [`McRun`] is bit-identical to an uninterrupted run.
+    /// Checkpoints are interchangeable across thread counts.
+    ///
+    /// A fresh run consults [`RunOptions::cache`] first; a resumed run does
+    /// not; both store a completed result. The cache key excludes the
+    /// thread count on purpose: any count may replay a result another
+    /// computed.
     pub fn run_with_options(
         &self,
         catalog: &Catalog,
@@ -137,49 +134,21 @@ impl MonteCarloQuery {
         seed: u64,
         opts: &RunOptions,
     ) -> crate::Result<McRun> {
-        if let Some(hit) = self.replay_cached(n, seed, opts)? {
-            return Ok(hit);
+        if opts.resume.is_none() {
+            if let Some(hit) = self.replay_cached(n, seed, opts)? {
+                return Ok(hit);
+            }
         }
-        let state = CampaignState::new(CAMPAIGN_MC, self.fingerprint(n, seed), seed, n as u64);
+        let state = CampaignState::start_or_resume(
+            opts.resume.as_ref(),
+            CAMPAIGN_MC,
+            self.fingerprint(n, seed),
+            seed,
+            n as u64,
+        )?;
         let run = self.campaign(catalog, n, seed, opts, state)?;
         self.cache_completed(n, seed, opts, &run);
         Ok(run)
-    }
-
-    /// Resume a sequential supervised run from an in-memory
-    /// [`CampaignState`] (as returned in [`McRun::checkpoint`]). The state
-    /// must carry this campaign's tag and seed/spec fingerprint —
-    /// anything else is a typed
-    /// [`McdbError::Checkpoint`](crate::McdbError::Checkpoint) — and the
-    /// run continues from the state's cursor, producing a final [`McRun`]
-    /// bit-identical to an uninterrupted run.
-    pub fn resume_with_options(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        opts: &RunOptions,
-        state: CampaignState,
-    ) -> crate::Result<McRun> {
-        state.validate(CAMPAIGN_MC, self.fingerprint(n, seed))?;
-        let run = self.campaign(catalog, n, seed, opts, state)?;
-        self.cache_completed(n, seed, opts, &run);
-        Ok(run)
-    }
-
-    /// Resume a sequential supervised run from a checkpoint file written
-    /// by a previous (interrupted) run. Validates the checksum and the
-    /// campaign fingerprint before continuing from the cursor.
-    pub fn resume_from(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        opts: &RunOptions,
-        path: &Path,
-    ) -> crate::Result<McRun> {
-        let state = CampaignState::load(path)?;
-        self.resume_with_options(catalog, n, seed, opts, state)
     }
 
     /// The digest that ties a checkpoint to this exact campaign: tag,
@@ -247,10 +216,7 @@ impl MonteCarloQuery {
             .collect();
         state.report = report;
         if let Some(spec) = &opts.checkpoint {
-            let stats = state
-                .save_stats(&spec.path)
-                .map_err(crate::McdbError::from)?;
-            stats.record_into(&mut state.report.metrics);
+            state.save_ledgered(&spec.path)?;
         }
         let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
         Ok(Some(McRun {
@@ -285,10 +251,19 @@ impl MonteCarloQuery {
         });
     }
 
-    /// The sequential campaign loop: continue from `state.cursor`, check
-    /// for deadline/cancel/preempt before each replicate, absorb outcomes
-    /// into the state, and persist periodic checkpoints at the
-    /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) cadence.
+    /// The campaign loop. Workers claim replicates round-robin from the
+    /// resume cursor and check for deadline/cancel/preempt before each; a
+    /// shared `stop_at` watermark (lowered with `fetch_min` by whichever
+    /// worker first observes a stop condition or an abort) makes every
+    /// worker halt at its next boundary, and only replicates below the
+    /// earliest stop are committed — so a stopped run commits exactly the
+    /// same contiguous prefix at any thread count.
+    ///
+    /// One worker runs inline and commits each outcome as it lands, which
+    /// is what lets it honor the periodic
+    /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) cadence; several
+    /// workers run on scoped threads and their outcomes are committed in
+    /// replicate order after the join (checkpoint at stop/completion only).
     fn campaign(
         &self,
         catalog: &Catalog,
@@ -297,40 +272,66 @@ impl MonteCarloQuery {
         opts: &RunOptions,
         mut state: CampaignState,
     ) -> crate::Result<McRun> {
+        type Entry = (u64, ReplicateOutcome<f64, crate::McdbError>, Duration);
+        type Stop = Option<(u64, StopCause)>;
+        let n = n as u64;
+        let start = state.cursor;
+        let threads = opts
+            .threads
+            .clamp(1, n.saturating_sub(start).max(1) as usize);
         // Plan once: specs and the aggregate query are prepared against the
         // base catalog (plus placeholder schemas for the stochastic
-        // tables), then executed per replicate. Prepare-time errors are
-        // structural — they would fail identically on every attempt — so
-        // they abort under every policy, exactly as fatal runtime errors
-        // did when planning happened inside each replicate.
+        // tables), then executed per replicate by every worker. Prepare-time
+        // errors are structural — they would fail identically on every
+        // attempt — so they abort under every policy, exactly as fatal
+        // runtime errors did when planning happened inside each replicate.
         let prepared = prepare_task(&self.specs, &self.query, catalog)?;
         let factory = StreamFactory::new(seed);
-        let mut scratch = catalog.clone();
-        let mut stopped = None;
-        for i in state.cursor..n as u64 {
-            if let Some(cause) = opts.stop_cause(i) {
-                stopped = Some(cause);
-                break;
-            }
-            let t0 = std::time::Instant::now();
-            let outcome = self.supervised_iteration(
-                &prepared,
-                catalog,
-                &mut scratch,
-                &factory,
-                seed,
-                i,
-                opts,
-            );
+        let stop_at = AtomicU64::new(n);
+        // Worker `t`'s share: replicates `start + t`, `start + t + threads`, …
+        // each handed to `sink` as it completes.
+        let work =
+            |t: usize, sink: &mut dyn FnMut(Entry) -> crate::Result<()>| -> crate::Result<Stop> {
+                let mut scratch = catalog.clone();
+                let mut i = start + t as u64;
+                while i < stop_at.load(Ordering::Acquire) {
+                    if let Some(cause) = opts.stop_cause(i) {
+                        stop_at.fetch_min(i, Ordering::AcqRel);
+                        return Ok(Some((i, cause)));
+                    }
+                    let t0 = Instant::now();
+                    let outcome = self.supervised_iteration(
+                        &prepared,
+                        catalog,
+                        &mut scratch,
+                        &factory,
+                        seed,
+                        i,
+                        opts,
+                    );
+                    if matches!(outcome, ReplicateOutcome::Abort { .. }) {
+                        // No worker needs to proceed past an abort; whether it
+                        // surfaces is decided when it is committed.
+                        stop_at.fetch_min(i, Ordering::AcqRel);
+                    }
+                    sink((i, outcome, t0.elapsed()))?;
+                    i += threads as u64;
+                }
+                Ok(None)
+            };
+        // Commit one outcome into the ledger. Outcomes arrive in replicate
+        // order, so an abort surfaces exactly when the sequential loop
+        // would have hit it.
+        let commit = |state: &mut CampaignState, (i, outcome, elapsed): Entry| {
             state.report.absorb(&outcome);
             state
                 .report
                 .metrics
-                .observe_duration("mc.replicate", t0.elapsed());
+                .observe_duration("mc.replicate", elapsed);
             match outcome {
                 ReplicateOutcome::Success { value, .. } => {
                     state.report.metrics.observe("mc.sample", value);
-                    state.completed.push((i, vec![value]))
+                    state.completed.push((i, vec![value]));
                 }
                 ReplicateOutcome::Dropped { .. } => {}
                 ReplicateOutcome::Abort { error, failures } => {
@@ -338,231 +339,68 @@ impl MonteCarloQuery {
                 }
             }
             state.cursor = i + 1;
-            if let Some(spec) = &opts.checkpoint {
-                if spec.due(state.cursor) {
-                    let stats = state
-                        .save_stats(&spec.path)
-                        .map_err(crate::McdbError::from)?;
-                    stats.record_into(&mut state.report.metrics);
-                }
-            }
-        }
-        seal(state, n, opts, stopped)
-    }
-
-    /// Run `n` supervised iterations across `threads` worker threads under
-    /// a [`RunPolicy`]. Policy semantics are those of
-    /// [`MonteCarloQuery::run_with_options`], and the result — samples,
-    /// retries, drops, and the [`RunReport`] ledger — is bit-identical to
-    /// the sequential run at any thread count: retry sub-seeds are a pure
-    /// function of `(seed, replicate, attempt)`, so a retried replicate
-    /// produces the same sample no matter which worker re-executes it.
-    pub fn run_parallel_with_options(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        threads: usize,
-        opts: &RunOptions,
-    ) -> crate::Result<McRun> {
-        // The cache key excludes the thread count on purpose: parallel
-        // and sequential runs are bit-identical, so either may replay a
-        // result the other computed.
-        if let Some(hit) = self.replay_cached(n, seed, opts)? {
-            return Ok(hit);
-        }
-        let state = CampaignState::new(CAMPAIGN_MC, self.fingerprint(n, seed), seed, n as u64);
-        let run = self.campaign_parallel(catalog, n, seed, threads, opts, state)?;
-        self.cache_completed(n, seed, opts, &run);
-        Ok(run)
-    }
-
-    /// Resume a parallel supervised run from an in-memory
-    /// [`CampaignState`]. Checkpoints are interchangeable between the
-    /// sequential and parallel paths: a sequentially written checkpoint
-    /// resumes in parallel (and vice versa) with bit-identical results.
-    pub fn resume_parallel_with_options(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        threads: usize,
-        opts: &RunOptions,
-        state: CampaignState,
-    ) -> crate::Result<McRun> {
-        state.validate(CAMPAIGN_MC, self.fingerprint(n, seed))?;
-        let run = self.campaign_parallel(catalog, n, seed, threads, opts, state)?;
-        self.cache_completed(n, seed, opts, &run);
-        Ok(run)
-    }
-
-    /// Resume a parallel supervised run from a checkpoint file.
-    pub fn resume_parallel_from(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        threads: usize,
-        opts: &RunOptions,
-        path: &Path,
-    ) -> crate::Result<McRun> {
-        let state = CampaignState::load(path)?;
-        self.resume_parallel_with_options(catalog, n, seed, threads, opts, state)
-    }
-
-    /// The parallel campaign loop. Workers claim replicates round-robin
-    /// from the resume cursor; a shared `stop_at` watermark (lowered with
-    /// `fetch_min` by whichever worker first observes a stop condition or
-    /// an abort) makes every worker halt at its next boundary, and the
-    /// merge keeps only replicates below the final watermark — so a
-    /// stopped parallel run commits exactly the same contiguous prefix a
-    /// sequential run would, at any thread count.
-    fn campaign_parallel(
-        &self,
-        catalog: &Catalog,
-        n: usize,
-        seed: u64,
-        threads: usize,
-        opts: &RunOptions,
-        mut state: CampaignState,
-    ) -> crate::Result<McRun> {
-        type Entry = (
-            u64,
-            ReplicateOutcome<f64, crate::McdbError>,
-            std::time::Duration,
-        );
-        type WorkerOut = (Vec<Entry>, Option<(u64, StopCause)>);
-        let start = state.cursor;
-        let remaining = (n as u64).saturating_sub(start) as usize;
-        let threads = threads.clamp(1, remaining.max(1));
-        // Plan once, before any worker starts; every thread executes the
-        // same shared prepared plans against its own scratch catalog.
-        let prepared = prepare_task(&self.specs, &self.query, catalog)?;
-        let factory = StreamFactory::new(seed);
-        let stop_at = AtomicU64::new(n as u64);
-        let mut results: Vec<Option<WorkerOut>> = (0..threads).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let spec = &*self;
-                let cat = catalog;
-                let prepared = &prepared;
-                let stop_at = &stop_at;
-                handles.push(scope.spawn(move |_| {
-                    let mut scratch = cat.clone();
-                    let mut entries: Vec<Entry> = Vec::new();
-                    let mut local_stop: Option<(u64, StopCause)> = None;
-                    // Static round-robin iteration assignment from the
-                    // resume cursor.
-                    let mut i = start + t as u64;
-                    while i < n as u64 {
-                        if i >= stop_at.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if let Some(cause) = opts.stop_cause(i) {
-                            stop_at.fetch_min(i, Ordering::AcqRel);
-                            local_stop = Some((i, cause));
-                            break;
-                        }
-                        let t0 = std::time::Instant::now();
-                        let outcome = spec.supervised_iteration(
-                            prepared,
-                            cat,
-                            &mut scratch,
-                            &factory,
-                            seed,
-                            i,
-                            opts,
-                        );
-                        let aborts = matches!(outcome, ReplicateOutcome::Abort { .. });
-                        entries.push((i, outcome, t0.elapsed()));
-                        if aborts {
-                            // No worker needs to proceed past an abort; the
-                            // merge decides whether it survives a stop.
-                            stop_at.fetch_min(i, Ordering::AcqRel);
-                            break;
-                        }
-                        i += threads as u64;
-                    }
-                    (entries, local_stop)
-                }));
-            }
-            for (slot, h) in results.iter_mut().zip(handles) {
-                // A join failure is a panic outside the supervised
-                // per-replicate region — infrastructure loss, surfaced as
-                // a typed fatal error rather than propagated.
-                match h.join() {
-                    Ok(out) => *slot = Some(out),
-                    Err(_) => {
-                        return Err(crate::McdbError::worker_lost(
-                            "Monte Carlo worker panicked outside the supervised region",
-                        ))
-                    }
-                }
-            }
             Ok(())
-        })
-        .map_err(|_| crate::McdbError::worker_lost("Monte Carlo scoped worker pool panicked"))??;
+        };
 
-        // Merge: earliest stop boundary vs earliest abort decides the
-        // outcome, exactly as the sequential loop encountering them in
-        // replicate order would.
-        let mut entries: Vec<Entry> = Vec::new();
-        let mut stop: Option<(u64, StopCause)> = None;
-        for (chunk, local_stop) in results.into_iter().flatten() {
-            entries.extend(chunk);
-            if let Some((b, cause)) = local_stop {
-                stop = Some(match stop {
-                    Some((sb, sc)) if sb <= b => (sb, sc),
-                    _ => (b, cause),
-                });
-            }
-        }
-        entries.sort_by_key(|(i, _, _)| *i);
-        let abort_at = entries
-            .iter()
-            .find(|(_, o, _)| matches!(o, ReplicateOutcome::Abort { .. }))
-            .map(|(i, _, _)| *i);
-        if let Some(a) = abort_at {
-            if stop.map(|(s, _)| a < s).unwrap_or(true) {
-                // The abort happens before any stop boundary: the
-                // sequential loop would have hit it and surfaced the error.
-                let (_, outcome, _) = match entries.into_iter().find(|(i, _, _)| *i == a) {
-                    Some(entry) => entry,
-                    None => {
-                        return Err(crate::McdbError::worker_lost(
-                            "abort bookkeeping lost its ledger entry during merge",
-                        ))
+        let stop: Stop = if threads == 1 {
+            work(0, &mut |entry| {
+                commit(&mut state, entry)?;
+                if let Some(spec) = &opts.checkpoint {
+                    if spec.due(state.cursor) {
+                        state.save_ledgered(&spec.path)?;
                     }
-                };
-                if let ReplicateOutcome::Abort { error, failures } = outcome {
-                    return Err(abort_error(error, &failures));
                 }
-                return Err(crate::McdbError::worker_lost(
-                    "abort index does not point at an abort outcome",
-                ));
+                Ok(())
+            })?
+        } else {
+            let joined = crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let work = &work;
+                        scope.spawn(move |_| {
+                            let mut entries: Vec<Entry> = Vec::new();
+                            let stop: crate::Result<Stop> = work(t, &mut |entry| {
+                                entries.push(entry);
+                                Ok(())
+                            });
+                            stop.map(|stop| (entries, stop))
+                        })
+                    })
+                    .collect();
+                // A join failure is a panic outside the supervised
+                // per-replicate region — infrastructure loss, surfaced as a
+                // typed fatal error rather than propagated.
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(crate::McdbError::worker_lost(
+                                "Monte Carlo worker panicked outside the supervised region",
+                            ))
+                        })
+                    })
+                    .collect::<crate::Result<Vec<_>>>()
+            })
+            .map_err(|_| {
+                crate::McdbError::worker_lost("Monte Carlo scoped worker pool panicked")
+            })??;
+            // The earliest stop boundary wins; replicates at or past it were
+            // executed by workers that had not yet observed the stop — the
+            // sequential run never reaches them, so they are discarded
+            // uncommitted (an abort among them included).
+            let stop = joined
+                .iter()
+                .filter_map(|(_, stop)| *stop)
+                .min_by_key(|(b, _)| *b);
+            let cut = stop.map_or(n, |(b, _)| b);
+            let mut entries: Vec<Entry> = joined.into_iter().flat_map(|(e, _)| e).collect();
+            entries.sort_by_key(|(i, ..)| *i);
+            for entry in entries.into_iter().filter(|(i, ..)| *i < cut) {
+                commit(&mut state, entry)?;
             }
-        }
-        let cut = stop.map(|(b, _)| b).unwrap_or(n as u64);
-        for (i, outcome, elapsed) in entries {
-            // Replicates at or past the stop boundary were executed by
-            // workers that had not yet observed the stop; the sequential
-            // run never reaches them, so they are discarded unabsorbed.
-            if i >= cut {
-                continue;
-            }
-            state.report.absorb(&outcome);
-            state
-                .report
-                .metrics
-                .observe_duration("mc.replicate", elapsed);
-            if let ReplicateOutcome::Success { value, .. } = outcome {
-                state.report.metrics.observe("mc.sample", value);
-                state.completed.push((i, vec![value]));
-            }
-        }
-        state.cursor = cut;
-        seal(state, n, opts, stop.map(|(_, c)| c))
+            stop
+        };
+        seal(state, n as usize, opts, stop.map(|(_, cause)| cause))
     }
 
     /// Supervise one replicate to completion: run the attempt loop under
@@ -732,9 +570,9 @@ pub struct McRun {
     /// (deadline expiry, cancellation, or an injected preemption); `None`
     /// for a run that completed.
     pub stopped: Option<StopCause>,
-    /// The final campaign state — resume a stopped run by passing it to
-    /// [`MonteCarloQuery::resume_with_options`] (it is also what
-    /// [`MonteCarloQuery::resume_from`] reads back from disk when a
+    /// The final campaign state — resume a stopped run by handing it back
+    /// through [`RunOptions::resuming`] (it is also what
+    /// [`CampaignState::load`] reads back from disk when a
     /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached).
     pub checkpoint: Option<CampaignState>,
 }
@@ -783,10 +621,7 @@ fn seal(
         }
     }
     if let Some(spec) = &opts.checkpoint {
-        let stats = state
-            .save_stats(&spec.path)
-            .map_err(crate::McdbError::from)?;
-        stats.record_into(&mut state.report.metrics);
+        state.save_ledgered(&spec.path)?;
     }
     let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
     Ok(McRun {
@@ -1171,11 +1006,12 @@ mod tests {
         let db = demand_catalog();
         let q = revenue_query();
         let seq = q.run(&db, 64, 13).unwrap();
-        let par = q.run_parallel(&db, 64, 13, 4).unwrap();
-        assert_eq!(seq.samples(), par.samples());
         // Thread count must not change results.
-        let par2 = q.run_parallel(&db, 64, 13, 7).unwrap();
-        assert_eq!(seq.samples(), par2.samples());
+        for threads in [4, 7] {
+            let opts = RunOptions::default().with_threads(threads);
+            let par = q.run_with_options(&db, 64, 13, &opts).unwrap();
+            assert_eq!(seq.samples(), par.result.samples());
+        }
     }
 
     #[test]
@@ -1304,7 +1140,7 @@ mod tests {
         let seq = q.run_with_options(&db, 24, 17, &opts).unwrap();
         for threads in [1, 3, 8] {
             let par = q
-                .run_parallel_with_options(&db, 24, 17, threads, &opts)
+                .run_with_options(&db, 24, 17, &opts.clone().with_threads(threads))
                 .unwrap();
             assert_eq!(seq.result.samples(), par.result.samples());
             assert_eq!(seq.report, par.report);
@@ -1385,20 +1221,19 @@ mod tests {
         assert_eq!(partial.result.samples(), &clean.result.samples()[..9]);
         let state = partial.checkpoint.unwrap();
         assert_eq!(state.cursor, 9);
-        let resumed = q
-            .resume_with_options(&db, 24, 13, &RunOptions::default(), state.clone())
-            .unwrap();
+        let resume = RunOptions::default().resuming(state);
+        let resumed = q.run_with_options(&db, 24, 13, &resume).unwrap();
         assert!(resumed.stopped.is_none());
         assert_eq!(resumed.result.samples(), clean.result.samples());
         assert_eq!(resumed.report, clean.report);
         // A sequential checkpoint resumes in parallel identically.
         let par = q
-            .resume_parallel_with_options(&db, 24, 13, 4, &RunOptions::default(), state.clone())
+            .run_with_options(&db, 24, 13, &resume.clone().with_threads(4))
             .unwrap();
         assert_eq!(par.result.samples(), clean.result.samples());
         // Resuming under a different (seed, n) is refused with a typed
         // error, never a silent wrong resume.
-        match q.resume_with_options(&db, 24, 14, &RunOptions::default(), state) {
+        match q.run_with_options(&db, 24, 14, &resume) {
             Err(crate::McdbError::Checkpoint(mde_numeric::CheckpointError::Mismatch {
                 field,
                 ..
@@ -1422,12 +1257,14 @@ mod tests {
         assert_eq!(state.cursor, 0);
         // The partial state resumes to the full run.
         let resumed = q
-            .resume_with_options(&db, 16, 5, &RunOptions::default(), state)
+            .run_with_options(&db, 16, 5, &RunOptions::default().resuming(state))
             .unwrap();
         let clean = q.run(&db, 16, 5).unwrap();
         assert_eq!(resumed.result.samples(), clean.samples());
         // Parallel deadline expiry is equally graceful.
-        let par = q.run_parallel_with_options(&db, 16, 5, 3, &opts).unwrap();
+        let par = q
+            .run_with_options(&db, 16, 5, &opts.with_threads(3))
+            .unwrap();
         assert_eq!(par.stopped, Some(StopCause::Deadline));
         assert_eq!(par.result.n(), 0);
     }

@@ -1,40 +1,34 @@
 //! Scheduler adapter: runs a [`MonteCarloQuery`] as a schedulable
-//! [`Campaign`].
+//! [`Campaign`](mde_numeric::Campaign).
 //!
 //! The adapter owns everything the query needs (catalog, replicate count,
-//! seed, run options) plus the in-memory [`CampaignState`] that survives
-//! preemption: when the scheduler stops a slice at a replicate boundary,
-//! the checkpoint is kept and the next slice resumes from its cursor, so
-//! a preempted campaign is bit-identical to an uninterrupted one.
-//!
-//! Shedding is absorbed, not fatal, for best-effort work: a
-//! [`StopCause::Shed`] stop under [`RunPolicy::BestEffort`] finishes the
-//! campaign with the partial estimate, counts the unexecuted replicates
-//! in the ledger's `sched.shed` counter, and widens the confidence
-//! interval. Any other policy treats shedding like preemption — the
-//! checkpoint is kept and the campaign reports a resumable boundary.
+//! seed, run options); the slice protocol — parking the checkpoint when the
+//! scheduler stops a slice at a replicate boundary so the next slice resumes
+//! from its cursor bit-identically, absorbing a shed under
+//! [`RunPolicy::BestEffort`](mde_numeric::RunPolicy) into a partial estimate
+//! with the unexecuted replicates counted in `sched.shed`, treating a
+//! submitter's own cancel as terminal — is the shared
+//! [`DurableSurface`] implementation in `mde_numeric::resilience::sched`.
 
-use crate::mc::{McRun, MonteCarloQuery};
+use crate::mc::MonteCarloQuery;
 use crate::query::Catalog;
-use mde_numeric::resilience::{RunOptions, RunPolicy, StopCause};
-use mde_numeric::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignState, CampaignStep, ErrorClass,
-};
+use mde_numeric::resilience::RunOptions;
+use mde_numeric::{DurableSurface, SliceRun};
 
-/// A Monte Carlo estimation query packaged as a schedulable campaign.
+/// A Monte Carlo estimation query packaged as a schedulable campaign. The
+/// scalar summary is the sample mean over the completed replicates.
 ///
-/// Each [`Campaign::run`] slice executes replicates from the saved cursor
-/// until completion or until the scheduler's control block stops it at a
-/// replicate boundary. `threads > 1` uses the parallel execution path;
-/// results are bit-identical at any thread count.
+/// [`RunOptions::threads`] workers run each slice (bit-identical at any
+/// count), and a campaign constructed with
+/// [`RunOptions::resuming`] starts its first slice from that state's cursor
+/// — a state from a different query, seed, or replicate count surfaces as a
+/// typed checkpoint error when the slice runs, not a wrong answer.
 pub struct McCampaign {
     query: MonteCarloQuery,
     catalog: Catalog,
     n: usize,
     seed: u64,
     opts: RunOptions,
-    threads: usize,
-    state: Option<CampaignState>,
 }
 
 impl McCampaign {
@@ -52,123 +46,31 @@ impl McCampaign {
             n,
             seed,
             opts,
-            threads: 1,
-            state: None,
-        }
-    }
-
-    /// Use `threads` worker threads per slice (deterministic: the result
-    /// is bit-identical to the sequential path).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Seed the campaign with a previously persisted [`CampaignState`]
-    /// (e.g. loaded from a checkpoint file written by an interrupted
-    /// run): the first slice resumes from the state's cursor instead of
-    /// replicate zero. The state is validated against this campaign's
-    /// fingerprint when the slice runs — a mismatched query, seed, or
-    /// replicate count surfaces as a typed checkpoint error, not a wrong
-    /// answer.
-    pub fn with_state(mut self, state: CampaignState) -> Self {
-        self.state = Some(state);
-        self
-    }
-
-    /// Whether a shed stop finishes with a partial estimate (best-effort
-    /// policy) instead of re-queueing.
-    fn absorbs_shedding(&self) -> bool {
-        matches!(self.opts.policy, RunPolicy::BestEffort { .. })
-    }
-
-    fn run_slice(&mut self, ctl: &CampaignCtl) -> crate::Result<McRun> {
-        let mut opts = self.opts.clone();
-        // Observe both the scheduler's control token and any cancel
-        // handle the submitter attached (a session disconnect signal, a
-        // client abort): whichever fires first stops the slice.
-        opts.cancel = Some(match &self.opts.cancel {
-            Some(own) => mde_numeric::resilience::CancelToken::child_of_all(&[
-                ctl.cancel.clone(),
-                own.clone(),
-            ]),
-            None => ctl.cancel.clone(),
-        });
-        if ctl.deadline.is_some() {
-            opts.deadline = ctl.deadline;
-        }
-        match self.state.take() {
-            Some(state) if self.threads > 1 => self.query.resume_parallel_with_options(
-                &self.catalog,
-                self.n,
-                self.seed,
-                self.threads,
-                &opts,
-                state,
-            ),
-            Some(state) => {
-                self.query
-                    .resume_with_options(&self.catalog, self.n, self.seed, &opts, state)
-            }
-            None if self.threads > 1 => self.query.run_parallel_with_options(
-                &self.catalog,
-                self.n,
-                self.seed,
-                self.threads,
-                &opts,
-            ),
-            None => self
-                .query
-                .run_with_options(&self.catalog, self.n, self.seed, &opts),
         }
     }
 }
 
-impl Campaign for McCampaign {
-    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
-        let run = self.run_slice(ctl).map_err(|e| CampaignError {
-            message: e.to_string(),
-            severity: e.severity(),
-        })?;
-        let output = |run: McRun| {
-            let value = (run.result.n() > 0).then(|| run.result.mean());
-            CampaignOutput {
-                value,
-                report: run.report,
-            }
-        };
-        match run.stopped {
-            None => Ok(CampaignStep::Done(output(run))),
-            Some(StopCause::Shed) if self.absorbs_shedding() => {
-                // Count the replicates that never ran as shed, not failed:
-                // they are excluded from the estimate but visible in the
-                // deterministic ledger, and the CI is flagged as widened.
-                let mut run = run;
-                let cursor = run
-                    .checkpoint
-                    .as_ref()
-                    .map(|s| s.cursor)
-                    .unwrap_or(self.n as u64);
-                run.report
-                    .record_shed((self.n as u64).saturating_sub(cursor));
-                Ok(CampaignStep::Done(output(run)))
-            }
-            Some(StopCause::Cancelled) => {
-                // A user/session cancel (the scheduler itself only ever
-                // signals shed or preempt) is terminal: re-queueing would
-                // spin against the still-cancelled external token. The
-                // partial estimate is returned and any configured
-                // checkpoint was already persisted for a later resume.
-                Ok(CampaignStep::Done(output(run)))
-            }
-            Some(_) => {
-                // Preempted / shed under a strict policy / deadline: keep
-                // the checkpoint so the next slice resumes at the cursor.
-                let resumable = run.checkpoint.is_some();
-                self.state = run.checkpoint;
-                Ok(CampaignStep::Boundary { resumable })
-            }
-        }
+impl DurableSurface for McCampaign {
+    type Error = crate::McdbError;
+
+    fn opts_mut(&mut self) -> &mut RunOptions {
+        &mut self.opts
+    }
+
+    fn run_slice(&mut self, opts: &RunOptions) -> crate::Result<SliceRun> {
+        let run = self
+            .query
+            .run_with_options(&self.catalog, self.n, self.seed, opts)?;
+        Ok(SliceRun {
+            value: (run.result.n() > 0).then(|| run.result.mean()),
+            report: run.report,
+            stopped: run.stopped,
+            checkpoint: run.checkpoint,
+        })
+    }
+
+    fn boundaries(&self) -> Option<u64> {
+        Some(self.n as u64)
     }
 }
 
@@ -182,7 +84,8 @@ mod tests {
     use crate::table::Table;
     use crate::value::Value;
     use crate::vg::NormalVg;
-    use mde_numeric::resilience::CancelReason;
+    use mde_numeric::resilience::{CancelReason, RunPolicy};
+    use mde_numeric::{Campaign, CampaignCtl, CampaignStep};
     use std::sync::Arc;
 
     fn demand_campaign(n: usize, policy: RunPolicy) -> McCampaign {

@@ -1,32 +1,17 @@
 //! Little-endian byte codec shared by the page format, the table-file
 //! header, and spill partitions.
 //!
-//! Deliberately mirrors the style of the `MDECKPT` checkpoint codec in
-//! `mde-numeric`: explicit little-endian put/get helpers plus a
-//! bounds-checked cursor whose every read can fail with a typed
-//! corruption error instead of panicking on a truncated or damaged file.
+//! The FNV-1a checksum and the `u64` writer are the `MDECKPT` checkpoint
+//! codec's own (`mde_numeric::checkpoint`), re-exported here; what this
+//! module adds is what `MDETAB01` spells differently — `u32`/`i64` fields,
+//! `u32`-length-prefixed strings — plus a bounds-checked cursor whose
+//! every read can fail with a typed corruption error that names the file
+//! and page, instead of panicking on a truncated or damaged file.
 
 use crate::McdbError;
-
-/// FNV-1a offset basis (same constants as the checkpoint codec).
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a prime.
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Fold `bytes` into a running FNV-1a hash.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+pub(crate) use mde_numeric::checkpoint::{fnv1a, put_u64, FNV_OFFSET};
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -34,6 +19,8 @@ pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `s` with a `u32` length prefix (the checkpoint codec's strings
+/// carry a `u64` one; the two layouts are on disk and stay as they are).
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
@@ -142,11 +129,5 @@ mod tests {
             c.u8(),
             Err(McdbError::PageCorrupt { page: 0, .. })
         ));
-    }
-
-    #[test]
-    fn fnv_matches_known_vector() {
-        // FNV-1a("a") from the reference implementation.
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 }

@@ -1,22 +1,20 @@
 //! Scheduler adapter: runs a durable sequential-bifurcation screening as
-//! a schedulable [`Campaign`].
+//! a schedulable [`Campaign`](mde_numeric::Campaign).
 //!
-//! Each slice continues the bisection from the last checkpointed round.
-//! The screening queue is open-ended (groups split as they resolve), so
-//! shedding cannot "absorb" unexecuted rounds the way a fixed replicate
-//! budget can: an incomplete screen answers a different question than a
-//! degraded estimate. A shed or preempted screen therefore always reports
-//! a resumable boundary, and only a drained queue finishes the campaign.
-//! The scalar summary is the number of factors declared important.
+//! Each slice continues the bisection from the last checkpointed round
+//! under the shared slice protocol ([`DurableSurface`]). The screening
+//! queue is open-ended (groups split as they resolve), so shedding cannot
+//! "absorb" unexecuted rounds the way a fixed replicate budget can: an
+//! incomplete screen answers a different question than a degraded estimate.
+//! A shed or preempted screen therefore always reports a resumable
+//! boundary, and only a drained queue (or the submitter's own cancel)
+//! finishes the campaign. The scalar summary is the number of factors
+//! declared important.
 
 use crate::response::ResponseSurface;
-use crate::screening::{
-    resume_sequential_bifurcation, sequential_bifurcation_durable, BifurcationConfig, ScreeningRun,
-};
+use crate::screening::{sequential_bifurcation_durable, BifurcationConfig};
 use mde_numeric::resilience::RunOptions;
-use mde_numeric::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignState, CampaignStep, ErrorClass,
-};
+use mde_numeric::{DurableSurface, SliceRun};
 
 /// A durable factor-screening run packaged as a schedulable campaign.
 pub struct ScreeningCampaign<R: ResponseSurface> {
@@ -24,7 +22,6 @@ pub struct ScreeningCampaign<R: ResponseSurface> {
     cfg: BifurcationConfig,
     seed: u64,
     opts: RunOptions,
-    state: Option<CampaignState>,
 }
 
 impl<R: ResponseSurface> ScreeningCampaign<R> {
@@ -35,42 +32,29 @@ impl<R: ResponseSurface> ScreeningCampaign<R> {
             cfg,
             seed,
             opts,
-            state: None,
-        }
-    }
-
-    fn run_slice(&mut self, ctl: &CampaignCtl) -> crate::Result<ScreeningRun> {
-        let mut opts = self.opts.clone();
-        opts.cancel = Some(ctl.cancel.clone());
-        if ctl.deadline.is_some() {
-            opts.deadline = ctl.deadline;
-        }
-        match self.state.take() {
-            Some(state) => {
-                resume_sequential_bifurcation(&self.response, &self.cfg, self.seed, &opts, state)
-            }
-            None => sequential_bifurcation_durable(&self.response, &self.cfg, self.seed, &opts),
         }
     }
 }
 
-impl<R: ResponseSurface + Send> Campaign for ScreeningCampaign<R> {
-    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
-        let run = self.run_slice(ctl).map_err(|e| CampaignError {
-            message: e.to_string(),
-            severity: e.severity(),
-        })?;
-        match run.stopped {
-            None => Ok(CampaignStep::Done(CampaignOutput {
-                value: run.result.as_ref().map(|r| r.important.len() as f64),
-                report: run.report,
-            })),
-            Some(_) => {
-                let resumable = run.checkpoint.is_some();
-                self.state = run.checkpoint;
-                Ok(CampaignStep::Boundary { resumable })
-            }
-        }
+impl<R: ResponseSurface + Send> DurableSurface for ScreeningCampaign<R> {
+    type Error = crate::MetamodelError;
+
+    fn opts_mut(&mut self) -> &mut RunOptions {
+        &mut self.opts
+    }
+
+    fn run_slice(&mut self, opts: &RunOptions) -> crate::Result<SliceRun> {
+        let run = sequential_bifurcation_durable(&self.response, &self.cfg, self.seed, opts)?;
+        Ok(SliceRun {
+            value: run.result.as_ref().map(|r| r.important.len() as f64),
+            report: run.report,
+            stopped: run.stopped,
+            checkpoint: run.checkpoint,
+        })
+    }
+
+    fn boundaries(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -78,20 +62,40 @@ impl<R: ResponseSurface + Send> Campaign for ScreeningCampaign<R> {
 mod tests {
     use super::*;
     use crate::response::FnResponse;
-    use mde_numeric::resilience::CancelReason;
+    use mde_numeric::resilience::{CancelReason, CancelToken};
+    use mde_numeric::{Campaign, CampaignCtl, CampaignStep};
 
     fn screen_campaign(
+    ) -> ScreeningCampaign<FnResponse<impl Fn(&[f64], &mut mde_numeric::rng::Rng) -> f64>> {
+        screen_campaign_with(RunOptions::default())
+    }
+
+    fn screen_campaign_with(
+        opts: RunOptions,
     ) -> ScreeningCampaign<FnResponse<impl Fn(&[f64], &mut mde_numeric::rng::Rng) -> f64>> {
         // 8 factors, two important (indices 2 and 5).
         let response = FnResponse::new(8, |x: &[f64], _rng: &mut mde_numeric::rng::Rng| {
             3.0 * x[2] + 2.0 * x[5]
         });
-        ScreeningCampaign::new(
-            response,
-            BifurcationConfig::default(),
-            13,
-            RunOptions::default(),
-        )
+        ScreeningCampaign::new(response, BifurcationConfig::default(), 13, opts)
+    }
+
+    #[test]
+    fn submitter_cancel_token_is_honoured_and_terminal() {
+        // The submitter's own token, cancelled before the first slice: the
+        // campaign must finish without a screening result — not run every
+        // round (token ignored) and not report a boundary (re-queue would
+        // spin against the still-cancelled token).
+        let own = CancelToken::new();
+        own.cancel();
+        let mut c = screen_campaign_with(RunOptions::default().with_cancel(own));
+        match c.run(&CampaignCtl::new()).expect("cancelled slice") {
+            CampaignStep::Done(out) => {
+                assert_eq!(out.report.attempted, 0, "no round may run");
+                assert_eq!(out.value, None);
+            }
+            other => panic!("expected partial Done, got {other:?}"),
+        }
     }
 
     #[test]

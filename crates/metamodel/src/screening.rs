@@ -13,7 +13,6 @@
 //!   `θⱼ` means the response does not vary with factor `j`).
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use crate::design::nolh;
 use crate::error::MetamodelError;
@@ -133,9 +132,9 @@ pub struct ScreeningRun {
     pub report: RunReport,
     /// Why the campaign stopped early, or `None` if it ran to completion.
     pub stopped: Option<StopCause>,
-    /// Final campaign state — pass to
-    /// [`resume_sequential_bifurcation`] (or persist with
-    /// [`CampaignState::save`]) to continue the run.
+    /// Final campaign state — hand it back through
+    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
+    /// to continue the run.
     pub checkpoint: Option<CampaignState>,
 }
 
@@ -151,6 +150,12 @@ pub struct ScreeningRun {
 /// bit-identically from where the interrupted run stopped. The campaign
 /// is open-ended (the queue grows as groups split), so the checkpoint's
 /// `total` is 0 and completion is "queue drained".
+///
+/// With [`RunOptions::resume`] set (a [`ScreeningRun::checkpoint`], or
+/// [`CampaignState::load`]) the campaign continues from that state's
+/// round; a state whose campaign tag or fingerprint (seed, dimension,
+/// threshold, reps) does not match is refused with a typed
+/// [`MetamodelError::Checkpoint`].
 pub fn sequential_bifurcation_durable<R: ResponseSurface>(
     response: &R,
     cfg: &BifurcationConfig,
@@ -159,38 +164,14 @@ pub fn sequential_bifurcation_durable<R: ResponseSurface>(
 ) -> crate::Result<ScreeningRun> {
     let k = response.dim();
     validate_sb_config(cfg, k)?;
-    let state = CampaignState::new(CAMPAIGN_SB, sb_fingerprint(cfg, seed, k), seed, 0);
+    let state = CampaignState::start_or_resume(
+        opts.resume.as_ref(),
+        CAMPAIGN_SB,
+        sb_fingerprint(cfg, seed, k),
+        seed,
+        0,
+    )?;
     sb_campaign(response, cfg, seed, opts, state)
-}
-
-/// Resume a durable screening campaign from an in-memory
-/// [`CampaignState`] (as returned in [`ScreeningRun::checkpoint`]).
-/// Refuses — with a typed [`MetamodelError::Checkpoint`] — states whose
-/// campaign tag or fingerprint (seed, dimension, threshold, reps) does
-/// not match.
-pub fn resume_sequential_bifurcation<R: ResponseSurface>(
-    response: &R,
-    cfg: &BifurcationConfig,
-    seed: u64,
-    opts: &RunOptions,
-    state: CampaignState,
-) -> crate::Result<ScreeningRun> {
-    let k = response.dim();
-    validate_sb_config(cfg, k)?;
-    state.validate(CAMPAIGN_SB, sb_fingerprint(cfg, seed, k))?;
-    sb_campaign(response, cfg, seed, opts, state)
-}
-
-/// Resume a durable screening campaign from a checkpoint file.
-pub fn resume_sequential_bifurcation_from<R: ResponseSurface>(
-    response: &R,
-    cfg: &BifurcationConfig,
-    seed: u64,
-    opts: &RunOptions,
-    path: &Path,
-) -> crate::Result<ScreeningRun> {
-    let state = CampaignState::load(path)?;
-    resume_sequential_bifurcation(response, cfg, seed, opts, state)
 }
 
 fn validate_sb_config(cfg: &BifurcationConfig, k: usize) -> crate::Result<()> {
@@ -742,8 +723,8 @@ mod tests {
             // Round-trip the state through the binary codec, as a real
             // preemption would.
             let state = CampaignState::decode(&state.encode()).expect("codec");
-            let resumed = resume_sequential_bifurcation(&r, &cfg, 7, &RunOptions::default(), state)
-                .expect("resume");
+            let resume = RunOptions::default().resuming(state);
+            let resumed = sequential_bifurcation_durable(&r, &cfg, 7, &resume).expect("resume");
             let result = resumed.result.expect("resumed to completion");
             assert_eq!(result, base, "cut at {cut}");
             let final_state = resumed.checkpoint.expect("final state");
@@ -762,7 +743,8 @@ mod tests {
         let cfg = BifurcationConfig::default();
         let run = sequential_bifurcation_durable(&r, &cfg, 7, &RunOptions::default()).expect("run");
         let state = run.checkpoint.expect("state");
-        let err = resume_sequential_bifurcation(&r, &cfg, 8, &RunOptions::default(), state)
+        let resume = RunOptions::default().resuming(state);
+        let err = sequential_bifurcation_durable(&r, &cfg, 8, &resume)
             .expect_err("mismatched seed must be refused");
         assert!(matches!(
             err,
@@ -779,7 +761,8 @@ mod tests {
         // Claim more cached probes than there are stored values.
         let last = state.ints.len() - 1;
         state.ints[last - state.floats.len()] += 1;
-        let err = resume_sequential_bifurcation(&r, &cfg, 7, &RunOptions::default(), state)
+        let resume = RunOptions::default().resuming(state);
+        let err = sequential_bifurcation_durable(&r, &cfg, 7, &resume)
             .expect_err("structural mismatch must be refused");
         assert!(
             matches!(
@@ -801,8 +784,8 @@ mod tests {
         assert!(run.result.is_none());
         let state = run.checkpoint.expect("state");
         assert_eq!(state.cursor, 0);
-        let resumed = resume_sequential_bifurcation(&r, &cfg, 7, &RunOptions::default(), state)
-            .expect("resume");
+        let resume = RunOptions::default().resuming(state);
+        let resumed = sequential_bifurcation_durable(&r, &cfg, 7, &resume).expect("resume");
         assert_eq!(resumed.result.expect("result").important, vec![2, 7, 13]);
     }
 

@@ -19,9 +19,12 @@
 //!   sibling, `fsync` the file, atomically rename over the destination,
 //!   then `fsync` the directory — a reader observes either the old or the
 //!   new checkpoint, never a torn one.
-//! * [`CampaignState::validate`] — rejects checkpoints whose campaign tag
-//!   or seed/spec fingerprint does not match the campaign being resumed,
-//!   so a checkpoint can never silently resume the wrong campaign.
+//! * [`CampaignState::start_or_resume`] — the one way every surface
+//!   begins a run: fresh at boundary 0, or from
+//!   [`RunOptions::resume`](crate::resilience::RunOptions::resume) after
+//!   [`CampaignState::validate`] has rejected a state whose campaign tag or
+//!   seed/spec fingerprint does not match, so a checkpoint can never
+//!   silently resume the wrong campaign.
 //!
 //! Because every adopting surface derives its random streams as a pure
 //! function of `(master_seed, boundary_index)`, resuming from a checkpoint
@@ -204,10 +207,13 @@ pub type Result<T> = std::result::Result<T, CheckpointError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint(u64);
 
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a offset basis: the starting `hash` for [`fnv1a`]. One definition
+/// under every checksummed format (`MDECKPT`, `MDECACHE1`, `MDETAB01`).
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into a running FNV-1a hash.
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -252,8 +258,8 @@ impl Fingerprint {
 // ---------------------------------------------------------------------------
 
 /// The serializable snapshot of a durable campaign, written at replicate /
-/// step / generation boundaries and consumed by each surface's
-/// `resume_from` entry point.
+/// step / generation boundaries and handed back to the same surface through
+/// [`RunOptions::resuming`](crate::resilience::RunOptions::resuming).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignState {
     /// Which execution surface wrote this checkpoint (e.g.
@@ -298,6 +304,31 @@ impl CampaignState {
             master_seed,
             total,
             ..CampaignState::default()
+        }
+    }
+
+    /// The state a run of the campaign identified by `(campaign,
+    /// fingerprint)` continues from: `resume` once it
+    /// [`validate`](CampaignState::validate)s, else a fresh state at cursor
+    /// 0. Every durable surface starts here.
+    pub fn start_or_resume(
+        resume: Option<&CampaignState>,
+        campaign: &str,
+        fingerprint: u64,
+        master_seed: u64,
+        total: u64,
+    ) -> Result<Self> {
+        match resume {
+            Some(state) => {
+                state.validate(campaign, fingerprint)?;
+                Ok(state.clone())
+            }
+            None => Ok(CampaignState::new(
+                campaign,
+                fingerprint,
+                master_seed,
+                total,
+            )),
         }
     }
 
@@ -440,9 +471,19 @@ impl CampaignState {
         write_atomic(path, &self.encode())
     }
 
+    /// [`CampaignState::save`], folding the save's cost into this state's
+    /// own ledger (out-of-band, so the bytes just written — and any later
+    /// resume — are unaffected). What every surface's checkpoint cadence
+    /// calls.
+    pub fn save_ledgered(&mut self, path: &Path) -> Result<()> {
+        let stats = self.save_stats(path)?;
+        stats.record_into(&mut self.report.metrics);
+        Ok(())
+    }
+
     /// Load and fully verify a checkpoint from disk (magic, checksum,
-    /// structural decode). Identity is checked separately by each
-    /// surface's resume entry point via [`CampaignState::validate`].
+    /// structural decode). Identity is checked by the surface it is handed
+    /// to, in [`CampaignState::start_or_resume`].
     pub fn load(path: &Path) -> Result<CampaignState> {
         let bytes = fs::read(path).map_err(|e| CheckpointError::Io {
             path: path.display().to_string(),
@@ -562,7 +603,8 @@ fn decode_failure_kind(b: u8) -> Result<FailureKind> {
     }
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -789,6 +831,32 @@ mod tests {
         assert_ne!(d, e);
         // Pure function.
         assert_eq!(a, Fingerprint::new("mc").push_u64(1).push_f64(0.5).finish());
+    }
+
+    #[test]
+    fn fnv_matches_known_vector() {
+        // FNV-1a("a") from the reference implementation.
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    #[test]
+    fn start_or_resume_is_fresh_or_validated() {
+        let fresh = CampaignState::start_or_resume(None, "test.campaign", 0xDEAD_BEEF, 42, 100);
+        assert_eq!(
+            fresh.unwrap(),
+            CampaignState::new("test.campaign", 0xDEAD_BEEF, 42, 100)
+        );
+        let s = sample_state();
+        let resumed =
+            CampaignState::start_or_resume(Some(&s), "test.campaign", 0xDEAD_BEEF, 42, 100);
+        assert_eq!(resumed.unwrap().cursor, 7);
+        assert!(matches!(
+            CampaignState::start_or_resume(Some(&s), "test.campaign", 1, 42, 100),
+            Err(CheckpointError::Mismatch {
+                field: "fingerprint",
+                ..
+            })
+        ));
     }
 
     #[test]

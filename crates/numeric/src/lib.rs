@@ -69,7 +69,8 @@ pub use obs::{Counter, Gauge, Histogram, RunMetrics, Span, TraceSink, Tracer};
 pub use resilience::backoff::{Backoff, BackoffConfig};
 pub use resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use resilience::sched::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, Priority,
+    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, DurableSurface, Overloaded,
+    Priority, SliceRun,
 };
 pub use resilience::{
     CancelReason, CancelToken, CheckpointSpec, Deadline, ErrorClass, RunPolicy, RunReport,

@@ -1,12 +1,12 @@
 //! Deterministic retry backoff: exponential delay with seeded jitter.
 //!
 //! A retry ladder must be reproducible for the same reason retry *seeds*
-//! are ([`super::retry_seed`]): the scheduler promises `run(seed)` ≡
-//! `run_parallel(seed)`, and a retry schedule that depended on wall-clock
-//! or thread timing would leak nondeterminism into dispatch order and the
-//! obs ledger. So the delay for attempt `a` of a campaign is a pure
-//! function of the campaign's [`Fingerprint`](crate::checkpoint::Fingerprint)
-//! value and `a`: exponential growth capped at `cap`, then jittered
+//! are ([`super::retry_seed`]): the scheduler promises sequential ≡
+//! parallel at any thread count, and a retry schedule that depended on
+//! wall-clock or thread timing would leak nondeterminism into dispatch
+//! order and the obs ledger. So the delay for attempt `a` of a campaign is a
+//! pure function of the campaign's
+//! [`Fingerprint`](crate::checkpoint::Fingerprint) value and `a`: exponential growth capped at `cap`, then jittered
 //! *downward* within `[(1 - jitter) · raw, raw]` by a SplitMix64 draw.
 //! Jittering down (decorrelated from other campaigns by the fingerprint)
 //! preserves the monotone cap — the jittered delay never exceeds the

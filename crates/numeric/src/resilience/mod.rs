@@ -18,9 +18,9 @@
 //!   a fresh deterministic sub-seed ([`RunPolicy::Retry`]), or drop it and
 //!   degrade gracefully ([`RunPolicy::BestEffort`]).
 //! * [`retry_seed`] — the splitmix-style derivation of that fresh sub-seed
-//!   from `(master_seed, replicate, attempt)`, a pure function so that
-//!   `run(seed)` and `run_parallel(seed)` stay bit-identical at any thread
-//!   count even when replicates are retried.
+//!   from `(master_seed, replicate, attempt)`, a pure function so that a
+//!   run stays bit-identical at any [`RunOptions::threads`] count even
+//!   when replicates are retried.
 //! * [`supervise_replicate`] — the generic attempt loop shared by the
 //!   Monte Carlo query engine, the composite-model executor, and the
 //!   particle filter.
@@ -36,6 +36,7 @@ pub mod backoff;
 pub mod breaker;
 pub mod sched;
 
+use crate::checkpoint::CampaignState;
 use crate::rng::splitmix64;
 use std::fmt;
 use std::path::PathBuf;
@@ -165,7 +166,7 @@ impl RunPolicy {
 /// SplitMix-style chained finalization of `(master_seed, replicate,
 /// attempt)`: a pure function, so a retried replicate produces the same
 /// sample no matter which worker thread re-executes it — the determinism
-/// guarantee `run(seed) ≡ run_parallel(seed)` survives every policy. The
+/// guarantee (sequential ≡ any thread count) survives every policy. The
 /// salt keeps retry streams disjoint from the attempt-0 stream family
 /// derived by [`crate::rng::StreamFactory`].
 pub fn retry_seed(master_seed: u64, replicate: u64, attempt: u32) -> u64 {
@@ -983,7 +984,10 @@ impl CheckpointSpec {
 /// Options threaded through a supervised run: the recovery policy, an
 /// optional fault-injection plan (testing only; `None` in production),
 /// and the durable-campaign controls — wall-clock deadline, cooperative
-/// cancellation, and checkpoint persistence.
+/// cancellation, checkpoint persistence, result cache, worker count, and
+/// the state to resume from. Every durable surface has exactly one entry
+/// point taking these options; how a campaign runs is an option, never a
+/// different function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {
     /// Recovery policy.
@@ -1002,6 +1006,16 @@ pub struct RunOptions {
     /// instead of recomputing. Equality on the handle is identity, so
     /// `RunOptions` equality stays meaningful.
     pub cache: Option<crate::cache::CacheHandle>,
+    /// Worker threads for surfaces whose boundaries are independent (Monte
+    /// Carlo replicates); `0` — the `Default` — means 1, and inherently
+    /// sequential surfaces ignore it. Results are bit-identical at any
+    /// count, so it never enters a fingerprint or cache key.
+    pub threads: usize,
+    /// Continue from this state (a stopped run's final checkpoint, or
+    /// `CampaignState::load(path)?`) instead of starting at boundary 0.
+    /// The surface validates tag and fingerprint first: a foreign state is
+    /// a typed checkpoint error, never a silently wrong resume.
+    pub resume: Option<CampaignState>,
 }
 
 impl RunOptions {
@@ -1040,6 +1054,19 @@ impl RunOptions {
     /// Attach a result cache (keep a clone to inspect hit/miss stats).
     pub fn with_cache(mut self, cache: crate::cache::CacheHandle) -> Self {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Run on `threads` worker threads (see [`RunOptions::threads`]).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Resume from `state` instead of starting fresh (see
+    /// [`RunOptions::resume`]).
+    pub fn resuming(mut self, state: CampaignState) -> Self {
+        self.resume = Some(state);
         self
     }
 
@@ -1314,6 +1341,8 @@ mod tests {
         assert!(opts.deadline.is_none());
         assert!(opts.cancel.is_none());
         assert!(opts.checkpoint.is_none());
+        assert_eq!(opts.threads, 0, "0 means one worker");
+        assert!(opts.resume.is_none());
         assert_eq!(opts.fault(0, 0), None);
         assert_eq!(opts.stop_cause(0), None);
         let opts = RunOptions::policy(RunPolicy::BestEffort { min_fraction: 0.9 })

@@ -4,14 +4,23 @@
 //! The scheduler itself lives in `mde-core` (it coordinates surfaces from
 //! every crate); what lives here, at the bottom of the dependency graph,
 //! is the *vocabulary*: [`Priority`] ordering, the [`Overloaded`] error
-//! family admission control rejects with, and the [`Campaign`] trait each
-//! execution surface (Monte Carlo query, particle filter, optimizer,
-//! screening design) adapts itself to. A campaign runs in slices: each
+//! family admission control rejects with, and the [`Campaign`] trait the
+//! scheduler multiplexes. A campaign runs in slices: each
 //! [`Campaign::run`] call executes until completion or until the
 //! campaign's control block ([`CampaignCtl`]) tells it to stop at a
 //! boundary, in which case it reports whether it can resume.
+//!
+//! Every durable execution surface (Monte Carlo query, particle filter,
+//! optimizer, screening design) becomes a [`Campaign`] the same way: it
+//! implements [`DurableSurface`] — how to run one slice under a
+//! [`RunOptions`] — and the slice protocol (control-block wiring, parking
+//! the checkpoint between slices, mapping the stop cause to a
+//! [`CampaignStep`]) is written once, in the blanket impl below.
 
-use super::{CancelToken, Deadline, ErrorClass, RunReport, Severity};
+use super::{
+    CancelToken, Deadline, ErrorClass, RunOptions, RunPolicy, RunReport, Severity, StopCause,
+};
+use crate::checkpoint::CampaignState;
 use std::fmt;
 
 /// Dispatch priority class, lowest first: under pressure the scheduler
@@ -235,6 +244,104 @@ pub trait Campaign: Send {
     /// stop at a boundary. Called again (same instance) after a
     /// [`CampaignStep::Boundary`] re-queue, with a fresh token in `ctl`.
     fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError>;
+}
+
+/// What one slice of a durable surface produced, reduced to what the slice
+/// protocol needs (each surface's own run type — `McRun`, `PfRun`, … — has
+/// these four parts).
+#[derive(Debug, Clone)]
+pub struct SliceRun {
+    /// The surface's scalar summary over the completed boundaries
+    /// (estimate, evidence, best objective, important-factor count).
+    pub value: Option<f64>,
+    /// The ledger over the completed boundaries.
+    pub report: RunReport,
+    /// Why the slice stopped early, if it did.
+    pub stopped: Option<StopCause>,
+    /// The state the next slice resumes from.
+    pub checkpoint: Option<CampaignState>,
+}
+
+/// A durable execution surface packaged for the scheduler. Implementors are
+/// [`Campaign`]s through the blanket impl; all they say is how one slice
+/// runs.
+pub trait DurableSurface: Send {
+    /// The surface's error type.
+    type Error: std::error::Error + ErrorClass;
+
+    /// The submitter's options. Between slices the parked checkpoint lives
+    /// in their [`resume`](RunOptions::resume) field, so a campaign that
+    /// should start from a saved state is simply constructed with
+    /// `opts.resuming(state)`.
+    fn opts_mut(&mut self) -> &mut RunOptions;
+
+    /// Run the surface's one options-taking entry point under `opts` (the
+    /// submitter's options with this slice's cancel token, deadline, and
+    /// resume state filled in).
+    fn run_slice(&mut self, opts: &RunOptions) -> Result<SliceRun, Self::Error>;
+
+    /// Boundaries planned in total, or `None` for an open-ended campaign —
+    /// which therefore can never absorb shedding: there is no count of
+    /// boundaries that did not run, and an incomplete screen answers a
+    /// different question than a degraded estimate.
+    fn boundaries(&self) -> Option<u64>;
+}
+
+impl<S: DurableSurface> Campaign for S {
+    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
+        let own = self.opts_mut();
+        let resume = own.resume.take();
+        let mut opts = RunOptions {
+            resume,
+            ..own.clone()
+        };
+        // Observe both the scheduler's control token and any cancel handle
+        // the submitter attached (a session disconnect signal, a client
+        // abort): whichever fires first stops the slice.
+        opts.cancel = Some(match &opts.cancel {
+            Some(own) => CancelToken::child_of_all(&[ctl.cancel.clone(), own.clone()]),
+            None => ctl.cancel.clone(),
+        });
+        if ctl.deadline.is_some() {
+            opts.deadline = ctl.deadline;
+        }
+        let mut run = self.run_slice(&opts).map_err(|e| CampaignError {
+            message: e.to_string(),
+            severity: e.severity(),
+        })?;
+        // Only best-effort work with a known boundary count can absorb a
+        // shed into its partial result.
+        let absorbable = match opts.policy {
+            RunPolicy::BestEffort { .. } => self.boundaries(),
+            _ => None,
+        };
+        match (run.stopped, absorbable) {
+            // A user/session cancel (the scheduler itself only ever signals
+            // shed or preempt) is terminal: re-queueing would spin against
+            // the still-cancelled external token. The partial result is
+            // returned and any configured checkpoint was already persisted
+            // for a later resume.
+            (None | Some(StopCause::Cancelled), _) => {}
+            (Some(StopCause::Shed), Some(total)) => {
+                // Count the boundaries that never ran as shed, not failed:
+                // they are excluded from the estimate but visible in the
+                // deterministic ledger, and the CI is flagged as widened.
+                let cursor = run.checkpoint.as_ref().map_or(total, |s| s.cursor);
+                run.report.record_shed(total.saturating_sub(cursor));
+            }
+            // Preempted / deadline / shed under a strict policy: park the
+            // checkpoint so the next slice resumes at the cursor.
+            (Some(_), _) => {
+                let resumable = run.checkpoint.is_some();
+                self.opts_mut().resume = run.checkpoint;
+                return Ok(CampaignStep::Boundary { resumable });
+            }
+        }
+        Ok(CampaignStep::Done(CampaignOutput {
+            value: run.value,
+            report: run.report,
+        }))
+    }
 }
 
 #[cfg(test)]

@@ -253,8 +253,10 @@ pub(crate) fn run_session(
                         break;
                     }
                     Outcome::Shutdown(reply) => {
-                        let _ = write_frame(&mut out, &reply);
+                        // Flag first: a client that has read `draining=1`
+                        // must find the request already recorded.
                         shutdown_requested.store(true, Ordering::SeqCst);
+                        let _ = write_frame(&mut out, &reply);
                         break;
                     }
                 }
@@ -518,6 +520,25 @@ impl Session {
         ])))
     }
 
+    /// Wire a named checkpoint into `run_opts`: persist there every 16
+    /// replicates, and — when a previous (interrupted) run left the file
+    /// behind — resume from it. Returns whether a checkpoint was named.
+    fn attach_checkpoint(
+        &self,
+        run_opts: &mut RunOptions,
+        name: Option<&str>,
+    ) -> Result<bool, WireError> {
+        let Some(name) = name else { return Ok(false) };
+        let path = self.engine.checkpoint_path(name)?;
+        if path.exists() {
+            let state = CampaignState::load(&path)
+                .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
+            run_opts.resume = Some(state);
+        }
+        run_opts.checkpoint = Some(CheckpointSpec::new(path).every(16));
+        Ok(true)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn exec_mc(
         &mut self,
@@ -544,20 +565,11 @@ impl Session {
         if let Some(deadline) = self.deadline(opts) {
             run_opts.deadline = Some(deadline);
         }
-        let ckpt_path = checkpoint
-            .as_deref()
-            .map(|name| self.engine.checkpoint_path(name))
-            .transpose()?;
-        if let Some(path) = &ckpt_path {
-            run_opts.checkpoint = Some(CheckpointSpec::new(path.clone()).every(16));
-        }
+        let checkpointed = self.attach_checkpoint(&mut run_opts, checkpoint.as_deref())?;
 
-        let resume = ckpt_path.as_ref().filter(|p| p.exists());
-        let run = match resume {
-            Some(path) => query.resume_from(&snapshot, n as usize, seed, &run_opts, path),
-            None => query.run_with_options(&snapshot, n as usize, seed, &run_opts),
-        }
-        .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
+        let run = query
+            .run_with_options(&snapshot, n as usize, seed, &run_opts)
+            .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
 
         if matches!(run.stopped, Some(StopCause::Cancelled)) {
             self.engine
@@ -576,7 +588,7 @@ impl Session {
         }
         if let Some(cause) = &run.stopped {
             pairs.push(("stopped", stop_cause_token(cause).to_string()));
-            if ckpt_path.is_some() {
+            if checkpointed {
                 pairs.push(("checkpointed", "1".to_string()));
             }
         }
@@ -608,22 +620,11 @@ impl Session {
         let snapshot = self.engine.snapshot();
         let query = MonteCarloQuery::new(self.specs.clone(), plan);
 
-        let mut run_opts = RunOptions::policy(policy).with_cancel(token.clone());
-        let ckpt_path = checkpoint
-            .as_deref()
-            .map(|name| self.engine.checkpoint_path(name))
-            .transpose()?;
-        if let Some(path) = &ckpt_path {
-            run_opts.checkpoint = Some(CheckpointSpec::new(path.clone()).every(16));
-        }
-
-        let mut campaign = McCampaign::new(query, (*snapshot).clone(), n as usize, seed, run_opts)
+        let mut run_opts = RunOptions::policy(policy)
+            .with_cancel(token.clone())
             .with_threads(threads as usize);
-        if let Some(path) = ckpt_path.as_ref().filter(|p| p.exists()) {
-            let state = CampaignState::load(path)
-                .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
-            campaign = campaign.with_state(state);
-        }
+        let checkpointed = self.attach_checkpoint(&mut run_opts, checkpoint.as_deref())?;
+        let campaign = McCampaign::new(query, (*snapshot).clone(), n as usize, seed, run_opts);
 
         let mut spec = CampaignSpec::new(&self.tenant, format!("s{}-r{}", self.id, self.req_seq))
             .with_priority(priority)
@@ -670,7 +671,7 @@ impl Session {
                     .fetch_add(1, Ordering::Relaxed);
                 pairs.push(("status", "preempted".to_string()));
                 pairs.push(("resumable", resumable.to_string()));
-                if ckpt_path.is_some() {
+                if checkpointed {
                     pairs.push(("checkpointed", "1".to_string()));
                 }
                 Ok(Outcome::Reply(encode_ok(&pairs)))

@@ -96,7 +96,7 @@ fn main() {
     let plan = plan_from_sql(question).expect("valid SQL");
     let mc = MonteCarloQuery::new(vec![spec], plan);
     let run = mc
-        .run_parallel_with_options(&db, 500, 7, 4, &RunOptions::default())
+        .run_with_options(&db, 500, 7, &RunOptions::default().with_threads(4))
         .expect("Monte Carlo run");
     let res = &run.result;
     println!("Monte Carlo over: {question}");

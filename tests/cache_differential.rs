@@ -125,7 +125,7 @@ fn cache_hit_is_bit_identical_to_recompute_across_thread_counts() {
     // samples, the deterministic report ledger, and the resumable state.
     for threads in [1usize, 2, 8] {
         let warm = task
-            .run_parallel_with_options(&db, N, SEED, threads, &cached_opts)
+            .run_with_options(&db, N, SEED, &cached_opts.clone().with_threads(threads))
             .unwrap();
         assert_eq!(base.result, warm.result, "threads = {threads}");
         assert_eq!(base.report, warm.report, "threads = {threads}");
@@ -148,7 +148,7 @@ fn sequential_and_parallel_runs_share_one_entry() {
     // A parallel run computes the entry; a sequential run replays it
     // (the key deliberately excludes the thread count).
     let par = task
-        .run_parallel_with_options(&db, N, SEED, 8, &opts)
+        .run_with_options(&db, N, SEED, &opts.clone().with_threads(8))
         .unwrap();
     let seq = task.run_with_options(&db, N, SEED, &opts).unwrap();
     assert_eq!(par.result, seq.result);
@@ -206,7 +206,7 @@ fn durable_cache_survives_reopen_and_replays_bit_identically() {
     assert_eq!(dropped, 0);
     let cached_opts = opts.clone().with_cache(cache.clone());
     let warm = task
-        .run_parallel_with_options(&db, N, SEED, 4, &cached_opts)
+        .run_with_options(&db, N, SEED, &cached_opts.with_threads(4))
         .unwrap();
     assert_eq!(base.result, warm.result);
     assert_eq!(base.report, warm.report);

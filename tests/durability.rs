@@ -13,8 +13,7 @@
 use model_data_ecosystems::assim::pf::{BootstrapProposal, ParticleFilter, StateSpaceModel};
 use model_data_ecosystems::assim::AssimError;
 use model_data_ecosystems::calibrate::optim::{
-    genetic_algorithm_durable, random_search_durable, resume_genetic_algorithm_from,
-    resume_random_search, Bounds, GaConfig,
+    genetic_algorithm_durable, random_search_durable, Bounds, GaConfig,
 };
 use model_data_ecosystems::calibrate::CalibrateError;
 use model_data_ecosystems::core::resilience::{
@@ -28,13 +27,12 @@ use model_data_ecosystems::mcdb::vg::NormalVg;
 use model_data_ecosystems::mcdb::McdbError;
 use model_data_ecosystems::metamodel::response::FnResponse;
 use model_data_ecosystems::metamodel::screening::{
-    resume_sequential_bifurcation_from, sequential_bifurcation_durable, BifurcationConfig,
-    ScreeningRun,
+    sequential_bifurcation_durable, BifurcationConfig, ScreeningRun,
 };
 use model_data_ecosystems::metamodel::MetamodelError;
 use model_data_ecosystems::numeric::dist::{Continuous, Normal};
 use model_data_ecosystems::numeric::rng::Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,6 +101,30 @@ fn preempt_opts(cut: u64) -> RunOptions {
     RunOptions::default().with_faults(FaultPlan::new().preempt_at(cut))
 }
 
+/// Default options that continue from `state`.
+fn resuming(state: CampaignState) -> RunOptions {
+    RunOptions::default().resuming(state)
+}
+
+/// A file-based resume, as spelled at a call site: load (checksum and
+/// structure verified), then hand the state to the one entry point.
+fn resuming_from(path: &Path) -> Result<RunOptions, CheckpointError> {
+    CampaignState::load(path).map(resuming)
+}
+
+/// Resume the Monte Carlo campaign from a checkpoint file on `threads`
+/// workers.
+fn mc_from_checkpoint(
+    q: &MonteCarloQuery,
+    db: &Catalog,
+    n: usize,
+    seed: u64,
+    threads: usize,
+    path: &Path,
+) -> Result<McRun, McdbError> {
+    q.run_with_options(db, n, seed, &resuming_from(path)?.with_threads(threads))
+}
+
 fn assert_mc_runs_identical(resumed: &McRun, baseline: &McRun, context: &str) {
     let a: Vec<u64> = resumed
         .result
@@ -151,7 +173,7 @@ fn mc_preempted_runs_resume_bit_identically_at_every_boundary() {
 
         // Sequential resume.
         let resumed = q
-            .resume_with_options(&db, n, seed, &RunOptions::default(), state.clone())
+            .run_with_options(&db, n, seed, &resuming(state.clone()))
             .unwrap();
         assert_mc_runs_identical(&resumed, &baseline, &format!("seq resume at {cut}"));
 
@@ -159,14 +181,7 @@ fn mc_preempted_runs_resume_bit_identically_at_every_boundary() {
         // sequentially written checkpoint picked up by the parallel path.
         for threads in [1, 2, 4] {
             let resumed = q
-                .resume_parallel_with_options(
-                    &db,
-                    n,
-                    seed,
-                    threads,
-                    &RunOptions::default(),
-                    state.clone(),
-                )
+                .run_with_options(&db, n, seed, &resuming(state.clone()).with_threads(threads))
                 .unwrap();
             assert_mc_runs_identical(
                 &resumed,
@@ -189,7 +204,7 @@ fn mc_parallel_preemption_stops_at_the_sequential_boundary() {
     for cut in [0u64, 1, 7, 13, 19] {
         for threads in [2, 4] {
             let partial = q
-                .run_parallel_with_options(&db, n, seed, threads, &preempt_opts(cut))
+                .run_with_options(&db, n, seed, &preempt_opts(cut).with_threads(threads))
                 .unwrap();
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             // A stopped parallel run commits exactly the contiguous prefix
@@ -200,9 +215,7 @@ fn mc_parallel_preemption_stops_at_the_sequential_boundary() {
                 "threads {threads}, cut {cut}"
             );
             let state = partial.checkpoint.clone().unwrap();
-            let resumed = q
-                .resume_with_options(&db, n, seed, &RunOptions::default(), state)
-                .unwrap();
+            let resumed = q.run_with_options(&db, n, seed, &resuming(state)).unwrap();
             assert_mc_runs_identical(
                 &resumed,
                 &baseline,
@@ -226,16 +239,12 @@ fn mc_checkpoint_survives_the_disk_round_trip() {
     let partial = q.run_with_options(&db, n, seed, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Preempted));
 
-    // The stopped run left its final state on disk; both resume paths read
-    // it back and finish bit-identically.
-    let resumed = q
-        .resume_from(&db, n, seed, &RunOptions::default(), scratch.path())
-        .unwrap();
-    assert_mc_runs_identical(&resumed, &baseline, "resume_from disk");
-    let resumed = q
-        .resume_parallel_from(&db, n, seed, 3, &RunOptions::default(), scratch.path())
-        .unwrap();
-    assert_mc_runs_identical(&resumed, &baseline, "resume_parallel_from disk");
+    // The stopped run left its final state on disk; one worker or three
+    // read it back and finish bit-identically.
+    let resumed = mc_from_checkpoint(&q, &db, n, seed, 1, scratch.path()).unwrap();
+    assert_mc_runs_identical(&resumed, &baseline, "resume from disk");
+    let resumed = mc_from_checkpoint(&q, &db, n, seed, 3, scratch.path()).unwrap();
+    assert_mc_runs_identical(&resumed, &baseline, "parallel resume from disk");
 }
 
 #[test]
@@ -254,13 +263,7 @@ fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
     assert_eq!(run.stopped, Some(StopCause::Deadline));
     assert_eq!(run.result.n(), 0);
     let resumed = q
-        .resume_with_options(
-            &db,
-            n,
-            seed,
-            &RunOptions::default(),
-            run.checkpoint.unwrap(),
-        )
+        .run_with_options(&db, n, seed, &resuming(run.checkpoint.unwrap()))
         .unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume after deadline");
 
@@ -271,18 +274,11 @@ fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
     let run = q.run_with_options(&db, n, seed, &opts).unwrap();
     assert_eq!(run.stopped, Some(StopCause::Cancelled));
     assert_eq!(run.result.n(), 0);
-    let run = q
-        .run_parallel_with_options(&db, n, seed, 4, &RunOptions::default().with_cancel(token))
-        .unwrap();
+    let opts = RunOptions::default().with_cancel(token).with_threads(4);
+    let run = q.run_with_options(&db, n, seed, &opts).unwrap();
     assert_eq!(run.stopped, Some(StopCause::Cancelled));
     let resumed = q
-        .resume_with_options(
-            &db,
-            n,
-            seed,
-            &RunOptions::default(),
-            run.checkpoint.unwrap(),
-        )
+        .run_with_options(&db, n, seed, &resuming(run.checkpoint.unwrap()))
         .unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume after cancellation");
 }
@@ -313,9 +309,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
         let mut torn = bytes.clone();
         torn[offset] ^= 0xA5;
         std::fs::write(scratch.path(), &torn).unwrap();
-        let err = q
-            .resume_from(&db, 10, seed, &RunOptions::default(), scratch.path())
-            .unwrap_err();
+        let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -330,9 +324,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
     // Truncation at every prefix length — header-only, mid-body, empty.
     for keep in [0, 7, 16, bytes.len() / 3, bytes.len() - 1] {
         std::fs::write(scratch.path(), &bytes[..keep]).unwrap();
-        let err = q
-            .resume_from(&db, 10, seed, &RunOptions::default(), scratch.path())
-            .unwrap_err();
+        let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -346,9 +338,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
 
     // A missing file is a typed I/O error.
     std::fs::remove_file(scratch.path()).unwrap();
-    let err = q
-        .resume_from(&db, 10, seed, &RunOptions::default(), scratch.path())
-        .unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Io { .. })),
         "{err}"
@@ -362,18 +352,14 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     let seed = chaos_seed();
 
     // Same campaign, different seed → fingerprint mismatch.
-    let err = q
-        .resume_from(&db, 10, seed + 1, &RunOptions::default(), scratch.path())
-        .unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 10, seed + 1, 1, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Mismatch { .. })),
         "{err}"
     );
 
     // Same campaign, different replicate count → fingerprint mismatch.
-    let err = q
-        .resume_from(&db, 11, seed, &RunOptions::default(), scratch.path())
-        .unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 11, seed, 1, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Mismatch { .. })),
         "{err}"
@@ -381,16 +367,10 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
 
     // A Monte Carlo checkpoint handed to the other durable surfaces is
     // refused by campaign tag, not misinterpreted.
+    let foreign = resuming_from(scratch.path()).unwrap();
     let bounds = Bounds::new(vec![(0.0, 1.0)]).unwrap();
-    let err = resume_genetic_algorithm_from(
-        |x| x[0],
-        &bounds,
-        &GaConfig::default(),
-        seed,
-        &RunOptions::default(),
-        scratch.path(),
-    )
-    .unwrap_err();
+    let err = genetic_algorithm_durable(|x| x[0], &bounds, &GaConfig::default(), seed, &foreign)
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -400,14 +380,9 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     );
 
     let response = FnResponse::new(4, |x: &[f64], _rng: &mut Rng| x.iter().sum());
-    let err = resume_sequential_bifurcation_from(
-        &response,
-        &BifurcationConfig::default(),
-        seed,
-        &RunOptions::default(),
-        scratch.path(),
-    )
-    .unwrap_err();
+    let err =
+        sequential_bifurcation_durable(&response, &BifurcationConfig::default(), seed, &foreign)
+            .unwrap_err();
     assert!(
         matches!(
             err,
@@ -416,17 +391,10 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
         "{err}"
     );
 
-    let state = CampaignState::load(scratch.path()).unwrap();
     let pf = ParticleFilter::new(64, seed);
     let ys = vec![0.0; 6];
     let err = pf
-        .resume_durable(
-            &ar1_model(),
-            &BootstrapProposal,
-            &ys,
-            &RunOptions::default(),
-            state,
-        )
+        .run_durable(&ar1_model(), &BootstrapProposal, &ys, &foreign)
         .unwrap_err();
     assert!(
         matches!(
@@ -435,6 +403,112 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
         ),
         "{err}"
     );
+}
+
+/// One durable surface reduced to what the table below needs: run it at
+/// `seed` under `opts` and return its final checkpoint, or the checkpoint
+/// error it refused the options with (`Err(None)`: any other error).
+type Surface<'a> =
+    Box<dyn Fn(u64, &RunOptions) -> Result<CampaignState, Option<CheckpointError>> + 'a>;
+
+#[test]
+fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
+    let seed = chaos_seed();
+    let (db, q) = normal_setup();
+    let bounds = Bounds::new(vec![(-1.0, 1.0), (-1.0, 1.0)]).unwrap();
+    let ga_cfg = GaConfig {
+        population: 8,
+        generations: 3,
+        ..GaConfig::default()
+    };
+    let response = screening_response();
+    let model = ar1_model();
+    let ys = ar1_observations(6);
+    let done = |checkpoint: Option<CampaignState>| Ok(checkpoint.expect("final checkpoint"));
+
+    let surfaces: Vec<(&str, Surface)> = vec![
+        (
+            "monte-carlo",
+            Box::new(|seed, opts| match q.run_with_options(&db, 10, seed, opts) {
+                Ok(run) => done(run.checkpoint),
+                Err(McdbError::Checkpoint(e)) => Err(Some(e)),
+                Err(_) => Err(None),
+            }),
+        ),
+        (
+            "particle-filter",
+            Box::new(|seed, opts| {
+                let pf = ParticleFilter::new(32, seed);
+                match pf.run_durable(&model, &BootstrapProposal, &ys, opts) {
+                    Ok(run) => done(run.checkpoint),
+                    Err(AssimError::Checkpoint(e)) => Err(Some(e)),
+                    Err(_) => Err(None),
+                }
+            }),
+        ),
+        (
+            "genetic-algorithm",
+            Box::new(|seed, opts| {
+                match genetic_algorithm_durable(rosenbrock, &bounds, &ga_cfg, seed, opts) {
+                    Ok(run) => done(run.checkpoint),
+                    Err(CalibrateError::Checkpoint(e)) => Err(Some(e)),
+                    Err(_) => Err(None),
+                }
+            }),
+        ),
+        (
+            "random-search",
+            Box::new(|seed, opts| {
+                match random_search_durable(rosenbrock, &bounds, 8, seed, opts) {
+                    Ok(run) => done(run.checkpoint),
+                    Err(CalibrateError::Checkpoint(e)) => Err(Some(e)),
+                    Err(_) => Err(None),
+                }
+            }),
+        ),
+        (
+            "sequential-bifurcation",
+            Box::new(|seed, opts| {
+                let cfg = BifurcationConfig::default();
+                match sequential_bifurcation_durable(&response, &cfg, seed, opts) {
+                    Ok(run) => done(run.checkpoint),
+                    Err(MetamodelError::Checkpoint(e)) => Err(Some(e)),
+                    Err(_) => Err(None),
+                }
+            }),
+        ),
+    ];
+
+    // Every surface's own mid-campaign state, written at this seed and at
+    // a different one.
+    let states: Vec<(CampaignState, CampaignState)> = surfaces
+        .iter()
+        .map(|(name, run)| {
+            let at = |seed| run(seed, &preempt_opts(1)).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            (at(seed), at(seed + 1))
+        })
+        .collect();
+
+    for (i, (name, run)) in surfaces.iter().enumerate() {
+        // Its own state resumes; the same surface's state from another seed
+        // is refused by fingerprint; every other surface's state by tag.
+        run(seed, &resuming(states[i].0.clone())).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let mut foreign = vec![("fingerprint", states[i].1.clone())];
+        foreign.extend(
+            (0..surfaces.len())
+                .filter(|&j| j != i)
+                .map(|j| ("campaign", states[j].0.clone())),
+        );
+        for (expected, state) in foreign {
+            let from = state.campaign.clone();
+            match run(seed, &resuming(state)) {
+                Err(Some(CheckpointError::Mismatch { field, .. })) => {
+                    assert_eq!(field, expected, "{name} resuming a {from} state")
+                }
+                other => panic!("{name} resuming a {from} state: expected Mismatch, got {other:?}"),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,12 +607,11 @@ fn pf_preempted_runs_resume_bit_identically_at_every_step() {
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
         assert_eq!(partial.steps.len(), cut as usize);
         let resumed = pf
-            .resume_durable(
+            .run_durable(
                 &model,
                 &BootstrapProposal,
                 &ys,
-                &RunOptions::default(),
-                partial.checkpoint.unwrap(),
+                &resuming(partial.checkpoint.unwrap()),
             )
             .unwrap();
         assert_pf_runs_identical(&resumed, &baseline, &format!("pf resume at {cut}"));
@@ -562,15 +635,14 @@ fn pf_checkpoint_survives_the_disk_round_trip() {
         .unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Preempted));
     let resumed = pf
-        .resume_durable_from(
+        .run_durable(
             &model,
             &BootstrapProposal,
             &ys,
-            &RunOptions::default(),
-            scratch.path(),
+            &resuming_from(scratch.path()).unwrap(),
         )
         .unwrap();
-    assert_pf_runs_identical(&resumed, &baseline, "pf resume_from disk");
+    assert_pf_runs_identical(&resumed, &baseline, "pf resume from disk");
 }
 
 // ---------------------------------------------------------------------------
@@ -624,15 +696,8 @@ fn ga_checkpoint_survives_the_disk_round_trip() {
         let opts = preempt_opts(cut).with_checkpoint(CheckpointSpec::new(scratch.path()).every(1));
         let partial = genetic_algorithm_durable(rosenbrock, &bounds, &cfg, seed, &opts).unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
-        let resumed = resume_genetic_algorithm_from(
-            rosenbrock,
-            &bounds,
-            &cfg,
-            seed,
-            &RunOptions::default(),
-            scratch.path(),
-        )
-        .unwrap();
+        let resume = resuming_from(scratch.path()).unwrap();
+        let resumed = genetic_algorithm_durable(rosenbrock, &bounds, &cfg, seed, &resume).unwrap();
         assert_optim_runs_identical(&resumed, &baseline, &format!("ga disk resume at {cut}"));
     }
 }
@@ -649,15 +714,8 @@ fn random_search_deadline_checkpoint_resumes_to_the_full_budget() {
     let partial = random_search_durable(rosenbrock, &bounds, evals, seed, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Deadline));
     assert!(partial.best.is_none());
-    let resumed = resume_random_search(
-        rosenbrock,
-        &bounds,
-        evals,
-        seed,
-        &RunOptions::default(),
-        partial.checkpoint.unwrap(),
-    )
-    .unwrap();
+    let resume = resuming(partial.checkpoint.unwrap());
+    let resumed = random_search_durable(rosenbrock, &bounds, evals, seed, &resume).unwrap();
     assert_optim_runs_identical(&resumed, &baseline, "rs resume after deadline");
 }
 
@@ -712,14 +770,8 @@ fn screening_checkpoint_survives_the_disk_round_trip() {
             partial.result.is_none(),
             "cut {cut}: queue should not be drained"
         );
-        let resumed = resume_sequential_bifurcation_from(
-            &response,
-            &cfg,
-            seed,
-            &RunOptions::default(),
-            scratch.path(),
-        )
-        .unwrap();
+        let resume = resuming_from(scratch.path()).unwrap();
+        let resumed = sequential_bifurcation_durable(&response, &cfg, seed, &resume).unwrap();
         assert_screening_runs_identical(&resumed, &baseline, &format!("sb disk resume at {cut}"));
     }
 }

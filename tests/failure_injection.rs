@@ -96,7 +96,9 @@ fn vg_failure_surfaces_from_monte_carlo_loop() {
     assert!(err.to_string().contains("negative parameter"), "{err}");
     // The parallel path surfaces the same error instead of hanging or
     // panicking a worker.
-    let err = q.run_parallel(&db, 10, 1, 4).unwrap_err();
+    let err = q
+        .run_with_options(&db, 10, 1, &RunOptions::default().with_threads(4))
+        .unwrap_err();
     assert!(err.to_string().contains("negative parameter"), "{err}");
 }
 
@@ -196,7 +198,7 @@ fn injected_panic_surfaces_as_typed_error_under_fail_fast() {
     assert!(err.to_string().contains("injected fault"), "{err}");
     // The parallel path reports the identical error.
     let perr = q
-        .run_parallel_with_options(&db, 6, 1, 4, &opts)
+        .run_with_options(&db, 6, 1, &opts.with_threads(4))
         .unwrap_err();
     assert_eq!(err.to_string(), perr.to_string());
 }
@@ -225,7 +227,7 @@ fn retry_policy_recovers_identically_at_any_thread_count() {
     // count.
     for threads in [1, 2, 5, 8] {
         let par = q
-            .run_parallel_with_options(&db, 8, 7, threads, &opts)
+            .run_with_options(&db, 8, 7, &opts.clone().with_threads(threads))
             .unwrap();
         assert_eq!(
             seq.result.samples(),

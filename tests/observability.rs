@@ -12,7 +12,7 @@
 
 use model_data_ecosystems::core::obs::{JsonlSink, MemorySink, Tracer};
 use model_data_ecosystems::core::resilience::{
-    FaultKind, FaultPlan, RunOptions, RunPolicy, StopCause,
+    CampaignState, FaultKind, FaultPlan, RunOptions, RunPolicy, StopCause,
 };
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
@@ -153,7 +153,7 @@ fn parallel_metrics_are_bit_identical_to_sequential() {
 
     for threads in [1, 2, 8] {
         let par = q
-            .run_parallel_with_options(&db, n, seed, threads, &opts)
+            .run_with_options(&db, n, seed, &opts.clone().with_threads(threads))
             .unwrap();
         // RunReport equality now covers the deterministic metrics ledger.
         assert_eq!(seq.report, par.report, "threads {threads}");
@@ -200,13 +200,13 @@ fn resumed_campaign_metrics_match_uninterrupted() {
     assert_eq!(im.histogram("mc.sample").unwrap().count(), 6);
     assert!(im.io_counter("ckpt.saves") > 0, "saves are ledgered");
 
+    let state = CampaignState::load(scratch.path()).unwrap();
     let resumed = q
-        .resume_from(
+        .run_with_options(
             &db,
             n,
             seed,
-            &RunOptions::default().with_checkpoint(spec),
-            scratch.path(),
+            &RunOptions::default().with_checkpoint(spec).resuming(state),
         )
         .unwrap();
     assert_eq!(resumed.stopped, None);
