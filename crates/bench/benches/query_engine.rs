@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the logical→physical query pipeline: the
 //! vectorized columnar engine vs the legacy row-at-a-time executor on
-//! filter / join / group-by at ~10^5 rows, plus the prepare-once /
+//! filter / join / group-by / top-k at ~10^5 rows, plus the prepare-once /
 //! execute-many split that Monte Carlo replication relies on.
 //!
 //! Run with `cargo bench -p mde-bench --bench query_engine`.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::*;
-use mde_mcdb::query::{AggFunc, AggSpec, PreparedQuery};
+use mde_mcdb::query::{AggFunc, AggSpec, PreparedQuery, SortKey};
 use mde_mcdb::vg::NormalVg;
 
 const FACT_ROWS: usize = 100_000;
@@ -84,7 +84,14 @@ fn group_by_plan() -> Plan {
     )
 }
 
-/// Vectorized (default) vs legacy executor on the three core operators.
+fn top_k_plan() -> Plan {
+    Plan::scan("FACT")
+        .filter(Expr::col("V").gt(Expr::lit(250.0)))
+        .sort(vec![SortKey::desc(Expr::col("V"))])
+        .limit(10)
+}
+
+/// Vectorized (default) vs legacy executor on the core operators.
 fn bench_operators(c: &mut Criterion) {
     let db = star_catalog();
     let mut group = c.benchmark_group("query_engine");
@@ -93,6 +100,7 @@ fn bench_operators(c: &mut Criterion) {
         ("filter_100k", filter_plan()),
         ("join_100k_x_1k", join_plan()),
         ("group_by_100k", group_by_plan()),
+        ("top_k_100k", top_k_plan()),
     ] {
         group.bench_with_input(BenchmarkId::new("vectorized", name), &plan, |b, plan| {
             b.iter(|| black_box(db.query(black_box(plan)).unwrap()))

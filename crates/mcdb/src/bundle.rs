@@ -26,7 +26,7 @@
 //! property test in the crate's test suite.
 
 use crate::expr::BoundExpr;
-use crate::query::{AggFunc, Catalog, Plan};
+use crate::query::{AggFunc, AggState, Catalog, Plan};
 use crate::random_table::RandomTableSpec;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
@@ -575,7 +575,7 @@ pub fn execute_bundled(plan: &Plan, catalog: &BundledCatalog) -> crate::Result<B
                 let mut agg_columns: Vec<Vec<Value>> = vec![Vec::with_capacity(n); aggs.len()];
                 for i in 0..n {
                     for (a_idx, (spec, barg)) in aggs.iter().zip(&bound_args).enumerate() {
-                        let mut state = BundleAggState::new(spec.func);
+                        let mut state = AggState::new(spec.func);
                         for &ri in &members {
                             let row = &t.rows[ri];
                             if !row.present.at(i) {
@@ -728,111 +728,6 @@ fn intersect(a: &Presence, b: &Presence, n: usize) -> Presence {
         }
         (Presence::Mask(x), Presence::Mask(y)) => {
             Presence::Mask(Arc::new((0..n).map(|i| x[i] && y[i]).collect()))
-        }
-    }
-}
-
-/// Minimal per-iteration aggregate state (mirrors the ordinary executor's
-/// accumulators; kept separate because it runs per iteration).
-enum BundleAggState {
-    Count(i64),
-    Sum { acc: f64, any: bool, int: bool },
-    Avg { acc: f64, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl BundleAggState {
-    fn new(func: AggFunc) -> Self {
-        match func {
-            AggFunc::Count => BundleAggState::Count(0),
-            AggFunc::Sum => BundleAggState::Sum {
-                acc: 0.0,
-                any: false,
-                int: true,
-            },
-            AggFunc::Avg => BundleAggState::Avg { acc: 0.0, n: 0 },
-            AggFunc::Min => BundleAggState::Min(None),
-            AggFunc::Max => BundleAggState::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: Option<Value>) -> crate::Result<()> {
-        use std::cmp::Ordering;
-        match self {
-            BundleAggState::Count(c) => match v {
-                None => *c += 1,
-                Some(val) if !val.is_null() => *c += 1,
-                _ => {}
-            },
-            BundleAggState::Sum { acc, any, int } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        if !matches!(val, Value::Int(_)) {
-                            *int = false;
-                        }
-                        *acc += val.as_f64()?;
-                        *any = true;
-                    }
-                }
-            }
-            BundleAggState::Avg { acc, n } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *acc += val.as_f64()?;
-                        *n += 1;
-                    }
-                }
-            }
-            BundleAggState::Min(best) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && best
-                            .as_ref()
-                            .map(|b| val.sql_cmp(b) == Some(Ordering::Less))
-                            .unwrap_or(true)
-                    {
-                        *best = Some(val);
-                    }
-                }
-            }
-            BundleAggState::Max(best) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && best
-                            .as_ref()
-                            .map(|b| val.sql_cmp(b) == Some(Ordering::Greater))
-                            .unwrap_or(true)
-                    {
-                        *best = Some(val);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            BundleAggState::Count(c) => Value::Int(c),
-            BundleAggState::Sum { acc, any, int } => {
-                if !any {
-                    Value::Null
-                } else if int && acc.fract() == 0.0 && acc.abs() < 9e15 {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Float(acc)
-                }
-            }
-            BundleAggState::Avg { acc, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(acc / n as f64)
-                }
-            }
-            BundleAggState::Min(v) => v.unwrap_or(Value::Null),
-            BundleAggState::Max(v) => v.unwrap_or(Value::Null),
         }
     }
 }

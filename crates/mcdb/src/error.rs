@@ -117,6 +117,13 @@ pub enum McdbError {
         /// Frames that were pinned when eviction gave up.
         pinned: usize,
     },
+    /// Exact integer arithmetic left the `i64` range (e.g. a `SUM` over an
+    /// `Int` column): surfaced instead of wrapping or silently changing
+    /// the result type.
+    IntegerOverflow {
+        /// The operation that overflowed.
+        context: String,
+    },
     /// A worker thread or the scoped pool itself was lost (a panic
     /// *outside* the supervised per-replicate region, or scope teardown
     /// failure). Unlike a replicate panic this is infrastructure loss:
@@ -237,6 +244,12 @@ impl fmt::Display for McdbError {
                 f,
                 "buffer pool exhausted: all {pinned} of {budget} frames pinned"
             ),
+            McdbError::IntegerOverflow { context } => {
+                write!(
+                    f,
+                    "integer overflow in {context}: result exceeds the i64 range"
+                )
+            }
             McdbError::WorkerLost { context } => {
                 write!(f, "worker thread lost: {context}")
             }

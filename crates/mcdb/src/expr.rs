@@ -336,6 +336,20 @@ impl BoundExpr {
         }
     }
 
+    /// Call `f` with the index of every column this expression reads.
+    pub(crate) fn for_each_column(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            BoundExpr::Col(i) => f(*i),
+            BoundExpr::Lit(_) => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.for_each_column(f);
+                right.for_each_column(f);
+            }
+            BoundExpr::Unary { expr, .. } => expr.for_each_column(f),
+            BoundExpr::Func { arg, .. } => arg.for_each_column(f),
+        }
+    }
+
     /// Evaluate as a filter predicate: SQL `WHERE` keeps a row only when
     /// the predicate is `true` (not `false`, not `NULL`).
     pub fn eval_predicate(&self, row: &[Value]) -> crate::Result<bool> {

@@ -412,6 +412,33 @@ impl ColumnVec {
         }
     }
 
+    /// A column of `len` NULLs typed as `dtype` (placeholder values, every
+    /// lane null) — what [`ColumnVec::from_rows`] builds for all-NULL rows.
+    pub(crate) fn typed_nulls(len: usize, dtype: DataType) -> ColumnVec {
+        let mut nulls = NullMask::all_valid(len);
+        for i in 0..len {
+            nulls.set_null(i);
+        }
+        match dtype {
+            DataType::Int => ColumnVec::Int {
+                data: vec![0; len],
+                nulls,
+            },
+            DataType::Float => ColumnVec::Float {
+                data: vec![0.0; len],
+                nulls,
+            },
+            DataType::Bool => ColumnVec::Bool {
+                data: vec![false; len],
+                nulls,
+            },
+            DataType::Str => ColumnVec::Str {
+                data: vec![Arc::from(""); len],
+                nulls,
+            },
+        }
+    }
+
     /// Concatenate two columns of the same type, lane-wise. Used by the
     /// paged table backend to splice the in-memory append tail onto the
     /// decoded on-disk base. Untyped all-null columns adopt the other
@@ -424,30 +451,7 @@ impl ColumnVec {
     /// when both conform to one schema column, which is the only way the
     /// engine calls this.
     pub(crate) fn concat(&self, tail: &ColumnVec) -> ColumnVec {
-        fn typed_nulls(len: usize, dtype: DataType) -> ColumnVec {
-            let mut nulls = NullMask::all_valid(len);
-            for i in 0..len {
-                nulls.set_null(i);
-            }
-            match dtype {
-                DataType::Int => ColumnVec::Int {
-                    data: vec![0; len],
-                    nulls,
-                },
-                DataType::Float => ColumnVec::Float {
-                    data: vec![0.0; len],
-                    nulls,
-                },
-                DataType::Bool => ColumnVec::Bool {
-                    data: vec![false; len],
-                    nulls,
-                },
-                DataType::Str => ColumnVec::Str {
-                    data: vec![Arc::from(""); len],
-                    nulls,
-                },
-            }
-        }
+        let typed_nulls = ColumnVec::typed_nulls;
         match (self, tail) {
             (ColumnVec::AllNull { len: a }, ColumnVec::AllNull { len: b }) => {
                 ColumnVec::AllNull { len: a + b }

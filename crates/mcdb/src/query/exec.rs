@@ -236,9 +236,9 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
 }
 
 /// Total order for sorting: Nulls first, then SQL comparison; incomparable
-/// values (mixed types that slipped past typing) tie. Shared with the
-/// vectorized engine so both sort identically.
-pub(crate) fn sql_sort_cmp(a: &Value, b: &Value) -> Ordering {
+/// values (mixed types that slipped past typing) tie. The vectorized
+/// engine's typed twin is `kernels::cmp_lanes`.
+fn sql_sort_cmp(a: &Value, b: &Value) -> Ordering {
     match (a.is_null(), b.is_null()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Less,
@@ -249,21 +249,43 @@ pub(crate) fn sql_sort_cmp(a: &Value, b: &Value) -> Ordering {
 
 /// Runtime coercion to the statically inferred column type (only numeric
 /// widening; anything else passes through and is caught by validation).
-pub(crate) fn coerce(v: Value, dtype: crate::schema::DataType) -> Value {
+fn coerce(v: Value, dtype: crate::schema::DataType) -> Value {
     match (&v, dtype) {
         (Value::Int(i), crate::schema::DataType::Float) => Value::Float(*i as f64),
         _ => v,
     }
 }
 
-/// Streaming aggregate accumulator. Shared with the vectorized engine so
-/// both produce identical aggregate values (including the Int collapse of
-/// integral sums).
+/// One step of an `Int`-typed `SUM`: exact `i64` addition, with leaving the
+/// `i64` range a typed error instead of a wrap or a silent fall-back to
+/// `Float`. Shared by [`AggState`] and the vectorized engine's typed
+/// accumulators (`kernels::accumulate`) so both sum — and fail —
+/// identically.
+pub(crate) fn checked_int_sum(acc: i64, v: i64) -> crate::Result<i64> {
+    acc.checked_add(v)
+        .ok_or_else(|| McdbError::IntegerOverflow {
+            context: "SUM over Int".to_string(),
+        })
+}
+
+/// Streaming aggregate accumulator of the row-at-a-time engines (this
+/// interpreter and the tuple-bundle executor). The vectorized engine
+/// folds the same functions over typed columns in `kernels::accumulate`.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Count(i64),
-    Sum { acc: f64, any: bool, int: bool },
-    Avg { acc: f64, n: i64 },
+    /// `int` accumulates while every input was `Int` (exact, checked);
+    /// `float` accumulates every input as `f64` and is the result once a
+    /// `Float` input has been seen.
+    Sum {
+        int: Option<i64>,
+        float: f64,
+        any: bool,
+    },
+    Avg {
+        acc: f64,
+        n: i64,
+    },
     Min(Option<Value>),
     Max(Option<Value>),
 }
@@ -273,9 +295,9 @@ impl AggState {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum {
-                acc: 0.0,
+                int: Some(0),
+                float: 0.0,
                 any: false,
-                int: true,
             },
             AggFunc::Avg => AggState::Avg { acc: 0.0, n: 0 },
             AggFunc::Min => AggState::Min(None),
@@ -293,13 +315,14 @@ impl AggState {
                     _ => {}
                 }
             }
-            AggState::Sum { acc, any, int } => {
+            AggState::Sum { int, float, any } => {
                 if let Some(val) = v {
                     if !val.is_null() {
-                        if !matches!(val, Value::Int(_)) {
-                            *int = false;
-                        }
-                        *acc += val.as_f64()?;
+                        *float += val.as_f64()?;
+                        *int = match (*int, &val) {
+                            (Some(acc), Value::Int(i)) => Some(checked_int_sum(acc, *i)?),
+                            _ => None,
+                        };
                         *any = true;
                     }
                 }
@@ -345,15 +368,11 @@ impl AggState {
     pub(crate) fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n),
-            AggState::Sum { acc, any, int } => {
-                if !any {
-                    Value::Null
-                } else if int && acc.fract() == 0.0 && acc.abs() < 9e15 {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Float(acc)
-                }
-            }
+            AggState::Sum { int, float, any } => match int {
+                _ if !any => Value::Null,
+                Some(acc) => Value::Int(acc),
+                None => Value::Float(float),
+            },
             AggState::Avg { acc, n } => {
                 if n == 0 {
                     Value::Null

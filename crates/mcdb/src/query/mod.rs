@@ -16,6 +16,7 @@
 pub mod batch;
 pub mod column;
 mod exec;
+mod kernels;
 pub mod physical;
 pub mod planner;
 pub mod simd;
@@ -30,6 +31,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 pub use exec::execute;
+pub(crate) use exec::AggState;
 pub use physical::PreparedQuery;
 
 /// Morsel-parallel execution policy carried by a [`Catalog`].
@@ -456,14 +458,17 @@ impl Plan {
     /// use mde_mcdb::prelude::*;
     /// use mde_mcdb::query::planner::optimize;
     ///
+    /// let mut c = Catalog::new();
+    /// let sales = [("region", DataType::Str), ("amount", DataType::Int)];
+    /// c.insert(Table::build("sales", &sales).finish().unwrap());
+    /// c.insert(Table::build("regions", &[("name", DataType::Str)]).finish().unwrap());
     /// let plan = Plan::scan("sales")
     ///     .join(Plan::scan("regions"), &[("region", "name")])
     ///     .filter(Expr::col("amount").gt(Expr::lit(10)));
     /// assert!(plan.explain().starts_with("Filter"));
-    /// // (Pushdown through bare scans is skipped — schemas unknown — so
-    /// // this plan optimizes to itself; see the planner tests for pushdown
-    /// // in action over inline tables.)
-    /// assert_eq!(optimize(plan.clone()).explain(), plan.explain());
+    /// // The catalog resolves the scans' columns, so the filter moves
+    /// // below the join, onto the side that owns `amount`.
+    /// assert!(optimize(plan, &c).explain().starts_with("HashJoin"));
     /// ```
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -827,7 +832,7 @@ mod tests {
             .join(Plan::values(visits), &[("pid", "vid")])
             .filter(Expr::col("pid").gt(Expr::lit(0)));
         let before = p.explain();
-        let after = optimize(p).explain();
+        let after = optimize(p, &Catalog::new()).explain();
         assert!(before.starts_with("Filter"));
         assert!(after.starts_with("HashJoin"), "pushdown visible: {after}");
     }

@@ -27,25 +27,31 @@
 //! morsels in their fixed order (group-by accumulates in global lane
 //! order, join probe output concatenates in probe-lane order, errors
 //! resolve lowest-morsel-first), results are bit-identical to sequential
-//! execution at any thread count. Hot filter predicates and integer join
-//! probes additionally route through the runtime-dispatched SIMD kernels
-//! in [`crate::query::simd`], whose portable twins are exact, so SIMD
-//! availability never changes results either.
+//! execution at any thread count. Aggregation, join indexing and sort
+//! comparison run on the typed kernels of `query::kernels` (dense group
+//! ids from the key columns, typed accumulators, a flat join index) rather
+//! than on boxed values; hot filter predicates additionally route through
+//! the runtime-dispatched SIMD kernels in [`crate::query::simd`], whose
+//! portable twins are exact, so SIMD availability never changes results
+//! either.
 
 use super::batch::Batch;
-use super::column::{ColumnVec, NullMask};
-use super::exec::{coerce, sql_sort_cmp, AggState};
+use super::column::ColumnVec;
+use super::kernels::{
+    accumulate, any_null, assign_groups, cmp_lanes, hash_keys, partition_of, JoinIndex, LaneError,
+    Lanes,
+};
 use super::{infer_type, planner, simd, AggFunc, Catalog, Plan};
 use crate::expr::{BinOp, BoundExpr};
 use crate::par::{first_error, morsel_ranges, par_map_ordered};
 use crate::schema::{Column, DataType, Schema};
-use crate::storage::spill::{partition_of, SpilledBatch};
+use crate::storage::spill::SpilledBatch;
 use crate::table::{Row, Table};
-use crate::value::{GroupKey, Value};
+use crate::value::Value;
 use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -81,10 +87,12 @@ impl Chunk {
         self.sel.as_deref()
     }
 
-    /// The value of column `col` at output lane `lane`.
-    #[inline]
-    fn value(&self, col: usize, lane: usize) -> crate::value::Value {
-        self.batch.column(col).value(self.index(lane) as usize)
+    /// The batch rows behind the output lanes.
+    fn lanes(&self) -> Lanes<'_> {
+        match &self.sel {
+            Some(s) => Lanes::Sel(s),
+            None => Lanes::Range(0, self.batch.len()),
+        }
     }
 }
 
@@ -154,15 +162,16 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// The selection vector for morsel `[a, b)` of a chunk: `None` when the
-/// morsel is the entire unselected batch (the exact argument sequential
-/// execution passes), a materialized lane range when the chunk has no
-/// selection, or a slice of the chunk's selection otherwise.
-fn morsel_sel(chunk: &Chunk, a: usize, b: usize) -> Option<Vec<u32>> {
-    match chunk.sel_slice() {
-        None if a == 0 && b == chunk.batch.len() => None,
-        None => Some((a as u32..b as u32).collect()),
-        Some(s) => Some(s[a..b].to_vec()),
+/// The selection vector for morsel `[a, b)` of `lanes` over a batch of
+/// `rows` rows: `None` when the morsel is the entire unselected batch (the
+/// exact argument sequential execution passes), a materialized row range
+/// when there is no selection, or a borrowed slice of the selection
+/// otherwise.
+fn morsel_sel(lanes: Lanes<'_>, rows: usize, a: usize, b: usize) -> Option<Cow<'_, [u32]>> {
+    match lanes.slice(a, b) {
+        Lanes::Range(0, end) if end == rows => None,
+        Lanes::Range(start, end) => Some(Cow::Owned((start as u32..end as u32).collect())),
+        Lanes::Sel(s) => Some(Cow::Borrowed(s)),
     }
 }
 
@@ -198,91 +207,46 @@ fn flip_cmp(op: simd::CmpOp) -> simd::CmpOp {
     }
 }
 
-/// Detect a `col <cmp> literal` predicate over an unselected Float/Int
-/// column — the shape the SIMD comparison kernels accept with results
-/// bit-identical to the generic path. Float-literal-vs-Int-column and
-/// NaN literals fall back to the generic path so coercion and error
+/// Detect a predicate the SIMD column-vs-literal kernels can decide: a
+/// `col <cmp> literal` comparison over an unselected Float/Int column, or
+/// a conjunction of such comparisons. Under Kleene logic a conjunction
+/// passes a lane only when every conjunct is true, so its selection is the
+/// intersection of the conjuncts' selections — bit-identical to the
+/// generic path. Float-literal-vs-Int-column and NaN literals (and any
+/// other conjunct) fall back to the generic path so coercion and error
 /// semantics stay byte-for-byte those of `eval_batch`.
-fn filter_fast_path(chunk: &Chunk, predicate: &BoundExpr) -> Option<(usize, FastCmp)> {
+fn filter_fast_path(chunk: &Chunk, predicate: &BoundExpr) -> Option<Vec<(usize, FastCmp)>> {
+    fn collect(batch: &Batch, e: &BoundExpr, out: &mut Vec<(usize, FastCmp)>) -> Option<()> {
+        let BoundExpr::Binary { op, left, right } = e else {
+            return None;
+        };
+        if *op == BinOp::And {
+            collect(batch, left, out)?;
+            return collect(batch, right, out);
+        }
+        let (col, lit, flipped) = match (left.as_ref(), right.as_ref()) {
+            (BoundExpr::Col(i), BoundExpr::Lit(v)) => (*i, v, false),
+            (BoundExpr::Lit(v), BoundExpr::Col(i)) => (*i, v, true),
+            _ => return None,
+        };
+        let op = cmp_op_of(*op)?;
+        let op = if flipped { flip_cmp(op) } else { op };
+        out.push(match (batch.column(col), lit) {
+            (ColumnVec::Float { .. }, Value::Float(x)) if !x.is_nan() => {
+                (col, FastCmp::F64(op, *x))
+            }
+            (ColumnVec::Float { .. }, Value::Int(x)) => (col, FastCmp::F64(op, *x as f64)),
+            (ColumnVec::Int { .. }, Value::Int(x)) => (col, FastCmp::I64(op, *x)),
+            _ => return None,
+        });
+        Some(())
+    }
     if chunk.sel.is_some() {
         return None;
     }
-    let (op, col, lit, flipped) = match predicate {
-        BoundExpr::Binary { op, left, right } => match (left.as_ref(), right.as_ref()) {
-            (BoundExpr::Col(i), BoundExpr::Lit(v)) => (*op, *i, v, false),
-            (BoundExpr::Lit(v), BoundExpr::Col(i)) => (*op, *i, v, true),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let op = cmp_op_of(op)?;
-    let op = if flipped { flip_cmp(op) } else { op };
-    match (chunk.batch.column(col), lit) {
-        (ColumnVec::Float { .. }, Value::Float(x)) if !x.is_nan() => {
-            Some((col, FastCmp::F64(op, *x)))
-        }
-        (ColumnVec::Float { .. }, Value::Int(x)) => Some((col, FastCmp::F64(op, *x as f64))),
-        (ColumnVec::Int { .. }, Value::Int(x)) => Some((col, FastCmp::I64(op, *x))),
-        _ => None,
-    }
-}
-
-/// Chained hash index over a single Int join key, bucketed by the same
-/// [`simd::hash_i64_one`] hash the batched probe kernel computes. Bucket
-/// entries keep build-lane order, so per probe key the matches come out
-/// in ascending build lane — exactly the order the generic
-/// `HashMap<key, Vec<lane>>` index yields.
-struct IntIndex {
-    mask: u64,
-    buckets: Vec<Vec<(i64, u32)>>,
-}
-
-impl IntIndex {
-    fn build(chunk: &Chunk, col: usize) -> Option<IntIndex> {
-        let (data, nulls) = match chunk.batch.column(col) {
-            ColumnVec::Int { data, nulls } => (data, nulls),
-            _ => return None,
-        };
-        let lanes = chunk.len();
-        let cap = (lanes.max(1) * 2).next_power_of_two();
-        let mask = (cap - 1) as u64;
-        let mut buckets = vec![Vec::new(); cap];
-        for lane in 0..lanes {
-            let row = chunk.index(lane) as usize;
-            if !nulls.is_null(row) {
-                let k = data[row];
-                buckets[(simd::hash_i64_one(k) & mask) as usize].push((k, lane as u32));
-            }
-        }
-        Some(IntIndex { mask, buckets })
-    }
-
-    /// Probe lanes `base..base + keys.len()` (an unselected probe chunk,
-    /// so lane == batch row), emitting matching lane pairs oriented by
-    /// `build_right`. Hashes for the whole morsel are computed by the
-    /// batched SIMD kernel.
-    fn probe(
-        &self,
-        keys: &[i64],
-        nulls: &NullMask,
-        base: usize,
-        build_right: bool,
-    ) -> Vec<(u32, u32)> {
-        let hashes = simd::hash_i64_batch(keys);
-        let mut out = Vec::new();
-        for (i, (&k, &h)) in keys.iter().zip(&hashes).enumerate() {
-            if nulls.is_null(base + i) {
-                continue;
-            }
-            let lane = (base + i) as u32;
-            for &(bk, bl) in &self.buckets[(h & self.mask) as usize] {
-                if bk == k {
-                    out.push(if build_right { (lane, bl) } else { (bl, lane) });
-                }
-            }
-        }
-        out
-    }
+    let mut conjuncts = Vec::new();
+    collect(&chunk.batch, predicate, &mut conjuncts)?;
+    Some(conjuncts)
 }
 
 /// A physical operator with all expressions bound and schemas resolved.
@@ -309,6 +273,10 @@ enum PhysOp {
         right: Box<PhysOp>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
+        /// Per left/right input column: whether an ancestor binds it in
+        /// the join output (see [`prune_join_outputs`]).
+        emit_left: Vec<bool>,
+        emit_right: Vec<bool>,
         schema: Schema,
     },
     /// Hash-grouped aggregation with pre-evaluated argument columns.
@@ -383,7 +351,7 @@ impl PreparedQuery {
     /// tables or columns, unbound expressions, joins without keys,
     /// aggregates missing arguments.
     pub fn prepare(plan: &Plan, catalog: &Catalog) -> crate::Result<PreparedQuery> {
-        Self::lower(&planner::optimize(plan.clone()), catalog)
+        Self::lower(&planner::optimize(plan.clone(), catalog), catalog)
     }
 
     /// Lower a plan without running the rewrite planner first. Used by
@@ -394,7 +362,8 @@ impl PreparedQuery {
     }
 
     fn lower(plan: &Plan, catalog: &Catalog) -> crate::Result<PreparedQuery> {
-        let (root, schema) = build(plan, catalog)?;
+        let (mut root, schema) = build(plan, catalog)?;
+        prune_join_outputs(&mut root, None);
         Ok(PreparedQuery {
             root,
             schema,
@@ -537,6 +506,8 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
                     right: Box::new(rchild),
                     left_keys,
                     right_keys,
+                    emit_left: vec![true; ls.len()],
+                    emit_right: vec![true; rs.len()],
                     schema: schema.clone(),
                 },
                 schema,
@@ -615,6 +586,85 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
     }
 }
 
+/// Narrow every join's emit masks to the output columns its ancestors
+/// bind, so a join feeding (say) an aggregate over two columns gathers
+/// those two instead of every column of both inputs. `needed` marks the
+/// columns of `op`'s output that are read above it; `None` means all of
+/// them (the root: its whole batch becomes the result table).
+fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
+    fn mark(mask: &mut Vec<bool>, e: &BoundExpr) {
+        e.for_each_column(&mut |i| {
+            if mask.len() <= i {
+                mask.resize(i + 1, false);
+            }
+            mask[i] = true;
+        });
+    }
+    match op {
+        PhysOp::Scan { .. } | PhysOp::Values { .. } => {}
+        // Selection-vector operators pass their input batch through.
+        PhysOp::Filter { input, predicate } => {
+            let needed = needed.map(|mut m| {
+                mark(&mut m, predicate);
+                m
+            });
+            prune_join_outputs(input, needed);
+        }
+        PhysOp::Sort { input, keys } => {
+            let needed = needed.map(|mut m| {
+                keys.iter().for_each(|(e, _)| mark(&mut m, e));
+                m
+            });
+            prune_join_outputs(input, needed);
+        }
+        PhysOp::Limit { input, .. } => prune_join_outputs(input, needed),
+        // Operators that rebuild their batch read exactly what they bind.
+        PhysOp::Project { input, exprs, .. } => {
+            let mut m = Vec::new();
+            exprs.iter().for_each(|e| mark(&mut m, e));
+            prune_join_outputs(input, Some(m));
+        }
+        PhysOp::Aggregate {
+            input,
+            group_idx,
+            agg_args,
+            ..
+        } => {
+            let mut m = Vec::new();
+            group_idx
+                .iter()
+                .for_each(|&j| mark(&mut m, &BoundExpr::Col(j)));
+            agg_args.iter().flatten().for_each(|e| mark(&mut m, e));
+            prune_join_outputs(input, Some(m));
+        }
+        PhysOp::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            emit_left,
+            emit_right,
+            ..
+        } => {
+            if let Some(m) = needed {
+                let n_left = emit_left.len();
+                let read = |j: usize| m.get(j).copied().unwrap_or(false);
+                *emit_left = (0..n_left).map(read).collect();
+                *emit_right = (0..emit_right.len()).map(|j| read(n_left + j)).collect();
+            }
+            // Each input must deliver what the join emits plus its keys.
+            for (child, emit, keys) in [
+                (left, &*emit_left, &*left_keys),
+                (right, &*emit_right, &*right_keys),
+            ] {
+                let mut m = emit.clone();
+                keys.iter().for_each(|&j| m[j] = true);
+                prune_join_outputs(child, Some(m));
+            }
+        }
+    }
+}
+
 /// Materialize the root chunk as a row-oriented table: validate the
 /// selection vector once, then build rows morsel-parallel and append
 /// them in morsel order.
@@ -689,26 +739,33 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             span.record("rows_in", lanes);
             let ranges = ctx.ranges(lanes);
             ctx.count_morsels(ranges.len());
-            let sel: Vec<u32> = if let Some((col, fast)) = filter_fast_path(&chunk, predicate) {
+            let sel: Vec<u32> = if let Some(conjuncts) = filter_fast_path(&chunk, predicate) {
                 // SIMD fast path: the comparison kernels consume the
                 // column slice and its null words directly; morsel
                 // boundaries are 64-aligned so each morsel borrows whole
-                // mask words. Lane eligibility is counted regardless of
-                // whether AVX2 is actually available.
+                // mask words. A conjunction intersects its conjuncts'
+                // ascending selections. Lane eligibility is counted
+                // regardless of whether AVX2 is actually available.
                 ctx.count_simd_lanes(lanes);
                 let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
                     let (a, b) = ranges[m];
                     Ok(ctx.timed(|| {
-                        let mut local = match (fast, chunk.batch.column(col)) {
-                            (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
-                                simd::cmp_f64_lit(op, &data[a..b], lit, nulls.word_slice(a, b - a))
-                            }
-                            (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
-                                simd::cmp_i64_lit(op, &data[a..b], lit, nulls.word_slice(a, b - a))
-                            }
-                            // `filter_fast_path` only emits matching pairs.
-                            _ => Vec::new(),
-                        };
+                        let mut local = conjuncts
+                            .iter()
+                            .map(|&(col, fast)| match (fast, chunk.batch.column(col)) {
+                                (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
+                                    let words = nulls.word_slice(a, b - a);
+                                    simd::cmp_f64_lit(op, &data[a..b], lit, words)
+                                }
+                                (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
+                                    let words = nulls.word_slice(a, b - a);
+                                    simd::cmp_i64_lit(op, &data[a..b], lit, words)
+                                }
+                                // `filter_fast_path` only emits matching pairs.
+                                _ => Vec::new(),
+                            })
+                            .reduce(|acc, next| simd::intersect_sorted(&acc, &next))
+                            .unwrap_or_default();
                         for s in &mut local {
                             *s += a as u32;
                         }
@@ -724,7 +781,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                 let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
                     let (a, b) = ranges[m];
                     ctx.timed(|| {
-                        let msel = morsel_sel(&chunk, a, b);
+                        let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
                         let pred = predicate.eval_batch(&chunk.batch, msel.as_deref())?;
                         let mlen = b - a;
                         match &pred {
@@ -787,7 +844,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
                 let (a, b) = ranges[m];
                 Ok(ctx.timed(|| {
-                    let msel = morsel_sel(&chunk, a, b);
+                    let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
                     exprs
                         .iter()
                         .zip(schema.columns())
@@ -827,6 +884,8 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             right,
             left_keys,
             right_keys,
+            emit_left,
+            emit_right,
             schema,
         } => {
             let mut span = parent.child("join");
@@ -836,53 +895,27 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             span.record("left_rows", l_lanes);
             span.record("right_rows", r_lanes);
 
-            // Lane-space join key; None when any key part is Null (SQL
-            // inner-join semantics: Null keys never match).
-            let key_of = |c: &Chunk, keys: &[usize], lane: usize| -> Option<Vec<GroupKey>> {
-                let mut key = Vec::with_capacity(keys.len());
-                for &j in keys {
-                    let v = c.value(j, lane);
-                    if v.is_null() {
-                        return None;
-                    }
-                    key.push(v.group_key());
-                }
-                Some(key)
-            };
-
             // Matching (left lane, right lane) pairs in the reference
             // output order: ascending left lane, then ascending right lane.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let l_side = JoinSide::new(&lc.batch, left_keys, lc.lanes());
+            let r_side = JoinSide::new(&rc.batch, right_keys, rc.lanes());
             let spill = ctx.catalog.spill_config();
-            if l_lanes.min(r_lanes) > spill.threshold_rows {
+            let pairs = if l_lanes.min(r_lanes) > spill.threshold_rows {
                 // Grace hash join: the build side exceeds the spill
                 // threshold, so both inputs are hash-partitioned by join
-                // key (deterministic FNV — identical sharding every run),
-                // each partition is persisted through the page codec, and
-                // partitions are joined one at a time. Every key lives
-                // wholly in one partition, and the final lane-pair sort
-                // restores the reference output order exactly, so results
-                // are bit-identical to the in-memory path.
+                // key (the same deterministic key hash the index uses —
+                // identical sharding every run), each partition is
+                // persisted through the page codec, and partitions are
+                // joined one at a time by the in-memory kernel. Every key
+                // lives wholly in one partition, and the final lane-pair
+                // sort restores the reference output order exactly, so
+                // results are bit-identical to the in-memory path.
                 let parts = spill.partitions.max(1);
                 span.record("spilled", true);
                 span.record("partitions", parts);
-                let mut l_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for lane in 0..l_lanes {
-                    if let Some(key) = key_of(&lc, left_keys, lane) {
-                        l_parts[partition_of(&key, parts)].push(lane as u32);
-                    }
-                }
-                let mut r_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for lane in 0..r_lanes {
-                    if let Some(key) = key_of(&rc, right_keys, lane) {
-                        r_parts[partition_of(&key, parts)].push(lane as u32);
-                    }
-                }
-                let bkey = |b: &Batch, keys: &[usize], row: usize| -> Vec<GroupKey> {
-                    keys.iter()
-                        .map(|&j| b.column(j).value(row).group_key())
-                        .collect()
-                };
+                let l_parts = l_side.partition(parts);
+                let r_parts = r_side.partition(parts);
+                let mut pairs: Vec<(u32, u32)> = Vec::new();
                 let mut spill_rows = 0u64;
                 for p in 0..parts {
                     let (lp, rp) = (&l_parts[p], &r_parts[p]);
@@ -894,133 +927,49 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     let ls = SpilledBatch::write(&lc.batch, &l_sel, spill, &format!("jl{p}"))?;
                     let rs = SpilledBatch::write(&rc.batch, &r_sel, spill, &format!("jr{p}"))?;
                     spill_rows += (ls.n_rows() + rs.n_rows()) as u64;
-                    let lb = ls.read()?;
-                    let rb = rs.read()?;
-                    // In-memory hash table bounded to one partition's
-                    // smaller side (ties keep the legacy right build).
-                    if rb.len() <= lb.len() {
-                        let mut index: HashMap<Vec<GroupKey>, Vec<u32>> = HashMap::new();
-                        for (row, &rlane) in rp.iter().enumerate() {
-                            index
-                                .entry(bkey(&rb, right_keys, row))
-                                .or_default()
-                                .push(rlane);
-                        }
-                        for (row, &llane) in lp.iter().enumerate() {
-                            if let Some(matches) = index.get(&bkey(&lb, left_keys, row)) {
-                                for &r in matches {
-                                    pairs.push((llane, r));
-                                }
-                            }
-                        }
-                    } else {
-                        let mut index: HashMap<Vec<GroupKey>, Vec<u32>> = HashMap::new();
-                        for (row, &llane) in lp.iter().enumerate() {
-                            index
-                                .entry(bkey(&lb, left_keys, row))
-                                .or_default()
-                                .push(llane);
-                        }
-                        for (row, &rlane) in rp.iter().enumerate() {
-                            if let Some(matches) = index.get(&bkey(&rb, right_keys, row)) {
-                                for &l in matches {
-                                    pairs.push((l, rlane));
-                                }
-                            }
-                        }
-                    }
+                    let (lb, rb) = (ls.read()?, rs.read()?);
+                    let local = join_pairs(
+                        ctx,
+                        &JoinSide::new(&lb, left_keys, Lanes::Range(0, lb.len())),
+                        &JoinSide::new(&rb, right_keys, Lanes::Range(0, rb.len())),
+                    )?;
+                    pairs.extend(
+                        local
+                            .into_iter()
+                            .map(|(l, r)| (lp[l as usize], rp[r as usize])),
+                    );
                 }
                 span.record("spill_rows", spill_rows);
                 pairs.sort_unstable();
+                pairs
             } else {
-                // In-memory path: build a hash index over the smaller side
-                // sequentially (ties keep the legacy right build), then
-                // probe the larger side morsel-parallel. Per-morsel pair
-                // vectors concatenate in morsel order, so a right build
-                // emerges in the reference order (ascending probe lane ×
-                // ascending build lane) directly; a left build restores it
-                // with the same global sort the sequential code used.
-                let build_right = r_lanes <= l_lanes;
-                let (bc, b_keys, b_lanes, pc, p_keys, p_lanes) = if build_right {
-                    (&rc, right_keys, r_lanes, &lc, left_keys, l_lanes)
-                } else {
-                    (&lc, left_keys, l_lanes, &rc, right_keys, r_lanes)
-                };
-                let ranges = ctx.ranges(p_lanes);
-                ctx.count_morsels(ranges.len());
-                // Single-Int-key joins over an unselected probe chunk use
-                // the batched hash kernel and a chained Int index; the
-                // bucket scan preserves build-lane order, so pairs match
-                // the generic index exactly.
-                let int_probe = if b_keys.len() == 1 && pc.sel.is_none() {
-                    match (bc.batch.column(b_keys[0]), pc.batch.column(p_keys[0])) {
-                        (ColumnVec::Int { .. }, ColumnVec::Int { data, nulls }) => {
-                            IntIndex::build(bc, b_keys[0]).map(|ix| (ix, data, nulls))
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if let Some((index, pdata, pnulls)) = int_probe {
-                    ctx.count_simd_lanes(p_lanes);
-                    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                        let (a, b) = ranges[m];
-                        Ok(ctx.timed(|| index.probe(&pdata[a..b], pnulls, a, build_right)))
-                    });
-                    for part in first_error(parts)? {
-                        pairs.extend(part);
-                    }
-                } else {
-                    let mut index: HashMap<Vec<GroupKey>, Vec<u32>> = HashMap::new();
-                    for lane in 0..b_lanes {
-                        if let Some(key) = key_of(bc, b_keys, lane) {
-                            index.entry(key).or_default().push(lane as u32);
-                        }
-                    }
-                    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                        let (a, b) = ranges[m];
-                        Ok(ctx.timed(|| {
-                            let mut out = Vec::new();
-                            for lane in a..b {
-                                if let Some(key) = key_of(pc, p_keys, lane) {
-                                    if let Some(matches) = index.get(&key) {
-                                        for &bl in matches {
-                                            out.push(if build_right {
-                                                (lane as u32, bl)
-                                            } else {
-                                                (bl, lane as u32)
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            out
-                        }))
-                    });
-                    for part in first_error(parts)? {
-                        pairs.extend(part);
-                    }
-                }
-                if !build_right {
-                    pairs.sort_unstable();
-                }
-            }
+                join_pairs(ctx, &l_side, &r_side)?
+            };
 
             let l_sel: Vec<u32> = pairs.iter().map(|&(l, _)| lc.index(l as usize)).collect();
             let r_sel: Vec<u32> = pairs.iter().map(|&(_, r)| rc.index(r as usize)).collect();
             // Output columns gather independently — one task per column.
-            let n_left = lc.batch.columns().len();
-            let n_cols = n_left + rc.batch.columns().len();
-            let cols = first_error(par_map_ordered(ctx.threads, n_cols, |j| {
-                Ok(ctx.timed(|| {
-                    if j < n_left {
-                        lc.batch.column(j).gather(&l_sel)
-                    } else {
-                        rc.batch.column(j - n_left).gather(&r_sel)
-                    }
-                }))
-            }))?;
+            // A column no ancestor binds is never read, so it is emitted
+            // as an O(1) untyped all-null placeholder instead of a gather.
+            let n_left = emit_left.len();
+            let cols = first_error(par_map_ordered(
+                ctx.threads,
+                n_left + emit_right.len(),
+                |j| {
+                    Ok(ctx.timed(|| {
+                        let (side, k, sel, emit) = if j < n_left {
+                            (&lc, j, &l_sel, emit_left[j])
+                        } else {
+                            (&rc, j - n_left, &r_sel, emit_right[j - n_left])
+                        };
+                        if emit {
+                            side.batch.column(k).gather(sel)
+                        } else {
+                            ColumnVec::AllNull { len: sel.len() }
+                        }
+                    }))
+                },
+            ))?;
             span.record("rows_out", pairs.len());
             let batch = Batch::from_columns(schema.clone(), cols, pairs.len())?;
             Ok(Chunk::from_batch(Arc::new(batch)))
@@ -1037,29 +986,30 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             let lanes = chunk.len();
             span.record("rows_in", lanes);
             let spill = ctx.catalog.spill_config();
-            if lanes > spill.threshold_rows && !group_idx.is_empty() {
+            let grouped = if lanes > spill.threshold_rows && !group_idx.is_empty() {
                 // Grace-partitioned aggregation: the input exceeds the
                 // spill threshold, so lanes are hash-partitioned by group
                 // key, each partition is persisted and aggregated on its
-                // own, and groups are re-emitted in global first-seen
-                // order. Every group lives wholly in one partition and
-                // its lanes keep ascending order, so accumulation order —
-                // and therefore floating-point sums — is bit-identical to
-                // the unspilled path. (A global aggregate with no group
-                // keys holds O(1) state and never needs to spill.)
+                // own by the in-memory kernel, and groups are re-emitted
+                // in global first-seen order. Every group lives wholly in
+                // one partition and its lanes keep ascending order, so
+                // accumulation order — and therefore floating-point sums —
+                // is bit-identical to the unspilled path. (A global
+                // aggregate with no group keys holds O(1) state and never
+                // needs to spill.)
                 let parts = spill.partitions.max(1);
                 span.record("spilled", true);
                 span.record("partitions", parts);
+                let keys: Vec<&ColumnVec> =
+                    group_idx.iter().map(|&j| chunk.batch.column(j)).collect();
                 let mut lane_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for lane in 0..lanes {
-                    let key: Vec<GroupKey> = group_idx
-                        .iter()
-                        .map(|&j| chunk.value(j, lane).group_key())
-                        .collect();
-                    lane_parts[partition_of(&key, parts)].push(lane as u32);
+                for (lane, &h) in hash_keys(&keys, chunk.lanes()).iter().enumerate() {
+                    lane_parts[partition_of(h, parts)].push(lane as u32);
                 }
-                // (first global lane, group values, accumulators) per group.
-                let mut groups: Vec<(u32, Row, Vec<AggState>)> = Vec::new();
+                let mut partitions: Vec<Grouped> = Vec::new();
+                // The failing lane a sequential fold over the unspilled
+                // input would have reached first.
+                let mut failed: Option<LaneError> = None;
                 let mut spill_rows = 0u64;
                 for (p, part) in lane_parts.iter().enumerate() {
                     if part.is_empty() {
@@ -1069,190 +1019,59 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     let spilled =
                         SpilledBatch::write(&chunk.batch, &sel, spill, &format!("agg{p}"))?;
                     spill_rows += spilled.n_rows() as u64;
-                    let pb = Arc::new(spilled.read()?);
-                    let arg_cols: Vec<Option<ColumnVec>> = agg_args
-                        .iter()
-                        .map(|a| a.as_ref().map(|b| b.eval_batch(&pb, None)).transpose())
-                        .collect::<crate::Result<_>>()?;
-                    let mut slot: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-                    let first = groups.len();
-                    for (row, &global_lane) in part.iter().enumerate() {
-                        let key: Vec<GroupKey> = group_idx
-                            .iter()
-                            .map(|&j| pb.column(j).value(row).group_key())
-                            .collect();
-                        let idx = *slot.entry(key).or_insert_with(|| {
-                            groups.push((
-                                global_lane,
-                                group_idx.iter().map(|&j| pb.column(j).value(row)).collect(),
-                                agg_funcs.iter().map(|&f| AggState::new(f)).collect(),
-                            ));
-                            groups.len() - 1
-                        });
-                        for (state, col) in groups[idx].2.iter_mut().zip(&arg_cols) {
-                            state.update(col.as_ref().map(|c| c.value(row)))?;
+                    let pb = spilled.read()?;
+                    let lanes = Lanes::Range(0, pb.len());
+                    match aggregate_lanes(ctx, &pb, lanes, group_idx, agg_funcs, agg_args)? {
+                        Ok(mut g) => {
+                            for lane in &mut g.first_lane {
+                                *lane = part[*lane as usize];
+                            }
+                            partitions.push(g);
+                        }
+                        Err((lane, e)) => {
+                            let lane = part[lane] as usize;
+                            if failed.as_ref().is_none_or(|(first, _)| lane < *first) {
+                                failed = Some((lane, e));
+                            }
                         }
                     }
-                    debug_assert!(groups[first..].windows(2).all(|w| w[0].0 < w[1].0));
+                }
+                if let Some((_, e)) = failed {
+                    return Err(e);
                 }
                 span.record("spill_rows", spill_rows);
                 // Partitions interleave in lane space; first-seen group
                 // order is the order of each group's first global lane.
-                groups.sort_by_key(|g| g.0);
-                let mut out = Table::new("aggregate", schema.clone());
-                for (_, group_vals, sts) in groups {
-                    let mut row = group_vals;
-                    for (st, col) in sts
-                        .into_iter()
-                        .zip(schema.columns().iter().skip(group_idx.len()))
-                    {
-                        row.push(coerce(st.finish(), col.dtype));
-                    }
-                    out.push_row(row)?;
-                }
-                span.record("groups", out.len());
-                return Ok(Chunk::from_batch(out.batch()));
-            }
-            // Per-morsel parallel phase: evaluate argument expressions and
-            // group keys for the morsel's lanes. The merge below walks
-            // morsels (and lanes within them) in global order, so group
-            // discovery order and floating-point accumulation order are
-            // exactly those of sequential execution.
-            let ranges = ctx.ranges(lanes);
-            ctx.count_morsels(ranges.len());
-            let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                let (a, b) = ranges[m];
-                ctx.timed(|| {
-                    let msel = morsel_sel(&chunk, a, b);
-                    let arg_cols: Vec<Option<ColumnVec>> = agg_args
-                        .iter()
-                        .map(|x| {
-                            x.as_ref()
-                                .map(|e| e.eval_batch(&chunk.batch, msel.as_deref()))
-                                .transpose()
-                        })
-                        .collect::<crate::Result<_>>()?;
-                    let keys: Vec<Vec<GroupKey>> = (a..b)
-                        .map(|lane| {
-                            group_idx
-                                .iter()
-                                .map(|&j| chunk.value(j, lane).group_key())
-                                .collect()
-                        })
-                        .collect();
-                    Ok((arg_cols, keys))
-                })
-            });
-            let parts = first_error(parts)?;
-
-            let mut states: HashMap<Vec<GroupKey>, (Row, Vec<AggState>)> = HashMap::new();
-            let mut order: Vec<Vec<GroupKey>> = Vec::new();
-            for (m, (arg_cols, keys)) in parts.iter().enumerate() {
-                let (a, _) = ranges[m];
-                for (local, key) in keys.iter().enumerate() {
-                    let lane = a + local;
-                    let entry = states.entry(key.clone()).or_insert_with(|| {
-                        order.push(key.clone());
-                        (
-                            group_idx.iter().map(|&j| chunk.value(j, lane)).collect(),
-                            agg_funcs.iter().map(|&f| AggState::new(f)).collect(),
-                        )
-                    });
-                    for (state, col) in entry.1.iter_mut().zip(arg_cols) {
-                        let v = col.as_ref().map(|c| c.value(local));
-                        state.update(v)?;
-                    }
-                }
-            }
-
-            let mut out = Table::new("aggregate", schema.clone());
-            if states.is_empty() && group_idx.is_empty() {
-                // Global aggregate over empty input: one row of identities.
-                let row: Row = agg_funcs
-                    .iter()
-                    .map(|&f| AggState::new(f).finish())
-                    .zip(schema.columns())
-                    .map(|(v, c)| coerce(v, c.dtype))
-                    .collect();
-                out.push_row(row)?;
+                Grouped::merge_first_seen(partitions)
             } else {
-                for key in order {
-                    // Every key in `order` was recorded when its state was
-                    // created; if the maps ever desynchronize, surface a
-                    // typed error — this path runs inside session workers
-                    // where a panic would cost the whole session.
-                    let (group_vals, sts) = states.remove(&key).ok_or_else(|| {
-                        crate::McdbError::invalid_plan(
-                            "aggregate group state desynchronized from group order",
-                        )
-                    })?;
-                    let mut row = group_vals;
-                    for (st, col) in sts
-                        .into_iter()
-                        .zip(schema.columns().iter().skip(group_idx.len()))
-                    {
-                        row.push(coerce(st.finish(), col.dtype));
-                    }
-                    out.push_row(row)?;
-                }
-            }
-            span.record("groups", out.len());
-            Ok(Chunk::from_batch(out.batch()))
+                aggregate_lanes(
+                    ctx,
+                    &chunk.batch,
+                    chunk.lanes(),
+                    group_idx,
+                    agg_funcs,
+                    agg_args,
+                )?
+                .map_err(|(_, e)| e)?
+            };
+            let batch = grouped.into_batch(schema, group_idx.len())?;
+            span.record("groups", batch.len());
+            Ok(Chunk::from_batch(Arc::new(batch)))
         }
-        PhysOp::Sort { input, keys } => {
-            let mut span = parent.child("sort");
-            let chunk = run(input, ctx, &span)?;
-            let lanes = chunk.len();
-            span.record("rows", lanes);
-            // Precompute whole key columns so the comparator is
-            // infallible. Key evaluation morselizes; the comparator sort
-            // itself stays sequential (it is a stable global order).
-            let ranges = ctx.ranges(lanes);
-            ctx.count_morsels(ranges.len());
-            let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                let (a, b) = ranges[m];
-                ctx.timed(|| {
-                    let msel = morsel_sel(&chunk, a, b);
-                    keys.iter()
-                        .map(|(e, _)| e.eval_batch(&chunk.batch, msel.as_deref()))
-                        .collect::<crate::Result<Vec<ColumnVec>>>()
-                })
-            });
-            let parts = first_error(parts)?;
-            let mut per_key: Vec<Vec<ColumnVec>> = (0..keys.len())
-                .map(|_| Vec::with_capacity(parts.len()))
-                .collect();
-            for part in parts {
-                for (k, c) in part.into_iter().enumerate() {
-                    per_key[k].push(c);
-                }
-            }
-            let key_cols: Vec<(ColumnVec, bool)> = per_key
-                .into_iter()
-                .zip(keys)
-                .map(|(cp, (_, asc))| (ColumnVec::concat_many(cp), *asc))
-                .collect();
-            let mut perm: Vec<u32> = (0..lanes as u32).collect();
-            perm.sort_by(|&a, &b| {
-                for (col, asc) in &key_cols {
-                    let ord = sql_sort_cmp(&col.value(a as usize), &col.value(b as usize));
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-            let sel: Vec<u32> = perm.into_iter().map(|l| chunk.index(l as usize)).collect();
-            Ok(Chunk {
-                batch: chunk.batch,
-                sel: Some(sel),
-            })
-        }
+        PhysOp::Sort { input, keys } => Ok(run_sort(input, keys, None, ctx, parent)?.0),
         PhysOp::Limit { input, n } => {
             let mut span = parent.child("limit");
-            let chunk = run(input, ctx, &span)?;
-            span.record("rows_in", chunk.len());
+            // `Limit` directly over `Sort` is a top-k selection: the sort
+            // keeps only the first `n` lanes of its total order.
+            let (chunk, rows_in) = match input.as_ref() {
+                PhysOp::Sort { input, keys } => run_sort(input, keys, Some(*n), ctx, &span)?,
+                other => {
+                    let chunk = run(other, ctx, &span)?;
+                    let rows = chunk.len();
+                    (chunk, rows)
+                }
+            };
+            span.record("rows_in", rows_in);
             let n = *n;
             let sel = match chunk.sel {
                 Some(mut s) => {
@@ -1277,33 +1096,330 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
     }
 }
 
-/// Column-level analogue of `Schema::validate_row`: the computed column
-/// must match the declared type (untyped all-null columns match anything)
-/// and Float columns must not contain NaN. Errors carry the same messages
-/// row validation produces.
-fn validate_column(c: &ColumnVec, col: &Column) -> crate::Result<()> {
-    match c.dtype() {
-        None => Ok(()),
-        Some(t) if t == col.dtype => {
-            if let ColumnVec::Float { data, nulls } = c {
-                for (i, v) in data.iter().enumerate() {
-                    if v.is_nan() && !nulls.is_null(i) {
-                        return Err(McdbError::type_mismatch(
-                            format!("column `{}`", col.name),
-                            "finite float or NULL",
-                            "NaN",
-                        ));
-                    }
+/// One input of a hash join: a batch, its key column indices, and the
+/// batch rows behind its lanes.
+struct JoinSide<'a> {
+    keys: Vec<&'a ColumnVec>,
+    lanes: Lanes<'a>,
+}
+
+impl<'a> JoinSide<'a> {
+    fn new(batch: &'a Batch, keys: &[usize], lanes: Lanes<'a>) -> JoinSide<'a> {
+        JoinSide {
+            keys: keys.iter().map(|&j| batch.column(j)).collect(),
+            lanes,
+        }
+    }
+
+    /// Lanes with a non-NULL key, sharded by key hash into `parts` Grace
+    /// partitions (ascending lane order within each).
+    fn partition(&self, parts: usize) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = vec![Vec::new(); parts];
+        for (lane, &h) in hash_keys(&self.keys, self.lanes).iter().enumerate() {
+            let row = self.lanes.row(lane);
+            if !any_null(&self.keys, row) {
+                out[partition_of(h, parts)].push(lane as u32);
+            }
+        }
+        out
+    }
+}
+
+/// The in-memory hash-join kernel, shared by the unspilled path and every
+/// Grace partition: index the smaller side (ties keep the legacy right
+/// build), probe the larger side morsel-parallel, and return the matching
+/// (left lane, right lane) pairs in the reference order. Per-morsel pair
+/// vectors concatenate in morsel order, so a right build emerges in that
+/// order (ascending probe lane × ascending build lane) directly; a left
+/// build restores it with a sort. NULL keys never match.
+fn join_pairs(
+    ctx: &ExecCtx,
+    left: &JoinSide<'_>,
+    right: &JoinSide<'_>,
+) -> crate::Result<Vec<(u32, u32)>> {
+    let build_right = right.lanes.len() <= left.lanes.len();
+    let (build, probe) = if build_right {
+        (right, left)
+    } else {
+        (left, right)
+    };
+    let index = JoinIndex::build(&build.keys, build.lanes);
+    let ranges = ctx.ranges(probe.lanes.len());
+    ctx.count_morsels(ranges.len());
+    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
+        let (a, b) = ranges[m];
+        Ok(ctx.timed(|| {
+            let mut out = Vec::new();
+            index.probe(&probe.keys, probe.lanes.slice(a, b), |lane, build_lane| {
+                let lane = (a + lane) as u32;
+                out.push(if build_right {
+                    (lane, build_lane)
+                } else {
+                    (build_lane, lane)
+                });
+            });
+            out
+        }))
+    });
+    let mut pairs: Vec<(u32, u32)> = first_error(parts)?.into_iter().flatten().collect();
+    if !build_right {
+        pairs.sort_unstable();
+    }
+    Ok(pairs)
+}
+
+/// Group-by output before typing: one row per group.
+struct Grouped {
+    /// Each group's first input lane — its rank in first-seen order.
+    first_lane: Vec<u32>,
+    /// Group key columns, then one column per aggregate.
+    cols: Vec<ColumnVec>,
+}
+
+impl Grouped {
+    /// Concatenate the groups of several partitions and reorder them by
+    /// first lane.
+    fn merge_first_seen(parts: Vec<Grouped>) -> Grouped {
+        let n_cols = parts.first().map_or(0, |g| g.cols.len());
+        let mut first_lane = Vec::new();
+        let mut per_col: Vec<Vec<ColumnVec>> = (0..n_cols).map(|_| Vec::new()).collect();
+        for part in parts {
+            first_lane.extend(part.first_lane);
+            for (col_parts, c) in per_col.iter_mut().zip(part.cols) {
+                col_parts.push(c);
+            }
+        }
+        let mut order: Vec<u32> = (0..first_lane.len() as u32).collect();
+        order.sort_unstable_by_key(|&g| first_lane[g as usize]);
+        Grouped {
+            first_lane: order.iter().map(|&g| first_lane[g as usize]).collect(),
+            cols: per_col
+                .into_iter()
+                .map(|parts| ColumnVec::concat_many(parts).gather(&order))
+                .collect(),
+        }
+    }
+
+    /// Type the aggregate columns to the declared output schema (numeric
+    /// widening, typed NULLs) and validate them as `Table::push_row` did
+    /// row by row: the first offending row wins, then the first column.
+    fn into_batch(self, schema: &Schema, n_keys: usize) -> crate::Result<Batch> {
+        let n_groups = self.first_lane.len();
+        let cols: Vec<ColumnVec> = self
+            .cols
+            .into_iter()
+            .zip(schema.columns())
+            .map(|(c, col)| match c {
+                ColumnVec::AllNull { len } => ColumnVec::typed_nulls(len, col.dtype),
+                typed => typed.coerce_to(col.dtype),
+            })
+            .collect();
+        let invalid = cols
+            .iter()
+            .zip(schema.columns())
+            .skip(n_keys)
+            .filter_map(|(c, col)| first_invalid(c, col))
+            .min_by_key(|(row, _)| *row);
+        match invalid {
+            Some((_, e)) => Err(e),
+            None => Batch::from_columns(schema.clone(), cols, n_groups),
+        }
+    }
+}
+
+/// Evaluate `exprs` over `lanes` of `batch`, one morsel per task, and
+/// concatenate each expression's morsel columns in morsel order.
+fn eval_columns(
+    ctx: &ExecCtx,
+    exprs: &[&BoundExpr],
+    batch: &Batch,
+    lanes: Lanes<'_>,
+) -> crate::Result<Vec<ColumnVec>> {
+    let ranges = ctx.ranges(lanes.len());
+    ctx.count_morsels(ranges.len());
+    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
+        let (a, b) = ranges[m];
+        ctx.timed(|| {
+            let msel = morsel_sel(lanes, batch.len(), a, b);
+            exprs
+                .iter()
+                .map(|e| e.eval_batch(batch, msel.as_deref()))
+                .collect::<crate::Result<Vec<ColumnVec>>>()
+        })
+    });
+    let mut per_expr: Vec<Vec<ColumnVec>> = exprs.iter().map(|_| Vec::new()).collect();
+    for part in first_error(parts)? {
+        for (col_parts, c) in per_expr.iter_mut().zip(part) {
+            col_parts.push(c);
+        }
+    }
+    Ok(per_expr.into_iter().map(ColumnVec::concat_many).collect())
+}
+
+/// The aggregate kernel, shared by the unspilled path and every Grace
+/// partition. Argument expressions evaluate morsel-parallel; then dense
+/// group ids are assigned from the typed key columns and each aggregate
+/// folds its argument column into typed per-group accumulators, both
+/// walking lanes in order — so group discovery order and floating-point
+/// accumulation order are exactly those of a sequential row-at-a-time
+/// fold, at any thread count. The inner error is the first lane (then
+/// first aggregate) at which that fold would have failed.
+fn aggregate_lanes(
+    ctx: &ExecCtx,
+    batch: &Batch,
+    lanes: Lanes<'_>,
+    group_idx: &[usize],
+    agg_funcs: &[AggFunc],
+    agg_args: &[Option<BoundExpr>],
+) -> crate::Result<Result<Grouped, LaneError>> {
+    let n = lanes.len();
+    let arg_exprs: Vec<&BoundExpr> = agg_args.iter().flatten().collect();
+    let mut evaluated = eval_columns(ctx, &arg_exprs, batch, lanes)?.into_iter();
+    let arg_cols: Vec<Option<ColumnVec>> = agg_args
+        .iter()
+        .map(|arg| arg.as_ref().and_then(|_| evaluated.next()))
+        .collect();
+
+    let keys: Vec<&ColumnVec> = group_idx.iter().map(|&j| batch.column(j)).collect();
+    // No group keys: one global group, present even over zero lanes (its
+    // accumulators then hold the aggregate identities).
+    let groups = (!keys.is_empty()).then(|| assign_groups(&keys, lanes));
+    let n_groups = groups.as_ref().map_or(1, |g| g.first_lane.len());
+    let outs = first_error(par_map_ordered(ctx.threads, agg_funcs.len(), |j| {
+        Ok(ctx.timed(|| {
+            let arg = arg_cols[j].as_ref();
+            match &groups {
+                Some(g) => accumulate(agg_funcs[j], arg, n, n_groups, |l| g.ids[l] as usize),
+                None => accumulate(agg_funcs[j], arg, n, n_groups, |_| 0),
+            }
+        }))
+    }))?;
+    let mut agg_cols = Vec::with_capacity(outs.len());
+    let mut failed: Option<LaneError> = None;
+    for out in outs {
+        match out {
+            Ok(c) => agg_cols.push(c),
+            Err((lane, e)) => {
+                if failed.as_ref().is_none_or(|(first, _)| lane < *first) {
+                    failed = Some((lane, e));
                 }
             }
-            Ok(())
         }
-        Some(t) => Err(McdbError::type_mismatch(
-            format!("column `{}`", col.name),
-            col.dtype.to_string(),
-            t.to_string(),
-        )),
     }
+    if let Some(e) = failed {
+        return Ok(Err(e));
+    }
+    let (first_lane, key_cols) = match groups {
+        Some(g) => {
+            let rep_rows: Vec<u32> = g
+                .first_lane
+                .iter()
+                .map(|&l| lanes.row(l as usize) as u32)
+                .collect();
+            let key_cols: Vec<ColumnVec> = keys.iter().map(|k| k.gather(&rep_rows)).collect();
+            (g.first_lane, key_cols)
+        }
+        None => (vec![0], Vec::new()),
+    };
+    Ok(Ok(Grouped {
+        first_lane,
+        cols: key_cols.into_iter().chain(agg_cols).collect(),
+    }))
+}
+
+/// Sort `input` by `keys`, keeping only the first `limit` lanes of the
+/// order when a `Limit` sits directly above. Returns the sorted chunk and
+/// the number of lanes sorted. The order is total — keys, then input lane
+/// — so it equals a stable sort by the keys alone, and selecting its
+/// first `k` lanes yields exactly the rows of stable-sort-then-truncate.
+fn run_sort(
+    input: &PhysOp,
+    keys: &[(BoundExpr, bool)],
+    limit: Option<usize>,
+    ctx: &ExecCtx,
+    parent: &Span,
+) -> crate::Result<(Chunk, usize)> {
+    let mut span = parent.child("sort");
+    let chunk = run(input, ctx, &span)?;
+    let lanes = chunk.len();
+    span.record("rows", lanes);
+    // Precompute whole key columns so the comparator is infallible. Key
+    // evaluation morselizes; the sort itself stays sequential (it is one
+    // global order).
+    let key_exprs: Vec<&BoundExpr> = keys.iter().map(|(e, _)| e).collect();
+    let key_cols: Vec<(ColumnVec, bool)> =
+        eval_columns(ctx, &key_exprs, &chunk.batch, chunk.lanes())?
+            .into_iter()
+            .zip(keys.iter().map(|(_, asc)| *asc))
+            .collect();
+    let order = |a: &u32, b: &u32| {
+        for (col, asc) in &key_cols {
+            let ord = cmp_lanes(col, *a as usize, *b as usize);
+            let ord = if *asc { ord } else { ord.reverse() };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        a.cmp(b)
+    };
+    let mut perm: Vec<u32> = (0..lanes as u32).collect();
+    match limit {
+        Some(0) => perm.clear(),
+        Some(k) if k < lanes => {
+            perm.select_nth_unstable_by(k - 1, order);
+            perm.truncate(k);
+            perm.sort_unstable_by(order);
+        }
+        _ => perm.sort_unstable_by(order),
+    }
+    let sel: Vec<u32> = perm.into_iter().map(|l| chunk.index(l as usize)).collect();
+    Ok((
+        Chunk {
+            batch: chunk.batch,
+            sel: Some(sel),
+        },
+        lanes,
+    ))
+}
+
+/// The first row at which a computed column violates its declared schema
+/// column, with the error `Schema::validate_row` raises for it: the
+/// column must match the declared type (untyped all-null columns match
+/// anything) and Float columns must not contain NaN.
+fn first_invalid(c: &ColumnVec, col: &Column) -> Option<(usize, McdbError)> {
+    match c.dtype() {
+        None => None,
+        Some(t) if t == col.dtype => {
+            let ColumnVec::Float { data, nulls } = c else {
+                return None;
+            };
+            let row = (0..data.len()).find(|&i| data[i].is_nan() && !nulls.is_null(i))?;
+            Some((
+                row,
+                McdbError::type_mismatch(
+                    format!("column `{}`", col.name),
+                    "finite float or NULL",
+                    "NaN",
+                ),
+            ))
+        }
+        Some(t) => {
+            let row = (0..c.len()).find(|&i| !c.is_null(i))?;
+            Some((
+                row,
+                McdbError::type_mismatch(
+                    format!("column `{}`", col.name),
+                    col.dtype.to_string(),
+                    t.to_string(),
+                ),
+            ))
+        }
+    }
+}
+
+/// Column-level analogue of `Schema::validate_row`; see [`first_invalid`].
+fn validate_column(c: &ColumnVec, col: &Column) -> crate::Result<()> {
+    first_invalid(c, col).map_or(Ok(()), |(_, e)| Err(e))
 }
 
 #[cfg(test)]
@@ -1348,7 +1464,7 @@ mod tests {
     /// (the unoptimized reference is executed on the optimized plan so the
     /// comparison isolates the engine, not the planner).
     fn assert_engines_agree(c: &Catalog, plan: &Plan) {
-        let optimized = planner::optimize(plan.clone());
+        let optimized = planner::optimize(plan.clone(), c);
         let legacy = super::super::execute(&optimized, c);
         let vectorized =
             PreparedQuery::prepare_unoptimized(&optimized, c).and_then(|p| p.execute(c));

@@ -20,17 +20,19 @@
 //! The gridfield `restrict`/`regrid` commutation of §2.2 is the same idea
 //! in a different algebra; see `mde_harmonize::gridfield`.
 
-use super::{AggSpec, Plan, SortKey};
+use super::{AggSpec, Catalog, Plan, SortKey};
 use crate::expr::Expr;
 use std::collections::BTreeSet;
 
 /// Optimize a plan by repeated local rewrites until fixpoint (bounded by a
 /// generous iteration cap; each rewrite strictly reduces a measure, so the
-/// cap is never hit in practice).
-pub fn optimize(plan: Plan) -> Plan {
+/// cap is never hit in practice). `catalog` supplies the schemas of
+/// scanned tables, which is what lets a filter move below a join of scans;
+/// a scan of a table it does not hold is simply never pushed through.
+pub fn optimize(plan: Plan, catalog: &Catalog) -> Plan {
     let mut current = plan;
     for _ in 0..64 {
-        let (next, changed) = rewrite(current);
+        let (next, changed) = rewrite(current, catalog);
         current = next;
         if !changed {
             break;
@@ -41,10 +43,10 @@ pub fn optimize(plan: Plan) -> Plan {
 
 /// One bottom-up rewrite pass. Returns the plan and whether anything
 /// changed.
-fn rewrite(plan: Plan) -> (Plan, bool) {
+fn rewrite(plan: Plan, catalog: &Catalog) -> (Plan, bool) {
     match plan {
         Plan::Filter { input, predicate } => {
-            let (input, mut changed) = rewrite(*input);
+            let (input, mut changed) = rewrite(*input, catalog);
             let (predicate, folded) = fold_expr(predicate);
             changed |= folded;
             // Split conjunctions into a list of predicates to place.
@@ -54,7 +56,7 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             let mut node = input;
             let mut remaining = Vec::new();
             for pred in conjuncts {
-                match try_push_down(node, pred) {
+                match try_push_down(node, pred, catalog) {
                     Ok(new_node) => {
                         node = new_node;
                         changed = true;
@@ -75,7 +77,7 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             }
         }
         Plan::Project { input, exprs } => {
-            let (input, mut changed) = rewrite(*input);
+            let (input, mut changed) = rewrite(*input, catalog);
             let exprs: Vec<(String, Expr)> = exprs
                 .into_iter()
                 .map(|(n, e)| {
@@ -104,8 +106,8 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             on,
             right_prefix,
         } => {
-            let (left, c1) = rewrite(*left);
-            let (right, c2) = rewrite(*right);
+            let (left, c1) = rewrite(*left, catalog);
+            let (right, c2) = rewrite(*right, catalog);
             (
                 Plan::Join {
                     left: Box::new(left),
@@ -121,7 +123,7 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             group_by,
             aggs,
         } => {
-            let (input, mut changed) = rewrite(*input);
+            let (input, mut changed) = rewrite(*input, catalog);
             let aggs: Vec<AggSpec> = aggs
                 .into_iter()
                 .map(|mut a| {
@@ -154,7 +156,7 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             )
         }
         Plan::Sort { input, keys } => {
-            let (input, mut changed) = rewrite(*input);
+            let (input, mut changed) = rewrite(*input, catalog);
             let keys: Vec<SortKey> = keys
                 .into_iter()
                 .map(|SortKey { expr, ascending }| {
@@ -172,7 +174,7 @@ fn rewrite(plan: Plan) -> (Plan, bool) {
             )
         }
         Plan::Limit { input, n } => {
-            let (input, changed) = rewrite(*input);
+            let (input, changed) = rewrite(*input, catalog);
             (
                 Plan::Limit {
                     input: Box::new(input),
@@ -284,7 +286,7 @@ fn prune_projection(input: Plan, needed: &BTreeSet<String>) -> (Plan, bool) {
 /// Try to push one predicate below `node`. On success returns the new node;
 /// on failure returns the original node and predicate unchanged.
 #[allow(clippy::result_large_err)] // the Err side *is* the pass-through path
-fn try_push_down(node: Plan, pred: Expr) -> Result<Plan, (Plan, Expr)> {
+fn try_push_down(node: Plan, pred: Expr, catalog: &Catalog) -> Result<Plan, (Plan, Expr)> {
     match node {
         Plan::Join {
             left,
@@ -293,8 +295,8 @@ fn try_push_down(node: Plan, pred: Expr) -> Result<Plan, (Plan, Expr)> {
             right_prefix,
         } => {
             let cols = pred.referenced_columns();
-            let left_cols = plan_column_names(&left);
-            let right_cols = plan_column_names(&right);
+            let left_cols = plan_column_names(&left, catalog);
+            let right_cols = plan_column_names(&right, catalog);
             // Columns that exist on the left keep their names in join
             // output; right columns may be renamed on collision, in which
             // case they are not safely pushable — require exact, unprefixed,
@@ -331,7 +333,7 @@ fn try_push_down(node: Plan, pred: Expr) -> Result<Plan, (Plan, Expr)> {
         }
         // Filters commute with sorts and pass through other filters; both
         // are cheap wins that also expose deeper joins.
-        Plan::Sort { input, keys } => match try_push_down(*input, pred) {
+        Plan::Sort { input, keys } => match try_push_down(*input, pred, catalog) {
             Ok(inner) => Ok(Plan::Sort {
                 input: Box::new(inner),
                 keys,
@@ -348,22 +350,25 @@ fn try_push_down(node: Plan, pred: Expr) -> Result<Plan, (Plan, Expr)> {
     }
 }
 
-/// Best-effort static column-name set of a plan (without a catalog, Scan
-/// contributes nothing — pushdown through scans of unknown schema is
-/// skipped, which is safe).
-fn plan_column_names(plan: &Plan) -> BTreeSet<String> {
+/// Best-effort static column-name set of a plan. A scan of a table the
+/// catalog does not hold contributes nothing — pushdown through a scan of
+/// unknown schema is skipped, which is safe.
+fn plan_column_names(plan: &Plan, catalog: &Catalog) -> BTreeSet<String> {
     match plan {
-        Plan::Scan { .. } => BTreeSet::new(),
+        Plan::Scan { table } => catalog
+            .get(table)
+            .map(|t| t.schema().names().into_iter().collect())
+            .unwrap_or_default(),
         Plan::Values { table } => table.schema().names().into_iter().collect(),
         Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-            plan_column_names(input)
+            plan_column_names(input, catalog)
         }
         Plan::Project { exprs, .. } => exprs.iter().map(|(n, _)| n.clone()).collect(),
         Plan::Join { left, right, .. } => {
             // Approximation: union, with collisions unresolved; pushdown
             // requires unambiguous membership so this stays conservative.
-            let mut s = plan_column_names(left);
-            s.extend(plan_column_names(right));
+            let mut s = plan_column_names(left, catalog);
+            s.extend(plan_column_names(right, catalog));
             s
         }
         Plan::Aggregate { group_by, aggs, .. } => group_by
@@ -400,6 +405,12 @@ mod tests {
     use crate::schema::DataType;
     use crate::table::Table;
     use crate::value::Value;
+
+    /// Optimize with no scanned-table schemas (inline `Values` plans carry
+    /// their own).
+    fn optimize(plan: Plan) -> Plan {
+        super::optimize(plan, &Catalog::new())
+    }
 
     fn people() -> Table {
         Table::build("people", &[("pid", DataType::Int), ("age", DataType::Int)])
@@ -511,16 +522,27 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_skipped_for_unknown_scan_schema() {
-        // Scans have no statically known columns, so nothing is pushed —
-        // but the plan must still execute correctly.
+    fn pushdown_through_scans_needs_their_schemas() {
         let p = Plan::scan("people")
             .join(Plan::scan("visits"), &[("pid", "vid")])
-            .filter(Expr::col("age").lt(Expr::lit(5)));
-        let opt = optimize(p.clone());
+            .filter(
+                Expr::col("age")
+                    .lt(Expr::lit(5))
+                    .and(Expr::col("cost").gt(Expr::lit(7.0))),
+            );
+        // A catalog that does not hold the scanned tables: their columns
+        // are unknown, so nothing is pushed.
+        assert_eq!(optimize(p.clone()), p);
+        // The catalog that does: each conjunct lands on its own side.
         let mut c = Catalog::new();
         c.insert(people());
         c.insert(visits());
+        let opt = super::optimize(p.clone(), &c);
+        let Plan::Join { left, right, .. } = &opt else {
+            panic!("expected bare join at root, got {opt:?}");
+        };
+        assert!(matches!(**left, Plan::Filter { .. }));
+        assert!(matches!(**right, Plan::Filter { .. }));
         assert_eq!(
             c.query_unoptimized(&opt).unwrap().rows(),
             c.query_unoptimized(&p).unwrap().rows()

@@ -93,7 +93,9 @@ fn cmp_i64_scalar(op: CmpOp, a: i64, lit: i64) -> bool {
 pub fn compact_bool_lanes(data: &[bool], nulls: Option<&[u64]>) -> Vec<u32> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified at runtime.
+        // SAFETY: AVX2 was detected on the line above, which is the
+        // kernel's only requirement; inside, every unaligned 32-lane load
+        // is bounds-checked against `data.len()` by its loop condition.
         return unsafe { avx2::compact_bool(data, nulls) };
     }
     compact_bool_lanes_portable(data, nulls)
@@ -116,7 +118,9 @@ pub fn compact_bool_lanes_portable(data: &[bool], nulls: Option<&[u64]>) -> Vec<
 pub fn cmp_f64_lit(op: CmpOp, data: &[f64], lit: f64, nulls: Option<&[u64]>) -> Vec<u32> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified at runtime.
+        // SAFETY: AVX2 was detected on the line above, which is the
+        // kernel's only requirement; inside, every unaligned 4-lane load
+        // is bounds-checked against `data.len()` by its loop condition.
         return unsafe { avx2::cmp_f64(op, data, lit, nulls) };
     }
     cmp_f64_lit_portable(op, data, lit, nulls)
@@ -138,7 +142,9 @@ pub fn cmp_f64_lit_portable(op: CmpOp, data: &[f64], lit: f64, nulls: Option<&[u
 pub fn cmp_i64_lit(op: CmpOp, data: &[i64], lit: i64, nulls: Option<&[u64]>) -> Vec<u32> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified at runtime.
+        // SAFETY: AVX2 was detected on the line above, which is the
+        // kernel's only requirement; inside, every unaligned 4-lane load
+        // is bounds-checked against `data.len()` by its loop condition.
         return unsafe { avx2::cmp_i64(op, data, lit, nulls) };
     }
     cmp_i64_lit_portable(op, data, lit, nulls)
@@ -155,32 +161,36 @@ pub fn cmp_i64_lit_portable(op: CmpOp, data: &[i64], lit: i64, nulls: Option<&[u
     out
 }
 
-/// The scalar hash the batched kernel must agree with: splitmix64's
-/// finalizer over the key's two's-complement bits. Used for the
-/// build side of the integer-key join index (one key at a time).
+/// Intersect two ascending selection vectors — the conjunction of two
+/// filter kernels' outputs (a lane passes `a AND b` only when it is in
+/// both). Safe scalar merge: the inputs are already compacted, so there is
+/// no lane-parallel work left for a SIMD twin to win.
+pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Hash of one `i64` key part: splitmix64's finalizer over the key's
+/// two's-complement bits. The typed key table (`query::kernels`) hashes
+/// Int, Float-bit and Bool key columns with it.
 #[inline]
 pub fn hash_i64_one(key: i64) -> u64 {
     let mut z = (key as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Batched splitmix64 over an `i64` key column (probe-side batching for
-/// the integer-key hash join). Exact integer arithmetic: bit-identical
-/// to [`hash_i64_one`] per lane on every path.
-pub fn hash_i64_batch(keys: &[i64]) -> Vec<u64> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified at runtime.
-        return unsafe { avx2::hash_i64(keys) };
-    }
-    hash_i64_batch_portable(keys)
-}
-
-/// Portable oracle for [`hash_i64_batch`].
-pub fn hash_i64_batch_portable(keys: &[i64]) -> Vec<u64> {
-    keys.iter().map(|&k| hash_i64_one(k)).collect()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -203,6 +213,12 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (callers check
+    /// `is_x86_feature_detected!("avx2")`). Memory safety needs nothing
+    /// else: loads are unaligned (`loadu`) at offsets the loop condition
+    /// keeps within `data`, and the null words are indexed checked.
     #[target_feature(enable = "avx2")]
     pub unsafe fn compact_bool(data: &[bool], nulls: Option<&[u64]>) -> Vec<u32> {
         let n = data.len();
@@ -231,6 +247,12 @@ mod avx2 {
         out
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (callers check
+    /// `is_x86_feature_detected!("avx2")`). Memory safety needs nothing
+    /// else: loads are unaligned (`loadu`) at offsets the loop condition
+    /// keeps within `data`, and the null words are indexed checked.
     #[target_feature(enable = "avx2")]
     pub unsafe fn cmp_f64(op: CmpOp, data: &[f64], lit: f64, nulls: Option<&[u64]>) -> Vec<u32> {
         // Ordered-quiet predicates except NEQ_UQ: IEEE `!=` is true when
@@ -245,6 +267,12 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (callers check
+    /// `is_x86_feature_detected!("avx2")`). Memory safety needs nothing
+    /// else: loads are unaligned (`loadu`) at offsets the loop condition
+    /// keeps within `data`, and the null words are indexed checked.
     #[target_feature(enable = "avx2")]
     unsafe fn cmp_f64_imm<const IMM: i32>(
         data: &[f64],
@@ -273,6 +301,12 @@ mod avx2 {
         out
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (callers check
+    /// `is_x86_feature_detected!("avx2")`). Memory safety needs nothing
+    /// else: loads are unaligned (`loadu`) at offsets the loop condition
+    /// keeps within `data`, and the null words are indexed checked.
     #[target_feature(enable = "avx2")]
     pub unsafe fn cmp_i64(op: CmpOp, data: &[i64], lit: i64, nulls: Option<&[u64]>) -> Vec<u32> {
         // AVX2 has 64-bit eq and signed gt; the other four derive by
@@ -315,48 +349,6 @@ mod avx2 {
         }
         out
     }
-
-    /// Low 64 bits of `a * c` per lane, from 32x32→64 partial products
-    /// (AVX2 has no 64-bit multiply).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_const_u64(a: __m256i, c: u64) -> __m256i {
-        let c_lo = _mm256_set1_epi64x((c & 0xffff_ffff) as i64);
-        let c_hi = _mm256_set1_epi64x((c >> 32) as i64);
-        let lo = _mm256_mul_epu32(a, c_lo);
-        let mid = _mm256_add_epi64(
-            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), c_lo),
-            _mm256_mul_epu32(a, c_hi),
-        );
-        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(mid))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hash_i64(keys: &[i64]) -> Vec<u64> {
-        let n = keys.len();
-        let mut out = vec![0u64; n];
-        let seed = _mm256_set1_epi64x(0x9e37_79b9_7f4a_7c15_u64 as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
-            let mut z = _mm256_add_epi64(v, seed);
-            z = mul_const_u64(
-                _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
-                0xbf58_476d_1ce4_e5b9,
-            );
-            z = mul_const_u64(
-                _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)),
-                0x94d0_49bb_1331_11eb,
-            );
-            z = _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, z);
-            i += 4;
-        }
-        for lane in i..n {
-            out[lane] = super::hash_i64_one(keys[lane]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -392,15 +384,15 @@ mod tests {
             compact_bool_lanes(&bools, Some(&nulls)),
             compact_bool_lanes_portable(&bools, Some(&nulls)),
         );
-        assert_eq!(hash_i64_batch(&ints), hash_i64_batch_portable(&ints));
     }
 
     #[test]
-    fn hash_batch_matches_scalar() {
-        let keys: Vec<i64> = vec![i64::MIN, -1, 0, 1, i64::MAX, 42, 7, -7, 99];
-        let batch = hash_i64_batch(&keys);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(batch[i], hash_i64_one(k));
-        }
+    fn intersect_keeps_common_lanes_in_order() {
+        assert_eq!(
+            intersect_sorted(&[1, 3, 5, 9], &[0, 3, 4, 5, 10]),
+            vec![3, 5]
+        );
+        assert_eq!(intersect_sorted(&[], &[1, 2]), Vec::<u32>::new());
+        assert_eq!(intersect_sorted(&[7], &[7]), vec![7]);
     }
 }

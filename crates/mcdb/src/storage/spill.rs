@@ -2,10 +2,10 @@
 //!
 //! When a build side or group-by input exceeds the configured row
 //! threshold, the executor hash-partitions the input by its key columns
-//! (deterministic FNV-1a over the key values — never the process-seeded
-//! `SipHash`, so partition assignment is identical across runs and
-//! thread counts) and writes each partition through the page codec to a
-//! temp file. Partitions are then processed one at a time, bounding the
+//! (the deterministic typed key hash of `query::kernels` — never the
+//! process-seeded `SipHash`, so partition assignment is identical across
+//! runs and thread counts) and writes each partition through the page
+//! codec to a temp file. Partitions are then processed one at a time, bounding the
 //! in-memory hash table to one partition's share while their frames flow
 //! through the shared buffer pool. Each partition preserves the global
 //! row order of its lanes and every key lives wholly in one partition,
@@ -15,7 +15,6 @@
 use super::pager::{PagedStore, DEFAULT_PAGE_SIZE};
 use super::pool::BufferPool;
 use crate::query::batch::Batch;
-use crate::value::GroupKey;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,27 +77,6 @@ pub fn spill_count() -> u64 {
     SPILL_SEQ.load(Ordering::Relaxed)
 }
 
-/// Deterministic partition assignment: FNV-1a over the key's values.
-/// A pure function of the key — independent of process, thread count,
-/// and hash-map seeding — so spilled and unspilled runs shard work
-/// identically every time.
-pub(crate) fn partition_of(keys: &[GroupKey], partitions: usize) -> usize {
-    let mut hash = super::codec::FNV_OFFSET;
-    for key in keys {
-        let (tag, payload): (u8, Vec<u8>) = match key {
-            GroupKey::Null => (0, Vec::new()),
-            GroupKey::Int(v) => (1, v.to_le_bytes().to_vec()),
-            GroupKey::Float(bits) => (2, bits.to_le_bytes().to_vec()),
-            GroupKey::Bool(b) => (3, vec![*b as u8]),
-            GroupKey::Str(s) => (4, s.as_bytes().to_vec()),
-        };
-        hash = super::codec::fnv1a(hash, &[tag]);
-        hash = super::codec::fnv1a(hash, &(payload.len() as u32).to_le_bytes());
-        hash = super::codec::fnv1a(hash, &payload);
-    }
-    (hash % partitions.max(1) as u64) as usize
-}
-
 /// One on-disk spill partition: a gathered sub-batch written through the
 /// page codec. The temp file is deleted on drop.
 pub(crate) struct SpilledBatch {
@@ -155,28 +133,6 @@ mod tests {
     use crate::schema::DataType;
     use crate::table::Table;
     use crate::value::Value;
-
-    #[test]
-    fn partition_assignment_is_deterministic_and_spread() {
-        let keys: Vec<Vec<GroupKey>> = (0..64)
-            .map(|i| {
-                vec![
-                    Value::from(i as i64).group_key(),
-                    Value::str("k").group_key(),
-                ]
-            })
-            .collect();
-        let parts: Vec<usize> = keys.iter().map(|k| partition_of(k, 8)).collect();
-        let again: Vec<usize> = keys.iter().map(|k| partition_of(k, 8)).collect();
-        assert_eq!(parts, again);
-        assert!(parts.iter().collect::<std::collections::HashSet<_>>().len() > 1);
-        assert!(parts.iter().all(|&p| p < 8));
-        // Nulls get a stable partition too.
-        assert_eq!(
-            partition_of(&[GroupKey::Null], 8),
-            partition_of(&[GroupKey::Null], 8)
-        );
-    }
 
     #[test]
     fn spilled_batch_round_trips_and_cleans_up() {

@@ -2,7 +2,7 @@
 //!
 //! Contract: every dispatched kernel is **bit-identical** to its
 //! portable scalar oracle — full `assert_eq!`, no tolerance — because
-//! comparisons, mask logic, and integer hashing are exact. The inputs
+//! comparisons and mask logic are exact. The inputs
 //! here are deliberately adversarial: NaN, ±0.0, ±infinity, subnormals,
 //! extreme integers, all-null and no-null masks, and lengths 0, 1, and
 //! every misalignment around the 4-lane (f64/i64) and 32-lane (bool)
@@ -10,7 +10,7 @@
 
 use mde_mcdb::query::simd::{
     cmp_f64_lit, cmp_f64_lit_portable, cmp_i64_lit, cmp_i64_lit_portable, compact_bool_lanes,
-    compact_bool_lanes_portable, hash_i64_batch, hash_i64_batch_portable, hash_i64_one, CmpOp,
+    compact_bool_lanes_portable, intersect_sorted, CmpOp,
 };
 use proptest::prelude::*;
 
@@ -179,26 +179,35 @@ proptest! {
         }
     }
 
-    /// Batched splitmix64: dispatched == portable == the one-key scalar,
-    /// lane for lane (the 32×32 partial-product 64-bit multiply must be
-    /// exact on extreme keys).
+    /// A filter conjunction is the intersection of its conjuncts'
+    /// selections: intersecting two dispatched comparison kernels'
+    /// outputs equals the lanes where both portable predicates hold.
     #[test]
-    fn hash_i64_batch_equals_scalar(
+    fn conjunction_of_dispatched_kernels_equals_portable_and(
         len_pick in 0usize..13,
         len_rand in 0usize..130,
         picks in proptest::collection::vec(0usize..8, 1..131),
         alts in proptest::collection::vec(any::<u64>(), 1..131),
+        words in proptest::collection::vec(any::<u64>(), 1..4),
+        lo_pick in 0usize..8,
+        hi_pick in 0usize..8,
+        lo_op in 0usize..6,
+        hi_op in 0usize..6,
     ) {
         let len = edge_len(len_pick, len_rand);
-        let keys: Vec<i64> = (0..len)
+        let data: Vec<i64> = (0..len)
             .map(|i| hostile_i64(picks[i % picks.len()], alts[i % alts.len()]))
             .collect();
-        let got = hash_i64_batch(&keys);
-        prop_assert_eq!(&got, &hash_i64_batch_portable(&keys));
-        prop_assert_eq!(got.len(), keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            prop_assert_eq!(got[i], hash_i64_one(k));
-        }
+        let nulls: Vec<u64> = (0..len.div_ceil(64).max(1)).map(|w| words[w % words.len()]).collect();
+        let (lo, hi) = (hostile_i64(lo_pick, alts[0]), hostile_i64(hi_pick, alts[alts.len() - 1]));
+        let a = cmp_i64_lit(OPS[lo_op], &data, lo, Some(&nulls));
+        let b = cmp_i64_lit(OPS[hi_op], &data, hi, Some(&nulls));
+        let both = intersect_sorted(&a, &b);
+        let pa = cmp_i64_lit_portable(OPS[lo_op], &data, lo, Some(&nulls));
+        let pb = cmp_i64_lit_portable(OPS[hi_op], &data, hi, Some(&nulls));
+        let want: Vec<u32> = pa.iter().copied().filter(|l| pb.contains(l)).collect();
+        prop_assert_eq!(&both, &want);
+        prop_assert!(both.windows(2).all(|w| w[0] < w[1]), "selection stays ascending");
     }
 }
 
@@ -266,6 +275,5 @@ fn zero_and_one_lane_inputs() {
     assert_eq!(compact_bool_lanes(&no_b, None), Vec::<u32>::new());
     assert_eq!(compact_bool_lanes(&[true], Some(&[0])), vec![0]);
     assert_eq!(compact_bool_lanes(&[true], Some(&[1])), Vec::<u32>::new());
-    assert_eq!(hash_i64_batch(&no_i), Vec::<u64>::new());
-    assert_eq!(hash_i64_batch(&[i64::MIN]), vec![hash_i64_one(i64::MIN)]);
+    assert_eq!(intersect_sorted(&[], &[0]), Vec::<u32>::new());
 }

@@ -17,13 +17,24 @@
 //!   decomposes into dozens of morsels (including a non-multiple-of-64
 //!   tail).
 //!
+//! A second, hand-enumerated corpus targets the typed aggregate / join /
+//! sort kernels (ISSUE 13): `-0.0`/`0.0`/NULL and multi-column group keys,
+//! string keys held in shared and in distinct `Arc`s, extrema over strings
+//! and booleans, `SUM`/`AVG` type errors, empty inputs, joins with
+//! selection vectors on either side, tied `ORDER BY` under `LIMIT k`, and
+//! every join-of-scans `WHERE` shape pushed down vs not. It runs over the
+//! same four-way matrix plus a spill threshold forced low, so every Grace
+//! partition goes through the same kernels.
+//!
 //! The corpus is keyed off `MDE_CHAOS_SEED` (CI sweeps a small matrix)
 //! but is fully deterministic for a given seed.
 
 use model_data_ecosystems::core::obs::{MemorySink, SpanRecord, Tracer};
 use model_data_ecosystems::mcdb::prelude::*;
+use model_data_ecosystems::mcdb::query::planner::optimize;
+use model_data_ecosystems::mcdb::query::{AggSpec, PreparedQuery, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
-use model_data_ecosystems::mcdb::storage::BufferPool;
+use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
 use model_data_ecosystems::mcdb::value::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -221,8 +232,58 @@ fn paged_twin(db: &Catalog) -> (Catalog, std::path::PathBuf) {
     (paged, dir)
 }
 
-/// The core differential loop shared by the Mem and Paged suites:
-/// sequential vs 2/4/8 threads, row-oracle cross-check, ledger equality.
+/// The per-plan differential check: sequential vs 2/4/8 threads (rows,
+/// errors and deterministic ledger), then the row-at-a-time oracle —
+/// identical rows on success; on failure, status agreement, and with
+/// `strict_errors` the identical error text. Returns the sequential
+/// result.
+fn assert_plan_invariant(
+    db: &Catalog,
+    oracle: &Catalog,
+    plan: &Plan,
+    strict_errors: bool,
+    what: &str,
+) -> Result<Vec<Vec<String>>, String> {
+    // Warm the shared batch cache first: `cache_hit` is a deterministic
+    // function of catalog state, and comparing a cold first run against
+    // warm reruns would flag exactly that state change, not a
+    // thread-count divergence.
+    let _ = db.query(plan);
+    let (seq, seq_ledger) = run_at(db, plan, 1);
+    for threads in [2usize, 4, 8] {
+        let (par, par_ledger) = run_at(db, plan, threads);
+        assert_eq!(seq, par, "{what}: rows diverged at {threads} threads");
+        assert_eq!(
+            seq_ledger, par_ledger,
+            "{what}: deterministic ledger diverged at {threads} threads"
+        );
+    }
+    match (&seq, oracle.query_unoptimized(plan)) {
+        (Ok(rows), Ok(oracle_table)) => {
+            assert_eq!(
+                rows,
+                &canon_rows(&oracle_table),
+                "{what}: vectorized vs row oracle diverged"
+            );
+        }
+        // The legacy engine's error text may name the same defect
+        // differently, unless the caller knows it does not.
+        (Err(e), Err(oracle_e)) => {
+            if strict_errors {
+                assert_eq!(e, &oracle_e.to_string(), "{what}: error diverged");
+            }
+        }
+        (a, b) => panic!(
+            "{what}: status diverged vs row oracle: vectorized={:?} oracle_ok={}",
+            a.as_ref().map(|r| r.len()),
+            b.is_ok()
+        ),
+    }
+    seq
+}
+
+/// The core differential loop shared by the Mem and Paged suites, over
+/// the generated SQL corpus.
 fn assert_corpus_invariant(db: &Catalog, oracle: &Catalog, n_queries: usize, tag: &str) {
     let mut state = chaos_seed() ^ 0x5851_f42d_4c95_7f2d;
     let mut executed = 0usize;
@@ -232,42 +293,8 @@ fn assert_corpus_invariant(db: &Catalog, oracle: &Catalog, n_queries: usize, tag
             Ok(p) => p,
             Err(_) => continue,
         };
-        // Warm the shared batch cache first: `cache_hit` is a
-        // deterministic function of catalog state, and comparing a cold
-        // first run against warm reruns would flag exactly that state
-        // change, not a thread-count divergence.
-        let _ = db.query(&plan);
-        let (seq, seq_ledger) = run_at(db, &plan, 1);
-        for threads in [2usize, 4, 8] {
-            let (par, par_ledger) = run_at(db, &plan, threads);
-            assert_eq!(
-                seq, par,
-                "[{tag}] case {case}: rows diverged at {threads} threads for {sql}"
-            );
-            assert_eq!(
-                seq_ledger, par_ledger,
-                "[{tag}] case {case}: deterministic ledger diverged at {threads} threads for {sql}"
-            );
-        }
-        // Row-at-a-time oracle: identical rows on success, failure
-        // status agreement otherwise (the legacy engine's error text may
-        // name the same defect differently).
-        match (&seq, oracle.query_unoptimized(&plan)) {
-            (Ok(rows), Ok(oracle_table)) => {
-                assert_eq!(
-                    rows,
-                    &canon_rows(&oracle_table),
-                    "[{tag}] case {case}: vectorized vs row oracle diverged for {sql}"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!(
-                "[{tag}] case {case}: status diverged vs row oracle for {sql}: \
-                 vectorized={:?} oracle_ok={}",
-                a.as_ref().map(|r| r.len()),
-                b.is_ok()
-            ),
-        }
+        let what = format!("[{tag}] case {case}: {sql}");
+        let _ = assert_plan_invariant(db, oracle, &plan, false, &what);
         executed += 1;
     }
     assert!(
@@ -388,6 +415,462 @@ fn typed_errors_are_thread_count_invariant() {
             Err(err.clone()),
             par,
             "error text diverged at {threads} threads"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed-kernel corpus (aggregate / join / sort families)
+// ---------------------------------------------------------------------------
+
+const KEYS_ROWS: usize = 523;
+
+/// Catalog behind the kernel corpus. `KEYS` carries every key hazard:
+/// `F` mixes `-0.0`, `0.0` and NULL; `S` holds equal strings both through
+/// two shared `Arc`s and through a fresh `Arc` per row; `B` is a nullable
+/// boolean; `Q` is a narrow Int range (sort ties); `V` mixes magnitudes so
+/// float sums are order-sensitive. `DIM` has duplicate, NULL and
+/// never-matching keys of every type; `EMPTY` has no rows.
+fn kernel_catalog(seed: u64) -> Catalog {
+    let mut state = seed ^ 0x2545_f491_4f6c_dd1d;
+    let shared = [Value::str("a"), Value::str("b")];
+    let mut db = Catalog::new();
+    db.insert(
+        Table::build(
+            "KEYS",
+            &[
+                ("F", DataType::Float),
+                ("K", DataType::Int),
+                ("S", DataType::Str),
+                ("B", DataType::Bool),
+                ("V", DataType::Float),
+                ("Q", DataType::Int),
+            ],
+        )
+        .rows((0..KEYS_ROWS).map(|i| {
+            let r = next(&mut state);
+            vec![
+                match r % 7 {
+                    0 => Value::Null,
+                    1 => Value::from(-0.0f64),
+                    2 => Value::from(0.0f64),
+                    3 => Value::from(1.5f64),
+                    4 => Value::from(-1.5f64),
+                    _ => Value::from((r % 3) as f64),
+                },
+                if (r >> 3).is_multiple_of(11) {
+                    Value::Null
+                } else {
+                    Value::from(((r >> 3) % 5) as i64)
+                },
+                match (r >> 6) % 6 {
+                    0 => Value::Null,
+                    1 => shared[0].clone(),
+                    2 => Value::str("a"),
+                    3 => shared[1].clone(),
+                    4 => Value::str("b"),
+                    _ => Value::str("c"),
+                },
+                match (r >> 9) % 5 {
+                    0 => Value::Null,
+                    b => Value::from(b % 2 == 0),
+                },
+                match (r >> 12) % 6 {
+                    0 => Value::Null,
+                    1 => Value::from(1e16f64),
+                    2 => Value::from(-1e16f64),
+                    3 => Value::from(((r >> 20) % 1000) as f64 * 1e-3),
+                    4 => Value::from(-0.0f64),
+                    _ => Value::from(i as f64 + 0.25),
+                },
+                Value::from(((r >> 15) % 7) as i64 - 3),
+            ]
+        }))
+        .finish()
+        .unwrap(),
+    );
+    type DimRow = (Option<i64>, Option<&'static str>, Option<f64>, bool);
+    let dim_rows: [DimRow; 10] = [
+        (None, Some("a"), Some(0.0), true),
+        (Some(0), Some("a"), Some(-0.0), false),
+        (Some(1), Some("b"), Some(1.5), true),
+        (Some(1), Some("b"), Some(1.5), false),
+        (Some(2), None, None, true),
+        (Some(3), Some("c"), Some(2.0), false),
+        (Some(4), Some("zz"), Some(-1.5), true),
+        (Some(4), Some("a"), Some(9.0), true),
+        (Some(77), Some("b"), Some(1.0), false),
+        (Some(2), Some("c"), Some(0.5), true),
+    ];
+    db.insert(
+        Table::build(
+            "DIM",
+            &[
+                ("DK", DataType::Int),
+                ("DS", DataType::Str),
+                ("W", DataType::Float),
+                ("FLAG", DataType::Bool),
+            ],
+        )
+        .rows(dim_rows.iter().map(|&(k, s, w, flag)| {
+            vec![
+                k.map_or(Value::Null, Value::from),
+                s.map_or(Value::Null, Value::str),
+                w.map_or(Value::Null, Value::from),
+                Value::from(flag),
+            ]
+        }))
+        .finish()
+        .unwrap(),
+    );
+    // Same join key name on both sides: the right `K` is renamed `r.K`
+    // in the join output, so a predicate on it cannot be pushed.
+    db.insert(
+        Table::build("DIMK", &[("K", DataType::Int), ("LABEL", DataType::Str)])
+            .rows((0..4).map(|j| vec![Value::from(j as i64), Value::str(["w", "x", "y", "z"][j])]))
+            .finish()
+            .unwrap(),
+    );
+    db.insert(
+        Table::build(
+            "EMPTY",
+            &[
+                ("K", DataType::Int),
+                ("V", DataType::Float),
+                ("S", DataType::Str),
+            ],
+        )
+        .finish()
+        .unwrap(),
+    );
+    db
+}
+
+fn agg(name: &str, func: AggFunc, col: &str) -> AggSpec {
+    AggSpec::new(name, func, Expr::col(col))
+}
+
+/// The aggregate, sort and join families. Every plan is well typed
+/// except the `SUM`/`AVG`-over-non-numeric ones, whose typed error must
+/// come out identically everywhere.
+fn kernel_plans() -> Vec<(&'static str, Plan)> {
+    let keys = || Plan::scan("KEYS");
+    let every_agg = |col: &str| {
+        vec![
+            AggSpec::count_star("N"),
+            agg("C", AggFunc::Count, col),
+            agg("LO", AggFunc::Min, col),
+            agg("HI", AggFunc::Max, col),
+        ]
+    };
+    let numeric = |col: &str| {
+        let mut aggs = every_agg(col);
+        aggs.push(agg("SUM", AggFunc::Sum, col));
+        aggs.push(agg("AVG", AggFunc::Avg, col));
+        aggs
+    };
+    let mut plans = vec![
+        // -0.0 / 0.0 are one group, NULL is its own; float sums are
+        // order-sensitive over the mixed magnitudes of V.
+        ("group by float key", keys().aggregate(&["F"], numeric("V"))),
+        (
+            "group by nullable int key",
+            keys().aggregate(&["K"], numeric("Q")),
+        ),
+        // Equal strings in shared and in distinct Arcs are one group.
+        ("group by str key", keys().aggregate(&["S"], numeric("V"))),
+        (
+            "group by bool key",
+            keys().aggregate(&["B"], every_agg("S")),
+        ),
+        (
+            "multi-column key",
+            keys().aggregate(&["K", "S"], every_agg("B")),
+        ),
+        (
+            "four-column key",
+            keys().aggregate(&["F", "K", "S", "B"], vec![AggSpec::count_star("N")]),
+        ),
+        ("global aggregates", keys().aggregate(&[], numeric("V"))),
+        (
+            "global extrema over str",
+            keys().aggregate(&[], every_agg("S")),
+        ),
+        (
+            "global extrema over bool",
+            keys().aggregate(&[], every_agg("B")),
+        ),
+        (
+            "expression argument under a selection",
+            keys().filter(Expr::col("Q").gt(Expr::lit(0))).aggregate(
+                &["K"],
+                vec![AggSpec::new(
+                    "X",
+                    AggFunc::Sum,
+                    Expr::col("V").mul(Expr::lit(2)).add(Expr::col("Q")),
+                )],
+            ),
+        ),
+        // Typed errors: same error, same first lane, in every config.
+        (
+            "sum over str",
+            keys().aggregate(
+                &["K"],
+                vec![AggSpec::count_star("N"), agg("X", AggFunc::Sum, "S")],
+            ),
+        ),
+        (
+            "avg over str",
+            keys().aggregate(&[], vec![agg("X", AggFunc::Avg, "S")]),
+        ),
+        (
+            "sum over bool then avg over str",
+            keys().aggregate(
+                &["F"],
+                vec![agg("X", AggFunc::Sum, "B"), agg("Y", AggFunc::Avg, "S")],
+            ),
+        ),
+        // Empty input: identities without GROUP BY, no rows with it.
+        (
+            "empty global",
+            Plan::scan("EMPTY").aggregate(&[], numeric("V")),
+        ),
+        (
+            "empty grouped",
+            Plan::scan("EMPTY").aggregate(&["K"], numeric("V")),
+        ),
+        (
+            "filtered-empty global",
+            keys()
+                .filter(Expr::col("Q").gt(Expr::lit(99)))
+                .aggregate(&[], every_agg("S")),
+        ),
+        (
+            "filtered-empty grouped",
+            keys()
+                .filter(Expr::col("Q").gt(Expr::lit(99)))
+                .aggregate(&["S"], every_agg("S")),
+        ),
+        // Sorts: NULLs first, -0.0 ties 0.0, ties keep input order.
+        (
+            "multi-key sort",
+            keys().sort(vec![
+                SortKey::asc(Expr::col("B")),
+                SortKey::desc(Expr::col("Q")),
+            ]),
+        ),
+        (
+            "sort by str desc",
+            keys().sort(vec![SortKey::desc(Expr::col("S"))]),
+        ),
+        (
+            "sort under a selection",
+            keys()
+                .filter(Expr::col("K").ge(Expr::lit(2)))
+                .sort(vec![SortKey::asc(Expr::col("F"))])
+                .limit(40),
+        ),
+        (
+            "limit over a filter",
+            keys().filter(Expr::col("Q").lt(Expr::lit(0))).limit(9),
+        ),
+    ];
+    // Top-k must equal stable-sort-then-truncate at the boundaries.
+    for (name, k) in [
+        ("tied sort limit 0", 0),
+        ("tied sort limit 1", 1),
+        ("tied sort limit rows", KEYS_ROWS),
+        ("tied sort limit rows+1", KEYS_ROWS + 1),
+        ("tied sort limit 25", 25),
+    ] {
+        plans.push((
+            name,
+            keys().sort(vec![SortKey::asc(Expr::col("Q"))]).limit(k),
+        ));
+    }
+    // Joins: NULL keys never match; duplicate build keys fan out; the
+    // selection vector sits on the probe side, the build side, or both.
+    let dim = || Plan::scan("DIM");
+    let probe_sel = || keys().filter(Expr::col("Q").gt(Expr::lit(-2)));
+    let build_sel = || dim().filter(Expr::col("FLAG"));
+    plans.extend([
+        ("join int key", keys().join(dim(), &[("K", "DK")])),
+        (
+            "join, probe selected",
+            probe_sel().join(dim(), &[("K", "DK")]),
+        ),
+        (
+            "join, build selected",
+            keys().join(build_sel(), &[("K", "DK")]),
+        ),
+        (
+            "join, both selected",
+            probe_sel().join(build_sel(), &[("K", "DK")]),
+        ),
+        (
+            "join, left build",
+            build_sel().join(probe_sel(), &[("DK", "K")]),
+        ),
+        ("join str key", keys().join(dim(), &[("S", "DS")])),
+        ("join float key", probe_sel().join(dim(), &[("F", "W")])),
+        (
+            "join two keys",
+            keys().join(build_sel(), &[("K", "DK"), ("S", "DS")]),
+        ),
+        // Int and Float keys never match, at any numeric value.
+        ("join int to float key", keys().join(dim(), &[("K", "W")])),
+        (
+            "aggregate over join reads two columns",
+            probe_sel().join(dim(), &[("K", "DK")]).aggregate(
+                &["DS"],
+                vec![AggSpec::count_star("N"), agg("T", AggFunc::Sum, "V")],
+            ),
+        ),
+        (
+            "top-k over join",
+            keys()
+                .join(dim(), &[("K", "DK")])
+                .sort(vec![
+                    SortKey::desc(Expr::col("W")),
+                    SortKey::asc(Expr::col("Q")),
+                ])
+                .limit(17),
+        ),
+    ]);
+    plans
+}
+
+/// `WHERE` shapes over a join of two scans. `pushed` says whether the
+/// planner, now that it sees the scans' schemas, must move (part of) the
+/// predicate below the join.
+fn pushdown_plans() -> Vec<(&'static str, Plan, bool)> {
+    let joined = || Plan::scan("KEYS").join(Plan::scan("DIM"), &[("K", "DK")]);
+    let left = || Expr::col("V").gt(Expr::lit(0.5));
+    let right = || Expr::col("W").gt(Expr::lit(1.0));
+    let cross = || Expr::col("V").gt(Expr::col("W"));
+    let collide = || Plan::scan("KEYS").join(Plan::scan("DIMK"), &[("K", "K")]);
+    vec![
+        ("left-only", joined().filter(left()), true),
+        ("right-only", joined().filter(right()), true),
+        (
+            "one conjunct per side",
+            joined().filter(left().and(right())),
+            true,
+        ),
+        ("cross-side stays above", joined().filter(cross()), false),
+        (
+            "pushable and cross-side conjuncts",
+            joined().filter(left().and(cross())),
+            true,
+        ),
+        (
+            "arithmetic on one side",
+            joined().filter(Expr::col("V").add(Expr::col("Q")).gt(Expr::lit(1))),
+            true,
+        ),
+        (
+            "is-null on the right",
+            joined().filter(Expr::col("DS").is_null().not()),
+            true,
+        ),
+        (
+            "colliding key name, left column",
+            collide().filter(Expr::col("K").gt(Expr::lit(1))),
+            true,
+        ),
+        (
+            "colliding key name, renamed right column",
+            collide().filter(Expr::col("r.K").gt(Expr::lit(1))),
+            false,
+        ),
+        (
+            "under aggregate and sort",
+            joined()
+                .filter(left().and(right()))
+                .aggregate(&["DS"], vec![agg("T", AggFunc::Sum, "V")])
+                .sort(vec![SortKey::asc(Expr::col("DS"))]),
+            true,
+        ),
+    ]
+}
+
+/// A copy of `db` that spills every join build and group-by past 16 rows
+/// into 5 Grace partitions.
+fn spilling(db: &Catalog, dir: &std::path::Path) -> Catalog {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut out = db.clone();
+    out.set_spill_config(SpillConfig {
+        threshold_rows: 16,
+        partitions: 5,
+        dir: Some(dir.to_path_buf()),
+        page_size: 512,
+        ..db.spill_config().clone()
+    });
+    out
+}
+
+#[test]
+fn typed_kernel_families_are_invariant_across_threads_backings_and_spill() {
+    let db = kernel_catalog(chaos_seed());
+    let (paged, dir) = paged_twin(&db);
+    let configs = [
+        ("mem", db.clone()),
+        ("paged", paged.clone()),
+        ("mem+spill", spilling(&db, &dir.join("spill_mem"))),
+        ("paged+spill", spilling(&paged, &dir.join("spill_paged"))),
+    ];
+    let pushdown = pushdown_plans()
+        .into_iter()
+        .map(|(name, plan, _)| (name, plan));
+    for (name, plan) in kernel_plans().into_iter().chain(pushdown) {
+        let mut results = Vec::new();
+        for (tag, config) in &configs {
+            let what = format!("[{tag}] {name}");
+            results.push(assert_plan_invariant(config, &db, &plan, true, &what));
+        }
+        // Backing and spilling change nothing either: not the rows, not
+        // the error.
+        for (r, (tag, _)) in results.iter().zip(&configs) {
+            assert_eq!(&results[0], r, "{name}: [{tag}] diverged from [mem]");
+        }
+    }
+    // The spill configs really do run Grace partitions.
+    let grouped = Plan::scan("KEYS").aggregate(&["K"], vec![AggSpec::count_star("N")]);
+    let joined = Plan::scan("KEYS").join(Plan::scan("KEYS"), &[("K", "K")]);
+    for plan in [grouped, joined] {
+        let (_, ledger) = run_at(&configs[2].1, &plan, 2);
+        assert!(
+            ledger.iter().any(|span| span.contains("spilled=true")),
+            "{ledger:?}"
+        );
+    }
+    drop(configs);
+    drop(paged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The planner resolves scan schemas from the catalog, so a `WHERE` over
+/// a join of scans is pushed below the join exactly when it names one
+/// side's columns — and pushed or not, results equal the unoptimized
+/// lowering's.
+#[test]
+fn join_of_scans_pushdown_matches_unoptimized_lowering() {
+    let db = kernel_catalog(chaos_seed().wrapping_add(6));
+    for (name, plan, pushed) in pushdown_plans() {
+        let explained = optimize(plan.clone(), &db).explain();
+        let lines: Vec<&str> = explained.lines().map(str::trim_start).collect();
+        let join_at = lines
+            .iter()
+            .position(|l| l.starts_with("HashJoin"))
+            .unwrap();
+        let below = lines[join_at..].iter().any(|l| l.starts_with("Filter"));
+        assert_eq!(below, pushed, "{name}: optimized to\n{explained}");
+        let optimized = PreparedQuery::prepare(&plan, &db).unwrap();
+        let plain = PreparedQuery::prepare_unoptimized(&plan, &db).unwrap();
+        assert_eq!(
+            canon_rows(&optimized.execute(&db).unwrap()),
+            canon_rows(&plain.execute(&db).unwrap()),
+            "{name}: pushdown changed the result"
         );
     }
 }

@@ -6,6 +6,7 @@ use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::sql::{
     parse_create_random_table, plan_from_sql, tokenize, VgRegistry,
 };
+use model_data_ecosystems::mcdb::McdbError;
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -127,4 +128,44 @@ proptest! {
             }
         }
     }
+}
+
+/// Regression: `SUM` over an `Int` column whose total reaches 9e15 used to
+/// fall back to a `Float` result, which the `Int`-declared output column
+/// then rejected with a `TypeMismatch`. Int sums are exact `i64` in both
+/// engines, and leaving `i64` is a typed overflow error naming the
+/// aggregate — never a wrap, never a change of result type.
+#[test]
+fn int_sum_past_9e15_is_exact_and_overflow_is_typed() {
+    let big = |rows: &[i64]| {
+        let mut c = Catalog::new();
+        c.insert(
+            Table::build("T", &[("X", DataType::Int)])
+                .rows(rows.iter().map(|&x| vec![Value::from(x)]))
+                .finish()
+                .unwrap(),
+        );
+        c
+    };
+    let plan = plan_from_sql("SELECT SUM(X) AS S FROM T").unwrap();
+
+    let db = big(&[4_000_000_000_000_000; 4]);
+    for result in [db.query(&plan), db.query_unoptimized(&plan)] {
+        assert_eq!(
+            result.unwrap().rows(),
+            &[vec![Value::from(16_000_000_000_000_000i64)]]
+        );
+    }
+
+    let db = big(&[i64::MAX, -5, 10]);
+    let errors: Vec<McdbError> = [db.query(&plan), db.query_unoptimized(&plan)]
+        .into_iter()
+        .map(|r| r.unwrap_err())
+        .collect();
+    assert!(
+        matches!(&errors[0], McdbError::IntegerOverflow { context } if context.contains("SUM")),
+        "{:?}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1], "both engines fail identically");
 }
