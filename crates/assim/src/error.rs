@@ -118,6 +118,32 @@ impl mde_numeric::ErrorClass for AssimError {
     }
 }
 
+impl mde_numeric::BoundaryError for AssimError {
+    fn too_many_failures(succeeded: usize, attempted: usize, required: usize) -> Self {
+        AssimError::TooManyFailures {
+            succeeded,
+            attempted,
+            required,
+        }
+    }
+
+    fn boundary_failed(step: u64, attempt: u32, message: String) -> Self {
+        AssimError::StepFailed {
+            step,
+            attempt,
+            message,
+        }
+    }
+
+    fn injected_fault(_: u64, _: u32) -> Self {
+        mde_numeric::NumericError::NoConvergence {
+            context: "injected fault",
+            iterations: 0,
+        }
+        .into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,8 +25,7 @@ use crate::resample::{effective_sample_size, systematic_resample};
 use crate::AssimError;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, FaultKind, ReplicateOutcome,
-    RunOptions, RunReport, StopCause,
+    drive, drive_in_memory, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::{Rng, StreamFactory};
 
@@ -131,7 +130,8 @@ impl ParticleFilter {
     }
 
     /// Run Algorithm 2 over an observation sequence, producing one
-    /// [`FilterStep`] per observation.
+    /// [`FilterStep`] per observation. A step whose weights collapse falls
+    /// back to uniform weights and reports `-inf` evidence.
     pub fn run<M, Q>(
         &self,
         model: &M,
@@ -143,60 +143,90 @@ impl ParticleFilter {
         Q: Proposal<M>,
     {
         let factory = StreamFactory::new(self.seed);
-        let mut steps = Vec::with_capacity(observations.len());
-        let mut prev: Option<Vec<M::State>> = None;
-
+        let mut steps: Vec<FilterStep<M::State>> = Vec::with_capacity(observations.len());
         for (t, obs) in observations.iter().enumerate() {
-            let step_factory = factory.child(t as u64);
-            let mut rng = step_factory.stream(0);
-
-            // Steps 1/6: propose; steps 2/7-9: weight (in log space).
-            let mut particles = Vec::with_capacity(self.n_particles);
-            let mut ln_w = Vec::with_capacity(self.n_particles);
-            for i in 0..self.n_particles {
-                let parent = prev.as_ref().map(|p| &p[i]);
-                let x = proposal.sample(model, parent, obs, &mut rng);
-                let lw = proposal.ln_weight(model, parent, &x, obs, &mut rng);
-                particles.push(x);
-                ln_w.push(lw);
-            }
-
-            // Step 3/10: normalize with a max shift.
-            let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let (weights, ln_evidence_increment) = if max.is_finite() {
-                let shifted: Vec<f64> = ln_w.iter().map(|lw| (lw - max).exp()).collect();
-                let total: f64 = shifted.iter().sum();
-                (
-                    shifted.iter().map(|w| w / total).collect::<Vec<f64>>(),
-                    max + (total / self.n_particles as f64).ln(),
-                )
-            } else {
-                // All particles impossible under the observation: fall back
-                // to uniform weights (total filter failure is surfaced via
-                // -inf evidence).
-                (
-                    vec![1.0 / self.n_particles as f64; self.n_particles],
-                    f64::NEG_INFINITY,
-                )
-            };
-            let ess = effective_sample_size(&weights);
-
-            // Step 4/11: resample to equal weights. The weights were just
-            // normalized over a non-empty particle set, so the degenerate
-            // cases the resampler reports cannot occur here.
-            let mut rng_rs = step_factory.stream(1);
-            let idx = systematic_resample(&weights, self.n_particles, &mut rng_rs)
-                .expect("normalized weights are resampleable");
-            let resampled: Vec<M::State> = idx.into_iter().map(|i| particles[i].clone()).collect();
-
-            steps.push(FilterStep {
-                particles: resampled.clone(),
-                ess,
-                ln_evidence_increment,
-            });
-            prev = Some(resampled);
+            let prev = steps.last().map(|s| &s.particles[..]);
+            let streams = factory.child(t as u64);
+            let step = self
+                .step(model, proposal, obs, prev, &streams, Collapse::Uniform)
+                .expect("uniform or freshly normalized weights are resampleable");
+            steps.push(step);
         }
         steps
+    }
+
+    /// One step of Algorithm 2 — propose, weight, normalise, resample —
+    /// drawing proposals from stream 0 of `streams` and the resampling
+    /// offset from stream 1. `collapse` says what an unusable weight vector
+    /// (every particle impossible, an infinite weight, or a NaN) becomes.
+    fn step<M, Q>(
+        &self,
+        model: &M,
+        proposal: &Q,
+        obs: &M::Obs,
+        prev: Option<&[M::State]>,
+        streams: &StreamFactory,
+        collapse: Collapse,
+    ) -> crate::Result<FilterStep<M::State>>
+    where
+        M: StateSpaceModel,
+        Q: Proposal<M>,
+    {
+        let n = self.n_particles;
+        // Steps 1/6: propose; steps 2/7-9: weight (in log space).
+        let mut rng = streams.stream(0);
+        let mut particles = Vec::with_capacity(n);
+        let mut ln_w = Vec::with_capacity(n);
+        for i in 0..n {
+            let parent = prev.map(|p| &p[i]);
+            let x = proposal.sample(model, parent, obs, &mut rng);
+            let lw = proposal.ln_weight(model, parent, &x, obs, &mut rng);
+            particles.push(x);
+            ln_w.push(lw);
+        }
+
+        // Step 3/10: normalize with a max shift (`f64::max` skips NaNs, so
+        // they are looked for separately).
+        let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let has_nan = ln_w.iter().any(|lw| lw.is_nan());
+        let (weights, ln_evidence_increment) = if max.is_finite() && !has_nan {
+            let shifted: Vec<f64> = ln_w.iter().map(|lw| (lw - max).exp()).collect();
+            let total: f64 = shifted.iter().sum();
+            (
+                shifted.iter().map(|w| w / total).collect::<Vec<f64>>(),
+                max + (total / n as f64).ln(),
+            )
+        } else {
+            match collapse {
+                Collapse::Uniform => (vec![1.0 / n as f64; n], f64::NEG_INFINITY),
+                // A NaN weight makes the evidence NaN; the supervisor's
+                // finiteness check records that as a non-finite step.
+                Collapse::Fail { .. } if has_nan => {
+                    return Ok(FilterStep {
+                        particles,
+                        ess: 0.0,
+                        ln_evidence_increment: f64::NAN,
+                    })
+                }
+                Collapse::Fail { step, attempt } => {
+                    return Err(AssimError::StepFailed {
+                        step,
+                        attempt,
+                        message: "all particle weights collapsed to zero".into(),
+                    })
+                }
+            }
+        };
+        let ess = effective_sample_size(&weights);
+
+        // Step 4/11: resample to equal weights.
+        let mut rng_rs = streams.stream(1);
+        let idx = systematic_resample(&weights, n, &mut rng_rs)?;
+        Ok(FilterStep {
+            particles: idx.into_iter().map(|i| particles[i].clone()).collect(),
+            ess,
+            ln_evidence_increment,
+        })
     }
 
     /// Run Algorithm 2 under a [`mde_numeric::RunPolicy`], supervising
@@ -232,138 +262,16 @@ impl ParticleFilter {
         M: StateSpaceModel,
         Q: Proposal<M>,
     {
-        let factory = StreamFactory::new(self.seed);
-        let mut steps = Vec::with_capacity(observations.len());
-        let mut report = RunReport::new();
-        let mut prev: Option<Vec<M::State>> = None;
-
-        for (t, obs) in observations.iter().enumerate() {
-            let outcome = self.supervised_step(
-                model,
-                proposal,
-                obs,
-                t as u64,
-                prev.as_deref(),
-                &factory,
-                opts,
-            );
-            report.absorb(&outcome);
-            match outcome {
-                ReplicateOutcome::Success { value, .. } => {
-                    report.metrics.observe("pf.ess", value.ess);
-                    report.metrics.inc("pf.resamples");
-                    prev = Some(value.particles.clone());
-                    steps.push(value);
-                }
-                ReplicateOutcome::Dropped { .. } => {
-                    let step = self.degraded_step(model, t as u64, prev.as_deref(), &factory);
-                    report.metrics.observe("pf.ess", step.ess);
-                    prev = Some(step.particles.clone());
-                    steps.push(step);
-                }
-                ReplicateOutcome::Abort { error, failures } => {
-                    return Err(abort_error(error, &failures));
-                }
-            }
-        }
-        report.normalize();
-        let required = opts.policy.required_successes(observations.len());
-        if report.succeeded < required {
-            return Err(AssimError::TooManyFailures {
-                succeeded: report.succeeded,
-                attempted: report.attempted,
-                required,
-            });
-        }
-        Ok((steps, report))
-    }
-
-    /// Supervise one observation step: the attempt loop of
-    /// [`ParticleFilter::run_supervised`], shared with the durable
-    /// campaign path so both execute bit-identical filtering.
-    // One argument per supervised resource (model, proposal, stream
-    // factory, run options, ...); bundling them into a struct would be
-    // churn for a private call site shared by exactly two paths.
-    #[allow(clippy::too_many_arguments)]
-    fn supervised_step<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        obs: &M::Obs,
-        t: u64,
-        prev: Option<&[M::State]>,
-        factory: &StreamFactory,
-        opts: &RunOptions,
-    ) -> ReplicateOutcome<FilterStep<M::State>, AssimError>
-    where
-        M: StateSpaceModel,
-        Q: Proposal<M>,
-    {
-        supervise_replicate(t, &opts.policy, |a| {
-            // Attempt 0 keeps the legacy stream layout; reseeding
-            // retries never replay the failing stream.
-            let step_factory = if a == 0 || !opts.policy.reseeds() {
-                factory.child(t)
-            } else {
-                StreamFactory::new(retry_seed(self.seed, t, a))
-            };
-            let injected = opts.fault(t, a);
-            if injected == Some(FaultKind::Error) {
-                return Err(AttemptFailure::from_error(AssimError::Numeric(
-                    mde_numeric::NumericError::NoConvergence {
-                        context: "injected fault",
-                        iterations: 0,
-                    },
-                )));
-            }
-            let run = catch_panic(|| -> crate::Result<FilterStep<M::State>> {
-                if injected == Some(FaultKind::Panic) {
-                    panic!("injected fault: panic in filter step {t} attempt {a}");
-                }
-                let mut rng = step_factory.stream(0);
-                let mut particles = Vec::with_capacity(self.n_particles);
-                let mut ln_w = Vec::with_capacity(self.n_particles);
-                for i in 0..self.n_particles {
-                    let parent = prev.map(|p| &p[i]);
-                    let x = proposal.sample(model, parent, obs, &mut rng);
-                    let lw = proposal.ln_weight(model, parent, &x, obs, &mut rng);
-                    particles.push(x);
-                    ln_w.push(lw);
-                }
-                let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if !max.is_finite() {
-                    return Err(AssimError::StepFailed {
-                        step: t,
-                        attempt: a,
-                        message: "all particle weights collapsed to zero".into(),
-                    });
-                }
-                let shifted: Vec<f64> = ln_w.iter().map(|lw| (lw - max).exp()).collect();
-                let total: f64 = shifted.iter().sum();
-                let weights: Vec<f64> = shifted.iter().map(|w| w / total).collect();
-                let ln_evidence_increment = if injected == Some(FaultKind::Nan) {
-                    f64::NAN
-                } else {
-                    max + (total / self.n_particles as f64).ln()
-                };
-                let ess = effective_sample_size(&weights);
-                let mut rng_rs = step_factory.stream(1);
-                let idx = systematic_resample(&weights, self.n_particles, &mut rng_rs)?;
-                Ok(FilterStep {
-                    particles: idx.into_iter().map(|i| particles[i].clone()).collect(),
-                    ess,
-                    ln_evidence_increment,
-                })
-            });
-            match run {
-                Err(panic_msg) => Err(AttemptFailure::from_panic(panic_msg)),
-                Ok(Err(e)) => Err(AttemptFailure::from_error(e)),
-                Ok(Ok(s)) if !s.ln_evidence_increment.is_finite() => {
-                    Err(AttemptFailure::non_finite(s.ln_evidence_increment))
-                }
-                Ok(Ok(s)) => Ok(s),
-            }
-        })
+        let mut filter = FilterSurface {
+            pf: self,
+            model,
+            proposal,
+            observations,
+            steps: Vec::with_capacity(observations.len()),
+            encode: None,
+        };
+        let report = drive_in_memory(&mut filter, self.seed, observations.len() as u64, opts)?;
+        Ok((filter.steps, report))
     }
 
     /// The graceful-degradation posterior for a dropped step: the
@@ -371,20 +279,14 @@ impl ParticleFilter {
     /// at `t = 0` on a stream untouched by the failed attempts — streams
     /// 0/1 are propose/resample), flagged with `ess = 0` and a NaN
     /// evidence increment.
-    fn degraded_step<M>(
-        &self,
-        model: &M,
-        t: u64,
-        prev: Option<&[M::State]>,
-        factory: &StreamFactory,
-    ) -> FilterStep<M::State>
+    fn degraded_step<M>(&self, model: &M, t: u64, prev: Option<&[M::State]>) -> FilterStep<M::State>
     where
         M: StateSpaceModel,
     {
         let particles: Vec<M::State> = match prev {
             Some(p) => p.to_vec(),
             None => {
-                let mut rng = factory.child(t).stream(2);
+                let mut rng = StreamFactory::new(self.seed).child(t).stream(2);
                 (0..self.n_particles)
                     .map(|_| model.sample_initial(&mut rng))
                     .collect()
@@ -428,50 +330,15 @@ impl ParticleFilter {
         M::State: ParticleState,
         Q: Proposal<M>,
     {
-        let state = CampaignState::start_or_resume(
+        let mut state = CampaignState::start_or_resume(
             opts.resume.as_ref(),
             CAMPAIGN_PF,
             self.fingerprint::<M>(observations.len()),
             self.seed,
             observations.len() as u64,
         )?;
-        self.campaign(model, proposal, observations, opts, state)
-    }
-
-    /// Campaign identity: tag, particle count, seed, observation count,
-    /// and state dimension. (Observation *values* are not hashed — the
-    /// caller owns keeping the observation sequence stable across
-    /// resumption, as with any externally stored input.)
-    fn fingerprint<M>(&self, n_obs: usize) -> u64
-    where
-        M: StateSpaceModel,
-        M::State: ParticleState,
-    {
-        Fingerprint::new(CAMPAIGN_PF)
-            .push_u64(self.n_particles as u64)
-            .push_u64(self.seed)
-            .push_u64(n_obs as u64)
-            .push_u64(M::State::DIM as u64)
-            .finish()
-    }
-
-    /// The durable campaign loop over observation steps.
-    fn campaign<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        observations: &[M::Obs],
-        opts: &RunOptions,
-        mut state: CampaignState,
-    ) -> crate::Result<PfRun<M::State>>
-    where
-        M: StateSpaceModel,
-        M::State: ParticleState,
-        Q: Proposal<M>,
-    {
-        let factory = StreamFactory::new(self.seed);
-        // Reconstruct completed steps (and the running posterior) from
-        // the ledger; a fresh state reconstructs nothing.
+        // Reconstruct completed steps (and with them the running
+        // posterior) from the ledger; a fresh state reconstructs nothing.
         let mut steps: Vec<FilterStep<M::State>> = Vec::with_capacity(observations.len());
         for (t, payload) in &state.completed {
             if *t != steps.len() as u64 {
@@ -490,79 +357,105 @@ impl ParticleFilter {
                 ),
             }));
         }
-        let mut prev: Option<Vec<M::State>> = steps.last().map(|s| s.particles.clone());
-        let mut stopped = None;
-
-        for t in state.cursor..observations.len() as u64 {
-            if let Some(cause) = opts.stop_cause(t) {
-                stopped = Some(cause);
-                break;
-            }
-            let obs = &observations[t as usize];
-            let outcome =
-                self.supervised_step(model, proposal, obs, t, prev.as_deref(), &factory, opts);
-            state.report.absorb(&outcome);
-            let step = match outcome {
-                ReplicateOutcome::Success { value, .. } => {
-                    state.report.metrics.inc("pf.resamples");
-                    value
-                }
-                ReplicateOutcome::Dropped { .. } => {
-                    self.degraded_step(model, t, prev.as_deref(), &factory)
-                }
-                ReplicateOutcome::Abort { error, failures } => {
-                    return Err(abort_error(error, &failures));
-                }
-            };
-            state.report.metrics.observe("pf.ess", step.ess);
-            prev = Some(step.particles.clone());
-            state.completed.push((t, encode_step(&step)));
-            steps.push(step);
-            state.cursor = t + 1;
-            if let Some(spec) = &opts.checkpoint {
-                if spec.due(state.cursor) {
-                    state.save_ledgered(&spec.path)?;
-                }
-            }
-        }
-        state.report.normalize();
-        if stopped.is_none() {
-            let required = opts.policy.required_successes(observations.len());
-            if state.report.succeeded < required {
-                return Err(AssimError::TooManyFailures {
-                    succeeded: state.report.succeeded,
-                    attempted: state.report.attempted,
-                    required,
-                });
-            }
-        }
-        if let Some(spec) = &opts.checkpoint {
-            state.save_ledgered(&spec.path)?;
-        }
-        Ok(PfRun {
+        let mut filter = FilterSurface {
+            pf: self,
+            model,
+            proposal,
+            observations,
             steps,
+            encode: Some(encode_step::<M::State>),
+        };
+        let stopped = drive(&mut filter, &mut state, opts)?;
+        Ok(PfRun {
+            steps: filter.steps,
             report: state.report.clone(),
             stopped,
             checkpoint: Some(state),
         })
     }
+
+    /// Campaign identity: tag, particle count, seed, observation count,
+    /// and state dimension. (Observation *values* are not hashed — the
+    /// caller owns keeping the observation sequence stable across
+    /// resumption, as with any externally stored input.)
+    fn fingerprint<M>(&self, n_obs: usize) -> u64
+    where
+        M: StateSpaceModel,
+        M::State: ParticleState,
+    {
+        Fingerprint::new(CAMPAIGN_PF)
+            .push_u64(self.n_particles as u64)
+            .push_u64(self.seed)
+            .push_u64(n_obs as u64)
+            .push_u64(M::State::DIM as u64)
+            .finish()
+    }
 }
 
-/// The error surfaced when a step aborts the run: the step's own typed
-/// error when it produced one, otherwise synthesized from the terminal
-/// failure record.
-fn abort_error(
-    error: Option<AssimError>,
-    failures: &[mde_numeric::resilience::FailureRecord],
-) -> AssimError {
-    error.unwrap_or_else(|| match failures.last() {
-        Some(f) => AssimError::StepFailed {
-            step: f.replicate,
-            attempt: f.attempt,
-            message: f.message.clone(),
-        },
-        None => AssimError::weights("run_supervised", "step aborted without a failure record"),
-    })
+/// What a filtering step does with an unusable weight vector.
+#[derive(Debug, Clone, Copy)]
+enum Collapse {
+    /// Resample from uniform weights and report `-inf` evidence.
+    Uniform,
+    /// Fail attempt `attempt` of step `step` with a typed error.
+    Fail { step: u64, attempt: u32 },
+}
+
+/// Encodes a completed step as a ledger payload ([`encode_step`]).
+type StepCodec<S> = fn(&FilterStep<S>) -> Vec<f64>;
+
+/// The filter as a supervised campaign surface: one boundary per
+/// observation, the running posterior being the last completed step.
+struct FilterSurface<'a, M: StateSpaceModel, Q> {
+    pf: &'a ParticleFilter,
+    model: &'a M,
+    proposal: &'a Q,
+    observations: &'a [M::Obs],
+    steps: Vec<FilterStep<M::State>>,
+    /// Ledger codec for a completed step; `None` keeps the run in memory.
+    encode: Option<StepCodec<M::State>>,
+}
+
+impl<M: StateSpaceModel, Q: Proposal<M>> Surface for FilterSurface<'_, M, Q> {
+    type Value = FilterStep<M::State>;
+    type Error = AssimError;
+
+    fn attempt(&mut self, att: &Attempt<'_>) -> Result<Self::Value, AttemptFailure<AssimError>> {
+        let t = att.boundary;
+        let prev = self.steps.last().map(|s| &s.particles[..]);
+        let collapse = Collapse::Fail {
+            step: t,
+            attempt: att.attempt,
+        };
+        att.run(
+            "filter step",
+            || {
+                let obs = &self.observations[t as usize];
+                let streams = att.streams(t);
+                self.pf
+                    .step(self.model, self.proposal, obs, prev, &streams, collapse)
+            },
+            |step| step.ln_evidence_increment,
+        )
+    }
+
+    fn commit(&mut self, state: &mut CampaignState, t: u64, value: Option<Self::Value>) {
+        let step = match value {
+            Some(step) => {
+                state.report.metrics.inc("pf.resamples");
+                step
+            }
+            None => {
+                let prev = self.steps.last().map(|s| &s.particles[..]);
+                self.pf.degraded_step(self.model, t, prev)
+            }
+        };
+        state.report.metrics.observe("pf.ess", step.ess);
+        if let Some(encode) = self.encode {
+            state.completed.push((t, encode(&step)));
+        }
+        self.steps.push(step);
+    }
 }
 
 /// A durable supervised filter run: the per-observation steps, the
@@ -665,6 +558,7 @@ fn decode_step<S: ParticleState>(
 mod tests {
     use super::*;
     use mde_numeric::dist::{Continuous, Normal};
+    use mde_numeric::resilience::FaultKind;
     use mde_numeric::rng::rng_from_seed;
 
     /// Linear-Gaussian model: x ~ N(a·x', q), y ~ N(x, r) — the Kalman
@@ -904,6 +798,59 @@ mod tests {
             pf.run_supervised(&m, &BootstrapProposal, &ys, &strict),
             Err(AssimError::TooManyFailures { .. })
         ));
+    }
+
+    /// Bootstrap proposal whose log-weight is NaN whenever the observation
+    /// is (a sensor model evaluated outside its domain).
+    struct NanOnNanObs;
+
+    impl Proposal<LinGauss> for NanOnNanObs {
+        fn sample(&self, m: &LinGauss, prev: Option<&f64>, obs: &f64, rng: &mut Rng) -> f64 {
+            BootstrapProposal.sample(m, prev, obs, rng)
+        }
+
+        fn ln_weight(
+            &self,
+            m: &LinGauss,
+            _prev: Option<&f64>,
+            state: &f64,
+            obs: &f64,
+            _rng: &mut Rng,
+        ) -> f64 {
+            m.ln_likelihood(state, obs)
+        }
+    }
+
+    #[test]
+    fn nan_log_weights_are_a_collapse_not_a_silent_particle_zero() {
+        use mde_numeric::resilience::FailureKind;
+        let m = model();
+        let (_, mut ys) = simulate(&m, 6, 40);
+        ys[3] = f64::NAN;
+        let pf = ParticleFilter::new(50, 41);
+        // Unsupervised: the documented uniform fallback, visible as -inf
+        // evidence — not NaN weights resampled to fifty copies of particle 0.
+        let steps = pf.run(&m, &NanOnNanObs, &ys);
+        assert_eq!(steps.len(), 6);
+        assert_eq!(steps[3].ln_evidence_increment, f64::NEG_INFINITY);
+        assert!((steps[3].ess - 50.0).abs() < 1e-9);
+        assert!(steps[4].ln_evidence_increment.is_finite());
+        // Supervised: recorded as a non-finite step, under every policy.
+        match pf.run_supervised(&m, &NanOnNanObs, &ys, &RunOptions::default()) {
+            Err(AssimError::StepFailed {
+                step: 3, message, ..
+            }) => {
+                assert!(message.contains("non-finite"), "{message}")
+            }
+            other => panic!("expected StepFailed at step 3, got {other:?}"),
+        }
+        let best_effort =
+            RunOptions::policy(mde_numeric::RunPolicy::BestEffort { min_fraction: 0.5 });
+        let (steps, report) = pf
+            .run_supervised(&m, &NanOnNanObs, &ys, &best_effort)
+            .unwrap();
+        assert_eq!(report.failure_keys(), vec![(3, 0, FailureKind::NonFinite)]);
+        assert_eq!(steps[3].particles, steps[2].particles);
     }
 
     #[test]

@@ -16,14 +16,20 @@ use crate::AssimError;
 use mde_numeric::rng::Rng;
 use rand::Rng as _;
 
-/// Validate a weight vector for resampling: non-empty, no negative
-/// entries, positive total. Returns the total.
+/// Validate a weight vector for resampling: non-empty, every entry finite
+/// and non-negative, finite positive total. Returns the total.
 fn check_weights(weights: &[f64], context: &'static str) -> crate::Result<f64> {
     if weights.is_empty() {
         return Err(AssimError::weights(context, "no weights to resample"));
     }
     let mut total = 0.0;
     for &w in weights {
+        if !w.is_finite() {
+            return Err(AssimError::weights(
+                context,
+                format!("non-finite weight {w}"),
+            ));
+        }
         if w < 0.0 {
             return Err(AssimError::weights(context, format!("negative weight {w}")));
         }
@@ -31,6 +37,9 @@ fn check_weights(weights: &[f64], context: &'static str) -> crate::Result<f64> {
     }
     if total <= 0.0 {
         return Err(AssimError::weights(context, "all weights zero"));
+    }
+    if !total.is_finite() {
+        return Err(AssimError::weights(context, "weights sum to infinity"));
     }
     Ok(total)
 }
@@ -49,8 +58,8 @@ pub fn effective_sample_size(weights: &[f64]) -> f64 {
 /// Multinomial resampling: draw `n` indices i.i.d. proportional to the
 /// weights.
 ///
-/// Degenerate weight vectors (empty, negative entries, all zero) are
-/// surfaced as [`AssimError::InvalidWeights`] rather than panicking —
+/// Degenerate weight vectors (empty, negative or non-finite entries, all
+/// zero) are surfaced as [`AssimError::InvalidWeights`] rather than panicking —
 /// collapsed weights are an expected runtime condition in §3.2, not a
 /// programming error.
 pub fn multinomial_resample(weights: &[f64], n: usize, rng: &mut Rng) -> crate::Result<Vec<usize>> {
@@ -190,6 +199,29 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("all weights zero"));
+    }
+
+    #[test]
+    fn non_finite_weights_are_typed_errors() {
+        // `NaN < 0.0` and `NaN <= 0.0` are both false, so a NaN used to
+        // slip through and select particle 0 every time.
+        let mut rng = rng_from_seed(7);
+        for weights in [
+            &[f64::NAN, 1.0][..],
+            &[1.0, f64::NAN],
+            &[f64::INFINITY, 1.0],
+            &[f64::MAX, f64::MAX],
+        ] {
+            for result in [
+                systematic_resample(weights, 8, &mut rng),
+                multinomial_resample(weights, 8, &mut rng),
+            ] {
+                match result {
+                    Err(AssimError::InvalidWeights { .. }) => {}
+                    other => panic!("{weights:?}: expected InvalidWeights, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -122,6 +122,24 @@ impl mde_numeric::ErrorClass for CalibrateError {
     }
 }
 
+impl mde_numeric::BoundaryError for CalibrateError {
+    fn too_many_failures(succeeded: usize, attempted: usize, required: usize) -> Self {
+        CalibrateError::TooManyFailures {
+            succeeded,
+            attempted,
+            required,
+        }
+    }
+
+    fn boundary_failed(generation: u64, attempt: u32, message: String) -> Self {
+        CalibrateError::GenerationFailed {
+            generation,
+            attempt,
+            message,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

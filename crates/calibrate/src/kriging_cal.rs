@@ -161,7 +161,8 @@ fn eval_point(
     };
     let mean = vals.iter().sum::<f64>() / vals.len() as f64;
     let var = if vals.len() > 1 {
-        vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (vals.len() as f64 - 1.0)
+        vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
+            / (vals.len() as f64 - 1.0)
             / vals.len() as f64
     } else {
         0.0
@@ -243,7 +244,12 @@ fn kriging_calibrate_inner(
         )?;
         let mut candidate = r.x;
         bounds.clamp(&mut candidate);
-        let (m, v) = eval_point(&candidate, cfg.reps_per_point, &mut objective, scope.as_deref_mut());
+        let (m, v) = eval_point(
+            &candidate,
+            cfg.reps_per_point,
+            &mut objective,
+            scope.as_deref_mut(),
+        );
         evaluated.push((candidate.clone(), m));
         ws.push(&candidate)?;
         xs.push(candidate.clone());
@@ -567,9 +573,8 @@ mod tests {
         let handle = CacheHandle::in_memory();
         let mut scope = ObjectiveScope::new(handle.clone(), "calibrate.kriging", 0xCAFE, 3, 21);
         let mut rng = rng_from_seed(21);
-        let cold =
-            kriging_calibrate_cached(obj, &unit_bounds(), &cfg, &mut rng, None, &mut scope)
-                .unwrap();
+        let cold = kriging_calibrate_cached(obj, &unit_bounds(), &cfg, &mut rng, None, &mut scope)
+            .unwrap();
         assert_eq!(
             cold.best.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             base.best.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -619,9 +624,7 @@ mod tests {
             reps_per_point: 0,
             ..KrigingCalConfig::default()
         };
-        assert!(
-            kriging_calibrate(|x, _| smooth(x), &unit_bounds(), &zero_reps, &mut rng).is_err()
-        );
+        assert!(kriging_calibrate(|x, _| smooth(x), &unit_bounds(), &zero_reps, &mut rng).is_err());
         assert!(
             kriging_calibrate_unoptimized(|x, _| smooth(x), &unit_bounds(), &tiny, &mut rng)
                 .is_err()

@@ -21,10 +21,9 @@ use mde_numeric::cache::ObjectiveScope;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::optim::OptimResult;
 use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, FailureRecord, FaultKind,
-    ReplicateOutcome, RunOptions, RunReport, StopCause,
+    drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
-use mde_numeric::rng::{Rng, StreamFactory};
+use mde_numeric::rng::Rng;
 use rand::Rng as _;
 
 use crate::error::CalibrateError;
@@ -307,14 +306,38 @@ pub fn genetic_algorithm_durable(
     opts: &RunOptions,
 ) -> crate::Result<OptimRun> {
     cfg.validate()?;
-    let state = CampaignState::start_or_resume(
+    let mut state = CampaignState::start_or_resume(
         opts.resume.as_ref(),
         CAMPAIGN_GA,
         ga_fingerprint(bounds, cfg, seed),
         seed,
         cfg.generations as u64 + 1,
     )?;
-    ga_campaign(f, bounds, cfg, seed, opts, state)
+    let mut search = GaSurface {
+        pop: decode_ledger_population(&state, cfg.population, bounds.dim())?,
+        evals: state.ints.first().copied().unwrap_or(0),
+        f,
+        bounds,
+        cfg,
+    };
+    state.ints = vec![search.evals];
+    let stopped = drive(&mut search, &mut state, opts)?;
+    let best = search
+        .pop
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(x, fx)| OptimResult {
+            x: x.clone(),
+            fx: *fx,
+            evals: search.evals as usize,
+            converged: false,
+        });
+    Ok(OptimRun {
+        best,
+        report: state.report.clone(),
+        stopped,
+        checkpoint: Some(state),
+    })
 }
 
 /// Campaign identity for the durable GA: tag, seed, bounds, and every
@@ -335,125 +358,60 @@ fn ga_fingerprint(bounds: &Bounds, cfg: &GaConfig, seed: u64) -> u64 {
     fp.finish()
 }
 
-/// The durable GA campaign loop over generation boundaries.
-fn ga_campaign(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    cfg: &GaConfig,
-    seed: u64,
-    opts: &RunOptions,
-    mut state: CampaignState,
-) -> crate::Result<OptimRun> {
-    let factory = StreamFactory::new(seed);
-    let d = bounds.dim();
-    let total = cfg.generations as u64 + 1;
-    let mut pop = decode_ledger_population(&state, cfg.population, d)?;
-    let mut evals = state.ints.first().copied().unwrap_or(0);
-    let mut stopped = None;
+/// The GA as a campaign surface: one boundary per generation, the working
+/// set being the live population and the evaluation count.
+struct GaSurface<'a, F> {
+    f: F,
+    bounds: &'a Bounds,
+    cfg: &'a GaConfig,
+    pop: Vec<(Vec<f64>, f64)>,
+    evals: u64,
+}
 
-    for b in state.cursor..total {
-        if let Some(cause) = opts.stop_cause(b) {
-            stopped = Some(cause);
-            break;
-        }
-        let outcome: ReplicateOutcome<Vec<(Vec<f64>, f64)>, CalibrateError> =
-            supervise_replicate(b, &opts.policy, |a| {
-                // Attempt 0 keeps the per-boundary stream layout;
-                // reseeding retries never replay the failing stream.
-                let gen_factory = if a == 0 || !opts.policy.reseeds() {
-                    factory.child(b)
+impl<F: FnMut(&[f64]) -> f64> Surface for GaSurface<'_, F> {
+    type Value = Vec<(Vec<f64>, f64)>;
+    type Error = CalibrateError;
+
+    fn attempt(
+        &mut self,
+        att: &Attempt<'_>,
+    ) -> Result<Self::Value, AttemptFailure<CalibrateError>> {
+        att.run(
+            "optimizer boundary",
+            || {
+                let mut rng = att.streams(att.boundary).stream(0);
+                // Boundary 0 — or a recovery from an all-dropped prefix —
+                // seeds a fresh population.
+                Ok(if self.pop.is_empty() {
+                    seeded_population(&mut self.f, self.bounds, self.cfg.population, &mut rng)
                 } else {
-                    StreamFactory::new(retry_seed(seed, b, a))
-                };
-                let injected = opts.fault(b, a);
-                if injected == Some(FaultKind::Error) {
-                    return Err(AttemptFailure::from_error(
-                        CalibrateError::GenerationFailed {
-                            generation: b,
-                            attempt: a,
-                            message: "injected fault".into(),
-                        },
-                    ));
-                }
-                let run = catch_panic(|| {
-                    if injected == Some(FaultKind::Panic) {
-                        panic!("injected fault: panic in optimizer boundary {b} attempt {a}");
-                    }
-                    let mut rng = gen_factory.stream(0);
-                    if b == 0 || pop.is_empty() {
-                        // Boundary 0 — or a recovery from an all-dropped
-                        // prefix — seeds a fresh population.
-                        seeded_population(&mut f, bounds, cfg.population, &mut rng)
-                    } else {
-                        next_generation(&mut f, &pop, bounds, cfg, &mut rng)
-                    }
-                });
-                match run {
-                    Err(panic_msg) => Err(AttemptFailure::from_panic(panic_msg)),
-                    Ok(next) => {
-                        let best = next.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-                        let checked = if injected == Some(FaultKind::Nan) {
-                            f64::NAN
-                        } else {
-                            best
-                        };
-                        // A generation whose entire population evaluated
-                        // to NaN (mapped to +inf) is unusable — retryable.
-                        if !checked.is_finite() {
-                            Err(AttemptFailure::non_finite(checked))
-                        } else {
-                            Ok(next)
-                        }
-                    }
-                }
-            });
-        state.report.absorb(&outcome);
-        match outcome {
-            ReplicateOutcome::Success { value, .. } => {
-                let delta = if pop.is_empty() {
-                    cfg.population as u64
-                } else {
-                    (cfg.population - cfg.elites) as u64
-                };
-                evals += delta;
-                state.report.metrics.add("optim.evals", delta);
-                pop = value;
-                let gen_best = pop.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-                state.report.metrics.observe("optim.best", gen_best);
-                state.completed.push((b, encode_population(&pop)));
-            }
-            // A dropped boundary carries the population forward unchanged
-            // (graceful degradation, like a dropped filter step).
-            ReplicateOutcome::Dropped { .. } => {}
-            ReplicateOutcome::Abort { error, failures } => {
-                return Err(abort_error(error, &failures));
-            }
-        }
-        state.cursor = b + 1;
-        state.ints = vec![evals];
-        if let Some(spec) = &opts.checkpoint {
-            if spec.due(state.cursor) {
-                state.save_ledgered(&spec.path)?;
-            }
-        }
+                    next_generation(&mut self.f, &self.pop, self.bounds, self.cfg, &mut rng)
+                })
+            },
+            // A generation whose entire population evaluated to NaN (mapped
+            // to +inf) is unusable — retryable.
+            |next| next.iter().map(|p| p.1).fold(f64::INFINITY, f64::min),
+        )
     }
-    state.ints = vec![evals];
-    seal_state(&mut state, total, opts, stopped)?;
-    let best = pop
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(x, fx)| OptimResult {
-            x: x.clone(),
-            fx: *fx,
-            evals: evals as usize,
-            converged: false,
-        });
-    Ok(OptimRun {
-        best,
-        report: state.report.clone(),
-        stopped,
-        checkpoint: Some(state),
-    })
+
+    /// A dropped boundary carries the population forward unchanged
+    /// (graceful degradation, like a dropped filter step).
+    fn commit(&mut self, state: &mut CampaignState, b: u64, value: Option<Self::Value>) {
+        if let Some(next) = value {
+            let delta = if self.pop.is_empty() {
+                self.cfg.population as u64
+            } else {
+                (self.cfg.population - self.cfg.elites) as u64
+            };
+            self.evals += delta;
+            state.report.metrics.add("optim.evals", delta);
+            self.pop = next;
+            let gen_best = self.pop.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+            state.report.metrics.observe("optim.best", gen_best);
+            state.completed.push((b, encode_population(&self.pop)));
+        }
+        state.ints = vec![self.evals];
+    }
 }
 
 /// Run pure random search as a **durable campaign**: one boundary per
@@ -475,111 +433,16 @@ pub fn random_search_durable(
             reason: "need at least one evaluation".into(),
         });
     }
-    let state = CampaignState::start_or_resume(
+    let mut state = CampaignState::start_or_resume(
         opts.resume.as_ref(),
         CAMPAIGN_RS,
         rs_fingerprint(bounds, evals, seed),
         seed,
         evals as u64,
     )?;
-    rs_campaign(f, bounds, opts, state)
-}
-
-/// Campaign identity for durable random search.
-fn rs_fingerprint(bounds: &Bounds, evals: usize, seed: u64) -> u64 {
-    let mut fp = Fingerprint::new(CAMPAIGN_RS)
-        .push_u64(seed)
-        .push_u64(evals as u64)
-        .push_u64(bounds.dim() as u64);
-    for &(lo, hi) in &bounds.ranges {
-        fp = fp.push_f64(lo).push_f64(hi);
-    }
-    fp.finish()
-}
-
-/// The durable random-search campaign loop over evaluation boundaries.
-fn rs_campaign(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    opts: &RunOptions,
-    mut state: CampaignState,
-) -> crate::Result<OptimRun> {
-    let seed = state.master_seed;
-    let factory = StreamFactory::new(seed);
     let d = bounds.dim();
-    let total = state.total;
     validate_ledger(&state, d + 1)?;
-    let mut stopped = None;
-
-    for i in state.cursor..total {
-        if let Some(cause) = opts.stop_cause(i) {
-            stopped = Some(cause);
-            break;
-        }
-        let outcome: ReplicateOutcome<(Vec<f64>, f64), CalibrateError> =
-            supervise_replicate(i, &opts.policy, |a| {
-                let eval_factory = if a == 0 || !opts.policy.reseeds() {
-                    factory.child(i)
-                } else {
-                    StreamFactory::new(retry_seed(seed, i, a))
-                };
-                let injected = opts.fault(i, a);
-                if injected == Some(FaultKind::Error) {
-                    return Err(AttemptFailure::from_error(
-                        CalibrateError::GenerationFailed {
-                            generation: i,
-                            attempt: a,
-                            message: "injected fault".into(),
-                        },
-                    ));
-                }
-                let run = catch_panic(|| {
-                    if injected == Some(FaultKind::Panic) {
-                        panic!("injected fault: panic in optimizer boundary {i} attempt {a}");
-                    }
-                    let mut rng = eval_factory.stream(0);
-                    let x = bounds.sample(&mut rng);
-                    let fx = f(&x);
-                    (x, fx)
-                });
-                match run {
-                    Err(panic_msg) => Err(AttemptFailure::from_panic(panic_msg)),
-                    Ok((x, fx)) => {
-                        let checked = if injected == Some(FaultKind::Nan) {
-                            f64::NAN
-                        } else {
-                            fx
-                        };
-                        if !checked.is_finite() {
-                            Err(AttemptFailure::non_finite(checked))
-                        } else {
-                            Ok((x, checked))
-                        }
-                    }
-                }
-            });
-        state.report.absorb(&outcome);
-        match outcome {
-            ReplicateOutcome::Success { value: (x, fx), .. } => {
-                state.report.metrics.inc("optim.evals");
-                state.report.metrics.observe("optim.objective", fx);
-                let mut payload = x;
-                payload.push(fx);
-                state.completed.push((i, payload));
-            }
-            ReplicateOutcome::Dropped { .. } => {}
-            ReplicateOutcome::Abort { error, failures } => {
-                return Err(abort_error(error, &failures));
-            }
-        }
-        state.cursor = i + 1;
-        if let Some(spec) = &opts.checkpoint {
-            if spec.due(state.cursor) {
-                state.save_ledgered(&spec.path)?;
-            }
-        }
-    }
-    seal_state(&mut state, total, opts, stopped)?;
+    let stopped = drive(&mut RsSurface { f, bounds }, &mut state, opts)?;
     // Best over all completed evaluations; `evals` counts them.
     let n = state.completed.len();
     let best = state
@@ -598,6 +461,55 @@ fn rs_campaign(
         stopped,
         checkpoint: Some(state),
     })
+}
+
+/// Campaign identity for durable random search.
+fn rs_fingerprint(bounds: &Bounds, evals: usize, seed: u64) -> u64 {
+    let mut fp = Fingerprint::new(CAMPAIGN_RS)
+        .push_u64(seed)
+        .push_u64(evals as u64)
+        .push_u64(bounds.dim() as u64);
+    for &(lo, hi) in &bounds.ranges {
+        fp = fp.push_f64(lo).push_f64(hi);
+    }
+    fp.finish()
+}
+
+/// Random search as a campaign surface: one boundary per evaluation, each
+/// landing in the ledger as `[x.., fx]`.
+struct RsSurface<'a, F> {
+    f: F,
+    bounds: &'a Bounds,
+}
+
+impl<F: FnMut(&[f64]) -> f64> Surface for RsSurface<'_, F> {
+    type Value = (Vec<f64>, f64);
+    type Error = CalibrateError;
+
+    fn attempt(
+        &mut self,
+        att: &Attempt<'_>,
+    ) -> Result<Self::Value, AttemptFailure<CalibrateError>> {
+        att.run(
+            "optimizer boundary",
+            || {
+                let mut rng = att.streams(att.boundary).stream(0);
+                let x = self.bounds.sample(&mut rng);
+                let fx = (self.f)(&x);
+                Ok((x, fx))
+            },
+            |(_, fx)| *fx,
+        )
+    }
+
+    fn commit(&mut self, state: &mut CampaignState, i: u64, value: Option<Self::Value>) {
+        if let Some((mut payload, fx)) = value {
+            state.report.metrics.inc("optim.evals");
+            state.report.metrics.observe("optim.objective", fx);
+            payload.push(fx);
+            state.completed.push((i, payload));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -676,33 +588,6 @@ fn seal_cached(completed: bool, run: &mut OptimRun, scope: &mut ObjectiveScope) 
     }
 }
 
-/// Shared campaign epilogue: normalize the report, enforce the
-/// best-effort floor only on runs that reached every boundary (a stopped
-/// run returns its partial result rather than an error), and write the
-/// final checkpoint.
-fn seal_state(
-    state: &mut CampaignState,
-    total: u64,
-    opts: &RunOptions,
-    stopped: Option<StopCause>,
-) -> crate::Result<()> {
-    state.report.normalize();
-    if stopped.is_none() {
-        let required = opts.policy.required_successes(total as usize);
-        if state.report.succeeded < required {
-            return Err(CalibrateError::TooManyFailures {
-                succeeded: state.report.succeeded,
-                attempted: state.report.attempted,
-                required,
-            });
-        }
-    }
-    if let Some(spec) = &opts.checkpoint {
-        state.save_ledgered(&spec.path)?;
-    }
-    Ok(())
-}
-
 /// Flatten a scored population into a ledger payload: `[x.., fx]` per
 /// individual, in population order.
 fn encode_population(pop: &[(Vec<f64>, f64)]) -> Vec<f64> {
@@ -764,28 +649,10 @@ fn validate_ledger(state: &CampaignState, floats: usize) -> crate::Result<()> {
     Ok(())
 }
 
-/// The error surfaced when a boundary aborts the campaign: the boundary's
-/// own typed error when it produced one, otherwise synthesized from the
-/// terminal failure record.
-fn abort_error(error: Option<CalibrateError>, failures: &[FailureRecord]) -> CalibrateError {
-    error.unwrap_or_else(|| match failures.last() {
-        Some(rec) => CalibrateError::GenerationFailed {
-            generation: rec.replicate,
-            attempt: rec.attempt,
-            message: rec.message.clone(),
-        },
-        None => CalibrateError::GenerationFailed {
-            generation: 0,
-            attempt: 0,
-            message: "aborted with no failure record".into(),
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mde_numeric::resilience::{FaultPlan, RunPolicy};
+    use mde_numeric::resilience::{FaultKind, FaultPlan, RunPolicy};
     use mde_numeric::rng::rng_from_seed;
     use mde_numeric::Deadline;
     use std::time::Duration;
@@ -1075,7 +942,11 @@ mod tests {
         )
         .expect("cold");
         let cold_best = cold.best.expect("best");
-        assert_eq!(bits(&cold_best.x), bits(&base_best.x), "caching must not perturb the search");
+        assert_eq!(
+            bits(&cold_best.x),
+            bits(&base_best.x),
+            "caching must not perturb the search"
+        );
         assert_eq!(cold_best.fx.to_bits(), base_best.fx.to_bits());
 
         // Warm pass under a fresh scope with the same identity: every
@@ -1117,9 +988,15 @@ mod tests {
         use mde_numeric::cache::CacheHandle;
         let handle = CacheHandle::in_memory();
         let mut scope = ObjectiveScope::new(handle.clone(), CAMPAIGN_RS, 0xBEEF, 1, 5);
-        let cold =
-            random_search_durable_cached(rugged, &bounds(), 30, 5, &RunOptions::default(), &mut scope)
-                .expect("cold");
+        let cold = random_search_durable_cached(
+            rugged,
+            &bounds(),
+            30,
+            5,
+            &RunOptions::default(),
+            &mut scope,
+        )
+        .expect("cold");
         let mut scope2 = ObjectiveScope::new(handle.clone(), CAMPAIGN_RS, 0xBEEF, 1, 5);
         let mut fresh_evals = 0u64;
         let warm = random_search_durable_cached(

@@ -14,9 +14,9 @@ use crate::CoreError;
 use mde_harmonize::align::auto_align;
 use mde_harmonize::schema_map::SchemaMapping;
 use mde_harmonize::series::TimeSeries;
+use mde_numeric::checkpoint::CampaignState;
 use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, FaultKind, ReplicateOutcome,
-    RunOptions, RunReport,
+    drive_in_memory, Attempt, AttemptFailure, RunOptions, RunReport, Surface,
 };
 use mde_numeric::rng::StreamFactory;
 use mde_numeric::stats::Summary;
@@ -394,75 +394,52 @@ impl ExecutablePlan<'_> {
         scalarize: impl Fn(&TimeSeries) -> f64,
         opts: &RunOptions,
     ) -> crate::Result<(McOutput, RunReport)> {
-        let factory = StreamFactory::new(seed);
-        let mut samples = Vec::with_capacity(reps);
-        let mut report = RunReport::new();
-        for r in 0..reps {
-            let outcome = supervise_replicate(r as u64, &opts.policy, |a| {
-                // Attempt 0 keeps the legacy stream layout; reseeding
-                // retries never replay the failing stream.
-                let rep_streams = if a == 0 || !opts.policy.reseeds() {
-                    factory.child(r as u64)
-                } else {
-                    StreamFactory::new(retry_seed(seed, r as u64, a))
-                };
-                let injected = opts.fault(r as u64, a);
-                if injected == Some(FaultKind::Error) {
-                    return Err(AttemptFailure::from_error(CoreError::Numeric(
-                        mde_numeric::NumericError::NoConvergence {
-                            context: "injected fault",
-                            iterations: 0,
-                        },
-                    )));
-                }
-                let run = catch_panic(|| -> crate::Result<f64> {
-                    if injected == Some(FaultKind::Panic) {
-                        panic!("injected fault: panic in repetition {r} attempt {a}");
-                    }
-                    let out = self.run_once(params, &rep_streams)?;
-                    Ok(if injected == Some(FaultKind::Nan) {
-                        f64::NAN
-                    } else {
-                        scalarize(&out)
-                    })
-                });
-                match run {
-                    Err(panic_msg) => Err(AttemptFailure::from_panic(panic_msg)),
-                    Ok(Err(e)) => Err(AttemptFailure::from_error(e)),
-                    Ok(Ok(v)) if !v.is_finite() => Err(AttemptFailure::non_finite(v)),
-                    Ok(Ok(v)) => Ok(v),
-                }
-            });
-            report.absorb(&outcome);
-            match outcome {
-                ReplicateOutcome::Success { value, .. } => samples.push(value),
-                ReplicateOutcome::Dropped { .. } => {}
-                ReplicateOutcome::Abort { error, failures } => {
-                    return Err(error.unwrap_or_else(|| match failures.last() {
-                        Some(f) => CoreError::ReplicateFailed {
-                            replicate: f.replicate,
-                            attempt: f.attempt,
-                            message: f.message.clone(),
-                        },
-                        None => CoreError::invalid("repetition aborted without a failure record"),
-                    }));
-                }
-            }
-        }
-        report.normalize();
-        let required = opts.policy.required_successes(reps);
-        if report.succeeded < required {
-            return Err(CoreError::TooManyFailures {
-                succeeded: report.succeeded,
-                attempted: report.attempted,
-                required,
-            });
-        }
+        let mut sweep = Sweep {
+            plan: self,
+            params,
+            scalarize,
+            samples: Vec::with_capacity(reps),
+        };
+        let report = drive_in_memory(&mut sweep, seed, reps as u64, opts)?;
+        let samples = sweep.samples;
         let mut summary = Summary::new();
         for &v in &samples {
             summary.push(v);
         }
         Ok((McOutput { samples, summary }, report))
+    }
+}
+
+/// A composite Monte Carlo campaign as a surface: one boundary per
+/// repetition, each a full topological sweep reduced to a scalar.
+struct Sweep<'a, 'r, F> {
+    plan: &'a ExecutablePlan<'r>,
+    params: &'a ParamAssignment,
+    scalarize: F,
+    samples: Vec<f64>,
+}
+
+impl<F: Fn(&TimeSeries) -> f64> Surface for Sweep<'_, '_, F> {
+    type Value = f64;
+    type Error = CoreError;
+
+    fn attempt(&mut self, att: &Attempt<'_>) -> Result<f64, AttemptFailure<CoreError>> {
+        att.run(
+            "repetition",
+            || {
+                let out = self
+                    .plan
+                    .run_once(self.params, &att.streams(att.boundary))?;
+                Ok((self.scalarize)(&out))
+            },
+            |v| *v,
+        )
+    }
+
+    fn commit(&mut self, _: &mut CampaignState, _: u64, value: Option<f64>) {
+        if let Some(v) = value {
+            self.samples.push(v);
+        }
     }
 }
 
@@ -479,7 +456,7 @@ pub struct McOutput {
 mod tests {
     use super::*;
     use crate::registry::testutil::{demand_model, revenue_model};
-    use mde_numeric::resilience::RunPolicy;
+    use mde_numeric::resilience::{FaultKind, RunPolicy};
 
     fn registry() -> Registry {
         let mut reg = Registry::new();

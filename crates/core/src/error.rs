@@ -146,6 +146,40 @@ impl From<mde_numeric::NumericError> for CoreError {
     }
 }
 
+impl From<mde_numeric::CheckpointError> for CoreError {
+    /// Checkpoint failures reach the platform through the database layer's
+    /// durable campaigns, so they are reported as its error.
+    fn from(e: mde_numeric::CheckpointError) -> Self {
+        CoreError::Mcdb(e.into())
+    }
+}
+
+impl mde_numeric::BoundaryError for CoreError {
+    fn too_many_failures(succeeded: usize, attempted: usize, required: usize) -> Self {
+        CoreError::TooManyFailures {
+            succeeded,
+            attempted,
+            required,
+        }
+    }
+
+    fn boundary_failed(replicate: u64, attempt: u32, message: String) -> Self {
+        CoreError::ReplicateFailed {
+            replicate,
+            attempt,
+            message,
+        }
+    }
+
+    fn injected_fault(_: u64, _: u32) -> Self {
+        mde_numeric::NumericError::NoConvergence {
+            context: "injected fault",
+            iterations: 0,
+        }
+        .into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

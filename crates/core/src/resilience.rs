@@ -4,13 +4,15 @@
 //! [`RunPolicy`], deterministic [`retry_seed`] derivation, [`RunReport`]
 //! ledgers, and the [`FaultPlan`] injector — lives in
 //! [`mde_numeric::resilience`], at the bottom of the workspace dependency
-//! graph, so that every execution layer can speak it:
-//!
-//! * [`mde_mcdb::mc::MonteCarloQuery::run_with_options`] — supervised
-//!   Monte Carlo query estimation, at any [`RunOptions::threads`] count;
-//! * [`crate::composite::ExecutablePlan::run_monte_carlo_supervised`] —
-//!   supervised composite-model campaigns;
-//! * the particle filter's supervised step loop in `mde-assim`.
+//! graph, so that every execution layer can speak it. So does the one loop
+//! they all run: [`mde_numeric::resilience::boundary`] holds the boundary
+//! protocol (stop check → supervised [`Attempt`]s → commit → checkpoint
+//! cadence → seal; DESIGN.md §6 states it once) and the [`drive`] /
+//! [`drive_in_memory`] drivers over a [`Surface`]. Monte Carlo queries,
+//! [`crate::composite::ExecutablePlan::run_monte_carlo_supervised`], the
+//! particle filter, the durable optimizers and sequential bifurcation each
+//! supply an attempt body, the value that must be finite, and what a drop
+//! means — nothing else.
 //!
 //! This module is the front door: downstream code uses
 //! `mde_core::resilience::{RunPolicy, RunOptions, ...}` without caring
@@ -49,7 +51,8 @@ pub use mde_numeric::resilience::sched::{
     Priority, SliceRun,
 };
 pub use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, CancelReason, CancelToken,
-    CheckpointSpec, Deadline, ErrorClass, FailureKind, FailureRecord, Fault, FaultKind, FaultPlan,
-    ReplicateOutcome, RunOptions, RunPolicy, RunReport, Severity, StopCause,
+    catch_panic, drive, drive_in_memory, retry_seed, supervise_boundary, supervise_replicate,
+    Attempt, AttemptFailure, BoundaryError, CancelReason, CancelToken, CheckpointSpec, Deadline,
+    ErrorClass, FailureKind, FailureRecord, Fault, FaultKind, FaultPlan, ReplicateOutcome,
+    RunOptions, RunPolicy, RunReport, Severity, StopCause, Surface,
 };

@@ -519,8 +519,10 @@ impl Scheduler {
         Ok(id)
     }
 
-    /// Drain the admitted queue over `threads` workers and return the
-    /// per-campaign reports and the scheduler ledger. Never deadlocks:
+    /// Drain the admitted queue over at most `threads` workers — the
+    /// calling thread is one of them, and no more are started than there
+    /// are campaigns waiting — and return the per-campaign reports and the
+    /// scheduler ledger. Never deadlocks:
     /// every worker wait is bounded, stalled/slow workers only delay their
     /// own slice, and every admitted campaign terminates in one of the
     /// [`CampaignStatus`] arms.
@@ -549,6 +551,11 @@ impl Scheduler {
             }
         }
 
+        // A worker beyond the number of waiting campaigns would only park
+        // until its peers finish, and the caller would only park in the
+        // join: the caller is the first worker, and a one-campaign batch
+        // (every `CAMPAIGN` frame through the server's hub) spawns nothing.
+        let workers = threads.clamp(1, self.queued().max(1));
         let pool = Pool {
             state: Mutex::new(PoolState {
                 entries: std::mem::take(&mut self.entries),
@@ -560,11 +567,11 @@ impl Scheduler {
             cfg: self.cfg.clone(),
         };
 
-        let workers = threads.max(1);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 1..workers {
                 scope.spawn(|| pool.worker());
             }
+            pool.worker();
         });
 
         let state = pool.state.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -1210,6 +1217,46 @@ mod tests {
         let r = run.report(id).unwrap();
         assert!(matches!(r.status, CampaignStatus::Completed(_)));
         assert_eq!(r.attempts, 1);
+    }
+
+    #[test]
+    fn workers_are_the_caller_plus_at_most_one_per_waiting_campaign() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        /// Records the thread it ran on; slow enough that a second worker,
+        /// if there is one, takes the next campaign.
+        struct Whereabouts(Arc<Mutex<HashSet<ThreadId>>>);
+        impl Campaign for Whereabouts {
+            fn run(&mut self, _ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
+                self.0.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(done(0.0))
+            }
+        }
+        let ran_on = |campaigns: usize, threads: usize| {
+            let seen = Arc::new(Mutex::new(HashSet::new()));
+            let mut s = Scheduler::new(fast_cfg());
+            for k in 0..campaigns {
+                s.submit(
+                    CampaignSpec::new("t", format!("c{k}")),
+                    Box::new(Whereabouts(Arc::clone(&seen))),
+                )
+                .unwrap();
+            }
+            let run = s.run(threads);
+            assert_eq!(run.metrics.counter("sched.completed"), campaigns as u64);
+            let seen = seen.lock().unwrap().clone();
+            seen
+        };
+        let me = std::thread::current().id();
+        // One campaign: it runs on the caller whatever `threads` says.
+        assert_eq!(ran_on(1, 4), HashSet::from([me]));
+        // Several: the caller and one spawned worker share them.
+        let two = ran_on(4, 2);
+        assert!(two.contains(&me));
+        assert_eq!(two.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! threshold decisions — plus the Figure 1 cautionary baseline, a
 //! shallow trend extrapolation for comparison.
 
-use mde_mcdb::mc::{McResult, MonteCarloQuery};
+use mde_mcdb::mc::{McResult, McRun, MonteCarloQuery};
 use mde_mcdb::prelude::*;
 use mde_numeric::resilience::RunOptions;
 use mde_numeric::stats::TrendAr1Model;
@@ -53,23 +53,28 @@ impl WhatIfSession {
     }
 
     /// Run a what-if query: realize all attached stochastic models `n`
-    /// times, executing the scalar aggregate query per realization.
+    /// times, executing the scalar aggregate query per realization. The
+    /// three-argument convenience over [`WhatIfSession::what_if_with`].
     pub fn what_if(&self, plan: &Plan, n: usize, seed: u64) -> crate::Result<McResult> {
-        let q = MonteCarloQuery::new(self.specs.clone(), plan.clone());
-        Ok(q.run(&self.catalog, n, seed)?)
+        Ok(self
+            .what_if_with(plan, n, seed, &RunOptions::default())?
+            .result)
     }
 
-    /// [`WhatIfSession::what_if`] on `threads` worker threads (same samples).
-    pub fn what_if_parallel(
+    /// Run a what-if query under `opts` — worker threads, recovery policy,
+    /// result cache, checkpointing and resumption are all options of the
+    /// one Monte Carlo entry point
+    /// ([`MonteCarloQuery::run_with_options`]); the samples are the same at
+    /// any thread count.
+    pub fn what_if_with(
         &self,
         plan: &Plan,
         n: usize,
         seed: u64,
-        threads: usize,
-    ) -> crate::Result<McResult> {
+        opts: &RunOptions,
+    ) -> crate::Result<McRun> {
         let q = MonteCarloQuery::new(self.specs.clone(), plan.clone());
-        let opts = RunOptions::default().with_threads(threads);
-        Ok(q.run_with_options(&self.catalog, n, seed, &opts)?.result)
+        Ok(q.run_with_options(&self.catalog, n, seed, opts)?)
     }
 }
 
@@ -156,7 +161,8 @@ mod tests {
             Some(true)
         );
         // Parallel agrees exactly.
-        let par = s.what_if_parallel(&plan, 300, 4, 4).unwrap();
+        let opts = RunOptions::default().with_threads(4);
+        let par = s.what_if_with(&plan, 300, 4, &opts).unwrap().result;
         assert_eq!(res.samples(), par.samples());
     }
 

@@ -300,6 +300,32 @@ impl From<mde_numeric::CheckpointError> for McdbError {
     }
 }
 
+impl mde_numeric::BoundaryError for McdbError {
+    fn too_many_failures(succeeded: usize, attempted: usize, required: usize) -> Self {
+        McdbError::TooManyFailures {
+            succeeded,
+            attempted,
+            required,
+        }
+    }
+
+    fn boundary_failed(replicate: u64, attempt: u32, message: String) -> Self {
+        McdbError::ReplicateFailed {
+            replicate,
+            attempt,
+            message,
+        }
+    }
+
+    fn injected_fault(_: u64, _: u32) -> Self {
+        mde_numeric::NumericError::NoConvergence {
+            context: "injected fault",
+            iterations: 0,
+        }
+        .into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

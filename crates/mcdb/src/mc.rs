@@ -43,8 +43,7 @@ use crate::table::Table;
 use mde_numeric::cache::{CacheEntry, CacheKey, Provenance};
 use mde_numeric::checkpoint::{CampaignState, Fingerprint};
 use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, FaultKind, ReplicateOutcome,
-    RunOptions, RunReport, StopCause,
+    supervise_boundary, CheckpointSpec, ReplicateOutcome, RunOptions, RunReport, StopCause,
 };
 use mde_numeric::rng::StreamFactory;
 use mde_numeric::stats::{
@@ -100,7 +99,7 @@ impl MonteCarloQuery {
     /// * `FailFast` — abort on the first failure with the replicate's
     ///   typed error.
     /// * `Retry` — re-execute the replicate on a fresh deterministic
-    ///   sub-seed ([`retry_seed`]) up to `max_attempts`.
+    ///   sub-seed ([`mde_numeric::resilience::retry_seed`]) up to `max_attempts`.
     /// * `BestEffort` — drop failing replicates; the run succeeds as long
     ///   as at least `min_fraction` of replicates produce a sample, and
     ///   the returned [`RunReport`] carries the complete failure ledger.
@@ -286,7 +285,6 @@ impl MonteCarloQuery {
         // attempt — so they abort under every policy, exactly as fatal
         // runtime errors did when planning happened inside each replicate.
         let prepared = prepare_task(&self.specs, &self.query, catalog)?;
-        let factory = StreamFactory::new(seed);
         let stop_at = AtomicU64::new(n);
         // Worker `t`'s share: replicates `start + t`, `start + t + threads`, …
         // each handed to `sink` as it completes.
@@ -300,15 +298,19 @@ impl MonteCarloQuery {
                         return Ok(Some((i, cause)));
                     }
                     let t0 = Instant::now();
-                    let outcome = self.supervised_iteration(
-                        &prepared,
-                        catalog,
-                        &mut scratch,
-                        &factory,
-                        seed,
-                        i,
-                        opts,
-                    );
+                    let outcome = supervise_boundary(seed, i, opts, |att| {
+                        let sample = att.run(
+                            "replicate",
+                            || realize_and_query(&prepared, &mut scratch, &att.streams(i)),
+                            |v| *v,
+                        );
+                        if sample.is_err() {
+                            // A failed attempt (a panic above all) can leave
+                            // partially realized tables behind.
+                            scratch = catalog.clone();
+                        }
+                        sample
+                    });
                     if matches!(outcome, ReplicateOutcome::Abort { .. }) {
                         // No worker needs to proceed past an abort; whether it
                         // surfaces is decided when it is committed.
@@ -322,35 +324,24 @@ impl MonteCarloQuery {
         // Commit one outcome into the ledger. Outcomes arrive in replicate
         // order, so an abort surfaces exactly when the sequential loop
         // would have hit it.
-        let commit = |state: &mut CampaignState, (i, outcome, elapsed): Entry| {
-            state.report.absorb(&outcome);
+        let commit = |state: &mut CampaignState,
+                      (i, outcome, elapsed): Entry,
+                      cadence: Option<&CheckpointSpec>| {
             state
                 .report
                 .metrics
                 .observe_duration("mc.replicate", elapsed);
-            match outcome {
-                ReplicateOutcome::Success { value, .. } => {
+            state.commit(i, outcome, cadence, |state, sample| {
+                if let Some(value) = sample {
                     state.report.metrics.observe("mc.sample", value);
                     state.completed.push((i, vec![value]));
                 }
-                ReplicateOutcome::Dropped { .. } => {}
-                ReplicateOutcome::Abort { error, failures } => {
-                    return Err(abort_error(error, &failures));
-                }
-            }
-            state.cursor = i + 1;
-            Ok(())
+            })
         };
 
         let stop: Stop = if threads == 1 {
             work(0, &mut |entry| {
-                commit(&mut state, entry)?;
-                if let Some(spec) = &opts.checkpoint {
-                    if spec.due(state.cursor) {
-                        state.save_ledgered(&spec.path)?;
-                    }
-                }
-                Ok(())
+                commit(&mut state, entry, opts.checkpoint.as_ref())
             })?
         } else {
             let joined = crossbeam::thread::scope(|scope| {
@@ -396,71 +387,18 @@ impl MonteCarloQuery {
             let mut entries: Vec<Entry> = joined.into_iter().flat_map(|(e, _)| e).collect();
             entries.sort_by_key(|(i, ..)| *i);
             for entry in entries.into_iter().filter(|(i, ..)| *i < cut) {
-                commit(&mut state, entry)?;
+                commit(&mut state, entry, None)?;
             }
             stop
         };
-        seal(state, n as usize, opts, stop.map(|(_, cause)| cause))
-    }
-
-    /// Supervise one replicate to completion: run the attempt loop under
-    /// the policy, executing each attempt inside `catch_unwind`, injecting
-    /// any scheduled fault, deriving fresh sub-seeds for reseeding
-    /// retries, and resetting the scratch catalog after a failed attempt
-    /// (a panic can leave partially realized tables behind).
-    #[allow(clippy::too_many_arguments)]
-    fn supervised_iteration(
-        &self,
-        prepared: &PreparedMc,
-        catalog: &Catalog,
-        scratch: &mut Catalog,
-        factory: &StreamFactory,
-        master_seed: u64,
-        i: u64,
-        opts: &RunOptions,
-    ) -> ReplicateOutcome<f64, crate::McdbError> {
-        supervise_replicate(i, &opts.policy, |a| {
-            // Attempt 0 keeps the legacy stream layout (bit-compatible
-            // with unsupervised runs); reseeding retries derive a fresh
-            // deterministic sub-seed so they never replay the failing
-            // stream.
-            let iter_factory = if a == 0 || !opts.policy.reseeds() {
-                factory.child(i)
-            } else {
-                StreamFactory::new(retry_seed(master_seed, i, a))
-            };
-            let injected = opts.fault(i, a);
-            if injected == Some(FaultKind::Error) {
-                return Err(AttemptFailure::from_error(crate::McdbError::Numeric(
-                    mde_numeric::NumericError::NoConvergence {
-                        context: "injected fault",
-                        iterations: 0,
-                    },
-                )));
-            }
-            let run = catch_panic(|| -> crate::Result<f64> {
-                if injected == Some(FaultKind::Panic) {
-                    panic!("injected fault: panic in replicate {i} attempt {a}");
-                }
-                let v = realize_and_query(prepared, scratch, &iter_factory)?;
-                Ok(if injected == Some(FaultKind::Nan) {
-                    f64::NAN
-                } else {
-                    v
-                })
-            });
-            match run {
-                Err(panic_msg) => {
-                    *scratch = catalog.clone();
-                    Err(AttemptFailure::from_panic(panic_msg))
-                }
-                Ok(Err(e)) => {
-                    *scratch = catalog.clone();
-                    Err(AttemptFailure::from_error(e))
-                }
-                Ok(Ok(v)) if !v.is_finite() => Err(AttemptFailure::non_finite(v)),
-                Ok(Ok(v)) => Ok(v),
-            }
+        let stopped = stop.map(|(_, cause)| cause);
+        state.seal::<crate::McdbError>(opts, stopped)?;
+        let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
+        Ok(McRun {
+            result: McResult::new(samples),
+            report: state.report.clone(),
+            stopped,
+            checkpoint: Some(state),
         })
     }
 
@@ -531,8 +469,8 @@ fn prepare_task(
 
 /// Realize every stochastic table from `iter_factory`'s streams and
 /// evaluate the aggregate query. The attempt body of a supervised
-/// replicate: the caller chooses the factory (legacy `child(i)` on
-/// attempt 0, a [`retry_seed`]-derived one on reseeding retries).
+/// replicate, on the stream family
+/// [`Attempt::streams`](mde_numeric::resilience::Attempt::streams) chose.
 fn realize_and_query(
     prepared: &PreparedMc,
     scratch: &mut Catalog,
@@ -575,61 +513,6 @@ pub struct McRun {
     /// [`CampaignState::load`] reads back from disk when a
     /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached).
     pub checkpoint: Option<CampaignState>,
-}
-
-/// The error surfaced when a replicate aborts the run: the replicate's own
-/// typed error when it produced one, otherwise a
-/// [`ReplicateFailed`](crate::McdbError::ReplicateFailed) synthesized from
-/// the terminal failure record (panics and non-finite samples).
-fn abort_error(
-    error: Option<crate::McdbError>,
-    failures: &[mde_numeric::resilience::FailureRecord],
-) -> crate::McdbError {
-    if let Some(e) = error {
-        return e;
-    }
-    match failures.last() {
-        Some(f) => crate::McdbError::ReplicateFailed {
-            replicate: f.replicate,
-            attempt: f.attempt,
-            message: f.message.clone(),
-        },
-        None => crate::McdbError::invalid_plan("replicate aborted without a failure record"),
-    }
-}
-
-/// Seal a supervised run: normalize the ledger, enforce the best-effort
-/// success floor (completed runs only — a stopped run is partial by
-/// design and is returned with whatever it has, plus its checkpoint),
-/// persist the final checkpoint, and package the surviving samples.
-fn seal(
-    mut state: CampaignState,
-    n: usize,
-    opts: &RunOptions,
-    stopped: Option<StopCause>,
-) -> crate::Result<McRun> {
-    state.report.normalize();
-    state.completed.sort_by_key(|(i, _)| *i);
-    if stopped.is_none() {
-        let required = opts.policy.required_successes(n);
-        if state.report.succeeded < required {
-            return Err(crate::McdbError::TooManyFailures {
-                succeeded: state.report.succeeded,
-                attempted: state.report.attempted,
-                required,
-            });
-        }
-    }
-    if let Some(spec) = &opts.checkpoint {
-        state.save_ledgered(&spec.path)?;
-    }
-    let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
-    Ok(McRun {
-        result: McResult::new(samples),
-        report: state.report.clone(),
-        stopped,
-        checkpoint: Some(state),
-    })
 }
 
 /// The Monte Carlo sample of a query result, with estimation helpers.
@@ -858,7 +741,7 @@ mod tests {
     use crate::table::Table;
     use crate::value::Value;
     use crate::vg::NormalVg;
-    use mde_numeric::resilience::RunPolicy;
+    use mde_numeric::resilience::{FaultKind, RunPolicy};
     use std::sync::Arc;
 
     fn demand_catalog() -> Catalog {

@@ -107,6 +107,24 @@ impl mde_numeric::ErrorClass for MetamodelError {
     }
 }
 
+impl mde_numeric::BoundaryError for MetamodelError {
+    fn too_many_failures(succeeded: usize, attempted: usize, required: usize) -> Self {
+        MetamodelError::TooManyFailures {
+            succeeded,
+            attempted,
+            required,
+        }
+    }
+
+    fn boundary_failed(round: u64, attempt: u32, message: String) -> Self {
+        MetamodelError::RoundFailed {
+            round,
+            attempt,
+            message,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

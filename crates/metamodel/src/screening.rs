@@ -20,8 +20,7 @@ use crate::gp::{GpConfig, GpModel};
 use crate::response::ResponseSurface;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::resilience::{
-    catch_panic, retry_seed, supervise_replicate, AttemptFailure, FailureRecord, FaultKind,
-    ReplicateOutcome, RunOptions, RunReport, StopCause,
+    drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::{Rng, StreamFactory};
 
@@ -164,14 +163,38 @@ pub fn sequential_bifurcation_durable<R: ResponseSurface>(
 ) -> crate::Result<ScreeningRun> {
     let k = response.dim();
     validate_sb_config(cfg, k)?;
-    let state = CampaignState::start_or_resume(
+    let mut state = CampaignState::start_or_resume(
         opts.resume.as_ref(),
         CAMPAIGN_SB,
         sb_fingerprint(cfg, seed, k),
         seed,
         0,
     )?;
-    sb_campaign(response, cfg, seed, opts, state)
+    let (runs_used, important, queue, cache) = decode_sb_state(&state, k)?;
+    let mut screen = SbSurface {
+        response,
+        cfg,
+        runs_used,
+        important,
+        queue,
+        cache,
+    };
+    screen.encode_into(&mut state);
+    let stopped = drive(&mut screen, &mut state, opts)?;
+    let result = screen.queue.is_empty().then(|| {
+        let mut important = screen.important;
+        important.sort_unstable();
+        ScreeningResult {
+            important,
+            runs_used: screen.runs_used as usize,
+        }
+    });
+    Ok(ScreeningRun {
+        result,
+        report: state.report.clone(),
+        stopped,
+        checkpoint: Some(state),
+    })
 }
 
 fn validate_sb_config(cfg: &BifurcationConfig, k: usize) -> crate::Result<()> {
@@ -204,184 +227,114 @@ fn sb_fingerprint(cfg: &BifurcationConfig, seed: u64, k: usize) -> u64 {
         .finish()
 }
 
-/// The durable campaign loop over bisection rounds.
-fn sb_campaign<R: ResponseSurface>(
-    response: &R,
-    cfg: &BifurcationConfig,
-    seed: u64,
-    opts: &RunOptions,
-    mut state: CampaignState,
-) -> crate::Result<ScreeningRun> {
-    let k = response.dim();
-    let factory = StreamFactory::new(seed);
-    let (mut runs_used, mut important, mut queue, mut cache) = decode_sb_state(&state, k)?;
-    let mut stopped = None;
-
-    while let Some(&(lo, hi)) = queue.last() {
-        let b = state.cursor;
-        if let Some(cause) = opts.stop_cause(b) {
-            stopped = Some(cause);
-            break;
-        }
-        queue.pop();
-        type ProbeValue = ((usize, f64, bool), (usize, f64, bool));
-        let outcome: ReplicateOutcome<ProbeValue, MetamodelError> =
-            supervise_replicate(b, &opts.policy, |a| {
-                let injected = opts.fault(b, a);
-                if injected == Some(FaultKind::Error) {
-                    return Err(AttemptFailure::from_error(MetamodelError::RoundFailed {
-                        round: b,
-                        attempt: a,
-                        message: "injected fault".into(),
-                    }));
-                }
-                let run = catch_panic(|| {
-                    if injected == Some(FaultKind::Panic) {
-                        panic!("injected fault: panic in bifurcation round {b} attempt {a}");
-                    }
-                    // A probe's stream is keyed on its boundary index
-                    // (`hi_upto`), not the round, so the cache stays
-                    // coherent; reseeding retries salt by attempt and
-                    // commit only on success.
-                    let probe = |hi_upto: usize| -> (f64, bool) {
-                        if let Some(&v) = cache.get(&hi_upto) {
-                            return (v, false);
-                        }
-                        let mut rng = if a == 0 || !opts.policy.reseeds() {
-                            factory.child(hi_upto as u64).stream(0)
-                        } else {
-                            StreamFactory::new(retry_seed(seed, hi_upto as u64, a)).stream(0)
-                        };
-                        let x: Vec<f64> = (0..k)
-                            .map(|j| if j < hi_upto { 1.0 } else { -1.0 })
-                            .collect();
-                        (response.eval_mean(&x, cfg.reps, &mut rng), true)
-                    };
-                    let (y_hi, fresh_hi) = probe(hi);
-                    let (y_lo, fresh_lo) = probe(lo);
-                    let y_hi = if injected == Some(FaultKind::Nan) {
-                        f64::NAN
-                    } else {
-                        y_hi
-                    };
-                    ((hi, y_hi, fresh_hi), (lo, y_lo, fresh_lo))
-                });
-                match run {
-                    Err(panic_msg) => Err(AttemptFailure::from_panic(panic_msg)),
-                    Ok(value) => {
-                        let ((_, y_hi, _), (_, y_lo, _)) = value;
-                        if !y_hi.is_finite() {
-                            Err(AttemptFailure::non_finite(y_hi))
-                        } else if !y_lo.is_finite() {
-                            Err(AttemptFailure::non_finite(y_lo))
-                        } else {
-                            Ok(value)
-                        }
-                    }
-                }
-            });
-        state.report.absorb(&outcome);
-        match outcome {
-            ReplicateOutcome::Success {
-                value: ((hi_key, y_hi, fresh_hi), (lo_key, y_lo, fresh_lo)),
-                ..
-            } => {
-                if fresh_hi {
-                    cache.insert(hi_key, y_hi);
-                    runs_used += 1;
-                }
-                if fresh_lo {
-                    cache.insert(lo_key, y_lo);
-                    runs_used += 1;
-                }
-                if y_hi - y_lo > cfg.threshold {
-                    if hi - lo == 1 {
-                        important.push(lo);
-                    } else {
-                        let mid = lo + (hi - lo) / 2;
-                        queue.push((lo, mid));
-                        queue.push((mid, hi));
-                    }
-                }
-            }
-            // A dropped round leaves its factor group unresolved: the
-            // subtree is abandoned (graceful degradation) rather than
-            // poisoning the campaign.
-            ReplicateOutcome::Dropped { .. } => {}
-            ReplicateOutcome::Abort { error, failures } => {
-                return Err(sb_abort_error(error, &failures));
-            }
-        }
-        state.cursor = b + 1;
-        encode_sb_state(&mut state, runs_used, &important, &queue, &cache);
-        if let Some(spec) = &opts.checkpoint {
-            if spec.due(state.cursor) {
-                state.save(&spec.path).map_err(MetamodelError::from)?;
-            }
-        }
-    }
-    state.report.normalize();
-    if stopped.is_none() {
-        // The campaign is open-ended, so the best-effort floor is taken
-        // over the rounds actually attempted.
-        let required = opts.policy.required_successes(state.report.attempted);
-        if state.report.succeeded < required {
-            return Err(MetamodelError::TooManyFailures {
-                succeeded: state.report.succeeded,
-                attempted: state.report.attempted,
-                required,
-            });
-        }
-    }
-    encode_sb_state(&mut state, runs_used, &important, &queue, &cache);
-    if let Some(spec) = &opts.checkpoint {
-        state.save(&spec.path).map_err(MetamodelError::from)?;
-    }
-    let result = if queue.is_empty() {
-        let mut important = important;
-        important.sort_unstable();
-        Some(ScreeningResult {
-            important,
-            runs_used: runs_used as usize,
-        })
-    } else {
-        None
-    };
-    Ok(ScreeningRun {
-        result,
-        report: state.report.clone(),
-        stopped,
-        checkpoint: Some(state),
-    })
-}
-
-/// Serialize the campaign's working set into the checkpoint scratch
-/// fields: `ints = [runs_used, |important|, important.., |queue|,
-/// (lo, hi).., |cache|, cache keys..]`, `floats = cache values` (in key
-/// order — the cache is a `BTreeMap` precisely so this is canonical).
-fn encode_sb_state(
-    state: &mut CampaignState,
+/// Sequential bifurcation as a campaign surface: one boundary per
+/// bisection round, open-ended — the campaign is done when the queue of
+/// unresolved factor groups drains.
+struct SbSurface<'a, R> {
+    response: &'a R,
+    cfg: &'a BifurcationConfig,
     runs_used: u64,
-    important: &[usize],
-    queue: &[(usize, usize)],
-    cache: &BTreeMap<usize, f64>,
-) {
-    let mut ints = Vec::with_capacity(3 + important.len() + 2 * queue.len() + cache.len());
-    ints.push(runs_used);
-    ints.push(important.len() as u64);
-    ints.extend(important.iter().map(|&j| j as u64));
-    ints.push(queue.len() as u64);
-    for &(lo, hi) in queue {
-        ints.push(lo as u64);
-        ints.push(hi as u64);
-    }
-    ints.push(cache.len() as u64);
-    ints.extend(cache.keys().map(|&key| key as u64));
-    state.ints = ints;
-    state.floats = cache.values().copied().collect();
+    important: Vec<usize>,
+    /// Half-open factor ranges `[lo, hi)` still to resolve; the last is next.
+    queue: Vec<(usize, usize)>,
+    /// Probe cache: response with factors `0..hi_upto` high, keyed by
+    /// `hi_upto`. A `BTreeMap` so its encoding is canonical.
+    cache: BTreeMap<usize, f64>,
 }
 
-/// Inverse of [`encode_sb_state`], with typed [`CheckpointError::Corrupt`]
+impl<R: ResponseSurface> SbSurface<'_, R> {
+    /// Serialize the working set into the checkpoint scratch fields:
+    /// `ints = [runs_used, |important|, important.., |queue|, (lo, hi)..,
+    /// |cache|, cache keys..]`, `floats = cache values` (in key order).
+    fn encode_into(&self, state: &mut CampaignState) {
+        let mut ints =
+            Vec::with_capacity(3 + self.important.len() + 2 * self.queue.len() + self.cache.len());
+        ints.push(self.runs_used);
+        ints.push(self.important.len() as u64);
+        ints.extend(self.important.iter().map(|&j| j as u64));
+        ints.push(self.queue.len() as u64);
+        for &(lo, hi) in &self.queue {
+            ints.push(lo as u64);
+            ints.push(hi as u64);
+        }
+        ints.push(self.cache.len() as u64);
+        ints.extend(self.cache.keys().map(|&key| key as u64));
+        state.ints = ints;
+        state.floats = self.cache.values().copied().collect();
+    }
+}
+
+impl<R: ResponseSurface> Surface for SbSurface<'_, R> {
+    /// `(y_hi, y_lo)`, each with whether it was freshly probed.
+    type Value = ((f64, bool), (f64, bool));
+    type Error = MetamodelError;
+
+    fn pending(&self, _: &CampaignState) -> bool {
+        !self.queue.is_empty()
+    }
+
+    fn attempt(
+        &mut self,
+        att: &Attempt<'_>,
+    ) -> Result<Self::Value, AttemptFailure<MetamodelError>> {
+        let &(lo, hi) = self
+            .queue
+            .last()
+            .expect("a pending round has a queued group");
+        let k = self.response.dim();
+        att.run(
+            "bifurcation round",
+            || {
+                // A probe's stream is keyed on its own index (`hi_upto`),
+                // not the round, so the cache stays coherent; a probe is
+                // committed to the cache only when its round succeeds.
+                let probe = |hi_upto: usize| -> (f64, bool) {
+                    if let Some(&v) = self.cache.get(&hi_upto) {
+                        return (v, false);
+                    }
+                    let mut rng = att.streams(hi_upto as u64).stream(0);
+                    let x: Vec<f64> = (0..k)
+                        .map(|j| if j < hi_upto { 1.0 } else { -1.0 })
+                        .collect();
+                    (self.response.eval_mean(&x, self.cfg.reps, &mut rng), true)
+                };
+                Ok((probe(hi), probe(lo)))
+            },
+            |&((y_hi, _), (y_lo, _))| if y_hi.is_finite() { y_lo } else { y_hi },
+        )
+    }
+
+    /// A dropped round leaves its factor group unresolved: the subtree is
+    /// abandoned (graceful degradation) rather than poisoning the campaign.
+    fn commit(&mut self, state: &mut CampaignState, _: u64, value: Option<Self::Value>) {
+        let (lo, hi) = self
+            .queue
+            .pop()
+            .expect("a committed round had a queued group");
+        if let Some(((y_hi, fresh_hi), (y_lo, fresh_lo))) = value {
+            if fresh_hi {
+                self.cache.insert(hi, y_hi);
+                self.runs_used += 1;
+            }
+            if fresh_lo {
+                self.cache.insert(lo, y_lo);
+                self.runs_used += 1;
+            }
+            if y_hi - y_lo > self.cfg.threshold {
+                if hi - lo == 1 {
+                    self.important.push(lo);
+                } else {
+                    let mid = lo + (hi - lo) / 2;
+                    self.queue.push((lo, mid));
+                    self.queue.push((mid, hi));
+                }
+            }
+        }
+        self.encode_into(state);
+    }
+}
+
+/// Inverse of `SbSurface::encode_into`, with typed [`CheckpointError::Corrupt`]
 /// on structural disagreement. A fresh state (`cursor == 0`, empty
 /// scratch) decodes to the initial working set with the whole factor
 /// range queued.
@@ -462,22 +415,6 @@ fn decode_sb_state(
         .zip(state.floats.iter().copied())
         .collect();
     Ok((runs_used, important, queue, cache))
-}
-
-/// The error surfaced when a round aborts the campaign.
-fn sb_abort_error(error: Option<MetamodelError>, failures: &[FailureRecord]) -> MetamodelError {
-    error.unwrap_or_else(|| match failures.last() {
-        Some(rec) => MetamodelError::RoundFailed {
-            round: rec.replicate,
-            attempt: rec.attempt,
-            message: rec.message.clone(),
-        },
-        None => MetamodelError::RoundFailed {
-            round: 0,
-            attempt: 0,
-            message: "aborted with no failure record".into(),
-        },
-    })
 }
 
 /// GP-based screening: fit a GP on a nearly orthogonal Latin hypercube

@@ -910,7 +910,11 @@ mod tests {
     use crate::resilience::{ErrorClass as _, Severity};
 
     fn entry(seed: u64, x: &[f64], values: Vec<f64>) -> CacheEntry {
-        CacheEntry::leaf(CacheKey::for_point(0xABCD, x, 8, seed), "test.campaign", values)
+        CacheEntry::leaf(
+            CacheKey::for_point(0xABCD, x, 8, seed),
+            "test.campaign",
+            values,
+        )
     }
 
     fn entry_with_report(seed: u64) -> CacheEntry {
@@ -939,16 +943,26 @@ mod tests {
     fn hit_requires_exact_key() {
         let cache = CacheHandle::in_memory();
         cache.insert(entry(42, &[1.0, 2.0], vec![7.0]));
-        assert!(cache.get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 8, 42)).is_some());
+        assert!(cache
+            .get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 8, 42))
+            .is_some());
         // Stale seed never hits.
-        assert!(cache.get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 8, 43)).is_none());
+        assert!(cache
+            .get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 8, 43))
+            .is_none());
         // Foreign fingerprint never hits.
-        assert!(cache.get(&CacheKey::for_point(0xABCE, &[1.0, 2.0], 8, 42)).is_none());
+        assert!(cache
+            .get(&CacheKey::for_point(0xABCE, &[1.0, 2.0], 8, 42))
+            .is_none());
         // Different replicate count never hits.
-        assert!(cache.get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 9, 42)).is_none());
+        assert!(cache
+            .get(&CacheKey::for_point(0xABCD, &[1.0, 2.0], 9, 42))
+            .is_none());
         // Bit-level point equality: -0.0 is not 0.0.
         cache.insert(entry(42, &[0.0], vec![1.0]));
-        assert!(cache.get(&CacheKey::for_point(0xABCD, &[-0.0], 8, 42)).is_none());
+        assert!(cache
+            .get(&CacheKey::for_point(0xABCD, &[-0.0], 8, 42))
+            .is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 4);
@@ -964,14 +978,22 @@ mod tests {
         cache.insert(entry(2, &[2.0], vec![2.0]));
         cache.insert(entry(3, &[3.0], vec![3.0]));
         // Touch entry 1 so entry 2 is now least recently used.
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[1.0], 8, 1)).is_some());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[1.0], 8, 1))
+            .is_some());
         cache.insert(entry(4, &[4.0], vec![4.0]));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 3);
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[2.0], 8, 2)).is_none());
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[1.0], 8, 1)).is_some());
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[4.0], 8, 4)).is_some());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[2.0], 8, 2))
+            .is_none());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[1.0], 8, 1))
+            .is_some());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[4.0], 8, 4))
+            .is_some());
     }
 
     #[test]
@@ -1001,8 +1023,12 @@ mod tests {
         let probe = encode_entry_body(&entry(9, &[9.0], vec![9.0])).len() as u64 + 16;
         cache.max_bytes = cache.total_bytes() + probe / 2;
         cache.insert(entry(9, &[9.0], vec![9.0]));
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[3.0], 8, 3)).is_none());
-        assert!(cache.lookup(&CacheKey::for_point(0xABCD, &[2.0], 8, 2)).is_some());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[3.0], 8, 3))
+            .is_none());
+        assert!(cache
+            .lookup(&CacheKey::for_point(0xABCD, &[2.0], 8, 2))
+            .is_some());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1043,13 +1069,18 @@ mod tests {
             }
             // Recovery mode never errors on body damage and never serves
             // the damaged entry.
-            if let Ok((cache, _dropped)) = ResultCache::open_or_recover(&path, DEFAULT_MAX_BYTES)
-            {
-                if let Some((e, _)) = CacheHandle::new(cache)
-                    .lock()
-                    .lookup(&CacheKey::for_point(0xABCD, &[1.5, -0.0], 8, 7))
-                {
-                    assert_eq!(e, entry_with_report(7), "flip at byte {pos} served altered data");
+            if let Ok((cache, _dropped)) = ResultCache::open_or_recover(&path, DEFAULT_MAX_BYTES) {
+                if let Some((e, _)) = CacheHandle::new(cache).lock().lookup(&CacheKey::for_point(
+                    0xABCD,
+                    &[1.5, -0.0],
+                    8,
+                    7,
+                )) {
+                    assert_eq!(
+                        e,
+                        entry_with_report(7),
+                        "flip at byte {pos} served altered data"
+                    );
                 }
             }
         }
@@ -1071,9 +1102,8 @@ mod tests {
         let good = std::fs::read(&path).expect("read");
         for keep in 0..good.len() {
             std::fs::write(&path, &good[..keep]).expect("write");
-            match ResultCache::open(&path, DEFAULT_MAX_BYTES) {
-                Ok(cache) => assert_eq!(cache.stats().entries, 0, "truncate at {keep}"),
-                Err(_) => {}
+            if let Ok(cache) = ResultCache::open(&path, DEFAULT_MAX_BYTES) {
+                assert_eq!(cache.stats().entries, 0, "truncate at {keep}");
             }
             // Recovery keeps any fully intact prefix entries.
             let (cache, _) =
@@ -1100,7 +1130,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(evals, 2, "second evaluation of [3.0] must be a hit");
         let trace = scope.store_trace(vec![3.0, 6.0]);
-        let prov = handle.provenance_of(&scope.trace_key()).expect("trace provenance");
+        let prov = handle
+            .provenance_of(&scope.trace_key())
+            .expect("trace provenance");
         assert_eq!(prov.campaign, "calibrate.test");
         // Upstream: store(3.0), hit(3.0), store(5.0).
         assert_eq!(prov.upstream.len(), 3);
@@ -1119,7 +1151,13 @@ mod tests {
             found: "2".into(),
         }
         .into();
-        assert!(matches!(e, CacheError::KeyMismatch { field: "fingerprint", .. }));
+        assert!(matches!(
+            e,
+            CacheError::KeyMismatch {
+                field: "fingerprint",
+                ..
+            }
+        ));
         assert_eq!(e.severity(), Severity::Fatal);
         let c: CacheError = CheckpointError::Corrupt { reason: "x".into() }.into();
         assert!(matches!(c, CacheError::Corrupt { .. }));

@@ -12,7 +12,7 @@
 //!   campaign: campaign tag, seed/spec [`fingerprint`](Fingerprint),
 //!   master seed, progress cursor, the completed-replicate ledger, the
 //!   accumulated [`RunReport`], and two surface-specific payload slots.
-//! * A hand-rolled, versioned binary codec (magic `MDECKPT1`, FNV-1a
+//! * A hand-rolled, versioned binary codec (magic `MDECKPT2`, FNV-1a
 //!   checksum header) — no external serialization dependency, and every
 //!   decode failure is a typed [`CheckpointError`], never a panic.
 //! * Crash-consistent [`CampaignState::save`]: write to a temporary
@@ -473,8 +473,8 @@ impl CampaignState {
 
     /// [`CampaignState::save`], folding the save's cost into this state's
     /// own ledger (out-of-band, so the bytes just written — and any later
-    /// resume — are unaffected). What every surface's checkpoint cadence
-    /// calls.
+    /// resume — are unaffected). What [`CampaignState::commit`]'s cadence
+    /// and [`CampaignState::seal`] call.
     pub fn save_ledgered(&mut self, path: &Path) -> Result<()> {
         let stats = self.save_stats(path)?;
         stats.record_into(&mut self.report.metrics);

@@ -62,7 +62,10 @@ pub mod resilience;
 pub mod rng;
 pub mod stats;
 
-pub use cache::{CacheEntry, CacheError, CacheHandle, CacheKey, CacheStats, ObjectiveScope, Provenance, ResultCache};
+pub use cache::{
+    CacheEntry, CacheError, CacheHandle, CacheKey, CacheStats, ObjectiveScope, Provenance,
+    ResultCache,
+};
 pub use checkpoint::{write_atomic, CampaignState, CheckpointError, Fingerprint, SaveStats};
 pub use error::NumericError;
 pub use obs::{Counter, Gauge, Histogram, RunMetrics, Span, TraceSink, Tracer};
@@ -73,8 +76,8 @@ pub use resilience::sched::{
     Priority, SliceRun,
 };
 pub use resilience::{
-    CancelReason, CancelToken, CheckpointSpec, Deadline, ErrorClass, RunPolicy, RunReport,
-    Severity, StopCause,
+    BoundaryError, CancelReason, CancelToken, CheckpointSpec, Deadline, ErrorClass, RunPolicy,
+    RunReport, Severity, StopCause,
 };
 
 /// Convenience result alias used throughout the crate.

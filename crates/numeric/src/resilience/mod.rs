@@ -21,9 +21,11 @@
 //!   from `(master_seed, replicate, attempt)`, a pure function so that a
 //!   run stays bit-identical at any [`RunOptions::threads`] count even
 //!   when replicates are retried.
-//! * [`supervise_replicate`] — the generic attempt loop shared by the
-//!   Monte Carlo query engine, the composite-model executor, and the
-//!   particle filter.
+//! * [`supervise_replicate`] — the generic attempt loop under a policy.
+//! * [`boundary`] — the boundary protocol every campaign surface runs
+//!   through: one supervised attempt ([`Attempt::run`]), one commit and
+//!   seal on [`CampaignState`], and one sequential driver ([`drive`]) over
+//!   a [`Surface`], with typed errors made through [`BoundaryError`].
 //! * [`RunReport`] — the per-campaign failure ledger (attempted /
 //!   succeeded / retried / dropped plus one [`FailureRecord`] per failed
 //!   attempt) returned alongside results so degraded estimates are never
@@ -33,8 +35,11 @@
 //!   every policy end-to-end.
 
 pub mod backoff;
+pub mod boundary;
 pub mod breaker;
 pub mod sched;
+
+pub use boundary::{drive, drive_in_memory, supervise_boundary, Attempt, BoundaryError, Surface};
 
 use crate::checkpoint::CampaignState;
 use crate::rng::splitmix64;

@@ -121,13 +121,7 @@ pub fn run_rc_cached(
         "alpha must be in (0, 1], got {}",
         cfg.alpha
     );
-    let mut scope = ObjectiveScope::new(
-        cache.clone(),
-        CAMPAIGN_RC,
-        spec_fingerprint,
-        1,
-        cfg.seed,
-    );
+    let mut scope = ObjectiveScope::new(cache.clone(), CAMPAIGN_RC, spec_fingerprint, 1, cfg.seed);
     let m = ((cfg.alpha * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
     let factory = StreamFactory::new(cfg.seed);
     let m1_streams = factory.child(0);

@@ -81,11 +81,7 @@ fn revenue_query() -> MonteCarloQuery {
         .unwrap();
     let q = Plan::scan("SALES").aggregate(
         &[],
-        vec![AggSpec::new(
-            "TOTAL",
-            AggFunc::Sum,
-            Expr::col("AMT"),
-        )],
+        vec![AggSpec::new("TOTAL", AggFunc::Sum, Expr::col("AMT"))],
     );
     MonteCarloQuery::new(vec![spec], q)
 }
@@ -93,11 +89,15 @@ fn revenue_query() -> MonteCarloQuery {
 /// A retry policy plus a fault plan that panics two replicates on their
 /// first attempt — the supervised path the cache must replay exactly.
 fn faulty_opts() -> RunOptions {
-    RunOptions::policy(RunPolicy::Retry { max_attempts: 3, reseed: true }).with_faults(
-        FaultPlan::new()
-            .fail_on(3, 0, FaultKind::Panic)
-            .fail_on(11, 0, FaultKind::Error),
-    )
+    RunOptions::policy(RunPolicy::Retry {
+        max_attempts: 3,
+        reseed: true,
+    })
+    .with_faults(FaultPlan::new().fail_on(3, 0, FaultKind::Panic).fail_on(
+        11,
+        0,
+        FaultKind::Error,
+    ))
 }
 
 const N: usize = 60;
@@ -171,8 +171,11 @@ fn foreign_fingerprint_and_stale_seed_never_hit() {
     // Different n: a foreign fingerprint (n is folded into the spec) — miss.
     task.run_with_options(&db, N - 1, SEED, &opts).unwrap();
     // Different supervision policy: result bits could differ — miss.
-    let retry_opts = RunOptions::policy(RunPolicy::Retry { max_attempts: 2, reseed: true })
-        .with_cache(cache.clone());
+    let retry_opts = RunOptions::policy(RunPolicy::Retry {
+        max_attempts: 2,
+        reseed: true,
+    })
+    .with_cache(cache.clone());
     task.run_with_options(&db, N, SEED, &retry_opts).unwrap();
     let stats = cache.stats();
     assert_eq!(stats.hits, 0, "no foreign key may hit");

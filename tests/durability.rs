@@ -17,8 +17,8 @@ use model_data_ecosystems::calibrate::optim::{
 };
 use model_data_ecosystems::calibrate::CalibrateError;
 use model_data_ecosystems::core::resilience::{
-    CampaignState, CancelToken, CheckpointError, CheckpointSpec, Deadline, FaultPlan, RunOptions,
-    StopCause,
+    CampaignState, CancelToken, CheckpointError, CheckpointSpec, Deadline, FaultKind, FaultPlan,
+    RunOptions, RunPolicy, RunReport, StopCause,
 };
 use model_data_ecosystems::mcdb::mc::{McRun, MonteCarloQuery};
 use model_data_ecosystems::mcdb::prelude::*;
@@ -509,6 +509,181 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
             }
         }
     }
+}
+
+/// One run of a durable surface reduced to what the tables below compare:
+/// the result as raw bits, the ledger, the stop cause and the final state.
+struct Sliced {
+    value: Vec<u64>,
+    report: RunReport,
+    stopped: Option<StopCause>,
+    state: CampaignState,
+}
+
+fn sliced(
+    value: impl IntoIterator<Item = f64>,
+    report: RunReport,
+    stopped: Option<StopCause>,
+    checkpoint: Option<CampaignState>,
+) -> Sliced {
+    Sliced {
+        value: value.into_iter().map(f64::to_bits).collect(),
+        report,
+        stopped,
+        state: checkpoint.expect("final checkpoint"),
+    }
+}
+
+/// Call `test` with each of the five durable surfaces as a function of its
+/// options (campaigns small enough to cut at every boundary).
+fn for_each_durable_surface(test: impl Fn(&str, &dyn Fn(&RunOptions) -> Sliced)) {
+    let seed = chaos_seed();
+    let (db, q) = normal_setup();
+    test("monte-carlo", &|opts| {
+        let run = q.run_with_options(&db, 10, seed, opts).unwrap();
+        let samples = run.result.samples().to_vec();
+        sliced(samples, run.report, run.stopped, run.checkpoint)
+    });
+    let (model, ys) = (ar1_model(), ar1_observations(6));
+    test("particle-filter", &|opts| {
+        let pf = ParticleFilter::new(32, seed);
+        let run = pf
+            .run_durable(&model, &BootstrapProposal, &ys, opts)
+            .unwrap();
+        let steps = run.steps.iter().flat_map(|s| {
+            let mut v = s.particles.clone();
+            v.extend([s.ess, s.ln_evidence_increment]);
+            v
+        });
+        sliced(
+            steps.collect::<Vec<_>>(),
+            run.report,
+            run.stopped,
+            run.checkpoint,
+        )
+    });
+    let bounds = Bounds::new(vec![(-1.0, 1.0), (-1.0, 1.0)]).unwrap();
+    let ga_cfg = GaConfig {
+        population: 8,
+        generations: 3,
+        ..GaConfig::default()
+    };
+    let best = |run: model_data_ecosystems::calibrate::optim::OptimRun| {
+        let value = run.best.map_or(Vec::new(), |b| {
+            let mut v = b.x;
+            v.extend([b.fx, b.evals as f64]);
+            v
+        });
+        sliced(value, run.report, run.stopped, run.checkpoint)
+    };
+    test("genetic-algorithm", &|opts| {
+        best(genetic_algorithm_durable(rosenbrock, &bounds, &ga_cfg, seed, opts).unwrap())
+    });
+    test("random-search", &|opts| {
+        best(random_search_durable(rosenbrock, &bounds, 8, seed, opts).unwrap())
+    });
+    let response = screening_response();
+    test("sequential-bifurcation", &|opts| {
+        let cfg = BifurcationConfig {
+            threshold: 1.0,
+            reps: 4,
+        };
+        let run = sequential_bifurcation_durable(&response, &cfg, seed, opts).unwrap();
+        let value = run.result.map_or(Vec::new(), |r| {
+            let mut v: Vec<f64> = r.important.iter().map(|&j| j as f64).collect();
+            v.push(r.runs_used as f64);
+            v
+        });
+        sliced(value, run.report, run.stopped, run.checkpoint)
+    });
+}
+
+#[test]
+fn every_surface_ledgers_its_checkpoint_saves() {
+    for_each_durable_surface(|name, run| {
+        let plain = run(&RunOptions::default());
+        assert_eq!(plain.report.metrics.io_counter("ckpt.saves"), 0, "{name}");
+        let scratch = ScratchFile::new(&format!("ledger-{name}"));
+        let spec = CheckpointSpec::new(scratch.path()).every(2);
+        let saved = run(&RunOptions::default().with_checkpoint(spec));
+        let io = &saved.report.metrics;
+        assert!(
+            io.io_counter("ckpt.saves") > 0,
+            "{name}: saves not ledgered"
+        );
+        assert!(
+            io.io_counter("ckpt.bytes") > 0,
+            "{name}: bytes not ledgered"
+        );
+        assert!(
+            io.duration("ckpt.fsync").is_some(),
+            "{name}: fsync not timed"
+        );
+        assert!(
+            io.duration("ckpt.rename").is_some(),
+            "{name}: rename not timed"
+        );
+        // Out-of-band: the ledger's deterministic half does not notice.
+        assert_eq!(saved.report, plain.report, "{name}");
+    });
+}
+
+#[test]
+fn faulted_campaigns_preempted_at_every_boundary_resume_bit_identically() {
+    // Boundary 1 fails once and boundary 3 twice: retried to success under
+    // `Retry`, dropped under `BestEffort` — so every cut lands before,
+    // between or after a retry or a drop already in the ledger.
+    let plan = FaultPlan::new()
+        .fail_on(1, 0, FaultKind::Panic)
+        .fail_on(3, 0, FaultKind::Nan)
+        .fail_on(3, 1, FaultKind::Error);
+    let policies = [
+        RunPolicy::Retry {
+            max_attempts: 3,
+            reseed: true,
+        },
+        RunPolicy::BestEffort { min_fraction: 0.5 },
+    ];
+    for_each_durable_surface(|name, run| {
+        for policy in policies {
+            let faulted = RunOptions::policy(policy).with_faults(plan.clone());
+            let whole = run(&faulted);
+            assert_eq!(whole.stopped, None, "{name} {policy:?}");
+            assert_eq!(
+                whole.report.failure_keys(),
+                plan.expected_failure_keys(&policy),
+                "{name} {policy:?}: ledger is not the injected plan"
+            );
+            for cut in 0..whole.state.cursor {
+                for through_disk in [false, true] {
+                    let context = format!("{name} {policy:?} cut {cut} disk {through_disk}");
+                    let scratch = ScratchFile::new(&format!("composed-{name}-{cut}"));
+                    let mut opts =
+                        RunOptions::policy(policy).with_faults(plan.clone().preempt_at(cut));
+                    if through_disk {
+                        opts = opts.with_checkpoint(CheckpointSpec::new(scratch.path()));
+                    }
+                    let partial = run(&opts);
+                    assert_eq!(partial.stopped, Some(StopCause::Preempted), "{context}");
+                    assert_eq!(partial.state.cursor, cut, "{context}");
+                    let state = if through_disk {
+                        CampaignState::load(scratch.path()).unwrap()
+                    } else {
+                        partial.state
+                    };
+                    let resumed = run(&faulted.clone().resuming(state));
+                    assert_eq!(resumed.stopped, None, "{context}");
+                    assert_eq!(resumed.value, whole.value, "{context}: result diverged");
+                    assert_eq!(resumed.report, whole.report, "{context}: ledger diverged");
+                    assert_eq!(
+                        resumed.state.encode(),
+                        whole.state.encode(),
+                        "{context}: state bytes diverged"
+                    );
+                }
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

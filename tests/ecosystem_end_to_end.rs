@@ -9,6 +9,7 @@ use model_data_ecosystems::core::composite::{CompositeModel, ParamAssignment};
 use model_data_ecosystems::core::registry::{
     FnSimModel, ModelMetadata, ParamSpec, PerfStats, PortSpec, Registry,
 };
+use model_data_ecosystems::core::resilience::RunOptions;
 use model_data_ecosystems::core::whatif::{shallow_extrapolation, WhatIfSession};
 use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::mcdb::prelude::*;
@@ -66,8 +67,9 @@ fn what_if_session_full_loop() {
     assert!(res.mean_ci(0.95).unwrap().contains(3500.0));
     assert!(res.quantile(0.99).unwrap() > res.quantile(0.5).unwrap());
     // Deterministic across serial/parallel execution.
-    let par = session.what_if_parallel(&q, 400, 3, 3).unwrap();
-    assert_eq!(res.samples(), par.samples());
+    let opts = RunOptions::default().with_threads(3);
+    let par = session.what_if_with(&q, 400, 3, &opts).unwrap();
+    assert_eq!(res.samples(), par.result.samples());
 }
 
 #[test]
