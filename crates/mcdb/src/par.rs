@@ -21,18 +21,40 @@ where
     T: Send,
     F: Fn(usize) -> crate::Result<T> + Sync,
 {
+    par_map_items(threads, 0..n, f)
+}
+
+/// [`par_map_ordered`] over tasks that each *own* an input — the paged
+/// reader's pages, each holding the `&mut` slice of the column buffer it
+/// decodes into. Same round-robin assignment, same task-order results.
+pub(crate) fn par_map_items<I, T, F>(
+    threads: usize,
+    items: impl ExactSizeIterator<Item = I>,
+    f: F,
+) -> Vec<crate::Result<T>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> crate::Result<T> + Sync,
+{
+    let n = items.len();
     if threads <= 1 || n <= 1 {
-        return (0..n).map(&f).collect();
+        return items.map(&f).collect();
     }
     let workers = threads.min(n);
+    let mut dealt: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, item) in items.enumerate() {
+        dealt[i % workers].push((i, item));
+    }
     let mut out: Vec<Option<crate::Result<T>>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = dealt
+            .into_iter()
+            .map(|hand| {
                 let f = &f;
                 scope.spawn(move |_| -> Vec<(usize, crate::Result<T>)> {
-                    (w..n).step_by(workers).map(|i| (i, f(i))).collect()
+                    hand.into_iter().map(|(i, item)| (i, f(item))).collect()
                 })
             })
             .collect();

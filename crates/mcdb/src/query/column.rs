@@ -412,13 +412,11 @@ impl ColumnVec {
         }
     }
 
-    /// A column of `len` NULLs typed as `dtype` (placeholder values, every
-    /// lane null) — what [`ColumnVec::from_rows`] builds for all-NULL rows.
-    pub(crate) fn typed_nulls(len: usize, dtype: DataType) -> ColumnVec {
-        let mut nulls = NullMask::all_valid(len);
-        for i in 0..len {
-            nulls.set_null(i);
-        }
+    /// A fully valid column of `len` placeholder values (`0`, `0.0`,
+    /// `false`, `""`) typed as `dtype` — the buffer the page reader decodes
+    /// a stored column into.
+    pub(crate) fn placeholders(len: usize, dtype: DataType) -> ColumnVec {
+        let nulls = NullMask::all_valid(len);
         match dtype {
             DataType::Int => ColumnVec::Int {
                 data: vec![0; len],
@@ -437,6 +435,28 @@ impl ColumnVec {
                 nulls,
             },
         }
+    }
+
+    /// The same lanes under another null mask (an untyped all-null column
+    /// has none to replace).
+    pub(crate) fn with_nulls(self, nulls: NullMask) -> ColumnVec {
+        match self {
+            ColumnVec::Int { data, .. } => ColumnVec::Int { data, nulls },
+            ColumnVec::Float { data, .. } => ColumnVec::Float { data, nulls },
+            ColumnVec::Bool { data, .. } => ColumnVec::Bool { data, nulls },
+            ColumnVec::Str { data, .. } => ColumnVec::Str { data, nulls },
+            ColumnVec::AllNull { len } => ColumnVec::AllNull { len },
+        }
+    }
+
+    /// A column of `len` NULLs typed as `dtype` (placeholder values, every
+    /// lane null) — what [`ColumnVec::from_rows`] builds for all-NULL rows.
+    pub(crate) fn typed_nulls(len: usize, dtype: DataType) -> ColumnVec {
+        let mut nulls = NullMask::all_valid(len);
+        for i in 0..len {
+            nulls.set_null(i);
+        }
+        ColumnVec::placeholders(len, dtype).with_nulls(nulls)
     }
 
     /// Concatenate two columns of the same type, lane-wise. Used by the

@@ -252,8 +252,16 @@ fn filter_fast_path(chunk: &Chunk, predicate: &BoundExpr) -> Option<Vec<(usize, 
 /// A physical operator with all expressions bound and schemas resolved.
 #[derive(Debug, Clone)]
 enum PhysOp {
-    /// Scan a catalog table through its cached columnar batch.
-    Scan { table: String, schema: Schema },
+    /// Scan a catalog table: its cached columnar batch, or — for a paged
+    /// table — the pages of the columns marked in `read`.
+    Scan {
+        table: String,
+        schema: Schema,
+        /// Per table column: whether an ancestor binds it (see
+        /// [`prune_unread_columns`]). An unmarked column may come back as
+        /// an untyped all-null placeholder.
+        read: Vec<bool>,
+    },
     /// An inline table, transposed to a batch at prepare time.
     Values { name: String, batch: Arc<Batch> },
     /// Selection-vector filter; emits no data, only indices.
@@ -274,7 +282,7 @@ enum PhysOp {
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         /// Per left/right input column: whether an ancestor binds it in
-        /// the join output (see [`prune_join_outputs`]).
+        /// the join output (see [`prune_unread_columns`]).
         emit_left: Vec<bool>,
         emit_right: Vec<bool>,
         schema: Schema,
@@ -363,7 +371,7 @@ impl PreparedQuery {
 
     fn lower(plan: &Plan, catalog: &Catalog) -> crate::Result<PreparedQuery> {
         let (mut root, schema) = build(plan, catalog)?;
-        prune_join_outputs(&mut root, None);
+        prune_unread_columns(&mut root, None);
         Ok(PreparedQuery {
             root,
             schema,
@@ -434,6 +442,7 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
             Ok((
                 PhysOp::Scan {
                     table: table.clone(),
+                    read: vec![true; schema.len()],
                     schema: schema.clone(),
                 },
                 schema,
@@ -586,12 +595,13 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
     }
 }
 
-/// Narrow every join's emit masks to the output columns its ancestors
-/// bind, so a join feeding (say) an aggregate over two columns gathers
-/// those two instead of every column of both inputs. `needed` marks the
-/// columns of `op`'s output that are read above it; `None` means all of
+/// Narrow what every scan reads and every join emits to the columns the
+/// operators above them bind, so a join feeding (say) an aggregate over two
+/// columns gathers those two instead of every column of both inputs, and a
+/// paged scan under it fetches and decodes only their pages. `needed` marks
+/// the columns of `op`'s output that are read above it; `None` means all of
 /// them (the root: its whole batch becomes the result table).
-fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
+fn prune_unread_columns(op: &mut PhysOp, needed: Option<Vec<bool>>) {
     fn mark(mask: &mut Vec<bool>, e: &BoundExpr) {
         e.for_each_column(&mut |i| {
             if mask.len() <= i {
@@ -600,29 +610,38 @@ fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
             mask[i] = true;
         });
     }
+    /// Masks only grow as far as the highest column marked.
+    fn marked(mask: &[bool], j: usize) -> bool {
+        mask.get(j).copied().unwrap_or(false)
+    }
     match op {
-        PhysOp::Scan { .. } | PhysOp::Values { .. } => {}
+        PhysOp::Scan { read, .. } => {
+            if let Some(m) = needed {
+                *read = (0..read.len()).map(|j| marked(&m, j)).collect();
+            }
+        }
+        PhysOp::Values { .. } => {}
         // Selection-vector operators pass their input batch through.
         PhysOp::Filter { input, predicate } => {
             let needed = needed.map(|mut m| {
                 mark(&mut m, predicate);
                 m
             });
-            prune_join_outputs(input, needed);
+            prune_unread_columns(input, needed);
         }
         PhysOp::Sort { input, keys } => {
             let needed = needed.map(|mut m| {
                 keys.iter().for_each(|(e, _)| mark(&mut m, e));
                 m
             });
-            prune_join_outputs(input, needed);
+            prune_unread_columns(input, needed);
         }
-        PhysOp::Limit { input, .. } => prune_join_outputs(input, needed),
+        PhysOp::Limit { input, .. } => prune_unread_columns(input, needed),
         // Operators that rebuild their batch read exactly what they bind.
         PhysOp::Project { input, exprs, .. } => {
             let mut m = Vec::new();
             exprs.iter().for_each(|e| mark(&mut m, e));
-            prune_join_outputs(input, Some(m));
+            prune_unread_columns(input, Some(m));
         }
         PhysOp::Aggregate {
             input,
@@ -635,7 +654,7 @@ fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
                 .iter()
                 .for_each(|&j| mark(&mut m, &BoundExpr::Col(j)));
             agg_args.iter().flatten().for_each(|e| mark(&mut m, e));
-            prune_join_outputs(input, Some(m));
+            prune_unread_columns(input, Some(m));
         }
         PhysOp::HashJoin {
             left,
@@ -648,9 +667,10 @@ fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
         } => {
             if let Some(m) = needed {
                 let n_left = emit_left.len();
-                let read = |j: usize| m.get(j).copied().unwrap_or(false);
-                *emit_left = (0..n_left).map(read).collect();
-                *emit_right = (0..emit_right.len()).map(|j| read(n_left + j)).collect();
+                *emit_left = (0..n_left).map(|j| marked(&m, j)).collect();
+                *emit_right = (0..emit_right.len())
+                    .map(|j| marked(&m, n_left + j))
+                    .collect();
             }
             // Each input must deliver what the join emits plus its keys.
             for (child, emit, keys) in [
@@ -659,7 +679,7 @@ fn prune_join_outputs(op: &mut PhysOp, needed: Option<Vec<bool>>) {
             ] {
                 let mut m = emit.clone();
                 keys.iter().for_each(|&j| m[j] = true);
-                prune_join_outputs(child, Some(m));
+                prune_unread_columns(child, Some(m));
             }
         }
     }
@@ -700,7 +720,11 @@ fn materialize(chunk: &Chunk, name: &str, ctx: &ExecCtx) -> crate::Result<Table>
 
 fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
     match op {
-        PhysOp::Scan { table, schema } => {
+        PhysOp::Scan {
+            table,
+            schema,
+            read,
+        } => {
             let mut span = parent.child("scan");
             let t = ctx.catalog.get(table)?;
             if t.schema() != schema {
@@ -715,7 +739,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             // hit/eviction counters are timing-dependent and stay
             // out-of-band in `PoolStats`.
             let reads_before = t.paged_store().map(|s| s.logical_reads());
-            let chunk = Chunk::from_batch(t.try_batch_parallel(ctx.threads)?);
+            let chunk = Chunk::from_batch(t.scan_batch(read, ctx.threads)?);
             if let (Some(before), Some(store)) = (reads_before, t.paged_store()) {
                 let pages = store.logical_reads() - before;
                 span.record("storage.page_reads", pages);

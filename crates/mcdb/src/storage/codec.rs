@@ -102,10 +102,10 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn str(&mut self) -> crate::Result<String> {
+    pub(crate) fn str(&mut self) -> crate::Result<&'a str> {
         let n = self.u32()? as usize;
         let raw = self.bytes(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.corrupt("string is not valid UTF-8"))
+        std::str::from_utf8(raw).map_err(|_| self.corrupt("string is not valid UTF-8"))
     }
 }
 

@@ -11,10 +11,19 @@
 //! column that was written — the property the differential suite leans on
 //! for bit-identical paged vs in-memory query results. Floats are
 //! encoded by bit pattern (`to_bits`), never re-parsed.
+//!
+//! Decoding writes straight into the caller's slice of the column's
+//! final buffer ([`LanesMut`]): plain pages convert after one bounds
+//! check, bit-packed streams are read through 64-bit little-endian
+//! windows, runs are `fill`ed. The bit-at-a-time coder the format was
+//! first written with is kept under `#[cfg(test)]` as the oracle the
+//! word-wise one is property-tested against — same bit layout, same
+//! bytes on disk.
 
 use super::codec::{put_i64, put_str, put_u32, put_u64, Cursor};
 use crate::query::column::{ColumnVec, NullMask};
 use crate::schema::DataType;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How a page body is encoded. Tags are part of the on-disk format:
@@ -66,49 +75,138 @@ pub(crate) const ALL_NULL_TAG: u8 = 4;
 // ---------------------------------------------------------------------------
 // Bit packing
 // ---------------------------------------------------------------------------
+//
+// Layout (unchanged since the first `MDEPAGE1` file): value `i` occupies
+// bits `[i * width, (i + 1) * width)` of an LSB-first bit stream, bit `b`
+// of the stream being bit `b % 8` of byte `b / 8`. A little-endian `u64`
+// loaded at byte `k` therefore holds stream bits `[8k, 8k + 64)`, which is
+// what lets both directions move whole words.
 
+fn width_mask(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// Append `n` values of `width` bits each, through a 64-bit accumulator
+/// flushed a word at a time.
 fn pack_bits(values: impl Iterator<Item = u64>, n: usize, width: u32, out: &mut Vec<u8>) {
     debug_assert!(width <= 64);
     if width == 0 {
         return;
     }
-    let total_bits = n * width as usize;
-    let start = out.len();
-    out.resize(start + total_bits.div_ceil(8), 0);
-    let bytes = &mut out[start..];
-    let mut bit = 0usize;
-    for v in values {
-        for k in 0..width as usize {
-            if v >> k & 1 == 1 {
-                bytes[bit / 8] |= 1 << (bit % 8);
-            }
-            bit += 1;
+    let end = out.len() + (n * width as usize).div_ceil(8);
+    out.reserve(end - out.len() + 8);
+    let mask = width_mask(width);
+    let mut acc = 0u64;
+    let mut filled = 0u32;
+    for v in values.take(n) {
+        let v = v & mask;
+        acc |= v << filled;
+        if filled + width >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            // The bits of `v` that did not fit the flushed word.
+            acc = if filled == 0 { 0 } else { v >> (64 - filled) };
+            filled = filled + width - 64;
+        } else {
+            filled += width;
+        }
+    }
+    out.extend_from_slice(&acc.to_le_bytes());
+    out.truncate(end);
+}
+
+/// The little-endian word at `bytes[at..at + 8]`.
+#[inline(always)]
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte window"))
+}
+
+/// The `width` bits (`1..=64`) starting at stream bit `bit`, read through
+/// the 64-bit window at their first byte plus, for the widths that can
+/// straddle it, the byte after. `bytes` must extend 9 bytes past that
+/// first byte.
+#[inline(always)]
+fn bits_at(bytes: &[u8], bit: usize, width: u32, mask: u64) -> u64 {
+    let (at, shift) = (bit / 8, (bit % 8) as u32);
+    let mut v = word_at(bytes, at) >> shift;
+    if width > 56 && shift + width > 64 {
+        v |= (bytes[at + 8] as u64) << (64 - shift);
+    }
+    v & mask
+}
+
+/// Decode `n` values of `width` bits (`width <= 64`, checked by the
+/// caller) from `bytes`, exactly `ceil(n * width / 8)` long, handing each
+/// to `emit(lane, value)`. Lanes whose 9-byte window lies inside `bytes`
+/// are read in place; the last few are read from a zero-padded copy of the
+/// stream's tail, so no read ever leaves the slice.
+fn unpack_bits(bytes: &[u8], n: usize, width: u32, mut emit: impl FnMut(usize, u64)) {
+    debug_assert!(width <= 64 && bytes.len() == (n * width as usize).div_ceil(8));
+    if width == 0 {
+        (0..n).for_each(|i| emit(i, 0));
+        return;
+    }
+    let w = width as usize;
+    let mask = width_mask(width);
+    let in_place = match bytes.len().checked_sub(9) {
+        // Lane `i` starts in byte `i * w / 8`.
+        Some(last_start) => n.min((last_start * 8 + 7) / w + 1),
+        None => 0,
+    };
+    for i in 0..in_place {
+        emit(i, bits_at(bytes, i * w, width, mask));
+    }
+    if in_place < n {
+        // Fewer than 9 bytes remain from the first tail lane's byte on.
+        let from = in_place * w / 8;
+        let mut tail = [0u8; 16];
+        tail[..bytes.len() - from].copy_from_slice(&bytes[from..]);
+        for i in in_place..n {
+            emit(i, bits_at(&tail, i * w - from * 8, width, mask));
         }
     }
 }
 
-fn unpack_bits(cur: &mut Cursor<'_>, n: usize, width: u32) -> crate::Result<Vec<u64>> {
-    if width > 64 {
-        return Err(cur.corrupt(format!("bit width {width} exceeds 64")));
-    }
-    if width == 0 {
-        return Ok(vec![0; n]);
-    }
-    let total_bits = n * width as usize;
-    let bytes = cur.bytes(total_bits.div_ceil(8))?;
-    let mut out = Vec::with_capacity(n);
-    let mut bit = 0usize;
-    for _ in 0..n {
-        let mut v = 0u64;
-        for k in 0..width as usize {
-            if bytes[bit / 8] >> (bit % 8) & 1 == 1 {
-                v |= 1 << k;
-            }
-            bit += 1;
+/// The bit-at-a-time coder the format was first written with, kept as the
+/// oracle the word-wise coder is property-tested against.
+#[cfg(test)]
+mod bitwise_oracle {
+    pub(super) fn pack_bits(values: &[u64], width: u32, out: &mut Vec<u8>) {
+        if width == 0 {
+            return;
         }
-        out.push(v);
+        let start = out.len();
+        out.resize(start + (values.len() * width as usize).div_ceil(8), 0);
+        let bytes = &mut out[start..];
+        let mut bit = 0usize;
+        for v in values {
+            for k in 0..width as usize {
+                if v >> k & 1 == 1 {
+                    bytes[bit / 8] |= 1 << (bit % 8);
+                }
+                bit += 1;
+            }
+        }
     }
-    Ok(out)
+
+    pub(super) fn unpack_bits(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut bit = 0usize;
+        for _ in 0..n {
+            let mut v = 0u64;
+            for k in 0..width as usize {
+                if bytes[bit / 8] >> (bit % 8) & 1 == 1 {
+                    v |= 1 << k;
+                }
+                bit += 1;
+            }
+            out.push(v);
+        }
+        out
+    }
 }
 
 fn width_for(max: u64) -> u32 {
@@ -266,25 +364,22 @@ fn encode_bool(data: &[bool], out: &mut Vec<u8>) -> Encoding {
     pick_smallest(out, vec![(Encoding::Plain, plain), (Encoding::Rle, rle)])
 }
 
-fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
-    let mut plain = Vec::new();
-    for v in data {
-        put_str(&mut plain, v);
-    }
-
-    // Dictionary in first-occurrence order so encoding is deterministic.
-    let mut dict: Vec<&Arc<str>> = Vec::new();
-    let mut indices = Vec::with_capacity(data.len());
-    for v in data {
-        let idx = match dict.iter().position(|d| d.as_ref() == v.as_ref()) {
-            Some(i) => i,
-            None => {
+/// The dictionary candidate for a string chunk: distinct payloads in
+/// first-occurrence order (so the bytes are a pure function of the lanes),
+/// then the lanes as bit-packed indices. The index is a hash map, so a
+/// high-cardinality chunk costs O(lanes), not O(lanes x distinct).
+fn dict_body(data: &[Arc<str>]) -> Vec<u8> {
+    let mut index: HashMap<&str, u64> = HashMap::new();
+    let mut dict: Vec<&str> = Vec::new();
+    let indices: Vec<u64> = data
+        .iter()
+        .map(|v| {
+            *index.entry(v).or_insert_with(|| {
                 dict.push(v);
-                dict.len() - 1
-            }
-        };
-        indices.push(idx as u64);
-    }
+                dict.len() as u64 - 1
+            })
+        })
+        .collect();
     let width = if dict.len() <= 1 {
         0
     } else {
@@ -296,7 +391,15 @@ fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
         put_str(&mut dicted, d);
     }
     dicted.push(width as u8);
-    pack_bits(indices.iter().copied(), data.len(), width, &mut dicted);
+    pack_bits(indices.into_iter(), data.len(), width, &mut dicted);
+    dicted
+}
+
+fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
+    let mut plain = Vec::new();
+    for v in data {
+        put_str(&mut plain, v);
+    }
 
     let runs = runs_of(data, |a, b| a.as_ref() == b.as_ref());
     let mut rle = Vec::new();
@@ -310,7 +413,7 @@ fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
         out,
         vec![
             (Encoding::Plain, plain),
-            (Encoding::Dict, dicted),
+            (Encoding::Dict, dict_body(data)),
             (Encoding::Rle, rle),
         ],
     )
@@ -320,34 +423,79 @@ fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// One fully decoded page body — the output of [`decode_page`].
+/// The lanes of a column's final buffer that one page decodes into.
 ///
-/// Decoding is **pure**: every encoding is page-local (bit-pack bases,
-/// RLE runs, and string dictionaries are all stored in the page itself),
-/// so pages can be decoded on worker threads in any order and absorbed
-/// into a [`ColumnAssembler`] in page order afterwards — the shape the
-/// parallel paged reader exploits.
-pub(crate) struct DecodedPage {
-    n_values: usize,
-    /// Raw null-bitmap bytes exactly as stored (little-endian words);
-    /// `None` when the page declared no nulls.
-    null_bytes: Option<Vec<u8>>,
-    values: PageValues,
+/// Every encoding is page-local (bit-pack bases, RLE runs and string
+/// dictionaries are stored in the page itself) and a page's row offset
+/// comes from the file's directory, so the pages of a column decode
+/// independently into disjoint slices of one buffer — on one thread or
+/// several, by the same routine, with the same bits.
+pub(crate) enum LanesMut<'a> {
+    Int(&'a mut [i64]),
+    Float(&'a mut [f64]),
+    Bool(&'a mut [bool]),
+    Str(&'a mut [Arc<str>]),
 }
 
-enum PageValues {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Bool(Vec<bool>),
-    Str(Vec<Arc<str>>),
+impl<'a> LanesMut<'a> {
+    fn len(&self) -> usize {
+        match self {
+            LanesMut::Int(s) => s.len(),
+            LanesMut::Float(s) => s.len(),
+            LanesMut::Bool(s) => s.len(),
+            LanesMut::Str(s) => s.len(),
+        }
+    }
+
+    fn dtype(&self) -> DataType {
+        match self {
+            LanesMut::Int(_) => DataType::Int,
+            LanesMut::Float(_) => DataType::Float,
+            LanesMut::Bool(_) => DataType::Bool,
+            LanesMut::Str(_) => DataType::Str,
+        }
+    }
+
+    /// Split off the first `n` lanes, leaving the rest in `self`.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than `n` lanes remain. [`PagedStore::open`] checks that a
+    /// column's pages sum to its row count before any page is read.
+    ///
+    /// [`PagedStore::open`]: super::PagedStore::open
+    pub(crate) fn split_front(&mut self, n: usize) -> LanesMut<'a> {
+        macro_rules! split {
+            ($variant:ident, $s:ident) => {{
+                let (head, rest) = std::mem::take($s).split_at_mut(n);
+                *$s = rest;
+                LanesMut::$variant(head)
+            }};
+        }
+        match self {
+            LanesMut::Int(s) => split!(Int, s),
+            LanesMut::Float(s) => split!(Float, s),
+            LanesMut::Bool(s) => split!(Bool, s),
+            LanesMut::Str(s) => split!(Str, s),
+        }
+    }
+}
+
+/// What [`decode_page`] reports about the page it wrote into its lanes.
+pub(crate) enum DecodedPage {
+    /// An untyped all-null chunk: no lane was written.
     AllNull,
+    /// A typed chunk, with its null bitmap words (bit `i` = lane `i` of
+    /// the page) when the page declared nulls.
+    Typed(Option<Vec<u64>>),
 }
 
-/// Decode one page body (positioned after the page header) into its
-/// values, using only page-local state. Cross-page invariants (row
-/// totals, type consistency) are checked by
-/// [`ColumnAssembler::absorb`].
-pub(crate) fn decode_page(cur: &mut Cursor<'_>, n_values: usize) -> crate::Result<DecodedPage> {
+/// Decode one page body (positioned after the page header) straight into
+/// `out`, whose length is the page's value count and whose type is the
+/// column's declared schema type. Uses only page-local state; cross-page
+/// invariants are checked by [`ColumnAssembler::absorb`].
+pub(crate) fn decode_page(cur: &mut Cursor<'_>, out: LanesMut<'_>) -> crate::Result<DecodedPage> {
+    let n_values = out.len();
     let dtype_tag = cur.u8()?;
     let enc_tag = cur.u8()?;
     let enc = Encoding::from_tag(enc_tag)
@@ -362,98 +510,91 @@ pub(crate) fn decode_page(cur: &mut Cursor<'_>, n_values: usize) -> crate::Resul
         if enc != Encoding::AllNull || has_nulls {
             return Err(cur.corrupt("malformed all-null chunk"));
         }
-        return Ok(DecodedPage {
-            n_values,
-            null_bytes: None,
-            values: PageValues::AllNull,
-        });
+        return Ok(DecodedPage::AllNull);
     }
     let dtype = DataType::from_tag(dtype_tag)
         .ok_or_else(|| cur.corrupt(format!("unknown column type tag {dtype_tag}")))?;
 
-    let null_bytes = if has_nulls {
-        Some(cur.bytes(n_values.div_ceil(64) * 8)?.to_vec())
+    let nulls = if has_nulls {
+        let words = cur.bytes(n_values.div_ceil(64) * 8)?.chunks_exact(8);
+        Some(words.map(|w| word_at(w, 0)).collect())
     } else {
         None
     };
-    let values = match dtype {
-        DataType::Int => {
-            let mut v = Vec::with_capacity(n_values);
-            decode_int(cur, enc, n_values, &mut v)?;
-            PageValues::Int(v)
+    match (dtype, out) {
+        (DataType::Int, LanesMut::Int(out)) => decode_int(cur, enc, out)?,
+        (DataType::Float, LanesMut::Float(out)) => decode_float(cur, enc, out)?,
+        (DataType::Bool, LanesMut::Bool(out)) => decode_bool(cur, enc, out)?,
+        (DataType::Str, LanesMut::Str(out)) => decode_str(cur, enc, out)?,
+        (found, out) => {
+            return Err(cur.corrupt(format!(
+                "column type {found} does not match declared schema type {}",
+                out.dtype()
+            )))
         }
-        DataType::Float => {
-            let mut v = Vec::with_capacity(n_values);
-            decode_float(cur, enc, n_values, &mut v)?;
-            PageValues::Float(v)
-        }
-        DataType::Bool => {
-            let mut v = Vec::with_capacity(n_values);
-            decode_bool(cur, enc, n_values, &mut v)?;
-            PageValues::Bool(v)
-        }
-        DataType::Str => {
-            let mut v = Vec::with_capacity(n_values);
-            decode_str(cur, enc, n_values, &mut v)?;
-            PageValues::Str(v)
-        }
-    };
-    Ok(DecodedPage {
-        n_values,
-        null_bytes,
-        values,
-    })
+    }
+    Ok(DecodedPage::Typed(nulls))
 }
 
-/// Incrementally rebuilds one column from its pages, in row order.
-///
-/// The builder's type is fixed by the first page's type tag; `finish`
-/// checks the declared schema type and total row count, and reproduces
-/// the null mask verbatim (materialized iff any page carried nulls) so
-/// the result is `PartialEq`-identical to the column that was written.
+/// Rebuilds one column from its pages: owns the column's final buffer,
+/// hands out its lanes for [`decode_page`] to fill, and folds each page's
+/// report in — in page order — to enforce the cross-page invariants and
+/// reproduce the null mask verbatim (materialized iff any page carried
+/// nulls), so the result is `PartialEq`-identical to the column that was
+/// written.
 pub(crate) struct ColumnAssembler {
-    total: usize,
+    /// Declared-type buffer at full length, placeholder values until
+    /// decoded.
+    col: ColumnVec,
     filled: usize,
-    builder: Option<Builder>,
+    /// Whether the pages so far were untyped all-null chunks (`None`
+    /// before the first page).
+    all_null: Option<bool>,
     nulls: Option<Vec<u64>>,
 }
 
-enum Builder {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Bool(Vec<bool>),
-    Str(Vec<Arc<str>>),
-    AllNull,
-}
-
 impl ColumnAssembler {
-    /// An assembler expecting `total` rows across all pages.
-    pub(crate) fn new(total: usize) -> Self {
+    /// An assembler for a column of `declared` type with `total` rows
+    /// across all pages.
+    pub(crate) fn new(declared: DataType, total: usize) -> Self {
         ColumnAssembler {
-            total,
+            col: ColumnVec::placeholders(total, declared),
             filled: 0,
-            builder: None,
+            all_null: None,
             nulls: None,
         }
     }
 
-    /// Decode one page body (positioned after the page header) and append
-    /// its `n_values` lanes. Equivalent to [`decode_page`] followed by
-    /// [`ColumnAssembler::absorb`] — the split the parallel paged reader
-    /// uses to decode pages on worker threads and merge in page order.
-    #[cfg(test)]
-    pub(crate) fn push_page(&mut self, cur: &mut Cursor<'_>, n_values: usize) -> crate::Result<()> {
-        let page = decode_page(cur, n_values)?;
-        self.absorb(page, cur.path(), cur.page())
+    /// The whole buffer; the pager splits it by the directory's value
+    /// counts.
+    pub(crate) fn lanes_mut(&mut self) -> LanesMut<'_> {
+        match &mut self.col {
+            ColumnVec::Int { data, .. } => LanesMut::Int(data),
+            ColumnVec::Float { data, .. } => LanesMut::Float(data),
+            ColumnVec::Bool { data, .. } => LanesMut::Bool(data),
+            ColumnVec::Str { data, .. } => LanesMut::Str(data),
+            ColumnVec::AllNull { .. } => unreachable!("placeholders are typed"),
+        }
     }
 
-    /// Append a decoded page's lanes, enforcing the cross-page invariants
-    /// (declared row count, one concrete type per column). Pages must be
-    /// absorbed in page order — null-mask and value placement depend on
-    /// `filled`.
+    /// Decode one page body into the next `n_values` lanes and absorb it.
+    #[cfg(test)]
+    pub(crate) fn push_page(&mut self, cur: &mut Cursor<'_>, n_values: usize) -> crate::Result<()> {
+        let filled = self.filled;
+        let mut lanes = self.lanes_mut();
+        lanes.split_front(filled);
+        let page = decode_page(cur, lanes.split_front(n_values))?;
+        self.absorb(page, n_values, cur.path(), cur.page())
+    }
+
+    /// Account for a decoded page of `n_values` lanes, enforcing the
+    /// cross-page invariants (declared row count, one kind of chunk per
+    /// column). Pages must be absorbed in page order — null-mask placement
+    /// depends on `filled`.
     pub(crate) fn absorb(
         &mut self,
         page: DecodedPage,
+        n_values: usize,
         path: &str,
         page_no: u64,
     ) -> crate::Result<()> {
@@ -462,227 +603,161 @@ impl ColumnAssembler {
             page: page_no,
             reason,
         };
-        let n_values = page.n_values;
-        if self.filled + n_values > self.total {
+        let total = self.col.len();
+        if self.filled + n_values > total {
             return Err(corrupt(format!(
-                "page overflows column: {} + {n_values} rows > {} declared",
-                self.filled, self.total
+                "page overflows column: {} + {n_values} rows > {total} declared",
+                self.filled
             )));
         }
-        if let PageValues::AllNull = page.values {
-            match self.builder.get_or_insert(Builder::AllNull) {
-                Builder::AllNull => {}
-                _ => return Err(corrupt("all-null chunk in a typed column".into())),
+        let all_null = matches!(page, DecodedPage::AllNull);
+        match self.all_null.replace(all_null) {
+            Some(true) if !all_null => {
+                return Err(corrupt("column type tag changed between pages".into()))
             }
-            self.filled += n_values;
-            return Ok(());
+            Some(false) if all_null => {
+                return Err(corrupt("all-null chunk in a typed column".into()))
+            }
+            _ => {}
         }
-        if let Some(words) = &page.null_bytes {
+        if let DecodedPage::Typed(Some(words)) = page {
             let global = self
                 .nulls
-                .get_or_insert_with(|| vec![0u64; self.total.div_ceil(64)]);
-            for i in 0..n_values {
-                if words[i / 64 * 8 + i % 64 / 8] >> (i % 8) & 1 == 1 {
-                    let g = self.filled + i;
-                    global[g / 64] |= 1 << (g % 64);
-                }
-            }
-        }
-        let builder = self.builder.get_or_insert_with(|| match &page.values {
-            PageValues::Int(_) => Builder::Int(Vec::with_capacity(self.total)),
-            PageValues::Float(_) => Builder::Float(Vec::with_capacity(self.total)),
-            PageValues::Bool(_) => Builder::Bool(Vec::with_capacity(self.total)),
-            PageValues::Str(_) => Builder::Str(Vec::with_capacity(self.total)),
-            PageValues::AllNull => unreachable!("handled above"),
-        });
-        match (builder, page.values) {
-            (Builder::Int(data), PageValues::Int(v)) => data.extend(v),
-            (Builder::Float(data), PageValues::Float(v)) => data.extend(v),
-            (Builder::Bool(data), PageValues::Bool(v)) => data.extend(v),
-            (Builder::Str(data), PageValues::Str(v)) => data.extend(v),
-            _ => return Err(corrupt("column type tag changed between pages".into())),
+                .get_or_insert_with(|| vec![0u64; total.div_ceil(64)]);
+            or_null_words(global, self.filled, n_values, &words);
         }
         self.filled += n_values;
         Ok(())
     }
 
-    /// Produce the finished column, checking row count and the declared
-    /// schema type.
-    pub(crate) fn finish(self, declared: DataType, path: &str) -> crate::Result<ColumnVec> {
-        let corrupt = |reason: String| crate::McdbError::PageCorrupt {
-            path: path.to_string(),
-            page: u64::MAX,
-            reason,
-        };
-        if self.filled != self.total {
-            return Err(corrupt(format!(
-                "column has {} rows, file declares {}",
-                self.filled, self.total
-            )));
+    /// Produce the finished column, checking the row count.
+    pub(crate) fn finish(self, path: &str) -> crate::Result<ColumnVec> {
+        let total = self.col.len();
+        if self.filled != total {
+            return Err(crate::McdbError::PageCorrupt {
+                path: path.to_string(),
+                page: u64::MAX,
+                reason: format!("column has {} rows, file declares {total}", self.filled),
+            });
         }
-        let nulls = NullMask::from_words(self.total, self.nulls);
-        Ok(match self.builder {
-            None if self.total == 0 => empty_column(declared),
-            None => return Err(corrupt("no pages for a non-empty column".into())),
-            Some(Builder::AllNull) => ColumnVec::AllNull { len: self.total },
-            Some(Builder::Int(data)) if declared == DataType::Int => ColumnVec::Int { data, nulls },
-            Some(Builder::Float(data)) if declared == DataType::Float => {
-                ColumnVec::Float { data, nulls }
-            }
-            Some(Builder::Bool(data)) if declared == DataType::Bool => {
-                ColumnVec::Bool { data, nulls }
-            }
-            Some(Builder::Str(data)) if declared == DataType::Str => ColumnVec::Str { data, nulls },
-            Some(_) => {
-                return Err(corrupt(format!(
-                    "column type does not match declared schema type {declared}"
-                )))
-            }
-        })
+        if self.all_null == Some(true) {
+            return Ok(ColumnVec::AllNull { len: total });
+        }
+        let nulls = NullMask::from_words(total, self.nulls);
+        Ok(self.col.with_nulls(nulls))
     }
 }
 
-fn empty_column(dtype: DataType) -> ColumnVec {
-    let nulls = NullMask::all_valid(0);
-    match dtype {
-        DataType::Int => ColumnVec::Int {
-            data: Vec::new(),
-            nulls,
-        },
-        DataType::Float => ColumnVec::Float {
-            data: Vec::new(),
-            nulls,
-        },
-        DataType::Bool => ColumnVec::Bool {
-            data: Vec::new(),
-            nulls,
-        },
-        DataType::Str => ColumnVec::Str {
-            data: Vec::new(),
-            nulls,
-        },
+/// OR a page's null bitmap (`n` lanes, bit `i` of `words` = page lane `i`)
+/// into the column's bitmap at lane `first`, a word at a time: straight
+/// when the page starts on a word boundary, as two shifted halves when it
+/// does not. Bits past lane `n` of the last page word are ignored.
+fn or_null_words(global: &mut [u64], first: usize, n: usize, words: &[u64]) {
+    let (base, shift) = (first / 64, (first % 64) as u32);
+    for (k, &word) in words.iter().enumerate() {
+        let live = (n - k * 64).min(64) as u32;
+        let word = word & width_mask(live);
+        global[base + k] |= word << shift;
+        if shift != 0 && word >> (64 - shift) != 0 {
+            global[base + k + 1] |= word >> (64 - shift);
+        }
     }
 }
 
-fn read_runs(cur: &mut Cursor<'_>, n: usize) -> crate::Result<usize> {
+/// Fill `out` from `(count, value)` runs, `value` read by `read`.
+fn decode_runs<T: Clone>(
+    cur: &mut Cursor<'_>,
+    out: &mut [T],
+    mut read: impl FnMut(&mut Cursor<'_>) -> crate::Result<T>,
+) -> crate::Result<()> {
+    let n = out.len();
     let n_runs = cur.u32()? as usize;
     if n_runs > n {
         return Err(cur.corrupt(format!("{n_runs} runs for {n} values")));
     }
-    Ok(n_runs)
+    let mut at = 0;
+    for _ in 0..n_runs {
+        let count = cur.u32()? as usize;
+        let v = read(cur)?;
+        if count > n - at {
+            return Err(cur.corrupt("run overflows chunk"));
+        }
+        out[at..at + count].fill(v);
+        at += count;
+    }
+    if at != n {
+        return Err(cur.corrupt("runs cover fewer values than chunk declares"));
+    }
+    Ok(())
 }
 
-fn decode_int(
-    cur: &mut Cursor<'_>,
-    enc: Encoding,
-    n: usize,
-    out: &mut Vec<i64>,
-) -> crate::Result<()> {
+/// The byte stream of `n` bit-packed lanes after a width byte, with the
+/// width checked and the stream's length bounds-checked once.
+fn packed_stream<'a>(cur: &mut Cursor<'a>, n: usize) -> crate::Result<(&'a [u8], u32)> {
+    let width = cur.u8()? as u32;
+    if width > 64 {
+        return Err(cur.corrupt(format!("bit width {width} exceeds 64")));
+    }
+    Ok((cur.bytes((n * width as usize).div_ceil(8))?, width))
+}
+
+fn decode_int(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [i64]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
-            for _ in 0..n {
-                out.push(cur.i64()?);
+            let bytes = cur.bytes(out.len() * 8)?;
+            for (o, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                *o = word_at(b, 0) as i64;
             }
         }
         Encoding::BitPack => {
             let min = cur.i64()?;
-            let width = cur.u8()? as u32;
-            let deltas = unpack_bits(cur, n, width)?;
-            out.extend(deltas.into_iter().map(|d| min.wrapping_add(d as i64)));
+            let (bytes, width) = packed_stream(cur, out.len())?;
+            unpack_bits(bytes, out.len(), width, |i, d| {
+                out[i] = min.wrapping_add(d as i64)
+            });
         }
-        Encoding::Rle => {
-            let mut remaining = n;
-            for _ in 0..read_runs(cur, n)? {
-                let count = cur.u32()? as usize;
-                let v = cur.i64()?;
-                if count > remaining {
-                    return Err(cur.corrupt("run overflows chunk"));
-                }
-                remaining -= count;
-                out.extend(std::iter::repeat_n(v, count));
-            }
-            if remaining != 0 {
-                return Err(cur.corrupt("runs cover fewer values than chunk declares"));
-            }
-        }
+        Encoding::Rle => decode_runs(cur, out, |cur| cur.i64())?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Int"))),
     }
     Ok(())
 }
 
-fn decode_float(
-    cur: &mut Cursor<'_>,
-    enc: Encoding,
-    n: usize,
-    out: &mut Vec<f64>,
-) -> crate::Result<()> {
+fn decode_float(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [f64]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
-            for _ in 0..n {
-                out.push(f64::from_bits(cur.u64()?));
+            let bytes = cur.bytes(out.len() * 8)?;
+            for (o, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                *o = f64::from_bits(word_at(b, 0));
             }
         }
-        Encoding::Rle => {
-            let mut remaining = n;
-            for _ in 0..read_runs(cur, n)? {
-                let count = cur.u32()? as usize;
-                let v = f64::from_bits(cur.u64()?);
-                if count > remaining {
-                    return Err(cur.corrupt("run overflows chunk"));
-                }
-                remaining -= count;
-                out.extend(std::iter::repeat_n(v, count));
-            }
-            if remaining != 0 {
-                return Err(cur.corrupt("runs cover fewer values than chunk declares"));
-            }
-        }
+        Encoding::Rle => decode_runs(cur, out, |cur| Ok(f64::from_bits(cur.u64()?)))?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Float"))),
     }
     Ok(())
 }
 
-fn decode_bool(
-    cur: &mut Cursor<'_>,
-    enc: Encoding,
-    n: usize,
-    out: &mut Vec<bool>,
-) -> crate::Result<()> {
+fn decode_bool(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [bool]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
-            let bytes = cur.bytes(n.div_ceil(8))?;
-            out.extend((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1));
-        }
-        Encoding::Rle => {
-            let mut remaining = n;
-            for _ in 0..read_runs(cur, n)? {
-                let count = cur.u32()? as usize;
-                let v = cur.u8()? != 0;
-                if count > remaining {
-                    return Err(cur.corrupt("run overflows chunk"));
+            let bytes = cur.bytes(out.len().div_ceil(8))?;
+            for (lanes, byte) in out.chunks_mut(8).zip(bytes) {
+                for (k, o) in lanes.iter_mut().enumerate() {
+                    *o = byte >> k & 1 == 1;
                 }
-                remaining -= count;
-                out.extend(std::iter::repeat_n(v, count));
-            }
-            if remaining != 0 {
-                return Err(cur.corrupt("runs cover fewer values than chunk declares"));
             }
         }
+        Encoding::Rle => decode_runs(cur, out, |cur| Ok(cur.u8()? != 0))?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Bool"))),
     }
     Ok(())
 }
 
-fn decode_str(
-    cur: &mut Cursor<'_>,
-    enc: Encoding,
-    n: usize,
-    out: &mut Vec<Arc<str>>,
-) -> crate::Result<()> {
+fn decode_str(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [Arc<str>]) -> crate::Result<()> {
+    let n = out.len();
     match enc {
         Encoding::Plain => {
-            for _ in 0..n {
-                out.push(Arc::from(cur.str()?.as_str()));
+            for o in out {
+                *o = Arc::from(cur.str()?);
             }
         }
         Encoding::Dict => {
@@ -692,31 +767,19 @@ fn decode_str(
             }
             let mut dict: Vec<Arc<str>> = Vec::with_capacity(n_dict);
             for _ in 0..n_dict {
-                dict.push(Arc::from(cur.str()?.as_str()));
+                dict.push(Arc::from(cur.str()?));
             }
-            let width = cur.u8()? as u32;
-            for idx in unpack_bits(cur, n, width)? {
-                let d = dict
-                    .get(idx as usize)
-                    .ok_or_else(|| cur.corrupt(format!("dictionary index {idx} out of range")))?;
-                out.push(Arc::clone(d));
-            }
-        }
-        Encoding::Rle => {
-            let mut remaining = n;
-            for _ in 0..read_runs(cur, n)? {
-                let count = cur.u32()? as usize;
-                let v: Arc<str> = Arc::from(cur.str()?.as_str());
-                if count > remaining {
-                    return Err(cur.corrupt("run overflows chunk"));
-                }
-                remaining -= count;
-                out.extend(std::iter::repeat_n(Arc::clone(&v), count));
-            }
-            if remaining != 0 {
-                return Err(cur.corrupt("runs cover fewer values than chunk declares"));
+            let (bytes, width) = packed_stream(cur, n)?;
+            let mut out_of_range = None;
+            unpack_bits(bytes, n, width, |i, idx| match dict.get(idx as usize) {
+                Some(d) => out[i] = Arc::clone(d),
+                None => out_of_range = out_of_range.or(Some(idx)),
+            });
+            if let Some(idx) = out_of_range {
+                return Err(cur.corrupt(format!("dictionary index {idx} out of range")));
             }
         }
+        Encoding::Rle => decode_runs(cur, out, |cur| Ok(Arc::from(cur.str()?)))?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Str"))),
     }
     Ok(())
@@ -730,11 +793,11 @@ mod tests {
     fn round_trip(col: &ColumnVec) -> (Encoding, ColumnVec) {
         let mut body = Vec::new();
         let enc = encode_page_body(col, 0, col.len(), &mut body);
-        let mut asm = ColumnAssembler::new(col.len());
+        let declared = col.dtype().unwrap_or(DataType::Int);
+        let mut asm = ColumnAssembler::new(declared, col.len());
         let mut cur = Cursor::new(&body, "mem", 0);
         asm.push_page(&mut cur, col.len()).unwrap();
-        let declared = col.dtype().unwrap_or(DataType::Int);
-        (enc, asm.finish(declared, "mem").unwrap())
+        (enc, asm.finish("mem").unwrap())
     }
 
     #[test]
@@ -855,10 +918,10 @@ mod tests {
         let mut b2 = Vec::new();
         encode_page_body(&c, 0, 77, &mut b1);
         encode_page_body(&c, 77, 123, &mut b2);
-        let mut asm = ColumnAssembler::new(200);
+        let mut asm = ColumnAssembler::new(DataType::Int, 200);
         asm.push_page(&mut Cursor::new(&b1, "mem", 0), 77).unwrap();
         asm.push_page(&mut Cursor::new(&b2, "mem", 1), 123).unwrap();
-        assert_eq!(asm.finish(DataType::Int, "mem").unwrap(), c);
+        assert_eq!(asm.finish("mem").unwrap(), c);
     }
 
     #[test]
@@ -867,7 +930,7 @@ mod tests {
         let mut body = Vec::new();
         encode_page_body(&c, 0, 50, &mut body);
         // Truncated body.
-        let mut asm = ColumnAssembler::new(50);
+        let mut asm = ColumnAssembler::new(DataType::Int, 50);
         let short = &body[..body.len() - 3];
         let err = asm
             .push_page(&mut Cursor::new(short, "mem", 0), 50)
@@ -876,10 +939,364 @@ mod tests {
         // Unknown encoding tag.
         let mut bad = body.clone();
         bad[1] = 99;
-        let mut asm = ColumnAssembler::new(50);
+        let mut asm = ColumnAssembler::new(DataType::Int, 50);
         let err = asm
             .push_page(&mut Cursor::new(&bad, "mem", 0), 50)
             .unwrap_err();
         assert!(matches!(err, crate::McdbError::PageCorrupt { .. }));
+    }
+
+    // -----------------------------------------------------------------
+    // Coder properties (CI runs these before the unit and differential
+    // suites: `cargo test -p mde-mcdb storage::encoding`)
+    // -----------------------------------------------------------------
+
+    fn chaos_seed() -> u64 {
+        std::env::var("MDE_CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(7)
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    const LANE_COUNTS: [usize; 10] = [0, 1, 7, 8, 9, 63, 64, 65, 2_044, 13_000];
+
+    #[test]
+    fn wordwise_coder_matches_the_bitwise_oracle() {
+        let mut state = chaos_seed();
+        for width in 0..=64u32 {
+            for n in LANE_COUNTS {
+                // Values use the full width, with the extremes present.
+                let values: Vec<u64> = (0..n)
+                    .map(|i| match i % 5 {
+                        0 => width_mask(width),
+                        1 => 0,
+                        _ => splitmix(&mut state) & width_mask(width),
+                    })
+                    .collect();
+                let mut want = vec![0xEE]; // packing appends
+                bitwise_oracle::pack_bits(&values, width, &mut want);
+                let mut got = vec![0xEE];
+                pack_bits(values.iter().copied(), n, width, &mut got);
+                assert_eq!(got, want, "packed bytes differ: width {width}, {n} lanes");
+
+                let stream = &got[1..];
+                assert_eq!(stream.len(), (n * width as usize).div_ceil(8));
+                let mut back = vec![u64::MAX; n];
+                unpack_bits(stream, n, width, |i, v| back[i] = v);
+                assert_eq!(back, values, "round trip: width {width}, {n} lanes");
+                assert_eq!(
+                    back,
+                    bitwise_oracle::unpack_bits(stream, n, width),
+                    "oracle decode: width {width}, {n} lanes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packing_ignores_bits_above_the_width() {
+        // The oracle only ever looked at the low `width` bits of a value.
+        let values = [u64::MAX, 0x1234_5678_9ABC_DEF0, 7];
+        for width in [1u32, 5, 13, 33, 63] {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            bitwise_oracle::pack_bits(&values, width, &mut want);
+            pack_bits(values.iter().copied(), values.len(), width, &mut got);
+            assert_eq!(got, want, "width {width}");
+        }
+    }
+
+    /// One column per dtype/encoding pair the writer can choose, NULLs
+    /// included.
+    fn coder_fixture(n: usize) -> Vec<(&'static str, ColumnVec)> {
+        let nullable = |i: usize, v: Value| if i % 11 == 3 { Value::Null } else { v };
+        let col = |vals: Vec<Value>| ColumnVec::from_values(vals).unwrap();
+        vec![
+            (
+                "int bitpack",
+                col((0..n)
+                    .map(|i| nullable(i, Value::from((i % 7) as i64)))
+                    .collect()),
+            ),
+            (
+                "int plain",
+                col((0..n)
+                    .map(|i| Value::from((i as i64).wrapping_mul(0x5851_F42D_4C95_7F2D)))
+                    .collect()),
+            ),
+            (
+                "int rle",
+                col((0..n)
+                    .map(|i| {
+                        Value::from(if i < n / 2 {
+                            i64::MIN / 3
+                        } else {
+                            i64::MAX / 3
+                        })
+                    })
+                    .collect()),
+            ),
+            (
+                "float plain",
+                col((0..n)
+                    .map(|i| {
+                        nullable(
+                            i,
+                            Value::from(if i == 0 { -0.0 } else { i as f64 * 0.25 - 3.0 }),
+                        )
+                    })
+                    .collect()),
+            ),
+            ("float rle", col(vec![Value::from(1.5); n])),
+            (
+                "bool plain",
+                col((0..n)
+                    .map(|i| nullable(i, Value::from(i % 3 == 0)))
+                    .collect()),
+            ),
+            ("bool rle", col(vec![Value::from(true); n])),
+            (
+                "str dict",
+                col((0..n)
+                    .map(|i| nullable(i, Value::str(["alpha", "beta", "gamma"][i % 3])))
+                    .collect()),
+            ),
+            (
+                "str plain",
+                col((0..n).map(|i| Value::str(format!("v{i}"))).collect()),
+            ),
+            ("str rle", col(vec![Value::str("same"); n])),
+            ("all null", ColumnVec::AllNull { len: n }),
+        ]
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_body_is_a_typed_error() {
+        for n in [1usize, 9, 64, 130] {
+            for (what, c) in coder_fixture(n) {
+                let mut body = Vec::new();
+                encode_page_body(&c, 0, n, &mut body);
+                let declared = c.dtype().unwrap_or(DataType::Int);
+                let mut whole = ColumnAssembler::new(declared, n);
+                whole
+                    .push_page(&mut Cursor::new(&body, "mem", 0), n)
+                    .unwrap();
+                assert_eq!(whole.finish("mem").unwrap(), c, "{what}, {n} lanes");
+                for cut in 0..body.len() {
+                    let mut asm = ColumnAssembler::new(declared, n);
+                    let err = asm
+                        .push_page(&mut Cursor::new(&body[..cut], "mem", 3), n)
+                        .expect_err(&format!("{what}: {cut} of {} bytes decoded", body.len()));
+                    assert!(
+                        matches!(err, crate::McdbError::PageCorrupt { page: 3, .. }),
+                        "{what} cut at {cut}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_page_fields_are_typed_errors() {
+        let ints = ColumnVec::from_values((0..50).map(Value::from).collect()).unwrap();
+        let mut body = Vec::new();
+        assert_eq!(encode_page_body(&ints, 0, 50, &mut body), Encoding::BitPack);
+        let decode = |body: &[u8], declared| {
+            ColumnAssembler::new(declared, 50).push_page(&mut Cursor::new(body, "mem", 0), 50)
+        };
+        // Bit width above 64 (the width byte follows tag, encoding, null
+        // flag and the 8-byte base).
+        let mut wide = body.clone();
+        wide[11] = 65;
+        let err = decode(&wide, DataType::Int).unwrap_err();
+        assert!(err.to_string().contains("bit width 65"), "{err}");
+        // A page of another type than the schema declares.
+        let err = decode(&body, DataType::Float).unwrap_err();
+        assert!(err.to_string().contains("declared schema type"), "{err}");
+        // A typed page after an all-null one, and the reverse.
+        let mut nulls = Vec::new();
+        encode_page_body(&ColumnVec::AllNull { len: 50 }, 0, 50, &mut nulls);
+        let mut asm = ColumnAssembler::new(DataType::Int, 100);
+        asm.push_page(&mut Cursor::new(&nulls, "mem", 0), 50)
+            .unwrap();
+        let err = asm
+            .push_page(&mut Cursor::new(&body, "mem", 1), 50)
+            .unwrap_err();
+        assert!(err.to_string().contains("changed between pages"), "{err}");
+        let mut asm = ColumnAssembler::new(DataType::Int, 100);
+        asm.push_page(&mut Cursor::new(&body, "mem", 0), 50)
+            .unwrap();
+        let err = asm
+            .push_page(&mut Cursor::new(&nulls, "mem", 1), 50)
+            .unwrap_err();
+        assert!(err.to_string().contains("all-null chunk"), "{err}");
+        // Fewer pages than rows.
+        let mut asm = ColumnAssembler::new(DataType::Int, 100);
+        asm.push_page(&mut Cursor::new(&body, "mem", 0), 50)
+            .unwrap();
+        assert!(asm.finish("mem").is_err());
+    }
+
+    #[test]
+    fn null_bits_past_a_pages_last_lane_are_ignored() {
+        let c = ColumnVec::from_values(
+            (0..5)
+                .map(|i| if i == 2 { Value::Null } else { Value::from(i) })
+                .collect(),
+        )
+        .unwrap();
+        let mut body = Vec::new();
+        encode_page_body(&c, 0, 5, &mut body);
+        // The null word follows tag, encoding and null flag; set every bit
+        // above lane 4.
+        body[3] |= 0xE0;
+        body[4..11].fill(0xFF);
+        let rest = ColumnVec::from_values((0..70).map(Value::from).collect()).unwrap();
+        let mut tail = Vec::new();
+        encode_page_body(&rest, 0, 70, &mut tail);
+        let mut asm = ColumnAssembler::new(DataType::Int, 75);
+        asm.push_page(&mut Cursor::new(&body, "mem", 0), 5).unwrap();
+        asm.push_page(&mut Cursor::new(&tail, "mem", 1), 70)
+            .unwrap();
+        let got = asm.finish("mem").unwrap();
+        assert!((0..75).all(|i| got.is_null(i) == (i == 2)));
+    }
+
+    #[test]
+    fn in_place_decode_is_bit_identical_at_any_thread_count() {
+        use crate::query::batch::Batch;
+        use crate::storage::{BufferPool, PagedStore};
+        use crate::table::Table;
+
+        let mut state = chaos_seed() ^ 0xD1CE;
+        let n = 1_500 + (splitmix(&mut state) % 700) as usize;
+        let table = Table::build(
+            "T",
+            &[
+                ("K", DataType::Int),
+                ("V", DataType::Float),
+                ("TAG", DataType::Str),
+                ("OK", DataType::Bool),
+            ],
+        )
+        .rows((0..n).map(|i| {
+            let k = (splitmix(&mut state) % 1_000) as i64 - 500;
+            let mut null = |v: Value| {
+                if splitmix(&mut state).is_multiple_of(9) {
+                    Value::Null
+                } else {
+                    v
+                }
+            };
+            vec![
+                null(Value::from(k)),
+                null(Value::from(if i % 97 == 0 {
+                    -0.0
+                } else {
+                    i as f64 * 0.25 - 3.0
+                })),
+                null(Value::str(["alpha", "beta", "gamma"][i % 3])),
+                null(Value::from(i % 2 == 0)),
+            ]
+        }))
+        .finish()
+        .unwrap();
+        let batch = Batch::from_table(&table);
+        let dir = std::env::temp_dir().join(format!("mde_coder_par_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.mdet");
+        PagedStore::write(&path, "T", &batch, 256).unwrap();
+        let store = PagedStore::open(&path, BufferPool::new(16)).unwrap();
+        assert!(
+            store.n_pages() > 16,
+            "fixture must span many pages per column"
+        );
+
+        let bits = |b: &Batch| -> Vec<Vec<u64>> {
+            b.columns()
+                .iter()
+                .map(|c| {
+                    (0..c.len())
+                        .map(|i| match c.value(i) {
+                            Value::Null => u64::MAX - 1,
+                            Value::Int(v) => v as u64,
+                            Value::Float(v) => v.to_bits(),
+                            Value::Bool(v) => v as u64,
+                            Value::Str(s) => s.len() as u64,
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let seq = store.read_batch().unwrap();
+        assert_eq!(seq, batch);
+        assert_eq!(bits(&seq), bits(&batch));
+        for threads in [2, 4, 8] {
+            let par = store.read_columns(&[true; 4], threads).unwrap();
+            assert_eq!(par, seq, "{threads} threads changed the batch");
+            assert_eq!(bits(&par), bits(&seq), "{threads} threads changed a bit");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The dictionary builder this module first shipped: a linear search
+    /// of the dictionary per lane, packed bit by bit.
+    fn dict_body_oracle(data: &[Arc<str>]) -> Vec<u8> {
+        let mut dict: Vec<&Arc<str>> = Vec::new();
+        let mut indices = Vec::with_capacity(data.len());
+        for v in data {
+            let idx = match dict.iter().position(|d| d.as_ref() == v.as_ref()) {
+                Some(i) => i,
+                None => {
+                    dict.push(v);
+                    dict.len() - 1
+                }
+            };
+            indices.push(idx as u64);
+        }
+        let width = if dict.len() <= 1 {
+            0
+        } else {
+            width_for(dict.len() as u64 - 1)
+        };
+        let mut dicted = Vec::new();
+        put_u32(&mut dicted, dict.len() as u32);
+        for d in &dict {
+            put_str(&mut dicted, d);
+        }
+        dicted.push(width as u8);
+        bitwise_oracle::pack_bits(&indices, width, &mut dicted);
+        dicted
+    }
+
+    #[test]
+    fn hashed_dictionary_writes_the_bytes_the_linear_one_did() {
+        // The chaos fixture's TAG column, a one-value chunk, and a
+        // high-cardinality chunk with repeats.
+        let chunks: Vec<Vec<Arc<str>>> = vec![
+            (0..600)
+                .map(|i| Arc::from(["alpha", "beta", "gamma"][i % 3]))
+                .collect(),
+            vec![Arc::from("only"); 40],
+            (0..3_000)
+                .map(|i| Arc::from(format!("k{}", (i * 7919) % 1_201).as_str()))
+                .collect(),
+            Vec::new(),
+        ];
+        for data in &chunks {
+            assert_eq!(
+                dict_body(data),
+                dict_body_oracle(data),
+                "{} lanes",
+                data.len()
+            );
+        }
     }
 }

@@ -11,7 +11,9 @@
 //! torn writes, foreign magic) surfaces as the typed
 //! [`McdbError::PageCorrupt`](crate::McdbError::PageCorrupt) /
 //! [`PageChecksumMismatch`](crate::McdbError::PageChecksumMismatch)
-//! errors — never as silently wrong answers.
+//! errors — never as silently wrong answers. A query's scan fetches,
+//! verifies and decodes only the pages of the columns its plan binds, so
+//! it fails on a corrupt page iff it reads that page.
 //!
 //! The module splits into:
 //! - [`pager`] — the `MDETAB01` file format, `MDEPAGE1` page frames
@@ -19,7 +21,7 @@
 //!   writes via the checkpoint codec's atomic-rename discipline;
 //! - [`encoding`] — per-page column encodings (dictionary, RLE,
 //!   bit-packing, plain) chosen smallest-wins at write time and decoded
-//!   straight into the executor's typed column vectors;
+//!   word-at-a-time straight into the executor's typed column vectors;
 //! - [`pool`] — the clock buffer pool with Arc-pinned frames, eviction
 //!   counters, and typed pool-exhaustion errors;
 //! - [`spill`] — Grace-style hash partitioning that lets join builds and

@@ -24,7 +24,12 @@
 //! ```
 //!
 //! Every page holds one chunk of one column; a column spans as many
-//! pages as needed, in row order. The checksum covers everything after
+//! pages as needed, in row order, and the writer sizes each chunk by its
+//! *encoded* size so a page holds as many values as fit its body budget
+//! (`page_size - 28`). The directory says which column each page belongs
+//! to and how many values it holds, so a reader fetches only the pages of
+//! the columns it wants and knows each page's row offset before touching
+//! it ([`PagedStore::read_columns`]). The checksum covers everything after
 //! itself including the padding, so a bit flip anywhere in a frame —
 //! payload or padding — surfaces as
 //! [`McdbError::PageChecksumMismatch`], and a torn/truncated frame as
@@ -34,9 +39,10 @@
 //! leaves the previous file intact.
 
 use super::codec::{fnv1a, put_str, put_u32, put_u64, Cursor, FNV_OFFSET};
-use super::encoding::{decode_page, encode_page_body, ColumnAssembler};
+use super::encoding::{decode_page, encode_page_body, ColumnAssembler, LanesMut};
 use super::pool::BufferPool;
 use crate::query::batch::Batch;
+use crate::query::column::ColumnVec;
 use crate::schema::{Column, DataType, Schema};
 use crate::McdbError;
 use std::io::{Read as _, Seek as _, SeekFrom};
@@ -110,13 +116,18 @@ impl PagedStore {
         let body_budget = page_size - PAGE_HEADER;
         let mut directory: Vec<PageMeta> = Vec::new();
         let mut frames: Vec<u8> = Vec::new();
-        let mut body = Vec::new();
+        let (mut body, mut grown) = (Vec::new(), Vec::new());
         for (c, col) in batch.columns().iter().enumerate() {
             let mut start = 0usize;
             while start < batch.len() {
                 let remaining = batch.len() - start;
-                // Greedy chunk sizing: begin at the fixed-width estimate
-                // and halve until the encoded body fits the frame.
+                // Chunk sizing by encoded size. Begin at the fixed-width
+                // estimate and halve until the smallest encoding fits the
+                // frame; when it fits with room to spare (bit-packed, RLE
+                // and dictionary chunks do), re-encode once at the length
+                // its bytes-per-value predicts would fill the frame, and
+                // halve back towards the known-good length if that
+                // overshoots (a wider chunk can need a wider bit width).
                 let mut len = remaining.min((body_budget / 8).max(1));
                 loop {
                     body.clear();
@@ -131,6 +142,19 @@ impl PagedStore {
                         )));
                     }
                     len /= 2;
+                }
+                let mut wider = remaining
+                    .min(u32::MAX as usize)
+                    .min(len * body_budget / body.len());
+                while wider > len {
+                    grown.clear();
+                    encode_page_body(col, start, wider, &mut grown);
+                    if grown.len() <= body_budget {
+                        std::mem::swap(&mut body, &mut grown);
+                        len = wider;
+                        break;
+                    }
+                    wider /= 2;
                 }
                 directory.push(PageMeta {
                     column: c as u32,
@@ -217,7 +241,7 @@ impl PagedStore {
         }
 
         let mut cur = Cursor::new(&header_body, &display, u64::MAX);
-        let name = cur.str()?;
+        let name = cur.str()?.to_string();
         let n_rows = cur.u64()? as usize;
         let page_size = cur.u64()? as usize;
         if !(MIN_PAGE_SIZE..=1 << 30).contains(&page_size) {
@@ -250,6 +274,25 @@ impl PagedStore {
                 column,
                 n_values: cur.u32()?,
             });
+        }
+        // The cross-page row invariant, before any page is touched: the
+        // reader sizes each column's buffer from `n_rows` and places each
+        // page at the running sum of its column's earlier pages.
+        let mut held = vec![Some(0usize); schema.len()];
+        for m in &directory {
+            let sum = &mut held[m.column as usize];
+            *sum = sum.and_then(|s| s.checked_add(m.n_values as usize));
+        }
+        for (c, sum) in held.iter().enumerate() {
+            if *sum != Some(n_rows) {
+                return Err(cur.corrupt(match sum {
+                    Some(0) => format!("no pages for column {c} of a {n_rows}-row table"),
+                    Some(s) => {
+                        format!("column {c} pages hold {s} values, header declares {n_rows} rows")
+                    }
+                    None => format!("column {c} page value counts overflow"),
+                }));
+            }
         }
 
         Ok(Arc::new(PagedStore {
@@ -309,31 +352,63 @@ impl PagedStore {
         self.logical_reads.load(Ordering::Relaxed)
     }
 
-    /// Decode the entire table into a columnar [`Batch`] by streaming
-    /// every page through the buffer pool (at most one pinned frame at a
-    /// time). The decoded batch is `PartialEq`-identical to the batch
-    /// that was written.
-    pub fn read_batch(&self) -> crate::Result<Batch> {
-        self.read_batch_parallel(1)
+    /// The page directory, in file order.
+    pub fn directory(&self) -> &[PageMeta] {
+        &self.directory
     }
 
-    /// [`PagedStore::read_batch`] with page decode fanned out over
-    /// `threads` scoped workers. Page decoding is pure (every encoding is
-    /// page-local), so workers decode pages independently — each pinning
-    /// at most one frame at a time — and the decoded pages are absorbed
-    /// into column assemblers **in page order** on the calling thread:
-    /// the result is bit-identical to the sequential read at any thread
-    /// count. On a page error, the lowest-numbered failing page wins —
-    /// the same error a sequential scan would have hit first. Note that
-    /// `threads` workers can hold `threads` pinned frames concurrently,
-    /// so a pool with a frame budget below the worker count can surface
-    /// [`McdbError::PoolExhausted`] (typed, retryable) where a
-    /// sequential read would not.
-    pub fn read_batch_parallel(&self, threads: usize) -> crate::Result<Batch> {
+    /// Decode the entire table into a columnar [`Batch`]:
+    /// [`PagedStore::read_columns`] with every column marked, on the
+    /// calling thread. The decoded batch is `PartialEq`-identical to the
+    /// batch that was written.
+    pub fn read_batch(&self) -> crate::Result<Batch> {
+        self.read_columns(&vec![true; self.schema.len()], 1)
+    }
+
+    /// The one page-read routine. Decodes the columns marked in `read`
+    /// (one flag per schema column) and touches no page of the others:
+    /// an unmarked column comes back as an untyped all-null placeholder
+    /// of the right length, which nothing may take a lane from.
+    ///
+    /// Each page of a marked column is fetched through the buffer pool
+    /// (magic, checksum and directory agreement checked on every miss)
+    /// and decoded straight into its slice of the column's final buffer;
+    /// the slice's position is the sum of the directory's value counts for
+    /// the column's earlier pages, which [`PagedStore::open`] has checked
+    /// against the row count. Page decoding is pure, so with `threads > 1`
+    /// the same tasks run round-robin on scoped workers over disjoint
+    /// slices and the result is bit-identical at any thread count. Page
+    /// reports (null bitmaps, chunk kind) are folded in **in page order**
+    /// on the calling thread, and on a page error the lowest-numbered
+    /// failing page wins — the error a sequential scan hits first. Note
+    /// that `threads` workers can hold `threads` pinned frames at once, so
+    /// a pool with a frame budget below the worker count can surface
+    /// [`McdbError::PoolExhausted`] (typed, retryable) where a sequential
+    /// read would not.
+    pub fn read_columns(&self, read: &[bool], threads: usize) -> crate::Result<Batch> {
         let display = self.path.display().to_string();
-        let decoded = crate::par::par_map_ordered(threads, self.directory.len(), |page_no| {
+        let mut assemblers: Vec<Option<ColumnAssembler>> = self
+            .schema
+            .columns()
+            .iter()
+            .zip(read)
+            .map(|(col, &marked)| marked.then(|| ColumnAssembler::new(col.dtype, self.n_rows)))
+            .collect();
+        let mut unfilled: Vec<Option<LanesMut<'_>>> = assemblers
+            .iter_mut()
+            .map(|a| a.as_mut().map(ColumnAssembler::lanes_mut))
+            .collect();
+        let tasks: Vec<(usize, LanesMut<'_>)> = self
+            .directory
+            .iter()
+            .enumerate()
+            .filter_map(|(page_no, meta)| {
+                let lanes = unfilled[meta.column as usize].as_mut()?;
+                Some((page_no, lanes.split_front(meta.n_values as usize)))
+            })
+            .collect();
+        let decoded = crate::par::par_map_items(threads, tasks.into_iter(), |(page_no, out)| {
             let frame = self.read_page(page_no as u32)?;
-            let n_values = self.directory[page_no].n_values as usize;
             let body_len = u32::from_le_bytes(frame[24..28].try_into().unwrap()) as usize;
             if PAGE_HEADER + body_len > frame.len() {
                 return Err(McdbError::PageCorrupt {
@@ -343,19 +418,23 @@ impl PagedStore {
                 });
             }
             let body = &frame[PAGE_HEADER..PAGE_HEADER + body_len];
-            decode_page(&mut Cursor::new(body, &display, page_no as u64), n_values)
+            let page = decode_page(&mut Cursor::new(body, &display, page_no as u64), out)?;
+            Ok((page_no, page))
         });
-        let pages = crate::par::first_error(decoded)?;
-        let mut assemblers: Vec<ColumnAssembler> = (0..self.schema.len())
-            .map(|_| ColumnAssembler::new(self.n_rows))
-            .collect();
-        for (page_no, (meta, page)) in self.directory.iter().zip(pages).enumerate() {
-            assemblers[meta.column as usize].absorb(page, &display, page_no as u64)?;
+        for (page_no, page) in crate::par::first_error(decoded)? {
+            let meta = self.directory[page_no];
+            assemblers[meta.column as usize]
+                .as_mut()
+                .expect("only marked columns have page tasks")
+                .absorb(page, meta.n_values as usize, &display, page_no as u64)?;
         }
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (asm, col) in assemblers.into_iter().zip(self.schema.columns()) {
-            columns.push(asm.finish(col.dtype, &display)?);
-        }
+        let columns = assemblers
+            .into_iter()
+            .map(|a| match a {
+                Some(a) => a.finish(&display),
+                None => Ok(ColumnVec::AllNull { len: self.n_rows }),
+            })
+            .collect::<crate::Result<Vec<_>>>()?;
         Batch::from_columns(self.schema.clone(), columns, self.n_rows)
     }
 
@@ -494,7 +573,7 @@ mod tests {
         let seq = store.read_batch().unwrap();
         assert_eq!(seq, batch);
         for threads in [2, 4, 8] {
-            let par = store.read_batch_parallel(threads).unwrap();
+            let par = store.read_columns(&[true; 4], threads).unwrap();
             assert_eq!(par, seq, "thread count {threads} changed the batch");
         }
         // Logical reads stay a pure function of pages scanned.

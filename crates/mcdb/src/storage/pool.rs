@@ -76,8 +76,9 @@ struct Frame {
 #[derive(Default)]
 struct Inner {
     frames: HashMap<PageKey, Frame>,
-    /// Clock ring; keys may be stale (already evicted) and are dropped
-    /// lazily when the hand reaches them.
+    /// Clock ring: the keys of `frames`, in hand order. Eviction and
+    /// [`BufferPool::retire_store`] remove a frame's key with the frame,
+    /// so the ring never outgrows the resident set.
     ring: VecDeque<PageKey>,
 }
 
@@ -180,7 +181,9 @@ impl BufferPool {
     pub(crate) fn retire_store(&self, store_id: u64) {
         let mut inner = self.inner.lock().expect("pool lock");
         inner.frames.retain(|k, _| k.0 != store_id);
-        // Stale ring entries are dropped lazily by the clock hand.
+        // The hand only moves on eviction, so a pool that never fills
+        // would keep a retired store's keys forever.
+        inner.ring.retain(|k| k.0 != store_id);
     }
 
     fn evict_one(&self, inner: &mut Inner) -> crate::Result<()> {
@@ -194,7 +197,7 @@ impl BufferPool {
                 break;
             };
             let Some(frame) = inner.frames.get_mut(&key) else {
-                continue; // stale entry for an already-retired frame
+                continue; // a key without a frame: nothing to evict
             };
             if frame.referenced {
                 frame.referenced = false;
@@ -270,10 +273,33 @@ mod tests {
         }
         pool.retire_store(7);
         assert_eq!(pool.stats().resident, 0);
-        // Ring has stale keys; a fresh store still loads fine.
         for page in 0..4u32 {
             let _ = pool.get((8, page), || Ok(vec![1])).unwrap();
         }
         assert_eq!(pool.stats().resident, 4);
+    }
+
+    /// A pool larger than its working set never evicts, so the clock hand
+    /// never moves: retiring a store must take its ring entries with it,
+    /// or every Grace spill partition ever read leaks its page keys.
+    #[test]
+    fn retired_stores_leave_no_ring_entries() {
+        let pool = BufferPool::new(64);
+        let _ = pool.get((0, 0), || Ok(vec![0])).unwrap();
+        for store in 1..=10_000u64 {
+            for page in 0..3u32 {
+                let _ = pool.get((store, page), || Ok(vec![0])).unwrap();
+            }
+            pool.retire_store(store);
+        }
+        let inner = pool.inner.lock().unwrap();
+        assert_eq!(pool.evictions.load(Ordering::Relaxed), 0);
+        assert_eq!(inner.frames.len(), 1, "only store 0's frame is resident");
+        assert!(
+            inner.ring.len() <= inner.frames.len(),
+            "ring holds {} keys for {} resident frames",
+            inner.ring.len(),
+            inner.frames.len()
+        );
     }
 }

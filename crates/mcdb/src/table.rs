@@ -64,13 +64,15 @@ enum TableStore {
 ///
 /// A paged table ([`Table::open_paged`] / [`Table::to_paged`]) keeps its
 /// rows in an on-disk `MDETAB01` file and decodes them through a shared
-/// [`BufferPool`] on every [`Table::try_batch`] call, so resident memory
-/// is bounded by the pool's frame budget rather than the table size.
-/// Paged batches are deliberately *not* cached — [`Table::batch_is_cached`]
-/// is always `false` — which keeps the `cache_hit` field on scan spans
-/// truthful: a paged scan always pays page reads. Appending to a paged
-/// table pushes onto an in-memory tail that is spliced onto the decoded
-/// base at scan time.
+/// [`BufferPool`], so resident memory is bounded by the pool's frame
+/// budget rather than the table size. A query's scan reads only the pages
+/// of the columns its plan binds (`SELECT COUNT(*)` reads none);
+/// [`Table::try_batch`], [`Table::rows`] and equality read the whole
+/// file. Paged batches are deliberately *not* cached —
+/// [`Table::batch_is_cached`] is always `false` — which keeps the
+/// `cache_hit` field on scan spans truthful: a paged scan pays for the
+/// pages it reads, every time. Appending to a paged table pushes onto an
+/// in-memory tail that is spliced onto the decoded columns at scan time.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -206,8 +208,9 @@ impl Table {
     /// For a paged table this is the oracle path: the first call decodes
     /// the whole file and materializes (and caches) a row vector —
     /// deliberately unbounded by the pool budget, and it panics on a
-    /// corrupt file. Executor code uses [`Table::try_batch`] instead,
-    /// which stays columnar and surfaces corruption as typed errors.
+    /// corrupt file. The vectorized executor never calls it: its scans
+    /// stay columnar, read only the columns a plan binds, and surface
+    /// corruption as typed errors.
     pub fn rows(&self) -> &[Row] {
         match &self.store {
             TableStore::Mem(rows) => rows,
@@ -259,26 +262,34 @@ impl Table {
     /// The columnar [`Batch`] view of this table.
     ///
     /// Memory-backed: transposed on first use and cached; appending rows
-    /// invalidates the cache. Paged: decoded from disk on every call
+    /// invalidates the cache. Paged: the whole file decoded on every call
     /// (never cached — see [`Table::batch_is_cached`]); panics on a
-    /// corrupt file, so executor code calls [`Table::try_batch`].
+    /// corrupt file — [`Table::try_batch`] is the fallible form.
     pub fn batch(&self) -> Arc<Batch> {
         self.try_batch().expect("paged table batch decode failed")
     }
 
     /// The columnar [`Batch`] view, with paged-file corruption surfaced
-    /// as a typed error instead of a panic. This is what the vectorized
-    /// executor's scan operator calls.
+    /// as a typed error instead of a panic. Every column is read — for a
+    /// paged table, every page is fetched, verified and decoded.
     pub fn try_batch(&self) -> crate::Result<Arc<Batch>> {
-        self.try_batch_parallel(1)
+        self.scan_batch(&vec![true; self.schema.len()], 1)
     }
 
-    /// [`Table::try_batch`] with paged-file page decoding fanned out over
-    /// `threads` workers ([`PagedStore::read_batch_parallel`]). The
-    /// result is bit-identical at any thread count. Memory-backed tables
-    /// ignore `threads`: the cached transpose is already exactly-once
-    /// under concurrency (see the `batch_cache` field docs).
-    pub fn try_batch_parallel(&self, threads: usize) -> crate::Result<Arc<Batch>> {
+    /// What the vectorized executor's scan operator calls: the batch with
+    /// (at least) the columns marked in `read` — one flag per schema
+    /// column, computed at prepare time from what the plan binds.
+    ///
+    /// Memory-backed tables ignore both arguments: the cached transpose
+    /// holds every column and is already exactly-once under concurrency
+    /// (see the `batch_cache` field docs). A paged table reads only the
+    /// pages of marked columns ([`PagedStore::read_columns`], decode
+    /// fanned out over `threads` workers, bit-identical at any count) and
+    /// splices its in-memory tail onto those columns only; an unmarked
+    /// column is an untyped all-null placeholder that no operator may take
+    /// a lane from. So a paged scan costs what it reads, and fails on a
+    /// corrupt page iff it reads that page.
+    pub(crate) fn scan_batch(&self, read: &[bool], threads: usize) -> crate::Result<Arc<Batch>> {
         match &self.store {
             TableStore::Mem(_) => Ok(Arc::clone(self.batch_cache.get_or_init(|| {
                 self.materializations.fetch_add(1, Ordering::Relaxed);
@@ -286,7 +297,7 @@ impl Table {
             }))),
             TableStore::Batch { batch, .. } => Ok(Arc::clone(batch)),
             TableStore::Paged { store, tail, .. } => {
-                let base = store.read_batch_parallel(threads)?;
+                let base = store.read_columns(read, threads)?;
                 if tail.is_empty() {
                     return Ok(Arc::new(base));
                 }
@@ -297,8 +308,12 @@ impl Table {
                     .iter()
                     .enumerate()
                     .map(|(i, col)| {
-                        base.column(i)
-                            .concat(&ColumnVec::from_rows(tail, i, col.dtype))
+                        if read[i] {
+                            base.column(i)
+                                .concat(&ColumnVec::from_rows(tail, i, col.dtype))
+                        } else {
+                            ColumnVec::AllNull { len }
+                        }
                     })
                     .collect();
                 Ok(Arc::new(Batch::from_columns(
@@ -313,8 +328,9 @@ impl Table {
     /// Whether the columnar batch is already transposed and cached — i.e.
     /// whether the next [`Table::batch`] call is a cache hit. Exposed so
     /// the traced executor can report batch-cache reuse per scan. Always
-    /// `false` for paged tables: every paged scan decodes through the
-    /// buffer pool, so reporting a cache hit would be a lie.
+    /// `false` for paged tables: every paged scan decodes the pages it
+    /// reads through the buffer pool, so reporting a cache hit would be a
+    /// lie.
     pub fn batch_is_cached(&self) -> bool {
         match &self.store {
             TableStore::Mem(_) => self.batch_cache.get().is_some(),
@@ -597,7 +613,7 @@ mod tests {
         // Batches decode bit-identically; equality compares materialized rows.
         assert_eq!(*paged.try_batch().unwrap(), *mem.batch());
         assert_eq!(paged, mem);
-        // Paged batches are never cached: every scan pays page reads.
+        // Paged batches are never cached: every scan pays its page reads.
         assert!(!paged.batch_is_cached());
         let _ = paged.try_batch().unwrap();
         assert!(!paged.batch_is_cached());

@@ -7,6 +7,9 @@
 //! and *never* as a silently wrong answer. Every byte of the file is
 //! covered by either the header FNV-1a checksum or a page-frame
 //! checksum, so a mutated file must fail to open or fail to decode.
+//! A query verifies the pages it reads, so it fails on a damaged page
+//! iff it reads that page; a checksum-valid header that lies about row
+//! or value counts is rejected when the file is opened.
 //!
 //! Fault placement is keyed off `MDE_CHAOS_SEED` (CI runs a small
 //! matrix) but is fully deterministic for a given seed.
@@ -274,65 +277,262 @@ fn scan_of_8x_working_set_stays_within_frame_budget() {
 // Mid-morsel faults on worker threads (ISSUE 9)
 // ---------------------------------------------------------------------------
 
-/// A seed-chosen page corrupted mid-file fires inside a *worker thread*
-/// during morsel-parallel page decoding. Contract: every thread count
-/// returns the byte-identical typed error sequential execution returns
-/// (lowest-page-wins error merge), never a panic, deadlock, or partial
-/// answer.
+/// One byte flipped in a seed-chosen page of each column in turn (and in
+/// that column's last page too, so a lower and a higher page are both bad).
+/// Contract: a query fails on a corrupt page **iff it reads that page**.
+/// Every plan that binds the damaged column returns, at every thread
+/// count, the byte-identical typed error sequential execution returns —
+/// the one naming the lowest damaged page, even when a worker thread hit
+/// the higher one first. Every plan that does not bind it never touches
+/// the page and returns the in-memory twin's rows. Whole-table reads
+/// (`try_batch`, `rows()`, a root scan / filter / sort) bind every column.
 #[test]
-fn page_corrupt_mid_morsel_matches_sequential_error() {
-    use model_data_ecosystems::mcdb::query::ExecConfig;
+fn corruption_fails_exactly_the_plans_that_read_the_column() {
+    use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, ExecConfig, SortKey};
 
     let dir = scratch_dir();
     let path = dir.join("t.mdet");
-    let paged = fixture_table(600)
-        .to_paged(&path, 256, BufferPool::new(8))
-        .unwrap();
-    let n_pages = paged.paged_store().unwrap().n_pages();
-    assert!(n_pages > 4, "fixture must span enough pages for morsels");
+    // Enough rows that even the bitmap-packed Bool column spans pages.
+    let mem = fixture_table(6_000);
+    let paged = mem.to_paged(&path, 256, BufferPool::new(8)).unwrap();
+    let directory = paged.paged_store().unwrap().directory().to_vec();
     drop(paged);
+    let pristine = std::fs::read(&path).unwrap();
+    let mut twin = Catalog::new();
+    twin.insert(mem);
 
-    // Corrupt a page in the middle of the file (never page 0) so
-    // several healthy morsels precede and follow the poisoned one.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mut state = chaos_seed() ^ 0x0515;
-    let victim_page = 1 + (next(&mut state) as usize) % (n_pages - 2);
-    let frame_start = bytes.len() - (n_pages - victim_page) * 256;
-    // Flip a body byte: caught by the frame checksum during decode.
-    bytes[frame_start + 64] ^= 0x40;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let plans = [
-        Plan::scan("T"),
-        Plan::scan("T").filter(Expr::col("V").gt(Expr::lit(10.0))),
-        Plan::scan("T").aggregate(
-            &["TAG"],
-            vec![model_data_ecosystems::mcdb::query::AggSpec::count_star("N")],
+    // (plan, the fixture columns it binds; `None` = the whole batch).
+    let plans: Vec<(Plan, Option<&[usize]>)> = vec![
+        (Plan::scan("T"), None),
+        (
+            Plan::scan("T").filter(Expr::col("V").gt(Expr::lit(10.0))),
+            None,
+        ),
+        (
+            Plan::scan("T")
+                .sort(vec![SortKey::desc(Expr::col("V"))])
+                .limit(5),
+            None,
+        ),
+        (
+            Plan::scan("T").aggregate(&["TAG"], vec![AggSpec::count_star("N")]),
+            Some(&[2]),
+        ),
+        (
+            Plan::scan("T").aggregate(&[], vec![AggSpec::new("S", AggFunc::Sum, Expr::col("V"))]),
+            Some(&[1]),
+        ),
+        (
+            Plan::scan("T")
+                .filter(Expr::col("OK"))
+                .project(&[("K", Expr::col("K"))]),
+            Some(&[0, 3]),
+        ),
+        (
+            Plan::scan("T").aggregate(&[], vec![AggSpec::count_star("N")]),
+            Some(&[]),
         ),
     ];
-    for plan in &plans {
-        let mut sequential_err: Option<String> = None;
-        for threads in [1usize, 2, 4, 8] {
+
+    let mut state = chaos_seed() ^ 0x0515;
+    for column in 0..4u32 {
+        let pages: Vec<usize> = (0..directory.len())
+            .filter(|&p| directory[p].column == column)
+            .collect();
+        assert!(pages.len() > 2, "column {column} must span several pages");
+        // Never the column's last page, so a second, higher page can go
+        // bad as well.
+        let victim = pages[(next(&mut state) as usize) % (pages.len() - 1)];
+        let mut bytes = pristine.clone();
+        for page in [victim, *pages.last().unwrap()] {
+            let frame_start = bytes.len() - (directory.len() - page) * 256;
+            bytes[frame_start + 28 + (next(&mut state) as usize) % 64] ^= 0x40;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let open = |threads: usize| {
             let mut db = Catalog::new();
             db.insert(Table::open_paged(&path, BufferPool::new(8)).unwrap());
             db.set_exec_config(ExecConfig {
                 threads,
                 morsel_rows: 64,
             });
-            let err = db
-                .query(plan)
-                .expect_err("a corrupt page must fail the scan");
-            assert_typed_storage_error(&err, &format!("page {victim_page} at {threads} threads"));
-            let msg = err.to_string();
-            match &sequential_err {
-                None => sequential_err = Some(msg),
-                Some(seq) => assert_eq!(
-                    seq, &msg,
-                    "worker-thread error at {threads} threads diverged from sequential"
-                ),
+            db
+        };
+        for (plan, binds) in &plans {
+            let reads_column = binds.is_none_or(|cols| cols.contains(&(column as usize)));
+            let mut sequential_err: Option<String> = None;
+            for threads in [1usize, 2, 4, 8] {
+                let what = format!(
+                    "column {column} page {victim}, {threads} threads, {}",
+                    plan.explain()
+                );
+                match open(threads).query(plan) {
+                    Err(err) => {
+                        assert!(
+                            reads_column,
+                            "{what}: failed on a page it never reads: {err}"
+                        );
+                        assert_typed_storage_error(&err, &what);
+                        match &err {
+                            McdbError::PageChecksumMismatch { page, .. } => {
+                                assert_eq!(*page, victim as u64, "{what}: lowest page must win")
+                            }
+                            other => panic!("{what}: expected a checksum mismatch, got {other}"),
+                        }
+                        let msg = err.to_string();
+                        match &sequential_err {
+                            None => sequential_err = Some(msg),
+                            Some(seq) => assert_eq!(seq, &msg, "{what}: diverged from sequential"),
+                        }
+                    }
+                    Ok(got) => {
+                        assert!(
+                            !reads_column,
+                            "{what}: a plan that reads the page must fail"
+                        );
+                        assert_eq!(got.rows(), twin.query(plan).unwrap().rows(), "{what}");
+                    }
+                }
             }
         }
+        // The whole-table surfaces read and verify every page.
+        let t = Table::open_paged(&path, BufferPool::new(8)).unwrap();
+        assert_typed_storage_error(&t.try_batch().unwrap_err(), "try_batch");
+        let rows = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.rows().len()));
+        assert!(rows.is_err(), "rows() must not materialize a damaged file");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile headers: checksum-valid, structurally wrong
+// ---------------------------------------------------------------------------
+
+/// Re-seal a header whose body was edited, so only the structural checks
+/// stand between the edit and the reader.
+fn reseal_header(bytes: &mut [u8]) {
+    let pages_start = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let sum = mde_numeric::checkpoint::fnv1a(
+        mde_numeric::checkpoint::FNV_OFFSET,
+        &bytes[24..pages_start],
+    );
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The row invariant across a column's pages is checked at `open`, from
+/// the directory alone: a header whose checksum is right but whose row
+/// count or per-page value counts are not is a typed header error
+/// (`page == u64::MAX`) — never a capacity-overflow panic or an allocator
+/// abort when the first scan sizes its buffers from `n_rows`.
+#[test]
+fn crafted_headers_are_rejected_at_open() {
+    let dir = scratch_dir();
+    let path = dir.join("t.mdet");
+    let paged = fixture_table(200)
+        .to_paged(&path, 256, BufferPool::new(4))
+        .unwrap();
+    let directory = paged.paged_store().unwrap().directory().to_vec();
+    drop(paged);
+    let pristine = std::fs::read(&path).unwrap();
+    let pages_start = u64::from_le_bytes(pristine[8..16].try_into().unwrap()) as usize;
+    // Header body: name (u32 length + bytes), n_rows, ...; the directory
+    // is its last `8 * n_pages` bytes, one (column, n_values) pair each.
+    let n_rows_at = 24 + 4 + "T".len();
+    assert_eq!(
+        u64::from_le_bytes(pristine[n_rows_at..n_rows_at + 8].try_into().unwrap()),
+        200
+    );
+    let entry_at = |page: usize| pages_start - 8 * (directory.len() - page);
+
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+    for (what, n_rows) in [
+        ("n_rows = 2^60", 1u64 << 60),
+        ("n_rows = u64::MAX", u64::MAX),
+        ("n_rows one short", 199),
+        ("n_rows = 0 with pages", 0),
+    ] {
+        let mut bytes = pristine.clone();
+        bytes[n_rows_at..n_rows_at + 8].copy_from_slice(&n_rows.to_le_bytes());
+        cases.push((what, bytes));
+    }
+    let mut state = chaos_seed() ^ 0xD1F;
+    let page = (next(&mut state) as usize) % directory.len();
+    for (what, n_values) in [
+        ("one page claims a value more", directory[page].n_values + 1),
+        ("one page claims u32::MAX values", u32::MAX),
+        ("one page claims no values", 0),
+    ] {
+        let mut bytes = pristine.clone();
+        let at = entry_at(page) + 4;
+        bytes[at..at + 4].copy_from_slice(&n_values.to_le_bytes());
+        cases.push((what, bytes));
+    }
+    // Every page of the last column re-labelled as the first column's: a
+    // non-empty table with a column that has no pages at all.
+    let mut bytes = pristine.clone();
+    for p in (0..directory.len()).filter(|&p| directory[p].column == 3) {
+        bytes[entry_at(p)..entry_at(p) + 4].copy_from_slice(&0u32.to_le_bytes());
+    }
+    cases.push(("a column with no pages", bytes));
+
+    for (what, mut bytes) in cases {
+        reseal_header(&mut bytes);
+        let victim = dir.join("crafted.mdet");
+        std::fs::write(&victim, &bytes).unwrap();
+        match Table::open_paged(&victim, BufferPool::new(4)) {
+            Err(McdbError::PageCorrupt { page, .. }) => {
+                assert_eq!(page, u64::MAX, "{what}: a header error names no page")
+            }
+            Err(other) => panic!("{what}: expected PageCorrupt at open, got {other}"),
+            Ok(_) => panic!("{what}: a crafted header must not open"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// File compatibility
+// ---------------------------------------------------------------------------
+
+/// `MDETAB01` / `MDEPAGE1` did not change when the writer began filling
+/// pages to their byte budget: the committed file was written by the
+/// build before that change (`fixture_table(200)`, 256-byte pages, chunks
+/// of at most 28 values) and must open and decode to its source table.
+/// The same table written today takes fewer pages.
+#[test]
+fn file_written_by_the_previous_build_decodes_identically() {
+    const PARENT_PAGES: usize = 32;
+    let committed =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_pr14_t200_p256.mdet");
+    let mem = fixture_table(200);
+    let old = Table::open_paged(&committed, BufferPool::new(4)).unwrap();
+    assert_eq!(old.paged_store().unwrap().n_pages(), PARENT_PAGES);
+    assert_eq!(&*old.try_batch().unwrap(), &*mem.batch());
+    assert_eq!(old, mem);
+
+    let dir = scratch_dir();
+    let new = mem
+        .to_paged(&dir.join("t.mdet"), 256, BufferPool::new(4))
+        .unwrap();
+    let n_pages = new.paged_store().unwrap().n_pages();
+    assert!(
+        n_pages < PARENT_PAGES,
+        "full pages: {n_pages} pages now, {PARENT_PAGES} before"
+    );
+    assert_eq!(&*new.try_batch().unwrap(), &*mem.batch());
+
+    // A bit-packable column costs less on disk than its 8 bytes a value
+    // in memory, frame headers and padding included.
+    let ints = Table::build("I", &[("K", DataType::Int)])
+        .rows((0..20_000).map(|i| vec![Value::from((i * 37 % 1_000) as i64)]))
+        .finish()
+        .unwrap();
+    let path = dir.join("i.mdet");
+    drop(ints.to_paged(&path, 4096, BufferPool::new(4)).unwrap());
+    let bytes_per_user_byte =
+        std::fs::metadata(&path).unwrap().len() as f64 / (ints.len() * 8) as f64;
+    assert!(bytes_per_user_byte < 1.0, "{bytes_per_user_byte}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

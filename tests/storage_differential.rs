@@ -299,6 +299,85 @@ fn paged_append_tail_stays_differential() {
         let plan = edge_plan_for(case, 2, 0.5, 7);
         assert_twin_agrees(&db, &paged, &plan, true);
     }
+    // Projected scans splice the tail onto the columns they read only.
+    for plan in [
+        Plan::scan("FACT").aggregate(&[], vec![AggSpec::count_star("N")]),
+        Plan::scan("FACT").aggregate(&[], vec![AggSpec::new("S", AggFunc::Sum, Expr::col("V"))]),
+        Plan::scan("FACT")
+            .filter(Expr::col("Q").ge(Expr::lit(4)))
+            .project(&[("K", Expr::col("K"))]),
+    ] {
+        assert_twin_agrees(&db, &paged, &plan, true);
+    }
+    drop(paged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A paged scan costs what it reads: the per-store logical read counter
+/// advances by exactly the pages of the columns the plan binds.
+#[test]
+fn scans_read_exactly_the_pages_of_the_columns_they_bind() {
+    let db = edge_catalog(300, 4);
+    let (paged, dir) = paged_twin(&db, 4, 256, None);
+    let store = Arc::clone(paged.get("FACT").unwrap().paged_store().unwrap());
+    let pages_of = |cols: &[u32]| {
+        store
+            .directory()
+            .iter()
+            .filter(|m| cols.contains(&m.column))
+            .count() as u64
+    };
+    let n_pages = store.n_pages() as u64;
+    assert_eq!(pages_of(&[0, 1, 2]), n_pages);
+    assert!(
+        (0..3).all(|c| pages_of(&[c]) > 1),
+        "every column must span pages"
+    );
+    // FACT(K, V, Q) = columns 0, 1, 2.
+    let sum_v = AggSpec::new("S", AggFunc::Sum, Expr::col("V"));
+    let cases = [
+        (
+            Plan::scan("FACT").aggregate(&[], vec![AggSpec::count_star("N")]),
+            0,
+        ),
+        (
+            Plan::scan("FACT").aggregate(&[], vec![sum_v.clone()]),
+            pages_of(&[1]),
+        ),
+        (
+            Plan::scan("FACT").aggregate(&["K"], vec![AggSpec::count_star("N")]),
+            pages_of(&[0]),
+        ),
+        (
+            Plan::scan("FACT")
+                .filter(Expr::col("Q").ge(Expr::lit(10)))
+                .aggregate(&["K"], vec![sum_v]),
+            n_pages,
+        ),
+        (
+            Plan::scan("FACT")
+                .filter(Expr::col("Q").ge(Expr::lit(10)))
+                .project(&[("K", Expr::col("K"))]),
+            pages_of(&[0, 2]),
+        ),
+        // A root filter passes the scan's whole batch through.
+        (
+            Plan::scan("FACT").filter(Expr::col("Q").ge(Expr::lit(10))),
+            n_pages,
+        ),
+        (Plan::scan("FACT"), n_pages),
+    ];
+    for (plan, want) in &cases {
+        assert_twin_agrees(&db, &paged, plan, true);
+        let before = store.logical_reads();
+        paged.query(plan).unwrap();
+        assert_eq!(
+            store.logical_reads() - before,
+            *want,
+            "page reads of {}",
+            plan.explain()
+        );
+    }
     drop(paged);
     std::fs::remove_dir_all(&dir).ok();
 }
