@@ -786,6 +786,28 @@ mod tests {
     }
 
     #[test]
+    fn a_replicate_never_builds_a_row_view_of_what_it_realizes_or_answers() {
+        let db = demand_catalog();
+        let task = revenue_query();
+        let prepared = prepare_task(&task.specs, &task.query, &db).unwrap();
+        let mut scratch = db.clone();
+        let streams = StreamFactory::new(7).child(0);
+        let v = realize_and_query(&prepared, &mut scratch, &streams).unwrap();
+        // The stochastic table was appended to and scanned as columns, and
+        // the 1×1 answer was read as a cell.
+        let sales = scratch.get("SALES").unwrap();
+        assert_eq!(sales.len(), 20);
+        assert!(!sales.rows_materialized());
+        let answer = prepared.query.execute(&scratch).unwrap();
+        assert_eq!(answer.scalar().unwrap(), Value::from(v));
+        assert!(!answer.rows_materialized());
+        // Only the VG's driver — a row-wise API — reads rows, and it reads
+        // the driver query's own result table, not the catalog's.
+        assert!(!scratch.get("ITEMS").unwrap().rows_materialized());
+        assert!(!scratch.get("PARAMS").unwrap().rows_materialized());
+    }
+
+    #[test]
     fn estimates_query_result_distribution() {
         let db = demand_catalog();
         let res = revenue_query().run(&db, 500, 7).unwrap();

@@ -1,16 +1,20 @@
 //! Columnar record batches: a [`Schema`] plus one [`ColumnVec`] per column.
 //!
-//! A [`Batch`] is the unit of data flowing between physical operators in the
-//! vectorized executor. Operators that only reorder or drop rows (filter,
-//! sort, limit) never touch a `Batch` at all — they compose selection
-//! vectors over a shared `Arc<Batch>` and only the final result (or an
-//! operator that must rebuild columns, like a projection) materializes.
+//! A [`Batch`] is both the in-memory storage of a
+//! [`Table`](crate::table::Table) and the unit of data flowing between
+//! physical operators in the vectorized executor, so a scan of a memory
+//! table and the adoption of a result as a table are `Arc` clones.
+//! Operators that only reorder or drop rows (filter, sort, limit) never
+//! touch a `Batch` at all — they compose selection vectors over a shared
+//! `Arc<Batch>` and only the final result (or an operator that must rebuild
+//! columns, like a projection) gathers.
 
 use super::column::ColumnVec;
 use crate::schema::Schema;
-use crate::table::{Row, Table};
+use crate::table::Row;
 
-/// An immutable columnar batch of rows.
+/// A columnar batch of rows (shared immutably behind an `Arc`; a table
+/// appends to its own through `Arc::make_mut`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: Schema,
@@ -19,21 +23,39 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Transpose a validated row-oriented table into columnar form.
-    pub fn from_table(table: &Table) -> Batch {
-        let schema = table.schema().clone();
-        let rows = table.rows();
+    /// A zero-row batch with one typed column per schema column — what a
+    /// fresh table starts from, so a column that only ever receives NULLs
+    /// stays typed as declared.
+    pub(crate) fn empty(schema: Schema) -> Batch {
         let columns = schema
             .columns()
             .iter()
-            .enumerate()
-            .map(|(i, col)| ColumnVec::from_rows(rows, i, col.dtype))
+            .map(|c| ColumnVec::placeholders(0, c.dtype))
             .collect();
         Batch {
             schema,
             columns,
-            len: rows.len(),
+            len: 0,
         }
+    }
+
+    /// Validate a row against the schema and append it; a rejected row
+    /// leaves every column as it was.
+    pub(crate) fn push_row(&mut self, row: Row) -> crate::Result<()> {
+        self.schema.validate_row(&row)?;
+        for ((col, v), declared) in self.columns.iter_mut().zip(row).zip(self.schema.columns()) {
+            if col.dtype().is_some_and(|t| t != declared.dtype) {
+                // An adopted result column may be typed otherwise than
+                // declared only while every lane is NULL (the executor's
+                // output validation admits that, as `validate_row` admits
+                // NULL in any column).
+                debug_assert!((0..col.len()).all(|i| col.is_null(i)));
+                *col = ColumnVec::typed_nulls(col.len(), declared.dtype);
+            }
+            col.push(v).expect("row validated against the batch schema");
+        }
+        self.len += 1;
+        Ok(())
     }
 
     /// Assemble a batch from pre-built columns. All columns must have the
@@ -96,56 +118,19 @@ impl Batch {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// Check that every index in a selection vector addresses a row of
-    /// this batch — the typed guard in front of the gather kernels, which
-    /// index unchecked. A malformed selection vector (an executor bug, or
-    /// a caller-supplied one) surfaces as
-    /// [`McdbError::RowOutOfBounds`](crate::McdbError::RowOutOfBounds)
-    /// instead of a panic deep inside a column kernel.
-    fn validate_sel(&self, context: &str, sel: &[u32]) -> crate::Result<()> {
-        match sel.iter().find(|&&i| i as usize >= self.len) {
-            None => Ok(()),
-            Some(&i) => Err(crate::McdbError::RowOutOfBounds {
-                context: context.into(),
+    /// Gather a new batch by row index. A selection vector that addresses
+    /// rows past the batch end (an executor bug, or a caller-supplied one)
+    /// is a typed
+    /// [`McdbError::RowOutOfBounds`](crate::McdbError::RowOutOfBounds), not
+    /// a panic deep inside a column kernel.
+    pub fn gather(&self, sel: &[u32]) -> crate::Result<Batch> {
+        if let Some(&i) = sel.iter().find(|&&i| i as usize >= self.len) {
+            return Err(crate::McdbError::RowOutOfBounds {
+                context: "Batch::gather".into(),
                 index: i as u64,
                 rows: self.len,
-            }),
+            });
         }
-    }
-
-    /// Validate a selection vector destined for result materialization,
-    /// reporting failures under the `Batch::to_table` context. The
-    /// morsel-parallel executor validates once up front and then
-    /// materializes rows unchecked on worker threads.
-    pub(crate) fn check_sel(&self, sel: &[u32]) -> crate::Result<()> {
-        self.validate_sel("Batch::to_table", sel)
-    }
-
-    /// Materialize a row-oriented [`Table`] named `name`, optionally
-    /// restricted/reordered by a selection vector. Fails with a typed
-    /// error if the selection vector addresses rows past the batch end.
-    pub fn to_table(&self, name: &str, sel: Option<&[u32]>) -> crate::Result<Table> {
-        let mut out = Table::new(name, self.schema.clone());
-        match sel {
-            None => {
-                for i in 0..self.len {
-                    out.push_row_unchecked(self.row(i));
-                }
-            }
-            Some(sel) => {
-                self.validate_sel("Batch::to_table", sel)?;
-                for &i in sel {
-                    out.push_row_unchecked(self.row(i as usize));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Gather a new batch by row index. Fails with a typed error if the
-    /// selection vector addresses rows past the batch end.
-    pub fn gather(&self, sel: &[u32]) -> crate::Result<Batch> {
-        self.validate_sel("Batch::gather", sel)?;
         Ok(Batch {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.gather(sel)).collect(),
@@ -158,6 +143,7 @@ impl Batch {
 mod tests {
     use super::*;
     use crate::schema::{Column, DataType};
+    use crate::table::Table;
     use crate::value::Value;
 
     fn sample() -> Table {
@@ -178,40 +164,34 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_columnar_form() {
+    fn rows_round_trip_through_columnar_form() {
         let t = sample();
-        let b = Batch::from_table(&t);
+        let b = t.batch();
         assert_eq!(b.len(), 3);
-        let back = b.to_table("sample", None).unwrap();
-        assert_eq!(back, t);
+        let back: Vec<Row> = (0..b.len()).map(|i| b.row(i)).collect();
+        assert_eq!(back, t.rows());
     }
 
     #[test]
     fn selection_vector_restricts_and_reorders() {
         let t = sample();
-        let b = Batch::from_table(&t);
-        let sel = [2u32, 0u32];
-        let out = b.to_table("out", Some(&sel)).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.rows()[0][0], Value::from(3));
-        assert_eq!(out.rows()[1][0], Value::from(1));
-
-        let g = b.gather(&sel).unwrap();
+        let g = t.batch().gather(&[2, 0]).unwrap();
         assert_eq!(g.len(), 2);
         assert_eq!(g.row(0), t.rows()[2]);
+        assert_eq!(g.row(1), t.rows()[0]);
     }
 
     #[test]
     fn out_of_range_selection_is_a_typed_error_not_a_panic() {
-        let b = Batch::from_table(&sample());
-        let sel = [0u32, 3u32]; // batch has rows 0..=2
-        match b.to_table("out", Some(&sel)) {
+        let b = sample().batch();
+        match b.gather(&[0, 3]) {
+            // batch has rows 0..=2
             Err(crate::McdbError::RowOutOfBounds {
                 context,
                 index,
                 rows,
             }) => {
-                assert_eq!(context, "Batch::to_table");
+                assert_eq!(context, "Batch::gather");
                 assert_eq!((index, rows), (3, 3));
             }
             other => panic!("expected RowOutOfBounds, got {other:?}"),

@@ -57,6 +57,19 @@ impl NullMask {
         bits[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Append one lane, keeping the all-valid fast path until the first
+    /// null arrives.
+    #[inline]
+    pub(crate) fn push(&mut self, null: bool) {
+        self.len += 1;
+        if let Some(bits) = &mut self.bits {
+            bits.resize(self.len.div_ceil(64), 0);
+        }
+        if null {
+            self.set_null(self.len - 1);
+        }
+    }
+
     /// Whether any lane is null.
     pub fn any_null(&self) -> bool {
         match &self.bits {
@@ -248,59 +261,58 @@ impl ColumnVec {
         }
     }
 
-    /// Build a typed column from one column of row storage. Rows must
-    /// conform to the declared `dtype` (table rows are validated on
-    /// insert), so mismatches are a debug assertion, not an error.
-    pub fn from_rows(rows: &[crate::table::Row], col: usize, dtype: DataType) -> ColumnVec {
-        let n = rows.len();
-        let mut nulls = NullMask::all_valid(n);
-        match dtype {
-            DataType::Int => {
-                let mut data = vec![0i64; n];
-                for (i, row) in rows.iter().enumerate() {
-                    match &row[col] {
-                        Value::Int(v) => data[i] = *v,
-                        Value::Null => nulls.set_null(i),
-                        other => debug_assert!(false, "Int column holds {other:?}"),
-                    }
-                }
-                ColumnVec::Int { data, nulls }
+    /// Append one lane. `Value::Null` appends a NULL lane (a typed column
+    /// stores its placeholder there); an untyped all-null column takes the
+    /// type of the first non-null value it is given. A value of another
+    /// type than the column's is a typed error and leaves the column as it
+    /// was.
+    #[inline]
+    pub fn push(&mut self, v: Value) -> crate::Result<()> {
+        match (&mut *self, v) {
+            (ColumnVec::Int { data, nulls }, Value::Int(x)) => {
+                data.push(x);
+                nulls.push(false);
             }
-            DataType::Float => {
-                let mut data = vec![0.0f64; n];
-                for (i, row) in rows.iter().enumerate() {
-                    match &row[col] {
-                        Value::Float(v) => data[i] = *v,
-                        Value::Null => nulls.set_null(i),
-                        other => debug_assert!(false, "Float column holds {other:?}"),
-                    }
-                }
-                ColumnVec::Float { data, nulls }
+            (ColumnVec::Float { data, nulls }, Value::Float(x)) => {
+                data.push(x);
+                nulls.push(false);
             }
-            DataType::Bool => {
-                let mut data = vec![false; n];
-                for (i, row) in rows.iter().enumerate() {
-                    match &row[col] {
-                        Value::Bool(v) => data[i] = *v,
-                        Value::Null => nulls.set_null(i),
-                        other => debug_assert!(false, "Bool column holds {other:?}"),
-                    }
-                }
-                ColumnVec::Bool { data, nulls }
+            (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => {
+                data.push(x);
+                nulls.push(false);
             }
-            DataType::Str => {
-                let empty: Arc<str> = Arc::from("");
-                let mut data = vec![Arc::clone(&empty); n];
-                for (i, row) in rows.iter().enumerate() {
-                    match &row[col] {
-                        Value::Str(v) => data[i] = Arc::clone(v),
-                        Value::Null => nulls.set_null(i),
-                        other => debug_assert!(false, "Str column holds {other:?}"),
-                    }
-                }
-                ColumnVec::Str { data, nulls }
+            (ColumnVec::Str { data, nulls }, Value::Str(x)) => {
+                data.push(x);
+                nulls.push(false);
+            }
+            (ColumnVec::Int { data, nulls }, Value::Null) => {
+                data.push(0);
+                nulls.push(true);
+            }
+            (ColumnVec::Float { data, nulls }, Value::Null) => {
+                data.push(0.0);
+                nulls.push(true);
+            }
+            (ColumnVec::Bool { data, nulls }, Value::Null) => {
+                data.push(false);
+                nulls.push(true);
+            }
+            (ColumnVec::Str { data, nulls }, Value::Null) => {
+                data.push(Arc::from(""));
+                nulls.push(true);
+            }
+            (ColumnVec::AllNull { len }, Value::Null) => *len += 1,
+            (ColumnVec::AllNull { len }, v) => {
+                let dtype = v.data_type().expect("not NULL");
+                *self = ColumnVec::typed_nulls(*len, dtype);
+                return self.push(v);
+            }
+            (col, other) => {
+                let dtype = col.dtype().expect("an untyped column accepts any value");
+                return Err(mixed_column_error(dtype, &other));
             }
         }
+        Ok(())
     }
 
     /// Build a column from owned values, inferring the type from the first
@@ -450,7 +462,7 @@ impl ColumnVec {
     }
 
     /// A column of `len` NULLs typed as `dtype` (placeholder values, every
-    /// lane null) — what [`ColumnVec::from_rows`] builds for all-NULL rows.
+    /// lane null) — what pushing `len` NULLs onto a typed column builds.
     pub(crate) fn typed_nulls(len: usize, dtype: DataType) -> ColumnVec {
         let mut nulls = NullMask::all_valid(len);
         for i in 0..len {
@@ -463,7 +475,7 @@ impl ColumnVec {
     /// paged table backend to splice the in-memory append tail onto the
     /// decoded on-disk base. Untyped all-null columns adopt the other
     /// side's type (placeholder values, all lanes null), matching what
-    /// [`ColumnVec::from_rows`] would build for the combined rows.
+    /// [`ColumnVec::push`] builds for the combined rows.
     ///
     /// # Panics
     ///
@@ -639,6 +651,44 @@ mod tests {
         assert!(c.value(0).is_null());
 
         assert!(ColumnVec::from_values(vec![Value::from(1), Value::from("x")]).is_err());
+    }
+
+    #[test]
+    fn push_builds_what_placeholders_plus_set_null_builds() {
+        // Lane by lane, across the 64-lane word boundary: the pushed mask
+        // and payload equal the ones a page decode assembles, so appended
+        // and decoded columns compare `PartialEq`-equal.
+        for null_lanes in [vec![], vec![0], vec![63], vec![64], vec![0, 65, 129]] {
+            let mut pushed = ColumnVec::placeholders(0, DataType::Int);
+            let mut nulls = NullMask::all_valid(130);
+            let mut data = vec![0i64; 130];
+            for (i, slot) in data.iter_mut().enumerate() {
+                if null_lanes.contains(&i) {
+                    nulls.set_null(i);
+                    pushed.push(Value::Null).unwrap();
+                } else {
+                    *slot = i as i64 - 7;
+                    pushed.push(Value::from(i as i64 - 7)).unwrap();
+                }
+            }
+            assert_eq!(pushed, ColumnVec::Int { data, nulls }, "{null_lanes:?}");
+        }
+        // A value of another type is a typed error and changes nothing.
+        let mut c = ColumnVec::from_values(vec![Value::from(1.5)]).unwrap();
+        assert!(c.push(Value::from(2)).is_err());
+        assert!(c.push(Value::from("x")).is_err());
+        assert_eq!(c, ColumnVec::from_values(vec![Value::from(1.5)]).unwrap());
+        // An untyped column stays untyped under NULLs and takes the type of
+        // its first value.
+        let mut c = ColumnVec::AllNull { len: 2 };
+        c.push(Value::Null).unwrap();
+        assert_eq!(c, ColumnVec::AllNull { len: 3 });
+        c.push(Value::from("s")).unwrap();
+        assert_eq!(
+            c,
+            ColumnVec::typed_nulls(3, DataType::Str)
+                .concat(&ColumnVec::broadcast(&Value::from("s"), 1))
+        );
     }
 
     #[test]

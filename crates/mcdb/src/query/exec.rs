@@ -6,37 +6,70 @@
 
 use super::{AggFunc, Catalog, Plan, SortKey};
 use crate::expr::BoundExpr;
+use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::{GroupKey, Value};
 use crate::McdbError;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
+/// One operator's output. Operators hand rows to each other; only the root
+/// builds a [`Table`].
+type Rows = (Schema, Vec<Row>);
+
+fn rows_of(table: &Table) -> Rows {
+    (table.schema().clone(), table.rows().to_vec())
+}
+
 /// Execute a plan against a catalog, materializing the result table.
+///
+/// This interpreter is the differential reference for the vectorized
+/// engine, so it shares as little with it as a `Table` allows: inputs are
+/// read through [`Table::rows`], operators pass `Vec<Row>`, and the one
+/// result table is built row by row with [`Table::push_row`].
 pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
+    let name = match plan {
+        Plan::Scan { table } => table.as_str(),
+        Plan::Values { table } => table.name(),
+        Plan::Filter { .. } => "filter",
+        Plan::Project { .. } => "project",
+        Plan::Join { .. } => "join",
+        Plan::Aggregate { .. } => "aggregate",
+        Plan::Sort { .. } => "sort",
+        Plan::Limit { .. } => "limit",
+    };
+    let (schema, rows) = run(plan, catalog)?;
+    let mut out = Table::new(name, schema);
+    for row in rows {
+        out.push_row(row)?;
+    }
+    Ok(out)
+}
+
+fn run(plan: &Plan, catalog: &Catalog) -> crate::Result<Rows> {
     match plan {
-        Plan::Scan { table } => Ok(catalog.get(table)?.clone()),
-        Plan::Values { table } => Ok(table.clone()),
+        Plan::Scan { table } => Ok(rows_of(catalog.get(table)?)),
+        Plan::Values { table } => Ok(rows_of(table)),
         Plan::Filter { input, predicate } => {
-            let t = execute(input, catalog)?;
-            let bound = predicate.bind(t.schema())?;
-            let mut out = Table::new("filter", t.schema().clone());
-            for row in t.into_rows() {
+            let (schema, input) = run(input, catalog)?;
+            let bound = predicate.bind(&schema)?;
+            let mut rows = Vec::new();
+            for row in input {
                 if bound.eval_predicate(&row)? {
-                    out.push_row_unchecked(row);
+                    rows.push(row);
                 }
             }
-            Ok(out)
+            Ok((schema, rows))
         }
         Plan::Project { input, exprs } => {
-            let t = execute(input, catalog)?;
+            let (schema, input) = run(input, catalog)?;
             let out_schema = plan.output_schema(catalog)?;
             let bound: Vec<BoundExpr> = exprs
                 .iter()
-                .map(|(_, e)| e.bind(t.schema()))
+                .map(|(_, e)| e.bind(&schema))
                 .collect::<crate::Result<_>>()?;
-            let mut out = Table::new("project", out_schema.clone());
-            for row in t.rows() {
+            let mut rows = Vec::with_capacity(input.len());
+            for row in &input {
                 let mut new_row = Vec::with_capacity(bound.len());
                 for (b, col) in bound.iter().zip(out_schema.columns()) {
                     let v = b.eval(row)?;
@@ -45,9 +78,10 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                     let v = coerce(v, col.dtype);
                     new_row.push(v);
                 }
-                out.push_row(new_row)?;
+                out_schema.validate_row(&new_row)?;
+                rows.push(new_row);
             }
-            Ok(out)
+            Ok((out_schema, rows))
         }
         Plan::Join {
             left,
@@ -55,8 +89,8 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
             on,
             right_prefix,
         } => {
-            let lt = execute(left, catalog)?;
-            let rt = execute(right, catalog)?;
+            let (l_schema, l_rows) = run(left, catalog)?;
+            let (r_schema, r_rows) = run(right, catalog)?;
             if on.is_empty() {
                 return Err(McdbError::invalid_plan(
                     "join requires at least one key pair (cross joins unsupported)",
@@ -64,14 +98,14 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
             }
             let l_idx: Vec<usize> = on
                 .iter()
-                .map(|(l, _)| lt.schema().index_of(l))
+                .map(|(l, _)| l_schema.index_of(l))
                 .collect::<crate::Result<_>>()?;
             let r_idx: Vec<usize> = on
                 .iter()
-                .map(|(_, r)| rt.schema().index_of(r))
+                .map(|(_, r)| r_schema.index_of(r))
                 .collect::<crate::Result<_>>()?;
 
-            let out_schema = lt.schema().concat(rt.schema(), right_prefix)?;
+            let out_schema = l_schema.concat(&r_schema, right_prefix)?;
 
             // Build the hash index on the smaller input (classical
             // build-side selection) and probe with the larger one. Output
@@ -86,14 +120,14 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 Some(idx.iter().map(|&j| row[j].group_key()).collect())
             };
             let mut pairs: Vec<(usize, usize)> = Vec::new();
-            if rt.len() <= lt.len() {
+            if r_rows.len() <= l_rows.len() {
                 let mut index: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-                for (i, row) in rt.rows().iter().enumerate() {
+                for (i, row) in r_rows.iter().enumerate() {
                     if let Some(key) = key_of(row, &r_idx) {
                         index.entry(key).or_default().push(i);
                     }
                 }
-                for (i, lrow) in lt.rows().iter().enumerate() {
+                for (i, lrow) in l_rows.iter().enumerate() {
                     if let Some(matches) = key_of(lrow, &l_idx).and_then(|k| index.get(&k)) {
                         for &ri in matches {
                             pairs.push((i, ri));
@@ -102,12 +136,12 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 }
             } else {
                 let mut index: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-                for (i, row) in lt.rows().iter().enumerate() {
+                for (i, row) in l_rows.iter().enumerate() {
                     if let Some(key) = key_of(row, &l_idx) {
                         index.entry(key).or_default().push(i);
                     }
                 }
-                for (i, rrow) in rt.rows().iter().enumerate() {
+                for (i, rrow) in r_rows.iter().enumerate() {
                     if let Some(matches) = key_of(rrow, &r_idx).and_then(|k| index.get(&k)) {
                         for &li in matches {
                             pairs.push((li, i));
@@ -117,35 +151,36 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 pairs.sort_unstable();
             }
 
-            let mut out = Table::new("join", out_schema);
-            let lrows = lt.into_rows();
-            for (li, ri) in pairs {
-                let mut row = lrows[li].clone();
-                row.extend(rt.rows()[ri].iter().cloned());
-                out.push_row_unchecked(row);
-            }
-            Ok(out)
+            let rows = pairs
+                .into_iter()
+                .map(|(li, ri)| {
+                    let mut row = l_rows[li].clone();
+                    row.extend(r_rows[ri].iter().cloned());
+                    row
+                })
+                .collect();
+            Ok((out_schema, rows))
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let t = execute(input, catalog)?;
+            let (schema, input) = run(input, catalog)?;
             let out_schema = plan.output_schema(catalog)?;
             let group_idx: Vec<usize> = group_by
                 .iter()
-                .map(|g| t.schema().index_of(g))
+                .map(|g| schema.index_of(g))
                 .collect::<crate::Result<_>>()?;
             let bound_args: Vec<Option<BoundExpr>> = aggs
                 .iter()
-                .map(|a| a.arg.as_ref().map(|e| e.bind(t.schema())).transpose())
+                .map(|a| a.arg.as_ref().map(|e| e.bind(&schema)).transpose())
                 .collect::<crate::Result<_>>()?;
 
             // Group rows, remembering first-seen group key values and order.
             let mut states: HashMap<Vec<GroupKey>, (Row, Vec<AggState>)> = HashMap::new();
             let mut order: Vec<Vec<GroupKey>> = Vec::new();
-            for row in t.rows() {
+            for row in &input {
                 let key: Vec<GroupKey> = group_idx.iter().map(|&j| row[j].group_key()).collect();
                 let entry = states.entry(key.clone()).or_insert_with(|| {
                     order.push(key);
@@ -163,21 +198,17 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 }
             }
 
-            let mut out = Table::new("aggregate", out_schema.clone());
+            let mut rows = Vec::with_capacity(order.len());
             if states.is_empty() && group_by.is_empty() {
-                // Global aggregate over empty input: one row of identities.
-                let mut row: Row = Vec::new();
-                for a in aggs {
-                    row.push(AggState::new(a.func).finish());
-                }
-                // Coerce to declared output types (e.g. SUM over empty -> NULL).
-                let row = row
-                    .into_iter()
+                // Global aggregate over empty input: one row of identities,
+                // coerced to declared output types (e.g. SUM over empty -> NULL).
+                let row: Row = aggs
+                    .iter()
                     .zip(out_schema.columns())
-                    .map(|(v, c)| coerce(v, c.dtype))
+                    .map(|(a, c)| coerce(AggState::new(a.func).finish(), c.dtype))
                     .collect();
-                out.push_row(row)?;
-                return Ok(out);
+                out_schema.validate_row(&row)?;
+                rows.push(row);
             }
             for key in order {
                 let (group_vals, sts) = states.remove(&key).expect("key recorded in order");
@@ -188,20 +219,20 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 {
                     row.push(coerce(st.finish(), col.dtype));
                 }
-                out.push_row(row)?;
+                out_schema.validate_row(&row)?;
+                rows.push(row);
             }
-            Ok(out)
+            Ok((out_schema, rows))
         }
         Plan::Sort { input, keys } => {
-            let t = execute(input, catalog)?;
+            let (schema, input) = run(input, catalog)?;
             let bound: Vec<(BoundExpr, bool)> = keys
                 .iter()
-                .map(|SortKey { expr, ascending }| Ok((expr.bind(t.schema())?, *ascending)))
+                .map(|SortKey { expr, ascending }| Ok((expr.bind(&schema)?, *ascending)))
                 .collect::<crate::Result<_>>()?;
-            let schema = t.schema().clone();
             // Precompute sort keys so the comparator is infallible.
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.len());
-            for row in t.into_rows() {
+            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(input.len());
+            for row in input {
                 let ks: Vec<Value> = bound
                     .iter()
                     .map(|(b, _)| b.eval(&row))
@@ -218,19 +249,12 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> crate::Result<Table> {
                 }
                 Ordering::Equal
             });
-            let mut out = Table::new("sort", schema);
-            for (_, row) in keyed {
-                out.push_row_unchecked(row);
-            }
-            Ok(out)
+            Ok((schema, keyed.into_iter().map(|(_, row)| row).collect()))
         }
         Plan::Limit { input, n } => {
-            let t = execute(input, catalog)?;
-            let mut out = Table::new("limit", t.schema().clone());
-            for row in t.into_rows().into_iter().take(*n) {
-                out.push_row_unchecked(row);
-            }
-            Ok(out)
+            let (schema, mut rows) = run(input, catalog)?;
+            rows.truncate(*n);
+            Ok((schema, rows))
         }
     }
 }

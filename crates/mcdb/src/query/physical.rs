@@ -3,8 +3,8 @@
 //! [`PreparedQuery::prepare`] lowers a logical [`Plan`] against a catalog
 //! snapshot: the plan is optimized, every expression is bound to column
 //! indices exactly once, operator output schemas are resolved, inline
-//! `Values` tables are transposed to columnar batches, and join key columns
-//! are indexed. The resulting physical plan can then be executed any number
+//! `Values` tables hand over their columns, and join key columns are
+//! indexed. The resulting physical plan can then be executed any number
 //! of times with [`PreparedQuery::execute`] — the prepare-once /
 //! execute-per-replicate split that MCDB-style Monte Carlo processing is
 //! built around.
@@ -46,7 +46,7 @@ use crate::expr::{BinOp, BoundExpr};
 use crate::par::{first_error, morsel_ranges, par_map_ordered};
 use crate::schema::{Column, DataType, Schema};
 use crate::storage::spill::SpilledBatch;
-use crate::table::{Row, Table};
+use crate::table::Table;
 use crate::value::Value;
 use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
@@ -262,7 +262,7 @@ enum PhysOp {
         /// an untyped all-null placeholder.
         read: Vec<bool>,
     },
-    /// An inline table, transposed to a batch at prepare time.
+    /// An inline table: its columns, shared at prepare time.
     Values { name: String, batch: Arc<Batch> },
     /// Selection-vector filter; emits no data, only indices.
     Filter {
@@ -401,7 +401,7 @@ impl PreparedQuery {
 
     /// Execute with structured tracing: one `query` root span, one child
     /// span per physical operator (in execution order) carrying row counts
-    /// and — for scans — table names and batch-cache reuse. With the
+    /// and — for scans — table names and page reads. With the
     /// disabled tracer this is exactly [`PreparedQuery::execute`]: spans
     /// are inert and nothing allocates.
     pub fn execute_traced(&self, catalog: &Catalog, tracer: &Tracer) -> crate::Result<Table> {
@@ -410,7 +410,7 @@ impl PreparedQuery {
         let mut span = tracer.root("query");
         span.record("exec", self.executions.get());
         let chunk = run(&self.root, &ctx, &span)?;
-        let table = materialize(&chunk, self.root.result_name(), &ctx)?;
+        let table = materialize(&chunk, self.root.result_name())?;
         span.record("rows_out", table.len());
         // Deterministic execution counters: pure functions of the data and
         // the plan, identical at every thread count and with or without
@@ -685,37 +685,16 @@ fn prune_unread_columns(op: &mut PhysOp, needed: Option<Vec<bool>>) {
     }
 }
 
-/// Materialize the root chunk as a row-oriented table: validate the
-/// selection vector once, then build rows morsel-parallel and append
-/// them in morsel order.
-fn materialize(chunk: &Chunk, name: &str, ctx: &ExecCtx) -> crate::Result<Table> {
-    if let Some(sel) = chunk.sel_slice() {
-        chunk.batch.check_sel(sel)?;
-    } else {
-        // No selection vector: the root chunk is a batch verbatim (plain
-        // scan, values, or an operator that rebuilt its batch). Adopt it
-        // wholesale — no per-row rebuild, and the result table's columnar
-        // view is already cached for follow-up queries.
-        return Ok(Table::from_batch(name, Arc::clone(&chunk.batch)));
-    }
-    let lanes = chunk.len();
-    let ranges = ctx.ranges(lanes);
-    ctx.count_morsels(ranges.len());
-    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-        let (a, b) = ranges[m];
-        Ok(ctx.timed(|| {
-            (a..b)
-                .map(|lane| chunk.batch.row(chunk.index(lane) as usize))
-                .collect::<Vec<Row>>()
-        }))
-    });
-    let mut out = Table::new(name, chunk.batch.schema().clone());
-    for part in first_error(parts)? {
-        for row in part {
-            out.push_row_unchecked(row);
-        }
-    }
-    Ok(out)
+/// The root chunk as a table. A chunk without a selection vector is a
+/// batch verbatim (plain scan, values, or an operator that rebuilt its
+/// batch) and is adopted as is; otherwise the selection is validated and
+/// gathered once, column by column.
+fn materialize(chunk: &Chunk, name: &str) -> crate::Result<Table> {
+    let batch = match chunk.sel_slice() {
+        None => Arc::clone(&chunk.batch),
+        Some(sel) => Arc::new(chunk.batch.gather(sel)?),
+    };
+    Ok(Table::from_batch(name, batch))
 }
 
 fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
@@ -733,7 +712,6 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                 )));
             }
             span.record("table", table.as_str());
-            span.record("cache_hit", t.batch_is_cached());
             // Logical page reads are deterministic (a pure function of the
             // queries executed), so they may live on the span; the pool's
             // hit/eviction counters are timing-dependent and stay

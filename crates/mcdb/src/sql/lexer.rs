@@ -163,25 +163,22 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             });
             i = j;
         } else if c == '\'' {
-            // String literal with '' escaping.
+            // String literal with '' escaping, sliced from the `&str` a
+            // quote-delimited piece at a time: `'` is ASCII, so every cut
+            // is on a character boundary whatever the literal holds.
             let mut j = i + 1;
             let mut s = String::new();
             loop {
-                if j >= bytes.len() {
+                let Some(quote) = bytes[j..].iter().position(|&b| b == b'\'') else {
                     return Err(SqlError::new("unterminated string literal", Some(start)));
+                };
+                s.push_str(&input[j..j + quote]);
+                j += quote + 1;
+                if bytes.get(j) != Some(&b'\'') {
+                    break;
                 }
-                if bytes[j] == b'\'' {
-                    if j + 1 < bytes.len() && bytes[j + 1] == b'\'' {
-                        s.push('\'');
-                        j += 2;
-                    } else {
-                        j += 1;
-                        break;
-                    }
-                } else {
-                    s.push(bytes[j] as char);
-                    j += 1;
-                }
+                s.push('\'');
+                j += 1;
             }
             out.push(Token {
                 kind: TokenKind::StringLit(s),
@@ -190,12 +187,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             i = j;
         } else {
             // Symbols, longest first.
-            let two = if i + 1 < bytes.len() {
-                &input[i..i + 2]
-            } else {
-                ""
-            };
-            let sym2 = ["<>", "<=", ">=", "!="].iter().find(|s| **s == two);
+            // Compared as bytes: the second byte may open a multi-byte
+            // character, where a `&str` slice would panic.
+            let two = bytes.get(i..i + 2);
+            let sym2 = ["<>", "<=", ">=", "!="]
+                .iter()
+                .find(|s| Some(s.as_bytes()) == two);
             if let Some(&s) = sym2 {
                 out.push(Token {
                     kind: TokenKind::Symbol(if s == "!=" { "<>" } else { s }),
@@ -216,10 +213,13 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                     i += 1;
                 }
                 None => {
+                    // Every token consumed so far ended on an ASCII byte,
+                    // so `i` is a character boundary.
+                    let c = input[i..].chars().next().unwrap_or(c);
                     return Err(SqlError::new(
                         format!("unexpected character `{c}`"),
                         Some(start),
-                    ))
+                    ));
                 }
             }
         }
@@ -277,6 +277,21 @@ mod tests {
         assert_eq!(k[0], TokenKind::StringLit("east".into()));
         assert_eq!(k[1], TokenKind::StringLit("o'brien".into()));
         assert!(tokenize("'open").is_err());
+    }
+
+    #[test]
+    fn non_ascii_input_is_lexed_by_character_not_by_byte() {
+        let k = kinds("'héllo' '日本''語' '🦀'");
+        assert_eq!(k[0], TokenKind::StringLit("héllo".into()));
+        assert_eq!(k[1], TokenKind::StringLit("日本'語".into()));
+        assert_eq!(k[2], TokenKind::StringLit("🦀".into()));
+        // Typed errors, never a slice panic: an unterminated literal that
+        // ends inside a multi-byte sequence, a multi-byte character right
+        // after a one-byte symbol, and one where a token should start.
+        assert!(tokenize("'abc é").is_err());
+        assert!(tokenize("x <é").is_err());
+        let e = tokenize("SELECT é").unwrap_err();
+        assert!(e.message.contains('é'), "{e}");
     }
 
     #[test]

@@ -1208,7 +1208,7 @@ mod tests {
         }))
         .finish()
         .unwrap();
-        let batch = Batch::from_table(&table);
+        let batch = (*table.batch()).clone();
         let dir = std::env::temp_dir().join(format!("mde_coder_par_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.mdet");

@@ -543,7 +543,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.mdet");
         let t = sample_table(1000);
-        let batch = Batch::from_table(&t);
+        let batch = (*t.batch()).clone();
         PagedStore::write(&path, "t", &batch, 1024).unwrap();
         let pool = BufferPool::new(4);
         let store = PagedStore::open(&path, Arc::clone(&pool)).unwrap();
@@ -567,7 +567,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.mdet");
         let t = sample_table(2000);
-        let batch = Batch::from_table(&t);
+        let batch = (*t.batch()).clone();
         PagedStore::write(&path, "t", &batch, 1024).unwrap();
         let store = PagedStore::open(&path, BufferPool::new(16)).unwrap();
         let seq = store.read_batch().unwrap();
@@ -587,7 +587,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("e.mdet");
         let t = Table::build("e", &[("a", DataType::Int)]).finish().unwrap();
-        let batch = Batch::from_table(&t);
+        let batch = (*t.batch()).clone();
         PagedStore::write(&path, "e", &batch, 256).unwrap();
         let store = PagedStore::open(&path, BufferPool::new(2)).unwrap();
         assert_eq!(store.n_rows(), 0);
@@ -605,7 +605,7 @@ mod tests {
             .row(vec![Value::str("x".repeat(4096))])
             .finish()
             .unwrap();
-        let err = PagedStore::write(&path, "big", &Batch::from_table(&t), 256).unwrap_err();
+        let err = PagedStore::write(&path, "big", &t.batch(), 256).unwrap_err();
         assert!(matches!(err, McdbError::InvalidPlan { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -140,7 +140,7 @@ mod tests {
             .rows((0..100).map(|i| vec![Value::from(i as i64), Value::str(format!("v{}", i % 5))]))
             .finish()
             .unwrap();
-        let batch = Batch::from_table(&t);
+        let batch = (*t.batch()).clone();
         let cfg = SpillConfig {
             page_size: 256,
             ..SpillConfig::default()

@@ -1,13 +1,15 @@
-//! Tables: a schema plus rows, backed either by memory or by a paged
-//! columnar file.
+//! Tables: a name plus columns.
 //!
-//! A [`Table`] is the unit of exchange throughout the workspace. Since
-//! the out-of-core storage layer landed it has two backends behind one
-//! API: the original all-in-RAM row store, and a read-only
-//! [`PagedStore`] (an `MDETAB01` file read through a [`BufferPool`])
-//! plus a small in-memory append tail. The row backend doubles as the
-//! differential oracle for the paged one — the property suites assert
-//! both return bit-identical query results.
+//! A [`Table`] is the unit of exchange throughout the workspace, and it
+//! has one in-memory representation: **a table is columns** — a columnar
+//! [`Batch`], the same type the vectorized executor computes on, so a scan
+//! of a memory table and the adoption of a query result as a table are
+//! `Arc` clones. [`Table::rows`] is a cached row *view* of those columns,
+//! built on first use and dropped by an append. A paged table is an
+//! `MDETAB01` file (a read-only [`PagedStore`] read through a
+//! [`BufferPool`]) plus a columnar tail of the rows appended since. The
+//! property suites assert that columns built by appending and columns
+//! decoded from pages give bit-identical query results.
 
 use crate::query::batch::Batch;
 use crate::query::column::ColumnVec;
@@ -16,34 +18,20 @@ use crate::storage::{BufferPool, PagedStore};
 use crate::value::Value;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A row is an ordered vector of values matching a schema.
 pub type Row = Vec<Value>;
 
-/// Where a table's rows live.
+/// Where a table's columns live.
 #[derive(Debug, Clone)]
 enum TableStore {
-    /// All rows in memory (the original backend, and the oracle).
-    Mem(Vec<Row>),
-    /// A read-only paged file plus an in-memory append tail. `rows_cache`
-    /// lazily materializes the full row vector for the row-oriented
-    /// oracle paths ([`Table::rows`], equality); the vectorized executor
-    /// never touches it.
-    Paged {
-        store: Arc<PagedStore>,
-        tail: Vec<Row>,
-        rows_cache: OnceLock<Vec<Row>>,
-    },
-    /// A columnar batch adopted wholesale from the vectorized executor
-    /// (a plain-scan result with no selection vector). Row-oriented
-    /// access lazily transposes into `rows_cache`; [`Table::try_batch`]
-    /// is free, so repeated queries over a query result never re-transpose.
-    Batch {
-        batch: Arc<Batch>,
-        rows_cache: OnceLock<Vec<Row>>,
-    },
+    /// Every row in memory. Shared with whoever else holds the batch (the
+    /// table a `SELECT *` result was adopted from, a catalog snapshot);
+    /// an append copies on write.
+    Cols { batch: Arc<Batch> },
+    /// A read-only paged file plus the rows appended since it was written.
+    Paged { store: Arc<PagedStore>, tail: Batch },
 }
 
 /// A table with a name, schema, and rows.
@@ -53,61 +41,52 @@ enum TableStore {
 /// query results, snapshots of agent populations, and observation exports
 /// from simulations are all `Table`s.
 ///
-/// # Backends
+/// A table is columns; [`Table::rows`] is a cached view that an append
+/// drops; a paged table is a file plus a columnar tail.
 ///
-/// A memory-backed table (everything constructed via [`Table::new`] /
-/// [`Table::build`]) lazily caches a columnar [`Batch`] view of itself
-/// (see [`Table::batch`]); the vectorized executor scans through that
-/// cache so repeated queries over the same table transpose it exactly
-/// once. The cache is invalidated whenever a row is appended and is
-/// ignored by equality comparison.
+/// A memory table ([`Table::new`] / [`Table::build`], and every query
+/// result) holds a typed [`Batch`]: [`Table::push_row`] appends to the
+/// columns, [`Table::batch`] hands them out by `Arc`, and the cell readers
+/// ([`Table::scalar`], [`Table::column`], equality) read them directly.
 ///
 /// A paged table ([`Table::open_paged`] / [`Table::to_paged`]) keeps its
 /// rows in an on-disk `MDETAB01` file and decodes them through a shared
 /// [`BufferPool`], so resident memory is bounded by the pool's frame
 /// budget rather than the table size. A query's scan reads only the pages
-/// of the columns its plan binds (`SELECT COUNT(*)` reads none);
-/// [`Table::try_batch`], [`Table::rows`] and equality read the whole
-/// file. Paged batches are deliberately *not* cached —
-/// [`Table::batch_is_cached`] is always `false` — which keeps the
-/// `cache_hit` field on scan spans truthful: a paged scan pays for the
-/// pages it reads, every time. Appending to a paged table pushes onto an
-/// in-memory tail that is spliced onto the decoded columns at scan time.
+/// of the columns its plan binds (`SELECT COUNT(*)` reads none) and pays
+/// for them every time — decoded pages are never cached outside the pool;
+/// [`Table::try_batch`], [`Table::rows`] and equality read the whole file.
+/// Appending to a paged table appends to its in-memory tail, which a scan
+/// splices onto the decoded columns.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
     store: TableStore,
-    /// Lazily transposed columnar view (Mem backend only).
-    ///
-    /// `OnceLock::get_or_init` guarantees the init closure runs exactly
-    /// once even under concurrent morsel-parallel scans — racing readers
-    /// block and then share the winner's `Arc` — so there is no
-    /// double-materialize race to guard against (regression-tested in
-    /// `concurrent_scans_materialize_exactly_once`).
-    batch_cache: OnceLock<Arc<Batch>>,
-    /// How many times `batch_cache` actually ran its transpose. Shared
-    /// across clones (clones share the observation, not the cache) so
-    /// tests can assert the exactly-once property.
-    materializations: Arc<AtomicU64>,
+    /// The row view of the columns — the only place a `Vec<Row>` lives.
+    /// Filled by the first [`Table::rows`], dropped by an append, ignored
+    /// by equality.
+    rows_cache: OnceLock<Vec<Row>>,
 }
 
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.schema == other.schema && self.rows() == other.rows()
+        if self.name != other.name || self.schema() != other.schema() || self.len() != other.len() {
+            return false;
+        }
+        // Cell by cell, so an untyped all-null column equals a typed one
+        // holding only NULLs, exactly as their row views would.
+        let (a, b) = (self.batch(), other.batch());
+        a.columns()
+            .iter()
+            .zip(b.columns())
+            .all(|(x, y)| (0..a.len()).all(|i| x.value(i) == y.value(i)))
     }
 }
 
 impl Table {
-    /// Create an empty memory-backed table.
+    /// Create an empty memory table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Table {
-            name: name.into(),
-            schema,
-            store: TableStore::Mem(Vec::new()),
-            batch_cache: OnceLock::new(),
-            materializations: Arc::new(AtomicU64::new(0)),
-        }
+        Table::from_batch(name, Arc::new(Batch::empty(schema)))
     }
 
     /// Start a builder from `(name, type)` column pairs.
@@ -130,14 +109,11 @@ impl Table {
         let store = PagedStore::open(path, pool)?;
         Ok(Table {
             name: store.name().to_string(),
-            schema: store.schema().clone(),
             store: TableStore::Paged {
+                tail: Batch::empty(store.schema().clone()),
                 store,
-                tail: Vec::new(),
-                rows_cache: OnceLock::new(),
             },
-            batch_cache: OnceLock::new(),
-            materializations: Arc::new(AtomicU64::new(0)),
+            rows_cache: OnceLock::new(),
         })
     }
 
@@ -155,20 +131,13 @@ impl Table {
         Table::open_paged(path, pool)
     }
 
-    /// Wrap an executor batch as a table without transposing it back to
-    /// rows. This is how the vectorized executor returns a plain scan:
-    /// the result shares the scanned table's cached batch, so a full-table
-    /// scan is O(1) instead of an O(rows × cols) rebuild.
+    /// Adopt a batch as a memory table — how the vectorized executor
+    /// returns its result, and O(1) whatever the size.
     pub(crate) fn from_batch(name: impl Into<String>, batch: Arc<Batch>) -> Table {
         Table {
             name: name.into(),
-            schema: batch.schema().clone(),
-            store: TableStore::Batch {
-                batch,
-                rows_cache: OnceLock::new(),
-            },
-            batch_cache: OnceLock::new(),
-            materializations: Arc::new(AtomicU64::new(0)),
+            store: TableStore::Cols { batch },
+            rows_cache: OnceLock::new(),
         }
     }
 
@@ -182,7 +151,7 @@ impl Table {
     /// inspect pool behavior.
     pub fn paged_store(&self) -> Option<&Arc<PagedStore>> {
         match &self.store {
-            TableStore::Mem(_) | TableStore::Batch { .. } => None,
+            TableStore::Cols { .. } => None,
             TableStore::Paged { store, .. } => Some(store),
         }
     }
@@ -200,44 +169,41 @@ impl Table {
 
     /// The schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        match &self.store {
+            TableStore::Cols { batch } => batch.schema(),
+            TableStore::Paged { tail, .. } => tail.schema(),
+        }
     }
 
-    /// The rows.
+    /// The rows: a view transposed from the columns on first use and kept
+    /// until the next append. Code that alternates [`Table::push_row`] and
+    /// `rows()` on one table therefore rebuilds the view every time — read
+    /// before writing, or read cells from [`Table::batch`].
     ///
-    /// For a paged table this is the oracle path: the first call decodes
-    /// the whole file and materializes (and caches) a row vector —
+    /// For a paged table the first call decodes the whole file —
     /// deliberately unbounded by the pool budget, and it panics on a
     /// corrupt file. The vectorized executor never calls it: its scans
     /// stay columnar, read only the columns a plan binds, and surface
     /// corruption as typed errors.
     pub fn rows(&self) -> &[Row] {
-        match &self.store {
-            TableStore::Mem(rows) => rows,
-            TableStore::Paged {
-                store,
-                tail,
-                rows_cache,
-            } => rows_cache.get_or_init(|| {
-                let batch = store
-                    .read_batch()
-                    .expect("paged table row materialization failed");
-                let mut rows: Vec<Row> = (0..batch.len()).map(|i| batch.row(i)).collect();
-                rows.extend(tail.iter().cloned());
-                rows
-            }),
-            TableStore::Batch { batch, rows_cache } => {
-                rows_cache.get_or_init(|| (0..batch.len()).map(|i| batch.row(i)).collect())
-            }
-        }
+        self.rows_cache.get_or_init(|| {
+            let batch = self.batch();
+            (0..batch.len()).map(|i| batch.row(i)).collect()
+        })
     }
 
-    /// Number of rows. Never materializes a paged table.
+    /// Whether [`Table::rows`] has built its view — the structure tests
+    /// assert that query results and the replicate loop never do.
+    #[cfg(test)]
+    pub(crate) fn rows_materialized(&self) -> bool {
+        self.rows_cache.get().is_some()
+    }
+
+    /// Number of rows. Never reads a page of a paged table.
     pub fn len(&self) -> usize {
         match &self.store {
-            TableStore::Mem(rows) => rows.len(),
-            TableStore::Paged { store, tail, .. } => store.n_rows() + tail.len(),
-            TableStore::Batch { batch, .. } => batch.len(),
+            TableStore::Cols { batch } => batch.len(),
+            TableStore::Paged { store, tail } => store.n_rows() + tail.len(),
         }
     }
 
@@ -246,78 +212,59 @@ impl Table {
         self.len() == 0
     }
 
-    /// Consume the table, yielding its rows (engine-internal; lets
-    /// operators that own their input avoid per-row clones). Paged tables
-    /// materialize first.
-    pub(crate) fn into_rows(self) -> Vec<Row> {
-        let _ = self.rows();
-        match self.store {
-            TableStore::Mem(rows) => rows,
-            TableStore::Paged { rows_cache, .. } | TableStore::Batch { rows_cache, .. } => {
-                rows_cache.into_inner().expect("rows materialized above")
-            }
-        }
-    }
-
-    /// The columnar [`Batch`] view of this table.
+    /// The table's columns.
     ///
-    /// Memory-backed: transposed on first use and cached; appending rows
-    /// invalidates the cache. Paged: the whole file decoded on every call
-    /// (never cached — see [`Table::batch_is_cached`]); panics on a
+    /// Memory table: an `Arc` clone. Paged: the whole file decoded on
+    /// every call (decoded pages are cached only in the pool); panics on a
     /// corrupt file — [`Table::try_batch`] is the fallible form.
     pub fn batch(&self) -> Arc<Batch> {
         self.try_batch().expect("paged table batch decode failed")
     }
 
-    /// The columnar [`Batch`] view, with paged-file corruption surfaced
-    /// as a typed error instead of a panic. Every column is read — for a
-    /// paged table, every page is fetched, verified and decoded.
+    /// The table's columns, with paged-file corruption surfaced as a typed
+    /// error instead of a panic. Every column is read — for a paged table,
+    /// every page is fetched, verified and decoded.
     pub fn try_batch(&self) -> crate::Result<Arc<Batch>> {
-        self.scan_batch(&vec![true; self.schema.len()], 1)
+        match &self.store {
+            TableStore::Cols { batch } => Ok(Arc::clone(batch)),
+            TableStore::Paged { .. } => self.scan_batch(&vec![true; self.schema().len()], 1),
+        }
     }
 
     /// What the vectorized executor's scan operator calls: the batch with
     /// (at least) the columns marked in `read` — one flag per schema
     /// column, computed at prepare time from what the plan binds.
     ///
-    /// Memory-backed tables ignore both arguments: the cached transpose
-    /// holds every column and is already exactly-once under concurrency
-    /// (see the `batch_cache` field docs). A paged table reads only the
-    /// pages of marked columns ([`PagedStore::read_columns`], decode
-    /// fanned out over `threads` workers, bit-identical at any count) and
-    /// splices its in-memory tail onto those columns only; an unmarked
-    /// column is an untyped all-null placeholder that no operator may take
-    /// a lane from. So a paged scan costs what it reads, and fails on a
-    /// corrupt page iff it reads that page.
+    /// A memory table ignores both arguments and clones its `Arc`. A paged
+    /// table reads only the pages of marked columns
+    /// ([`PagedStore::read_columns`], decode fanned out over `threads`
+    /// workers, bit-identical at any count) and splices its tail onto
+    /// those columns only; an unmarked column is an untyped all-null
+    /// placeholder that no operator may take a lane from. So a paged scan
+    /// costs what it reads, and fails on a corrupt page iff it reads that
+    /// page.
     pub(crate) fn scan_batch(&self, read: &[bool], threads: usize) -> crate::Result<Arc<Batch>> {
         match &self.store {
-            TableStore::Mem(_) => Ok(Arc::clone(self.batch_cache.get_or_init(|| {
-                self.materializations.fetch_add(1, Ordering::Relaxed);
-                Arc::new(Batch::from_table(self))
-            }))),
-            TableStore::Batch { batch, .. } => Ok(Arc::clone(batch)),
-            TableStore::Paged { store, tail, .. } => {
+            TableStore::Cols { batch } => Ok(Arc::clone(batch)),
+            TableStore::Paged { store, tail } => {
                 let base = store.read_columns(read, threads)?;
                 if tail.is_empty() {
                     return Ok(Arc::new(base));
                 }
                 let len = base.len() + tail.len();
-                let columns: Vec<ColumnVec> = self
-                    .schema
-                    .columns()
+                let columns: Vec<ColumnVec> = read
                     .iter()
                     .enumerate()
-                    .map(|(i, col)| {
-                        if read[i] {
-                            base.column(i)
-                                .concat(&ColumnVec::from_rows(tail, i, col.dtype))
+                    .map(|(i, &marked)| {
+                        if marked {
+                            base.column(i).concat(tail.column(i))
                         } else {
                             ColumnVec::AllNull { len }
                         }
                     })
                     .collect();
                 Ok(Arc::new(Batch::from_columns(
-                    self.schema.clone(),
+                    tail.schema().clone(),
                     columns,
                     len,
                 )?))
@@ -325,99 +272,53 @@ impl Table {
         }
     }
 
-    /// Whether the columnar batch is already transposed and cached — i.e.
-    /// whether the next [`Table::batch`] call is a cache hit. Exposed so
-    /// the traced executor can report batch-cache reuse per scan. Always
-    /// `false` for paged tables: every paged scan decodes the pages it
-    /// reads through the buffer pool, so reporting a cache hit would be a
-    /// lie.
-    pub fn batch_is_cached(&self) -> bool {
-        match &self.store {
-            TableStore::Mem(_) => self.batch_cache.get().is_some(),
-            TableStore::Paged { .. } => false,
-            // An adopted batch IS the columnar view — always a hit.
-            TableStore::Batch { .. } => true,
-        }
-    }
-
-    /// How many times the columnar batch cache actually transposed rows.
-    /// Under concurrent scans of one (shared) table this must end up at
-    /// exactly 1 — the exactly-once guarantee of the `OnceLock` cache.
-    pub fn batch_materializations(&self) -> u64 {
-        self.materializations.load(Ordering::Relaxed)
-    }
-
-    /// Append a validated row. On a paged table the row lands in the
-    /// in-memory tail; the on-disk base is immutable.
+    /// Validate a row and append it to the columns (copying them first if
+    /// they are shared), dropping the row view. On a paged table the row
+    /// lands in the in-memory tail; the on-disk base is immutable.
     pub fn push_row(&mut self, row: Row) -> crate::Result<()> {
-        self.schema.validate_row(&row)?;
-        self.push_row_unchecked(row);
-        Ok(())
-    }
-
-    /// Append a row without validation.
-    ///
-    /// For engine-internal paths where the row provably conforms (e.g.
-    /// projections of validated rows). Not `unsafe` in the memory sense,
-    /// but misuse produces confusing downstream type errors.
-    pub(crate) fn push_row_unchecked(&mut self, row: Row) {
-        debug_assert!(self.schema.validate_row(&row).is_ok());
-        self.batch_cache.take();
-        if matches!(self.store, TableStore::Batch { .. }) {
-            // Appending demotes an adopted batch to the plain row backend:
-            // the batch is immutable, so materialize rows once and switch.
-            let prev = std::mem::replace(&mut self.store, TableStore::Mem(Vec::new()));
-            if let TableStore::Batch { batch, rows_cache } = prev {
-                let rows = rows_cache
-                    .into_inner()
-                    .unwrap_or_else(|| (0..batch.len()).map(|i| batch.row(i)).collect());
-                self.store = TableStore::Mem(rows);
-            }
-        }
         match &mut self.store {
-            TableStore::Mem(rows) => rows.push(row),
-            TableStore::Paged {
-                tail, rows_cache, ..
-            } => {
-                rows_cache.take();
-                tail.push(row);
-            }
-            TableStore::Batch { .. } => unreachable!("demoted to Mem above"),
+            TableStore::Cols { batch } => Arc::make_mut(batch).push_row(row)?,
+            TableStore::Paged { tail, .. } => tail.push_row(row)?,
         }
+        self.rows_cache.take();
+        Ok(())
     }
 
     /// The single scalar value of a 1×1 table, or an error.
     pub fn scalar(&self) -> crate::Result<Value> {
-        if self.len() == 1 && self.schema.len() == 1 {
-            Ok(self.rows()[0][0].clone())
+        if self.len() == 1 && self.schema().len() == 1 {
+            Ok(self.batch().column(0).value(0))
         } else {
             Err(crate::McdbError::NonScalarResult {
                 rows: self.len(),
-                cols: self.schema.len(),
+                cols: self.schema().len(),
             })
         }
     }
 
     /// Extract one column as a vector of values.
     pub fn column(&self, name: &str) -> crate::Result<Vec<Value>> {
-        let i = self.schema.index_of(name)?;
-        Ok(self.rows().iter().map(|r| r[i].clone()).collect())
+        let i = self.schema().index_of(name)?;
+        let batch = self.batch();
+        let col = batch.column(i);
+        Ok((0..col.len()).map(|r| col.value(r)).collect())
     }
 
     /// Extract one numeric column as `f64`s (Nulls are skipped).
     pub fn column_f64(&self, name: &str) -> crate::Result<Vec<f64>> {
-        let i = self.schema.index_of(name)?;
-        self.rows()
-            .iter()
-            .filter(|r| !r[i].is_null())
-            .map(|r| r[i].as_f64())
+        let i = self.schema().index_of(name)?;
+        let batch = self.batch();
+        let col = batch.column(i);
+        (0..col.len())
+            .filter(|&r| !col.is_null(r))
+            .map(|r| col.value(r).as_f64())
             .collect()
     }
 
     /// Render as an aligned text table (for the figure-regeneration
     /// binaries and debugging).
     pub fn render_ascii(&self) -> String {
-        let names = self.schema.names();
+        let names = self.schema().names();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
         let rendered: Vec<Vec<String>> = self
             .rows()
@@ -484,12 +385,11 @@ impl TableBuilder {
     pub fn finish(self) -> crate::Result<Table> {
         let pairs: Vec<(&str, DataType)> =
             self.columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let schema = Schema::from_pairs(&pairs)?;
-        let mut t = Table::new(self.name, schema);
+        let mut batch = Batch::empty(Schema::from_pairs(&pairs)?);
         for row in self.rows {
-            t.push_row(row)?;
+            batch.push_row(row)?;
         }
-        Ok(t)
+        Ok(Table::from_batch(self.name, Arc::new(batch)))
     }
 }
 
@@ -550,53 +450,248 @@ mod tests {
     }
 
     #[test]
-    fn batch_cache_reuses_until_mutated() {
+    fn batch_is_shared_until_an_append_copies_it() {
         let mut t = sample();
         let b1 = t.batch();
         assert!(Arc::ptr_eq(&b1, &t.batch()));
         assert_eq!(b1.len(), 2);
+        // `b1` is still held, so the append copies the columns first.
         t.push_row(vec![Value::from(3), Value::Null]).unwrap();
         let b2 = t.batch();
         assert!(!Arc::ptr_eq(&b1, &b2));
-        assert_eq!(b2.len(), 3);
-        // The cache is invisible to equality.
-        let fresh = sample().with_name("t");
-        let warmed = {
-            let t = sample();
-            let _ = t.batch();
-            t
-        };
-        assert_eq!(fresh, warmed);
+        assert_eq!((b1.len(), b2.len()), (2, 3));
+        // The row view is invisible to equality.
+        let viewed = sample();
+        let _ = viewed.rows();
+        assert!(viewed.rows_materialized() && !sample().rows_materialized());
+        assert_eq!(sample(), viewed);
     }
 
     #[test]
-    fn concurrent_scans_materialize_exactly_once() {
-        // The double-materialize audit (ISSUE 9): many threads hitting a
-        // cold batch cache must transpose once and share one Arc.
-        let t = Table::build("big", &[("id", DataType::Int)])
-            .rows((0..5000).map(|i| vec![Value::from(i)]))
+    fn rows_view_is_rebuilt_after_an_append() {
+        let mut t = sample();
+        assert_eq!(t.rows().len(), 2);
+        t.push_row(vec![Value::from(3), Value::Null]).unwrap();
+        assert!(!t.rows_materialized());
+        assert_eq!(t.rows()[2], vec![Value::from(3), Value::Null]);
+        // A rejected row leaves columns and view as they were.
+        assert!(t.push_row(vec![Value::from(4)]).is_err());
+        assert!(t
+            .push_row(vec![Value::from(4), Value::from(f64::NAN)])
+            .is_err());
+        assert!(t.rows_materialized());
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn equality_reads_cells_not_column_representation() {
+        // An all-NULL column is typed when appended to and untyped when an
+        // expression produced it; both are the same table.
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
+        let mut appended = Table::new("t", schema.clone());
+        appended
+            .push_row(vec![Value::from(1), Value::Null])
+            .unwrap();
+        let adopted = Table::from_batch(
+            "t",
+            Arc::new(
+                Batch::from_columns(
+                    schema,
+                    vec![
+                        ColumnVec::from_values(vec![Value::from(1)]).unwrap(),
+                        ColumnVec::AllNull { len: 1 },
+                    ],
+                    1,
+                )
+                .unwrap(),
+            ),
+        );
+        assert_ne!(*appended.batch(), *adopted.batch());
+        assert_eq!(appended, adopted);
+        assert_eq!(appended.rows(), adopted.rows());
+        // Appending to the untyped column promotes it in place.
+        let mut adopted = adopted;
+        adopted.push_row(vec![Value::from(2), Value::Null]).unwrap();
+        adopted
+            .push_row(vec![Value::from(3), Value::from(0.5)])
+            .unwrap();
+        assert_eq!(
+            adopted.column("x").unwrap(),
+            vec![Value::Null, Value::Null, Value::from(0.5)]
+        );
+        assert_ne!(appended, adopted);
+        // So does a column the executor typed otherwise while it held only
+        // NULLs (its output validation admits that).
+        let mut mistyped = Table::from_batch(
+            "t",
+            Arc::new(
+                Batch::from_columns(
+                    appended.schema().clone(),
+                    vec![
+                        ColumnVec::from_values(vec![Value::from(1)]).unwrap(),
+                        ColumnVec::typed_nulls(1, DataType::Str),
+                    ],
+                    1,
+                )
+                .unwrap(),
+            ),
+        );
+        assert_eq!(mistyped, appended);
+        mistyped
+            .push_row(vec![Value::from(3), Value::from(0.5)])
+            .unwrap();
+        assert_eq!(mistyped.column_f64("x").unwrap(), vec![0.5]);
+    }
+
+    fn star_catalog() -> crate::query::Catalog {
+        let mut c = crate::query::Catalog::new();
+        c.insert(
+            Table::build(
+                "FACT",
+                &[
+                    ("K", DataType::Int),
+                    ("V", DataType::Float),
+                    ("S", DataType::Str),
+                ],
+            )
+            .rows((0..200).map(|i| {
+                vec![
+                    Value::from(i % 5),
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::from(i as f64 * 0.5)
+                    },
+                    Value::from(["x", "y", "z"][i as usize % 3]),
+                ]
+            }))
+            .finish()
+            .unwrap(),
+        );
+        c.insert(
+            Table::build("DIM", &[("K", DataType::Int), ("W", DataType::Float)])
+                .rows((0..5).map(|k| vec![Value::from(k), Value::from(k as f64)]))
+                .finish()
+                .unwrap(),
+        );
+        c
+    }
+
+    #[test]
+    fn query_results_are_columns_and_never_build_a_row_view() {
+        // The row oracle reads its inputs through `rows()`; give it its own
+        // catalog so the engine's stays unviewed.
+        let (c, oracle) = (star_catalog(), star_catalog());
+        for sql in [
+            "SELECT * FROM FACT",
+            "SELECT * FROM FACT WHERE V > 30.0",
+            "SELECT K, V * 2.0 AS D FROM FACT WHERE S = 'x'",
+            "SELECT S, W FROM FACT JOIN DIM ON K = K WHERE W > 1.0",
+            "SELECT K, COUNT(*) AS N, SUM(V) AS T FROM FACT GROUP BY K",
+            "SELECT * FROM FACT ORDER BY V DESC LIMIT 7",
+            "SELECT COUNT(*) AS N FROM FACT",
+        ] {
+            let plan = crate::sql::plan_from_sql(sql).unwrap();
+            let out = c.query(&plan).unwrap();
+            let cells: usize = out.batch().columns().iter().map(|col| col.len()).sum();
+            assert_eq!(cells, out.len() * out.schema().len(), "{sql}");
+            if out.len() == 1 && out.schema().len() == 1 {
+                assert_eq!(out.scalar().unwrap(), Value::from(200));
+            }
+            assert!(!out.rows_materialized(), "{sql}");
+            // The row oracle agrees, and only now does a view exist.
+            let want = oracle.query_unoptimized(&plan).unwrap();
+            assert_eq!(out.rows(), want.rows(), "{sql}");
+            assert!(out.rows_materialized());
+        }
+        for name in ["FACT", "DIM"] {
+            assert!(!c.get(name).unwrap().rows_materialized());
+        }
+    }
+
+    #[test]
+    fn appending_to_an_adopted_scan_result_leaves_the_scanned_table_unchanged() {
+        let c = star_catalog();
+        let fact = c.get("FACT").unwrap();
+        let mut out = c.query(&crate::query::Plan::scan("FACT")).unwrap();
+        assert!(Arc::ptr_eq(&out.batch(), &fact.batch()), "a scan shares");
+        let extra = vec![Value::from(9), Value::from(9.5), Value::from("w")];
+        out.push_row(extra.clone()).unwrap();
+        assert!(
+            !Arc::ptr_eq(&out.batch(), &fact.batch()),
+            "an append copies"
+        );
+        assert_eq!((fact.len(), out.len()), (200, 201));
+        assert_eq!(out.rows()[200], extra);
+        assert_eq!(out.rows()[..200], *fact.rows());
+        assert_eq!(*fact, star_catalog().get("FACT").unwrap().clone());
+    }
+
+    #[test]
+    fn alternating_append_and_query_equals_the_table_rebuilt_from_scratch() {
+        let dir = std::env::temp_dir().join(format!("mde_table_alt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = star_catalog();
+        let plans: Vec<crate::query::Plan> = [
+            // Unprojected (every column read) and projected (one column,
+            // and none at all) plans.
+            "SELECT * FROM FACT WHERE K >= 0",
+            "SELECT SUM(V) AS T FROM FACT",
+            "SELECT COUNT(*) AS N FROM FACT",
+            "SELECT S, COUNT(*) AS N FROM FACT GROUP BY S",
+        ]
+        .iter()
+        .map(|sql| crate::sql::plan_from_sql(sql).unwrap())
+        .collect();
+        let mut mem = base.get("FACT").unwrap().clone();
+        let mut paged = mem
+            .to_paged(&dir.join("fact.mdet"), 512, BufferPool::new(8))
+            .unwrap();
+        let mut all_rows = mem.rows().to_vec();
+        for step in 0..70i64 {
+            // NULLs land on both sides of the tail's first mask word.
+            let row = vec![
+                Value::from(step % 5),
+                if step % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::from(step as f64)
+                },
+                if step % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::from("t")
+                },
+            ];
+            all_rows.push(row.clone());
+            mem.push_row(row.clone()).unwrap();
+            paged.push_row(row).unwrap();
+            let rebuilt = Table::build(
+                "FACT",
+                &[
+                    ("K", DataType::Int),
+                    ("V", DataType::Float),
+                    ("S", DataType::Str),
+                ],
+            )
+            .rows(all_rows.iter().cloned())
             .finish()
             .unwrap();
-        assert_eq!(t.batch_materializations(), 0);
-        let batches = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|_| t.try_batch().unwrap()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
-        })
-        .unwrap();
-        assert_eq!(t.batch_materializations(), 1, "transpose ran once");
-        for b in &batches[1..] {
-            assert!(Arc::ptr_eq(&batches[0], b), "all scans share one batch");
+            assert_eq!(*mem.batch(), *rebuilt.batch(), "step {step}");
+            assert_eq!(*paged.batch(), *rebuilt.batch(), "step {step}");
+            for plan in &plans {
+                let mut want = crate::query::Catalog::new();
+                want.insert(rebuilt.clone());
+                let want = want.query(plan).unwrap();
+                for t in [&mem, &paged] {
+                    let mut c = crate::query::Catalog::new();
+                    c.insert(t.clone());
+                    assert_eq!(c.query(plan).unwrap(), want, "step {step}");
+                }
+            }
         }
-        // Mutation invalidates; the next scan re-materializes (counter 2).
-        let mut t = t;
-        t.push_row(vec![Value::from(9999)]).unwrap();
-        let _ = t.try_batch().unwrap();
-        assert_eq!(t.batch_materializations(), 2);
+        assert!(!mem.rows_materialized() && !paged.rows_materialized());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -610,13 +705,13 @@ mod tests {
         assert_eq!(paged.name(), mem.name());
         assert_eq!(paged.schema(), mem.schema());
         assert_eq!(paged.len(), mem.len());
-        // Batches decode bit-identically; equality compares materialized rows.
+        // Batches decode bit-identically; equality compares cells.
         assert_eq!(*paged.try_batch().unwrap(), *mem.batch());
         assert_eq!(paged, mem);
-        // Paged batches are never cached: every scan pays its page reads.
-        assert!(!paged.batch_is_cached());
+        // Decoded columns are never kept: every scan pays its page reads.
+        let before = paged.paged_store().unwrap().logical_reads();
         let _ = paged.try_batch().unwrap();
-        assert!(!paged.batch_is_cached());
+        assert!(paged.paged_store().unwrap().logical_reads() > before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,7 +3,7 @@
 //! reference implementation of the framing and reply grammar.
 
 use crate::error::WireError;
-use crate::proto::{read_frame, write_frame, ReadFrame};
+use crate::proto::{read_frame, unescape_cell, write_frame, ReadFrame};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -18,7 +18,10 @@ pub enum Reply {
     Table {
         /// `name:type` column headers.
         columns: Vec<String>,
-        /// Rows as tab-split strings.
+        /// Rows as tab-split strings, string cells unescaped. This is the
+        /// display form: a null and the string `NULL` both read `NULL`
+        /// here; [`parse_row`](crate::proto::parse_row) over a row line of
+        /// the payload is the typed inverse.
         rows: Vec<Vec<String>>,
     },
     /// A typed error.
@@ -108,14 +111,16 @@ pub fn decode_reply(payload: &str) -> Reply {
         return Reply::Err(err);
     }
     if payload.starts_with("TABLE") {
-        let mut lines = payload.lines();
+        // `split`, not `lines`: a last row holding one empty string is an
+        // empty last line.
+        let mut lines = payload.split('\n');
         let _header = lines.next();
         let columns = lines
             .next()
             .map(|l| l.split('\t').map(str::to_string).collect())
             .unwrap_or_default();
         let rows = lines
-            .map(|l| l.split('\t').map(str::to_string).collect())
+            .map(|l| l.split('\t').map(unescape_cell).collect())
             .collect();
         return Reply::Table { columns, rows };
     }

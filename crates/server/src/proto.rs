@@ -36,6 +36,7 @@
 
 use crate::error::{WireCode, WireError};
 use mde_mcdb::prelude::{DataType, Table, Value};
+use mde_mcdb::query::column::ColumnVec;
 use mde_numeric::resilience::RunPolicy;
 use mde_numeric::Priority;
 use std::io::{Read, Write};
@@ -511,7 +512,11 @@ pub fn encode_ok(pairs: &[(&str, String)]) -> String {
 
 /// Render a result table as a `TABLE` reply frame: a header line, a
 /// schema line (`name:type`, tab-separated), then one tab-separated row
-/// per line. `Null` renders as `NULL`.
+/// per line. `Null` renders as `NULL`; a string cell renders verbatim
+/// unless it holds a backslash, TAB, LF or CR (written `\\`, `\t`, `\n`,
+/// `\r`) or is spelled `NULL` (written `\NULL`), so the frame always has
+/// the rows and cells its header announces. [`parse_row`] is the typed
+/// inverse of one row line.
 pub fn encode_table(table: &Table) -> String {
     let schema = table.schema();
     let mut out = format!("TABLE rows={} cols={}\n", table.len(), schema.len());
@@ -521,29 +526,83 @@ pub fn encode_table(table: &Table) -> String {
         .map(|c| format!("{}:{}", c.name, c.dtype))
         .collect();
     out.push_str(&header.join("\t"));
-    for row in table.rows() {
+    let batch = table.batch();
+    for row in 0..batch.len() {
         out.push('\n');
-        let cells: Vec<String> = row.iter().map(render_value).collect();
-        out.push_str(&cells.join("\t"));
+        for (j, col) in batch.columns().iter().enumerate() {
+            if j > 0 {
+                out.push('\t');
+            }
+            render_cell(&mut out, col, row);
+        }
     }
     out
 }
 
-fn render_value(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            // Round-trippable float rendering.
-            format!("{f:?}")
-        }
-        Value::Str(s) => s.to_string(),
-        Value::Bool(b) => b.to_string(),
+fn render_cell(out: &mut String, col: &ColumnVec, row: usize) {
+    use std::fmt::Write as _;
+    if col.is_null(row) {
+        out.push_str("NULL");
+        return;
     }
+    // Writing into a `String` cannot fail.
+    let _ = match col {
+        ColumnVec::Int { data, .. } => write!(out, "{}", data[row]),
+        // Round-trippable float rendering.
+        ColumnVec::Float { data, .. } => write!(out, "{:?}", data[row]),
+        ColumnVec::Bool { data, .. } => write!(out, "{}", data[row]),
+        ColumnVec::Str { data, .. } => {
+            escape_cell(out, &data[row]);
+            Ok(())
+        }
+        ColumnVec::AllNull { .. } => unreachable!("every lane is null"),
+    };
+}
+
+/// The escape scheme of string cells: one backslash introduces `\\`,
+/// `\t`, `\n`, `\r`, and a cell spelled `NULL` is written `\NULL` so it
+/// cannot be read as a null.
+fn escape_cell(out: &mut String, s: &str) {
+    if s == "NULL" {
+        out.push('\\');
+    }
+    let mut rest = s;
+    while let Some(i) = rest.find(['\\', '\t', '\n', '\r']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Undo [`escape_cell`]. Total: a backslash before any other character
+/// (or at the end of the cell) stands for that character (or itself).
+pub(crate) fn unescape_cell(cell: &str) -> String {
+    let mut out = String::with_capacity(cell.len());
+    let mut chars = cell.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('t') => '\t',
+                Some('n') => '\n',
+                Some('r') => '\r',
+                Some(other) => other,
+                None => '\\',
+            },
+            c => c,
+        });
+    }
+    out
 }
 
 /// Parse one tab-separated row of `INSERT` body text against a column
-/// type list.
+/// type list. Cells use the escape scheme of [`encode_table`], so a row
+/// line of a `TABLE` reply parses back to the values it was rendered from.
 pub fn parse_row(line: &str, columns: &[(String, DataType)]) -> Result<Vec<Value>, WireError> {
     let cells: Vec<&str> = line.split('\t').collect();
     if cells.len() != columns.len() {
@@ -573,7 +632,7 @@ pub fn parse_row(line: &str, columns: &[(String, DataType)]) -> Result<Vec<Value
                 DataType::Int => cell.parse().map(Value::Int).map_err(|_| bad("an int")),
                 DataType::Float => cell.parse().map(Value::Float).map_err(|_| bad("a float")),
                 DataType::Bool => cell.parse().map(Value::Bool).map_err(|_| bad("a bool")),
-                DataType::Str => Ok(Value::str(cell)),
+                DataType::Str => Ok(Value::str(unescape_cell(cell))),
             }
         })
         .collect()

@@ -503,12 +503,16 @@ impl Session {
             parsed.push(proto::parse_row(line, &columns)?);
         }
         let added = parsed.len();
-        let cols: Vec<(&str, DataType)> = columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let table = Table::build(name, &cols)
-            .rows(existing.rows().iter().cloned())
-            .rows(parsed)
-            .finish()
-            .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
+        // A copy of the snapshot's table that shares its columns until the
+        // first append. Every row is validated before the catalog changes,
+        // so a bad row leaves it untouched; a session still holding the old
+        // snapshot keeps seeing the old rows.
+        let mut table = existing.clone();
+        for row in parsed {
+            table
+                .push_row(row)
+                .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;
+        }
         let total = table.len();
         self.engine.swap_catalog(|db| {
             db.insert(table);
@@ -695,5 +699,87 @@ fn stop_cause_token(cause: &StopCause) -> &'static str {
         StopCause::Cancelled => "cancelled",
         StopCause::Preempted => "preempted",
         StopCause::Shed => "shed",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mde_mcdb::prelude::Value;
+
+    fn session_over(catalog: Catalog) -> Session {
+        let cfg = crate::server::ServerConfig::default();
+        let engine = Arc::new(Engine {
+            catalog: RwLock::new(Arc::new(catalog)),
+            cache: PlanCache::new(cfg.cache_capacity),
+            hub: CampaignHub::new(cfg.sched, 1),
+            drain: CancelToken::new(),
+            draining: AtomicBool::new(false),
+            vg: VgRegistry::standard(),
+            checkpoint_dir: None,
+            faults: None,
+            default_deadline_ms: None,
+            metrics: ServerMetrics::default(),
+        });
+        Session {
+            engine,
+            id: 1,
+            tenant: "anon".to_string(),
+            specs: Vec::new(),
+            req_seq: 0,
+            streak: 0,
+            hints: RetryHints::new(Default::default(), 1),
+        }
+    }
+
+    #[test]
+    fn insert_is_all_or_nothing_and_copy_on_write() {
+        let mut catalog = Catalog::new();
+        catalog.insert(
+            Table::build("T", &[("S", DataType::Str), ("X", DataType::Float)])
+                .row(vec![Value::from("a"), Value::from(1.0)])
+                .row(vec![Value::from("b"), Value::Null])
+                .finish()
+                .unwrap(),
+        );
+        let mut session = session_over(catalog);
+        let old = session.engine.snapshot();
+        let old_rows = old.get("T").unwrap().rows().to_vec();
+
+        // Escaped cells arrive as the values they stand for.
+        match session.exec_insert("T", "c\\td\t2.5\n\\NULL\tNULL\n") {
+            Ok(Outcome::Reply(reply)) => assert_eq!(reply, "OK rows=2 total=4"),
+            _ => panic!("insert must succeed"),
+        }
+        let new = session.engine.snapshot();
+        assert_eq!(
+            new.get("T").unwrap().rows()[2..],
+            [
+                vec![Value::from("c\td"), Value::from(2.5)],
+                vec![Value::from("NULL"), Value::Null],
+            ]
+        );
+        // Snapshot isolation: the appends copied the shared columns, so a
+        // session still holding the old catalog sees the old rows.
+        assert_eq!(old.get("T").unwrap().rows(), old_rows);
+        assert_eq!(old.get("T").unwrap().len(), 2);
+
+        // A row the table rejects (after a good one) leaves the catalog
+        // untouched and reports the engine's error text.
+        let Err(err) = session.exec_insert("T", "e\t3.5\nf\tNaN") else {
+            panic!("NaN must be rejected");
+        };
+        assert_eq!(err.code, WireCode::Exec);
+        let expected = new
+            .get("T")
+            .unwrap()
+            .clone()
+            .push_row(vec![Value::from("f"), Value::from(f64::NAN)])
+            .unwrap_err();
+        assert_eq!(err.message, expected.to_string());
+        assert!(Arc::ptr_eq(&new, &session.engine.snapshot()));
+        // So does a row that does not parse.
+        assert!(session.exec_insert("T", "g\t4.5\nh\tnot-a-float").is_err());
+        assert!(Arc::ptr_eq(&new, &session.engine.snapshot()));
     }
 }

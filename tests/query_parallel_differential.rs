@@ -244,11 +244,6 @@ fn assert_plan_invariant(
     strict_errors: bool,
     what: &str,
 ) -> Result<Vec<Vec<String>>, String> {
-    // Warm the shared batch cache first: `cache_hit` is a deterministic
-    // function of catalog state, and comparing a cold first run against
-    // warm reruns would flag exactly that state change, not a
-    // thread-count divergence.
-    let _ = db.query(plan);
     let (seq, seq_ledger) = run_at(db, plan, 1);
     for threads in [2usize, 4, 8] {
         let (par, par_ledger) = run_at(db, plan, threads);
@@ -354,7 +349,6 @@ fn ledger_is_stable_across_repeated_runs() {
     let plan =
         plan_from_sql("SELECT K, COUNT(*) AS N, SUM(V) AS S FROM FACT GROUP BY K ORDER BY K ASC")
             .unwrap();
-    let _ = db.query(&plan); // warm the batch cache: `cache_hit` settles
     let (first, first_ledger) = run_at(&db, &plan, 8);
     for _ in 0..3 {
         let (again, again_ledger) = run_at(&db, &plan, 8);

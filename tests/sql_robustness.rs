@@ -169,3 +169,55 @@ fn int_sum_past_9e15_is_exact_and_overflow_is_typed() {
     );
     assert_eq!(errors[0], errors[1], "both engines fail identically");
 }
+
+/// Regression: the lexer rebuilt string literals byte by byte, each UTF-8
+/// byte becoming one Latin-1 `char`, so `WHERE S = 'héllo'` matched no row
+/// of a stored `"héllo"`. Literals holding 2-, 3- and 4-byte code points
+/// now compare, project and group as the strings they spell, identically in
+/// both engines; malformed non-ASCII input is a typed error, never a slice
+/// panic.
+#[test]
+fn non_ascii_string_literals_mean_what_they_spell() {
+    let words = ["héllo", "日本語", "🦀 crab", "o'brien ñ"];
+    let mut db = Catalog::new();
+    db.insert(
+        Table::build("T", &[("X", DataType::Int), ("S", DataType::Str)])
+            .rows((0..8).map(|i| vec![Value::from(i), Value::from(words[i as usize % 4])]))
+            .finish()
+            .unwrap(),
+    );
+    let both = |sql: &str| {
+        let plan = plan_from_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let engine = db.query(&plan).unwrap();
+        assert_eq!(engine, db.query_unoptimized(&plan).unwrap(), "{sql}");
+        engine
+    };
+    for (k, word) in words.iter().enumerate() {
+        let lit = word.replace('\'', "''");
+        let k = k as i64;
+        // WHERE: the literal equals the stored string.
+        let hit = both(&format!("SELECT X FROM T WHERE S = '{lit}' ORDER BY X"));
+        assert_eq!(
+            hit.column("X").unwrap(),
+            [Value::from(k), Value::from(k + 4)]
+        );
+        // SELECT '…' AS c: the literal is projected as written.
+        let lit_col = both(&format!("SELECT '{lit}' AS C, X FROM T WHERE X = {k}"));
+        assert_eq!(lit_col.rows(), [vec![Value::from(*word), Value::from(k)]]);
+    }
+    // GROUP BY: stored strings group under themselves and a filter literal
+    // picks its group.
+    let groups = both("SELECT S, COUNT(*) AS N FROM T GROUP BY S ORDER BY S");
+    assert_eq!(groups.len(), 4);
+    let crab = both("SELECT S, COUNT(*) AS N FROM T WHERE S <> '日本語' GROUP BY S ORDER BY S");
+    assert_eq!(crab.len(), 3);
+    assert!(crab.column("S").unwrap().contains(&Value::from("🦀 crab")));
+
+    for bad in [
+        "SELECT X FROM T WHERE S = 'abc é",
+        "SELECT X FROM T WHERE X <é 1",
+        "SELECT é",
+    ] {
+        assert!(plan_from_sql(bad).is_err(), "{bad}");
+    }
+}
