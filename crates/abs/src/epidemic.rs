@@ -24,7 +24,6 @@
 use mde_mcdb::prelude::*;
 use mde_numeric::dist::Poisson;
 use mde_numeric::rng::{rng_from_seed, Rng};
-use rand::Rng as _;
 
 /// Health state of an individual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

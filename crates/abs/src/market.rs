@@ -18,7 +18,6 @@
 use crate::engine::StepModel;
 use crate::error::AbsError;
 use mde_numeric::rng::{rng_from_seed, Rng};
-use rand::Rng as _;
 
 /// The behavioral parameters θ that calibration must recover.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -17,7 +17,6 @@
 //!   against.
 
 use mde_numeric::rng::Rng;
-use rand::Rng as _;
 
 /// A snapshot of one agent's externally visible state.
 #[derive(Debug, Clone, PartialEq)]

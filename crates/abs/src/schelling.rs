@@ -11,7 +11,6 @@
 
 use crate::engine::StepModel;
 use mde_numeric::rng::{rng_from_seed, Rng};
-use rand::Rng as _;
 
 /// Cell contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,6 @@
 
 use crate::AssimError;
 use mde_numeric::rng::Rng;
-use rand::Rng as _;
 
 /// Validate a weight vector for resampling: non-empty, every entry finite
 /// and non-negative, finite positive total. Returns the total.

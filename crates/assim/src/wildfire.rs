@@ -16,7 +16,6 @@
 use crate::pf::StateSpaceModel;
 use mde_numeric::dist::{Continuous, Normal};
 use mde_numeric::rng::Rng;
-use rand::Rng as _;
 
 /// Per-cell fire status.
 #[derive(Debug, Clone, Copy, PartialEq)]

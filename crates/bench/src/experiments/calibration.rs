@@ -150,7 +150,19 @@ pub fn calibration_contest_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mde_numeric::rng::{chaos_seed, StreamFactory};
+    use mde_numeric::stats::Summary;
 
+    /// What holds at 100 evaluations from the fixed start, over 64 seed
+    /// pairs drawn from `chaos_seed()` (one MSM common-random-number seed
+    /// and one search seed per pair): Nelder–Mead's objective is lower than
+    /// random search's *in geometric mean* — `ln J(NM) − ln J(RS)` averages
+    /// −2.0, a factor of 7, and is negative by at least 4 of its standard
+    /// errors (measured at thirteen seeds: 4.8 to 8.3 s.e.). What does not
+    /// hold, and is not asserted: dominance run by run. NM is bimodal at
+    /// this budget (J ≈ 5e-4 when it converges, 4e-2 to 8e-2 when the
+    /// simplex stalls) and loses to random search's steady ≈ 9e-3 in about
+    /// a quarter of the pairs; see EXPERIMENTS.md, E9.
     #[test]
     fn nelder_mead_beats_random_search_on_objective() {
         let cfg = MarketConfig {
@@ -168,11 +180,22 @@ mod tests {
             &|theta: &[f64], seed: u64| MarketModel::simulate_summary(cfg, theta, seed);
         let bounds =
             Bounds::new(vec![(0.005, 0.15), (0.005, 0.25), (0.05, 0.6)]).expect("valid bounds");
-        let p1 = MsmProblem::new(obs.clone(), simulator, 3, 5);
-        let nm = p1.calibrate(&[0.05, 0.05, 0.3], 100).unwrap();
-        let p2 = MsmProblem::new(obs, simulator, 3, 5);
-        let mut rng = rng_from_seed(9);
-        let rs = random_search(|t| p2.objective(t), &bounds, 100, &mut rng);
-        assert!(nm.fx <= rs.fx * 1.5, "NM {} vs RS {}", nm.fx, rs.fx);
+        let seeds = StreamFactory::new(chaos_seed());
+        let mut ln_ratio = Summary::new();
+        for pair in 0..64 {
+            let crn = seeds.seed_of(2 * pair);
+            let p1 = MsmProblem::new(obs.clone(), simulator, 3, crn);
+            let nm = p1.calibrate(&[0.05, 0.05, 0.3], 100).unwrap();
+            let p2 = MsmProblem::new(obs.clone(), simulator, 3, crn);
+            let mut rng = seeds.stream(2 * pair + 1);
+            let rs = random_search(|t| p2.objective(t), &bounds, 100, &mut rng);
+            ln_ratio.push(nm.fx.ln() - rs.fx.ln());
+        }
+        let se = ln_ratio.sample_std_dev() / (ln_ratio.count() as f64).sqrt();
+        assert!(
+            ln_ratio.mean() < -4.0 * se,
+            "ln J(NM) − ln J(RS): {} ± {se}",
+            ln_ratio.mean()
+        );
     }
 }

@@ -21,7 +21,6 @@
 use mde_numeric::dist::{Distribution, Normal};
 use mde_numeric::rng::rng_from_seed;
 use mde_numeric::stats::{quantile, Summary, TrendAr1Model};
-use rand::Rng as _;
 
 /// Synthetic housing index 1970..=2011 with the 2006 regime change.
 fn housing_series(seed: u64) -> (Vec<f64>, Vec<f64>) {

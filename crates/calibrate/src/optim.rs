@@ -24,7 +24,6 @@ use mde_numeric::resilience::{
     drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::Rng;
-use rand::Rng as _;
 
 use crate::error::CalibrateError;
 

@@ -56,6 +56,7 @@ pub use mde_numeric::cache;
 pub mod composite;
 pub mod error;
 pub mod experiment;
+mod manifest;
 pub mod obs;
 pub mod registry;
 pub mod resilience;

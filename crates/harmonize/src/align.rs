@@ -285,19 +285,18 @@ fn interpolate(
     let threads = threads.max(1).min(target_times.len());
     let chunk_size = target_times.len().div_ceil(threads);
     let mut chunks: Vec<Vec<Vec<f64>>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = target_times
             .chunks(chunk_size)
             .map(|chunk| {
                 let eval_point = &eval_point;
-                scope.spawn(move |_| chunk.iter().map(|&t| eval_point(t)).collect::<Vec<_>>())
+                scope.spawn(move || chunk.iter().map(|&t| eval_point(t)).collect::<Vec<_>>())
             })
             .collect();
         for h in handles {
             chunks.push(h.join().expect("interpolation worker panicked"));
         }
-    })
-    .expect("crossbeam scope panicked");
+    });
 
     let data: Vec<Vec<f64>> = chunks.into_iter().flatten().collect();
     TimeSeries::new(source.channels().to_vec(), target_times.to_vec(), data)

@@ -28,7 +28,6 @@
 use crate::sgd::StepSchedule;
 use mde_numeric::linalg::Tridiagonal;
 use mde_numeric::rng::Rng;
-use rand::seq::SliceRandom;
 
 /// Configuration for a DSGD solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,7 +118,7 @@ pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -
         // Regenerative stratum switching: a fresh random permutation each
         // cycle guarantees equal time per stratum in the long run, with
         // regeneration points at cycle boundaries.
-        order.shuffle(rng);
+        rng.shuffle(&mut order);
         let eps = cfg.schedule.at(cycle);
         for &s in &order {
             run_stratum(a, b, &mut x, &strata[s], eps, threads);
@@ -193,16 +192,15 @@ fn run_stratum(
         consumed = hi;
     }
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for ((seg, seg_start), chunk) in segments.into_iter().zip(&chunks) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for &i in *chunk {
                     row_update_local(a, b, seg, seg_start, i, eps);
                 }
             });
         }
-    })
-    .expect("dsgd worker panicked");
+    });
 }
 
 /// The SGD row update against a segment of `x` starting at global index

@@ -16,7 +16,6 @@
 
 use mde_numeric::linalg::Tridiagonal;
 use mde_numeric::rng::Rng;
-use rand::Rng as _;
 
 /// Step-size schedule `ε_n = ε₀ · (n + 1)^{−α}`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -48,12 +48,12 @@ where
     }
     let mut out: Vec<Option<crate::Result<T>>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = dealt
             .into_iter()
             .map(|hand| {
                 let f = &f;
-                scope.spawn(move |_| -> Vec<(usize, crate::Result<T>)> {
+                scope.spawn(move || -> Vec<(usize, crate::Result<T>)> {
                     hand.into_iter().map(|(i, item)| (i, f(item))).collect()
                 })
             })
@@ -63,8 +63,7 @@ where
                 out[i] = Some(r);
             }
         }
-    })
-    .expect("morsel scope");
+    });
     out.into_iter()
         .map(|o| o.expect("every task index filled"))
         .collect()

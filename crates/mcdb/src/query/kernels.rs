@@ -561,24 +561,10 @@ pub(crate) fn accumulate(
 mod tests {
     use super::*;
     use crate::value::Value;
+    use mde_numeric::rng::{chaos_seed, rng_from_seed};
 
     fn col(values: Vec<Value>) -> ColumnVec {
         ColumnVec::from_values(values).unwrap()
-    }
-
-    /// Master seed for the seeded cases; CI sweeps `MDE_CHAOS_SEED`.
-    fn chaos_seed() -> u64 {
-        std::env::var("MDE_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(23)
-    }
-
-    fn next(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 11
     }
 
     #[test]
@@ -641,19 +627,19 @@ mod tests {
     /// multi-column keys with NULLs.
     #[test]
     fn groups_match_quadratic_oracle_on_seeded_keys() {
-        let mut state = chaos_seed();
+        let mut rng = rng_from_seed(chaos_seed());
         for _ in 0..20 {
-            let n = 1 + (next(&mut state) % 300) as usize;
+            let n = rng.gen_range(1..=300);
             let ints: Vec<Value> = (0..n)
-                .map(|_| match next(&mut state) % 5 {
+                .map(|_| match rng.gen_range(0..5i64) {
                     0 => Value::Null,
-                    r => Value::from(r as i64 % 3),
+                    r => Value::from(r % 3),
                 })
                 .collect();
             let strs: Vec<Value> = (0..n)
-                .map(|_| match next(&mut state) % 4 {
+                .map(|_| match rng.gen_range(0..4usize) {
                     0 => Value::Null,
-                    r => Value::str(["a", "b", "c"][r as usize - 1]),
+                    r => Value::str(["a", "b", "c"][r - 1]),
                 })
                 .collect();
             let (a, b) = (col(ints.clone()), col(strs.clone()));

@@ -119,13 +119,13 @@ impl SelfJoinSim {
         type PartOut = crate::Result<Vec<(usize, Row)>>;
         let mut results: Vec<Option<PartOut>> = (0..threads).map(|_| None).collect();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let part_rows = &part_rows;
                 let neighbor_rows_of = &neighbor_rows_of;
                 let transition = &self.transition;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut pid = t;
                     while pid < n_parts {
@@ -156,8 +156,7 @@ impl SelfJoinSim {
                 }
             }
             Ok(())
-        })
-        .map_err(|_| McdbError::worker_lost("self-join scoped worker pool panicked"))??;
+        })?;
 
         let mut indexed: Vec<(usize, Row)> = Vec::with_capacity(agents.len());
         for r in results.into_iter().flatten() {
@@ -276,7 +275,6 @@ mod tests {
                 "cell",
                 |_k: &Value| vec![],
                 Arc::new(|agent: &Row, _n: &[&Row], rng: &mut Rng| {
-                    use rand::Rng as _;
                     Ok(vec![
                         agent[0].clone(),
                         agent[1].clone(),

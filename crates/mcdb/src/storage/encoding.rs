@@ -951,26 +951,13 @@ mod tests {
     // suites: `cargo test -p mde-mcdb storage::encoding`)
     // -----------------------------------------------------------------
 
-    fn chaos_seed() -> u64 {
-        std::env::var("MDE_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(7)
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use mde_numeric::rng::{chaos_seed, rng_from_seed};
 
     const LANE_COUNTS: [usize; 10] = [0, 1, 7, 8, 9, 63, 64, 65, 2_044, 13_000];
 
     #[test]
     fn wordwise_coder_matches_the_bitwise_oracle() {
-        let mut state = chaos_seed();
+        let mut rng = rng_from_seed(chaos_seed());
         for width in 0..=64u32 {
             for n in LANE_COUNTS {
                 // Values use the full width, with the extremes present.
@@ -978,7 +965,7 @@ mod tests {
                     .map(|i| match i % 5 {
                         0 => width_mask(width),
                         1 => 0,
-                        _ => splitmix(&mut state) & width_mask(width),
+                        _ => rng.gen::<u64>() & width_mask(width),
                     })
                     .collect();
                 let mut want = vec![0xEE]; // packing appends
@@ -1175,8 +1162,8 @@ mod tests {
         use crate::storage::{BufferPool, PagedStore};
         use crate::table::Table;
 
-        let mut state = chaos_seed() ^ 0xD1CE;
-        let n = 1_500 + (splitmix(&mut state) % 700) as usize;
+        let mut rng = rng_from_seed(chaos_seed());
+        let n = rng.gen_range(1_500..2_200);
         let table = Table::build(
             "T",
             &[
@@ -1187,9 +1174,9 @@ mod tests {
             ],
         )
         .rows((0..n).map(|i| {
-            let k = (splitmix(&mut state) % 1_000) as i64 - 500;
+            let k: i64 = rng.gen_range(-500..500);
             let mut null = |v: Value| {
-                if splitmix(&mut state).is_multiple_of(9) {
+                if rng.gen_range(0..9) == 0 {
                     Value::Null
                 } else {
                     v

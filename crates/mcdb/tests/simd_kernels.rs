@@ -12,7 +12,7 @@ use mde_mcdb::query::simd::{
     cmp_f64_lit, cmp_f64_lit_portable, cmp_i64_lit, cmp_i64_lit_portable, compact_bool_lanes,
     compact_bool_lanes_portable, intersect_sorted, CmpOp,
 };
-use proptest::prelude::*;
+use mde_numeric::rng::for_cases;
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -83,22 +83,23 @@ fn mask_for(kind: usize, words_src: &[u64], len: usize) -> Option<Vec<u64>> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// f64 literal comparison: dispatched == portable on hostile data,
-    /// for all six predicates and every mask shape.
-    #[test]
-    fn cmp_f64_dispatched_equals_portable(
-        len_pick in 0usize..13,
-        len_rand in 0usize..130,
-        picks in proptest::collection::vec(0usize..12, 1..131),
-        alts in proptest::collection::vec(any::<f64>(), 1..131),
-        lit_pick in 0usize..12,
-        lit_alt in any::<f64>(),
-        kind in 0usize..4,
-        words in proptest::collection::vec(any::<u64>(), 1..4),
-    ) {
+/// f64 literal comparison: dispatched == portable on hostile data,
+/// for all six predicates and every mask shape.
+#[test]
+fn cmp_f64_dispatched_equals_portable() {
+    for_cases(192, |rng| {
+        let len_pick = rng.gen_range(0usize..13);
+        let len_rand = rng.gen_range(0usize..130);
+        let picks: Vec<usize> = (0..rng.gen_range(1..131))
+            .map(|_| rng.gen_range(0..12))
+            .collect();
+        let alts: Vec<f64> = (0..rng.gen_range(1..131))
+            .map(|_| f64::from_bits(rng.gen()))
+            .collect();
+        let lit_pick = rng.gen_range(0usize..12);
+        let lit_alt = f64::from_bits(rng.gen());
+        let kind = rng.gen_range(0usize..4);
+        let words: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| rng.gen()).collect();
         let len = edge_len(len_pick, len_rand);
         let data: Vec<f64> = (0..len)
             .map(|i| hostile_f64(picks[i % picks.len()], alts[i % alts.len()]))
@@ -108,28 +109,31 @@ proptest! {
         for op in OPS {
             let got = cmp_f64_lit(op, &data, lit, mask.as_deref());
             let want = cmp_f64_lit_portable(op, &data, lit, mask.as_deref());
-            prop_assert_eq!(&got, &want, "op {:?} len {} lit {:?}", op, len, lit);
+            assert_eq!(&got, &want, "op {:?} len {} lit {:?}", op, len, lit);
             // Selection vectors are strictly increasing local lanes.
-            prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
+            assert!(got.windows(2).all(|w| w[0] < w[1]));
             if kind == 2 {
-                prop_assert!(got.is_empty(), "all-null input selects nothing");
+                assert!(got.is_empty(), "all-null input selects nothing");
             }
         }
-    }
+    });
+}
 
-    /// i64 literal comparison: dispatched == portable across the
-    /// derived-predicate table (eq/gt + operand swap + mask negate).
-    #[test]
-    fn cmp_i64_dispatched_equals_portable(
-        len_pick in 0usize..13,
-        len_rand in 0usize..130,
-        picks in proptest::collection::vec(0usize..8, 1..131),
-        alts in proptest::collection::vec(any::<u64>(), 1..131),
-        lit_pick in 0usize..8,
-        lit_alt in any::<u64>(),
-        kind in 0usize..4,
-        words in proptest::collection::vec(any::<u64>(), 1..4),
-    ) {
+/// i64 literal comparison: dispatched == portable across the
+/// derived-predicate table (eq/gt + operand swap + mask negate).
+#[test]
+fn cmp_i64_dispatched_equals_portable() {
+    for_cases(192, |rng| {
+        let len_pick = rng.gen_range(0usize..13);
+        let len_rand = rng.gen_range(0usize..130);
+        let picks: Vec<usize> = (0..rng.gen_range(1..131))
+            .map(|_| rng.gen_range(0..8))
+            .collect();
+        let alts: Vec<u64> = (0..rng.gen_range(1..131)).map(|_| rng.gen()).collect();
+        let lit_pick = rng.gen_range(0usize..8);
+        let lit_alt = rng.gen::<u64>();
+        let kind = rng.gen_range(0usize..4);
+        let words: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| rng.gen()).collect();
         let len = edge_len(len_pick, len_rand);
         let data: Vec<i64> = (0..len)
             .map(|i| hostile_i64(picks[i % picks.len()], alts[i % alts.len()]))
@@ -139,35 +143,36 @@ proptest! {
         for op in OPS {
             let got = cmp_i64_lit(op, &data, lit, mask.as_deref());
             let want = cmp_i64_lit_portable(op, &data, lit, mask.as_deref());
-            prop_assert_eq!(&got, &want, "op {:?} len {} lit {}", op, len, lit);
+            assert_eq!(&got, &want, "op {:?} len {} lit {}", op, len, lit);
             if kind == 2 {
-                prop_assert!(got.is_empty());
+                assert!(got.is_empty());
             }
         }
-    }
+    });
+}
 
-    /// Boolean compaction: dispatched == portable, incl. the 32-lane
-    /// half-word null extraction inside the AVX2 path, plus a
-    /// first-principles semantic check independent of the oracle.
-    #[test]
-    fn compact_bool_dispatched_equals_portable(
-        len_pick in 0usize..13,
-        len_rand in 0usize..130,
-        fill in proptest::collection::vec(any::<bool>(), 1..131),
-        kind in 0usize..4,
-        words in proptest::collection::vec(any::<u64>(), 1..4),
-    ) {
+/// Boolean compaction: dispatched == portable, incl. the 32-lane
+/// half-word null extraction inside the AVX2 path, plus a
+/// first-principles semantic check independent of the oracle.
+#[test]
+fn compact_bool_dispatched_equals_portable() {
+    for_cases(192, |rng| {
+        let len_pick = rng.gen_range(0usize..13);
+        let len_rand = rng.gen_range(0usize..130);
+        let fill: Vec<bool> = (0..rng.gen_range(1..131)).map(|_| rng.gen()).collect();
+        let kind = rng.gen_range(0usize..4);
+        let words: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| rng.gen()).collect();
         let len = edge_len(len_pick, len_rand);
         let data: Vec<bool> = (0..len).map(|i| fill[i % fill.len()]).collect();
         let mask = mask_for(kind, &words, len);
         let got = compact_bool_lanes(&data, mask.as_deref());
         let want = compact_bool_lanes_portable(&data, mask.as_deref());
-        prop_assert_eq!(&got, &want);
+        assert_eq!(&got, &want);
         for &lane in &got {
             let lane = lane as usize;
-            prop_assert!(data[lane], "selected lane must be true");
+            assert!(data[lane], "selected lane must be true");
             if let Some(w) = &mask {
-                prop_assert_eq!(
+                assert_eq!(
                     w[lane / 64] >> (lane % 64) & 1,
                     0,
                     "selected lane must be non-null"
@@ -175,40 +180,51 @@ proptest! {
             }
         }
         if kind == 2 {
-            prop_assert!(got.is_empty());
+            assert!(got.is_empty());
         }
-    }
+    });
+}
 
-    /// A filter conjunction is the intersection of its conjuncts'
-    /// selections: intersecting two dispatched comparison kernels'
-    /// outputs equals the lanes where both portable predicates hold.
-    #[test]
-    fn conjunction_of_dispatched_kernels_equals_portable_and(
-        len_pick in 0usize..13,
-        len_rand in 0usize..130,
-        picks in proptest::collection::vec(0usize..8, 1..131),
-        alts in proptest::collection::vec(any::<u64>(), 1..131),
-        words in proptest::collection::vec(any::<u64>(), 1..4),
-        lo_pick in 0usize..8,
-        hi_pick in 0usize..8,
-        lo_op in 0usize..6,
-        hi_op in 0usize..6,
-    ) {
+/// A filter conjunction is the intersection of its conjuncts'
+/// selections: intersecting two dispatched comparison kernels'
+/// outputs equals the lanes where both portable predicates hold.
+#[test]
+fn conjunction_of_dispatched_kernels_equals_portable_and() {
+    for_cases(192, |rng| {
+        let len_pick = rng.gen_range(0usize..13);
+        let len_rand = rng.gen_range(0usize..130);
+        let picks: Vec<usize> = (0..rng.gen_range(1..131))
+            .map(|_| rng.gen_range(0..8))
+            .collect();
+        let alts: Vec<u64> = (0..rng.gen_range(1..131)).map(|_| rng.gen()).collect();
+        let words: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| rng.gen()).collect();
+        let lo_pick = rng.gen_range(0usize..8);
+        let hi_pick = rng.gen_range(0usize..8);
+        let lo_op = rng.gen_range(0usize..6);
+        let hi_op = rng.gen_range(0usize..6);
         let len = edge_len(len_pick, len_rand);
         let data: Vec<i64> = (0..len)
             .map(|i| hostile_i64(picks[i % picks.len()], alts[i % alts.len()]))
             .collect();
-        let nulls: Vec<u64> = (0..len.div_ceil(64).max(1)).map(|w| words[w % words.len()]).collect();
-        let (lo, hi) = (hostile_i64(lo_pick, alts[0]), hostile_i64(hi_pick, alts[alts.len() - 1]));
+        let nulls: Vec<u64> = (0..len.div_ceil(64).max(1))
+            .map(|w| words[w % words.len()])
+            .collect();
+        let (lo, hi) = (
+            hostile_i64(lo_pick, alts[0]),
+            hostile_i64(hi_pick, alts[alts.len() - 1]),
+        );
         let a = cmp_i64_lit(OPS[lo_op], &data, lo, Some(&nulls));
         let b = cmp_i64_lit(OPS[hi_op], &data, hi, Some(&nulls));
         let both = intersect_sorted(&a, &b);
         let pa = cmp_i64_lit_portable(OPS[lo_op], &data, lo, Some(&nulls));
         let pb = cmp_i64_lit_portable(OPS[hi_op], &data, hi, Some(&nulls));
         let want: Vec<u32> = pa.iter().copied().filter(|l| pb.contains(l)).collect();
-        prop_assert_eq!(&both, &want);
-        prop_assert!(both.windows(2).all(|w| w[0] < w[1]), "selection stays ascending");
-    }
+        assert_eq!(&both, &want);
+        assert!(
+            both.windows(2).all(|w| w[0] < w[1]),
+            "selection stays ascending"
+        );
+    });
 }
 
 /// NaN semantics pinned explicitly: every predicate except `Ne` is

@@ -12,7 +12,7 @@ use mde_mcdb::prelude::*;
 use mde_mcdb::query::column::ColumnVec;
 use mde_mcdb::storage::BufferPool;
 use mde_mcdb::McdbError;
-use proptest::prelude::*;
+use mde_numeric::rng::for_cases;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const COLS: [(&str, DataType); 4] = [
@@ -163,24 +163,29 @@ fn check_round_trip(rows: Vec<Vec<Value>>, page_size: usize, what: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Generated tables over the hostile palette, 0..140 rows (both sides
-    /// of the 64-lane mask word), NULLs scattered by a random stride.
-    #[test]
-    fn rows_round_trip_and_appended_columns_equal_decoded_columns(
-        n in 0usize..140,
-        picks in proptest::collection::vec(0usize..72, 1..131),
-        alt in any::<f64>(),
-        null_stride in 1usize..9,
-        page_pick in 0usize..3,
-    ) {
+/// Generated tables over the hostile palette, 0..140 rows (both sides
+/// of the 64-lane mask word), NULLs scattered by a random stride.
+#[test]
+fn rows_round_trip_and_appended_columns_equal_decoded_columns() {
+    for_cases(48, |rng| {
+        let n = rng.gen_range(0usize..140);
+        let picks: Vec<usize> = (0..rng.gen_range(1..131))
+            .map(|_| rng.gen_range(0..72))
+            .collect();
+        // Any finite bit pattern: a Float column refuses NaN with a typed error.
+        let alt = loop {
+            let x = f64::from_bits(rng.gen());
+            if x.is_finite() {
+                break x;
+            }
+        };
+        let null_stride = rng.gen_range(1usize..9);
+        let page_pick = rng.gen_range(0usize..3);
         let lane = |r: usize, c: usize| r * COLS.len() + c + picks[0];
         let null_at = |r: usize, c: usize| lane(r, c).is_multiple_of(null_stride + 1);
         let rows = rows_of(n, &picks, alt, null_at);
         check_round_trip(rows, [256, 1024, 16 * 1024][page_pick], "generated");
-    }
+    });
 }
 
 #[test]

@@ -15,7 +15,6 @@
 //!   distance.
 
 use mde_numeric::rng::Rng;
-use rand::seq::SliceRandom;
 
 /// A design matrix: `runs × factors`, in coded units.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,7 +261,7 @@ pub fn randomized_lh(n_factors: usize, r: usize, rng: &mut Rng) -> Design {
     let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_factors);
     for _ in 0..n_factors {
         let mut c = levels.clone();
-        c.shuffle(rng);
+        rng.shuffle(&mut c);
         cols.push(c);
     }
     let matrix = (0..r)

@@ -352,16 +352,15 @@ impl GpModel {
             return out;
         }
         let chunk = m.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (pts, band) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (o, p) in band.iter_mut().zip(pts) {
                         *o = self.predict(p);
                     }
                 });
             }
-        })
-        .expect("batch prediction worker panicked");
+        });
         out
     }
 
@@ -578,7 +577,6 @@ mod tests {
         let mut xs = Vec::new();
         let mut rng = rng_from_seed(2);
         for _ in 0..30 {
-            use rand::Rng as _;
             xs.push(vec![rng.gen::<f64>(), rng.gen::<f64>()]);
         }
         let ys: Vec<f64> = xs.iter().map(|x| (6.0 * x[0]).sin()).collect();

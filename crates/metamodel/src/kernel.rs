@@ -151,19 +151,18 @@ impl KernelWorkspace {
             return;
         }
         let bounds = band_bounds(n, threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut sig_rest: &mut [f64] = sigma_data;
             for w in 0..threads {
                 let (r0, r1) = (bounds[w], bounds[w + 1]);
                 let (sig_band, rest) = sig_rest.split_at_mut((r1 - r0) * n);
                 sig_rest = rest;
                 let sqd = &*sqd;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     fill_band(sqd, thetas, tau2, noise_var, jitter, r0, r1, sig_band, n);
                 });
             }
-        })
-        .expect("kernel assembly worker panicked");
+        });
     }
 
     /// Assemble and factor `Σ`, profile out `β₀` by GLS, and return

@@ -449,7 +449,6 @@ pub fn gp_screening_augmented<R: ResponseSurface>(
     rng: &mut Rng,
     mut metrics: Option<&mut mde_numeric::obs::RunMetrics>,
 ) -> mde_numeric::Result<Vec<(usize, f64)>> {
-    use rand::Rng as _;
     const CANDIDATES_PER_PROBE: usize = 16;
     let k = response.dim();
     let design = nolh(k, design_runs, 50, rng);

@@ -7,7 +7,6 @@
 use super::Distribution;
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Bernoulli distribution: `1` with probability `p`, else `0`.
 #[derive(Debug, Clone, Copy, PartialEq)]

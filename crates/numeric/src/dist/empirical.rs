@@ -5,7 +5,6 @@
 use super::{Continuous, Distribution};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Empirical distribution over an observed sample.
 ///

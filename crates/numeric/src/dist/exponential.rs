@@ -4,7 +4,6 @@
 use super::{Continuous, Distribution};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Exponential distribution with **rate** `theta`, density
 /// `f(x; θ) = θ e^{-θx}` for `x ≥ 0` — the exact parametrization of the

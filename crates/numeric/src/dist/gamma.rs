@@ -6,7 +6,6 @@ use super::special::{ln_gamma, reg_lower_gamma};
 use super::{Continuous, Distribution, Normal};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Gamma distribution with shape `k > 0` and scale `theta > 0`
 /// (mean `k·θ`, variance `k·θ²`).

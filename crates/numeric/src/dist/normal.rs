@@ -4,7 +4,6 @@ use super::special::{std_normal_cdf, std_normal_quantile};
 use super::{Continuous, Distribution};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Normal distribution `N(mu, sigma^2)`.
 ///

@@ -5,7 +5,6 @@ use super::special::reg_lower_gamma;
 use super::Distribution;
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Poisson distribution with mean `lambda > 0`.
 ///

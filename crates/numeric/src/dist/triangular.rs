@@ -5,7 +5,6 @@
 use super::{Continuous, Distribution};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Triangular distribution on `[a, b]` with mode `c`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,7 +3,6 @@
 use super::{Continuous, Distribution};
 use crate::rng::Rng;
 use crate::NumericError;
-use rand::Rng as _;
 
 /// Uniform distribution on `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]

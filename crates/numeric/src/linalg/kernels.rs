@@ -666,24 +666,20 @@ pub fn forward_solve_in_place(l: &Matrix, b: &mut [f64]) -> crate::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{chaos_seed, rng_from_seed};
 
-    fn spd(n: usize, seed: u64) -> Matrix {
-        // A = BᵀB + I from a cheap deterministic generator.
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect()).unwrap();
+    /// A = BᵀB + I with B's entries uniform on [−½, ½).
+    fn spd(n: usize) -> Matrix {
+        let mut rng = rng_from_seed(chaos_seed());
+        let entries = (0..n * n).map(|_| rng.gen::<f64>() - 0.5).collect();
+        let b = Matrix::from_vec(n, n, entries).unwrap();
         &(&b.transpose() * &b) + &Matrix::identity(n)
     }
 
     #[test]
     fn blocked_factor_reconstructs_matrix() {
         for n in [1usize, 3, 17, 64, 65, 130] {
-            let a = spd(n, n as u64);
+            let a = spd(n);
             let mut l = a.clone();
             cholesky_in_place(&mut l).unwrap();
             let recon = &l * &l.transpose();
@@ -696,7 +692,7 @@ mod tests {
 
     #[test]
     fn fused_solve_matches_direct_substitution() {
-        let a = spd(37, 5);
+        let a = spd(37);
         let mut l = a.clone();
         cholesky_in_place(&mut l).unwrap();
         let x_true: Vec<f64> = (0..37).map(|i| (i as f64 * 0.37).sin()).collect();

@@ -684,7 +684,7 @@ impl TraceSink for MemorySink {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str, out: &mut String) {
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -296,16 +296,9 @@ mod tests {
 
     use super::*;
     use crate::resilience::{FailureKind, RunPolicy, Severity};
-    use rand::Rng as _;
+    use crate::rng::chaos_seed;
     use std::fmt;
     use std::path::PathBuf;
-
-    fn chaos_seed() -> u64 {
-        std::env::var("MDE_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(11)
-    }
 
     #[derive(Debug, PartialEq)]
     enum ToyError {

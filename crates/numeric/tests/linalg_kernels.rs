@@ -5,9 +5,7 @@
 //! from-scratch factorization across long append sequences.
 
 use mde_numeric::linalg::{Cholesky, Matrix};
-use mde_numeric::rng::rng_from_seed;
-use proptest::prelude::*;
-use rand::Rng as _;
+use mde_numeric::rng::{for_cases, rng_from_seed};
 
 /// Random SPD matrix `B·Bᵀ + n·I` with entries seeded deterministically.
 fn random_spd(n: usize, seed: u64) -> Matrix {
@@ -120,22 +118,26 @@ fn fifty_sequential_extends_track_from_scratch_factorization() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Blocked factor agrees with the scalar oracle on arbitrary small
-    /// SPD matrices (sizes fuzzed around the recursion/panel edges).
-    #[test]
-    fn blocked_matches_oracle_fuzzed(n in 1usize..20, seed in 0u64..500) {
+/// Blocked factor agrees with the scalar oracle on arbitrary small
+/// SPD matrices (sizes fuzzed around the recursion/panel edges).
+#[test]
+fn blocked_matches_oracle_fuzzed() {
+    for_cases(48, |rng| {
+        let n = rng.gen_range(1usize..20);
+        let seed = rng.gen_range(0u64..500);
         let a = random_spd(n, seed);
         let blocked = Cholesky::new(&a).unwrap();
         let oracle = Cholesky::new_unblocked(&a).unwrap();
-        prop_assert!(max_rel_diff(blocked.l(), oracle.l()) <= 1e-12);
-    }
+        assert!(max_rel_diff(blocked.l(), oracle.l()) <= 1e-12);
+    });
+}
 
-    /// One random border extension agrees with refactorization.
-    #[test]
-    fn extend_matches_refactor_fuzzed(n in 2usize..16, seed in 0u64..500) {
+/// One random border extension agrees with refactorization.
+#[test]
+fn extend_matches_refactor_fuzzed() {
+    for_cases(48, |rng| {
+        let n = rng.gen_range(2usize..16);
+        let seed = rng.gen_range(0u64..500);
         let a = random_spd(n, seed.wrapping_mul(31) + 7);
         let lead = Matrix::from_rows(
             &(0..n - 1)
@@ -147,6 +149,6 @@ proptest! {
         let col: Vec<f64> = (0..n - 1).map(|i| a[(n - 1, i)]).collect();
         ch.extend(&col, a[(n - 1, n - 1)]).unwrap();
         let scratch = Cholesky::new(&a).unwrap();
-        prop_assert!(max_rel_diff(ch.l(), scratch.l()) <= 1e-10);
-    }
+        assert!(max_rel_diff(ch.l(), scratch.l()) <= 1e-10);
+    });
 }

@@ -8,26 +8,23 @@ use mde_numeric::dist::{
     Continuous, Distribution, Exponential, LogNormal, Normal, Triangular, Uniform,
 };
 use mde_numeric::linalg::{solve_tridiagonal, Cholesky, Lu, Matrix, Tridiagonal};
-use mde_numeric::rng::{rng_from_seed, StreamFactory};
+use mde_numeric::rng::{for_cases, rng_from_seed, Rng, StreamFactory};
 use mde_numeric::stats::{quantile, quantiles, Summary};
-use proptest::prelude::*;
 
-fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(-1e3f64..1e3, len)
+fn finite_vec(rng: &mut Rng, len: std::ops::Range<usize>) -> Vec<f64> {
+    (0..rng.gen_range(len))
+        .map(|_| rng.gen_range(-1e3..1e3))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+// ---------- linalg ----------
 
-    // ---------- linalg ----------
-
-    /// LU solves random well-conditioned systems: A·x ≈ b after solving.
-    #[test]
-    fn lu_solves_diagonally_dominant_systems(
-        n in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        use rand::Rng as _;
+/// LU solves random well-conditioned systems: A·x ≈ b after solving.
+#[test]
+fn lu_solves_diagonally_dominant_systems() {
+    for_cases(64, |rng| {
+        let n = rng.gen_range(1usize..12);
+        let seed = rng.gen_range(0u64..1000);
         let mut rng = rng_from_seed(seed);
         let mut a = Matrix::zeros(n, n);
         for i in 0..n {
@@ -45,14 +42,17 @@ proptest! {
         let b = a.mul_vec(&x_true).unwrap();
         let x = Lu::new(&a).unwrap().solve(&b).unwrap();
         for (p, q) in x.iter().zip(&x_true) {
-            prop_assert!((p - q).abs() < 1e-8, "{p} vs {q}");
+            assert!((p - q).abs() < 1e-8, "{p} vs {q}");
         }
-    }
+    });
+}
 
-    /// Cholesky round-trips: L·Lᵀ = A for random SPD matrices.
-    #[test]
-    fn cholesky_roundtrip(n in 1usize..10, seed in 0u64..1000) {
-        use rand::Rng as _;
+/// Cholesky round-trips: L·Lᵀ = A for random SPD matrices.
+#[test]
+fn cholesky_roundtrip() {
+    for_cases(64, |rng| {
+        let n = rng.gen_range(1usize..10);
+        let seed = rng.gen_range(0u64..1000);
         let mut rng = rng_from_seed(seed);
         let mut b = Matrix::zeros(n, n);
         for i in 0..n {
@@ -63,29 +63,40 @@ proptest! {
         let a = &(&b.transpose() * &b) + &Matrix::identity(n);
         let ch = Cholesky::new(&a).unwrap();
         let recon = &ch.l().clone() * &ch.l().transpose();
-        prop_assert!(recon.max_abs_diff(&a).unwrap() < 1e-9);
+        assert!(recon.max_abs_diff(&a).unwrap() < 1e-9);
         // Solve consistency with LU.
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let x1 = ch.solve(&rhs).unwrap();
         let x2 = Lu::new(&a).unwrap().solve(&rhs).unwrap();
         for (p, q) in x1.iter().zip(&x2) {
-            prop_assert!((p - q).abs() < 1e-8);
+            assert!((p - q).abs() < 1e-8);
         }
-    }
+    });
+}
 
-    /// Thomas agrees with dense LU on random diagonally dominant
-    /// tridiagonal systems.
-    #[test]
-    fn thomas_matches_lu(n in 1usize..40, seed in 0u64..1000) {
-        use rand::Rng as _;
+/// Thomas agrees with dense LU on random diagonally dominant
+/// tridiagonal systems.
+#[test]
+fn thomas_matches_lu() {
+    for_cases(64, |rng| {
+        let n = rng.gen_range(1usize..40);
+        let seed = rng.gen_range(0u64..1000);
         let mut rng = rng_from_seed(seed);
-        let sub: Vec<f64> = (0..n.saturating_sub(1)).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let sup: Vec<f64> = (0..n.saturating_sub(1)).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+        let sub: Vec<f64> = (0..n.saturating_sub(1))
+            .map(|_| rng.gen::<f64>() * 2.0 - 1.0)
+            .collect();
+        let sup: Vec<f64> = (0..n.saturating_sub(1))
+            .map(|_| rng.gen::<f64>() * 2.0 - 1.0)
+            .collect();
         let diag: Vec<f64> = (0..n)
             .map(|i| {
                 let mut d = 1.0 + rng.gen::<f64>();
-                if i > 0 { d += sub[i - 1].abs(); }
-                if i < n - 1 { d += sup[i].abs(); }
+                if i > 0 {
+                    d += sub[i - 1].abs();
+                }
+                if i < n - 1 {
+                    d += sup[i].abs();
+                }
                 d
             })
             .collect();
@@ -101,52 +112,62 @@ proptest! {
         }
         let x2 = Lu::new(&dense).unwrap().solve(&b).unwrap();
         for (p, q) in x.iter().zip(&x2) {
-            prop_assert!((p - q).abs() < 1e-8);
+            assert!((p - q).abs() < 1e-8);
         }
-        prop_assert!(t.residual_norm(&x, &b).unwrap() < 1e-8);
-    }
+        assert!(t.residual_norm(&x, &b).unwrap() < 1e-8);
+    });
+}
 
-    // ---------- stats ----------
+// ---------- stats ----------
 
-    /// Welford merge equals sequential accumulation at any split point.
-    #[test]
-    fn summary_merge_associative(data in finite_vec(1..200), split in 0usize..200) {
+/// Welford merge equals sequential accumulation at any split point.
+#[test]
+fn summary_merge_associative() {
+    for_cases(64, |rng| {
+        let data = finite_vec(rng, 1..200);
+        let split = rng.gen_range(0usize..200);
         let split = split.min(data.len());
         let whole = Summary::from_slice(&data);
         let mut left = Summary::from_slice(&data[..split]);
         left.merge(&Summary::from_slice(&data[split..]));
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-6);
-    }
+        assert_eq!(left.count(), whole.count());
+        assert!((left.mean() - whole.mean()).abs() < 1e-9);
+        assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-6);
+    });
+}
 
-    /// Quantiles are monotone in p and bounded by the sample range.
-    #[test]
-    fn quantiles_monotone_and_bounded(data in finite_vec(1..100)) {
+/// Quantiles are monotone in p and bounded by the sample range.
+#[test]
+fn quantiles_monotone_and_bounded() {
+    for_cases(64, |rng| {
+        let data = finite_vec(rng, 1..100);
         let ps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
         let qs = quantiles(&data, &ps).unwrap();
         let min = data.iter().copied().fold(f64::INFINITY, f64::min);
         let max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         for w in qs.windows(2) {
-            prop_assert!(w[0] <= w[1], "quantiles not monotone: {:?}", qs);
+            assert!(w[0] <= w[1], "quantiles not monotone: {:?}", qs);
         }
-        prop_assert_eq!(qs[0], min);
-        prop_assert_eq!(*qs.last().unwrap(), max);
+        assert_eq!(qs[0], min);
+        assert_eq!(*qs.last().unwrap(), max);
         // Single-p agrees with batch.
-        prop_assert_eq!(quantile(&data, 0.5).unwrap(), qs[5]);
-    }
+        assert_eq!(quantile(&data, 0.5).unwrap(), qs[5]);
+    });
+}
 
-    // ---------- distributions ----------
+// ---------- distributions ----------
 
-    /// CDFs are monotone and map into [0,1]; quantile∘cdf is the identity
-    /// inside the support.
-    #[test]
-    fn continuous_distribution_laws(
-        pick in 0u8..5,
-        a in 0.1f64..5.0,
-        b in 0.1f64..5.0,
-        xs in prop::collection::vec(-10.0f64..10.0, 1..20),
-    ) {
+/// CDFs are monotone and map into [0,1]; quantile∘cdf is the identity
+/// inside the support.
+#[test]
+fn continuous_distribution_laws() {
+    for_cases(64, |rng| {
+        let pick = rng.gen_range(0u8..5);
+        let a = rng.gen_range(0.1f64..5.0);
+        let b = rng.gen_range(0.1f64..5.0);
+        let xs: Vec<f64> = (0..rng.gen_range(1..20))
+            .map(|_| rng.gen_range(-10.0..10.0))
+            .collect();
         let d: Box<dyn Continuous> = match pick {
             0 => Box::new(Normal::new(a - 2.5, b).unwrap()),
             1 => Box::new(Exponential::new(a).unwrap()),
@@ -159,67 +180,81 @@ proptest! {
         let mut prev = 0.0;
         for &x in &sorted {
             let c = d.cdf(x);
-            prop_assert!((0.0..=1.0).contains(&c), "cdf out of range: {c}");
-            prop_assert!(c >= prev - 1e-12, "cdf not monotone");
+            assert!((0.0..=1.0).contains(&c), "cdf out of range: {c}");
+            assert!(c >= prev - 1e-12, "cdf not monotone");
             prev = c;
             if c > 1e-6 && c < 1.0 - 1e-6 {
                 let x2 = d.quantile(c);
-                prop_assert!(
+                assert!(
                     (d.cdf(x2) - c).abs() < 1e-5,
                     "cdf(quantile(c)) != c at x={x}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Sampling respects the distribution's support.
-    #[test]
-    fn samples_in_support(rate in 0.1f64..10.0, seed in 0u64..1000) {
+/// Sampling respects the distribution's support.
+#[test]
+fn samples_in_support() {
+    for_cases(64, |rng| {
+        let rate = rng.gen_range(0.1f64..10.0);
+        let seed = rng.gen_range(0u64..1000);
         let mut rng = rng_from_seed(seed);
         let e = Exponential::new(rate).unwrap();
         let u = Uniform::new(3.0, 4.0).unwrap();
         for _ in 0..50 {
-            prop_assert!(e.sample(&mut rng) >= 0.0);
+            assert!(e.sample(&mut rng) >= 0.0);
             let x = u.sample(&mut rng);
-            prop_assert!((3.0..4.0).contains(&x));
+            assert!((3.0..4.0).contains(&x));
         }
-    }
+    });
+}
 
-    // ---------- special functions ----------
+// ---------- special functions ----------
 
-    /// Regularized incomplete gamma/beta are CDF-like: in [0,1], monotone.
-    #[test]
-    fn incomplete_functions_are_cdf_like(a in 0.1f64..10.0, b in 0.1f64..10.0) {
+/// Regularized incomplete gamma/beta are CDF-like: in [0,1], monotone.
+#[test]
+fn incomplete_functions_are_cdf_like() {
+    for_cases(64, |rng| {
+        let a = rng.gen_range(0.1f64..10.0);
+        let b = rng.gen_range(0.1f64..10.0);
         let mut prev = 0.0;
         for i in 0..=20 {
             let x = i as f64 * 0.5;
             let p = reg_lower_gamma(a, x);
-            prop_assert!((0.0..=1.0).contains(&p));
-            prop_assert!(p >= prev - 1e-12);
+            assert!((0.0..=1.0).contains(&p));
+            assert!(p >= prev - 1e-12);
             prev = p;
         }
         let mut prev = 0.0;
         for i in 0..=20 {
             let x = i as f64 / 20.0;
             let p = reg_inc_beta(a, b, x);
-            prop_assert!((0.0..=1.0).contains(&p));
-            prop_assert!(p >= prev - 1e-9);
+            assert!((0.0..=1.0).contains(&p));
+            assert!(p >= prev - 1e-9);
             prev = p;
         }
-    }
+    });
+}
 
-    /// Normal quantile/CDF round-trip across the whole open interval.
-    #[test]
-    fn normal_quantile_roundtrip(p in 1e-6f64..0.999999) {
+/// Normal quantile/CDF round-trip across the whole open interval.
+#[test]
+fn normal_quantile_roundtrip() {
+    for_cases(64, |rng| {
+        let p = rng.gen_range(1e-6f64..0.999999);
         let x = std_normal_quantile(p);
-        prop_assert!((std_normal_cdf(x) - p).abs() < 1e-7);
-    }
+        assert!((std_normal_cdf(x) - p).abs() < 1e-7);
+    });
+}
 
-    // ---------- rng ----------
+// ---------- rng ----------
 
-    /// Stream seeds never collide across a hierarchy slice.
-    #[test]
-    fn stream_seeds_unique(master in 0u64..100_000) {
+/// Stream seeds never collide across a hierarchy slice.
+#[test]
+fn stream_seeds_unique() {
+    for_cases(64, |rng| {
+        let master = rng.gen_range(0u64..100_000);
         let f = StreamFactory::new(master);
         let mut seeds: Vec<u64> = (0..50).map(|i| f.seed_of(i)).collect();
         seeds.extend((0..10).flat_map(|i| {
@@ -229,6 +264,6 @@ proptest! {
         let n = seeds.len();
         seeds.sort_unstable();
         seeds.dedup();
-        prop_assert_eq!(seeds.len(), n);
-    }
+        assert_eq!(seeds.len(), n);
+    });
 }

@@ -187,30 +187,42 @@ mod tests {
         }
     }
 
+    /// With equal use of every cached output (`m₁ | m₂ | n`, true of the
+    /// whole grid at n = 40) the estimator's variance is
+    /// `σ₁²/m₁ + σ₂²/m₂ + σ₃²/n`, so `cost × Var(θ̂)` has a closed form at
+    /// every grid point with `m₁ ≤ m₂`. `θ̂` is exactly normal here, so a
+    /// sample variance over `reps` estimates has relative s.e.
+    /// `√(2/(reps−1))`, 2.4 % at 3 600 reps, and each point is held to its
+    /// closed form within 5 s.e. The caching claim: `(0.1, 0.1)` costs 87.75
+    /// against the no-caching corner's 126, a ratio of 0.70; the asserted
+    /// threshold 0.8 leaves the expected gap `0.8·126 − 87.75 = 13.05` at
+    /// 4.1 s.e. of `0.8·naive − best` (3.15 if the two were independent;
+    /// the sweep's common random numbers make it less).
     #[test]
     fn caching_beats_naive_per_unit_cost() {
-        // With M1 50x the cost of M3 and most variance downstream, some
-        // (alpha1, alpha2) < (1,1) must dominate the no-caching corner on
-        // the cost x variance product.
-        let rows = chain().sweep_alphas(40, &[0.1, 0.5, 1.0], 250, 9);
+        let (n, reps) = (40usize, 3_600u64);
+        let rows = chain().sweep_alphas(n, &[0.1, 0.5, 1.0], reps, mde_numeric::rng::chaos_seed());
+        let rel_se = (2.0 / (reps - 1) as f64).sqrt();
+        for &(a1, a2, measured) in rows.iter().filter(|(a1, a2, _)| a1 <= a2) {
+            let (m1, m2) = ((a1 * n as f64).ceil(), (a2 * n as f64).ceil());
+            let cost = 50.0 * m1 + 5.0 * m2 + n as f64;
+            let closed = cost * (1.0 / m1 + 0.25 / m2 + 1.0 / n as f64);
+            assert!(
+                (measured - closed).abs() < 5.0 * rel_se * closed,
+                "({a1}, {a2}): measured {measured} vs closed form {closed}"
+            );
+        }
         let at = |a1: f64, a2: f64| {
             rows.iter()
                 .find(|(x, y, _)| (*x - a1).abs() < 1e-12 && (*y - a2).abs() < 1e-12)
                 .expect("grid point")
                 .2
         };
-        let naive = at(1.0, 1.0);
-        let best = rows.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
+        let (best, naive) = (at(0.1, 0.1), at(1.0, 1.0));
         assert!(
             best < naive * 0.8,
             "nested caching gains missing: best {best} vs naive {naive}"
         );
-        // And the best point caches M1 aggressively (alpha1 < 1).
-        let best_row = rows
-            .iter()
-            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"))
-            .expect("non-empty");
-        assert!(best_row.0 < 1.0, "best alpha1 should be < 1: {best_row:?}");
     }
 
     #[test]

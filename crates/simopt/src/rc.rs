@@ -167,7 +167,6 @@ pub fn run_rc_cached(
 /// usage count, adding between-cache-entry variance; this function exists
 /// so experiments can measure that penalty directly.
 pub fn run_rc_random_reuse(composite: &SeriesComposite, cfg: &RcConfig) -> RcEstimate {
-    use rand::Rng as _;
     assert!(cfg.n > 0, "need at least one replication");
     assert!(
         cfg.alpha > 0.0 && cfg.alpha <= 1.0,

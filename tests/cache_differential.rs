@@ -19,25 +19,10 @@ use model_data_ecosystems::numeric::cache::{
     CacheError, CacheHandle, CacheKey, ObjectiveScope, ResultCache, DEFAULT_MAX_BYTES,
 };
 use model_data_ecosystems::numeric::resilience::{FaultKind, FaultPlan};
+use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
-
-/// Deterministic LCG so the corruption schedule is a pure function of
-/// the chaos seed.
-fn next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 11
-}
 
 static FIXTURE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -248,13 +233,13 @@ fn chaos_bit_flips_are_typed_errors_or_transparent_recomputes() {
     assert_eq!(evals.load(Ordering::Relaxed), 6);
     let pristine = std::fs::read(&path).unwrap();
 
-    let mut rng = chaos_seed();
+    // The corruption schedule is a pure function of the chaos seed.
+    let mut rng = rng_from_seed(chaos_seed());
     for round in 0..16 {
         // Flip one random byte (never in the magic, which is its own case).
         let mut bytes = pristine.clone();
-        let at = 9 + (next(&mut rng) as usize) % (bytes.len() - 9);
-        let bit = 1u8 << (next(&mut rng) % 8) as u8;
-        bytes[at] ^= bit;
+        let at = rng.gen_range(9..bytes.len());
+        bytes[at] ^= 1u8 << rng.gen_range(0..8);
         std::fs::write(&path, &bytes).unwrap();
 
         // Strict open: a typed error, or a cache that dropped the damage.
@@ -308,13 +293,13 @@ fn chaos_truncation_and_torn_writes_recover_the_prefix() {
     drop(cache);
     let pristine = std::fs::read(&path).unwrap();
 
-    let mut rng = chaos_seed().wrapping_mul(0x9E37_79B9);
+    let mut rng = rng_from_seed(chaos_seed());
     for round in 0..12 {
-        let cut = 1 + (next(&mut rng) as usize) % (pristine.len() - 1);
+        let cut = rng.gen_range(1..pristine.len());
         let mut bytes = pristine[..cut].to_vec();
         if round % 2 == 1 {
             // Torn write: garbage tail instead of clean truncation.
-            bytes.extend((0..(next(&mut rng) % 64)).map(|_| next(&mut rng) as u8));
+            bytes.extend((0..rng.gen_range(0..64)).map(|_| rng.gen::<u64>() as u8));
         }
         std::fs::write(&path, &bytes).unwrap();
 

@@ -31,20 +31,13 @@ use model_data_ecosystems::metamodel::screening::{
 };
 use model_data_ecosystems::metamodel::MetamodelError;
 use model_data_ecosystems::numeric::dist::{Continuous, Normal};
-use model_data_ecosystems::numeric::rng::Rng;
+use model_data_ecosystems::numeric::rng::{chaos_seed, Rng};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The master seed for every campaign in this harness. CI sweeps a seed
 /// matrix by exporting `MDE_CHAOS_SEED`; locally the default applies.
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11)
-}
-
 /// A scratch checkpoint path unique to this process and test.
 struct ScratchFile(PathBuf);
 

@@ -119,7 +119,6 @@ fn composite_model_failure_surfaces_with_context() {
             perf: PerfStats::default(),
         },
         |_inputs, _params, rng| {
-            use rand::Rng as _;
             if rng.gen::<f64>() < 0.5 {
                 // Structural failure inside the model: invalid series.
                 Ok(TimeSeries::univariate("x", vec![0.0, 0.0], vec![1.0, 2.0])?)
@@ -306,7 +305,6 @@ fn composite_supervision_retries_and_degrades_gracefully() {
             perf: PerfStats::default(),
         },
         |_inputs, _params, rng| {
-            use rand::Rng as _;
             let v: f64 = rng.gen();
             Ok(TimeSeries::univariate(
                 "x",

@@ -9,20 +9,18 @@ use model_data_ecosystems::harmonize::gridfield::{
 use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::harmonize::spline::{build_spline_system, NaturalCubicSpline};
 use model_data_ecosystems::numeric::linalg::Tridiagonal;
-use model_data_ecosystems::numeric::rng::rng_from_seed;
-use proptest::prelude::*;
+use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed};
 use std::sync::Arc;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The spline interpolates its knots exactly, for arbitrary strictly
-    /// increasing knot grids and bounded values.
-    #[test]
-    fn spline_interpolates_knots(
-        gaps in prop::collection::vec(0.05f64..3.0, 2..40),
-        values_seed in 0u64..10_000,
-    ) {
+/// The spline interpolates its knots exactly, for arbitrary strictly
+/// increasing knot grids and bounded values.
+#[test]
+fn spline_interpolates_knots() {
+    for_cases(32, |rng| {
+        let gaps: Vec<f64> = (0..rng.gen_range(2..40))
+            .map(|_| rng.gen_range(0.05..3.0))
+            .collect();
+        let values_seed = rng.gen_range(0u64..10_000);
         let mut s = vec![0.0];
         for g in &gaps {
             s.push(s.last().unwrap() + g);
@@ -34,19 +32,25 @@ proptest! {
             .collect();
         let sp = NaturalCubicSpline::fit(&s, &d).unwrap();
         for (si, di) in s.iter().zip(&d) {
-            prop_assert!((sp.eval(*si) - di).abs() < 1e-7,
-                "knot ({}, {}) missed: {}", si, di, sp.eval(*si));
+            assert!(
+                (sp.eval(*si) - di).abs() < 1e-7,
+                "knot ({}, {}) missed: {}",
+                si,
+                di,
+                sp.eval(*si)
+            );
         }
-    }
+    });
+}
 
-    /// DSGD solves the spline system to the same answer as Thomas, and the
-    /// residual after the run is a small fraction of the initial one.
-    #[test]
-    fn dsgd_agrees_with_thomas(
-        n in 5usize..60,
-        scale in 0.5f64..5.0,
-        seed in 0u64..100,
-    ) {
+/// DSGD solves the spline system to the same answer as Thomas, and the
+/// residual after the run is a small fraction of the initial one.
+#[test]
+fn dsgd_agrees_with_thomas() {
+    for_cases(32, |rng| {
+        let n = rng.gen_range(5usize..60);
+        let scale = rng.gen_range(0.5f64..5.0);
+        let seed = rng.gen_range(0u64..100);
         let s: Vec<f64> = (0..=n).map(|i| i as f64 * 0.5).collect();
         let d: Vec<f64> = s.iter().map(|&t| (t * scale).sin() * 2.0).collect();
         let sys = build_spline_system(&s, &d).unwrap();
@@ -61,64 +65,85 @@ proptest! {
             record_residuals: false,
         };
         let res = dsgd_solve(&sys.a, &sys.b, &cfg, &mut rng_from_seed(seed));
-        let max_err = res.x.iter().zip(&exact)
+        let max_err = res
+            .x
+            .iter()
+            .zip(&exact)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         let scale_ref = exact.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
-        prop_assert!(max_err < 0.05 * scale_ref, "max err {} vs scale {}", max_err, scale_ref);
-    }
+        assert!(
+            max_err < 0.05 * scale_ref,
+            "max err {} vs scale {}",
+            max_err,
+            scale_ref
+        );
+    });
+}
 
-    /// Thread count never changes a DSGD result (the race-freedom
-    /// guarantee of the stratification).
-    #[test]
-    fn dsgd_thread_invariance(
-        n in 4usize..80,
-        threads in 2usize..8,
-        seed in 0u64..100,
-    ) {
+/// Thread count never changes a DSGD result (the race-freedom
+/// guarantee of the stratification).
+#[test]
+fn dsgd_thread_invariance() {
+    for_cases(32, |rng| {
+        let n = rng.gen_range(4usize..80);
+        let threads = rng.gen_range(2usize..8);
+        let seed = rng.gen_range(0u64..100);
         let a = Tridiagonal::new(vec![1.0; n - 1], vec![4.0; n], vec![1.0; n - 1]).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let b = a.mul_vec(&x_true).unwrap();
-        let cfg1 = DsgdConfig { cycles: 20, threads: 1, ..DsgdConfig::default() };
-        let cfg2 = DsgdConfig { cycles: 20, threads, ..DsgdConfig::default() };
+        let cfg1 = DsgdConfig {
+            cycles: 20,
+            threads: 1,
+            ..DsgdConfig::default()
+        };
+        let cfg2 = DsgdConfig {
+            cycles: 20,
+            threads,
+            ..DsgdConfig::default()
+        };
         let r1 = dsgd_solve(&a, &b, &cfg1, &mut rng_from_seed(seed));
         let r2 = dsgd_solve(&a, &b, &cfg2, &mut rng_from_seed(seed));
         for (p, q) in r1.x.iter().zip(&r2.x) {
-            prop_assert!((p - q).abs() < 1e-12);
+            assert!((p - q).abs() < 1e-12);
         }
-    }
+    });
+}
 
-    /// Parallel window interpolation equals serial for every method.
-    #[test]
-    fn alignment_thread_invariance(
-        n_src in 4usize..40,
-        n_tgt in 1usize..200,
-        threads in 2usize..8,
-    ) {
+/// Parallel window interpolation equals serial for every method.
+#[test]
+fn alignment_thread_invariance() {
+    for_cases(32, |rng| {
+        let n_src = rng.gen_range(4usize..40);
+        let n_tgt = rng.gen_range(1usize..200);
+        let threads = rng.gen_range(2usize..8);
         let src = TimeSeries::from_fn("v", 0.0, 0.5, n_src, |t| (t * 1.3).cos()).unwrap();
         let span = 0.5 * (n_src - 1) as f64;
-        let targets: Vec<f64> = (0..n_tgt)
-            .map(|i| i as f64 * span / n_tgt as f64)
-            .collect();
-        for method in [InterpMethod::Nearest, InterpMethod::Linear, InterpMethod::CubicSpline] {
+        let targets: Vec<f64> = (0..n_tgt).map(|i| i as f64 * span / n_tgt as f64).collect();
+        for method in [
+            InterpMethod::Nearest,
+            InterpMethod::Linear,
+            InterpMethod::CubicSpline,
+        ] {
             if method == InterpMethod::CubicSpline && n_src < 3 {
                 continue;
             }
             let serial = align(&src, &targets, AlignSpec::Interpolate(method), 1).unwrap();
             let par = align(&src, &targets, AlignSpec::Interpolate(method), threads).unwrap();
-            prop_assert_eq!(serial, par);
+            assert_eq!(serial, par);
         }
-    }
+    });
+}
 
-    /// The restrict/regrid commutation holds for arbitrary assignments and
-    /// target-cell predicates, and never costs more.
-    #[test]
-    fn gridfield_rewrite_equivalence(
-        nx in 1usize..6,
-        ny in 1usize..6,
-        keep_mask in 0u32..16,
-        agg_pick in 0u8..4,
-    ) {
+/// The restrict/regrid commutation holds for arbitrary assignments and
+/// target-cell predicates, and never costs more.
+#[test]
+fn gridfield_rewrite_equivalence() {
+    for_cases(32, |rng| {
+        let nx = rng.gen_range(1usize..6);
+        let ny = rng.gen_range(1usize..6);
+        let keep_mask = rng.gen_range(0u32..16);
+        let agg_pick = rng.gen_range(0u8..4);
         let (fine, fidx) = Grid::structured_2d(nx * 2, ny * 2).unwrap();
         let (coarse, cidx) = Grid::structured_2d(nx, ny).unwrap();
         let fine = Arc::new(fine);
@@ -128,13 +153,22 @@ proptest! {
             Arc::clone(&fine),
             2,
             faces.iter().map(|&c| c as f64 * 0.5).collect(),
-        ).unwrap();
-        let agg = [RegridAgg::Sum, RegridAgg::Mean, RegridAgg::Max, RegridAgg::Count][agg_pick as usize];
+        )
+        .unwrap();
+        let agg = [
+            RegridAgg::Sum,
+            RegridAgg::Mean,
+            RegridAgg::Max,
+            RegridAgg::Count,
+        ][agg_pick as usize];
         let op = Regrid {
-            assignment: faces.iter().map(|&c| {
-                let (i, j) = fidx.face_coords(c);
-                Some(cidx.face(i / 2, j / 2))
-            }).collect(),
+            assignment: faces
+                .iter()
+                .map(|&c| {
+                    let (i, j) = fidx.face_coords(c);
+                    Some(cidx.face(i / 2, j / 2))
+                })
+                .collect(),
             agg,
         };
         // Predicate keeps coarse faces whose (i + j·nx) bit is set in the mask.
@@ -142,11 +176,9 @@ proptest! {
             let (i, j) = cidx.face_coords(c);
             (keep_mask >> ((i + j * nx) % 16)) & 1 == 1
         };
-        let (naive, naive_cost) =
-            regrid_then_restrict(&gf, &coarse, 2, &op, keep).unwrap();
-        let (rewritten, rewritten_cost) =
-            restrict_then_regrid(&gf, &coarse, 2, &op, keep).unwrap();
-        prop_assert_eq!(naive, rewritten);
-        prop_assert!(rewritten_cost.accumulate_ops <= naive_cost.accumulate_ops);
-    }
+        let (naive, naive_cost) = regrid_then_restrict(&gf, &coarse, 2, &op, keep).unwrap();
+        let (rewritten, rewritten_cost) = restrict_then_regrid(&gf, &coarse, 2, &op, keep).unwrap();
+        assert_eq!(naive, rewritten);
+        assert!(rewritten_cost.accumulate_ops <= naive_cost.accumulate_ops);
+    });
 }

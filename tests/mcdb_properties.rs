@@ -11,8 +11,7 @@ use model_data_ecosystems::mcdb::expr::ScalarFunc;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
 use model_data_ecosystems::mcdb::vg::NormalVg;
-use model_data_ecosystems::numeric::rng::rng_from_seed;
-use proptest::prelude::*;
+use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed};
 use std::sync::Arc;
 
 fn base_catalog(n_items: usize, mean: f64, std: f64) -> Catalog {
@@ -177,19 +176,16 @@ fn edge_plan_for(case: u8, divisor: i64, threshold: f64, limit: usize) -> Plan {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn bundled_execution_equals_naive_per_iteration(
-        n_items in 1usize..12,
-        mean in -50.0f64..50.0,
-        std in 0.5f64..20.0,
-        n_iters in 1usize..8,
-        case in 0u8..4,
-        threshold in -40.0f64..40.0,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn bundled_execution_equals_naive_per_iteration() {
+    for_cases(24, |rng| {
+        let n_items = rng.gen_range(1usize..12);
+        let mean = rng.gen_range(-50.0f64..50.0);
+        let std = rng.gen_range(0.5f64..20.0);
+        let n_iters = rng.gen_range(1usize..8);
+        let case = rng.gen_range(0u8..4);
+        let threshold = rng.gen_range(-40.0f64..40.0);
+        let seed = rng.gen_range(0u64..1000);
         let db = base_catalog(n_items, mean, std);
         let spec = sales_spec();
         let mut rng = rng_from_seed(seed);
@@ -208,19 +204,23 @@ proptest! {
             cat.insert(db.get("ITEMS").unwrap().clone());
             let naive = cat.query_unoptimized(&plan).unwrap();
             let inst = bundled_result.instantiate(i).unwrap();
-            prop_assert_eq!(
-                inst.rows(), naive.rows(),
-                "divergence at iteration {} (case {})", i, case
+            assert_eq!(
+                inst.rows(),
+                naive.rows(),
+                "divergence at iteration {} (case {})",
+                i,
+                case
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn optimizer_never_changes_results(
-        n_items in 1usize..10,
-        threshold in -40.0f64..40.0,
-        seed in 0u64..500,
-    ) {
+#[test]
+fn optimizer_never_changes_results() {
+    for_cases(24, |rng| {
+        let n_items = rng.gen_range(1usize..10);
+        let threshold = rng.gen_range(-40.0f64..40.0);
+        let seed = rng.gen_range(0u64..500);
         let db = base_catalog(n_items, 10.0, 5.0);
         let spec = sales_spec();
         let mut rng = rng_from_seed(seed);
@@ -236,74 +236,88 @@ proptest! {
             );
         let optimized = cat.query(&plan).unwrap();
         let raw = cat.query_unoptimized(&plan).unwrap();
-        prop_assert_eq!(optimized.rows(), raw.rows());
-    }
+        assert_eq!(optimized.rows(), raw.rows());
+    });
+}
 
-    /// The vectorized columnar engine (the default `Catalog::query` path)
-    /// must be observationally identical to the legacy row-at-a-time
-    /// executor on plans exercising NULL join keys, NULL group keys,
-    /// Kleene logic, division by zero, Int→Float coercion, and
-    /// filter→sort→limit selection-vector composition.
-    #[test]
-    fn vectorized_engine_matches_legacy_on_edge_plans(
-        n_rows in 0usize..40,
-        null_every in 1usize..5,
-        divisor in -2i64..3,
-        threshold in -10.0f64..10.0,
-        case in 0u8..6,
-        limit in 1usize..12,
-    ) {
+/// The vectorized columnar engine (the default `Catalog::query` path)
+/// must be observationally identical to the legacy row-at-a-time
+/// executor on plans exercising NULL join keys, NULL group keys,
+/// Kleene logic, division by zero, Int→Float coercion, and
+/// filter→sort→limit selection-vector composition.
+#[test]
+fn vectorized_engine_matches_legacy_on_edge_plans() {
+    for_cases(24, |rng| {
+        let n_rows = rng.gen_range(0usize..40);
+        let null_every = rng.gen_range(1usize..5);
+        let divisor = rng.gen_range(-2i64..3);
+        let threshold = rng.gen_range(-10.0f64..10.0);
+        let case = rng.gen_range(0u8..6);
+        let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let plan = edge_plan_for(case, divisor, threshold, limit);
         match (db.query(&plan), db.query_unoptimized(&plan)) {
             (Ok(vectorized), Ok(legacy)) => {
-                prop_assert_eq!(vectorized.schema(), legacy.schema(), "schema divergence (case {})", case);
-                prop_assert_eq!(vectorized.rows(), legacy.rows(), "row divergence (case {})", case);
+                assert_eq!(
+                    vectorized.schema(),
+                    legacy.schema(),
+                    "schema divergence (case {})",
+                    case
+                );
+                assert_eq!(
+                    vectorized.rows(),
+                    legacy.rows(),
+                    "row divergence (case {})",
+                    case
+                );
             }
             (Err(_), Err(_)) => {} // both engines reject the plan/data
-            (v, l) => prop_assert!(
-                false,
+            (v, l) => panic!(
                 "engine status divergence (case {}): vectorized={:?} legacy={:?}",
-                case, v.map(|t| t.len()), l.map(|t| t.len())
+                case,
+                v.map(|t| t.len()),
+                l.map(|t| t.len())
             ),
         }
-    }
+    });
+}
 
-    #[test]
-    fn prepared_realization_equals_direct_realization(
-        n_items in 0usize..15,
-        mean in -50.0f64..50.0,
-        std in 0.5f64..20.0,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn prepared_realization_equals_direct_realization() {
+    for_cases(24, |rng| {
+        let n_items = rng.gen_range(0usize..15);
+        let mean = rng.gen_range(-50.0f64..50.0);
+        let std = rng.gen_range(0.5f64..20.0);
+        let seed = rng.gen_range(0u64..1000);
         let db = base_catalog(n_items, mean, std);
         let spec = sales_spec();
         let prepared = spec.prepare(&db).unwrap();
         let direct = spec.realize(&db, &mut rng_from_seed(seed)).unwrap();
         let via_prepared = prepared.realize(&db, &mut rng_from_seed(seed)).unwrap();
-        prop_assert_eq!(direct.rows(), via_prepared.rows());
+        assert_eq!(direct.rows(), via_prepared.rows());
         // Reuse of the same prepared spec must be deterministic given the seed.
         let again = prepared.realize(&db, &mut rng_from_seed(seed)).unwrap();
-        prop_assert_eq!(via_prepared.rows(), again.rows());
-    }
+        assert_eq!(via_prepared.rows(), again.rows());
+    });
+}
 
-    #[test]
-    fn realization_matches_schema_and_row_count(
-        n_items in 0usize..20,
-        mean in -100.0f64..100.0,
-        std in 0.1f64..50.0,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn realization_matches_schema_and_row_count() {
+    for_cases(24, |rng| {
+        let n_items = rng.gen_range(0usize..20);
+        let mean = rng.gen_range(-100.0f64..100.0);
+        let std = rng.gen_range(0.1f64..50.0);
+        let seed = rng.gen_range(0u64..1000);
         let db = base_catalog(n_items, mean, std);
         let spec = sales_spec();
         let mut rng = rng_from_seed(seed);
         let t = spec.realize(&db, &mut rng).unwrap();
-        prop_assert_eq!(t.len(), n_items);
-        prop_assert_eq!(t.schema().names(), vec!["IID", "GROUP", "AMT"]);
+        assert_eq!(t.len(), n_items);
+        assert_eq!(t.schema().names(), vec!["IID", "GROUP", "AMT"]);
         // All values validated against the schema by construction; spot-
         // check the numeric column is finite.
         for v in t.column_f64("AMT").unwrap() {
-            prop_assert!(v.is_finite());
+            assert!(v.is_finite());
         }
-    }
+    });
 }

@@ -18,17 +18,11 @@ use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggSpec, PreparedQuery};
 use model_data_ecosystems::mcdb::vg::NormalVg;
+use model_data_ecosystems::numeric::rng::chaos_seed;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Master seed; CI sweeps `MDE_CHAOS_SEED` over the same assertions.
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11)
-}
-
 /// A scratch checkpoint path unique to this process and test.
 struct ScratchFile(PathBuf);
 

@@ -36,24 +36,9 @@ use model_data_ecosystems::mcdb::query::{AggSpec, PreparedQuery, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
 use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
 use model_data_ecosystems::mcdb::value::Value;
+use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed, Rng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(23)
-}
-
-/// Deterministic LCG (PCG-style multiplier): the corpus is a pure
-/// function of the chaos seed.
-fn next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 11
-}
 
 static TWIN_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -62,7 +47,7 @@ static TWIN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// NULL key row. `n_rows` is deliberately not a multiple of 64 so the
 /// last morsel is a partial tail.
 fn corpus_catalog(seed: u64, n_rows: usize) -> Catalog {
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut rng = rng_from_seed(seed);
     let mut db = Catalog::new();
     db.insert(
         Table::build(
@@ -75,7 +60,7 @@ fn corpus_catalog(seed: u64, n_rows: usize) -> Catalog {
             ],
         )
         .rows((0..n_rows).map(|i| {
-            let r = next(&mut state);
+            let r: u64 = rng.gen();
             let k = if r.is_multiple_of(13) {
                 Value::Null
             } else {
@@ -123,12 +108,12 @@ fn corpus_catalog(seed: u64, n_rows: usize) -> Catalog {
 /// Int/Float literals and the generic expression path), equi-joins over
 /// the NULL-bearing key, group-bys with mixed aggregates, ORDER BY and
 /// LIMIT.
-fn generated_sql(state: &mut u64) -> String {
-    let cmp = ["=", "<>", "<", "<=", ">", ">="][(next(state) % 6) as usize];
-    let flit = (next(state) % 200) as f64 * 0.5 - 50.0;
-    let ilit = (next(state) % 29) as i64 - 14;
-    let limit = 1 + next(state) % 40;
-    match next(state) % 8 {
+fn generated_sql(rng: &mut Rng) -> String {
+    let cmp = ["=", "<>", "<", "<=", ">", ">="][rng.gen_range(0..6)];
+    let flit = rng.gen_range(0..200) as f64 * 0.5 - 50.0;
+    let ilit: i64 = rng.gen_range(-14..15);
+    let limit = rng.gen_range(1..=40);
+    match rng.gen_range(0..8) {
         // SIMD float-literal filter fast path.
         0 => format!("SELECT K, V FROM FACT WHERE V {cmp} {flit}"),
         // SIMD int-literal filter fast path.
@@ -280,10 +265,10 @@ fn assert_plan_invariant(
 /// The core differential loop shared by the Mem and Paged suites, over
 /// the generated SQL corpus.
 fn assert_corpus_invariant(db: &Catalog, oracle: &Catalog, n_queries: usize, tag: &str) {
-    let mut state = chaos_seed() ^ 0x5851_f42d_4c95_7f2d;
+    let mut rng = rng_from_seed(chaos_seed());
     let mut executed = 0usize;
     for case in 0..n_queries {
-        let sql = generated_sql(&mut state);
+        let sql = generated_sql(&mut rng);
         let plan = match plan_from_sql(&sql) {
             Ok(p) => p,
             Err(_) => continue,
@@ -321,9 +306,9 @@ fn generated_sql_corpus_bit_identical_across_thread_counts_paged() {
 fn paged_parallel_matches_mem_sequential() {
     let db = corpus_catalog(chaos_seed().wrapping_add(2), 640);
     let (paged, dir) = paged_twin(&db);
-    let mut state = chaos_seed() ^ 0xda94_2042_e4dd_58b5;
+    let mut rng = rng_from_seed(chaos_seed());
     for _ in 0..24 {
-        let sql = generated_sql(&mut state);
+        let sql = generated_sql(&mut rng);
         let plan = match plan_from_sql(&sql) {
             Ok(p) => p,
             Err(_) => continue,
@@ -426,7 +411,7 @@ const KEYS_ROWS: usize = 523;
 /// float sums are order-sensitive. `DIM` has duplicate, NULL and
 /// never-matching keys of every type; `EMPTY` has no rows.
 fn kernel_catalog(seed: u64) -> Catalog {
-    let mut state = seed ^ 0x2545_f491_4f6c_dd1d;
+    let mut rng = rng_from_seed(seed);
     let shared = [Value::str("a"), Value::str("b")];
     let mut db = Catalog::new();
     db.insert(
@@ -442,7 +427,7 @@ fn kernel_catalog(seed: u64) -> Catalog {
             ],
         )
         .rows((0..KEYS_ROWS).map(|i| {
-            let r = next(&mut state);
+            let r: u64 = rng.gen();
             vec![
                 match r % 7 {
                     0 => Value::Null,

@@ -23,15 +23,9 @@ use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::*;
 use mde_mcdb::sched::McCampaign;
 use mde_numeric::resilience::sched::Campaign;
+use mde_numeric::rng::chaos_seed;
 use mde_numeric::{BackoffConfig, BreakerConfig};
 use std::time::Duration;
-
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
 
 /// A small Monte Carlo estimation campaign (sum of normals over 6 items).
 fn mc_campaign(n: usize, seed: u64, policy: RunPolicy) -> McCampaign {

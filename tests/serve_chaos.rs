@@ -23,19 +23,13 @@
 use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::{Catalog, DataType, Table, Value};
 use mde_mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
+use mde_numeric::rng::chaos_seed;
 use mde_server::chaos;
 use mde_server::client::{Client, Reply};
 use mde_server::{Server, ServerConfig, WireCode, WireFaultPlan};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
 
 const DDL: &str = "CREATE TABLE SALES(IID, AMT) AS FOR EACH ITEMS \
                    WITH Normal(SELECT MEAN, STD FROM PARAMS) \

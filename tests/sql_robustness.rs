@@ -7,7 +7,7 @@ use model_data_ecosystems::mcdb::sql::{
     parse_create_random_table, plan_from_sql, tokenize, VgRegistry,
 };
 use model_data_ecosystems::mcdb::McdbError;
-use proptest::prelude::*;
+use model_data_ecosystems::numeric::rng::{for_cases, Rng};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -33,47 +33,73 @@ fn catalog() -> Catalog {
     c
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// A string of `len` characters, each drawn uniformly from `charset`.
+fn ascii(rng: &mut Rng, charset: &[u8], len: std::ops::RangeInclusive<usize>) -> String {
+    (0..rng.gen_range(len))
+        .map(|_| charset[rng.gen_range(0..charset.len())] as char)
+        .collect()
+}
 
-    /// The lexer never panics on arbitrary ASCII-ish input.
-    #[test]
-    fn tokenizer_total_on_arbitrary_input(input in "[ -~]{0,120}") {
+/// Up to 120 printable ASCII characters.
+fn printable(rng: &mut Rng) -> String {
+    let charset: Vec<u8> = (b' '..=b'~').collect();
+    ascii(rng, &charset, 0..=120)
+}
+
+/// The lexer never panics on arbitrary ASCII-ish input.
+#[test]
+fn tokenizer_total_on_arbitrary_input() {
+    for_cases(256, |rng| {
+        let input = printable(rng);
         let _ = tokenize(&input); // Ok or Err, never a panic
-    }
+    });
+}
 
-    /// The SELECT parser never panics on arbitrary input.
-    #[test]
-    fn select_parser_total_on_arbitrary_input(input in "[ -~]{0,120}") {
+/// The SELECT parser never panics on arbitrary input.
+#[test]
+fn select_parser_total_on_arbitrary_input() {
+    for_cases(256, |rng| {
+        let input = printable(rng);
         let _ = plan_from_sql(&input);
-    }
+    });
+}
 
-    /// The DDL parser never panics on arbitrary input.
-    #[test]
-    fn ddl_parser_total_on_arbitrary_input(input in "[ -~]{0,120}") {
+/// The DDL parser never panics on arbitrary input.
+#[test]
+fn ddl_parser_total_on_arbitrary_input() {
+    for_cases(256, |rng| {
+        let input = printable(rng);
         let _ = parse_create_random_table(&input, &VgRegistry::standard());
-    }
+    });
+}
 
-    /// The parser never panics on *near-miss* SQL: a valid skeleton with
-    /// mutated fragments (the inputs a user actually types).
-    #[test]
-    fn select_parser_total_on_near_sql(
-        cols in "[a-zA-Z*,() ]{1,20}",
-        tail in "(WHERE|GROUP BY|ORDER BY|LIMIT|JOIN)? ?[a-z0-9<>=' ]{0,30}",
-    ) {
-        let sql = format!("SELECT {cols} FROM t {tail}");
+/// The parser never panics on *near-miss* SQL: a valid skeleton with
+/// mutated fragments (the inputs a user actually types).
+#[test]
+fn select_parser_total_on_near_sql() {
+    for_cases(256, |rng| {
+        let cols = ascii(
+            rng,
+            b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ*,() ",
+            1..=20,
+        );
+        let keyword = ["", "WHERE", "GROUP BY", "ORDER BY", "LIMIT", "JOIN"][rng.gen_range(0..6)];
+        let space = if rng.gen() { " " } else { "" };
+        let rest = ascii(rng, b"abcdefghijklmnopqrstuvwxyz0123456789<>=' ", 0..=30);
+        let sql = format!("SELECT {cols} FROM t {keyword}{space}{rest}");
         let _ = plan_from_sql(&sql);
-    }
+    });
+}
 
-    /// End-to-end: a family of generated well-formed queries parses,
-    /// executes, and matches the equivalent hand-built plan's results.
-    #[test]
-    fn generated_queries_execute_and_match_hand_built(
-        threshold in -5i64..15,
-        pick_col in 0usize..2,
-        desc in any::<bool>(),
-        limit in 1usize..10,
-    ) {
+/// End-to-end: a family of generated well-formed queries parses,
+/// executes, and matches the equivalent hand-built plan's results.
+#[test]
+fn generated_queries_execute_and_match_hand_built() {
+    for_cases(256, |rng| {
+        let threshold = rng.gen_range(-5i64..15);
+        let pick_col = rng.gen_range(0usize..2);
+        let desc = rng.gen::<bool>();
+        let limit = rng.gen_range(1usize..10);
         let col = ["a", "b"][pick_col];
         let sql = format!(
             "SELECT a, b FROM t WHERE {col} >= {threshold} ORDER BY a {} LIMIT {limit}",
@@ -93,21 +119,22 @@ proptest! {
             .sort(std::mem::take(&mut keys))
             .limit(limit);
         let via_plan = db.query(&hand).unwrap();
-        prop_assert_eq!(via_sql.rows(), via_plan.rows(), "sql: {}", sql);
-    }
+        assert_eq!(via_sql.rows(), via_plan.rows(), "sql: {}", sql);
+    });
+}
 
-    /// Every generated well-formed query must produce the same result (or
-    /// the same failure status) under the default vectorized engine and the
-    /// legacy row-at-a-time executor, including coercion edges like integer
-    /// division and comparisons mixing Int and Float columns.
-    #[test]
-    fn generated_queries_identical_under_both_engines(
-        threshold in -5i64..15,
-        divisor in -3i64..4,
-        pick_col in 0usize..3,
-        desc in any::<bool>(),
-        limit in 1usize..10,
-    ) {
+/// Every generated well-formed query must produce the same result (or
+/// the same failure status) under the default vectorized engine and the
+/// legacy row-at-a-time executor, including coercion edges like integer
+/// division and comparisons mixing Int and Float columns.
+#[test]
+fn generated_queries_identical_under_both_engines() {
+    for_cases(256, |rng| {
+        let threshold = rng.gen_range(-5i64..15);
+        let divisor = rng.gen_range(-3i64..4);
+        let pick_col = rng.gen_range(0usize..3);
+        let desc = rng.gen::<bool>();
+        let limit = rng.gen_range(1usize..10);
         let col = ["a", "b", "s"][pick_col];
         let sql = format!(
             "SELECT a, b / {divisor} AS r FROM t WHERE {col} <> '{threshold}' ORDER BY b {} LIMIT {limit}",
@@ -117,17 +144,18 @@ proptest! {
         if let Ok(plan) = plan_from_sql(&sql) {
             match (db.query(&plan), db.query_unoptimized(&plan)) {
                 (Ok(vectorized), Ok(legacy)) => {
-                    prop_assert_eq!(vectorized.rows(), legacy.rows(), "sql: {}", sql);
+                    assert_eq!(vectorized.rows(), legacy.rows(), "sql: {}", sql);
                 }
                 (Err(_), Err(_)) => {}
-                (v, l) => prop_assert!(
-                    false,
+                (v, l) => panic!(
                     "engine status divergence for {}: vectorized={:?} legacy={:?}",
-                    sql, v.map(|t| t.len()), l.map(|t| t.len())
+                    sql,
+                    v.map(|t| t.len()),
+                    l.map(|t| t.len())
                 ),
             }
         }
-    }
+    });
 }
 
 /// Regression: `SUM` over an `Int` column whose total reaches 9e15 used to

@@ -18,25 +18,10 @@ use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::batch::Batch;
 use model_data_ecosystems::mcdb::storage::BufferPool;
 use model_data_ecosystems::mcdb::McdbError;
+use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("MDE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
-
-/// Deterministic LCG (PCG-style multiplier) so the fault schedule is a
-/// pure function of the chaos seed.
-fn next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 11
-}
 
 static FIXTURE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -109,10 +94,11 @@ fn bit_flips_surface_typed_errors_never_wrong_answers() {
     drop(paged);
 
     let pristine = std::fs::read(&path).unwrap();
-    let mut state = chaos_seed();
+    // The fault schedule is a pure function of the chaos seed.
+    let mut rng = rng_from_seed(chaos_seed());
     for trial in 0..48 {
-        let byte = (next(&mut state) as usize) % pristine.len();
-        let bit = (next(&mut state) % 8) as u8;
+        let byte = rng.gen_range(0..pristine.len());
+        let bit: u8 = rng.gen_range(0..8);
         let mut mutated = pristine.clone();
         mutated[byte] ^= 1 << bit;
         let victim = dir.join("flip.mdet");
@@ -144,10 +130,10 @@ fn truncation_is_detected() {
     );
     let pristine = std::fs::read(&path).unwrap();
 
-    let mut state = chaos_seed() ^ 0x5eed;
+    let mut rng = rng_from_seed(chaos_seed());
     let mut cuts = vec![0, 10, pristine.len() - 1];
     for _ in 0..8 {
-        cuts.push((next(&mut state) as usize) % pristine.len());
+        cuts.push(rng.gen_range(0..pristine.len()));
     }
     for cut in cuts {
         let victim = dir.join("cut.mdet");
@@ -174,8 +160,7 @@ fn torn_page_write_is_detected() {
     drop(paged);
 
     let mut bytes = std::fs::read(&path).unwrap();
-    let mut state = chaos_seed() ^ 0x7042;
-    let page = (next(&mut state) as usize) % n_pages;
+    let page = rng_from_seed(chaos_seed()).gen_range(0..n_pages);
     let frame_start = bytes.len() - (n_pages - page) * 256;
     for b in &mut bytes[frame_start + 128..frame_start + 256] {
         *b = 0xAB;
@@ -334,7 +319,7 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
         ),
     ];
 
-    let mut state = chaos_seed() ^ 0x0515;
+    let mut rng = rng_from_seed(chaos_seed());
     for column in 0..4u32 {
         let pages: Vec<usize> = (0..directory.len())
             .filter(|&p| directory[p].column == column)
@@ -342,11 +327,11 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
         assert!(pages.len() > 2, "column {column} must span several pages");
         // Never the column's last page, so a second, higher page can go
         // bad as well.
-        let victim = pages[(next(&mut state) as usize) % (pages.len() - 1)];
+        let victim = pages[rng.gen_range(0..pages.len() - 1)];
         let mut bytes = pristine.clone();
         for page in [victim, *pages.last().unwrap()] {
             let frame_start = bytes.len() - (directory.len() - page) * 256;
-            bytes[frame_start + 28 + (next(&mut state) as usize) % 64] ^= 0x40;
+            bytes[frame_start + 28 + rng.gen_range(0..64)] ^= 0x40;
         }
         std::fs::write(&path, &bytes).unwrap();
 
@@ -456,8 +441,7 @@ fn crafted_headers_are_rejected_at_open() {
         bytes[n_rows_at..n_rows_at + 8].copy_from_slice(&n_rows.to_le_bytes());
         cases.push((what, bytes));
     }
-    let mut state = chaos_seed() ^ 0xD1F;
-    let page = (next(&mut state) as usize) % directory.len();
+    let page = rng_from_seed(chaos_seed()).gen_range(0..directory.len());
     for (what, n_values) in [
         ("one page claims a value more", directory[page].n_values + 1),
         ("one page claims u32::MAX values", u32::MAX),

@@ -14,7 +14,7 @@ use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
 use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
-use proptest::prelude::*;
+use model_data_ecosystems::numeric::rng::for_cases;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -192,58 +192,57 @@ fn sql_catalog() -> Catalog {
     c
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Paged twin, tiny pool (4 frames, 256-byte pages → many evictions):
-    /// bit-identical to the in-memory oracle on the full edge-plan
-    /// family, including identical error messages.
-    #[test]
-    fn paged_catalog_matches_memory_oracle_on_edge_plans(
-        n_rows in 0usize..40,
-        null_every in 1usize..5,
-        divisor in -2i64..3,
-        threshold in -10.0f64..10.0,
-        case in 0u8..6,
-        limit in 1usize..12,
-    ) {
+/// Paged twin, tiny pool (4 frames, 256-byte pages → many evictions):
+/// bit-identical to the in-memory oracle on the full edge-plan
+/// family, including identical error messages.
+#[test]
+fn paged_catalog_matches_memory_oracle_on_edge_plans() {
+    for_cases(24, |rng| {
+        let n_rows = rng.gen_range(0usize..40);
+        let null_every = rng.gen_range(1usize..5);
+        let divisor = rng.gen_range(-2i64..3);
+        let threshold = rng.gen_range(-10.0f64..10.0);
+        let case = rng.gen_range(0u8..6);
+        let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let (paged, dir) = paged_twin(&db, 4, 256, None);
         let plan = edge_plan_for(case, divisor, threshold, limit);
         assert_twin_agrees(&db, &paged, &plan, true);
         drop(paged);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// Spill-forced paged twin: joins and group-bys degrade to Grace
-    /// partitioning (threshold 8 rows) and must still match exactly.
-    #[test]
-    fn spilled_paged_catalog_matches_memory_oracle(
-        n_rows in 0usize..40,
-        null_every in 1usize..5,
-        divisor in -2i64..3,
-        threshold in -10.0f64..10.0,
-        case in 0u8..6,
-        limit in 1usize..12,
-    ) {
+/// Spill-forced paged twin: joins and group-bys degrade to Grace
+/// partitioning (threshold 8 rows) and must still match exactly.
+#[test]
+fn spilled_paged_catalog_matches_memory_oracle() {
+    for_cases(24, |rng| {
+        let n_rows = rng.gen_range(0usize..40);
+        let null_every = rng.gen_range(1usize..5);
+        let divisor = rng.gen_range(-2i64..3);
+        let threshold = rng.gen_range(-10.0f64..10.0);
+        let case = rng.gen_range(0u8..6);
+        let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let (paged, dir) = paged_twin(&db, 4, 256, Some(8));
         let plan = edge_plan_for(case, divisor, threshold, limit);
         assert_twin_agrees(&db, &paged, &plan, false);
         drop(paged);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// The generated-SQL family from `sql_robustness.rs`, executed on
-    /// both backends through the SQL front end.
-    #[test]
-    fn generated_sql_identical_on_paged_catalog(
-        threshold in -5i64..15,
-        divisor in -3i64..4,
-        pick_col in 0usize..3,
-        desc in any::<bool>(),
-        limit in 1usize..10,
-    ) {
+/// The generated-SQL family from `sql_robustness.rs`, executed on
+/// both backends through the SQL front end.
+#[test]
+fn generated_sql_identical_on_paged_catalog() {
+    for_cases(24, |rng| {
+        let threshold = rng.gen_range(-5i64..15);
+        let divisor = rng.gen_range(-3i64..4);
+        let pick_col = rng.gen_range(0usize..3);
+        let desc = rng.gen::<bool>();
+        let limit = rng.gen_range(1usize..10);
         let col = ["a", "b", "s"][pick_col];
         let sql = format!(
             "SELECT a, b / {divisor} AS r FROM t WHERE {col} <> '{threshold}' ORDER BY b {} LIMIT {limit}",
@@ -256,18 +255,19 @@ proptest! {
             // The legacy row engine materializes paged rows through the
             // oracle path; it must agree too.
             match (db.query_unoptimized(&plan), paged.query_unoptimized(&plan)) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.rows(), b.rows(), "sql: {}", sql),
+                (Ok(a), Ok(b)) => assert_eq!(a.rows(), b.rows(), "sql: {}", sql),
                 (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(
-                    false,
+                (a, b) => panic!(
                     "row-engine status divergence for {}: mem={:?} paged={:?}",
-                    sql, a.map(|t| t.len()), b.map(|t| t.len())
+                    sql,
+                    a.map(|t| t.len()),
+                    b.map(|t| t.len())
                 ),
             }
             drop(paged);
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
+    });
 }
 
 /// Appending after paging: tail rows splice onto the on-disk base and
