@@ -27,7 +27,7 @@ pub use gridfield::gridfield_rewrite_report;
 pub use indemics::indemics_report;
 pub use intro::intro_abs_report;
 pub use kriging::kriging_accuracy_report;
-pub use mcdb::{mcdb_bundles_report, mcdb_risk_report};
+pub use mcdb::{mcdb_plan_once_report, mcdb_risk_report};
 pub use predrange::prediction_range_report;
 pub use rangequery::rangequery_report;
 pub use screening::factor_screening_report;
@@ -53,8 +53,8 @@ pub fn all() -> Vec<Experiment> {
         ),
         (
             "E3",
-            "§2.1 MCDB: tuple-bundle execution",
-            mcdb_bundles_report,
+            "§2.1 MCDB: plan once, execute per replicate",
+            mcdb_plan_once_report,
         ),
         (
             "E4",
@@ -148,7 +148,7 @@ mod smoke_tests {
 
     #[test]
     fn mcdb_reports_run() {
-        assert!(mcdb_bundles_report().contains("bundle"));
+        assert!(mcdb_plan_once_report().contains("realize share"));
         assert!(mcdb_risk_report().contains("quantile"));
     }
 

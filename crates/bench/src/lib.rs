@@ -2,11 +2,9 @@
 //!
 //! Every figure, algorithm, and quantitative claim of the paper has a
 //! regeneration function in [`experiments`] that produces a printable
-//! report; thin binaries under `src/bin/` wrap them one-per-experiment,
-//! and `run_all_experiments` executes the full battery (the source of the
-//! numbers recorded in EXPERIMENTS.md). Criterion benches under `benches/`
-//! measure the performance-critical kernels (tuple bundles, DSGD, k-d
-//! range queries, the particle filter, GP fitting, gridfield rewrites).
+//! report; the one binary, `run_all_experiments`, executes the full battery
+//! (the source of the numbers recorded in EXPERIMENTS.md) or, given ids
+//! (`run_all_experiments E3 E9`), the named experiments.
 //!
 //! See DESIGN.md §4 for the experiment ↔ paper-artifact index.
 

@@ -16,6 +16,14 @@
 //! tuples carrying all `N` Monte Carlo instantiations at once — instead of
 //! `N` times.
 //!
+//! This engine keeps the other half of that sentence: a Monte Carlo query
+//! is *planned* once ([`random_table::RandomTableSpec::prepare`] and
+//! [`query::PreparedQuery`] bind every plan and expression up front) and the
+//! prepared, vectorized plan *executes* once per replicate, each replicate
+//! on its own RNG stream. A tuple-bundle interpreter existed through PR 18;
+//! measured against the vectorized engine it lost 3× on plan execution, and
+//! it was removed (EXPERIMENTS.md, E3).
+//!
 //! SimSQL (Cai et al., SIGMOD 2013) extends MCDB with *versioned,
 //! recursively defined* stochastic tables: the mechanism that generates
 //! database state `D[i]` may depend on `D[i−1]`, so the system simulates a
@@ -33,7 +41,6 @@
 //! | [`query`] | logical plans, executor, filter-pushdown planner |
 //! | [`vg`] | the VG-function trait and the paper's example library |
 //! | [`random_table`] | `CREATE TABLE … AS FOR EACH … WITH … AS VG(…)` |
-//! | [`bundle`] | tuple-bundle execution |
 //! | [`mc`] | Monte Carlo query estimation, risk & threshold queries |
 //! | [`markov`] | SimSQL database-valued Markov chains |
 //! | [`simstep`] | ABS-step-as-self-join (Wang et al.) |
@@ -83,7 +90,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bundle;
 pub mod error;
 pub mod expr;
 pub mod markov;

@@ -9,8 +9,13 @@
 //! [`MonteCarloQuery`] packages the stochastic-table specs with an
 //! aggregate query and runs `N` iterations (optionally across
 //! [`RunOptions::threads`] workers, standing in for MCDB's
-//! parallel-database backend). The result object
-//! answers the paper's analysis patterns:
+//! parallel-database backend). There is one replicate path: specs and
+//! query are prepared once per run, and every replicate realizes the
+//! specs ([`PreparedRandomTable::realize`]) and executes the prepared
+//! plan on the vectorized engine — where MCDB executes the plan once over
+//! tuple bundles, this engine plans once and executes per replicate (E3 in
+//! EXPERIMENTS.md measures what that costs). The result object answers
+//! the paper's analysis patterns:
 //!
 //! * moments and confidence intervals (plain MCDB);
 //! * **extreme quantiles** for risk analysis (MCDB-R, Arumugam et al.);
@@ -22,13 +27,13 @@
 //! Runs are **supervised**: per-replicate execution is wrapped in
 //! `catch_unwind`, panics and non-finite samples become typed
 //! [`McdbError::ReplicateFailed`](crate::McdbError::ReplicateFailed)
-//! failures, and a [`RunPolicy`] decides whether a failing replicate
-//! aborts the run, retries on a fresh deterministic sub-seed, or is
-//! dropped best-effort with the damage recorded in a [`RunReport`]. See
-//! [`MonteCarloQuery::run_with_options`].
+//! failures, and a [`RunPolicy`](mde_numeric::RunPolicy) decides whether a
+//! failing replicate aborts the run, retries on a fresh deterministic
+//! sub-seed, or is dropped best-effort with the damage recorded in a
+//! [`RunReport`]. See [`MonteCarloQuery::run_with_options`].
 //!
 //! Runs are also **durable campaigns**: attach a
-//! [`CheckpointSpec`](mde_numeric::CheckpointSpec) and the run persists a
+//! [`CheckpointSpec`] and the run persists a
 //! crash-consistent [`CampaignState`] every `k` replicates (and always at
 //! stop/completion); attach a [`Deadline`](mde_numeric::Deadline) or
 //! [`CancelToken`](mde_numeric::CancelToken) and the run stops at the next
@@ -78,8 +83,10 @@ impl MonteCarloQuery {
     /// Run `n` Monte Carlo iterations: the three-argument convenience over
     /// [`MonteCarloQuery::run_with_options`] with default options.
     ///
-    /// Iteration `i` draws from stream `i` of a [`StreamFactory`] seeded
-    /// with `seed`. Fail-fast: the first failing replicate aborts the run
+    /// Replicate `i` realizes spec `k` (in `specs` order) on
+    /// `StreamFactory::new(seed).child(i).stream(k)` — the one RNG layout,
+    /// so "sample `i`" is the same number on every path that computes it.
+    /// Fail-fast: the first failing replicate aborts the run
     /// with a typed error (a panicking VG function surfaces as
     /// [`McdbError::ReplicateFailed`](crate::McdbError::ReplicateFailed),
     /// never as a panic in the caller).
@@ -133,27 +140,32 @@ impl MonteCarloQuery {
         seed: u64,
         opts: &RunOptions,
     ) -> crate::Result<McRun> {
+        // Formatted once per run: the checkpoint and both cache sides share it.
+        let fingerprint = self.fingerprint(n, seed);
         if opts.resume.is_none() {
-            if let Some(hit) = self.replay_cached(n, seed, opts)? {
+            if let Some(hit) = Self::replay_cached(fingerprint, n, seed, opts)? {
                 return Ok(hit);
             }
         }
         let state = CampaignState::start_or_resume(
             opts.resume.as_ref(),
             CAMPAIGN_MC,
-            self.fingerprint(n, seed),
+            fingerprint,
             seed,
             n as u64,
         )?;
         let run = self.campaign(catalog, n, seed, opts, state)?;
-        self.cache_completed(n, seed, opts, &run);
+        Self::cache_completed(fingerprint, n, seed, opts, &run);
         Ok(run)
     }
 
     /// The digest that ties a checkpoint to this exact campaign: tag,
-    /// master seed, replicate count, and the debug shape of the specs and
-    /// query plan. Resuming with a different query, spec set, seed, or
-    /// `n` is refused.
+    /// master seed, replicate count, and the complete debug text of the
+    /// specs (driver plan, VG name, parameter query, parameter and select
+    /// expressions) and of the query plan. Resuming with a different query,
+    /// spec set, seed, or `n` is refused. Table *contents* are not in it:
+    /// the catalog is the caller's to hold fixed per checkpoint and per
+    /// cache file.
     fn fingerprint(&self, n: usize, seed: u64) -> u64 {
         Fingerprint::new(CAMPAIGN_MC)
             .push_u64(seed)
@@ -170,9 +182,9 @@ impl MonteCarloQuery {
     /// the result); deadline/cancel/checkpoint/threads do not — a
     /// completed run is the same completed run regardless of how it was
     /// scheduled or persisted.
-    fn cache_key(&self, n: usize, seed: u64, opts: &RunOptions) -> CacheKey {
+    fn cache_key(fingerprint: u64, n: usize, seed: u64, opts: &RunOptions) -> CacheKey {
         let spec_fingerprint = Fingerprint::new("mcdb.mc-cache")
-            .push_u64(self.fingerprint(n, seed))
+            .push_u64(fingerprint)
             .push_str(&format!("{:?}", opts.policy))
             .push_str(&format!("{:?}", opts.faults))
             .finish();
@@ -187,7 +199,7 @@ impl MonteCarloQuery {
     /// structurally implausible entry is treated as a miss (recompute),
     /// never an error.
     fn replay_cached(
-        &self,
+        fingerprint: u64,
         n: usize,
         seed: u64,
         opts: &RunOptions,
@@ -195,7 +207,7 @@ impl MonteCarloQuery {
         let Some(cache) = &opts.cache else {
             return Ok(None);
         };
-        let entry = match cache.get(&self.cache_key(n, seed, opts)) {
+        let entry = match cache.get(&Self::cache_key(fingerprint, n, seed, opts)) {
             Some(e) => e,
             None => return Ok(None),
         };
@@ -205,7 +217,7 @@ impl MonteCarloQuery {
         if entry.values.len() != entry.ints.len() || entry.values.len() > n {
             return Ok(None);
         }
-        let mut state = CampaignState::new(CAMPAIGN_MC, self.fingerprint(n, seed), seed, n as u64);
+        let mut state = CampaignState::new(CAMPAIGN_MC, fingerprint, seed, n as u64);
         state.cursor = n as u64;
         state.completed = entry
             .ints
@@ -229,13 +241,13 @@ impl MonteCarloQuery {
     /// Store a *completed* run in `opts.cache` (stopped/partial runs are
     /// never cached — they are checkpoints, not answers). Best-effort
     /// durable: a failed persist is counted, never surfaced.
-    fn cache_completed(&self, n: usize, seed: u64, opts: &RunOptions, run: &McRun) {
+    fn cache_completed(fingerprint: u64, n: usize, seed: u64, opts: &RunOptions, run: &McRun) {
         let Some(cache) = &opts.cache else { return };
         if run.stopped.is_some() {
             return;
         }
         let Some(state) = &run.checkpoint else { return };
-        let key = self.cache_key(n, seed, opts);
+        let key = Self::cache_key(fingerprint, n, seed, opts);
         let spec_fingerprint = key.spec_fingerprint;
         cache.insert_durable(CacheEntry {
             key,
@@ -398,37 +410,6 @@ impl MonteCarloQuery {
             checkpoint: Some(state),
         })
     }
-
-    /// Run `n` iterations through the tuple-bundle engine: realize every
-    /// stochastic table as bundles and execute the plan **once**.
-    ///
-    /// Requirements (checked, with a descriptive error): the query must be
-    /// bundle-executable (no Sort/Limit; joins and grouping on
-    /// deterministic columns). The Monte Carlo sample is statistically
-    /// equivalent to [`MonteCarloQuery::run`] but uses a different RNG
-    /// layout, so the two are not sample-for-sample identical; the bundle
-    /// engine's per-iteration equivalence with naive execution is what the
-    /// property tests pin down.
-    pub fn run_bundled(&self, catalog: &Catalog, n: usize, seed: u64) -> crate::Result<McResult> {
-        use crate::bundle::{execute_bundled, BundledCatalog, BundledTable};
-        let factory = StreamFactory::new(seed);
-        let mut bc = BundledCatalog::new(n);
-        // Deterministic base tables are visible to the bundled plan too.
-        for name in catalog.table_names() {
-            bc.insert_const(catalog.get(name)?);
-        }
-        // Stochastic tables realize sequentially (later specs may read
-        // earlier realizations only in their deterministic parts; the
-        // bundled generator reads parameters from the *deterministic*
-        // catalog, so cross-stochastic parametrization requires `run`).
-        for (k, spec) in self.specs.iter().enumerate() {
-            let mut rng = factory.stream(k as u64);
-            let bt = BundledTable::from_spec(spec, catalog, n, &mut rng)?;
-            bc.insert(bt)?;
-        }
-        let result = execute_bundled(&self.query, &bc)?;
-        Ok(McResult::new(result.scalar_samples()?))
-    }
 }
 
 /// A Monte Carlo task lowered to prepared form: every spec's driver and
@@ -508,7 +489,7 @@ pub struct McRun {
     /// The final campaign state — resume a stopped run by handing it back
     /// through [`RunOptions::resuming`] (it is also what
     /// [`CampaignState::load`] reads back from disk when a
-    /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached).
+    /// [`CheckpointSpec`] is attached).
     pub checkpoint: Option<CampaignState>,
 }
 
@@ -893,45 +874,6 @@ mod tests {
                 .collect(),
         );
         assert_eq!(balanced.threshold_decision(0.0, 0.5, 0.95).unwrap(), None);
-    }
-
-    #[test]
-    fn bundled_run_is_statistically_equivalent() {
-        let db = demand_catalog();
-        let q = revenue_query();
-        let naive = q.run(&db, 400, 21).unwrap();
-        let bundled = q.run_bundled(&db, 400, 22).unwrap();
-        assert_eq!(bundled.n(), 400);
-        // Same distribution (mean 200, sd ~8.94): means within combined
-        // standard errors.
-        let se = (naive.variance() / 400.0 + bundled.variance() / 400.0).sqrt();
-        assert!(
-            (naive.mean() - bundled.mean()).abs() < 5.0 * se,
-            "naive {} vs bundled {}",
-            naive.mean(),
-            bundled.mean()
-        );
-        assert!((bundled.variance().sqrt() - 8.94).abs() < 1.5);
-    }
-
-    #[test]
-    fn bundled_run_rejects_unbundleable_plans() {
-        let db = demand_catalog();
-        let spec = revenue_query().specs[0].clone();
-        let q = MonteCarloQuery::new(
-            vec![spec],
-            Plan::scan("SALES")
-                .aggregate(
-                    &[],
-                    vec![AggSpec::new(
-                        "TOTAL",
-                        crate::query::AggFunc::Sum,
-                        Expr::col("AMT"),
-                    )],
-                )
-                .limit(1),
-        );
-        assert!(q.run_bundled(&db, 10, 1).is_err());
     }
 
     #[test]

@@ -292,11 +292,11 @@ pub(crate) fn checked_int_sum(acc: i64, v: i64) -> crate::Result<i64> {
         })
 }
 
-/// Streaming aggregate accumulator of the row-at-a-time engines (this
-/// interpreter and the tuple-bundle executor). The vectorized engine
-/// folds the same functions over typed columns in `kernels::accumulate`.
+/// Streaming aggregate accumulator of this row-at-a-time interpreter. The
+/// vectorized engine folds the same functions over typed columns in
+/// `kernels::accumulate`.
 #[derive(Debug, Clone)]
-pub(crate) enum AggState {
+enum AggState {
     Count(i64),
     /// `int` accumulates while every input was `Int` (exact, checked);
     /// `float` accumulates every input as `f64` and is the result once a
@@ -315,7 +315,7 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> Self {
+    fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum {
@@ -329,7 +329,7 @@ impl AggState {
         }
     }
 
-    pub(crate) fn update(&mut self, v: Option<Value>) -> crate::Result<()> {
+    fn update(&mut self, v: Option<Value>) -> crate::Result<()> {
         match self {
             AggState::Count(n) => {
                 // COUNT(*) counts rows; COUNT(expr) counts non-nulls.
@@ -389,7 +389,7 @@ impl AggState {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n),
             AggState::Sum { int, float, any } => match int {

@@ -7,7 +7,7 @@
 //! optimization" transfer to simulation settings), lowered to a physical
 //! plan with expressions bound exactly once ([`physical::PreparedQuery`]),
 //! and executed against a [`Catalog`] of in-memory tables by a vectorized
-//! columnar engine ([`column`]/[`batch`]).
+//! columnar engine ([`mod@column`]/[`batch`]).
 //!
 //! The legacy row-at-a-time interpreter survives as
 //! [`Catalog::query_unoptimized`], which doubles as the reference
@@ -31,7 +31,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 pub use exec::execute;
-pub(crate) use exec::AggState;
 pub use physical::PreparedQuery;
 
 /// Morsel-parallel execution policy carried by a [`Catalog`].

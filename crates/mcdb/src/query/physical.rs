@@ -10,7 +10,7 @@
 //! built around.
 //!
 //! Execution is vectorized: data flows between operators as
-//! [`Chunk`]s — a shared [`Batch`] plus an optional selection vector —
+//! `Chunk`s — a shared [`Batch`] plus an optional selection vector —
 //! so filters, sorts, and limits never copy rows, and expression evaluation
 //! runs whole-column kernels ([`BoundExpr::eval_batch`]). Row-level
 //! semantics (null propagation, Kleene logic, first-seen group order,
@@ -21,7 +21,7 @@
 //! Execution is also *morsel-parallel*: each operator splits its lane
 //! space into 64-aligned morsels ([`crate::query::ExecConfig`]) that are
 //! dispatched round-robin onto scoped worker threads
-//! ([`crate::par::par_map_ordered`]) and merged back **in morsel order**.
+//! (`par::par_map_ordered`) and merged back **in morsel order**.
 //! Because morsel decomposition depends only on the data and
 //! `morsel_rows` — never on the thread count — and every merge walks
 //! morsels in their fixed order (group-by accumulates in global lane

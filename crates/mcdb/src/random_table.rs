@@ -41,16 +41,30 @@ pub struct RandomTableSpec {
     select: Vec<(String, Expr)>,
 }
 
+/// Every field, the VG by [`VgFunction::name`]: this text is what
+/// [`crate::mc::MonteCarloQuery`] hashes into a campaign's checkpoint
+/// fingerprint and result-cache key, so anything left out of it is something
+/// two different campaigns could share an answer across.
 impl std::fmt::Debug for RandomTableSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Destructured without `..`: a new field does not compile until it
+        // is printed here.
+        let RandomTableSpec {
+            name,
+            driver,
+            vg,
+            params_query,
+            param_exprs,
+            select,
+        } = self;
         f.debug_struct("RandomTableSpec")
-            .field("name", &self.name)
-            .field("vg", &self.vg.name())
-            .field(
-                "select",
-                &self.select.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            )
-            .finish_non_exhaustive()
+            .field("name", name)
+            .field("driver", driver)
+            .field("vg", &vg.name())
+            .field("params_query", params_query)
+            .field("param_exprs", param_exprs)
+            .field("select", select)
+            .finish()
     }
 }
 
@@ -70,79 +84,6 @@ impl RandomTableSpec {
     /// The table name this spec realizes.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The VG function.
-    pub fn vg(&self) -> &Arc<dyn VgFunction> {
-        &self.vg
-    }
-
-    /// The driver plan (`FOR EACH`).
-    pub fn driver(&self) -> &Plan {
-        &self.driver
-    }
-
-    /// Schema of the combined (driver ++ VG) row visible to the `SELECT`
-    /// projection.
-    pub fn combined_schema(&self, catalog: &Catalog) -> crate::Result<Schema> {
-        let driver_schema = self.driver.output_schema(catalog)?;
-        driver_schema.concat(&self.vg.output_schema(), "vg")
-    }
-
-    /// Output schema of a realization.
-    pub fn output_schema(&self, catalog: &Catalog) -> crate::Result<Schema> {
-        let combined = self.combined_schema(catalog)?;
-        let mut cols = Vec::with_capacity(self.select.len());
-        for (name, e) in &self.select {
-            let dt =
-                crate::query::infer_type(e, &combined)?.unwrap_or(crate::schema::DataType::Float);
-            cols.push(crate::schema::Column::new(name.clone(), dt));
-        }
-        Schema::new(cols)
-    }
-
-    /// Evaluate the parameter query (if any) to the base parameter values.
-    fn base_params(&self, catalog: &Catalog) -> crate::Result<Vec<Value>> {
-        match &self.params_query {
-            None => Ok(Vec::new()),
-            Some(q) => {
-                let t = catalog.query(q)?;
-                if t.len() != 1 {
-                    return Err(McdbError::invalid_plan(format!(
-                        "VG parameter query for `{}` must return exactly one row, got {}",
-                        self.name,
-                        t.len()
-                    )));
-                }
-                Ok(t.rows()[0].clone())
-            }
-        }
-    }
-
-    /// Crate-internal: evaluate the parameter query to base parameters
-    /// (used by the tuple-bundle generator, which drives the VG directly).
-    pub(crate) fn base_params_values(&self, catalog: &Catalog) -> crate::Result<Vec<Value>> {
-        self.base_params(catalog)
-    }
-
-    /// Crate-internal: bind the per-row parameter expressions.
-    pub(crate) fn bind_param_exprs(
-        &self,
-        driver_schema: &Schema,
-    ) -> crate::Result<Vec<crate::expr::BoundExpr>> {
-        self.param_exprs
-            .iter()
-            .map(|e| e.bind(driver_schema))
-            .collect()
-    }
-
-    /// Crate-internal: bind the SELECT projection against the combined
-    /// schema.
-    pub(crate) fn bind_select(
-        &self,
-        combined: &Schema,
-    ) -> crate::Result<Vec<crate::expr::BoundExpr>> {
-        self.select.iter().map(|(_, e)| e.bind(combined)).collect()
     }
 
     /// Prepare this spec against a catalog snapshot: plan the driver and
@@ -168,8 +109,16 @@ impl RandomTableSpec {
             .as_ref()
             .map(|q| PreparedQuery::prepare(q, catalog))
             .transpose()?;
-        let bound_param_exprs = self.bind_param_exprs(driver.schema())?;
-        let bound_select = self.bind_select(&combined)?;
+        let bound_param_exprs = self
+            .param_exprs
+            .iter()
+            .map(|e| e.bind(driver.schema()))
+            .collect::<crate::Result<_>>()?;
+        let bound_select = self
+            .select
+            .iter()
+            .map(|(_, e)| e.bind(&combined))
+            .collect::<crate::Result<_>>()?;
         Ok(PreparedRandomTable {
             name: self.name.clone(),
             vg: Arc::clone(&self.vg),
@@ -232,10 +181,11 @@ impl PreparedRandomTable {
         &self.out_schema
     }
 
-    /// Generate one realization using the prepared plans.
+    /// Generate one realization using the prepared plans — the engine's one
+    /// generator.
     ///
-    /// RNG consumption is identical to the unprepared path: one VG
-    /// invocation per driver row, in driver order.
+    /// RNG consumption is the contract every sample bit rests on: one VG
+    /// invocation per driver row, in driver order, all on `rng`.
     pub fn realize(&self, catalog: &Catalog, rng: &mut Rng) -> crate::Result<Table> {
         let driver_table = self.driver.execute(catalog)?;
         let base_params = match &self.params_query {

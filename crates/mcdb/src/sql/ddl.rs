@@ -423,9 +423,6 @@ mod tests {
             fn arity(&self) -> Option<usize> {
                 Some(0)
             }
-            fn cardinality(&self) -> crate::vg::OutputCardinality {
-                crate::vg::OutputCardinality::Fixed(1)
-            }
             fn generate(
                 &self,
                 _params: &[Value],

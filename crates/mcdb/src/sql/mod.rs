@@ -24,8 +24,8 @@
 //! [ASC|DESC]`; `LIMIT`. Identifiers are case-sensitive; keywords are not.
 //!
 //! The translation targets the same [`Plan`] API programmatic callers use,
-//! so the optimizer, the Monte Carlo estimators, and (where the operators
-//! allow) tuple-bundle execution all apply to parsed queries unchanged.
+//! so the optimizer and the Monte Carlo estimators apply to parsed queries
+//! unchanged.
 
 mod ddl;
 mod lexer;

@@ -13,7 +13,7 @@
 //! encoded by bit pattern (`to_bits`), never re-parsed.
 //!
 //! Decoding writes straight into the caller's slice of the column's
-//! final buffer ([`LanesMut`]): plain pages convert after one bounds
+//! final buffer (`LanesMut`): plain pages convert after one bounds
 //! check, bit-packed streams are read through 64-bit little-endian
 //! windows, runs are `fill`ed. The bit-at-a-time coder the format was
 //! first written with is kept under `#[cfg(test)]` as the oracle the

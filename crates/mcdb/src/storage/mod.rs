@@ -1,7 +1,7 @@
 //! Out-of-core paged columnar storage: page codec, pager, buffer pool,
 //! and spill partitions.
 //!
-//! This layer lets a [`Table`](crate::Table) be backed by an on-disk
+//! This layer lets a [`Table`](crate::table::Table) be backed by an on-disk
 //! paged columnar file instead of in-memory rows, with working memory
 //! bounded by a [`BufferPool`] frame budget rather than data size. The
 //! all-in-RAM row path is retained as the differential oracle: the

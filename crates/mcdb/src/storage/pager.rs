@@ -80,7 +80,7 @@ pub struct PageMeta {
 /// are cached in.
 ///
 /// Stores are immutable once written (appends live in the owning
-/// [`Table`](crate::Table)'s in-memory tail); all mutation happens by
+/// [`Table`](crate::table::Table)'s in-memory tail); all mutation happens by
 /// atomically rewriting the whole file via [`PagedStore::write`].
 #[derive(Debug)]
 pub struct PagedStore {

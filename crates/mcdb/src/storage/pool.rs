@@ -5,7 +5,7 @@
 //! partition that was opened against it. Eviction is second-chance
 //! clock: each hit sets a referenced bit; the hand clears bits until it
 //! finds an unreferenced, unpinned frame. A frame is pinned exactly
-//! while a caller holds the `Arc` returned by [`BufferPool::get`] — no
+//! while a caller holds the `Arc` returned by `BufferPool::get` — no
 //! explicit unpin call, dropping the guard releases the pin — so
 //! eviction can never free bytes a reader is still decoding. If every
 //! frame is pinned the pool refuses the load with the retryable

@@ -1,7 +1,7 @@
 //! The built-in VG function library — the paper's worked examples plus
 //! general-purpose generators.
 
-use super::{float_param, OutputCardinality, VgFunction};
+use super::{float_param, VgFunction};
 use crate::schema::{DataType, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -31,10 +31,6 @@ impl VgFunction for NormalVg {
         Some(2)
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let mean = float_param(params, 0, self.name(), "mean")?;
@@ -61,10 +57,6 @@ impl VgFunction for UniformVg {
         Some(2)
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let lo = float_param(params, 0, self.name(), "lo")?;
@@ -89,10 +81,6 @@ impl VgFunction for PoissonVg {
 
     fn arity(&self) -> Option<usize> {
         Some(1)
-    }
-
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
@@ -133,10 +121,6 @@ impl VgFunction for DiscreteChoiceVg {
         Some(self.labels.len())
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let weights: Vec<f64> = (0..params.len())
@@ -170,10 +154,6 @@ impl VgFunction for BackwardWalkVg {
 
     fn arity(&self) -> Option<usize> {
         Some(3)
-    }
-
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Variable
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
@@ -214,10 +194,6 @@ impl VgFunction for StockOptionVg {
 
     fn arity(&self) -> Option<usize> {
         Some(5)
-    }
-
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
@@ -274,10 +250,6 @@ impl VgFunction for BayesianDemandVg {
         Some(7)
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let alpha = float_param(params, 0, self.name(), "prior shape alpha")?;
@@ -318,10 +290,6 @@ impl VgFunction for ExponentialVg {
         Some(1)
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let rate = float_param(params, 0, self.name(), "rate")?;
@@ -349,10 +317,6 @@ impl VgFunction for BetaVg {
         Some(2)
     }
 
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
-    }
-
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
         self.check_arity(params)?;
         let a = float_param(params, 0, self.name(), "alpha")?;
@@ -377,10 +341,6 @@ impl VgFunction for BernoulliVg {
 
     fn arity(&self) -> Option<usize> {
         Some(1)
-    }
-
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
@@ -475,7 +435,6 @@ mod tests {
             assert_eq!(row[0].as_i64().unwrap(), (i + 1) as i64);
             assert!(row[1].as_f64().unwrap() >= 0.0, "prices floored at zero");
         }
-        assert_eq!(vg.cardinality(), OutputCardinality::Variable);
     }
 
     #[test]

@@ -35,17 +35,6 @@ use crate::table::Row;
 use crate::value::Value;
 use mde_numeric::rng::Rng;
 
-/// How many rows a VG function emits per invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputCardinality {
-    /// Exactly this many rows per call — enables dense tuple-bundle
-    /// layouts where every Monte Carlo iteration shares row structure.
-    Fixed(usize),
-    /// Row count varies by call (e.g. a Poisson number of rows); bundling
-    /// falls back to presence bitmaps.
-    Variable,
-}
-
 /// A variable-generation function: the pluggable stochastic model of a
 /// random table.
 ///
@@ -54,7 +43,10 @@ pub enum OutputCardinality {
 /// [`crate::random_table::RandomTableSpec`]) and must return rows matching
 /// [`VgFunction::output_schema`].
 pub trait VgFunction: Send + Sync {
-    /// Name, for error messages and registry display.
+    /// Name, for error messages and registry display — and the function's
+    /// identity in campaign fingerprints: a checkpoint or cached result of a
+    /// Monte Carlo query is tied to its VGs by name, so two functions that
+    /// generate differently must not share one.
     fn name(&self) -> &str;
 
     /// Schema of the rows this function produces.
@@ -62,9 +54,6 @@ pub trait VgFunction: Send + Sync {
 
     /// Number of parameters expected, or `None` for variadic functions.
     fn arity(&self) -> Option<usize>;
-
-    /// Rows emitted per call.
-    fn cardinality(&self) -> OutputCardinality;
 
     /// Generate one realization.
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>>;

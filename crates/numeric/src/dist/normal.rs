@@ -10,7 +10,7 @@ use crate::NumericError;
 /// Sampling uses the Marsaglia polar variant of Box–Muller (no trig calls,
 /// and only one uniform pair per two variates on average); a cached spare
 /// value is *not* kept so that sampling is a pure function of the RNG state,
-/// which keeps tuple-bundle and particle-filter replays reproducible.
+/// which keeps Monte Carlo replicate and particle-filter replays reproducible.
 ///
 /// ```
 /// use mde_numeric::dist::{Normal, Distribution, Continuous};

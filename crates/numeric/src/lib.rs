@@ -4,7 +4,7 @@
 //! mathematical machinery that Haas's PODS 2014 survey leans on implicitly:
 //!
 //! * [`rng`] — reproducible, splittable random-number streams so that
-//!   parallel Monte Carlo work (tuple bundles, DSGD strata, particle
+//!   parallel Monte Carlo work (MCDB replicates, DSGD strata, particle
 //!   filters) is deterministic given a seed.
 //! * [`dist`] — univariate probability distributions with sampling and,
 //!   where closed forms exist, pdf/cdf/quantile functions. These back the
@@ -29,7 +29,7 @@
 //!   filters) can speak it; `mde-core` re-exports it as the public API.
 //! * [`obs`] — the observability substrate: span-style structured
 //!   tracing with pluggable sinks, lock-free counters/gauges, mergeable
-//!   log-linear histograms, and the per-run [`RunMetrics`](obs::RunMetrics)
+//!   log-linear histograms, and the per-run [`RunMetrics`]
 //!   ledger attached to every [`RunReport`] — deterministic metric values
 //!   (bit-identical across thread counts and checkpoint/resume) with
 //!   wall-clock measurements carried out-of-band.

@@ -131,7 +131,7 @@ const KEY_OFFSET: i64 = 1 << 20;
 
 /// A mergeable log-linear histogram over `f64` observations.
 ///
-/// Buckets subdivide each power-of-two octave into [`8`](SUBS) linear
+/// Buckets subdivide each power-of-two octave into 8 (`SUBS`) linear
 /// sub-buckets (taken straight from the float's exponent and top mantissa
 /// bits), so bucketing is a pure function of the value: two histograms
 /// over the same multiset of observations are identical however the

@@ -1057,6 +1057,12 @@ impl RunOptions {
     }
 
     /// Attach a result cache (keep a clone to inspect hit/miss stats).
+    ///
+    /// A surface keys its entries by everything in the campaign's
+    /// description that could change the answer's bits. The data the
+    /// campaign *reads* — a Monte Carlo query's catalog tables, a particle
+    /// filter's observation values — is not in the key: hold it fixed for
+    /// as long as one cache (or cache file) is in use.
     pub fn with_cache(mut self, cache: crate::cache::CacheHandle) -> Self {
         self.cache = Some(cache);
         self

@@ -1,7 +1,7 @@
 //! Shared campaign scheduling across sessions.
 //!
 //! Every session submits durable campaigns into one
-//! [`Scheduler`](mde_core::Scheduler) so admission control — queue
+//! [`Scheduler`] so admission control — queue
 //! bounds, cost budgets, priority shedding, circuit breakers — is
 //! global: ten sessions cannot overload the box ten times over. The
 //! scheduler itself is a synchronous batch drainer, so the hub wraps it

@@ -13,7 +13,7 @@
 //!   paying for that query at the next replicate boundary, and a
 //!   checkpointing campaign persists its partial state on the way out.
 //! * The **worker** executes requests inside
-//!   [`catch_panic`](mde_numeric::resilience::catch_panic): a panic —
+//!   [`catch_panic`]: a panic —
 //!   organic or injected by the [`WireFaultPlan`] — produces a typed
 //!   `ERR PANIC` reply and terminates *that session only*. The accept
 //!   loop, other sessions, and the campaign hub never observe it.

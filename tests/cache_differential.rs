@@ -13,6 +13,7 @@
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::AggSpec;
+use model_data_ecosystems::mcdb::random_table::RandomTableSpecBuilder;
 use model_data_ecosystems::mcdb::vg::NormalVg;
 use model_data_ecosystems::mcdb::{RunOptions, RunPolicy};
 use model_data_ecosystems::numeric::cache::{
@@ -56,19 +57,28 @@ fn demand_catalog() -> Catalog {
     db
 }
 
-fn revenue_query() -> MonteCarloQuery {
-    let spec = RandomTableSpec::builder("SALES")
+/// `SALES` without its VG parameters.
+fn sales_spec() -> RandomTableSpecBuilder {
+    RandomTableSpec::builder("SALES")
         .for_each(Plan::scan("ITEMS"))
         .with_vg(Arc::new(NormalVg))
-        .vg_params_query(Plan::scan("PARAMS"))
         .select(&[("IID", Expr::col("IID")), ("AMT", Expr::col("VALUE"))])
-        .build()
-        .unwrap();
+}
+
+fn revenue_spec() -> RandomTableSpecBuilder {
+    sales_spec().vg_params_query(Plan::scan("PARAMS"))
+}
+
+fn revenue_over(spec: RandomTableSpecBuilder) -> MonteCarloQuery {
     let q = Plan::scan("SALES").aggregate(
         &[],
         vec![AggSpec::new("TOTAL", AggFunc::Sum, Expr::col("AMT"))],
     );
-    MonteCarloQuery::new(vec![spec], q)
+    MonteCarloQuery::new(vec![spec.build().unwrap()], q)
+}
+
+fn revenue_query() -> MonteCarloQuery {
+    revenue_over(revenue_spec())
 }
 
 /// A retry policy plus a fault plan that panics two replicates on their
@@ -166,6 +176,41 @@ fn foreign_fingerprint_and_stale_seed_never_hit() {
     assert_eq!(stats.hits, 0, "no foreign key may hit");
     assert_eq!(stats.misses, 4);
     assert_eq!(stats.entries, 4);
+
+    // Specs that share the table name, the VG and the output column names
+    // with the original (or with each other) and differ in one expression.
+    let params_by_literal =
+        |mean: f64| sales_spec().vg_params_exprs(&[Expr::lit(mean), Expr::lit(2.0)]);
+    let foreign = [
+        ("parameter literal 10", params_by_literal(10.0)),
+        ("parameter literal 1000", params_by_literal(1000.0)),
+        (
+            "parameter query",
+            revenue_spec().vg_params_query(
+                Plan::scan("PARAMS")
+                    .project(&[("STD", Expr::col("STD")), ("MEAN", Expr::col("MEAN"))]),
+            ),
+        ),
+        (
+            "filtered driver",
+            revenue_spec().for_each(Plan::scan("ITEMS").filter(Expr::col("IID").lt(Expr::lit(10)))),
+        ),
+        (
+            "select expression under the same name",
+            revenue_spec().select(&[
+                ("IID", Expr::col("IID")),
+                ("AMT", Expr::col("VALUE").mul(Expr::lit(2.0))),
+            ]),
+        ),
+    ];
+    for (i, (what, spec)) in (0u64..).zip(foreign) {
+        revenue_over(spec)
+            .run_with_options(&db, N, SEED, &opts)
+            .unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 0, "a spec with a different {what} hit");
+        assert_eq!(stats.entries, 5 + i);
+    }
 
     // The exact original key still replays.
     task.run_with_options(&db, N, SEED, &opts).unwrap();

@@ -69,6 +69,12 @@ impl Drop for ScratchFile {
 /// draw per row — a genuinely stochastic campaign whose sample sequence
 /// exposes any RNG drift across preemption and resumption.
 fn normal_setup() -> (Catalog, MonteCarloQuery) {
+    normal_setup_with_std(1.0)
+}
+
+/// [`normal_setup`] with the draws' deviation — one literal in the spec's
+/// parameter expressions — chosen by the caller.
+fn normal_setup_with_std(std: f64) -> (Catalog, MonteCarloQuery) {
     let mut db = Catalog::new();
     let mut builder = Table::build("T", &[("MU", DataType::Float)]);
     for mu in [0.0, 1.0, 2.5, -1.5] {
@@ -78,7 +84,7 @@ fn normal_setup() -> (Catalog, MonteCarloQuery) {
     let spec = RandomTableSpec::builder("OUT")
         .for_each(Plan::scan("T"))
         .with_vg(Arc::new(NormalVg))
-        .vg_params_exprs(&[Expr::col("MU"), Expr::lit(1.0)])
+        .vg_params_exprs(&[Expr::col("MU"), Expr::lit(std)])
         .select(&[("V", Expr::col("VALUE"))])
         .build()
         .unwrap();
@@ -482,11 +488,24 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
         })
         .collect();
 
+    // The Monte Carlo query's twin, different in one parameter literal,
+    // preempted at the same seed and `n`.
+    let mc_twin_state = normal_setup_with_std(3.0)
+        .1
+        .run_with_options(&db, 10, seed, &preempt_opts(1))
+        .unwrap()
+        .checkpoint
+        .unwrap();
+
     for (i, (name, run)) in surfaces.iter().enumerate() {
         // Its own state resumes; the same surface's state from another seed
-        // is refused by fingerprint; every other surface's state by tag.
+        // (and, for Monte Carlo, the twin's from this one) is refused by
+        // fingerprint; every other surface's state by tag.
         run(seed, &resuming(states[i].0.clone())).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         let mut foreign = vec![("fingerprint", states[i].1.clone())];
+        if *name == "monte-carlo" {
+            foreign.push(("fingerprint", mc_twin_state.clone()));
+        }
         foreign.extend(
             (0..surfaces.len())
                 .filter(|&j| j != i)

@@ -20,7 +20,7 @@ use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
 use model_data_ecosystems::mcdb::schema::Schema;
-use model_data_ecosystems::mcdb::vg::{OutputCardinality, VgFunction};
+use model_data_ecosystems::mcdb::vg::VgFunction;
 use std::sync::Arc;
 
 /// A VG function that errors whenever its parameter is negative.
@@ -38,10 +38,6 @@ impl VgFunction for FragileVg {
 
     fn arity(&self) -> Option<usize> {
         Some(1)
-    }
-
-    fn cardinality(&self) -> OutputCardinality {
-        OutputCardinality::Fixed(1)
     }
 
     fn generate(

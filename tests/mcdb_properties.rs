@@ -1,17 +1,19 @@
 //! Property-based integration tests for the Monte Carlo database.
 //!
-//! The load-bearing invariant of MCDB's performance story (§2.1): tuple-
-//! bundle execution must be *semantically invisible* — instantiating
-//! iteration `i` of a bundled query result equals running the ordinary
-//! executor on iteration `i` of the inputs, for random queries over random
-//! stochastic tables.
+//! The load-bearing invariant of the Monte Carlo loop: "sample `i` of a
+//! query" means one thing. Whatever `MonteCarloQuery` prepares once, shares
+//! between replicates or spreads over threads must be *semantically
+//! invisible* — its sample `i` equals realizing the stochastic tables and
+//! running the query from scratch on replicate `i`'s streams, bit for bit,
+//! for random queries over random stochastic tables.
 
-use model_data_ecosystems::mcdb::bundle::{execute_bundled, BundledCatalog, BundledTable};
 use model_data_ecosystems::mcdb::expr::ScalarFunc;
+use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
-use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
-use model_data_ecosystems::mcdb::vg::NormalVg;
-use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed};
+use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, SortKey};
+use model_data_ecosystems::mcdb::vg::{BackwardWalkVg, NormalVg, PoissonVg};
+use model_data_ecosystems::mcdb::RunOptions;
+use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed, StreamFactory};
 use std::sync::Arc;
 
 fn base_catalog(n_items: usize, mean: f64, std: f64) -> Catalog {
@@ -176,41 +178,133 @@ fn edge_plan_for(case: u8, divisor: i64, threshold: f64, limit: usize) -> Plan {
     }
 }
 
+/// A variable-cardinality stochastic table driven by another one: a price
+/// walk of `IID + 1` steps back from each realized `SALES.AMT`, so its
+/// driver query cannot run before `SALES` is realized in the same replicate.
+fn walk_spec() -> RandomTableSpec {
+    RandomTableSpec::builder("WALK")
+        .for_each(Plan::scan("SALES"))
+        .with_vg(Arc::new(BackwardWalkVg))
+        .vg_params_exprs(&[
+            Expr::col("AMT"),
+            Expr::lit(2.0),
+            Expr::col("IID").add(Expr::lit(1)),
+        ])
+        .select(&[
+            ("IID", Expr::col("IID")),
+            ("LAG", Expr::col("LAG")),
+            ("PRICE", Expr::col("PRICE")),
+        ])
+        .build()
+        .unwrap()
+}
+
+/// A stochastic integer per item, to group and join on.
+fn demand_spec() -> RandomTableSpec {
+    RandomTableSpec::builder("DEMAND")
+        .for_each(Plan::scan("ITEMS"))
+        .with_vg(Arc::new(PoissonVg))
+        .vg_params_exprs(&[Expr::lit(3.0)])
+        .select(&[("IID", Expr::col("IID")), ("D", Expr::col("VALUE"))])
+        .build()
+        .unwrap()
+}
+
+/// One scalar per replicate: the `plan_for` family under a closing
+/// aggregate, then Sort/Limit, grouping and joining on a stochastic column,
+/// and a variable-cardinality table.
+fn scalar_plan_for(case: u8, threshold: f64) -> Plan {
+    let total = |plan: Plan, col: &str| {
+        plan.aggregate(&[], vec![AggSpec::new("S", AggFunc::Sum, Expr::col(col))])
+    };
+    match case % 8 {
+        0 => total(plan_for(0, threshold), "AMT"),
+        1 => total(plan_for(1, threshold), "TAXED"),
+        2 => total(plan_for(2, threshold), "TOTAL"),
+        3 => plan_for(3, threshold),
+        4 => total(
+            Plan::scan("SALES")
+                .sort(vec![SortKey::desc(Expr::col("AMT"))])
+                .limit(3),
+            "AMT",
+        ),
+        5 => Plan::scan("DEMAND")
+            .join(Plan::scan("SALES"), &[("IID", "IID")])
+            .aggregate(
+                &["D"],
+                vec![AggSpec::new("TOTAL", AggFunc::Sum, Expr::col("AMT"))],
+            )
+            .aggregate(
+                &[],
+                vec![AggSpec::new("M", AggFunc::Max, Expr::col("TOTAL"))],
+            ),
+        6 => total(
+            Plan::scan("DEMAND")
+                .project(&[("D", Expr::col("D"))])
+                .join(Plan::scan("SALES"), &[("D", "IID")]),
+            "AMT",
+        ),
+        _ => total(
+            Plan::scan("WALK").filter(Expr::col("LAG").le(Expr::lit(2))),
+            "PRICE",
+        ),
+    }
+}
+
+/// The contract any hoisting of replicate-invariant work must keep:
+/// replicate `i` realizes spec `k` on `StreamFactory::new(seed).child(i)
+/// .stream(k)`, a `NULL` answer fails the run, and nothing else about how
+/// the run is prepared or scheduled reaches a sample bit.
 #[test]
-fn bundled_execution_equals_naive_per_iteration() {
-    for_cases(24, |rng| {
+fn monte_carlo_run_equals_the_plan_per_replicate_loop_at_any_thread_count() {
+    for_cases(48, |rng| {
         let n_items = rng.gen_range(1usize..12);
         let mean = rng.gen_range(-50.0f64..50.0);
         let std = rng.gen_range(0.5f64..20.0);
         let n_iters = rng.gen_range(1usize..8);
-        let case = rng.gen_range(0u8..4);
-        let threshold = rng.gen_range(-40.0f64..40.0);
+        let case = rng.gen_range(0u8..8);
+        // Within one deviation of the mean, so most filters keep some rows.
+        let threshold = mean + std * rng.gen_range(-1.0f64..1.0);
         let seed = rng.gen_range(0u64..1000);
         let db = base_catalog(n_items, mean, std);
-        let spec = sales_spec();
-        let mut rng = rng_from_seed(seed);
-        let bundled = BundledTable::from_spec(&spec, &db, n_iters, &mut rng).unwrap();
+        let specs = vec![sales_spec(), walk_spec(), demand_spec()];
+        let plan = scalar_plan_for(case, threshold);
 
-        let mut bc = BundledCatalog::new(n_iters);
-        bc.insert(bundled.clone()).unwrap();
-        bc.insert_const(db.get("ITEMS").unwrap());
+        // Nothing prepared: plan, bind and realize from scratch per replicate.
+        let streams = StreamFactory::new(seed);
+        let mut scratch = db.clone();
+        let by_hand: Option<Vec<u64>> = (0..n_iters as u64)
+            .map(|i| {
+                for (k, spec) in specs.iter().enumerate() {
+                    let mut rng = streams.child(i).stream(k as u64);
+                    let table = spec.realize(&scratch, &mut rng).unwrap();
+                    scratch.insert(table);
+                }
+                let answer = scratch.query(&plan).unwrap().scalar().unwrap();
+                (!answer.is_null()).then(|| answer.as_f64().unwrap().to_bits())
+            })
+            .collect();
 
-        let plan = plan_for(case, threshold);
-        let bundled_result = execute_bundled(&plan, &bc).unwrap();
-
-        for i in 0..n_iters {
-            let mut cat = Catalog::new();
-            cat.insert(bundled.instantiate(i).unwrap());
-            cat.insert(db.get("ITEMS").unwrap().clone());
-            let naive = cat.query_unoptimized(&plan).unwrap();
-            let inst = bundled_result.instantiate(i).unwrap();
-            assert_eq!(
-                inst.rows(),
-                naive.rows(),
-                "divergence at iteration {} (case {})",
-                i,
-                case
-            );
+        let query = MonteCarloQuery::new(specs, plan);
+        for threads in [1, 2, 8] {
+            let opts = RunOptions::default().with_threads(threads);
+            let run = query.run_with_options(&db, n_iters, seed, &opts);
+            match (&by_hand, run) {
+                (Some(bits), Ok(run)) => assert_eq!(
+                    &run.result
+                        .samples()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    bits,
+                    "case {case} at {threads} threads"
+                ),
+                (None, Err(_)) => {} // a replicate's aggregate ran over no rows
+                (expected, run) => panic!(
+                    "case {case} at {threads} threads: by hand {expected:?}, run {:?}",
+                    run.map(|r| r.result.samples().to_vec())
+                ),
+            }
         }
     });
 }

@@ -405,6 +405,27 @@ fn mid_query_disconnect_cancels_and_checkpoints_partial_progress() {
         "resume from a partial checkpoint must be bit-identical"
     );
 
+    // A second session whose SALES differs only in its parameter query
+    // reuses the file: the checkpoint is another campaign's, so the request
+    // is refused — never answered with the first DDL's samples.
+    let mut other = connect(&server);
+    let swapped = DDL.replace(
+        "SELECT MEAN, STD FROM PARAMS",
+        "SELECT STD, MEAN FROM PARAMS",
+    );
+    assert_ne!(swapped, DDL);
+    other
+        .send(&format!("VG\n{swapped}"))
+        .expect("vg")
+        .expect_ok("VG");
+    let err = other
+        .send(&format!(
+            "MC n={n_small} seed={seed} checkpoint=resume.ckpt\n{MC_SQL}"
+        ))
+        .expect("foreign resume")
+        .expect_err("resuming another DDL's checkpoint");
+    assert_eq!(err.code, WireCode::Exec);
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
