@@ -16,13 +16,19 @@
 //! tuples carrying all `N` Monte Carlo instantiations at once — instead of
 //! `N` times.
 //!
-//! This engine keeps the other half of that sentence: a Monte Carlo query
-//! is *planned* once ([`random_table::RandomTableSpec::prepare`] and
-//! [`query::PreparedQuery`] bind every plan and expression up front) and the
-//! prepared, vectorized plan *executes* once per replicate, each replicate
-//! on its own RNG stream. A tuple-bundle interpreter existed through PR 18;
-//! measured against the vectorized engine it lost 3× on plan execution, and
-//! it was removed (EXPERIMENTS.md, E3).
+//! This engine keeps what of that sentence pays on a vectorized substrate:
+//! a Monte Carlo query is *planned* once
+//! ([`random_table::RandomTableSpec::prepare`] and [`query::PreparedQuery`]
+//! bind every plan and expression up front), and the part of it that is the
+//! same in every instance — every sub-plan that reads no stochastic table:
+//! driver and parameter queries, the deterministic side of a join under its
+//! pushed-down filter — *executes* once per run and is shared by all
+//! replicates and worker threads. What depends on the draws runs once per
+//! replicate, each replicate on its own RNG stream: the VG calls, whose
+//! cells go straight into typed columns, and the stochastic suffix of the
+//! prepared, vectorized plan. A tuple-bundle interpreter existed through
+//! PR 18; measured against the vectorized engine it lost 3× on plan
+//! execution, and it was removed (EXPERIMENTS.md, E3).
 //!
 //! SimSQL (Cai et al., SIGMOD 2013) extends MCDB with *versioned,
 //! recursively defined* stochastic tables: the mechanism that generates

@@ -9,11 +9,16 @@
 //! [`MonteCarloQuery`] packages the stochastic-table specs with an
 //! aggregate query and runs `N` iterations (optionally across
 //! [`RunOptions::threads`] workers, standing in for MCDB's
-//! parallel-database backend). There is one replicate path: specs and
-//! query are prepared once per run, and every replicate realizes the
-//! specs ([`PreparedRandomTable::realize`]) and executes the prepared
-//! plan on the vectorized engine — where MCDB executes the plan once over
-//! tuple bundles, this engine plans once and executes per replicate (E3 in
+//! parallel-database backend). There is one replicate path. Specs and
+//! query are prepared once per run; the part of them no replicate can
+//! change — every sub-plan of the query, of a driver or of a parameter
+//! query that reads no table realized before it in the replicate — runs
+//! once per run, in the first replicate that reaches it, and is shared by
+//! all replicates and worker threads; every replicate then realizes the
+//! specs ([`PreparedRandomTable::realize`]) and runs the stochastic rest of
+//! the plan on the vectorized engine. Where MCDB executes the plan once
+//! over tuple bundles, this engine plans once, runs the invariant part
+//! once, and realizes and runs the stochastic suffix per replicate (E3 in
 //! EXPERIMENTS.md measures what that costs). The result object answers
 //! the paper's analysis patterns:
 //!
@@ -55,6 +60,7 @@ use mde_numeric::stats::{
     mean_confidence_interval, proportion_confidence_interval, quantile, ConfidenceInterval, Summary,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Campaign tag written into every Monte Carlo checkpoint.
@@ -86,6 +92,11 @@ impl MonteCarloQuery {
     /// Replicate `i` realizes spec `k` (in `specs` order) on
     /// `StreamFactory::new(seed).child(i).stream(k)` — the one RNG layout,
     /// so "sample `i`" is the same number on every path that computes it.
+    /// Every replicate (and every retry attempt of one) sees the **base**
+    /// catalog: a spec's output replaces a same-named table for the rest of
+    /// that replicate only, so a spec that shadows a table it reads —
+    /// `PRICES AS FOR EACH PRICES …` — perturbs the base `PRICES` in every
+    /// replicate, never the previous replicate's realization.
     /// Fail-fast: the first failing replicate aborts the run
     /// with a typed error (a panicking VG function surfaces as
     /// [`McdbError::ReplicateFailed`](crate::McdbError::ReplicateFailed),
@@ -292,7 +303,8 @@ impl MonteCarloQuery {
             .clamp(1, n.saturating_sub(start).max(1) as usize);
         // Plan once: specs and the aggregate query are prepared against the
         // base catalog (plus placeholder schemas for the stochastic
-        // tables), then executed per replicate by every worker. Prepare-time
+        // tables) and shared by every worker; what they pin runs in the
+        // first replicate to reach it, the rest per replicate. Prepare-time
         // errors are structural — they would fail identically on every
         // attempt — so they abort under every policy, exactly as fatal
         // runtime errors did when planning happened inside each replicate.
@@ -311,17 +323,11 @@ impl MonteCarloQuery {
                     }
                     let t0 = Instant::now();
                     let outcome = supervise_boundary(seed, i, opts, |att| {
-                        let sample = att.run(
+                        att.run(
                             "replicate",
                             || realize_and_query(&prepared, &mut scratch, &att.streams(i)),
                             |v| *v,
-                        );
-                        if sample.is_err() {
-                            // A failed attempt (a panic above all) can leave
-                            // partially realized tables behind.
-                            scratch = catalog.clone();
-                        }
-                        sample
+                        )
                     });
                     if matches!(outcome, ReplicateOutcome::Abort { .. }) {
                         // No worker needs to proceed past an abort; whether it
@@ -415,17 +421,32 @@ impl MonteCarloQuery {
 /// A Monte Carlo task lowered to prepared form: every spec's driver and
 /// parameter query planned, every expression bound, and the aggregate
 /// query planned against the realized-table schemas — all exactly once per
-/// run, shared by every replicate (and every worker thread).
-#[derive(Debug, Clone)]
+/// run, shared by every replicate (and every worker thread). Its plans are
+/// pinned (`PreparedQuery::pin_invariant`): a sub-plan that reads nothing a
+/// replicate realizes before it runs keeps its output from the first
+/// replicate that computes it until the run ends. That ties a `PreparedMc`
+/// to the one base catalog it was prepared against.
+#[derive(Debug)]
 struct PreparedMc {
     specs: Vec<PreparedRandomTable>,
     query: PreparedQuery,
+    /// The base tables that some spec's output shadows. Every attempt puts
+    /// them back first; empty for the usual task, whose stochastic tables
+    /// have names of their own.
+    shadowed: Vec<Arc<Table>>,
 }
 
 /// Prepare the specs and query against the base catalog. Specs prepare in
 /// realization order against a planning catalog that accumulates empty
 /// placeholder tables for each spec's output, so later specs and the final
 /// query can reference earlier stochastic tables by schema.
+///
+/// The volatile-set rule for pinning follows from what a replicate's
+/// catalog holds when each plan runs — the base tables, plus the outputs
+/// realized so far: the aggregate query holds every spec's output volatile;
+/// spec `k`'s driver and parameter query hold the outputs of specs before
+/// `k` volatile, and read the *base* table under `k`'s own or a later
+/// spec's name.
 fn prepare_task(
     specs: &[RandomTableSpec],
     query: &Plan,
@@ -433,34 +454,55 @@ fn prepare_task(
 ) -> crate::Result<PreparedMc> {
     let mut planning = catalog.clone();
     let mut prepared = Vec::with_capacity(specs.len());
+    let mut volatile: Vec<&str> = Vec::with_capacity(specs.len());
     for spec in specs {
-        let p = spec.prepare(&planning)?;
+        let mut p = spec.prepare(&planning)?;
+        p.pin_invariant(&volatile);
         planning.insert(Table::new(p.name(), p.output_schema().clone()));
+        volatile.push(spec.name());
         prepared.push(p);
     }
-    let query = PreparedQuery::prepare(query, &planning)?;
+    let mut query = PreparedQuery::prepare(query, &planning)?;
+    query.pin_invariant(&volatile);
     Ok(PreparedMc {
         specs: prepared,
         query,
+        shadowed: volatile.iter().filter_map(|v| catalog.shared(v)).collect(),
     })
 }
 
-/// Realize every stochastic table from `iter_factory`'s streams and
-/// evaluate the aggregate query. The attempt body of a supervised
-/// replicate, on the stream family
+/// One replicate, or one retry attempt of one — the body every Monte Carlo
+/// loop runs: start from the base catalog's tables, realize every
+/// stochastic table (spec `k` on `streams.stream(k)`), answer the query.
+/// `scratch` is a copy of the base catalog that earlier attempts have
+/// realized into; whatever they left under a spec's name is either put back
+/// here (a shadowed base table) or replaced before anything can read it (a
+/// plan can only name outputs of specs before it).
+fn replicate(
+    prepared: &PreparedMc,
+    scratch: &mut Catalog,
+    streams: &StreamFactory,
+) -> crate::Result<Table> {
+    for base in &prepared.shadowed {
+        scratch.insert_shared(Arc::clone(base));
+    }
+    for (k, spec) in prepared.specs.iter().enumerate() {
+        let mut rng = streams.stream(k as u64);
+        let t = spec.realize(scratch, &mut rng)?;
+        scratch.insert(t);
+    }
+    prepared.query.execute(scratch)
+}
+
+/// [`replicate`], its answer read as the scalar sample. The attempt body of
+/// a supervised replicate, on the stream family
 /// [`Attempt::streams`](mde_numeric::resilience::Attempt::streams) chose.
 fn realize_and_query(
     prepared: &PreparedMc,
     scratch: &mut Catalog,
-    iter_factory: &StreamFactory,
+    streams: &StreamFactory,
 ) -> crate::Result<f64> {
-    for (k, spec) in prepared.specs.iter().enumerate() {
-        let mut rng = iter_factory.stream(k as u64);
-        let t = spec.realize(scratch, &mut rng)?;
-        scratch.insert(t);
-    }
-    let result = prepared.query.execute(scratch)?;
-    let v = result.scalar()?;
+    let v = replicate(prepared, scratch, streams)?.scalar()?;
     if v.is_null() {
         // SQL aggregates over empty inputs yield NULL; represent as NaN?
         // No — surface it, the analyst must handle empty events.
@@ -625,13 +667,7 @@ impl GroupedMonteCarloQuery {
         let mut scratch = catalog.clone();
         let mut groups: Vec<(crate::value::Value, Vec<f64>)> = Vec::new();
         for i in 0..n {
-            let iter_factory = factory.child(i as u64);
-            for (k, spec) in prepared.specs.iter().enumerate() {
-                let mut rng = iter_factory.stream(k as u64);
-                let t = spec.realize(&scratch, &mut rng)?;
-                scratch.insert(t);
-            }
-            let result = prepared.query.execute(&scratch)?;
+            let result = replicate(&prepared, &mut scratch, &factory.child(i as u64))?;
             if i == 0 {
                 for row in result.rows() {
                     groups.push((row[gi].clone(), Vec::with_capacity(n)));
@@ -770,8 +806,9 @@ mod tests {
         let prepared = prepare_task(&task.specs, &task.query, &db).unwrap();
         let mut scratch = db.clone();
         let streams = StreamFactory::new(7).child(0);
+        let views = Table::row_views_built();
         let v = realize_and_query(&prepared, &mut scratch, &streams).unwrap();
-        // The stochastic table was appended to and scanned as columns, and
+        // The stochastic table was assembled and scanned as columns, and
         // the 1×1 answer was read as a cell.
         let sales = scratch.get("SALES").unwrap();
         assert_eq!(sales.len(), 20);
@@ -779,10 +816,306 @@ mod tests {
         let answer = prepared.query.execute(&scratch).unwrap();
         assert_eq!(answer.scalar().unwrap(), Value::from(v));
         assert!(!answer.rows_materialized());
-        // Only the VG's driver — a row-wise API — reads rows, and it reads
-        // the driver query's own result table, not the catalog's.
         assert!(!scratch.get("ITEMS").unwrap().rows_materialized());
         assert!(!scratch.get("PARAMS").unwrap().rows_materialized());
+        // Nor were the tables this test has no handle on — the driver
+        // query's result and the parameter query's — or anything else.
+        assert_eq!(Table::row_views_built(), views);
+    }
+
+    // ---- pinned sub-plans --------------------------------------------------
+
+    const OLAP_N: usize = 8;
+    const OLAP_SEED: u64 = 21;
+
+    /// The benchmark's olap `MC` frame in small: `SHOCK` draws one factor
+    /// per `DIM` row, the query joins it to the filtered `FACT`.
+    fn olap_task() -> MonteCarloQuery {
+        let shock = crate::sql::parse_create_random_table(
+            "CREATE TABLE SHOCK(SK, S) AS FOR EACH DIM \
+             WITH Normal(W, 0.25) SELECT DK AS SK, VALUE AS S",
+            &crate::sql::VgRegistry::standard(),
+        )
+        .unwrap();
+        let query = crate::sql::plan_from_sql(
+            "SELECT SUM(V * S) AS X FROM FACT JOIN SHOCK ON K = SK WHERE Q < 300",
+        )
+        .unwrap();
+        MonteCarloQuery::new(vec![shock], query)
+    }
+
+    fn olap_catalog() -> Catalog {
+        let mut db = Catalog::new();
+        db.insert(
+            Table::build(
+                "FACT",
+                &[
+                    ("K", DataType::Int),
+                    ("V", DataType::Float),
+                    ("Q", DataType::Int),
+                    ("G", DataType::Str),
+                ],
+            )
+            .rows((0..600i64).map(|i| {
+                vec![
+                    Value::from(i * 7 % 40),
+                    Value::from(i as f64 * 0.5 - 100.0),
+                    Value::from(i),
+                    Value::from(["x", "y", "z"][i as usize % 3]),
+                ]
+            }))
+            .finish()
+            .unwrap(),
+        );
+        db.insert(
+            Table::build(
+                "DIM",
+                &[
+                    ("DK", DataType::Int),
+                    ("W", DataType::Float),
+                    ("LABEL", DataType::Str),
+                ],
+            )
+            .rows((0..40i64).map(|k| {
+                vec![
+                    Value::from(k),
+                    Value::from(1.0 + k as f64 * 0.125),
+                    Value::from(format!("dim-{k}").as_str()),
+                ]
+            }))
+            .finish()
+            .unwrap(),
+        );
+        db
+    }
+
+    /// A scratch directory holding `db`'s tables as 256-byte-page files,
+    /// removed on drop.
+    struct PagedTwin {
+        dir: std::path::PathBuf,
+        db: Catalog,
+    }
+
+    impl PagedTwin {
+        fn new(tag: &str, db: &Catalog, frames: usize) -> PagedTwin {
+            let dir = std::env::temp_dir().join(format!("mde_mc_{tag}_{}", std::process::id()));
+            let db = db
+                .to_paged(&dir, 256, crate::storage::BufferPool::new(frames))
+                .unwrap();
+            PagedTwin { dir, db }
+        }
+
+        fn store(&self, table: &str) -> &crate::storage::PagedStore {
+            self.db.get(table).unwrap().paged_store().unwrap()
+        }
+
+        /// Pages read since the stores were opened, over both tables.
+        fn reads(&self) -> u64 {
+            self.store("FACT").logical_reads() + self.store("DIM").logical_reads()
+        }
+
+        /// Pages of the three `FACT` columns the olap query binds.
+        fn fact_pages(&self) -> u64 {
+            let schema = self.db.get("FACT").unwrap().schema();
+            let bound = ["K", "V", "Q"].map(|c| schema.index_of(c).unwrap() as u32);
+            let pages = self.store("FACT").directory().iter();
+            pages.filter(|page| bound.contains(&page.column)).count() as u64
+        }
+
+        /// What one execution of the olap task's invariant part reads: the
+        /// bound `FACT` columns, and every page of `DIM` (a driver's whole
+        /// result is its output).
+        fn pages_of_one_scan(&self) -> u64 {
+            self.fact_pages() + self.store("DIM").n_pages() as u64
+        }
+    }
+
+    impl Drop for PagedTwin {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    /// The olap task replicate by replicate over the public API, nothing
+    /// prepared and so nothing pinned: replicate `i` realizes `SHOCK` on
+    /// stream `k` of `streams(i)`, `k` being its place among the specs.
+    fn olap_by_hand(db: &Catalog, k: u64, streams: impl Fn(u64) -> StreamFactory) -> Vec<u64> {
+        let task = olap_task();
+        (0..OLAP_N as u64)
+            .map(|i| {
+                let mut scratch = db.clone();
+                let shock = task.specs[0].realize(&scratch, &mut streams(i).stream(k));
+                scratch.insert(shock.unwrap());
+                let answer = scratch.query(&task.query).unwrap().scalar().unwrap();
+                answer.as_f64().unwrap().to_bits()
+            })
+            .collect()
+    }
+
+    fn bits(run: &McRun) -> Vec<u64> {
+        run.result.samples().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn an_invariant_subplan_runs_exactly_once_per_run() {
+        let twin = PagedTwin::new("once", &olap_catalog(), 64);
+        let one_scan = twin.pages_of_one_scan();
+        assert!(one_scan > 20, "the fixture spans {one_scan} pages");
+        let before = twin.reads();
+        let by_hand = olap_by_hand(&twin.db, 0, |i| StreamFactory::new(OLAP_SEED).child(i));
+        assert_eq!(twin.reads() - before, OLAP_N as u64 * one_scan);
+        for threads in [1, 2, 8] {
+            let before = twin.reads();
+            let opts = RunOptions::default().with_threads(threads);
+            let run = olap_task()
+                .run_with_options(&twin.db, OLAP_N, OLAP_SEED, &opts)
+                .unwrap();
+            assert_eq!(twin.reads() - before, one_scan, "{threads} threads");
+            assert_eq!(bits(&run), by_hand, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_the_cell_empty() {
+        use mde_numeric::resilience::{retry_seed, FailureKind, FaultPlan};
+        let retry = RunPolicy::Retry {
+            max_attempts: 3,
+            reseed: true,
+        };
+        // Replicate 0 succeeds on its second attempt, on that attempt's
+        // own streams.
+        let streams = |i: u64| match i {
+            0 => StreamFactory::new(retry_seed(OLAP_SEED, 0, 1)),
+            i => StreamFactory::new(OLAP_SEED).child(i),
+        };
+        let by_hand = olap_by_hand(&olap_catalog(), 0, streams);
+
+        // An injected error or panic ends attempt 0 before it reaches a
+        // cell; attempt 1 fills them, once.
+        let twin = PagedTwin::new("refill", &olap_catalog(), 64);
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let before = twin.reads();
+            let opts = RunOptions::policy(retry).with_faults(FaultPlan::new().fail_on(0, 0, kind));
+            let run = olap_task()
+                .run_with_options(&twin.db, OLAP_N, OLAP_SEED, &opts)
+                .unwrap();
+            assert_eq!(twin.reads() - before, twin.pages_of_one_scan());
+            assert_eq!(bits(&run), by_hand, "{kind:?}");
+            assert_eq!(
+                run.report.failure_keys(),
+                vec![(0, 0, kind.failure_kind().unwrap())]
+            );
+        }
+
+        // A fill that fails half way. The pool has two frames and the test
+        // pins both, so the driver's scan of `DIM` gets as far as its third
+        // page and returns `PoolExhausted`; a stochastic table realized
+        // before `SHOCK` lets go of the pins when it is realized the second
+        // time — in attempt 1 of replicate 0.
+        #[derive(Debug)]
+        struct Gate {
+            calls: AtomicU64,
+            pins: std::sync::Mutex<Vec<Arc<Vec<u8>>>>,
+        }
+        impl crate::vg::VgFunction for Gate {
+            fn name(&self) -> &str {
+                "Gate"
+            }
+            fn output_schema(&self) -> crate::schema::Schema {
+                crate::schema::Schema::from_pairs(&[("VALUE", DataType::Int)]).unwrap()
+            }
+            fn arity(&self) -> Option<usize> {
+                Some(0)
+            }
+            fn generate(
+                &self,
+                _params: &[Value],
+                _rng: &mut mde_numeric::rng::Rng,
+            ) -> crate::Result<Vec<crate::table::Row>> {
+                if self.calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                    self.pins.lock().unwrap().clear();
+                }
+                Ok(vec![vec![Value::from(1)]])
+            }
+        }
+        let starved = PagedTwin::new("starved", &olap_catalog(), 2);
+        let mut db = starved.db.clone();
+        db.insert(
+            Table::build("ONE", &[("I", DataType::Int)])
+                .row(vec![Value::from(0)])
+                .finish()
+                .unwrap(),
+        );
+        let dim = starved.store("DIM");
+        assert!(dim.n_pages() > 2);
+        let gate = Arc::new(Gate {
+            calls: AtomicU64::new(0),
+            pins: std::sync::Mutex::new(vec![dim.read_page(0).unwrap(), dim.read_page(1).unwrap()]),
+        });
+        let gate_spec = RandomTableSpec::builder("GATE")
+            .for_each(Plan::scan("ONE"))
+            .with_vg(Arc::clone(&gate) as Arc<dyn crate::vg::VgFunction>)
+            .select(&[("VALUE", Expr::col("VALUE"))])
+            .build()
+            .unwrap();
+        let task = olap_task();
+        let gated = MonteCarloQuery::new(vec![gate_spec, task.specs[0].clone()], task.query);
+        // `SHOCK` is spec 1 here, so it draws from stream 1 of each family.
+        let by_hand = olap_by_hand(&olap_catalog(), 1, streams);
+        let before = starved.reads();
+        let run = gated
+            .run_with_options(&db, OLAP_N, OLAP_SEED, &RunOptions::policy(retry))
+            .unwrap();
+        assert_eq!(bits(&run), by_hand);
+        assert_eq!(run.report.failure_keys(), vec![(0, 0, FailureKind::Error)]);
+        assert!(
+            run.report.failures[0].message.contains("buffer pool"),
+            "{:?}",
+            run.report.failures
+        );
+        assert_eq!(
+            (
+                run.report.attempted,
+                run.report.succeeded,
+                run.report.retried
+            ),
+            (OLAP_N, OLAP_N, 1)
+        );
+        // The failed fill asked for every page of `DIM` (and got the two
+        // resident ones); the one that succeeded read everything once.
+        assert_eq!(
+            starved.reads() - before,
+            dim.n_pages() as u64 + starved.pages_of_one_scan()
+        );
+        assert_eq!(gate.calls.load(Ordering::SeqCst), OLAP_N as u64 + 1);
+    }
+
+    #[test]
+    fn plain_prepare_never_pins() {
+        let twin = PagedTwin::new("plain", &olap_catalog(), 64);
+        let task = olap_task();
+        let mut db = twin.db.clone();
+        let shock = task.specs[0]
+            .realize(&db, &mut StreamFactory::new(1).stream(0))
+            .unwrap();
+        db.insert(shock);
+        let prepared = PreparedQuery::prepare(&task.query, &db).unwrap();
+        for _ in 0..3 {
+            let before = twin.store("FACT").logical_reads();
+            prepared.execute(&db).unwrap();
+            assert_eq!(
+                twin.store("FACT").logical_reads() - before,
+                twin.fact_pages()
+            );
+        }
+        // Every execution runs its scans, so every execution checks them.
+        db.insert(
+            Table::build("FACT", &[("K", DataType::Int)])
+                .finish()
+                .unwrap(),
+        );
+        let err = prepared.execute(&db).unwrap_err();
+        assert!(err.to_string().contains("stale"), "{err}");
     }
 
     /// The estimator's claims hold for the generator, not for one seed:

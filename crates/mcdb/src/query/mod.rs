@@ -104,6 +104,18 @@ impl Catalog {
             .insert(table.name().to_string(), Arc::new(table));
     }
 
+    /// The shared handle of a table, to put back with
+    /// [`Catalog::insert_shared`] after something shadowed it.
+    pub(crate) fn shared(&self, name: &str) -> Option<Arc<Table>> {
+        self.tables.get(name).cloned()
+    }
+
+    /// [`Catalog::insert`] of a table another catalog already holds,
+    /// without copying it.
+    pub(crate) fn insert_shared(&mut self, table: Arc<Table>) {
+        self.tables.insert(table.name().to_string(), table);
+    }
+
     /// Look up a table by name.
     pub fn get(&self, name: &str) -> crate::Result<&Table> {
         self.tables

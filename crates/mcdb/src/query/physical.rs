@@ -9,6 +9,19 @@
 //! execute-per-replicate split that MCDB-style Monte Carlo processing is
 //! built around.
 //!
+//! A Monte Carlo run goes one step further and executes the part of a plan
+//! that no replicate can change **once**: `pin_invariant` wraps every
+//! maximal sub-plan that scans none of a given set of *volatile* tables in
+//! a pinned node, which keeps its output chunk in a fill-once cell
+//! shared by every later execution on every thread. Only the Monte Carlo
+//! prepare path (`mc.rs`) creates pinned nodes — [`PreparedQuery::prepare`]
+//! never does, so SQL frames, the plan cache and traced executions run
+//! every operator every time. A pinned plan is only right while every
+//! catalog it executes against agrees on the tables it does *not* hold
+//! volatile (same name, same contents); the Monte Carlo loop guarantees
+//! that by starting every replicate from the run's base catalog and
+//! replacing nothing but the stochastic tables' outputs.
+//!
 //! Execution is vectorized: data flows between operators as
 //! `Chunk`s — a shared [`Batch`] plus an optional selection vector —
 //! so filters, sorts, and limits never copy rows, and expression evaluation
@@ -53,7 +66,7 @@ use mde_numeric::obs::{Counter, Span, Tracer};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A unit of data flowing between physical operators: a shared columnar
 /// batch plus an optional selection vector of row indices into it.
@@ -302,6 +315,47 @@ enum PhysOp {
     },
     /// Selection-vector truncation.
     Limit { input: Box<PhysOp>, n: usize },
+    /// A sub-plan whose output no execution of this plan can change: run by
+    /// the first execution that gets through it, answered from `cell` by
+    /// every later one. Inserted only by [`PreparedQuery::pin_invariant`],
+    /// as the child of a join or as the root.
+    Pinned {
+        input: Box<PhysOp>,
+        cell: Arc<PinCell>,
+    },
+}
+
+/// The fill-once cell of a [`PhysOp::Pinned`] node, shared by the clones of
+/// the plan that holds it.
+#[derive(Debug, Default)]
+struct PinCell {
+    chunk: OnceLock<Chunk>,
+    /// Held while filling, so concurrent executions run the sub-plan once
+    /// between them instead of once each.
+    filling: Mutex<()>,
+}
+
+impl PinCell {
+    /// The pinned chunk, produced by `fill` if no execution has produced it
+    /// yet. A `fill` that returns an error or panics leaves the cell empty:
+    /// that execution fails as it would have unpinned, and the next one
+    /// runs the sub-plan again. Reads after the fill take no lock.
+    fn get_or_try_fill(
+        &self,
+        fill: impl FnOnce() -> crate::Result<Chunk>,
+    ) -> crate::Result<&Chunk> {
+        if let Some(chunk) = self.chunk.get() {
+            return Ok(chunk);
+        }
+        // A panicking fill poisons the lock, but the lock guards no data and
+        // the cell is written only after a fill has returned.
+        let _filling = self.filling.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(chunk) = self.chunk.get() {
+            return Ok(chunk);
+        }
+        let chunk = fill()?;
+        Ok(self.chunk.get_or_init(|| chunk))
+    }
 }
 
 impl PhysOp {
@@ -317,6 +371,7 @@ impl PhysOp {
             PhysOp::Aggregate { .. } => "aggregate",
             PhysOp::Sort { .. } => "sort",
             PhysOp::Limit { .. } => "limit",
+            PhysOp::Pinned { input, .. } => input.result_name(),
         }
     }
 }
@@ -377,6 +432,19 @@ impl PreparedQuery {
             schema,
             executions: Counter::new(),
         })
+    }
+
+    /// Pin every maximal sub-plan that scans none of the `volatile` tables:
+    /// it runs in the first execution that reaches it and its output chunk
+    /// is shared by every execution after (and by every clone of this plan).
+    /// The caller guarantees what the pinned nodes rely on — every catalog
+    /// this plan executes against holds the same tables under every name
+    /// outside `volatile` — which is why only the Monte Carlo prepare path
+    /// calls this.
+    pub(crate) fn pin_invariant(&mut self, volatile: &[&str]) {
+        if pin_below(&mut self.root, volatile) {
+            pin(&mut self.root);
+        }
     }
 
     /// The result schema.
@@ -595,6 +663,51 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
     }
 }
 
+/// Whether `op` scans none of the `volatile` tables. Where it does, its
+/// maximal invariant sub-plans — a whole input of a join — are pinned on
+/// the way; an invariant `op` is left for the caller to pin higher up.
+fn pin_below(op: &mut PhysOp, volatile: &[&str]) -> bool {
+    match op {
+        PhysOp::Scan { table, .. } => !volatile.contains(&table.as_str()),
+        PhysOp::Values { .. } => true,
+        PhysOp::Filter { input, .. }
+        | PhysOp::Project { input, .. }
+        | PhysOp::Aggregate { input, .. }
+        | PhysOp::Sort { input, .. }
+        | PhysOp::Limit { input, .. } => pin_below(input, volatile),
+        PhysOp::HashJoin { left, right, .. } => {
+            match (pin_below(left, volatile), pin_below(right, volatile)) {
+                (true, true) => return true,
+                (true, false) => pin(left),
+                (false, true) => pin(right),
+                (false, false) => {}
+            }
+            false
+        }
+        // Already split for some volatile set; nothing below is re-pinned.
+        PhysOp::Pinned { .. } => false,
+    }
+}
+
+/// Wrap `op` in a pinned node with an empty cell. Inline values are left
+/// alone: executing them is already a pointer copy.
+fn pin(op: &mut PhysOp) {
+    if matches!(op, PhysOp::Values { .. }) {
+        return;
+    }
+    // A scan of nothing stands in (allocation-free) while `op` moves into
+    // its own wrapper.
+    let hole = PhysOp::Scan {
+        table: String::new(),
+        schema: Schema::new(Vec::new()).expect("no columns, no duplicates"),
+        read: Vec::new(),
+    };
+    *op = PhysOp::Pinned {
+        input: Box::new(std::mem::replace(op, hole)),
+        cell: Arc::default(),
+    };
+}
+
 /// Narrow what every scan reads and every join emits to the columns the
 /// operators above them bind, so a join feeding (say) an aggregate over two
 /// columns gathers those two instead of every column of both inputs, and a
@@ -636,7 +749,9 @@ fn prune_unread_columns(op: &mut PhysOp, needed: Option<Vec<bool>>) {
             });
             prune_unread_columns(input, needed);
         }
-        PhysOp::Limit { input, .. } => prune_unread_columns(input, needed),
+        PhysOp::Limit { input, .. } | PhysOp::Pinned { input, .. } => {
+            prune_unread_columns(input, needed)
+        }
         // Operators that rebuild their batch read exactly what they bind.
         PhysOp::Project { input, exprs, .. } => {
             let mut m = Vec::new();
@@ -834,51 +949,8 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
         } => {
             let mut span = parent.child("project");
             let chunk = run(input, ctx, &span)?;
-            let len = chunk.len();
-            span.record("rows", len);
-            let ranges = ctx.ranges(len);
-            ctx.count_morsels(ranges.len());
-            // Each morsel evaluates and validates EVERY output column,
-            // recording per-column results instead of stopping at the
-            // first failure, so the merge below can surface errors
-            // column-major — the order sequential execution discovers
-            // them in.
-            let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                let (a, b) = ranges[m];
-                Ok(ctx.timed(|| {
-                    let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
-                    exprs
-                        .iter()
-                        .zip(schema.columns())
-                        .map(|(e, col)| {
-                            let c = e
-                                .eval_batch(&chunk.batch, msel.as_deref())?
-                                .coerce_to(col.dtype);
-                            validate_column(&c, col)?;
-                            Ok(c)
-                        })
-                        .collect::<Vec<crate::Result<ColumnVec>>>()
-                }))
-            });
-            let parts = first_error(parts)?;
-            for j in 0..exprs.len() {
-                for part in &parts {
-                    if let Err(e) = &part[j] {
-                        return Err(e.clone());
-                    }
-                }
-            }
-            let mut col_parts: Vec<Vec<ColumnVec>> = (0..exprs.len())
-                .map(|_| Vec::with_capacity(parts.len()))
-                .collect();
-            for part in parts {
-                for (j, r) in part.into_iter().enumerate() {
-                    // Cannot fail: errors were surfaced column-major above.
-                    col_parts[j].push(r?);
-                }
-            }
-            let cols: Vec<ColumnVec> = col_parts.into_iter().map(ColumnVec::concat_many).collect();
-            let batch = Batch::from_columns(schema.clone(), cols, len)?;
+            span.record("rows", chunk.len());
+            let batch = project(ctx, &chunk, exprs, schema)?;
             Ok(Chunk::from_batch(Arc::new(batch)))
         }
         PhysOp::HashJoin {
@@ -1095,7 +1167,78 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             span.record("rows_out", out.len());
             Ok(out)
         }
+        // The filling execution runs the sub-plan under its own span tree
+        // and counters; a later one only copies the chunk's selection.
+        PhysOp::Pinned { input, cell } => cell.get_or_try_fill(|| run(input, ctx, parent)).cloned(),
     }
+}
+
+/// The projection kernel: evaluate `exprs` over the lanes of `chunk`, widen
+/// each result to its declared column of `schema`, validate it, and
+/// assemble the output batch. Each morsel evaluates and validates EVERY
+/// output column, recording per-column results instead of stopping at the
+/// first failure, so the merge can surface errors column-major (and, within
+/// a column, at its first failing lane) — the order sequential execution
+/// discovers them in.
+fn project(
+    ctx: &ExecCtx,
+    chunk: &Chunk,
+    exprs: &[BoundExpr],
+    schema: &Schema,
+) -> crate::Result<Batch> {
+    let len = chunk.len();
+    let ranges = ctx.ranges(len);
+    ctx.count_morsels(ranges.len());
+    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
+        let (a, b) = ranges[m];
+        Ok(ctx.timed(|| {
+            let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
+            exprs
+                .iter()
+                .zip(schema.columns())
+                .map(|(e, col)| {
+                    let c = e
+                        .eval_batch(&chunk.batch, msel.as_deref())?
+                        .coerce_to(col.dtype);
+                    validate_column(&c, col)?;
+                    Ok(c)
+                })
+                .collect::<Vec<crate::Result<ColumnVec>>>()
+        }))
+    });
+    let parts = first_error(parts)?;
+    for j in 0..exprs.len() {
+        for part in &parts {
+            if let Err(e) = &part[j] {
+                return Err(e.clone());
+            }
+        }
+    }
+    let mut col_parts: Vec<Vec<ColumnVec>> = (0..exprs.len())
+        .map(|_| Vec::with_capacity(parts.len()))
+        .collect();
+    for part in parts {
+        for (j, r) in part.into_iter().enumerate() {
+            // Cannot fail: errors were surfaced column-major above.
+            col_parts[j].push(r?);
+        }
+    }
+    let cols: Vec<ColumnVec> = col_parts.into_iter().map(ColumnVec::concat_many).collect();
+    Batch::from_columns(schema.clone(), cols, len)
+}
+
+/// [`PhysOp::Project`]'s kernel over a whole batch, outside any plan — what
+/// a stochastic table's `SELECT` list runs through
+/// ([`PreparedRandomTable::realize`](crate::random_table::PreparedRandomTable::realize)),
+/// under `catalog`'s morsel policy.
+pub(crate) fn project_batch(
+    catalog: &Catalog,
+    batch: Batch,
+    exprs: &[BoundExpr],
+    schema: &Schema,
+) -> crate::Result<Batch> {
+    let ctx = ExecCtx::new(catalog, &Tracer::disabled());
+    project(&ctx, &Chunk::from_batch(Arc::new(batch)), exprs, schema)
 }
 
 /// One input of a hash join: a batch, its key column indices, and the
@@ -1736,6 +1879,86 @@ mod tests {
             prepared.execute(&Catalog::new()).unwrap_err(),
             McdbError::UnknownTable { .. }
         ));
+    }
+
+    #[test]
+    fn a_pin_cell_is_filled_once_and_only_by_a_fill_that_returns() {
+        let cell = PinCell::default();
+        let failed = cell.get_or_try_fill(|| Err(McdbError::invalid_plan("not this time")));
+        assert!(failed.is_err());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cell.get_or_try_fill(|| panic!("mid-fill"));
+        }));
+        assert!(panicked.is_err() && cell.chunk.get().is_none());
+        // Eight executions arrive together at the (by now poisoned) lock:
+        // one of them fills, all of them read what it filled.
+        let fills = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(8);
+        let sales = catalog().get("sales").unwrap().batch();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    let chunk = cell.get_or_try_fill(|| {
+                        fills.fetch_add(1, AtomicOrdering::SeqCst);
+                        Ok(Chunk::from_batch(Arc::clone(&sales)))
+                    });
+                    assert!(Arc::ptr_eq(&chunk.unwrap().batch, &sales));
+                });
+            }
+        });
+        assert_eq!(fills.load(AtomicOrdering::SeqCst), 1);
+    }
+
+    #[test]
+    fn pinning_wraps_maximal_invariant_subplans_and_changes_no_result() {
+        fn pinned_inputs(op: &PhysOp, out: &mut Vec<String>) {
+            match op {
+                PhysOp::Pinned { input, .. } => out.push(input.result_name().to_string()),
+                PhysOp::Scan { .. } | PhysOp::Values { .. } => {}
+                PhysOp::Filter { input, .. }
+                | PhysOp::Project { input, .. }
+                | PhysOp::Aggregate { input, .. }
+                | PhysOp::Sort { input, .. }
+                | PhysOp::Limit { input, .. } => pinned_inputs(input, out),
+                PhysOp::HashJoin { left, right, .. } => {
+                    pinned_inputs(left, out);
+                    pinned_inputs(right, out);
+                }
+            }
+        }
+        let c = catalog();
+        let by_region = Plan::scan("sales")
+            .filter(Expr::col("amount").gt(Expr::lit(5.0)))
+            .join(Plan::scan("regions"), &[("region", "name")])
+            .aggregate(
+                &["region"],
+                vec![AggSpec::new("t", AggFunc::Sum, Expr::col("tax"))],
+            );
+        let top = Plan::scan("sales")
+            .sort(vec![SortKey::desc(Expr::col("amount"))])
+            .limit(2);
+        for (plan, volatile, want) in [
+            // One side of the join is volatile: the other is pinned whole.
+            (&by_region, &["regions"][..], vec!["filter"]),
+            (&by_region, &["sales"][..], vec!["regions"]),
+            // Nothing is: the root is. Everything is: nothing is pinned.
+            (&by_region, &[][..], vec!["aggregate"]),
+            (&by_region, &["sales", "regions"][..], vec![]),
+            // A top-k stays one fused operator under its pin.
+            (&top, &[][..], vec!["limit"]),
+            (&top, &["sales"][..], vec![]),
+        ] {
+            let plain = PreparedQuery::prepare(plan, &c).unwrap();
+            let mut pinned = plain.clone();
+            pinned.pin_invariant(volatile);
+            let mut found = Vec::new();
+            pinned_inputs(&pinned.root, &mut found);
+            assert_eq!(found, want, "{} holding {volatile:?}", plan.explain());
+            for _ in 0..2 {
+                assert_eq!(pinned.execute(&c).unwrap(), plain.execute(&c).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,21 @@
 //!   SELECT p.PID, p.GENDER, b.VALUE FROM SBP b
 //! ```
 //!
-//! A realization loops over the rows of the *driver* query (`FOR EACH`),
-//! invokes the VG function once per driver row — parametrized by a SQL
-//! query over the non-random tables and/or by expressions over the driver
-//! row — and assembles output rows with the `SELECT` projection, which sees
-//! the driver row's columns and the VG output's columns side by side.
+//! A realization walks the rows of the *driver* query (`FOR EACH`), invokes
+//! the VG function once per driver row — parametrized by a SQL query over
+//! the non-random tables and/or by expressions over the driver row — and
+//! runs the `SELECT` projection, which sees the driver row's columns and
+//! the VG output's columns side by side. Everything but the VG call itself
+//! (a row-wise trait) is columnar: parameters are evaluated over the driver
+//! batch, VG cells land in typed columns, and the select list runs through
+//! the executor's projection kernel.
 
 use crate::expr::BoundExpr;
+use crate::query::batch::Batch;
+use crate::query::column::ColumnVec;
+use crate::query::physical::project_batch;
 use crate::query::{Catalog, Plan, PreparedQuery};
-use crate::schema::Schema;
+use crate::schema::{DataType, Schema};
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::vg::VgFunction;
@@ -99,8 +105,7 @@ impl RandomTableSpec {
         let combined = driver.schema().concat(&self.vg.output_schema(), "vg")?;
         let mut cols = Vec::with_capacity(self.select.len());
         for (name, e) in &self.select {
-            let dt =
-                crate::query::infer_type(e, &combined)?.unwrap_or(crate::schema::DataType::Float);
+            let dt = crate::query::infer_type(e, &combined)?.unwrap_or(DataType::Float);
             cols.push(crate::schema::Column::new(name.clone(), dt));
         }
         let out_schema = Schema::new(cols)?;
@@ -114,11 +119,19 @@ impl RandomTableSpec {
             .iter()
             .map(|e| e.bind(driver.schema()))
             .collect::<crate::Result<_>>()?;
-        let bound_select = self
+        let bound_select: Vec<BoundExpr> = self
             .select
             .iter()
             .map(|(_, e)| e.bind(&combined))
             .collect::<crate::Result<_>>()?;
+        let mut carried = vec![false; driver.schema().len()];
+        for e in &bound_select {
+            e.for_each_column(&mut |i| {
+                if let Some(bound) = carried.get_mut(i) {
+                    *bound = true;
+                }
+            });
+        }
         Ok(PreparedRandomTable {
             name: self.name.clone(),
             vg: Arc::clone(&self.vg),
@@ -126,7 +139,8 @@ impl RandomTableSpec {
             params_query,
             bound_param_exprs,
             bound_select,
-            combined_len: combined.len(),
+            carried,
+            combined,
             out_schema,
         })
     }
@@ -144,10 +158,16 @@ impl RandomTableSpec {
 /// A [`RandomTableSpec`] with its driver and parameter queries planned and
 /// every expression bound, ready to realize once per replicate.
 ///
-/// The driver and parameter queries still *execute* per realization (they
-/// may read tables realized earlier in the same replicate), but planning,
-/// binding, and schema resolution happen exactly once, at
-/// [`RandomTableSpec::prepare`] time.
+/// Planning, binding, and schema resolution happen exactly once, at
+/// [`RandomTableSpec::prepare`] time. Through this public pair —
+/// `prepare`, then [`PreparedRandomTable::realize`] against whatever
+/// catalog the caller passes — the driver and parameter queries still
+/// *execute* per realization, because nothing says the next catalog holds
+/// the same tables. Inside a Monte Carlo run
+/// ([`MonteCarloQuery`](crate::mc::MonteCarloQuery)) something does: every
+/// replicate starts from the run's base catalog, so there each of the two
+/// queries runs once per run unless it reads a table realized earlier in
+/// the replicate.
 #[derive(Clone)]
 pub struct PreparedRandomTable {
     name: String,
@@ -156,7 +176,11 @@ pub struct PreparedRandomTable {
     params_query: Option<PreparedQuery>,
     bound_param_exprs: Vec<BoundExpr>,
     bound_select: Vec<BoundExpr>,
-    combined_len: usize,
+    /// Per driver column: whether the select list binds it. The others
+    /// never reach the projection.
+    carried: Vec<bool>,
+    /// Driver columns, then VG output columns: what the select list sees.
+    combined: Schema,
     out_schema: Schema,
 }
 
@@ -181,12 +205,156 @@ impl PreparedRandomTable {
         &self.out_schema
     }
 
+    /// Run the driver and parameter queries' sub-plans that scan none of
+    /// the `volatile` tables once for every realization from here on (see
+    /// `PreparedQuery::pin_invariant` for what the caller — the Monte Carlo
+    /// prepare path, and nothing else — must guarantee).
+    pub(crate) fn pin_invariant(&mut self, volatile: &[&str]) {
+        self.driver.pin_invariant(volatile);
+        if let Some(q) = &mut self.params_query {
+            q.pin_invariant(volatile);
+        }
+    }
+
     /// Generate one realization using the prepared plans — the engine's one
     /// generator.
     ///
     /// RNG consumption is the contract every sample bit rests on: one VG
     /// invocation per driver row, in driver order, all on `rng`.
+    ///
+    /// The work is columnar around those calls: the parameter expressions
+    /// are evaluated over the whole driver batch, each VG cell is appended
+    /// to a column typed as the VG declares it (`NULL` is admitted
+    /// anywhere, an `Int` cell widens into a `Float` column), the driver
+    /// columns the select list binds are repeated once per row their VG
+    /// call emitted, and the select list runs through the executor's
+    /// projection kernel. A realization with one bad cell fails with the
+    /// error a row-at-a-time evaluation raises for that cell (which lets
+    /// through two things that are typed errors here: a VG row wider or
+    /// narrower than the VG's schema, and a mistyped cell that no select
+    /// expression reads). With several, the first in this order wins: parameter expressions (in order, each
+    /// at its first failing driver row), VG calls in driver order (the
+    /// parameter count, the call's own error, the shape and types of the
+    /// rows it returned), then select columns in order, each at its first
+    /// invalid lane.
     pub fn realize(&self, catalog: &Catalog, rng: &mut Rng) -> crate::Result<Table> {
+        let driver = self.driver.execute(catalog)?.batch();
+        let mut params = self.base_params(catalog)?;
+        let n_base = params.len();
+        let param_cols: Vec<ColumnVec> = self
+            .bound_param_exprs
+            .iter()
+            .map(|e| e.eval_batch(&driver, None))
+            .collect::<crate::Result<_>>()?;
+
+        let n_driver = driver.schema().len();
+        let vg_schema = &self.combined.columns()[n_driver..];
+        let mut vg_cols: Vec<ColumnVec> = vg_schema
+            .iter()
+            .map(|c| ColumnVec::placeholders(0, c.dtype))
+            .collect();
+        // The driver row behind each output row.
+        let mut repeat: Vec<u32> = Vec::with_capacity(driver.len());
+        let mut one_each = true;
+        for r in 0..driver.len() {
+            params.truncate(n_base);
+            params.extend(param_cols.iter().map(|c| c.value(r)));
+            self.vg.check_arity(&params)?;
+            let emitted = self.vg.generate(&params, rng)?;
+            one_each &= emitted.len() == 1;
+            for vrow in emitted {
+                if vrow.len() != vg_cols.len() {
+                    return Err(McdbError::ArityMismatch {
+                        context: format!("VG function `{}` output row", self.vg.name()),
+                        expected: vg_cols.len(),
+                        found: vrow.len(),
+                    });
+                }
+                for (j, v) in vrow.iter().enumerate() {
+                    let widened = match (v, vg_schema[j].dtype) {
+                        (Value::Int(x), DataType::Float) => Value::Float(*x as f64),
+                        _ => v.clone(),
+                    };
+                    if vg_cols[j].push(widened).is_err() {
+                        return Err(self.mistyped_cell_error(&driver.row(r), &vrow, j));
+                    }
+                }
+                repeat.push(r as u32);
+            }
+        }
+
+        let len = repeat.len();
+        let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.combined.len());
+        for (col, &carried) in driver.columns().iter().zip(&self.carried) {
+            columns.push(match (carried, one_each) {
+                (false, _) => ColumnVec::AllNull { len },
+                (true, true) => col.clone(),
+                (true, false) => col.gather(&repeat),
+            });
+        }
+        columns.extend(vg_cols);
+        let combined = Batch::from_columns(self.combined.clone(), columns, len)?;
+        let out = project_batch(catalog, combined, &self.bound_select, &self.out_schema)?;
+        Ok(Table::from_batch(self.name.clone(), Arc::new(out)))
+    }
+
+    /// The parameter query's one row: the values that prefix every VG
+    /// call's parameter list.
+    fn base_params(&self, catalog: &Catalog) -> crate::Result<Row> {
+        let Some(q) = &self.params_query else {
+            return Ok(Vec::new());
+        };
+        let t = q.execute(catalog)?;
+        if t.len() != 1 {
+            return Err(McdbError::invalid_plan(format!(
+                "VG parameter query for `{}` must return exactly one row, got {}",
+                self.name,
+                t.len()
+            )));
+        }
+        Ok(t.batch().row(0))
+    }
+
+    /// The error for a VG row whose cell `j` is not of its declared type:
+    /// whatever evaluating the select list over that one row, cell by cell,
+    /// makes of it — the failing expression, or the output column the cell
+    /// was headed for — and the VG's own column where the select list never
+    /// looks at the cell.
+    fn mistyped_cell_error(&self, drow: &[Value], vrow: &[Value], j: usize) -> McdbError {
+        let crow: Row = drow.iter().chain(vrow).cloned().collect();
+        let orow: crate::Result<Row> = self
+            .bound_select
+            .iter()
+            .zip(self.out_schema.columns())
+            .map(|(be, col)| {
+                Ok(match (be.eval(&crow)?, col.dtype) {
+                    (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+                    (v, _) => v,
+                })
+            })
+            .collect();
+        match orow.and_then(|orow| self.out_schema.validate_row(&orow)) {
+            Err(e) => e,
+            Ok(()) => {
+                let declared = &self.combined.columns()[drow.len() + j];
+                McdbError::type_mismatch(
+                    format!(
+                        "VG function `{}` column `{}`",
+                        self.vg.name(),
+                        declared.name
+                    ),
+                    declared.dtype.to_string(),
+                    format!("{}", vrow[j]),
+                )
+            }
+        }
+    }
+
+    /// The generator as it was before it went columnar — one output row at
+    /// a time through `Value`s and `push_row` — kept verbatim as the oracle
+    /// the columnar [`PreparedRandomTable::realize`] is tested against.
+    #[cfg(test)]
+    fn realize_rowwise(&self, catalog: &Catalog, rng: &mut Rng) -> crate::Result<Table> {
         let driver_table = self.driver.execute(catalog)?;
         let base_params = match &self.params_query {
             None => Vec::new(),
@@ -211,7 +379,7 @@ impl PreparedRandomTable {
             }
             self.vg.check_arity(&params)?;
             for vrow in self.vg.generate(&params, rng)? {
-                let mut crow: Row = Vec::with_capacity(self.combined_len);
+                let mut crow: Row = Vec::with_capacity(self.combined.len());
                 crow.extend(drow.iter().cloned());
                 crow.extend(vrow);
                 let mut orow = Vec::with_capacity(self.bound_select.len());
@@ -303,9 +471,403 @@ impl RandomTableSpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::DataType;
-    use crate::vg::{BayesianDemandVg, NormalVg, PoissonVg};
-    use mde_numeric::rng::rng_from_seed;
+    use crate::expr::ScalarFunc;
+    use crate::vg::{
+        BackwardWalkVg, BayesianDemandVg, BernoulliVg, BetaVg, DiscreteChoiceVg, ExponentialVg,
+        NormalVg, PoissonVg, StockOptionVg, UniformVg,
+    };
+    use mde_numeric::rng::{for_cases, rng_from_seed};
+
+    // ---- columnar `realize` against the row-wise oracle -------------------
+
+    /// Cell by cell and strictly: same variant, floats by bit pattern
+    /// (`Value`'s own equality would let `Int(1)` pass for `Float(1.0)`).
+    fn same_cells(a: &Table, b: &Table) -> bool {
+        let (x, y) = (a.batch(), b.batch());
+        a.name() == b.name()
+            && a.schema() == b.schema()
+            && a.len() == b.len()
+            && x.columns().iter().zip(y.columns()).all(|(c, d)| {
+                (0..x.len()).all(|i| match (c.value(i), d.value(i)) {
+                    (Value::Null, Value::Null) => true,
+                    (Value::Int(p), Value::Int(q)) => p == q,
+                    (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+                    (Value::Bool(p), Value::Bool(q)) => p == q,
+                    (Value::Str(p), Value::Str(q)) => p == q,
+                    _ => false,
+                })
+            })
+    }
+
+    /// Realize `spec` both ways from the same generator state: the same
+    /// table or the same error, and — where both succeed — the generator
+    /// left in the same state. Returns the columnar outcome.
+    fn realize_both_ways(spec: &RandomTableSpec, db: &Catalog, seed: u64) -> crate::Result<Table> {
+        let prepared = spec.prepare(db).unwrap();
+        let (mut a, mut b) = (rng_from_seed(seed), rng_from_seed(seed));
+        let columnar = prepared.realize(db, &mut a);
+        let oracle = prepared.realize_rowwise(db, &mut b);
+        match (&columnar, &oracle) {
+            (Ok(t), Ok(want)) => {
+                assert!(
+                    same_cells(t, want),
+                    "{spec:?}:\n{t}\nvs the oracle's\n{want}"
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "generator state after {spec:?}");
+            }
+            (Err(e), Err(want)) => assert_eq!(e, want, "{spec:?}"),
+            (got, want) => panic!("{spec:?}: columnar {got:?}, oracle {want:?}"),
+        }
+        columnar
+    }
+
+    /// `DRIVER(ID, X, W, STEPS, S)`: an `Int` key, a positive `Float` and a
+    /// positive `Int` to parametrize with, a step count in `0..4` (so a
+    /// `BackwardWalk` call emits zero to three rows), and a `Str`; `X` and
+    /// `S` are `NULL` where `null_at` says so. `MODEL` is a one-row
+    /// parameter table.
+    fn driver_catalog(n: usize, null_at: impl Fn(usize) -> bool) -> Catalog {
+        let mut db = Catalog::new();
+        db.insert(
+            Table::build(
+                "DRIVER",
+                &[
+                    ("ID", DataType::Int),
+                    ("X", DataType::Float),
+                    ("W", DataType::Int),
+                    ("STEPS", DataType::Int),
+                    ("S", DataType::Str),
+                ],
+            )
+            .rows((0..n).map(|i| {
+                let nullable = |v: Value| if null_at(i) { Value::Null } else { v };
+                vec![
+                    Value::from(i as i64),
+                    nullable(Value::from(0.5 + i as f64 * 0.25)),
+                    Value::from(1 + (i % 5) as i64),
+                    Value::from((i % 4) as i64),
+                    nullable(Value::from(["a", "b", "c"][i % 3])),
+                ]
+            }))
+            .finish()
+            .unwrap(),
+        );
+        db.insert(
+            Table::build("MODEL", &[("A", DataType::Float), ("B", DataType::Float)])
+                .row(vec![Value::from(2.0), Value::from(1.5)])
+                .finish()
+                .unwrap(),
+        );
+        db
+    }
+
+    /// The ten library VGs, each with its parameters drawn from a query,
+    /// from expressions over the driver row (`Int` columns among them), or
+    /// from both.
+    fn library_specs() -> Vec<RandomTableSpecBuilder> {
+        let spec = |vg: Arc<dyn VgFunction>| {
+            RandomTableSpec::builder("OUT")
+                .for_each(Plan::scan("DRIVER"))
+                .with_vg(vg)
+        };
+        let (w, id) = (|| Expr::col("W"), || Expr::col("ID"));
+        vec![
+            spec(Arc::new(NormalVg)).vg_params_query(Plan::scan("MODEL")),
+            spec(Arc::new(NormalVg))
+                .vg_params_query(Plan::scan("MODEL").project(&[("A", Expr::col("A"))]))
+                .vg_params_exprs(&[w().mul(Expr::lit(0.5))]),
+            spec(Arc::new(UniformVg)).vg_params_exprs(&[id(), id().add(w())]),
+            spec(Arc::new(PoissonVg)).vg_params_exprs(&[w()]),
+            spec(Arc::new(DiscreteChoiceVg::new(&["lo", "mid", "hi"]))).vg_params_exprs(&[
+                Expr::lit(1.0),
+                w(),
+                Expr::lit(2),
+            ]),
+            spec(Arc::new(BackwardWalkVg)).vg_params_exprs(&[
+                Expr::lit(100.0),
+                w(),
+                Expr::col("STEPS"),
+            ]),
+            spec(Arc::new(StockOptionVg)).vg_params_exprs(&[
+                Expr::lit(100.0),
+                Expr::lit(95.0),
+                Expr::lit(0.05),
+                Expr::lit(0.2),
+                w(),
+            ]),
+            spec(Arc::new(BayesianDemandVg))
+                .vg_params_query(Plan::scan("MODEL"))
+                .vg_params_exprs(&[w(), id(), Expr::lit(10.5), Expr::lit(10.0), Expr::lit(2.0)]),
+            spec(Arc::new(ExponentialVg)).vg_params_exprs(&[w()]),
+            spec(Arc::new(BetaVg))
+                .vg_params_query(Plan::scan("MODEL"))
+                .vg_params_exprs(&[]),
+            spec(Arc::new(BernoulliVg)).vg_params_exprs(&[Expr::lit(1.0).div(w())]),
+        ]
+    }
+
+    /// Select lists over driver ++ VG columns, by what they exercise.
+    fn select_list(variant: u8, vg_cols: &[String]) -> Vec<(&'static str, Expr)> {
+        let value = || Expr::col(vg_cols.last().unwrap().as_str());
+        match variant % 4 {
+            // Every driver column carried (NULL and `Str` cells among them).
+            0 => vec![
+                ("ID", Expr::col("ID")),
+                ("X", Expr::col("X")),
+                ("S", Expr::col("S")),
+                ("FIRST", Expr::col(vg_cols[0].as_str())),
+                ("V", value()),
+            ],
+            // Expressions spanning both sides; on a `Str`-valued VG the
+            // arithmetic is a type error both generators must agree on.
+            1 => vec![
+                ("MIXED", value().mul(Expr::lit(2)).add(Expr::col("ID"))),
+                ("HALF", Expr::col("W").div(Expr::lit(2))),
+                ("MISSING", Expr::col("X").is_null()),
+            ],
+            // No driver column bound.
+            2 => vec![("V", value())],
+            // A constant, an untyped NULL, and a function of a carried column.
+            _ => vec![
+                ("ONE", Expr::lit(1)),
+                ("NOTHING", Expr::lit(Value::Null)),
+                ("ROOT", Expr::col("X").func(ScalarFunc::Sqrt)),
+                ("V", value()),
+            ],
+        }
+    }
+
+    #[test]
+    fn columnar_realize_equals_the_rowwise_oracle_over_the_vg_library() {
+        let mut rows_compared = vec![0; library_specs().len()];
+        for_cases(32, |rng| {
+            let n = rng.gen_range(0usize..40);
+            let null_every = rng.gen_range(2usize..6);
+            let variant = rng.gen_range(0u8..4);
+            let seed = rng.gen_range(0u64..1000);
+            let db = driver_catalog(n, |i| i % null_every == 0);
+            for (builder, rows) in library_specs().into_iter().zip(&mut rows_compared) {
+                let vg_cols = builder.vg.as_ref().unwrap().output_schema().names();
+                let spec = builder
+                    .select(&select_list(variant, &vg_cols))
+                    .build()
+                    .unwrap();
+                if let Ok(t) = realize_both_ways(&spec, &db, seed) {
+                    *rows += t.len();
+                }
+            }
+        });
+        // Every spec realized (not merely failed alike) on some case.
+        assert!(
+            rows_compared.iter().all(|&rows| rows > 100),
+            "{rows_compared:?}"
+        );
+    }
+
+    #[test]
+    fn columnar_realize_equals_the_oracle_on_empty_and_null_inputs() {
+        let walk = |steps: Expr| {
+            RandomTableSpec::builder("WALK")
+                .for_each(Plan::scan("DRIVER"))
+                .with_vg(Arc::new(BackwardWalkVg))
+                .vg_params_exprs(&[Expr::col("X"), Expr::lit(1.0), steps])
+                .select(&[
+                    ("ID", Expr::col("ID")),
+                    ("S", Expr::col("S")),
+                    ("LAG", Expr::col("LAG")),
+                    ("PRICE", Expr::col("PRICE")),
+                ])
+                .build()
+                .unwrap()
+        };
+        // Zero driver rows: no VG call, no expression evaluated.
+        let empty = driver_catalog(0, |_| false);
+        let t = realize_both_ways(&walk(Expr::col("STEPS")), &empty, 1).unwrap();
+        assert_eq!((t.len(), t.schema().len()), (0, 4));
+        // Driver rows, but every VG call emits zero rows.
+        let db = driver_catalog(9, |_| false);
+        assert!(realize_both_ways(&walk(Expr::lit(0)), &db, 2)
+            .unwrap()
+            .is_empty());
+        // Variable cardinality: 0, 1, 2, 3, 0, 1, 2, 3, 0 rows per driver row.
+        let t = realize_both_ways(&walk(Expr::col("STEPS")), &db, 3).unwrap();
+        assert_eq!(t.len(), 2 * (1 + 2 + 3));
+        // A NULL reaching the VG as a parameter is the VG's typed error.
+        let db = driver_catalog(9, |i| i == 4);
+        assert!(realize_both_ways(&walk(Expr::col("STEPS")), &db, 4).is_err());
+        // A parameter query with no row, or two.
+        for rows in [0, 2] {
+            let spec = RandomTableSpec::builder("BAD")
+                .for_each(Plan::scan("DRIVER"))
+                .with_vg(Arc::new(NormalVg))
+                .vg_params_query(Plan::scan("DRIVER").limit(rows))
+                .select(&[("V", Expr::col("VALUE"))])
+                .build()
+                .unwrap();
+            assert!(realize_both_ways(&spec, &db, 5).is_err());
+        }
+    }
+
+    /// `Probe(x)` → one row `(VALUE: Float, TAG: Int)` (`NULL` counts as 1),
+    /// misbehaving on chosen parameter values: a typed error, a NaN, a `Str` cell where it
+    /// declared `Float`, an `Int` cell there (which widens), a short row.
+    #[derive(Debug)]
+    struct ProbeVg;
+
+    impl VgFunction for ProbeVg {
+        fn name(&self) -> &str {
+            "Probe"
+        }
+        fn output_schema(&self) -> Schema {
+            Schema::from_pairs(&[("VALUE", DataType::Float), ("TAG", DataType::Int)]).unwrap()
+        }
+        fn arity(&self) -> Option<usize> {
+            Some(1)
+        }
+        fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
+            let x = match &params[0] {
+                Value::Null => 1,
+                p => p.as_i64()?,
+            };
+            let draw: f64 = rng.gen();
+            let value = match x {
+                -1 => return Err(McdbError::invalid_plan("probe refused its parameter")),
+                -2 => Value::Float(f64::NAN),
+                -3 => Value::from("not a number"),
+                -4 => return Ok(vec![vec![Value::Float(draw)]]),
+                x if x % 2 == 0 => Value::Int(x),
+                _ => Value::Float(draw),
+            };
+            Ok(vec![vec![value, Value::Int(x)]])
+        }
+    }
+
+    /// `DRIVER(P, S)` of `n` rows with `P = i`, except `P = poison` at row
+    /// `at`, where alone `S` is not NULL.
+    fn probe_catalog(n: usize, at: usize, poison: i64) -> Catalog {
+        let mut db = Catalog::new();
+        db.insert(
+            Table::build("DRIVER", &[("P", DataType::Int), ("S", DataType::Str)])
+                .rows((0..n).map(|i| {
+                    if i == at {
+                        vec![Value::from(poison), Value::from("here")]
+                    } else {
+                        vec![Value::from(i as i64), Value::Null]
+                    }
+                }))
+                .finish()
+                .unwrap(),
+        );
+        db
+    }
+
+    fn probe_spec(params: &[Expr], select: &[(&str, Expr)]) -> RandomTableSpec {
+        RandomTableSpec::builder("OUT")
+            .for_each(Plan::scan("DRIVER"))
+            .with_vg(Arc::new(ProbeVg))
+            .vg_params_exprs(params)
+            .select(select)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn one_failing_cell_fails_with_the_oracles_error() {
+        let pass = [("P", Expr::col("P")), ("V", Expr::col("VALUE"))];
+        let arith = [(
+            "V2",
+            Expr::col("VALUE").mul(Expr::lit(2)).add(Expr::col("P")),
+        )];
+        let p = [Expr::col("P")];
+        for_cases(16, |rng| {
+            let n = rng.gen_range(1usize..30);
+            let at = rng.gen_range(0..n);
+            let seed = rng.gen_range(0u64..1000);
+            // Nothing fails: `Int` cells in the `Float` column widen, in a
+            // carried column and under arithmetic alike.
+            let clean = probe_catalog(n, at, 1);
+            for select in [&pass[..], &arith[..]] {
+                let t = realize_both_ways(&probe_spec(&p, select), &clean, seed).unwrap();
+                assert_eq!(t.len(), n);
+            }
+            // The VG's own error at row `at`.
+            let e = realize_both_ways(&probe_spec(&p, &pass), &probe_catalog(n, at, -1), seed)
+                .unwrap_err();
+            assert!(e.to_string().contains("probe refused"), "{e}");
+            // A NaN, carried into a `Float` output column.
+            let e = realize_both_ways(&probe_spec(&p, &pass), &probe_catalog(n, at, -2), seed)
+                .unwrap_err();
+            assert!(e.to_string().contains("NaN"), "{e}");
+            // A `Str` cell in the `Float` column: the output column it was
+            // carried into, or the arithmetic that met it.
+            let mistyped = probe_catalog(n, at, -3);
+            let e = realize_both_ways(&probe_spec(&p, &pass), &mistyped, seed).unwrap_err();
+            assert!(e.to_string().contains("column `V`"), "{e}");
+            realize_both_ways(&probe_spec(&p, &arith), &mistyped, seed).unwrap_err();
+            // A select expression failing on the one row where `S` is set,
+            // and a parameter expression doing the same.
+            let cmp = Expr::col("S").lt(Expr::lit(1));
+            let select = [("V", Expr::col("VALUE")), ("BAD", cmp.clone())];
+            realize_both_ways(&probe_spec(&p, &select), &clean, seed).unwrap_err();
+            realize_both_ways(&probe_spec(&[cmp], &pass), &clean, seed).unwrap_err();
+            // Wrong parameter count.
+            let e = realize_both_ways(&probe_spec(&[], &pass), &clean, seed).unwrap_err();
+            assert!(matches!(e, McdbError::ArityMismatch { .. }), "{e}");
+        });
+    }
+
+    #[test]
+    fn several_failing_cells_resolve_in_the_documented_order() {
+        let db = probe_catalog(10, 6, -1);
+        let prepared = |params: &[Expr], select: &[(&str, Expr)]| {
+            probe_spec(params, select).prepare(&db).unwrap()
+        };
+        // Row 2 fails in the select list (`1 / 0` is NULL, not an error, so
+        // compare a string), row 6 in the VG: VG calls come first here, the
+        // earlier row first in the oracle.
+        let cmp = Expr::lit("x").lt(Expr::col("P"));
+        let p = prepared(
+            &[Expr::col("P")],
+            &[("V", Expr::col("VALUE")), ("BAD", cmp)],
+        );
+        let columnar = p.realize(&db, &mut rng_from_seed(1)).unwrap_err();
+        assert!(columnar.to_string().contains("probe refused"), "{columnar}");
+        let oracle = p.realize_rowwise(&db, &mut rng_from_seed(1)).unwrap_err();
+        assert_ne!(columnar, oracle);
+        // Two failing select columns: the first column wins, whatever the
+        // rows — as `PhysOp::Project` resolves it.
+        let clean = probe_catalog(10, 0, 1);
+        let late = Expr::col("S").lt(Expr::lit(1)); // fails at row 0 only
+        let early = Expr::lit("x").lt(Expr::col("P")); // fails at every row
+        let p = probe_spec(
+            &[Expr::col("P")],
+            &[("A", early.clone()), ("B", late.clone())],
+        )
+        .prepare(&clean)
+        .unwrap();
+        let first = p.realize(&clean, &mut rng_from_seed(1)).unwrap_err();
+        let p = probe_spec(&[Expr::col("P")], &[("A", early)])
+            .prepare(&clean)
+            .unwrap();
+        assert_eq!(first, p.realize(&clean, &mut rng_from_seed(1)).unwrap_err());
+        // A cell of the wrong type that the select list never looks at, and
+        // a row of the wrong shape: typed errors naming the VG.
+        let tag_only = [("T", Expr::col("TAG"))];
+        for (poison, needle) in [
+            (-3, "VG function `Probe` column `VALUE`"),
+            (-4, "output row"),
+        ] {
+            let db = probe_catalog(10, 6, poison);
+            let e = probe_spec(&[Expr::col("P")], &tag_only)
+                .prepare(&db)
+                .unwrap()
+                .realize(&db, &mut rng_from_seed(1))
+                .unwrap_err();
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+    }
+
+    // ---- behaviour ---------------------------------------------------------
 
     fn patients_catalog() -> Catalog {
         let mut db = Catalog::new();

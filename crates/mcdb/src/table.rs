@@ -23,6 +23,11 @@ use std::sync::{Arc, OnceLock};
 /// A row is an ordered vector of values matching a schema.
 pub type Row = Vec<Value>;
 
+#[cfg(test)]
+thread_local! {
+    static ROW_VIEWS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Where a table's columns live.
 #[derive(Debug, Clone)]
 enum TableStore {
@@ -187,6 +192,8 @@ impl Table {
     /// corruption as typed errors.
     pub fn rows(&self) -> &[Row] {
         self.rows_cache.get_or_init(|| {
+            #[cfg(test)]
+            ROW_VIEWS_BUILT.with(|n| n.set(n.get() + 1));
             let batch = self.batch();
             (0..batch.len()).map(|i| batch.row(i)).collect()
         })
@@ -197,6 +204,14 @@ impl Table {
     #[cfg(test)]
     pub(crate) fn rows_materialized(&self) -> bool {
         self.rows_cache.get().is_some()
+    }
+
+    /// How many row views [`Table::rows`] has built on this thread, over
+    /// all tables — so a structure test can cover the temporaries (a driver
+    /// query's result, say) it has no handle on.
+    #[cfg(test)]
+    pub(crate) fn row_views_built() -> u64 {
+        ROW_VIEWS_BUILT.with(|n| n.get())
     }
 
     /// Number of rows. Never reads a page of a paged table.

@@ -210,6 +210,19 @@ fn demand_spec() -> RandomTableSpec {
         .unwrap()
 }
 
+/// A stochastic table that shadows the base table it is driven by — and that
+/// `SALES` takes its parameters from: each replicate's mean is the *base*
+/// mean plus noise, whatever an earlier replicate realized under the name.
+fn drifting_params_spec() -> RandomTableSpec {
+    RandomTableSpec::builder("PARAMS")
+        .for_each(Plan::scan("PARAMS"))
+        .with_vg(Arc::new(NormalVg))
+        .vg_params_exprs(&[Expr::col("MEAN"), Expr::lit(1.0)])
+        .select(&[("MEAN", Expr::col("VALUE")), ("STD", Expr::col("STD"))])
+        .build()
+        .unwrap()
+}
+
 /// One scalar per replicate: the `plan_for` family under a closing
 /// aggregate, then Sort/Limit, grouping and joining on a stochastic column,
 /// and a variable-cardinality table.
@@ -252,9 +265,10 @@ fn scalar_plan_for(case: u8, threshold: f64) -> Plan {
 }
 
 /// The contract any hoisting of replicate-invariant work must keep:
-/// replicate `i` realizes spec `k` on `StreamFactory::new(seed).child(i)
-/// .stream(k)`, a `NULL` answer fails the run, and nothing else about how
-/// the run is prepared or scheduled reaches a sample bit.
+/// replicate `i` starts from the base catalog and realizes spec `k` on
+/// `StreamFactory::new(seed).child(i).stream(k)`, a `NULL` answer fails the
+/// run, and nothing else about how the run is prepared or scheduled reaches
+/// a sample bit.
 #[test]
 fn monte_carlo_run_equals_the_plan_per_replicate_loop_at_any_thread_count() {
     for_cases(48, |rng| {
@@ -267,14 +281,17 @@ fn monte_carlo_run_equals_the_plan_per_replicate_loop_at_any_thread_count() {
         let threshold = mean + std * rng.gen_range(-1.0f64..1.0);
         let seed = rng.gen_range(0u64..1000);
         let db = base_catalog(n_items, mean, std);
-        let specs = vec![sales_spec(), walk_spec(), demand_spec()];
+        let mut specs = vec![sales_spec(), walk_spec(), demand_spec()];
+        if rng.gen_range(0u8..2) == 1 {
+            specs.insert(0, drifting_params_spec());
+        }
         let plan = scalar_plan_for(case, threshold);
 
         // Nothing prepared: plan, bind and realize from scratch per replicate.
         let streams = StreamFactory::new(seed);
-        let mut scratch = db.clone();
         let by_hand: Option<Vec<u64>> = (0..n_iters as u64)
             .map(|i| {
+                let mut scratch = db.clone();
                 for (k, spec) in specs.iter().enumerate() {
                     let mut rng = streams.child(i).stream(k as u64);
                     let table = spec.realize(&scratch, &mut rng).unwrap();
