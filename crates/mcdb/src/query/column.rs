@@ -8,9 +8,18 @@
 //! [`BoundExpr::eval_batch`](crate::expr::BoundExpr::eval_batch) run tight
 //! monomorphic loops over primitive slices instead of matching on a
 //! [`Value`] enum per row.
+//!
+//! Strings are dictionary-coded: a `Str` column is a `Vec<u32>` of codes
+//! into a shared [`StrDict`], so *the dictionary is the column* — a gather
+//! or a join copies `u32`s and clones one `Arc`, a group-by on one string
+//! key indexes an array by code, and a comparison against a literal is
+//! decided once per distinct value. Two columns that share a dictionary
+//! compare codes; columns with different dictionaries compare contents.
 
 use crate::schema::DataType;
+use crate::storage::codec::{fnv1a, FNV_OFFSET};
 use crate::value::Value;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-lane null bitmap with an all-valid fast path.
@@ -108,6 +117,76 @@ impl NullMask {
         NullMask { len, bits: words }
     }
 
+    /// The mask of lanes `[start, start + len)`. Whole words are copied
+    /// when `start` is 64-aligned (every morsel boundary is); an all-valid
+    /// mask, or a window without a null, stays on the fast path.
+    pub(crate) fn window(&self, start: usize, len: usize) -> NullMask {
+        debug_assert!(start + len <= self.len);
+        let Some(bits) = &self.bits else {
+            return NullMask::all_valid(len);
+        };
+        let n_words = len.div_ceil(64);
+        let (base, shift) = (start / 64, (start % 64) as u32);
+        let mut words: Vec<u64> = (0..n_words)
+            .map(|k| {
+                let lo = bits[base + k] >> shift;
+                match bits.get(base + k + 1) {
+                    Some(&hi) if shift != 0 => lo | hi << (64 - shift),
+                    _ => lo,
+                }
+            })
+            .collect();
+        if let Some(last) = words.last_mut() {
+            if !len.is_multiple_of(64) {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
+        }
+        NullMask {
+            len,
+            bits: words.iter().any(|&w| w != 0).then_some(words),
+        }
+    }
+
+    /// Lane-wise OR with a mask of the same length, a word at a time — a
+    /// lane is null in the result iff it is null in either operand.
+    pub(crate) fn union(&self, other: &NullMask) -> NullMask {
+        debug_assert_eq!(self.len, other.len);
+        let bits: Option<Vec<u64>> = match (&self.bits, &other.bits) {
+            (None, None) => None,
+            (Some(b), None) | (None, Some(b)) => Some(b.clone()),
+            (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(x, y)| x | y).collect()),
+        };
+        NullMask {
+            len: self.len,
+            bits: bits.filter(|b| b.iter().any(|&w| w != 0)),
+        }
+    }
+
+    /// Mark every lane whose bit is set in `words` (bit `i % 64` of word
+    /// `i / 64` = lane `i`) as null.
+    pub(crate) fn set_null_words(&mut self, words: &[u64]) {
+        debug_assert_eq!(words.len(), self.len.div_ceil(64));
+        if words.iter().all(|&w| w == 0) {
+            return;
+        }
+        match &mut self.bits {
+            Some(bits) => bits.iter_mut().zip(words).for_each(|(b, w)| *b |= w),
+            None => self.bits = Some(words.to_vec()),
+        }
+    }
+
+    /// Call `f(lane)` for every null lane, ascending; nothing runs for an
+    /// all-valid mask.
+    pub(crate) fn for_each_null(&self, mut f: impl FnMut(usize)) {
+        for (k, &word) in self.bits.iter().flatten().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                f(k * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    }
+
     /// Select lanes by index, producing the gathered mask.
     pub fn gather(&self, sel: &[u32]) -> NullMask {
         let mut out = NullMask::all_valid(sel.len());
@@ -142,13 +221,154 @@ impl NullMask {
     }
 }
 
+/// The distinct values of a string column, in first-seen order, with what
+/// the key kernels and the appenders need per value: its FNV-1a hash
+/// (computed once, when the value is first interned — a string key's lane
+/// hash is a table lookup) and the intern index from content to code.
+///
+/// Values are distinct by construction, so within one dictionary two codes
+/// are equal iff their strings are. A column's dictionary may hold values no
+/// lane of the column uses (a gather shares its source's dictionary).
+#[derive(Clone, Default)]
+pub struct StrDict {
+    /// Code `c` is `values[c]`.
+    values: Vec<Arc<str>>,
+    /// `fnv1a(FNV_OFFSET, values[c])`.
+    hashes: Vec<u64>,
+    index: HashMap<Arc<str>, u32>,
+}
+
+/// The values alone, in code order: the hashes and the intern index are
+/// functions of them, and a `HashMap` prints in a different order in every
+/// process.
+impl std::fmt::Debug for StrDict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StrDict")
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+impl StrDict {
+    /// Number of distinct values.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the dictionary holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The distinct values, indexed by code.
+    pub fn values(&self) -> &[Arc<str>] {
+        &self.values
+    }
+
+    /// The string behind `code`.
+    #[inline]
+    pub fn value(&self, code: u32) -> &Arc<str> {
+        &self.values[code as usize]
+    }
+
+    /// Each value's FNV-1a hash, indexed by code.
+    pub(crate) fn hashes(&self) -> &[u64] {
+        &self.hashes
+    }
+
+    /// The order of the strings behind two codes (equal codes are equal
+    /// strings, so only different codes read their contents).
+    pub(crate) fn cmp_codes(&self, a: u32, b: u32) -> std::cmp::Ordering {
+        if a == b {
+            return std::cmp::Ordering::Equal;
+        }
+        self.value(a).as_ref().cmp(self.value(b).as_ref())
+    }
+
+    /// Whether a pass over the dictionary's entries pays for `lanes` lanes
+    /// of a column over it — the one rule for every kernel that would
+    /// index by code: a gathered column can carry a dictionary far larger
+    /// than itself.
+    pub(crate) fn worth_indexing(&self, lanes: usize) -> bool {
+        self.len() <= lanes
+    }
+
+    /// The code of `s`, if the dictionary holds it.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.index.get(s).copied()
+    }
+
+    /// The code of `s`, appending it as the next code if it is new.
+    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+        match self.code_of(s) {
+            Some(code) => code,
+            None => self.append(s),
+        }
+    }
+
+    /// Append `s`, which the dictionary does not hold, as the next code.
+    fn append(&mut self, s: &Arc<str>) -> u32 {
+        let code = u32::try_from(self.values.len()).expect("more than u32::MAX distinct strings");
+        self.values.push(Arc::clone(s));
+        self.hashes.push(fnv1a(FNV_OFFSET, s.as_bytes()));
+        self.index.insert(Arc::clone(s), code);
+        code
+    }
+}
+
+/// The code of `s` in `dict`, interning it first if it is new; a shared
+/// dictionary is copied only then (copy-on-write), so whoever else holds it
+/// — a query result gathered from this column, say — keeps what it had.
+fn intern_shared(dict: &mut Arc<StrDict>, s: &Arc<str>) -> u32 {
+    match dict.code_of(s) {
+        Some(code) => code,
+        None => Arc::make_mut(dict).append(s),
+    }
+}
+
+/// The code of the NULL-lane placeholder `""` in `dict`.
+fn empty_code(dict: &mut Arc<StrDict>) -> u32 {
+    match dict.code_of("") {
+        Some(code) => code,
+        None => Arc::make_mut(dict).append(&Arc::from("")),
+    }
+}
+
+/// Append the lanes `src_codes` of a column over `src_dict` to a column
+/// over `dict`: verbatim when the dictionaries are the same `Arc`, otherwise
+/// remapped with one lookup per distinct incoming value.
+pub(crate) fn append_codes(
+    codes: &mut Vec<u32>,
+    dict: &mut Arc<StrDict>,
+    src_codes: &[u32],
+    src_dict: &Arc<StrDict>,
+) {
+    if Arc::ptr_eq(dict, src_dict) {
+        codes.extend_from_slice(src_codes);
+        return;
+    }
+    const UNSEEN: u32 = u32::MAX;
+    let mut remap = vec![UNSEEN; src_dict.len()];
+    codes.extend(src_codes.iter().map(|&c| {
+        let slot = &mut remap[c as usize];
+        if *slot == UNSEEN {
+            *slot = intern_shared(dict, src_dict.value(c));
+        }
+        *slot
+    }));
+}
+
 /// A typed column of values with a null bitmap.
 ///
 /// The `AllNull` variant represents a column whose every lane is `NULL`
 /// and whose type is unconstrained (e.g. the result of evaluating a bare
 /// `NULL` literal over a batch) — it is compatible with any declared
 /// column type, mirroring how [`Value::Null`] is typeless.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is by lane: same variant, same null lanes, same value in every
+/// lane (placeholders included) — for strings the *contents* behind the
+/// codes, whichever dictionaries hold them.
+#[derive(Clone)]
 pub enum ColumnVec {
     /// 64-bit integer column.
     Int {
@@ -171,10 +391,16 @@ pub enum ColumnVec {
         /// Null lanes.
         nulls: NullMask,
     },
-    /// String column (reference-counted payloads; gathers clone `Arc`s).
+    /// Dictionary-coded string column: lane `i` is `dict.value(codes[i])`.
+    /// Gathers, joins and concatenations of columns over one dictionary
+    /// move codes and share the `Arc`; an append that brings a new value
+    /// copies a shared dictionary first.
     Str {
-        /// Lane values (placeholder `""` at null lanes).
-        data: Vec<Arc<str>>,
+        /// Lane codes into `dict` (the code of `""` at null lanes); every
+        /// code is below `dict.len()`.
+        codes: Vec<u32>,
+        /// The distinct values the codes index.
+        dict: Arc<StrDict>,
         /// Null lanes.
         nulls: NullMask,
     },
@@ -185,6 +411,81 @@ pub enum ColumnVec {
     },
 }
 
+/// What the derived impl prints, except that a string column prints its
+/// lanes (`data: ["a", "b", "a"]`), not its codes and dictionary: the text
+/// of a `Plan::Values` is hashed into Monte Carlo checkpoint fingerprints
+/// and result-cache keys, so it must be a function of the lane contents —
+/// the same in every process, whichever dictionary layout holds them.
+impl std::fmt::Debug for ColumnVec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct StrLanes<'a>(&'a [u32], &'a StrDict);
+        impl std::fmt::Debug for StrLanes<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list()
+                    .entries(self.0.iter().map(|&c| self.1.value(c)))
+                    .finish()
+            }
+        }
+        let (name, data, nulls): (_, &dyn std::fmt::Debug, _) = match self {
+            ColumnVec::Int { data, nulls } => ("Int", data, nulls),
+            ColumnVec::Float { data, nulls } => ("Float", data, nulls),
+            ColumnVec::Bool { data, nulls } => ("Bool", data, nulls),
+            ColumnVec::Str { codes, dict, nulls } => ("Str", &StrLanes(codes, dict), nulls),
+            ColumnVec::AllNull { len } => {
+                return f.debug_struct("AllNull").field("len", len).finish()
+            }
+        };
+        f.debug_struct(name)
+            .field("data", data)
+            .field("nulls", nulls)
+            .finish()
+    }
+}
+
+impl PartialEq for ColumnVec {
+    fn eq(&self, other: &ColumnVec) -> bool {
+        use ColumnVec::*;
+        match (self, other) {
+            (Int { data: a, nulls: na }, Int { data: b, nulls: nb }) => a == b && na == nb,
+            (Float { data: a, nulls: na }, Float { data: b, nulls: nb }) => a == b && na == nb,
+            (Bool { data: a, nulls: na }, Bool { data: b, nulls: nb }) => a == b && na == nb,
+            (
+                Str {
+                    codes: a,
+                    dict: da,
+                    nulls: na,
+                },
+                Str {
+                    codes: b,
+                    dict: db,
+                    nulls: nb,
+                },
+            ) => {
+                if a.len() != b.len() || na != nb {
+                    return false;
+                }
+                if Arc::ptr_eq(da, db) {
+                    return a == b;
+                }
+                // Values are distinct within a dictionary, so each code of
+                // `a` can equal at most one code of `b`: compare contents
+                // once per distinct code, codes after that.
+                const UNSEEN: u32 = u32::MAX;
+                let mut twin = vec![UNSEEN; da.len()];
+                a.iter().zip(b).all(|(&x, &y)| {
+                    let slot = &mut twin[x as usize];
+                    if *slot == UNSEEN && da.value(x) == db.value(y) {
+                        *slot = y;
+                    }
+                    *slot == y
+                })
+            }
+            (AllNull { len: a }, AllNull { len: b }) => a == b,
+            _ => false,
+        }
+    }
+}
+
 impl ColumnVec {
     /// Number of lanes.
     pub fn len(&self) -> usize {
@@ -192,7 +493,7 @@ impl ColumnVec {
             ColumnVec::Int { data, .. } => data.len(),
             ColumnVec::Float { data, .. } => data.len(),
             ColumnVec::Bool { data, .. } => data.len(),
-            ColumnVec::Str { data, .. } => data.len(),
+            ColumnVec::Str { codes, .. } => codes.len(),
             ColumnVec::AllNull { len } => *len,
         }
     }
@@ -225,7 +526,19 @@ impl ColumnVec {
         }
     }
 
-    /// The value at lane `i` (strings clone their `Arc`).
+    /// The null mask, or `None` for an untyped all-null column (every lane
+    /// of which is null).
+    pub(crate) fn nulls(&self) -> Option<&NullMask> {
+        match self {
+            ColumnVec::Int { nulls, .. }
+            | ColumnVec::Float { nulls, .. }
+            | ColumnVec::Bool { nulls, .. }
+            | ColumnVec::Str { nulls, .. } => Some(nulls),
+            ColumnVec::AllNull { .. } => None,
+        }
+    }
+
+    /// The value at lane `i` (a string clones its dictionary entry's `Arc`).
     #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
@@ -250,11 +563,11 @@ impl ColumnVec {
                     Value::Bool(data[i])
                 }
             }
-            ColumnVec::Str { data, nulls } => {
+            ColumnVec::Str { codes, dict, nulls } => {
                 if nulls.is_null(i) {
                     Value::Null
                 } else {
-                    Value::Str(Arc::clone(&data[i]))
+                    Value::Str(Arc::clone(dict.value(codes[i])))
                 }
             }
             ColumnVec::AllNull { .. } => Value::Null,
@@ -281,8 +594,8 @@ impl ColumnVec {
                 data.push(x);
                 nulls.push(false);
             }
-            (ColumnVec::Str { data, nulls }, Value::Str(x)) => {
-                data.push(x);
+            (ColumnVec::Str { codes, dict, nulls }, Value::Str(x)) => {
+                codes.push(intern_shared(dict, &x));
                 nulls.push(false);
             }
             (ColumnVec::Int { data, nulls }, Value::Null) => {
@@ -297,8 +610,8 @@ impl ColumnVec {
                 data.push(false);
                 nulls.push(true);
             }
-            (ColumnVec::Str { data, nulls }, Value::Null) => {
-                data.push(Arc::from(""));
+            (ColumnVec::Str { codes, dict, nulls }, Value::Null) => {
+                codes.push(empty_code(dict));
                 nulls.push(true);
             }
             (ColumnVec::AllNull { len }, Value::Null) => *len += 1,
@@ -365,15 +678,23 @@ impl ColumnVec {
             }
             DataType::Str => {
                 let empty: Arc<str> = Arc::from("");
-                let mut data = vec![Arc::clone(&empty); n];
+                let mut dict = StrDict::default();
+                let mut codes = Vec::with_capacity(n);
                 for (i, v) in values.into_iter().enumerate() {
-                    match v {
-                        Value::Str(x) => data[i] = x,
-                        Value::Null => nulls.set_null(i),
+                    codes.push(match v {
+                        Value::Str(x) => dict.intern(&x),
+                        Value::Null => {
+                            nulls.set_null(i);
+                            dict.intern(&empty)
+                        }
                         other => return Err(mixed_column_error(DataType::Str, &other)),
-                    }
+                    });
                 }
-                ColumnVec::Str { data, nulls }
+                ColumnVec::Str {
+                    codes,
+                    dict: Arc::new(dict),
+                    nulls,
+                }
             }
         })
     }
@@ -394,10 +715,7 @@ impl ColumnVec {
                 data: vec![*x; len],
                 nulls: NullMask::all_valid(len),
             },
-            Value::Str(s) => ColumnVec::Str {
-                data: vec![Arc::clone(s); len],
-                nulls: NullMask::all_valid(len),
-            },
+            Value::Str(s) => ColumnVec::str_constant(s, len, NullMask::all_valid(len)),
         }
     }
 
@@ -416,11 +734,51 @@ impl ColumnVec {
                 data: sel.iter().map(|&i| data[i as usize]).collect(),
                 nulls: nulls.gather(sel),
             },
-            ColumnVec::Str { data, nulls } => ColumnVec::Str {
-                data: sel.iter().map(|&i| Arc::clone(&data[i as usize])).collect(),
+            ColumnVec::Str { codes, dict, nulls } => ColumnVec::Str {
+                codes: sel.iter().map(|&i| codes[i as usize]).collect(),
+                dict: Arc::clone(dict),
                 nulls: nulls.gather(sel),
             },
             ColumnVec::AllNull { .. } => ColumnVec::AllNull { len: sel.len() },
+        }
+    }
+
+    /// Lanes `[start, start + len)` as a column of their own — what
+    /// [`ColumnVec::gather`] returns for that run of indices, by `memcpy`.
+    pub(crate) fn slice(&self, start: usize, len: usize) -> ColumnVec {
+        let end = start + len;
+        match self {
+            ColumnVec::Int { data, nulls } => ColumnVec::Int {
+                data: data[start..end].to_vec(),
+                nulls: nulls.window(start, len),
+            },
+            ColumnVec::Float { data, nulls } => ColumnVec::Float {
+                data: data[start..end].to_vec(),
+                nulls: nulls.window(start, len),
+            },
+            ColumnVec::Bool { data, nulls } => ColumnVec::Bool {
+                data: data[start..end].to_vec(),
+                nulls: nulls.window(start, len),
+            },
+            ColumnVec::Str { codes, dict, nulls } => ColumnVec::Str {
+                codes: codes[start..end].to_vec(),
+                dict: Arc::clone(dict),
+                nulls: nulls.window(start, len),
+            },
+            ColumnVec::AllNull { .. } => ColumnVec::AllNull { len },
+        }
+    }
+
+    /// `len` lanes of the one string `s` under `nulls`.
+    fn str_constant(s: &Arc<str>, len: usize, nulls: NullMask) -> ColumnVec {
+        let mut dict = StrDict::default();
+        if len > 0 {
+            dict.intern(s);
+        }
+        ColumnVec::Str {
+            codes: vec![0; len],
+            dict: Arc::new(dict),
+            nulls,
         }
     }
 
@@ -442,10 +800,7 @@ impl ColumnVec {
                 data: vec![false; len],
                 nulls,
             },
-            DataType::Str => ColumnVec::Str {
-                data: vec![Arc::from(""); len],
-                nulls,
-            },
+            DataType::Str => ColumnVec::str_constant(&Arc::from(""), len, nulls),
         }
     }
 
@@ -456,7 +811,7 @@ impl ColumnVec {
             ColumnVec::Int { data, .. } => ColumnVec::Int { data, nulls },
             ColumnVec::Float { data, .. } => ColumnVec::Float { data, nulls },
             ColumnVec::Bool { data, .. } => ColumnVec::Bool { data, nulls },
-            ColumnVec::Str { data, .. } => ColumnVec::Str { data, nulls },
+            ColumnVec::Str { codes, dict, .. } => ColumnVec::Str { codes, dict, nulls },
             ColumnVec::AllNull { len } => ColumnVec::AllNull { len },
         }
     }
@@ -513,9 +868,25 @@ impl ColumnVec {
                     nulls: na.concat(nb),
                 }
             }
-            (ColumnVec::Str { data: a, nulls: na }, ColumnVec::Str { data: b, nulls: nb }) => {
+            (
                 ColumnVec::Str {
-                    data: a.iter().chain(b).map(Arc::clone).collect(),
+                    codes: a,
+                    dict: da,
+                    nulls: na,
+                },
+                ColumnVec::Str {
+                    codes: b,
+                    dict: db,
+                    nulls: nb,
+                },
+            ) => {
+                let mut codes = Vec::with_capacity(a.len() + b.len());
+                codes.extend_from_slice(a);
+                let mut dict = Arc::clone(da);
+                append_codes(&mut codes, &mut dict, b, db);
+                ColumnVec::Str {
+                    codes,
+                    dict,
                     nulls: na.concat(nb),
                 }
             }
@@ -565,40 +936,56 @@ impl ColumnVec {
             }
             offset += p.len();
         }
+        let mismatched = |other: &ColumnVec| -> ! {
+            unreachable!(
+                "concat_many of mismatched column types {:?} and {:?}",
+                Some(dtype),
+                other.dtype()
+            )
+        };
         macro_rules! fill {
-            ($variant:ident, $ty:ty, $zero:expr, $extend:expr) => {{
+            ($variant:ident, $ty:ty, $zero:expr) => {{
                 let mut data: Vec<$ty> = Vec::with_capacity(total);
                 for p in &parts {
                     match p {
-                        ColumnVec::$variant { data: d, .. } => $extend(&mut data, d),
-                        ColumnVec::AllNull { len } => {
-                            data.resize(data.len() + len, $zero);
-                        }
-                        other => unreachable!(
-                            "concat_many of mismatched column types {:?} and {:?}",
-                            Some(DataType::$variant),
-                            other.dtype()
-                        ),
+                        ColumnVec::$variant { data: d, .. } => data.extend_from_slice(d),
+                        ColumnVec::AllNull { len } => data.resize(data.len() + len, $zero),
+                        other => mismatched(other),
                     }
                 }
                 ColumnVec::$variant { data, nulls }
             }};
         }
         match dtype {
-            DataType::Int => fill!(Int, i64, 0, |out: &mut Vec<i64>, d: &Vec<i64>| out
-                .extend_from_slice(d)),
-            DataType::Float => fill!(Float, f64, 0.0, |out: &mut Vec<f64>, d: &Vec<f64>| out
-                .extend_from_slice(d)),
-            DataType::Bool => fill!(Bool, bool, false, |out: &mut Vec<bool>, d: &Vec<bool>| out
-                .extend_from_slice(d)),
-            DataType::Str => fill!(
-                Str,
-                Arc<str>,
-                Arc::from(""),
-                |out: &mut Vec<Arc<str>>, d: &Vec<Arc<str>>| {
-                    out.extend(d.iter().map(Arc::clone))
+            DataType::Int => fill!(Int, i64, 0),
+            DataType::Float => fill!(Float, f64, 0.0),
+            DataType::Bool => fill!(Bool, bool, false),
+            DataType::Str => {
+                // Morsels of one expression over one batch share a
+                // dictionary, so this appends codes; an untyped all-null
+                // part holds the placeholder `""`.
+                let mut codes: Vec<u32> = Vec::with_capacity(total);
+                let mut dict = parts
+                    .iter()
+                    .find_map(|p| match p {
+                        ColumnVec::Str { dict, .. } => Some(Arc::clone(dict)),
+                        _ => None,
+                    })
+                    .expect("a part is typed Str");
+                for p in &parts {
+                    match p {
+                        ColumnVec::Str {
+                            codes: c, dict: d, ..
+                        } => append_codes(&mut codes, &mut dict, c, d),
+                        ColumnVec::AllNull { len } => {
+                            let empty = empty_code(&mut dict);
+                            codes.resize(codes.len() + len, empty);
+                        }
+                        other => mismatched(other),
+                    }
                 }
-            ),
+                ColumnVec::Str { codes, dict, nulls }
+            }
         }
     }
 
@@ -766,6 +1153,256 @@ mod tests {
             ColumnVec::Str { nulls, .. } => assert!(nulls.words().is_none()),
             other => panic!("expected Str, got {other:?}"),
         }
+    }
+
+    fn strs(values: &[Option<&str>]) -> ColumnVec {
+        ColumnVec::from_values(
+            values
+                .iter()
+                .map(|v| v.map_or(Value::Null, Value::str))
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    fn values(c: &ColumnVec) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    #[test]
+    fn a_string_column_is_codes_over_distinct_values_in_first_seen_order() {
+        let c = strs(&[Some("b"), None, Some("ü"), Some("b"), Some(""), Some("ü")]);
+        let ColumnVec::Str { codes, dict, nulls } = &c else {
+            panic!("expected Str, got {c:?}");
+        };
+        let distinct: Vec<&str> = dict.values().iter().map(|v| v.as_ref()).collect();
+        // The NULL lane holds the placeholder `""`, which the later `""`
+        // lane shares.
+        assert_eq!(distinct, ["b", "", "ü"]);
+        assert_eq!(codes, &[0, 1, 2, 0, 1, 2]);
+        assert!(nulls.is_null(1) && !nulls.is_null(4));
+        assert_eq!(dict.code_of("ü"), Some(2));
+        assert_eq!(dict.code_of("nope"), None);
+        for (v, h) in dict.values().iter().zip(dict.hashes()) {
+            assert_eq!(*h, fnv1a(FNV_OFFSET, v.as_bytes()));
+        }
+        // `from_values` is repeated `push`, dictionary included.
+        let mut pushed = ColumnVec::placeholders(0, DataType::Str);
+        for v in values(&c) {
+            pushed.push(v).unwrap();
+        }
+        assert_eq!(pushed, c);
+        let ColumnVec::Str {
+            codes: pc,
+            dict: pd,
+            ..
+        } = &pushed
+        else {
+            panic!("expected Str");
+        };
+        assert_eq!((pc, pd.values()), (codes, dict.values()));
+    }
+
+    #[test]
+    fn gathers_share_the_dictionary_and_appends_copy_it_on_write() {
+        let c = strs(&[Some("a"), Some("b"), None, Some("c")]);
+        let ColumnVec::Str { dict, .. } = &c else {
+            panic!("expected Str");
+        };
+        let mut g = c.gather(&[3, 3, 2, 0]);
+        let ColumnVec::Str {
+            dict: gd, codes, ..
+        } = &g
+        else {
+            panic!("expected Str");
+        };
+        // A `u32` gather plus one `Arc` clone; the dictionary may hold
+        // values ("b") no gathered lane uses.
+        assert!(Arc::ptr_eq(gd, dict));
+        assert_eq!(codes, &[3, 3, 2, 0]);
+        assert_eq!(
+            values(&g),
+            [
+                Value::str("c"),
+                Value::str("c"),
+                Value::Null,
+                Value::str("a")
+            ]
+        );
+        // Pushing a value the dictionary holds shares it still; a new value
+        // copies it, and the column gathered from keeps what it had.
+        g.push(Value::str("b")).unwrap();
+        g.push(Value::Null).unwrap();
+        let ColumnVec::Str { dict: gd, .. } = &g else {
+            panic!("expected Str");
+        };
+        assert!(Arc::ptr_eq(gd, dict));
+        g.push(Value::str("new")).unwrap();
+        let ColumnVec::Str { dict: gd, .. } = &g else {
+            panic!("expected Str");
+        };
+        assert!(!Arc::ptr_eq(gd, dict));
+        assert_eq!(dict.code_of("new"), None);
+        assert_eq!(g.value(6), Value::str("new"));
+        assert_eq!(values(&c).len(), 4);
+        assert_eq!(c, strs(&[Some("a"), Some("b"), None, Some("c")]));
+        // A slice is the gather of its run of rows.
+        assert_eq!(c.slice(1, 3), c.gather(&[1, 2, 3]));
+        assert_eq!(c.slice(4, 0), c.gather(&[]));
+    }
+
+    #[test]
+    fn string_columns_concat_and_compare_by_content_across_dictionaries() {
+        let a = strs(&[Some("x"), None, Some("y")]);
+        let b = strs(&[Some("y"), Some("z"), Some("x"), None]);
+        let joined = a.concat(&b);
+        let want = strs(&[
+            Some("x"),
+            None,
+            Some("y"),
+            Some("y"),
+            Some("z"),
+            Some("x"),
+            None,
+        ]);
+        assert_eq!(joined, want);
+        assert_eq!(values(&joined), values(&want));
+        // One lookup per distinct incoming value: "y" and "x" map onto the
+        // codes `a` gave them, "z" is appended.
+        let ColumnVec::Str { codes, dict, .. } = &joined else {
+            panic!("expected Str");
+        };
+        assert_eq!(codes, &[0, 1, 2, 2, 3, 0, 1]);
+        assert_eq!(dict.len(), 4);
+        // gather ∘ concat = concat ∘ gather, whichever dictionaries result.
+        let sel = [6u32, 0, 3, 4];
+        assert_eq!(
+            joined.gather(&sel),
+            a.gather(&[1, 0]).concat(&b.gather(&[0, 1]))
+        );
+        assert_eq!(
+            ColumnVec::concat_many(vec![a.clone(), ColumnVec::AllNull { len: 2 }, b.clone()]),
+            a.concat(&ColumnVec::AllNull { len: 2 }).concat(&b)
+        );
+        // Same dictionary: codes are appended as they are.
+        let twice = a.concat(&a.gather(&[2, 2]));
+        let (
+            ColumnVec::Str { dict: da, .. },
+            ColumnVec::Str {
+                dict: dt, codes, ..
+            },
+        ) = (&a, &twice)
+        else {
+            panic!("expected Str");
+        };
+        assert!(Arc::ptr_eq(da, dt));
+        assert_eq!(codes, &[0, 1, 2, 2, 2]);
+
+        // Equality is by lane content: codes and dictionary order are
+        // representation.
+        let shuffled = b.gather(&[2, 3, 0]);
+        assert_eq!(a, shuffled);
+        assert_ne!(a, strs(&[Some("x"), None, Some("z")]));
+        assert_ne!(
+            a,
+            strs(&[Some("x"), Some(""), Some("y")]),
+            "null lanes differ"
+        );
+        assert_ne!(a, strs(&[Some("x"), None]));
+        // Two codes of one side may not stand for one value of the other.
+        assert_ne!(strs(&[Some("p"), Some("q")]), strs(&[Some("p"), Some("p")]));
+        assert_ne!(strs(&[Some("p"), Some("p")]), strs(&[Some("p"), Some("q")]));
+        assert_eq!(
+            ColumnVec::broadcast(&Value::str("k"), 3),
+            strs(&[Some("k"), Some("k"), Some("k")])
+        );
+    }
+
+    /// The debug text is hashed into checkpoint fingerprints and cache keys
+    /// (`Plan::Values` inside a Monte Carlo query): it reads as the lanes,
+    /// whatever the dictionary layout, and never shows the intern index.
+    #[test]
+    fn string_debug_text_is_the_lanes_not_the_dictionary() {
+        let a = strs(&[Some("x"), None, Some("y"), Some("x")]);
+        let nulls = a.nulls().unwrap();
+        assert_eq!(
+            format!("{a:?}"),
+            format!("Str {{ data: [\"x\", \"\", \"y\", \"x\"], nulls: {nulls:?} }}")
+        );
+        // Same lanes over a larger, differently ordered dictionary.
+        let wide = strs(&[Some("q"), Some("y"), Some("x"), None, Some("y"), Some("x")]);
+        let b = wide.gather(&[2, 3, 4, 5]);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
+        let ColumnVec::Str { dict, .. } = &wide else {
+            panic!("expected Str");
+        };
+        assert_eq!(
+            format!("{dict:?}"),
+            "StrDict { values: [\"q\", \"y\", \"x\", \"\"] }"
+        );
+        // The other variants print what a derived impl would.
+        let ints = ColumnVec::broadcast(&Value::from(3), 2);
+        let valid = ints.nulls().unwrap();
+        assert_eq!(
+            format!("{ints:?}"),
+            format!("Int {{ data: [3, 3], nulls: {valid:?} }}")
+        );
+        assert_eq!(
+            format!("{:?}", ColumnVec::AllNull { len: 2 }),
+            "AllNull { len: 2 }"
+        );
+    }
+
+    #[test]
+    fn null_mask_windows_unions_and_word_marks() {
+        let mut m = NullMask::all_valid(200);
+        for i in [0, 63, 64, 70, 130, 199] {
+            m.set_null(i);
+        }
+        for (start, len) in [
+            (0, 200),
+            (64, 64),
+            (64, 136),
+            (1, 70),
+            (65, 5),
+            (131, 69),
+            (7, 0),
+        ] {
+            let w = m.window(start, len);
+            assert_eq!(w.len(), len);
+            for i in 0..len {
+                assert_eq!(
+                    w.is_null(i),
+                    m.is_null(start + i),
+                    "window {start}+{len} lane {i}"
+                );
+            }
+            // A window without a null stays on the all-valid fast path.
+            assert_eq!(w.words().is_some(), w.any_null(), "window {start}+{len}");
+        }
+        let mut other = NullMask::all_valid(200);
+        other.set_null(5);
+        other.set_null(70);
+        let u = m.union(&other);
+        for i in 0..200 {
+            assert_eq!(u.is_null(i), m.is_null(i) || other.is_null(i));
+        }
+        let none = NullMask::all_valid(200);
+        assert!(none.union(&none).words().is_none());
+        assert_eq!(none.union(&other), other);
+        let mut seen = Vec::new();
+        u.for_each_null(|i| seen.push(i));
+        assert_eq!(seen, [0, 5, 63, 64, 70, 130, 199]);
+        let mut marked = NullMask::all_valid(130);
+        marked.set_null_words(&[0, 0, 0]);
+        assert!(marked.words().is_none());
+        marked.set_null_words(&[1 << 9, 0, 2]);
+        marked.set_null_words(&[1, 0, 0]);
+        let mut seen = Vec::new();
+        marked.for_each_null(|i| seen.push(i));
+        assert_eq!(seen, [0, 9, 129]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 pub mod batch;
 pub mod column;
 mod exec;
-mod kernels;
+pub(crate) mod kernels;
 pub mod physical;
 pub mod planner;
 pub mod simd;

@@ -51,30 +51,33 @@
 use super::batch::Batch;
 use super::column::ColumnVec;
 use super::kernels::{
-    accumulate, any_null, assign_groups, cmp_lanes, hash_keys, partition_of, JoinIndex, LaneError,
-    Lanes,
+    accumulate, any_null, any_nullable, assign_groups, cmp_lanes, hash_keys, partition_of,
+    JoinIndex, LaneError, Lanes, NO_KEY,
 };
 use super::{infer_type, planner, simd, AggFunc, Catalog, Plan};
 use crate::expr::{BinOp, BoundExpr};
-use crate::par::{first_error, morsel_ranges, par_map_ordered};
+use crate::par::{first_error, morsel_ranges, par_map_items, par_map_ordered};
 use crate::schema::{Column, DataType, Schema};
 use crate::storage::spill::SpilledBatch;
 use crate::table::Table;
 use crate::value::Value;
 use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A unit of data flowing between physical operators: a shared columnar
-/// batch plus an optional selection vector of row indices into it.
+/// batch plus an optional selection vector of row indices into it. Both are
+/// shared, so cloning a chunk — reading a pinned one, say — allocates
+/// nothing.
 #[derive(Debug, Clone)]
 struct Chunk {
     batch: Arc<Batch>,
-    /// Row indices into `batch`, in output order. `None` = all rows.
-    sel: Option<Vec<u32>>,
+    /// Row indices into `batch`, in output order, and how many of them
+    /// (from the front) are this chunk's — a `Limit` narrows the count, not
+    /// the vector. `None` = all rows.
+    sel: Option<(Arc<Vec<u32>>, usize)>,
 }
 
 impl Chunk {
@@ -82,27 +85,35 @@ impl Chunk {
         Chunk { batch, sel: None }
     }
 
+    fn selected(batch: Arc<Batch>, sel: Vec<u32>) -> Chunk {
+        let len = sel.len();
+        Chunk {
+            batch,
+            sel: Some((Arc::new(sel), len)),
+        }
+    }
+
     /// Number of output rows.
     fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.batch.len(), |s| s.len())
+        self.sel.as_ref().map_or(self.batch.len(), |(_, len)| *len)
     }
 
     /// The batch row index backing output lane `lane`.
     #[inline]
     fn index(&self, lane: usize) -> u32 {
         match &self.sel {
-            Some(s) => s[lane],
+            Some((s, _)) => s[lane],
             None => lane as u32,
         }
     }
 
     fn sel_slice(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
+        self.sel.as_ref().map(|(s, len)| &s[..*len])
     }
 
     /// The batch rows behind the output lanes.
     fn lanes(&self) -> Lanes<'_> {
-        match &self.sel {
+        match self.sel_slice() {
             Some(s) => Lanes::Sel(s),
             None => Lanes::Range(0, self.batch.len()),
         }
@@ -172,19 +183,6 @@ impl<'a> ExecCtx<'a> {
         self.morsel_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
         out
-    }
-}
-
-/// The selection vector for morsel `[a, b)` of `lanes` over a batch of
-/// `rows` rows: `None` when the morsel is the entire unselected batch (the
-/// exact argument sequential execution passes), a materialized row range
-/// when there is no selection, or a borrowed slice of the selection
-/// otherwise.
-fn morsel_sel(lanes: Lanes<'_>, rows: usize, a: usize, b: usize) -> Option<Cow<'_, [u32]>> {
-    match lanes.slice(a, b) {
-        Lanes::Range(0, end) if end == rows => None,
-        Lanes::Range(start, end) => Some(Cow::Owned((start as u32..end as u32).collect())),
-        Lanes::Sel(s) => Some(Cow::Borrowed(s)),
     }
 }
 
@@ -898,18 +896,22 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                 let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
                     let (a, b) = ranges[m];
                     ctx.timed(|| {
-                        let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
-                        let pred = predicate.eval_batch(&chunk.batch, msel.as_deref())?;
+                        let mlanes = chunk.lanes().slice(a, b);
+                        let pred = predicate.eval_lanes(&chunk.batch, mlanes)?;
                         let mlen = b - a;
                         match &pred {
                             ColumnVec::Bool { data, nulls } => {
-                                let local =
+                                let mut local =
                                     simd::compact_bool_lanes(data, nulls.word_slice(0, mlen));
-                                let mapped: Vec<u32> = local
-                                    .into_iter()
-                                    .map(|l| chunk.index(a + l as usize))
-                                    .collect();
-                                Ok((mapped, mlen))
+                                match mlanes {
+                                    Lanes::Range(start, _) => {
+                                        local.iter_mut().for_each(|l| *l += start as u32)
+                                    }
+                                    Lanes::Sel(s) => {
+                                        local.iter_mut().for_each(|l| *l = s[*l as usize])
+                                    }
+                                }
+                                Ok((local, mlen))
                             }
                             // All-null predicate: NULL is not true.
                             ColumnVec::AllNull { .. } => Ok((Vec::new(), 0)),
@@ -937,10 +939,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                 sel
             };
             span.record("rows_out", sel.len());
-            Ok(Chunk {
-                batch: chunk.batch,
-                sel: Some(sel),
-            })
+            Ok(Chunk::selected(chunk.batch, sel))
         }
         PhysOp::Project {
             input,
@@ -969,12 +968,13 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             span.record("left_rows", l_lanes);
             span.record("right_rows", r_lanes);
 
-            // Matching (left lane, right lane) pairs in the reference
-            // output order: ascending left lane, then ascending right lane.
+            // The batch rows of the matching (left, right) pairs, in the
+            // reference output order: ascending left lane, then ascending
+            // right lane.
             let l_side = JoinSide::new(&lc.batch, left_keys, lc.lanes());
             let r_side = JoinSide::new(&rc.batch, right_keys, rc.lanes());
             let spill = ctx.catalog.spill_config();
-            let pairs = if l_lanes.min(r_lanes) > spill.threshold_rows {
+            let (l_sel, r_sel) = if l_lanes.min(r_lanes) > spill.threshold_rows {
                 // Grace hash join: the build side exceeds the spill
                 // threshold, so both inputs are hash-partitioned by join
                 // key (the same deterministic key hash the index uses —
@@ -1002,26 +1002,30 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     let rs = SpilledBatch::write(&rc.batch, &r_sel, spill, &format!("jr{p}"))?;
                     spill_rows += (ls.n_rows() + rs.n_rows()) as u64;
                     let (lb, rb) = (ls.read()?, rs.read()?);
-                    let local = join_pairs(
+                    // A partition batch is unselected: its rows are the
+                    // partition's lanes.
+                    let (l_rows, r_rows) = join_rows(
                         ctx,
                         &JoinSide::new(&lb, left_keys, Lanes::Range(0, lb.len())),
                         &JoinSide::new(&rb, right_keys, Lanes::Range(0, rb.len())),
                     )?;
                     pairs.extend(
-                        local
+                        l_rows
                             .into_iter()
+                            .zip(r_rows)
                             .map(|(l, r)| (lp[l as usize], rp[r as usize])),
                     );
                 }
                 span.record("spill_rows", spill_rows);
                 pairs.sort_unstable();
-                pairs
+                (
+                    pairs.iter().map(|&(l, _)| lc.index(l as usize)).collect(),
+                    pairs.iter().map(|&(_, r)| rc.index(r as usize)).collect(),
+                )
             } else {
-                join_pairs(ctx, &l_side, &r_side)?
+                join_rows(ctx, &l_side, &r_side)?
             };
 
-            let l_sel: Vec<u32> = pairs.iter().map(|&(l, _)| lc.index(l as usize)).collect();
-            let r_sel: Vec<u32> = pairs.iter().map(|&(_, r)| rc.index(r as usize)).collect();
             // Output columns gather independently — one task per column.
             // A column no ancestor binds is never read, so it is emitted
             // as an O(1) untyped all-null placeholder instead of a gather.
@@ -1044,8 +1048,8 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     }))
                 },
             ))?;
-            span.record("rows_out", pairs.len());
-            let batch = Batch::from_columns(schema.clone(), cols, pairs.len())?;
+            span.record("rows_out", l_sel.len());
+            let batch = Batch::from_columns(schema.clone(), cols, l_sel.len())?;
             Ok(Chunk::from_batch(Arc::new(batch)))
         }
         PhysOp::Aggregate {
@@ -1147,28 +1151,19 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             };
             span.record("rows_in", rows_in);
             let n = *n;
-            let sel = match chunk.sel {
-                Some(mut s) => {
-                    s.truncate(n);
-                    Some(s)
-                }
-                None => {
-                    if chunk.batch.len() <= n {
-                        None
-                    } else {
-                        Some((0..n as u32).collect())
-                    }
-                }
-            };
-            let out = Chunk {
-                batch: chunk.batch,
-                sel,
+            let out = match chunk.sel {
+                Some((sel, len)) => Chunk {
+                    batch: chunk.batch,
+                    sel: Some((sel, len.min(n))),
+                },
+                None if chunk.batch.len() <= n => chunk,
+                None => Chunk::selected(chunk.batch, (0..n as u32).collect()),
             };
             span.record("rows_out", out.len());
             Ok(out)
         }
         // The filling execution runs the sub-plan under its own span tree
-        // and counters; a later one only copies the chunk's selection.
+        // and counters; a later one shares the chunk (two `Arc` clones).
         PhysOp::Pinned { input, cell } => cell.get_or_try_fill(|| run(input, ctx, parent)).cloned(),
     }
 }
@@ -1192,14 +1187,12 @@ fn project(
     let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
         let (a, b) = ranges[m];
         Ok(ctx.timed(|| {
-            let msel = morsel_sel(chunk.lanes(), chunk.batch.len(), a, b);
+            let mlanes = chunk.lanes().slice(a, b);
             exprs
                 .iter()
                 .zip(schema.columns())
                 .map(|(e, col)| {
-                    let c = e
-                        .eval_batch(&chunk.batch, msel.as_deref())?
-                        .coerce_to(col.dtype);
+                    let c = e.eval_lanes(&chunk.batch, mlanes)?.coerce_to(col.dtype);
                     validate_column(&c, col)?;
                     Ok(c)
                 })
@@ -1260,9 +1253,9 @@ impl<'a> JoinSide<'a> {
     /// partitions (ascending lane order within each).
     fn partition(&self, parts: usize) -> Vec<Vec<u32>> {
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); parts];
+        let nullable = any_nullable(&self.keys);
         for (lane, &h) in hash_keys(&self.keys, self.lanes).iter().enumerate() {
-            let row = self.lanes.row(lane);
-            if !any_null(&self.keys, row) {
+            if !(nullable && any_null(&self.keys, self.lanes.row(lane))) {
                 out[partition_of(h, parts)].push(lane as u32);
             }
         }
@@ -1272,16 +1265,19 @@ impl<'a> JoinSide<'a> {
 
 /// The in-memory hash-join kernel, shared by the unspilled path and every
 /// Grace partition: index the smaller side (ties keep the legacy right
-/// build), probe the larger side morsel-parallel, and return the matching
-/// (left lane, right lane) pairs in the reference order. Per-morsel pair
-/// vectors concatenate in morsel order, so a right build emerges in that
-/// order (ascending probe lane × ascending build lane) directly; a left
-/// build restores it with a sort. NULL keys never match.
-fn join_pairs(
+/// build), probe the larger side morsel-parallel, and return the batch rows
+/// of the matching (left, right) pairs in the reference order. Every morsel
+/// writes the build key its lanes match into its own run of one buffer
+/// sized from the probe lanes; the pairs are then expanded from that buffer
+/// in probe-lane order, so a right build emerges in the reference order
+/// (ascending probe lane × ascending build lane) directly — as the two
+/// selection vectors the gathers take — and a left build restores it with a
+/// sort. NULL keys never match.
+fn join_rows(
     ctx: &ExecCtx,
     left: &JoinSide<'_>,
     right: &JoinSide<'_>,
-) -> crate::Result<Vec<(u32, u32)>> {
+) -> crate::Result<(Vec<u32>, Vec<u32>)> {
     let build_right = right.lanes.len() <= left.lanes.len();
     let (build, probe) = if build_right {
         (right, left)
@@ -1291,26 +1287,41 @@ fn join_pairs(
     let index = JoinIndex::build(&build.keys, build.lanes);
     let ranges = ctx.ranges(probe.lanes.len());
     ctx.count_morsels(ranges.len());
-    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-        let (a, b) = ranges[m];
-        Ok(ctx.timed(|| {
-            let mut out = Vec::new();
-            index.probe(&probe.keys, probe.lanes.slice(a, b), |lane, build_lane| {
-                let lane = (a + lane) as u32;
-                out.push(if build_right {
-                    (lane, build_lane)
-                } else {
-                    (build_lane, lane)
-                });
-            });
-            out
-        }))
-    });
-    let mut pairs: Vec<(u32, u32)> = first_error(parts)?.into_iter().flatten().collect();
-    if !build_right {
-        pairs.sort_unstable();
+    let mut hits = vec![NO_KEY; probe.lanes.len()];
+    let mut unfilled = hits.as_mut_slice();
+    let tasks: Vec<((usize, usize), &mut [u32])> = ranges
+        .iter()
+        .map(|&(a, b)| {
+            let (out, rest) = std::mem::take(&mut unfilled).split_at_mut(b - a);
+            unfilled = rest;
+            ((a, b), out)
+        })
+        .collect();
+    first_error(par_map_items(
+        ctx.threads,
+        tasks.into_iter(),
+        |((a, b), out)| {
+            ctx.timed(|| index.probe(&probe.keys, probe.lanes.slice(a, b), out));
+            Ok(())
+        },
+    ))?;
+    if build_right {
+        return Ok(index.matches(&hits, probe.lanes, build.lanes));
     }
-    Ok(pairs)
+    let identity = |side: &JoinSide<'_>| Lanes::Range(0, side.lanes.len());
+    let (probe_lanes, build_lanes) = index.matches(&hits, identity(probe), identity(build));
+    let mut pairs: Vec<(u32, u32)> = build_lanes.into_iter().zip(probe_lanes).collect();
+    pairs.sort_unstable();
+    Ok((
+        pairs
+            .iter()
+            .map(|&(l, _)| left.lanes.row(l as usize) as u32)
+            .collect(),
+        pairs
+            .iter()
+            .map(|&(_, r)| right.lanes.row(r as usize) as u32)
+            .collect(),
+    ))
 }
 
 /// Group-by output before typing: one row per group.
@@ -1385,10 +1396,9 @@ fn eval_columns(
     let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
         let (a, b) = ranges[m];
         ctx.timed(|| {
-            let msel = morsel_sel(lanes, batch.len(), a, b);
             exprs
                 .iter()
-                .map(|e| e.eval_batch(batch, msel.as_deref()))
+                .map(|e| e.eval_lanes(batch, lanes.slice(a, b)))
                 .collect::<crate::Result<Vec<ColumnVec>>>()
         })
     });
@@ -1402,12 +1412,13 @@ fn eval_columns(
 }
 
 /// The aggregate kernel, shared by the unspilled path and every Grace
-/// partition. Argument expressions evaluate morsel-parallel; then dense
-/// group ids are assigned from the typed key columns and each aggregate
-/// folds its argument column into typed per-group accumulators, both
-/// walking lanes in order — so group discovery order and floating-point
-/// accumulation order are exactly those of a sequential row-at-a-time
-/// fold, at any thread count. The inner error is the first lane (then
+/// partition. Argument expressions evaluate morsel-parallel (an argument
+/// that is a bare column is not copied: the fold reads it in place through
+/// `lanes`); then dense group ids are assigned from the typed key columns
+/// and each aggregate folds its argument column into typed per-group
+/// accumulators, both walking lanes in order — so group discovery order and
+/// floating-point accumulation order are exactly those of a sequential
+/// row-at-a-time fold, at any thread count. The inner error is the first lane (then
 /// first aggregate) at which that fold would have failed.
 fn aggregate_lanes(
     ctx: &ExecCtx,
@@ -1418,11 +1429,28 @@ fn aggregate_lanes(
     agg_args: &[Option<BoundExpr>],
 ) -> crate::Result<Result<Grouped, LaneError>> {
     let n = lanes.len();
-    let arg_exprs: Vec<&BoundExpr> = agg_args.iter().flatten().collect();
-    let mut evaluated = eval_columns(ctx, &arg_exprs, batch, lanes)?.into_iter();
-    let arg_cols: Vec<Option<ColumnVec>> = agg_args
+    // Over zero lanes nothing is read in place: `eval_lanes` then yields
+    // the untyped empty column the fold's identities expect.
+    let in_place = |arg: &BoundExpr| match arg {
+        BoundExpr::Col(j) if n > 0 && *j < batch.schema().len() => Some(batch.column(*j)),
+        _ => None,
+    };
+    let arg_exprs: Vec<&BoundExpr> = agg_args
         .iter()
-        .map(|arg| arg.as_ref().and_then(|_| evaluated.next()))
+        .flatten()
+        .filter(|arg| in_place(arg).is_none())
+        .collect();
+    let evaluated = eval_columns(ctx, &arg_exprs, batch, lanes)?;
+    let mut evaluated = evaluated.iter();
+    let arg_cols: Vec<Option<(&ColumnVec, Lanes<'_>)>> = agg_args
+        .iter()
+        .map(|arg| {
+            let arg = arg.as_ref()?;
+            Some(match in_place(arg) {
+                Some(col) => (col, lanes),
+                None => (evaluated.next()?, Lanes::Range(0, n)),
+            })
+        })
         .collect();
 
     let keys: Vec<&ColumnVec> = group_idx.iter().map(|&j| batch.column(j)).collect();
@@ -1432,7 +1460,7 @@ fn aggregate_lanes(
     let n_groups = groups.as_ref().map_or(1, |g| g.first_lane.len());
     let outs = first_error(par_map_ordered(ctx.threads, agg_funcs.len(), |j| {
         Ok(ctx.timed(|| {
-            let arg = arg_cols[j].as_ref();
+            let arg = arg_cols[j];
             match &groups {
                 Some(g) => accumulate(agg_funcs[j], arg, n, n_groups, |l| g.ids[l] as usize),
                 None => accumulate(agg_funcs[j], arg, n, n_groups, |_| 0),
@@ -1508,23 +1536,52 @@ fn run_sort(
         a.cmp(b)
     };
     let mut perm: Vec<u32> = (0..lanes as u32).collect();
+    // One numeric key without a NULL (the top-k shape) is compared straight
+    // from its slice: the key shape is resolved here, once, instead of in
+    // `cmp_lanes` at every comparison. Same order, ties included.
+    match key_cols.as_slice() {
+        [(ColumnVec::Float { data, nulls }, asc)] if !nulls.any_null() => {
+            arrange(&mut perm, limit, slice_order(data, *asc))
+        }
+        [(ColumnVec::Int { data, nulls }, asc)] if !nulls.any_null() => {
+            arrange(&mut perm, limit, slice_order(data, *asc))
+        }
+        _ => arrange(&mut perm, limit, order),
+    }
+    let sel: Vec<u32> = perm.into_iter().map(|l| chunk.index(l as usize)).collect();
+    Ok((Chunk::selected(chunk.batch, sel), lanes))
+}
+
+/// [`cmp_lanes`] order (incomparable floats tie), then lane order, over an
+/// all-valid numeric key read from its slice.
+fn slice_order<T: PartialOrd>(
+    data: &[T],
+    asc: bool,
+) -> impl Fn(&u32, &u32) -> Ordering + Copy + '_ {
+    move |a, b| {
+        let ord = data[*a as usize]
+            .partial_cmp(&data[*b as usize])
+            .unwrap_or(Ordering::Equal);
+        (if asc { ord } else { ord.reverse() }).then(a.cmp(b))
+    }
+}
+
+/// Put `perm` in `order`: all of it, or only its first `limit` lanes
+/// (selected, then sorted).
+fn arrange(
+    perm: &mut Vec<u32>,
+    limit: Option<usize>,
+    order: impl Fn(&u32, &u32) -> Ordering + Copy,
+) {
     match limit {
         Some(0) => perm.clear(),
-        Some(k) if k < lanes => {
+        Some(k) if k < perm.len() => {
             perm.select_nth_unstable_by(k - 1, order);
             perm.truncate(k);
             perm.sort_unstable_by(order);
         }
         _ => perm.sort_unstable_by(order),
     }
-    let sel: Vec<u32> = perm.into_iter().map(|l| chunk.index(l as usize)).collect();
-    Ok((
-        Chunk {
-            batch: chunk.batch,
-            sel: Some(sel),
-        },
-        lanes,
-    ))
 }
 
 /// The first row at which a computed column violates its declared schema
@@ -2046,5 +2103,42 @@ mod tests {
         assert_eq!(t.rows()[0][2], Value::from(30.0));
         assert_eq!(t.rows()[1][2], Value::from(20.0));
         assert_eq!(t.name(), "limit");
+    }
+
+    /// One all-valid numeric key is ordered from its slice; the answer is
+    /// the general comparator's (reached here by naming the key twice) and
+    /// the reference interpreter's — ties in lane order, `-0.0` beside
+    /// `0.0`, both directions, with and without a limit.
+    #[test]
+    fn a_single_numeric_sort_key_orders_as_the_general_comparator() {
+        let mut c = Catalog::new();
+        c.insert(
+            Table::build("t", &[("i", DataType::Int), ("f", DataType::Float)])
+                .rows((0..97i64).map(|r| {
+                    let f = [0.0, -0.0, 2.5, -7.0, 2.5, 1e300][(r * 5 % 6) as usize];
+                    vec![Value::from(r * 13 % 7 - 3), Value::from(f)]
+                }))
+                .finish()
+                .unwrap(),
+        );
+        for key in ["i", "f"] {
+            for asc in [true, false] {
+                let k = || SortKey {
+                    expr: Expr::col(key),
+                    ascending: asc,
+                };
+                for limit in [None, Some(0), Some(1), Some(10), Some(200)] {
+                    let capped = |p: Plan| limit.map_or(p.clone(), |n| p.limit(n));
+                    let one = capped(Plan::scan("t").sort(vec![k()]));
+                    let two = capped(Plan::scan("t").sort(vec![k(), k()]));
+                    assert_engines_agree(&c, &one);
+                    assert_eq!(
+                        c.query(&one).unwrap().rows(),
+                        c.query(&two).unwrap().rows(),
+                        "{key} asc={asc} limit={limit:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! bytes on disk.
 
 use super::codec::{put_i64, put_str, put_u32, put_u64, Cursor};
-use crate::query::column::{ColumnVec, NullMask};
+use crate::query::column::{ColumnVec, NullMask, StrDict};
 use crate::schema::DataType;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -271,7 +271,7 @@ pub(crate) fn encode_page_body(
         ColumnVec::Int { data, .. } => encode_int(&data[start..start + len], out),
         ColumnVec::Float { data, .. } => encode_float(&data[start..start + len], out),
         ColumnVec::Bool { data, .. } => encode_bool(&data[start..start + len], out),
-        ColumnVec::Str { data, .. } => encode_str(&data[start..start + len], out),
+        ColumnVec::Str { codes, dict, .. } => encode_str(&codes[start..start + len], dict, out),
         ColumnVec::AllNull { .. } => unreachable!(),
     };
     out[enc_pos] = enc.to_tag();
@@ -364,56 +364,61 @@ fn encode_bool(data: &[bool], out: &mut Vec<u8>) -> Encoding {
     pick_smallest(out, vec![(Encoding::Plain, plain), (Encoding::Rle, rle)])
 }
 
-/// The dictionary candidate for a string chunk: distinct payloads in
-/// first-occurrence order (so the bytes are a pure function of the lanes),
-/// then the lanes as bit-packed indices. The index is a hash map, so a
+/// The dictionary candidate for a string chunk: the page's own
+/// dictionary — the distinct payloads of *these* lanes in first-occurrence
+/// order, so the bytes are a pure function of the lanes, whatever else the
+/// column's dictionary holds — then the lanes as bit-packed indices into
+/// it. The index is a hash map over the column's codes, so a
 /// high-cardinality chunk costs O(lanes), not O(lanes x distinct).
-fn dict_body(data: &[Arc<str>]) -> Vec<u8> {
-    let mut index: HashMap<&str, u64> = HashMap::new();
-    let mut dict: Vec<&str> = Vec::new();
-    let indices: Vec<u64> = data
+fn dict_body(codes: &[u32], dict: &StrDict) -> Vec<u8> {
+    let mut index: HashMap<u32, u64> = HashMap::new();
+    let mut local: Vec<u32> = Vec::new();
+    let indices: Vec<u64> = codes
         .iter()
-        .map(|v| {
-            *index.entry(v).or_insert_with(|| {
-                dict.push(v);
-                dict.len() as u64 - 1
+        .map(|&c| {
+            *index.entry(c).or_insert_with(|| {
+                local.push(c);
+                local.len() as u64 - 1
             })
         })
         .collect();
-    let width = if dict.len() <= 1 {
+    let width = if local.len() <= 1 {
         0
     } else {
-        width_for(dict.len() as u64 - 1)
+        width_for(local.len() as u64 - 1)
     };
     let mut dicted = Vec::new();
-    put_u32(&mut dicted, dict.len() as u32);
-    for d in &dict {
-        put_str(&mut dicted, d);
+    put_u32(&mut dicted, local.len() as u32);
+    for &c in &local {
+        put_str(&mut dicted, dict.value(c));
     }
     dicted.push(width as u8);
-    pack_bits(indices.into_iter(), data.len(), width, &mut dicted);
+    pack_bits(indices.into_iter(), codes.len(), width, &mut dicted);
     dicted
 }
 
-fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
+/// Values are distinct within a dictionary, so equal codes are exactly
+/// equal strings: runs and the page dictionary come out as they would from
+/// the strings themselves.
+fn encode_str(codes: &[u32], dict: &StrDict, out: &mut Vec<u8>) -> Encoding {
     let mut plain = Vec::new();
-    for v in data {
-        put_str(&mut plain, v);
+    for &c in codes {
+        put_str(&mut plain, dict.value(c));
     }
 
-    let runs = runs_of(data, |a, b| a.as_ref() == b.as_ref());
+    let runs = runs_of(codes, |a, b| a == b);
     let mut rle = Vec::new();
     put_u32(&mut rle, runs.len() as u32);
     for (count, rep) in &runs {
         put_u32(&mut rle, *count);
-        put_str(&mut rle, &data[*rep]);
+        put_str(&mut rle, dict.value(codes[*rep]));
     }
 
     pick_smallest(
         out,
         vec![
             (Encoding::Plain, plain),
-            (Encoding::Dict, dict_body(data)),
+            (Encoding::Dict, dict_body(codes, dict)),
             (Encoding::Rle, rle),
         ],
     )
@@ -429,12 +434,14 @@ fn encode_str(data: &[Arc<str>], out: &mut Vec<u8>) -> Encoding {
 /// dictionaries are stored in the page itself) and a page's row offset
 /// comes from the file's directory, so the pages of a column decode
 /// independently into disjoint slices of one buffer — on one thread or
-/// several, by the same routine, with the same bits.
+/// several, by the same routine, with the same bits. A string page decodes
+/// into codes of its *own* dictionary ([`DecodedPage::Typed`]); the
+/// assembler renumbers them into the column's when it absorbs the page.
 pub(crate) enum LanesMut<'a> {
     Int(&'a mut [i64]),
     Float(&'a mut [f64]),
     Bool(&'a mut [bool]),
-    Str(&'a mut [Arc<str>]),
+    Str(&'a mut [u32]),
 }
 
 impl<'a> LanesMut<'a> {
@@ -485,9 +492,15 @@ impl<'a> LanesMut<'a> {
 pub(crate) enum DecodedPage {
     /// An untyped all-null chunk: no lane was written.
     AllNull,
-    /// A typed chunk, with its null bitmap words (bit `i` = lane `i` of
-    /// the page) when the page declared nulls.
-    Typed(Option<Vec<u64>>),
+    /// A typed chunk.
+    Typed {
+        /// The null bitmap words (bit `i` = lane `i` of the page) when the
+        /// page declared nulls.
+        nulls: Option<Vec<u64>>,
+        /// A string page's own dictionary — what the codes it wrote into
+        /// its lanes index; empty for every other type.
+        strings: Vec<Arc<str>>,
+    },
 }
 
 /// Decode one page body (positioned after the page header) straight into
@@ -521,11 +534,12 @@ pub(crate) fn decode_page(cur: &mut Cursor<'_>, out: LanesMut<'_>) -> crate::Res
     } else {
         None
     };
+    let mut strings = Vec::new();
     match (dtype, out) {
         (DataType::Int, LanesMut::Int(out)) => decode_int(cur, enc, out)?,
         (DataType::Float, LanesMut::Float(out)) => decode_float(cur, enc, out)?,
         (DataType::Bool, LanesMut::Bool(out)) => decode_bool(cur, enc, out)?,
-        (DataType::Str, LanesMut::Str(out)) => decode_str(cur, enc, out)?,
+        (DataType::Str, LanesMut::Str(out)) => strings = decode_str(cur, enc, out)?,
         (found, out) => {
             return Err(cur.corrupt(format!(
                 "column type {found} does not match declared schema type {}",
@@ -533,7 +547,7 @@ pub(crate) fn decode_page(cur: &mut Cursor<'_>, out: LanesMut<'_>) -> crate::Res
             )))
         }
     }
-    Ok(DecodedPage::Typed(nulls))
+    Ok(DecodedPage::Typed { nulls, strings })
 }
 
 /// Rebuilds one column from its pages: owns the column's final buffer,
@@ -557,8 +571,18 @@ impl ColumnAssembler {
     /// An assembler for a column of `declared` type with `total` rows
     /// across all pages.
     pub(crate) fn new(declared: DataType, total: usize) -> Self {
+        let col = match declared {
+            // Codes are meaningless until their page is absorbed, so the
+            // dictionary starts empty and grows in page order.
+            DataType::Str => ColumnVec::Str {
+                codes: vec![0; total],
+                dict: Arc::new(StrDict::default()),
+                nulls: NullMask::all_valid(total),
+            },
+            other => ColumnVec::placeholders(total, other),
+        };
         ColumnAssembler {
-            col: ColumnVec::placeholders(total, declared),
+            col,
             filled: 0,
             all_null: None,
             nulls: None,
@@ -572,7 +596,7 @@ impl ColumnAssembler {
             ColumnVec::Int { data, .. } => LanesMut::Int(data),
             ColumnVec::Float { data, .. } => LanesMut::Float(data),
             ColumnVec::Bool { data, .. } => LanesMut::Bool(data),
-            ColumnVec::Str { data, .. } => LanesMut::Str(data),
+            ColumnVec::Str { codes, .. } => LanesMut::Str(codes),
             ColumnVec::AllNull { .. } => unreachable!("placeholders are typed"),
         }
     }
@@ -590,7 +614,8 @@ impl ColumnAssembler {
     /// Account for a decoded page of `n_values` lanes, enforcing the
     /// cross-page invariants (declared row count, one kind of chunk per
     /// column). Pages must be absorbed in page order — null-mask placement
-    /// depends on `filled`.
+    /// and the renumbering of a string page's codes into the column's
+    /// dictionary (one lookup per entry of the page's) depend on `filled`.
     pub(crate) fn absorb(
         &mut self,
         page: DecodedPage,
@@ -620,11 +645,23 @@ impl ColumnAssembler {
             }
             _ => {}
         }
-        if let DecodedPage::Typed(Some(words)) = page {
-            let global = self
-                .nulls
-                .get_or_insert_with(|| vec![0u64; total.div_ceil(64)]);
-            or_null_words(global, self.filled, n_values, &words);
+        if let DecodedPage::Typed { nulls, strings } = page {
+            if let Some(words) = nulls {
+                let global = self
+                    .nulls
+                    .get_or_insert_with(|| vec![0u64; total.div_ceil(64)]);
+                or_null_words(global, self.filled, n_values, &words);
+            }
+            if let ColumnVec::Str { codes, dict, .. } = &mut self.col {
+                let dict = Arc::make_mut(dict);
+                let renumber: Vec<u32> = strings.iter().map(|s| dict.intern(s)).collect();
+                let unchanged = renumber.iter().enumerate().all(|(i, &c)| c as usize == i);
+                if !unchanged {
+                    for c in &mut codes[self.filled..self.filled + n_values] {
+                        *c = renumber[*c as usize];
+                    }
+                }
+            }
         }
         self.filled += n_values;
         Ok(())
@@ -752,12 +789,21 @@ fn decode_bool(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [bool]) -> crate::
     Ok(())
 }
 
-fn decode_str(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [Arc<str>]) -> crate::Result<()> {
+/// Decode a string page into codes of the page's own dictionary, which is
+/// returned: the stored one for a `Dict` page, one entry per run or per
+/// lane otherwise (the assembler's intern folds repeats).
+fn decode_str(
+    cur: &mut Cursor<'_>,
+    enc: Encoding,
+    out: &mut [u32],
+) -> crate::Result<Vec<Arc<str>>> {
     let n = out.len();
+    let mut dict: Vec<Arc<str>> = Vec::new();
     match enc {
         Encoding::Plain => {
-            for o in out {
-                *o = Arc::from(cur.str()?);
+            for (i, o) in out.iter_mut().enumerate() {
+                dict.push(Arc::from(cur.str()?));
+                *o = i as u32;
             }
         }
         Encoding::Dict => {
@@ -765,24 +811,30 @@ fn decode_str(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [Arc<str>]) -> crat
             if n_dict > n {
                 return Err(cur.corrupt(format!("{n_dict} dictionary entries for {n} values")));
             }
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(n_dict);
+            dict.reserve(n_dict);
             for _ in 0..n_dict {
                 dict.push(Arc::from(cur.str()?));
             }
             let (bytes, width) = packed_stream(cur, n)?;
             let mut out_of_range = None;
-            unpack_bits(bytes, n, width, |i, idx| match dict.get(idx as usize) {
-                Some(d) => out[i] = Arc::clone(d),
-                None => out_of_range = out_of_range.or(Some(idx)),
+            unpack_bits(bytes, n, width, |i, idx| {
+                if idx < n_dict as u64 {
+                    out[i] = idx as u32;
+                } else {
+                    out_of_range = out_of_range.or(Some(idx));
+                }
             });
             if let Some(idx) = out_of_range {
                 return Err(cur.corrupt(format!("dictionary index {idx} out of range")));
             }
         }
-        Encoding::Rle => decode_runs(cur, out, |cur| Ok(Arc::from(cur.str()?)))?,
+        Encoding::Rle => decode_runs(cur, out, |cur| {
+            dict.push(Arc::from(cur.str()?));
+            Ok(dict.len() as u32 - 1)
+        })?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Str"))),
     }
-    Ok(())
+    Ok(dict)
 }
 
 #[cfg(test)]
@@ -1278,8 +1330,13 @@ mod tests {
             Vec::new(),
         ];
         for data in &chunks {
+            // Behind a dictionary that holds more than the chunk's values,
+            // in another order.
+            let mut dict = StrDict::default();
+            dict.intern(&Arc::from("never written"));
+            let codes: Vec<u32> = data.iter().rev().map(|s| dict.intern(s)).rev().collect();
             assert_eq!(
-                dict_body(data),
+                dict_body(&codes, &dict),
                 dict_body_oracle(data),
                 "{} lanes",
                 data.len()

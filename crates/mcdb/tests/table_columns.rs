@@ -296,3 +296,50 @@ fn rows_the_schema_rejects_are_still_typed_errors_and_leave_the_table_unchanged(
         Err(McdbError::ArityMismatch { .. })
     ));
 }
+
+/// A query result shares its string dictionary with the table it read (a
+/// gather clones one `Arc`). An append that brings a new string copies the
+/// dictionary first, so the earlier result is what it was — codes, values,
+/// dictionary — and the table holds the new row.
+#[test]
+fn an_append_after_a_query_leaves_the_earlier_result_as_it_was() {
+    let mut db = Catalog::new();
+    db.insert(
+        Table::build("T", &[("S", DataType::Str), ("I", DataType::Int)])
+            .rows((0..6).map(|i| vec![Value::from(["x", "y", "é"][i % 3]), Value::from(i as i64)]))
+            .finish()
+            .unwrap(),
+    );
+    let odd = Plan::scan("T").filter(Expr::col("I").gt(Expr::lit(2)));
+    let before = db.query(&odd).unwrap();
+    let dict_of = |t: &Table| match t.batch().column(0) {
+        ColumnVec::Str { dict, .. } => std::sync::Arc::clone(dict),
+        other => panic!("expected Str, got {other:?}"),
+    };
+    let (shared, frozen) = (dict_of(&before), exact_rows(before.rows()));
+    assert!(std::sync::Arc::ptr_eq(
+        &shared,
+        &dict_of(db.get("T").unwrap())
+    ));
+
+    let mut t = db.remove("T").unwrap();
+    t.push_row(vec![Value::from("y"), Value::from(6)]).unwrap();
+    t.push_row(vec![Value::from("brand new"), Value::from(7)])
+        .unwrap();
+    t.push_row(vec![Value::Null, Value::from(8)]).unwrap();
+    db.insert(t);
+
+    assert_eq!(exact_rows(before.rows()), frozen);
+    assert!(std::sync::Arc::ptr_eq(&shared, &dict_of(&before)));
+    assert_eq!(shared.code_of("brand new"), None);
+    let after = db.query(&odd).unwrap();
+    assert_eq!(after.len(), before.len() + 3);
+    assert_eq!(
+        exact_rows(after.rows())[before.len()..],
+        exact_rows(&[
+            vec![Value::from("y"), Value::from(6)],
+            vec![Value::from("brand new"), Value::from(7)],
+            vec![Value::Null, Value::from(8)],
+        ])[..]
+    );
+}

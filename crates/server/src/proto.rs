@@ -551,8 +551,8 @@ fn render_cell(out: &mut String, col: &ColumnVec, row: usize) {
         // Round-trippable float rendering.
         ColumnVec::Float { data, .. } => write!(out, "{:?}", data[row]),
         ColumnVec::Bool { data, .. } => write!(out, "{}", data[row]),
-        ColumnVec::Str { data, .. } => {
-            escape_cell(out, &data[row]);
+        ColumnVec::Str { codes, dict, .. } => {
+            escape_cell(out, dict.value(codes[row]));
             Ok(())
         }
         ColumnVec::AllNull { .. } => unreachable!("every lane is null"),

@@ -246,6 +246,58 @@ fn mc_checkpoint_survives_the_disk_round_trip() {
     assert_mc_runs_identical(&resumed, &baseline, "parallel resume from disk");
 }
 
+/// A campaign whose plan holds an inline table with a string column, built
+/// from scratch on every call — as a restarted process would build it.
+fn inline_strings_setup() -> (Catalog, MonteCarloQuery) {
+    let mut builder = Table::build("D", &[("NAME", DataType::Str), ("MU", DataType::Float)]);
+    for (i, name) in [
+        "north", "", "süd", "east", "west", "north", "up", "down", "in",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        builder = builder.row(vec![Value::str(name), Value::from(i as f64 * 0.5 - 2.0)]);
+    }
+    let spec = RandomTableSpec::builder("OUT")
+        .for_each(Plan::values(builder.finish().unwrap()))
+        .with_vg(Arc::new(NormalVg))
+        .vg_params_exprs(&[Expr::col("MU"), Expr::lit(1.0)])
+        .select(&[("NAME", Expr::col("NAME")), ("V", Expr::col("VALUE"))])
+        .build()
+        .unwrap();
+    let q = MonteCarloQuery::new(
+        vec![spec],
+        Plan::scan("OUT")
+            .filter(Expr::col("NAME").ne(Expr::lit("east")))
+            .aggregate(&[], vec![AggSpec::new("S", AggFunc::Sum, Expr::col("V"))]),
+    );
+    (Catalog::new(), q)
+}
+
+/// The campaign fingerprint hashes the plan's debug text, inline tables
+/// included: the same plan built again — other `Arc`s, another dictionary,
+/// another hash-map seed — is the same campaign.
+#[test]
+fn mc_rebuilt_plan_with_inline_strings_resumes_its_own_checkpoint() {
+    let seed = chaos_seed();
+    let n = 12;
+    let (db, q) = inline_strings_setup();
+    let baseline = q
+        .run_with_options(&db, n, seed, &RunOptions::default())
+        .unwrap();
+    let partial = q.run_with_options(&db, n, seed, &preempt_opts(5)).unwrap();
+    let state = partial
+        .checkpoint
+        .expect("stopped run carries a checkpoint");
+    for _ in 0..4 {
+        let (db, rebuilt) = inline_strings_setup();
+        let resumed = rebuilt
+            .run_with_options(&db, n, seed, &resuming(state.clone()))
+            .unwrap();
+        assert_mc_runs_identical(&resumed, &baseline, "rebuilt plan");
+    }
+}
+
 #[test]
 fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
     let seed = chaos_seed();

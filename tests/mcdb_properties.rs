@@ -16,6 +16,8 @@ use model_data_ecosystems::mcdb::RunOptions;
 use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed, StreamFactory};
 use std::sync::Arc;
 
+mod common;
+
 fn base_catalog(n_items: usize, mean: f64, std: f64) -> Catalog {
     let mut db = Catalog::new();
     db.insert(
@@ -120,13 +122,24 @@ fn edge_catalog(n_rows: usize, null_every: usize) -> Catalog {
             .finish()
             .unwrap(),
     );
+    // String keys over independent dictionaries (cases 6 and up); eight
+    // times the rows, so a paged twin spreads them over several pages.
+    for t in common::string_tables(n_rows * 8, null_every) {
+        db.insert(t);
+    }
     db
 }
+
+/// How many plans [`edge_plan_for`] knows.
+const EDGE_CASES: u8 = 6 + common::STRING_CASES;
 
 /// Edge-case plan family: each arm stresses one semantic corner that a
 /// vectorized engine can easily get subtly wrong.
 fn edge_plan_for(case: u8, divisor: i64, threshold: f64, limit: usize) -> Plan {
-    match case % 6 {
+    if case >= 6 {
+        return common::string_plan_for(case - 6, limit);
+    }
+    match case {
         // NULL join keys must never match, and fact-major row order must
         // survive regardless of which side the hash table is built on.
         0 => Plan::scan("FACT")
@@ -358,12 +371,12 @@ fn optimizer_never_changes_results() {
 /// filter→sort→limit selection-vector composition.
 #[test]
 fn vectorized_engine_matches_legacy_on_edge_plans() {
-    for_cases(24, |rng| {
+    for_cases(60, |rng| {
         let n_rows = rng.gen_range(0usize..40);
         let null_every = rng.gen_range(1usize..5);
         let divisor = rng.gen_range(-2i64..3);
         let threshold = rng.gen_range(-10.0f64..10.0);
-        let case = rng.gen_range(0u8..6);
+        let case = rng.gen_range(0u8..EDGE_CASES);
         let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let plan = edge_plan_for(case, divisor, threshold, limit);

@@ -40,6 +40,8 @@ use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed, Rng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 static TWIN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Star-schema corpus catalog: a fact table with NULLs sprinkled into
@@ -405,9 +407,10 @@ fn typed_errors_are_thread_count_invariant() {
 const KEYS_ROWS: usize = 523;
 
 /// Catalog behind the kernel corpus. `KEYS` carries every key hazard:
-/// `F` mixes `-0.0`, `0.0` and NULL; `S` holds equal strings both through
-/// two shared `Arc`s and through a fresh `Arc` per row; `B` is a nullable
-/// boolean; `Q` is a narrow Int range (sort ties); `V` mixes magnitudes so
+/// `F` mixes `-0.0`, `0.0` and NULL; `K` holds the one `Int` key that hashes
+/// like NULL; `S` holds equal strings both through two shared `Arc`s and
+/// through a fresh `Arc` per row, `""` and a non-ASCII value; `B` is a
+/// nullable boolean; `Q` is a narrow Int range (sort ties); `V` mixes magnitudes so
 /// float sums are order-sensitive. `DIM` has duplicate, NULL and
 /// never-matching keys of every type; `EMPTY` has no rows.
 fn kernel_catalog(seed: u64) -> Catalog {
@@ -439,15 +442,19 @@ fn kernel_catalog(seed: u64) -> Catalog {
                 },
                 if (r >> 3).is_multiple_of(11) {
                     Value::Null
+                } else if (r >> 3).is_multiple_of(13) {
+                    Value::from(common::null_hash_twin())
                 } else {
                     Value::from(((r >> 3) % 5) as i64)
                 },
-                match (r >> 6) % 6 {
+                match (r >> 6) % 8 {
                     0 => Value::Null,
                     1 => shared[0].clone(),
                     2 => Value::str("a"),
                     3 => shared[1].clone(),
                     4 => Value::str("b"),
+                    5 => Value::str(""),
+                    6 => Value::str("é"),
                     _ => Value::str("c"),
                 },
                 match (r >> 9) % 5 {
@@ -469,7 +476,11 @@ fn kernel_catalog(seed: u64) -> Catalog {
         .unwrap(),
     );
     type DimRow = (Option<i64>, Option<&'static str>, Option<f64>, bool);
-    let dim_rows: [DimRow; 10] = [
+    let twin = common::null_hash_twin();
+    let dim_rows: [DimRow; 13] = [
+        (Some(twin), Some("é"), Some(3.0), true),
+        (Some(5), Some(""), Some(4.0), true),
+        (Some(twin), Some(""), Some(5.0), false),
         (None, Some("a"), Some(0.0), true),
         (Some(0), Some("a"), Some(-0.0), false),
         (Some(1), Some("b"), Some(1.5), true),
@@ -652,6 +663,19 @@ fn kernel_plans() -> Vec<(&'static str, Plan)> {
         (
             "limit over a filter",
             keys().filter(Expr::col("Q").lt(Expr::lit(0))).limit(9),
+        ),
+        // A string column against a literal: decided per dictionary entry
+        // on whole morsels, per lane under a selection.
+        (
+            "str column below a literal",
+            keys().filter(Expr::col("S").lt(Expr::lit("b"))),
+        ),
+        (
+            "literal at most a str column, under a selection",
+            keys()
+                .filter(Expr::col("Q").gt(Expr::lit(-2)))
+                .filter(Expr::lit("b").le(Expr::col("S")))
+                .aggregate(&["S"], vec![AggSpec::count_star("N")]),
         ),
     ];
     // Top-k must equal stable-sort-then-truncate at the boundaries.

@@ -18,6 +18,8 @@ use model_data_ecosystems::numeric::rng::for_cases;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 static TWIN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Write a paged twin of `db` under a fresh temp dir with a small pool;
@@ -124,12 +126,24 @@ fn edge_catalog(n_rows: usize, null_every: usize) -> Catalog {
             .finish()
             .unwrap(),
     );
+    // String keys over independent dictionaries (cases 6 and up); eight
+    // times the rows, so the paged `TAGGED.TAG` spans several pages, each
+    // with a dictionary of its own.
+    for t in common::string_tables(n_rows * 8, null_every) {
+        db.insert(t);
+    }
     db
 }
 
+/// How many plans [`edge_plan_for`] knows.
+const EDGE_CASES: u8 = 6 + common::STRING_CASES;
+
 /// Same edge-case plan family as `mcdb_properties.rs`.
 fn edge_plan_for(case: u8, divisor: i64, threshold: f64, limit: usize) -> Plan {
-    match case % 6 {
+    if case >= 6 {
+        return common::string_plan_for(case - 6, limit);
+    }
+    match case {
         0 => Plan::scan("FACT")
             .join(Plan::scan("DIM"), &[("K", "K")])
             .filter(Expr::col("V").gt(Expr::lit(threshold))),
@@ -197,12 +211,12 @@ fn sql_catalog() -> Catalog {
 /// family, including identical error messages.
 #[test]
 fn paged_catalog_matches_memory_oracle_on_edge_plans() {
-    for_cases(24, |rng| {
+    for_cases(60, |rng| {
         let n_rows = rng.gen_range(0usize..40);
         let null_every = rng.gen_range(1usize..5);
         let divisor = rng.gen_range(-2i64..3);
         let threshold = rng.gen_range(-10.0f64..10.0);
-        let case = rng.gen_range(0u8..6);
+        let case = rng.gen_range(0u8..EDGE_CASES);
         let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let (paged, dir) = paged_twin(&db, 4, 256, None);
@@ -217,12 +231,12 @@ fn paged_catalog_matches_memory_oracle_on_edge_plans() {
 /// partitioning (threshold 8 rows) and must still match exactly.
 #[test]
 fn spilled_paged_catalog_matches_memory_oracle() {
-    for_cases(24, |rng| {
+    for_cases(60, |rng| {
         let n_rows = rng.gen_range(0usize..40);
         let null_every = rng.gen_range(1usize..5);
         let divisor = rng.gen_range(-2i64..3);
         let threshold = rng.gen_range(-10.0f64..10.0);
-        let case = rng.gen_range(0u8..6);
+        let case = rng.gen_range(0u8..EDGE_CASES);
         let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let (paged, dir) = paged_twin(&db, 4, 256, Some(8));
@@ -294,8 +308,32 @@ fn paged_append_tail_stays_differential() {
         }
         cat.insert(fact);
     }
+    // And to TAGGED: tail strings the pages' dictionaries hold ("lo", "")
+    // and ones they do not, spliced onto a base of several pages.
+    let tagged = paged.get("TAGGED").unwrap().paged_store().unwrap();
+    let tag_pages = tagged.directory().iter().filter(|m| m.column == 0);
+    assert!(tag_pages.count() > 1, "TAG must span pages");
+    let more: Vec<Vec<Value>> = ["lo", "brand new", "", "é", "brand new", "t0"]
+        .iter()
+        .enumerate()
+        .map(|(i, tag)| {
+            vec![
+                Value::from(*tag),
+                Value::from(i as i64 % 3),
+                Value::from(i as f64 - 1.5),
+                Value::from(1_000 + i as i64),
+            ]
+        })
+        .collect();
+    for cat in [&mut db, &mut paged] {
+        let mut t = cat.remove("TAGGED").unwrap();
+        for r in &more {
+            t.push_row(r.clone()).unwrap();
+        }
+        cat.insert(t);
+    }
     assert!(paged.get("FACT").unwrap().is_paged());
-    for case in 0..6 {
+    for case in 0..EDGE_CASES {
         let plan = edge_plan_for(case, 2, 0.5, 7);
         assert_twin_agrees(&db, &paged, &plan, true);
     }
