@@ -82,6 +82,27 @@ pub fn factor_screening_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mde_numeric::rng::{chaos_seed, splitmix64};
+
+    #[test]
+    fn gp_screening_ranks_every_active_factor_above_every_inert_one() {
+        // §4.3's statistic at 13 design seeds: the two factors the response
+        // depends on take the top two θ, whatever the NOLH draw.
+        let response = FnResponse::new(4, |x: &[f64], _rng: &mut Rng| {
+            (3.0 * x[0]).sin() + x[2] * x[2]
+        });
+        for i in 0..13 {
+            let seed = splitmix64(chaos_seed() ^ (0xE14 + i));
+            let ranked = gp_screening(&response, 25, &mut rng_from_seed(seed)).expect("gp fit");
+            let mut top: Vec<usize> = ranked[..2].iter().map(|(j, _)| *j).collect();
+            top.sort_unstable();
+            assert_eq!(top, [0, 2], "seed {seed}: ranking {ranked:?}");
+            assert!(
+                ranked[1].1 > 10.0 * ranked[2].1,
+                "seed {seed}: weakest active vs strongest inert, {ranked:?}"
+            );
+        }
+    }
 
     #[test]
     fn sb_probe_count_scales_sublinearly() {

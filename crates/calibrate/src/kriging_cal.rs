@@ -220,8 +220,17 @@ fn kriging_calibrate_inner(
     let gp_cfg = GpConfig::default();
     let refit_every = cfg.refit_every.max(1);
     let mut ws = KernelWorkspace::new(&xs)?;
-    let mut surrogate =
-        GpModel::fit_workspace(&mut ws, &ys, &noise, &gp_cfg, metrics.as_deref_mut())?;
+    // Anchor fits are remembered in the scope's cache (when there is one)
+    // as `gp.fit` leaves of their own, outside the scope's provenance.
+    let fits = scope.as_deref().map(|s| s.handle().clone());
+    let mut surrogate = GpModel::fit_remembered(
+        &mut ws,
+        &ys,
+        &noise,
+        &gp_cfg,
+        metrics.as_deref_mut(),
+        fits.as_ref(),
+    )?;
     let mut last_was_refit = true;
     for round in 0..cfg.infill_rounds {
         // Start the surrogate search from the best design point so far.
@@ -256,8 +265,14 @@ fn kriging_calibrate_inner(
         ys.push(m);
         noise.push(v);
         if (round + 1) % refit_every == 0 {
-            surrogate =
-                GpModel::fit_workspace(&mut ws, &ys, &noise, &gp_cfg, metrics.as_deref_mut())?;
+            surrogate = GpModel::fit_remembered(
+                &mut ws,
+                &ys,
+                &noise,
+                &gp_cfg,
+                metrics.as_deref_mut(),
+                fits.as_ref(),
+            )?;
             last_was_refit = true;
         } else {
             surrogate.append_point(&candidate, m, v, metrics.as_deref_mut())?;
@@ -267,93 +282,7 @@ fn kriging_calibrate_inner(
     // The returned surrogate is always anchored by a full refit so its
     // hyperparameters reflect every evaluated point.
     if !last_was_refit {
-        surrogate = GpModel::fit_workspace(&mut ws, &ys, &noise, &gp_cfg, metrics)?;
-    }
-
-    let best_idx = (0..ys.len())
-        .min_by(|&a, &b| ys[a].total_cmp(&ys[b]))
-        .unwrap_or(0);
-    Ok(KrigingCalResult {
-        best: OptimResult {
-            x: xs[best_idx].clone(),
-            fx: ys[best_idx],
-            evals: evaluated.len() * cfg.reps_per_point,
-            converged: false,
-        },
-        evaluated,
-        surrogate,
-    })
-}
-
-/// The retained pre-workspace calibration loop (the `query_unoptimized`
-/// pattern at subsystem level): every infill round rebuilds the surrogate
-/// from scratch with [`GpModel::fit_unoptimized`] — per-evaluation
-/// covariance reconstruction and the scalar Cholesky, no workspace
-/// caching, no rank-1 borders. Kept as the differential oracle and the
-/// honest pre-optimization baseline (the `calibrate.*` rows in
-/// `benchmark/README.md` time the production path); not for production
-/// use.
-pub fn kriging_calibrate_unoptimized(
-    mut objective: impl FnMut(&[f64], usize) -> f64,
-    bounds: &Bounds,
-    cfg: &KrigingCalConfig,
-    rng: &mut Rng,
-) -> mde_numeric::Result<KrigingCalResult> {
-    validate_cfg(cfg)?;
-
-    let design = nolh(bounds.dim(), cfg.design_runs, cfg.nolh_tries, rng);
-    let mut xs: Vec<Vec<f64>> = design.scale_to(&bounds.ranges);
-
-    let evaluate = |x: &[f64], objective: &mut dyn FnMut(&[f64], usize) -> f64| {
-        let vals: Vec<f64> = (0..cfg.reps_per_point).map(|r| objective(x, r)).collect();
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = if vals.len() > 1 {
-            vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-                / (vals.len() as f64 - 1.0)
-                / vals.len() as f64
-        } else {
-            0.0
-        };
-        (mean, var)
-    };
-    let mut ys = Vec::with_capacity(xs.len());
-    let mut noise = Vec::with_capacity(xs.len());
-    let mut evaluated = Vec::new();
-    for x in &xs {
-        let (m, v) = evaluate(x, &mut objective);
-        ys.push(m);
-        noise.push(v);
-        evaluated.push((x.clone(), m));
-    }
-
-    let gp_cfg = GpConfig::default();
-    let mut surrogate = GpModel::fit_unoptimized(&xs, &ys, &noise, &gp_cfg)?;
-    for _ in 0..cfg.infill_rounds {
-        let best_idx = (0..ys.len())
-            .min_by(|&a, &b| ys[a].total_cmp(&ys[b]))
-            .unwrap_or(0);
-        let sur_ref = &surrogate;
-        let bounds_ref = bounds;
-        let r = nelder_mead(
-            move |x| {
-                let mut xx = x.to_vec();
-                bounds_ref.clamp(&mut xx);
-                sur_ref.predict(&xx)
-            },
-            &xs[best_idx],
-            &NelderMeadConfig {
-                max_evals: 500,
-                ..NelderMeadConfig::default()
-            },
-        )?;
-        let mut candidate = r.x;
-        bounds.clamp(&mut candidate);
-        let (m, v) = evaluate(&candidate, &mut objective);
-        evaluated.push((candidate.clone(), m));
-        xs.push(candidate);
-        ys.push(m);
-        noise.push(v);
-        surrogate = GpModel::fit_unoptimized(&xs, &ys, &noise, &gp_cfg)?;
+        surrogate = GpModel::fit_remembered(&mut ws, &ys, &noise, &gp_cfg, metrics, fits.as_ref())?;
     }
 
     let best_idx = (0..ys.len())
@@ -526,35 +455,30 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_loop_is_a_faithful_oracle() {
-        // The retained pre-workspace loop consumes the same RNG stream
-        // (same NOLH design) and must land on the same minimum as the
-        // fast path — fit trajectories may differ in the last bits, so
-        // compare the answers, not the floats.
+    fn final_anchor_is_a_from_scratch_fit_of_the_evaluated_design() {
+        // The loop carries one workspace through every `push`, border and
+        // anchor refit; what it returns must be exactly the model a fresh
+        // fit of the points it evaluated gives — the from-scratch oracle
+        // for the incremental path, to the bit.
         let mut rng = rng_from_seed(11);
-        let fast = kriging_calibrate(
+        let res = kriging_calibrate(
             |x, _| smooth(x),
             &unit_bounds(),
             &KrigingCalConfig::default(),
             &mut rng,
         )
         .unwrap();
-        let mut rng = rng_from_seed(11);
-        let slow = kriging_calibrate_unoptimized(
-            |x, _| smooth(x),
-            &unit_bounds(),
-            &KrigingCalConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(fast.evaluated.len(), slow.evaluated.len());
-        for res in [&fast, &slow] {
-            assert!(
-                (res.best.x[0] - 0.6).abs() < 0.1 && (res.best.x[1] - 0.3).abs() < 0.1,
-                "best at {:?}",
-                res.best.x
-            );
-        }
+        let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = res.evaluated.iter().cloned().unzip();
+        let fresh = GpModel::fit(&xs, &ys, &GpConfig::default()).unwrap();
+        let bits = |m: &GpModel| -> Vec<u64> {
+            [m.beta0(), m.tau2()]
+                .iter()
+                .chain(m.thetas())
+                .chain(&[m.predict(&[0.37, 0.61])])
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&res.surrogate), bits(&fresh));
     }
 
     #[test]
@@ -602,8 +526,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh_evals, 0, "warm calibration must be pure cache hits");
-        assert_eq!(warm.best.fx.to_bits(), base.best.fx.to_bits());
+        // uncached ≡ cold ≡ warm, to the bit: the calibrated point and the
+        // surrogate behind it.
+        let bits = |r: &KrigingCalResult| -> Vec<u64> {
+            let m = &r.surrogate;
+            r.best
+                .x
+                .iter()
+                .chain(&[r.best.fx, m.beta0(), m.tau2()])
+                .chain(m.thetas())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&warm), bits(&base));
+        assert_eq!(bits(&cold), bits(&base));
         assert!(metrics.counter("cache.hits") > 0);
+        // Every anchor fit was remembered: one re-verifying factorization
+        // each (the initial fit, the round-2 refit, the final anchor).
+        assert_eq!(metrics.counter("gp.factorizations"), 3);
+        assert_eq!(metrics.counter("gp.assembles"), 3);
         // The calibration answer traces back to its cached evaluations.
         let prov = handle
             .provenance_of(&scope2.trace_key())
@@ -625,10 +566,6 @@ mod tests {
             ..KrigingCalConfig::default()
         };
         assert!(kriging_calibrate(|x, _| smooth(x), &unit_bounds(), &zero_reps, &mut rng).is_err());
-        assert!(
-            kriging_calibrate_unoptimized(|x, _| smooth(x), &unit_bounds(), &tiny, &mut rng)
-                .is_err()
-        );
     }
 
     #[test]

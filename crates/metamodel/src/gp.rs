@@ -14,19 +14,39 @@
 //! interpolates noisy observations.
 //!
 //! "In practice the various parameters … are estimated from the data":
-//! `(τ², θ)` by Nelder–Mead on the negative log marginal likelihood with
-//! `β₀` profiled out by GLS. The likelihood search runs on a cached
-//! [`KernelWorkspace`] (squared pairwise differences computed once, zero
-//! allocation per candidate) with a blocked in-place factorization;
-//! [`GpModel::fit_unoptimized`] keeps the original rebuild-everything
-//! path as a differential oracle. [`GpModel::append_point`] grows a
-//! fitted surrogate by one design point via a rank-1 Cholesky border
-//! instead of a refit — the workhorse of kriging-assisted infill loops.
+//! `(τ², θ)` minimize the negative log marginal likelihood with `β₀`
+//! profiled out by GLS. **The search** is one dense BFGS
+//! ([`mde_numeric::optim::bfgs`]) over `φ = (ln τ², ln θ)` from a
+//! data-derived start, following the analytic gradient the cached
+//! [`KernelWorkspace`] returns next to each likelihood value (formula and
+//! cost in the `kernel` module doc); steps are capped in log space, a
+//! non-SPD or non-finite trial is `+∞`, and an inert factor's flat `ln θ`
+//! direction ends the search instead of being walked to `−∞`. The fit ends
+//! with one plain assemble + factorization at the accepted point, which is
+//! the model returned.
+//!
+//! **A fit is remembered.** [`GpModel::fit_remembered`] content-addresses
+//! the accepted `[ln τ², ln θ…, nll]` in the result cache under the design,
+//! the responses, the noise and the search's identity ([`fit_key`]). A
+//! later fit of the same data looks it up and runs only the final
+//! evaluation at the stored point — the same call the search would have
+//! ended with, hence the same model to the bit — and accepts it only if
+//! the arity is right, every value is finite and the likelihood it just
+//! recomputed equals the stored one bit for bit. Anything else (a digest
+//! collision, an edited file, an entry written by another build) is a miss:
+//! the search runs and overwrites the entry. A remembered fit is verified,
+//! never trusted.
+//!
+//! [`GpModel::append_point`] grows a fitted surrogate by one design point
+//! via a rank-1 Cholesky border instead of a refit — the workhorse of
+//! kriging-assisted infill loops.
 
-use crate::kernel::KernelWorkspace;
+use crate::kernel::{require_finite, KernelWorkspace};
+use mde_numeric::cache::{CacheEntry, CacheHandle, CacheKey};
+use mde_numeric::checkpoint::Fingerprint;
 use mde_numeric::linalg::Cholesky;
 use mde_numeric::obs::RunMetrics;
-use mde_numeric::optim::{nelder_mead, NelderMeadConfig};
+use mde_numeric::optim::{bfgs, BfgsConfig};
 use mde_numeric::NumericError;
 
 /// Configuration for GP fitting.
@@ -114,7 +134,25 @@ impl GpModel {
         ys: &[f64],
         noise_var: &[f64],
         cfg: &GpConfig,
+        metrics: Option<&mut RunMetrics>,
+    ) -> mde_numeric::Result<GpModel> {
+        Self::fit_remembered(ws, ys, noise_var, cfg, metrics, None)
+    }
+
+    /// [`GpModel::fit_workspace`] through a result cache: the accepted
+    /// hyperparameters are stored as a leaf entry (campaign tag `gp.fit`,
+    /// key [`fit_key`]), and a later fit of the same data re-verifies the
+    /// stored point with one evaluation instead of searching (module doc).
+    /// With or without a cache, hit or miss, the model is the same to the
+    /// bit; the ledger shows the difference (`gp.factorizations` is 1 on a
+    /// hit).
+    pub fn fit_remembered(
+        ws: &mut KernelWorkspace,
+        ys: &[f64],
+        noise_var: &[f64],
+        cfg: &GpConfig,
         mut metrics: Option<&mut RunMetrics>,
+        cache: Option<&CacheHandle>,
     ) -> mde_numeric::Result<GpModel> {
         let n = ws.n();
         if n < 2 {
@@ -129,122 +167,78 @@ impl GpModel {
                 format!("{}", ys.len()),
             ));
         }
+        require_finite("ys", ys)?;
         validate_noise(noise_var, n)?;
-        let log_params = initial_log_params(ws.xs(), ys)?;
+        let start = initial_log_params(ws.xs(), ys)?;
+        let d = ws.dim();
 
-        // Negative log marginal likelihood with GLS β₀ (profiled). Each
-        // evaluation is a cached fill + in-place factor on the workspace:
-        // no allocation, no recomputed pairwise differences.
-        let threads = cfg.threads;
-        let jitter = cfg.jitter;
-        let nll = |lp: &[f64]| -> f64 {
-            let tau2 = lp[0].exp();
-            let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
+        // One likelihood evaluation at log-parameters `lp`: a cached fill +
+        // in-place factor on the workspace (no allocation, no recomputed
+        // pairwise differences), with the gradient when asked.
+        let mut thetas = vec![0.0; d];
+        let mut evaluate = |ws: &mut KernelWorkspace, lp: &[f64], grad: Option<&mut [f64]>| {
             if let Some(m) = metrics.as_deref_mut() {
                 m.inc("gp.assembles");
                 m.inc("gp.factorizations");
             }
-            match ws.assemble(tau2, &thetas, noise_var, ys, jitter, threads) {
-                Ok((_, value)) => value,
-                Err(_) => f64::INFINITY,
+            for (t, l) in thetas.iter_mut().zip(&lp[1..]) {
+                *t = l.exp();
+            }
+            let tau2 = lp[0].exp();
+            ws.assemble(tau2, &thetas, noise_var, ys, cfg.jitter, cfg.threads, grad)
+        };
+
+        // A remembered fit is re-verified, never trusted: one evaluation at
+        // the stored point must reproduce the stored likelihood exactly.
+        let cached = cache.map(|c| (c, fit_key(ws.xs(), ys, noise_var, cfg)));
+        let accepted = cached
+            .as_ref()
+            .and_then(|(c, key)| c.get(key))
+            .map(|stored| stored.values)
+            .filter(|v| v.len() == d + 2 && v.iter().all(|x| x.is_finite()))
+            .and_then(|v| match evaluate(ws, &v[..=d], None) {
+                Ok((beta0, nll)) if nll.to_bits() == v[d + 1].to_bits() => {
+                    Some((v[..=d].to_vec(), beta0))
+                }
+                _ => None,
+            });
+        let (log_params, beta0) = match accepted {
+            Some(hit) => hit,
+            None => {
+                let found = bfgs(
+                    |lp, grad| match evaluate(ws, lp, Some(grad)) {
+                        Ok((_, nll)) => nll,
+                        Err(_) => f64::INFINITY,
+                    },
+                    &start,
+                    &BfgsConfig {
+                        max_evals: cfg.max_evals,
+                        g_tol: 1e-5,
+                        f_tol: SEARCH_F_TOL,
+                        max_step: MAX_LOG_STEP,
+                    },
+                )?;
+                let (beta0, nll) = evaluate(ws, &found.x, None)?;
+                if let Some((c, key)) = cached {
+                    let mut values = found.x.clone();
+                    values.push(nll);
+                    c.insert(CacheEntry::leaf(key, FIT_CAMPAIGN, values));
+                }
+                (found.x, beta0)
             }
         };
-        let result = nelder_mead(
-            nll,
-            &log_params,
-            &NelderMeadConfig {
-                max_evals: cfg.max_evals,
-                initial_step: 0.5,
-                ..NelderMeadConfig::default()
-            },
-        )?;
 
-        let tau2 = result.x[0].exp();
-        let thetas: Vec<f64> = result.x[1..].iter().map(|l| l.exp()).collect();
-        if let Some(m) = metrics {
-            m.inc("gp.assembles");
-            m.inc("gp.factorizations");
-        }
-        let (beta0, _) = ws.assemble(tau2, &thetas, noise_var, ys, jitter, threads)?;
         let (l, alpha) = ws.take_factored();
         Ok(GpModel {
             xs: ws.xs().to_vec(),
             ys: ys.to_vec(),
             beta0,
-            tau2,
-            thetas,
+            tau2: log_params[0].exp(),
+            thetas: log_params[1..].iter().map(|l| l.exp()).collect(),
             noise_var: noise_var.to_vec(),
             jitter: cfg.jitter,
             alpha,
             chol: Cholesky::from_factor(l),
-        })
-    }
-
-    /// The original fit path — full kernel-matrix rebuild and scalar
-    /// (unblocked) factorization per likelihood evaluation — kept as a
-    /// differential oracle for the workspace/blocked implementation, in
-    /// the same spirit as the query engine's `query_unoptimized`.
-    pub fn fit_unoptimized(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        noise_var: &[f64],
-        cfg: &GpConfig,
-    ) -> mde_numeric::Result<GpModel> {
-        let n = xs.len();
-        if n < 2 {
-            return Err(NumericError::EmptyInput {
-                context: "GpModel::fit (need >= 2 design points)",
-            });
-        }
-        if ys.len() != n {
-            return Err(NumericError::dim(
-                "GpModel::fit",
-                format!("{n} responses"),
-                format!("{}", ys.len()),
-            ));
-        }
-        let d = xs[0].len();
-        if d == 0 || xs.iter().any(|x| x.len() != d) {
-            return Err(NumericError::invalid(
-                "xs",
-                "design points must share a positive dimension".to_string(),
-            ));
-        }
-        validate_noise(noise_var, n)?;
-        let log_params = initial_log_params(xs, ys)?;
-
-        let nll = |lp: &[f64]| -> f64 {
-            let tau2 = lp[0].exp();
-            let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
-            match assemble_unoptimized(xs, ys, noise_var, tau2, &thetas, cfg.jitter) {
-                Ok((_, _, _, value)) => value,
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let result = nelder_mead(
-            nll,
-            &log_params,
-            &NelderMeadConfig {
-                max_evals: cfg.max_evals,
-                initial_step: 0.5,
-                ..NelderMeadConfig::default()
-            },
-        )?;
-
-        let tau2 = result.x[0].exp();
-        let thetas: Vec<f64> = result.x[1..].iter().map(|l| l.exp()).collect();
-        let (chol, beta0, alpha, _) =
-            assemble_unoptimized(xs, ys, noise_var, tau2, &thetas, cfg.jitter)?;
-        Ok(GpModel {
-            xs: xs.to_vec(),
-            ys: ys.to_vec(),
-            beta0,
-            tau2,
-            thetas,
-            noise_var: noise_var.to_vec(),
-            jitter: cfg.jitter,
-            alpha,
-            chol,
         })
     }
 
@@ -273,12 +267,9 @@ impl GpModel {
                 format!("dimension {}", x.len()),
             ));
         }
-        if noise_var < 0.0 || noise_var.is_nan() {
-            return Err(NumericError::invalid(
-                "noise_var",
-                "variances must be non-negative".to_string(),
-            ));
-        }
+        require_finite("x", x)?;
+        require_finite("y", &[y])?;
+        validate_noise(&[noise_var], 1)?;
         let col: Vec<f64> = self
             .xs
             .iter()
@@ -391,16 +382,74 @@ fn validate_noise(noise_var: &[f64], n: usize) -> mde_numeric::Result<()> {
             format!("{}", noise_var.len()),
         ));
     }
-    if noise_var.iter().any(|v| *v < 0.0) {
+    require_finite("noise_var", noise_var)?;
+    if let Some(i) = noise_var.iter().position(|v| *v < 0.0) {
         return Err(NumericError::invalid(
             "noise_var",
-            "variances must be non-negative".to_string(),
+            format!(
+                "variances must be non-negative (element {i} is {})",
+                noise_var[i]
+            ),
         ));
     }
     Ok(())
 }
 
-/// Initial Nelder–Mead point: `ln τ² ≈ ln var(y)`, `ln θ_k ≈ −2·ln range_k`
+/// Largest change of any log-parameter in one trial step of the search: a
+/// factor of `e² ≈ 7.4` in `τ²` or a `θ`.
+const MAX_LOG_STEP: f64 = 2.0;
+
+/// The search stops when a step gains less than this fraction of
+/// `1 + |nll|`. Deterministic kriging factors a matrix whose condition
+/// number the `1e-10` jitter lets reach `1e12`, so the likelihood itself is
+/// resolved to about this; a tighter stop only crawls through its rounding
+/// (2–3× the evaluations on a noise-free response, same `(τ², θ)` to four
+/// digits).
+const SEARCH_F_TOL: f64 = 1e-8;
+
+/// Campaign tag of a remembered fit's cache entry.
+const FIT_CAMPAIGN: &str = "gp.fit";
+
+/// Identity of the likelihood search inside [`fit_key`]. **Bump it whenever
+/// the search path changes** (start point, optimizer, tolerances, step
+/// cap): an entry remembered under the old path is then simply never
+/// looked up, instead of being verified and served as if the new path had
+/// found it.
+const SEARCH_IDENTITY: u64 = 1;
+
+/// Content address of a fit: a fingerprint over the search identity, the
+/// shape `(n, d)`, the jitter and the evaluation budget, with separate
+/// digests of the design, response and noise bits as the "parameter point".
+/// Everything that can change the bits of the accepted `(τ², θ)`
+/// participates; `GpConfig::threads` deliberately does not (the fit is
+/// bit-identical at any thread count), and neither does a seed or a
+/// replicate count — a fit draws nothing.
+pub fn fit_key(xs: &[Vec<f64>], ys: &[f64], noise_var: &[f64], cfg: &GpConfig) -> CacheKey {
+    fn digest<'a>(tag: &str, values: impl Iterator<Item = &'a f64>) -> u64 {
+        values
+            .fold(Fingerprint::new(tag), |fp, &v| fp.push_f64(v))
+            .finish()
+    }
+    let spec = Fingerprint::new(FIT_CAMPAIGN)
+        .push_u64(SEARCH_IDENTITY)
+        .push_u64(xs.len() as u64)
+        .push_u64(xs.first().map_or(0, Vec::len) as u64)
+        .push_f64(cfg.jitter)
+        .push_u64(cfg.max_evals as u64)
+        .finish();
+    CacheKey {
+        spec_fingerprint: spec,
+        param_point_bits: vec![
+            digest("gp.fit.xs", xs.iter().flatten()),
+            digest("gp.fit.ys", ys.iter()),
+            digest("gp.fit.noise", noise_var.iter()),
+        ],
+        replicates: 0,
+        master_seed: 0,
+    }
+}
+
+/// Start point of the likelihood search: `ln τ² ≈ ln var(y)`, `ln θ_k ≈ −2·ln range_k`
 /// — all per-dimension ranges gathered in a **single pass** over the
 /// design. A constant column makes the correlation scale undefined (the
 /// likelihood is flat in that θ), so it is a typed error rather than a
@@ -437,10 +486,14 @@ fn initial_log_params(xs: &[Vec<f64>], ys: &[f64]) -> mde_numeric::Result<Vec<f6
     Ok(log_params)
 }
 
-/// Build Σ = τ²R + Σ_ε + jitter·I from scratch, factor it with the scalar
-/// oracle, compute the GLS β₀ and the weight vector α, and return the
-/// negative log likelihood. Differential baseline for
-/// [`KernelWorkspace::fill`]-based assembly.
+/// The naive oracle for [`KernelWorkspace::assemble`]: build
+/// Σ = τ²R + Σ_ε + jitter·(1+τ²)·I from scratch, factor it with the scalar
+/// Cholesky, compute the GLS β₀ and the weight vector α, and return them
+/// with the negative log likelihood and its gradient in
+/// `(ln τ², ln θ₁…ln θ_d)` — the textbook
+/// `½ tr(Σ⁻¹ ∂Σ) − ½ αᵀ ∂Σ α` over dense `∂Σ` matrices, sharing nothing
+/// with the workspace's packed pass.
+#[cfg(test)]
 #[allow(clippy::type_complexity)]
 fn assemble_unoptimized(
     xs: &[Vec<f64>],
@@ -449,9 +502,10 @@ fn assemble_unoptimized(
     tau2: f64,
     thetas: &[f64],
     jitter: f64,
-) -> mde_numeric::Result<(Cholesky, f64, Vec<f64>, f64)> {
+) -> mde_numeric::Result<(f64, Vec<f64>, f64, Vec<f64>)> {
+    use mde_numeric::linalg::Matrix;
     let n = xs.len();
-    let mut sigma = mde_numeric::linalg::Matrix::zeros(n, n);
+    let mut sigma = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
             let mut v = tau2 * correlation(&xs[i], &xs[j], thetas);
@@ -471,7 +525,34 @@ fn assemble_unoptimized(
     let alpha = chol.solve_unblocked(&r)?;
     let quad: f64 = r.iter().zip(&alpha).map(|(a, b)| a * b).sum();
     let nll = 0.5 * (chol.ln_det() + quad);
-    Ok((chol, beta0, alpha, nll))
+
+    // Column c of Σ⁻¹ by one scalar solve each.
+    let inv: Vec<Vec<f64>> = (0..n)
+        .map(|c| {
+            let mut e = vec![0.0; n];
+            e[c] = 1.0;
+            chol.solve_unblocked(&e)
+        })
+        .collect::<mde_numeric::Result<_>>()?;
+    let along = |dsigma: &dyn Fn(usize, usize) -> f64| -> f64 {
+        let mut g = 0.0;
+        for i in 0..n {
+            for k in 0..n {
+                g += 0.5 * (inv[k][i] - alpha[i] * alpha[k]) * dsigma(i, k);
+            }
+        }
+        g
+    };
+    let mut grad = vec![along(&|i, k| {
+        tau2 * correlation(&xs[i], &xs[k], thetas) + if i == k { jitter * tau2 } else { 0.0 }
+    })];
+    for (j, &theta) in thetas.iter().enumerate() {
+        grad.push(along(&|i, k| {
+            let diff = xs[i][j] - xs[k][j];
+            -theta * diff * diff * tau2 * correlation(&xs[i], &xs[k], thetas)
+        }));
+    }
+    Ok((beta0, alpha, nll, grad))
 }
 
 /// The Gaussian correlation of equation (5), with τ² factored out.
@@ -489,7 +570,7 @@ pub(crate) fn correlation(a: &[f64], b: &[f64], thetas: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use mde_numeric::dist::{Distribution, Normal};
-    use mde_numeric::rng::rng_from_seed;
+    use mde_numeric::rng::{for_cases, rng_from_seed, Rng};
 
     fn grid_1d(n: usize, lo: f64, hi: f64) -> Vec<Vec<f64>> {
         (0..n)
@@ -614,6 +695,43 @@ mod tests {
             &GpConfig::default()
         )
         .is_err());
+        // Non-finite input is refused by name and index, not turned into
+        // a NaN model or a failed pivot.
+        let (xs, ys, cfg) = (
+            grid_1d(4, 0.0, 1.0),
+            [1.0, 2.0, 3.0, 4.0],
+            GpConfig::default(),
+        );
+        let named = |err: NumericError, want: &str, index: &str| match err {
+            NumericError::InvalidParameter { name, reason } => {
+                assert_eq!(name, want);
+                assert!(reason.contains(index), "reason: {reason}");
+            }
+            other => panic!("expected InvalidParameter({want}), got {other:?}"),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_ys = ys;
+            bad_ys[2] = bad;
+            named(
+                GpModel::fit(&xs, &bad_ys, &cfg).unwrap_err(),
+                "ys",
+                "element 2",
+            );
+            let mut nv = [0.1; 4];
+            nv[3] = bad;
+            named(
+                GpModel::fit_stochastic(&xs, &ys, &nv, &cfg).unwrap_err(),
+                "noise_var",
+                "element 3",
+            );
+            let mut bad_xs = xs.clone();
+            bad_xs[1][0] = bad;
+            named(
+                GpModel::fit(&bad_xs, &ys, &cfg).unwrap_err(),
+                "xs",
+                "point 1",
+            );
+        }
     }
 
     #[test]
@@ -632,50 +750,257 @@ mod tests {
         }
     }
 
-    #[test]
-    fn assemble_matches_unoptimized_oracle() {
-        // The true differential test: at identical hyperparameters the
-        // workspace assembly and the rebuild-everything oracle evaluate
-        // the same likelihood (up to multi-accumulator dot rounding).
-        let xs = grid_1d(14, 0.0, 3.0);
-        let ys: Vec<f64> = xs.iter().map(|x| (1.5 * x[0]).cos() + 0.3 * x[0]).collect();
-        let nv = vec![0.05; xs.len()];
-        let mut ws = KernelWorkspace::new(&xs).unwrap();
-        for &(tau2, theta) in &[(1.0, 1.0), (0.3, 4.0), (2.5, 0.2)] {
-            let (beta0_fast, nll_fast) = ws.assemble(tau2, &[theta], &nv, &ys, 1e-10, 1).unwrap();
-            let (_, beta0_slow, _, nll_slow) =
-                assemble_unoptimized(&xs, &ys, &nv, tau2, &[theta], 1e-10).unwrap();
-            assert!(
-                (beta0_fast - beta0_slow).abs() < 1e-9,
-                "beta0 at ({tau2},{theta}): {beta0_fast} vs {beta0_slow}"
-            );
-            assert!(
-                (nll_fast - nll_slow).abs() < 1e-9 * (1.0 + nll_slow.abs()),
-                "nll at ({tau2},{theta}): {nll_fast} vs {nll_slow}"
-            );
-        }
+    /// A random design in `[-1, 1]^d` with smooth-plus-rough responses.
+    fn random_problem(
+        rng: &mut Rng,
+        n: usize,
+        d: usize,
+        noisy: bool,
+    ) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| (2.0 * x[0]).sin() + x[d - 1] * x[d - 1] + 0.3 * rng.gen::<f64>())
+            .collect();
+        let noise = (0..n)
+            .map(|_| if noisy { rng.gen_range(0.01..0.2) } else { 0.0 })
+            .collect();
+        (xs, ys, noise)
+    }
+
+    /// Log-uniform over `[lo, hi]`.
+    fn log_uniform(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+        rng.gen_range(lo.ln()..hi.ln()).exp()
     }
 
     #[test]
     fn fit_matches_unoptimized_oracle() {
-        // End-to-end: rounding differences can nudge the Nelder–Mead
-        // trajectory, so the fits agree loosely, not bitwise.
-        let xs = grid_1d(14, 0.0, 3.0);
-        let ys: Vec<f64> = xs.iter().map(|x| (1.5 * x[0]).cos() + 0.3 * x[0]).collect();
-        let nv = vec![0.0; xs.len()];
-        let cfg = GpConfig::default();
-        let fast = GpModel::fit(&xs, &ys, &cfg).unwrap();
-        let slow = GpModel::fit_unoptimized(&xs, &ys, &nv, &cfg).unwrap();
-        assert!(
-            (fast.beta0() - slow.beta0()).abs() < 1e-2 * (1.0 + slow.beta0().abs()),
-            "beta0: {} vs {}",
-            fast.beta0(),
-            slow.beta0()
-        );
-        for x in [0.4, 1.3, 2.7] {
-            let (pf, ps) = (fast.predict(&[x]), slow.predict(&[x]));
-            assert!((pf - ps).abs() < 1e-3, "at {x}: {pf} vs {ps}");
+        // What an oracle for a kernel can promise: at a given (τ², θ) the
+        // workspace and the rebuild-everything path evaluate the same β₀,
+        // likelihood **and gradient** — over random designs, d 1–8,
+        // n 5–70, with and without noise, θ across nine decades, a jitter
+        // large enough that its ∂/∂ln τ² term is visible, and on a
+        // workspace grown by `push`.
+        for_cases(48, |rng| {
+            let d = rng.gen_range(1..=8usize);
+            let n = rng.gen_range(5..=70usize);
+            let noisy = rng.gen::<f64>() < 0.5;
+            let (xs, ys, noise) = random_problem(rng, n, d, noisy);
+            let jitter = if rng.gen::<f64>() < 0.5 { 1e-10 } else { 1e-2 };
+            // Half the cases reach the design through `push`.
+            let mut ws = if rng.gen::<f64>() < 0.5 {
+                KernelWorkspace::new(&xs).unwrap()
+            } else {
+                let keep = n - rng.gen_range(1..=3usize);
+                let mut ws = KernelWorkspace::new(&xs[..keep]).unwrap();
+                for x in &xs[keep..] {
+                    ws.push(x).unwrap();
+                }
+                ws
+            };
+            let tau2 = log_uniform(rng, 1e-2, 1e2);
+            let thetas: Vec<f64> = (0..d).map(|_| log_uniform(rng, 1e-6, 1e3)).collect();
+            let mut grad = vec![0.0; d + 1];
+            let fast = ws.assemble(tau2, &thetas, &noise, &ys, jitter, 1, Some(&mut grad));
+            let slow = assemble_unoptimized(&xs, &ys, &noise, tau2, &thetas, jitter);
+            let ((beta0, nll), (beta0_slow, alpha_slow, nll_slow, grad_slow)) = match (fast, slow) {
+                (Ok(f), Ok(s)) => (f, s),
+                // Nearly flat θ without noise: Σ is numerically singular
+                // for both, or for neither.
+                (Err(_), Err(_)) => return,
+                (f, s) => panic!("feasibility differs: {f:?} vs {:?}", s.map(|s| s.2)),
+            };
+            // Conditioning bounds what two summation orders can agree to.
+            let cond = alpha_slow.iter().fold(1.0f64, |m, a| m.max(a.abs()));
+            let tol = 1e-9 * (1.0 + cond * cond);
+            assert!(
+                (beta0 - beta0_slow).abs() <= tol * (1.0 + beta0_slow.abs()),
+                "beta0 {beta0} vs {beta0_slow}"
+            );
+            assert!(
+                (nll - nll_slow).abs() <= tol * (1.0 + nll_slow.abs()),
+                "nll {nll} vs {nll_slow}"
+            );
+            let scale = grad_slow.iter().fold(1.0f64, |m, g| m.max(g.abs()));
+            for (j, (g, gs)) in grad.iter().zip(&grad_slow).enumerate() {
+                assert!(
+                    (g - gs).abs() <= 1e-6 * scale.max(cond * cond),
+                    "n={n} d={d} ∂/∂φ_{j}: {g} vs oracle {gs} (all: {grad:?} vs {grad_slow:?})"
+                );
+            }
+            // Asking for the gradient must not change the value's bits.
+            let plain = ws.assemble(tau2, &thetas, &noise, &ys, jitter, 1, None);
+            assert_eq!(plain.unwrap().1.to_bits(), nll.to_bits());
+        });
+    }
+
+    #[test]
+    fn gradient_matches_central_differences() {
+        // Well-conditioned points (noise on the diagonal, moderate θ) so a
+        // central difference of the workspace's own likelihood resolves
+        // eight digits; includes a visible jitter term in ∂/∂ln τ².
+        for_cases(24, |rng| {
+            let d = rng.gen_range(1..=8usize);
+            let n = rng.gen_range(5..=70usize);
+            let (xs, ys, noise) = random_problem(rng, n, d, true);
+            let jitter = if rng.gen::<f64>() < 0.5 { 1e-10 } else { 5e-2 };
+            let mut ws = KernelWorkspace::new(&xs).unwrap();
+            let lp: Vec<f64> = std::iter::once(log_uniform(rng, 0.1, 10.0).ln())
+                .chain((0..d).map(|_| log_uniform(rng, 1e-2, 1e1).ln()))
+                .collect();
+            let mut nll_at = |lp: &[f64], grad: Option<&mut [f64]>| {
+                let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
+                ws.assemble(lp[0].exp(), &thetas, &noise, &ys, jitter, 1, grad)
+                    .unwrap()
+                    .1
+            };
+            let mut grad = vec![0.0; d + 1];
+            nll_at(&lp, Some(&mut grad));
+            let h = 1e-5;
+            for j in 0..=d {
+                let (mut up, mut down) = (lp.clone(), lp.clone());
+                up[j] += h;
+                down[j] -= h;
+                let fd = (nll_at(&up, None) - nll_at(&down, None)) / (2.0 * h);
+                assert!(
+                    (grad[j] - fd).abs() <= 1e-6 * (1.0 + fd.abs()),
+                    "n={n} d={d} jitter={jitter} ∂/∂φ_{j}: analytic {} vs central {fd}",
+                    grad[j]
+                );
+            }
+        });
+    }
+
+    /// The simplex the fit used to run: Nelder–Mead over the same
+    /// `assemble`, same start, same 400-evaluation budget.
+    fn simplex_nll(xs: &[Vec<f64>], ys: &[f64], noise: &[f64], cfg: &GpConfig) -> f64 {
+        use mde_numeric::optim::{nelder_mead, NelderMeadConfig};
+        let mut ws = KernelWorkspace::new(xs).unwrap();
+        let start = initial_log_params(xs, ys).unwrap();
+        nelder_mead(
+            |lp| {
+                let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
+                ws.assemble(lp[0].exp(), &thetas, noise, ys, cfg.jitter, 1, None)
+                    .map_or(f64::INFINITY, |(_, nll)| nll)
+            },
+            &start,
+            &NelderMeadConfig {
+                max_evals: cfg.max_evals,
+                initial_step: 0.5,
+                ..NelderMeadConfig::default()
+            },
+        )
+        .unwrap()
+        .fx
+    }
+
+    /// What a fit reached: the NLL at its hyperparameters, the largest
+    /// gradient component there, and the evaluations its search took.
+    fn fitted_nll(xs: &[Vec<f64>], ys: &[f64], noise: &[f64], cfg: &GpConfig) -> (f64, f64, u64) {
+        let mut metrics = RunMetrics::new();
+        let gp = GpModel::fit_with(xs, ys, noise, cfg, Some(&mut metrics)).unwrap();
+        let mut ws = KernelWorkspace::new(xs).unwrap();
+        let mut grad = vec![0.0; xs[0].len() + 1];
+        let (tau2, thetas) = (gp.tau2(), gp.thetas());
+        let nll = ws
+            .assemble(tau2, thetas, noise, ys, cfg.jitter, 1, Some(&mut grad))
+            .unwrap()
+            .1;
+        let steepest = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+        (nll, steepest, metrics.counter("gp.factorizations"))
+    }
+
+    /// The benchmark's simulated total at an eight-factor point: sixteen
+    /// items, sixteen replicates, mean and spread as in `explore.rs`.
+    fn noisy_total(x: &[f64], rng: &mut Rng) -> f64 {
+        let mean = 10.0 + 3.0 * x[0] + 2.0 * x[3] + 0.1 * (x[1] + x[2] + x[4] + x[5] + x[6] + x[7]);
+        let std = 2.0 + 0.5 * x[3].abs();
+        16.0 * mean + std * Normal::sample_standard(rng)
+    }
+
+    /// Tally of search-vs-simplex comparisons on one benchmark shape.
+    #[derive(Default)]
+    struct Versus {
+        fits: u64,
+        /// Fits whose NLL is the simplex's or lower (to 1e-6 relative).
+        no_worse: u64,
+        evals: u64,
+    }
+
+    impl Versus {
+        fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64], noise: &[f64]) {
+            let cfg = GpConfig::default();
+            let (nll, steepest, evals) = fitted_nll(xs, ys, noise, &cfg);
+            let simplex = simplex_nll(xs, ys, noise, &cfg);
+            // What a local search can promise on every design: it stops at
+            // a stationary point of the likelihood (the simplex, out of
+            // budget in nine dimensions, does not).
+            assert!(
+                steepest < 1e-2,
+                "{}x{}: |∇nll|∞ = {steepest} at the accepted point",
+                xs.len(),
+                xs[0].len()
+            );
+            self.fits += 1;
+            self.no_worse += u64::from(nll <= simplex + 1e-6 * simplex.abs());
+            self.evals += evals;
         }
+    }
+
+    #[test]
+    fn search_reaches_the_simplex_likelihood_on_the_benchmark_shapes() {
+        // ROADMAP's third condition for changing fitted θ, on the
+        // benchmark's two shapes at 13 seeds: one 65 × 8 deterministic
+        // kriging of noisy totals, and the 33…41 × 2 stochastic-kriging
+        // anchor fits of one calibration. The likelihood is multimodal
+        // (interpolating noise, *some* factor's θ must absorb it), so
+        // neither local search dominates design by design; measured over
+        // MDE_CHAOS_SEED 7 / 13 / 17 the gradient search ends strictly
+        // lower than Nelder–Mead(400) on 32 of 39 screening designs and
+        // higher on 7, and on the calibration shape ties to 1e-6 on 176 of
+        // 195 fits, lower on 16, higher on 3. The bounds below leave room
+        // for an unlucky seed.
+        let (mut screen, mut krig) = (Versus::default(), Versus::default());
+        for_cases(13, |rng| {
+            let xs = crate::design::nolh(8, 65, 50, rng).scale_to(&[(-1.0, 1.0); 8]);
+            let ys: Vec<f64> = xs.iter().map(|x| noisy_total(x, rng)).collect();
+            screen.fit(&xs, &ys, &[0.0; 65]);
+
+            // Calibration shape: squared miss of the total in the two
+            // strong factors, two replicates a point, the design grown by
+            // two points between anchors.
+            let mut xs = crate::design::nolh(2, 33, 50, rng).scale_to(&[(-1.0, 1.0); 2]);
+            let observe = |t: &[f64], rng: &mut Rng| {
+                let mut x = [0.0; 8];
+                (x[0], x[3]) = (t[0], t[1]);
+                let j: Vec<f64> = (0..2)
+                    .map(|_| (noisy_total(&x, rng) - 172.0).powi(2))
+                    .collect();
+                let mean = (j[0] + j[1]) / 2.0;
+                (mean, (j[0] - mean).powi(2) + (j[1] - mean).powi(2))
+            };
+            let (mut ys, mut noise): (Vec<f64>, Vec<f64>) =
+                xs.iter().map(|t| observe(t, rng)).unzip();
+            for _anchor in 0..5 {
+                krig.fit(&xs, &ys, &noise);
+                for _ in 0..2 {
+                    let t = vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)];
+                    let (m, v) = observe(&t, rng);
+                    xs.push(t);
+                    ys.push(m);
+                    noise.push(v);
+                }
+            }
+        });
+        assert!(screen.no_worse >= 8, "65x8: {} of 13", screen.no_worse);
+        assert!(krig.no_worse >= 60, "n x 2: {} of 65", krig.no_worse);
+        // The point of following the gradient: an order of magnitude fewer
+        // factorizations than the simplex's 190–401 a fit.
+        let (per_screen, per_krig) = (screen.evals / screen.fits, krig.evals / krig.fits);
+        assert!(per_screen <= 80, "65x8: {per_screen} evaluations a fit");
+        assert!(per_krig <= 40, "n x 2: {per_krig} evaluations a fit");
     }
 
     #[test]
@@ -713,10 +1038,18 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
         let mut gp = GpModel::fit(&xs, &ys, &GpConfig::default()).unwrap();
         let before = gp.predict(&[0.4]);
+        let beta0_before = gp.beta0().to_bits();
         assert!(gp.append_point(&[0.1, 0.2], 0.0, 0.0, None).is_err());
         assert!(gp.append_point(&[0.5], 0.5, -1.0, None).is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(gp.append_point(&[bad], 0.5, 0.0, None).is_err());
+            assert!(gp.append_point(&[0.55], bad, 0.0, None).is_err());
+            assert!(gp.append_point(&[0.55], 0.5, bad, None).is_err());
+        }
         assert_eq!(gp.n_points(), 5);
         assert_eq!(gp.predict(&[0.4]), before);
+        assert_eq!(gp.beta0().to_bits(), beta0_before);
+        assert!(gp.predict(&[0.7]).is_finite());
     }
 
     #[test]

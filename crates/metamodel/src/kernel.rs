@@ -11,6 +11,24 @@
 //! `Σ θ_k·sqd_k` streamed over contiguous slices, one `exp` per pair —
 //! followed by an in-place blocked factorization, with zero allocation.
 //!
+//! **The gradient.** With `β₀` profiled out by GLS the envelope theorem
+//! lets the residual be treated as fixed, so for the log-parameters
+//! `φ = (ln τ², ln θ₁…ln θ_d)`
+//!
+//! ```text
+//! ∂NLL/∂φⱼ = ½ Σᵢₖ Wᵢₖ (∂Σ/∂φⱼ)ᵢₖ,      W = Σ⁻¹ − ααᵀ,  α = Σ⁻¹(y − β₀·1)
+//! ∂Σ/∂ln τ² = τ²R + jitter·τ²·I          (Σ's nugget is jitter·(1 + τ²))
+//! ∂Σ/∂ln θⱼ = −θⱼ · (τ²R ∘ Dⱼ)            (Dⱼ = the cached squared differences)
+//! ```
+//!
+//! `assemble` returns it next to the likelihood when asked: the pair
+//! values `τ²R` are kept aside before the factorization overwrites them,
+//! `Σ⁻¹` comes from the factor already computed
+//! ([`kernels::inverse_from_factor`], twice the factorization's work, into
+//! scratch the workspace owns), and one sequential pass over the packed
+//! pairs forms `Wᵢₖ·τ²Rᵢₖ` and reduces it against each `Dⱼ`. A gradient
+//! evaluation costs three to four plain ones.
+//!
 //! The workspace survives [`KernelWorkspace::push`] (infill appends only
 //! the new point's pair row), so kriging-assisted calibration reuses it
 //! across *all* hyperparameter candidates *and* all infill rounds.
@@ -19,7 +37,9 @@
 //! ([`crate::gp::GpConfig::threads`]). Every matrix entry is a pure
 //! function of the inputs and each thread writes a disjoint row band, so
 //! the filled matrix is bit-identical at any thread count — the same
-//! determinism contract as the `mc.rs`/`dsgd.rs` runners.
+//! determinism contract as the `mc.rs`/`dsgd.rs` runners. Everything after
+//! the fill (factorization, solves, inverse, gradient reduction) is
+//! sequential with a fixed summation order.
 
 use mde_numeric::linalg::{kernels, Matrix};
 use mde_numeric::NumericError;
@@ -45,11 +65,16 @@ pub struct KernelWorkspace {
     rhs_ones: Vec<f64>,
     resid: Vec<f64>,
     alpha: Vec<f64>,
+    /// Gradient scratch, packed like `sqd`: the off-diagonal `τ²R` saved
+    /// before the factorization overwrites it, then scaled by `W` in place.
+    pairs: Vec<f64>,
+    /// Gradient scratch: `Σ⁻¹` (lower triangle) from the factor.
+    inv: Matrix,
 }
 
 impl KernelWorkspace {
-    /// Build a workspace for a design. Validates that the points share a
-    /// positive dimension.
+    /// Build a workspace for a design. Validates that the points are
+    /// finite and share a positive dimension.
     pub fn new(xs: &[Vec<f64>]) -> mde_numeric::Result<Self> {
         if xs.is_empty() {
             return Err(NumericError::EmptyInput {
@@ -61,6 +86,16 @@ impl KernelWorkspace {
             return Err(NumericError::invalid(
                 "xs",
                 "design points must share a positive dimension".to_string(),
+            ));
+        }
+        if let Some(p) = xs.iter().flatten().position(|v| !v.is_finite()) {
+            return Err(NumericError::invalid(
+                "xs",
+                format!(
+                    "design point {} has a non-finite coordinate {}",
+                    p / d,
+                    p % d
+                ),
             ));
         }
         let n = xs.len();
@@ -83,6 +118,8 @@ impl KernelWorkspace {
             rhs_ones: vec![0.0; n],
             resid: vec![0.0; n],
             alpha: vec![0.0; n],
+            pairs: vec![0.0; npairs],
+            inv: Matrix::zeros(n, n),
         })
     }
 
@@ -112,6 +149,7 @@ impl KernelWorkspace {
                 format!("dimension {}", x.len()),
             ));
         }
+        require_finite("x", x)?;
         for xi in &self.xs {
             for (k, col) in self.sqd.iter_mut().enumerate() {
                 let diff = x[k] - xi[k];
@@ -125,6 +163,8 @@ impl KernelWorkspace {
         self.rhs_ones.resize(n, 0.0);
         self.resid.resize(n, 0.0);
         self.alpha.resize(n, 0.0);
+        self.pairs.resize(n * (n - 1) / 2, 0.0);
+        self.inv = Matrix::zeros(n, n);
         Ok(())
     }
 
@@ -167,7 +207,9 @@ impl KernelWorkspace {
 
     /// Assemble and factor `Σ`, profile out `β₀` by GLS, and return
     /// `(β₀, nll)` with the factor left in the internal buffer and the
-    /// prediction weights in `alpha`. Zero allocation per call.
+    /// prediction weights in `alpha`. With `grad` (length `1 + d`), also
+    /// writes `∂nll/∂(ln τ², ln θ₁…ln θ_d)` — see the module doc. Zero
+    /// allocation per call either way, and the same `(β₀, nll)` bits.
     ///
     /// This is the per-candidate body of the GP likelihood search; the
     /// final accepted candidate's factor/weights are extracted with
@@ -181,10 +223,18 @@ impl KernelWorkspace {
         ys: &[f64],
         jitter: f64,
         threads: usize,
+        grad: Option<&mut [f64]>,
     ) -> mde_numeric::Result<(f64, f64)> {
         self.fill(tau2, thetas, noise_var, jitter, threads);
-        kernels::cholesky_in_place(&mut self.sigma)?;
         let n = self.xs.len();
+        if grad.is_some() {
+            let mut p = 0;
+            for i in 1..n {
+                self.pairs[p..p + i].copy_from_slice(&self.sigma.row(i)[..i]);
+                p += i;
+            }
+        }
+        kernels::cholesky_in_place(&mut self.sigma)?;
         // ln|Σ| from the factor diagonal.
         let ln_det: f64 = (0..n).map(|i| self.sigma[(i, i)].ln()).sum::<f64>() * 2.0;
         // GLS β₀: (1ᵀΣ⁻¹y) / (1ᵀΣ⁻¹1).
@@ -204,13 +254,67 @@ impl KernelWorkspace {
         }
         let quad = kernels::dot(&self.resid, &self.alpha);
         let nll = 0.5 * (ln_det + quad);
+        if let Some(grad) = grad {
+            self.gradient(tau2, thetas, jitter, grad)?;
+        }
         Ok((beta0, nll))
+    }
+
+    /// `∂nll/∂φ` at the point just assembled: `pairs` holds the
+    /// off-diagonal `τ²R`, `sigma` the factor, `alpha` the weights.
+    fn gradient(
+        &mut self,
+        tau2: f64,
+        thetas: &[f64],
+        jitter: f64,
+        grad: &mut [f64],
+    ) -> mde_numeric::Result<()> {
+        debug_assert_eq!(grad.len(), 1 + self.d);
+        kernels::inverse_from_factor(&self.sigma, &mut self.inv)?;
+        let KernelWorkspace {
+            sqd,
+            alpha,
+            pairs,
+            inv,
+            ..
+        } = self;
+        // One pass over the packed pairs: pairs[p] ← Wᵢₖ·τ²Rᵢₖ.
+        let (mut w_diag, mut w_pairs) = (0.0, 0.0);
+        let mut p = 0;
+        for (i, &ai) in alpha.iter().enumerate() {
+            let row = inv.row(i);
+            w_diag += row[i] - ai * ai;
+            for ((v, &s), &ak) in pairs[p..p + i].iter_mut().zip(row).zip(alpha.iter()) {
+                *v *= s - ai * ak;
+                w_pairs += *v;
+            }
+            p += i;
+        }
+        // The symmetric double sum counts each pair twice, cancelling the ½.
+        grad[0] = 0.5 * w_diag * tau2 * (1.0 + jitter) + w_pairs;
+        for ((g, &theta), col) in grad[1..].iter_mut().zip(thetas).zip(sqd.iter()) {
+            *g = -theta * kernels::dot(pairs, col);
+        }
+        Ok(())
     }
 
     /// Clone out the factored covariance and prediction weights left by
     /// the last successful [`KernelWorkspace::assemble`].
     pub(crate) fn take_factored(&self) -> (Matrix, Vec<f64>) {
         (self.sigma.clone(), self.alpha.clone())
+    }
+}
+
+/// Every element finite, or `InvalidParameter` naming the argument and the
+/// first offending index. A `NaN` that got past here would come back as a
+/// `NaN` model or a failed pivot with no hint of which input caused it.
+pub(crate) fn require_finite(name: &'static str, values: &[f64]) -> mde_numeric::Result<()> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(NumericError::invalid(
+            name,
+            format!("element {i} is not finite ({})", values[i]),
+        )),
+        None => Ok(()),
     }
 }
 
@@ -350,5 +454,12 @@ mod tests {
         assert!(KernelWorkspace::new(&[vec![1.0], vec![1.0, 2.0]]).is_err());
         let mut ws = KernelWorkspace::new(&[vec![0.0], vec![1.0]]).unwrap();
         assert!(ws.push(&[1.0, 2.0]).is_err());
+        // Non-finite coordinates are refused where they enter, and a
+        // refused push leaves the workspace as it was.
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(KernelWorkspace::new(&[vec![0.0], vec![bad]]).is_err());
+            assert!(ws.push(&[bad]).is_err());
+        }
+        assert_eq!((ws.n(), ws.sqd[0].len()), (2, 1));
     }
 }

@@ -500,7 +500,12 @@ pub fn gp_screening_augmented<R: ResponseSurface>(
 /// hit skips the evaluation *without* perturbing any other probe's
 /// stream, keeping cached and uncached screenings bit-identical. The
 /// final ranking is stored as a trace entry (`[factor, θ]` pairs) whose
-/// provenance lists every probe entry consulted or produced.
+/// provenance lists every probe entry consulted or produced. The fit
+/// itself is remembered in the same cache ([`GpModel::fit_remembered`]): a
+/// warm screening re-verifies the stored `(τ², θ)` with one factorization
+/// instead of searching, and returns the same ranking to the bit. That
+/// entry is a leaf of its own (`gp.fit`), not part of the scope's
+/// provenance, which keeps listing evaluations.
 pub fn gp_screening_cached<R: ResponseSurface>(
     response: &R,
     design_runs: usize,
@@ -522,7 +527,10 @@ pub fn gp_screening_cached<R: ResponseSurface>(
             })
         })
         .collect();
-    let gp = GpModel::fit(&xs, &ys, &GpConfig::default())?;
+    let mut ws = crate::kernel::KernelWorkspace::new(&xs)?;
+    let zeros = vec![0.0; ys.len()];
+    let cfg = GpConfig::default();
+    let gp = GpModel::fit_remembered(&mut ws, &ys, &zeros, &cfg, None, Some(scope.handle()))?;
     let ranked = rank_thetas(&gp);
     let mut trace = Vec::with_capacity(ranked.len() * 2);
     for &(j, theta) in &ranked {
@@ -752,6 +760,15 @@ mod tests {
         let handle = CacheHandle::in_memory();
         let mut scope = ObjectiveScope::new(handle.clone(), "metamodel.gp-screening", 0x5EED, 1, 9);
         let cold = gp_screening_cached(&r, 17, 9, &mut scope).unwrap();
+        // The uncached screening on the same streams: design from
+        // `child(0)`, a deterministic response, a plain fit.
+        let xs = nolh(4, 17, 50, &mut StreamFactory::new(9).child(0).stream(0))
+            .scale_to(&[(-1.0, 1.0); 4]);
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| r.eval(x, &mut rng_from_seed(0)))
+            .collect();
+        let uncached = rank_thetas(&GpModel::fit(&xs, &ys, &GpConfig::default()).unwrap());
         // Warm pass, fresh scope with the same identity: pure hits,
         // bit-identical ranking.
         let mut scope2 =
@@ -760,11 +777,13 @@ mod tests {
         let warm = gp_screening_cached(&r, 17, 9, &mut scope2).unwrap();
         let after = handle.stats();
         assert_eq!(after.misses, before.misses, "warm screening must not miss");
-        assert_eq!(after.hits, before.hits + 17);
+        // 17 probes and the remembered fit.
+        assert_eq!(after.hits, before.hits + 18);
+        // uncached ≡ cold ≡ warm, to the bit.
         assert_eq!(cold.len(), warm.len());
-        for ((ci, ct), (wi, wt)) in cold.iter().zip(&warm) {
-            assert_eq!(ci, wi);
-            assert_eq!(ct.to_bits(), wt.to_bits());
+        for (((ci, ct), (wi, wt)), (ui, ut)) in cold.iter().zip(&warm).zip(&uncached) {
+            assert_eq!((ci, ct.to_bits()), (wi, wt.to_bits()));
+            assert_eq!((ci, ct.to_bits()), (ui, ut.to_bits()));
         }
         // Active factors 0 and 2 outrank the inert ones.
         let top2: Vec<usize> = cold[..2].iter().map(|(j, _)| *j).collect();

@@ -1,7 +1,7 @@
 //! Cache-blocked dense kernels for SPD factorization and triangular solves.
 //!
 //! The GP/kriging hot path (§4.1) factors one covariance matrix per
-//! likelihood evaluation — hundreds of factorizations per fit. The naive
+//! likelihood evaluation — dozens of factorizations per fit. The naive
 //! element-indexed Cholesky in [`super::Cholesky::new_unblocked`] pays an
 //! index computation and a bounds check per multiply-add and walks columns
 //! of a row-major matrix in its inner loop. The kernels here restate the
@@ -22,6 +22,10 @@
 //!   rank-1 append ([`super::Cholesky::extend`]): appending design point
 //!   `x` to a factored `A = L·Lᵀ` needs only `l₂₁ = L⁻¹k` and
 //!   `l₂₂ = √(κ − l₂₁ᵀl₂₁)`.
+//! * [`inverse_from_factor`] — `A⁻¹` from the factor, into a caller-owned
+//!   buffer, as dot products of contiguous row slices: what the GP
+//!   likelihood *gradient* needs (`tr(Σ⁻¹ ∂Σ)` for every hyper-parameter
+//!   from one inverse) and nothing else should reach for.
 //!
 //! The unblocked implementations on [`super::Cholesky`] are retained as
 //! differential oracles (the `query_unoptimized` pattern):
@@ -663,6 +667,71 @@ pub fn forward_solve_in_place(l: &Matrix, b: &mut [f64]) -> crate::Result<()> {
     Ok(())
 }
 
+/// `A⁻¹` from the Cholesky factor of `A = L·Lᵀ`, into a caller-owned
+/// buffer: on return the lower triangle of `inv` (diagonal included) holds
+/// the lower triangle of `A⁻¹`; its strict upper triangle is scratch
+/// (`L⁻ᵀ`) and must not be read. No allocation, twice the factorization's
+/// multiply-adds, every inner loop a dot product of two contiguous slices.
+///
+/// Two passes. (1) `T = L⁻ᵀ` into the upper triangle, one row of `T` (one
+/// column of `L⁻¹`) per forward substitution `L·x = eⱼ`, so the recurrence
+/// reads row `i` of `L` against the row of `T` being built. (2)
+/// `A⁻¹ = L⁻ᵀ·L⁻¹`, i.e. `A⁻¹[a][b] = T[a][a..]·T[b][a..]` for `b ≤ a`,
+/// written over the lower triangle; the diagonal entry of row `a` is
+/// written last, when nothing still reads `T[a][a]`.
+///
+/// This is what the GP likelihood gradient needs (`tr(Σ⁻¹ ∂Σ)` for every
+/// hyper-parameter from one inverse); a single solve should keep using
+/// [`solve_in_place`].
+pub fn inverse_from_factor(l: &Matrix, inv: &mut Matrix) -> crate::Result<()> {
+    let n = l.rows();
+    if !l.is_square() || inv.rows() != n || inv.cols() != n {
+        return Err(NumericError::dim(
+            "inverse_from_factor",
+            format!("a square factor and a {n}x{n} output"),
+            format!(
+                "{}x{} and {}x{}",
+                l.rows(),
+                l.cols(),
+                inv.rows(),
+                inv.cols()
+            ),
+        ));
+    }
+    let ld = l.data();
+    let data = inv.data_mut();
+    for j in 0..n {
+        let x = &mut data[j * n..(j + 1) * n];
+        x[j] = 1.0 / ld[j * n + j];
+        for i in j + 1..n {
+            let row = &ld[i * n..i * n + n];
+            x[i] = -dot(&row[j..i], &x[j..i]) / row[i];
+        }
+    }
+    for a in 0..n {
+        let (above, row_a) = split_row(data, n, a);
+        let tail = a..n;
+        let mut b = 0;
+        while b + 4 <= a {
+            let s = dot4(
+                &row_a[tail.clone()],
+                &above[b * n..][tail.clone()],
+                &above[(b + 1) * n..][tail.clone()],
+                &above[(b + 2) * n..][tail.clone()],
+                &above[(b + 3) * n..][tail.clone()],
+            );
+            row_a[b..b + 4].copy_from_slice(&s);
+            b += 4;
+        }
+        while b < a {
+            row_a[b] = dot(&row_a[tail.clone()], &above[b * n..][tail.clone()]);
+            b += 1;
+        }
+        row_a[a] = dot(&row_a[tail.clone()], &row_a[tail]);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,6 +770,31 @@ mod tests {
         for (got, want) in b.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
+    }
+
+    #[test]
+    fn inverse_from_factor_inverts() {
+        for n in [1usize, 2, 5, 17, 64, 65, 130] {
+            let a = spd(n);
+            let mut l = a.clone();
+            cholesky_in_place(&mut l).unwrap();
+            // A dirty buffer: the routine must not depend on its contents.
+            let mut inv = Matrix::from_vec(n, n, vec![f64::NAN; n * n]).unwrap();
+            inverse_from_factor(&l, &mut inv).unwrap();
+            // Symmetrize the lower triangle and check A·A⁻¹ = I.
+            let mut full = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    full[(i, j)] = inv[(i, j)];
+                    full[(j, i)] = inv[(i, j)];
+                }
+            }
+            let err = (&a * &full).max_abs_diff(&Matrix::identity(n)).unwrap();
+            assert!(err < 1e-10, "n={n}: |A·A⁻¹ − I| = {err}");
+        }
+        let l = Matrix::identity(3);
+        assert!(inverse_from_factor(&l, &mut Matrix::zeros(2, 2)).is_err());
+        assert!(inverse_from_factor(&Matrix::zeros(2, 3), &mut Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]

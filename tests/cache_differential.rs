@@ -16,9 +16,12 @@ use model_data_ecosystems::mcdb::query::AggSpec;
 use model_data_ecosystems::mcdb::random_table::RandomTableSpecBuilder;
 use model_data_ecosystems::mcdb::vg::NormalVg;
 use model_data_ecosystems::mcdb::{RunOptions, RunPolicy};
+use model_data_ecosystems::metamodel::gp::{fit_key, GpConfig, GpModel};
+use model_data_ecosystems::metamodel::kernel::KernelWorkspace;
 use model_data_ecosystems::numeric::cache::{
-    CacheError, CacheHandle, CacheKey, ObjectiveScope, ResultCache, DEFAULT_MAX_BYTES,
+    CacheEntry, CacheError, CacheHandle, CacheKey, ObjectiveScope, ResultCache, DEFAULT_MAX_BYTES,
 };
+use model_data_ecosystems::numeric::obs::RunMetrics;
 use model_data_ecosystems::numeric::resilience::{FaultKind, FaultPlan};
 use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed};
 use std::path::PathBuf;
@@ -404,4 +407,134 @@ fn provenance_links_campaign_traces_to_their_upstream_entries() {
     assert!(cache
         .provenance_of(&CacheKey::for_campaign(0xDEAD_BEEF, 1, 13))
         .is_none());
+}
+
+/// A 24 × 3 kriging problem (seeded) with replication noise.
+fn gp_problem(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
+    let mut rng = rng_from_seed(seed);
+    let xs: Vec<Vec<f64>> = (0..24)
+        .map(|_| (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    let ys = xs
+        .iter()
+        .map(|x| (2.0 * x[0]).sin() + x[1] * x[1] + 0.05 * rng.gen::<f64>())
+        .collect();
+    let noise = (0..24).map(|_| rng.gen_range(0.001..0.01)).collect();
+    (xs, ys, noise)
+}
+
+/// Fit through `cache`; returns the model's bits (β₀, τ², θ, a prediction)
+/// and the factorizations the fit took — 1 means a remembered fit was
+/// verified and accepted, more means the search ran.
+fn remembered_fit(
+    problem: &(Vec<Vec<f64>>, Vec<f64>, Vec<f64>),
+    cache: Option<&CacheHandle>,
+) -> (Vec<u64>, u64) {
+    let (xs, ys, noise) = problem;
+    let mut ws = KernelWorkspace::new(xs).unwrap();
+    let mut metrics = RunMetrics::new();
+    let gp = GpModel::fit_remembered(
+        &mut ws,
+        ys,
+        noise,
+        &GpConfig::default(),
+        Some(&mut metrics),
+        cache,
+    )
+    .unwrap();
+    let bits = [gp.beta0(), gp.tau2(), gp.predict(&[0.1, -0.2, 0.3])]
+        .iter()
+        .chain(gp.thetas())
+        .map(|v| v.to_bits())
+        .collect();
+    (bits, metrics.counter("gp.factorizations"))
+}
+
+#[test]
+fn hostile_gp_fit_entries_are_recomputed_never_served() {
+    // A remembered fit is verified, never trusted: whatever sits under a
+    // fit's key, the model equals the uncached one to the bit; a stored
+    // point is accepted only if re-evaluating it reproduces the stored
+    // likelihood exactly, and anything else is a search that overwrites.
+    let problem = gp_problem(chaos_seed());
+    let cfg = GpConfig::default();
+    let key = fit_key(&problem.0, &problem.1, &problem.2, &cfg);
+    let (truth, searched) = remembered_fit(&problem, None);
+    assert!(searched > 1);
+
+    let cache = CacheHandle::in_memory();
+    assert_eq!(
+        remembered_fit(&problem, Some(&cache)),
+        (truth.clone(), searched)
+    );
+    let honest = cache.get(&key).expect("the fit was remembered").values;
+    assert_eq!(honest.len(), 3 + 2, "[ln τ², ln θ × 3, nll]");
+    assert_eq!(remembered_fit(&problem, Some(&cache)), (truth.clone(), 1));
+
+    // The remembered fit of a *different* design, re-keyed onto this one
+    // (what a digest collision would look like).
+    let other = gp_problem(chaos_seed() + 1);
+    remembered_fit(&other, Some(&cache));
+    let foreign = cache
+        .get(&fit_key(&other.0, &other.1, &other.2, &cfg))
+        .expect("the other fit was remembered")
+        .values;
+
+    let mut rng = rng_from_seed(chaos_seed());
+    // A flip the likelihood can see. (At a stationary point a last-ulp
+    // change of a log-parameter moves the likelihood by less than its own
+    // rounding, so it re-verifies like the honest entry; damage of that
+    // size on disk is the per-entry checksum's to catch.)
+    let mut flipped = honest.clone();
+    let at = rng.gen_range(0..flipped.len());
+    flipped[at] = f64::from_bits(flipped[at].to_bits() ^ (1u64 << rng.gen_range(40..52)));
+    let mut with_nan = honest.clone();
+    with_nan[rng.gen_range(0..5usize)] = f64::NAN;
+    let mut infinite = honest.clone();
+    infinite[1] = f64::INFINITY;
+    // (what, stored values, whether the entry gets as far as the one
+    // verifying evaluation before it is refused)
+    let hostile: [(&str, Vec<f64>, u64); 6] = [
+        ("one flipped bit", flipped, 1),
+        ("too few values", honest[..4].to_vec(), 0),
+        ("too many values", [honest.clone(), vec![0.0]].concat(), 0),
+        ("a NaN", with_nan, 0),
+        ("an infinite log-parameter", infinite, 0),
+        ("another design's fit", foreign, 1),
+    ];
+    for (what, values, verified) in hostile {
+        cache.insert(CacheEntry::leaf(key.clone(), "gp.fit", values));
+        let (bits, factorizations) = remembered_fit(&problem, Some(&cache));
+        assert_eq!(bits, truth, "{what}: served a different model");
+        assert_eq!(factorizations, verified + searched, "{what}: must search");
+        // …and the search overwrote the hostile entry with the honest one.
+        assert_eq!(
+            remembered_fit(&problem, Some(&cache)),
+            (truth.clone(), 1),
+            "{what}"
+        );
+    }
+
+    // A truncated file: whatever prefix survives, the answer is the same.
+    let dir = scratch_dir();
+    let path = dir.join("fits.mdecache");
+    {
+        let (durable, _) = CacheHandle::open_or_recover(&path, DEFAULT_MAX_BYTES).unwrap();
+        remembered_fit(&problem, Some(&durable));
+        remembered_fit(&other, Some(&durable));
+        durable.persist().unwrap();
+    }
+    let pristine = std::fs::read(&path).unwrap();
+    for _ in 0..8 {
+        let cut = rng.gen_range(0..pristine.len());
+        std::fs::write(&path, &pristine[..cut]).unwrap();
+        let (reopened, _) = CacheHandle::open_or_recover(&path, DEFAULT_MAX_BYTES).unwrap();
+        let (bits, factorizations) = remembered_fit(&problem, Some(&reopened));
+        assert_eq!(bits, truth, "cut at {cut}");
+        assert!(
+            factorizations == 1 || factorizations == searched,
+            "cut at {cut}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,7 @@ use model_data_ecosystems::abs::market::{MarketConfig, MarketModel, MarketParams
 use model_data_ecosystems::calibrate::kriging_cal::{kriging_calibrate, KrigingCalConfig};
 use model_data_ecosystems::calibrate::msm::{MsmProblem, Simulator};
 use model_data_ecosystems::calibrate::optim::Bounds;
-use model_data_ecosystems::numeric::rng::rng_from_seed;
+use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed, splitmix64};
 
 fn observed_statistics(cfg: MarketConfig, theta_star: &MarketParams) -> Vec<f64> {
     let mut observed = vec![0.0; 4];
@@ -84,20 +84,42 @@ fn kriging_surrogate_calibration_runs_on_abs_objective() {
         &|theta: &[f64], seed: u64| MarketModel::simulate_summary(cfg, theta, seed);
     let problem = MsmProblem::new(observed, simulator, 4, 7);
 
-    let mut rng = rng_from_seed(11);
-    let res = kriging_calibrate(
-        |theta, _| problem.objective(theta),
-        &Bounds::new(vec![(0.005, 0.15), (0.005, 0.2), (0.05, 0.6)]).expect("valid bounds"),
-        &KrigingCalConfig {
-            design_runs: 17,
-            infill_rounds: 3,
-            ..KrigingCalConfig::default()
-        },
-        &mut rng,
-    )
-    .unwrap();
-    // With ~20 expensive evaluations the surrogate already finds a
-    // near-feasible θ (J well below the prior-free scale of the moments).
-    assert!(res.best.fx < 0.05, "best J = {}", res.best.fx);
-    assert_eq!(res.evaluated.len(), 17 + 3);
+    // Thirteen NOLH design seeds: the one this test always ran (held to the
+    // bound on its own), and twelve derived from `MDE_CHAOS_SEED`. With 17
+    // design points in three dimensions an unlucky draw ends above 0.05 at
+    // about one seed in ten (before and after the GP search changed), so
+    // over seeds the bound is stated on the geometric mean, at four
+    // standard errors of ln J.
+    let seeds = std::iter::once(11).chain((1..13).map(|i| splitmix64(chaos_seed() ^ (0xE9 + i))));
+    let mut ln_j = Vec::new();
+    for seed in seeds {
+        let mut rng = rng_from_seed(seed);
+        let res = kriging_calibrate(
+            |theta, _| problem.objective(theta),
+            &Bounds::new(vec![(0.005, 0.15), (0.005, 0.2), (0.05, 0.6)]).expect("valid bounds"),
+            &KrigingCalConfig {
+                design_runs: 17,
+                infill_rounds: 3,
+                ..KrigingCalConfig::default()
+            },
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(res.evaluated.len(), 17 + 3);
+        if seed == 11 {
+            // With ~20 expensive evaluations the surrogate already finds a
+            // near-feasible θ (J well below the prior-free scale of the
+            // moments).
+            assert!(res.best.fx < 0.05, "best J = {}", res.best.fx);
+        }
+        ln_j.push(res.best.fx.ln());
+    }
+    let n = ln_j.len() as f64;
+    let mean = ln_j.iter().sum::<f64>() / n;
+    let se = (ln_j.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / (n - 1.0) / n).sqrt();
+    assert!(
+        mean + 4.0 * se < 0.05f64.ln(),
+        "geometric-mean J = {} (ln J = {mean} ± {se} s.e.) over {n} design seeds",
+        mean.exp()
+    );
 }
