@@ -180,7 +180,7 @@ fn timed_fit((xs, ys, noise): &Problem, cache: Option<&CacheHandle>, reps: usize
 }
 
 /// The timed leg: what a fit costs at the benchmark's two shapes, searched
-/// and remembered, and what `GpConfig::threads` buys.
+/// and remembered, and what a second thread buys `predict_batch`.
 fn fit_cost_report() -> String {
     let mut out = String::new();
     out.push_str(
@@ -234,35 +234,15 @@ fn fit_cost_report() -> String {
          (tau2, theta) with one factorization and returns the same model to the bit.\n\n",
     );
 
-    // GpConfig::threads, 1 vs 2 — the pair ROADMAP asks of whoever touches
-    // this path. Only the kernel-matrix fill and `predict_batch` are
-    // parallel, and the fill only from n >= 2·BLOCK = 128.
+    // `predict_batch` is the one GP call that takes a thread count: one
+    // independent prediction per output slot.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     out.push_str(&format!(
-        "GpConfig::threads, 1 vs 2 (host reports {cpus} cpus; median of 5; speed-up = t1 / t2)\n"
+        "GpModel::predict_batch, 1 vs 2 threads (host reports {cpus} cpus; median of 5; speed-up = t1 / t2)\n"
     ));
     let mut rows = Vec::new();
-    for (n, note) in [
-        (
-            65usize,
-            "n < 2*BLOCK = 128: the fill is sequential by construction",
-        ),
-        (
-            256,
-            "parallel fill; factorization, inverse and solves are not",
-        ),
-    ] {
-        let (xs, ys, noise) = screening_shape(n, &mut rng);
-        let time_fit = |threads: usize| {
-            let cfg = GpConfig {
-                threads,
-                ..GpConfig::default()
-            };
-            median_us(5, || {
-                black_box(GpModel::fit_stochastic(&xs, &ys, &noise, &cfg).expect("fit"));
-            })
-        };
-        let (fit1, fit2) = (time_fit(1), time_fit(2));
+    for n in [65usize, 256] {
+        let (xs, ys, _) = screening_shape(n, &mut rng);
         let gp = GpModel::fit(&xs, &ys, &GpConfig::default()).expect("fit");
         let queries: Vec<Vec<f64>> = (0..4096)
             .map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -274,22 +254,14 @@ fn fit_cost_report() -> String {
         };
         let (pred1, pred2) = (time_predict(1), time_predict(2));
         rows.push(vec![
-            format!("fit, n = {n}"),
-            format!("{fit1:.0}"),
-            format!("{fit2:.0}"),
-            format!("{:.2}", fit1 / fit2),
-            note.into(),
-        ]);
-        rows.push(vec![
             format!("predict_batch(4096), n = {n}"),
             format!("{pred1:.0}"),
             format!("{pred2:.0}"),
             format!("{:.2}", pred1 / pred2),
-            "one independent prediction per output slot".into(),
         ]);
     }
     out.push_str(&crate::render_table(
-        &["call", "t1 us", "t2 us", "speed-up", "note"],
+        &["call", "t1 us", "t2 us", "speed-up"],
         &rows,
     ));
     out
@@ -348,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn the_timed_leg_reports_evaluations_hits_and_the_threads_pair() {
+    fn the_timed_leg_reports_evaluations_and_hits() {
         let mut rng = rng_from_seed(chaos_seed());
         let problem = calibration_shape(&mut rng);
         let (searched, _) = timed_fit(&problem, None, 1);

@@ -288,7 +288,7 @@ fn operator_self_nanos(db: &Catalog, plan: &Plan, reps: usize) -> Vec<(String, u
 
 /// The join-frame and group-by shapes of the olap benchmark, stage by
 /// stage in ns per input lane, answers held to the reference interpreter's
-/// bits, and the whole frames at `ExecConfig.threads` 1 against 2.
+/// bits.
 fn frame_stages_section() -> String {
     const REPS: usize = 9;
     let db = star_catalog();
@@ -367,48 +367,14 @@ fn frame_stages_section() -> String {
         ],
         &rows,
     ));
-
-    // The 1-vs-2 pair for morsel parallelism.
-    let whole = |plan: &Plan, threads: usize| -> f64 {
-        let mut db = db.clone();
-        db.set_exec_config(ExecConfig::with_threads(threads));
-        let prepared = PreparedQuery::prepare(plan, &db).expect("prepare");
-        (0..REPS)
-            .map(|_| {
-                let t = Instant::now();
-                prepared.execute(&db).expect("execute");
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let pair_rows: Vec<Vec<String>> = [
-        ("join frame", &join_frame),
-        ("group-by frame", &group_frame),
-    ]
-    .iter()
-    .map(|(name, plan)| {
-        let (one, two) = (whole(plan, 1), whole(plan, 2));
-        vec![
-            name.to_string(),
-            format!("{one:.2}"),
-            format!("{two:.2}"),
-            format!("{:.2}x", one / two),
-        ]
-    })
-    .collect();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!(
-        "\nWhole frame at ExecConfig.threads 1 against 2 (ms, fastest of 9; host reports {cpus} CPUs):\n"
-    ));
-    out.push_str(&crate::render_table(
-        &["frame", "threads 1 (ms)", "threads 2 (ms)", "speed-up"],
-        &pair_rows,
-    ));
     out.push_str(
         "\nSemantics verified: both frames equal the reference interpreter's answer cell by cell,\n\
          floats by `to_bits`. A stage is an operator's self time (its span minus its children's);\n\
          probe is the join with no column to emit, gather what emitting V and LABEL adds; group\n\
-         assignment is the aggregate that only counts, fold what SUM / AVG over V adds.\n",
+         assignment is the aggregate that only counts, fold what SUM / AVG over V adds. Every\n\
+         operator is one pass over its input on the calling thread: the morsel split with worker\n\
+         threads was deleted in PR 25 (at 2 threads the join frame ran at 0.82x, the group-by\n\
+         frame at 0.73x; at 1 thread, 4 096-lane morsels and one morsel per input timed the same).\n",
     );
     out
 }

@@ -334,7 +334,7 @@ impl ExecutablePlan<'_> {
                         if targets.is_empty() {
                             targets.push(end);
                         }
-                        auto_align(&mapped, &targets, 1)?
+                        auto_align(&mapped, &targets)?
                     } else {
                         mapped
                     }

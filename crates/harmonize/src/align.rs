@@ -8,10 +8,9 @@
 //! parallel and then the target time series can be assembled via a parallel
 //! sort."
 //!
-//! This module implements both alignment classes over [`TimeSeries`], with
-//! window-parallel evaluation (contiguous target chunks across worker
-//! threads; chunks are produced in order, so assembly is a concatenation —
-//! the in-memory analogue of the parallel sort).
+//! This module implements both alignment classes over [`TimeSeries`]. Each
+//! target point is evaluated from its own window, in target order, so
+//! assembly needs no sort.
 
 use crate::series::TimeSeries;
 use crate::spline::NaturalCubicSpline;
@@ -79,13 +78,11 @@ pub enum AlignSpec {
     Interpolate(InterpMethod),
 }
 
-/// Align `source` onto the given strictly increasing target times, using
-/// `threads` worker threads for the window-parallel evaluation.
+/// Align `source` onto the given strictly increasing target times.
 pub fn align(
     source: &TimeSeries,
     target_times: &[f64],
     spec: AlignSpec,
-    threads: usize,
 ) -> crate::Result<TimeSeries> {
     if target_times.is_empty() {
         return Err(HarmonizeError::transform("no target times"));
@@ -102,7 +99,7 @@ pub fn align(
     }
     match spec {
         AlignSpec::Aggregate(m) => aggregate(source, target_times, m),
-        AlignSpec::Interpolate(m) => interpolate(source, target_times, m, threads),
+        AlignSpec::Interpolate(m) => interpolate(source, target_times, m),
     }
 }
 
@@ -110,11 +107,7 @@ pub fn align(
 /// time-aligner's detection step: coarser target → mean aggregation, finer
 /// target → cubic-spline interpolation (linear when too few source points),
 /// matching granularity → nearest.
-pub fn auto_align(
-    source: &TimeSeries,
-    target_times: &[f64],
-    threads: usize,
-) -> crate::Result<TimeSeries> {
+pub fn auto_align(source: &TimeSeries, target_times: &[f64]) -> crate::Result<TimeSeries> {
     let ss = source
         .typical_spacing()
         .ok_or_else(|| HarmonizeError::transform("source has fewer than 2 ticks"))?;
@@ -134,7 +127,7 @@ pub fn auto_align(
         }
         AlignmentClass::Identity => AlignSpec::Interpolate(InterpMethod::Nearest),
     };
-    align(source, target_times, spec, threads)
+    align(source, target_times, spec)
 }
 
 fn aggregate(
@@ -217,12 +210,11 @@ fn interpolate(
     source: &TimeSeries,
     target_times: &[f64],
     method: InterpMethod,
-    threads: usize,
 ) -> crate::Result<TimeSeries> {
     let k = source.channels().len();
     // Per-channel interpolants. Splines need the global σ pass first (the
-    // expensive part DSGD distributes); evaluation is then embarrassingly
-    // window-parallel.
+    // expensive part DSGD distributes); each target point then reads only
+    // its own window.
     enum Interp {
         Nearest,
         Linear,
@@ -280,25 +272,7 @@ fn interpolate(
             .collect()
     };
 
-    // Window-parallel evaluation: contiguous chunks of target points per
-    // worker; chunks come back in order so assembly is a concat.
-    let threads = threads.max(1).min(target_times.len());
-    let chunk_size = target_times.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<Vec<f64>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = target_times
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let eval_point = &eval_point;
-                scope.spawn(move || chunk.iter().map(|&t| eval_point(t)).collect::<Vec<_>>())
-            })
-            .collect();
-        for h in handles {
-            chunks.push(h.join().expect("interpolation worker panicked"));
-        }
-    });
-
-    let data: Vec<Vec<f64>> = chunks.into_iter().flatten().collect();
+    let data: Vec<Vec<f64>> = target_times.iter().map(|&t| eval_point(t)).collect();
     TimeSeries::new(source.channels().to_vec(), target_times.to_vec(), data)
 }
 
@@ -322,13 +296,7 @@ mod tests {
     fn aggregation_mean_over_daily_windows() {
         let src = fine_series();
         // Daily targets at t = 23, 47 (windows (-inf,23], (23,47]).
-        let out = align(
-            &src,
-            &[23.0, 47.0],
-            AlignSpec::Aggregate(AggMethod::Mean),
-            1,
-        )
-        .unwrap();
+        let out = align(&src, &[23.0, 47.0], AlignSpec::Aggregate(AggMethod::Mean)).unwrap();
         let v = out.channel("v").unwrap();
         assert!((v[0] - 11.5).abs() < 1e-12); // mean of 0..=23
         assert!((v[1] - 35.5).abs() < 1e-12); // mean of 24..=47
@@ -338,7 +306,7 @@ mod tests {
     fn aggregation_other_methods() {
         let src = fine_series();
         let check = |m, expected: [f64; 2]| {
-            let out = align(&src, &[23.0, 47.0], AlignSpec::Aggregate(m), 1).unwrap();
+            let out = align(&src, &[23.0, 47.0], AlignSpec::Aggregate(m)).unwrap();
             let v = out.channel("v").unwrap();
             assert!((v[0] - expected[0]).abs() < 1e-12, "{m:?} first window");
             assert!((v[1] - expected[1]).abs() < 1e-12, "{m:?} second window");
@@ -356,7 +324,6 @@ mod tests {
             &src,
             &[1.0, 2.0, 3.0, 10.0],
             AlignSpec::Aggregate(AggMethod::Mean),
-            1,
         )
         .unwrap();
         let v = out.channel("v").unwrap();
@@ -367,13 +334,7 @@ mod tests {
     fn linear_interpolation_refines() {
         let src = TimeSeries::univariate("v", vec![0.0, 2.0, 4.0], vec![0.0, 4.0, 0.0]).unwrap();
         let targets: Vec<f64> = (0..9).map(|i| i as f64 * 0.5).collect();
-        let out = align(
-            &src,
-            &targets,
-            AlignSpec::Interpolate(InterpMethod::Linear),
-            1,
-        )
-        .unwrap();
+        let out = align(&src, &targets, AlignSpec::Interpolate(InterpMethod::Linear)).unwrap();
         let v = out.channel("v").unwrap();
         assert_eq!(v[1], 1.0); // t = 0.5
         assert_eq!(v[4], 4.0); // t = 2
@@ -387,7 +348,6 @@ mod tests {
             &src,
             &[0.2, 0.8],
             AlignSpec::Interpolate(InterpMethod::Nearest),
-            1,
         )
         .unwrap();
         assert_eq!(out.channel("v").unwrap(), vec![10.0, 20.0]);
@@ -401,7 +361,6 @@ mod tests {
             &src,
             &targets,
             AlignSpec::Interpolate(InterpMethod::CubicSpline),
-            1,
         )
         .unwrap();
         for (t, v) in targets.iter().zip(out.channel("v").unwrap()) {
@@ -411,21 +370,6 @@ mod tests {
                 (v - (t * 0.9).sin()).abs() < 6e-3,
                 "spline off at t={t}: {v}"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_interpolation_equals_serial() {
-        let src = TimeSeries::from_fn("v", 0.0, 0.25, 101, |t| t.cos() + 0.1 * t).unwrap();
-        let targets: Vec<f64> = (0..997).map(|i| i as f64 * 0.025).collect();
-        for method in [
-            InterpMethod::Nearest,
-            InterpMethod::Linear,
-            InterpMethod::CubicSpline,
-        ] {
-            let serial = align(&src, &targets, AlignSpec::Interpolate(method), 1).unwrap();
-            let par = align(&src, &targets, AlignSpec::Interpolate(method), 7).unwrap();
-            assert_eq!(serial, par, "{method:?} parallel mismatch");
         }
     }
 
@@ -441,7 +385,6 @@ mod tests {
             &src,
             &[0.5, 1.5],
             AlignSpec::Interpolate(InterpMethod::Linear),
-            2,
         )
         .unwrap();
         assert_eq!(out.channel("a").unwrap(), vec![0.5, 1.5]);
@@ -452,11 +395,11 @@ mod tests {
     fn auto_align_picks_sensibly() {
         let fine = fine_series();
         // Coarser target -> aggregation (means, not raw samples).
-        let daily = auto_align(&fine, &[23.0, 47.0], 1).unwrap();
+        let daily = auto_align(&fine, &[23.0, 47.0]).unwrap();
         assert!((daily.channel("v").unwrap()[0] - 11.5).abs() < 1e-12);
         // Finer target -> spline interpolation, which tracks t exactly for
         // linear data.
-        let halfhour = auto_align(&fine, &[10.25, 10.75], 1).unwrap();
+        let halfhour = auto_align(&fine, &[10.25, 10.75]).unwrap();
         for (t, v) in halfhour.times().iter().zip(halfhour.channel("v").unwrap()) {
             assert!((v - t).abs() < 1e-6);
         }
@@ -465,7 +408,7 @@ mod tests {
     #[test]
     fn validation_errors() {
         let src = fine_series();
-        assert!(align(&src, &[], AlignSpec::Aggregate(AggMethod::Mean), 1).is_err());
-        assert!(align(&src, &[2.0, 1.0], AlignSpec::Aggregate(AggMethod::Mean), 1).is_err());
+        assert!(align(&src, &[], AlignSpec::Aggregate(AggMethod::Mean)).is_err());
+        assert!(align(&src, &[2.0, 1.0], AlignSpec::Aggregate(AggMethod::Mean)).is_err());
     }
 }

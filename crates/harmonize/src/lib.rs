@@ -12,7 +12,7 @@
 //! | module | paper concept |
 //! |---|---|
 //! | [`series`] | the time series `⟨(s_i, d_i)⟩` with k-tuple observations |
-//! | [`align`] | time alignment: aggregation vs interpolation, window-parallel |
+//! | [`align`] | time alignment: aggregation vs interpolation |
 //! | [`spline`] | natural cubic splines and their tridiagonal system |
 //! | [`sgd`] | stochastic gradient descent on `‖Ax−b‖²` |
 //! | [`dsgd`] | stratified, parallel DSGD (Gemulla et al.) with shuffle accounting |
@@ -29,7 +29,7 @@
 //! let daily = TimeSeries::from_fn("demand", 0.0, 1.0, 28, |t| 100.0 + t).unwrap();
 //! // …but the downstream model consumes weekly means.
 //! let weekly = align(&daily, &[6.0, 13.0, 20.0, 27.0],
-//!                    AlignSpec::Aggregate(AggMethod::Mean), 2).unwrap();
+//!                    AlignSpec::Aggregate(AggMethod::Mean)).unwrap();
 //! assert_eq!(weekly.len(), 4);
 //! assert!((weekly.channel("demand").unwrap()[0] - 103.0).abs() < 1e-9);
 //! ```

@@ -1134,7 +1134,7 @@ impl BoundExpr {
 
     /// [`BoundExpr::eval_batch`] over the batch rows behind `lanes`: a
     /// selection gathers the columns the expression reads, a contiguous
-    /// run of rows (a morsel of an unselected chunk) reads them in place.
+    /// run of rows reads them in place.
     pub(crate) fn eval_lanes(&self, batch: &Batch, lanes: Lanes<'_>) -> crate::Result<ColumnVec> {
         let n = lanes.len();
         if n == 0 {

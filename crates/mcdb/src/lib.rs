@@ -100,7 +100,6 @@ pub mod error;
 pub mod expr;
 pub mod markov;
 pub mod mc;
-pub(crate) mod par;
 pub mod query;
 pub mod random_table;
 pub mod sched;
@@ -122,7 +121,7 @@ pub type Result<T> = std::result::Result<T, McdbError>;
 /// The most common imports, for examples and downstream crates.
 pub mod prelude {
     pub use crate::expr::Expr;
-    pub use crate::query::{AggFunc, Catalog, ExecConfig, Plan};
+    pub use crate::query::{AggFunc, Catalog, Plan};
     pub use crate::random_table::RandomTableSpec;
     pub use crate::schema::{Column, DataType, Schema};
     pub use crate::table::Table;

@@ -50,7 +50,7 @@
 use crate::query::{Catalog, Plan, PreparedQuery};
 use crate::random_table::{PreparedRandomTable, RandomTableSpec};
 use crate::table::Table;
-use mde_numeric::cache::{CacheEntry, CacheKey, Provenance};
+use mde_numeric::cache::{CacheEntry, CacheHandle, CacheKey, Provenance};
 use mde_numeric::checkpoint::{CampaignState, Fingerprint};
 use mde_numeric::resilience::{
     supervise_boundary, CheckpointSpec, ReplicateOutcome, RunOptions, RunReport, StopCause,
@@ -151,10 +151,16 @@ impl MonteCarloQuery {
         seed: u64,
         opts: &RunOptions,
     ) -> crate::Result<McRun> {
-        // Formatted once per run: the checkpoint and both cache sides share it.
+        // Formatted once per run: the checkpoint and both cache sides share
+        // the fingerprint, the lookup and the insert share the key.
         let fingerprint = self.fingerprint(n, seed);
-        if opts.resume.is_none() {
-            if let Some(hit) = Self::replay_cached(fingerprint, n, seed, opts)? {
+        let cached = opts
+            .cache
+            .as_ref()
+            .map(|cache| (cache, Self::cache_key(fingerprint, n, seed, opts)));
+        // A resumed run does not consult the cache; it still stores.
+        if let (Some((cache, key)), None) = (&cached, &opts.resume) {
+            if let Some(hit) = Self::replay_cached(cache, key, fingerprint, n, seed, opts)? {
                 return Ok(hit);
             }
         }
@@ -166,7 +172,9 @@ impl MonteCarloQuery {
             n as u64,
         )?;
         let run = self.campaign(catalog, n, seed, opts, state)?;
-        Self::cache_completed(fingerprint, n, seed, opts, &run);
+        if let Some((cache, key)) = cached {
+            Self::cache_completed(cache, key, &run);
+        }
         Ok(run)
     }
 
@@ -202,25 +210,23 @@ impl MonteCarloQuery {
         CacheKey::for_campaign(spec_fingerprint, n as u64, seed)
     }
 
-    /// Replay a cached completed run, if `opts.cache` holds one for this
-    /// exact campaign. Reconstructs the full [`McRun`] — samples,
-    /// deterministic report, resumable final state — bit-identically to
-    /// a recompute, honoring the final-checkpoint contract when a
+    /// Replay the completed run `cache` holds under `key`, if any.
+    /// Reconstructs the full [`McRun`] — samples, deterministic report,
+    /// resumable final state — bit-identically to a recompute, honoring the
+    /// final-checkpoint contract when a
     /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached. A
     /// structurally implausible entry is treated as a miss (recompute),
     /// never an error.
     fn replay_cached(
+        cache: &CacheHandle,
+        key: &CacheKey,
         fingerprint: u64,
         n: usize,
         seed: u64,
         opts: &RunOptions,
     ) -> crate::Result<Option<McRun>> {
-        let Some(cache) = &opts.cache else {
+        let Some(entry) = cache.get(key) else {
             return Ok(None);
-        };
-        let entry = match cache.get(&Self::cache_key(fingerprint, n, seed, opts)) {
-            Some(e) => e,
-            None => return Ok(None),
         };
         let Some(report) = entry.report else {
             return Ok(None);
@@ -249,16 +255,14 @@ impl MonteCarloQuery {
         }))
     }
 
-    /// Store a *completed* run in `opts.cache` (stopped/partial runs are
-    /// never cached — they are checkpoints, not answers). Best-effort
+    /// Store a *completed* run in `cache` under `key` (stopped/partial runs
+    /// are never cached — they are checkpoints, not answers). Best-effort
     /// durable: a failed persist is counted, never surfaced.
-    fn cache_completed(fingerprint: u64, n: usize, seed: u64, opts: &RunOptions, run: &McRun) {
-        let Some(cache) = &opts.cache else { return };
+    fn cache_completed(cache: &CacheHandle, key: CacheKey, run: &McRun) {
         if run.stopped.is_some() {
             return;
         }
         let Some(state) = &run.checkpoint else { return };
-        let key = Self::cache_key(fingerprint, n, seed, opts);
         let spec_fingerprint = key.spec_fingerprint;
         cache.insert_durable(CacheEntry {
             key,
@@ -1081,12 +1085,9 @@ mod tests {
             ),
             (OLAP_N, OLAP_N, 1)
         );
-        // The failed fill asked for every page of `DIM` (and got the two
-        // resident ones); the one that succeeded read everything once.
-        assert_eq!(
-            starved.reads() - before,
-            dim.n_pages() as u64 + starved.pages_of_one_scan()
-        );
+        // The failed fill stopped at the first page it could not get, its
+        // third; the one that succeeded read everything once.
+        assert_eq!(starved.reads() - before, 3 + starved.pages_of_one_scan());
         assert_eq!(gate.calls.load(Ordering::SeqCst), OLAP_N as u64 + 1);
     }
 

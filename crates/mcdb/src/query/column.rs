@@ -88,25 +88,11 @@ impl NullMask {
     }
 
     /// The raw bitmap words, or `None` when the mask never materialized
-    /// (all lanes valid). Lets the page-codec tests assert that decoded
-    /// masks reproduce the all-valid fast path verbatim.
-    #[cfg(test)]
+    /// (all lanes valid) — the zero-copy handoff to the SIMD kernels in
+    /// [`crate::query::simd`], which read lane `i` as
+    /// `words[i / 64] >> (i % 64) & 1`.
     pub(crate) fn words(&self) -> Option<&[u64]> {
         self.bits.as_deref()
-    }
-
-    /// The bitmap words covering the 64-aligned lane window
-    /// `[start, start + len)`, or `None` when the mask never materialized
-    /// (all lanes valid). This is the zero-copy handoff to the SIMD
-    /// kernels in [`crate::query::simd`], which read lane `i` of the
-    /// window as `words[i / 64] >> (i % 64) & 1` — exactly why morsel
-    /// boundaries are required to be 64-lane aligned.
-    #[inline]
-    pub(crate) fn word_slice(&self, start: usize, len: usize) -> Option<&[u64]> {
-        debug_assert!(start.is_multiple_of(64) && start + len <= self.len);
-        self.bits
-            .as_deref()
-            .map(|b| &b[start / 64..start / 64 + len.div_ceil(64)])
     }
 
     /// Rebuild a mask from persisted bitmap words. `words: None` must be
@@ -118,8 +104,8 @@ impl NullMask {
     }
 
     /// The mask of lanes `[start, start + len)`. Whole words are copied
-    /// when `start` is 64-aligned (every morsel boundary is); an all-valid
-    /// mask, or a window without a null, stays on the fast path.
+    /// when `start` is 64-aligned; an all-valid mask, or a window without a
+    /// null, stays on the fast path.
     pub(crate) fn window(&self, start: usize, len: usize) -> NullMask {
         debug_assert!(start + len <= self.len);
         let Some(bits) = &self.bits else {
@@ -899,16 +885,17 @@ impl ColumnVec {
     }
 
     /// Concatenate many columns in one pass with a single allocation per
-    /// payload — the morsel-merge primitive. Semantically identical to a
-    /// left fold of [`ColumnVec::concat`] (including the untyped-all-null
-    /// adoption rules and the all-valid null-mask fast path) but O(total)
+    /// payload — how Grace partitions' group-by outputs merge. Semantically
+    /// identical to a left fold of [`ColumnVec::concat`] (including the
+    /// untyped-all-null adoption rules and the all-valid null-mask fast
+    /// path) but O(total)
     /// instead of O(total · parts).
     ///
     /// # Panics
     ///
     /// Like [`ColumnVec::concat`], if two parts carry different concrete
-    /// types — impossible when every part was produced by evaluating the
-    /// same expression over morsels of one batch.
+    /// types — impossible when every part is the same output column of one
+    /// operator.
     pub(crate) fn concat_many(parts: Vec<ColumnVec>) -> ColumnVec {
         if parts.len() == 1 {
             return parts.into_iter().next().expect("one part");
@@ -1403,17 +1390,6 @@ mod tests {
         let mut seen = Vec::new();
         marked.for_each_null(|i| seen.push(i));
         assert_eq!(seen, [0, 9, 129]);
-    }
-
-    #[test]
-    fn word_slice_windows_align() {
-        let mut m = NullMask::all_valid(200);
-        assert!(m.word_slice(64, 64).is_none());
-        m.set_null(70);
-        let w = m.word_slice(64, 64).unwrap();
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0] >> 6 & 1, 1, "global lane 70 = local lane 6");
-        assert_eq!(m.word_slice(128, 72).unwrap().len(), 2);
     }
 
     #[test]

@@ -82,14 +82,6 @@ impl<'a> Lanes<'a> {
             Lanes::Sel(s) => s[i] as usize,
         }
     }
-
-    /// Lanes `[a, b)` of this run.
-    pub(crate) fn slice(&self, a: usize, b: usize) -> Lanes<'a> {
-        match self {
-            Lanes::Range(start, _) => Lanes::Range(start + a, start + b),
-            Lanes::Sel(s) => Lanes::Sel(&s[a..b]),
-        }
-    }
 }
 
 /// `for (lane, row) in lanes`, with the range/selection dispatch hoisted

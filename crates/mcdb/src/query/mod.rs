@@ -7,7 +7,8 @@
 //! optimization" transfer to simulation settings), lowered to a physical
 //! plan with expressions bound exactly once ([`physical::PreparedQuery`]),
 //! and executed against a [`Catalog`] of in-memory tables by a vectorized
-//! columnar engine ([`mod@column`]/[`batch`]).
+//! columnar engine ([`mod@column`]/[`batch`]) that runs each operator in one
+//! pass over its input, on the calling thread.
 //!
 //! The legacy row-at-a-time interpreter survives as
 //! [`Catalog::query_unoptimized`], which doubles as the reference
@@ -33,49 +34,6 @@ use std::sync::Arc;
 pub use exec::execute;
 pub use physical::PreparedQuery;
 
-/// Morsel-parallel execution policy carried by a [`Catalog`].
-///
-/// The executor splits every operator's input into `morsel_rows`-lane
-/// morsels and runs them on `threads` scoped workers with a
-/// deterministic order-preserving merge, so results (rows, errors, and
-/// the deterministic ledger) are bit-identical at any thread count.
-/// `threads <= 1` runs the same morsel pipeline on the calling thread —
-/// sequential execution is the one-worker special case, not a separate
-/// code path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Worker threads per query (1 = run morsels on the calling thread).
-    pub threads: usize,
-    /// Lanes per morsel. Rounded up to a multiple of 64 so morsel
-    /// boundaries align with null-mask words (and, for typical page
-    /// sizes, with page-frame row counts).
-    pub morsel_rows: usize,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            threads: 1,
-            morsel_rows: 4096,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// A config with `threads` workers and the default morsel size.
-    pub fn with_threads(threads: usize) -> Self {
-        ExecConfig {
-            threads: threads.max(1),
-            ..ExecConfig::default()
-        }
-    }
-
-    /// `morsel_rows` rounded up to a 64-lane boundary (never zero).
-    pub fn aligned_morsel_rows(&self) -> usize {
-        self.morsel_rows.max(1).div_ceil(64) * 64
-    }
-}
-
 /// A named collection of tables — the "database".
 ///
 /// Tables are stored behind `Arc`s so cloning a catalog (the per-replicate
@@ -89,7 +47,6 @@ impl ExecConfig {
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
     spill: SpillConfig,
-    exec: ExecConfig,
 }
 
 impl Catalog {
@@ -175,19 +132,6 @@ impl Catalog {
         self.spill = spill;
     }
 
-    /// The morsel-parallel execution policy queries against this catalog
-    /// run under.
-    pub fn exec_config(&self) -> &ExecConfig {
-        &self.exec
-    }
-
-    /// Replace the execution policy (thread count / morsel size).
-    /// Results are bit-identical across policies by construction; this
-    /// only changes how the work is scheduled.
-    pub fn set_exec_config(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
     /// Persist every table as a paged columnar file under `dir` (one
     /// `<table>.mdet` per table) and return a catalog of paged tables
     /// reading back through the shared `pool`. Spill partitions written
@@ -217,7 +161,6 @@ impl Catalog {
             pool,
             ..self.spill.clone()
         };
-        out.exec = self.exec.clone();
         Ok(out)
     }
 

@@ -31,22 +31,18 @@
 //! legacy row-at-a-time interpreter in `exec.rs`, which is retained as the
 //! reference for differential tests.
 //!
-//! Execution is also *morsel-parallel*: each operator splits its lane
-//! space into 64-aligned morsels ([`crate::query::ExecConfig`]) that are
-//! dispatched round-robin onto scoped worker threads
-//! (`par::par_map_ordered`) and merged back **in morsel order**.
-//! Because morsel decomposition depends only on the data and
-//! `morsel_rows` — never on the thread count — and every merge walks
-//! morsels in their fixed order (group-by accumulates in global lane
-//! order, join probe output concatenates in probe-lane order, errors
-//! resolve lowest-morsel-first), results are bit-identical to sequential
-//! execution at any thread count. Aggregation, join indexing and sort
-//! comparison run on the typed kernels of `query::kernels` (dense group
-//! ids from the key columns, typed accumulators, a flat join index) rather
-//! than on boxed values; hot filter predicates additionally route through
-//! the runtime-dispatched SIMD kernels in [`crate::query::simd`], whose
-//! portable twins are exact, so SIMD availability never changes results
-//! either.
+//! Each operator runs in **one pass over its input, on the calling
+//! thread**: a filter evaluates its predicate over every lane at once, a
+//! join probes every lane against one index, a group-by folds its lanes in
+//! order. A morsel split and its worker threads never beat one pass here
+//! (EXPERIMENTS.md, E3), so there is none; the only parallelism above this
+//! executor is the Monte Carlo replicate loop. Aggregation, join indexing
+//! and sort comparison run on the typed kernels of `query::kernels` (dense
+//! group ids from the key columns, typed accumulators, a flat join index)
+//! rather than on boxed values; hot filter predicates additionally route
+//! through the runtime-dispatched SIMD kernels in [`crate::query::simd`],
+//! whose portable twins are exact, so SIMD availability never changes
+//! results.
 
 use super::batch::Batch;
 use super::column::ColumnVec;
@@ -56,15 +52,14 @@ use super::kernels::{
 };
 use super::{infer_type, planner, simd, AggFunc, Catalog, Plan};
 use crate::expr::{BinOp, BoundExpr};
-use crate::par::{first_error, morsel_ranges, par_map_items, par_map_ordered};
 use crate::schema::{Column, DataType, Schema};
 use crate::storage::spill::SpilledBatch;
 use crate::table::Table;
 use crate::value::Value;
 use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A unit of data flowing between physical operators: a shared columnar
@@ -120,69 +115,34 @@ impl Chunk {
     }
 }
 
-/// Per-execution state threaded through the operator tree: the catalog,
-/// the morsel/thread configuration, and the deterministic execution
-/// counters. Counters are atomics so `&ExecCtx` is `Sync` and morsel
-/// workers can bump them; every counter is a pure function of the data
-/// and the plan (never of the thread count or timing), except
-/// `morsel_nanos`, which is wall-clock and stays out-of-band.
+/// Per-execution state threaded through the operator tree: the catalog
+/// and the deterministic execution counters, each a pure function of the
+/// data and the plan.
 struct ExecCtx<'a> {
     catalog: &'a Catalog,
-    threads: usize,
-    /// 64-aligned morsel size in lanes.
-    morsel_rows: usize,
-    /// Whether to accumulate per-morsel wall-clock (tracer enabled).
-    timing: bool,
-    /// Total morsels dispatched (including paged-scan page decodes).
-    morsels: AtomicU64,
-    /// Total lanes routed through SIMD-eligible batch kernels.
-    simd_lanes: AtomicU64,
-    /// Accumulated per-morsel wall-clock; out-of-band (`*_nanos`).
-    morsel_nanos: AtomicU64,
+    /// `query.morsels`: one per operator pass over an input (filter, join
+    /// probe, aggregate arguments, projection, sort keys) and one per
+    /// decoded page.
+    morsels: Cell<u64>,
+    /// `query.simd_lanes`: lanes routed through SIMD-eligible kernels.
+    simd_lanes: Cell<u64>,
 }
 
 impl<'a> ExecCtx<'a> {
-    fn new(catalog: &'a Catalog, tracer: &Tracer) -> ExecCtx<'a> {
-        let exec = catalog.exec_config();
+    fn new(catalog: &'a Catalog) -> ExecCtx<'a> {
         ExecCtx {
             catalog,
-            threads: exec.threads.max(1),
-            morsel_rows: exec.aligned_morsel_rows(),
-            timing: tracer.enabled(),
-            morsels: AtomicU64::new(0),
-            simd_lanes: AtomicU64::new(0),
-            morsel_nanos: AtomicU64::new(0),
+            morsels: Cell::new(0),
+            simd_lanes: Cell::new(0),
         }
     }
 
-    /// Morsel ranges over `lanes`, with a single empty morsel for empty
-    /// input so operators still evaluate expressions exactly once (same
-    /// error surface as sequential execution over zero rows).
-    fn ranges(&self, lanes: usize) -> Vec<(usize, usize)> {
-        if lanes == 0 {
-            return vec![(0, 0)];
-        }
-        morsel_ranges(lanes, self.morsel_rows)
-    }
-
-    fn count_morsels(&self, n: usize) {
-        self.morsels.fetch_add(n as u64, AtomicOrdering::Relaxed);
+    fn count_morsels(&self, n: u64) {
+        self.morsels.set(self.morsels.get() + n);
     }
 
     fn count_simd_lanes(&self, n: usize) {
-        self.simd_lanes.fetch_add(n as u64, AtomicOrdering::Relaxed);
-    }
-
-    /// Run one morsel task, accumulating wall-clock when tracing.
-    fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
-        if !self.timing {
-            return f();
-        }
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.morsel_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
-        out
+        self.simd_lanes.set(self.simd_lanes.get() + n as u64);
     }
 }
 
@@ -472,28 +432,16 @@ impl PreparedQuery {
     /// are inert and nothing allocates.
     pub fn execute_traced(&self, catalog: &Catalog, tracer: &Tracer) -> crate::Result<Table> {
         self.executions.inc();
-        let ctx = ExecCtx::new(catalog, tracer);
+        let ctx = ExecCtx::new(catalog);
         let mut span = tracer.root("query");
         span.record("exec", self.executions.get());
         let chunk = run(&self.root, &ctx, &span)?;
         let table = materialize(&chunk, self.root.result_name())?;
         span.record("rows_out", table.len());
         // Deterministic execution counters: pure functions of the data and
-        // the plan, identical at every thread count and with or without
-        // SIMD. Wall-clock stays out-of-band under the `*_nanos` suffix —
-        // the deterministic ledger is every field EXCEPT `*_nanos` and
-        // span durations (DESIGN.md §6g).
-        span.record("query.morsels", ctx.morsels.load(AtomicOrdering::Relaxed));
-        span.record(
-            "query.simd_lanes",
-            ctx.simd_lanes.load(AtomicOrdering::Relaxed),
-        );
-        if ctx.timing {
-            span.record(
-                "query.morsel_nanos",
-                ctx.morsel_nanos.load(AtomicOrdering::Relaxed),
-            );
-        }
+        // the plan, identical with or without SIMD (DESIGN.md §6g).
+        span.record("query.morsels", ctx.morsels.get());
+        span.record("query.simd_lanes", ctx.simd_lanes.get());
         Ok(table)
     }
 }
@@ -830,13 +778,11 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             // hit/eviction counters are timing-dependent and stay
             // out-of-band in `PoolStats`.
             let reads_before = t.paged_store().map(|s| s.logical_reads());
-            let chunk = Chunk::from_batch(t.scan_batch(read, ctx.threads)?);
+            let chunk = Chunk::from_batch(t.scan_batch(read)?);
             if let (Some(before), Some(store)) = (reads_before, t.paged_store()) {
                 let pages = store.logical_reads() - before;
                 span.record("storage.page_reads", pages);
-                // Paged scans parallelize per page frame: each decoded
-                // page is one morsel.
-                ctx.morsels.fetch_add(pages, AtomicOrdering::Relaxed);
+                ctx.count_morsels(pages);
             }
             span.record("rows", chunk.len());
             Ok(chunk)
@@ -850,94 +796,9 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
         PhysOp::Filter { input, predicate } => {
             let mut span = parent.child("filter");
             let chunk = run(input, ctx, &span)?;
-            let lanes = chunk.len();
-            span.record("rows_in", lanes);
-            let ranges = ctx.ranges(lanes);
-            ctx.count_morsels(ranges.len());
-            let sel: Vec<u32> = if let Some(conjuncts) = filter_fast_path(&chunk, predicate) {
-                // SIMD fast path: the comparison kernels consume the
-                // column slice and its null words directly; morsel
-                // boundaries are 64-aligned so each morsel borrows whole
-                // mask words. A conjunction intersects its conjuncts'
-                // ascending selections. Lane eligibility is counted
-                // regardless of whether AVX2 is actually available.
-                ctx.count_simd_lanes(lanes);
-                let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                    let (a, b) = ranges[m];
-                    Ok(ctx.timed(|| {
-                        let mut local = conjuncts
-                            .iter()
-                            .map(|&(col, fast)| match (fast, chunk.batch.column(col)) {
-                                (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
-                                    let words = nulls.word_slice(a, b - a);
-                                    simd::cmp_f64_lit(op, &data[a..b], lit, words)
-                                }
-                                (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
-                                    let words = nulls.word_slice(a, b - a);
-                                    simd::cmp_i64_lit(op, &data[a..b], lit, words)
-                                }
-                                // `filter_fast_path` only emits matching pairs.
-                                _ => Vec::new(),
-                            })
-                            .reduce(|acc, next| simd::intersect_sorted(&acc, &next))
-                            .unwrap_or_default();
-                        for s in &mut local {
-                            *s += a as u32;
-                        }
-                        local
-                    }))
-                });
-                first_error(parts)?.into_iter().flatten().collect()
-            } else {
-                // Generic path: evaluate the predicate per morsel, then
-                // compact true-and-not-null lanes with the SIMD bool
-                // kernel. Merging concatenates in morsel order, so the
-                // selection vector is identical at every thread count.
-                let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-                    let (a, b) = ranges[m];
-                    ctx.timed(|| {
-                        let mlanes = chunk.lanes().slice(a, b);
-                        let pred = predicate.eval_lanes(&chunk.batch, mlanes)?;
-                        let mlen = b - a;
-                        match &pred {
-                            ColumnVec::Bool { data, nulls } => {
-                                let mut local =
-                                    simd::compact_bool_lanes(data, nulls.word_slice(0, mlen));
-                                match mlanes {
-                                    Lanes::Range(start, _) => {
-                                        local.iter_mut().for_each(|l| *l += start as u32)
-                                    }
-                                    Lanes::Sel(s) => {
-                                        local.iter_mut().for_each(|l| *l = s[*l as usize])
-                                    }
-                                }
-                                Ok((local, mlen))
-                            }
-                            // All-null predicate: NULL is not true.
-                            ColumnVec::AllNull { .. } => Ok((Vec::new(), 0)),
-                            other => {
-                                // Same error the row engine raises at the
-                                // first row whose predicate value is
-                                // non-Bool and non-Null.
-                                if let Some(i) = (0..other.len()).find(|&i| !other.is_null(i)) {
-                                    return Err(McdbError::type_mismatch(
-                                        "filter predicate",
-                                        "Bool or NULL",
-                                        format!("{}", other.value(i)),
-                                    ));
-                                }
-                                Ok((Vec::new(), 0))
-                            }
-                        }
-                    })
-                });
-                let mut sel = Vec::new();
-                for (part, simd_lanes) in first_error(parts)? {
-                    ctx.count_simd_lanes(simd_lanes);
-                    sel.extend(part);
-                }
-                sel
-            };
+            span.record("rows_in", chunk.len());
+            ctx.count_morsels(1);
+            let sel = filter_lanes(ctx, &chunk, predicate)?;
             span.record("rows_out", sel.len());
             Ok(Chunk::selected(chunk.batch, sel))
         }
@@ -949,7 +810,8 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             let mut span = parent.child("project");
             let chunk = run(input, ctx, &span)?;
             span.record("rows", chunk.len());
-            let batch = project(ctx, &chunk, exprs, schema)?;
+            ctx.count_morsels(1);
+            let batch = project(&chunk, exprs, schema)?;
             Ok(Chunk::from_batch(Arc::new(batch)))
         }
         PhysOp::HashJoin {
@@ -1008,7 +870,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                         ctx,
                         &JoinSide::new(&lb, left_keys, Lanes::Range(0, lb.len())),
                         &JoinSide::new(&rb, right_keys, Lanes::Range(0, rb.len())),
-                    )?;
+                    );
                     pairs.extend(
                         l_rows
                             .into_iter()
@@ -1023,31 +885,25 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     pairs.iter().map(|&(_, r)| rc.index(r as usize)).collect(),
                 )
             } else {
-                join_rows(ctx, &l_side, &r_side)?
+                join_rows(ctx, &l_side, &r_side)
             };
 
-            // Output columns gather independently — one task per column.
-            // A column no ancestor binds is never read, so it is emitted
-            // as an O(1) untyped all-null placeholder instead of a gather.
-            let n_left = emit_left.len();
-            let cols = first_error(par_map_ordered(
-                ctx.threads,
-                n_left + emit_right.len(),
-                |j| {
-                    Ok(ctx.timed(|| {
-                        let (side, k, sel, emit) = if j < n_left {
-                            (&lc, j, &l_sel, emit_left[j])
-                        } else {
-                            (&rc, j - n_left, &r_sel, emit_right[j - n_left])
-                        };
+            // A column no ancestor binds is never read, so it is emitted as
+            // an O(1) untyped all-null placeholder instead of a gather.
+            let gather = |side: &Chunk, sel: &[u32], emit: &[bool]| {
+                emit.iter()
+                    .enumerate()
+                    .map(|(k, &emit)| {
                         if emit {
                             side.batch.column(k).gather(sel)
                         } else {
                             ColumnVec::AllNull { len: sel.len() }
                         }
-                    }))
-                },
-            ))?;
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let mut cols = gather(&lc, &l_sel, emit_left);
+            cols.extend(gather(&rc, &r_sel, emit_right));
             span.record("rows_out", l_sel.len());
             let batch = Batch::from_columns(schema.clone(), cols, l_sel.len())?;
             Ok(Chunk::from_batch(Arc::new(batch)))
@@ -1168,70 +1024,86 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
     }
 }
 
+/// The filter kernel: the batch rows behind the lanes of `chunk` where
+/// `predicate` is true, in lane order.
+fn filter_lanes(ctx: &ExecCtx, chunk: &Chunk, predicate: &BoundExpr) -> crate::Result<Vec<u32>> {
+    let lanes = chunk.len();
+    if let Some(conjuncts) = filter_fast_path(chunk, predicate) {
+        // SIMD fast path: the comparison kernels consume the column slice
+        // and its null words directly, and a conjunction intersects its
+        // conjuncts' ascending selections. Lane eligibility is counted
+        // whether or not AVX2 is actually available.
+        ctx.count_simd_lanes(lanes);
+        return Ok(conjuncts
+            .iter()
+            .map(|&(col, fast)| match (fast, chunk.batch.column(col)) {
+                (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
+                    simd::cmp_f64_lit(op, data, lit, nulls.words())
+                }
+                (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
+                    simd::cmp_i64_lit(op, data, lit, nulls.words())
+                }
+                // `filter_fast_path` only emits matching pairs.
+                _ => Vec::new(),
+            })
+            .reduce(|acc, next| simd::intersect_sorted(&acc, &next))
+            .unwrap_or_default());
+    }
+    // Generic path: evaluate the predicate, then compact true-and-not-null
+    // lanes with the SIMD bool kernel.
+    match predicate.eval_lanes(&chunk.batch, chunk.lanes())? {
+        ColumnVec::Bool { data, nulls } => {
+            ctx.count_simd_lanes(lanes);
+            let sel = simd::compact_bool_lanes(&data, nulls.words());
+            Ok(match chunk.sel_slice() {
+                Some(rows) => sel.into_iter().map(|l| rows[l as usize]).collect(),
+                None => sel,
+            })
+        }
+        // All-null predicate: NULL is not true.
+        ColumnVec::AllNull { .. } => Ok(Vec::new()),
+        // Same error the row engine raises at the first row whose predicate
+        // value is non-Bool and non-Null.
+        other => match (0..other.len()).find(|&i| !other.is_null(i)) {
+            Some(i) => Err(McdbError::type_mismatch(
+                "filter predicate",
+                "Bool or NULL",
+                format!("{}", other.value(i)),
+            )),
+            None => Ok(Vec::new()),
+        },
+    }
+}
+
 /// The projection kernel: evaluate `exprs` over the lanes of `chunk`, widen
 /// each result to its declared column of `schema`, validate it, and
-/// assemble the output batch. Each morsel evaluates and validates EVERY
-/// output column, recording per-column results instead of stopping at the
-/// first failure, so the merge can surface errors column-major (and, within
-/// a column, at its first failing lane) — the order sequential execution
-/// discovers them in.
-fn project(
-    ctx: &ExecCtx,
-    chunk: &Chunk,
-    exprs: &[BoundExpr],
-    schema: &Schema,
-) -> crate::Result<Batch> {
-    let len = chunk.len();
-    let ranges = ctx.ranges(len);
-    ctx.count_morsels(ranges.len());
-    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-        let (a, b) = ranges[m];
-        Ok(ctx.timed(|| {
-            let mlanes = chunk.lanes().slice(a, b);
-            exprs
-                .iter()
-                .zip(schema.columns())
-                .map(|(e, col)| {
-                    let c = e.eval_lanes(&chunk.batch, mlanes)?.coerce_to(col.dtype);
-                    validate_column(&c, col)?;
-                    Ok(c)
-                })
-                .collect::<Vec<crate::Result<ColumnVec>>>()
-        }))
-    });
-    let parts = first_error(parts)?;
-    for j in 0..exprs.len() {
-        for part in &parts {
-            if let Err(e) = &part[j] {
-                return Err(e.clone());
-            }
-        }
-    }
-    let mut col_parts: Vec<Vec<ColumnVec>> = (0..exprs.len())
-        .map(|_| Vec::with_capacity(parts.len()))
-        .collect();
-    for part in parts {
-        for (j, r) in part.into_iter().enumerate() {
-            // Cannot fail: errors were surfaced column-major above.
-            col_parts[j].push(r?);
-        }
-    }
-    let cols: Vec<ColumnVec> = col_parts.into_iter().map(ColumnVec::concat_many).collect();
-    Batch::from_columns(schema.clone(), cols, len)
+/// assemble the output batch. Errors surface column-major and, within a
+/// column, at its first failing lane — the order the row engine discovers
+/// them in.
+fn project(chunk: &Chunk, exprs: &[BoundExpr], schema: &Schema) -> crate::Result<Batch> {
+    let cols = exprs
+        .iter()
+        .zip(schema.columns())
+        .map(|(e, col)| {
+            let c = e
+                .eval_lanes(&chunk.batch, chunk.lanes())?
+                .coerce_to(col.dtype);
+            validate_column(&c, col)?;
+            Ok(c)
+        })
+        .collect::<crate::Result<Vec<ColumnVec>>>()?;
+    Batch::from_columns(schema.clone(), cols, chunk.len())
 }
 
 /// [`PhysOp::Project`]'s kernel over a whole batch, outside any plan — what
 /// a stochastic table's `SELECT` list runs through
-/// ([`PreparedRandomTable::realize`](crate::random_table::PreparedRandomTable::realize)),
-/// under `catalog`'s morsel policy.
+/// ([`PreparedRandomTable::realize`](crate::random_table::PreparedRandomTable::realize)).
 pub(crate) fn project_batch(
-    catalog: &Catalog,
     batch: Batch,
     exprs: &[BoundExpr],
     schema: &Schema,
 ) -> crate::Result<Batch> {
-    let ctx = ExecCtx::new(catalog, &Tracer::disabled());
-    project(&ctx, &Chunk::from_batch(Arc::new(batch)), exprs, schema)
+    project(&Chunk::from_batch(Arc::new(batch)), exprs, schema)
 }
 
 /// One input of a hash join: a batch, its key column indices, and the
@@ -1265,19 +1137,14 @@ impl<'a> JoinSide<'a> {
 
 /// The in-memory hash-join kernel, shared by the unspilled path and every
 /// Grace partition: index the smaller side (ties keep the legacy right
-/// build), probe the larger side morsel-parallel, and return the batch rows
-/// of the matching (left, right) pairs in the reference order. Every morsel
-/// writes the build key its lanes match into its own run of one buffer
-/// sized from the probe lanes; the pairs are then expanded from that buffer
-/// in probe-lane order, so a right build emerges in the reference order
-/// (ascending probe lane × ascending build lane) directly — as the two
-/// selection vectors the gathers take — and a left build restores it with a
-/// sort. NULL keys never match.
-fn join_rows(
-    ctx: &ExecCtx,
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
-) -> crate::Result<(Vec<u32>, Vec<u32>)> {
+/// build), probe the larger side, and return the batch rows of the matching
+/// (left, right) pairs in the reference order. The probe writes the build
+/// key each probe lane matches into one buffer; the pairs are then expanded
+/// from it in probe-lane order, so a right build emerges in the reference
+/// order (ascending probe lane × ascending build lane) directly — as the
+/// two selection vectors the gathers take — and a left build restores it
+/// with a sort. NULL keys never match.
+fn join_rows(ctx: &ExecCtx, left: &JoinSide<'_>, right: &JoinSide<'_>) -> (Vec<u32>, Vec<u32>) {
     let build_right = right.lanes.len() <= left.lanes.len();
     let (build, probe) = if build_right {
         (right, left)
@@ -1285,34 +1152,17 @@ fn join_rows(
         (left, right)
     };
     let index = JoinIndex::build(&build.keys, build.lanes);
-    let ranges = ctx.ranges(probe.lanes.len());
-    ctx.count_morsels(ranges.len());
+    ctx.count_morsels(1);
     let mut hits = vec![NO_KEY; probe.lanes.len()];
-    let mut unfilled = hits.as_mut_slice();
-    let tasks: Vec<((usize, usize), &mut [u32])> = ranges
-        .iter()
-        .map(|&(a, b)| {
-            let (out, rest) = std::mem::take(&mut unfilled).split_at_mut(b - a);
-            unfilled = rest;
-            ((a, b), out)
-        })
-        .collect();
-    first_error(par_map_items(
-        ctx.threads,
-        tasks.into_iter(),
-        |((a, b), out)| {
-            ctx.timed(|| index.probe(&probe.keys, probe.lanes.slice(a, b), out));
-            Ok(())
-        },
-    ))?;
+    index.probe(&probe.keys, probe.lanes, &mut hits);
     if build_right {
-        return Ok(index.matches(&hits, probe.lanes, build.lanes));
+        return index.matches(&hits, probe.lanes, build.lanes);
     }
     let identity = |side: &JoinSide<'_>| Lanes::Range(0, side.lanes.len());
     let (probe_lanes, build_lanes) = index.matches(&hits, identity(probe), identity(build));
     let mut pairs: Vec<(u32, u32)> = build_lanes.into_iter().zip(probe_lanes).collect();
     pairs.sort_unstable();
-    Ok((
+    (
         pairs
             .iter()
             .map(|&(l, _)| left.lanes.row(l as usize) as u32)
@@ -1321,7 +1171,7 @@ fn join_rows(
             .iter()
             .map(|&(_, r)| right.lanes.row(r as usize) as u32)
             .collect(),
-    ))
+    )
 }
 
 /// Group-by output before typing: one row per group.
@@ -1383,43 +1233,27 @@ impl Grouped {
     }
 }
 
-/// Evaluate `exprs` over `lanes` of `batch`, one morsel per task, and
-/// concatenate each expression's morsel columns in morsel order.
+/// Evaluate `exprs` over `lanes` of `batch`: one pass, counted as one
+/// morsel whether or not there is an expression to evaluate.
 fn eval_columns(
     ctx: &ExecCtx,
     exprs: &[&BoundExpr],
     batch: &Batch,
     lanes: Lanes<'_>,
 ) -> crate::Result<Vec<ColumnVec>> {
-    let ranges = ctx.ranges(lanes.len());
-    ctx.count_morsels(ranges.len());
-    let parts = par_map_ordered(ctx.threads, ranges.len(), |m| {
-        let (a, b) = ranges[m];
-        ctx.timed(|| {
-            exprs
-                .iter()
-                .map(|e| e.eval_lanes(batch, lanes.slice(a, b)))
-                .collect::<crate::Result<Vec<ColumnVec>>>()
-        })
-    });
-    let mut per_expr: Vec<Vec<ColumnVec>> = exprs.iter().map(|_| Vec::new()).collect();
-    for part in first_error(parts)? {
-        for (col_parts, c) in per_expr.iter_mut().zip(part) {
-            col_parts.push(c);
-        }
-    }
-    Ok(per_expr.into_iter().map(ColumnVec::concat_many).collect())
+    ctx.count_morsels(1);
+    exprs.iter().map(|e| e.eval_lanes(batch, lanes)).collect()
 }
 
 /// The aggregate kernel, shared by the unspilled path and every Grace
-/// partition. Argument expressions evaluate morsel-parallel (an argument
-/// that is a bare column is not copied: the fold reads it in place through
+/// partition. Argument expressions are evaluated first (an argument that is
+/// a bare column is not copied: the fold reads it in place through
 /// `lanes`); then dense group ids are assigned from the typed key columns
 /// and each aggregate folds its argument column into typed per-group
 /// accumulators, both walking lanes in order — so group discovery order and
-/// floating-point accumulation order are exactly those of a sequential
-/// row-at-a-time fold, at any thread count. The inner error is the first lane (then
-/// first aggregate) at which that fold would have failed.
+/// floating-point accumulation order are exactly those of a row-at-a-time
+/// fold. The inner error is the first lane (then first aggregate) at which
+/// that fold would have failed.
 fn aggregate_lanes(
     ctx: &ExecCtx,
     batch: &Batch,
@@ -1458,18 +1292,13 @@ fn aggregate_lanes(
     // accumulators then hold the aggregate identities).
     let groups = (!keys.is_empty()).then(|| assign_groups(&keys, lanes));
     let n_groups = groups.as_ref().map_or(1, |g| g.first_lane.len());
-    let outs = first_error(par_map_ordered(ctx.threads, agg_funcs.len(), |j| {
-        Ok(ctx.timed(|| {
-            let arg = arg_cols[j];
-            match &groups {
-                Some(g) => accumulate(agg_funcs[j], arg, n, n_groups, |l| g.ids[l] as usize),
-                None => accumulate(agg_funcs[j], arg, n, n_groups, |_| 0),
-            }
-        }))
-    }))?;
-    let mut agg_cols = Vec::with_capacity(outs.len());
+    let mut agg_cols = Vec::with_capacity(agg_funcs.len());
     let mut failed: Option<LaneError> = None;
-    for out in outs {
+    for (&func, arg) in agg_funcs.iter().zip(arg_cols) {
+        let out = match &groups {
+            Some(g) => accumulate(func, arg, n, n_groups, |l| g.ids[l] as usize),
+            None => accumulate(func, arg, n, n_groups, |_| 0),
+        };
         match out {
             Ok(c) => agg_cols.push(c),
             Err((lane, e)) => {
@@ -1516,9 +1345,7 @@ fn run_sort(
     let chunk = run(input, ctx, &span)?;
     let lanes = chunk.len();
     span.record("rows", lanes);
-    // Precompute whole key columns so the comparator is infallible. Key
-    // evaluation morselizes; the sort itself stays sequential (it is one
-    // global order).
+    // Precompute whole key columns so the comparator is infallible.
     let key_exprs: Vec<&BoundExpr> = keys.iter().map(|(e, _)| e).collect();
     let key_cols: Vec<(ColumnVec, bool)> =
         eval_columns(ctx, &key_exprs, &chunk.batch, chunk.lanes())?
@@ -1940,6 +1767,7 @@ mod tests {
 
     #[test]
     fn a_pin_cell_is_filled_once_and_only_by_a_fill_that_returns() {
+        use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
         let cell = PinCell::default();
         let failed = cell.get_or_try_fill(|| Err(McdbError::invalid_plan("not this time")));
         assert!(failed.is_err());
@@ -2019,12 +1847,10 @@ mod tests {
     }
 
     #[test]
-    fn morsel_parallel_is_bit_identical_across_thread_counts() {
-        use crate::query::ExecConfig;
-        // 1000 rows with 64-lane morsels → 16 morsels per operator, so
-        // every merge path (SIMD filter fast path, generic filter, Int
-        // join probe, group-by accumulation, sort keys, projection
-        // concat) crosses real morsel boundaries.
+    fn one_pass_operators_match_reference_over_a_thousand_rows() {
+        // Every operator kernel (SIMD filter fast path, generic filter,
+        // Int join probe, group-by accumulation, sort keys, projection)
+        // over more lanes than a null-mask word or a SIMD block holds.
         let mut c = Catalog::new();
         let mut t = Table::new(
             "big",
@@ -2069,25 +1895,7 @@ mod tests {
             Plan::scan("big").project(&[("y", Expr::col("x").mul(Expr::lit(2.0)))]),
         ];
         for plan in &plans {
-            let mut seq = c.clone();
-            seq.set_exec_config(ExecConfig {
-                threads: 1,
-                morsel_rows: 64,
-            });
-            let want = seq.query(plan).unwrap();
-            for threads in [2, 4, 8] {
-                let mut par = c.clone();
-                par.set_exec_config(ExecConfig {
-                    threads,
-                    morsel_rows: 64,
-                });
-                assert_eq!(
-                    par.query(plan).unwrap(),
-                    want,
-                    "threads={threads} diverged for {}",
-                    plan.explain()
-                );
-            }
+            assert_engines_agree(&c, plan);
         }
     }
 

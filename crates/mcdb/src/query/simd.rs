@@ -13,8 +13,7 @@
 //!
 //! Null masks follow the [`crate::query::column::NullMask`] convention:
 //! 64 lanes per `u64` word, **set bit = NULL**, lane `i` maps to
-//! `words[i / 64] >> (i % 64) & 1`. Callers slice whole words, which is
-//! why morsel boundaries are 64-lane aligned.
+//! `words[i / 64] >> (i % 64) & 1`. Callers pass a column's whole mask.
 //!
 //! NaN never reaches the `f64` comparison kernel from engine columns —
 //! schema validation rejects non-finite table values and projection

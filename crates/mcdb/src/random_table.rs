@@ -294,7 +294,7 @@ impl PreparedRandomTable {
         }
         columns.extend(vg_cols);
         let combined = Batch::from_columns(self.combined.clone(), columns, len)?;
-        let out = project_batch(catalog, combined, &self.bound_select, &self.out_schema)?;
+        let out = project_batch(combined, &self.bound_select, &self.out_schema)?;
         Ok(Table::from_batch(self.name.clone(), Arc::new(out)))
     }
 

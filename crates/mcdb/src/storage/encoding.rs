@@ -1209,7 +1209,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_decode_is_bit_identical_at_any_thread_count() {
+    fn in_place_decode_is_bit_identical_to_the_written_batch() {
         use crate::query::batch::Batch;
         use crate::storage::{BufferPool, PagedStore};
         use crate::table::Table;
@@ -1248,7 +1248,7 @@ mod tests {
         .finish()
         .unwrap();
         let batch = (*table.batch()).clone();
-        let dir = std::env::temp_dir().join(format!("mde_coder_par_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("mde_coder_rt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.mdet");
         PagedStore::write(&path, "T", &batch, 256).unwrap();
@@ -1274,14 +1274,9 @@ mod tests {
                 })
                 .collect()
         };
-        let seq = store.read_batch().unwrap();
-        assert_eq!(seq, batch);
-        assert_eq!(bits(&seq), bits(&batch));
-        for threads in [2, 4, 8] {
-            let par = store.read_columns(&[true; 4], threads).unwrap();
-            assert_eq!(par, seq, "{threads} threads changed the batch");
-            assert_eq!(bits(&par), bits(&seq), "{threads} threads changed a bit");
-        }
+        let back = store.read_batch().unwrap();
+        assert_eq!(back, batch);
+        assert_eq!(bits(&back), bits(&batch));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -242,7 +242,7 @@ impl Table {
     pub fn try_batch(&self) -> crate::Result<Arc<Batch>> {
         match &self.store {
             TableStore::Cols { batch } => Ok(Arc::clone(batch)),
-            TableStore::Paged { .. } => self.scan_batch(&vec![true; self.schema().len()], 1),
+            TableStore::Paged { .. } => self.scan_batch(&vec![true; self.schema().len()]),
         }
     }
 
@@ -250,19 +250,17 @@ impl Table {
     /// (at least) the columns marked in `read` — one flag per schema
     /// column, computed at prepare time from what the plan binds.
     ///
-    /// A memory table ignores both arguments and clones its `Arc`. A paged
-    /// table reads only the pages of marked columns
-    /// ([`PagedStore::read_columns`], decode fanned out over `threads`
-    /// workers, bit-identical at any count) and splices its tail onto
-    /// those columns only; an unmarked column is an untyped all-null
-    /// placeholder that no operator may take a lane from. So a paged scan
-    /// costs what it reads, and fails on a corrupt page iff it reads that
-    /// page.
-    pub(crate) fn scan_batch(&self, read: &[bool], threads: usize) -> crate::Result<Arc<Batch>> {
+    /// A memory table ignores `read` and clones its `Arc`. A paged table
+    /// reads only the pages of marked columns ([`PagedStore::read_columns`])
+    /// and splices its tail onto those columns only; an unmarked column is
+    /// an untyped all-null placeholder that no operator may take a lane
+    /// from. So a paged scan costs what it reads, and fails on a corrupt
+    /// page iff it reads that page.
+    pub(crate) fn scan_batch(&self, read: &[bool]) -> crate::Result<Arc<Batch>> {
         match &self.store {
             TableStore::Cols { batch } => Ok(Arc::clone(batch)),
             TableStore::Paged { store, tail } => {
-                let base = store.read_columns(read, threads)?;
+                let base = store.read_columns(read)?;
                 if tail.is_empty() {
                     return Ok(Arc::new(base));
                 }

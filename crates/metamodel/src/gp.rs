@@ -57,11 +57,6 @@ pub struct GpConfig {
     pub jitter: f64,
     /// Likelihood-evaluation budget for the hyperparameter search.
     pub max_evals: usize,
-    /// Worker threads for kernel-matrix assembly and batch prediction.
-    /// Assembly is row-partitioned into disjoint bands and every entry is
-    /// a pure function of the inputs, so results are bit-identical at any
-    /// thread count. `0` and `1` both mean sequential.
-    pub threads: usize,
 }
 
 impl Default for GpConfig {
@@ -69,7 +64,6 @@ impl Default for GpConfig {
         GpConfig {
             jitter: 1e-10,
             max_evals: 400,
-            threads: 1,
         }
     }
 }
@@ -185,7 +179,7 @@ impl GpModel {
                 *t = l.exp();
             }
             let tau2 = lp[0].exp();
-            ws.assemble(tau2, &thetas, noise_var, ys, cfg.jitter, cfg.threads, grad)
+            ws.assemble(tau2, &thetas, noise_var, ys, cfg.jitter, grad)
         };
 
         // A remembered fit is re-verified, never trusted: one evaluation at
@@ -421,9 +415,8 @@ const SEARCH_IDENTITY: u64 = 1;
 /// shape `(n, d)`, the jitter and the evaluation budget, with separate
 /// digests of the design, response and noise bits as the "parameter point".
 /// Everything that can change the bits of the accepted `(τ², θ)`
-/// participates; `GpConfig::threads` deliberately does not (the fit is
-/// bit-identical at any thread count), and neither does a seed or a
-/// replicate count — a fit draws nothing.
+/// participates; a seed or a replicate count does not — a fit draws
+/// nothing.
 pub fn fit_key(xs: &[Vec<f64>], ys: &[f64], noise_var: &[f64], cfg: &GpConfig) -> CacheKey {
     fn digest<'a>(tag: &str, values: impl Iterator<Item = &'a f64>) -> u64 {
         values
@@ -803,7 +796,7 @@ mod tests {
             let tau2 = log_uniform(rng, 1e-2, 1e2);
             let thetas: Vec<f64> = (0..d).map(|_| log_uniform(rng, 1e-6, 1e3)).collect();
             let mut grad = vec![0.0; d + 1];
-            let fast = ws.assemble(tau2, &thetas, &noise, &ys, jitter, 1, Some(&mut grad));
+            let fast = ws.assemble(tau2, &thetas, &noise, &ys, jitter, Some(&mut grad));
             let slow = assemble_unoptimized(&xs, &ys, &noise, tau2, &thetas, jitter);
             let ((beta0, nll), (beta0_slow, alpha_slow, nll_slow, grad_slow)) = match (fast, slow) {
                 (Ok(f), Ok(s)) => (f, s),
@@ -831,7 +824,7 @@ mod tests {
                 );
             }
             // Asking for the gradient must not change the value's bits.
-            let plain = ws.assemble(tau2, &thetas, &noise, &ys, jitter, 1, None);
+            let plain = ws.assemble(tau2, &thetas, &noise, &ys, jitter, None);
             assert_eq!(plain.unwrap().1.to_bits(), nll.to_bits());
         });
     }
@@ -852,7 +845,7 @@ mod tests {
                 .collect();
             let mut nll_at = |lp: &[f64], grad: Option<&mut [f64]>| {
                 let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
-                ws.assemble(lp[0].exp(), &thetas, &noise, &ys, jitter, 1, grad)
+                ws.assemble(lp[0].exp(), &thetas, &noise, &ys, jitter, grad)
                     .unwrap()
                     .1
             };
@@ -882,7 +875,7 @@ mod tests {
         nelder_mead(
             |lp| {
                 let thetas: Vec<f64> = lp[1..].iter().map(|l| l.exp()).collect();
-                ws.assemble(lp[0].exp(), &thetas, noise, ys, cfg.jitter, 1, None)
+                ws.assemble(lp[0].exp(), &thetas, noise, ys, cfg.jitter, None)
                     .map_or(f64::INFINITY, |(_, nll)| nll)
             },
             &start,
@@ -905,7 +898,7 @@ mod tests {
         let mut grad = vec![0.0; xs[0].len() + 1];
         let (tau2, thetas) = (gp.tau2(), gp.thetas());
         let nll = ws
-            .assemble(tau2, thetas, noise, ys, cfg.jitter, 1, Some(&mut grad))
+            .assemble(tau2, thetas, noise, ys, cfg.jitter, Some(&mut grad))
             .unwrap()
             .1;
         let steepest = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
@@ -1068,36 +1061,6 @@ mod tests {
                 "{threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn parallel_fit_is_bit_identical_and_ledgered() {
-        let xs: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i as f64 * 0.13).sin(), (i as f64 * 0.29).cos()])
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] + 2.0 * x[1]).collect();
-        let nv = vec![0.0; xs.len()];
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let cfg = GpConfig {
-                threads,
-                ..GpConfig::default()
-            };
-            let mut metrics = RunMetrics::new();
-            let gp = GpModel::fit_with(&xs, &ys, &nv, &cfg, Some(&mut metrics)).unwrap();
-            runs.push((gp, metrics));
-        }
-        let (gp1, m1) = &runs[0];
-        for (gp, m) in &runs[1..] {
-            assert_eq!(gp.beta0().to_bits(), gp1.beta0().to_bits());
-            assert_eq!(gp.tau2().to_bits(), gp1.tau2().to_bits());
-            assert_eq!(
-                m.counter("gp.factorizations"),
-                m1.counter("gp.factorizations")
-            );
-            assert_eq!(m.counter("gp.assembles"), m1.counter("gp.assembles"));
-        }
-        assert!(m1.counter("gp.assembles") > 0);
     }
 
     #[test]

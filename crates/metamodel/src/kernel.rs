@@ -33,13 +33,9 @@
 //! the new point's pair row), so kriging-assisted calibration reuses it
 //! across *all* hyperparameter candidates *and* all infill rounds.
 //!
-//! Assembly can be row-partitioned across scoped threads
-//! ([`crate::gp::GpConfig::threads`]). Every matrix entry is a pure
-//! function of the inputs and each thread writes a disjoint row band, so
-//! the filled matrix is bit-identical at any thread count — the same
-//! determinism contract as the `mc.rs`/`dsgd.rs` runners. Everything after
-//! the fill (factorization, solves, inverse, gradient reduction) is
-//! sequential with a fixed summation order.
+//! Everything runs on the calling thread with a fixed summation order: a
+//! row-banded parallel fill never beat one thread at the sizes a fit sees
+//! (EXPERIMENTS.md, E15), so there is none.
 
 use mde_numeric::linalg::{kernels, Matrix};
 use mde_numeric::NumericError;
@@ -170,39 +166,24 @@ impl KernelWorkspace {
 
     /// Fill the lower triangle of the covariance buffer with
     /// `Σ = τ²R(θ) + diag(noise) + jitter·(1+τ²)·I` from the cached
-    /// squared differences. Row-partitioned across `threads` scoped
-    /// workers; bit-identical to the sequential fill at any thread count.
-    pub fn fill(
-        &mut self,
-        tau2: f64,
-        thetas: &[f64],
-        noise_var: &[f64],
-        jitter: f64,
-        threads: usize,
-    ) {
+    /// squared differences, in a single fused pass: per row, hand the
+    /// dimension-major cached columns to [`kernels::exp_neg_weighted`],
+    /// which fuses the `Σ_k θ_k·sqd_k[p]` reduction with a vectorized
+    /// `exp(−s)` and writes `τ²·exp(−s)` straight into the strict lower
+    /// triangle, then set the nugget-augmented diagonal.
+    pub fn fill(&mut self, tau2: f64, thetas: &[f64], noise_var: &[f64], jitter: f64) {
         let n = self.xs.len();
         debug_assert_eq!(thetas.len(), self.d);
         debug_assert_eq!(noise_var.len(), n);
-        let threads = threads.clamp(1, n);
-        let KernelWorkspace { sqd, sigma, .. } = self;
-        let sigma_data = sigma.data_mut();
-        if threads == 1 || n < 2 * kernels::BLOCK {
-            fill_band(sqd, thetas, tau2, noise_var, jitter, 0, n, sigma_data, n);
-            return;
+        let nugget = jitter * (1.0 + tau2);
+        let cols: Vec<&[f64]> = self.sqd.iter().map(|c| c.as_slice()).collect();
+        let mut p = 0;
+        for i in 0..n {
+            let row = self.sigma.row_mut(i);
+            kernels::exp_neg_weighted(&mut row[..i], tau2, thetas, &cols, p);
+            p += i;
+            row[i] = tau2 + noise_var[i] + nugget;
         }
-        let bounds = band_bounds(n, threads);
-        std::thread::scope(|scope| {
-            let mut sig_rest: &mut [f64] = sigma_data;
-            for w in 0..threads {
-                let (r0, r1) = (bounds[w], bounds[w + 1]);
-                let (sig_band, rest) = sig_rest.split_at_mut((r1 - r0) * n);
-                sig_rest = rest;
-                let sqd = &*sqd;
-                scope.spawn(move || {
-                    fill_band(sqd, thetas, tau2, noise_var, jitter, r0, r1, sig_band, n);
-                });
-            }
-        });
     }
 
     /// Assemble and factor `Σ`, profile out `β₀` by GLS, and return
@@ -222,10 +203,9 @@ impl KernelWorkspace {
         noise_var: &[f64],
         ys: &[f64],
         jitter: f64,
-        threads: usize,
         grad: Option<&mut [f64]>,
     ) -> mde_numeric::Result<(f64, f64)> {
-        self.fill(tau2, thetas, noise_var, jitter, threads);
+        self.fill(tau2, thetas, noise_var, jitter);
         let n = self.xs.len();
         if grad.is_some() {
             let mut p = 0;
@@ -318,50 +298,6 @@ pub(crate) fn require_finite(name: &'static str, values: &[f64]) -> mde_numeric:
     }
 }
 
-/// Row boundaries giving each of `threads` bands an approximately equal
-/// share of the `n(n−1)/2` strict-lower-triangle pairs: cumulative pair
-/// count up to row `r` grows like `r²/2`, so boundaries go as `n·√(t/T)`.
-fn band_bounds(n: usize, threads: usize) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0);
-    for t in 1..threads {
-        let r = ((n as f64) * ((t as f64) / threads as f64).sqrt()).round() as usize;
-        bounds.push(r.clamp(*bounds.last().expect("non-empty"), n));
-    }
-    bounds.push(n);
-    bounds
-}
-
-/// Fill rows `r0..r1` in a single fused pass: per row, hand the
-/// dimension-major cached columns to [`kernels::exp_neg_weighted`], which
-/// fuses the `Σ_k θ_k·sqd_k[p]` reduction with a vectorized `exp(−s)` and
-/// writes `τ²·exp(−s)` straight into the strict lower triangle, then set
-/// the nugget-augmented diagonal. Each entry is a pure function of the
-/// inputs with a fixed summation order and a fixed (per-index) scalar
-/// tail, so the fill is bit-identical under any row partition.
-#[allow(clippy::too_many_arguments)]
-fn fill_band(
-    sqd: &[Vec<f64>],
-    thetas: &[f64],
-    tau2: f64,
-    noise_var: &[f64],
-    jitter: f64,
-    r0: usize,
-    r1: usize,
-    sigma_band: &mut [f64],
-    n: usize,
-) {
-    let nugget = jitter * (1.0 + tau2);
-    let cols: Vec<&[f64]> = sqd.iter().map(|c| c.as_slice()).collect();
-    let mut p = r0 * r0.saturating_sub(1) / 2;
-    for i in r0..r1 {
-        let row = &mut sigma_band[(i - r0) * n..(i - r0) * n + n];
-        kernels::exp_neg_weighted(&mut row[..i], tau2, thetas, &cols, p);
-        p += i;
-        row[i] = tau2 + noise_var[i] + nugget;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +314,7 @@ mod tests {
         let (tau2, thetas, jitter) = (1.7, vec![0.9, 2.3], 1e-10);
         let noise = vec![0.05; xs.len()];
         let mut ws = KernelWorkspace::new(&xs).unwrap();
-        ws.fill(tau2, &thetas, &noise, jitter, 1);
+        ws.fill(tau2, &thetas, &noise, jitter);
         for i in 0..xs.len() {
             for j in 0..=i {
                 let s: f64 = xs[i]
@@ -401,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_is_bit_identical() {
-        // Force the parallel path with a design above the threshold.
-        let xs: Vec<Vec<f64>> = (0..160)
-            .map(|i| vec![(i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()])
-            .collect();
-        let noise = vec![0.0; xs.len()];
-        let mut seq = KernelWorkspace::new(&xs).unwrap();
-        seq.fill(2.0, &[1.1, 0.4], &noise, 1e-10, 1);
-        for threads in [2usize, 3, 8] {
-            let mut par = KernelWorkspace::new(&xs).unwrap();
-            par.fill(2.0, &[1.1, 0.4], &noise, 1e-10, threads);
-            assert_eq!(
-                seq.sigma.data(),
-                par.sigma.data(),
-                "assembly diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn push_matches_fresh_workspace() {
         let mut xs = toy_xs();
         let mut ws = KernelWorkspace::new(&xs).unwrap();
@@ -430,21 +346,9 @@ mod tests {
         let noise = vec![0.0; xs.len()];
         let mut a = ws.clone();
         let mut b = fresh;
-        a.fill(1.0, &[1.0, 1.0], &noise, 1e-10, 1);
-        b.fill(1.0, &[1.0, 1.0], &noise, 1e-10, 1);
+        a.fill(1.0, &[1.0, 1.0], &noise, 1e-10);
+        b.fill(1.0, &[1.0, 1.0], &noise, 1e-10);
         assert_eq!(a.sigma.data(), b.sigma.data());
-    }
-
-    #[test]
-    fn band_bounds_cover_range_monotonically() {
-        for n in [2usize, 7, 64, 257] {
-            for threads in [1usize, 2, 3, 8] {
-                let b = band_bounds(n, threads.min(n));
-                assert_eq!(*b.first().unwrap(), 0);
-                assert_eq!(*b.last().unwrap(), n);
-                assert!(b.windows(2).all(|w| w[0] <= w[1]), "{b:?}");
-            }
-        }
     }
 
     #[test]

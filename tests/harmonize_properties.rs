@@ -1,12 +1,10 @@
 //! Property-based tests for the harmonization layer (§2.2): the spline /
 //! DSGD pipeline and the gridfield rewrite, across randomized inputs.
 
-use model_data_ecosystems::harmonize::align::{align, AlignSpec, InterpMethod};
 use model_data_ecosystems::harmonize::dsgd::{dsgd_solve, DsgdConfig};
 use model_data_ecosystems::harmonize::gridfield::{
     regrid_then_restrict, restrict_then_regrid, Grid, GridField, Regrid, RegridAgg,
 };
-use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::harmonize::spline::{build_spline_system, NaturalCubicSpline};
 use model_data_ecosystems::numeric::linalg::Tridiagonal;
 use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed};
@@ -106,31 +104,6 @@ fn dsgd_thread_invariance() {
         let r2 = dsgd_solve(&a, &b, &cfg2, &mut rng_from_seed(seed));
         for (p, q) in r1.x.iter().zip(&r2.x) {
             assert!((p - q).abs() < 1e-12);
-        }
-    });
-}
-
-/// Parallel window interpolation equals serial for every method.
-#[test]
-fn alignment_thread_invariance() {
-    for_cases(32, |rng| {
-        let n_src = rng.gen_range(4usize..40);
-        let n_tgt = rng.gen_range(1usize..200);
-        let threads = rng.gen_range(2usize..8);
-        let src = TimeSeries::from_fn("v", 0.0, 0.5, n_src, |t| (t * 1.3).cos()).unwrap();
-        let span = 0.5 * (n_src - 1) as f64;
-        let targets: Vec<f64> = (0..n_tgt).map(|i| i as f64 * span / n_tgt as f64).collect();
-        for method in [
-            InterpMethod::Nearest,
-            InterpMethod::Linear,
-            InterpMethod::CubicSpline,
-        ] {
-            if method == InterpMethod::CubicSpline && n_src < 3 {
-                continue;
-            }
-            let serial = align(&src, &targets, AlignSpec::Interpolate(method), 1).unwrap();
-            let par = align(&src, &targets, AlignSpec::Interpolate(method), threads).unwrap();
-            assert_eq!(serial, par);
         }
     });
 }

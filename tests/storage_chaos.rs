@@ -259,21 +259,21 @@ fn scan_of_8x_working_set_stays_within_frame_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-morsel faults on worker threads (ISSUE 9)
+// Faults mid-scan (ISSUE 9)
 // ---------------------------------------------------------------------------
 
 /// One byte flipped in a seed-chosen page of each column in turn (and in
 /// that column's last page too, so a lower and a higher page are both bad).
 /// Contract: a query fails on a corrupt page **iff it reads that page**.
-/// Every plan that binds the damaged column returns, at every thread
-/// count, the byte-identical typed error sequential execution returns —
-/// the one naming the lowest damaged page, even when a worker thread hit
-/// the higher one first. Every plan that does not bind it never touches
-/// the page and returns the in-memory twin's rows. Whole-table reads
-/// (`try_batch`, `rows()`, a root scan / filter / sort) bind every column.
+/// Every plan that binds the damaged column returns the typed error naming
+/// the lowest damaged page — the first one its scan reads — byte for byte
+/// the same on every execution. Every plan that does not bind it never
+/// touches the page and returns the in-memory twin's rows. Whole-table
+/// reads (`try_batch`, `rows()`, a root scan / filter / sort) bind every
+/// column.
 #[test]
 fn corruption_fails_exactly_the_plans_that_read_the_column() {
-    use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, ExecConfig, SortKey};
+    use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, SortKey};
 
     let dir = scratch_dir();
     let path = dir.join("t.mdet");
@@ -335,24 +335,20 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
         }
         std::fs::write(&path, &bytes).unwrap();
 
-        let open = |threads: usize| {
+        let open = || {
             let mut db = Catalog::new();
             db.insert(Table::open_paged(&path, BufferPool::new(8)).unwrap());
-            db.set_exec_config(ExecConfig {
-                threads,
-                morsel_rows: 64,
-            });
             db
         };
         for (plan, binds) in &plans {
             let reads_column = binds.is_none_or(|cols| cols.contains(&(column as usize)));
-            let mut sequential_err: Option<String> = None;
-            for threads in [1usize, 2, 4, 8] {
+            let mut first_err: Option<String> = None;
+            for run in 0..2 {
                 let what = format!(
-                    "column {column} page {victim}, {threads} threads, {}",
+                    "column {column} page {victim}, run {run}, {}",
                     plan.explain()
                 );
-                match open(threads).query(plan) {
+                match open().query(plan) {
                     Err(err) => {
                         assert!(
                             reads_column,
@@ -366,9 +362,9 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
                             other => panic!("{what}: expected a checksum mismatch, got {other}"),
                         }
                         let msg = err.to_string();
-                        match &sequential_err {
-                            None => sequential_err = Some(msg),
-                            Some(seq) => assert_eq!(seq, &msg, "{what}: diverged from sequential"),
+                        match &first_err {
+                            None => first_err = Some(msg),
+                            Some(first) => assert_eq!(first, &msg, "{what}: diverged from run 0"),
                         }
                     }
                     Ok(got) => {
@@ -520,16 +516,15 @@ fn file_written_by_the_previous_build_decodes_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Concurrent morsel-parallel scans over one starved buffer pool: each
-/// worker pins a frame while decoding, so parallel readers can exhaust
-/// a budget sequential execution never would. Contract: every query
-/// either succeeds with bit-identical rows or fails with the *typed,
-/// retryable* `McdbError::PoolExhausted` — and a bounded retry loop
-/// always converges (no deadlock, no panic, no wrong answer).
+/// Concurrent scans over one starved buffer pool: each session pins a
+/// frame while decoding, so four sessions can exhaust a two-frame budget
+/// one session never would. Contract: every query either succeeds with
+/// bit-identical rows or fails with the *typed, retryable*
+/// `McdbError::PoolExhausted` — and a bounded retry loop always converges
+/// (no deadlock, no panic, no wrong answer).
 #[test]
 fn pool_exhausted_mid_morsel_is_typed_and_retryable() {
     use mde_numeric::{ErrorClass as _, Severity};
-    use model_data_ecosystems::mcdb::query::ExecConfig;
 
     let dir = scratch_dir();
     let path = dir.join("t.mdet");
@@ -541,8 +536,7 @@ fn pool_exhausted_mid_morsel_is_typed_and_retryable() {
     let plan = Plan::scan("T").filter(Expr::col("V").gt(Expr::lit(0.0)));
     let want = oracle.query(&plan).unwrap();
 
-    // One 2-frame pool shared by every concurrent reader; 8 worker
-    // threads per query all pinning frames against it.
+    // One 2-frame pool shared by four concurrent sessions.
     let pool = BufferPool::new(2);
     let outcomes = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
@@ -553,10 +547,6 @@ fn pool_exhausted_mid_morsel_is_typed_and_retryable() {
                 s.spawn(move || {
                     let mut db = Catalog::new();
                     db.insert(Table::open_paged(path, pool).unwrap());
-                    db.set_exec_config(ExecConfig {
-                        threads: 8,
-                        morsel_rows: 64,
-                    });
                     // Bounded retry: `PoolExhausted` is transient (pins
                     // drain when competing scans finish), so retrying
                     // must converge well within the bound.
