@@ -42,6 +42,7 @@
 //! assert!(last.largest_jam >= 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -34,6 +34,7 @@
 //! assert!((est - tru).abs() < tru.max(4.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -8,6 +8,8 @@
 //!
 //! See DESIGN.md §4 for the experiment ↔ paper-artifact index.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 /// Render a simple aligned table: header plus rows of equal arity.

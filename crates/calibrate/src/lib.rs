@@ -35,6 +35,7 @@
 //! assert!((theta_hat - 2.0).abs() < 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -49,6 +49,7 @@
 //! assert!((dist.mean() - 250.0).abs() < 5.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mde_numeric::cache;

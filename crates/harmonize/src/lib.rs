@@ -34,6 +34,7 @@
 //! assert!((weekly.channel("demand").unwrap()[0] - 103.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod align;

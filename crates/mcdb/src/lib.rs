@@ -94,6 +94,7 @@
 //! assert_eq!(realization.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -88,8 +88,8 @@ impl NullMask {
     }
 
     /// The raw bitmap words, or `None` when the mask never materialized
-    /// (all lanes valid) — the zero-copy handoff to the SIMD kernels in
-    /// [`crate::query::simd`], which read lane `i` as
+    /// (all lanes valid) — the zero-copy handoff to the selection kernels
+    /// in [`crate::query::select`], which read lane `i` as
     /// `words[i / 64] >> (i % 64) & 1`.
     pub(crate) fn words(&self) -> Option<&[u64]> {
         self.bits.as_deref()

@@ -51,7 +51,7 @@
 
 use super::column::{ColumnVec, NullMask};
 use super::exec::checked_int_sum;
-use super::{simd, AggFunc};
+use super::{select, AggFunc};
 use crate::McdbError;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -122,7 +122,7 @@ fn fold_hash(acc: u64, part: u64) -> u64 {
 /// [`hash_keys`] computes for that lane, and a bijection of `word`.
 #[inline]
 fn word_hash(word: u64) -> u64 {
-    fold_hash(0, simd::hash_i64_one(word as i64))
+    fold_hash(0, select::hash_i64_one(word as i64))
 }
 
 /// Run `$body` with `$word` bound to the row → key word reader of the
@@ -184,7 +184,7 @@ pub(crate) fn hash_keys(cols: &[&ColumnVec], lanes: Lanes<'_>) -> Vec<u64> {
             }
             fixed => with_word_key!(
                 fixed,
-                |word, nulls| fold!(nulls, |r| simd::hash_i64_one(word(r) as i64)),
+                |word, nulls| fold!(nulls, |r| select::hash_i64_one(word(r) as i64)),
                 _ => unreachable!("every other variant is matched above")
             ),
         }
@@ -844,7 +844,7 @@ mod tests {
         p.into_iter().zip(b).collect()
     }
 
-    /// The inverse of `simd::hash_i64_one` (every step of the splitmix64
+    /// The inverse of `select::hash_i64_one` (every step of the splitmix64
     /// finaliser is a bijection of `u64`).
     fn unhash_i64_one(h: u64) -> i64 {
         fn unxorshift(mut z: u64, by: u32) -> u64 {
@@ -1031,7 +1031,7 @@ mod tests {
         // fold(fold(0, m(a)), m(b)) == fold(fold(0, m(a2)), m(b2)) iff
         // rotl(m(a)·C, 23) ^ m(b) == rotl(m(a2)·C, 23) ^ m(b2): pick a, b
         // and a2, solve for b2.
-        let m = |k: i64| simd::hash_i64_one(k);
+        let m = |k: i64| select::hash_i64_one(k);
         let first = |k: i64| fold_hash(0, m(k)).rotate_left(23);
         let (a, b, a2) = (11i64, 22i64, 33i64);
         let b2 = unhash_i64_one(first(a) ^ m(b) ^ first(a2));

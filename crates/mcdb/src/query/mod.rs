@@ -20,7 +20,7 @@ mod exec;
 pub(crate) mod kernels;
 pub mod physical;
 pub mod planner;
-pub mod simd;
+pub mod select;
 
 use crate::expr::Expr;
 use crate::schema::{Column, DataType, Schema};

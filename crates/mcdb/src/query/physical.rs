@@ -39,10 +39,8 @@
 //! executor is the Monte Carlo replicate loop. Aggregation, join indexing
 //! and sort comparison run on the typed kernels of `query::kernels` (dense
 //! group ids from the key columns, typed accumulators, a flat join index)
-//! rather than on boxed values; hot filter predicates additionally route
-//! through the runtime-dispatched SIMD kernels in [`crate::query::simd`],
-//! whose portable twins are exact, so SIMD availability never changes
-//! results.
+//! rather than on boxed values; filters turn their predicate into a
+//! selection vector with the branch-free loops of [`crate::query::select`].
 
 use super::batch::Batch;
 use super::column::ColumnVec;
@@ -50,7 +48,8 @@ use super::kernels::{
     accumulate, any_null, any_nullable, assign_groups, cmp_lanes, hash_keys, partition_of,
     JoinIndex, LaneError, Lanes, NO_KEY,
 };
-use super::{infer_type, planner, simd, AggFunc, Catalog, Plan};
+use super::select::{self, CmpOp};
+use super::{infer_type, planner, AggFunc, Catalog, Plan};
 use crate::expr::{BinOp, BoundExpr};
 use crate::schema::{Column, DataType, Schema};
 use crate::storage::spill::SpilledBatch;
@@ -124,8 +123,9 @@ struct ExecCtx<'a> {
     /// probe, aggregate arguments, projection, sort keys) and one per
     /// decoded page.
     morsels: Cell<u64>,
-    /// `query.simd_lanes`: lanes routed through SIMD-eligible kernels.
-    simd_lanes: Cell<u64>,
+    /// `query.simd_lanes` (a benchmark metric name): lanes through the
+    /// selection kernels.
+    select_lanes: Cell<u64>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -133,7 +133,7 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             catalog,
             morsels: Cell::new(0),
-            simd_lanes: Cell::new(0),
+            select_lanes: Cell::new(0),
         }
     }
 
@@ -141,44 +141,44 @@ impl<'a> ExecCtx<'a> {
         self.morsels.set(self.morsels.get() + n);
     }
 
-    fn count_simd_lanes(&self, n: usize) {
-        self.simd_lanes.set(self.simd_lanes.get() + n as u64);
+    fn count_select_lanes(&self, n: usize) {
+        self.select_lanes.set(self.select_lanes.get() + n as u64);
     }
 }
 
-/// A comparison predicate eligible for the SIMD column-vs-literal filter
+/// A comparison predicate eligible for the column-vs-literal selection
 /// kernels.
 #[derive(Clone, Copy)]
 enum FastCmp {
-    F64(simd::CmpOp, f64),
-    I64(simd::CmpOp, i64),
+    F64(CmpOp, f64),
+    I64(CmpOp, i64),
 }
 
-fn cmp_op_of(op: BinOp) -> Option<simd::CmpOp> {
+fn cmp_op_of(op: BinOp) -> Option<CmpOp> {
     match op {
-        BinOp::Eq => Some(simd::CmpOp::Eq),
-        BinOp::Ne => Some(simd::CmpOp::Ne),
-        BinOp::Lt => Some(simd::CmpOp::Lt),
-        BinOp::Le => Some(simd::CmpOp::Le),
-        BinOp::Gt => Some(simd::CmpOp::Gt),
-        BinOp::Ge => Some(simd::CmpOp::Ge),
+        BinOp::Eq => Some(CmpOp::Eq),
+        BinOp::Ne => Some(CmpOp::Ne),
+        BinOp::Lt => Some(CmpOp::Lt),
+        BinOp::Le => Some(CmpOp::Le),
+        BinOp::Gt => Some(CmpOp::Gt),
+        BinOp::Ge => Some(CmpOp::Ge),
         _ => None,
     }
 }
 
 /// Mirror a comparison across its operands (`lit op col` → `col op' lit`).
-fn flip_cmp(op: simd::CmpOp) -> simd::CmpOp {
+fn flip_cmp(op: CmpOp) -> CmpOp {
     match op {
-        simd::CmpOp::Eq => simd::CmpOp::Eq,
-        simd::CmpOp::Ne => simd::CmpOp::Ne,
-        simd::CmpOp::Lt => simd::CmpOp::Gt,
-        simd::CmpOp::Le => simd::CmpOp::Ge,
-        simd::CmpOp::Gt => simd::CmpOp::Lt,
-        simd::CmpOp::Ge => simd::CmpOp::Le,
+        CmpOp::Eq => CmpOp::Eq,
+        CmpOp::Ne => CmpOp::Ne,
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
     }
 }
 
-/// Detect a predicate the SIMD column-vs-literal kernels can decide: a
+/// Detect a predicate the column-vs-literal kernels can decide: a
 /// `col <cmp> literal` comparison over an unselected Float/Int column, or
 /// a conjunction of such comparisons. Under Kleene logic a conjunction
 /// passes a lane only when every conjunct is true, so its selection is the
@@ -439,9 +439,9 @@ impl PreparedQuery {
         let table = materialize(&chunk, self.root.result_name())?;
         span.record("rows_out", table.len());
         // Deterministic execution counters: pure functions of the data and
-        // the plan, identical with or without SIMD (DESIGN.md §6g).
+        // the plan (DESIGN.md §6g).
         span.record("query.morsels", ctx.morsels.get());
-        span.record("query.simd_lanes", ctx.simd_lanes.get());
+        span.record("query.simd_lanes", ctx.select_lanes.get());
         Ok(table)
     }
 }
@@ -1029,32 +1029,31 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
 fn filter_lanes(ctx: &ExecCtx, chunk: &Chunk, predicate: &BoundExpr) -> crate::Result<Vec<u32>> {
     let lanes = chunk.len();
     if let Some(conjuncts) = filter_fast_path(chunk, predicate) {
-        // SIMD fast path: the comparison kernels consume the column slice
-        // and its null words directly, and a conjunction intersects its
-        // conjuncts' ascending selections. Lane eligibility is counted
-        // whether or not AVX2 is actually available.
-        ctx.count_simd_lanes(lanes);
+        // Literal fast path: the comparison kernels consume the column
+        // slice and its null words directly, and a conjunction intersects
+        // its conjuncts' ascending selections.
+        ctx.count_select_lanes(lanes);
         return Ok(conjuncts
             .iter()
             .map(|&(col, fast)| match (fast, chunk.batch.column(col)) {
                 (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
-                    simd::cmp_f64_lit(op, data, lit, nulls.words())
+                    select::cmp_f64_lit(op, data, lit, nulls.words())
                 }
                 (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
-                    simd::cmp_i64_lit(op, data, lit, nulls.words())
+                    select::cmp_i64_lit(op, data, lit, nulls.words())
                 }
                 // `filter_fast_path` only emits matching pairs.
                 _ => Vec::new(),
             })
-            .reduce(|acc, next| simd::intersect_sorted(&acc, &next))
+            .reduce(|acc, next| select::intersect_sorted(&acc, &next))
             .unwrap_or_default());
     }
     // Generic path: evaluate the predicate, then compact true-and-not-null
-    // lanes with the SIMD bool kernel.
+    // lanes with the bool selection kernel.
     match predicate.eval_lanes(&chunk.batch, chunk.lanes())? {
         ColumnVec::Bool { data, nulls } => {
-            ctx.count_simd_lanes(lanes);
-            let sel = simd::compact_bool_lanes(&data, nulls.words());
+            ctx.count_select_lanes(lanes);
+            let sel = select::compact_bool_lanes(&data, nulls.words());
             Ok(match chunk.sel_slice() {
                 Some(rows) => sel.into_iter().map(|l| rows[l as usize]).collect(),
                 None => sel,
@@ -1848,9 +1847,9 @@ mod tests {
 
     #[test]
     fn one_pass_operators_match_reference_over_a_thousand_rows() {
-        // Every operator kernel (SIMD filter fast path, generic filter,
+        // Every operator kernel (literal filter fast path, generic filter,
         // Int join probe, group-by accumulation, sort keys, projection)
-        // over more lanes than a null-mask word or a SIMD block holds.
+        // over more lanes than a null-mask word holds.
         let mut c = Catalog::new();
         let mut t = Table::new(
             "big",

@@ -37,6 +37,7 @@
 //! assert!(me.effects[1].abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod design;

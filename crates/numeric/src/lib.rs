@@ -48,6 +48,7 @@
 //! The crate is deliberately dependency-light (only `rand`): the paper's
 //! systems are reproduced from scratch, so the numeric layer is too.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

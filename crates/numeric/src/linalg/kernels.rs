@@ -32,8 +32,14 @@
 //! `tests/linalg_kernels.rs` holds both paths to ≤1e-12 of each other
 //! across block-boundary sizes.
 //!
-//! Everything here is sequential and allocation-free; determinism is by
-//! construction (a fixed summation order, independent of call site).
+//! Everything here is sequential, allocation-free plain Rust with one body
+//! per kernel. The contract is bits, not a tolerance: [`dot`], [`dot4`]
+//! and [`exp_neg_weighted`] document a fixed summation order, and every
+//! step is a separate IEEE multiply or add, so a factorization's bits
+//! depend on its inputs alone — on every host, independent of call site.
+//! An AVX2 + FMA layer was worth 1.04× on the benchmark's `explore_cold`
+//! and 1.00× on `explore_warm` over these loops (EXPERIMENTS.md, E15) and
+//! made fitted bits depend on the CPU; there is no CPU-specific path.
 
 use super::Matrix;
 use crate::NumericError;
@@ -46,28 +52,15 @@ pub const BLOCK: usize = 64;
 /// Dot product of two equal-length slices with four independent
 /// accumulators, so the compiler can keep the multiply-adds in flight.
 ///
-/// On x86-64 with AVX2+FMA available at runtime, this dispatches to a
-/// fused-multiply-add vector kernel (the default `x86-64` target only
-/// emits SSE2, leaving 4x of machine peak on the table). The dispatch is
-/// decided once per process, so results are deterministic within a run;
-/// across machines the summation *order* is fixed but the rounding
-/// differs (FMA vs separate multiply-add), which is why equivalence
-/// tests compare against the scalar oracle with an analytic tolerance
-/// instead of bit equality.
+/// The summation order is fixed: lane `l` of four sums the products at
+/// indices `≡ l (mod 4)`, the lanes combine as `(l₀ + l₂) + (l₁ + l₃)`, and
+/// the tail past the last full group of four is added last, in order. Every
+/// step is a separate IEEE multiply or add (Rust never contracts them into
+/// a fused multiply-add), so the bits are a function of the inputs alone,
+/// on every host.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA were just verified at runtime.
-        return unsafe { simd::dot_fma(a, b) };
-    }
-    dot_portable(a, b)
-}
-
-/// Portable four-lane fallback for [`dot`].
-#[inline]
-fn dot_portable(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 4];
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
@@ -89,40 +82,13 @@ fn dot_portable(a: &[f64], b: &[f64]) -> f64 {
 /// across four accumulator streams roughly doubles the arithmetic per
 /// byte moved compared with four independent [`dot`] calls.
 ///
-/// Two accumulator lanes per stream (even/odd), remainder last — a fixed
-/// summation order, deterministic but (like [`dot`]) not bit-identical to
-/// a single-accumulator loop. Dispatches to the AVX2+FMA kernel under the
-/// same once-per-process runtime check as [`dot`].
+/// The summation order is fixed: per stream, an even accumulator over the
+/// even indices and an odd one over the odd indices of the longest even
+/// prefix, combined as `even + odd`, then the last element of an odd
+/// length. Like [`dot`], the bits are a function of the inputs alone, but
+/// not those of a single-accumulator loop.
 #[inline]
 pub fn dot4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA were just verified at runtime.
-        return unsafe { simd::dot4_fma(a, b0, b1, b2, b3) };
-    }
-    dot4_portable(a, b0, b1, b2, b3)
-}
-
-/// Eight simultaneous dot products — two shared slices `a0`, `a1` against
-/// four slices `b0..b3` — the 2x4 register-tile GEMM micro-kernel. Each
-/// `b` strip is loaded once and consumed by both `a` streams, which
-/// balances the load ports against FMA throughput (plain [`dot4`] is
-/// load-bound). Returns `[a0·b0..a0·b3, a1·b0..a1·b3]`.
-#[inline]
-pub fn dot2x4(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 8] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA were just verified at runtime.
-        return unsafe { simd::dot2x4_fma(a0, a1, b0, b1, b2, b3) };
-    }
-    let lo = dot4_portable(a0, b0, b1, b2, b3);
-    let hi = dot4_portable(a1, b0, b1, b2, b3);
-    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
-}
-
-/// Portable even/odd-lane fallback for [`dot4`].
-#[inline]
-fn dot4_portable(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
     let n = a.len();
     let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
     let mut even = [0.0f64; 4];
@@ -161,13 +127,10 @@ fn dot4_portable(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [
 /// kernel: `out[j] = scale · exp(−Σ_k thetas[k] · cols[k][offset + j])`.
 ///
 /// This is the per-pair body of the Gaussian-correlation fill (squared
-/// per-dimension distances are cached in `cols`, dimension-major). On
-/// x86-64 with AVX2+FMA it runs four pairs at a time with a Cody–Waite /
-/// polynomial `exp` (≈1e-14 relative accuracy, exact 1 at distance 0,
-/// hard zero below `exp(−708)`); elsewhere, and for the sub-vector tail,
-/// it falls back to the scalar sum + libm `exp`. Each output index is a
-/// pure function of the inputs, so results are deterministic and
-/// independent of how callers partition rows across threads.
+/// per-dimension distances are cached in `cols`, dimension-major). The sum
+/// runs over `k` in order from `0.0`, and the exponential is the platform
+/// libm's `exp`, so `out[j]` is bit for bit `scale * (-s).exp()` of that
+/// sum, a pure function of the inputs.
 pub fn exp_neg_weighted(
     out: &mut [f64],
     scale: f64,
@@ -177,283 +140,12 @@ pub fn exp_neg_weighted(
 ) {
     debug_assert_eq!(thetas.len(), cols.len());
     debug_assert!(cols.iter().all(|c| c.len() >= offset + out.len()));
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA were just verified at runtime.
-        unsafe { simd::exp_neg_weighted_fma(out, scale, thetas, cols, offset) };
-        return;
-    }
-    exp_neg_weighted_portable(out, scale, thetas, cols, offset);
-}
-
-/// Portable scalar fallback for [`exp_neg_weighted`].
-fn exp_neg_weighted_portable(
-    out: &mut [f64],
-    scale: f64,
-    thetas: &[f64],
-    cols: &[&[f64]],
-    offset: usize,
-) {
     for (j, v) in out.iter_mut().enumerate() {
         let mut s = 0.0;
         for (&th, col) in thetas.iter().zip(cols) {
             s += th * col[offset + j];
         }
         *v = scale * (-s).exp();
-    }
-}
-
-/// AVX2+FMA micro-kernels, selected at runtime by [`dot`]/[`dot4`]. The
-/// `is_x86_feature_detected!` result is cached by std in an atomic, so
-/// the per-call dispatch cost is one relaxed load and a predictable
-/// branch.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use core::arch::x86_64::*;
-
-    /// Horizontal sum in the same fixed order as the portable kernels:
-    /// `(x₀ + x₂) + (x₁ + x₃)`.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let mut buf = [0.0f64; 4];
-        _mm256_storeu_pd(buf.as_mut_ptr(), v);
-        (buf[0] + buf[2]) + (buf[1] + buf[3])
-    }
-
-    /// Four horizontal sums at once via `hadd`/`permute`/`blend` — a
-    /// handful of shuffles instead of four store-and-add reductions. The
-    /// multi-output kernels reduce every accumulator this way; otherwise
-    /// the reductions rival the dot products themselves at panel length.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum4(v0: __m256d, v1: __m256d, v2: __m256d, v3: __m256d) -> [f64; 4] {
-        // hadd pairs within 128-bit halves: [v0₀+v0₁, v1₀+v1₁, v0₂+v0₃, v1₂+v1₃].
-        let t01 = _mm256_hadd_pd(v0, v1);
-        let t23 = _mm256_hadd_pd(v2, v3);
-        // Cross-half swap + blend aligns the partial sums per source.
-        let swap = _mm256_permute2f128_pd(t01, t23, 0x21);
-        let blend = _mm256_blend_pd(t01, t23, 0b1100);
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), _mm256_add_pd(swap, blend));
-        out
-    }
-
-    /// FMA dot product: four 4-wide accumulators (16 elements in flight),
-    /// vector remainder, then a scalar tail.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_fma(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(pa.add(i + 4)),
-                _mm256_loadu_pd(pb.add(i + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(pa.add(i + 8)),
-                _mm256_loadu_pd(pb.add(i + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(pa.add(i + 12)),
-                _mm256_loadu_pd(pb.add(i + 12)),
-                acc3,
-            );
-            i += 16;
-        }
-        while i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)), acc0);
-            i += 4;
-        }
-        let mut s = hsum(_mm256_add_pd(
-            _mm256_add_pd(acc0, acc2),
-            _mm256_add_pd(acc1, acc3),
-        ));
-        while i < n {
-            s += a[i] * b[i];
-            i += 1;
-        }
-        s
-    }
-
-    /// FMA SYRK micro-kernel: four dot products sharing the `a` loads.
-    /// Two 4-wide accumulators per stream hide the FMA latency; eight
-    /// accumulators plus two shared `a` vectors fit the 16 ymm registers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot4_fma(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
-        let n = a.len();
-        let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-        let pa = a.as_ptr();
-        let pb = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-        let mut lo = [_mm256_setzero_pd(); 4];
-        let mut hi = [_mm256_setzero_pd(); 4];
-        let mut i = 0;
-        while i + 8 <= n {
-            let va0 = _mm256_loadu_pd(pa.add(i));
-            let va1 = _mm256_loadu_pd(pa.add(i + 4));
-            for k in 0..4 {
-                lo[k] = _mm256_fmadd_pd(va0, _mm256_loadu_pd(pb[k].add(i)), lo[k]);
-                hi[k] = _mm256_fmadd_pd(va1, _mm256_loadu_pd(pb[k].add(i + 4)), hi[k]);
-            }
-            i += 8;
-        }
-        while i + 4 <= n {
-            let va0 = _mm256_loadu_pd(pa.add(i));
-            for k in 0..4 {
-                lo[k] = _mm256_fmadd_pd(va0, _mm256_loadu_pd(pb[k].add(i)), lo[k]);
-            }
-            i += 4;
-        }
-        let mut out = hsum4(
-            _mm256_add_pd(lo[0], hi[0]),
-            _mm256_add_pd(lo[1], hi[1]),
-            _mm256_add_pd(lo[2], hi[2]),
-            _mm256_add_pd(lo[3], hi[3]),
-        );
-        while i < n {
-            let a0 = a[i];
-            out[0] += a0 * b0[i];
-            out[1] += a0 * b1[i];
-            out[2] += a0 * b2[i];
-            out[3] += a0 * b3[i];
-            i += 1;
-        }
-        out
-    }
-
-    /// FMA 2x4 register-tile kernel: eight single accumulators (exactly
-    /// the chain count that saturates two FMA ports at 4-cycle latency);
-    /// each `b` vector is loaded once and fed to both `a` streams.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot2x4_fma(
-        a0: &[f64],
-        a1: &[f64],
-        b0: &[f64],
-        b1: &[f64],
-        b2: &[f64],
-        b3: &[f64],
-    ) -> [f64; 8] {
-        let n = a0.len();
-        let (a1, b0, b1, b2, b3) = (&a1[..n], &b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-        let (pa0, pa1) = (a0.as_ptr(), a1.as_ptr());
-        let pb = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-        let mut acc = [_mm256_setzero_pd(); 8];
-        let mut i = 0;
-        while i + 4 <= n {
-            let va0 = _mm256_loadu_pd(pa0.add(i));
-            let va1 = _mm256_loadu_pd(pa1.add(i));
-            for k in 0..4 {
-                let vb = _mm256_loadu_pd(pb[k].add(i));
-                acc[k] = _mm256_fmadd_pd(va0, vb, acc[k]);
-                acc[4 + k] = _mm256_fmadd_pd(va1, vb, acc[4 + k]);
-            }
-            i += 4;
-        }
-        let lo = hsum4(acc[0], acc[1], acc[2], acc[3]);
-        let hi = hsum4(acc[4], acc[5], acc[6], acc[7]);
-        let mut out = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
-        while i < n {
-            let (x0, x1) = (a0[i], a1[i]);
-            out[0] += x0 * b0[i];
-            out[1] += x0 * b1[i];
-            out[2] += x0 * b2[i];
-            out[3] += x0 * b3[i];
-            out[4] += x1 * b0[i];
-            out[5] += x1 * b1[i];
-            out[6] += x1 * b2[i];
-            out[7] += x1 * b3[i];
-            i += 1;
-        }
-        out
-    }
-
-    /// Vector `exp(−s)` for `s ≥ 0`: Cody–Waite range reduction
-    /// (`x = −s = n·ln2 + r`, `|r| ≤ ln2/2`), degree-11 Horner polynomial
-    /// for `exp(r)`, exponent reassembly by integer bit manipulation, and
-    /// a hard-zero clamp below `x < −708` (which also disarms the garbage
-    /// exponent the saturated integer conversion would produce there).
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn exp_neg_pd(s: __m256d) -> __m256d {
-        const LN2_HI: f64 = 6.931_471_803_691_238e-1;
-        const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-        // 1/k! for k = 11 down to 0.
-        const COEFFS: [f64; 11] = [
-            1.0 / 3_628_800.0,
-            1.0 / 362_880.0,
-            1.0 / 40_320.0,
-            1.0 / 5_040.0,
-            1.0 / 720.0,
-            1.0 / 120.0,
-            1.0 / 24.0,
-            1.0 / 6.0,
-            0.5,
-            1.0,
-            1.0,
-        ];
-        let x = _mm256_sub_pd(_mm256_setzero_pd(), s);
-        let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_pd(x, _mm256_set1_pd(core::f64::consts::LOG2_E)),
-        );
-        let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_HI), x);
-        let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_LO), r);
-        let mut p = _mm256_set1_pd(1.0 / 39_916_800.0); // 1/11!
-        for c in COEFFS {
-            p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(c));
-        }
-        // 2^n via (n + 1023) << 52 in the exponent field.
-        let n64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-        let pow2 = _mm256_slli_epi64::<52>(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)));
-        let res = _mm256_mul_pd(p, _mm256_castsi256_pd(pow2));
-        let tiny = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(-708.0));
-        _mm256_andnot_pd(tiny, res)
-    }
-
-    /// Fused Gaussian-correlation fill: four pairs per iteration — the
-    /// θ-weighted distance sum by FMA over the cached dimension columns,
-    /// then the vector `exp` — with a scalar libm tail.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn exp_neg_weighted_fma(
-        out: &mut [f64],
-        scale: f64,
-        thetas: &[f64],
-        cols: &[&[f64]],
-        offset: usize,
-    ) {
-        let m = out.len();
-        let vscale = _mm256_set1_pd(scale);
-        let mut j = 0;
-        while j + 4 <= m {
-            let mut s = _mm256_setzero_pd();
-            for (&th, col) in thetas.iter().zip(cols) {
-                s = _mm256_fmadd_pd(
-                    _mm256_set1_pd(th),
-                    _mm256_loadu_pd(col.as_ptr().add(offset + j)),
-                    s,
-                );
-            }
-            _mm256_storeu_pd(
-                out.as_mut_ptr().add(j),
-                _mm256_mul_pd(vscale, exp_neg_pd(s)),
-            );
-            j += 4;
-        }
-        while j < m {
-            let mut s = 0.0;
-            for (&th, col) in thetas.iter().zip(cols) {
-                s += th * col[offset + j];
-            }
-            out[j] = scale * (-s).exp();
-            j += 1;
-        }
     }
 }
 
@@ -528,8 +220,8 @@ pub fn cholesky_in_place(a: &mut Matrix) -> crate::Result<()> {
                 r3[j] = (r3[j] - s[3]) / d;
             }
             // SYRK/GEMM trailing update: group rows in pairs, so each
-            // quad-column strip of finalized rows is loaded once and
-            // consumed by two trailing rows (the 2x4 register tile).
+            // quad-column strip of finalized rows is fetched once and
+            // consumed by two trailing rows (two [`dot4`] calls).
             let mut group = [r0, r1, r2, r3];
             for p in 0..2 {
                 let (done, cur) = group.split_at_mut(2 * p);
@@ -545,25 +237,18 @@ pub fn cholesky_in_place(a: &mut Matrix) -> crate::Result<()> {
                         &done[j - i][k..k + kb]
                     }
                 };
-                // Columns below both rows, in 2x4 tiles.
+                // Columns below both rows, four at a time.
                 let mut j = k + kb;
                 while j + 4 <= ia {
-                    let s = dot2x4(
-                        &ra[panel.clone()],
-                        &rb[panel.clone()],
-                        row_panel(j),
-                        row_panel(j + 1),
-                        row_panel(j + 2),
-                        row_panel(j + 3),
-                    );
-                    ra[j] -= s[0];
-                    ra[j + 1] -= s[1];
-                    ra[j + 2] -= s[2];
-                    ra[j + 3] -= s[3];
-                    rb[j] -= s[4];
-                    rb[j + 1] -= s[5];
-                    rb[j + 2] -= s[6];
-                    rb[j + 3] -= s[7];
+                    let [b0, b1, b2, b3] = [j, j + 1, j + 2, j + 3].map(row_panel);
+                    let sa = dot4(&ra[panel.clone()], b0, b1, b2, b3);
+                    let sb = dot4(&rb[panel.clone()], b0, b1, b2, b3);
+                    for (r, s) in ra[j..j + 4].iter_mut().zip(sa) {
+                        *r -= s;
+                    }
+                    for (r, s) in rb[j..j + 4].iter_mut().zip(sb) {
+                        *r -= s;
+                    }
                     j += 4;
                 }
                 while j < ia {
@@ -811,29 +496,59 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_kernels_match_portable() {
-        // Whatever path the runtime dispatch picks, it must agree with the
-        // portable kernels to rounding accuracy, across remainder shapes.
-        for n in [0usize, 1, 3, 4, 7, 8, 16, 23, 64, 137] {
+    fn dot_kernels_follow_their_documented_order_to_the_bit() {
+        // Plain loops in the documented order: `dot` sums four lanes by
+        // index mod 4, combines them as (l0 + l2) + (l1 + l3), then adds
+        // the tail; `dot4` sums even and odd indices of the even prefix
+        // per stream, adds them, then the last element of an odd length.
+        fn dot_in_order(a: &[f64], b: &[f64]) -> f64 {
+            let full = a.len() / 4 * 4;
+            let mut l = [0.0f64; 4];
+            for i in 0..full {
+                l[i % 4] += a[i] * b[i];
+            }
+            let mut s = (l[0] + l[2]) + (l[1] + l[3]);
+            for i in full..a.len() {
+                s += a[i] * b[i];
+            }
+            s
+        }
+        fn dot_even_odd(a: &[f64], b: &[f64]) -> f64 {
+            let pairs = a.len() / 2 * 2;
+            let (mut even, mut odd) = (0.0f64, 0.0f64);
+            for i in (0..pairs).step_by(2) {
+                even += a[i] * b[i];
+                odd += a[i + 1] * b[i + 1];
+            }
+            let mut s = even + odd;
+            if pairs < a.len() {
+                s += a[pairs] * b[pairs];
+            }
+            s
+        }
+        for n in 0..=137usize {
             let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
             let bs: Vec<Vec<f64>> = (0..4)
                 .map(|k| (0..n).map(|i| ((i + k) as f64 * 0.17).cos()).collect())
                 .collect();
-            let scale = 1.0 + n as f64;
-            assert!((dot(&a, &bs[0]) - dot_portable(&a, &bs[0])).abs() < 1e-12 * scale);
+            assert_eq!(
+                dot(&a, &bs[0]).to_bits(),
+                dot_in_order(&a, &bs[0]).to_bits(),
+                "dot, n={n}"
+            );
             let got = dot4(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-            let want = dot4_portable(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-12 * scale, "n={n}: {g} vs {w}");
+            for (k, g) in got.iter().enumerate() {
+                let want = dot_even_odd(&a, &bs[k]);
+                assert_eq!(g.to_bits(), want.to_bits(), "dot4 stream {k}, n={n}");
             }
         }
     }
 
     #[test]
     fn exp_neg_weighted_matches_libm() {
-        // The dispatched fused fill must agree with scalar libm exp to a
-        // few ulps across: exact zero (exp(0) = 1), tiny and mid-range
-        // weighted sums, the deep-underflow clamp, and remainder shapes.
+        // The fused fill is bit for bit `scale * (-s).exp()` of the
+        // in-order weighted sum, across: exact zero (exp(0) = 1), tiny and
+        // mid-range weighted sums, deep underflow, and remainder shapes.
         for m in [0usize, 1, 3, 4, 5, 8, 13, 64, 129] {
             let cols_owned: Vec<Vec<f64>> = (0..3)
                 .map(|k| {
@@ -855,14 +570,14 @@ mod tests {
                 let mut got = vec![0.0; m];
                 exp_neg_weighted(&mut got, scale, &thetas, &cols, offset);
                 for (j, g) in got.iter().enumerate() {
-                    let s: f64 = thetas
-                        .iter()
-                        .zip(&cols)
-                        .map(|(&th, c)| th * c[offset + j])
-                        .sum();
+                    let mut s = 0.0f64;
+                    for (&th, c) in thetas.iter().zip(&cols) {
+                        s += th * c[offset + j];
+                    }
                     let want = scale * (-s).exp();
-                    assert!(
-                        (g - want).abs() <= 1e-13 * want.abs() + 1e-300,
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
                         "m={m} offset={offset} j={j}: {g} vs {want}"
                     );
                     if s == 0.0 {

@@ -32,6 +32,7 @@
 //!   chaos harness to assert every fault lands as a typed error or
 //!   clean degradation, never a wrong answer or a hung accept loop.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -38,6 +38,7 @@
 //! assert_eq!(n_max(1000.0, 1.0, 10.0, 1.0).unwrap(), 90);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod budget;

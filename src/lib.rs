@@ -4,6 +4,8 @@
 //! integration tests and examples can use a single dependency. Library users
 //! should depend on the individual `mde-*` crates instead.
 
+#![forbid(unsafe_code)]
+
 pub use mde_abs as abs;
 pub use mde_assim as assim;
 pub use mde_calibrate as calibrate;

@@ -39,7 +39,7 @@ fn unhash_i64_one(h: u64) -> i64 {
 /// `query/kernels.rs`, whose unit tests hold this constant to the code):
 /// it must group and join apart from NULL.
 pub fn null_hash_twin() -> i64 {
-    use model_data_ecosystems::mcdb::query::simd::hash_i64_one;
+    use model_data_ecosystems::mcdb::query::select::hash_i64_one;
     let twin = unhash_i64_one(0x9ae1_6a3b_2f90_404f);
     assert_eq!(hash_i64_one(twin), 0x9ae1_6a3b_2f90_404f);
     twin
