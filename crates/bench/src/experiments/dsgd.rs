@@ -37,7 +37,7 @@ pub fn dsgd_spline_report() -> String {
                 epsilon0: 0.15,
                 alpha: 0.51,
             },
-            threads: 4,
+            blocks: 4,
             record_residuals: false,
         };
         let t1 = Instant::now();
@@ -73,7 +73,7 @@ pub fn dsgd_spline_report() -> String {
     ));
     out.push_str(
         "\nSingle-node Thomas is unbeatable locally (the paper agrees: the problem is the\n\
-         *shared-nothing* setting). The shuffle columns carry the claim: DSGD moves O(threads)\n\
+         *shared-nothing* setting). The shuffle columns carry the claim: DSGD moves O(blocks)\n\
          boundary values per stratum switch vs Theta(m log m) for a distributed exact solve.\n\n",
     );
 
@@ -85,7 +85,7 @@ pub fn dsgd_spline_report() -> String {
             epsilon0: 0.15,
             alpha: 0.51,
         },
-        threads: 4,
+        blocks: 4,
         record_residuals: true,
     };
     let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(2));
@@ -116,7 +116,7 @@ pub fn dsgd_spline_report() -> String {
     ));
     out.push_str(
         "Paper's claims reproduced: DSGD converges to the Thomas solution (rms column),\n\
-         stratum-parallelism is exact (thread-invariance tested in the crate), and the\n\
+         stratum-parallelism is exact (block-count invariance tested in the crate), and the\n\
          shuffle volume is negligible.\n",
     );
     out
@@ -136,7 +136,7 @@ mod tests {
                 epsilon0: 0.15,
                 alpha: 0.51,
             },
-            threads: 4,
+            blocks: 4,
             record_residuals: false,
         };
         let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(1));

@@ -315,7 +315,8 @@ fn frame_stages_section() -> String {
 
     for (what, plan) in [("join", &join_frame), ("group-by", &group_frame)] {
         let engine = db.query(plan).expect("engine");
-        let reference = mde_mcdb::query::execute(plan, &db).expect("reference interpreter");
+        let reference =
+            mde_mcdb::query::reference::execute(plan, &db).expect("reference interpreter");
         assert_eq!(
             table_bits(&engine),
             table_bits(&reference),

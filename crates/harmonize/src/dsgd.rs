@@ -19,13 +19,13 @@
 //!
 //! This implementation mirrors that structure exactly: three strata by
 //! `row mod 3`, a random stratum permutation per cycle (regeneration points
-//! at cycle boundaries ⇒ equal time per stratum), genuine multi-threaded
-//! execution within a stratum (disjoint coordinate ranges let worker
-//! threads share the iterate without synchronization), and an explicit
-//! shuffle-volume account comparing against what a distributed exact solve
-//! would move.
+//! at cycle boundaries ⇒ equal time per stratum), and an explicit
+//! shuffle-volume account of `blocks` shared-nothing workers against what a
+//! distributed exact solve would move. The blocks of a stratum touch
+//! disjoint coordinates, so running them one after another on the calling
+//! thread gives the iterate any parallel schedule would.
 
-use crate::sgd::StepSchedule;
+use crate::sgd::{row_update, StepSchedule};
 use mde_numeric::linalg::Tridiagonal;
 use mde_numeric::rng::Rng;
 
@@ -33,13 +33,15 @@ use mde_numeric::rng::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsgdConfig {
     /// Step-size schedule, indexed by cycle (step sizes are held constant
-    /// within a cycle so that workers need no shared counter).
+    /// within a cycle so that blocks need no shared counter).
     pub schedule: StepSchedule,
     /// Number of cycles; each cycle visits all three strata once, in random
     /// order, touching every row exactly once.
     pub cycles: u64,
-    /// Worker threads for within-stratum parallelism.
-    pub threads: usize,
+    /// Shared-nothing blocks each stratum is partitioned into: the worker
+    /// count of the shuffle model ([`ShuffleStats`]). The iterate does not
+    /// depend on it.
+    pub blocks: usize,
     /// Record the residual after every cycle (costs one O(m) pass).
     pub record_residuals: bool,
 }
@@ -52,7 +54,7 @@ impl Default for DsgdConfig {
                 alpha: 0.7,
             },
             cycles: 200,
-            threads: 1,
+            blocks: 1,
             record_residuals: false,
         }
     }
@@ -60,7 +62,7 @@ impl Default for DsgdConfig {
 
 /// Shuffle-volume accounting, modeling the paper's communication argument.
 ///
-/// In the distributed picture each of `threads` workers owns a contiguous
+/// In the distributed picture each of `blocks` workers owns a contiguous
 /// block of `x`. Within a stratum no communication happens at all (updates
 /// touch worker-local coordinates). At each stratum switch a worker must
 /// refresh at most its two block-boundary coordinates from its neighbors —
@@ -92,16 +94,13 @@ pub struct DsgdResult {
 
 /// Run stratified DSGD on `min‖Ax − b‖²` from the zero vector.
 ///
-/// Granularity note: within-stratum workers are scoped threads spawned per
-/// stratum visit, so multi-threading pays off only when each worker's
-/// chunk is substantial (roughly `m/(3·threads)` rows ≫ 10⁵ for the ~ns
-/// per-row update). Below that, prefer `threads: 1`; results are
-/// bit-identical either way (see the thread-invariance property test).
+/// The iterate is bit-identical at every `blocks` (see the block-count
+/// invariance property test); only the shuffle account changes.
 pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -> DsgdResult {
     let n = a.n();
     assert_eq!(b.len(), n, "rhs length must match system size");
     let mut x = vec![0.0; n];
-    let threads = cfg.threads.max(1);
+    let blocks = cfg.blocks.max(1) as u64;
     let mut stats = ShuffleStats {
         stratum_switches: 0,
         boundary_values_exchanged: 0,
@@ -121,10 +120,12 @@ pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -
         rng.shuffle(&mut order);
         let eps = cfg.schedule.at(cycle);
         for &s in &order {
-            run_stratum(a, b, &mut x, &strata[s], eps, threads);
+            for &i in &strata[s] {
+                row_update(a, b, &mut x, i, eps);
+            }
             stats.stratum_switches += 1;
-            // Each worker refreshes ≤ 2 boundary coordinates per switch.
-            stats.boundary_values_exchanged += 2 * threads as u64;
+            // Each block refreshes ≤ 2 boundary coordinates per switch.
+            stats.boundary_values_exchanged += 2 * blocks;
         }
         if cfg.record_residuals {
             history.push(a.residual_norm(&x, b).expect("validated dims"));
@@ -135,101 +136,6 @@ pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -
         x,
         residual_history: history,
         stats,
-    }
-}
-
-/// Process every row of one stratum once, in parallel chunks.
-///
-/// Chunking is by contiguous runs of stratum rows: chunk `c` covering
-/// stratum rows `r_a ≤ … ≤ r_b` touches exactly `x[r_a−1 ..= r_b+1]`, and
-/// the next chunk starts at row `r_b + 3`, touching from `r_b + 2` — so
-/// chunk footprints are disjoint and `x` can be split into non-overlapping
-/// mutable segments, giving race-free lock-free parallelism.
-fn run_stratum(
-    a: &Tridiagonal,
-    b: &[f64],
-    x: &mut [f64],
-    rows: &[usize],
-    eps: f64,
-    threads: usize,
-) {
-    let n = x.len();
-    if rows.is_empty() {
-        return;
-    }
-    let threads = threads.min(rows.len());
-    if threads == 1 {
-        for &i in rows {
-            row_update_local(a, b, x, 0, i, eps);
-        }
-        return;
-    }
-
-    // Partition stratum rows into `threads` contiguous chunks and compute
-    // each chunk's x-footprint [lo, hi).
-    let chunk_size = rows.len().div_ceil(threads);
-    let chunks: Vec<&[usize]> = rows.chunks(chunk_size).collect();
-    let footprints: Vec<(usize, usize)> = chunks
-        .iter()
-        .map(|c| {
-            let first = c[0];
-            let last = *c.last().expect("chunks are non-empty");
-            (first.saturating_sub(1), (last + 2).min(n))
-        })
-        .collect();
-    debug_assert!(footprints.windows(2).all(|w| w[0].1 <= w[1].0));
-
-    // Split x into disjoint segments matching the footprints.
-    let mut segments: Vec<(&mut [f64], usize)> = Vec::with_capacity(chunks.len());
-    let mut rest = x;
-    let mut consumed = 0usize;
-    for &(lo, hi) in &footprints {
-        let (skip, tail) = rest.split_at_mut(lo - consumed);
-        let _ = skip;
-        let (seg, tail) = tail.split_at_mut(hi - lo);
-        segments.push((seg, lo));
-        rest = tail;
-        consumed = hi;
-    }
-
-    std::thread::scope(|scope| {
-        for ((seg, seg_start), chunk) in segments.into_iter().zip(&chunks) {
-            scope.spawn(move || {
-                for &i in *chunk {
-                    row_update_local(a, b, seg, seg_start, i, eps);
-                }
-            });
-        }
-    });
-}
-
-/// The SGD row update against a segment of `x` starting at global index
-/// `seg_start` (see [`crate::sgd::row_update`] for the math).
-#[inline]
-fn row_update_local(
-    a: &Tridiagonal,
-    b: &[f64],
-    seg: &mut [f64],
-    seg_start: usize,
-    i: usize,
-    step: f64,
-) {
-    let n = a.n();
-    let li = i - seg_start;
-    let mut r = a.diag()[i] * seg[li] - b[i];
-    if i > 0 {
-        r += a.sub()[i - 1] * seg[li - 1];
-    }
-    if i + 1 < n {
-        r += a.sup()[i] * seg[li + 1];
-    }
-    let g = 2.0 * r * step;
-    if i > 0 {
-        seg[li - 1] -= g * a.sub()[i - 1];
-    }
-    seg[li] -= g * a.diag()[i];
-    if i + 1 < n {
-        seg[li + 1] -= g * a.sup()[i];
     }
 }
 
@@ -265,43 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial_within_tolerance_and_converges() {
-        // Stratum updates touch disjoint coordinates, so the parallel run
-        // computes exactly the serial per-stratum result given the same
-        // stratum order (same seed).
-        let (a, b, _) = system(200);
-        let base = DsgdConfig {
-            cycles: 100,
-            record_residuals: false,
-            ..DsgdConfig::default()
-        };
-        let serial = dsgd_solve(
-            &a,
-            &b,
-            &DsgdConfig { threads: 1, ..base },
-            &mut rng_from_seed(7),
-        );
-        let par4 = dsgd_solve(
-            &a,
-            &b,
-            &DsgdConfig { threads: 4, ..base },
-            &mut rng_from_seed(7),
-        );
-        let par8 = dsgd_solve(
-            &a,
-            &b,
-            &DsgdConfig { threads: 8, ..base },
-            &mut rng_from_seed(7),
-        );
-        for (s, p) in serial.x.iter().zip(&par4.x) {
-            assert!((s - p).abs() < 1e-12, "thread-count changed the result");
-        }
-        for (s, p) in serial.x.iter().zip(&par8.x) {
-            assert!((s - p).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn residuals_decrease_across_cycles() {
         let (a, b, _) = system(150);
         let cfg = DsgdConfig {
@@ -321,7 +190,7 @@ mod tests {
         let (a, b, _) = system(3000);
         let cfg = DsgdConfig {
             cycles: 30,
-            threads: 4,
+            blocks: 4,
             ..DsgdConfig::default()
         };
         let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(4));
@@ -349,7 +218,7 @@ mod tests {
                 epsilon0: 0.2,
                 alpha: 0.5,
             },
-            threads: 2,
+            blocks: 2,
             record_residuals: false,
         };
         let res = dsgd_solve(&sys.a, &sys.b, &cfg, &mut rng_from_seed(5));
@@ -371,7 +240,7 @@ mod tests {
             let b = a.mul_vec(&x_true).unwrap();
             let cfg = DsgdConfig {
                 cycles: 3000,
-                threads: 2,
+                blocks: 2,
                 ..DsgdConfig::default()
             };
             let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(6));

@@ -15,7 +15,7 @@
 //! | [`align`] | time alignment: aggregation vs interpolation |
 //! | [`spline`] | natural cubic splines and their tridiagonal system |
 //! | [`sgd`] | stochastic gradient descent on `‖Ax−b‖²` |
-//! | [`dsgd`] | stratified, parallel DSGD (Gemulla et al.) with shuffle accounting |
+//! | [`dsgd`] | stratified DSGD (Gemulla et al.) with shuffle accounting |
 //! | [`schema_map`] | Clio-lite declarative field mappings |
 //! | [`gridfield`] | the Howe–Maier gridfield algebra and the restrict/regrid rewrite |
 //!

@@ -538,9 +538,9 @@ pub(crate) fn eval_func(func: ScalarFunc, v: Value) -> crate::Result<Value> {
 // constant, `i64` or `f64`, dictionary codes or a literal — once, outside
 // the loop, and then runs slice loops the compiler can vectorise: no
 // accessor enum is matched per lane on the numeric column × column and
-// column × constant shapes. Null masks combine a word at a time, and a
-// contiguous run of rows borrows `&data[a..b]` of the batch column instead
-// of gathering a copy.
+// column × constant shapes. Null masks combine a word at a time, and the
+// whole batch borrows the batch column's data and null mask instead of
+// gathering a copy.
 
 use crate::query::batch::Batch;
 use crate::query::column::{ColumnVec, NullMask, StrDict};
@@ -553,28 +553,28 @@ use std::sync::Arc;
 /// Keeping literals as constants lets `col ⊕ const` kernels avoid
 /// materializing the constant side at all.
 enum BatchVal<'a> {
-    /// Lane `i` is row `start + i` of the column: a batch column borrowed in
-    /// place (any `start`), or a computed or gathered one (`start` 0).
-    Col(Cow<'a, ColumnVec>, usize),
+    /// Lane `i` is row `i` of the column: a batch column borrowed in place,
+    /// or a computed or gathered one.
+    Col(Cow<'a, ColumnVec>),
     Const(Value),
 }
 
 impl BatchVal<'_> {
     fn computed(col: ColumnVec) -> BatchVal<'static> {
-        BatchVal::Col(Cow::Owned(col), 0)
+        BatchVal::Col(Cow::Owned(col))
     }
 
-    /// The column behind a non-constant operand and the row of its lane 0.
-    fn column(&self) -> Option<(&ColumnVec, usize)> {
+    /// The column behind a non-constant operand.
+    fn column(&self) -> Option<&ColumnVec> {
         match self {
-            BatchVal::Col(c, start) => Some((c, *start)),
+            BatchVal::Col(c) => Some(c),
             BatchVal::Const(_) => None,
         }
     }
 
     fn value(&self, i: usize) -> Value {
         match self {
-            BatchVal::Col(c, start) => c.value(start + i),
+            BatchVal::Col(c) => c.value(i),
             BatchVal::Const(v) => v.clone(),
         }
     }
@@ -583,26 +583,16 @@ impl BatchVal<'_> {
     /// untyped all-null column).
     fn is_all_null(&self) -> bool {
         match self {
-            BatchVal::Col(c, _) => matches!(c.as_ref(), ColumnVec::AllNull { .. }),
+            BatchVal::Col(c) => matches!(c.as_ref(), ColumnVec::AllNull { .. }),
             BatchVal::Const(v) => v.is_null(),
         }
-    }
-}
-
-/// The null mask of `lanes` lanes of a column starting at row `start`:
-/// borrowed when that is the whole column, otherwise its window.
-fn lane_nulls(nulls: &NullMask, start: usize, lanes: usize) -> Cow<'_, NullMask> {
-    if start == 0 && lanes == nulls.len() {
-        Cow::Borrowed(nulls)
-    } else {
-        Cow::Owned(nulls.window(start, lanes))
     }
 }
 
 /// One side of a binary kernel over values of type `T`: the lanes of a
 /// column with their null mask, or a constant.
 enum Operand<'a, T: Clone> {
-    Col(Cow<'a, [T]>, Cow<'a, NullMask>),
+    Col(Cow<'a, [T]>, &'a NullMask),
     Const(T),
 }
 
@@ -632,7 +622,7 @@ fn either_null<T: Clone, U: Clone>(
     match (a, b) {
         (Operand::Col(_, x), Operand::Col(_, y)) => x.union(y),
         (Operand::Col(_, x), Operand::Const(_)) | (Operand::Const(_), Operand::Col(_, x)) => {
-            x.as_ref().clone()
+            (*x).clone()
         }
         (Operand::Const(_), Operand::Const(_)) => NullMask::all_valid(lanes),
     }
@@ -682,16 +672,15 @@ fn num_operand<'a>(v: &'a BatchVal<'a>, lanes: usize) -> Option<Num<'a>> {
         BatchVal::Const(Value::Float(x)) => Some(Num::F(Operand::Const(*x))),
         BatchVal::Const(_) => None,
         _ => {
-            let (col, start) = v.column()?;
+            let col = v.column()?;
+            debug_assert_eq!(col.len(), lanes, "one operand row per lane");
             match col {
-                ColumnVec::Int { data, nulls } => Some(Num::I(Operand::Col(
-                    Cow::Borrowed(&data[start..start + lanes]),
-                    lane_nulls(nulls, start, lanes),
-                ))),
-                ColumnVec::Float { data, nulls } => Some(Num::F(Operand::Col(
-                    Cow::Borrowed(&data[start..start + lanes]),
-                    lane_nulls(nulls, start, lanes),
-                ))),
+                ColumnVec::Int { data, nulls } => {
+                    Some(Num::I(Operand::Col(Cow::Borrowed(&data[..]), nulls)))
+                }
+                ColumnVec::Float { data, nulls } => {
+                    Some(Num::F(Operand::Col(Cow::Borrowed(&data[..]), nulls)))
+                }
                 _ => None,
             }
         }
@@ -700,7 +689,7 @@ fn num_operand<'a>(v: &'a BatchVal<'a>, lanes: usize) -> Option<Num<'a>> {
 
 /// A string operand: dictionary codes with their dictionary, or a literal.
 enum StrOperand<'a> {
-    Col(&'a [u32], &'a StrDict, Cow<'a, NullMask>),
+    Col(&'a [u32], &'a StrDict, &'a NullMask),
     Const(&'a Arc<str>),
 }
 
@@ -726,11 +715,10 @@ fn str_operand<'a>(v: &'a BatchVal<'a>, lanes: usize) -> Option<StrOperand<'a>> 
         BatchVal::Const(Value::Str(s)) => Some(StrOperand::Const(s)),
         BatchVal::Const(_) => None,
         _ => match v.column()? {
-            (ColumnVec::Str { codes, dict, nulls }, start) => Some(StrOperand::Col(
-                &codes[start..start + lanes],
-                dict,
-                lane_nulls(nulls, start, lanes),
-            )),
+            ColumnVec::Str { codes, dict, nulls } => {
+                debug_assert_eq!(nulls.len(), lanes, "one operand row per lane");
+                Some(StrOperand::Col(codes, dict, nulls))
+            }
             _ => None,
         },
     }
@@ -738,7 +726,7 @@ fn str_operand<'a>(v: &'a BatchVal<'a>, lanes: usize) -> Option<StrOperand<'a>> 
 
 /// A Kleene boolean operand (`Some(b)` or null per lane).
 enum BoolOperand<'a> {
-    Col(&'a [bool], Cow<'a, NullMask>),
+    Col(&'a [bool], &'a NullMask),
     Const(Option<bool>),
 }
 
@@ -758,11 +746,11 @@ fn bool_operand<'a>(v: &'a BatchVal<'a>, lanes: usize) -> Option<BoolOperand<'a>
         BatchVal::Const(Value::Null) => Some(BoolOperand::Const(None)),
         BatchVal::Const(_) => None,
         _ => match v.column()? {
-            (ColumnVec::Bool { data, nulls }, start) => Some(BoolOperand::Col(
-                &data[start..start + lanes],
-                lane_nulls(nulls, start, lanes),
-            )),
-            (ColumnVec::AllNull { .. }, _) => Some(BoolOperand::Const(None)),
+            ColumnVec::Bool { data, nulls } => {
+                debug_assert_eq!(nulls.len(), lanes, "one operand row per lane");
+                Some(BoolOperand::Col(data, nulls))
+            }
+            ColumnVec::AllNull { .. } => Some(BoolOperand::Const(None)),
             _ => None,
         },
     }
@@ -1005,7 +993,7 @@ fn unary_batch(op: UnOp, v: &BatchVal<'_>, lanes: usize) -> crate::Result<Column
         UnOp::IsNull => {
             let data = match v.column() {
                 None => vec![v.is_all_null(); lanes],
-                Some((c, start)) => (0..lanes).map(|i| c.is_null(start + i)).collect(),
+                Some(c) => (0..lanes).map(|i| c.is_null(i)).collect(),
             };
             Ok(ColumnVec::Bool {
                 data,
@@ -1018,12 +1006,12 @@ fn unary_batch(op: UnOp, v: &BatchVal<'_>, lanes: usize) -> crate::Result<Column
                 nulls.for_each_null(|i| data[i] = 0);
                 Ok(ColumnVec::Int {
                     data,
-                    nulls: nulls.into_owned(),
+                    nulls: nulls.clone(),
                 })
             }
             Some(Num::F(Operand::Col(data, nulls))) => Ok(ColumnVec::Float {
                 data: data.iter().map(|x| -x).collect(),
-                nulls: nulls.into_owned(),
+                nulls: nulls.clone(),
             }),
             _ if v.is_all_null() => Ok(ColumnVec::AllNull { len: lanes }),
             _ => map1_scalar(op, v, lanes),
@@ -1064,7 +1052,7 @@ fn func_batch(func: ScalarFunc, v: &BatchVal<'_>, lanes: usize) -> crate::Result
             nulls.for_each_null(|i| data[i] = 0);
             return Ok(ColumnVec::Int {
                 data,
-                nulls: nulls.into_owned(),
+                nulls: nulls.clone(),
             });
         }
         Some(Num::I(Operand::Const(x))) if func == ScalarFunc::Abs => {
@@ -1127,24 +1115,24 @@ impl BoundExpr {
             batch,
             match sel {
                 Some(s) => Lanes::Sel(s),
-                None => Lanes::Range(0, batch.len()),
+                None => Lanes::All(batch.len()),
             },
         )
     }
 
     /// [`BoundExpr::eval_batch`] over the batch rows behind `lanes`: a
-    /// selection gathers the columns the expression reads, a contiguous
-    /// run of rows reads them in place.
+    /// selection gathers the columns the expression reads, the whole batch
+    /// reads them in place.
     pub(crate) fn eval_lanes(&self, batch: &Batch, lanes: Lanes<'_>) -> crate::Result<ColumnVec> {
         let n = lanes.len();
+        debug_assert!(matches!(lanes, Lanes::Sel(_)) || n == batch.len());
         if n == 0 {
             // The row engine never evaluates expressions over zero rows, so
             // neither do we (avoids raising type errors legacy cannot hit).
             return Ok(ColumnVec::AllNull { len: 0 });
         }
         Ok(match self.eval_inner(batch, lanes, n)? {
-            BatchVal::Col(Cow::Borrowed(c), start) => c.slice(start, n),
-            BatchVal::Col(Cow::Owned(c), _) => c,
+            BatchVal::Col(c) => c.into_owned(),
             BatchVal::Const(v) => ColumnVec::broadcast(&v, n),
         })
     }
@@ -1165,7 +1153,7 @@ impl BoundExpr {
                     });
                 }
                 match lanes {
-                    Lanes::Range(start, _) => BatchVal::Col(Cow::Borrowed(batch.column(*i)), start),
+                    Lanes::All(_) => BatchVal::Col(Cow::Borrowed(batch.column(*i))),
                     Lanes::Sel(s) => BatchVal::computed(batch.column(*i).gather(s)),
                 }
             }
@@ -1474,13 +1462,16 @@ mod tests {
             let batch = t.batch();
             let start = rng.gen_range(0..n);
             let sel: Vec<u32> = (0..n as u32).rev().filter(|i| i % 3 != 1).collect();
+            let tail = |from: usize| (from as u32..n as u32).collect::<Vec<u32>>();
+            let (aligned, unaligned) = (tail(start / 64 * 64), tail(start));
+            // Fewer lanes than dictionary entries (a gather shares the
+            // dictionary whole): the far side of `StrDict::worth_indexing`.
+            let two = tail(n - n.min(2));
             let runs = [
-                Lanes::Range(0, n),
-                Lanes::Range(start / 64 * 64, n),
-                Lanes::Range(start, n),
-                // Fewer lanes than dictionary entries: the far side of
-                // `StrDict::worth_indexing`.
-                Lanes::Range(n - n.min(2), n),
+                Lanes::All(n),
+                Lanes::Sel(&aligned),
+                Lanes::Sel(&unaligned),
+                Lanes::Sel(&two),
                 Lanes::Sel(&sel),
             ];
             for (e, b) in exprs.iter().zip(&bound) {

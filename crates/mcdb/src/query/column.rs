@@ -103,36 +103,6 @@ impl NullMask {
         NullMask { len, bits: words }
     }
 
-    /// The mask of lanes `[start, start + len)`. Whole words are copied
-    /// when `start` is 64-aligned; an all-valid mask, or a window without a
-    /// null, stays on the fast path.
-    pub(crate) fn window(&self, start: usize, len: usize) -> NullMask {
-        debug_assert!(start + len <= self.len);
-        let Some(bits) = &self.bits else {
-            return NullMask::all_valid(len);
-        };
-        let n_words = len.div_ceil(64);
-        let (base, shift) = (start / 64, (start % 64) as u32);
-        let mut words: Vec<u64> = (0..n_words)
-            .map(|k| {
-                let lo = bits[base + k] >> shift;
-                match bits.get(base + k + 1) {
-                    Some(&hi) if shift != 0 => lo | hi << (64 - shift),
-                    _ => lo,
-                }
-            })
-            .collect();
-        if let Some(last) = words.last_mut() {
-            if !len.is_multiple_of(64) {
-                *last &= (1u64 << (len % 64)) - 1;
-            }
-        }
-        NullMask {
-            len,
-            bits: words.iter().any(|&w| w != 0).then_some(words),
-        }
-    }
-
     /// Lane-wise OR with a mask of the same length, a word at a time — a
     /// lane is null in the result iff it is null in either operand.
     pub(crate) fn union(&self, other: &NullMask) -> NullMask {
@@ -729,32 +699,6 @@ impl ColumnVec {
         }
     }
 
-    /// Lanes `[start, start + len)` as a column of their own — what
-    /// [`ColumnVec::gather`] returns for that run of indices, by `memcpy`.
-    pub(crate) fn slice(&self, start: usize, len: usize) -> ColumnVec {
-        let end = start + len;
-        match self {
-            ColumnVec::Int { data, nulls } => ColumnVec::Int {
-                data: data[start..end].to_vec(),
-                nulls: nulls.window(start, len),
-            },
-            ColumnVec::Float { data, nulls } => ColumnVec::Float {
-                data: data[start..end].to_vec(),
-                nulls: nulls.window(start, len),
-            },
-            ColumnVec::Bool { data, nulls } => ColumnVec::Bool {
-                data: data[start..end].to_vec(),
-                nulls: nulls.window(start, len),
-            },
-            ColumnVec::Str { codes, dict, nulls } => ColumnVec::Str {
-                codes: codes[start..end].to_vec(),
-                dict: Arc::clone(dict),
-                nulls: nulls.window(start, len),
-            },
-            ColumnVec::AllNull { .. } => ColumnVec::AllNull { len },
-        }
-    }
-
     /// `len` lanes of the one string `s` under `nulls`.
     fn str_constant(s: &Arc<str>, len: usize, nulls: NullMask) -> ColumnVec {
         let mut dict = StrDict::default();
@@ -1233,9 +1177,6 @@ mod tests {
         assert_eq!(g.value(6), Value::str("new"));
         assert_eq!(values(&c).len(), 4);
         assert_eq!(c, strs(&[Some("a"), Some("b"), None, Some("c")]));
-        // A slice is the gather of its run of rows.
-        assert_eq!(c.slice(1, 3), c.gather(&[1, 2, 3]));
-        assert_eq!(c.slice(4, 0), c.gather(&[]));
     }
 
     #[test]
@@ -1343,31 +1284,10 @@ mod tests {
     }
 
     #[test]
-    fn null_mask_windows_unions_and_word_marks() {
+    fn null_mask_unions_and_word_marks() {
         let mut m = NullMask::all_valid(200);
         for i in [0, 63, 64, 70, 130, 199] {
             m.set_null(i);
-        }
-        for (start, len) in [
-            (0, 200),
-            (64, 64),
-            (64, 136),
-            (1, 70),
-            (65, 5),
-            (131, 69),
-            (7, 0),
-        ] {
-            let w = m.window(start, len);
-            assert_eq!(w.len(), len);
-            for i in 0..len {
-                assert_eq!(
-                    w.is_null(i),
-                    m.is_null(start + i),
-                    "window {start}+{len} lane {i}"
-                );
-            }
-            // A window without a null stays on the all-valid fast path.
-            assert_eq!(w.words().is_some(), w.any_null(), "window {start}+{len}");
         }
         let mut other = NullMask::all_valid(200);
         other.set_null(5);

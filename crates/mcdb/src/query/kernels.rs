@@ -50,18 +50,17 @@
 //! codes, columns over different dictionaries compare contents.
 
 use super::column::{ColumnVec, NullMask};
-use super::exec::checked_int_sum;
 use super::{select, AggFunc};
 use crate::McdbError;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// The batch rows behind a run of operator lanes: a contiguous row range
-/// (no selection vector) or a slice of a selection vector.
+/// The batch rows behind a run of operator lanes: the whole batch (no
+/// selection vector) or a selection vector.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Lanes<'a> {
-    /// Lane `i` is batch row `start + i`.
-    Range(usize, usize),
+    /// `n` lanes; lane `i` is batch row `i`.
+    All(usize),
     /// Lane `i` is batch row `sel[i]`.
     Sel(&'a [u32]),
 }
@@ -69,7 +68,7 @@ pub(crate) enum Lanes<'a> {
 impl<'a> Lanes<'a> {
     pub(crate) fn len(&self) -> usize {
         match self {
-            Lanes::Range(a, b) => b - a,
+            Lanes::All(n) => *n,
             Lanes::Sel(s) => s.len(),
         }
     }
@@ -78,20 +77,23 @@ impl<'a> Lanes<'a> {
     #[inline]
     pub(crate) fn row(&self, i: usize) -> usize {
         match self {
-            Lanes::Range(a, _) => a + i,
+            Lanes::All(_) => i,
             Lanes::Sel(s) => s[i] as usize,
         }
     }
 }
 
-/// `for (lane, row) in lanes`, with the range/selection dispatch hoisted
+/// `for (lane, row) in lanes`, with the all/selection dispatch hoisted
 /// out of the loop. The body is an ordinary loop body (`?`, `return` and
 /// `continue` work).
 macro_rules! for_rows {
     ($lanes:expr, |$lane:ident, $row:ident| $body:block) => {
         match $lanes {
-            Lanes::Range(a, b) => {
-                for ($lane, $row) in (a..b).enumerate() $body
+            Lanes::All(n) => {
+                for $lane in 0..n {
+                    let $row = $lane;
+                    $body
+                }
             }
             Lanes::Sel(s) => {
                 for ($lane, &r) in s.iter().enumerate() {
@@ -638,6 +640,17 @@ fn first_non_numeric(col: &ColumnVec, rows: Lanes<'_>) -> Option<LaneError> {
         })
 }
 
+/// One step of an `Int`-typed `SUM`: exact `i64` addition, with leaving the
+/// `i64` range a typed error instead of a wrap or a silent fall-back to
+/// `Float`. Shared by [`accumulate`]'s typed accumulators and the reference
+/// interpreter's `AggState` so both sum — and fail — identically.
+pub(crate) fn checked_int_sum(acc: i64, v: i64) -> crate::Result<i64> {
+    acc.checked_add(v)
+        .ok_or_else(|| McdbError::IntegerOverflow {
+            context: "SUM over Int".to_string(),
+        })
+}
+
 /// Fold aggregate `func` over its argument (`None` only for `COUNT(*)`)
 /// into one output row per group, walking lanes in order. The argument is
 /// a column and the rows of it behind the `lanes` operator lanes — a batch
@@ -838,8 +851,8 @@ mod tests {
         index.probe(probe, probe_lanes, &mut hits);
         let (p, b) = index.matches(
             &hits,
-            Lanes::Range(0, probe_lanes.len()),
-            Lanes::Range(0, build_lanes.len()),
+            Lanes::All(probe_lanes.len()),
+            Lanes::All(build_lanes.len()),
         );
         p.into_iter().zip(b).collect()
     }
@@ -913,7 +926,7 @@ mod tests {
         .to_vec());
         // -0.0/0.0 are one key, NULL groups with NULL, distinct `Arc`s of
         // equal content are one key.
-        let g = assign_groups(&[&f, &s], Lanes::Range(0, 6));
+        let g = assign_groups(&[&f, &s], Lanes::All(6));
         assert_eq!(g.ids, vec![0, 0, 1, 2, 1, 2]);
         assert_eq!(g.first_lane, vec![0, 2, 3]);
         // Through a selection vector ids restart in lane order.
@@ -923,13 +936,13 @@ mod tests {
         // One string key, on both sides of `worth_indexing`: six lanes over
         // a two-entry dictionary go by code, three gathered lanes that
         // still carry a five-entry dictionary by the exact route.
-        let g = assign_groups(&[&s], Lanes::Range(0, 6));
+        let g = assign_groups(&[&s], Lanes::All(6));
         assert_eq!((g.ids, g.first_lane), (vec![0, 0, 0, 1, 0, 1], vec![0, 3]));
         let few = col(["a", "b", "c", "d", "e"].map(Value::str).to_vec()).gather(&[4, 1, 4]);
-        let g = assign_groups(&[&few], Lanes::Range(0, 3));
+        let g = assign_groups(&[&few], Lanes::All(3));
         assert_eq!((g.ids, g.first_lane), (vec![0, 1, 0], vec![0, 1]));
         // No key columns: one group.
-        let g = assign_groups(&[], Lanes::Range(0, 3));
+        let g = assign_groups(&[], Lanes::All(3));
         assert_eq!((g.ids, g.first_lane), (vec![0, 0, 0], vec![0]));
     }
 
@@ -967,7 +980,7 @@ mod tests {
                 vec![3, 0, 1, 2],
             ] {
                 let keys: Vec<&ColumnVec> = shape.iter().map(|&j| &cols[j]).collect();
-                for lanes in [Lanes::Range(0, n), Lanes::Sel(&sel)] {
+                for lanes in [Lanes::All(n), Lanes::Sel(&sel)] {
                     let g = assign_groups(&keys, lanes);
                     let key = |lane: usize| -> Vec<_> {
                         let row = lanes.row(lane);
@@ -1004,15 +1017,15 @@ mod tests {
             Value::from(twin),
             Value::from(5),
         ]);
-        let hashes = hash_keys(&[&keys], Lanes::Range(0, 5));
+        let hashes = hash_keys(&[&keys], Lanes::All(5));
         assert_eq!(
             hashes[0], hashes[1],
             "the test's key must alias NULL's hash"
         );
-        let g = assign_groups(&[&keys], Lanes::Range(0, 5));
+        let g = assign_groups(&[&keys], Lanes::All(5));
         assert_eq!((g.ids, g.first_lane), (vec![0, 1, 0, 1, 2], vec![0, 1, 4]));
         // NULL joins nothing, the twin joins the twin.
-        let all = Lanes::Range(0, 5);
+        let all = Lanes::All(5);
         assert_eq!(
             join_lanes(&[&keys], all, &[&keys], all),
             vec![(1, 1), (1, 3), (3, 1), (3, 3), (4, 4)]
@@ -1038,11 +1051,11 @@ mod tests {
         assert_eq!(m(unhash_i64_one(0xDEAD_BEEF)), 0xDEAD_BEEF);
         let x = col([a, a2, a, a2, 1].map(Value::from).to_vec());
         let y = col([b, b2, b, b2, 2].map(Value::from).to_vec());
-        let hashes = hash_keys(&[&x, &y], Lanes::Range(0, 5));
+        let hashes = hash_keys(&[&x, &y], Lanes::All(5));
         assert_eq!(hashes[0], hashes[1], "the two keys must collide");
-        let g = assign_groups(&[&x, &y], Lanes::Range(0, 5));
+        let g = assign_groups(&[&x, &y], Lanes::All(5));
         assert_eq!((g.ids, g.first_lane), (vec![0, 1, 0, 1, 2], vec![0, 1, 4]));
-        let all = Lanes::Range(0, 5);
+        let all = Lanes::All(5);
         assert_eq!(
             join_lanes(&[&x, &y], all, &[&x, &y], all),
             vec![
@@ -1061,7 +1074,7 @@ mod tests {
         // probe brings (a2, b2), which matches nothing.
         let (bx, by) = (col(vec![Value::from(a)]), col(vec![Value::from(b)]));
         assert_eq!(
-            join_lanes(&[&bx, &by], Lanes::Range(0, 1), &[&x, &y], all),
+            join_lanes(&[&bx, &by], Lanes::All(1), &[&x, &y], all),
             vec![(0, 0), (2, 0)]
         );
     }
@@ -1080,7 +1093,7 @@ mod tests {
             Value::str(""),
             Value::str("a"),
         ]);
-        let (bl, pl) = (Lanes::Range(0, 4), Lanes::Range(0, 6));
+        let (bl, pl) = (Lanes::All(4), Lanes::All(6));
         assert_eq!(
             join_lanes(&[&build], bl, &[&probe], pl),
             vec![(0, 3), (2, 2), (4, 1), (5, 3)]
@@ -1088,7 +1101,7 @@ mod tests {
         // One dictionary on both sides (a gather shares it).
         let gathered = probe.gather(&[5, 4, 1]);
         assert_eq!(
-            join_lanes(&[&probe], pl, &[&gathered], Lanes::Range(0, 3)),
+            join_lanes(&[&probe], pl, &[&gathered], Lanes::All(3)),
             vec![(0, 0), (0, 5), (1, 4)]
         );
         // Composite with an Int part; a Str key never matches an Int one.
@@ -1102,14 +1115,14 @@ mod tests {
         );
         assert!(join_lanes(&[&bn], bl, &[&probe], pl).is_empty());
         // Zero lanes and all-NULL keys join nothing and group as one.
-        assert!(join_lanes(&[&build], Lanes::Range(0, 0), &[&probe], pl).is_empty());
-        assert!(join_lanes(&[&build], bl, &[&probe], Lanes::Range(0, 0)).is_empty());
+        assert!(join_lanes(&[&build], Lanes::All(0), &[&probe], pl).is_empty());
+        assert!(join_lanes(&[&build], bl, &[&probe], Lanes::All(0)).is_empty());
         let nulls = ColumnVec::typed_nulls(6, crate::schema::DataType::Str);
         assert!(join_lanes(&[&nulls], pl, &[&probe], pl).is_empty());
         assert!(join_lanes(&[&probe], pl, &[&nulls], pl).is_empty());
         let g = assign_groups(&[&nulls], pl);
         assert_eq!((g.ids, g.first_lane), (vec![0; 6], vec![0]));
-        let g = assign_groups(&[&probe], Lanes::Range(0, 0));
+        let g = assign_groups(&[&probe], Lanes::All(0));
         assert!(g.ids.is_empty() && g.first_lane.is_empty());
     }
 
@@ -1127,7 +1140,7 @@ mod tests {
             Value::Null,
             Value::from(3),
         ]);
-        let all = Lanes::Range(0, 4);
+        let all = Lanes::All(4);
         assert_eq!(
             join_lanes(&[&build], all, &[&probe], all),
             vec![(0, 2), (1, 0), (1, 3)]
@@ -1148,7 +1161,7 @@ mod tests {
         );
         // Int and Float keys never match, even at equal numeric value.
         let floats = col(vec![Value::from(1.0), Value::from(2.0)]);
-        assert!(join_lanes(&[&build], bl, &[&floats], Lanes::Range(0, 2)).is_empty());
+        assert!(join_lanes(&[&build], bl, &[&floats], Lanes::All(2)).is_empty());
     }
 
     #[test]
@@ -1156,7 +1169,7 @@ mod tests {
         let ints = col((0..64).map(|i| Value::from(i as i64)).collect());
         let strs = col((0..64).map(|_| Value::str("k")).collect());
         let parts = |cols: &[&ColumnVec]| -> Vec<usize> {
-            hash_keys(cols, Lanes::Range(0, 64))
+            hash_keys(cols, Lanes::All(64))
                 .into_iter()
                 .map(|h| partition_of(h, 8))
                 .collect()
@@ -1181,7 +1194,7 @@ mod tests {
             Value::Null,
             Value::from(4.0),
         ]);
-        let all = Lanes::Range(0, 5);
+        let all = Lanes::All(5);
         let run = |f, a: Option<&ColumnVec>| accumulate(f, a.map(|a| (a, all)), 5, 2, by).unwrap();
         assert_eq!(
             run(AggFunc::Count, None),
@@ -1222,7 +1235,7 @@ mod tests {
         // No lanes, one (global) group: the identities.
         let empty = ColumnVec::AllNull { len: 0 };
         let id = |f, a| accumulate(f, a, 0, 1, |_| 0).unwrap().value(0);
-        let none = Lanes::Range(0, 0);
+        let none = Lanes::All(0);
         assert_eq!(id(AggFunc::Count, None), Value::from(0));
         assert!(id(AggFunc::Sum, Some((&empty, none))).is_null());
         assert!(id(AggFunc::Min, Some((&empty, none))).is_null());
@@ -1243,11 +1256,11 @@ mod tests {
     #[test]
     fn int_sums_are_exact_and_overflow_is_typed() {
         let big = col(vec![Value::from(4_000_000_000_000_000i64); 4]);
-        let sum = accumulate(AggFunc::Sum, Some((&big, Lanes::Range(0, 4))), 4, 1, |_| 0).unwrap();
+        let sum = accumulate(AggFunc::Sum, Some((&big, Lanes::All(4))), 4, 1, |_| 0).unwrap();
         assert_eq!(sum.value(0), Value::from(16_000_000_000_000_000i64));
         let wrap = col(vec![Value::from(i64::MAX), Value::from(0), Value::from(1)]);
         let (lane, e) =
-            accumulate(AggFunc::Sum, Some((&wrap, Lanes::Range(0, 3))), 3, 1, |_| 0).unwrap_err();
+            accumulate(AggFunc::Sum, Some((&wrap, Lanes::All(3))), 3, 1, |_| 0).unwrap_err();
         assert_eq!(lane, 2);
         assert!(matches!(e, McdbError::IntegerOverflow { .. }), "{e}");
     }

@@ -10,16 +10,16 @@
 //! columnar engine ([`mod@column`]/[`batch`]) that runs each operator in one
 //! pass over its input, on the calling thread.
 //!
-//! The legacy row-at-a-time interpreter survives as
-//! [`Catalog::query_unoptimized`], which doubles as the reference
-//! implementation for differential testing of the vectorized path.
+//! The row-at-a-time interpreter [`reference::execute`] runs a plan as
+//! given, without the optimizer: the reference semantics for differential
+//! testing of the planner and the vectorized path.
 
 pub mod batch;
 pub mod column;
-mod exec;
 pub(crate) mod kernels;
 pub mod physical;
 pub mod planner;
+pub mod reference;
 pub mod select;
 
 use crate::expr::Expr;
@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use exec::execute;
 pub use physical::PreparedQuery;
 
 /// A named collection of tables — the "database".
@@ -184,13 +183,6 @@ impl Catalog {
         tracer: &mde_numeric::obs::Tracer,
     ) -> crate::Result<Table> {
         PreparedQuery::prepare(plan, self)?.execute_traced(self, tracer)
-    }
-
-    /// Execute a plan on the legacy row-at-a-time interpreter, without the
-    /// optimizer. Kept as the reference semantics for differential tests
-    /// of the planner and the vectorized engine.
-    pub fn query_unoptimized(&self, plan: &Plan) -> crate::Result<Table> {
-        execute(plan, self)
     }
 }
 

@@ -28,8 +28,8 @@
 //! runs whole-column kernels ([`BoundExpr::eval_batch`]). Row-level
 //! semantics (null propagation, Kleene logic, first-seen group order,
 //! Null join keys never matching, validation errors) are identical to the
-//! legacy row-at-a-time interpreter in `exec.rs`, which is retained as the
-//! reference for differential tests.
+//! row-at-a-time [`super::reference`] interpreter, which differential tests
+//! hold it to.
 //!
 //! Each operator runs in **one pass over its input, on the calling
 //! thread**: a filter evaluates its predicate over every lane at once, a
@@ -109,7 +109,7 @@ impl Chunk {
     fn lanes(&self) -> Lanes<'_> {
         match self.sel_slice() {
             Some(s) => Lanes::Sel(s),
-            None => Lanes::Range(0, self.batch.len()),
+            None => Lanes::All(self.batch.len()),
         }
     }
 }
@@ -375,10 +375,13 @@ impl PreparedQuery {
         Self::lower(&planner::optimize(plan.clone(), catalog), catalog)
     }
 
-    /// Lower a plan without running the rewrite planner first. Used by
-    /// differential tests that isolate executor semantics from planner
-    /// rewrites.
-    pub fn prepare_unoptimized(plan: &Plan, catalog: &Catalog) -> crate::Result<PreparedQuery> {
+    /// Lower a plan without running the rewrite planner first, so a
+    /// differential test isolates executor semantics from planner rewrites.
+    #[cfg(test)]
+    pub(crate) fn prepare_unoptimized(
+        plan: &Plan,
+        catalog: &Catalog,
+    ) -> crate::Result<PreparedQuery> {
         Self::lower(plan, catalog)
     }
 
@@ -868,8 +871,8 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                     // partition's lanes.
                     let (l_rows, r_rows) = join_rows(
                         ctx,
-                        &JoinSide::new(&lb, left_keys, Lanes::Range(0, lb.len())),
-                        &JoinSide::new(&rb, right_keys, Lanes::Range(0, rb.len())),
+                        &JoinSide::new(&lb, left_keys, Lanes::All(lb.len())),
+                        &JoinSide::new(&rb, right_keys, Lanes::All(rb.len())),
                     );
                     pairs.extend(
                         l_rows
@@ -954,7 +957,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                         SpilledBatch::write(&chunk.batch, &sel, spill, &format!("agg{p}"))?;
                     spill_rows += spilled.n_rows() as u64;
                     let pb = spilled.read()?;
-                    let lanes = Lanes::Range(0, pb.len());
+                    let lanes = Lanes::All(pb.len());
                     match aggregate_lanes(ctx, &pb, lanes, group_idx, agg_funcs, agg_args)? {
                         Ok(mut g) => {
                             for lane in &mut g.first_lane {
@@ -1157,7 +1160,7 @@ fn join_rows(ctx: &ExecCtx, left: &JoinSide<'_>, right: &JoinSide<'_>) -> (Vec<u
     if build_right {
         return index.matches(&hits, probe.lanes, build.lanes);
     }
-    let identity = |side: &JoinSide<'_>| Lanes::Range(0, side.lanes.len());
+    let identity = |side: &JoinSide<'_>| Lanes::All(side.lanes.len());
     let (probe_lanes, build_lanes) = index.matches(&hits, identity(probe), identity(build));
     let mut pairs: Vec<(u32, u32)> = build_lanes.into_iter().zip(probe_lanes).collect();
     pairs.sort_unstable();
@@ -1281,7 +1284,7 @@ fn aggregate_lanes(
             let arg = arg.as_ref()?;
             Some(match in_place(arg) {
                 Some(col) => (col, lanes),
-                None => (evaluated.next()?, Lanes::Range(0, n)),
+                None => (evaluated.next()?, Lanes::All(n)),
             })
         })
         .collect();
@@ -1493,7 +1496,7 @@ mod tests {
     /// comparison isolates the engine, not the planner).
     fn assert_engines_agree(c: &Catalog, plan: &Plan) {
         let optimized = planner::optimize(plan.clone(), c);
-        let legacy = super::super::execute(&optimized, c);
+        let legacy = crate::query::reference::execute(&optimized, c);
         let vectorized =
             PreparedQuery::prepare_unoptimized(&optimized, c).and_then(|p| p.execute(c));
         match (legacy, vectorized) {

@@ -401,7 +401,7 @@ fn fuse_conjuncts(mut preds: Vec<Expr>) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{AggSpec, Catalog};
+    use crate::query::{reference, AggSpec, Catalog};
     use crate::schema::DataType;
     use crate::table::Table;
     use crate::value::Value;
@@ -512,7 +512,7 @@ mod tests {
         ];
         for p in plans {
             let opt = c.query(&p).unwrap();
-            let raw = c.query_unoptimized(&p).unwrap();
+            let raw = reference::execute(&p, &c).unwrap();
             assert_eq!(
                 opt.rows(),
                 raw.rows(),
@@ -544,8 +544,8 @@ mod tests {
         assert!(matches!(**left, Plan::Filter { .. }));
         assert!(matches!(**right, Plan::Filter { .. }));
         assert_eq!(
-            c.query_unoptimized(&opt).unwrap().rows(),
-            c.query_unoptimized(&p).unwrap().rows()
+            reference::execute(&opt, &c).unwrap().rows(),
+            reference::execute(&p, &c).unwrap().rows()
         );
     }
 
@@ -608,12 +608,12 @@ mod tests {
         let p = Plan::scan("people").project(&[("x", Expr::lit(1).div(Expr::lit(0)))]);
         assert_eq!(
             c.query(&p).unwrap().rows(),
-            c.query_unoptimized(&p).unwrap().rows()
+            reference::execute(&p, &c).unwrap().rows()
         );
         // A type error stays a runtime error in both engines.
         let bad = Plan::scan("people").project(&[("x", Expr::lit("s").add(Expr::lit(1)))]);
         assert!(c.query(&bad).is_err());
-        assert!(c.query_unoptimized(&bad).is_err());
+        assert!(reference::execute(&bad, &c).is_err());
     }
 
     #[test]
@@ -667,7 +667,7 @@ mod tests {
         for plan in [p, agg] {
             assert_eq!(
                 c.query(&plan).unwrap().rows(),
-                c.query_unoptimized(&plan).unwrap().rows()
+                reference::execute(&plan, &c).unwrap().rows()
             );
             let once = optimize(plan);
             assert_eq!(once.clone(), optimize(once));

@@ -613,7 +613,7 @@ mod tests {
             }
             assert!(!out.rows_materialized(), "{sql}");
             // The row oracle agrees, and only now does a view exist.
-            let want = oracle.query_unoptimized(&plan).unwrap();
+            let want = crate::query::reference::execute(&plan, &oracle).unwrap();
             assert_eq!(out.rows(), want.rows(), "{sql}");
             assert!(out.rows_materialized());
         }

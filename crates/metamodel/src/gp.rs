@@ -487,8 +487,8 @@ fn initial_log_params(xs: &[Vec<f64>], ys: &[f64]) -> mde_numeric::Result<Vec<f6
 
 /// The naive oracle for [`KernelWorkspace::assemble`]: build
 /// Σ = τ²R + Σ_ε + jitter·(1+τ²)·I from scratch, factor it with the scalar
-/// Cholesky, compute the GLS β₀ and the weight vector α, and return them
-/// with the negative log likelihood and its gradient in
+/// Cholesky [`scalar_factor`], compute the GLS β₀ and the weight vector α,
+/// and return them with the negative log likelihood and its gradient in
 /// `(ln τ², ln θ₁…ln θ_d)` — the textbook
 /// `½ tr(Σ⁻¹ ∂Σ) − ½ αᵀ ∂Σ α` over dense `∂Σ` matrices, sharing nothing
 /// with the workspace's packed pass.
@@ -514,25 +514,26 @@ fn assemble_unoptimized(
             sigma[(i, j)] = v;
         }
     }
-    let chol = Cholesky::new_unblocked(&sigma)?;
+    let l = scalar_factor(&sigma)?;
     let ones = vec![1.0; n];
-    let si_y = chol.solve_unblocked(ys)?;
-    let si_1 = chol.solve_unblocked(&ones)?;
+    let si_y = scalar_solve(&l, ys);
+    let si_1 = scalar_solve(&l, &ones);
     let denom: f64 = si_1.iter().sum();
     let beta0 = si_y.iter().sum::<f64>() / denom;
     let r: Vec<f64> = ys.iter().map(|y| y - beta0).collect();
-    let alpha = chol.solve_unblocked(&r)?;
+    let alpha = scalar_solve(&l, &r);
     let quad: f64 = r.iter().zip(&alpha).map(|(a, b)| a * b).sum();
-    let nll = 0.5 * (chol.ln_det() + quad);
+    let ln_det: f64 = (0..n).map(|i| 2.0 * l[(i, i)].ln()).sum();
+    let nll = 0.5 * (ln_det + quad);
 
     // Column c of Σ⁻¹ by one scalar solve each.
     let inv: Vec<Vec<f64>> = (0..n)
         .map(|c| {
             let mut e = vec![0.0; n];
             e[c] = 1.0;
-            chol.solve_unblocked(&e)
+            scalar_solve(&l, &e)
         })
-        .collect::<mde_numeric::Result<_>>()?;
+        .collect();
     let along = |dsigma: &dyn Fn(usize, usize) -> f64| -> f64 {
         let mut g = 0.0;
         for i in 0..n {
@@ -552,6 +553,52 @@ fn assemble_unoptimized(
         }));
     }
     Ok((beta0, alpha, nll, grad))
+}
+
+/// The element-indexed Cholesky factor `L` of a symmetric matrix, with the
+/// same pivot test as [`Cholesky::new`] but none of its code.
+#[cfg(test)]
+fn scalar_factor(
+    a: &mde_numeric::linalg::Matrix,
+) -> mde_numeric::Result<mde_numeric::linalg::Matrix> {
+    let n = a.rows();
+    let mut l = mde_numeric::linalg::Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            if i != j {
+                l[(i, j)] = sum / l[(j, j)];
+            } else if sum > 0.0 && sum.is_finite() {
+                l[(i, j)] = sum.sqrt();
+            } else {
+                return Err(NumericError::SingularMatrix {
+                    context: "scalar_factor (non-positive pivot)",
+                });
+            }
+        }
+    }
+    Ok(l)
+}
+
+/// Solve `L·Lᵀ·x = b` by forward then backward substitution into two
+/// buffers.
+#[cfg(test)]
+fn scalar_solve(l: &mde_numeric::linalg::Matrix, b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let sum: f64 = b[i] - (0..i).map(|k| l[(i, k)] * y[k]).sum::<f64>();
+        y[i] = sum / l[(i, i)];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let sum: f64 = y[i] - (i + 1..n).map(|k| l[(k, i)] * x[k]).sum::<f64>();
+        x[i] = sum / l[(i, i)];
+    }
+    x
 }
 
 /// The Gaussian correlation of equation (5), with τ² factored out.

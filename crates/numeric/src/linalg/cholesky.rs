@@ -8,9 +8,8 @@
 //!
 //! [`Cholesky::new`] and [`Cholesky::solve`] run on the cache-blocked
 //! kernels of [`super::kernels`]; the original element-indexed
-//! implementations are retained as [`Cholesky::new_unblocked`] /
-//! [`Cholesky::solve_unblocked`] and serve as differential oracles, the
-//! same pattern as the row-at-a-time `query_unoptimized` executor.
+//! implementations survive as the test-only oracles `new_unblocked` /
+//! `solve_unblocked` that this module's tests hold them to.
 //! [`Cholesky::extend`] grows a factorization by one row/column in O(n²) —
 //! the incremental-surrogate primitive behind `GpModel::append_point`.
 
@@ -50,40 +49,6 @@ impl Cholesky {
         Cholesky { l }
     }
 
-    /// The unblocked scalar factorization — the differential oracle for
-    /// [`Cholesky::new`]. Semantics are identical (same pivot test, same
-    /// error), only the loop structure differs.
-    pub fn new_unblocked(a: &Matrix) -> crate::Result<Self> {
-        if !a.is_square() {
-            return Err(NumericError::dim(
-                "Cholesky::new",
-                "square matrix".to_string(),
-                format!("{}x{}", a.rows(), a.cols()),
-            ));
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(NumericError::SingularMatrix {
-                            context: "Cholesky::new (non-positive pivot)",
-                        });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix {
         &self.l
@@ -105,38 +70,6 @@ impl Cholesky {
     /// leaves as the solution. Zero allocation — the NLL-evaluation form.
     pub fn solve_in_place(&self, b: &mut [f64]) -> crate::Result<()> {
         kernels::solve_in_place(&self.l, b)
-    }
-
-    /// The original two-buffer substitution — the differential oracle for
-    /// [`Cholesky::solve`].
-    pub fn solve_unblocked(&self, b: &[f64]) -> crate::Result<Vec<f64>> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(NumericError::dim(
-                "Cholesky::solve",
-                format!("rhs of length {n}"),
-                format!("length {}", b.len()),
-            ));
-        }
-        // Forward: L·y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for (k, &yk) in y.iter().enumerate().take(i) {
-                sum -= self.l[(i, k)] * yk;
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        // Backward: Lᵀ·x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (k, &xk) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.l[(k, i)] * xk;
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
-        Ok(x)
     }
 
     /// Extend the factorization by one bordered row/column in O(n²): given
@@ -215,6 +148,77 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{for_cases, rng_from_seed};
+
+    /// The original element-indexed implementations, kept as the oracles
+    /// the blocked kernels are held to.
+    impl Cholesky {
+        /// The unblocked scalar factorization — the differential oracle for
+        /// [`Cholesky::new`]. Semantics are identical (same pivot test, same
+        /// error), only the loop structure differs.
+        fn new_unblocked(a: &Matrix) -> crate::Result<Self> {
+            if !a.is_square() {
+                return Err(NumericError::dim(
+                    "Cholesky::new",
+                    "square matrix".to_string(),
+                    format!("{}x{}", a.rows(), a.cols()),
+                ));
+            }
+            let n = a.rows();
+            let mut l = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = a[(i, j)];
+                    for k in 0..j {
+                        sum -= l[(i, k)] * l[(j, k)];
+                    }
+                    if i == j {
+                        if sum <= 0.0 || !sum.is_finite() {
+                            return Err(NumericError::SingularMatrix {
+                                context: "Cholesky::new (non-positive pivot)",
+                            });
+                        }
+                        l[(i, j)] = sum.sqrt();
+                    } else {
+                        l[(i, j)] = sum / l[(j, j)];
+                    }
+                }
+            }
+            Ok(Cholesky { l })
+        }
+
+        /// The original two-buffer substitution — the differential oracle for
+        /// [`Cholesky::solve`].
+        fn solve_unblocked(&self, b: &[f64]) -> crate::Result<Vec<f64>> {
+            let n = self.l.rows();
+            if b.len() != n {
+                return Err(NumericError::dim(
+                    "Cholesky::solve",
+                    format!("rhs of length {n}"),
+                    format!("length {}", b.len()),
+                ));
+            }
+            // Forward: L·y = b.
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut sum = b[i];
+                for (k, &yk) in y.iter().enumerate().take(i) {
+                    sum -= self.l[(i, k)] * yk;
+                }
+                y[i] = sum / self.l[(i, i)];
+            }
+            // Backward: Lᵀ·x = y.
+            let mut x = vec![0.0; n];
+            for i in (0..n).rev() {
+                let mut sum = y[i];
+                for (k, &xk) in x.iter().enumerate().take(n).skip(i + 1) {
+                    sum -= self.l[(k, i)] * xk;
+                }
+                x[i] = sum / self.l[(i, i)];
+            }
+            Ok(x)
+        }
+    }
 
     fn spd_test_matrix() -> Matrix {
         // A = Bᵀ·B + I is SPD for any B.
@@ -353,5 +357,85 @@ mod tests {
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(ch.solve(&b).unwrap(), b);
         assert_eq!(ch.ln_det(), 0.0);
+    }
+
+    /// Random SPD matrix `B·Bᵀ + n·I` with entries seeded deterministically.
+    fn random_spd(n: usize, seed: u64) -> Matrix {
+        let mut rng = rng_from_seed(seed);
+        let mut b = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                b[(i, j)] = rng.gen::<f64>() * 2.0 - 1.0;
+            }
+        }
+        let mut a = &b * &b.transpose();
+        for i in 0..n {
+            a[(i, i)] += n as f64;
+        }
+        a
+    }
+
+    fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(x, y)| (x - y).abs() / (1.0 + y.abs()))
+            .fold(0.0, f64::max)
+    }
+
+    /// Sizes straddling the BLOCK=64 boundary: sub-block, exactly one block,
+    /// and a ragged multi-block tail.
+    const ORACLE_SIZES: [usize; 5] = [1, 2, 7, 64, 257];
+
+    #[test]
+    fn blocked_cholesky_matches_scalar_oracle_across_sizes() {
+        for &n in &ORACLE_SIZES {
+            for seed in [3u64, 41] {
+                let a = random_spd(n, seed ^ n as u64);
+                let blocked = Cholesky::new(&a).expect("SPD");
+                let oracle = Cholesky::new_unblocked(&a).expect("SPD");
+                let diff = max_rel_diff(blocked.l(), oracle.l());
+                assert!(diff <= 1e-12, "n={n} seed={seed}: factor diff {diff:e}");
+                let ld = (blocked.ln_det() - oracle.ln_det()).abs() / (1.0 + oracle.ln_det().abs());
+                assert!(ld <= 1e-12, "n={n} seed={seed}: ln_det diff {ld:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_solve_matches_scalar_oracle_across_sizes() {
+        for &n in &ORACLE_SIZES {
+            let a = random_spd(n, 977 + n as u64);
+            let mut rng = rng_from_seed(n as u64);
+            let bvec: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+            let ch = Cholesky::new(&a).expect("SPD");
+            let fast = ch.solve(&bvec).expect("solve");
+            let slow = ch.solve_unblocked(&bvec).expect("solve");
+            for (i, (p, q)) in fast.iter().zip(&slow).enumerate() {
+                assert!(
+                    (p - q).abs() <= 1e-12 * (1.0 + q.abs()),
+                    "n={n} x[{i}]: {p} vs {q}"
+                );
+            }
+            // And the solve actually solves: A·x ≈ b.
+            let ax = a.mul_vec(&fast).unwrap();
+            for (p, q) in ax.iter().zip(&bvec) {
+                assert!((p - q).abs() < 1e-8, "residual {p} vs {q}");
+            }
+        }
+    }
+
+    /// Blocked factor agrees with the scalar oracle on arbitrary small
+    /// SPD matrices (sizes fuzzed around the recursion/panel edges).
+    #[test]
+    fn blocked_matches_oracle_fuzzed() {
+        for_cases(48, |rng| {
+            let n = rng.gen_range(1usize..20);
+            let seed = rng.gen_range(0u64..500);
+            let a = random_spd(n, seed);
+            let blocked = Cholesky::new(&a).unwrap();
+            let oracle = Cholesky::new_unblocked(&a).unwrap();
+            assert!(max_rel_diff(blocked.l(), oracle.l()) <= 1e-12);
+        });
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The GP/kriging hot path (§4.1) factors one covariance matrix per
 //! likelihood evaluation — dozens of factorizations per fit. The naive
-//! element-indexed Cholesky in [`super::Cholesky::new_unblocked`] pays an
+//! element-indexed Cholesky (the test-only `Cholesky::new_unblocked`) pays an
 //! index computation and a bounds check per multiply-add and walks columns
 //! of a row-major matrix in its inner loop. The kernels here restate the
 //! same arithmetic over contiguous row slices:
@@ -27,10 +27,9 @@
 //!   likelihood *gradient* needs (`tr(Σ⁻¹ ∂Σ)` for every hyper-parameter
 //!   from one inverse) and nothing else should reach for.
 //!
-//! The unblocked implementations on [`super::Cholesky`] are retained as
-//! differential oracles (the `query_unoptimized` pattern):
-//! `tests/linalg_kernels.rs` holds both paths to ≤1e-12 of each other
-//! across block-boundary sizes.
+//! The unblocked implementations on [`super::Cholesky`] are test-only
+//! differential oracles: `linalg/cholesky.rs`'s tests hold both paths to
+//! ≤1e-12 of each other across block-boundary sizes.
 //!
 //! Everything here is sequential, allocation-free plain Rust with one body
 //! per kernel. The contract is bits, not a tolerance: [`dot`], [`dot4`]

@@ -1,6 +1,6 @@
 //! Reproducible, splittable random-number streams from an in-tree generator.
 //!
-//! Parallel Monte Carlo work — MCDB replicates, DSGD strata, particle
+//! Parallel Monte Carlo work — MCDB replicates, particle
 //! filters, replicated experiment designs — needs *independent* streams per
 //! worker that are nevertheless a pure function of one master seed, so that
 //! an entire composite-simulation run is reproducible. We derive child seeds

@@ -1,8 +1,7 @@
-//! Differential tests for the blocked linear-algebra kernels: the blocked
-//! Cholesky / fused solves must agree with the retained scalar oracles
-//! (`new_unblocked` / `solve_unblocked`) on random SPD systems across the
-//! block-size boundary cases, and the rank-1 `extend` border must track a
-//! from-scratch factorization across long append sequences.
+//! Differential tests for the rank-1 Cholesky border: `extend` must track a
+//! from-scratch factorization across long append sequences and on random
+//! SPD systems. (The blocked factor and fused solve are held to their
+//! scalar oracles in `linalg/cholesky.rs`'s own tests.)
 
 use mde_numeric::linalg::{Cholesky, Matrix};
 use mde_numeric::rng::{for_cases, rng_from_seed};
@@ -29,48 +28,6 @@ fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
         .zip(b.data())
         .map(|(x, y)| (x - y).abs() / (1.0 + y.abs()))
         .fold(0.0, f64::max)
-}
-
-/// Sizes straddling the BLOCK=64 boundary: sub-block, exactly one block,
-/// and a ragged multi-block tail.
-const ORACLE_SIZES: [usize; 5] = [1, 2, 7, 64, 257];
-
-#[test]
-fn blocked_cholesky_matches_scalar_oracle_across_sizes() {
-    for &n in &ORACLE_SIZES {
-        for seed in [3u64, 41] {
-            let a = random_spd(n, seed ^ n as u64);
-            let blocked = Cholesky::new(&a).expect("SPD");
-            let oracle = Cholesky::new_unblocked(&a).expect("SPD");
-            let diff = max_rel_diff(blocked.l(), oracle.l());
-            assert!(diff <= 1e-12, "n={n} seed={seed}: factor diff {diff:e}");
-            let ld = (blocked.ln_det() - oracle.ln_det()).abs() / (1.0 + oracle.ln_det().abs());
-            assert!(ld <= 1e-12, "n={n} seed={seed}: ln_det diff {ld:e}");
-        }
-    }
-}
-
-#[test]
-fn fused_solve_matches_scalar_oracle_across_sizes() {
-    for &n in &ORACLE_SIZES {
-        let a = random_spd(n, 977 + n as u64);
-        let mut rng = rng_from_seed(n as u64);
-        let bvec: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        let ch = Cholesky::new(&a).expect("SPD");
-        let fast = ch.solve(&bvec).expect("solve");
-        let slow = ch.solve_unblocked(&bvec).expect("solve");
-        for (i, (p, q)) in fast.iter().zip(&slow).enumerate() {
-            assert!(
-                (p - q).abs() <= 1e-12 * (1.0 + q.abs()),
-                "n={n} x[{i}]: {p} vs {q}"
-            );
-        }
-        // And the solve actually solves: A·x ≈ b.
-        let ax = a.mul_vec(&fast).unwrap();
-        for (p, q) in ax.iter().zip(&bvec) {
-            assert!((p - q).abs() < 1e-8, "residual {p} vs {q}");
-        }
-    }
 }
 
 #[test]
@@ -116,20 +73,6 @@ fn fifty_sequential_extends_track_from_scratch_factorization() {
         let ld = (incremental.ln_det() - scratch.ln_det()).abs();
         assert!(ld <= 1e-8, "after extend to {m}: ln_det diff {ld:e}");
     }
-}
-
-/// Blocked factor agrees with the scalar oracle on arbitrary small
-/// SPD matrices (sizes fuzzed around the recursion/panel edges).
-#[test]
-fn blocked_matches_oracle_fuzzed() {
-    for_cases(48, |rng| {
-        let n = rng.gen_range(1usize..20);
-        let seed = rng.gen_range(0u64..500);
-        let a = random_spd(n, seed);
-        let blocked = Cholesky::new(&a).unwrap();
-        let oracle = Cholesky::new_unblocked(&a).unwrap();
-        assert!(max_rel_diff(blocked.l(), oracle.l()) <= 1e-12);
-    });
 }
 
 /// One random border extension agrees with refactorization.

@@ -59,7 +59,7 @@ fn dsgd_agrees_with_thomas() {
                 epsilon0: 0.15,
                 alpha: 0.51,
             },
-            threads: 2,
+            blocks: 2,
             record_residuals: false,
         };
         let res = dsgd_solve(&sys.a, &sys.b, &cfg, &mut rng_from_seed(seed));
@@ -79,25 +79,25 @@ fn dsgd_agrees_with_thomas() {
     });
 }
 
-/// Thread count never changes a DSGD result (the race-freedom
-/// guarantee of the stratification).
+/// The block count never changes a DSGD result (the race-freedom
+/// guarantee of the stratification: blocks touch disjoint coordinates).
 #[test]
-fn dsgd_thread_invariance() {
+fn dsgd_block_count_invariance() {
     for_cases(32, |rng| {
         let n = rng.gen_range(4usize..80);
-        let threads = rng.gen_range(2usize..8);
+        let blocks = rng.gen_range(2usize..8);
         let seed = rng.gen_range(0u64..100);
         let a = Tridiagonal::new(vec![1.0; n - 1], vec![4.0; n], vec![1.0; n - 1]).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let b = a.mul_vec(&x_true).unwrap();
         let cfg1 = DsgdConfig {
             cycles: 20,
-            threads: 1,
+            blocks: 1,
             ..DsgdConfig::default()
         };
         let cfg2 = DsgdConfig {
             cycles: 20,
-            threads,
+            blocks,
             ..DsgdConfig::default()
         };
         let r1 = dsgd_solve(&a, &b, &cfg1, &mut rng_from_seed(seed));

@@ -10,7 +10,7 @@
 use model_data_ecosystems::mcdb::expr::ScalarFunc;
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
-use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, SortKey};
+use model_data_ecosystems::mcdb::query::{reference, AggFunc, AggSpec, SortKey};
 use model_data_ecosystems::mcdb::vg::{BackwardWalkVg, NormalVg, PoissonVg};
 use model_data_ecosystems::mcdb::RunOptions;
 use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed, StreamFactory};
@@ -359,7 +359,7 @@ fn optimizer_never_changes_results() {
                     .and(Expr::col("GROUP").ne(Expr::lit("zzz"))),
             );
         let optimized = cat.query(&plan).unwrap();
-        let raw = cat.query_unoptimized(&plan).unwrap();
+        let raw = reference::execute(&plan, &cat).unwrap();
         assert_eq!(optimized.rows(), raw.rows());
     });
 }
@@ -380,7 +380,7 @@ fn vectorized_engine_matches_legacy_on_edge_plans() {
         let limit = rng.gen_range(1usize..12);
         let db = edge_catalog(n_rows, null_every);
         let plan = edge_plan_for(case, divisor, threshold, limit);
-        match (db.query(&plan), db.query_unoptimized(&plan)) {
+        match (db.query(&plan), reference::execute(&plan, &db)) {
             (Ok(vectorized), Ok(legacy)) => {
                 assert_eq!(
                     vectorized.schema(),

@@ -3,8 +3,8 @@
 //! the file and test names keep their history).
 //!
 //! Contract under test: the one-pass vectorized executor equals the
-//! row-at-a-time legacy engine (`query_unoptimized`) — same rows (floats
-//! compared by `to_bits`), same errors — over both memory-backed and
+//! row-at-a-time reference interpreter (`query::reference::execute`) —
+//! same rows (floats compared by `to_bits`), same errors — over both memory-backed and
 //! paged tables, and a repeated execution reproduces its deterministic
 //! span ledger (every span field except `*_nanos` wall-clock ones). A
 //! seeded generated-SQL corpus (filters, equi-joins across NULL keys,
@@ -27,7 +27,7 @@
 use model_data_ecosystems::core::obs::{MemorySink, SpanRecord, Tracer};
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::planner::optimize;
-use model_data_ecosystems::mcdb::query::{AggSpec, PreparedQuery, SortKey};
+use model_data_ecosystems::mcdb::query::{reference, AggSpec, PreparedQuery, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
 use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
 use model_data_ecosystems::mcdb::value::Value;
@@ -221,7 +221,7 @@ fn assert_plan_invariant(
         first_ledger, again_ledger,
         "{what}: deterministic ledger diverged on a repeat"
     );
-    match (&first, oracle.query_unoptimized(plan)) {
+    match (&first, reference::execute(plan, oracle)) {
         (Ok(rows), Ok(oracle_table)) => {
             assert_eq!(
                 rows,
@@ -825,8 +825,8 @@ fn typed_kernel_families_are_invariant_across_threads_backings_and_spill() {
 
 /// The planner resolves scan schemas from the catalog, so a `WHERE` over
 /// a join of scans is pushed below the join exactly when it names one
-/// side's columns — and pushed or not, results equal the unoptimized
-/// lowering's.
+/// side's columns — and pushed or not, results equal the reference
+/// interpreter's on the unrewritten plan.
 #[test]
 fn join_of_scans_pushdown_matches_unoptimized_lowering() {
     let db = kernel_catalog(chaos_seed().wrapping_add(6));
@@ -840,10 +840,9 @@ fn join_of_scans_pushdown_matches_unoptimized_lowering() {
         let below = lines[join_at..].iter().any(|l| l.starts_with("Filter"));
         assert_eq!(below, pushed, "{name}: optimized to\n{explained}");
         let optimized = PreparedQuery::prepare(&plan, &db).unwrap();
-        let plain = PreparedQuery::prepare_unoptimized(&plan, &db).unwrap();
         assert_eq!(
             canon_rows(&optimized.execute(&db).unwrap()),
-            canon_rows(&plain.execute(&db).unwrap()),
+            canon_rows(&reference::execute(&plan, &db).unwrap()),
             "{name}: pushdown changed the result"
         );
     }

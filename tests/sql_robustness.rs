@@ -3,6 +3,7 @@
 //! well-formed generated queries must round-trip through parse + execute.
 
 use model_data_ecosystems::mcdb::prelude::*;
+use model_data_ecosystems::mcdb::query::reference;
 use model_data_ecosystems::mcdb::sql::{
     parse_create_random_table, plan_from_sql, tokenize, VgRegistry,
 };
@@ -142,7 +143,7 @@ fn generated_queries_identical_under_both_engines() {
         );
         let db = catalog();
         if let Ok(plan) = plan_from_sql(&sql) {
-            match (db.query(&plan), db.query_unoptimized(&plan)) {
+            match (db.query(&plan), reference::execute(&plan, &db)) {
                 (Ok(vectorized), Ok(legacy)) => {
                     assert_eq!(vectorized.rows(), legacy.rows(), "sql: {}", sql);
                 }
@@ -178,7 +179,7 @@ fn int_sum_past_9e15_is_exact_and_overflow_is_typed() {
     let plan = plan_from_sql("SELECT SUM(X) AS S FROM T").unwrap();
 
     let db = big(&[4_000_000_000_000_000; 4]);
-    for result in [db.query(&plan), db.query_unoptimized(&plan)] {
+    for result in [db.query(&plan), reference::execute(&plan, &db)] {
         assert_eq!(
             result.unwrap().rows(),
             &[vec![Value::from(16_000_000_000_000_000i64)]]
@@ -186,7 +187,7 @@ fn int_sum_past_9e15_is_exact_and_overflow_is_typed() {
     }
 
     let db = big(&[i64::MAX, -5, 10]);
-    let errors: Vec<McdbError> = [db.query(&plan), db.query_unoptimized(&plan)]
+    let errors: Vec<McdbError> = [db.query(&plan), reference::execute(&plan, &db)]
         .into_iter()
         .map(|r| r.unwrap_err())
         .collect();
@@ -217,7 +218,7 @@ fn non_ascii_string_literals_mean_what_they_spell() {
     let both = |sql: &str| {
         let plan = plan_from_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let engine = db.query(&plan).unwrap();
-        assert_eq!(engine, db.query_unoptimized(&plan).unwrap(), "{sql}");
+        assert_eq!(engine, reference::execute(&plan, &db).unwrap(), "{sql}");
         engine
     };
     for (k, word) in words.iter().enumerate() {

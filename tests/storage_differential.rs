@@ -11,7 +11,7 @@
 
 use model_data_ecosystems::mcdb::expr::ScalarFunc;
 use model_data_ecosystems::mcdb::prelude::*;
-use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec, SortKey};
+use model_data_ecosystems::mcdb::query::{reference, AggFunc, AggSpec, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
 use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
 use model_data_ecosystems::numeric::rng::for_cases;
@@ -268,7 +268,10 @@ fn generated_sql_identical_on_paged_catalog() {
             assert_twin_agrees(&db, &paged, &plan, true);
             // The legacy row engine materializes paged rows through the
             // oracle path; it must agree too.
-            match (db.query_unoptimized(&plan), paged.query_unoptimized(&plan)) {
+            match (
+                reference::execute(&plan, &db),
+                reference::execute(&plan, &paged),
+            ) {
                 (Ok(a), Ok(b)) => assert_eq!(a.rows(), b.rows(), "sql: {}", sql),
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!(
