@@ -20,10 +20,11 @@
 //! This implementation mirrors that structure exactly: three strata by
 //! `row mod 3`, a random stratum permutation per cycle (regeneration points
 //! at cycle boundaries ⇒ equal time per stratum), and an explicit
-//! shuffle-volume account of `blocks` shared-nothing workers against what a
-//! distributed exact solve would move. The blocks of a stratum touch
-//! disjoint coordinates, so running them one after another on the calling
-//! thread gives the iterate any parallel schedule would.
+//! shuffle-volume account ([`ShuffleStats`]) of shared-nothing workers
+//! against what a distributed exact solve would move. The rows of a stratum
+//! touch disjoint coordinates, so updating them one after another on the
+//! calling thread gives the iterate any parallel schedule would, whatever
+//! the worker count.
 
 use crate::sgd::{row_update, StepSchedule};
 use mde_numeric::linalg::Tridiagonal;
@@ -38,10 +39,6 @@ pub struct DsgdConfig {
     /// Number of cycles; each cycle visits all three strata once, in random
     /// order, touching every row exactly once.
     pub cycles: u64,
-    /// Shared-nothing blocks each stratum is partitioned into: the worker
-    /// count of the shuffle model ([`ShuffleStats`]). The iterate does not
-    /// depend on it.
-    pub blocks: usize,
     /// Record the residual after every cycle (costs one O(m) pass).
     pub record_residuals: bool,
 }
@@ -54,7 +51,6 @@ impl Default for DsgdConfig {
                 alpha: 0.7,
             },
             cycles: 200,
-            blocks: 1,
             record_residuals: false,
         }
     }
@@ -66,18 +62,26 @@ impl Default for DsgdConfig {
 /// block of `x`. Within a stratum no communication happens at all (updates
 /// touch worker-local coordinates). At each stratum switch a worker must
 /// refresh at most its two block-boundary coordinates from its neighbors —
-/// that is the entire shuffle. The comparison column is what an exact
-/// distributed tridiagonal solve (e.g. cyclic reduction) would move:
-/// `Θ(m)` values reshuffled per reduction level, `log₂ m` levels.
+/// that is the entire shuffle
+/// ([`boundary_values_exchanged`](ShuffleStats::boundary_values_exchanged)).
+/// The comparison column is what an exact distributed tridiagonal solve
+/// (e.g. cyclic reduction) would move: `Θ(m)` values reshuffled per
+/// reduction level, `log₂ m` levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShuffleStats {
     /// Number of stratum switches performed.
     pub stratum_switches: u64,
-    /// Boundary coordinates exchanged across all switches (the DSGD
-    /// shuffle volume, in f64 entries).
-    pub boundary_values_exchanged: u64,
     /// Entries an exact distributed solve would shuffle: `m · log₂ m`.
     pub exact_solve_shuffle_entries: u64,
+}
+
+impl ShuffleStats {
+    /// Boundary coordinates `blocks` shared-nothing workers exchange across
+    /// all switches (the DSGD shuffle volume, in f64 entries): two per
+    /// worker per stratum switch, `2 · blocks · stratum_switches`.
+    pub fn boundary_values_exchanged(&self, blocks: u64) -> u64 {
+        2 * blocks * self.stratum_switches
+    }
 }
 
 /// Result of a DSGD run.
@@ -93,17 +97,12 @@ pub struct DsgdResult {
 }
 
 /// Run stratified DSGD on `min‖Ax − b‖²` from the zero vector.
-///
-/// The iterate is bit-identical at every `blocks` (see the block-count
-/// invariance property test); only the shuffle account changes.
 pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -> DsgdResult {
     let n = a.n();
     assert_eq!(b.len(), n, "rhs length must match system size");
     let mut x = vec![0.0; n];
-    let blocks = cfg.blocks.max(1) as u64;
     let mut stats = ShuffleStats {
         stratum_switches: 0,
-        boundary_values_exchanged: 0,
         exact_solve_shuffle_entries: (n as u64) * (64 - (n as u64).leading_zeros() as u64),
     };
     let mut history = Vec::new();
@@ -124,8 +123,6 @@ pub fn dsgd_solve(a: &Tridiagonal, b: &[f64], cfg: &DsgdConfig, rng: &mut Rng) -
                 row_update(a, b, &mut x, i, eps);
             }
             stats.stratum_switches += 1;
-            // Each block refreshes ≤ 2 boundary coordinates per switch.
-            stats.boundary_values_exchanged += 2 * blocks;
         }
         if cfg.record_residuals {
             history.push(a.residual_norm(&x, b).expect("validated dims"));
@@ -190,17 +187,16 @@ mod tests {
         let (a, b, _) = system(3000);
         let cfg = DsgdConfig {
             cycles: 30,
-            blocks: 4,
             ..DsgdConfig::default()
         };
         let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(4));
         assert_eq!(res.stats.stratum_switches, 90);
-        assert_eq!(res.stats.boundary_values_exchanged, 90 * 2 * 4);
+        let shuffled = res.stats.boundary_values_exchanged(4);
+        assert_eq!(shuffled, 90 * 2 * 4);
         // The paper's claim: DSGD's shuffle volume is negligible.
         assert!(
-            res.stats.boundary_values_exchanged * 10 < res.stats.exact_solve_shuffle_entries,
-            "DSGD shuffled {} vs exact {}",
-            res.stats.boundary_values_exchanged,
+            shuffled * 10 < res.stats.exact_solve_shuffle_entries,
+            "DSGD shuffled {shuffled} vs exact {}",
             res.stats.exact_solve_shuffle_entries
         );
     }
@@ -218,7 +214,6 @@ mod tests {
                 epsilon0: 0.2,
                 alpha: 0.5,
             },
-            blocks: 2,
             record_residuals: false,
         };
         let res = dsgd_solve(&sys.a, &sys.b, &cfg, &mut rng_from_seed(5));
@@ -240,7 +235,6 @@ mod tests {
             let b = a.mul_vec(&x_true).unwrap();
             let cfg = DsgdConfig {
                 cycles: 3000,
-                blocks: 2,
                 ..DsgdConfig::default()
             };
             let res = dsgd_solve(&a, &b, &cfg, &mut rng_from_seed(6));

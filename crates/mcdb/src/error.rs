@@ -96,8 +96,8 @@ pub enum McdbError {
         /// What the decoder tripped over.
         reason: String,
     },
-    /// A page's content does not hash to its stored FNV-1a checksum —
-    /// the frame was altered or torn after it was written.
+    /// A page's content (or the file header) does not hash to its stored
+    /// checksum — it was altered or torn after it was written.
     PageChecksumMismatch {
         /// File the page was read from.
         path: String,

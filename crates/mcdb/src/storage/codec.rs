@@ -1,15 +1,17 @@
 //! Little-endian byte codec shared by the page format, the table-file
 //! header, and spill partitions.
 //!
-//! The FNV-1a checksum and the `u64` writer are the `MDECKPT` checkpoint
-//! codec's own (`mde_numeric::checkpoint`), re-exported here; what this
-//! module adds is what `MDETAB01` spells differently — `u32`/`i64` fields,
-//! `u32`-length-prefixed strings — plus a bounds-checked cursor whose
-//! every read can fail with a typed corruption error that names the file
-//! and page, instead of panicking on a truncated or damaged file.
+//! The checksums (`checksum64` for `MDETAB02`, FNV-1a for `MDETAB01` and
+//! the string dictionary's hashes) and the `u64` writer live in
+//! `mde_numeric::checkpoint` and are re-exported here; what this module
+//! adds is what the table format spells differently from the checkpoint
+//! codec — `u32`/`i64` fields, `u32`-length-prefixed strings — plus a
+//! bounds-checked cursor whose every read can fail with a typed corruption
+//! error that names the file and page, instead of panicking on a truncated
+//! or damaged file.
 
 use crate::McdbError;
-pub(crate) use mde_numeric::checkpoint::{fnv1a, put_u64, FNV_OFFSET};
+pub(crate) use mde_numeric::checkpoint::{checksum64, fnv1a, put_u64, FNV_OFFSET};
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

@@ -16,9 +16,12 @@
 //! it fails on a corrupt page iff it reads that page.
 //!
 //! The module splits into:
-//! - [`pager`] — the `MDETAB01` file format, `MDEPAGE1` page frames
-//!   with per-page FNV-1a checksums, and crash-consistent whole-file
-//!   writes via the checkpoint codec's atomic-rename discipline;
+//! - [`pager`] — the `MDETAB02` file format, `MDEPAGE2` page frames
+//!   with per-page word-parallel checksums
+//!   ([`checksum64`](mde_numeric::checkpoint::checksum64)), and
+//!   crash-consistent whole-file writes via the checkpoint codec's
+//!   atomic-rename discipline; it also reads version 1 (`MDETAB01`,
+//!   FNV-1a) files, and writes only version 2;
 //! - [`encoding`] — per-page column encodings (dictionary, RLE,
 //!   bit-packing, plain) chosen smallest-wins at write time and decoded
 //!   word-at-a-time straight into the executor's typed column vectors;

@@ -1,27 +1,38 @@
 //! The paged table file: fixed-size frames, a checksummed header, and
 //! crash-consistent writes.
 //!
-//! ## File layout (`MDETAB01`)
+//! ## File layout (`MDETAB02`)
 //!
 //! ```text
-//! [ 0..8 ]   file magic "MDETAB01"
+//! [ 0..8 ]   file magic "MDETAB02"
 //! [ 8..16]   pages_start: u64 — byte offset of page 0 (= header length)
-//! [16..24]   FNV-1a checksum of the header body
+//! [16..24]   checksum of the header body
 //! [24..  ]   header body: table name, n_rows, page_size, schema,
 //!            page directory (one (column, n_values) entry per page)
 //! [pages_start .. ]  page frames, each exactly `page_size` bytes
 //! ```
 //!
-//! ## Page frame (`MDEPAGE1`)
+//! ## Page frame (`MDEPAGE2`)
 //!
 //! ```text
-//! [ 0..8 ]   page magic "MDEPAGE1"
-//! [ 8..16]   FNV-1a checksum of frame[16..page_size]
+//! [ 0..8 ]   page magic "MDEPAGE2"
+//! [ 8..16]   checksum of frame[16..page_size]
 //! [16..20]   column index: u32
 //! [20..24]   n_values: u32
 //! [24..28]   body length: u32
 //! [28..  ]   encoded body (see `encoding`), zero-padded to `page_size`
 //! ```
+//!
+//! ## Versions
+//!
+//! [`PagedStore::write`] writes version 2 only: `MDETAB02` files of
+//! `MDEPAGE2` frames, header and frames sealed with the word-parallel
+//! [`checksum64`]. Version 1 (`MDETAB01` / `MDEPAGE1`) has the same layout
+//! sealed with byte-serial FNV-1a; [`PagedStore::open`] still reads it, and
+//! no option writes it. The file magic fixes the
+//! version of the whole file: the checksum of its header and of every
+//! frame, and the magic every frame must carry, so a frame of the other
+//! version is a typed error, never a decode.
 //!
 //! Every page holds one chunk of one column; a column spans as many
 //! pages as needed, in row order, and the writer sizes each chunk by its
@@ -38,7 +49,7 @@
 //! checkpoints ([`mde_numeric::write_atomic`]), so a crash mid-write
 //! leaves the previous file intact.
 
-use super::codec::{fnv1a, put_str, put_u32, put_u64, Cursor, FNV_OFFSET};
+use super::codec::{checksum64, fnv1a, put_str, put_u32, put_u64, Cursor, FNV_OFFSET};
 use super::encoding::{decode_page, encode_page_body, ColumnAssembler, LanesMut};
 use super::pool::BufferPool;
 use crate::query::batch::Batch;
@@ -50,10 +61,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Magic prefix of a paged table file.
-pub const TABLE_MAGIC: [u8; 8] = *b"MDETAB01";
-/// Magic prefix of every page frame.
-pub const PAGE_MAGIC: [u8; 8] = *b"MDEPAGE1";
+/// Magic prefix of a paged table file, as [`PagedStore::write`] writes it.
+pub const TABLE_MAGIC: [u8; 8] = *b"MDETAB02";
+/// Magic prefix of every page frame of a [`TABLE_MAGIC`] file.
+pub const PAGE_MAGIC: [u8; 8] = *b"MDEPAGE2";
+/// Version 1 magics: read, never written.
+const TABLE_MAGIC_V1: [u8; 8] = *b"MDETAB01";
+const PAGE_MAGIC_V1: [u8; 8] = *b"MDEPAGE1";
 /// Default page frame size: 16 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 16 * 1024;
 /// Bytes of frame header before the encoded body.
@@ -64,6 +78,43 @@ const MIN_PAGE_SIZE: usize = 64;
 /// Unique id per opened store, namespacing its frames in the shared
 /// buffer pool.
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The on-disk version of an opened file, fixed by its file magic: the
+/// checksum that seals its header and frames, and the magic its frames
+/// carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Version {
+    /// `MDETAB01` / `MDEPAGE1`, sealed with FNV-1a.
+    V1,
+    /// `MDETAB02` / `MDEPAGE2`, sealed with `checksum64`.
+    V2,
+}
+
+impl Version {
+    fn of_table_magic(magic: &[u8]) -> Option<Version> {
+        if magic == TABLE_MAGIC {
+            Some(Version::V2)
+        } else if magic == TABLE_MAGIC_V1 {
+            Some(Version::V1)
+        } else {
+            None
+        }
+    }
+
+    fn page_magic(self) -> [u8; 8] {
+        match self {
+            Version::V1 => PAGE_MAGIC_V1,
+            Version::V2 => PAGE_MAGIC,
+        }
+    }
+
+    fn checksum(self, bytes: &[u8]) -> u64 {
+        match self {
+            Version::V1 => fnv1a(FNV_OFFSET, bytes),
+            Version::V2 => checksum64(bytes),
+        }
+    }
+}
 
 /// One directory entry: which column a page belongs to and how many
 /// values it holds. Pages appear in the directory in file order
@@ -86,6 +137,7 @@ pub struct PageMeta {
 pub struct PagedStore {
     id: u64,
     path: PathBuf,
+    version: Version,
     name: String,
     schema: Schema,
     n_rows: usize,
@@ -100,8 +152,9 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// Encode `batch` as a paged table file at `path`, crash-consistently.
-    /// Returns the I/O stats of the atomic write (out-of-band telemetry).
+    /// Encode `batch` as an `MDETAB02` paged table file at `path`,
+    /// crash-consistently. Returns the I/O stats of the atomic write
+    /// (out-of-band telemetry).
     pub fn write(
         path: &Path,
         name: &str,
@@ -168,7 +221,7 @@ impl PagedStore {
                 put_u32(&mut frames, body.len() as u32);
                 frames.extend_from_slice(&body);
                 frames.resize(frame_at + page_size, 0);
-                let sum = fnv1a(FNV_OFFSET, &frames[frame_at + 16..frame_at + page_size]);
+                let sum = checksum64(&frames[frame_at + 16..frame_at + page_size]);
                 frames[frame_at + 8..frame_at + 16].copy_from_slice(&sum.to_le_bytes());
                 start += len;
             }
@@ -192,13 +245,14 @@ impl PagedStore {
         let mut file = Vec::with_capacity(24 + header_body.len() + frames.len());
         file.extend_from_slice(&TABLE_MAGIC);
         put_u64(&mut file, (24 + header_body.len()) as u64);
-        put_u64(&mut file, fnv1a(FNV_OFFSET, &header_body));
+        put_u64(&mut file, checksum64(&header_body));
         file.extend_from_slice(&header_body);
         file.extend_from_slice(&frames);
         Ok(mde_numeric::write_atomic(path, &file)?)
     }
 
-    /// Open a paged table file, validating its header, against `pool`.
+    /// Open a paged table file (`MDETAB02`, or a version 1 `MDETAB01`),
+    /// validating its header, against `pool`.
     pub fn open(path: &Path, pool: Arc<BufferPool>) -> crate::Result<Arc<PagedStore>> {
         let display = path.display().to_string();
         let header_corrupt = |reason: String| McdbError::PageCorrupt {
@@ -215,11 +269,9 @@ impl PagedStore {
         let mut fixed = [0u8; 24];
         f.read_exact(&mut fixed)
             .map_err(|_| header_corrupt("truncated before header".into()))?;
-        if fixed[..8] != TABLE_MAGIC {
-            return Err(header_corrupt(
-                "bad file magic (not an MDETAB01 file)".into(),
-            ));
-        }
+        let version = Version::of_table_magic(&fixed[..8]).ok_or_else(|| {
+            header_corrupt("bad file magic (not an MDETAB02 or MDETAB01 file)".into())
+        })?;
         let pages_start = u64::from_le_bytes(fixed[8..16].try_into().unwrap());
         let stored_sum = u64::from_le_bytes(fixed[16..24].try_into().unwrap());
         if pages_start < 24 || pages_start > file_len {
@@ -230,7 +282,7 @@ impl PagedStore {
         let mut header_body = vec![0u8; (pages_start - 24) as usize];
         f.read_exact(&mut header_body)
             .map_err(|_| header_corrupt("truncated header".into()))?;
-        let found = fnv1a(FNV_OFFSET, &header_body);
+        let found = version.checksum(&header_body);
         if found != stored_sum {
             return Err(McdbError::PageChecksumMismatch {
                 path: display,
@@ -298,6 +350,7 @@ impl PagedStore {
         Ok(Arc::new(PagedStore {
             id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             path: path.to_path_buf(),
+            version,
             name,
             schema,
             n_rows,
@@ -437,9 +490,10 @@ impl PagedStore {
     }
 
     fn load_frame(&self, page_no: u32) -> crate::Result<Vec<u8>> {
-        let display = self.path.display().to_string();
+        // The path is formatted on the error paths only: a miss that
+        // verifies pays for the read and the checksum, nothing else.
         let corrupt = |reason: String| McdbError::PageCorrupt {
-            path: display.clone(),
+            path: self.path.display().to_string(),
             page: page_no as u64,
             reason,
         };
@@ -457,14 +511,18 @@ impl PagedStore {
             f.read_exact(&mut frame)
                 .map_err(|e| corrupt(format!("torn or truncated page: {e}")))?;
         }
-        if frame[..8] != PAGE_MAGIC {
-            return Err(corrupt("bad page magic (not an MDEPAGE1 frame)".into()));
+        let magic = self.version.page_magic();
+        if frame[..8] != magic {
+            return Err(corrupt(format!(
+                "bad page magic (not an {} frame)",
+                String::from_utf8_lossy(&magic)
+            )));
         }
         let stored = u64::from_le_bytes(frame[8..16].try_into().unwrap());
-        let found = fnv1a(FNV_OFFSET, &frame[16..]);
+        let found = self.version.checksum(&frame[16..]);
         if stored != found {
             return Err(McdbError::PageChecksumMismatch {
-                path: display,
+                path: self.path.display().to_string(),
                 page: page_no as u64,
                 expected: stored,
                 found,

@@ -5,9 +5,10 @@
 //! [`Batch`], the same type the vectorized executor computes on, so a scan
 //! of a memory table and the adoption of a query result as a table are
 //! `Arc` clones. [`Table::rows`] is a cached row *view* of those columns,
-//! built on first use and dropped by an append. A paged table is an
-//! `MDETAB01` file (a read-only [`PagedStore`] read through a
-//! [`BufferPool`]) plus a columnar tail of the rows appended since. The
+//! built on first use and dropped by an append. A paged table is a file
+//! (a read-only [`PagedStore`] read through a [`BufferPool`]) plus a
+//! columnar tail of the rows appended since; the file is written as
+//! `MDETAB02`, and version 1 `MDETAB01` files still open. The
 //! property suites assert that columns built by appending and columns
 //! decoded from pages give bit-identical query results.
 
@@ -55,8 +56,9 @@ enum TableStore {
 /// ([`Table::scalar`], [`Table::column`], equality) read them directly.
 ///
 /// A paged table ([`Table::open_paged`] / [`Table::to_paged`]) keeps its
-/// rows in an on-disk `MDETAB01` file and decodes them through a shared
-/// [`BufferPool`], so resident memory is bounded by the pool's frame
+/// rows in an on-disk paged file — [`Table::to_paged`] writes `MDETAB02`,
+/// [`Table::open_paged`] also reads `MDETAB01` — and decodes them through
+/// a shared [`BufferPool`], so resident memory is bounded by the pool's frame
 /// budget rather than the table size. A query's scan reads only the pages
 /// of the columns its plan binds (`SELECT COUNT(*)` reads none) and pays
 /// for them every time — decoded pages are never cached outside the pool;

@@ -20,8 +20,9 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Stable one-byte tag used by the page codec (`MDEPAGE1`). Tags are
-    /// part of the on-disk format: never renumber, only append.
+    /// Stable one-byte tag used by the page codec (`MDEPAGE1` and
+    /// `MDEPAGE2` alike). Tags are part of the on-disk format: never
+    /// renumber, only append.
     pub(crate) fn to_tag(self) -> u8 {
         match self {
             DataType::Int => 0,

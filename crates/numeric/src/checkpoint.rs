@@ -207,8 +207,10 @@ pub type Result<T> = std::result::Result<T, CheckpointError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint(u64);
 
-/// FNV-1a offset basis: the starting `hash` for [`fnv1a`]. One definition
-/// under every checksummed format (`MDECKPT`, `MDECACHE1`, `MDETAB01`).
+/// FNV-1a offset basis: the starting `hash` for [`fnv1a`]. FNV-1a seals
+/// `MDECKPT2` checkpoints, `MDECACHE1` cache images, [`Fingerprint`]s and
+/// the `MDETAB01` files a current build still reads; `MDETAB02` paged
+/// tables use [`checksum64`].
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -219,6 +221,79 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Starting states of [`checksum64`]'s four lanes.
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// Odd multiplier of a [`checksum64`] step (odd, so multiplying is a
+/// bijection of `u64`).
+const CHECKSUM_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One [`checksum64`] step: absorb word `w` into state `s`. For a fixed
+/// `w` it is a bijection of `s`, and for a fixed `s` a bijection of `w`.
+#[inline(always)]
+fn checksum_step(s: u64, w: u64) -> u64 {
+    (s ^ w).wrapping_mul(CHECKSUM_K).rotate_left(31)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
+}
+
+/// The `MDETAB02` page and header checksum: a 64-bit sum of `bytes` that
+/// reads eight bytes per step instead of FNV-1a's one.
+///
+/// Consecutive little-endian `u64` words go round-robin to four lanes with
+/// distinct seeds, each updated as `s = rotl((s ^ w) · K, 31)` with `K`
+/// odd, so the four multiply chains run side by side. The words left over
+/// after the last 32-byte block go to lanes 0, 1, 2 in turn. The lanes are
+/// then folded in order into one state, followed by the zero-padded tail
+/// (the last `len % 8` bytes) and the length, and the state is finished
+/// with the MurmurHash3 `fmix64` avalanche.
+///
+/// **Guarantee.** Every step is a bijection of the state, and of the word
+/// for a fixed state. So two inputs of equal length that differ only
+/// inside one aligned 8-byte word, or only inside the tail, **always**
+/// have different sums — in particular every single-bit flip and every
+/// burst of up to 8 bytes within one aligned word is caught, a stronger
+/// promise than FNV-1a's one-byte one. A change spread over several words
+/// (two words swapped, say) carries no such guarantee; the multiply and
+/// rotate mix it like any 64-bit hash, and the tests check swaps.
+///
+/// Plain Rust with words decoded little-endian: every host computes the
+/// same bits, and the sum is part of the `MDETAB02` format.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        lanes[0] = checksum_step(lanes[0], le_word(&block[0..8]));
+        lanes[1] = checksum_step(lanes[1], le_word(&block[8..16]));
+        lanes[2] = checksum_step(lanes[2], le_word(&block[16..24]));
+        lanes[3] = checksum_step(lanes[3], le_word(&block[24..32]));
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = checksum_step(*lane, le_word(word));
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+
+    let mut h = lanes
+        .iter()
+        .fold(CHECKSUM_SEEDS[0], |h, &lane| checksum_step(h, lane));
+    h = checksum_step(h, u64::from_le_bytes(last));
+    h = checksum_step(h, bytes.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 impl Fingerprint {
@@ -837,6 +912,76 @@ mod tests {
     fn fnv_matches_known_vector() {
         // FNV-1a("a") from the reference implementation.
         assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    /// Bytes `0, 1, …` scrambled by a fixed affine map: the golden input.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn checksum64_matches_its_golden_values() {
+        // Every MDETAB02 file on disk carries these sums: a change here
+        // orphans them all.
+        assert_eq!(checksum64(b""), 0x6740_F088_57D4_1AD5);
+        assert_eq!(checksum64(b"a"), 0xDDAA_1D94_9D2D_E730);
+        assert_eq!(checksum64(&pattern(1000)), 0x9006_9C1C_535C_5F60);
+    }
+
+    #[test]
+    fn checksum64_catches_every_single_bit_flip() {
+        for len in 0..=96 {
+            let bytes = pattern(len);
+            let sum = checksum64(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&flipped), sum, "length {len}, bit {bit}");
+            }
+        }
+    }
+
+    /// A 16 KiB frame's worth of seeded bytes.
+    fn frame_bytes() -> Vec<u8> {
+        let mut rng = crate::rng::rng_from_seed(0x4D44_4554_4142_3032);
+        (0..16 * 1024).map(|_| rng.gen::<u64>() as u8).collect()
+    }
+
+    #[test]
+    fn checksum64_catches_every_single_word_change() {
+        let bytes = frame_bytes();
+        let sum = checksum64(&bytes);
+        crate::rng::for_cases(200, |rng| {
+            let at = 8 * rng.gen_range(0..bytes.len() / 8);
+            let old = le_word(&bytes[at..at + 8]);
+            let new = loop {
+                let w = rng.gen::<u64>();
+                if w != old {
+                    break w;
+                }
+            };
+            let mut changed = bytes.clone();
+            changed[at..at + 8].copy_from_slice(&new.to_le_bytes());
+            assert_ne!(checksum64(&changed), sum, "word at byte {at}");
+        });
+    }
+
+    #[test]
+    fn checksum64_catches_swapped_words() {
+        let bytes = frame_bytes();
+        let sum = checksum64(&bytes);
+        let words = bytes.len() / 8;
+        crate::rng::for_cases(200, |rng| {
+            let i = 8 * rng.gen_range(0..words);
+            let j = 8 * rng.gen_range(0..words);
+            if bytes[i..i + 8] == bytes[j..j + 8] {
+                return;
+            }
+            let mut swapped = bytes.clone();
+            swapped[i..i + 8].copy_from_slice(&bytes[j..j + 8]);
+            swapped[j..j + 8].copy_from_slice(&bytes[i..i + 8]);
+            assert_ne!(checksum64(&swapped), sum, "words at bytes {i} and {j}");
+        });
     }
 
     #[test]

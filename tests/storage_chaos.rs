@@ -1,11 +1,12 @@
 //! Page-level chaos suite for the paged storage backend.
 //!
-//! Contract under test: any corruption of an `MDETAB01` file — random
+//! Contract under test: any corruption of an `MDETAB02` file — random
 //! bit flips, truncation, torn (partially overwritten) pages, foreign
-//! file magic — surfaces as the typed
+//! file magic, frames or headers of the other format version — surfaces
+//! as the typed
 //! `McdbError::PageCorrupt` / `McdbError::PageChecksumMismatch` errors,
 //! and *never* as a silently wrong answer. Every byte of the file is
-//! covered by either the header FNV-1a checksum or a page-frame
+//! covered by either the header checksum or a page-frame
 //! checksum, so a mutated file must fail to open or fail to decode.
 //! A query verifies the pages it reads, so it fails on a damaged page
 //! iff it reads that page; a checksum-valid header that lies about row
@@ -390,14 +391,25 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
 // Hostile headers: checksum-valid, structurally wrong
 // ---------------------------------------------------------------------------
 
-/// Re-seal a header whose body was edited, so only the structural checks
-/// stand between the edit and the reader.
+/// The checksum a file with table magic `magic` seals its header and
+/// frames with: FNV-1a for version 1, `checksum64` otherwise.
+fn seal(magic: &[u8], bytes: &[u8]) -> u64 {
+    if magic == V1_TABLE_MAGIC {
+        mde_numeric::checkpoint::fnv1a(mde_numeric::checkpoint::FNV_OFFSET, bytes)
+    } else {
+        mde_numeric::checkpoint::checksum64(bytes)
+    }
+}
+
+const V1_TABLE_MAGIC: &[u8; 8] = b"MDETAB01";
+const V1_PAGE_MAGIC: &[u8; 8] = b"MDEPAGE1";
+
+/// Re-seal a header whose body was edited, with the checksum its file
+/// magic names, so only the structural checks stand between the edit and
+/// the reader.
 fn reseal_header(bytes: &mut [u8]) {
     let pages_start = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let sum = mde_numeric::checkpoint::fnv1a(
-        mde_numeric::checkpoint::FNV_OFFSET,
-        &bytes[24..pages_start],
-    );
+    let sum = seal(&bytes[..8], &bytes[24..pages_start]);
     bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -475,11 +487,12 @@ fn crafted_headers_are_rejected_at_open() {
 // File compatibility
 // ---------------------------------------------------------------------------
 
-/// `MDETAB01` / `MDEPAGE1` did not change when the writer began filling
-/// pages to their byte budget: the committed file was written by the
-/// build before that change (`fixture_table(200)`, 256-byte pages, chunks
-/// of at most 28 values) and must open and decode to its source table.
-/// The same table written today takes fewer pages.
+/// The version 1 reader: the committed `MDETAB01` / `MDEPAGE1` file
+/// (FNV-1a sealed) was written by a build from before the writer began
+/// filling pages to their byte budget (`fixture_table(200)`, 256-byte
+/// pages, chunks of at most 28 values) and must still open and decode to
+/// its source table, although the writer now emits only `MDETAB02`. The
+/// same table written today takes fewer pages.
 #[test]
 fn file_written_by_the_previous_build_decodes_identically() {
     const PARENT_PAGES: usize = 32;
@@ -513,6 +526,69 @@ fn file_written_by_the_previous_build_decodes_identically() {
     let bytes_per_user_byte =
         std::fs::metadata(&path).unwrap().len() as f64 / (ints.len() * 8) as f64;
     assert!(bytes_per_user_byte < 1.0, "{bytes_per_user_byte}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The version 2 format pinned from the reader's side: the committed file
+/// was written by the first build that wrote `MDETAB02`
+/// (`fixture_table(200)`, 256-byte pages). A change to `checksum64` or to
+/// the layout that would orphan files already on disk fails here.
+#[test]
+fn version_2_file_on_disk_decodes_identically() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2_t200_p256.mdet");
+    assert_eq!(&std::fs::read(&committed).unwrap()[..8], b"MDETAB02");
+    let mem = fixture_table(200);
+    let v2 = Table::open_paged(&committed, BufferPool::new(4)).unwrap();
+    assert_eq!(&*v2.try_batch().unwrap(), &*mem.batch());
+    assert_eq!(v2, mem);
+}
+
+/// The file magic fixes the version of every frame and of the header
+/// checksum. A file that mixes versions is a typed error, never a decode:
+/// a frame resealed as a valid version 1 frame inside a version 2 file,
+/// and a version 2 file relabelled `MDETAB01` with its header resealed by
+/// FNV-1a (it opens as version 1, and its first page read meets an
+/// `MDEPAGE2` frame).
+#[test]
+fn mixed_version_files_are_rejected() {
+    let dir = scratch_dir();
+    let path = dir.join("t.mdet");
+    let paged = fixture_table(200)
+        .to_paged(&path, 256, BufferPool::new(4))
+        .unwrap();
+    let n_pages = paged.paged_store().unwrap().n_pages();
+    drop(paged);
+    let pristine = std::fs::read(&path).unwrap();
+    let frame_at = |page: usize| pristine.len() - (n_pages - page) * 256;
+
+    let page = rng_from_seed(chaos_seed()).gen_range(0..n_pages);
+    let mut v1_frame = pristine.clone();
+    let frame = &mut v1_frame[frame_at(page)..frame_at(page) + 256];
+    frame[..8].copy_from_slice(V1_PAGE_MAGIC);
+    let sum = seal(V1_TABLE_MAGIC, &frame[16..]);
+    frame[8..16].copy_from_slice(&sum.to_le_bytes());
+
+    let mut v1_header = pristine.clone();
+    v1_header[..8].copy_from_slice(V1_TABLE_MAGIC);
+    reseal_header(&mut v1_header);
+
+    for (what, bytes) in [
+        (format!("version 1 frame at page {page}"), v1_frame),
+        (
+            "version 2 frames under an MDETAB01 header".to_string(),
+            v1_header,
+        ),
+    ] {
+        let victim = dir.join("mixed.mdet");
+        std::fs::write(&victim, &bytes).unwrap();
+        match open_and_decode(&victim, 4) {
+            Err(McdbError::PageCorrupt { reason, .. }) => {
+                assert!(reason.contains("page magic"), "{what}: {reason}")
+            }
+            Err(other) => panic!("{what}: expected a page-magic error, got {other}"),
+            Ok(_) => panic!("{what}: a mixed-version file must not decode"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,7 +3,7 @@
 //! The all-in-RAM row backend is the oracle: for every plan in the query
 //! corpus (the same families `mcdb_properties.rs` and `sql_robustness.rs`
 //! drive through the two executors), a paged twin of the catalog —
-//! every table rewritten as an `MDETAB01` file read back through a
+//! every table rewritten as an `MDETAB02` file read back through a
 //! deliberately tiny buffer pool — must return bit-identical results.
 //! A third twin forces Grace spilling of join builds and group-by hash
 //! tables and must still match exactly, because partition assignment is
