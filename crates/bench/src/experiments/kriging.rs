@@ -180,7 +180,7 @@ fn timed_fit((xs, ys, noise): &Problem, cache: Option<&CacheHandle>, reps: usize
 }
 
 /// The timed leg: what a fit costs at the benchmark's two shapes, searched
-/// and remembered, and what a second thread buys `predict_batch`.
+/// and remembered.
 fn fit_cost_report() -> String {
     let mut out = String::new();
     out.push_str(
@@ -231,39 +231,8 @@ fn fit_cost_report() -> String {
     ));
     out.push_str(
         "\nA miss follows the analytic gradient (dense BFGS); a hit re-verifies the stored\n\
-         (tau2, theta) with one factorization and returns the same model to the bit.\n\n",
+         (tau2, theta) with one factorization and returns the same model to the bit.\n",
     );
-
-    // `predict_batch` is the one GP call that takes a thread count: one
-    // independent prediction per output slot.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!(
-        "GpModel::predict_batch, 1 vs 2 threads (host reports {cpus} cpus; median of 5; speed-up = t1 / t2)\n"
-    ));
-    let mut rows = Vec::new();
-    for n in [65usize, 256] {
-        let (xs, ys, _) = screening_shape(n, &mut rng);
-        let gp = GpModel::fit(&xs, &ys, &GpConfig::default()).expect("fit");
-        let queries: Vec<Vec<f64>> = (0..4096)
-            .map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let time_predict = |threads: usize| {
-            median_us(5, || {
-                black_box(gp.predict_batch(&queries, threads));
-            })
-        };
-        let (pred1, pred2) = (time_predict(1), time_predict(2));
-        rows.push(vec![
-            format!("predict_batch(4096), n = {n}"),
-            format!("{pred1:.0}"),
-            format!("{pred2:.0}"),
-            format!("{:.2}", pred1 / pred2),
-        ]);
-    }
-    out.push_str(&crate::render_table(
-        &["call", "t1 us", "t2 us", "speed-up"],
-        &rows,
-    ));
     out
 }
 

@@ -5,7 +5,6 @@ use mde_mcdb::mc::{GroupedMonteCarloQuery, MonteCarloQuery};
 use mde_mcdb::prelude::*;
 use mde_mcdb::query::{AggFunc, AggSpec, PreparedQuery};
 use mde_mcdb::vg::NormalVg;
-use mde_mcdb::RunOptions;
 use mde_numeric::rng::StreamFactory;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -384,11 +383,7 @@ fn frame_stages_section() -> String {
 pub fn mcdb_risk_report() -> String {
     let db = catalog(200);
     let q = MonteCarloQuery::new(vec![sales_spec()], revenue_plan());
-    let opts = RunOptions::default().with_threads(4);
-    let res = q
-        .run_with_options(&db, 4000, 7, &opts)
-        .expect("MC run")
-        .result;
+    let res = q.run(&db, 4000, 7).expect("MC run");
 
     // Truth: east region has 50 items; total = 1.1 * Σ N(100, 20) ⇒
     // N(5500, 1.1·20·√50 ≈ 155.6).
@@ -537,8 +532,7 @@ mod tests {
     fn risk_quantiles_match_closed_form() {
         let db = catalog(200);
         let q = MonteCarloQuery::new(vec![sales_spec()], revenue_plan());
-        let opts = RunOptions::default().with_threads(4);
-        let res = q.run_with_options(&db, 2000, 7, &opts).unwrap().result;
+        let res = q.run(&db, 2000, 7).unwrap();
         let true_mean = 5500.0;
         let true_std = 1.1 * 20.0 * (50.0f64).sqrt();
         let q99 = res.quantile(0.99).unwrap();

@@ -27,8 +27,8 @@
 //! abort (`FailFast`), re-execute on a fresh sub-seed derived purely from
 //! `(seed, replicate, attempt)` (`Retry`), or drop and degrade gracefully
 //! with a [`RunReport`] ledger (`BestEffort`). Because retry sub-seeds are
-//! pure functions, sequential and parallel runs stay bit-identical at any
-//! thread count under every policy.
+//! pure functions, resumed and cached runs stay bit-identical to
+//! uninterrupted ones under every policy.
 //!
 //! # Durable campaigns
 //!
@@ -51,8 +51,8 @@ pub use mde_numeric::resilience::sched::{
     Priority, SliceRun,
 };
 pub use mde_numeric::resilience::{
-    catch_panic, drive, drive_in_memory, retry_seed, supervise_boundary, supervise_replicate,
-    Attempt, AttemptFailure, BoundaryError, CancelReason, CancelToken, CheckpointSpec, Deadline,
-    ErrorClass, FailureKind, FailureRecord, Fault, FaultKind, FaultPlan, ReplicateOutcome,
-    RunOptions, RunPolicy, RunReport, Severity, StopCause, Surface,
+    catch_panic, drive, drive_in_memory, retry_seed, supervise_replicate, Attempt, AttemptFailure,
+    BoundaryError, CancelReason, CancelToken, CheckpointSpec, Deadline, ErrorClass, FailureKind,
+    FailureRecord, Fault, FaultKind, FaultPlan, ReplicateOutcome, RunOptions, RunPolicy, RunReport,
+    Severity, StopCause, Surface,
 };

@@ -61,11 +61,10 @@ impl WhatIfSession {
             .result)
     }
 
-    /// Run a what-if query under `opts` — worker threads, recovery policy,
-    /// result cache, checkpointing and resumption are all options of the
-    /// one Monte Carlo entry point
-    /// ([`MonteCarloQuery::run_with_options`]); the samples are the same at
-    /// any thread count.
+    /// Run a what-if query under `opts` — recovery policy, result cache,
+    /// checkpointing and resumption are all options of the one Monte Carlo
+    /// entry point ([`MonteCarloQuery::run_with_options`]); the samples are
+    /// the same resumed or cached.
     pub fn what_if_with(
         &self,
         plan: &Plan,
@@ -160,10 +159,9 @@ mod tests {
             res.threshold_decision(400.0, 0.5, 0.95).unwrap(),
             Some(true)
         );
-        // Parallel agrees exactly.
-        let opts = RunOptions::default().with_threads(4);
-        let par = s.what_if_with(&plan, 300, 4, &opts).unwrap().result;
-        assert_eq!(res.samples(), par.samples());
+        // The options-taking entry point agrees exactly.
+        let with = s.what_if_with(&plan, 300, 4, &RunOptions::default());
+        assert_eq!(res.samples(), with.unwrap().result.samples());
     }
 
     #[test]

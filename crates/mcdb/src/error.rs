@@ -124,15 +124,6 @@ pub enum McdbError {
         /// The operation that overflowed.
         context: String,
     },
-    /// A worker thread or the scoped pool itself was lost (a panic
-    /// *outside* the supervised per-replicate region, or scope teardown
-    /// failure). Unlike a replicate panic this is infrastructure loss:
-    /// the run's results are unaccounted for, so it surfaces as a typed
-    /// fatal error instead of propagating the panic into the caller.
-    WorkerLost {
-        /// Where the worker was lost.
-        context: String,
-    },
 }
 
 impl McdbError {
@@ -140,13 +131,6 @@ impl McdbError {
     pub fn invalid_plan(reason: impl Into<String>) -> Self {
         McdbError::InvalidPlan {
             reason: reason.into(),
-        }
-    }
-
-    /// Shorthand for [`McdbError::WorkerLost`].
-    pub fn worker_lost(context: impl Into<String>) -> Self {
-        McdbError::WorkerLost {
-            context: context.into(),
         }
     }
 
@@ -249,9 +233,6 @@ impl fmt::Display for McdbError {
                     f,
                     "integer overflow in {context}: result exceeds the i64 range"
                 )
-            }
-            McdbError::WorkerLost { context } => {
-                write!(f, "worker thread lost: {context}")
             }
         }
     }

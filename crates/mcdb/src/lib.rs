@@ -23,7 +23,7 @@
 //! same in every instance — every sub-plan that reads no stochastic table:
 //! driver and parameter queries, the deterministic side of a join under its
 //! pushed-down filter — *executes* once per run and is shared by all
-//! replicates and worker threads. What depends on the draws runs once per
+//! replicates. What depends on the draws runs once per
 //! replicate, each replicate on its own RNG stream: the VG calls, whose
 //! cells go straight into typed columns, and the stochastic suffix of the
 //! prepared, vectorized plan. A tuple-bundle interpreter existed through

@@ -7,16 +7,16 @@
 //! distribution features of interest such as moments and quantiles."
 //!
 //! [`MonteCarloQuery`] packages the stochastic-table specs with an
-//! aggregate query and runs `N` iterations (optionally across
-//! [`RunOptions::threads`] workers, standing in for MCDB's
-//! parallel-database backend). There is one replicate path. Specs and
-//! query are prepared once per run; the part of them no replicate can
-//! change — every sub-plan of the query, of a driver or of a parameter
-//! query that reads no table realized before it in the replicate — runs
-//! once per run, in the first replicate that reaches it, and is shared by
-//! all replicates and worker threads; every replicate then realizes the
-//! specs ([`PreparedRandomTable::realize`]) and runs the stochastic rest of
-//! the plan on the vectorized engine. Where MCDB executes the plan once
+//! aggregate query and runs `N` iterations on the calling thread (MCDB
+//! spreads them over a parallel-database backend; at the sizes this
+//! workspace runs, a second thread never paid for itself). There is one
+//! replicate path. Specs and query are prepared once per run; the part of
+//! them no replicate can change — every sub-plan of the query, of a driver
+//! or of a parameter query that reads no table realized before it in the
+//! replicate — runs once per run, in the first replicate that reaches it,
+//! and is shared by all replicates; every replicate then realizes the specs
+//! ([`PreparedRandomTable::realize`]) and runs the stochastic rest of the
+//! plan on the vectorized engine. Where MCDB executes the plan once
 //! over tuple bundles, this engine plans once, runs the invariant part
 //! once, and realizes and runs the stochastic suffix per replicate (E3 in
 //! EXPERIMENTS.md measures what that costs). The result object answers
@@ -38,14 +38,15 @@
 //! [`RunReport`]. See [`MonteCarloQuery::run_with_options`].
 //!
 //! Runs are also **durable campaigns**: attach a
-//! [`CheckpointSpec`] and the run persists a
+//! [`CheckpointSpec`](mde_numeric::CheckpointSpec) and the run persists a
 //! crash-consistent [`CampaignState`] every `k` replicates (and always at
 //! stop/completion); attach a [`Deadline`](mde_numeric::Deadline) or
 //! [`CancelToken`](mde_numeric::CancelToken) and the run stops at the next
 //! replicate boundary with a partial [`McRun`] — samples so far, partial
 //! ledger, final checkpoint — rather than an error. A preempted or
 //! expired campaign handed back through [`RunOptions::resuming`] is
-//! bit-identical to one that was never interrupted, at any thread count.
+//! bit-identical to one that was never interrupted. The loop is the
+//! boundary protocol's [`drive`], as for every other durable surface.
 
 use crate::query::{Catalog, Plan, PreparedQuery};
 use crate::random_table::{PreparedRandomTable, RandomTableSpec};
@@ -53,15 +54,14 @@ use crate::table::Table;
 use mde_numeric::cache::{CacheEntry, CacheHandle, CacheKey, Provenance};
 use mde_numeric::checkpoint::{CampaignState, Fingerprint};
 use mde_numeric::resilience::{
-    supervise_boundary, CheckpointSpec, ReplicateOutcome, RunOptions, RunReport, StopCause,
+    drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::StreamFactory;
 use mde_numeric::stats::{
     mean_confidence_interval, proportion_confidence_interval, quantile, ConfidenceInterval, Summary,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Campaign tag written into every Monte Carlo checkpoint.
 const CAMPAIGN_MC: &str = "mcdb.monte-carlo";
@@ -126,11 +126,10 @@ impl MonteCarloQuery {
     /// anything that would fail identically on every attempt) abort the
     /// run under every policy.
     ///
-    /// [`RunOptions::threads`] workers share the replicates; the result —
-    /// samples, retries, drops, and the ledger — is bit-identical at any
-    /// count, because iteration `i` uses stream `i` and retry sub-seeds
-    /// are a pure function of `(seed, replicate, attempt)` no matter
-    /// which worker executes them.
+    /// Iteration `i` uses stream `i` and retry sub-seeds are a pure
+    /// function of `(seed, replicate, attempt)`, so the result — samples,
+    /// retries, drops, and the ledger — is bit-identical however the run
+    /// was cut, resumed or cached.
     ///
     /// With [`RunOptions::resume`] set the run continues from that state's
     /// cursor (as returned in [`McRun::checkpoint`], or loaded with
@@ -138,12 +137,9 @@ impl MonteCarloQuery {
     /// carry this campaign's tag and seed/spec fingerprint — anything else
     /// is a typed [`McdbError::Checkpoint`](crate::McdbError::Checkpoint) —
     /// and the final [`McRun`] is bit-identical to an uninterrupted run.
-    /// Checkpoints are interchangeable across thread counts.
     ///
     /// A fresh run consults [`RunOptions::cache`] first; a resumed run does
-    /// not; both store a completed result. The cache key excludes the
-    /// thread count on purpose: any count may replay a result another
-    /// computed.
+    /// not; both store a completed result.
     pub fn run_with_options(
         &self,
         catalog: &Catalog,
@@ -171,7 +167,7 @@ impl MonteCarloQuery {
             seed,
             n as u64,
         )?;
-        let run = self.campaign(catalog, n, seed, opts, state)?;
+        let run = self.campaign(catalog, opts, state)?;
         if let Some((cache, key)) = cached {
             Self::cache_completed(cache, key, &run);
         }
@@ -198,7 +194,7 @@ impl MonteCarloQuery {
     /// cross-campaign result cache: the campaign fingerprint plus the
     /// run-shaping options. Policy and fault plan participate because
     /// they change which replicates survive (and therefore the bits of
-    /// the result); deadline/cancel/checkpoint/threads do not — a
+    /// the result); deadline/cancel/checkpoint do not — a
     /// completed run is the same completed run regardless of how it was
     /// scheduled or persisted.
     fn cache_key(fingerprint: u64, n: usize, seed: u64, opts: &RunOptions) -> CacheKey {
@@ -277,141 +273,28 @@ impl MonteCarloQuery {
         });
     }
 
-    /// The campaign loop. Workers claim replicates round-robin from the
-    /// resume cursor and check for deadline/cancel/preempt before each; a
-    /// shared `stop_at` watermark (lowered with `fetch_min` by whichever
-    /// worker first observes a stop condition or an abort) makes every
-    /// worker halt at its next boundary, and only replicates below the
-    /// earliest stop are committed — so a stopped run commits exactly the
-    /// same contiguous prefix at any thread count.
-    ///
-    /// One worker runs inline and commits each outcome as it lands, which
-    /// is what lets it honor the periodic
-    /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) cadence; several
-    /// workers run on scoped threads and their outcomes are committed in
-    /// replicate order after the join (checkpoint at stop/completion only).
+    /// The campaign loop: [`drive`] over an [`McSurface`] from the resume
+    /// cursor, on the calling thread, so every stop check, commit and
+    /// checkpoint cadence is the boundary protocol's own.
     fn campaign(
         &self,
         catalog: &Catalog,
-        n: usize,
-        seed: u64,
         opts: &RunOptions,
         mut state: CampaignState,
     ) -> crate::Result<McRun> {
-        type Entry = (u64, ReplicateOutcome<f64, crate::McdbError>, Duration);
-        type Stop = Option<(u64, StopCause)>;
-        let n = n as u64;
-        let start = state.cursor;
-        let threads = opts
-            .threads
-            .clamp(1, n.saturating_sub(start).max(1) as usize);
         // Plan once: specs and the aggregate query are prepared against the
         // base catalog (plus placeholder schemas for the stochastic
-        // tables) and shared by every worker; what they pin runs in the
-        // first replicate to reach it, the rest per replicate. Prepare-time
-        // errors are structural — they would fail identically on every
-        // attempt — so they abort under every policy, exactly as fatal
-        // runtime errors did when planning happened inside each replicate.
-        let prepared = prepare_task(&self.specs, &self.query, catalog)?;
-        let stop_at = AtomicU64::new(n);
-        // Worker `t`'s share: replicates `start + t`, `start + t + threads`, …
-        // each handed to `sink` as it completes.
-        let work =
-            |t: usize, sink: &mut dyn FnMut(Entry) -> crate::Result<()>| -> crate::Result<Stop> {
-                let mut scratch = catalog.clone();
-                let mut i = start + t as u64;
-                while i < stop_at.load(Ordering::Acquire) {
-                    if let Some(cause) = opts.stop_cause(i) {
-                        stop_at.fetch_min(i, Ordering::AcqRel);
-                        return Ok(Some((i, cause)));
-                    }
-                    let t0 = Instant::now();
-                    let outcome = supervise_boundary(seed, i, opts, |att| {
-                        att.run(
-                            "replicate",
-                            || realize_and_query(&prepared, &mut scratch, &att.streams(i)),
-                            |v| *v,
-                        )
-                    });
-                    if matches!(outcome, ReplicateOutcome::Abort { .. }) {
-                        // No worker needs to proceed past an abort; whether it
-                        // surfaces is decided when it is committed.
-                        stop_at.fetch_min(i, Ordering::AcqRel);
-                    }
-                    sink((i, outcome, t0.elapsed()))?;
-                    i += threads as u64;
-                }
-                Ok(None)
-            };
-        // Commit one outcome into the ledger. Outcomes arrive in replicate
-        // order, so an abort surfaces exactly when the sequential loop
-        // would have hit it.
-        let commit = |state: &mut CampaignState,
-                      (i, outcome, elapsed): Entry,
-                      cadence: Option<&CheckpointSpec>| {
-            state
-                .report
-                .metrics
-                .observe_duration("mc.replicate", elapsed);
-            state.commit(i, outcome, cadence, |state, sample| {
-                if let Some(value) = sample {
-                    state.report.metrics.observe("mc.sample", value);
-                    state.completed.push((i, vec![value]));
-                }
-            })
+        // tables); what they pin runs in the first replicate to reach it,
+        // the rest per replicate. Prepare-time errors are structural — they
+        // would fail identically on every attempt — so they abort under
+        // every policy, exactly as fatal runtime errors did when planning
+        // happened inside each replicate.
+        let mut surface = McSurface {
+            prepared: prepare_task(&self.specs, &self.query, catalog)?,
+            scratch: catalog.clone(),
+            started: Instant::now(),
         };
-
-        let stop: Stop = if threads == 1 {
-            work(0, &mut |entry| {
-                commit(&mut state, entry, opts.checkpoint.as_ref())
-            })?
-        } else {
-            let joined = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let work = &work;
-                        scope.spawn(move || {
-                            let mut entries: Vec<Entry> = Vec::new();
-                            let stop: crate::Result<Stop> = work(t, &mut |entry| {
-                                entries.push(entry);
-                                Ok(())
-                            });
-                            stop.map(|stop| (entries, stop))
-                        })
-                    })
-                    .collect();
-                // A join failure is a panic outside the supervised
-                // per-replicate region — infrastructure loss, surfaced as a
-                // typed fatal error rather than propagated.
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(crate::McdbError::worker_lost(
-                                "Monte Carlo worker panicked outside the supervised region",
-                            ))
-                        })
-                    })
-                    .collect::<crate::Result<Vec<_>>>()
-            })?;
-            // The earliest stop boundary wins; replicates at or past it were
-            // executed by workers that had not yet observed the stop — the
-            // sequential run never reaches them, so they are discarded
-            // uncommitted (an abort among them included).
-            let stop = joined
-                .iter()
-                .filter_map(|(_, stop)| *stop)
-                .min_by_key(|(b, _)| *b);
-            let cut = stop.map_or(n, |(b, _)| b);
-            let mut entries: Vec<Entry> = joined.into_iter().flat_map(|(e, _)| e).collect();
-            entries.sort_by_key(|(i, ..)| *i);
-            for entry in entries.into_iter().filter(|(i, ..)| *i < cut) {
-                commit(&mut state, entry, None)?;
-            }
-            stop
-        };
-        let stopped = stop.map(|(_, cause)| cause);
-        state.seal::<crate::McdbError>(opts, stopped)?;
+        let stopped = drive(&mut surface, &mut state, opts)?;
         let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
         Ok(McRun {
             result: McResult::new(samples),
@@ -422,10 +305,47 @@ impl MonteCarloQuery {
     }
 }
 
+/// A Monte Carlo run as a boundary [`Surface`]: boundary `i` is replicate
+/// `i`, and a success keeps one scalar sample.
+struct McSurface {
+    prepared: PreparedMc,
+    /// The base catalog that attempts realize into (see [`replicate`]).
+    scratch: Catalog,
+    /// When attempt 0 of the current replicate began: `mc.replicate` times
+    /// a replicate with its retries.
+    started: Instant,
+}
+
+impl Surface for McSurface {
+    type Value = f64;
+    type Error = crate::McdbError;
+
+    fn attempt(&mut self, att: &Attempt<'_>) -> Result<f64, AttemptFailure<crate::McdbError>> {
+        if att.attempt == 0 {
+            self.started = Instant::now();
+        }
+        let (prepared, scratch) = (&self.prepared, &mut self.scratch);
+        att.run(
+            "replicate",
+            || realize_and_query(prepared, scratch, &att.streams(att.boundary)),
+            |v| *v,
+        )
+    }
+
+    fn commit(&mut self, state: &mut CampaignState, i: u64, sample: Option<f64>) {
+        let metrics = &mut state.report.metrics;
+        metrics.observe_duration("mc.replicate", self.started.elapsed());
+        if let Some(value) = sample {
+            metrics.observe("mc.sample", value);
+            state.completed.push((i, vec![value]));
+        }
+    }
+}
+
 /// A Monte Carlo task lowered to prepared form: every spec's driver and
 /// parameter query planned, every expression bound, and the aggregate
 /// query planned against the realized-table schemas — all exactly once per
-/// run, shared by every replicate (and every worker thread). Its plans are
+/// run, shared by every replicate. Its plans are
 /// pinned (`PreparedQuery::pin_invariant`): a sub-plan that reads nothing a
 /// replicate realizes before it runs keeps its output from the first
 /// replicate that computes it until the run ends. That ties a `PreparedMc`
@@ -535,7 +455,7 @@ pub struct McRun {
     /// The final campaign state — resume a stopped run by handing it back
     /// through [`RunOptions::resuming`] (it is also what
     /// [`CampaignState::load`] reads back from disk when a
-    /// [`CheckpointSpec`] is attached).
+    /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached).
     pub checkpoint: Option<CampaignState>,
 }
 
@@ -760,6 +680,7 @@ mod tests {
     use crate::value::Value;
     use crate::vg::NormalVg;
     use mde_numeric::resilience::{FaultKind, RunPolicy};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn demand_catalog() -> Catalog {
@@ -968,15 +889,12 @@ mod tests {
         let before = twin.reads();
         let by_hand = olap_by_hand(&twin.db, 0, |i| StreamFactory::new(OLAP_SEED).child(i));
         assert_eq!(twin.reads() - before, OLAP_N as u64 * one_scan);
-        for threads in [1, 2, 8] {
-            let before = twin.reads();
-            let opts = RunOptions::default().with_threads(threads);
-            let run = olap_task()
-                .run_with_options(&twin.db, OLAP_N, OLAP_SEED, &opts)
-                .unwrap();
-            assert_eq!(twin.reads() - before, one_scan, "{threads} threads");
-            assert_eq!(bits(&run), by_hand, "{threads} threads");
-        }
+        let before = twin.reads();
+        let run = olap_task()
+            .run_with_options(&twin.db, OLAP_N, OLAP_SEED, &RunOptions::default())
+            .unwrap();
+        assert_eq!(twin.reads() - before, one_scan);
+        assert_eq!(bits(&run), by_hand);
     }
 
     #[test]
@@ -1211,19 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let db = demand_catalog();
-        let q = revenue_query();
-        let seq = q.run(&db, 64, 13).unwrap();
-        // Thread count must not change results.
-        for threads in [4, 7] {
-            let opts = RunOptions::default().with_threads(threads);
-            let par = q.run_with_options(&db, 64, 13, &opts).unwrap();
-            assert_eq!(seq.samples(), par.result.samples());
-        }
-    }
-
-    #[test]
     fn non_scalar_query_rejected() {
         let db = demand_catalog();
         let spec = revenue_query();
@@ -1333,7 +1238,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_recovery_is_identical_across_thread_counts() {
+    fn retry_recovery_is_reproducible() {
         use mde_numeric::resilience::FaultPlan;
         let db = demand_catalog();
         let q = revenue_query();
@@ -1346,14 +1251,10 @@ mod tests {
             0,
             FaultKind::Nan,
         ));
-        let seq = q.run_with_options(&db, 24, 17, &opts).unwrap();
-        for threads in [1, 3, 8] {
-            let par = q
-                .run_with_options(&db, 24, 17, &opts.clone().with_threads(threads))
-                .unwrap();
-            assert_eq!(seq.result.samples(), par.result.samples());
-            assert_eq!(seq.report, par.report);
-        }
+        let first = q.run_with_options(&db, 24, 17, &opts).unwrap();
+        let again = q.run_with_options(&db, 24, 17, &opts).unwrap();
+        assert_eq!(first.result.samples(), again.result.samples());
+        assert_eq!(first.report, again.report);
     }
 
     #[test]
@@ -1435,11 +1336,6 @@ mod tests {
         assert!(resumed.stopped.is_none());
         assert_eq!(resumed.result.samples(), clean.result.samples());
         assert_eq!(resumed.report, clean.report);
-        // A sequential checkpoint resumes in parallel identically.
-        let par = q
-            .run_with_options(&db, 24, 13, &resume.clone().with_threads(4))
-            .unwrap();
-        assert_eq!(par.result.samples(), clean.result.samples());
         // Resuming under a different (seed, n) is refused with a typed
         // error, never a silent wrong resume.
         match q.run_with_options(&db, 24, 14, &resume) {
@@ -1470,12 +1366,6 @@ mod tests {
             .unwrap();
         let clean = q.run(&db, 16, 5).unwrap();
         assert_eq!(resumed.result.samples(), clean.samples());
-        // Parallel deadline expiry is equally graceful.
-        let par = q
-            .run_with_options(&db, 16, 5, &opts.with_threads(3))
-            .unwrap();
-        assert_eq!(par.stopped, Some(StopCause::Deadline));
-        assert_eq!(par.result.n(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! that no replicate can change **once**: `pin_invariant` wraps every
 //! maximal sub-plan that scans none of a given set of *volatile* tables in
 //! a pinned node, which keeps its output chunk in a fill-once cell
-//! shared by every later execution on every thread. Only the Monte Carlo
+//! shared by every later execution. Only the Monte Carlo
 //! prepare path (`mc.rs`) creates pinned nodes — [`PreparedQuery::prepare`]
 //! never does, so SQL frames, the plan cache and traced executions run
 //! every operator every time. A pinned plan is only right while every
@@ -35,12 +35,13 @@
 //! thread**: a filter evaluates its predicate over every lane at once, a
 //! join probes every lane against one index, a group-by folds its lanes in
 //! order. A morsel split and its worker threads never beat one pass here
-//! (EXPERIMENTS.md, E3), so there is none; the only parallelism above this
-//! executor is the Monte Carlo replicate loop. Aggregation, join indexing
-//! and sort comparison run on the typed kernels of `query::kernels` (dense
-//! group ids from the key columns, typed accumulators, a flat join index)
-//! rather than on boxed values; filters turn their predicate into a
-//! selection vector with the branch-free loops of [`crate::query::select`].
+//! (EXPERIMENTS.md, E3), so there is none, and none above this executor
+//! either: a Monte Carlo run executes its replicates on the calling thread
+//! too. Aggregation, join indexing and sort comparison run on the typed
+//! kernels of `query::kernels` (dense group ids from the key columns, typed
+//! accumulators, a flat join index) rather than on boxed values; filters
+//! turn their predicate into a selection vector with the branch-free loops
+//! of [`crate::query::select`].
 
 use super::batch::Batch;
 use super::column::ColumnVec;
@@ -59,7 +60,7 @@ use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// A unit of data flowing between physical operators: a shared columnar
 /// batch plus an optional selection vector of row indices into it. Both are
@@ -284,30 +285,22 @@ enum PhysOp {
 }
 
 /// The fill-once cell of a [`PhysOp::Pinned`] node, shared by the clones of
-/// the plan that holds it.
+/// the plan that holds it. A pinned plan is executed by one Monte Carlo run
+/// on one thread, so a fill never races another.
 #[derive(Debug, Default)]
 struct PinCell {
     chunk: OnceLock<Chunk>,
-    /// Held while filling, so concurrent executions run the sub-plan once
-    /// between them instead of once each.
-    filling: Mutex<()>,
 }
 
 impl PinCell {
     /// The pinned chunk, produced by `fill` if no execution has produced it
     /// yet. A `fill` that returns an error or panics leaves the cell empty:
     /// that execution fails as it would have unpinned, and the next one
-    /// runs the sub-plan again. Reads after the fill take no lock.
+    /// runs the sub-plan again.
     fn get_or_try_fill(
         &self,
         fill: impl FnOnce() -> crate::Result<Chunk>,
     ) -> crate::Result<&Chunk> {
-        if let Some(chunk) = self.chunk.get() {
-            return Ok(chunk);
-        }
-        // A panicking fill poisons the lock, but the lock guards no data and
-        // the cell is written only after a fill has returned.
-        let _filling = self.filling.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(chunk) = self.chunk.get() {
             return Ok(chunk);
         }
@@ -1769,7 +1762,6 @@ mod tests {
 
     #[test]
     fn a_pin_cell_is_filled_once_and_only_by_a_fill_that_returns() {
-        use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
         let cell = PinCell::default();
         let failed = cell.get_or_try_fill(|| Err(McdbError::invalid_plan("not this time")));
         assert!(failed.is_err());
@@ -1777,24 +1769,12 @@ mod tests {
             let _ = cell.get_or_try_fill(|| panic!("mid-fill"));
         }));
         assert!(panicked.is_err() && cell.chunk.get().is_none());
-        // Eight executions arrive together at the (by now poisoned) lock:
-        // one of them fills, all of them read what it filled.
-        let fills = AtomicU64::new(0);
-        let start = std::sync::Barrier::new(8);
+        // The first fill that returns fills the cell; later reads never fill.
         let sales = catalog().get("sales").unwrap().batch();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    start.wait();
-                    let chunk = cell.get_or_try_fill(|| {
-                        fills.fetch_add(1, AtomicOrdering::SeqCst);
-                        Ok(Chunk::from_batch(Arc::clone(&sales)))
-                    });
-                    assert!(Arc::ptr_eq(&chunk.unwrap().batch, &sales));
-                });
-            }
-        });
-        assert_eq!(fills.load(AtomicOrdering::SeqCst), 1);
+        let filled = cell.get_or_try_fill(|| Ok(Chunk::from_batch(Arc::clone(&sales))));
+        assert!(Arc::ptr_eq(&filled.unwrap().batch, &sales));
+        let read = cell.get_or_try_fill(|| panic!("a filled cell fills again"));
+        assert!(Arc::ptr_eq(&read.unwrap().batch, &sales));
     }
 
     #[test]

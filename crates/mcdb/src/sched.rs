@@ -18,8 +18,8 @@ use mde_numeric::{DurableSurface, SliceRun};
 /// A Monte Carlo estimation query packaged as a schedulable campaign. The
 /// scalar summary is the sample mean over the completed replicates.
 ///
-/// [`RunOptions::threads`] workers run each slice (bit-identical at any
-/// count), and a campaign constructed with
+/// Each slice runs on the scheduler worker that picked it up, and a
+/// campaign constructed with
 /// [`RunOptions::resuming`] starts its first slice from that state's cursor
 /// — a state from a different query, seed, or replicate count surfaces as a
 /// typed checkpoint error when the slice runs, not a wrong answer.

@@ -10,14 +10,14 @@
 //! [`SelfJoinSim`] implements exactly that: the agent table carries a
 //! *partition key* (spatial cell, social group, …); a step equi-joins each
 //! agent with the agents in its own and adjacent partitions and applies a
-//! pluggable stochastic [`AgentTransition`]. Partitions are processed in
-//! parallel worker threads with per-partition RNG streams, so results are
-//! bit-identical regardless of thread count — the "little care" the paper
-//! alludes to.
+//! pluggable stochastic [`AgentTransition`]. Partitions run in first-seen
+//! order on the calling thread, the `p`-th on RNG stream `p`, and rows are
+//! scattered back to input order. No partition's draws depend on another's
+//! — the "little care" the paper alludes to, which is what would let them
+//! run in parallel.
 
 use crate::table::{Row, Table};
 use crate::value::{GroupKey, Value};
-use crate::McdbError;
 use mde_numeric::rng::{Rng, StreamFactory};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,7 +49,6 @@ pub struct SelfJoinSim {
     key_column: String,
     adjacency: AdjacencyFn,
     transition: Arc<dyn AgentTransition>,
-    threads: usize,
 }
 
 impl SelfJoinSim {
@@ -69,18 +68,11 @@ impl SelfJoinSim {
             key_column: key_column.into(),
             adjacency: Arc::new(adjacency),
             transition,
-            threads: 1,
         }
     }
 
-    /// Use up to `threads` worker threads for the partition-parallel join.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Execute one simulation step: the self-join plus transition, in
-    /// parallel over partitions. Row order of the output matches the input.
+    /// Execute one simulation step: the self-join plus transition, one
+    /// partition at a time. Row order of the output matches the input.
     pub fn step(&self, agents: &Table, seed: u64) -> crate::Result<Table> {
         let key_idx = agents.schema().index_of(&self.key_column)?;
 
@@ -113,66 +105,21 @@ impl SelfJoinSim {
             rows
         };
 
+        // Every agent is in exactly one partition, so every slot is filled.
         let factory = StreamFactory::new(seed);
-        let n_parts = part_rows.len();
-        let threads = self.threads.min(n_parts.max(1));
-        type PartOut = crate::Result<Vec<(usize, Row)>>;
-        let mut results: Vec<Option<PartOut>> = (0..threads).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let part_rows = &part_rows;
-                let neighbor_rows_of = &neighbor_rows_of;
-                let transition = &self.transition;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut pid = t;
-                    while pid < n_parts {
-                        let neighbors = neighbor_rows_of(pid);
-                        // Per-partition stream: deterministic across thread
-                        // counts because pid, not thread id, selects it.
-                        let mut rng = factory.stream(pid as u64);
-                        for &i in &part_rows[pid] {
-                            let agent = &agents.rows()[i];
-                            match transition.transition(agent, &neighbors, &mut rng) {
-                                Ok(new_row) => out.push((i, new_row)),
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        pid += threads;
-                    }
-                    Ok(out)
-                }));
+        let mut next: Vec<Row> = vec![Vec::new(); agents.len()];
+        for (pid, rows) in part_rows.iter().enumerate() {
+            let neighbors = neighbor_rows_of(pid);
+            // Partition `pid` (first-seen order) draws from stream `pid`.
+            let mut rng = factory.stream(pid as u64);
+            for &i in rows {
+                let agent = &agents.rows()[i];
+                next[i] = self.transition.transition(agent, &neighbors, &mut rng)?;
             }
-            for (slot, h) in results.iter_mut().zip(handles) {
-                match h.join() {
-                    Ok(out) => *slot = Some(out),
-                    Err(_) => {
-                        return Err(McdbError::worker_lost(
-                            "self-join partition worker panicked outside the transition",
-                        ))
-                    }
-                }
-            }
-            Ok(())
-        })?;
-
-        let mut indexed: Vec<(usize, Row)> = Vec::with_capacity(agents.len());
-        for r in results.into_iter().flatten() {
-            indexed.extend(r?);
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        if indexed.len() != agents.len() {
-            return Err(McdbError::invalid_plan(format!(
-                "self-join step produced {} rows for {} agents",
-                indexed.len(),
-                agents.len()
-            )));
         }
 
         let mut out = Table::new(agents.name().to_string(), agents.schema().clone());
-        for (_, row) in indexed {
+        for row in next {
             out.push_row(row)?;
         }
         Ok(out)
@@ -202,7 +149,7 @@ mod tests {
     /// A 1-D "infection" model: agents live in integer cells; an agent
     /// becomes infected if any neighbor (same or adjacent cell) is
     /// infected. Deterministic, so the spread front is checkable.
-    fn contagion_sim(threads: usize) -> SelfJoinSim {
+    fn contagion_sim() -> SelfJoinSim {
         let transition = |agent: &Row, neighbors: &[&Row], _rng: &mut Rng| {
             let infected = agent[2].as_bool()?;
             let any_near = neighbors.iter().any(|n| n[2].as_bool().unwrap_or(false));
@@ -220,7 +167,6 @@ mod tests {
             },
             Arc::new(transition),
         )
-        .with_threads(threads)
     }
 
     fn line_of_agents(n: i64) -> Table {
@@ -249,7 +195,7 @@ mod tests {
 
     #[test]
     fn contagion_front_advances_one_cell_per_step() {
-        let sim = contagion_sim(1);
+        let sim = contagion_sim();
         let states = sim.run(line_of_agents(10), 4, 9).unwrap();
         for (t, s) in states.iter().enumerate() {
             assert_eq!(count_infected(s), (t + 1).min(10), "at step {t}");
@@ -257,42 +203,80 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let t0 = line_of_agents(30);
-        let seq = contagion_sim(1).run(t0.clone(), 5, 4).unwrap();
-        let par = contagion_sim(8).run(t0, 5, 4).unwrap();
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.rows(), b.rows());
-        }
+    fn stochastic_transition_depends_on_the_seed() {
+        // Transition flips a coin.
+        let sim = SelfJoinSim::new(
+            "cell",
+            |_k: &Value| vec![],
+            Arc::new(|agent: &Row, _n: &[&Row], rng: &mut Rng| {
+                Ok(vec![
+                    agent[0].clone(),
+                    agent[1].clone(),
+                    Value::Bool(rng.gen::<f64>() < 0.5),
+                ])
+            }),
+        );
+        let t0 = line_of_agents(40);
+        let a = sim.step(&t0, 123).unwrap();
+        let d = sim.step(&t0, 124).unwrap();
+        assert_ne!(a.rows(), d.rows());
     }
 
+    /// A digest of every state of a 5-step stochastic run of 40 agents that
+    /// move between 10 cells: partitions are met out of key order and change
+    /// from step to step, and every draw lands in the output. The constant
+    /// pins the partition streams, their order and the row scatter.
     #[test]
-    fn stochastic_transition_reproducible_across_thread_counts() {
-        // Transition flips a coin; per-partition streams must make the
-        // result independent of the thread count.
-        let make = |threads| {
-            SelfJoinSim::new(
-                "cell",
-                |_k: &Value| vec![],
-                Arc::new(|agent: &Row, _n: &[&Row], rng: &mut Rng| {
-                    Ok(vec![
-                        agent[0].clone(),
-                        agent[1].clone(),
-                        Value::Bool(rng.gen::<f64>() < 0.5),
-                    ])
-                }),
-            )
-            .with_threads(threads)
-        };
-        let t0 = line_of_agents(40);
-        let a = make(1).step(&t0, 123).unwrap();
-        let b = make(4).step(&t0, 123).unwrap();
-        let c = make(16).step(&t0, 123).unwrap();
-        assert_eq!(a.rows(), b.rows());
-        assert_eq!(a.rows(), c.rows());
-        // And the seed matters.
-        let d = make(4).step(&t0, 124).unwrap();
-        assert_ne!(a.rows(), d.rows());
+    fn stochastic_five_step_run_matches_its_golden_digest() {
+        use mde_numeric::checkpoint::{fnv1a, FNV_OFFSET};
+        let sim = SelfJoinSim::new(
+            "cell",
+            |k: &Value| {
+                let c = k.as_i64().unwrap();
+                vec![Value::Int((c + 9) % 10), Value::Int((c + 1) % 10)]
+            },
+            Arc::new(|agent: &Row, neighbors: &[&Row], rng: &mut Rng| {
+                let sick = neighbors.iter().filter(|n| n[2].as_bool().unwrap()).count();
+                let u = rng.gen::<f64>();
+                let cell = agent[1].as_i64()? + i64::from(rng.gen::<f64>() < 0.3);
+                Ok(vec![
+                    agent[0].clone(),
+                    Value::Int(cell % 10),
+                    Value::Bool(agent[2].as_bool()? || u < 1.0 - 0.8f64.powi(sick as i32)),
+                    Value::Float(agent[3].as_f64()? * 0.5 + u),
+                ])
+            }),
+        );
+        let t0 = Table::build(
+            "agents",
+            &[
+                ("id", DataType::Int),
+                ("cell", DataType::Int),
+                ("infected", DataType::Bool),
+                ("load", DataType::Float),
+            ],
+        )
+        .rows((0..40i64).map(|i| {
+            vec![
+                Value::from(i),
+                Value::from(i * 7 % 10),
+                Value::from(i % 13 == 0),
+                Value::from(i as f64 * 0.25),
+            ]
+        }))
+        .finish()
+        .unwrap();
+        let states = sim.run(t0, 5, 0x5EED).unwrap();
+        let digest = states
+            .iter()
+            .flat_map(|s| s.rows().iter())
+            .fold(FNV_OFFSET, |h, r| {
+                let h = fnv1a(h, &r[0].as_i64().unwrap().to_le_bytes());
+                let h = fnv1a(h, &r[1].as_i64().unwrap().to_le_bytes());
+                let h = fnv1a(h, &[r[2].as_bool().unwrap() as u8]);
+                fnv1a(h, &r[3].as_f64().unwrap().to_bits().to_le_bytes())
+            });
+        assert_eq!(digest, 0x2740_4ac6_9714_0d3c);
     }
 
     #[test]
@@ -350,7 +334,7 @@ mod tests {
 
     #[test]
     fn missing_key_column_is_an_error() {
-        let sim = contagion_sim(1);
+        let sim = contagion_sim();
         let t = Table::build("a", &[("id", DataType::Int)])
             .row(vec![Value::from(1)])
             .finish()

@@ -322,33 +322,6 @@ impl GpModel {
         self.beta0 + k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum::<f64>()
     }
 
-    /// Predict at many points, partitioned across `threads` scoped
-    /// workers. Each prediction is an independent pure function written
-    /// to a disjoint output slot, so the result is bit-identical to the
-    /// sequential [`GpModel::predict`] loop at any thread count.
-    pub fn predict_batch(&self, points: &[Vec<f64>], threads: usize) -> Vec<f64> {
-        let m = points.len();
-        let mut out = vec![0.0; m];
-        let threads = threads.clamp(1, m.max(1));
-        if threads == 1 {
-            for (o, p) in out.iter_mut().zip(points) {
-                *o = self.predict(p);
-            }
-            return out;
-        }
-        let chunk = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (pts, band) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (o, p) in band.iter_mut().zip(pts) {
-                        *o = self.predict(p);
-                    }
-                });
-            }
-        });
-        out
-    }
-
     /// The kriging variance (predictive MSE, ignoring β₀-estimation
     /// inflation) at `x0`.
     pub fn predict_variance(&self, x0: &[f64]) -> f64 {
@@ -1096,24 +1069,6 @@ mod tests {
         assert_eq!(gp.predict(&[0.4]), before);
         assert_eq!(gp.beta0().to_bits(), beta0_before);
         assert!(gp.predict(&[0.7]).is_finite());
-    }
-
-    #[test]
-    fn predict_batch_is_bit_identical_across_thread_counts() {
-        let xs = grid_1d(20, 0.0, 2.0);
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
-        let gp = GpModel::fit(&xs, &ys, &GpConfig::default()).unwrap();
-        let queries: Vec<Vec<f64>> = (0..97).map(|i| vec![i as f64 * 0.021]).collect();
-        let seq = gp.predict_batch(&queries, 1);
-        let expect: Vec<f64> = queries.iter().map(|q| gp.predict(q)).collect();
-        assert_eq!(seq, expect);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                gp.predict_batch(&queries, threads),
-                seq,
-                "{threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! recorded out-of-band only.
 //!
 //! Determinism: a cache hit replays the stored values and deterministic
-//! report verbatim, so `hit ≡ recompute` bit-for-bit at any thread count
-//! — enforced by `tests/cache_differential.rs` in `mde-mcdb`.
+//! report verbatim, so `hit ≡ recompute` bit-for-bit — enforced by
+//! `tests/cache_differential.rs` in `mde-mcdb`.
 //!
 //! [p]: ResultCache::provenance_of
 
@@ -175,10 +175,9 @@ pub type Result<T> = std::result::Result<T, CacheError>;
 ///   `n = 1000` aggregate.
 /// * `master_seed` — the seed; a stale-seed key must never hit.
 ///
-/// Thread count is deliberately *absent*: the engine's determinism
-/// contract guarantees sequential and parallel execution produce
-/// bit-identical results, so a result computed at 8 threads is valid for
-/// a sequential consumer and vice versa.
+/// How a run was scheduled, cut or resumed is deliberately *absent*: the
+/// engine's determinism contract makes a resumed run bit-identical to an
+/// uninterrupted one, so either's result is valid for the other.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// Digest of the campaign spec (see

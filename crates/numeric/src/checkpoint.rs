@@ -29,7 +29,7 @@
 //! Because every adopting surface derives its random streams as a pure
 //! function of `(master_seed, boundary_index)`, resuming from a checkpoint
 //! reproduces the uninterrupted run bit for bit: same estimates, same RNG
-//! draw order, same failure ledger, at any thread count.
+//! draw order, same failure ledger.
 
 use crate::resilience::{FailureKind, FailureRecord, RunReport};
 use std::fmt;

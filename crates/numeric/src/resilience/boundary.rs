@@ -6,7 +6,7 @@
 //!
 //! 1. **stop check** — [`RunOptions::stop_cause`] (preempt notice, then
 //!    cancel token, then deadline); a stop leaves the boundary un-run;
-//! 2. **supervision** — [`supervise_boundary`] runs attempts under the
+//! 2. **supervision** — `supervise_boundary` runs attempts under the
 //!    [`RunPolicy`](super::RunPolicy); each attempt ([`Attempt::run`]) picks
 //!    its streams from `(seed, stream key, attempt)`, injects any scheduled
 //!    fault, contains panics, and classifies the result;
@@ -123,7 +123,7 @@ impl Attempt<'_> {
 
 /// Supervise `boundary` to an outcome under `opts.policy`: `attempt` is
 /// called once per attempt and normally ends in [`Attempt::run`].
-pub fn supervise_boundary<T, E>(
+fn supervise_boundary<T, E>(
     seed: u64,
     boundary: u64,
     opts: &RunOptions,

@@ -19,8 +19,8 @@
 //!   degrade gracefully ([`RunPolicy::BestEffort`]).
 //! * [`retry_seed`] — the splitmix-style derivation of that fresh sub-seed
 //!   from `(master_seed, replicate, attempt)`, a pure function so that a
-//!   run stays bit-identical at any [`RunOptions::threads`] count even
-//!   when replicates are retried.
+//!   resumed or cached run stays bit-identical even when replicates are
+//!   retried.
 //! * [`supervise_replicate`] — the generic attempt loop under a policy.
 //! * [`boundary`] — the boundary protocol every campaign surface runs
 //!   through: one supervised attempt ([`Attempt::run`]), one commit and
@@ -39,7 +39,7 @@ pub mod boundary;
 pub mod breaker;
 pub mod sched;
 
-pub use boundary::{drive, drive_in_memory, supervise_boundary, Attempt, BoundaryError, Surface};
+pub use boundary::{drive, drive_in_memory, Attempt, BoundaryError, Surface};
 
 use crate::checkpoint::CampaignState;
 use crate::rng::splitmix64;
@@ -170,10 +170,10 @@ impl RunPolicy {
 ///
 /// SplitMix-style chained finalization of `(master_seed, replicate,
 /// attempt)`: a pure function, so a retried replicate produces the same
-/// sample no matter which worker thread re-executes it — the determinism
-/// guarantee (sequential ≡ any thread count) survives every policy. The
-/// salt keeps retry streams disjoint from the attempt-0 stream family
-/// derived by [`crate::rng::StreamFactory`].
+/// sample in a resumed or replayed run as in the original — the
+/// determinism guarantee survives every policy. The salt keeps retry
+/// streams disjoint from the attempt-0 stream family derived by
+/// [`crate::rng::StreamFactory`].
 pub fn retry_seed(master_seed: u64, replicate: u64, attempt: u32) -> u64 {
     splitmix64(
         splitmix64(splitmix64(master_seed ^ 0xC0DE_D15E_A5ED_5EED).wrapping_add(replicate))
@@ -257,8 +257,8 @@ pub struct RunReport {
     /// [`RunReport::absorb`], and execution surfaces add their own
     /// counters, value histograms, and out-of-band latency/I/O
     /// measurements. Deterministic values are bit-identical across
-    /// thread counts and checkpoint/resume; out-of-band entries are
-    /// excluded from equality and persistence.
+    /// checkpoint/resume; out-of-band entries are excluded from equality
+    /// and persistence.
     pub metrics: crate::obs::RunMetrics,
 }
 
@@ -504,9 +504,8 @@ pub enum FaultKind {
     /// Produce a NaN sample (proves the non-finite guard).
     Nan,
     /// Preempt the campaign: stop gracefully at the scheduled boundary
-    /// (and any later one — parallel workers each observe the notice at
-    /// their own next boundary), as a spot-instance preemption notice
-    /// would. Unlike the other kinds it fails no replicate; it forces a
+    /// (and any later one), as a spot-instance preemption notice would.
+    /// Unlike the other kinds it fails no replicate; it forces a
     /// partial run + final checkpoint, which the chaos harness then
     /// resumes and compares bit-for-bit against an uninterrupted run.
     Preempt,
@@ -565,7 +564,7 @@ pub struct Fault {
 
 /// A deterministic fault injector: a schedule of faults keyed on
 /// `(replicate, attempt)`, consulted by supervised executors. Pure data —
-/// the same plan produces the same failures at any thread count, which is
+/// the same plan produces the same failures on every run, which is
 /// what lets tests assert that a [`RunReport`] ledger *exactly* matches
 /// the injected plan.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -590,8 +589,8 @@ impl FaultPlan {
     }
 
     /// Schedule a preemption notice at boundary `at`: the campaign stops
-    /// gracefully before executing boundary `at` (or the first boundary a
-    /// worker reaches after it) and writes its final checkpoint.
+    /// gracefully before executing boundary `at` and writes its final
+    /// checkpoint.
     pub fn preempt_at(mut self, at: u64) -> Self {
         self.faults.push(Fault {
             replicate: at,
@@ -622,8 +621,7 @@ impl FaultPlan {
 
     /// Whether a preemption notice has fired by `boundary`: true when any
     /// scheduled preempt has `at <= boundary`, mirroring how a real
-    /// preemption notice stays raised once delivered (a parallel worker
-    /// striding past the exact boundary still observes it).
+    /// preemption notice stays raised once delivered.
     pub fn preempts(&self, boundary: u64) -> bool {
         self.faults
             .iter()
@@ -989,8 +987,8 @@ impl CheckpointSpec {
 /// Options threaded through a supervised run: the recovery policy, an
 /// optional fault-injection plan (testing only; `None` in production),
 /// and the durable-campaign controls — wall-clock deadline, cooperative
-/// cancellation, checkpoint persistence, result cache, worker count, and
-/// the state to resume from. Every durable surface has exactly one entry
+/// cancellation, checkpoint persistence, result cache, and the state to
+/// resume from. Every durable surface has exactly one entry
 /// point taking these options; how a campaign runs is an option, never a
 /// different function.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -1011,11 +1009,6 @@ pub struct RunOptions {
     /// instead of recomputing. Equality on the handle is identity, so
     /// `RunOptions` equality stays meaningful.
     pub cache: Option<crate::cache::CacheHandle>,
-    /// Worker threads for surfaces whose boundaries are independent (Monte
-    /// Carlo replicates); `0` — the `Default` — means 1, and inherently
-    /// sequential surfaces ignore it. Results are bit-identical at any
-    /// count, so it never enters a fingerprint or cache key.
-    pub threads: usize,
     /// Continue from this state (a stopped run's final checkpoint, or
     /// `CampaignState::load(path)?`) instead of starting at boundary 0.
     /// The surface validates tag and fingerprint first: a foreign state is
@@ -1065,12 +1058,6 @@ impl RunOptions {
     /// as long as one cache (or cache file) is in use.
     pub fn with_cache(mut self, cache: crate::cache::CacheHandle) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Run on `threads` worker threads (see [`RunOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -1352,7 +1339,7 @@ mod tests {
         assert!(opts.deadline.is_none());
         assert!(opts.cancel.is_none());
         assert!(opts.checkpoint.is_none());
-        assert_eq!(opts.threads, 0, "0 means one worker");
+        assert!(opts.cache.is_none());
         assert!(opts.resume.is_none());
         assert_eq!(opts.fault(0, 0), None);
         assert_eq!(opts.stop_cause(0), None);

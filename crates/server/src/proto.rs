@@ -223,8 +223,6 @@ pub enum Request {
         priority: Priority,
         /// Admission cost.
         cost: u64,
-        /// Worker threads per slice.
-        threads: u64,
         /// Query text (frame body).
         sql: String,
         /// Request options.
@@ -406,10 +404,6 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
                     }
                     c
                 }
-            },
-            threads: match get("threads") {
-                None => 1,
-                Some(v) => parse_u64("threads", v)?.clamp(1, 64),
             },
             sql: body_sql()?,
             opts: opts()?,
@@ -714,6 +708,16 @@ mod tests {
                 assert_eq!(policy, RunPolicy::BestEffort { min_fraction: 0.25 });
             }
             other => panic!("wrong parse: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_campaign_threads_key_is_ignored_like_any_unknown_key() {
+        let body = "\nSELECT AVG(x) AS v FROM t";
+        let plain = parse_request(&format!("CAMPAIGN n=4 seed=1{body}")).unwrap();
+        for extra in ["threads=1", "threads=8", "threads=abc"] {
+            let with = parse_request(&format!("CAMPAIGN n=4 seed=1 {extra}{body}")).unwrap();
+            assert_eq!(with, plain, "{extra}");
         }
     }
 

@@ -444,12 +444,11 @@ impl Session {
                 policy,
                 priority,
                 cost,
-                threads,
                 sql,
                 opts,
                 checkpoint,
             } => self.exec_campaign(
-                n, seed, policy, priority, cost, threads, &sql, &opts, checkpoint, token,
+                n, seed, policy, priority, cost, &sql, &opts, checkpoint, token,
             ),
         }
     }
@@ -607,7 +606,6 @@ impl Session {
         policy: RunPolicy,
         priority: mde_numeric::Priority,
         cost: u64,
-        threads: u64,
         sql: &str,
         opts: &RequestOpts,
         checkpoint: Option<String>,
@@ -624,9 +622,7 @@ impl Session {
         let snapshot = self.engine.snapshot();
         let query = MonteCarloQuery::new(self.specs.clone(), plan);
 
-        let mut run_opts = RunOptions::policy(policy)
-            .with_cancel(token.clone())
-            .with_threads(threads as usize);
+        let mut run_opts = RunOptions::policy(policy).with_cancel(token.clone());
         let checkpointed = self.attach_checkpoint(&mut run_opts, checkpoint.as_deref())?;
         let campaign = McCampaign::new(query, (*snapshot).clone(), n as usize, seed, run_opts);
 

@@ -15,7 +15,6 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use model_data_ecosystems::core::resilience::RunOptions;
 use model_data_ecosystems::core::whatif::WhatIfSession;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
@@ -103,11 +102,9 @@ fn main() {
             vec![AggSpec::new("TOTAL", AggFunc::Sum, Expr::col("REV"))],
         );
 
-    let opts = RunOptions::default().with_threads(4);
     let result = session
-        .what_if_with(&east_revenue, 1000, 42, &opts)
-        .expect("Monte Carlo run")
-        .result;
+        .what_if(&east_revenue, 1000, 42)
+        .expect("Monte Carlo run");
 
     println!("== What-if: east-coast revenue under a 5% price increase ==");
     println!("mean revenue        : {:10.0}", result.mean());

@@ -96,7 +96,7 @@ fn main() {
     let plan = plan_from_sql(question).expect("valid SQL");
     let mc = MonteCarloQuery::new(vec![spec], plan);
     let run = mc
-        .run_with_options(&db, 500, 7, &RunOptions::default().with_threads(4))
+        .run_with_options(&db, 500, 7, &RunOptions::default())
         .expect("Monte Carlo run");
     let res = &run.result;
     println!("Monte Carlo over: {question}");
@@ -110,7 +110,7 @@ fn main() {
     println!("  95% CI for the mean: [{:.1}, {:.1}]", ci.lo, ci.hi);
 
     // ---- Every run carries a metrics ledger: deterministic counters and
-    // value histograms (bit-identical at any thread count) plus
+    // value histograms (bit-identical when resumed or cached) plus
     // out-of-band latency/IO observations.
     println!("\nrun metrics ledger:\n{}", run.report.metrics.render());
 

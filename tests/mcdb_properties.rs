@@ -1,8 +1,8 @@
 //! Property-based integration tests for the Monte Carlo database.
 //!
 //! The load-bearing invariant of the Monte Carlo loop: "sample `i` of a
-//! query" means one thing. Whatever `MonteCarloQuery` prepares once, shares
-//! between replicates or spreads over threads must be *semantically
+//! query" means one thing. Whatever `MonteCarloQuery` prepares once or
+//! shares between replicates must be *semantically
 //! invisible* — its sample `i` equals realizing the stochastic tables and
 //! running the query from scratch on replicate `i`'s streams, bit for bit,
 //! for random queries over random stochastic tables.
@@ -12,7 +12,6 @@ use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{reference, AggFunc, AggSpec, SortKey};
 use model_data_ecosystems::mcdb::vg::{BackwardWalkVg, NormalVg, PoissonVg};
-use model_data_ecosystems::mcdb::RunOptions;
 use model_data_ecosystems::numeric::rng::{for_cases, rng_from_seed, StreamFactory};
 use std::sync::Arc;
 
@@ -283,7 +282,7 @@ fn scalar_plan_for(case: u8, threshold: f64) -> Plan {
 /// run, and nothing else about how the run is prepared or scheduled reaches
 /// a sample bit.
 #[test]
-fn monte_carlo_run_equals_the_plan_per_replicate_loop_at_any_thread_count() {
+fn monte_carlo_run_equals_the_plan_per_replicate_loop() {
     for_cases(48, |rng| {
         let n_items = rng.gen_range(1usize..12);
         let mean = rng.gen_range(-50.0f64..50.0);
@@ -316,25 +315,20 @@ fn monte_carlo_run_equals_the_plan_per_replicate_loop_at_any_thread_count() {
             .collect();
 
         let query = MonteCarloQuery::new(specs, plan);
-        for threads in [1, 2, 8] {
-            let opts = RunOptions::default().with_threads(threads);
-            let run = query.run_with_options(&db, n_iters, seed, &opts);
-            match (&by_hand, run) {
-                (Some(bits), Ok(run)) => assert_eq!(
-                    &run.result
-                        .samples()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    bits,
-                    "case {case} at {threads} threads"
-                ),
-                (None, Err(_)) => {} // a replicate's aggregate ran over no rows
-                (expected, run) => panic!(
-                    "case {case} at {threads} threads: by hand {expected:?}, run {:?}",
-                    run.map(|r| r.result.samples().to_vec())
-                ),
-            }
+        match (&by_hand, query.run(&db, n_iters, seed)) {
+            (Some(bits), Ok(run)) => assert_eq!(
+                &run.samples()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                bits,
+                "case {case}"
+            ),
+            (None, Err(_)) => {} // a replicate's aggregate ran over no rows
+            (expected, run) => panic!(
+                "case {case}: by hand {expected:?}, run {:?}",
+                run.map(|r| r.samples().to_vec())
+            ),
         }
     });
 }

@@ -56,8 +56,7 @@ fn abs_as_self_join_epidemic_with_sql_observation() {
                 ])
             },
         ),
-    )
-    .with_threads(4);
+    );
 
     let states = sim.run(agents, 5, 99).unwrap();
     // Observe each step with SQL: count sick agents.
