@@ -313,21 +313,9 @@ impl RunReport {
         self.ci_widened = self.dropped > 0 || self.shed > 0;
     }
 
-    /// Merge another report (used to combine per-worker partial ledgers);
-    /// call [`RunReport::normalize`] afterwards to restore ordering.
-    pub fn merge(&mut self, other: RunReport) {
-        self.attempted += other.attempted;
-        self.succeeded += other.succeeded;
-        self.retried += other.retried;
-        self.dropped += other.dropped;
-        self.shed += other.shed;
-        self.failures.extend(other.failures);
-        self.ci_widened = self.dropped > 0 || self.shed > 0;
-        self.metrics.merge(&other.metrics);
-    }
-
-    /// Sort the ledger by `(replicate, attempt)` so sequential and
-    /// parallel runs report identically.
+    /// Sort the ledger by `(replicate, attempt)`: the order in which
+    /// outcomes were absorbed is not part of a report, so two runs over
+    /// the same boundaries compare equal however they absorbed them.
     pub fn normalize(&mut self) {
         self.failures.sort_by_key(|f| (f.replicate, f.attempt));
     }
@@ -858,8 +846,10 @@ pub enum CancelReason {
 /// also observes its parent's cancellation, so one master token (a
 /// server drain signal, a session disconnect) fans out to every
 /// in-flight unit of work, while cancelling an individual child never
-/// propagates upward or sideways.
-#[derive(Debug, Clone, Default)]
+/// propagates upward or sideways. [`CancelToken::child_while`] also
+/// watches a liveness probe, so a consumer that goes away (a client that
+/// hangs up) cancels the work at the next boundary it polls.
+#[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
     /// 0 = none, 1 = user, 2 = shed, 3 = preempt. Written once by the
@@ -867,6 +857,19 @@ pub struct CancelToken {
     reason: Arc<AtomicU8>,
     /// Upstream tokens, observed (never written) by this one.
     parents: Arc<[CancelToken]>,
+    /// Asked after the flag and the parents; `false` cancels this token.
+    alive: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
+}
+
+impl fmt::Debug for CancelToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CancelToken")
+            .field("flag", &self.flag)
+            .field("reason", &self.reason)
+            .field("parents", &self.parents)
+            .field("probed", &self.alive.is_some())
+            .finish()
+    }
 }
 
 impl CancelToken {
@@ -889,9 +892,22 @@ impl CancelToken {
     /// canonical use.
     pub fn child_of_all(parents: &[CancelToken]) -> Self {
         CancelToken {
-            flag: Arc::default(),
-            reason: Arc::default(),
             parents: parents.to_vec().into(),
+            ..CancelToken::default()
+        }
+    }
+
+    /// A fresh token linked under `parent` that also cancels itself, with
+    /// [`CancelReason::User`], the first time `alive` returns `false` — a
+    /// request whose client hung up is the canonical use.
+    /// [`is_cancelled`](Self::is_cancelled) asks the probe only after the
+    /// token's own flag and its parents, so a parent's cancel keeps its
+    /// reason and costs no probe call, and a cancelled token never asks
+    /// again. The probe runs on whichever thread polls the token.
+    pub fn child_while(parent: &CancelToken, alive: Arc<dyn Fn() -> bool + Send + Sync>) -> Self {
+        CancelToken {
+            alive: Some(alive),
+            ..CancelToken::child_of(parent)
         }
     }
 
@@ -918,9 +934,17 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested on this token or any of
-    /// its ancestors.
+    /// its ancestors, or a liveness probe on the chain reports its
+    /// consumer gone (see [`CancelToken::child_while`]).
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.parents.iter().any(|p| p.is_cancelled())
+        if self.flag.load(Ordering::Acquire) || self.parents.iter().any(|p| p.is_cancelled()) {
+            return true;
+        }
+        let gone = self.alive.as_ref().is_some_and(|alive| !alive());
+        if gone {
+            self.cancel_for(CancelReason::User);
+        }
+        gone
     }
 
     /// Why the token was cancelled (`None` while untriggered). When both
@@ -1419,6 +1443,52 @@ mod tests {
         let c = CancelToken::child_of(&b);
         assert!(c.is_cancelled());
         assert_eq!(c.cancel_reason(), Some(CancelReason::Preempt));
+    }
+
+    #[test]
+    fn a_liveness_probe_cancels_as_user_and_is_asked_last() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let probe = |alive: bool| -> Arc<dyn Fn() -> bool + Send + Sync> {
+            let calls = Arc::clone(&calls);
+            Arc::new(move || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                alive
+            })
+        };
+        let asked = || calls.load(Ordering::SeqCst);
+
+        // A live consumer is asked at every poll and never cancels.
+        let live = CancelToken::child_while(&CancelToken::new(), probe(true));
+        assert!(!live.is_cancelled());
+        assert!(!live.is_cancelled());
+        assert_eq!(asked(), 2);
+
+        // A gone one cancels the token with `User`, visible through a
+        // slice token linked under it, and is never asked again.
+        let gone = CancelToken::child_while(&CancelToken::new(), probe(false));
+        let slice = CancelToken::child_of_all(&[CancelToken::new(), gone.clone()]);
+        let opts = RunOptions::default().with_cancel(slice);
+        assert_eq!(opts.stop_cause(0), Some(StopCause::Cancelled));
+        assert_eq!(gone.cancel_reason(), Some(CancelReason::User));
+        assert_eq!(asked(), 3);
+        assert!(gone.is_cancelled());
+        assert_eq!(asked(), 3);
+
+        // A cancelled parent wins as `Preempt`; the probe is not called.
+        let master = CancelToken::new();
+        let drained = CancelToken::child_while(&master, probe(false));
+        master.cancel_for(CancelReason::Preempt);
+        assert!(drained.is_cancelled());
+        assert_eq!(drained.cancel_reason(), Some(CancelReason::Preempt));
+        assert_eq!(asked(), 3);
+
+        // So does the token's own earlier cancel.
+        let shed = CancelToken::child_while(&CancelToken::new(), probe(false));
+        shed.cancel_for(CancelReason::Shed);
+        assert!(shed.is_cancelled());
+        assert_eq!(shed.cancel_reason(), Some(CancelReason::Shed));
+        assert_eq!(asked(), 3);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! 2. The first waiter to find queued work and no active drainer
 //!    detaches the waiting batch and runs it *outside* the hub lock,
 //!    so submissions keep flowing while the batch executes.
-//! 3. Finished reports are filed by submission id; every waiter is
-//!    woken, collects its own report, and the next waiter with pending
-//!    work becomes the drainer.
+//! 3. Finished reports are filed by submission id; the drainer wakes
+//!    every waiter, each collects its own report, and the next waiter
+//!    with pending work becomes the drainer. Waiters block on the
+//!    condition variable until that wake-up; nobody polls.
 //!
 //! Admission stays honest across the split: the detached batch's cost
 //! remains charged to the front scheduler until reabsorption, and
@@ -27,19 +28,15 @@
 //! one final batch so queued-but-orphaned campaigns settle as
 //! resumably-preempted instead of vanishing.
 
-use mde_core::sched::CampaignStatus;
 use mde_core::{CampaignReport, CampaignSpec, SchedConfig, Scheduler};
 use mde_numeric::resilience::sched::{Campaign, Overloaded};
-use mde_numeric::RunMetrics;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 struct HubInner {
     front: Scheduler,
     draining: bool,
     done: HashMap<u64, CampaignReport>,
-    ledger: RunMetrics,
 }
 
 /// Multiplexes session-submitted campaigns onto one shared scheduler.
@@ -59,7 +56,6 @@ impl CampaignHub {
                 front: Scheduler::new(cfg),
                 draining: false,
                 done: HashMap::new(),
-                ledger: RunMetrics::new(),
             }),
             cv: Condvar::new(),
         }
@@ -90,32 +86,19 @@ impl CampaignHub {
                 return report;
             }
             if !inner.draining && inner.front.queued() > 0 {
-                inner.draining = true;
-                let mut batch = inner.front.detach_for_drain();
-                let batch_cost = batch.admitted_cost();
-                drop(inner);
-
-                let run = batch.run(self.threads);
-
-                inner = self.inner.lock().expect("hub lock");
-                inner.front.reabsorb(batch, batch_cost);
-                inner.ledger.merge(&run.metrics);
-                for report in run.reports {
-                    inner.done.insert(report.id, report);
-                }
-                inner.draining = false;
-                self.cv.notify_all();
+                inner = self.drain(inner).0;
                 continue;
             }
-            // Another session is draining (or our campaign is in its
-            // batch): wait for the filing, with a timeout so a waiter
-            // can pick up drainer duty for work queued after the
-            // current batch detached.
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, Duration::from_millis(10))
-                .expect("hub lock");
-            inner = guard;
+            // Another session is draining, and our campaign is in its
+            // batch or queued behind it. A plain wait cannot miss the
+            // wake-up: a waiter only sleeps while `draining` is set (with
+            // it clear, an unfiled campaign is still in the front
+            // scheduler, which then holds waiting work, so the branch
+            // above drains), and the drainer clears it and `notify_all`s
+            // under the lock after filing its batch. Every waiter then
+            // rechecks, so work queued after the batch detached is picked
+            // up by one of them.
+            inner = self.cv.wait(inner).expect("hub lock");
         }
     }
 
@@ -126,31 +109,40 @@ impl CampaignHub {
     /// of campaigns settled by this final batch.
     pub fn flush(&self) -> usize {
         let mut inner = self.inner.lock().expect("hub lock");
+        // Woken by the drainer's `notify_all` (see `wait`).
         while inner.draining {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, Duration::from_millis(10))
-                .expect("hub lock");
-            inner = guard;
+            inner = self.cv.wait(inner).expect("hub lock");
         }
         if inner.front.queued() == 0 {
             return 0;
         }
+        self.drain(inner).1
+    }
+
+    /// Detach the front scheduler's waiting batch and run it outside the
+    /// lock, with `draining` set for exactly that run; then file its
+    /// reports by id, clear `draining` and wake every waiter, all under
+    /// the lock. Returns the lock and the number of reports filed.
+    fn drain<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, HubInner>,
+    ) -> (MutexGuard<'a, HubInner>, usize) {
         inner.draining = true;
         let mut batch = inner.front.detach_for_drain();
         let batch_cost = batch.admitted_cost();
         drop(inner);
+
         let run = batch.run(self.threads);
-        let settled = run.reports.len();
+
         let mut inner = self.inner.lock().expect("hub lock");
         inner.front.reabsorb(batch, batch_cost);
-        inner.ledger.merge(&run.metrics);
+        let filed = run.reports.len();
         for report in run.reports {
             inner.done.insert(report.id, report);
         }
         inner.draining = false;
         self.cv.notify_all();
-        settled
+        (inner, filed)
     }
 
     /// Campaigns admitted and waiting (excludes a batch mid-drain).
@@ -164,27 +156,12 @@ impl CampaignHub {
     pub fn inflight_cost(&self) -> u64 {
         self.inner.lock().expect("hub lock").front.admitted_cost()
     }
-
-    /// Snapshot of the hub ledger (merged scheduler metrics from every
-    /// drained batch).
-    pub fn ledger_counters(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().expect("hub lock");
-        inner
-            .ledger
-            .counter_entries()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect()
-    }
-
-    /// Whether `status` is terminal-successful (for counters).
-    pub fn completed(status: &CampaignStatus) -> bool {
-        matches!(status, CampaignStatus::Completed(_))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mde_core::sched::CampaignStatus;
     use mde_numeric::{CampaignCtl, CampaignError, CampaignOutput, CampaignStep};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;

@@ -7,7 +7,7 @@
 //! * **Framing** ([`proto`]): length-prefixed UTF-8 frames with typed
 //!   violations (torn, oversized, empty, non-UTF-8) and a read deadline
 //!   that bounds slow-loris clients.
-//! * **Sessions** ([`session`]): one supervised worker per connection.
+//! * **Sessions** ([`session`]): one supervised thread per connection.
 //!   A panicking request — organic or chaos-injected — becomes a typed
 //!   `ERR PANIC` reply and kills that session only; the accept loop and
 //!   every other session keep running.

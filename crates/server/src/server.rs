@@ -1,24 +1,29 @@
 //! The service front-end: accept loop, session registry, graceful
 //! drain.
 //!
-//! The server binds a loopback TCP listener and runs a nonblocking
-//! accept loop on its own thread. Each accepted connection becomes a
-//! supervised session ([`crate::session`]); the accept loop itself
-//! never executes request work, so no session failure — panic, torn
-//! frame, slow-loris stall — can wedge it.
+//! The server binds a loopback TCP listener and runs an accept loop on
+//! its own thread, blocked in `accept` until a client connects. Each
+//! accepted connection becomes a supervised session ([`crate::session`])
+//! on a thread of its own; the accept loop itself never executes request
+//! work, so no session failure — panic, torn frame, slow-loris stall —
+//! can wedge it.
 //!
 //! # Graceful drain
 //!
-//! [`Server::shutdown`] runs the drain protocol:
+//! A client's `SHUTDOWN` begins the drain: from then on a new connection
+//! reads a typed, retryable `ERR SHUTTING_DOWN` and is closed, and so is
+//! every new request on a live session. [`Server::shutdown`] runs the
+//! whole protocol:
 //!
-//! 1. Stop accepting (new connections are refused; in-flight sessions
-//!    see typed `ERR SHUTTING_DOWN` on new requests).
+//! 1. Begin the drain if no `SHUTDOWN` has, and stop accepting: set the
+//!    stop flag and wake the blocked `accept` with a loopback
+//!    self-connect.
 //! 2. Cancel the master drain token with
 //!    [`CancelReason::Preempt`]: every in-flight request token is a
 //!    child, so Monte Carlo runs and campaign slices stop at their next
 //!    replicate boundary and persist their checkpoints.
-//! 3. Shut down every session socket, unblocking parked readers; join
-//!    all session threads.
+//! 3. Shut down every session socket, waking sessions parked in a read;
+//!    join all session threads.
 //! 4. Flush the campaign hub so queued-but-orphaned campaigns settle
 //!    as resumably preempted rather than vanishing.
 //!
@@ -49,8 +54,11 @@ pub struct ServerConfig {
     /// Concurrent session bound; connections beyond it are refused with
     /// a typed, retryable `ERR SESSION_LIMIT`.
     pub max_sessions: usize,
-    /// Socket read deadline: bounds how long a slow-loris client can
-    /// take to deliver one frame, and how long an idle session is kept.
+    /// Socket read deadline while a session waits for its next frame:
+    /// it bounds the wait for, and the delivery of, that frame (how long
+    /// an idle session is kept, and how long a slow-loris client may
+    /// dribble), not how long a request may run. A request is bounded by
+    /// its own `deadline_ms` or [`ServerConfig::default_deadline_ms`].
     pub idle_timeout: Duration,
     /// Deadline applied to requests that do not carry one, in
     /// milliseconds. `None` means no implicit deadline.
@@ -101,8 +109,8 @@ pub struct DrainReport {
     pub errors: u64,
 }
 
-/// Live sessions: the worker's join handle plus a cloned stream handle
-/// so shutdown can unblock a parked reader.
+/// Live sessions: the session thread's join handle plus a cloned stream
+/// handle so shutdown can wake a session parked in a read.
 type SessionRegistry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
 
 /// A running service front-end.
@@ -111,7 +119,6 @@ pub struct Server {
     engine: Arc<Engine>,
     drain: CancelToken,
     stop: Arc<AtomicBool>,
-    shutdown_requested: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
     sessions: SessionRegistry,
 }
@@ -120,7 +127,6 @@ impl Server {
     /// Bind a loopback listener and start serving `catalog`.
     pub fn start(catalog: Catalog, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let drain = CancelToken::new();
@@ -133,6 +139,7 @@ impl Server {
             hub: CampaignHub::new(sched, cfg.sched_threads.max(1)),
             drain: drain.clone(),
             draining: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
             vg: VgRegistry::standard(),
             checkpoint_dir: cfg.checkpoint_dir,
             faults: cfg.faults,
@@ -141,72 +148,65 @@ impl Server {
         });
 
         let stop = Arc::new(AtomicBool::new(false));
-        let shutdown_requested = Arc::new(AtomicBool::new(false));
         let sessions: SessionRegistry = Arc::default();
 
         let accept_engine = Arc::clone(&engine);
         let accept_stop = Arc::clone(&stop);
-        let accept_shutdown = Arc::clone(&shutdown_requested);
         let accept_sessions = Arc::clone(&sessions);
         let max_sessions = cfg.max_sessions.max(1);
         let idle_timeout = cfg.idle_timeout;
         let accept_handle = std::thread::spawn(move || {
             let mut next_session = 0u64;
-            loop {
-                if accept_stop.load(Ordering::SeqCst) || accept_shutdown.load(Ordering::SeqCst) {
+            for conn in listener.incoming() {
+                if accept_stop.load(Ordering::SeqCst) {
                     return;
                 }
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        let live = {
-                            let mut guard = accept_sessions.lock().expect("session registry");
-                            guard.retain(|(h, _)| !h.is_finished());
-                            guard.len()
-                        };
-                        if accept_engine.draining.load(Ordering::SeqCst) {
-                            let _ = write_frame(
-                                &mut stream,
-                                &WireError::retryable(WireCode::ShuttingDown, "server is draining")
-                                    .with_retry_after(1000)
-                                    .encode(),
-                            );
-                            continue;
-                        }
-                        if live >= max_sessions {
-                            let _ = write_frame(
-                                &mut stream,
-                                &WireError::retryable(
-                                    WireCode::SessionLimit,
-                                    format!("session limit {max_sessions} reached"),
-                                )
-                                .with_retry_after(250)
-                                .encode(),
-                            );
-                            continue;
-                        }
-                        let id = next_session;
-                        next_session += 1;
-                        let engine = Arc::clone(&accept_engine);
-                        let shutdown_flag = Arc::clone(&accept_shutdown);
-                        let registered = match stream.try_clone() {
-                            Ok(clone) => clone,
-                            Err(_) => continue,
-                        };
-                        let handle = std::thread::spawn(move || {
-                            run_session(engine, stream, id, idle_timeout, &shutdown_flag);
-                        });
-                        accept_sessions
-                            .lock()
-                            .expect("session registry")
-                            .push((handle, registered));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                let Ok(mut stream) = conn else {
+                    // Out of descriptors or the like: back off rather
+                    // than spin.
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                };
+                let live = {
+                    let mut guard = accept_sessions.lock().expect("session registry");
+                    guard.retain(|(h, _)| !h.is_finished());
+                    guard.len()
+                };
+                if accept_engine.draining.load(Ordering::SeqCst) {
+                    let _ = write_frame(
+                        &mut stream,
+                        &WireError::retryable(WireCode::ShuttingDown, "server is draining")
+                            .with_retry_after(1000)
+                            .encode(),
+                    );
+                    continue;
                 }
+                if live >= max_sessions {
+                    let _ = write_frame(
+                        &mut stream,
+                        &WireError::retryable(
+                            WireCode::SessionLimit,
+                            format!("session limit {max_sessions} reached"),
+                        )
+                        .with_retry_after(250)
+                        .encode(),
+                    );
+                    continue;
+                }
+                let id = next_session;
+                next_session += 1;
+                let engine = Arc::clone(&accept_engine);
+                let registered = match stream.try_clone() {
+                    Ok(clone) => clone,
+                    Err(_) => continue,
+                };
+                let handle = std::thread::spawn(move || {
+                    run_session(engine, stream, id, idle_timeout);
+                });
+                accept_sessions
+                    .lock()
+                    .expect("session registry")
+                    .push((handle, registered));
             }
         });
 
@@ -215,7 +215,6 @@ impl Server {
             engine,
             drain,
             stop,
-            shutdown_requested,
             accept_handle: Some(accept_handle),
             sessions,
         })
@@ -228,7 +227,7 @@ impl Server {
 
     /// Whether a client requested shutdown via the `SHUTDOWN` command.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_requested.load(Ordering::SeqCst)
+        self.engine.shutdown_requested.load(Ordering::SeqCst)
     }
 
     /// Whole-server counter snapshot.
@@ -236,20 +235,18 @@ impl Server {
         self.engine.metrics.snapshot()
     }
 
-    /// Live (not yet torn down) sessions.
-    pub fn live_sessions(&self) -> usize {
-        let mut guard = self.sessions.lock().expect("session registry");
-        guard.retain(|(h, _)| !h.is_finished());
-        guard.len()
-    }
-
     /// Run the graceful drain protocol and tear the server down.
     pub fn shutdown(mut self) -> DrainReport {
-        // 1. Stop accepting; refuse new requests on live sessions.
+        // 1. Refuse new requests on live sessions, and stop accepting:
+        // a self-connect wakes the blocked `accept`, whose loop then sees
+        // `stop`. Should even a loopback connect fail, the accept thread
+        // is left parked rather than joined forever.
         self.engine.draining.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = h.join();
+            }
         }
 
         // 2. Cancel in-flight work cooperatively: every request token is
@@ -257,7 +254,7 @@ impl Server {
         // stop at their next boundary (persisting checkpoints).
         self.drain.cancel_for(CancelReason::Preempt);
 
-        // 3. Unblock parked readers and join every session.
+        // 3. Wake sessions parked in a read and join every session.
         let sessions = std::mem::take(&mut *self.sessions.lock().expect("session registry"));
         for (_, stream) in &sessions {
             let _ = stream.shutdown(std::net::Shutdown::Both);

@@ -1,26 +1,34 @@
-//! Per-session supervision: one connection, one worker, one blast
+//! Per-session supervision: one connection, one thread, one blast
 //! radius.
 //!
-//! Each accepted connection gets a dedicated worker thread plus a
-//! reader thread, joined by a small channel:
+//! Each accepted connection gets one thread that reads a frame,
+//! executes it, writes the reply, and reads the next:
 //!
-//! * The **reader** owns the receive half of the socket. It decodes
-//!   frames (bounded by the socket read deadline, so a slow-loris
-//!   client cannot hold a session open indefinitely) and — crucially —
-//!   on *any* terminal read event (clean close, torn frame, timeout)
-//!   cancels the session's in-flight request token with
-//!   [`CancelReason::User`]. A client that disconnects mid-query stops
-//!   paying for that query at the next replicate boundary, and a
-//!   checkpointing campaign persists its partial state on the way out.
-//! * The **worker** executes requests inside
-//!   [`catch_panic`]: a panic —
+//! * **Framing.** The socket's read deadline bounds only the wait for,
+//!   and the delivery of, the next frame, so a slow-loris client cannot
+//!   hold a session open indefinitely, while a request may run as long
+//!   as its own deadline allows. Frames a client pipelines wait in the
+//!   socket and are answered in order.
+//! * **Disconnect.** A request's token comes from
+//!   [`CancelToken::child_while`] with the session's liveness probe. At
+//!   the boundaries the work already polls, at most once per
+//!   `LIVENESS_INTERVAL` (50 ms) counted from request start, the probe
+//!   `peek`s one byte on the socket without blocking. End of stream or a
+//!   hard error cancels the request with
+//!   [`CancelReason::User`](mde_numeric::CancelReason::User): a client
+//!   that disconnects mid-query stops paying for it at the next
+//!   replicate boundary, and a checkpointing campaign persists its
+//!   partial state on the way out. The probe touches the socket only
+//!   while its request runs, and the session neither reads nor writes
+//!   it then.
+//! * **Supervision.** Requests execute inside [`catch_panic`]: a panic —
 //!   organic or injected by the [`WireFaultPlan`] — produces a typed
 //!   `ERR PANIC` reply and terminates *that session only*. The accept
 //!   loop, other sessions, and the campaign hub never observe it.
 //!
-//! Every request token is a [`CancelToken::child_of`] the server's
-//! master drain token, so graceful drain reaches into in-flight work
-//! without the session layer doing anything special.
+//! Every request token is also a child of the server's master drain
+//! token, so graceful drain reaches into in-flight work without the
+//! session layer doing anything special.
 
 use crate::cache::PlanCache;
 use crate::campaigns::CampaignHub;
@@ -37,13 +45,18 @@ use mde_mcdb::random_table::RandomTableSpec;
 use mde_mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
 use mde_mcdb::McCampaign;
 use mde_numeric::resilience::{catch_panic, CheckpointSpec, RunOptions, RunPolicy, StopCause};
-use mde_numeric::{CampaignState, CancelReason, CancelToken, Deadline};
-use std::net::TcpStream;
+use mde_numeric::{CampaignState, CancelToken, Deadline};
+use std::io::ErrorKind;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often, at most, a running request asks whether its client is
+/// still connected, counted from the request's start: a request shorter
+/// than this makes no liveness syscall.
+const LIVENESS_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Whole-server counters (monotonic, lock-free).
 #[derive(Debug, Default)]
@@ -104,6 +117,8 @@ pub struct Engine {
     pub(crate) drain: CancelToken,
     /// Set when drain begins; new sessions and requests are refused.
     pub(crate) draining: AtomicBool,
+    /// Set when a client's `SHUTDOWN` began the drain.
+    pub(crate) shutdown_requested: AtomicBool,
     /// VG registry for session-registered stochastic DDL.
     pub(crate) vg: VgRegistry,
     /// Directory for wire-named checkpoints; `None` disables them.
@@ -145,20 +160,61 @@ impl Engine {
     }
 }
 
-enum ReaderEvent {
-    Frame(String),
-    Broken(WireError),
-    Eof,
-}
-
-/// Outcome of one request, as the worker loop sees it.
+/// Outcome of one request, as the session loop sees it.
 enum Outcome {
     Reply(String),
     /// Reply, then close the session (supervised panic, fatal protocol
     /// error).
     Fatal(String),
-    /// Begin server drain after replying (SHUTDOWN).
+    /// Begin server drain, reply, and close the session (SHUTDOWN).
     Shutdown(String),
+}
+
+/// A session's connection, shared with the liveness probe of the request
+/// it is running.
+struct Connection {
+    stream: TcpStream,
+    /// When the running request may next peek; `None` between requests,
+    /// while the session itself reads and writes the socket.
+    next_peek: Mutex<Option<Instant>>,
+}
+
+impl Connection {
+    /// Arm the probe for a request starting now, or disarm it once the
+    /// request is over. Disarming waits out a peek in progress, so the
+    /// socket is back in blocking mode before the session touches it.
+    fn set_running(&self, running: bool) {
+        *self.next_peek.lock().expect("liveness lock") =
+            running.then(|| Instant::now() + LIVENESS_INTERVAL);
+    }
+
+    /// The probe: whether the client is still connected, as far as a
+    /// peek that is due says.
+    fn alive(&self) -> bool {
+        let mut next = self.next_peek.lock().expect("liveness lock");
+        let now = Instant::now();
+        match *next {
+            Some(due) if now >= due => *next = Some(now + LIVENESS_INTERVAL),
+            _ => return true,
+        }
+        peer_connected(&self.stream)
+    }
+}
+
+/// Peek one byte without blocking. A pending byte (a pipelined frame) or
+/// nothing to read yet means the peer is there; end of stream or a hard
+/// error means it is gone.
+fn peer_connected(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let peeked = stream.peek(&mut [0u8; 1]);
+    let restored = stream.set_nonblocking(false).is_ok();
+    restored
+        && match peeked {
+            Ok(n) => n > 0,
+            Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+        }
 }
 
 /// Run one session to completion. Returns when the client disconnects,
@@ -168,7 +224,6 @@ pub(crate) fn run_session(
     stream: TcpStream,
     session_id: u64,
     idle_timeout: Duration,
-    shutdown_requested: &AtomicBool,
 ) {
     engine
         .metrics
@@ -176,49 +231,14 @@ pub(crate) fn run_session(
         .fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_read_timeout(Some(idle_timeout));
     let _ = stream.set_nodelay(true);
-
-    // The in-flight request token, shared with the reader so terminal
-    // read events cancel whatever the worker is executing right now.
-    let current: Arc<Mutex<Option<CancelToken>>> = Arc::default();
-
-    let (tx, rx): (SyncSender<ReaderEvent>, Receiver<ReaderEvent>) = sync_channel(16);
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            engine
-                .metrics
-                .sessions_closed
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let reader_current = Arc::clone(&current);
-    let reader = std::thread::spawn(move || {
-        let mut stream = reader_stream;
-        loop {
-            let event = match read_frame(&mut stream) {
-                Ok(ReadFrame::Frame(payload)) => ReaderEvent::Frame(payload),
-                Ok(ReadFrame::Closed) => {
-                    cancel_current(&reader_current);
-                    let _ = tx.send(ReaderEvent::Eof);
-                    return;
-                }
-                Err(e) => {
-                    cancel_current(&reader_current);
-                    let _ = tx.send(ReaderEvent::Broken(e.to_wire()));
-                    return;
-                }
-            };
-            // Blocking send: at most 16 requests buffer ahead of the
-            // worker; beyond that the client experiences backpressure.
-            if tx.send(event).is_err() {
-                return;
-            }
-        }
+    let conn = Arc::new(Connection {
+        stream,
+        next_peek: Mutex::new(None),
     });
-
+    let probe_conn = Arc::clone(&conn);
     let mut session = Session {
         engine: Arc::clone(&engine),
+        probe: Arc::new(move || probe_conn.alive()),
         id: session_id,
         tenant: "anon".to_string(),
         specs: Vec::new(),
@@ -227,65 +247,57 @@ pub(crate) fn run_session(
         hints: RetryHints::new(Default::default(), session_id),
     };
 
-    let mut out = stream;
-    while let Ok(event) = rx.recv() {
-        match event {
-            ReaderEvent::Eof => break,
-            ReaderEvent::Broken(err) => {
+    let mut wire = &conn.stream;
+    loop {
+        let payload = match read_frame(&mut wire) {
+            Ok(ReadFrame::Frame(payload)) => payload,
+            Ok(ReadFrame::Closed) => break,
+            Err(e) => {
                 engine.metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
                 engine.metrics.errors.fetch_add(1, Ordering::Relaxed);
                 // Best-effort typed reply; the connection may already be
                 // gone.
-                let _ = write_frame(&mut out, &err.encode());
+                let _ = write_frame(&mut wire, &e.to_wire().encode());
                 break;
             }
-            ReaderEvent::Frame(payload) => {
-                let outcome = session.handle(&payload, &current);
-                clear_current(&current);
-                match outcome {
-                    Outcome::Reply(reply) => {
-                        if write_frame(&mut out, &reply).is_err() {
-                            break;
-                        }
-                    }
-                    Outcome::Fatal(reply) => {
-                        let _ = write_frame(&mut out, &reply);
-                        break;
-                    }
-                    Outcome::Shutdown(reply) => {
-                        // Flag first: a client that has read `draining=1`
-                        // must find the request already recorded.
-                        shutdown_requested.store(true, Ordering::SeqCst);
-                        let _ = write_frame(&mut out, &reply);
-                        break;
-                    }
+        };
+        conn.set_running(true);
+        let outcome = session.handle(&payload);
+        conn.set_running(false);
+        match outcome {
+            Outcome::Reply(reply) => {
+                if write_frame(&mut wire, &reply).is_err() {
+                    break;
                 }
+            }
+            Outcome::Fatal(reply) => {
+                let _ = write_frame(&mut wire, &reply);
+                break;
+            }
+            Outcome::Shutdown(reply) => {
+                // Flags first: a client that has read `draining=1` must
+                // find the request already recorded and the drain begun.
+                engine.shutdown_requested.store(true, Ordering::SeqCst);
+                engine.draining.store(true, Ordering::SeqCst);
+                let _ = write_frame(&mut wire, &reply);
+                break;
             }
         }
     }
 
-    // Unblock the reader (it may be parked in a blocking read) and
-    // reap it before the session counts as closed.
-    let _ = out.shutdown(std::net::Shutdown::Both);
-    let _ = reader.join();
+    // The server keeps a clone of this socket for drain, so dropping ours
+    // would not close the connection.
+    let _ = conn.stream.shutdown(Shutdown::Both);
     engine
         .metrics
         .sessions_closed
         .fetch_add(1, Ordering::Relaxed);
 }
 
-fn cancel_current(slot: &Mutex<Option<CancelToken>>) {
-    if let Some(token) = slot.lock().expect("current-request lock").as_ref() {
-        token.cancel_for(CancelReason::User);
-    }
-}
-
-fn clear_current(slot: &Mutex<Option<CancelToken>>) {
-    *slot.lock().expect("current-request lock") = None;
-}
-
 struct Session {
     engine: Arc<Engine>,
+    /// Whether the client is still connected; every request token asks it.
+    probe: Arc<dyn Fn() -> bool + Send + Sync>,
     id: u64,
     tenant: String,
     specs: Vec<RandomTableSpec>,
@@ -295,7 +307,7 @@ struct Session {
 }
 
 impl Session {
-    fn handle(&mut self, payload: &str, current: &Mutex<Option<CancelToken>>) -> Outcome {
+    fn handle(&mut self, payload: &str) -> Outcome {
         self.engine.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let seq = self.req_seq;
         self.req_seq += 1;
@@ -313,9 +325,8 @@ impl Session {
         }
 
         // Per-request cancellation: child of the master drain token, and
-        // visible to the reader thread so a disconnect cancels it.
-        let token = CancelToken::child_of(&self.engine.drain);
-        *current.lock().expect("current-request lock") = Some(token.clone());
+        // cancelled by a disconnect seen at the work's boundaries.
+        let token = CancelToken::child_while(&self.engine.drain, Arc::clone(&self.probe));
 
         // The supervised region: panics — organic or injected — become a
         // typed reply that closes this session only.
@@ -711,6 +722,7 @@ mod tests {
             hub: CampaignHub::new(cfg.sched, 1),
             drain: CancelToken::new(),
             draining: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
             vg: VgRegistry::standard(),
             checkpoint_dir: None,
             faults: None,
@@ -719,6 +731,7 @@ mod tests {
         });
         Session {
             engine,
+            probe: Arc::new(|| true),
             id: 1,
             tenant: "anon".to_string(),
             specs: Vec::new(),

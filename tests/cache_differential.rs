@@ -102,7 +102,7 @@ const N: usize = 60;
 const SEED: u64 = 42;
 
 #[test]
-fn cache_hit_is_bit_identical_to_recompute_across_thread_counts() {
+fn cache_hit_replays_a_faulted_run_bit_identically() {
     let db = demand_catalog();
     let task = revenue_query();
     let opts = faulty_opts();
@@ -133,7 +133,7 @@ fn cache_hit_is_bit_identical_to_recompute_across_thread_counts() {
 }
 
 #[test]
-fn sequential_and_parallel_runs_share_one_entry() {
+fn repeated_runs_share_one_entry() {
     let db = demand_catalog();
     let task = revenue_query();
     let cache = CacheHandle::in_memory();

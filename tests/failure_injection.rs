@@ -188,7 +188,7 @@ fn injected_panic_surfaces_as_typed_error_under_fail_fast() {
 }
 
 #[test]
-fn retry_policy_recovers_identically_at_any_thread_count() {
+fn retry_policy_recovers_identically_run_to_run() {
     let (db, q) = fragile_setup(&[1.0, 2.5]);
     let opts = RunOptions::policy(RunPolicy::Retry {
         max_attempts: 3,

@@ -115,7 +115,7 @@ fn trace_plan() -> Plan {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn parallel_metrics_are_bit_identical_to_sequential() {
+fn repeated_run_metrics_are_bit_identical() {
     let seed = chaos_seed();
     let n = 24;
     let (db, q) = normal_setup();

@@ -583,3 +583,126 @@ fn draining_server_refuses_new_connections_with_typed_error() {
     assert!(server.shutdown_requested());
     server.shutdown();
 }
+
+#[test]
+fn a_request_longer_than_idle_timeout_runs_to_completion() {
+    // The read deadline bounds the wait for the next frame, not a request:
+    // both runs take far longer than 300 ms and must finish every replicate.
+    let server = Server::start(
+        seed_catalog(),
+        ServerConfig {
+            idle_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut c = connect(&server);
+    c.set_reply_timeout(Some(Duration::from_secs(600)))
+        .expect("reply timeout");
+    c.send(&format!("VG\n{DDL}")).expect("vg").expect_ok("VG");
+    let n = 400_000;
+    let seed = chaos_seed();
+    for verb in ["MC", "CAMPAIGN"] {
+        let map = c
+            .send(&format!("{verb} n={n} seed={seed}\n{MC_SQL}"))
+            .expect("long request")
+            .expect_ok(verb);
+        assert_eq!(map["succeeded"], n.to_string(), "{verb}: {map:?}");
+        assert!(!map.contains_key("stopped"), "{verb}: {map:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_connection_after_shutdown_reads_a_typed_refusal() {
+    let server = Server::start(seed_catalog(), ServerConfig::default()).expect("server starts");
+    let mut c = connect(&server);
+    c.send("SHUTDOWN").expect("shutdown").expect_ok("SHUTDOWN");
+    // The drain has begun but the listener stays up until
+    // `Server::shutdown`: a late client is told to come back, not refused
+    // by the kernel.
+    let mut late = connect(&server);
+    let err = late
+        .read_reply()
+        .expect("refusal delivered")
+        .expect_err("late connection");
+    assert_eq!(err.code, WireCode::ShuttingDown);
+    assert!(err.retryable);
+    assert!(err.retry_after_ms.is_some_and(|ms| ms > 0));
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_drops_mid_campaign_leaves_a_partial_checkpoint() {
+    let dir = scratch_dir("campaign-disconnect");
+    let server = Server::start(
+        seed_catalog(),
+        ServerConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let n: u64 = 4_000_000;
+    let seed = chaos_seed();
+    {
+        let mut c = connect(&server);
+        c.send(&format!("VG\n{DDL}")).expect("vg").expect_ok("VG");
+        c.stream()
+            .set_read_timeout(Some(Duration::from_millis(120)))
+            .unwrap();
+        let _ = c.send(&format!(
+            "CAMPAIGN n={n} seed={seed} checkpoint=campaign.ckpt\n{MC_SQL}"
+        ));
+        // Read timed out (the run is long); drop the socket mid-campaign.
+    }
+
+    // The campaign's slice token carries the session's liveness probe, so
+    // the run stops at a boundary and the session closes long before n
+    // replicates could finish.
+    let mut monitor = connect(&server);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = monitor.send("STATS").expect("stats").expect_ok("STATS");
+        if stats["sessions_closed"].parse::<u64>().unwrap() >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "disconnect never stopped the in-flight campaign"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let state = mde_numeric::CampaignState::load(&dir.join("campaign.ckpt"))
+        .expect("partial campaign checkpointed");
+    assert!(state.cursor > 0, "some replicates completed before the cut");
+    assert!(
+        state.cursor < n,
+        "the disconnect stopped the campaign early (cursor {})",
+        state.cursor
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    let server = Server::start(seed_catalog(), ServerConfig::default()).expect("server starts");
+    let mut c = connect(&server);
+    for frame in [
+        "HELLO tenant=pipelined",
+        "SQL\nSELECT COUNT(*) AS N FROM ITEMS",
+        "PING",
+    ] {
+        mde_server::proto::write_frame(c.stream(), frame).expect("frame written");
+    }
+    let hello = c.read_reply().expect("first reply").expect_ok("HELLO");
+    assert_eq!(hello["tenant"], "pipelined");
+    match c.read_reply().expect("second reply") {
+        Reply::Table { rows, .. } => assert_eq!(rows, vec![vec!["8".to_string()]]),
+        other => panic!("expected the SQL table second, got {other:?}"),
+    }
+    let pong = c.read_reply().expect("third reply").expect_ok("PING");
+    assert_eq!(pong["pong"], "1");
+    server.shutdown();
+}
