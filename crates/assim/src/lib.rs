@@ -42,13 +42,11 @@ pub mod is;
 pub mod pf;
 pub mod proposal;
 pub mod resample;
-pub mod sched;
 pub mod sis;
 pub mod wildfire;
 
 pub use error::AssimError;
 pub use pf::{ParticleFilter, ParticleState, PfRun, Proposal, StateSpaceModel};
-pub use sched::PfCampaign;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, AssimError>;

@@ -45,10 +45,8 @@ pub mod mm;
 pub mod msm;
 pub mod optim;
 pub mod range;
-pub mod sched;
 
 pub use error::CalibrateError;
-pub use sched::SearchCampaign;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CalibrateError>;

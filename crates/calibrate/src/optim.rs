@@ -17,7 +17,6 @@
 //! stopped by a deadline, a cancellation token, or an injected preemption
 //! notice and later resumed bit-identically from its [`CampaignState`].
 
-use mde_numeric::cache::ObjectiveScope;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::optim::OptimResult;
 use mde_numeric::resilience::{
@@ -511,82 +510,6 @@ impl<F: FnMut(&[f64]) -> f64> Surface for RsSurface<'_, F> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cached campaigns: per-point memoization through the cross-campaign
-// result cache
-// ---------------------------------------------------------------------------
-
-/// Run the durable GA with its objective memoized through a
-/// cross-campaign [`ObjectiveScope`].
-///
-/// Every evaluation first consults the scope's cache under
-/// `CacheKey { scope fingerprint, x bits, replicates, seed }`; a hit
-/// replays the stored value bit-identically (the objective must be a
-/// deterministic function of `x` for the scope's identity — that is the
-/// caller's contract when constructing the scope). On completion the best
-/// point is stored as a trace entry whose [`Provenance`] lists every
-/// cache entry consulted or produced, queryable via
-/// [`CacheHandle::provenance_of`] at [`ObjectiveScope::trace_key`], and
-/// the run's ledger carries the deterministic `cache.hits` /
-/// `cache.misses` / `cache.evictions` counters.
-///
-/// [`Provenance`]: mde_numeric::cache::Provenance
-/// [`CacheHandle::provenance_of`]: mde_numeric::cache::CacheHandle::provenance_of
-pub fn genetic_algorithm_durable_cached(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    cfg: &GaConfig,
-    seed: u64,
-    opts: &RunOptions,
-    scope: &mut ObjectiveScope,
-) -> crate::Result<OptimRun> {
-    let mut run = genetic_algorithm_durable(
-        |x: &[f64]| scope.memoize_scalar(x, || f(x)),
-        bounds,
-        cfg,
-        seed,
-        opts,
-    )?;
-    seal_cached(run.stopped.is_none(), &mut run, scope);
-    Ok(run)
-}
-
-/// Run durable random search with its objective memoized through a
-/// cross-campaign [`ObjectiveScope`]; see
-/// [`genetic_algorithm_durable_cached`] for the caching contract.
-pub fn random_search_durable_cached(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    evals: usize,
-    seed: u64,
-    opts: &RunOptions,
-    scope: &mut ObjectiveScope,
-) -> crate::Result<OptimRun> {
-    let mut run = random_search_durable(
-        |x: &[f64]| scope.memoize_scalar(x, || f(x)),
-        bounds,
-        evals,
-        seed,
-        opts,
-    )?;
-    seal_cached(run.stopped.is_none(), &mut run, scope);
-    Ok(run)
-}
-
-/// Cached-campaign epilogue: snapshot the cache counters into the run's
-/// ledger and, for completed runs with a best point, store the provenance
-/// trace (`[best.x.., best.fx]`).
-fn seal_cached(completed: bool, run: &mut OptimRun, scope: &mut ObjectiveScope) {
-    scope.handle().record_into(&mut run.report.metrics);
-    if completed {
-        if let Some(best) = &run.best {
-            let mut values = best.x.clone();
-            values.push(best.fx);
-            scope.store_trace(values);
-        }
-    }
-}
-
 /// Flatten a scored population into a ledger payload: `[x.., fx]` per
 /// individual, in population order.
 fn encode_population(pop: &[(Vec<f64>, f64)]) -> Vec<f64> {
@@ -918,102 +841,6 @@ mod tests {
         let resume = RunOptions::default().resuming(state);
         let resumed = random_search_durable(rugged, &bounds(), 20, 11, &resume).expect("resume");
         assert_eq!(resumed.best.expect("best").evals, 20);
-    }
-
-    #[test]
-    fn cached_ga_replays_bit_identically_and_traces_provenance() {
-        use mde_numeric::cache::CacheHandle;
-        let cfg = small_cfg();
-        let baseline =
-            genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &RunOptions::default())
-                .expect("baseline");
-        let base_best = baseline.best.expect("best");
-
-        let handle = CacheHandle::in_memory();
-        let mut scope = ObjectiveScope::new(handle.clone(), CAMPAIGN_GA, 0xF00D, 1, 11);
-        let cold = genetic_algorithm_durable_cached(
-            rugged,
-            &bounds(),
-            &cfg,
-            11,
-            &RunOptions::default(),
-            &mut scope,
-        )
-        .expect("cold");
-        let cold_best = cold.best.expect("best");
-        assert_eq!(
-            bits(&cold_best.x),
-            bits(&base_best.x),
-            "caching must not perturb the search"
-        );
-        assert_eq!(cold_best.fx.to_bits(), base_best.fx.to_bits());
-
-        // Warm pass under a fresh scope with the same identity: every
-        // evaluation is a hit, the objective never runs, and the result
-        // is bit-identical.
-        let mut scope2 = ObjectiveScope::new(handle.clone(), CAMPAIGN_GA, 0xF00D, 1, 11);
-        let mut fresh_evals = 0u64;
-        let warm = genetic_algorithm_durable_cached(
-            |x: &[f64]| {
-                fresh_evals += 1;
-                rugged(x)
-            },
-            &bounds(),
-            &cfg,
-            11,
-            &RunOptions::default(),
-            &mut scope2,
-        )
-        .expect("warm");
-        assert_eq!(fresh_evals, 0, "warm run must be pure cache hits");
-        let warm_best = warm.best.expect("best");
-        assert_eq!(bits(&warm_best.x), bits(&base_best.x));
-        assert_eq!(warm_best.fx.to_bits(), base_best.fx.to_bits());
-        // Deterministic counters surfaced in the ledger.
-        assert!(warm.report.metrics.counter("cache.hits") > 0);
-        // The trace entry names its upstream evaluations.
-        let prov = handle
-            .provenance_of(&scope2.trace_key())
-            .expect("trace provenance");
-        assert_eq!(prov.campaign, CAMPAIGN_GA);
-        assert!(!prov.upstream.is_empty());
-        // A stale-seed scope shares nothing.
-        let mut stale = ObjectiveScope::new(handle.clone(), CAMPAIGN_GA, 0xF00D, 1, 12);
-        assert!(stale.lookup(&base_best.x).is_none());
-    }
-
-    #[test]
-    fn cached_rs_replays_bit_identically() {
-        use mde_numeric::cache::CacheHandle;
-        let handle = CacheHandle::in_memory();
-        let mut scope = ObjectiveScope::new(handle.clone(), CAMPAIGN_RS, 0xBEEF, 1, 5);
-        let cold = random_search_durable_cached(
-            rugged,
-            &bounds(),
-            30,
-            5,
-            &RunOptions::default(),
-            &mut scope,
-        )
-        .expect("cold");
-        let mut scope2 = ObjectiveScope::new(handle.clone(), CAMPAIGN_RS, 0xBEEF, 1, 5);
-        let mut fresh_evals = 0u64;
-        let warm = random_search_durable_cached(
-            |x: &[f64]| {
-                fresh_evals += 1;
-                rugged(x)
-            },
-            &bounds(),
-            30,
-            5,
-            &RunOptions::default(),
-            &mut scope2,
-        )
-        .expect("warm");
-        assert_eq!(fresh_evals, 0);
-        let (c, w) = (cold.best.expect("best"), warm.best.expect("best"));
-        assert_eq!(bits(&c.x), bits(&w.x));
-        assert_eq!(c.fx.to_bits(), w.fx.to_bits());
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint, S
 pub use mde_numeric::resilience::backoff::{Backoff, BackoffConfig};
 pub use mde_numeric::resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use mde_numeric::resilience::sched::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, DurableSurface, Overloaded,
-    Priority, SliceRun,
+    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, Priority,
 };
 pub use mde_numeric::resilience::{
     catch_panic, drive, drive_in_memory, retry_seed, supervise_replicate, Attempt, AttemptFailure,

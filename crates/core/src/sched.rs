@@ -5,8 +5,8 @@
 //!
 //! # Model
 //!
-//! Work arrives as [`Campaign`] boxes (any execution surface adapted to
-//! the slice protocol of [`mde_numeric::resilience::sched`]) tagged with
+//! Work arrives as [`Campaign`] boxes (a Monte Carlo query packaged as
+//! `mde_mcdb::sched::McCampaign`, or any other implementor) tagged with
 //! a [`CampaignSpec`] — tenant, resource, [`Priority`], cost, optional
 //! [`Deadline`], and a fingerprint that seeds the campaign's backoff
 //! jitter. [`Scheduler::submit`] is the admission controller: it either

@@ -1,19 +1,20 @@
-//! Scheduler adapter: runs a [`MonteCarloQuery`] as a schedulable
-//! [`Campaign`](mde_numeric::Campaign).
+//! Scheduler campaign: runs a [`MonteCarloQuery`] as a schedulable
+//! [`Campaign`].
 //!
-//! The adapter owns everything the query needs (catalog, replicate count,
-//! seed, run options); the slice protocol — parking the checkpoint when the
-//! scheduler stops a slice at a replicate boundary so the next slice resumes
-//! from its cursor bit-identically, absorbing a shed under
-//! [`RunPolicy::BestEffort`](mde_numeric::RunPolicy) into a partial estimate
-//! with the unexecuted replicates counted in `sched.shed`, treating a
-//! submitter's own cancel as terminal — is the shared
-//! [`DurableSurface`] implementation in `mde_numeric::resilience::sched`.
+//! The campaign owns everything the query needs (catalog, replicate count,
+//! seed, run options), and its [`Campaign::run`] is the slice protocol:
+//! each slice is one [`MonteCarloQuery::run_with_options`] call under the
+//! submitter's options with the scheduler's control block folded in. A
+//! slice the scheduler stops at a replicate boundary parks its checkpoint
+//! so the next slice resumes from its cursor bit-identically; a shed under
+//! [`RunPolicy::BestEffort`] becomes a partial estimate with the unexecuted
+//! replicates counted in `sched.shed`; a submitter's own cancel is
+//! terminal.
 
 use crate::mc::MonteCarloQuery;
 use crate::query::Catalog;
-use mde_numeric::resilience::RunOptions;
-use mde_numeric::{DurableSurface, SliceRun};
+use mde_numeric::resilience::{CancelToken, RunOptions, RunPolicy, StopCause};
+use mde_numeric::{Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, ErrorClass};
 
 /// A Monte Carlo estimation query packaged as a schedulable campaign. The
 /// scalar summary is the sample mean over the completed replicates.
@@ -50,27 +51,57 @@ impl McCampaign {
     }
 }
 
-impl DurableSurface for McCampaign {
-    type Error = crate::McdbError;
-
-    fn opts_mut(&mut self) -> &mut RunOptions {
-        &mut self.opts
-    }
-
-    fn run_slice(&mut self, opts: &RunOptions) -> crate::Result<SliceRun> {
-        let run = self
+impl Campaign for McCampaign {
+    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
+        // The parked state stays in `self.opts.resume` until a later slice
+        // replaces it: a slice that fails or panics leaves it in place, so
+        // the scheduler's retry resumes at the cursor instead of replaying
+        // every completed replicate.
+        let mut opts = self.opts.clone();
+        // Observe both the scheduler's control token and any cancel handle
+        // the submitter attached (a session disconnect signal, a client
+        // abort): whichever fires first stops the slice.
+        opts.cancel = Some(match &self.opts.cancel {
+            Some(own) => CancelToken::child_of_all(&[ctl.cancel.clone(), own.clone()]),
+            None => ctl.cancel.clone(),
+        });
+        if ctl.deadline.is_some() {
+            opts.deadline = ctl.deadline;
+        }
+        let mut run = self
             .query
-            .run_with_options(&self.catalog, self.n, self.seed, opts)?;
-        Ok(SliceRun {
+            .run_with_options(&self.catalog, self.n, self.seed, &opts)
+            .map_err(|e| CampaignError {
+                message: e.to_string(),
+                severity: e.severity(),
+            })?;
+        match run.stopped {
+            // A user/session cancel (the scheduler itself only ever signals
+            // shed or preempt) is terminal: re-queueing would spin against
+            // the still-cancelled external token. The partial result is
+            // returned and any configured checkpoint was already persisted
+            // for a later resume.
+            None | Some(StopCause::Cancelled) => {}
+            Some(StopCause::Shed) if matches!(opts.policy, RunPolicy::BestEffort { .. }) => {
+                // Count the replicates that never ran as shed, not failed:
+                // they are excluded from the estimate but visible in the
+                // deterministic ledger, and the CI is flagged as widened.
+                let n = self.n as u64;
+                let cursor = run.checkpoint.as_ref().map_or(n, |s| s.cursor);
+                run.report.record_shed(n.saturating_sub(cursor));
+            }
+            // Preempted / deadline / shed under a strict policy: park the
+            // checkpoint so the next slice resumes at the cursor.
+            Some(_) => {
+                let resumable = run.checkpoint.is_some();
+                self.opts.resume = run.checkpoint;
+                return Ok(CampaignStep::Boundary { resumable });
+            }
+        }
+        Ok(CampaignStep::Done(CampaignOutput {
             value: (run.result.n() > 0).then(|| run.result.mean()),
             report: run.report,
-            stopped: run.stopped,
-            checkpoint: run.checkpoint,
-        })
-    }
-
-    fn boundaries(&self) -> Option<u64> {
-        Some(self.n as u64)
+        }))
     }
 }
 
@@ -84,9 +115,9 @@ mod tests {
     use crate::table::Table;
     use crate::value::Value;
     use crate::vg::NormalVg;
-    use mde_numeric::resilience::{CancelReason, RunPolicy};
-    use mde_numeric::{Campaign, CampaignCtl, CampaignStep};
+    use mde_numeric::resilience::{CancelReason, Deadline, FaultKind, FaultPlan};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn demand_campaign(n: usize, policy: RunPolicy) -> McCampaign {
         let mut db = Catalog::new();
@@ -208,5 +239,85 @@ mod tests {
             CampaignStep::Done(out) => assert_eq!(out.report.succeeded, 12),
             other => panic!("expected Done, got {other:?}"),
         }
+    }
+
+    fn done(step: Result<CampaignStep, CampaignError>) -> CampaignOutput {
+        match step.expect("slice runs") {
+            CampaignStep::Done(out) => out,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
+    fn boundary(step: Result<CampaignStep, CampaignError>) -> bool {
+        match step.expect("slice runs") {
+            CampaignStep::Boundary { resumable } => resumable,
+            other => panic!("expected Boundary, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn submitter_cancel_token_is_honoured_and_terminal() {
+        // The submitter's own token, cancelled before the first slice: the
+        // campaign must finish with a partial result — not run every
+        // replicate (token ignored) and not report a boundary (re-queue
+        // would spin against the still-cancelled token).
+        let own = CancelToken::new();
+        own.cancel();
+        let mut c = demand_campaign(16, RunPolicy::FailFast);
+        c.opts = RunOptions::policy(RunPolicy::FailFast).with_cancel(own);
+        let out = done(c.run(&CampaignCtl::new()));
+        assert_eq!(out.report.attempted, 0, "no replicate may run");
+        assert_eq!(out.value, None);
+    }
+
+    #[test]
+    fn an_expired_control_deadline_parks_a_resumable_boundary() {
+        let baseline = done(demand_campaign(16, RunPolicy::FailFast).run(&CampaignCtl::new()));
+
+        // The control block's deadline overrides the submitter's (none);
+        // already past, it stops the slice before replicate 0.
+        let mut c = demand_campaign(16, RunPolicy::FailFast);
+        let expired = CampaignCtl {
+            deadline: Some(Deadline::after(Duration::ZERO)),
+            ..CampaignCtl::new()
+        };
+        assert!(boundary(c.run(&expired)));
+        let resumed = done(c.run(&CampaignCtl::new()));
+        assert_eq!(
+            resumed.value.map(f64::to_bits),
+            baseline.value.map(f64::to_bits)
+        );
+        assert_eq!(resumed.report, baseline.report);
+    }
+
+    #[test]
+    fn a_failed_slice_keeps_the_parked_checkpoint() {
+        let baseline = done(demand_campaign(24, RunPolicy::FailFast).run(&CampaignCtl::new()));
+
+        // Slice 1 is preempted at replicate 9 and parks its state there.
+        let mut c = demand_campaign(24, RunPolicy::FailFast);
+        c.opts.faults = Some(FaultPlan::new().preempt_at(9));
+        assert!(boundary(c.run(&CampaignCtl::new())));
+        assert_eq!(c.opts.resume.as_ref().map(|s| s.cursor), Some(9));
+
+        // Slice 2 fails on the first replicate it runs. The scheduler
+        // retries a failed slice, so the parked state must survive it.
+        c.opts.faults = Some(FaultPlan::new().fail_on(9, 0, FaultKind::Error));
+        let err = c.run(&CampaignCtl::new()).expect_err("failed slice");
+        assert!(err.is_retryable(), "{err}");
+        assert_eq!(
+            c.opts.resume.as_ref().map(|s| s.cursor),
+            Some(9),
+            "a failed slice must not drop the parked checkpoint"
+        );
+
+        // Slice 3 resumes at replicate 9 and matches the uninterrupted run.
+        c.opts.faults = None;
+        let resumed = done(c.run(&CampaignCtl::new()));
+        assert_eq!(
+            resumed.value.map(f64::to_bits),
+            baseline.value.map(f64::to_bits)
+        );
+        assert_eq!(resumed.report, baseline.report);
     }
 }

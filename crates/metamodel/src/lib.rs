@@ -46,11 +46,9 @@ pub mod gp;
 pub mod kernel;
 pub mod poly;
 pub mod response;
-pub mod sched;
 pub mod screening;
 
 pub use error::MetamodelError;
-pub use sched::ScreeningCampaign;
 pub use screening::{ScreeningResult, ScreeningRun};
 
 /// Convenience result alias used throughout the crate.

@@ -73,8 +73,7 @@ pub use obs::{Counter, Gauge, Histogram, RunMetrics, Span, TraceSink, Tracer};
 pub use resilience::backoff::{Backoff, BackoffConfig};
 pub use resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use resilience::sched::{
-    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, DurableSurface, Overloaded,
-    Priority, SliceRun,
+    Campaign, CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, Priority,
 };
 pub use resilience::{
     BoundaryError, CancelReason, CancelToken, CheckpointSpec, Deadline, ErrorClass, RunPolicy,

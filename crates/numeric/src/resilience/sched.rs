@@ -10,17 +10,12 @@
 //! campaign's control block ([`CampaignCtl`]) tells it to stop at a
 //! boundary, in which case it reports whether it can resume.
 //!
-//! Every durable execution surface (Monte Carlo query, particle filter,
-//! optimizer, screening design) becomes a [`Campaign`] the same way: it
-//! implements [`DurableSurface`] — how to run one slice under a
-//! [`RunOptions`] — and the slice protocol (control-block wiring, parking
-//! the checkpoint between slices, mapping the stop cause to a
-//! [`CampaignStep`]) is written once, in the blanket impl below.
+//! The campaign that ships is the Monte Carlo query's
+//! (`mde_mcdb::sched::McCampaign`); its `run` is where the slice protocol
+//! — control-block wiring, parking the checkpoint between slices, mapping
+//! the stop cause to a [`CampaignStep`] — is written.
 
-use super::{
-    CancelToken, Deadline, ErrorClass, RunOptions, RunPolicy, RunReport, Severity, StopCause,
-};
-use crate::checkpoint::CampaignState;
+use super::{CancelToken, Deadline, ErrorClass, RunReport, Severity};
 use std::fmt;
 
 /// Dispatch priority class, lowest first: under pressure the scheduler
@@ -150,7 +145,7 @@ impl ErrorClass for Overloaded {
 
 /// The control block a scheduler hands each campaign slice: a shed/preempt
 /// token the scheduler can trigger mid-slice, plus the campaign's
-/// wall-clock deadline. Adapters thread both into their surface's
+/// wall-clock deadline. A campaign threads both into its surface's
 /// `RunOptions` so existing boundary checks do the polling.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCtl {
@@ -183,11 +178,11 @@ pub enum CampaignStep {
     },
 }
 
-/// A finished campaign's result: a scalar summary value (estimate,
-/// evidence, best objective — surface-specific) plus the full run ledger.
+/// A finished campaign's result: a scalar summary value (for a Monte Carlo
+/// campaign, the sample mean) plus the full run ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOutput {
-    /// Surface-specific scalar summary (`None` when the campaign finished
+    /// The campaign's scalar summary (`None` when the campaign finished
     /// without producing an estimate, e.g. all replicates shed).
     pub value: Option<f64>,
     /// The campaign's failure/metrics ledger.
@@ -237,111 +232,13 @@ impl ErrorClass for CampaignError {
 }
 
 /// A schedulable unit of work. Implementations wrap an execution surface
-/// (a Monte Carlo query, a particle filter, an optimizer run) and carry
-/// whatever state they need to resume across slices.
+/// (a Monte Carlo query) and carry whatever state they need to resume
+/// across slices.
 pub trait Campaign: Send {
     /// Execute one slice: run until completion or until `ctl` requests a
     /// stop at a boundary. Called again (same instance) after a
     /// [`CampaignStep::Boundary`] re-queue, with a fresh token in `ctl`.
     fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError>;
-}
-
-/// What one slice of a durable surface produced, reduced to what the slice
-/// protocol needs (each surface's own run type — `McRun`, `PfRun`, … — has
-/// these four parts).
-#[derive(Debug, Clone)]
-pub struct SliceRun {
-    /// The surface's scalar summary over the completed boundaries
-    /// (estimate, evidence, best objective, important-factor count).
-    pub value: Option<f64>,
-    /// The ledger over the completed boundaries.
-    pub report: RunReport,
-    /// Why the slice stopped early, if it did.
-    pub stopped: Option<StopCause>,
-    /// The state the next slice resumes from.
-    pub checkpoint: Option<CampaignState>,
-}
-
-/// A durable execution surface packaged for the scheduler. Implementors are
-/// [`Campaign`]s through the blanket impl; all they say is how one slice
-/// runs.
-pub trait DurableSurface: Send {
-    /// The surface's error type.
-    type Error: std::error::Error + ErrorClass;
-
-    /// The submitter's options. Between slices the parked checkpoint lives
-    /// in their [`resume`](RunOptions::resume) field, so a campaign that
-    /// should start from a saved state is simply constructed with
-    /// `opts.resuming(state)`.
-    fn opts_mut(&mut self) -> &mut RunOptions;
-
-    /// Run the surface's one options-taking entry point under `opts` (the
-    /// submitter's options with this slice's cancel token, deadline, and
-    /// resume state filled in).
-    fn run_slice(&mut self, opts: &RunOptions) -> Result<SliceRun, Self::Error>;
-
-    /// Boundaries planned in total, or `None` for an open-ended campaign —
-    /// which therefore can never absorb shedding: there is no count of
-    /// boundaries that did not run, and an incomplete screen answers a
-    /// different question than a degraded estimate.
-    fn boundaries(&self) -> Option<u64>;
-}
-
-impl<S: DurableSurface> Campaign for S {
-    fn run(&mut self, ctl: &CampaignCtl) -> Result<CampaignStep, CampaignError> {
-        let own = self.opts_mut();
-        let resume = own.resume.take();
-        let mut opts = RunOptions {
-            resume,
-            ..own.clone()
-        };
-        // Observe both the scheduler's control token and any cancel handle
-        // the submitter attached (a session disconnect signal, a client
-        // abort): whichever fires first stops the slice.
-        opts.cancel = Some(match &opts.cancel {
-            Some(own) => CancelToken::child_of_all(&[ctl.cancel.clone(), own.clone()]),
-            None => ctl.cancel.clone(),
-        });
-        if ctl.deadline.is_some() {
-            opts.deadline = ctl.deadline;
-        }
-        let mut run = self.run_slice(&opts).map_err(|e| CampaignError {
-            message: e.to_string(),
-            severity: e.severity(),
-        })?;
-        // Only best-effort work with a known boundary count can absorb a
-        // shed into its partial result.
-        let absorbable = match opts.policy {
-            RunPolicy::BestEffort { .. } => self.boundaries(),
-            _ => None,
-        };
-        match (run.stopped, absorbable) {
-            // A user/session cancel (the scheduler itself only ever signals
-            // shed or preempt) is terminal: re-queueing would spin against
-            // the still-cancelled external token. The partial result is
-            // returned and any configured checkpoint was already persisted
-            // for a later resume.
-            (None | Some(StopCause::Cancelled), _) => {}
-            (Some(StopCause::Shed), Some(total)) => {
-                // Count the boundaries that never ran as shed, not failed:
-                // they are excluded from the estimate but visible in the
-                // deterministic ledger, and the CI is flagged as widened.
-                let cursor = run.checkpoint.as_ref().map_or(total, |s| s.cursor);
-                run.report.record_shed(total.saturating_sub(cursor));
-            }
-            // Preempted / deadline / shed under a strict policy: park the
-            // checkpoint so the next slice resumes at the cursor.
-            (Some(_), _) => {
-                let resumable = run.checkpoint.is_some();
-                self.opts_mut().resume = run.checkpoint;
-                return Ok(CampaignStep::Boundary { resumable });
-            }
-        }
-        Ok(CampaignStep::Done(CampaignOutput {
-            value: run.value,
-            report: run.report,
-        }))
-    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,11 @@
 //!   wrong answer and never a hung accept loop.
 //!
 //! Injection points are deterministic given the plan: faults are keyed
-//! by `(session ordinal, request ordinal)`, and the harness derives the
-//! plan from `MDE_CHAOS_SEED` so a CI failure replays exactly.
+//! by `(session ordinal, request ordinal)` and named one by one with
+//! [`WireFaultPlan::panic_session_at`]. The chaos harness fixes its
+//! sites (the first two sessions panic on their second request) and
+//! takes only its data seeds from `MDE_CHAOS_SEED`, so a CI failure
+//! replays exactly.
 
 use std::collections::HashSet;
 use std::io::Write;
@@ -46,31 +49,6 @@ impl WireFaultPlan {
         self
     }
 
-    /// Derive a plan from a chaos seed: `count` panic sites scattered
-    /// over the first `sessions` sessions' first `requests` requests
-    /// using a splitmix-style mix, so every seed exercises a different
-    /// interleaving.
-    pub fn from_seed(seed: u64, sessions: u64, requests: u64, count: usize) -> Self {
-        let plan = Self::new();
-        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut mix = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        {
-            let mut sites = plan.panics.lock().expect("fault plan lock");
-            while sites.len() < count {
-                let s = mix() % sessions.max(1);
-                let r = mix() % requests.max(1);
-                sites.insert((s, r));
-            }
-        }
-        plan
-    }
-
     /// Whether the given `(session, request)` site should panic. The
     /// site is consumed: a restarted request does not re-fire.
     pub fn should_panic(&self, session: u64, request: u64) -> bool {
@@ -78,11 +56,6 @@ impl WireFaultPlan {
             .lock()
             .expect("fault plan lock")
             .remove(&(session, request))
-    }
-
-    /// Panic sites not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.panics.lock().expect("fault plan lock").len()
     }
 }
 
@@ -156,26 +129,6 @@ mod tests {
         assert!(!plan.should_panic(0, 1));
         assert!(plan.should_panic(0, 2));
         assert!(!plan.should_panic(0, 2), "sites are consumed");
-        assert_eq!(plan.remaining(), 0);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_seed_sensitive() {
-        let a = WireFaultPlan::from_seed(7, 4, 8, 5);
-        let b = WireFaultPlan::from_seed(7, 4, 8, 5);
-        let sites = |p: &WireFaultPlan| -> Vec<(u64, u64)> {
-            p.panics.lock().unwrap().iter().copied().collect()
-        };
-        let mut sa = sites(&a);
-        let mut sb = sites(&b);
-        sa.sort_unstable();
-        sb.sort_unstable();
-        assert_eq!(sa, sb, "same seed, same plan");
-        let c = WireFaultPlan::from_seed(13, 4, 8, 5);
-        let mut sc = sites(&c);
-        sc.sort_unstable();
-        assert_ne!(sa, sc, "different seed, different plan");
-        assert!(sa.iter().all(|&(s, r)| s < 4 && r < 8));
     }
 
     #[test]
