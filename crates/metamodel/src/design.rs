@@ -10,7 +10,9 @@
 //!   nearly orthogonal LH search in the spirit of Cioppa & Lucas ("good
 //!   space-filling and orthogonality properties while being
 //!   computationally efficient") — best-of-K random LH under a maximum
-//!   column-correlation criterion with a space-filling tie-break.
+//!   column-correlation criterion with a space-filling tie-break. The
+//!   search is exact but bounded: a candidate stops being scored once it
+//!   cannot win, and its minimum distance is computed only on a tie.
 //! * **Design metrics**: column correlation, orthogonality checks, maximin
 //!   distance.
 
@@ -185,7 +187,6 @@ impl FractionalFactorial {
         if p == 0 {
             return None;
         }
-        let k = self.base + p;
         // Defining relation: all non-empty products of the p generator
         // words I = (word_i). Represent words as bitmasks over k factors;
         // generator i contributes mask(generator columns) | bit(base+i).
@@ -212,7 +213,6 @@ impl FractionalFactorial {
             }
             shortest = shortest.min(word.count_ones() as usize);
         }
-        let _ = k;
         Some(shortest)
     }
 }
@@ -257,13 +257,28 @@ pub fn best_32_run_7() -> FractionalFactorial {
 /// procedure of §4.2.
 pub fn randomized_lh(n_factors: usize, r: usize, rng: &mut Rng) -> Design {
     assert!(r >= 2, "need at least two runs");
-    let levels: Vec<f64> = (0..r).map(|i| i as f64 - (r as f64 - 1.0) / 2.0).collect();
-    let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n_factors);
-    for _ in 0..n_factors {
-        let mut c = levels.clone();
-        rng.shuffle(&mut c);
-        cols.push(c);
+    let levels = lh_levels(r);
+    let mut cols = vec![levels.clone(); n_factors];
+    draw_lh(&mut cols, &levels, rng);
+    from_columns(&cols, r)
+}
+
+/// The `r` centered levels of a Latin hypercube column, ascending.
+fn lh_levels(r: usize) -> Vec<f64> {
+    (0..r).map(|i| i as f64 - (r as f64 - 1.0) / 2.0).collect()
+}
+
+/// Refill every column with `levels` and shuffle it, column 0 first: the
+/// draw order of [`randomized_lh`].
+fn draw_lh(cols: &mut [Vec<f64>], levels: &[f64], rng: &mut Rng) {
+    for c in cols {
+        c.copy_from_slice(levels);
+        rng.shuffle(c);
     }
+}
+
+/// The row-major design of `r` runs whose factor `j` is `cols[j]`.
+fn from_columns(cols: &[Vec<f64>], r: usize) -> Design {
     let matrix = (0..r)
         .map(|i| cols.iter().map(|c| c[i]).collect())
         .collect();
@@ -298,28 +313,96 @@ pub fn orthogonal_lh_2x9() -> Design {
 /// LHs and keep the one minimizing max |column correlation|, breaking ties
 /// toward larger minimum pairwise distance (space-filling) — the practical
 /// criterion pair of Cioppa & Lucas.
+///
+/// The search is exact but bounded: it draws the same candidates as
+/// `tries` calls of [`randomized_lh`], chooses the same one and leaves
+/// `rng` in the same state as scoring every candidate in full would. A
+/// candidate stops being scored once one column pair's correlation shows
+/// it cannot beat the incumbent, and the minimum distance is computed only
+/// when a candidate's correlation ties the incumbent's (within `1e-12`).
 pub fn nolh(n_factors: usize, r: usize, tries: usize, rng: &mut Rng) -> Design {
     assert!(tries >= 1, "need at least one candidate");
-    let mut best: Option<(Design, f64, f64)> = None;
+    assert!(r >= 2, "need at least two runs");
+    let levels = lh_levels(r);
+    // Every column is a permutation of `levels`: its mean is exactly 0 and
+    // its sum of squares exactly `ss`.
+    let ss: f64 = levels.iter().map(|x| x * x).sum();
+    let mut cand = vec![levels.clone(); n_factors];
+    let mut best = cand.clone();
+    // The first candidate always wins: nothing is below infinity.
+    let (mut best_corr, mut best_dist) = (f64::INFINITY, None);
     for _ in 0..tries {
-        let d = randomized_lh(n_factors, r, rng);
-        let corr = d.max_abs_correlation();
-        let dist = d.min_pairwise_distance();
-        let better = match &best {
-            None => true,
-            Some((_, bc, bd)) => corr < *bc - 1e-12 || (corr < *bc + 1e-12 && dist > *bd),
+        draw_lh(&mut cand, &levels, rng);
+        let stop = best_corr + 1e-12;
+        let corr = if r <= LH_EXACT_RUNS {
+            lh_max_abs_correlation(&cand, ss, stop)
+        } else {
+            from_columns(&cand, r).max_abs_correlation()
         };
-        if better {
-            best = Some((d, corr, dist));
+        let dist = if corr < best_corr - 1e-12 {
+            None
+        } else if corr < stop {
+            let dist = lh_min_distance(&cand, r);
+            if dist <= *best_dist.get_or_insert_with(|| lh_min_distance(&best, r)) {
+                continue;
+            }
+            Some(dist)
+        } else {
+            continue;
+        };
+        std::mem::swap(&mut cand, &mut best);
+        (best_corr, best_dist) = (corr, dist);
+    }
+    from_columns(&best, r)
+}
+
+/// Runs up to which a Latin hypercube's correlation sums are exact in
+/// `f64`: every product of two levels is a multiple of ¼ below `r²/4` in
+/// magnitude, so a pair's running sum stays within `r³ ≤ 2⁵¹` quarters.
+const LH_EXACT_RUNS: usize = 1 << 17;
+
+/// [`Design::max_abs_correlation`] of the Latin hypercube whose columns are
+/// `cols`, or the first running maximum that reaches `stop`.
+///
+/// For `r ≤ LH_EXACT_RUNS` the column means are exactly 0 and both
+/// variances exactly `ss`, and every numerator is an exact sum, so
+/// `num / (ss · ss).sqrt()` is the general formula's value to the bit.
+fn lh_max_abs_correlation(cols: &[Vec<f64>], ss: f64, stop: f64) -> f64 {
+    let denom = (ss * ss).sqrt();
+    let mut m: f64 = 0.0;
+    for (a, ca) in cols.iter().enumerate() {
+        for cb in &cols[a + 1..] {
+            let num: f64 = ca.iter().zip(cb).map(|(x, y)| x * y).sum();
+            m = m.max((num / denom).abs());
+            if m >= stop {
+                return m;
+            }
         }
     }
-    best.expect("tries >= 1").0
+    m
+}
+
+/// [`Design::min_pairwise_distance`] of the `r`-run design whose columns
+/// are `cols`, term for term in the same order.
+fn lh_min_distance(cols: &[Vec<f64>], r: usize) -> f64 {
+    let mut best = f64::INFINITY;
+    for i in 0..r {
+        for j in i + 1..r {
+            let d: f64 = cols
+                .iter()
+                .map(|c| (c[i] - c[j]) * (c[i] - c[j]))
+                .sum::<f64>()
+                .sqrt();
+            best = best.min(d);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mde_numeric::rng::rng_from_seed;
+    use mde_numeric::rng::{chaos_seed, for_cases, rng_from_seed, splitmix64};
 
     #[test]
     fn full_factorial_shape_and_balance() {
@@ -428,6 +511,162 @@ mod tests {
         );
         // And it should be genuinely near-orthogonal.
         assert!(searched.max_abs_correlation() < 0.15);
+    }
+
+    /// Fold one word into a running digest.
+    fn fold(digest: u64, word: u64) -> u64 {
+        splitmix64(digest ^ word)
+    }
+
+    #[test]
+    fn nolh_designs_match_parent_golden() {
+        // The shapes the stack calls `nolh` with (screening, calibration,
+        // E13, E15), 32 seeds each. The two digests were captured on the
+        // exhaustive search this one replaced and are never regenerated:
+        // one over the chosen designs' bits, one over a draw taken from
+        // the RNG after each call (the search must consume exactly the
+        // shuffles it always did).
+        let (mut designs, mut draws) = (0u64, 0u64);
+        for (k, r, tries) in [
+            (8, 65, 50),
+            (2, 33, 50),
+            (3, 17, 50),
+            (4, 17, 200),
+            (8, 33, 300),
+        ] {
+            for seed in 0..32 {
+                let mut rng = rng_from_seed(seed);
+                let d = nolh(k, r, tries, &mut rng);
+                for v in d.matrix.iter().flatten() {
+                    designs = fold(designs, v.to_bits());
+                }
+                draws = fold(draws, rng.next_u64());
+            }
+        }
+        assert_eq!(
+            (designs, draws),
+            (0x4641_2b10_d58e_1222, 0x8dff_ec08_7dc3_1e7f),
+            "nolh no longer chooses the designs it did"
+        );
+    }
+
+    /// The search `nolh` replaced: every candidate a full design, scored in
+    /// full by both criteria. Also returns how many candidates tied the
+    /// incumbent's correlation and then won, and lost, on distance.
+    fn nolh_exhaustive(
+        n_factors: usize,
+        r: usize,
+        tries: usize,
+        rng: &mut Rng,
+    ) -> (Design, [usize; 2]) {
+        assert!(tries >= 1, "need at least one candidate");
+        let mut ties = [0, 0];
+        let mut best: Option<(Design, f64, f64)> = None;
+        for _ in 0..tries {
+            let d = randomized_lh(n_factors, r, rng);
+            let corr = d.max_abs_correlation();
+            let dist = d.min_pairwise_distance();
+            let better = match &best {
+                None => true,
+                Some((_, bc, bd)) => {
+                    let better = corr < *bc - 1e-12 || (corr < *bc + 1e-12 && dist > *bd);
+                    if corr >= *bc - 1e-12 && corr < *bc + 1e-12 {
+                        ties[usize::from(!better)] += 1;
+                    }
+                    better
+                }
+            };
+            if better {
+                best = Some((d, corr, dist));
+            }
+        }
+        (best.expect("tries >= 1").0, ties)
+    }
+
+    fn bits(d: &Design) -> Vec<u64> {
+        d.matrix.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn nolh_matches_the_exhaustive_search() {
+        // Same design and same RNG state as the exhaustive search. Half the
+        // cases are tiny (r ≤ 6, k ≤ 4), where correlations tie often and
+        // the lazily computed distance decides; the rest cover odd and even
+        // r (integer and half-integer levels) up to the stack's sizes.
+        let mut ties = [0, 0];
+        for_cases(300, |rng| {
+            let (k, r) = if rng.gen::<bool>() {
+                (rng.gen_range(0..=4), rng.gen_range(2..=6))
+            } else {
+                (rng.gen_range(1..=8), rng.gen_range(2..=40))
+            };
+            let tries = rng.gen_range(1..=40);
+            let mut oracle_rng = rng.clone();
+            let got = nolh(k, r, tries, rng);
+            let (want, t) = nolh_exhaustive(k, r, tries, &mut oracle_rng);
+            assert_eq!(bits(&got), bits(&want), "nolh({k}, {r}, {tries})");
+            assert_eq!(*rng, oracle_rng, "RNG state after nolh({k}, {r}, {tries})");
+            ties[0] += t[0];
+            ties[1] += t[1];
+        });
+        assert!(
+            ties[0] > 0 && ties[1] > 0,
+            "the tie-break never decided both ways: {ties:?} (won, lost)"
+        );
+    }
+
+    #[test]
+    fn lh_scores_equal_the_general_metrics_to_the_bit() {
+        let check = |cols: &[Vec<f64>], r: usize| {
+            let levels = lh_levels(r);
+            let ss: f64 = levels.iter().map(|x| x * x).sum();
+            let d = from_columns(cols, r);
+            assert_eq!(
+                lh_max_abs_correlation(cols, ss, f64::INFINITY).to_bits(),
+                d.max_abs_correlation().to_bits(),
+                "correlation at r = {r}, k = {}",
+                cols.len()
+            );
+            d
+        };
+        for_cases(200, |rng| {
+            let (k, r) = (rng.gen_range(0..=8), rng.gen_range(2..=70));
+            let levels = lh_levels(r);
+            let mut cols = vec![levels.clone(); k];
+            draw_lh(&mut cols, &levels, rng);
+            let d = check(&cols, r);
+            assert_eq!(
+                lh_min_distance(&cols, r).to_bits(),
+                d.min_pairwise_distance().to_bits(),
+                "distance at r = {r}, k = {k}"
+            );
+        });
+        // The exactness bound's own edge, odd and even.
+        let mut rng = rng_from_seed(chaos_seed());
+        for r in [LH_EXACT_RUNS - 1, LH_EXACT_RUNS] {
+            let levels = lh_levels(r);
+            let mut cols = vec![levels.clone(); 3];
+            draw_lh(&mut cols, &levels, &mut rng);
+            check(&cols, r);
+        }
+    }
+
+    #[test]
+    fn nolh_past_the_exactness_bound_scores_by_the_general_metric() {
+        // Two candidates of LH_EXACT_RUNS + 1 runs: the winner is the one
+        // `Design::max_abs_correlation` ranks lower (the exhaustive oracle
+        // cannot run here: its distance pass is O(r²) per candidate).
+        let r = LH_EXACT_RUNS + 1;
+        let mut rng = rng_from_seed(chaos_seed());
+        let mut oracle_rng = rng.clone();
+        let got = nolh(2, r, 2, &mut rng);
+        let first = randomized_lh(2, r, &mut oracle_rng);
+        let second = randomized_lh(2, r, &mut oracle_rng);
+        let (c1, c2) = (first.max_abs_correlation(), second.max_abs_correlation());
+        assert!((c1 - c2).abs() >= 1e-12, "a tie: {c1} vs {c2}");
+        let want = if c2 < c1 - 1e-12 { second } else { first };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(rng, oracle_rng);
     }
 
     #[test]
