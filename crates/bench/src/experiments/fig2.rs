@@ -16,6 +16,7 @@ use mde_simopt::budget::run_under_budget_cached;
 use mde_simopt::{
     asymptotic_efficiency, g_exact, optimal_alpha, FnModel, SeriesComposite, Statistics,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Content-address fingerprint of the Figure 2 composite: the cache cannot
@@ -49,17 +50,18 @@ fn composite(c1: f64, c2: f64, s1: f64, s2: f64) -> SeriesComposite {
 /// output is a content-addressed cache entry, so the α-sweep's
 /// common-random-numbers discipline (same seed across α) becomes real
 /// cross-campaign reuse — later α values hit the `M₁` entries earlier ones
-/// stored. Estimates are bit-identical to the uncached runner.
+/// stored. Estimates are bit-identical to the uncached runner. One run per
+/// seed in `seeds`.
 fn empirical_scaled_variance(
     comp: &SeriesComposite,
     budget: f64,
     alpha: f64,
-    reps: u64,
+    seeds: Range<u64>,
     spec_fingerprint: u64,
     cache: &CacheHandle,
 ) -> f64 {
     let mut acc = Summary::new();
-    for seed in 0..reps {
+    for seed in seeds {
         if let Ok(Some(est)) =
             run_under_budget_cached(comp, budget, alpha, seed, spec_fingerprint, cache)
         {
@@ -102,7 +104,7 @@ pub fn fig2_report() -> String {
     let mut best_emp = (f64::INFINITY, 0.0);
     for &a in &alphas {
         let theory = g_exact(a, &stats);
-        let measured = empirical_scaled_variance(&comp, budget, a, reps, spec_fp, &cache);
+        let measured = empirical_scaled_variance(&comp, budget, a, 0..reps, spec_fp, &cache);
         if measured < best_emp.0 {
             best_emp = (measured, a);
         }
@@ -244,6 +246,7 @@ pub fn fig2_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mde_numeric::rng::{chaos_seed, splitmix64};
 
     #[test]
     fn empirical_variance_tracks_theory_at_endpoints() {
@@ -258,7 +261,7 @@ mod tests {
         let cache = CacheHandle::in_memory();
         for &a in &[0.3162, 1.0] {
             let theory = g_exact(a, &stats);
-            let measured = empirical_scaled_variance(&comp, 2000.0, a, 400, fp, &cache);
+            let measured = empirical_scaled_variance(&comp, 2000.0, a, 0..400, fp, &cache);
             let ratio = measured / theory;
             assert!(
                 (0.7..1.4).contains(&ratio),
@@ -271,11 +274,31 @@ mod tests {
 
     #[test]
     fn optimal_alpha_empirically_beats_naive() {
+        // E2's claim over 13 master seeds: on 13 disjoint ranges of 100
+        // budget-constrained runs, ln(c·Var(U(c))) at α* minus that at
+        // α = 1 (common random numbers within a range) sits at least three
+        // standard errors below zero.
+        const REPS: u64 = 100;
         let comp = composite(10.0, 1.0, 1.0, 1.0);
         let fp = composite_fingerprint(10.0, 1.0, 1.0, 1.0);
-        let cache = CacheHandle::in_memory();
-        let v_star = empirical_scaled_variance(&comp, 1500.0, 0.3162, 400, fp, &cache);
-        let v_one = empirical_scaled_variance(&comp, 1500.0, 1.0, 400, fp, &cache);
-        assert!(v_star < v_one, "alpha* {v_star} vs alpha=1 {v_one}");
+        let base = splitmix64(chaos_seed() ^ 0xE2) >> 32;
+        let logs: Vec<f64> = (0..13)
+            .map(|i| {
+                let seeds = base + i * REPS..base + (i + 1) * REPS;
+                let cache = CacheHandle::in_memory();
+                let v_star =
+                    empirical_scaled_variance(&comp, 1500.0, 0.3162, seeds.clone(), fp, &cache);
+                let v_one = empirical_scaled_variance(&comp, 1500.0, 1.0, seeds, fp, &cache);
+                (v_star / v_one).ln()
+            })
+            .collect();
+        let k = logs.len() as f64;
+        let mean = logs.iter().sum::<f64>() / k;
+        let var = logs.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (k - 1.0);
+        let se = (var / k).sqrt();
+        assert!(
+            mean + 3.0 * se < 0.0,
+            "ln(v(alpha*) / v(1)) = {mean} ± {se} (s.e.): {logs:?}"
+        );
     }
 }

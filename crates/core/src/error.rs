@@ -29,8 +29,6 @@ pub enum CoreError {
     Mcdb(mde_mcdb::McdbError),
     /// An error bubbled up from the numeric substrate.
     Numeric(mde_numeric::NumericError),
-    /// Metadata (de)serialization failed.
-    Metadata(String),
     /// A supervised Monte Carlo repetition failed (panic caught by the
     /// worker, or a non-finite scalarized sample) and the run policy had
     /// no recovery left.
@@ -78,7 +76,6 @@ impl fmt::Display for CoreError {
             CoreError::Harmonize(e) => write!(f, "harmonization error: {e}"),
             CoreError::Mcdb(e) => write!(f, "database error: {e}"),
             CoreError::Numeric(e) => write!(f, "numeric error: {e}"),
-            CoreError::Metadata(m) => write!(f, "metadata error: {m}"),
             CoreError::ReplicateFailed {
                 replicate,
                 attempt,
@@ -103,8 +100,8 @@ impl fmt::Display for CoreError {
 impl mde_numeric::ErrorClass for CoreError {
     /// Wrapped lower-layer errors delegate to their own classification;
     /// replicate-level failures are retryable; structural errors
-    /// (registry lookups, invalid composites, unresolved mismatches,
-    /// metadata problems, an exhausted best-effort floor) would fail
+    /// (registry lookups, invalid composites, unresolved mismatches, an
+    /// exhausted best-effort floor) would fail
     /// identically on every attempt and are fatal.
     fn severity(&self) -> mde_numeric::Severity {
         match self {

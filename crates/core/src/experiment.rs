@@ -153,35 +153,13 @@ impl<'r> Experiment<'r> {
         seed: u64,
         scalarize: impl Fn(&TimeSeries) -> f64 + Copy,
     ) -> crate::Result<mde_metamodel::gp::GpModel> {
-        self.fit_gp_metamodel_with(
-            design,
-            reps,
-            seed,
-            scalarize,
-            &mde_metamodel::gp::GpConfig::default(),
-            None,
-        )
-    }
-
-    /// [`Experiment::fit_gp_metamodel`] with an explicit GP configuration
-    /// (e.g. multi-threaded kernel assembly) and an optional deterministic
-    /// metrics ledger receiving the `gp.assembles` / `gp.factorizations`
-    /// counters.
-    pub fn fit_gp_metamodel_with(
-        &self,
-        design: &Design,
-        reps: usize,
-        seed: u64,
-        scalarize: impl Fn(&TimeSeries) -> f64 + Copy,
-        gp_cfg: &mde_metamodel::gp::GpConfig,
-        metrics: Option<&mut mde_numeric::obs::RunMetrics>,
-    ) -> crate::Result<mde_metamodel::gp::GpModel> {
         let rows = self.run_design(design, reps, seed, scalarize)?;
         let xs: Vec<Vec<f64>> = rows.iter().map(|(x, _)| x.clone()).collect();
         let ys: Vec<f64> = rows.iter().map(|(_, y)| *y).collect();
-        let noise = vec![0.0; ys.len()];
-        Ok(mde_metamodel::gp::GpModel::fit_with(
-            &xs, &ys, &noise, gp_cfg, metrics,
+        Ok(mde_metamodel::gp::GpModel::fit(
+            &xs,
+            &ys,
+            &mde_metamodel::gp::GpConfig::default(),
         )?)
     }
 

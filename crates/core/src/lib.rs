@@ -13,12 +13,10 @@
 //!
 //! | module | Splash concept |
 //! |---|---|
-//! | [`registry`] | model & dataset registration with JSON metadata |
+//! | [`registry`] | model & dataset registration with metadata |
 //! | [`composite`] | composite DAG, mismatch detection, auto-harmonization, MC execution |
 //! | [`experiment`] | experiment manager: DOE-driven runs, metamodel fitting, RC optimization |
 //! | [`whatif`] | the "data is dead without what-if" entry point over `mde-mcdb` |
-//! | [`resilience`] | supervised execution: run policies, deterministic retry, failure ledgers |
-//! | [`obs`] | observability: structured tracing, metrics ledgers, deterministic telemetry |
 //!
 //! # Example: attach a stochastic model to data and ask what-if
 //!
@@ -52,20 +50,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use mde_numeric::cache;
-
 pub mod composite;
 pub mod error;
 pub mod experiment;
-mod manifest;
-pub mod obs;
 pub mod registry;
-pub mod resilience;
 pub mod sched;
 pub mod whatif;
 
 pub use error::CoreError;
-pub use resilience::{ErrorClass, RunOptions, RunPolicy, RunReport, Severity};
 pub use sched::{CampaignReport, CampaignSpec, CampaignStatus, SchedConfig, SchedRun, Scheduler};
 
 /// Convenience result alias used throughout the crate.

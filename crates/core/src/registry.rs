@@ -5,9 +5,8 @@
 //! detection (tick granularities), experiment management (parameter
 //! descriptions with ranges and defaults), and run optimization
 //! (cost/variance performance statistics, amortized across uses). The
-//! metadata is plain data with a JSON form (the private `manifest` codec),
-//! so a registry round-trips through JSON — the honest equivalent of
-//! Splash's metadata store.
+//! metadata is plain data that the composite, experiment and what-if
+//! layers read directly.
 
 use crate::CoreError;
 use mde_harmonize::series::TimeSeries;
@@ -146,28 +145,6 @@ impl Registry {
     /// Registered model names, sorted.
     pub fn model_names(&self) -> Vec<&str> {
         self.models.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Registered dataset names, sorted.
-    pub fn dataset_names(&self) -> Vec<&str> {
-        self.datasets.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Serialize all metadata (not executables or data) to JSON — the
-    /// shareable registry manifest. A non-finite number in the metadata is
-    /// an error: JSON cannot carry it.
-    pub fn metadata_json(&self) -> crate::Result<String> {
-        crate::manifest::write(
-            self.models.values().map(|m| m.metadata()),
-            self.datasets.values().map(|(m, _)| m),
-        )
-    }
-
-    /// Parse a metadata manifest produced by [`Registry::metadata_json`].
-    /// Keys the metadata structs do not have are ignored; malformed input
-    /// of any kind is [`CoreError::Metadata`].
-    pub fn parse_manifest(json: &str) -> crate::Result<(Vec<ModelMetadata>, Vec<DatasetMetadata>)> {
-        crate::manifest::parse(json)
     }
 }
 
@@ -363,126 +340,5 @@ mod tests {
         assert!(m.run(&[], &[100.0], &mut rng).is_err());
         let ts = TimeSeries::univariate("x", vec![0.0], vec![1.0]).unwrap();
         assert!(m.run(&[ts], &[100.0, 5.0], &mut rng).is_err());
-    }
-
-    #[test]
-    fn metadata_round_trips_through_json() {
-        let mut reg = Registry::new();
-        reg.register_model(demand_model());
-        reg.register_model(revenue_model());
-        let json = reg.metadata_json().unwrap();
-        assert!(json.contains("\"demand\""));
-        let (models, datasets) = Registry::parse_manifest(&json).unwrap();
-        assert_eq!(models.len(), 2);
-        assert!(datasets.is_empty());
-        assert_eq!(models[0], *demand_model().metadata());
-
-        // Names and descriptions keep whatever they hold: multi-byte text,
-        // quotes, backslashes, every control character.
-        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
-        let hostile = format!("dé\"mand\\ 日本語 🦀 \\u0041 {controls}");
-        let mut meta = demand_model().metadata().clone();
-        meta.name = hostile.clone();
-        meta.description = format!("{hostile}\n{hostile}");
-        meta.output.channels = vec![hostile.clone(), String::new()];
-        meta.perf.weight = u64::MAX;
-        meta.params[0].lo = -f64::MAX;
-        meta.params[0].hi = f64::MIN_POSITIVE / 4.0; // subnormal
-        let dataset = DatasetMetadata {
-            name: hostile.clone(),
-            description: String::new(),
-            port: meta.output.clone(),
-            provenance: hostile,
-        };
-        let mut reg = Registry::new();
-        reg.register_model(Arc::new(FnSimModel::new(meta.clone(), |_, _, _| {
-            unreachable!("metadata only")
-        })));
-        let series = TimeSeries::univariate("x", vec![0.0], vec![1.0]).unwrap();
-        reg.register_dataset(dataset.clone(), series);
-        let json = reg.metadata_json().unwrap();
-        assert!(!json.bytes().any(|b| b < 0x20 && b != b'\n'), "{json:?}");
-        assert_eq!(
-            Registry::parse_manifest(&json).unwrap(),
-            (vec![meta], vec![dataset])
-        );
-    }
-
-    /// The layout `metadata_json` has always promised: two-space pretty JSON
-    /// with the struct fields as keys, written here by hand from the field
-    /// list. The reader takes it, and the writer produces it byte for byte.
-    #[test]
-    fn pretty_fixture_parses_and_is_what_the_writer_emits() {
-        const FIXTURE: &str = r#"{
-  "models": [
-    {
-      "name": "revenue",
-      "description": "weekly revenue sink",
-      "inputs": [
-        {
-          "name": "in",
-          "channels": [
-            "demand"
-          ],
-          "tick": 7.0
-        }
-      ],
-      "output": {
-        "name": "out",
-        "channels": [
-          "revenue"
-        ],
-        "tick": 7.0
-      },
-      "params": [
-        {
-          "name": "price",
-          "default": 2.0,
-          "lo": 0.5,
-          "hi": 5.0
-        }
-      ],
-      "perf": {
-        "cost": 1.0,
-        "output_variance": 0.0,
-        "weight": 0
-      }
-    }
-  ],
-  "datasets": []
-}"#;
-        let (models, datasets) = Registry::parse_manifest(FIXTURE).unwrap();
-        assert_eq!(models, vec![revenue_model().metadata().clone()]);
-        assert!(datasets.is_empty());
-        let mut reg = Registry::new();
-        reg.register_model(revenue_model());
-        assert_eq!(reg.metadata_json().unwrap(), FIXTURE);
-    }
-
-    #[test]
-    fn non_finite_metadata_is_refused_not_written() {
-        type Poke = fn(&mut ModelMetadata, f64);
-        let pokes: [(&str, Poke); 6] = [
-            ("tick", |m, x| m.output.tick = x),
-            ("default", |m, x| m.params[0].default = x),
-            ("lo", |m, x| m.params[1].lo = x),
-            ("hi", |m, x| m.params[1].hi = x),
-            ("cost", |m, x| m.perf.cost = x),
-            ("output_variance", |m, x| m.perf.output_variance = x),
-        ];
-        for (field, poke) in pokes {
-            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let mut meta = demand_model().metadata().clone();
-                poke(&mut meta, x);
-                let mut reg = Registry::new();
-                reg.register_model(Arc::new(FnSimModel::new(meta, |_, _, _| {
-                    unreachable!("metadata only")
-                })));
-                match reg.metadata_json() {
-                    Err(CoreError::Metadata(m)) => assert!(m.contains(field), "{m}"),
-                    other => panic!("{field} = {x}: {other:?}"),
-                }
-            }
-        }
     }
 }

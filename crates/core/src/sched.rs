@@ -41,12 +41,11 @@
 //! `shed_campaign_at`/`preempt_campaign_at` trigger mid-run control
 //! signals before a keyed dispatch slice.
 
-use crate::resilience::{CancelToken, Deadline, ErrorClass, FaultPlan};
 use mde_numeric::obs::RunMetrics;
-use mde_numeric::resilience::CancelReason;
+use mde_numeric::resilience::{CancelReason, FaultPlan};
 use mde_numeric::{
     Backoff, BackoffConfig, BreakerConfig, Campaign, CampaignCtl, CampaignOutput, CampaignStep,
-    CircuitBreaker, Fingerprint, Overloaded, Priority,
+    CancelToken, CircuitBreaker, Deadline, ErrorClass, Fingerprint, Overloaded, Priority,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -111,7 +110,7 @@ pub struct SchedConfig {
     pub backoff: BackoffConfig,
     /// Per-resource circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// How long a [`FaultKind::StalledWorker`](crate::resilience::FaultKind)
+    /// How long a [`FaultKind::StalledWorker`](mde_numeric::resilience::FaultKind)
     /// fault blocks the dispatching worker, in milliseconds.
     pub stall_ms: u64,
     /// Deterministic chaos injection (tests only; `None` in production).
@@ -213,12 +212,6 @@ impl CampaignSpec {
     /// Attach a wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Override the backoff-jitter fingerprint.
-    pub fn with_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.fingerprint = fingerprint;
         self
     }
 }
@@ -922,7 +915,7 @@ enum Pick {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::{CampaignError, RunReport};
+    use mde_numeric::{CampaignError, RunReport};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 

@@ -246,15 +246,6 @@ impl GridField {
         self.cell_pos.get(&cell).and_then(|&k| self.data[k])
     }
 
-    /// Cells that still carry data.
-    pub fn active_cells(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .zip(&self.data)
-            .filter_map(|(&c, v)| v.map(|_| c))
-            .collect()
-    }
-
     /// Number of cells carrying data.
     pub fn active_len(&self) -> usize {
         self.data.iter().filter(|v| v.is_some()).count()

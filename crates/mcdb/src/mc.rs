@@ -604,6 +604,10 @@ impl GroupedMonteCarloQuery {
                     groups.len()
                 )));
             }
+            // Every slot holds `i` samples before this realization; one that
+            // already holds `i + 1` was named by an earlier row of it. With
+            // the row count equal to the group count, no repeat means every
+            // group took exactly one row.
             for row in result.rows() {
                 let slot = groups
                     .iter_mut()
@@ -614,6 +618,12 @@ impl GroupedMonteCarloQuery {
                             row[gi]
                         ))
                     })?;
+                if slot.1.len() > i {
+                    return Err(crate::McdbError::invalid_plan(format!(
+                        "iteration {i} produced group `{}` more than once",
+                        row[gi]
+                    )));
+                }
                 slot.1.push(row[vi].as_f64()?);
             }
         }
@@ -1188,6 +1198,39 @@ mod tests {
         let east = res.group(&Value::from("east")).unwrap();
         assert_eq!(east.n(), 300);
         assert!((east.mean() - 100.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn grouped_query_refuses_a_realization_that_repeats_a_group() {
+        let mut db = Catalog::new();
+        db.insert(
+            Table::build(
+                "REGIONS",
+                &[("NAME", DataType::Str), ("MEAN", DataType::Float)],
+            )
+            .row(vec![Value::from("east"), Value::from(100.0)])
+            .row(vec![Value::from("west"), Value::from(80.0)])
+            .finish()
+            .unwrap(),
+        );
+        let spec = RandomTableSpec::builder("SALES")
+            .for_each(Plan::scan("REGIONS"))
+            .with_vg(std::sync::Arc::new(crate::vg::NormalVg))
+            .vg_params_exprs(&[Expr::col("MEAN"), Expr::lit(5.0)])
+            .select(&[("REGION", Expr::col("NAME")), ("AMT", Expr::col("VALUE"))])
+            .build()
+            .unwrap();
+        // Two rows per realization, both keyed `east`: the row count equals
+        // the group count, but one group is named twice and `west` never.
+        let q = Plan::scan("SALES")
+            .project(&[("REGION", Expr::lit("east")), ("TOTAL", Expr::col("AMT"))]);
+        let grouped = GroupedMonteCarloQuery::new(vec![spec], q, "REGION", "TOTAL");
+        match grouped.run(&db, 10, 5) {
+            Err(crate::McdbError::InvalidPlan { reason }) => {
+                assert!(reason.contains("`east`"), "{reason}")
+            }
+            other => panic!("expected a repeated-group error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -41,19 +41,3 @@ pub use encoding::Encoding;
 pub use pager::{PageMeta, PagedStore, DEFAULT_PAGE_SIZE, PAGE_MAGIC, TABLE_MAGIC};
 pub use pool::{BufferPool, PoolStats};
 pub use spill::SpillConfig;
-
-/// Record the storage layer's out-of-band counters into a run ledger:
-/// the pool's `storage.pool_hits` / `storage.pool_misses` /
-/// `storage.pool_evictions` and the process-wide `storage.spills`
-/// partition-write count. These are timing-dependent (frame residency
-/// depends on eviction order across concurrent readers), which is why
-/// they go to the ledger's I/O side via
-/// [`add_io`](mde_numeric::obs::RunMetrics::add_io) and are excluded
-/// from determinism fingerprints. The *logical* page-read counts are
-/// deterministic and live elsewhere: per store on
-/// [`PagedStore::logical_reads`], and per scan on the traced executor's
-/// `storage.page_reads` span field.
-pub fn record_storage_metrics(pool: &BufferPool, metrics: &mut mde_numeric::obs::RunMetrics) {
-    pool.stats().record_into(metrics);
-    metrics.add_io("storage.spills", spill::spill_count());
-}

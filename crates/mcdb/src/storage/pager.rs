@@ -539,12 +539,6 @@ impl PagedStore {
         }
         Ok(frame)
     }
-
-    /// Release this store's frames from the pool. Called on drop; safe
-    /// to call early (e.g. after a spill partition is consumed).
-    pub fn retire(&self) {
-        self.pool.retire_store(self.id);
-    }
 }
 
 impl Drop for PagedStore {

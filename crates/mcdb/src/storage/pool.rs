@@ -54,18 +54,6 @@ impl PoolStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Fold this snapshot into a ledger's out-of-band section
-    /// (`storage.pool_hits` / `storage.pool_misses` /
-    /// `storage.pool_evictions` I/O counters). Out-of-band because cache
-    /// behavior under parallel interleaving is timing, not semantics;
-    /// the deterministic `storage.page_reads` counter is recorded by the
-    /// scan operator, not here.
-    pub fn record_into(&self, metrics: &mut mde_numeric::obs::RunMetrics) {
-        metrics.add_io("storage.pool_hits", self.hits);
-        metrics.add_io("storage.pool_misses", self.misses);
-        metrics.add_io("storage.pool_evictions", self.evictions);
-    }
 }
 
 struct Frame {

@@ -54,28 +54,12 @@ impl Default for SpillConfig {
 }
 
 impl SpillConfig {
-    /// A config that spills once inputs exceed `threshold_rows`, with the
-    /// default partition fan-out, directory, and pool.
-    pub fn with_threshold(threshold_rows: usize) -> Self {
-        SpillConfig {
-            threshold_rows,
-            ..SpillConfig::default()
-        }
-    }
-
     fn partition_dir(&self) -> PathBuf {
         self.dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 }
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of spill partitions written so far. Monotonic;
-/// snapshot it around a workload to measure its spill volume (the
-/// `storage.spills` ledger counter).
-pub fn spill_count() -> u64 {
-    SPILL_SEQ.load(Ordering::Relaxed)
-}
 
 /// One on-disk spill partition: a gathered sub-batch written through the
 /// page codec. The temp file is deleted on drop.

@@ -407,12 +407,6 @@ impl CampaignState {
         }
     }
 
-    /// Whether the campaign this state describes has run to completion
-    /// (meaningless for open-ended campaigns, whose `total` is 0).
-    pub fn is_complete(&self) -> bool {
-        self.total > 0 && self.cursor >= self.total
-    }
-
     /// Check that this checkpoint belongs to the campaign identified by
     /// `(campaign, fingerprint)`; a mismatch is a typed error, so a
     /// checkpoint can never silently resume the wrong campaign.

@@ -59,11 +59,6 @@ impl Empirical {
         self.sorted.is_empty()
     }
 
-    /// The observations in ascending order.
-    pub fn sorted_data(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> f64 {
         self.sorted[0]

@@ -71,11 +71,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// PDF of the standard normal distribution.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Quantile (inverse CDF) of the standard normal distribution, via Acklam's
 /// algorithm refined with one Halley step. Relative error below 1e-9 over
 /// `p ∈ (0, 1)`.

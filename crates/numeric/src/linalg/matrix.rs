@@ -72,15 +72,6 @@ impl Matrix {
         })
     }
 
-    /// Create a column vector from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

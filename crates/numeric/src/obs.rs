@@ -7,8 +7,7 @@
 //! telemetry. This module is that telemetry substrate, sitting at the
 //! bottom of the workspace dependency graph so every execution layer (the
 //! vectorized query executor, the Monte Carlo runners, the particle
-//! filter, the optimizers, the checkpoint codec) can speak it; `mde-core`
-//! re-exports it as `mde_core::obs`.
+//! filter, the optimizers, the checkpoint codec) can speak it.
 //!
 //! # The determinism contract
 //!

@@ -92,15 +92,6 @@ impl Summary {
         }
     }
 
-    /// Population (biased) variance; 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()

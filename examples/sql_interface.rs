@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --example sql_interface`
 
-use model_data_ecosystems::core::obs::{JsonlSink, Tracer};
-use model_data_ecosystems::core::resilience::RunOptions;
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::PreparedQuery;
 use model_data_ecosystems::mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
+use model_data_ecosystems::numeric::obs::{JsonlSink, Tracer};
+use model_data_ecosystems::numeric::resilience::RunOptions;
 use model_data_ecosystems::numeric::rng::rng_from_seed;
 use std::sync::Arc;
 

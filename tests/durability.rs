@@ -16,10 +16,6 @@ use model_data_ecosystems::calibrate::optim::{
     genetic_algorithm_durable, random_search_durable, Bounds, GaConfig,
 };
 use model_data_ecosystems::calibrate::CalibrateError;
-use model_data_ecosystems::core::resilience::{
-    CampaignState, CancelToken, CheckpointError, CheckpointSpec, Deadline, FaultKind, FaultPlan,
-    RunOptions, RunPolicy, RunReport, StopCause,
-};
 use model_data_ecosystems::mcdb::mc::{McRun, MonteCarloQuery};
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::AggSpec;
@@ -31,7 +27,12 @@ use model_data_ecosystems::metamodel::screening::{
 };
 use model_data_ecosystems::metamodel::MetamodelError;
 use model_data_ecosystems::numeric::dist::{Continuous, Normal};
+use model_data_ecosystems::numeric::resilience::{
+    CancelToken, CheckpointSpec, Deadline, FaultKind, FaultPlan, RunOptions, RunPolicy, RunReport,
+    StopCause,
+};
 use model_data_ecosystems::numeric::rng::{chaos_seed, Rng};
+use model_data_ecosystems::numeric::{CampaignState, CheckpointError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;

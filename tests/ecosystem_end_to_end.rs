@@ -9,13 +9,13 @@ use model_data_ecosystems::core::composite::{CompositeModel, ParamAssignment};
 use model_data_ecosystems::core::registry::{
     FnSimModel, ModelMetadata, ParamSpec, PerfStats, PortSpec, Registry,
 };
-use model_data_ecosystems::core::resilience::RunOptions;
 use model_data_ecosystems::core::whatif::{shallow_extrapolation, WhatIfSession};
 use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
 use model_data_ecosystems::mcdb::vg::NormalVg;
 use model_data_ecosystems::numeric::dist::{Distribution, Normal};
+use model_data_ecosystems::numeric::resilience::RunOptions;
 use std::sync::Arc;
 
 #[test]

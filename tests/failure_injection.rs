@@ -13,7 +13,6 @@ use model_data_ecosystems::core::composite::{CompositeModel, ParamAssignment};
 use model_data_ecosystems::core::registry::{
     FnSimModel, ModelMetadata, PerfStats, PortSpec, Registry,
 };
-use model_data_ecosystems::core::resilience::{FaultKind, FaultPlan, RunOptions, RunPolicy};
 use model_data_ecosystems::core::CoreError;
 use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
@@ -21,6 +20,7 @@ use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggFunc, AggSpec};
 use model_data_ecosystems::mcdb::schema::Schema;
 use model_data_ecosystems::mcdb::vg::VgFunction;
+use model_data_ecosystems::numeric::resilience::{FaultKind, FaultPlan, RunOptions, RunPolicy};
 use std::sync::Arc;
 
 /// A VG function that errors whenever its parameter is negative.

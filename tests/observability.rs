@@ -9,15 +9,16 @@
 //!   exact golden span tree with per-operator row counts;
 //! * every JSONL trace line is a schema-complete JSON object.
 
-use model_data_ecosystems::core::obs::{JsonlSink, MemorySink, Tracer};
-use model_data_ecosystems::core::resilience::{
-    CampaignState, FaultKind, FaultPlan, RunOptions, RunPolicy, StopCause,
-};
 use model_data_ecosystems::mcdb::mc::MonteCarloQuery;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::{AggSpec, PreparedQuery};
 use model_data_ecosystems::mcdb::vg::NormalVg;
+use model_data_ecosystems::numeric::obs::{JsonlSink, MemorySink, Tracer};
+use model_data_ecosystems::numeric::resilience::{
+    FaultKind, FaultPlan, RunOptions, RunPolicy, StopCause,
+};
 use model_data_ecosystems::numeric::rng::chaos_seed;
+use model_data_ecosystems::numeric::CampaignState;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -171,7 +172,7 @@ fn resumed_campaign_metrics_match_uninterrupted() {
 
     let scratch = ScratchFile::new("resume-metrics");
     let spec =
-        model_data_ecosystems::core::resilience::CheckpointSpec::new(scratch.path()).every(2);
+        model_data_ecosystems::numeric::resilience::CheckpointSpec::new(scratch.path()).every(2);
     let interrupted = q
         .run_with_options(
             &db,

@@ -24,13 +24,13 @@
 //! The corpus is keyed off `MDE_CHAOS_SEED` (CI sweeps a small matrix)
 //! but is fully deterministic for a given seed.
 
-use model_data_ecosystems::core::obs::{MemorySink, SpanRecord, Tracer};
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::planner::optimize;
 use model_data_ecosystems::mcdb::query::{reference, AggSpec, PreparedQuery, SortKey};
 use model_data_ecosystems::mcdb::sql::plan_from_sql;
 use model_data_ecosystems::mcdb::storage::{BufferPool, SpillConfig};
 use model_data_ecosystems::mcdb::value::Value;
+use model_data_ecosystems::numeric::obs::{MemorySink, SpanRecord, Tracer};
 use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed, Rng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -14,17 +14,15 @@
 //!   across 1, 2, and 8 worker threads;
 //! * a shed-but-resumable campaign actually resumes and finishes.
 
-use mde_core::resilience::{
-    CampaignCtl, CampaignError, CampaignOutput, CampaignStep, FaultPlan, Overloaded, Priority,
-    RunOptions, RunPolicy, RunReport,
-};
 use mde_core::sched::{CampaignSpec, CampaignStatus, SchedConfig, SchedRun, Scheduler};
 use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::*;
 use mde_mcdb::sched::McCampaign;
 use mde_numeric::resilience::sched::Campaign;
+use mde_numeric::resilience::{FaultPlan, RunOptions, RunPolicy, RunReport};
 use mde_numeric::rng::chaos_seed;
 use mde_numeric::{BackoffConfig, BreakerConfig};
+use mde_numeric::{CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, Priority};
 use std::time::Duration;
 
 /// A small Monte Carlo estimation campaign (sum of normals over 6 items).

@@ -461,11 +461,11 @@ fn logical_page_reads_are_deterministic() {
 /// `Overloaded::PoolPressure` until the limit allows them.
 #[test]
 fn pool_pressure_gates_scheduler_admission() {
-    use mde_core::resilience::{
-        CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, RunReport,
-    };
     use mde_core::sched::{CampaignSpec, PressureProbe, SchedConfig, Scheduler};
     use mde_numeric::resilience::sched::Campaign;
+    use mde_numeric::{
+        CampaignCtl, CampaignError, CampaignOutput, CampaignStep, Overloaded, RunReport,
+    };
 
     struct Noop;
     impl Campaign for Noop {
