@@ -124,7 +124,8 @@ impl<E: PartialEq> EventQueue<E> {
     }
 
     /// Schedule relative to the current clock.
-    pub fn schedule_in(&mut self, delay: f64, payload: E) {
+    #[cfg(test)]
+    fn schedule_in(&mut self, delay: f64, payload: E) {
         assert!(delay >= 0.0, "negative delay {delay}");
         self.schedule(self.clock + delay, payload);
     }

@@ -308,12 +308,13 @@ impl EpidemicModel {
     }
 
     /// The contact edges.
-    pub fn contacts(&self) -> &[Contact] {
+    #[cfg(test)]
+    fn contacts(&self) -> &[Contact] {
         &self.contacts
     }
 
     /// Count of currently infected individuals.
-    pub fn infected_count(&self) -> usize {
+    fn infected_count(&self) -> usize {
         self.people
             .iter()
             .filter(|p| matches!(p.state, HealthState::Infected { .. }))
@@ -427,7 +428,7 @@ impl EpidemicModel {
     /// household, state, fear)`, `InfectedPerson(pid)`, and
     /// `Contact(a, b, duration, kind, active)` — the RDBMS half of the
     /// Indemics architecture.
-    pub fn export_tables(&self, catalog: &mut Catalog) -> mde_mcdb::Result<()> {
+    fn export_tables(&self, catalog: &mut Catalog) -> mde_mcdb::Result<()> {
         let mut person = Table::build(
             "Person",
             &[

@@ -12,7 +12,7 @@
 //! perception states on a small-world word-of-mouth network, media touch
 //! points, and a stochastic purchase decision. It emits the paper's four
 //! disparate dataset granularities ([`MarketDatasets`]) and exposes the
-//! summary-statistic vector ([`MarketModel::summary_statistics`]) that the
+//! summary-statistic vector ([`MarketModel::simulate_summary`]) that the
 //! method of simulated moments in `mde-calibrate` matches against data.
 
 use crate::engine::StepModel;
@@ -217,7 +217,7 @@ impl MarketModel {
     /// The calibration summary-statistic vector `Y`:
     /// `(final awareness, final adoption, half-adoption time / horizon,
     /// word-of-mouth share of attributed sales)`.
-    pub fn summary_statistics(history: &[MarketObs], model: &MarketModel) -> Vec<f64> {
+    fn summary_statistics(history: &[MarketObs], model: &MarketModel) -> Vec<f64> {
         let last = history.last().expect("non-empty history");
         let half = last.adoption / 2.0;
         let t_half = history

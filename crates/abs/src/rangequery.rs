@@ -25,32 +25,18 @@ pub struct AgentState {
     pub id: u64,
     /// Position `(x, y)`.
     pub pos: (f64, f64),
-    /// Named scalar attributes (e.g. age); fixed order per store.
+    /// Scalar attributes (e.g. age), in a fixed order per store.
     pub attrs: Vec<f64>,
 }
 
 /// Timestamped history of shared-state snapshots (the CLP's SSV store).
 #[derive(Debug, Clone, Default)]
 pub struct SsvStore {
-    attr_names: Vec<String>,
     /// Snapshots in increasing-time order.
     history: Vec<(f64, Vec<AgentState>)>,
 }
 
 impl SsvStore {
-    /// Create a store with the given attribute schema.
-    pub fn new(attr_names: &[&str]) -> Self {
-        SsvStore {
-            attr_names: attr_names.iter().map(|s| s.to_string()).collect(),
-            history: Vec::new(),
-        }
-    }
-
-    /// Attribute index by name.
-    pub fn attr_index(&self, name: &str) -> Option<usize> {
-        self.attr_names.iter().position(|a| a == name)
-    }
-
     /// Record a snapshot at time `t` (must be ≥ the last recorded time).
     pub fn record(&mut self, t: f64, agents: Vec<AgentState>) {
         if let Some((last, _)) = self.history.last() {
@@ -249,7 +235,7 @@ mod tests {
 
     #[test]
     fn ssv_store_as_of_semantics() {
-        let mut store = SsvStore::new(&["age"]);
+        let mut store = SsvStore::default();
         assert!(store.is_empty());
         let snap = |id, x| AgentState {
             id,
@@ -264,14 +250,12 @@ mod tests {
         assert_eq!(store.as_of(0.0).unwrap()[0].pos.0, 0.0);
         assert_eq!(store.as_of(7.3).unwrap()[0].pos.0, 5.0);
         assert_eq!(store.as_of(100.0).unwrap()[0].pos.0, 10.0);
-        assert_eq!(store.attr_index("age"), Some(0));
-        assert_eq!(store.attr_index("x"), None);
     }
 
     #[test]
     #[should_panic(expected = "time order")]
     fn ssv_rejects_out_of_order_snapshots() {
-        let mut store = SsvStore::new(&[]);
+        let mut store = SsvStore::default();
         store.record(5.0, vec![]);
         store.record(1.0, vec![]);
     }

@@ -124,7 +124,7 @@ impl SchellingModel {
 
     /// Like-neighbor fraction of the agent at `idx`; `None` if the cell is
     /// empty or the agent has no occupied neighbors.
-    pub fn like_fraction(&self, idx: usize) -> Option<f64> {
+    fn like_fraction(&self, idx: usize) -> Option<f64> {
         let me = self.grid[idx];
         if me == CellState::Empty {
             return None;

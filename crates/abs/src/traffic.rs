@@ -159,8 +159,9 @@ impl TrafficModel {
         })
     }
 
-    /// The cars (for inspection and tests).
-    pub fn cars(&self) -> &[Car] {
+    /// The cars.
+    #[cfg(test)]
+    fn cars(&self) -> &[Car] {
         &self.cars
     }
 

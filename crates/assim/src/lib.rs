@@ -12,7 +12,7 @@
 //! | module | paper concept |
 //! |---|---|
 //! | [`is`] | importance sampling with unnormalized weights, `Ẑ` |
-//! | [`resample`] | multinomial/systematic resampling, ESS, weight collapse |
+//! | [`resample`] | systematic resampling, ESS, weight collapse |
 //! | [`pf`] | the particle filter (the paper's Algorithm 2) over a generic state-space model |
 //! | [`wildfire`] | the DEVS-FIRE-style cellular fire model + Gaussian sensor grid |
 //! | [`proposal`] | bootstrap (prior) proposal \[56\] and the sensor-aware proposal with KDE-estimated weights \[57\] |

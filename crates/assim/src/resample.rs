@@ -8,9 +8,10 @@
 //! new sample of size N at the end of each iteration by resampling …
 //! according to their normalized weights."
 //!
-//! Both the textbook multinomial scheme and the lower-variance systematic
-//! scheme are provided, plus the effective-sample-size diagnostic that
-//! quantifies collapse.
+//! The lower-variance systematic scheme is provided, plus the
+//! effective-sample-size diagnostic that quantifies collapse; the textbook
+//! multinomial scheme is a test helper, the reference the tests hold the
+//! systematic scheme to.
 
 use crate::AssimError;
 use mde_numeric::rng::Rng;
@@ -54,30 +55,6 @@ pub fn effective_sample_size(weights: &[f64]) -> f64 {
     }
 }
 
-/// Multinomial resampling: draw `n` indices i.i.d. proportional to the
-/// weights.
-///
-/// Degenerate weight vectors (empty, negative or non-finite entries, all
-/// zero) are surfaced as [`AssimError::InvalidWeights`] rather than panicking —
-/// collapsed weights are an expected runtime condition in §3.2, not a
-/// programming error.
-pub fn multinomial_resample(weights: &[f64], n: usize, rng: &mut Rng) -> crate::Result<Vec<usize>> {
-    let total = check_weights(weights, "multinomial_resample")?;
-    // Cumulative distribution + inverse sampling.
-    let mut cdf = Vec::with_capacity(weights.len());
-    let mut acc = 0.0;
-    for &w in weights {
-        acc += w;
-        cdf.push(acc);
-    }
-    Ok((0..n)
-        .map(|_| {
-            let u: f64 = rng.gen::<f64>() * total;
-            cdf.partition_point(|&c| c < u).min(weights.len() - 1)
-        })
-        .collect())
-}
-
 /// Systematic resampling: a single uniform offset and `n` evenly spaced
 /// pointers — unbiased like multinomial but with much lower variance, the
 /// standard practical choice for particle filters.
@@ -100,6 +77,31 @@ pub fn systematic_resample(weights: &[f64], n: usize, rng: &mut Rng) -> crate::R
         u += step;
     }
     Ok(out)
+}
+
+/// Multinomial resampling: draw `n` indices i.i.d. proportional to the
+/// weights.
+///
+/// Degenerate weight vectors (empty, negative or non-finite entries, all
+/// zero) are surfaced as [`AssimError::InvalidWeights`] rather than panicking —
+/// collapsed weights are an expected runtime condition in §3.2, not a
+/// programming error.
+#[cfg(test)]
+fn multinomial_resample(weights: &[f64], n: usize, rng: &mut Rng) -> crate::Result<Vec<usize>> {
+    let total = check_weights(weights, "multinomial_resample")?;
+    // Cumulative distribution + inverse sampling.
+    let mut cdf = Vec::with_capacity(weights.len());
+    let mut acc = 0.0;
+    for &w in weights {
+        acc += w;
+        cdf.push(acc);
+    }
+    Ok((0..n)
+        .map(|_| {
+            let u: f64 = rng.gen::<f64>() * total;
+            cdf.partition_point(|&c| c < u).min(weights.len() - 1)
+        })
+        .collect())
 }
 
 #[cfg(test)]

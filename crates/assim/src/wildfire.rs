@@ -54,7 +54,7 @@ impl FireState {
     }
 
     /// Number of burned-out cells.
-    pub fn burned_count(&self) -> usize {
+    fn burned_count(&self) -> usize {
         self.cells
             .iter()
             .filter(|c| matches!(c, CellFire::Burned))
@@ -153,7 +153,7 @@ impl FireModel {
     }
 
     /// Expected (noise-free) temperature at a sensor given the state.
-    pub fn expected_temp(&self, state: &FireState, sensor: usize) -> f64 {
+    fn expected_temp(&self, state: &FireState, sensor: usize) -> f64 {
         let (x, y) = self.sensors[sensor];
         match state.cells[self.idx(x, y)] {
             CellFire::Unburned => AMBIENT_TEMP,

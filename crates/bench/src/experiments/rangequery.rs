@@ -65,7 +65,7 @@ pub fn rangequery_report() -> String {
     ));
 
     // SSV history: as-of reads.
-    let mut store = SsvStore::new(&["age"]);
+    let mut store = SsvStore::default();
     let mut rng = rng_from_seed(9);
     for t in 0..10 {
         store.record(t as f64, random_agents(1000, 100.0, &mut rng));

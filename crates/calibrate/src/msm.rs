@@ -14,10 +14,9 @@
 //! incorporated into the objective function J to avoid overfitting" —
 //! implemented as an optional ridge penalty toward a prior θ.
 
-use mde_numeric::linalg::{Cholesky, Matrix};
+use mde_numeric::linalg::Matrix;
 use mde_numeric::optim::{nelder_mead, NelderMeadConfig, OptimResult};
 use mde_numeric::rng::StreamFactory;
-use mde_numeric::NumericError;
 use std::cell::Cell;
 
 /// The weighting matrix `W` of the generalized distance.
@@ -99,7 +98,7 @@ impl<'a> MsmProblem<'a> {
 
     /// The simulated moment estimate `m̂(θ)` (average of `sim_reps` runs
     /// with common random numbers).
-    pub fn m_hat(&self, theta: &[f64]) -> Vec<f64> {
+    fn m_hat(&self, theta: &[f64]) -> Vec<f64> {
         let factory = StreamFactory::new(self.seed);
         let mut acc: Option<Vec<f64>> = None;
         for r in 0..self.sim_reps {
@@ -153,7 +152,10 @@ impl<'a> MsmProblem<'a> {
     /// invert it (with a small diagonal ridge for stability). This is the
     /// "estimate of the inverse of the variance-covariance matrix of Gₙ"
     /// the paper describes.
-    pub fn estimate_weight(&self, theta: &[f64], reps: usize) -> mde_numeric::Result<WeightMatrix> {
+    #[cfg(test)]
+    fn estimate_weight(&self, theta: &[f64], reps: usize) -> mde_numeric::Result<WeightMatrix> {
+        use mde_numeric::linalg::Cholesky;
+        use mde_numeric::NumericError;
         if reps < 3 {
             return Err(NumericError::EmptyInput {
                 context: "estimate_weight (need >= 3 replications)",

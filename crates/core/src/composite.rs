@@ -91,7 +91,8 @@ impl CompositeModel {
     }
 
     /// Connect with an explicit schema mapping.
-    pub fn connect_mapped(
+    #[cfg(test)]
+    fn connect_mapped(
         &mut self,
         from: usize,
         to: usize,
@@ -354,27 +355,12 @@ impl ExecutablePlan<'_> {
         Ok(outputs[self.sink].take().expect("sink ran"))
     }
 
-    /// Run `reps` Monte Carlo repetitions, reducing each output series to a
-    /// scalar with `scalarize`.
-    ///
-    /// Equivalent to [`ExecutablePlan::run_monte_carlo_supervised`] under
-    /// [`mde_numeric::RunPolicy::FailFast`]: the first failing repetition
-    /// aborts with a typed error (a panicking model surfaces as
-    /// [`CoreError::ReplicateFailed`], never as a panic in the caller).
-    pub fn run_monte_carlo(
-        &self,
-        params: &ParamAssignment,
-        reps: usize,
-        seed: u64,
-        scalarize: impl Fn(&TimeSeries) -> f64,
-    ) -> crate::Result<McOutput> {
-        Ok(self
-            .run_monte_carlo_supervised(params, reps, seed, scalarize, &RunOptions::default())?
-            .0)
-    }
-
-    /// Run `reps` supervised Monte Carlo repetitions under a
-    /// [`mde_numeric::RunPolicy`].
+    /// Run `reps` supervised Monte Carlo repetitions, reducing each output
+    /// series to a scalar with `scalarize`, under `opts`'
+    /// [`mde_numeric::RunPolicy`] (`RunOptions::default()` is fail-fast: the
+    /// first failing repetition aborts with a typed error, and a panicking
+    /// model surfaces as [`CoreError::ReplicateFailed`], never as a panic
+    /// in the caller).
     ///
     /// Each repetition — the full topological sweep over the composite,
     /// harmonization included — executes inside `catch_unwind`. Panics,
@@ -386,7 +372,7 @@ impl ExecutablePlan<'_> {
     /// the damage in the returned [`RunReport`]). Fatal errors —
     /// structural composite problems that would fail identically on every
     /// attempt — abort under every policy.
-    pub fn run_monte_carlo_supervised(
+    pub fn run_monte_carlo(
         &self,
         params: &ParamAssignment,
         reps: usize,
@@ -565,11 +551,18 @@ mod tests {
         params.insert("demand".into(), vec![100.0, 5.0]);
         params.insert("revenue".into(), vec![2.0]);
         let mc = plan
-            .run_monte_carlo(&params, 100, 7, |ts| {
-                let v = ts.channel("revenue").expect("revenue channel");
-                v.iter().sum::<f64>() / v.len() as f64
-            })
-            .unwrap();
+            .run_monte_carlo(
+                &params,
+                100,
+                7,
+                |ts| {
+                    let v = ts.channel("revenue").expect("revenue channel");
+                    v.iter().sum::<f64>() / v.len() as f64
+                },
+                &RunOptions::default(),
+            )
+            .unwrap()
+            .0;
         assert_eq!(mc.samples.len(), 100);
         // E[mean weekly revenue] = 200; SE ≈ 2·(5/√7)/√100·... loose band.
         assert!(
@@ -604,12 +597,15 @@ mod tests {
             FaultKind::Nan,
         ));
         let (mc, report) = plan
-            .run_monte_carlo_supervised(&params, 20, 7, mean_rev, &opts)
+            .run_monte_carlo(&params, 20, 7, mean_rev, &opts)
             .unwrap();
         assert_eq!(mc.samples.len(), 20);
         assert_eq!(report.retried, 2);
         assert_eq!(report.dropped, 0);
-        let clean = plan.run_monte_carlo(&params, 20, 7, mean_rev).unwrap();
+        let clean = plan
+            .run_monte_carlo(&params, 20, 7, mean_rev, &RunOptions::default())
+            .unwrap()
+            .0;
         for (i, (a, b)) in clean.samples.iter().zip(&mc.samples).enumerate() {
             if i == 4 || i == 9 {
                 assert_ne!(a, b, "retried repetition {i} uses a fresh sub-seed");
@@ -623,7 +619,7 @@ mod tests {
         let fault_plan = FaultPlan::new().fail_on(3, 0, FaultKind::Panic);
         let opts = RunOptions::policy(policy).with_faults(fault_plan.clone());
         let (mc, report) = plan
-            .run_monte_carlo_supervised(&params, 20, 7, mean_rev, &opts)
+            .run_monte_carlo(&params, 20, 7, mean_rev, &opts)
             .unwrap();
         assert_eq!(mc.samples.len(), 19);
         assert!(report.ci_widened);

@@ -17,6 +17,7 @@ use crate::CoreError;
 use mde_harmonize::series::TimeSeries;
 use mde_metamodel::design::Design;
 use mde_metamodel::poly::{main_effects, MainEffects};
+use mde_numeric::resilience::RunOptions;
 use mde_simopt::{FnModel, SeriesComposite, Statistics};
 use std::sync::Arc;
 
@@ -111,7 +112,7 @@ impl<'r> Experiment<'r> {
     /// the metadata ranges), averaging `reps` Monte Carlo repetitions of
     /// `scalarize` per point. Returns `(factor values, mean response)`
     /// rows.
-    pub fn run_design(
+    fn run_design(
         &self,
         design: &Design,
         reps: usize,
@@ -131,11 +132,12 @@ impl<'r> Experiment<'r> {
         let mut rows = Vec::with_capacity(scaled.len());
         for (i, point) in scaled.iter().enumerate() {
             let params = self.assignment(point)?;
-            let mc = plan.run_monte_carlo(
+            let (mc, _) = plan.run_monte_carlo(
                 &params,
                 reps,
                 seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 scalarize,
+                &RunOptions::default(),
             )?;
             rows.push((point.clone(), mc.summary.mean()));
         }

@@ -13,7 +13,7 @@
 //!
 //! | module | Splash concept |
 //! |---|---|
-//! | [`registry`] | model & dataset registration with metadata |
+//! | [`registry`] | model registration with metadata |
 //! | [`composite`] | composite DAG, mismatch detection, auto-harmonization, MC execution |
 //! | [`experiment`] | experiment manager: DOE-driven runs, metamodel fitting, RC optimization |
 //! | [`whatif`] | the "data is dead without what-if" entry point over `mde-mcdb` |

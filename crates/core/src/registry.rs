@@ -117,7 +117,8 @@ impl Registry {
     }
 
     /// Register a dataset.
-    pub fn register_dataset(&mut self, meta: DatasetMetadata, data: TimeSeries) {
+    #[cfg(test)]
+    fn register_dataset(&mut self, meta: DatasetMetadata, data: TimeSeries) {
         self.datasets.insert(meta.name.clone(), (meta, data));
     }
 

@@ -30,7 +30,7 @@ pub enum AlignmentClass {
 }
 
 /// Detect the alignment class from typical tick spacings.
-pub fn detect_class(source_spacing: f64, target_spacing: f64) -> AlignmentClass {
+fn detect_class(source_spacing: f64, target_spacing: f64) -> AlignmentClass {
     let ratio = target_spacing / source_spacing;
     if ratio > 1.01 {
         AlignmentClass::Aggregation

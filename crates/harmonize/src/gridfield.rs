@@ -37,9 +37,6 @@ pub struct Grid {
     /// Incidence pairs `(x, y)` with `x ≤ y`, `x ≠ y` (the reflexive part
     /// of ≤ is implicit).
     incidence: Vec<(usize, usize)>,
-    /// Adjacency index: for each cell, the cells it is incident to (both
-    /// directions, for queries).
-    touches: Vec<Vec<usize>>,
 }
 
 impl Grid {
@@ -47,7 +44,6 @@ impl Grid {
     /// `(x, y)` meaning `x ≤ y` with `dim(x) < dim(y)`.
     pub fn new(dims: Vec<u8>, incidence: Vec<(usize, usize)>) -> crate::Result<Self> {
         let n = dims.len();
-        let mut touches = vec![Vec::new(); n];
         for &(x, y) in &incidence {
             if x >= n || y >= n {
                 return Err(HarmonizeError::grid(format!(
@@ -60,14 +56,8 @@ impl Grid {
                     dims[x], dims[y]
                 )));
             }
-            touches[x].push(y);
-            touches[y].push(x);
         }
-        Ok(Grid {
-            dims,
-            incidence,
-            touches,
-        })
+        Ok(Grid { dims, incidence })
     }
 
     /// A structured 2-D grid of `nx × ny` square faces with their edges and
@@ -163,13 +153,18 @@ impl Grid {
     }
 
     /// The incidence relation `x ≤ y` (reflexive, plus recorded pairs).
-    pub fn leq(&self, x: usize, y: usize) -> bool {
+    #[cfg(test)]
+    fn leq(&self, x: usize, y: usize) -> bool {
         x == y || self.incidence.contains(&(x, y))
     }
 
     /// Cells incident to `cell` (either direction).
-    pub fn incident(&self, cell: usize) -> &[usize] {
-        &self.touches[cell]
+    #[cfg(test)]
+    fn incident(&self, cell: usize) -> Vec<usize> {
+        self.incidence
+            .iter()
+            .filter_map(|&(x, y)| (x == cell).then_some(y).or((y == cell).then_some(x)))
+            .collect()
     }
 }
 
@@ -247,33 +242,19 @@ impl GridField {
     }
 
     /// Number of cells carrying data.
-    pub fn active_len(&self) -> usize {
+    #[cfg(test)]
+    fn active_len(&self) -> usize {
         self.data.iter().filter(|v| v.is_some()).count()
     }
 
     /// Restriction by cell id (relational selection on the *cell*): keep
     /// data only on cells satisfying the predicate. This is the restriction
     /// class that commutes with regrid.
-    pub fn restrict_cells(&self, keep: impl Fn(usize) -> bool) -> GridField {
+    fn restrict_cells(&self, keep: impl Fn(usize) -> bool) -> GridField {
         let mut out = self.clone();
         for (k, &c) in out.cells.clone().iter().enumerate() {
             if !keep(c) {
                 out.data[k] = None;
-            }
-        }
-        out
-    }
-
-    /// Restriction by bound value (relational selection on the *data*).
-    /// Does **not** commute with regrid in general (aggregates change the
-    /// values); provided for completeness.
-    pub fn restrict_values(&self, keep: impl Fn(f64) -> bool) -> GridField {
-        let mut out = self.clone();
-        for v in out.data.iter_mut() {
-            if let Some(x) = *v {
-                if !keep(x) {
-                    *v = None;
-                }
             }
         }
         out
@@ -543,17 +524,6 @@ mod tests {
         // 1/4 of the aggregation work (the optimization).
         assert_eq!(naive_cost.accumulate_ops, 16);
         assert_eq!(rewritten_cost.accumulate_ops, 4);
-    }
-
-    #[test]
-    fn value_restriction_is_available_but_distinct() {
-        let (fine, _, _, _) = fine_and_coarse();
-        let faces = fine.cells_of_dim(2);
-        let values: Vec<f64> = (0..faces.len()).map(|k| k as f64).collect();
-        let gf = GridField::bind(Arc::clone(&fine), 2, values).unwrap();
-        let r = gf.restrict_values(|v| v >= 8.0);
-        assert_eq!(r.active_len(), 8);
-        assert_eq!(gf.active_len(), 16);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl SchemaMapping {
 
     /// Channels required by the mapping but missing from the source — the
     /// "automatic detection of data mismatches" step of model registration.
-    pub fn missing_channels<'a>(&'a self, source: &TimeSeries) -> Vec<&'a str> {
+    fn missing_channels<'a>(&'a self, source: &TimeSeries) -> Vec<&'a str> {
         self.required_channels()
             .into_iter()
             .filter(|c| source.channel_index(c).is_err())

@@ -148,13 +148,6 @@ impl TimeSeries {
         gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         Some(gaps[gaps.len() / 2])
     }
-
-    /// The largest index `j` with `times[j] <= t`, or `None` if `t` precedes
-    /// the series.
-    pub fn window_index(&self, t: f64) -> Option<usize> {
-        let p = self.times.partition_point(|&s| s <= t);
-        p.checked_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -200,10 +193,6 @@ mod tests {
     fn spacing_and_windows() {
         let ts = TimeSeries::univariate("x", vec![0.0, 1.0, 2.0, 4.0], vec![0.0; 4]).unwrap();
         assert_eq!(ts.typical_spacing(), Some(1.0));
-        assert_eq!(ts.window_index(-0.1), None);
-        assert_eq!(ts.window_index(0.0), Some(0));
-        assert_eq!(ts.window_index(1.5), Some(1));
-        assert_eq!(ts.window_index(100.0), Some(3));
         assert_eq!(ts.start(), Some(0.0));
         assert_eq!(ts.end(), Some(4.0));
     }

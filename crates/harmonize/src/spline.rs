@@ -95,7 +95,7 @@ impl NaturalCubicSpline {
     /// Assemble a spline from externally computed interior constants (e.g.
     /// a DSGD solution). Boundary constants are set to zero (the natural
     /// conditions).
-    pub fn from_interior_sigmas(s: &[f64], d: &[f64], interior: &[f64]) -> Self {
+    fn from_interior_sigmas(s: &[f64], d: &[f64], interior: &[f64]) -> Self {
         let mut sigma = Vec::with_capacity(s.len());
         sigma.push(0.0);
         sigma.extend_from_slice(interior);

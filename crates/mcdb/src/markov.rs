@@ -96,14 +96,15 @@ impl ChainTrajectory {
 
     /// The stochastic tables generated at version `i` (versioned access,
     /// the SimSQL `A[i]` syntax).
-    pub fn tables_at(&self, version: usize) -> &[Table] {
+    #[cfg(test)]
+    fn tables_at(&self, version: usize) -> &[Table] {
         &self.states[version]
     }
 
     /// Materialize the full catalog visible at version `i`: base tables
     /// overlaid with the latest generation of every stochastic table up to
     /// and including version `i`.
-    pub fn catalog_at(&self, version: usize) -> Catalog {
+    fn catalog_at(&self, version: usize) -> Catalog {
         let mut c = self.base.clone();
         for state in &self.states[..=version.min(self.states.len() - 1)] {
             for t in state {

@@ -168,12 +168,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table (used when registering query results).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The schema.
     pub fn schema(&self) -> &Schema {
         match &self.store {
@@ -456,12 +450,6 @@ mod tests {
         assert!(s.contains("id"));
         assert!(s.contains("2.5"));
         assert_eq!(s.lines().count(), 4); // header + separator + 2 rows
-    }
-
-    #[test]
-    fn rename() {
-        let t = sample().with_name("renamed");
-        assert_eq!(t.name(), "renamed");
     }
 
     #[test]

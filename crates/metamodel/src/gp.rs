@@ -324,7 +324,8 @@ impl GpModel {
 
     /// The kriging variance (predictive MSE, ignoring β₀-estimation
     /// inflation) at `x0`.
-    pub fn predict_variance(&self, x0: &[f64]) -> f64 {
+    #[cfg(test)]
+    fn predict_variance(&self, x0: &[f64]) -> f64 {
         let k: Vec<f64> = self
             .xs
             .iter()

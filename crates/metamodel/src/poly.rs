@@ -71,7 +71,8 @@ impl PolyModel {
 
     /// The interaction coefficient for a factor set, if the model includes
     /// that term.
-    pub fn interaction_coefficient(&self, factors: &[usize]) -> Option<f64> {
+    #[cfg(test)]
+    fn interaction_coefficient(&self, factors: &[usize]) -> Option<f64> {
         let mut key = factors.to_vec();
         key.sort_unstable();
         self.terms

@@ -434,63 +434,6 @@ pub fn gp_screening<R: ResponseSurface>(
     Ok(rank_thetas(&gp))
 }
 
-/// GP-based screening with **variance-guided augmentation**: after the
-/// initial NOLH fit, `augment_runs` extra probes are placed where the
-/// current surrogate is most uncertain (max kriging variance among random
-/// candidates) and absorbed by a rank-1 Cholesky border
-/// ([`GpModel::append_point`]) — no refit per probe. A single full refit
-/// on the augmented design then anchors the `θⱼ` estimates that the
-/// ranking is read from. Surrogate work lands in the `gp.*` counters of
-/// the optional ledger.
-pub fn gp_screening_augmented<R: ResponseSurface>(
-    response: &R,
-    design_runs: usize,
-    augment_runs: usize,
-    rng: &mut Rng,
-    mut metrics: Option<&mut mde_numeric::obs::RunMetrics>,
-) -> mde_numeric::Result<Vec<(usize, f64)>> {
-    const CANDIDATES_PER_PROBE: usize = 16;
-    let k = response.dim();
-    let design = nolh(k, design_runs, 50, rng);
-    let ranges = vec![(-1.0, 1.0); k];
-    let xs = design.scale_to(&ranges);
-    let mut ws = crate::kernel::KernelWorkspace::new(&xs)?;
-    let mut ys: Vec<f64> = xs.iter().map(|x| response.eval(x, rng)).collect();
-    let zeros = vec![0.0; ys.len()];
-    let mut gp = GpModel::fit_workspace(
-        &mut ws,
-        &ys,
-        &zeros,
-        &GpConfig::default(),
-        metrics.as_deref_mut(),
-    )?;
-    for _ in 0..augment_runs {
-        // Place the probe at the most uncertain of a candidate batch.
-        // The first candidate seeds the incumbent, so a batch whose
-        // variances are all non-finite still yields a usable probe —
-        // no panic path.
-        let mut best_x: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let mut best_v = gp.predict_variance(&best_x);
-        for _ in 1..CANDIDATES_PER_PROBE {
-            let x: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-            let v = gp.predict_variance(&x);
-            if v > best_v {
-                best_v = v;
-                best_x = x;
-            }
-        }
-        let x = best_x;
-        let y = response.eval(&x, rng);
-        gp.append_point(&x, y, 0.0, metrics.as_deref_mut())?;
-        ws.push(&x)?;
-        ys.push(y);
-    }
-    // Anchor refit: θ is only re-estimated here, on the full design.
-    let zeros = vec![0.0; ys.len()];
-    let gp = GpModel::fit_workspace(&mut ws, &ys, &zeros, &GpConfig::default(), metrics)?;
-    Ok(rank_thetas(&gp))
-}
-
 /// [`gp_screening`] with every probe memoized through a cross-campaign
 /// [`ObjectiveScope`](mde_numeric::cache::ObjectiveScope).
 ///
@@ -731,22 +674,6 @@ mod tests {
         let resume = RunOptions::default().resuming(state);
         let resumed = sequential_bifurcation_durable(&r, &cfg, 7, &resume).expect("resume");
         assert_eq!(resumed.result.expect("result").important, vec![2, 7, 13]);
-    }
-
-    #[test]
-    fn augmented_gp_screening_ranks_and_ledgers() {
-        let r = FnResponse::new(4, |x: &[f64], _rng: &mut Rng| {
-            (3.0 * x[0]).sin() + x[2] * x[2]
-        });
-        let mut rng = rng_from_seed(6);
-        let mut metrics = mde_numeric::obs::RunMetrics::new();
-        let ranked = gp_screening_augmented(&r, 25, 6, &mut rng, Some(&mut metrics)).unwrap();
-        let top2: Vec<usize> = ranked[..2].iter().map(|(j, _)| *j).collect();
-        assert!(top2.contains(&0) && top2.contains(&2), "ranking {ranked:?}");
-        // Every augmentation probe was a rank-1 border, not a refit: two
-        // anchor fits account for all factorization bursts.
-        assert_eq!(metrics.counter("gp.extends"), 6);
-        assert!(metrics.counter("gp.factorizations") > 0);
     }
 
     #[test]

@@ -405,6 +405,8 @@ pub struct ResultCache {
     path: Option<PathBuf>,
     max_bytes: u64,
     slots: BTreeMap<CacheKey, Slot>,
+    /// Sum of `bytes` over `slots`, kept by every insert and removal.
+    bytes: u64,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -424,6 +426,7 @@ impl ResultCache {
             path: None,
             max_bytes: DEFAULT_MAX_BYTES,
             slots: BTreeMap::new(),
+            bytes: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -511,15 +514,12 @@ impl ResultCache {
                     // ticks in file order preserves eviction order across
                     // a save/load cycle.
                     self.tick += 1;
-                    self.slots.insert(
-                        entry.key.clone(),
-                        Slot {
-                            hash: found,
-                            bytes: 16 + len as u64,
-                            last_used: self.tick,
-                            entry,
-                        },
-                    );
+                    self.put(Slot {
+                        hash: found,
+                        bytes: 16 + len as u64,
+                        last_used: self.tick,
+                        entry,
+                    });
                 }
                 Err(_) => dropped += 1,
             }
@@ -555,16 +555,13 @@ impl ResultCache {
         let hash = fnv1a(FNV_OFFSET, &body);
         let key = entry.key.clone();
         self.tick += 1;
-        self.slots.insert(
-            key.clone(),
-            Slot {
-                hash,
-                bytes: 16 + body.len() as u64,
-                last_used: self.tick,
-                entry,
-            },
-        );
-        while self.total_bytes() > self.max_bytes && self.slots.len() > 1 {
+        self.put(Slot {
+            hash,
+            bytes: 16 + body.len() as u64,
+            last_used: self.tick,
+            entry,
+        });
+        while self.bytes > self.max_bytes && self.slots.len() > 1 {
             let victim = self
                 .slots
                 .iter()
@@ -573,7 +570,8 @@ impl ResultCache {
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(v) => {
-                    self.slots.remove(&v);
+                    let evicted = self.slots.remove(&v).expect("victim is held");
+                    self.bytes -= evicted.bytes;
                     self.evictions += 1;
                 }
                 None => break,
@@ -587,9 +585,19 @@ impl ResultCache {
         self.slots.get(key).map(|s| s.entry.provenance.clone())
     }
 
+    /// Hold `slot` under its entry's key, replacing any slot already
+    /// there.
+    fn put(&mut self, slot: Slot) {
+        self.bytes += slot.bytes;
+        if let Some(old) = self.slots.insert(slot.entry.key.clone(), slot) {
+            self.bytes -= old.bytes;
+        }
+    }
+
     /// Sum of encoded entry sizes currently held.
+    #[cfg(test)]
     fn total_bytes(&self) -> u64 {
-        self.slots.values().map(|s| s.bytes).sum()
+        self.bytes
     }
 
     /// Deterministic counters plus capacity figures.
@@ -599,13 +607,13 @@ impl ResultCache {
             misses: self.misses,
             evictions: self.evictions,
             entries: self.slots.len() as u64,
-            bytes: self.total_bytes(),
+            bytes: self.bytes,
             persist_failures: self.persist_failures,
         }
     }
 
     /// Nanoseconds spent in lookups so far (out-of-band measurement).
-    pub fn lookup_nanos(&self) -> u64 {
+    fn lookup_nanos(&self) -> u64 {
         self.lookup_nanos
     }
 
@@ -695,7 +703,7 @@ impl CacheHandle {
 
     /// Look up `key`, also returning the entry's content hash for
     /// provenance tracking.
-    pub fn get_with_hash(&self, key: &CacheKey) -> Option<(CacheEntry, u64)> {
+    fn get_with_hash(&self, key: &CacheKey) -> Option<(CacheEntry, u64)> {
         self.lock().lookup(key)
     }
 
@@ -993,6 +1001,32 @@ mod tests {
         assert!(cache
             .lookup(&CacheKey::for_point(0xABCD, &[4.0], 8, 4))
             .is_some());
+    }
+
+    #[test]
+    fn byte_total_is_the_sum_of_slot_sizes_after_every_step() {
+        crate::rng::for_cases(64, |rng| {
+            let probe = encode_entry_body(&entry(0, &[0.0], vec![0.0; 3])).len() as u64 + 16;
+            let mut cache = ResultCache::in_memory();
+            cache.max_bytes = probe * rng.gen_range(1..5);
+            let held = |c: &ResultCache| c.slots.values().map(|s| s.bytes).sum::<u64>();
+            for _ in 0..40 {
+                // Six keys, so most inserts replace a slot of the same key
+                // with a different size; the small bound forces evictions.
+                let k = rng.gen_range(0..6u64);
+                if rng.gen::<f64>() < 0.25 {
+                    cache.lookup(&CacheKey::for_point(0xABCD, &[k as f64], 8, k));
+                } else {
+                    let values = vec![1.0; rng.gen_range(0..7)];
+                    cache.insert(entry(k, &[k as f64], values));
+                }
+                assert_eq!(cache.stats().bytes, held(&cache));
+            }
+            let mut reloaded = ResultCache::in_memory();
+            assert_eq!(reloaded.load_from(&cache.encode()).expect("replay"), 0);
+            assert_eq!(reloaded.stats().bytes, held(&reloaded));
+            assert_eq!(reloaded.stats().bytes, cache.stats().bytes);
+        });
     }
 
     #[test]

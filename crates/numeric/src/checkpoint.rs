@@ -38,7 +38,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// What one crash-consistent [`CampaignState::save_stats`] cost: the
+/// What one crash-consistent [`write_atomic`] cost: the
 /// encoded size and the latency of the two durability syscalls. These are
 /// out-of-band measurements — callers record them via
 /// [`RunMetrics::add_io`](crate::obs::RunMetrics::add_io) /
@@ -536,7 +536,7 @@ impl CampaignState {
     /// [`RunMetrics`](crate::obs::RunMetrics) ledger's *out-of-band*
     /// section: bytes and latencies vary run to run, so they must never
     /// enter fingerprints, equality, or resumed state.
-    pub fn save_stats(&self, path: &Path) -> Result<SaveStats> {
+    fn save_stats(&self, path: &Path) -> Result<SaveStats> {
         write_atomic(path, &self.encode())
     }
 

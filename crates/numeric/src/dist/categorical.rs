@@ -126,11 +126,6 @@ impl Categorical {
         })
     }
 
-    /// The normalized category probabilities.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// Number of categories.
     pub fn len(&self) -> usize {
         self.probs.len()

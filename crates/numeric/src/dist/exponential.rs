@@ -25,17 +25,6 @@ impl Exponential {
         Ok(Exponential { rate })
     }
 
-    /// Create from the mean (`1/θ`).
-    pub fn from_mean(mean: f64) -> crate::Result<Self> {
-        if !mean.is_finite() || mean <= 0.0 {
-            return Err(NumericError::invalid(
-                "mean",
-                format!("mean must be finite and positive, got {mean}"),
-            ));
-        }
-        Ok(Exponential { rate: 1.0 / mean })
-    }
-
     /// The rate parameter `θ`.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -100,15 +89,7 @@ mod tests {
     fn rejects_bad_parameters() {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(-2.0).is_err());
-        assert!(Exponential::from_mean(0.0).is_err());
         assert!(Exponential::new(0.5).is_ok());
-    }
-
-    #[test]
-    fn from_mean_inverts_rate() {
-        let d = Exponential::from_mean(4.0).unwrap();
-        assert!((d.rate() - 0.25).abs() < 1e-15);
-        assert!((d.mean() - 4.0).abs() < 1e-15);
     }
 
     #[test]

@@ -20,20 +20,6 @@ impl LogNormal {
         Ok(LogNormal { mu, sigma })
     }
 
-    /// Create a lognormal with the given *distribution* mean and variance
-    /// (the moment-matching inverse transform).
-    pub fn from_mean_variance(mean: f64, variance: f64) -> crate::Result<Self> {
-        if mean <= 0.0 || variance <= 0.0 {
-            return Err(crate::NumericError::invalid(
-                "mean/variance",
-                format!("require positive mean and variance, got mean={mean}, var={variance}"),
-            ));
-        }
-        let sigma2 = (1.0 + variance / (mean * mean)).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        LogNormal::new(mu, sigma2.sqrt())
-    }
-
     /// The location parameter of the underlying normal.
     pub fn mu(&self) -> f64 {
         self.mu
@@ -98,19 +84,6 @@ mod tests {
     #[test]
     fn moments() {
         testutil::check_moments(&LogNormal::new(0.0, 0.5).unwrap(), 60_000, 41);
-    }
-
-    #[test]
-    fn from_mean_variance_roundtrip() {
-        let d = LogNormal::from_mean_variance(10.0, 4.0).unwrap();
-        assert!((d.mean() - 10.0).abs() < 1e-10);
-        assert!((d.variance() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_mean_variance_rejects_nonpositive() {
-        assert!(LogNormal::from_mean_variance(-1.0, 1.0).is_err());
-        assert!(LogNormal::from_mean_variance(1.0, 0.0).is_err());
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl Poisson {
     }
 
     /// Natural log of the pmf.
-    pub fn ln_pmf(&self, k: u64) -> f64 {
+    fn ln_pmf(&self, k: u64) -> f64 {
         let kf = k as f64;
         kf * self.lambda.ln() - self.lambda - super::special::ln_gamma(kf + 1.0)
     }

@@ -39,7 +39,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// The error function `erf(x)`, computed via the identity
 /// `erf(x) = sign(x)·P(1/2, x²)` with the regularized incomplete gamma
 /// function. Accurate to ~1e-14 across the real line.
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     if x == 0.0 {
         0.0
     } else if x > 0.0 {
@@ -54,7 +54,7 @@ pub fn erf(x: f64) -> f64 {
 /// For `x² ≥ 1.5` the upper-gamma continued fraction is evaluated directly,
 /// avoiding the catastrophic cancellation of `1 − erf(x)` in the right
 /// tail; elsewhere `1 − erf(x)` loses no precision because `erf(x) < 0.92`.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }

@@ -145,7 +145,7 @@ fn iqr(data: &[f64]) -> f64 {
 
 /// Silverman's rule-of-thumb bandwidth; falls back to a nominal 1.0 when the
 /// data are degenerate (zero spread).
-pub fn silverman_bandwidth(data: &[f64]) -> f64 {
+fn silverman_bandwidth(data: &[f64]) -> f64 {
     let s = sample_std(data);
     let r = iqr(data) / 1.34;
     let spread = match (s > 0.0, r > 0.0) {
@@ -158,7 +158,7 @@ pub fn silverman_bandwidth(data: &[f64]) -> f64 {
 }
 
 /// Scott's rule bandwidth; falls back to 1.0 for zero-spread data.
-pub fn scott_bandwidth(data: &[f64]) -> f64 {
+fn scott_bandwidth(data: &[f64]) -> f64 {
     let s = sample_std(data);
     if s <= 0.0 {
         return 1.0;

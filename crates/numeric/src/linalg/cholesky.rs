@@ -109,7 +109,7 @@ impl Cholesky {
     }
 
     /// Solve against a matrix right-hand side, column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> crate::Result<Matrix> {
+    fn solve_matrix(&self, b: &Matrix) -> crate::Result<Matrix> {
         let n = self.l.rows();
         if b.rows() != n {
             return Err(NumericError::dim(

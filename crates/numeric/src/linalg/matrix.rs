@@ -147,11 +147,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry difference against another matrix of the same
     /// shape (∞-norm of the difference); `None` if shapes differ.
     pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
@@ -339,7 +334,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
         let b = Matrix::from_vec(1, 2, vec![3.0, 5.0]).unwrap();
         assert_eq!(a.max_abs_diff(&b), Some(1.0));
         assert_eq!(a.max_abs_diff(&Matrix::identity(2)), None);

@@ -683,7 +683,7 @@ impl TraceSink for MemorySink {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str, out: &mut String) {
+fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -702,7 +702,7 @@ pub fn json_escape(s: &str, out: &mut String) {
 /// Schema: `{"span": id, "parent": id, "name": "...", "fields": {...},
 /// "duration_ns": n}` — every line a JSON-lint–clean object, which is
 /// what the CI schema check greps for.
-pub fn span_record_json(rec: &SpanRecord) -> String {
+fn span_record_json(rec: &SpanRecord) -> String {
     let mut out = String::with_capacity(96);
     out.push_str(&format!(
         "{{\"span\":{},\"parent\":{},\"name\":\"",

@@ -161,7 +161,7 @@ impl RunPolicy {
     }
 
     /// Whether failed replicates are dropped rather than aborting the run.
-    pub fn drops_failures(&self) -> bool {
+    fn drops_failures(&self) -> bool {
         matches!(self, RunPolicy::BestEffort { .. })
     }
 }

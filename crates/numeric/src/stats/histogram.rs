@@ -72,7 +72,7 @@ impl Histogram {
     }
 
     /// The `(lo, hi)` bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
+    fn bin_bounds(&self, i: usize) -> (f64, f64) {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
     }

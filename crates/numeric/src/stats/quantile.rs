@@ -91,20 +91,6 @@ impl Ecdf {
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
-
-    /// Kolmogorov–Smirnov distance `sup_x |F̂(x) − G(x)|` against a
-    /// reference CDF, evaluated at the jump points (where the sup occurs).
-    pub fn ks_distance(&self, reference_cdf: impl Fn(f64) -> f64) -> f64 {
-        let n = self.sorted.len() as f64;
-        let mut d: f64 = 0.0;
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let g = reference_cdf(x);
-            let lo = i as f64 / n; // F̂ just below x
-            let hi = (i as f64 + 1.0) / n; // F̂ at x
-            d = d.max((g - lo).abs()).max((hi - g).abs());
-        }
-        d
-    }
 }
 
 /// Convenience constructor mirroring the free-function style of
@@ -162,25 +148,5 @@ mod tests {
         assert_eq!(e.eval(2.0), 0.75);
         assert_eq!(e.eval(3.9), 0.75);
         assert_eq!(e.eval(4.0), 1.0);
-    }
-
-    #[test]
-    fn ks_distance_against_self_is_small() {
-        // Uniform grid sample against the uniform CDF: KS = 1/(2n) at best,
-        // 1/n in the worst alignment.
-        let n = 1000;
-        let data: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
-        let e = Ecdf::new(&data).unwrap();
-        let d = e.ks_distance(|x| x.clamp(0.0, 1.0));
-        assert!(d <= 1.0 / n as f64 + 1e-12, "KS distance was {d}");
-    }
-
-    #[test]
-    fn ks_distance_detects_shift() {
-        let n = 1000;
-        let data: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64 + 0.3).collect();
-        let e = Ecdf::new(&data).unwrap();
-        let d = e.ks_distance(|x| x.clamp(0.0, 1.0));
-        assert!(d > 0.25, "KS distance failed to detect shift: {d}");
     }
 }

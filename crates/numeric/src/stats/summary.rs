@@ -158,11 +158,6 @@ impl BivariateSummary {
         self.n
     }
 
-    /// Mean of the first coordinate.
-    pub fn mean_x(&self) -> f64 {
-        self.mean_x
-    }
-
     /// Mean of the second coordinate.
     pub fn mean_y(&self) -> f64 {
         self.mean_y
@@ -178,7 +173,7 @@ impl BivariateSummary {
     }
 
     /// Unbiased sample variance of the first coordinate.
-    pub fn sample_variance_x(&self) -> f64 {
+    fn sample_variance_x(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -187,7 +182,7 @@ impl BivariateSummary {
     }
 
     /// Unbiased sample variance of the second coordinate.
-    pub fn sample_variance_y(&self) -> f64 {
+    fn sample_variance_y(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

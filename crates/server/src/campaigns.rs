@@ -33,6 +33,9 @@ use mde_numeric::resilience::sched::{Campaign, Overloaded};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+/// Worker threads a drain runs its batch on.
+const DRAIN_THREADS: usize = 2;
+
 struct HubInner {
     front: Scheduler,
     draining: bool,
@@ -41,17 +44,14 @@ struct HubInner {
 
 /// Multiplexes session-submitted campaigns onto one shared scheduler.
 pub struct CampaignHub {
-    threads: usize,
     inner: Mutex<HubInner>,
     cv: Condvar,
 }
 
 impl CampaignHub {
-    /// A hub over a scheduler with `cfg`, draining batches on `threads`
-    /// worker threads.
-    pub fn new(cfg: SchedConfig, threads: usize) -> Self {
+    /// A hub over a scheduler with `cfg`.
+    pub fn new(cfg: SchedConfig) -> Self {
         CampaignHub {
-            threads: threads.max(1),
             inner: Mutex::new(HubInner {
                 front: Scheduler::new(cfg),
                 draining: false,
@@ -132,7 +132,7 @@ impl CampaignHub {
         let batch_cost = batch.admitted_cost();
         drop(inner);
 
-        let run = batch.run(self.threads);
+        let run = batch.run(DRAIN_THREADS);
 
         let mut inner = self.inner.lock().expect("hub lock");
         inner.front.reabsorb(batch, batch_cost);
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_all_get_their_reports() {
-        let hub = Arc::new(CampaignHub::new(SchedConfig::default(), 2));
+        let hub = Arc::new(CampaignHub::new(SchedConfig::default()));
         let runs = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for i in 0..6 {
@@ -209,13 +209,10 @@ mod tests {
 
     #[test]
     fn rejections_are_synchronous_and_typed() {
-        let hub = CampaignHub::new(
-            SchedConfig {
-                cost_budget: 2,
-                ..SchedConfig::default()
-            },
-            1,
-        );
+        let hub = CampaignHub::new(SchedConfig {
+            cost_budget: 2,
+            ..SchedConfig::default()
+        });
         let runs = Arc::new(AtomicU64::new(0));
         hub.submit(
             CampaignSpec::new("t", "big").with_cost(2),
@@ -235,13 +232,10 @@ mod tests {
     #[test]
     fn flush_settles_orphaned_campaigns() {
         let drain = mde_numeric::CancelToken::new();
-        let hub = CampaignHub::new(
-            SchedConfig {
-                drain: Some(drain.clone()),
-                ..SchedConfig::default()
-            },
-            1,
-        );
+        let hub = CampaignHub::new(SchedConfig {
+            drain: Some(drain.clone()),
+            ..SchedConfig::default()
+        });
         let runs = Arc::new(AtomicU64::new(0));
         hub.submit(CampaignSpec::new("t", "orphan"), Box::new(Quick(runs, 1.0)))
             .expect("admitted");

@@ -82,7 +82,7 @@ impl WireCode {
     }
 
     /// Parse a wire token back into a code (client side).
-    pub fn from_token(s: &str) -> Option<WireCode> {
+    fn from_token(s: &str) -> Option<WireCode> {
         Some(match s {
             "BAD_FRAME" => WireCode::BadFrame,
             "BAD_REQUEST" => WireCode::BadRequest,
@@ -254,7 +254,7 @@ impl RetryHints {
 
     /// The hint for the `streak`-th consecutive rejection (first
     /// rejection is streak 1).
-    pub fn after_ms(&self, streak: u32) -> u64 {
+    fn after_ms(&self, streak: u32) -> u64 {
         self.ladder.delay(streak.max(1)).as_millis() as u64
     }
 }

@@ -422,7 +422,7 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
 /// and at most [`MAX_DEADLINE_MS`]. This is the protocol boundary that
 /// keeps `Deadline`'s saturating arithmetic from ever seeing a nonsense
 /// budget.
-pub fn parse_deadline_ms(v: &str) -> Result<u64, WireError> {
+fn parse_deadline_ms(v: &str) -> Result<u64, WireError> {
     let ms: u64 = v.parse().map_err(|_| {
         WireError::fatal(
             WireCode::BadDeadline,
@@ -446,7 +446,7 @@ pub fn parse_deadline_ms(v: &str) -> Result<u64, WireError> {
 
 /// Validate a wire-supplied replicate budget: numeric, non-zero, at most
 /// [`MAX_REPLICATES`].
-pub fn parse_replicates(v: &str) -> Result<u64, WireError> {
+fn parse_replicates(v: &str) -> Result<u64, WireError> {
     let n: u64 = v.parse().map_err(|_| {
         WireError::fatal(
             WireCode::BadBudget,
@@ -476,7 +476,7 @@ fn parse_u64(key: &str, v: &str) -> Result<u64, WireError> {
 /// Checkpoint names travel the wire; confine them to one path component
 /// so a client can never write outside the server's checkpoint
 /// directory.
-pub fn parse_checkpoint_name(v: &str) -> Result<String, WireError> {
+fn parse_checkpoint_name(v: &str) -> Result<String, WireError> {
     let ok = !v.is_empty()
         && v.len() <= 128
         && v.chars()

@@ -66,8 +66,6 @@ pub struct ServerConfig {
     /// Campaign scheduler configuration. The master drain token is
     /// installed by the server; any `drain` set here is replaced.
     pub sched: SchedConfig,
-    /// Worker threads for draining campaign batches.
-    pub sched_threads: usize,
     /// Prepared-plan cache capacity.
     pub cache_capacity: usize,
     /// Directory for wire-named checkpoints; `None` disables the
@@ -84,7 +82,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(10),
             default_deadline_ms: None,
             sched: SchedConfig::default(),
-            sched_threads: 2,
             cache_capacity: 64,
             checkpoint_dir: None,
             faults: None,
@@ -136,7 +133,7 @@ impl Server {
         let engine = Arc::new(Engine {
             catalog: RwLock::new(Arc::new(catalog)),
             cache: PlanCache::new(cfg.cache_capacity),
-            hub: CampaignHub::new(sched, cfg.sched_threads.max(1)),
+            hub: CampaignHub::new(sched),
             drain: drain.clone(),
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),

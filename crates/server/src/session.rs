@@ -719,7 +719,7 @@ mod tests {
         let engine = Arc::new(Engine {
             catalog: RwLock::new(Arc::new(catalog)),
             cache: PlanCache::new(cfg.cache_capacity),
-            hub: CampaignHub::new(cfg.sched, 1),
+            hub: CampaignHub::new(cfg.sched),
             drain: CancelToken::new(),
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),

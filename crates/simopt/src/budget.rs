@@ -13,7 +13,7 @@ use crate::rc::{run_rc, RcConfig, RcEstimate};
 use crate::SimoptError;
 
 /// The RC cost of `n` replications: `C_n = ⌈αn⌉·c₁ + n·c₂`.
-pub fn cost_of(n: usize, alpha: f64, c1: f64, c2: f64) -> f64 {
+fn cost_of(n: usize, alpha: f64, c1: f64, c2: f64) -> f64 {
     (alpha * n as f64).ceil().max(1.0) * c1 + n as f64 * c2
 }
 

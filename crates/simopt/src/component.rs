@@ -88,7 +88,8 @@ impl SeriesComposite {
     }
 
     /// Add an inter-model transformation.
-    pub fn with_transform(mut self, t: TransformFn) -> Self {
+    #[cfg(test)]
+    fn with_transform(mut self, t: TransformFn) -> Self {
         self.transform = Some(t);
         self
     }

@@ -58,7 +58,7 @@ impl Statistics {
 }
 
 /// `r_α = ⌊1/α⌋`.
-pub fn r_alpha(alpha: f64) -> f64 {
+fn r_alpha(alpha: f64) -> f64 {
     assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
     (1.0 / alpha).floor()
 }

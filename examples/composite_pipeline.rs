@@ -17,6 +17,7 @@ use model_data_ecosystems::core::registry::{
 use model_data_ecosystems::harmonize::series::TimeSeries;
 use model_data_ecosystems::metamodel::design::full_factorial;
 use model_data_ecosystems::numeric::dist::{Distribution, Normal};
+use model_data_ecosystems::numeric::resilience::RunOptions;
 use std::sync::Arc;
 
 fn register_models(reg: &mut Registry) {
@@ -138,8 +139,14 @@ fn main() {
     }
 
     let plan = composite.plan(&registry).expect("composite plans");
-    let mc = plan
-        .run_monte_carlo(&ParamAssignment::new(), 200, 11, mean_revenue)
+    let (mc, _) = plan
+        .run_monte_carlo(
+            &ParamAssignment::new(),
+            200,
+            11,
+            mean_revenue,
+            &RunOptions::default(),
+        )
         .expect("Monte Carlo run");
     println!(
         "\nmean weekly revenue over 200 reps: {:.1} (sd {:.1})",

@@ -168,11 +168,17 @@ fn composite_platform_with_three_stage_chain() {
     assert_eq!(mismatches.len(), 2);
 
     let plan = comp.plan(&reg).unwrap();
-    let mc = plan
-        .run_monte_carlo(&ParamAssignment::new(), 30, 5, |ts| {
-            let v = ts.channel("eur").expect("eur");
-            v.iter().sum::<f64>() / v.len() as f64
-        })
+    let (mc, _) = plan
+        .run_monte_carlo(
+            &ParamAssignment::new(),
+            30,
+            5,
+            |ts| {
+                let v = ts.channel("eur").expect("eur");
+                v.iter().sum::<f64>() / v.len() as f64
+            },
+            &RunOptions::default(),
+        )
         .unwrap();
     // Mean temp 20, sin averages out: daily kwh ≈ E[(25 − T)⁺]·10 ≈ 60–80;
     // weekly mean cost ≈ kwh·0.3 → within a broad sanity band.

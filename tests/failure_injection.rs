@@ -122,7 +122,13 @@ fn composite_model_failure_surfaces_with_context() {
     let plan = comp.plan(&reg).unwrap();
     // Across enough repetitions the flaky branch triggers; the error is a
     // typed harmonization error, not a panic.
-    let result = plan.run_monte_carlo(&ParamAssignment::new(), 50, 3, |_| 0.0);
+    let result = plan.run_monte_carlo(
+        &ParamAssignment::new(),
+        50,
+        3,
+        |_| 0.0,
+        &RunOptions::default(),
+    );
     match result {
         Err(CoreError::Harmonize(e)) => {
             assert!(e.to_string().contains("strictly increasing"), "{e}");
@@ -301,7 +307,7 @@ fn composite_supervision_retries_and_degrades_gracefully() {
     })
     .with_faults(FaultPlan::new().fail_on(2, 0, FaultKind::Panic));
     let (out, report) = plan
-        .run_monte_carlo_supervised(&ParamAssignment::new(), 6, 3, |_| 1.0, &opts)
+        .run_monte_carlo(&ParamAssignment::new(), 6, 3, |_| 1.0, &opts)
         .unwrap();
     assert_eq!(out.samples.len(), 6);
     assert_eq!(report.retried, 1);
@@ -313,7 +319,7 @@ fn composite_supervision_retries_and_degrades_gracefully() {
     let opts =
         RunOptions::policy(RunPolicy::BestEffort { min_fraction: 0.5 }).with_faults(faults.clone());
     let (out, report) = plan
-        .run_monte_carlo_supervised(&ParamAssignment::new(), 6, 3, |_| 1.0, &opts)
+        .run_monte_carlo(&ParamAssignment::new(), 6, 3, |_| 1.0, &opts)
         .unwrap();
     assert_eq!(out.samples.len(), 5);
     assert_eq!(report.dropped, 1);
