@@ -17,8 +17,8 @@
 //! compare codes; columns with different dictionaries compare contents.
 
 use crate::schema::DataType;
-use crate::storage::codec::{fnv1a, FNV_OFFSET};
 use crate::value::Value;
+use mde_numeric::codec::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -228,7 +228,7 @@ mod tests {
     /// pins the partition streams, their order and the row scatter.
     #[test]
     fn stochastic_five_step_run_matches_its_golden_digest() {
-        use mde_numeric::checkpoint::{fnv1a, FNV_OFFSET};
+        use mde_numeric::codec::{fnv1a, FNV_OFFSET};
         let sim = SelfJoinSim::new(
             "cell",
             |k: &Value| {

@@ -20,9 +20,10 @@
 //! word-wise one is property-tested against — same bit layout, same
 //! bytes on disk.
 
-use super::codec::{put_i64, put_str, put_u32, put_u64, Cursor};
 use crate::query::column::{ColumnVec, NullMask, StrDict};
 use crate::schema::DataType;
+use crate::McdbError;
+use mde_numeric::codec::{put_i64, put_str, put_u32, put_u64, Cursor, LenPrefix};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -390,7 +391,7 @@ fn dict_body(codes: &[u32], dict: &StrDict) -> Vec<u8> {
     let mut dicted = Vec::new();
     put_u32(&mut dicted, local.len() as u32);
     for &c in &local {
-        put_str(&mut dicted, dict.value(c));
+        put_str(&mut dicted, LenPrefix::U32, dict.value(c));
     }
     dicted.push(width as u8);
     pack_bits(indices.into_iter(), codes.len(), width, &mut dicted);
@@ -403,7 +404,7 @@ fn dict_body(codes: &[u32], dict: &StrDict) -> Vec<u8> {
 fn encode_str(codes: &[u32], dict: &StrDict, out: &mut Vec<u8>) -> Encoding {
     let mut plain = Vec::new();
     for &c in codes {
-        put_str(&mut plain, dict.value(c));
+        put_str(&mut plain, LenPrefix::U32, dict.value(c));
     }
 
     let runs = runs_of(codes, |a, b| a == b);
@@ -411,7 +412,7 @@ fn encode_str(codes: &[u32], dict: &StrDict, out: &mut Vec<u8>) -> Encoding {
     put_u32(&mut rle, runs.len() as u32);
     for (count, rep) in &runs {
         put_u32(&mut rle, *count);
-        put_str(&mut rle, dict.value(codes[*rep]));
+        put_str(&mut rle, LenPrefix::U32, dict.value(codes[*rep]));
     }
 
     pick_smallest(
@@ -503,11 +504,28 @@ pub(crate) enum DecodedPage {
     },
 }
 
+/// A [`Cursor`] over a page body or the file header.
+type PageCursor<'a> = Cursor<'a, McdbError>;
+
+/// How a page's [`Cursor`] and [`ColumnAssembler::absorb`] fail: a
+/// [`McdbError::PageCorrupt`] naming `path` and `page` (`u64::MAX` for the
+/// file header).
+pub(crate) fn page_corrupt(path: &str, page: u64) -> impl Fn(String) -> McdbError + '_ {
+    move |reason| McdbError::PageCorrupt {
+        path: path.to_string(),
+        page,
+        reason,
+    }
+}
+
 /// Decode one page body (positioned after the page header) straight into
 /// `out`, whose length is the page's value count and whose type is the
 /// column's declared schema type. Uses only page-local state; cross-page
 /// invariants are checked by [`ColumnAssembler::absorb`].
-pub(crate) fn decode_page(cur: &mut Cursor<'_>, out: LanesMut<'_>) -> crate::Result<DecodedPage> {
+pub(crate) fn decode_page(
+    cur: &mut PageCursor<'_>,
+    out: LanesMut<'_>,
+) -> crate::Result<DecodedPage> {
     let n_values = out.len();
     let dtype_tag = cur.u8()?;
     let enc_tag = cur.u8()?;
@@ -603,12 +621,16 @@ impl ColumnAssembler {
 
     /// Decode one page body into the next `n_values` lanes and absorb it.
     #[cfg(test)]
-    pub(crate) fn push_page(&mut self, cur: &mut Cursor<'_>, n_values: usize) -> crate::Result<()> {
+    pub(crate) fn push_page(
+        &mut self,
+        cur: &mut PageCursor<'_>,
+        n_values: usize,
+    ) -> crate::Result<()> {
         let filled = self.filled;
         let mut lanes = self.lanes_mut();
         lanes.split_front(filled);
         let page = decode_page(cur, lanes.split_front(n_values))?;
-        self.absorb(page, n_values, cur.path(), cur.page())
+        self.absorb(page, n_values, &|reason| cur.corrupt(reason))
     }
 
     /// Account for a decoded page of `n_values` lanes, enforcing the
@@ -620,14 +642,8 @@ impl ColumnAssembler {
         &mut self,
         page: DecodedPage,
         n_values: usize,
-        path: &str,
-        page_no: u64,
+        corrupt: &dyn Fn(String) -> McdbError,
     ) -> crate::Result<()> {
-        let corrupt = |reason: String| crate::McdbError::PageCorrupt {
-            path: path.to_string(),
-            page: page_no,
-            reason,
-        };
         let total = self.col.len();
         if self.filled + n_values > total {
             return Err(corrupt(format!(
@@ -671,11 +687,10 @@ impl ColumnAssembler {
     pub(crate) fn finish(self, path: &str) -> crate::Result<ColumnVec> {
         let total = self.col.len();
         if self.filled != total {
-            return Err(crate::McdbError::PageCorrupt {
-                path: path.to_string(),
-                page: u64::MAX,
-                reason: format!("column has {} rows, file declares {total}", self.filled),
-            });
+            return Err(page_corrupt(path, u64::MAX)(format!(
+                "column has {} rows, file declares {total}",
+                self.filled
+            )));
         }
         if self.all_null == Some(true) {
             return Ok(ColumnVec::AllNull { len: total });
@@ -703,9 +718,9 @@ fn or_null_words(global: &mut [u64], first: usize, n: usize, words: &[u64]) {
 
 /// Fill `out` from `(count, value)` runs, `value` read by `read`.
 fn decode_runs<T: Clone>(
-    cur: &mut Cursor<'_>,
+    cur: &mut PageCursor<'_>,
     out: &mut [T],
-    mut read: impl FnMut(&mut Cursor<'_>) -> crate::Result<T>,
+    mut read: impl FnMut(&mut PageCursor<'_>) -> crate::Result<T>,
 ) -> crate::Result<()> {
     let n = out.len();
     let n_runs = cur.u32()? as usize;
@@ -730,7 +745,7 @@ fn decode_runs<T: Clone>(
 
 /// The byte stream of `n` bit-packed lanes after a width byte, with the
 /// width checked and the stream's length bounds-checked once.
-fn packed_stream<'a>(cur: &mut Cursor<'a>, n: usize) -> crate::Result<(&'a [u8], u32)> {
+fn packed_stream<'a>(cur: &mut PageCursor<'a>, n: usize) -> crate::Result<(&'a [u8], u32)> {
     let width = cur.u8()? as u32;
     if width > 64 {
         return Err(cur.corrupt(format!("bit width {width} exceeds 64")));
@@ -738,7 +753,7 @@ fn packed_stream<'a>(cur: &mut Cursor<'a>, n: usize) -> crate::Result<(&'a [u8],
     Ok((cur.bytes((n * width as usize).div_ceil(8))?, width))
 }
 
-fn decode_int(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [i64]) -> crate::Result<()> {
+fn decode_int(cur: &mut PageCursor<'_>, enc: Encoding, out: &mut [i64]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
             let bytes = cur.bytes(out.len() * 8)?;
@@ -759,7 +774,7 @@ fn decode_int(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [i64]) -> crate::Re
     Ok(())
 }
 
-fn decode_float(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [f64]) -> crate::Result<()> {
+fn decode_float(cur: &mut PageCursor<'_>, enc: Encoding, out: &mut [f64]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
             let bytes = cur.bytes(out.len() * 8)?;
@@ -773,7 +788,7 @@ fn decode_float(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [f64]) -> crate::
     Ok(())
 }
 
-fn decode_bool(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [bool]) -> crate::Result<()> {
+fn decode_bool(cur: &mut PageCursor<'_>, enc: Encoding, out: &mut [bool]) -> crate::Result<()> {
     match enc {
         Encoding::Plain => {
             let bytes = cur.bytes(out.len().div_ceil(8))?;
@@ -793,7 +808,7 @@ fn decode_bool(cur: &mut Cursor<'_>, enc: Encoding, out: &mut [bool]) -> crate::
 /// returned: the stored one for a `Dict` page, one entry per run or per
 /// lane otherwise (the assembler's intern folds repeats).
 fn decode_str(
-    cur: &mut Cursor<'_>,
+    cur: &mut PageCursor<'_>,
     enc: Encoding,
     out: &mut [u32],
 ) -> crate::Result<Vec<Arc<str>>> {
@@ -802,7 +817,7 @@ fn decode_str(
     match enc {
         Encoding::Plain => {
             for (i, o) in out.iter_mut().enumerate() {
-                dict.push(Arc::from(cur.str()?));
+                dict.push(Arc::from(cur.str(LenPrefix::U32)?));
                 *o = i as u32;
             }
         }
@@ -813,7 +828,7 @@ fn decode_str(
             }
             dict.reserve(n_dict);
             for _ in 0..n_dict {
-                dict.push(Arc::from(cur.str()?));
+                dict.push(Arc::from(cur.str(LenPrefix::U32)?));
             }
             let (bytes, width) = packed_stream(cur, n)?;
             let mut out_of_range = None;
@@ -829,7 +844,7 @@ fn decode_str(
             }
         }
         Encoding::Rle => decode_runs(cur, out, |cur| {
-            dict.push(Arc::from(cur.str()?));
+            dict.push(Arc::from(cur.str(LenPrefix::U32)?));
             Ok(dict.len() as u32 - 1)
         })?,
         other => return Err(cur.corrupt(format!("encoding {other:?} invalid for Str"))),
@@ -847,8 +862,9 @@ mod tests {
         let enc = encode_page_body(col, 0, col.len(), &mut body);
         let declared = col.dtype().unwrap_or(DataType::Int);
         let mut asm = ColumnAssembler::new(declared, col.len());
-        let mut cur = Cursor::new(&body, "mem", 0);
-        asm.push_page(&mut cur, col.len()).unwrap();
+        let corrupt = page_corrupt("mem", 0);
+        asm.push_page(&mut Cursor::new(&body, &corrupt), col.len())
+            .unwrap();
         (enc, asm.finish("mem").unwrap())
     }
 
@@ -971,8 +987,10 @@ mod tests {
         encode_page_body(&c, 0, 77, &mut b1);
         encode_page_body(&c, 77, 123, &mut b2);
         let mut asm = ColumnAssembler::new(DataType::Int, 200);
-        asm.push_page(&mut Cursor::new(&b1, "mem", 0), 77).unwrap();
-        asm.push_page(&mut Cursor::new(&b2, "mem", 1), 123).unwrap();
+        asm.push_page(&mut Cursor::new(&b1, &page_corrupt("mem", 0)), 77)
+            .unwrap();
+        asm.push_page(&mut Cursor::new(&b2, &page_corrupt("mem", 1)), 123)
+            .unwrap();
         assert_eq!(asm.finish("mem").unwrap(), c);
     }
 
@@ -985,7 +1003,7 @@ mod tests {
         let mut asm = ColumnAssembler::new(DataType::Int, 50);
         let short = &body[..body.len() - 3];
         let err = asm
-            .push_page(&mut Cursor::new(short, "mem", 0), 50)
+            .push_page(&mut Cursor::new(short, &page_corrupt("mem", 0)), 50)
             .unwrap_err();
         assert!(matches!(err, crate::McdbError::PageCorrupt { .. }));
         // Unknown encoding tag.
@@ -993,7 +1011,7 @@ mod tests {
         bad[1] = 99;
         let mut asm = ColumnAssembler::new(DataType::Int, 50);
         let err = asm
-            .push_page(&mut Cursor::new(&bad, "mem", 0), 50)
+            .push_page(&mut Cursor::new(&bad, &page_corrupt("mem", 0)), 50)
             .unwrap_err();
         assert!(matches!(err, crate::McdbError::PageCorrupt { .. }));
     }
@@ -1125,13 +1143,13 @@ mod tests {
                 let declared = c.dtype().unwrap_or(DataType::Int);
                 let mut whole = ColumnAssembler::new(declared, n);
                 whole
-                    .push_page(&mut Cursor::new(&body, "mem", 0), n)
+                    .push_page(&mut Cursor::new(&body, &page_corrupt("mem", 0)), n)
                     .unwrap();
                 assert_eq!(whole.finish("mem").unwrap(), c, "{what}, {n} lanes");
                 for cut in 0..body.len() {
                     let mut asm = ColumnAssembler::new(declared, n);
                     let err = asm
-                        .push_page(&mut Cursor::new(&body[..cut], "mem", 3), n)
+                        .push_page(&mut Cursor::new(&body[..cut], &page_corrupt("mem", 3)), n)
                         .expect_err(&format!("{what}: {cut} of {} bytes decoded", body.len()));
                     assert!(
                         matches!(err, crate::McdbError::PageCorrupt { page: 3, .. }),
@@ -1148,7 +1166,8 @@ mod tests {
         let mut body = Vec::new();
         assert_eq!(encode_page_body(&ints, 0, 50, &mut body), Encoding::BitPack);
         let decode = |body: &[u8], declared| {
-            ColumnAssembler::new(declared, 50).push_page(&mut Cursor::new(body, "mem", 0), 50)
+            ColumnAssembler::new(declared, 50)
+                .push_page(&mut Cursor::new(body, &page_corrupt("mem", 0)), 50)
         };
         // Bit width above 64 (the width byte follows tag, encoding, null
         // flag and the 8-byte base).
@@ -1163,22 +1182,22 @@ mod tests {
         let mut nulls = Vec::new();
         encode_page_body(&ColumnVec::AllNull { len: 50 }, 0, 50, &mut nulls);
         let mut asm = ColumnAssembler::new(DataType::Int, 100);
-        asm.push_page(&mut Cursor::new(&nulls, "mem", 0), 50)
+        asm.push_page(&mut Cursor::new(&nulls, &page_corrupt("mem", 0)), 50)
             .unwrap();
         let err = asm
-            .push_page(&mut Cursor::new(&body, "mem", 1), 50)
+            .push_page(&mut Cursor::new(&body, &page_corrupt("mem", 1)), 50)
             .unwrap_err();
         assert!(err.to_string().contains("changed between pages"), "{err}");
         let mut asm = ColumnAssembler::new(DataType::Int, 100);
-        asm.push_page(&mut Cursor::new(&body, "mem", 0), 50)
+        asm.push_page(&mut Cursor::new(&body, &page_corrupt("mem", 0)), 50)
             .unwrap();
         let err = asm
-            .push_page(&mut Cursor::new(&nulls, "mem", 1), 50)
+            .push_page(&mut Cursor::new(&nulls, &page_corrupt("mem", 1)), 50)
             .unwrap_err();
         assert!(err.to_string().contains("all-null chunk"), "{err}");
         // Fewer pages than rows.
         let mut asm = ColumnAssembler::new(DataType::Int, 100);
-        asm.push_page(&mut Cursor::new(&body, "mem", 0), 50)
+        asm.push_page(&mut Cursor::new(&body, &page_corrupt("mem", 0)), 50)
             .unwrap();
         assert!(asm.finish("mem").is_err());
     }
@@ -1201,8 +1220,9 @@ mod tests {
         let mut tail = Vec::new();
         encode_page_body(&rest, 0, 70, &mut tail);
         let mut asm = ColumnAssembler::new(DataType::Int, 75);
-        asm.push_page(&mut Cursor::new(&body, "mem", 0), 5).unwrap();
-        asm.push_page(&mut Cursor::new(&tail, "mem", 1), 70)
+        asm.push_page(&mut Cursor::new(&body, &page_corrupt("mem", 0)), 5)
+            .unwrap();
+        asm.push_page(&mut Cursor::new(&tail, &page_corrupt("mem", 1)), 70)
             .unwrap();
         let got = asm.finish("mem").unwrap();
         assert!((0..75).all(|i| got.is_null(i) == (i == 2)));
@@ -1303,7 +1323,7 @@ mod tests {
         let mut dicted = Vec::new();
         put_u32(&mut dicted, dict.len() as u32);
         for d in &dict {
-            put_str(&mut dicted, d);
+            put_str(&mut dicted, LenPrefix::U32, d);
         }
         dicted.push(width as u8);
         bitwise_oracle::pack_bits(&indices, width, &mut dicted);

@@ -18,8 +18,9 @@
 //! The module splits into:
 //! - [`pager`] — the `MDETAB02` file format, `MDEPAGE2` page frames
 //!   with per-page word-parallel checksums
-//!   ([`checksum64`](mde_numeric::checkpoint::checksum64)), and
-//!   crash-consistent whole-file writes via the checkpoint codec's
+//!   ([`checksum64`](mde_numeric::codec::checksum64)), and
+//!   crash-consistent whole-file writes through
+//!   [`write_atomic`](mde_numeric::write_atomic), the checkpoints'
 //!   atomic-rename discipline; it also reads version 1 (`MDETAB01`,
 //!   FNV-1a) files, and writes only version 2;
 //! - [`encoding`] — per-page column encodings (dictionary, RLE,
@@ -29,13 +30,15 @@
 //!   counters, and typed pool-exhaustion errors;
 //! - [`spill`] — Grace-style hash partitioning that lets join builds and
 //!   group-by hash tables degrade to out-of-core instead of aborting.
+//!
+//! Every field of the header and the page bodies is written and read
+//! with [`mde_numeric::codec`], the byte codec the checkpoints and the
+//! result cache use too.
 
 pub mod encoding;
 pub mod pager;
 pub mod pool;
 pub mod spill;
-
-pub(crate) mod codec;
 
 pub use encoding::Encoding;
 pub use pager::{PageMeta, PagedStore, DEFAULT_PAGE_SIZE, PAGE_MAGIC, TABLE_MAGIC};

@@ -49,13 +49,15 @@
 //! checkpoints ([`mde_numeric::write_atomic`]), so a crash mid-write
 //! leaves the previous file intact.
 
-use super::codec::{checksum64, fnv1a, put_str, put_u32, put_u64, Cursor, FNV_OFFSET};
-use super::encoding::{decode_page, encode_page_body, ColumnAssembler, LanesMut};
+use super::encoding::{decode_page, encode_page_body, page_corrupt, ColumnAssembler, LanesMut};
 use super::pool::BufferPool;
 use crate::query::batch::Batch;
 use crate::query::column::ColumnVec;
 use crate::schema::{Column, DataType, Schema};
 use crate::McdbError;
+use mde_numeric::codec::{
+    checksum64, fnv1a, put_str, put_u32, put_u64, Cursor, LenPrefix, FNV_OFFSET,
+};
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,12 +230,12 @@ impl PagedStore {
         }
 
         let mut header_body = Vec::new();
-        put_str(&mut header_body, name);
+        put_str(&mut header_body, LenPrefix::U32, name);
         put_u64(&mut header_body, batch.len() as u64);
         put_u64(&mut header_body, page_size as u64);
         put_u32(&mut header_body, batch.schema().len() as u32);
         for col in batch.schema().columns() {
-            put_str(&mut header_body, &col.name);
+            put_str(&mut header_body, LenPrefix::U32, &col.name);
             header_body.push(col.dtype.to_tag());
         }
         put_u32(&mut header_body, directory.len() as u32);
@@ -255,11 +257,7 @@ impl PagedStore {
     /// validating its header, against `pool`.
     pub fn open(path: &Path, pool: Arc<BufferPool>) -> crate::Result<Arc<PagedStore>> {
         let display = path.display().to_string();
-        let header_corrupt = |reason: String| McdbError::PageCorrupt {
-            path: display.clone(),
-            page: u64::MAX,
-            reason,
-        };
+        let header_corrupt = page_corrupt(&display, u64::MAX);
         let mut f =
             std::fs::File::open(path).map_err(|e| header_corrupt(format!("cannot open: {e}")))?;
         let file_len = f
@@ -285,15 +283,15 @@ impl PagedStore {
         let found = version.checksum(&header_body);
         if found != stored_sum {
             return Err(McdbError::PageChecksumMismatch {
-                path: display,
+                path: display.clone(),
                 page: u64::MAX,
                 expected: stored_sum,
                 found,
             });
         }
 
-        let mut cur = Cursor::new(&header_body, &display, u64::MAX);
-        let name = cur.str()?.to_string();
+        let mut cur = Cursor::new(&header_body, &header_corrupt);
+        let name = cur.str(LenPrefix::U32)?.to_string();
         let n_rows = cur.u64()? as usize;
         let page_size = cur.u64()? as usize;
         if !(MIN_PAGE_SIZE..=1 << 30).contains(&page_size) {
@@ -302,7 +300,7 @@ impl PagedStore {
         let n_cols = cur.u32()? as usize;
         let mut columns = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let col_name = cur.str()?;
+            let col_name = cur.str(LenPrefix::U32)?;
             let tag = cur.u8()?;
             let dtype = DataType::from_tag(tag)
                 .ok_or_else(|| cur.corrupt(format!("unknown column type tag {tag}")))?;
@@ -460,7 +458,8 @@ impl PagedStore {
                 });
             }
             let body = &frame[PAGE_HEADER..PAGE_HEADER + body_len];
-            let page = decode_page(&mut Cursor::new(body, &display, page_no as u64), out)?;
+            let corrupt = page_corrupt(&display, page_no as u64);
+            let page = decode_page(&mut Cursor::new(body, &corrupt), out)?;
             decoded.push((page_no, page));
         }
         for (page_no, page) in decoded {
@@ -468,7 +467,11 @@ impl PagedStore {
             assemblers[meta.column as usize]
                 .as_mut()
                 .expect("only marked columns have page tasks")
-                .absorb(page, meta.n_values as usize, &display, page_no as u64)?;
+                .absorb(
+                    page,
+                    meta.n_values as usize,
+                    &page_corrupt(&display, page_no as u64),
+                )?;
         }
         let columns = assemblers
             .into_iter()

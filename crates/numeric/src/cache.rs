@@ -40,10 +40,8 @@
 //!
 //! [p]: ResultCache::provenance_of
 
-use crate::checkpoint::{
-    decode_report, encode_report, fnv1a, put_f64s, put_str, put_u64, write_atomic, CheckpointError,
-    Cursor, SaveStats, FNV_OFFSET,
-};
+use crate::checkpoint::{decode_report, encode_report, write_atomic, CheckpointError, SaveStats};
+use crate::codec::{fnv1a, put_f64s, put_str, put_u64, put_u64s, Cursor, LenPrefix, FNV_OFFSET};
 use crate::resilience::RunReport;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -158,6 +156,11 @@ impl From<CheckpointError> for CacheError {
 
 /// Result alias for cache operations.
 pub type Result<T> = std::result::Result<T, CacheError>;
+
+/// The error a cache [`Cursor`] fails with.
+fn corrupt(reason: String) -> CacheError {
+    CacheError::Corrupt { reason }
+}
 
 // ---------------------------------------------------------------------------
 // Keys, provenance, entries
@@ -281,23 +284,14 @@ impl CacheEntry {
 fn encode_entry_body(entry: &CacheEntry) -> Vec<u8> {
     let mut body = Vec::new();
     put_u64(&mut body, entry.key.spec_fingerprint);
-    put_u64(&mut body, entry.key.param_point_bits.len() as u64);
-    for &b in &entry.key.param_point_bits {
-        put_u64(&mut body, b);
-    }
+    put_u64s(&mut body, &entry.key.param_point_bits);
     put_u64(&mut body, entry.key.replicates);
     put_u64(&mut body, entry.key.master_seed);
-    put_str(&mut body, &entry.provenance.campaign);
+    put_str(&mut body, LenPrefix::U64, &entry.provenance.campaign);
     put_u64(&mut body, entry.provenance.spec_fingerprint);
-    put_u64(&mut body, entry.provenance.upstream.len() as u64);
-    for &h in &entry.provenance.upstream {
-        put_u64(&mut body, h);
-    }
+    put_u64s(&mut body, &entry.provenance.upstream);
     put_f64s(&mut body, &entry.values);
-    put_u64(&mut body, entry.ints.len() as u64);
-    for &v in &entry.ints {
-        put_u64(&mut body, v);
-    }
+    put_u64s(&mut body, &entry.ints);
     match &entry.report {
         None => body.push(0),
         Some(r) => {
@@ -309,41 +303,23 @@ fn encode_entry_body(entry: &CacheEntry) -> Vec<u8> {
 }
 
 fn decode_entry_body(body: &[u8]) -> Result<CacheEntry> {
-    let mut cur = Cursor::new(body);
-    let spec_fingerprint = cur.take_u64()?;
-    let n_dims = cur.take_len()?;
-    let mut param_point_bits = Vec::with_capacity(n_dims);
-    for _ in 0..n_dims {
-        param_point_bits.push(cur.take_u64()?);
-    }
-    let replicates = cur.take_u64()?;
-    let master_seed = cur.take_u64()?;
-    let campaign = cur.take_str()?;
-    let prov_fingerprint = cur.take_u64()?;
-    let n_upstream = cur.take_len()?;
-    let mut upstream = Vec::with_capacity(n_upstream);
-    for _ in 0..n_upstream {
-        upstream.push(cur.take_u64()?);
-    }
-    let values = cur.take_f64s()?;
-    let n_ints = cur.take_len()?;
-    let mut ints = Vec::with_capacity(n_ints);
-    for _ in 0..n_ints {
-        ints.push(cur.take_u64()?);
-    }
-    let report = match cur.take_u8()? {
+    let mut cur = Cursor::new(body, &corrupt);
+    let spec_fingerprint = cur.u64()?;
+    let param_point_bits = cur.u64s()?;
+    let replicates = cur.u64()?;
+    let master_seed = cur.u64()?;
+    let campaign = cur.str(LenPrefix::U64)?.to_string();
+    let prov_fingerprint = cur.u64()?;
+    let upstream = cur.u64s()?;
+    let values = cur.f64s()?;
+    let ints = cur.u64s()?;
+    let report = match cur.u8()? {
         0 => None,
         1 => Some(decode_report(&mut cur)?),
-        b => {
-            return Err(CacheError::Corrupt {
-                reason: format!("invalid report marker {b}"),
-            })
-        }
+        b => return Err(cur.corrupt(format!("invalid report marker {b}"))),
     };
     if cur.remaining() != 0 {
-        return Err(CacheError::Corrupt {
-            reason: format!("{} trailing bytes after entry", cur.remaining()),
-        });
+        return Err(cur.corrupt(format!("{} trailing bytes after entry", cur.remaining())));
     }
     Ok(CacheEntry {
         key: CacheKey {
@@ -494,15 +470,15 @@ impl ResultCache {
                 reason: "bad magic: not an MDECACHE1 file".into(),
             });
         }
-        let mut cur = Cursor::new(&bytes[MAGIC.len()..]);
-        let n_entries = cur.take_u64()?;
+        let mut cur = Cursor::new(&bytes[MAGIC.len()..], &corrupt);
+        let n_entries = cur.u64()?;
         let mut dropped = 0usize;
         for _ in 0..n_entries {
             // Framing reads are strict: a torn length prefix ends the
             // file, and the remaining entries are unrecoverable.
-            let stored = cur.take_u64()?;
-            let len = cur.take_len()?;
-            let body = cur.take(len)?;
+            let stored = cur.u64()?;
+            let len = cur.count()?;
+            let body = cur.bytes(len)?;
             let found = fnv1a(FNV_OFFSET, body);
             if found != stored {
                 dropped += 1;
@@ -619,6 +595,7 @@ impl ResultCache {
 
     /// Serialize the full cache image. Entries are written in ascending
     /// last-used order so a reload reconstructs the same eviction order.
+    /// Each entry's checksum is the content hash its slot already holds.
     fn encode(&self) -> Vec<u8> {
         let mut slots: Vec<&Slot> = self.slots.values().collect();
         slots.sort_by_key(|s| s.last_used);
@@ -627,7 +604,7 @@ impl ResultCache {
         put_u64(&mut out, slots.len() as u64);
         for slot in slots {
             let body = encode_entry_body(&slot.entry);
-            put_u64(&mut out, fnv1a(FNV_OFFSET, &body));
+            put_u64(&mut out, slot.hash);
             put_u64(&mut out, body.len() as u64);
             out.extend_from_slice(&body);
         }

@@ -38,6 +38,11 @@
 //!   seed/spec [`Fingerprint`] that guards resumption, shared by every
 //!   surface that supports checkpoint/resume, deadlines, and
 //!   cancellation.
+//! * [`codec`] — the one byte codec under every file the workspace
+//!   writes (checkpoints, cache images, `mde-mcdb`'s paged tables): the
+//!   little-endian writers, a bounds-checked [`Cursor`](codec::Cursor)
+//!   that fails with its caller's error, and the `fnv1a` / `checksum64`
+//!   checksums.
 //! * [`cache`] — the content-addressed cross-campaign result cache
 //!   (§2.3 result caching): completed runs keyed by spec fingerprint,
 //!   parameter point, replicate count, and seed, persisted in the
@@ -53,6 +58,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod codec;
 pub mod dist;
 pub mod error;
 pub mod kde;

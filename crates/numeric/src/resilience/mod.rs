@@ -516,14 +516,19 @@ pub enum FaultKind {
     /// result and strict campaigns stop at a resumable boundary. Fails no
     /// replicate.
     Shed,
+    /// Panic inside the supervised region of one wire request, keyed on
+    /// the session's ordinal and the request's ordinal within it: the
+    /// server answers `ERR PANIC` and closes that session only. Fails no
+    /// replicate.
+    SessionPanic,
 }
 
 impl FaultKind {
     /// The [`FailureKind`] this fault surfaces as in a [`RunReport`] —
     /// `None` for the scheduling faults ([`FaultKind::Preempt`],
     /// [`FaultKind::StalledWorker`], [`FaultKind::SlowWorker`],
-    /// [`FaultKind::QueueFull`]), which disturb scheduling without
-    /// failing any replicate.
+    /// [`FaultKind::QueueFull`], [`FaultKind::Shed`]) and the wire one
+    /// ([`FaultKind::SessionPanic`]), which fail no replicate.
     pub fn failure_kind(&self) -> Option<FailureKind> {
         match self {
             FaultKind::Panic => Some(FailureKind::Panic),
@@ -533,7 +538,8 @@ impl FaultKind {
             | FaultKind::StalledWorker
             | FaultKind::SlowWorker(_)
             | FaultKind::QueueFull
-            | FaultKind::Shed => None,
+            | FaultKind::Shed
+            | FaultKind::SessionPanic => None,
         }
     }
 }
@@ -711,6 +717,29 @@ impl FaultPlan {
         self.faults
             .iter()
             .any(|f| f.kind == FaultKind::Preempt && f.replicate == campaign && f.attempt == slice)
+    }
+
+    /// Schedule a panic inside the supervised region of request `request`
+    /// (zero-based, counted per session) of wire session `session`
+    /// (zero-based accept order).
+    pub fn panic_session_at(mut self, session: u64, request: u32) -> Self {
+        self.faults.push(Fault {
+            replicate: session,
+            attempt: request,
+            kind: FaultKind::SessionPanic,
+        });
+        self
+    }
+
+    /// Whether request `request` of wire session `session` is scheduled
+    /// to panic. A session numbers its requests as they arrive, so a site
+    /// fires at most once.
+    pub fn panics_session(&self, session: u64, request: u64) -> bool {
+        self.faults.iter().any(|f| {
+            f.kind == FaultKind::SessionPanic
+                && f.replicate == session
+                && u64::from(f.attempt) == request
+        })
     }
 
     /// The failure ledger this plan predicts, as `(replicate, attempt,

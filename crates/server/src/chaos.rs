@@ -1,63 +1,23 @@
-//! Wire-level fault injection for the service front-end.
+//! Client-side wire fault injection for the service front-end.
 //!
-//! Two halves, matching where faults physically originate:
+//! Free functions ([`slow_loris`], [`torn_frame`], [`oversized_header`],
+//! [`garbage_bytes`], [`mid_frame_disconnect`]) misbehave on a raw socket
+//! the way real broken clients do. The chaos harness drives them against
+//! a live server and asserts every fault lands as a typed error or clean
+//! disconnect — never a wrong answer and never a hung accept loop.
 //!
-//! * **Server-side** — [`WireFaultPlan`] is installed into the server
-//!   config and injects panics *inside* the supervised per-request
-//!   region of chosen sessions, exercising the fault-isolation claim:
-//!   a panicking request kills one session with a typed `ERR PANIC`
-//!   reply, never the server.
-//! * **Client-side** — free functions ([`slow_loris`], [`torn_frame`],
-//!   [`oversized_header`], [`garbage_bytes`], [`mid_frame_disconnect`])
-//!   that misbehave on a raw socket the way real broken clients do.
-//!   The chaos harness drives these against a live server and asserts
-//!   every fault lands as a typed error or clean disconnect — never a
-//!   wrong answer and never a hung accept loop.
-//!
-//! Injection points are deterministic given the plan: faults are keyed
-//! by `(session ordinal, request ordinal)` and named one by one with
-//! [`WireFaultPlan::panic_session_at`]. The chaos harness fixes its
-//! sites (the first two sessions panic on their second request) and
-//! takes only its data seeds from `MDE_CHAOS_SEED`, so a CI failure
-//! replays exactly.
+//! The server-side half is the workspace's one fault plan:
+//! [`ServerConfig::faults`](crate::ServerConfig::faults) takes a
+//! [`FaultPlan`](mde_numeric::resilience::FaultPlan) whose
+//! [`FaultKind::SessionPanic`](mde_numeric::resilience::FaultKind::SessionPanic)
+//! sites, named one by one with `panic_session_at(session, request)`,
+//! panic inside the supervised per-request region of chosen sessions: a
+//! panicking request kills one session with a typed `ERR PANIC` reply,
+//! never the server. The chaos harness fixes its sites (the first two
+//! sessions panic on their second request) and takes only its data seeds
+//! from `MDE_CHAOS_SEED`, so a CI failure replays exactly.
 
-use std::collections::HashSet;
 use std::io::Write;
-use std::sync::Mutex;
-
-/// Deterministic server-side fault plan: which `(session, request)`
-/// pairs panic inside the supervised execution region.
-#[derive(Debug, Default)]
-pub struct WireFaultPlan {
-    panics: Mutex<HashSet<(u64, u64)>>,
-}
-
-impl WireFaultPlan {
-    /// An empty plan (injects nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arrange for the `request`-th request (zero-based, counted per
-    /// session) of the `session`-th accepted session (zero-based) to
-    /// panic inside the supervised region.
-    pub fn panic_session_at(self, session: u64, request: u64) -> Self {
-        self.panics
-            .lock()
-            .expect("fault plan lock")
-            .insert((session, request));
-        self
-    }
-
-    /// Whether the given `(session, request)` site should panic. The
-    /// site is consumed: a restarted request does not re-fire.
-    pub fn should_panic(&self, session: u64, request: u64) -> bool {
-        self.panics
-            .lock()
-            .expect("fault plan lock")
-            .remove(&(session, request))
-    }
-}
 
 /// Dribble a frame one byte at a time with `pause` between bytes — a
 /// slow-loris client. Returns early (Ok) if the server gives up on us
@@ -122,14 +82,6 @@ pub fn mid_frame_disconnect(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn panic_sites_fire_once() {
-        let plan = WireFaultPlan::new().panic_session_at(0, 2);
-        assert!(!plan.should_panic(0, 1));
-        assert!(plan.should_panic(0, 2));
-        assert!(!plan.should_panic(0, 2), "sites are consumed");
-    }
 
     #[test]
     fn client_faults_write_what_they_promise() {

@@ -46,7 +46,6 @@ pub mod session;
 
 pub use cache::{CacheStats, PlanCache};
 pub use campaigns::CampaignHub;
-pub use chaos::WireFaultPlan;
 pub use client::{Client, Reply};
 pub use error::{overloaded_to_wire, RetryHints, WireCode, WireError};
 pub use proto::{FrameError, ReadFrame, Request, MAX_DEADLINE_MS, MAX_FRAME_LEN, MAX_REPLICATES};

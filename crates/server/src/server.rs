@@ -33,13 +33,13 @@
 
 use crate::cache::PlanCache;
 use crate::campaigns::CampaignHub;
-use crate::chaos::WireFaultPlan;
 use crate::error::{WireCode, WireError};
 use crate::proto::write_frame;
 use crate::session::{run_session, Engine, ServerMetrics};
 use mde_core::SchedConfig;
 use mde_mcdb::prelude::Catalog;
 use mde_mcdb::sql::VgRegistry;
+use mde_numeric::resilience::FaultPlan;
 use mde_numeric::{CancelReason, CancelToken};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -58,11 +58,8 @@ pub struct ServerConfig {
     /// it bounds the wait for, and the delivery of, that frame (how long
     /// an idle session is kept, and how long a slow-loris client may
     /// dribble), not how long a request may run. A request is bounded by
-    /// its own `deadline_ms` or [`ServerConfig::default_deadline_ms`].
+    /// its own `deadline_ms`, if it carries one.
     pub idle_timeout: Duration,
-    /// Deadline applied to requests that do not carry one, in
-    /// milliseconds. `None` means no implicit deadline.
-    pub default_deadline_ms: Option<u64>,
     /// Campaign scheduler configuration. The master drain token is
     /// installed by the server; any `drain` set here is replaced.
     pub sched: SchedConfig,
@@ -71,8 +68,10 @@ pub struct ServerConfig {
     /// Directory for wire-named checkpoints; `None` disables the
     /// `checkpoint=` request option.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Server-side fault injection (tests only; `None` in production).
-    pub faults: Option<WireFaultPlan>,
+    /// Server-side fault injection (tests only; `None` in production):
+    /// the plan's [`FaultKind::SessionPanic`](mde_numeric::resilience::FaultKind::SessionPanic)
+    /// sites.
+    pub faults: Option<FaultPlan>,
 }
 
 impl Default for ServerConfig {
@@ -80,7 +79,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_sessions: 32,
             idle_timeout: Duration::from_secs(10),
-            default_deadline_ms: None,
             sched: SchedConfig::default(),
             cache_capacity: 64,
             checkpoint_dir: None,
@@ -140,7 +138,6 @@ impl Server {
             vg: VgRegistry::standard(),
             checkpoint_dir: cfg.checkpoint_dir,
             faults: cfg.faults,
-            default_deadline_ms: cfg.default_deadline_ms,
             metrics: ServerMetrics::default(),
         });
 

@@ -22,7 +22,7 @@
 //!   while its request runs, and the session neither reads nor writes
 //!   it then.
 //! * **Supervision.** Requests execute inside [`catch_panic`]: a panic —
-//!   organic or injected by the [`WireFaultPlan`] — produces a typed
+//!   organic or injected by a `FaultKind::SessionPanic` site — produces a typed
 //!   `ERR PANIC` reply and terminates *that session only*. The accept
 //!   loop, other sessions, and the campaign hub never observe it.
 //!
@@ -32,7 +32,6 @@
 
 use crate::cache::PlanCache;
 use crate::campaigns::CampaignHub;
-use crate::chaos::WireFaultPlan;
 use crate::error::{overloaded_to_wire, RetryHints, WireCode, WireError};
 use crate::proto::{
     self, encode_ok, encode_table, read_frame, write_frame, ReadFrame, Request, RequestOpts,
@@ -44,7 +43,9 @@ use mde_mcdb::prelude::{Catalog, DataType, Table};
 use mde_mcdb::random_table::RandomTableSpec;
 use mde_mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
 use mde_mcdb::McCampaign;
-use mde_numeric::resilience::{catch_panic, CheckpointSpec, RunOptions, RunPolicy, StopCause};
+use mde_numeric::resilience::{
+    catch_panic, CheckpointSpec, FaultPlan, RunOptions, RunPolicy, StopCause,
+};
 use mde_numeric::{CampaignState, CancelToken, Deadline};
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
@@ -124,9 +125,7 @@ pub struct Engine {
     /// Directory for wire-named checkpoints; `None` disables them.
     pub(crate) checkpoint_dir: Option<PathBuf>,
     /// Server-side fault injection (tests only).
-    pub(crate) faults: Option<WireFaultPlan>,
-    /// Deadline applied when the client sends none, milliseconds.
-    pub(crate) default_deadline_ms: Option<u64>,
+    pub(crate) faults: Option<FaultPlan>,
     /// Whole-server counters.
     pub(crate) metrics: ServerMetrics,
 }
@@ -333,7 +332,7 @@ impl Session {
         let engine = Arc::clone(&self.engine);
         let supervised = catch_panic(|| {
             if let Some(faults) = &engine.faults {
-                if faults.should_panic(self.id, seq) {
+                if faults.panics_session(self.id, seq) {
                     panic!(
                         "injected session fault (session {}, request {seq})",
                         self.id
@@ -381,7 +380,6 @@ impl Session {
 
     fn deadline(&self, opts: &RequestOpts) -> Option<Deadline> {
         opts.deadline_ms
-            .or(self.engine.default_deadline_ms)
             .map(|ms| Deadline::after(Duration::from_millis(ms)))
     }
 
@@ -726,7 +724,6 @@ mod tests {
             vg: VgRegistry::standard(),
             checkpoint_dir: None,
             faults: None,
-            default_deadline_ms: None,
             metrics: ServerMetrics::default(),
         });
         Session {

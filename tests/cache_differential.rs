@@ -529,3 +529,89 @@ fn hostile_gp_fit_entries_are_recomputed_never_served() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The entries `tests/fixtures/mdecache1_four_entries.cache` holds, in
+/// insertion order: a campaign entry with a report whose ledger carries a
+/// unicode failure message, two points of one spec (one citing the first
+/// entry upstream) and a point with a NaN coordinate.
+fn fixture_entries() -> Vec<CacheEntry> {
+    use model_data_ecosystems::numeric::resilience::{FailureKind, FailureRecord, RunReport};
+    let mut report = RunReport::new();
+    report.attempted = 100;
+    report.succeeded = 99;
+    report.dropped = 1;
+    report.ci_widened = true;
+    report.failures.push(FailureRecord {
+        replicate: 41,
+        attempt: 0,
+        kind: FailureKind::Panic,
+        message: "réplica 41: σ → ∞".into(),
+    });
+    report.metrics.add("replicates.attempted", 100);
+    report.metrics.observe("mc.sample", -0.0);
+    report.metrics.observe("mc.sample", f64::INFINITY);
+    let mut campaign = CacheEntry::leaf(
+        CacheKey::for_campaign(0x30, 100, 7),
+        "mc.fixture",
+        vec![1.0, -0.0, f64::INFINITY],
+    );
+    campaign.ints = vec![0, 1, 2];
+    campaign.report = Some(report);
+
+    let mut point = CacheEntry::leaf(
+        CacheKey::for_point(0x10, &[0.5, -0.0], 50, 9),
+        "calibrate.kriging",
+        vec![2.5],
+    );
+    point.provenance.upstream = vec![campaign.content_hash()];
+    let nan_point = CacheEntry::leaf(
+        CacheKey::for_point(0x20, &[f64::NAN], 10, 1),
+        "screening",
+        Vec::new(),
+    );
+    let other_point = CacheEntry::leaf(
+        CacheKey::for_point(0x10, &[0.25, 1e9], 50, 9),
+        "calibrate.kriging",
+        vec![-3.75, 1e-310],
+    );
+    vec![campaign, point, nan_point, other_point]
+}
+
+/// The content hashes of [`fixture_entries`], in the same order.
+const FIXTURE_HASHES: [u64; 4] = [
+    0x0F0C_327F_A14D_1E59,
+    0x6C9C_CAD4_F31C_CF83,
+    0x0700_42F8_ED99_5B8B,
+    0x177E_A8DD_78F2_72FE,
+];
+
+/// A cache image written by an earlier build opens strictly, with the
+/// content hashes its entries had, and persists back to the same bytes —
+/// entry bodies, checksums and LRU order (oldest first: the NaN point, the
+/// other point, the point, the campaign; neither key order nor insertion
+/// order). Never regenerate the fixture.
+#[test]
+fn mdecache1_fixture_opens_strictly_and_persists_byte_for_byte() {
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/mdecache1_four_entries.cache");
+    let bytes = std::fs::read(&committed).unwrap();
+    let dir = scratch_dir();
+    let path = dir.join("fixture.cache");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut cache = ResultCache::open(&path, DEFAULT_MAX_BYTES).unwrap();
+    assert_eq!(cache.stats().entries, 4);
+    cache.persist().unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == bytes,
+        "the persisted image differs from the fixture"
+    );
+
+    for (entry, hash) in fixture_entries().into_iter().zip(FIXTURE_HASHES) {
+        assert_eq!(entry.content_hash(), hash);
+        let (found, found_hash) = cache.lookup(&entry.key).unwrap();
+        assert_eq!(found_hash, hash);
+        assert_eq!(found, entry);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -181,7 +181,7 @@ fn mc_preempted_runs_resume_bit_identically_at_every_boundary() {
 /// counts, not just the resumed ≡ uninterrupted relation.
 #[test]
 fn mc_faulted_preempted_resumed_run_matches_its_golden() {
-    use model_data_ecosystems::numeric::checkpoint::{fnv1a, FNV_OFFSET};
+    use model_data_ecosystems::numeric::codec::{fnv1a, FNV_OFFSET};
     let (seed, n) = (0x00C0_FFEE, 16);
     let (db, q) = normal_setup();
     let scratch = ScratchFile::new("mc-golden");
@@ -1038,4 +1038,99 @@ fn screening_checkpoint_survives_the_disk_round_trip() {
         let resumed = sequential_bifurcation_durable(&response, &cfg, seed, &resume).unwrap();
         assert_screening_runs_identical(&resumed, &baseline, &format!("sb disk resume at {cut}"));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The committed `MDECKPT2` fixture
+// ---------------------------------------------------------------------------
+
+/// The state `tests/fixtures/mdeckpt2_ledger.ckpt` holds: a ledger with a
+/// NaN (two payloads), `-0.0`, both infinities and a unicode failure
+/// message, in every section of the layout.
+fn fixture_state() -> CampaignState {
+    use model_data_ecosystems::numeric::resilience::{FailureKind, FailureRecord};
+    let payload_nan = f64::from_bits(0x7FF0_0000_0000_0001);
+    let mut s = CampaignState::new("fixture.ledger", 0x0123_4567_89AB_CDEF, 0x00C0_FFEE, 12);
+    s.cursor = 5;
+    s.completed = vec![
+        (0, vec![1.5, -0.0]),
+        (1, vec![f64::NAN, payload_nan]),
+        (3, vec![f64::INFINITY, f64::NEG_INFINITY, 1e-310]),
+        (4, vec![]),
+    ];
+    s.report.attempted = 5;
+    s.report.succeeded = 4;
+    s.report.retried = 2;
+    s.report.dropped = 1;
+    s.report.shed = 3;
+    s.report.ci_widened = true;
+    s.report.failures = vec![
+        FailureRecord {
+            replicate: 2,
+            attempt: 0,
+            kind: FailureKind::Panic,
+            message: "replicate 2 panicked: Δ ≥ ∞ — ünïcödé 🎲".into(),
+        },
+        FailureRecord {
+            replicate: 2,
+            attempt: 1,
+            kind: FailureKind::NonFinite,
+            message: "NaN".into(),
+        },
+        FailureRecord {
+            replicate: 3,
+            attempt: 0,
+            kind: FailureKind::Error,
+            message: String::new(),
+        },
+    ];
+    s.report.metrics.add("replicates.attempted", 5);
+    s.report.metrics.add("attempts.retried", 2);
+    for v in [1.5, -0.0, -20.0, f64::NAN, f64::INFINITY, 3e-300] {
+        s.report.metrics.observe("mc.sample", v);
+    }
+    s.floats = vec![f64::NAN, -0.0, f64::INFINITY, 0.1];
+    s.ints = vec![0, 7, u64::MAX];
+    s
+}
+
+/// A checkpoint written by an earlier build still loads, to the state it
+/// was written from, and today's encoder writes the same bytes back.
+/// Never regenerate the fixture: a failure here means checkpoints on disk
+/// would stop resuming.
+#[test]
+fn mdeckpt2_fixture_decodes_to_its_state_and_re_encodes_byte_for_byte() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mdeckpt2_ledger.ckpt");
+    let bytes = std::fs::read(&path).unwrap();
+    let loaded = CampaignState::load(&path).unwrap();
+    assert!(
+        loaded.encode() == bytes,
+        "re-encoding differs from the fixture"
+    );
+
+    let expected = fixture_state();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        (&loaded.campaign, loaded.fingerprint, loaded.master_seed),
+        (
+            &expected.campaign,
+            expected.fingerprint,
+            expected.master_seed
+        )
+    );
+    assert_eq!(
+        (loaded.total, loaded.cursor),
+        (expected.total, expected.cursor)
+    );
+    assert_eq!(loaded.completed.len(), expected.completed.len());
+    for ((i, got), (j, want)) in loaded.completed.iter().zip(&expected.completed) {
+        assert_eq!((i, bits(got)), (j, bits(want)));
+    }
+    assert_eq!(bits(&loaded.floats), bits(&expected.floats));
+    assert_eq!(loaded.ints, expected.ints);
+    assert_eq!(loaded.report, expected.report);
+    assert_eq!(
+        loaded.report.failures[0].message,
+        "replicate 2 panicked: Δ ≥ ∞ — ünïcödé 🎲"
+    );
 }

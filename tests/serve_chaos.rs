@@ -23,10 +23,11 @@
 use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::{Catalog, DataType, Table, Value};
 use mde_mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
+use mde_numeric::resilience::FaultPlan;
 use mde_numeric::rng::chaos_seed;
 use mde_server::chaos;
 use mde_server::client::{Client, Reply};
-use mde_server::{Server, ServerConfig, WireCode, WireFaultPlan};
+use mde_server::{Server, ServerConfig, WireCode};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -203,7 +204,7 @@ fn wire_chaos_never_wedges_the_server_or_corrupts_answers() {
     let seed = chaos_seed();
     // Sessions 0 and 1 panic on their second request (the ordinals are
     // claimed below by connecting the panic victims first).
-    let faults = WireFaultPlan::new()
+    let faults = FaultPlan::new()
         .panic_session_at(0, 1)
         .panic_session_at(1, 1);
     let server = Server::start(

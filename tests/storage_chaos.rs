@@ -395,9 +395,9 @@ fn corruption_fails_exactly_the_plans_that_read_the_column() {
 /// frames with: FNV-1a for version 1, `checksum64` otherwise.
 fn seal(magic: &[u8], bytes: &[u8]) -> u64 {
     if magic == V1_TABLE_MAGIC {
-        mde_numeric::checkpoint::fnv1a(mde_numeric::checkpoint::FNV_OFFSET, bytes)
+        mde_numeric::codec::fnv1a(mde_numeric::codec::FNV_OFFSET, bytes)
     } else {
-        mde_numeric::checkpoint::checksum64(bytes)
+        mde_numeric::codec::checksum64(bytes)
     }
 }
 
