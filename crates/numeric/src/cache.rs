@@ -16,9 +16,18 @@
 //!   [`RunReport`], and a [`Provenance`] record naming the campaign and
 //!   the upstream entry hashes it was derived from.
 //! * [`ResultCache`] — in-memory index plus optional on-disk persistence
-//!   in the checksummed `MDECACHE1` format (FNV-1a per-entry checksums,
-//!   [`write_atomic`] temp-file + fsync + rename), bounded by
-//!   `max_bytes` with least-recently-used eviction.
+//!   in the `MDECACHE2` format, bounded by `max_bytes` with
+//!   least-recently-used eviction. The file is the magic followed by one
+//!   sealed segment (`len ‖ body ‖ checksum64(body)`) per persist, holding
+//!   only what changed since the one before: the entries inserted and
+//!   still live, the content hashes of the entries that left, and the
+//!   recency order of every slot used. A persist appends its segment with
+//!   [`append_durable`] and does no I/O when nothing changed. The file is
+//!   rewritten whole as one segment, through [`write_atomic`], when it is
+//!   new, was read as `MDECACHE1` (still readable, never written), ended
+//!   in a torn segment, is not the length this cache last wrote, or holds
+//!   more dead bytes than live ones. The crash window is the last
+//!   segment: a torn or damaged one is dropped whole.
 //! * [`CacheHandle`] — the shared, cloneable front the execution surfaces
 //!   carry (e.g. in `RunOptions::cache`).
 //! * [`ObjectiveScope`] — per-campaign memoization helper for optimizer
@@ -28,8 +37,9 @@
 //!
 //! The safety contract is the checkpoint codec's: a corrupt entry is
 //! always a recompute, never a wrong answer. Every decode failure is a
-//! typed [`CacheError`]; [`ResultCache::open_or_recover`] drops
-//! undecodable entries and keeps the rest. Cache `hits`/`misses`/
+//! typed [`CacheError`]; [`ResultCache::open_or_recover`] drops a damaged
+//! segment and every one after it (an `MDECACHE1` entry at a time) and
+//! keeps the state the segments before it left. Cache `hits`/`misses`/
 //! `evictions` counters are deterministic (pure functions of the call
 //! sequence) and belong in the obs ledger; lookup wall-clock latency is
 //! recorded out-of-band only.
@@ -40,17 +50,44 @@
 //!
 //! [p]: ResultCache::provenance_of
 
-use crate::checkpoint::{decode_report, encode_report, write_atomic, CheckpointError, SaveStats};
-use crate::codec::{fnv1a, put_f64s, put_str, put_u64, put_u64s, Cursor, LenPrefix, FNV_OFFSET};
+use crate::checkpoint::{
+    append_durable, decode_report, encode_report, write_atomic, CheckpointError, SaveStats,
+};
+use crate::codec::{
+    fnv1a, put_f64s, put_sealed, put_str, put_u64, put_u64s, Cursor, LenPrefix, FNV_OFFSET,
+};
 use crate::resilience::RunReport;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// File magic: `MDECACHE` + format version `1`.
-pub const MAGIC: [u8; 9] = *b"MDECACHE1";
+/// File magic of what this build writes: `MDECACHE` + format version `2`.
+pub const MAGIC: [u8; 9] = *b"MDECACHE2";
+
+/// File magic of the first layout, which a current build reads and never
+/// writes.
+const MAGIC_V1: [u8; 9] = *b"MDECACHE1";
+
+/// The layout of an opened file, fixed by its magic.
+enum Version {
+    /// `MDECACHE1`: an entry count, then `fnv1a ‖ len ‖ body` per entry in
+    /// ascending recency, the whole image rewritten on every persist.
+    V1,
+    /// `MDECACHE2`: sealed segments, one per persist.
+    V2,
+}
+
+impl Version {
+    fn of(bytes: &[u8]) -> Option<Version> {
+        match bytes.get(..MAGIC.len())? {
+            m if m == MAGIC => Some(Version::V2),
+            m if m == MAGIC_V1 => Some(Version::V1),
+            _ => None,
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -77,12 +114,13 @@ pub enum CacheError {
         /// What the decoder tripped over.
         reason: String,
     },
-    /// An entry body does not hash to its stored checksum — the file was
-    /// altered or torn after it was written.
+    /// An entry body (`MDECACHE1`) or a segment (`MDECACHE2`) does not
+    /// sum to its stored checksum — the file was altered or torn after it
+    /// was written.
     ChecksumMismatch {
-        /// Checksum stored alongside the entry.
+        /// Checksum stored alongside the entry or segment.
         expected: u64,
-        /// Checksum of the body as found.
+        /// Checksum of the bytes as found.
         found: u64,
     },
     /// A decoded entry's identity disagrees with what the caller expected
@@ -271,7 +309,8 @@ impl CacheEntry {
     }
 
     /// Content hash of this entry — the FNV-1a digest of its encoded
-    /// body, which is also the per-entry checksum in the file format.
+    /// body. The file stores it beside the body, so opening a file does
+    /// not recompute it.
     pub fn content_hash(&self) -> u64 {
         fnv1a(FNV_OFFSET, &encode_entry_body(self))
     }
@@ -364,12 +403,15 @@ pub struct CacheStats {
 
 struct Slot {
     entry: CacheEntry,
-    /// Content hash of the encoded body (= the on-disk checksum).
+    /// Content hash of the encoded body.
     hash: u64,
-    /// Encoded size including the 16-byte checksum + length framing.
+    /// Size of the entry's record in a segment: the body plus its
+    /// 16-byte hash and length.
     bytes: u64,
     /// LRU tick of the last hit or insert.
     last_used: u64,
+    /// Tick of the insert that made this slot.
+    born: u64,
 }
 
 /// The cache proper: an in-memory content-addressed index with optional
@@ -384,6 +426,16 @@ pub struct ResultCache {
     /// Sum of `bytes` over `slots`, kept by every insert and removal.
     bytes: u64,
     tick: u64,
+    /// `tick` when the file last matched the cache: a slot born after it
+    /// is not on disk yet, and one used after it has a recency the file
+    /// does not hold yet.
+    persisted_tick: u64,
+    /// Content hashes of the entries on disk that were evicted or replaced
+    /// since the last persist.
+    dead: Vec<u64>,
+    /// Length of the file as this cache last read or wrote it; `None`
+    /// when the next persist rewrites it whole.
+    file_len: Option<u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -404,6 +456,9 @@ impl ResultCache {
             slots: BTreeMap::new(),
             bytes: 0,
             tick: 0,
+            persisted_tick: 0,
+            dead: Vec::new(),
+            file_len: None,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -420,9 +475,12 @@ impl ResultCache {
         Self::open_inner(path, max_bytes, true).map(|(cache, _)| cache)
     }
 
-    /// Open `path`, silently dropping entries that fail checksum or
-    /// decode — the recovery mode of the "corrupt entry is a recompute"
-    /// contract. Returns the cache and the number of entries dropped.
+    /// Open `path`, silently dropping what fails checksum or decode — the
+    /// recovery mode of the "corrupt entry is a recompute" contract: the
+    /// first damaged segment and everything after it, or each damaged
+    /// `MDECACHE1` entry. Returns the cache and the number of drops (one
+    /// for a damaged tail or an unreadable file). The next persist
+    /// rewrites a file that lost anything.
     pub fn open_or_recover(path: &Path, max_bytes: u64) -> Result<(Self, usize)> {
         Self::open_inner(path, max_bytes, false)
     }
@@ -443,34 +501,86 @@ impl ResultCache {
                 })
             }
         };
-        let mut dropped = 0usize;
-        match cache.load_from(&bytes) {
-            Ok(d) => dropped += d,
+        let dropped = match cache.load_from(&bytes) {
+            Ok(d) => d,
             Err(e) if strict => return Err(e),
-            Err(_) => {
-                // Unrecoverable framing (bad magic / torn header): start
-                // empty but keep whatever entries decoded before the tear.
-                dropped += 1;
-            }
-        }
+            // A bad magic, or a damaged segment: keep what the segments
+            // before it left.
+            Err(_) => 1,
+        };
         if strict && dropped > 0 {
             return Err(CacheError::Corrupt {
                 reason: format!("{dropped} undecodable entries"),
             });
         }
+        cache.persisted_tick = cache.tick;
         Ok((cache, dropped))
     }
 
-    /// Decode a serialized cache image into `self.slots`. In recovery
-    /// mode the caller tolerates a returned error (framing damage);
-    /// per-entry damage is counted and skipped, keeping good entries.
+    /// Decode a cache file into `self.slots`. A returned error leaves the
+    /// state the file held before the damage, which the recovery mode
+    /// keeps; `MDECACHE1` per-entry damage is counted and skipped instead.
+    /// Only an undamaged `MDECACHE2` file is one the next persist appends
+    /// to.
     fn load_from(&mut self, bytes: &[u8]) -> Result<usize> {
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-            return Err(CacheError::Corrupt {
-                reason: "bad magic: not an MDECACHE1 file".into(),
-            });
+        let version = Version::of(bytes).ok_or_else(|| CacheError::Corrupt {
+            reason: "bad magic: not an MDECACHE file".into(),
+        })?;
+        let cur = Cursor::new(&bytes[MAGIC.len()..], &corrupt);
+        match version {
+            Version::V1 => self.load_v1(cur),
+            Version::V2 => {
+                self.replay(cur)?;
+                self.file_len = Some(bytes.len() as u64);
+                Ok(0)
+            }
         }
-        let mut cur = Cursor::new(&bytes[MAGIC.len()..], &corrupt);
+    }
+
+    /// Replay `MDECACHE2` segments in file order, each whole or not at
+    /// all; the first that does not read or verify ends the replay with
+    /// its error.
+    fn replay(&mut self, mut cur: Cursor<'_, CacheError>) -> Result<()> {
+        // Content hash → key of every live slot, for the segments' dead and
+        // recency lists.
+        let mut keys: HashMap<u64, CacheKey> = HashMap::new();
+        while cur.remaining() > 0 {
+            let body =
+                cur.sealed(|expected, found| CacheError::ChecksumMismatch { expected, found })?;
+            let segment = Segment::decode(body)?;
+            for hash in segment.dead {
+                if let Some(slot) = keys.remove(&hash).and_then(|k| self.slots.remove(&k)) {
+                    self.bytes -= slot.bytes;
+                }
+            }
+            for (hash, bytes, entry) in segment.entries {
+                self.tick += 1;
+                let key = entry.key.clone();
+                let slot = Slot {
+                    entry,
+                    hash,
+                    bytes,
+                    last_used: self.tick,
+                    born: self.tick,
+                };
+                if let Some(old) = self.put(slot) {
+                    keys.remove(&old.hash);
+                }
+                keys.insert(hash, key);
+            }
+            for hash in segment.recency {
+                if let Some(slot) = keys.get(&hash).and_then(|k| self.slots.get_mut(k)) {
+                    self.tick += 1;
+                    slot.last_used = self.tick;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Read an `MDECACHE1` image. Framing damage is an error; an entry that
+    /// fails its checksum or decode is counted and skipped.
+    fn load_v1(&mut self, mut cur: Cursor<'_, CacheError>) -> Result<usize> {
         let n_entries = cur.u64()?;
         let mut dropped = 0usize;
         for _ in 0..n_entries {
@@ -494,6 +604,7 @@ impl ResultCache {
                         hash: found,
                         bytes: 16 + len as u64,
                         last_used: self.tick,
+                        born: self.tick,
                         entry,
                     });
                 }
@@ -531,12 +642,16 @@ impl ResultCache {
         let hash = fnv1a(FNV_OFFSET, &body);
         let key = entry.key.clone();
         self.tick += 1;
-        self.put(Slot {
+        let replaced = self.put(Slot {
             hash,
             bytes: 16 + body.len() as u64,
             last_used: self.tick,
+            born: self.tick,
             entry,
         });
+        if let Some(old) = replaced {
+            self.bury(&old);
+        }
         while self.bytes > self.max_bytes && self.slots.len() > 1 {
             let victim = self
                 .slots
@@ -549,6 +664,7 @@ impl ResultCache {
                     let evicted = self.slots.remove(&v).expect("victim is held");
                     self.bytes -= evicted.bytes;
                     self.evictions += 1;
+                    self.bury(&evicted);
                 }
                 None => break,
             }
@@ -561,12 +677,19 @@ impl ResultCache {
         self.slots.get(key).map(|s| s.entry.provenance.clone())
     }
 
-    /// Hold `slot` under its entry's key, replacing any slot already
-    /// there.
-    fn put(&mut self, slot: Slot) {
+    /// Hold `slot` under its entry's key, returning the slot it replaced.
+    fn put(&mut self, slot: Slot) -> Option<Slot> {
         self.bytes += slot.bytes;
-        if let Some(old) = self.slots.insert(slot.entry.key.clone(), slot) {
-            self.bytes -= old.bytes;
+        let old = self.slots.insert(slot.entry.key.clone(), slot)?;
+        self.bytes -= old.bytes;
+        Some(old)
+    }
+
+    /// Note that `slot` left the cache: if the file holds it, the next
+    /// segment lists it as dead.
+    fn bury(&mut self, slot: &Slot) {
+        if slot.born <= self.persisted_tick {
+            self.dead.push(slot.hash);
         }
     }
 
@@ -593,34 +716,122 @@ impl ResultCache {
         self.lookup_nanos
     }
 
-    /// Serialize the full cache image. Entries are written in ascending
-    /// last-used order so a reload reconstructs the same eviction order.
-    /// Each entry's checksum is the content hash its slot already holds.
-    fn encode(&self) -> Vec<u8> {
-        let mut slots: Vec<&Slot> = self.slots.values().collect();
-        slots.sort_by_key(|s| s.last_used);
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u64(&mut out, slots.len() as u64);
-        for slot in slots {
-            let body = encode_entry_body(&slot.entry);
-            put_u64(&mut out, slot.hash);
-            put_u64(&mut out, body.len() as u64);
-            out.extend_from_slice(&body);
+    /// The sealed segment that brings a file holding this cache as of
+    /// tick `since` up to date: `dead`, then each entry born after `since`
+    /// (its content hash, length and body), then the content hashes of
+    /// every slot used after `since` in ascending recency. Replay ticks
+    /// the entries in the order written, and they are written in recency
+    /// order, so the recency list is left empty when it would name only
+    /// them.
+    fn segment(&self, since: u64, dead: &[u64]) -> Vec<u8> {
+        let mut used: Vec<&Slot> = self
+            .slots
+            .values()
+            .filter(|s| s.last_used > since)
+            .collect();
+        used.sort_unstable_by_key(|s| s.last_used);
+        let born: Vec<&Slot> = used.iter().copied().filter(|s| s.born > since).collect();
+        let mut body = Vec::new();
+        put_u64s(&mut body, dead);
+        put_u64(&mut body, born.len() as u64);
+        for slot in &born {
+            let entry = encode_entry_body(&slot.entry);
+            put_u64(&mut body, slot.hash);
+            put_u64(&mut body, entry.len() as u64);
+            body.extend_from_slice(&entry);
         }
+        let recency: Vec<u64> = if born.len() == used.len() {
+            Vec::new()
+        } else {
+            used.iter().map(|s| s.hash).collect()
+        };
+        put_u64s(&mut body, &recency);
+        let mut out = Vec::with_capacity(body.len() + 16);
+        put_sealed(&mut out, &body);
         out
     }
 
-    /// Persist the cache crash-consistently to its path, if it has one.
-    /// Returns `None` for in-memory caches.
-    pub fn persist(&self) -> Result<Option<SaveStats>> {
-        match &self.path {
-            None => Ok(None),
-            Some(path) => {
-                let stats = write_atomic(path, &self.encode())?;
+    /// The whole file for this cache: the magic and one segment holding
+    /// every live entry in ascending recency.
+    fn image(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&self.segment(0, &[]));
+        out
+    }
+
+    /// Persist the cache crash-consistently to its path, if it has one:
+    /// append a segment of what changed since the last persist, or
+    /// rewrite the file whole (see the module docs for when). Returns
+    /// `None` for in-memory caches and when nothing changed. A failed
+    /// persist leaves the next one to rewrite the file.
+    pub fn persist(&mut self) -> Result<Option<SaveStats>> {
+        let Some(path) = &self.path else {
+            return Ok(None);
+        };
+        if self.file_len.is_some() && self.dead.is_empty() && self.tick == self.persisted_tick {
+            return Ok(None);
+        }
+        match self.write(path) {
+            Ok((stats, len)) => {
+                self.file_len = Some(len);
+                self.persisted_tick = self.tick;
+                self.dead.clear();
                 Ok(Some(stats))
             }
+            Err(e) => {
+                self.file_len = None;
+                Err(e.into())
+            }
         }
+    }
+
+    /// Write what [`persist`](ResultCache::persist) writes; returns its
+    /// cost and the file's new length.
+    fn write(&self, path: &Path) -> std::result::Result<(SaveStats, u64), CheckpointError> {
+        if let Some(len) = self.file_len {
+            let segment = self.segment(self.persisted_tick, &self.dead);
+            let grown = len + segment.len() as u64;
+            // Every byte after the magic that is not a live entry's record
+            // is dead.
+            if grown - MAGIC.len() as u64 <= 2 * self.bytes {
+                if let Some(stats) = append_durable(path, len, &segment)? {
+                    return Ok((stats, grown));
+                }
+            }
+        }
+        let image = self.image();
+        Ok((write_atomic(path, &image)?, image.len() as u64))
+    }
+}
+
+/// One decoded `MDECACHE2` segment (see [`ResultCache::segment`]).
+struct Segment {
+    dead: Vec<u64>,
+    /// Content hash, record size and entry, in the order written.
+    entries: Vec<(u64, u64, CacheEntry)>,
+    recency: Vec<u64>,
+}
+
+impl Segment {
+    fn decode(body: &[u8]) -> Result<Segment> {
+        let mut cur = Cursor::new(body, &corrupt);
+        let dead = cur.u64s()?;
+        let n = cur.count()?;
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            let hash = cur.u64()?;
+            let len = cur.count()?;
+            entries.push((hash, 16 + len as u64, decode_entry_body(cur.bytes(len)?)?));
+        }
+        let recency = cur.u64s()?;
+        if cur.remaining() != 0 {
+            return Err(cur.corrupt(format!("{} trailing bytes after segment", cur.remaining())));
+        }
+        Ok(Segment {
+            dead,
+            entries,
+            recency,
+        })
     }
 }
 
@@ -711,8 +922,8 @@ impl CacheHandle {
         self.lock().stats()
     }
 
-    /// Persist crash-consistently (no-op `Ok(None)` for in-memory
-    /// caches).
+    /// Persist crash-consistently (no-op `Ok(None)` for in-memory caches
+    /// and when nothing changed since the last persist).
     pub fn persist(&self) -> Result<Option<SaveStats>> {
         self.lock().persist()
     }
@@ -1000,7 +1211,7 @@ mod tests {
                 assert_eq!(cache.stats().bytes, held(&cache));
             }
             let mut reloaded = ResultCache::in_memory();
-            assert_eq!(reloaded.load_from(&cache.encode()).expect("replay"), 0);
+            assert_eq!(reloaded.load_from(&cache.image()).expect("replay"), 0);
             assert_eq!(reloaded.stats().bytes, held(&reloaded));
             assert_eq!(reloaded.stats().bytes, cache.stats().bytes);
         });

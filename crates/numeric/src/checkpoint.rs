@@ -40,9 +40,9 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// What one crash-consistent [`write_atomic`] cost: the
-/// encoded size and the latency of the two durability syscalls. These are
-/// out-of-band measurements — callers record them via
+/// What one crash-consistent [`write_atomic`] or [`append_durable`]
+/// cost: the encoded size and the latency of the durability syscalls.
+/// These are out-of-band measurements — callers record them via
 /// [`RunMetrics::add_io`](crate::obs::RunMetrics::add_io) /
 /// [`observe_duration`](crate::obs::RunMetrics::observe_duration), never
 /// in deterministic state.
@@ -50,10 +50,11 @@ use std::time::{Duration, Instant};
 pub struct SaveStats {
     /// Bytes written (header + body).
     pub bytes: u64,
-    /// Wall-clock time of the temp-file `fsync`.
+    /// Wall-clock time of the temp-file `fsync` (of the `fdatasync`, for
+    /// an append).
     pub fsync: Duration,
     /// Wall-clock time of the atomic rename plus the parent-directory
-    /// sync.
+    /// sync (zero for an append).
     pub rename: Duration,
 }
 
@@ -107,6 +108,36 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<SaveStats> {
         fsync,
         rename: t0.elapsed(),
     })
+}
+
+/// Append `bytes` to `path` durably if the file is `expected_len` bytes
+/// long: open it for append, check its length, write, then `fdatasync`
+/// (the data and the new length). `Ok(None)` when the file is missing or
+/// of another length: nothing is written, and the caller rewrites the
+/// whole file with [`write_atomic`] instead. A crash mid-append leaves the
+/// old bytes followed by a prefix of `bytes`, so what is appended must be
+/// recognisable when cut short (the cache's sealed segments are).
+pub fn append_durable(path: &Path, expected_len: u64, bytes: &[u8]) -> Result<Option<SaveStats>> {
+    let io_err = |e: std::io::Error| CheckpointError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    };
+    let mut f = match fs::OpenOptions::new().append(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(e)),
+    };
+    if f.metadata().map_err(io_err)?.len() != expected_len {
+        return Ok(None);
+    }
+    f.write_all(bytes).map_err(io_err)?;
+    let t0 = Instant::now();
+    f.sync_data().map_err(io_err)?;
+    Ok(Some(SaveStats {
+        bytes: bytes.len() as u64,
+        fsync: t0.elapsed(),
+        rename: Duration::ZERO,
+    }))
 }
 
 /// File magic: `MDECKPT` + format version `2`.
@@ -681,6 +712,27 @@ mod tests {
             !dir.join("campaign.ckpt.tmp").exists(),
             "tmp file left behind"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_durable_writes_only_after_the_expected_length() {
+        let dir = std::env::temp_dir().join(format!("mde-ckpt-append-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log");
+        let _ = fs::remove_file(&path);
+        // A missing file is not created.
+        assert!(append_durable(&path, 0, b"x").unwrap().is_none());
+        assert!(!path.exists());
+        write_atomic(&path, b"head").unwrap();
+        let stats = append_durable(&path, 4, b"-tail")
+            .unwrap()
+            .expect("appended");
+        assert_eq!(stats.bytes, 5);
+        assert_eq!(fs::read(&path).unwrap(), b"head-tail");
+        // A file of another length is left as it is.
+        assert!(append_durable(&path, 4, b"!").unwrap().is_none());
+        assert_eq!(fs::read(&path).unwrap(), b"head-tail");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,7 @@
 //! them.
 //!
 //! * The writers — [`put_u32`], [`put_u64`], [`put_i64`], [`put_u64s`],
-//!   [`put_f64s`] and [`put_str`] — append to a `Vec<u8>`.
+//!   [`put_f64s`], [`put_str`] and [`put_sealed`] — append to a `Vec<u8>`.
 //! * [`Cursor`] reads them back over a byte slice. Every read is
 //!   bounds-checked, and a bad read returns the **caller's** error: the
 //!   cursor is built with the function that turns a reason string into
@@ -13,9 +13,9 @@
 //!
 //! The files spell a string's length prefix in two widths, chosen per
 //! call by [`LenPrefix`]: a `u32` in the paged tables (`MDETAB01` /
-//! `MDETAB02`), a `u64` in checkpoints (`MDECKPT2`) and cache images
-//! (`MDECACHE1`). Every other field is laid out the same way in all of
-//! them.
+//! `MDETAB02`), a `u64` in checkpoints (`MDECKPT2`) and cache files
+//! (`MDECACHE2`, and the read-only `MDECACHE1`). Every other field is
+//! laid out the same way in all of them.
 
 /// Width of a string's length prefix. Both layouts are on disk and stay
 /// as they are.
@@ -65,6 +65,16 @@ pub fn put_str(out: &mut Vec<u8>, prefix: LenPrefix, s: &str) {
         LenPrefix::U64 => put_u64(out, s.len() as u64),
     }
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Append `body` as a sealed frame: its `u64` length, the bytes, then
+/// their [`checksum64`]. [`Cursor::sealed`] reads it back. A frame is
+/// whole or it is refused, so a file of frames survives a cut as the
+/// frames before it (the `MDECACHE2` segments).
+pub fn put_sealed(out: &mut Vec<u8>, body: &[u8]) {
+    put_u64(out, body.len() as u64);
+    out.extend_from_slice(body);
+    put_u64(out, checksum64(body));
 }
 
 /// Bounds-checked reader over a byte slice. Every read that would run
@@ -171,13 +181,27 @@ impl<'a, E> Cursor<'a, E> {
         let raw = self.bytes(n)?;
         std::str::from_utf8(raw).map_err(|_| self.corrupt("string is not valid UTF-8"))
     }
+
+    /// The body of what [`put_sealed`] wrote. A frame cut short is the
+    /// cursor's error; a body that does not sum to its stored checksum is
+    /// `mismatch(stored, found)`.
+    pub fn sealed(&mut self, mismatch: impl FnOnce(u64, u64) -> E) -> Result<&'a [u8], E> {
+        let n = self.count()?;
+        let body = self.bytes(n)?;
+        let stored = self.u64()?;
+        let found = checksum64(body);
+        if stored != found {
+            return Err(mismatch(stored, found));
+        }
+        Ok(body)
+    }
 }
 
 /// FNV-1a offset basis: the starting `hash` for [`fnv1a`]. FNV-1a seals
-/// `MDECKPT2` checkpoints, `MDECACHE1` cache images,
-/// [`Fingerprint`](crate::checkpoint::Fingerprint)s and the `MDETAB01`
-/// files a current build still reads; `MDETAB02` paged tables use
-/// [`checksum64`].
+/// `MDECKPT2` checkpoints, gives a cache entry its content hash, and
+/// seals [`Fingerprint`](crate::checkpoint::Fingerprint)s and the
+/// `MDETAB01` and `MDECACHE1` files a current build still reads;
+/// `MDETAB02` paged tables and `MDECACHE2` segments use [`checksum64`].
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -233,7 +257,8 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// rotate mix it like any 64-bit hash, and the tests check swaps.
 ///
 /// Plain Rust with words decoded little-endian: every host computes the
-/// same bits, and the sum is part of the `MDETAB02` format.
+/// same bits, and the sum is part of the `MDETAB02` and `MDECACHE2`
+/// formats.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut lanes = CHECKSUM_SEEDS;
     let mut blocks = bytes.chunks_exact(32);
@@ -317,6 +342,40 @@ mod tests {
         assert_eq!(
             c.str(LenPrefix::U32),
             Err(Corrupt("string is not valid UTF-8".into()))
+        );
+    }
+
+    #[test]
+    fn a_sealed_frame_is_whole_or_refused() {
+        let mut buf = Vec::new();
+        put_sealed(&mut buf, b"first");
+        put_sealed(&mut buf, b"");
+        let whole = buf.len();
+        put_sealed(&mut buf, &pattern(40));
+        let mismatch = |stored, found| Corrupt(format!("sum {stored:x} {found:x}"));
+        let mut c = Cursor::new(&buf, &Corrupt);
+        assert_eq!(c.sealed(mismatch).unwrap(), b"first");
+        assert_eq!(c.sealed(mismatch).unwrap(), b"");
+        assert_eq!(c.sealed(mismatch).unwrap(), pattern(40));
+        assert_eq!(c.remaining(), 0);
+        // Every cut inside the last frame is refused; the frames before it
+        // still read.
+        for cut in whole + 1..buf.len() {
+            let mut c = Cursor::new(&buf[..cut], &Corrupt);
+            c.sealed(mismatch).unwrap();
+            c.sealed(mismatch).unwrap();
+            assert!(c.sealed(mismatch).is_err(), "cut at {cut}");
+        }
+        // A flipped body bit is the caller's mismatch, with both sums.
+        let mut flipped = buf.clone();
+        flipped[whole + 8 + 3] ^= 0x10;
+        let mut c = Cursor::new(&flipped[whole..], &Corrupt);
+        let stored = checksum64(&pattern(40));
+        let mut bad = pattern(40);
+        bad[3] ^= 0x10;
+        assert_eq!(
+            c.sealed(mismatch),
+            Err(Corrupt(format!("sum {stored:x} {:x}", checksum64(&bad))))
         );
     }
 

@@ -46,9 +46,11 @@
 //! * [`cache`] — the content-addressed cross-campaign result cache
 //!   (§2.3 result caching): completed runs keyed by spec fingerprint,
 //!   parameter point, replicate count, and seed, persisted in the
-//!   checksummed `MDECACHE1` format with LRU bounds and per-entry
-//!   provenance, so revisited parameter points cost a lookup instead of
-//!   a Monte Carlo campaign.
+//!   `MDECACHE2` format (one sealed segment appended per persist, the
+//!   crash window the last segment, compacted when dead bytes exceed live
+//!   ones; `MDECACHE1` files are read, never written) with LRU bounds and
+//!   per-entry provenance, so revisited parameter points cost a lookup
+//!   instead of a Monte Carlo campaign.
 //!
 //! The crate is deliberately dependency-light (only `rand`): the paper's
 //! systems are reproduced from scratch, so the numeric layer is too.

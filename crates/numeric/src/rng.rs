@@ -25,8 +25,9 @@
 //!
 //! Campaign checkpoints (`MDECKPT2`) store a cursor and resume by replaying
 //! "randomness purely from `(seed, key, attempt)`"; the result cache
-//! (`MDECACHE1`) answers a lookup keyed `(spec, point, replicates,
-//! master_seed)` with samples drawn earlier. Both are only correct while seed
+//! (`MDECACHE2`, and the `MDECACHE1` files it still reads) answers a lookup
+//! keyed `(spec, point, replicates, master_seed)` with samples drawn
+//! earlier. Both are only correct while seed
 //! → stream is this function, so **the stream is part of those file
 //! formats**: changing the generator, the seeding or any derived draw is a
 //! format break, and the known-answer vectors in this module's tests exist
@@ -400,7 +401,8 @@ mod tests {
     /// Outputs of the parent build (the stand-in generator every benchmark
     /// number and checkpoint in this repository's history came from),
     /// recorded by a throw-away harness at PR 17. A mismatch here is a break
-    /// of the `MDECKPT2` / `MDECACHE1` formats (module docs).
+    /// of the `MDECKPT2` / `MDECACHE2` formats and of the `MDECACHE1` files
+    /// still read (module docs).
     #[test]
     fn known_answer_vectors_equal_the_parent_build() {
         struct Kat {

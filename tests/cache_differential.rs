@@ -23,8 +23,8 @@ use model_data_ecosystems::numeric::cache::{
 };
 use model_data_ecosystems::numeric::obs::RunMetrics;
 use model_data_ecosystems::numeric::resilience::{FaultKind, FaultPlan};
-use model_data_ecosystems::numeric::rng::{chaos_seed, rng_from_seed};
-use std::path::PathBuf;
+use model_data_ecosystems::numeric::rng::{chaos_seed, for_cases, rng_from_seed, Rng};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -585,13 +585,14 @@ const FIXTURE_HASHES: [u64; 4] = [
     0x177E_A8DD_78F2_72FE,
 ];
 
-/// A cache image written by an earlier build opens strictly, with the
-/// content hashes its entries had, and persists back to the same bytes —
-/// entry bodies, checksums and LRU order (oldest first: the NaN point, the
-/// other point, the point, the campaign; neither key order nor insertion
-/// order). Never regenerate the fixture.
+/// A cache image written by an earlier build (`MDECACHE1`) opens strictly,
+/// with the content hashes its entries had, and its first persist rewrites
+/// it as `mdecache2_four_entries.cache` — the same entry bodies and hashes
+/// in the same LRU order (oldest first: the NaN point, the other point, the
+/// point, the campaign; neither key order nor insertion order), in one
+/// sealed segment. Never regenerate either fixture.
 #[test]
-fn mdecache1_fixture_opens_strictly_and_persists_byte_for_byte() {
+fn mdecache1_fixture_opens_strictly_and_persists_as_the_mdecache2_fixture() {
     let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/mdecache1_four_entries.cache");
     let bytes = std::fs::read(&committed).unwrap();
@@ -602,9 +603,10 @@ fn mdecache1_fixture_opens_strictly_and_persists_byte_for_byte() {
     let mut cache = ResultCache::open(&path, DEFAULT_MAX_BYTES).unwrap();
     assert_eq!(cache.stats().entries, 4);
     cache.persist().unwrap();
+    let v2 = std::fs::read(committed.with_file_name("mdecache2_four_entries.cache")).unwrap();
     assert!(
-        std::fs::read(&path).unwrap() == bytes,
-        "the persisted image differs from the fixture"
+        std::fs::read(&path).unwrap() == v2,
+        "the persisted image differs from the MDECACHE2 fixture"
     );
 
     for (entry, hash) in fixture_entries().into_iter().zip(FIXTURE_HASHES) {
@@ -614,4 +616,342 @@ fn mdecache1_fixture_opens_strictly_and_persists_byte_for_byte() {
         assert_eq!(found, entry);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A copy of the committed fixture `name` in a scratch directory: its
+/// path, its bytes and the directory.
+fn fixture_copy(name: &str) -> (PathBuf, Vec<u8>, PathBuf) {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let bytes = std::fs::read(committed).unwrap();
+    let dir = scratch_dir();
+    let path = dir.join(name);
+    std::fs::write(&path, &bytes).unwrap();
+    (path, bytes, dir)
+}
+
+/// The sealed segments of an `MDECACHE2` file: after the magic, each is
+/// `len ‖ body ‖ checksum`.
+fn segment_count(bytes: &[u8]) -> usize {
+    assert_eq!(&bytes[..9], b"MDECACHE2");
+    let (mut at, mut n) = (9, 0);
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        at += 8 + len + 8;
+        n += 1;
+    }
+    assert_eq!(at, bytes.len(), "the last segment runs past the end");
+    n
+}
+
+/// `path` opens strictly and holds exactly `entries`, under `hashes`.
+fn assert_holds(path: &Path, entries: &[CacheEntry], hashes: &[u64]) {
+    let mut cache = ResultCache::open(path, DEFAULT_MAX_BYTES).unwrap();
+    assert_eq!(cache.stats().entries, entries.len() as u64);
+    for (entry, &hash) in entries.iter().zip(hashes) {
+        assert_eq!(entry.content_hash(), hash);
+        assert_eq!(cache.lookup(&entry.key), Some((entry.clone(), hash)));
+    }
+}
+
+/// `path` holds `oldest_first` in that LRU order. Opened with room for
+/// exactly what it holds, each insert of a same-sized copy of the next
+/// expected victim (under another seed) must evict exactly that entry.
+fn assert_lru_order(path: &Path, oldest_first: &[CacheEntry]) {
+    let held = ResultCache::open(path, DEFAULT_MAX_BYTES)
+        .unwrap()
+        .stats()
+        .bytes;
+    let mut cache = ResultCache::open(path, held).unwrap();
+    for (i, victim) in oldest_first.iter().enumerate() {
+        let mut probe = victim.clone();
+        probe.key.master_seed ^= 0x0BE5_0000;
+        cache.insert(probe);
+        for (j, entry) in oldest_first.iter().enumerate() {
+            assert_eq!(
+                cache.provenance_of(&entry.key).is_some(),
+                j > i,
+                "after the insert that should evict entry {i}, entry {j}"
+            );
+        }
+    }
+}
+
+/// The `MDECACHE2` image of the four fixture entries, written by this
+/// format's first build when it persisted the `MDECACHE1` fixture. It opens
+/// strictly with the same entries, hashes and LRU order, and a persist with
+/// nothing new leaves it as it is. Never regenerate it.
+#[test]
+fn mdecache2_four_entries_fixture_opens_strictly_and_persists_unchanged() {
+    let (path, bytes, dir) = fixture_copy("mdecache2_four_entries.cache");
+    assert_eq!(segment_count(&bytes), 1);
+    ResultCache::open(&path, DEFAULT_MAX_BYTES)
+        .unwrap()
+        .persist()
+        .unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == bytes,
+        "a persist with nothing new changed the file"
+    );
+    assert_holds(&path, &fixture_entries(), &FIXTURE_HASHES);
+    let [campaign, point, nan_point, other_point] = fixture_entries().try_into().unwrap();
+    assert_lru_order(&path, &[nan_point, other_point, point, campaign]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An entry of the segments fixture: key `k` of one spec, 24 values `v`.
+fn segment_entry(k: u64, v: f64) -> CacheEntry {
+    CacheEntry::leaf(
+        CacheKey::for_point(0x5E65, &[k as f64], 4, 3),
+        "segments",
+        vec![v; 24],
+    )
+}
+
+/// Room for three segment entries (297 bytes each), not four.
+const SEGMENTS_MAX_BYTES: u64 = 1000;
+
+/// Write what `tests/fixtures/mdecache2_segments.cache` holds at `path`,
+/// one persist per segment, and return the live entries oldest first.
+fn write_segments(path: &Path) -> Vec<CacheEntry> {
+    let mut cache = ResultCache::open(path, SEGMENTS_MAX_BYTES).unwrap();
+    // 1. A new file is written whole: entries 0, 1 and 2.
+    for k in 0..3 {
+        cache.insert(segment_entry(k, k as f64));
+    }
+    cache.persist().unwrap();
+    // 2. Key 1 is replaced.
+    cache.insert(segment_entry(1, -1.0));
+    cache.persist().unwrap();
+    // 3. A hit moves entry 0 past entry 2, so entry 3 evicts entry 2.
+    assert!(cache.lookup(&segment_entry(0, 0.0).key).is_some());
+    cache.insert(segment_entry(3, 3.0));
+    assert_eq!(cache.stats().evictions, 1);
+    cache.persist().unwrap();
+    // 4. A hit alone: entry 1 becomes the most recent.
+    assert!(cache.lookup(&segment_entry(1, 0.0).key).is_some());
+    cache.persist().unwrap();
+    vec![
+        segment_entry(0, 0.0),
+        segment_entry(3, 3.0),
+        segment_entry(1, -1.0),
+    ]
+}
+
+/// The content hashes of [`write_segments`]' live entries, oldest first.
+const SEGMENTS_HASHES: [u64; 3] = [
+    0xBEDA_444E_E4B4_94CB,
+    0xD008_0655_1434_30F3,
+    0x86AF_0CCA_C7C7_3DB0,
+];
+
+/// A file of four segments — one written whole, then a replaced key, an
+/// eviction after a reordering hit, and a hit alone, each appended — opens
+/// strictly with the entries, hashes and LRU order it was left with; this
+/// build writes it byte for byte, and a persist with nothing new leaves it
+/// as it is. Never regenerate the fixture.
+#[test]
+fn mdecache2_segments_fixture_replays_and_round_trips() {
+    let (path, bytes, dir) = fixture_copy("mdecache2_segments.cache");
+    assert_eq!(segment_count(&bytes), 4);
+    let fresh = dir.join("fresh.cache");
+    let live = write_segments(&fresh);
+    assert!(
+        std::fs::read(&fresh).unwrap() == bytes,
+        "this build writes other segments than the fixture"
+    );
+    ResultCache::open(&path, SEGMENTS_MAX_BYTES)
+        .unwrap()
+        .persist()
+        .unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == bytes,
+        "a persist with nothing new changed the file"
+    );
+    assert_holds(&path, &live, &SEGMENTS_HASHES);
+    assert_lru_order(&path, &live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One step of a random cache workload over six keys of one spec.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Insert key `k` with `n` values equal to `v`, replacing any entry
+    /// under `k` by one of another size or content.
+    Insert(u64, usize, u64),
+    Lookup(u64),
+    Persist,
+}
+
+fn step_entry(k: u64, n: usize, v: u64) -> CacheEntry {
+    CacheEntry::leaf(
+        CacheKey::for_point(0x57E9, &[k as f64], 4, 1),
+        "steps",
+        vec![v as f64; n],
+    )
+}
+
+/// Room for three to four step entries (108–148 bytes each), so most
+/// inserts past the third evict.
+const STEPS_MAX_BYTES: u64 = 500;
+
+fn random_steps(rng: &mut Rng, len: usize) -> Vec<Step> {
+    (0..len)
+        .map(|_| match rng.gen_range(0..10u32) {
+            0..=4 => Step::Insert(
+                rng.gen_range(0..6),
+                rng.gen_range(0..6),
+                rng.gen_range(0..3),
+            ),
+            5..=7 => Step::Lookup(rng.gen_range(0..6)),
+            _ => Step::Persist,
+        })
+        .collect()
+}
+
+fn apply(cache: &mut ResultCache, step: Step) {
+    match step {
+        Step::Insert(k, n, v) => {
+            cache.insert(step_entry(k, n, v));
+        }
+        Step::Lookup(k) => {
+            cache.lookup(&step_entry(k, 0, 0).key);
+        }
+        Step::Persist => {
+            cache.persist().unwrap();
+        }
+    }
+}
+
+/// A cache that took `steps` and never persisted: what the live cache
+/// holds after them. (Its path in `dir` is never written.)
+fn replica(dir: &Path, steps: &[Step]) -> ResultCache {
+    let mut cache = ResultCache::open(&dir.join("replica"), STEPS_MAX_BYTES).unwrap();
+    for &step in steps.iter().filter(|s| !matches!(s, Step::Persist)) {
+        apply(&mut cache, step);
+    }
+    cache
+}
+
+/// The caches `a` and `b` build hold the same entries under the same
+/// hashes, and the same inserts then evict the same keys in the same
+/// order. Each is built twice, as lookups reorder what they find.
+fn assert_same_state(a: impl Fn() -> ResultCache, b: impl Fn() -> ResultCache, what: &str) {
+    let keys: Vec<CacheKey> = (0..6).map(|k| step_entry(k, 0, 0).key).collect();
+    let (mut x, mut y) = (a(), b());
+    for key in &keys {
+        assert_eq!(x.lookup(key), y.lookup(key), "{what}: {key:?}");
+    }
+    let (mut x, mut y) = (a(), b());
+    assert_eq!(x.stats().entries, y.stats().entries, "{what}");
+    assert_eq!(x.stats().bytes, y.stats().bytes, "{what}");
+    let held = |c: &ResultCache| -> Vec<bool> {
+        keys.iter().map(|k| c.provenance_of(k).is_some()).collect()
+    };
+    for p in 0..8 {
+        let probe = CacheEntry::leaf(
+            CacheKey::for_point(0x57E9, &[p as f64], 4, 2),
+            "steps",
+            vec![0.0; 3],
+        );
+        x.insert(probe.clone());
+        y.insert(probe);
+        assert_eq!(held(&x), held(&y), "{what}: after probe {p}");
+    }
+}
+
+#[test]
+fn a_reopened_cache_equals_the_live_one_at_every_persist() {
+    for_cases(16, |rng| {
+        let dir = scratch_dir();
+        let path = dir.join("steps.cache");
+        let steps = random_steps(rng, 48);
+        let mut live = ResultCache::open(&path, STEPS_MAX_BYTES).unwrap();
+        for (i, &step) in steps.iter().enumerate() {
+            let before = std::fs::read(&path).ok();
+            apply(&mut live, step);
+            if !matches!(step, Step::Persist) {
+                continue;
+            }
+            if i > 0 && matches!(steps[i - 1], Step::Persist) {
+                assert!(
+                    std::fs::read(&path).ok() == before,
+                    "a persist with nothing new changed the file"
+                );
+            }
+            assert_eq!(live.stats(), replica(&dir, &steps[..=i]).stats());
+            // Compaction: past the magic, the file holds no more dead bytes
+            // than live ones, or only a rewritten segment's 40-byte frame.
+            let held = live.stats().bytes;
+            let after_magic = std::fs::metadata(&path).unwrap().len() - 9;
+            assert!(
+                after_magic <= (2 * held).max(held + 40),
+                "step {i}: {after_magic} bytes after the magic, {held} live"
+            );
+            assert_same_state(
+                || ResultCache::open(&path, STEPS_MAX_BYTES).unwrap(),
+                || replica(&dir, &steps[..=i]),
+                &format!("persist at step {i}"),
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+#[test]
+fn a_cut_inside_the_last_segment_recovers_the_persist_before_it() {
+    let mut cut_segments = 0;
+    for_cases(6, |rng| {
+        let dir = scratch_dir();
+        let path = dir.join("torn.cache");
+        let steps = random_steps(rng, 32);
+        // The file after each persist, with the persist's step.
+        let mut images: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut live = ResultCache::open(&path, STEPS_MAX_BYTES).unwrap();
+        for (i, &step) in steps.iter().enumerate() {
+            apply(&mut live, step);
+            if matches!(step, Step::Persist) {
+                images.push((i, std::fs::read(&path).unwrap_or_default()));
+            }
+        }
+        drop(live);
+        // The last persist that appended a segment to the file before it.
+        let Some(w) = images
+            .windows(2)
+            .rposition(|w| w[1].1.len() > w[0].1.len() && w[1].1.starts_with(&w[0].1))
+        else {
+            return;
+        };
+        cut_segments += 1;
+        let ((prev, before), (_, after)) = (&images[w], &images[w + 1]);
+        let extra = CacheEntry::leaf(CacheKey::for_campaign(0x57E9, 4, 9), "steps", vec![1.0]);
+        for cut in before.len() + 1..after.len() {
+            let what = format!("cut at {cut} of {}", after.len());
+            std::fs::write(&path, &after[..cut]).unwrap();
+            match ResultCache::open(&path, STEPS_MAX_BYTES) {
+                Err(CacheError::Corrupt { .. } | CacheError::ChecksumMismatch { .. }) => {}
+                other => panic!("{what}: strict open gave {other:?}"),
+            }
+            let recover = || ResultCache::open_or_recover(&path, STEPS_MAX_BYTES).unwrap();
+            assert_eq!(recover().1, 1, "{what}");
+            assert_same_state(|| recover().0, || replica(&dir, &steps[..=*prev]), &what);
+            // The next persist rewrites the file instead of appending after
+            // the torn bytes: it opens strictly again.
+            let (handle, _) = CacheHandle::open_or_recover(&path, STEPS_MAX_BYTES).unwrap();
+            handle.insert_durable(extra.clone());
+            drop(handle);
+            assert_same_state(
+                || ResultCache::open(&path, STEPS_MAX_BYTES).unwrap(),
+                || {
+                    let mut cache = replica(&dir, &steps[..=*prev]);
+                    cache.insert(extra.clone());
+                    cache
+                },
+                &what,
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    });
+    assert!(cut_segments > 0, "no case appended a segment to cut");
 }
