@@ -304,6 +304,7 @@ fn kriging_calibrate_inner(
 mod tests {
     use super::*;
     use crate::optim::random_search;
+    use mde_numeric::resilience::RunOptions;
     use mde_numeric::rng::rng_from_seed;
 
     /// A smooth calibration-like objective with minimum at (0.6, 0.3).
@@ -350,8 +351,16 @@ mod tests {
             )
             .unwrap();
             let budget = res.evaluated.len();
-            let mut rng = rng_from_seed(90 + seed);
-            let rs = random_search(smooth, &unit_bounds(), budget, &mut rng);
+            let rs = random_search(
+                smooth,
+                &unit_bounds(),
+                budget,
+                90 + seed,
+                &RunOptions::default(),
+            )
+            .expect("random search")
+            .best
+            .expect("a completed run has a best");
             kc_total += res.best.fx;
             rs_total += rs.fx;
         }

@@ -9,13 +9,13 @@
 //! every optimizer reports its evaluation count so the calibration-contest
 //! experiment can compare methods at equal budgets.
 //!
-//! Both optimizers also come in **durable campaign** form
-//! ([`genetic_algorithm_durable`], [`random_search_durable`]): the search
-//! is decomposed into checkpoint boundaries (one GA generation, one
-//! random-search evaluation), each boundary draws its randomness from a
-//! stream derived purely from `(seed, boundary)`, and the campaign can be
-//! stopped by a deadline, a cancellation token, or an injected preemption
-//! notice and later resumed bit-identically from its [`CampaignState`].
+//! Both optimizers ([`genetic_algorithm`], [`random_search`]) run as
+//! **durable campaigns**: the search is decomposed into checkpoint
+//! boundaries (one GA generation, one random-search evaluation), each
+//! boundary draws its randomness from a stream derived purely from
+//! `(seed, boundary)`, and the campaign can be stopped by a deadline, a
+//! cancellation token, or an injected preemption notice and later resumed
+//! bit-identically from its [`CampaignState`].
 
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::optim::OptimResult;
@@ -75,32 +75,6 @@ impl Bounds {
     }
 }
 
-/// Pure random search: the baseline §3.1 says heuristics vastly improve on.
-pub fn random_search(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    evals: usize,
-    rng: &mut Rng,
-) -> OptimResult {
-    assert!(evals >= 1, "need at least one evaluation");
-    let mut best_x = bounds.sample(rng);
-    let mut best_f = f(&best_x);
-    for _ in 1..evals {
-        let x = bounds.sample(rng);
-        let fx = f(&x);
-        if fx < best_f {
-            best_f = fx;
-            best_x = x;
-        }
-    }
-    OptimResult {
-        x: best_x,
-        fx: best_f,
-        evals,
-        converged: false,
-    }
-}
-
 /// Genetic-algorithm configuration (Fabretti-style real-coded GA).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
@@ -132,8 +106,8 @@ impl Default for GaConfig {
 }
 
 impl GaConfig {
-    /// Typed validation used by the durable campaign entry points (the
-    /// in-process [`genetic_algorithm`] keeps its assertion contract).
+    /// Typed validation of the configuration: [`genetic_algorithm`]
+    /// refuses a bad one with [`CalibrateError::InvalidConfig`].
     fn validate(&self) -> crate::Result<()> {
         let reject = |reason: &str| {
             Err(CalibrateError::InvalidConfig {
@@ -181,9 +155,9 @@ fn seeded_population(
 }
 
 /// Evolve one generation: tournament selection, BLX-0.25 blend crossover,
-/// Gaussian mutation, elitism. Pure in `(pop, rng)` — the durable campaign
-/// relies on this to re-derive any generation from the previous population
-/// and a per-boundary stream.
+/// Gaussian mutation, elitism. Pure in `(pop, rng)` — the campaign relies
+/// on this to re-derive any generation from the previous population and a
+/// per-boundary stream.
 fn next_generation(
     f: &mut dyn FnMut(&[f64]) -> f64,
     pop: &[(Vec<f64>, f64)],
@@ -227,40 +201,14 @@ fn next_generation(
     next
 }
 
-/// Minimize with a real-coded genetic algorithm: tournament selection,
-/// blend (BLX-style) crossover, Gaussian mutation, elitism.
-pub fn genetic_algorithm(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    cfg: &GaConfig,
-    rng: &mut Rng,
-) -> OptimResult {
-    assert!(cfg.population >= 4, "population too small");
-    assert!(cfg.elites < cfg.population, "elites must be < population");
-    let mut pop = seeded_population(&mut f, bounds, cfg.population, rng);
-    for _ in 0..cfg.generations {
-        pop = next_generation(&mut f, &pop, bounds, cfg, rng);
-    }
-    pop.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let evals = cfg.population + cfg.generations * (cfg.population - cfg.elites);
-    let (x, fx) = pop.swap_remove(0);
-    OptimResult {
-        x,
-        fx,
-        evals,
-        converged: false,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Durable campaigns: checkpoint-per-generation GA and per-evaluation
-// random search
+// Campaigns: checkpoint-per-generation GA and per-evaluation random search
 // ---------------------------------------------------------------------------
 
 const CAMPAIGN_GA: &str = "calibrate.genetic-algorithm";
 const CAMPAIGN_RS: &str = "calibrate.random-search";
 
-/// The result of a durable optimizer campaign: the best point found over
+/// The result of an optimizer campaign: the best point found over
 /// the completed boundaries (if any completed), the supervision ledger,
 /// why the run stopped early (if it did), and the final campaign state
 /// for resumption.
@@ -279,7 +227,9 @@ pub struct OptimRun {
     pub checkpoint: Option<CampaignState>,
 }
 
-/// Run the genetic algorithm as a **durable campaign**.
+/// Minimize with a real-coded genetic algorithm — tournament selection,
+/// blend (BLX-style) crossover, Gaussian mutation, elitism — run as a
+/// **durable campaign**.
 ///
 /// Boundary `0` seeds the initial population; boundaries `1..=generations`
 /// each evolve one generation, so the campaign has `generations + 1`
@@ -296,7 +246,7 @@ pub struct OptimRun {
 /// boundary; a state whose campaign tag or fingerprint (seed, bounds, GA
 /// configuration) does not match is refused with a typed
 /// [`CalibrateError::Checkpoint`].
-pub fn genetic_algorithm_durable(
+pub fn genetic_algorithm(
     f: impl FnMut(&[f64]) -> f64,
     bounds: &Bounds,
     cfg: &GaConfig,
@@ -338,7 +288,7 @@ pub fn genetic_algorithm_durable(
     })
 }
 
-/// Campaign identity for the durable GA: tag, seed, bounds, and every
+/// Campaign identity for the GA: tag, seed, bounds, and every
 /// configuration field that shapes the draw sequence.
 fn ga_fingerprint(bounds: &Bounds, cfg: &GaConfig, seed: u64) -> u64 {
     let mut fp = Fingerprint::new(CAMPAIGN_GA)
@@ -412,13 +362,13 @@ impl<F: FnMut(&[f64]) -> f64> Surface for GaSurface<'_, F> {
     }
 }
 
-/// Run pure random search as a **durable campaign**: one boundary per
-/// evaluation, each drawing its point from
-/// `StreamFactory::new(seed).child(i)`. The ledger stores each completed
-/// evaluation as `[x.., fx]`; a non-finite objective value is a retryable
-/// failure rather than a silent `+inf`. [`RunOptions::resume`] continues
-/// from a saved state exactly as for [`genetic_algorithm_durable`].
-pub fn random_search_durable(
+/// Pure random search — the baseline §3.1 says heuristics vastly improve
+/// on — run as a **durable campaign**: one boundary per evaluation, each
+/// drawing its point from `StreamFactory::new(seed).child(i)`. The ledger
+/// stores each completed evaluation as `[x.., fx]`; a non-finite objective
+/// value is a retryable failure rather than a silent `+inf`. [`RunOptions::resume`] continues
+/// from a saved state exactly as for [`genetic_algorithm`].
+pub fn random_search(
     f: impl FnMut(&[f64]) -> f64,
     bounds: &Bounds,
     evals: usize,
@@ -461,7 +411,7 @@ pub fn random_search_durable(
     })
 }
 
-/// Campaign identity for durable random search.
+/// Campaign identity for random search.
 fn rs_fingerprint(bounds: &Bounds, evals: usize, seed: u64) -> u64 {
     let mut fp = Fingerprint::new(CAMPAIGN_RS)
         .push_u64(seed)
@@ -575,7 +525,8 @@ fn validate_ledger(state: &CampaignState, floats: usize) -> crate::Result<()> {
 mod tests {
     use super::*;
     use mde_numeric::resilience::{FaultKind, FaultPlan, RunPolicy};
-    use mde_numeric::rng::rng_from_seed;
+    use mde_numeric::rng::{chaos_seed, rng_from_seed, StreamFactory};
+    use mde_numeric::stats::Summary;
     use mde_numeric::Deadline;
     use std::time::Duration;
 
@@ -637,19 +588,26 @@ mod tests {
         assert_eq!(pinned.sample(&mut rng), vec![1.0]);
     }
 
+    /// The best point of a completed run with default options.
+    fn best_of(run: crate::Result<OptimRun>) -> OptimResult {
+        let run = run.expect("run");
+        assert!(run.stopped.is_none());
+        run.best.expect("a completed run has a best")
+    }
+
     #[test]
     fn random_search_respects_budget_and_improves() {
-        let mut rng = rng_from_seed(2);
         let mut count = 0usize;
-        let r = random_search(
+        let r = best_of(random_search(
             |x| {
                 count += 1;
                 rugged(x)
             },
             &bounds(),
             500,
-            &mut rng,
-        );
+            2,
+            &RunOptions::default(),
+        ));
         assert_eq!(count, 500);
         assert_eq!(r.evals, 500);
         assert!(r.fx < rugged(&[0.0, 0.0]));
@@ -657,38 +615,65 @@ mod tests {
 
     #[test]
     fn ga_finds_near_global_minimum() {
-        let mut rng = rng_from_seed(3);
-        let r = genetic_algorithm(rugged, &bounds(), &GaConfig::default(), &mut rng);
+        let r = best_of(genetic_algorithm(
+            rugged,
+            &bounds(),
+            &GaConfig::default(),
+            3,
+            &RunOptions::default(),
+        ));
         assert!(r.fx < 0.5, "GA best f = {}", r.fx);
         assert!((r.x[0] - 1.0).abs() < 0.3, "x = {:?}", r.x);
         assert!((r.x[1] + 0.5).abs() < 0.3);
     }
 
+    /// "a vast improvement over random sampling of θ values", at 13 seed
+    /// pairs drawn from `chaos_seed()`: with random search given the GA's
+    /// evaluation count, `ln J(GA) − ln J(RS)` is negative by at least 3
+    /// of its standard errors. The geometric mean, because both searches
+    /// end orders of magnitude apart on this objective and a sum of raw J
+    /// is one seed's J.
     #[test]
     fn ga_beats_random_search_at_equal_budget() {
-        // "a vast improvement over random sampling of θ values" — average
-        // over several seeds to make the comparison stable.
-        let (mut ga_total, mut rs_total) = (0.0, 0.0);
-        for seed in 0..5 {
-            let mut rng = rng_from_seed(100 + seed);
-            let ga = genetic_algorithm(rugged, &bounds(), &GaConfig::default(), &mut rng);
-            let budget = ga.evals;
-            let mut rng = rng_from_seed(200 + seed);
-            let rs = random_search(rugged, &bounds(), budget, &mut rng);
-            ga_total += ga.fx;
-            rs_total += rs.fx;
+        let seeds = StreamFactory::new(chaos_seed());
+        let mut ln_ratio = Summary::new();
+        for pair in 0..13 {
+            let opts = RunOptions::default();
+            let ga = best_of(genetic_algorithm(
+                rugged,
+                &bounds(),
+                &GaConfig::default(),
+                seeds.seed_of(2 * pair),
+                &opts,
+            ));
+            let rs = best_of(random_search(
+                rugged,
+                &bounds(),
+                ga.evals,
+                seeds.seed_of(2 * pair + 1),
+                &opts,
+            ));
+            ln_ratio.push(ga.fx.ln() - rs.fx.ln());
         }
+        let se = ln_ratio.sample_std_dev() / (ln_ratio.count() as f64).sqrt();
         assert!(
-            ga_total < rs_total,
-            "GA ({ga_total}) should beat random search ({rs_total})"
+            ln_ratio.mean() < -3.0 * se,
+            "ln J(GA) − ln J(RS): {} ± {se}",
+            ln_ratio.mean()
         );
     }
 
     #[test]
     fn ga_reproducible_given_seed() {
         let run = |seed| {
-            let mut rng = rng_from_seed(seed);
-            genetic_algorithm(rugged, &bounds(), &GaConfig::default(), &mut rng).x
+            best_of(genetic_algorithm(
+                rugged,
+                &bounds(),
+                &GaConfig::default(),
+                seed,
+                &RunOptions::default(),
+            ))
+            .x
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -698,16 +683,16 @@ mod tests {
     fn ga_elites_preserved() {
         // With an easy convex objective, the best value never worsens
         // across generations thanks to elitism — check final quality.
-        let mut rng = rng_from_seed(5);
-        let r = genetic_algorithm(
+        let r = best_of(genetic_algorithm(
             |x: &[f64]| x[0] * x[0] + x[1] * x[1],
             &bounds(),
             &GaConfig {
                 generations: 30,
                 ..GaConfig::default()
             },
-            &mut rng,
-        );
+            5,
+            &RunOptions::default(),
+        ));
         assert!(r.fx < 1e-2, "f = {}", r.fx);
     }
 
@@ -726,7 +711,7 @@ mod tests {
     #[test]
     fn durable_ga_finds_minimum_and_reports_evals() {
         let opts = RunOptions::default();
-        let run = genetic_algorithm_durable(rugged, &bounds(), &GaConfig::default(), 3, &opts)
+        let run = genetic_algorithm(rugged, &bounds(), &GaConfig::default(), 3, &opts)
             .expect("durable GA");
         assert!(run.stopped.is_none());
         let best = run.best.expect("completed run has a best");
@@ -738,21 +723,19 @@ mod tests {
     #[test]
     fn durable_ga_preempt_resume_is_bit_identical() {
         let cfg = small_cfg();
-        let baseline =
-            genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &RunOptions::default())
-                .expect("uninterrupted");
+        let baseline = genetic_algorithm(rugged, &bounds(), &cfg, 11, &RunOptions::default())
+            .expect("uninterrupted");
         let base_best = baseline.best.expect("best");
 
         for cut in 0..=(cfg.generations as u64) {
             let opts = RunOptions::default().with_faults(FaultPlan::new().preempt_at(cut));
-            let partial = genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &opts)
+            let partial = genetic_algorithm(rugged, &bounds(), &cfg, 11, &opts)
                 .expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             let state = partial.checkpoint.expect("partial checkpoint");
             assert_eq!(state.cursor, cut);
             let resume = RunOptions::default().resuming(state);
-            let resumed =
-                genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &resume).expect("resume");
+            let resumed = genetic_algorithm(rugged, &bounds(), &cfg, 11, &resume).expect("resume");
             assert!(resumed.stopped.is_none());
             let best = resumed.best.expect("best");
             assert_eq!(bits(&best.x), bits(&base_best.x), "cut at {cut}");
@@ -768,12 +751,12 @@ mod tests {
     #[test]
     fn durable_ga_rejects_foreign_checkpoint() {
         let cfg = small_cfg();
-        let run = genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &RunOptions::default())
-            .expect("run");
+        let run =
+            genetic_algorithm(rugged, &bounds(), &cfg, 11, &RunOptions::default()).expect("run");
         let state = run.checkpoint.expect("state");
         // Different seed → fingerprint mismatch, surfaced as a typed error.
         let resume = RunOptions::default().resuming(state);
-        let err = genetic_algorithm_durable(rugged, &bounds(), &cfg, 12, &resume)
+        let err = genetic_algorithm(rugged, &bounds(), &cfg, 12, &resume)
             .expect_err("mismatched seed must be refused");
         assert!(matches!(
             err,
@@ -793,7 +776,7 @@ mod tests {
             0,
             FaultKind::Nan,
         ));
-        let run = genetic_algorithm_durable(rugged, &bounds(), &cfg, 11, &opts).expect("run");
+        let run = genetic_algorithm(rugged, &bounds(), &cfg, 11, &opts).expect("run");
         assert!(run.stopped.is_none());
         assert_eq!(
             run.report.failure_keys(),
@@ -808,19 +791,18 @@ mod tests {
     #[test]
     fn durable_rs_preempt_resume_is_bit_identical() {
         let evals = 40;
-        let baseline = random_search_durable(rugged, &bounds(), evals, 11, &RunOptions::default())
+        let baseline = random_search(rugged, &bounds(), evals, 11, &RunOptions::default())
             .expect("uninterrupted");
         let base_best = baseline.best.expect("best");
         assert_eq!(base_best.evals, evals);
 
         for cut in [0u64, 1, 7, 20, 39] {
             let opts = RunOptions::default().with_faults(FaultPlan::new().preempt_at(cut));
-            let partial = random_search_durable(rugged, &bounds(), evals, 11, &opts)
+            let partial = random_search(rugged, &bounds(), evals, 11, &opts)
                 .expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             let resume = RunOptions::default().resuming(partial.checkpoint.expect("state"));
-            let resumed =
-                random_search_durable(rugged, &bounds(), evals, 11, &resume).expect("resume");
+            let resumed = random_search(rugged, &bounds(), evals, 11, &resume).expect("resume");
             let best = resumed.best.expect("best");
             assert_eq!(bits(&best.x), bits(&base_best.x), "cut at {cut}");
             assert_eq!(best.fx.to_bits(), base_best.fx.to_bits());
@@ -831,7 +813,7 @@ mod tests {
     #[test]
     fn expired_deadline_yields_partial_optim_run_not_error() {
         let opts = RunOptions::default().with_deadline(Deadline::after(Duration::ZERO));
-        let run = random_search_durable(rugged, &bounds(), 20, 11, &opts)
+        let run = random_search(rugged, &bounds(), 20, 11, &opts)
             .expect("expired deadline is not an error");
         assert_eq!(run.stopped, Some(StopCause::Deadline));
         assert!(run.best.is_none(), "no boundary completed");
@@ -839,7 +821,7 @@ mod tests {
         assert_eq!(state.cursor, 0);
         // The checkpoint resumes to the full result once time allows.
         let resume = RunOptions::default().resuming(state);
-        let resumed = random_search_durable(rugged, &bounds(), 20, 11, &resume).expect("resume");
+        let resumed = random_search(rugged, &bounds(), 20, 11, &resume).expect("resume");
         assert_eq!(resumed.best.expect("best").evals, 20);
     }
 
@@ -850,11 +832,11 @@ mod tests {
             ..GaConfig::default()
         };
         assert!(matches!(
-            genetic_algorithm_durable(rugged, &bounds(), &cfg, 1, &RunOptions::default()),
+            genetic_algorithm(rugged, &bounds(), &cfg, 1, &RunOptions::default()),
             Err(CalibrateError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            random_search_durable(rugged, &bounds(), 0, 1, &RunOptions::default()),
+            random_search(rugged, &bounds(), 0, 1, &RunOptions::default()),
             Err(CalibrateError::InvalidConfig { .. })
         ));
     }

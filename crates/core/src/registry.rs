@@ -1,4 +1,4 @@
-//! The model & dataset registry.
+//! The model registry.
 //!
 //! Splash contributors "provide metadata" at registration time; that
 //! metadata drives composite assembly (port/channel matching), mismatch
@@ -69,19 +69,6 @@ pub struct ModelMetadata {
     pub perf: PerfStats,
 }
 
-/// Registered dataset metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatasetMetadata {
-    /// Unique dataset name.
-    pub name: String,
-    /// Human description.
-    pub description: String,
-    /// Channels and granularity, like a port.
-    pub port: PortSpec,
-    /// Provenance note (source model, collection process, …).
-    pub provenance: String,
-}
-
 /// A simulation model runnable by the platform: consumes one series per
 /// input port, produces the output series.
 pub trait SimModel: Send + Sync {
@@ -97,12 +84,10 @@ pub trait SimModel: Send + Sync {
     ) -> crate::Result<TimeSeries>;
 }
 
-/// The registry: models (metadata + executable) and datasets (metadata +
-/// data).
+/// The registry: models by name, each its metadata and executable.
 #[derive(Default)]
 pub struct Registry {
     models: BTreeMap<String, Arc<dyn SimModel>>,
-    datasets: BTreeMap<String, (DatasetMetadata, TimeSeries)>,
 }
 
 impl Registry {
@@ -116,29 +101,12 @@ impl Registry {
         self.models.insert(model.metadata().name.clone(), model);
     }
 
-    /// Register a dataset.
-    #[cfg(test)]
-    fn register_dataset(&mut self, meta: DatasetMetadata, data: TimeSeries) {
-        self.datasets.insert(meta.name.clone(), (meta, data));
-    }
-
     /// Look up a model.
     pub fn model(&self, name: &str) -> crate::Result<&Arc<dyn SimModel>> {
         self.models
             .get(name)
             .ok_or_else(|| CoreError::NotRegistered {
                 kind: "model",
-                name: name.to_string(),
-            })
-    }
-
-    /// Look up a dataset.
-    pub fn dataset(&self, name: &str) -> crate::Result<(&DatasetMetadata, &TimeSeries)> {
-        self.datasets
-            .get(name)
-            .map(|(m, d)| (m, d))
-            .ok_or_else(|| CoreError::NotRegistered {
-                kind: "dataset",
                 name: name.to_string(),
             })
     }
@@ -306,29 +274,6 @@ mod tests {
             reg.model("nope"),
             Err(CoreError::NotRegistered { .. })
         ));
-    }
-
-    #[test]
-    fn dataset_registration() {
-        let mut reg = Registry::new();
-        let data = TimeSeries::univariate("temp", vec![0.0, 1.0], vec![20.0, 21.0]).unwrap();
-        reg.register_dataset(
-            DatasetMetadata {
-                name: "weather".into(),
-                description: "obs".into(),
-                port: PortSpec {
-                    name: "out".into(),
-                    channels: vec!["temp".into()],
-                    tick: 1.0,
-                },
-                provenance: "sensor net".into(),
-            },
-            data.clone(),
-        );
-        let (meta, stored) = reg.dataset("weather").unwrap();
-        assert_eq!(meta.provenance, "sensor net");
-        assert_eq!(stored, &data);
-        assert!(reg.dataset("nope").is_err());
     }
 
     #[test]

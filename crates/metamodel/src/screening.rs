@@ -7,7 +7,9 @@
 //!   Wan): assuming a linear metamodel with Gaussian noise and
 //!   *known-positive* main effects, groups of factors are tested together
 //!   — "such group testing is much faster than testing each individual
-//!   parameter" — and groups showing an effect are recursively split.
+//!   parameter" — and groups showing an effect are recursively split. It
+//!   runs as a durable campaign: one checkpoint boundary per bisection
+//!   round, each probe on a stream of its own, resumable bit-identically.
 //! * **GP-based screening**: fit a Gaussian-process metamodel and rank
 //!   factors by the fitted correlation-decay parameters `θⱼ` (a near-zero
 //!   `θⱼ` means the response does not vary with factor `j`).
@@ -53,72 +55,13 @@ impl Default for BifurcationConfig {
     }
 }
 
-/// Sequential bifurcation over a response with assumed-positive main
-/// effects on coded inputs (`−1` low, `+1` high).
-///
-/// A probe evaluates the response with one *prefix group* of factors high;
-/// the group effect is the difference between consecutive probes. Groups
-/// whose effect exceeds the threshold split recursively; singleton groups
-/// are declared important.
-pub fn sequential_bifurcation<R: ResponseSurface>(
-    response: &R,
-    cfg: &BifurcationConfig,
-    rng: &mut Rng,
-) -> ScreeningResult {
-    let k = response.dim();
-    let mut runs_used = 0usize;
-    // Probe cache: response with factors 0..=j high, rest low, keyed by
-    // the boundary index (SB's classic "cumulative" parametrization, which
-    // makes a group effect a difference of two probes).
-    let mut cache: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-    let mut probe = |hi_upto: usize, rng: &mut Rng, runs: &mut usize| -> f64 {
-        if let Some(&v) = cache.get(&hi_upto) {
-            return v;
-        }
-        let x: Vec<f64> = (0..k)
-            .map(|j| if j < hi_upto { 1.0 } else { -1.0 })
-            .collect();
-        let v = response.eval_mean(&x, cfg.reps, rng);
-        *runs += 1;
-        cache.insert(hi_upto, v);
-        v
-    };
-
-    let mut important = Vec::new();
-    // Work queue of half-open factor ranges [lo, hi).
-    let mut queue = vec![(0usize, k)];
-    while let Some((lo, hi)) = queue.pop() {
-        if lo >= hi {
-            continue;
-        }
-        let y_hi = probe(hi, rng, &mut runs_used);
-        let y_lo = probe(lo, rng, &mut runs_used);
-        let group_effect = y_hi - y_lo;
-        if group_effect <= cfg.threshold {
-            continue; // no important factor inside
-        }
-        if hi - lo == 1 {
-            important.push(lo);
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            queue.push((lo, mid));
-            queue.push((mid, hi));
-        }
-    }
-    important.sort_unstable();
-    ScreeningResult {
-        important,
-        runs_used,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Durable campaign: checkpoint-per-round sequential bifurcation
+// Campaign: checkpoint-per-round sequential bifurcation
 // ---------------------------------------------------------------------------
 
 const CAMPAIGN_SB: &str = "metamodel.seq-bifurcation";
 
-/// The result of a durable screening campaign: the screening result when
+/// The result of a screening campaign: the screening result when
 /// every bisection round resolved, the supervision ledger, why the run
 /// stopped early (if it did), and the final campaign state for
 /// resumption.
@@ -137,15 +80,21 @@ pub struct ScreeningRun {
     pub checkpoint: Option<CampaignState>,
 }
 
-/// Run sequential bifurcation as a **durable campaign**: one checkpoint
-/// boundary per bisection round (the resolution of one queued factor
-/// group), with deadline/cancel/preempt checks before each round.
+/// Sequential bifurcation over a response with assumed-positive main
+/// effects on coded inputs (`−1` low, `+1` high), run as a **durable
+/// campaign**.
 ///
-/// Unlike [`sequential_bifurcation`], which threads one RNG through every
-/// probe, each probe here draws from a stream derived purely from
-/// `(seed, probe boundary index)` and lands in a probe cache carried in
-/// the checkpoint, so a resumed campaign replays nothing: the surviving
-/// work queue, probe cache, run count, and important-factor set continue
+/// A probe evaluates the response with one *prefix group* of factors high
+/// (SB's classic "cumulative" parametrization); the group effect is the
+/// difference between consecutive probes. Groups whose effect exceeds the
+/// threshold split recursively; singleton groups are declared important.
+///
+/// The campaign has one checkpoint boundary per bisection round (the
+/// resolution of one queued factor group), with deadline/cancel/preempt
+/// checks before each round. Each probe draws from a stream derived purely
+/// from `(seed, probe index)` and lands in a probe cache carried in the
+/// checkpoint, so a resumed campaign replays nothing: the surviving work
+/// queue, probe cache, run count, and important-factor set continue
 /// bit-identically from where the interrupted run stopped. The campaign
 /// is open-ended (the queue grows as groups split), so the checkpoint's
 /// `total` is 0 and completion is "queue drained".
@@ -155,7 +104,7 @@ pub struct ScreeningRun {
 /// round; a state whose campaign tag or fingerprint (seed, dimension,
 /// threshold, reps) does not match is refused with a typed
 /// [`MetamodelError::Checkpoint`].
-pub fn sequential_bifurcation_durable<R: ResponseSurface>(
+pub fn sequential_bifurcation<R: ResponseSurface>(
     response: &R,
     cfg: &BifurcationConfig,
     seed: u64,
@@ -508,19 +457,28 @@ mod tests {
         })
     }
 
+    /// The result of a completed screening with default options.
+    fn screen<R: ResponseSurface>(r: &R, seed: u64) -> ScreeningResult {
+        let run = sequential_bifurcation(
+            r,
+            &BifurcationConfig::default(),
+            seed,
+            &RunOptions::default(),
+        )
+        .expect("screening");
+        assert!(run.stopped.is_none());
+        run.result.expect("a completed run has a result")
+    }
+
     #[test]
     fn finds_all_important_factors() {
-        let r = sparse_response();
-        let mut rng = rng_from_seed(1);
-        let res = sequential_bifurcation(&r, &BifurcationConfig::default(), &mut rng);
+        let res = screen(&sparse_response(), 1);
         assert_eq!(res.important, vec![3, 17, 31, 64, 65, 90, 110, 127]);
     }
 
     #[test]
     fn uses_far_fewer_runs_than_one_at_a_time() {
-        let r = sparse_response();
-        let mut rng = rng_from_seed(2);
-        let res = sequential_bifurcation(&r, &BifurcationConfig::default(), &mut rng);
+        let res = screen(&sparse_response(), 2);
         // One-at-a-time needs 129 probes; 2^128 for a full factorial. SB
         // with 8 important of 128 needs O(g·log k) ≈ 60-80 probes.
         assert!(
@@ -535,8 +493,7 @@ mod tests {
         let r = FnResponse::new(64, |_: &[f64], rng: &mut Rng| {
             0.1 * Normal::sample_standard(rng)
         });
-        let mut rng = rng_from_seed(3);
-        let res = sequential_bifurcation(&r, &BifurcationConfig::default(), &mut rng);
+        let res = screen(&r, 3);
         assert!(res.important.is_empty());
         assert_eq!(res.runs_used, 2); // all-high and all-low only
     }
@@ -544,9 +501,7 @@ mod tests {
     #[test]
     fn single_factor_problem() {
         let r = FnResponse::new(1, |x: &[f64], _rng: &mut Rng| 3.0 * x[0]);
-        let mut rng = rng_from_seed(4);
-        let res = sequential_bifurcation(&r, &BifurcationConfig::default(), &mut rng);
-        assert_eq!(res.important, vec![0]);
+        assert_eq!(screen(&r, 4).important, vec![0]);
     }
 
     #[test]
@@ -554,17 +509,15 @@ mod tests {
         // Effects 2.0 (factor 0) and 0.05 (factor 1): only the first
         // crosses a 0.5 threshold.
         let r = FnResponse::new(2, |x: &[f64], _rng: &mut Rng| 1.0 * x[0] + 0.025 * x[1]);
-        let mut rng = rng_from_seed(5);
-        let res = sequential_bifurcation(&r, &BifurcationConfig::default(), &mut rng);
-        assert_eq!(res.important, vec![0]);
+        assert_eq!(screen(&r, 5).important, vec![0]);
     }
 
     use mde_numeric::resilience::FaultPlan;
     use mde_numeric::Deadline;
     use std::time::Duration;
 
-    /// 16 factors, 3 important — small enough that the durable preempt
-    /// sweep over every round stays fast.
+    /// 16 factors, 3 important — small enough that the preempt sweep over
+    /// every round stays fast.
     fn small_sparse_response() -> FnResponse<impl Fn(&[f64], &mut Rng) -> f64> {
         let important = [2usize, 7, 13];
         FnResponse::new(16, move |x: &[f64], rng: &mut Rng| {
@@ -576,13 +529,9 @@ mod tests {
     #[test]
     fn durable_bifurcation_finds_important_factors() {
         let r = small_sparse_response();
-        let run = sequential_bifurcation_durable(
-            &r,
-            &BifurcationConfig::default(),
-            7,
-            &RunOptions::default(),
-        )
-        .expect("durable screening");
+        let run =
+            sequential_bifurcation(&r, &BifurcationConfig::default(), 7, &RunOptions::default())
+                .expect("durable screening");
         assert!(run.stopped.is_none());
         let result = run.result.expect("completed run has a result");
         assert_eq!(result.important, vec![2, 7, 13]);
@@ -593,16 +542,16 @@ mod tests {
     fn durable_bifurcation_preempt_resume_is_bit_identical() {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
-        let baseline = sequential_bifurcation_durable(&r, &cfg, 7, &RunOptions::default())
-            .expect("uninterrupted");
+        let baseline =
+            sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("uninterrupted");
         let base = baseline.result.expect("result");
         let rounds = baseline.checkpoint.as_ref().expect("state").cursor;
         assert!(rounds >= 4, "expected several rounds, got {rounds}");
 
         for cut in 0..rounds {
             let opts = RunOptions::default().with_faults(FaultPlan::new().preempt_at(cut));
-            let partial = sequential_bifurcation_durable(&r, &cfg, 7, &opts)
-                .expect("preempted run is not an error");
+            let partial =
+                sequential_bifurcation(&r, &cfg, 7, &opts).expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             assert!(partial.result.is_none(), "cut at {cut} leaves queued work");
             let state = partial.checkpoint.expect("state");
@@ -611,7 +560,7 @@ mod tests {
             // preemption would.
             let state = CampaignState::decode(&state.encode()).expect("codec");
             let resume = RunOptions::default().resuming(state);
-            let resumed = sequential_bifurcation_durable(&r, &cfg, 7, &resume).expect("resume");
+            let resumed = sequential_bifurcation(&r, &cfg, 7, &resume).expect("resume");
             let result = resumed.result.expect("resumed to completion");
             assert_eq!(result, base, "cut at {cut}");
             let final_state = resumed.checkpoint.expect("final state");
@@ -628,10 +577,10 @@ mod tests {
     fn durable_bifurcation_rejects_foreign_checkpoint() {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
-        let run = sequential_bifurcation_durable(&r, &cfg, 7, &RunOptions::default()).expect("run");
+        let run = sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("run");
         let state = run.checkpoint.expect("state");
         let resume = RunOptions::default().resuming(state);
-        let err = sequential_bifurcation_durable(&r, &cfg, 8, &resume)
+        let err = sequential_bifurcation(&r, &cfg, 8, &resume)
             .expect_err("mismatched seed must be refused");
         assert!(matches!(
             err,
@@ -643,13 +592,13 @@ mod tests {
     fn durable_bifurcation_corrupt_scratch_is_typed() {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
-        let run = sequential_bifurcation_durable(&r, &cfg, 7, &RunOptions::default()).expect("run");
+        let run = sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("run");
         let mut state = run.checkpoint.expect("state");
         // Claim more cached probes than there are stored values.
         let last = state.ints.len() - 1;
         state.ints[last - state.floats.len()] += 1;
         let resume = RunOptions::default().resuming(state);
-        let err = sequential_bifurcation_durable(&r, &cfg, 7, &resume)
+        let err = sequential_bifurcation(&r, &cfg, 7, &resume)
             .expect_err("structural mismatch must be refused");
         assert!(
             matches!(
@@ -665,14 +614,14 @@ mod tests {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
         let opts = RunOptions::default().with_deadline(Deadline::after(Duration::ZERO));
-        let run = sequential_bifurcation_durable(&r, &cfg, 7, &opts)
-            .expect("expired deadline is not an error");
+        let run =
+            sequential_bifurcation(&r, &cfg, 7, &opts).expect("expired deadline is not an error");
         assert_eq!(run.stopped, Some(StopCause::Deadline));
         assert!(run.result.is_none());
         let state = run.checkpoint.expect("state");
         assert_eq!(state.cursor, 0);
         let resume = RunOptions::default().resuming(state);
-        let resumed = sequential_bifurcation_durable(&r, &cfg, 7, &resume).expect("resume");
+        let resumed = sequential_bifurcation(&r, &cfg, 7, &resume).expect("resume");
         assert_eq!(resumed.result.expect("result").important, vec![2, 7, 13]);
     }
 

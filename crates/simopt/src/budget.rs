@@ -9,7 +9,7 @@
 
 use crate::component::SeriesComposite;
 use crate::efficiency::Statistics;
-use crate::rc::{run_rc, RcConfig, RcEstimate};
+use crate::rc::{run_rc, run_rc_cached, RcConfig, RcEstimate};
 use crate::SimoptError;
 
 /// The RC cost of `n` replications: `C_n = ⌈αn⌉·c₁ + n·c₂`.
@@ -72,18 +72,14 @@ pub fn run_under_budget(
     alpha: f64,
     seed: u64,
 ) -> Result<Option<RcEstimate>, SimoptError> {
-    let n = n_max(budget, alpha, composite.m1.cost(), composite.m2.cost())?;
-    if n == 0 {
-        return Ok(None);
-    }
-    Ok(Some(run_rc(composite, &RcConfig { n, alpha, seed })))
+    Ok(afforded(composite, budget, alpha, seed)?.map(|cfg| run_rc(composite, &cfg)))
 }
 
 /// [`run_under_budget`] through the production result cache
-/// ([`run_rc_cached`](crate::rc::run_rc_cached)): bit-identical estimates,
-/// but `M₁` outputs shared with every other campaign using the same
-/// `(spec_fingerprint, seed)` — the α-sweep's common-random-numbers
-/// discipline becomes actual cross-campaign reuse.
+/// ([`run_rc_cached`]): bit-identical estimates, but `M₁` outputs shared
+/// with every other campaign using the same `(spec_fingerprint, seed)` —
+/// the α-sweep's common-random-numbers discipline becomes actual
+/// cross-campaign reuse.
 pub fn run_under_budget_cached(
     composite: &SeriesComposite,
     budget: f64,
@@ -92,16 +88,20 @@ pub fn run_under_budget_cached(
     spec_fingerprint: u64,
     cache: &mde_numeric::cache::CacheHandle,
 ) -> Result<Option<RcEstimate>, SimoptError> {
+    Ok(afforded(composite, budget, alpha, seed)?
+        .map(|cfg| run_rc_cached(composite, &cfg, spec_fingerprint, cache)))
+}
+
+/// The RC run the budget affords: `n = N(c)` replications at `α`, or
+/// `None` when that is zero.
+fn afforded(
+    composite: &SeriesComposite,
+    budget: f64,
+    alpha: f64,
+    seed: u64,
+) -> Result<Option<RcConfig>, SimoptError> {
     let n = n_max(budget, alpha, composite.m1.cost(), composite.m2.cost())?;
-    if n == 0 {
-        return Ok(None);
-    }
-    Ok(Some(crate::rc::run_rc_cached(
-        composite,
-        &RcConfig { n, alpha, seed },
-        spec_fingerprint,
-        cache,
-    )))
+    Ok((n > 0).then_some(RcConfig { n, alpha, seed }))
 }
 
 /// Plan the asymptotically optimal budget-constrained run: pick

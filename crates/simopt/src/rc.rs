@@ -54,44 +54,7 @@ pub struct RcEstimate {
 /// share `M₁` randomness where possible (common random numbers, which
 /// sharpens the α-sweep experiments).
 pub fn run_rc(composite: &SeriesComposite, cfg: &RcConfig) -> RcEstimate {
-    assert!(cfg.n > 0, "need at least one replication");
-    assert!(
-        cfg.alpha > 0.0 && cfg.alpha <= 1.0,
-        "alpha must be in (0, 1], got {}",
-        cfg.alpha
-    );
-    let m = ((cfg.alpha * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
-    let factory = StreamFactory::new(cfg.seed);
-    let m1_streams = factory.child(0);
-    let m2_streams = factory.child(1);
-
-    // Phase 1: run and "cache to disk" the m M₁ outputs.
-    let cache: Vec<Vec<f64>> = (0..m)
-        .map(|j| {
-            let mut rng = m1_streams.stream(j as u64);
-            composite.run_m1(&mut rng)
-        })
-        .collect();
-
-    // Phase 2: n M₂ runs, cycling deterministically through the cache.
-    let mut samples = Vec::with_capacity(cfg.n);
-    let mut summary = Summary::new();
-    for i in 0..cfg.n {
-        let y1 = &cache[i % m];
-        let mut rng = m2_streams.stream(i as u64);
-        let y2 = composite.run_m2(y1, &mut rng);
-        summary.push(y2);
-        samples.push(y2);
-    }
-
-    RcEstimate {
-        theta_hat: summary.mean(),
-        sample_variance: summary.sample_variance(),
-        n: cfg.n,
-        m,
-        cost: m as f64 * composite.m1.cost() + cfg.n as f64 * composite.m2.cost(),
-        samples,
-    }
+    rc_loop(composite, cfg, |_, fresh| fresh(), |i, m| i % m)
 }
 
 /// [`run_rc`] with phase 1 backed by the production content-addressed
@@ -115,47 +78,13 @@ pub fn run_rc_cached(
     spec_fingerprint: u64,
     cache: &CacheHandle,
 ) -> RcEstimate {
-    assert!(cfg.n > 0, "need at least one replication");
-    assert!(
-        cfg.alpha > 0.0 && cfg.alpha <= 1.0,
-        "alpha must be in (0, 1], got {}",
-        cfg.alpha
-    );
     let mut scope = ObjectiveScope::new(cache.clone(), CAMPAIGN_RC, spec_fingerprint, 1, cfg.seed);
-    let m = ((cfg.alpha * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
-    let factory = StreamFactory::new(cfg.seed);
-    let m1_streams = factory.child(0);
-    let m2_streams = factory.child(1);
-
-    // Phase 1: the m M₁ outputs, each a content-addressed cache entry.
-    let cached: Vec<Vec<f64>> = (0..m)
-        .map(|j| {
-            scope.memoize(&[j as f64], || {
-                let mut rng = m1_streams.stream(j as u64);
-                composite.run_m1(&mut rng)
-            })
-        })
-        .collect();
-
-    // Phase 2: n M₂ runs, cycling deterministically through the cache.
-    let mut samples = Vec::with_capacity(cfg.n);
-    let mut summary = Summary::new();
-    for i in 0..cfg.n {
-        let y1 = &cached[i % m];
-        let mut rng = m2_streams.stream(i as u64);
-        let y2 = composite.run_m2(y1, &mut rng);
-        summary.push(y2);
-        samples.push(y2);
-    }
-
-    RcEstimate {
-        theta_hat: summary.mean(),
-        sample_variance: summary.sample_variance(),
-        n: cfg.n,
-        m,
-        cost: m as f64 * composite.m1.cost() + cfg.n as f64 * composite.m2.cost(),
-        samples,
-    }
+    rc_loop(
+        composite,
+        cfg,
+        |j, fresh| scope.memoize(&[j as f64], fresh),
+        |i, m| i % m,
+    )
 }
 
 /// Ablation of the deterministic cycling scheme: reuse cached `M₁` outputs
@@ -165,8 +94,28 @@ pub fn run_rc_cached(
 /// sample of the outputs of M₁ and helps minimize estimator variance."
 /// Random reuse gives each cached output a binomial (rather than fixed)
 /// usage count, adding between-cache-entry variance; this function exists
-/// so experiments can measure that penalty directly.
+/// so experiments can measure that penalty directly. The picks draw from
+/// stream `(2, 0)`.
 pub fn run_rc_random_reuse(composite: &SeriesComposite, cfg: &RcConfig) -> RcEstimate {
+    let mut pick_rng = StreamFactory::new(cfg.seed).child(2).stream(0);
+    rc_loop(
+        composite,
+        cfg,
+        |_, fresh| fresh(),
+        |_, m| pick_rng.gen_range(0..m),
+    )
+}
+
+/// The RC loop every runner shares. Phase 1 obtains the `m = ⌈αn⌉` `M₁`
+/// outputs, output `j` from `m1_output(j, fresh)`, where `fresh` runs
+/// `M₁` on stream `(0, j)`; phase 2 runs `M₂` `n` times, run `i` on stream
+/// `(1, i)` and fed the output `reuse(i, m)` picks.
+fn rc_loop(
+    composite: &SeriesComposite,
+    cfg: &RcConfig,
+    mut m1_output: impl FnMut(usize, &dyn Fn() -> Vec<f64>) -> Vec<f64>,
+    mut reuse: impl FnMut(usize, usize) -> usize,
+) -> RcEstimate {
     assert!(cfg.n > 0, "need at least one replication");
     assert!(
         cfg.alpha > 0.0 && cfg.alpha <= 1.0,
@@ -177,24 +126,22 @@ pub fn run_rc_random_reuse(composite: &SeriesComposite, cfg: &RcConfig) -> RcEst
     let factory = StreamFactory::new(cfg.seed);
     let m1_streams = factory.child(0);
     let m2_streams = factory.child(1);
-    let mut pick_rng = factory.child(2).stream(0);
 
-    let cache: Vec<Vec<f64>> = (0..m)
-        .map(|j| {
-            let mut rng = m1_streams.stream(j as u64);
-            composite.run_m1(&mut rng)
-        })
+    // Phase 1: run and "cache to disk" the m M₁ outputs.
+    let outputs: Vec<Vec<f64>> = (0..m)
+        .map(|j| m1_output(j, &|| composite.run_m1(&mut m1_streams.stream(j as u64))))
         .collect();
 
+    // Phase 2: n M₂ runs, each fed the M₁ output the reuse scheme picks.
     let mut samples = Vec::with_capacity(cfg.n);
     let mut summary = Summary::new();
     for i in 0..cfg.n {
-        let y1 = &cache[pick_rng.gen_range(0..m)];
-        let mut rng = m2_streams.stream(i as u64);
-        let y2 = composite.run_m2(y1, &mut rng);
+        let y1 = &outputs[reuse(i, m)];
+        let y2 = composite.run_m2(y1, &mut m2_streams.stream(i as u64));
         summary.push(y2);
         samples.push(y2);
     }
+
     RcEstimate {
         theta_hat: summary.mean(),
         sample_variance: summary.sample_variance(),

@@ -16,6 +16,7 @@ use model_data_ecosystems::abs::market::{MarketConfig, MarketModel, MarketParams
 use model_data_ecosystems::calibrate::kriging_cal::{kriging_calibrate, KrigingCalConfig};
 use model_data_ecosystems::calibrate::msm::{MsmProblem, Simulator};
 use model_data_ecosystems::calibrate::optim::{genetic_algorithm, Bounds, GaConfig};
+use model_data_ecosystems::numeric::resilience::RunOptions;
 use model_data_ecosystems::numeric::rng::rng_from_seed;
 
 fn main() {
@@ -52,7 +53,6 @@ fn main() {
 
     // ---- Method 2: MSM objective + genetic algorithm.
     let problem_ga = MsmProblem::new(observed.clone(), simulator, 5, 99);
-    let mut rng = rng_from_seed(5);
     let ga = genetic_algorithm(
         |theta| problem_ga.objective(theta),
         &bounds,
@@ -61,8 +61,12 @@ fn main() {
             generations: 8,
             ..GaConfig::default()
         },
-        &mut rng,
-    );
+        5,
+        &RunOptions::default(),
+    )
+    .expect("GA run")
+    .best
+    .expect("a completed run has a best");
     let ga_evals = problem_ga.simulator_evals();
 
     // ---- Method 3: DOE + kriging surrogate.

@@ -12,9 +12,7 @@
 
 use model_data_ecosystems::assim::pf::{BootstrapProposal, ParticleFilter, StateSpaceModel};
 use model_data_ecosystems::assim::AssimError;
-use model_data_ecosystems::calibrate::optim::{
-    genetic_algorithm_durable, random_search_durable, Bounds, GaConfig,
-};
+use model_data_ecosystems::calibrate::optim::{genetic_algorithm, random_search, Bounds, GaConfig};
 use model_data_ecosystems::calibrate::CalibrateError;
 use model_data_ecosystems::mcdb::mc::{McRun, MonteCarloQuery};
 use model_data_ecosystems::mcdb::prelude::*;
@@ -23,7 +21,7 @@ use model_data_ecosystems::mcdb::vg::NormalVg;
 use model_data_ecosystems::mcdb::McdbError;
 use model_data_ecosystems::metamodel::response::FnResponse;
 use model_data_ecosystems::metamodel::screening::{
-    sequential_bifurcation_durable, BifurcationConfig, ScreeningRun,
+    sequential_bifurcation, BifurcationConfig, ScreeningRun,
 };
 use model_data_ecosystems::metamodel::MetamodelError;
 use model_data_ecosystems::numeric::dist::{Continuous, Normal};
@@ -445,8 +443,8 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     // refused by campaign tag, not misinterpreted.
     let foreign = resuming_from(scratch.path()).unwrap();
     let bounds = Bounds::new(vec![(0.0, 1.0)]).unwrap();
-    let err = genetic_algorithm_durable(|x| x[0], &bounds, &GaConfig::default(), seed, &foreign)
-        .unwrap_err();
+    let err =
+        genetic_algorithm(|x| x[0], &bounds, &GaConfig::default(), seed, &foreign).unwrap_err();
     assert!(
         matches!(
             err,
@@ -456,9 +454,8 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     );
 
     let response = FnResponse::new(4, |x: &[f64], _rng: &mut Rng| x.iter().sum());
-    let err =
-        sequential_bifurcation_durable(&response, &BifurcationConfig::default(), seed, &foreign)
-            .unwrap_err();
+    let err = sequential_bifurcation(&response, &BifurcationConfig::default(), seed, &foreign)
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -525,7 +522,7 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
         (
             "genetic-algorithm",
             Box::new(|seed, opts| {
-                match genetic_algorithm_durable(rosenbrock, &bounds, &ga_cfg, seed, opts) {
+                match genetic_algorithm(rosenbrock, &bounds, &ga_cfg, seed, opts) {
                     Ok(run) => done(run.checkpoint),
                     Err(CalibrateError::Checkpoint(e)) => Err(Some(e)),
                     Err(_) => Err(None),
@@ -534,19 +531,19 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
         ),
         (
             "random-search",
-            Box::new(|seed, opts| {
-                match random_search_durable(rosenbrock, &bounds, 8, seed, opts) {
+            Box::new(
+                |seed, opts| match random_search(rosenbrock, &bounds, 8, seed, opts) {
                     Ok(run) => done(run.checkpoint),
                     Err(CalibrateError::Checkpoint(e)) => Err(Some(e)),
                     Err(_) => Err(None),
-                }
-            }),
+                },
+            ),
         ),
         (
             "sequential-bifurcation",
             Box::new(|seed, opts| {
                 let cfg = BifurcationConfig::default();
-                match sequential_bifurcation_durable(&response, &cfg, seed, opts) {
+                match sequential_bifurcation(&response, &cfg, seed, opts) {
                     Ok(run) => done(run.checkpoint),
                     Err(MetamodelError::Checkpoint(e)) => Err(Some(e)),
                     Err(_) => Err(None),
@@ -666,10 +663,10 @@ fn for_each_durable_surface(test: impl Fn(&str, &dyn Fn(&RunOptions) -> Sliced))
         sliced(value, run.report, run.stopped, run.checkpoint)
     };
     test("genetic-algorithm", &|opts| {
-        best(genetic_algorithm_durable(rosenbrock, &bounds, &ga_cfg, seed, opts).unwrap())
+        best(genetic_algorithm(rosenbrock, &bounds, &ga_cfg, seed, opts).unwrap())
     });
     test("random-search", &|opts| {
-        best(random_search_durable(rosenbrock, &bounds, 8, seed, opts).unwrap())
+        best(random_search(rosenbrock, &bounds, 8, seed, opts).unwrap())
     });
     let response = screening_response();
     test("sequential-bifurcation", &|opts| {
@@ -677,7 +674,7 @@ fn for_each_durable_surface(test: impl Fn(&str, &dyn Fn(&RunOptions) -> Sliced))
             threshold: 1.0,
             reps: 4,
         };
-        let run = sequential_bifurcation_durable(&response, &cfg, seed, opts).unwrap();
+        let run = sequential_bifurcation(&response, &cfg, seed, opts).unwrap();
         let value = run.result.map_or(Vec::new(), |r| {
             let mut v: Vec<f64> = r.important.iter().map(|&j| j as f64).collect();
             v.push(r.runs_used as f64);
@@ -953,15 +950,15 @@ fn ga_checkpoint_survives_the_disk_round_trip() {
         ..GaConfig::default()
     };
     let baseline =
-        genetic_algorithm_durable(rosenbrock, &bounds, &cfg, seed, &RunOptions::default()).unwrap();
+        genetic_algorithm(rosenbrock, &bounds, &cfg, seed, &RunOptions::default()).unwrap();
 
     for cut in 0..=cfg.generations as u64 {
         let scratch = ScratchFile::new(&format!("ga-disk-{cut}"));
         let opts = preempt_opts(cut).with_checkpoint(CheckpointSpec::new(scratch.path()).every(1));
-        let partial = genetic_algorithm_durable(rosenbrock, &bounds, &cfg, seed, &opts).unwrap();
+        let partial = genetic_algorithm(rosenbrock, &bounds, &cfg, seed, &opts).unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
         let resume = resuming_from(scratch.path()).unwrap();
-        let resumed = genetic_algorithm_durable(rosenbrock, &bounds, &cfg, seed, &resume).unwrap();
+        let resumed = genetic_algorithm(rosenbrock, &bounds, &cfg, seed, &resume).unwrap();
         assert_optim_runs_identical(&resumed, &baseline, &format!("ga disk resume at {cut}"));
     }
 }
@@ -971,15 +968,14 @@ fn random_search_deadline_checkpoint_resumes_to_the_full_budget() {
     let seed = chaos_seed();
     let bounds = Bounds::new(vec![(-3.0, 3.0), (-3.0, 3.0)]).unwrap();
     let evals = 32;
-    let baseline =
-        random_search_durable(rosenbrock, &bounds, evals, seed, &RunOptions::default()).unwrap();
+    let baseline = random_search(rosenbrock, &bounds, evals, seed, &RunOptions::default()).unwrap();
 
     let opts = RunOptions::default().with_deadline(Deadline::after(Duration::ZERO));
-    let partial = random_search_durable(rosenbrock, &bounds, evals, seed, &opts).unwrap();
+    let partial = random_search(rosenbrock, &bounds, evals, seed, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Deadline));
     assert!(partial.best.is_none());
     let resume = resuming(partial.checkpoint.unwrap());
-    let resumed = random_search_durable(rosenbrock, &bounds, evals, seed, &resume).unwrap();
+    let resumed = random_search(rosenbrock, &bounds, evals, seed, &resume).unwrap();
     assert_optim_runs_identical(&resumed, &baseline, "rs resume after deadline");
 }
 
@@ -1021,21 +1017,20 @@ fn screening_checkpoint_survives_the_disk_round_trip() {
         reps: 4,
     };
     let response = screening_response();
-    let baseline =
-        sequential_bifurcation_durable(&response, &cfg, seed, &RunOptions::default()).unwrap();
+    let baseline = sequential_bifurcation(&response, &cfg, seed, &RunOptions::default()).unwrap();
     let total_rounds = baseline.report.attempted as u64;
 
     for cut in 0..total_rounds {
         let scratch = ScratchFile::new(&format!("sb-disk-{cut}"));
         let opts = preempt_opts(cut).with_checkpoint(CheckpointSpec::new(scratch.path()).every(1));
-        let partial = sequential_bifurcation_durable(&response, &cfg, seed, &opts).unwrap();
+        let partial = sequential_bifurcation(&response, &cfg, seed, &opts).unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
         assert!(
             partial.result.is_none(),
             "cut {cut}: queue should not be drained"
         );
         let resume = resuming_from(scratch.path()).unwrap();
-        let resumed = sequential_bifurcation_durable(&response, &cfg, seed, &resume).unwrap();
+        let resumed = sequential_bifurcation(&response, &cfg, seed, &resume).unwrap();
         assert_screening_runs_identical(&resumed, &baseline, &format!("sb disk resume at {cut}"));
     }
 }
