@@ -22,17 +22,25 @@
 //! ```
 //! use mde_assim::pf::{BootstrapProposal, ParticleFilter};
 //! use mde_assim::wildfire::default_scenario;
+//! use mde_numeric::resilience::RunOptions;
 //! use mde_numeric::rng::rng_from_seed;
 //!
 //! let model = default_scenario();
 //! let mut rng = rng_from_seed(7);
 //! let (truth, sensor_stream) = model.simulate_truth(8, &mut rng);
-//! let steps = ParticleFilter::new(100, 1).run(&model, &BootstrapProposal, &sensor_stream);
+//! let pf = ParticleFilter::new(100, 1);
+//! let run = pf.run(&model, &BootstrapProposal, &sensor_stream, &RunOptions::default())?;
 //! // The filtered burning-cell count tracks the (hidden) truth.
-//! let est = steps[7].estimate(|s| s.burning_count() as f64);
+//! let est = run.steps[7].estimate(|s| s.burning_count() as f64);
 //! let tru = truth[7].burning_count() as f64;
 //! assert!((est - tru).abs() < tru.max(4.0));
+//! # Ok::<(), mde_assim::AssimError>(())
 //! ```
+//!
+//! [`ParticleFilter::run`] is the filter's one entry point: the same call
+//! takes a retry or best-effort policy, a deadline, a cancel token, a
+//! checkpoint file or a state to resume from through its
+//! [`RunOptions`](mde_numeric::resilience::RunOptions).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,12 +20,16 @@
 //! `qₙ = pₙ(xₙ|xₙ₋₁)` "the formulas for the weights reduce to an
 //! evaluation of the observation function", and the sensor-aware proposal
 //! of \[57\] supplies its own KDE-estimated weight correction.
+//!
+//! A filter has one entry point, [`ParticleFilter::run`]: a supervised,
+//! durable campaign with one boundary per observation, under the
+//! [`RunOptions`] every campaign surface takes.
 
 use crate::resample::{effective_sample_size, systematic_resample};
 use crate::AssimError;
 use mde_numeric::checkpoint::{CampaignState, CheckpointError, Fingerprint};
 use mde_numeric::resilience::{
-    drive, drive_in_memory, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
+    drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::{Rng, StreamFactory};
 
@@ -35,8 +39,9 @@ const CAMPAIGN_PF: &str = "assim.particle-filter";
 /// A hidden Markov model: prior, transition kernel, and observation
 /// likelihood.
 pub trait StateSpaceModel {
-    /// Hidden-state type.
-    type State: Clone;
+    /// Hidden-state type; a run ledgers it through its [`ParticleState`]
+    /// codec.
+    type State: ParticleState;
     /// Observation type.
     type Obs;
 
@@ -48,6 +53,11 @@ pub trait StateSpaceModel {
 
     /// Log observation likelihood `ln pₙ(yₙ | xₙ)`.
     fn ln_likelihood(&self, state: &Self::State, obs: &Self::Obs) -> f64;
+
+    /// Floats per particle in a run's ledger: how many
+    /// [`ParticleState::encode`] appends for every state of this model. A
+    /// run knows it before step 0, and its checkpoint fingerprint holds it.
+    fn state_width(&self) -> usize;
 }
 
 /// A proposal distribution `qₙ(xₙ | yₙ, xₙ₋₁)` with its importance-weight
@@ -129,118 +139,20 @@ impl ParticleFilter {
         ParticleFilter { n_particles, seed }
     }
 
-    /// Run Algorithm 2 over an observation sequence, producing one
-    /// [`FilterStep`] per observation. A step whose weights collapse falls
-    /// back to uniform weights and reports `-inf` evidence.
-    pub fn run<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        observations: &[M::Obs],
-    ) -> Vec<FilterStep<M::State>>
-    where
-        M: StateSpaceModel,
-        Q: Proposal<M>,
-    {
-        let factory = StreamFactory::new(self.seed);
-        let mut steps: Vec<FilterStep<M::State>> = Vec::with_capacity(observations.len());
-        for (t, obs) in observations.iter().enumerate() {
-            let prev = steps.last().map(|s| &s.particles[..]);
-            let streams = factory.child(t as u64);
-            let step = self
-                .step(model, proposal, obs, prev, &streams, Collapse::Uniform)
-                .expect("uniform or freshly normalized weights are resampleable");
-            steps.push(step);
-        }
-        steps
-    }
-
-    /// One step of Algorithm 2 — propose, weight, normalise, resample —
-    /// drawing proposals from stream 0 of `streams` and the resampling
-    /// offset from stream 1. `collapse` says what an unusable weight vector
-    /// (every particle impossible, an infinite weight, or a NaN) becomes.
-    fn step<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        obs: &M::Obs,
-        prev: Option<&[M::State]>,
-        streams: &StreamFactory,
-        collapse: Collapse,
-    ) -> crate::Result<FilterStep<M::State>>
-    where
-        M: StateSpaceModel,
-        Q: Proposal<M>,
-    {
-        let n = self.n_particles;
-        // Steps 1/6: propose; steps 2/7-9: weight (in log space).
-        let mut rng = streams.stream(0);
-        let mut particles = Vec::with_capacity(n);
-        let mut ln_w = Vec::with_capacity(n);
-        for i in 0..n {
-            let parent = prev.map(|p| &p[i]);
-            let x = proposal.sample(model, parent, obs, &mut rng);
-            let lw = proposal.ln_weight(model, parent, &x, obs, &mut rng);
-            particles.push(x);
-            ln_w.push(lw);
-        }
-
-        // Step 3/10: normalize with a max shift (`f64::max` skips NaNs, so
-        // they are looked for separately).
-        let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let has_nan = ln_w.iter().any(|lw| lw.is_nan());
-        let (weights, ln_evidence_increment) = if max.is_finite() && !has_nan {
-            let shifted: Vec<f64> = ln_w.iter().map(|lw| (lw - max).exp()).collect();
-            let total: f64 = shifted.iter().sum();
-            (
-                shifted.iter().map(|w| w / total).collect::<Vec<f64>>(),
-                max + (total / n as f64).ln(),
-            )
-        } else {
-            match collapse {
-                Collapse::Uniform => (vec![1.0 / n as f64; n], f64::NEG_INFINITY),
-                // A NaN weight makes the evidence NaN; the supervisor's
-                // finiteness check records that as a non-finite step.
-                Collapse::Fail { .. } if has_nan => {
-                    return Ok(FilterStep {
-                        particles,
-                        ess: 0.0,
-                        ln_evidence_increment: f64::NAN,
-                    })
-                }
-                Collapse::Fail { step, attempt } => {
-                    return Err(AssimError::StepFailed {
-                        step,
-                        attempt,
-                        message: "all particle weights collapsed to zero".into(),
-                    })
-                }
-            }
-        };
-        let ess = effective_sample_size(&weights);
-
-        // Step 4/11: resample to equal weights.
-        let mut rng_rs = streams.stream(1);
-        let idx = systematic_resample(&weights, n, &mut rng_rs)?;
-        Ok(FilterStep {
-            particles: idx.into_iter().map(|i| particles[i].clone()).collect(),
-            ess,
-            ln_evidence_increment,
-        })
-    }
-
-    /// Run Algorithm 2 under a [`mde_numeric::RunPolicy`], supervising
-    /// each observation step.
+    /// Run Algorithm 2 over an observation sequence as a supervised,
+    /// durable campaign, producing one [`FilterStep`] per completed
+    /// observation.
     ///
-    /// The replicate unit is the filtering step: propose, weight,
+    /// The boundary is the filtering step: propose, weight, normalise and
     /// resample for one observation, executed inside `catch_unwind`.
-    /// Failures — a panicking model or proposal, total weight collapse
-    /// (every particle impossible under the observation, which the
-    /// unsupervised [`ParticleFilter::run`] papers over with a uniform
-    /// fallback), or a non-finite evidence increment — are handled per
-    /// the policy:
+    /// Attempt 0 of step `t` draws its proposals from stream 0 of
+    /// `StreamFactory::new(seed).child(t)` and its resampling offset from
+    /// stream 1. A failed attempt — a panicking model or proposal, total
+    /// weight collapse (every particle impossible under the observation,
+    /// or an infinite weight), or a non-finite evidence increment — is
+    /// handled per the options' [`mde_numeric::RunPolicy`]:
     ///
-    /// * `FailFast` aborts with a typed [`AssimError`];
+    /// * `FailFast` (the default) aborts with a typed [`AssimError`];
     /// * `Retry` re-runs the step on a fresh deterministic sub-seed
     ///   derived from `(seed, step, attempt)`;
     /// * `BestEffort` *degrades gracefully*: the failed step's posterior
@@ -249,76 +161,22 @@ impl ParticleFilter {
     ///   evidence increment so the degradation is visible, and recorded
     ///   in the returned [`RunReport`].
     ///
-    /// One [`FilterStep`] is returned per observation under every
-    /// policy, so downstream indexing is unaffected by drops.
-    pub fn run_supervised<M, Q>(
-        &self,
-        model: &M,
-        proposal: &Q,
-        observations: &[M::Obs],
-        opts: &RunOptions,
-    ) -> crate::Result<(Vec<FilterStep<M::State>>, RunReport)>
-    where
-        M: StateSpaceModel,
-        Q: Proposal<M>,
-    {
-        let mut filter = FilterSurface {
-            pf: self,
-            model,
-            proposal,
-            observations,
-            steps: Vec::with_capacity(observations.len()),
-            encode: None,
-        };
-        let report = drive_in_memory(&mut filter, self.seed, observations.len() as u64, opts)?;
-        Ok((filter.steps, report))
-    }
-
-    /// The graceful-degradation posterior for a dropped step: the
-    /// previous step's particles carried forward unchanged (a prior draw
-    /// at `t = 0` on a stream untouched by the failed attempts — streams
-    /// 0/1 are propose/resample), flagged with `ess = 0` and a NaN
-    /// evidence increment.
-    fn degraded_step<M>(&self, model: &M, t: u64, prev: Option<&[M::State]>) -> FilterStep<M::State>
-    where
-        M: StateSpaceModel,
-    {
-        let particles: Vec<M::State> = match prev {
-            Some(p) => p.to_vec(),
-            None => {
-                let mut rng = StreamFactory::new(self.seed).child(t).stream(2);
-                (0..self.n_particles)
-                    .map(|_| model.sample_initial(&mut rng))
-                    .collect()
-            }
-        };
-        FilterStep {
-            particles,
-            ess: 0.0,
-            ln_evidence_increment: f64::NAN,
-        }
-    }
-
-    /// Run the supervised filter as a **durable campaign**: one checkpoint
-    /// boundary per observation step, with deadline/cancel/preempt checks
-    /// before each step and (optionally) a crash-consistent
-    /// [`CampaignState`] written per step.
-    ///
+    /// Deadline, cancellation and preemption are checked before each step.
     /// The filter is inherently sequential — each step conditions on the
     /// previous posterior — so the checkpoint ledger carries the full
-    /// particle set of every completed step (via the [`ParticleState`]
-    /// codec bound) and a resumed run replays nothing: estimates, RNG
-    /// draw order, and the [`RunReport`] ledger are bit-identical to an
-    /// uninterrupted run. Step supervision (retry, best-effort
-    /// degradation) is exactly that of
-    /// [`ParticleFilter::run_supervised`].
+    /// particle set of every completed step (through the
+    /// [`ParticleState`] codec, [`StateSpaceModel::state_width`] floats a
+    /// particle), and a resumed run replays nothing: estimates, RNG draw
+    /// order and the [`RunReport`] ledger are bit-identical to an
+    /// uninterrupted run.
     ///
     /// With [`RunOptions::resume`] set (a [`PfRun::checkpoint`], or
     /// [`CampaignState::load`]) the run continues from that state's step; a
     /// state whose campaign tag or fingerprint (particle count, seed,
-    /// observation count, state dimension) does not match is refused with a
-    /// typed [`AssimError::Checkpoint`].
-    pub fn run_durable<M, Q>(
+    /// observation count, state width) does not match is refused with a
+    /// typed [`AssimError::Checkpoint`], and a ledger the model's states
+    /// cannot decode from with a typed [`CheckpointError::Corrupt`].
+    pub fn run<M, Q>(
         &self,
         model: &M,
         proposal: &Q,
@@ -327,13 +185,13 @@ impl ParticleFilter {
     ) -> crate::Result<PfRun<M::State>>
     where
         M: StateSpaceModel,
-        M::State: ParticleState,
         Q: Proposal<M>,
     {
+        let width = model.state_width();
         let mut state = CampaignState::start_or_resume(
             opts.resume.as_ref(),
             CAMPAIGN_PF,
-            self.fingerprint::<M>(observations.len()),
+            self.fingerprint(observations.len(), width),
             self.seed,
             observations.len() as u64,
         )?;
@@ -346,7 +204,7 @@ impl ParticleFilter {
                     reason: format!("ledger entry {t} out of order at position {}", steps.len()),
                 }));
             }
-            steps.push(decode_step::<M::State>(payload, self.n_particles)?);
+            steps.push(decode_step(payload, self.n_particles, width)?);
         }
         if steps.len() as u64 != state.cursor {
             return Err(AssimError::Checkpoint(CheckpointError::Corrupt {
@@ -362,8 +220,8 @@ impl ParticleFilter {
             model,
             proposal,
             observations,
+            width,
             steps,
-            encode: Some(encode_step::<M::State>),
         };
         let stopped = drive(&mut filter, &mut state, opts)?;
         Ok(PfRun {
@@ -375,34 +233,18 @@ impl ParticleFilter {
     }
 
     /// Campaign identity: tag, particle count, seed, observation count,
-    /// and state dimension. (Observation *values* are not hashed — the
-    /// caller owns keeping the observation sequence stable across
-    /// resumption, as with any externally stored input.)
-    fn fingerprint<M>(&self, n_obs: usize) -> u64
-    where
-        M: StateSpaceModel,
-        M::State: ParticleState,
-    {
+    /// and state width. (Observation *values* are not hashed — the caller
+    /// owns keeping the observation sequence stable across resumption, as
+    /// with any externally stored input.)
+    fn fingerprint(&self, n_obs: usize, width: usize) -> u64 {
         Fingerprint::new(CAMPAIGN_PF)
             .push_u64(self.n_particles as u64)
             .push_u64(self.seed)
             .push_u64(n_obs as u64)
-            .push_u64(M::State::DIM as u64)
+            .push_u64(width as u64)
             .finish()
     }
 }
-
-/// What a filtering step does with an unusable weight vector.
-#[derive(Debug, Clone, Copy)]
-enum Collapse {
-    /// Resample from uniform weights and report `-inf` evidence.
-    Uniform,
-    /// Fail attempt `attempt` of step `step` with a typed error.
-    Fail { step: u64, attempt: u32 },
-}
-
-/// Encodes a completed step as a ledger payload ([`encode_step`]).
-type StepCodec<S> = fn(&FilterStep<S>) -> Vec<f64>;
 
 /// The filter as a supervised campaign surface: one boundary per
 /// observation, the running posterior being the last completed step.
@@ -411,9 +253,91 @@ struct FilterSurface<'a, M: StateSpaceModel, Q> {
     model: &'a M,
     proposal: &'a Q,
     observations: &'a [M::Obs],
+    /// Floats per particle in a ledger payload.
+    width: usize,
     steps: Vec<FilterStep<M::State>>,
-    /// Ledger codec for a completed step; `None` keeps the run in memory.
-    encode: Option<StepCodec<M::State>>,
+}
+
+impl<M: StateSpaceModel, Q: Proposal<M>> FilterSurface<'_, M, Q> {
+    /// One step of Algorithm 2 — propose, weight, normalise, resample — for
+    /// the attempt's observation, drawing proposals from stream 0 of the
+    /// attempt's streams and the resampling offset from stream 1. An
+    /// unusable weight vector fails the attempt: every particle impossible
+    /// or an infinite weight as a typed [`AssimError::StepFailed`], a NaN
+    /// weight as a NaN evidence increment, which the supervisor records as
+    /// a non-finite step.
+    fn step(&self, att: &Attempt<'_>) -> crate::Result<FilterStep<M::State>> {
+        let (t, n) = (att.boundary, self.pf.n_particles);
+        let obs = &self.observations[t as usize];
+        let prev = self.steps.last().map(|s| &s.particles[..]);
+        let streams = att.streams(t);
+        // Steps 1/6: propose; steps 2/7-9: weight (in log space).
+        let mut rng = streams.stream(0);
+        let mut particles = Vec::with_capacity(n);
+        let mut ln_w = Vec::with_capacity(n);
+        for i in 0..n {
+            let parent = prev.map(|p| &p[i]);
+            let x = self.proposal.sample(self.model, parent, obs, &mut rng);
+            let lw = self
+                .proposal
+                .ln_weight(self.model, parent, &x, obs, &mut rng);
+            particles.push(x);
+            ln_w.push(lw);
+        }
+
+        // Step 3/10: normalize with a max shift. NaNs are looked for first,
+        // because `f64::max` skips them.
+        if ln_w.iter().any(|lw| lw.is_nan()) {
+            return Ok(FilterStep {
+                particles,
+                ess: 0.0,
+                ln_evidence_increment: f64::NAN,
+            });
+        }
+        let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if !max.is_finite() {
+            return Err(AssimError::StepFailed {
+                step: t,
+                attempt: att.attempt,
+                message: "all particle weights collapsed to zero".into(),
+            });
+        }
+        let shifted: Vec<f64> = ln_w.iter().map(|lw| (lw - max).exp()).collect();
+        let total: f64 = shifted.iter().sum();
+        let weights: Vec<f64> = shifted.iter().map(|w| w / total).collect();
+        let ess = effective_sample_size(&weights);
+
+        // Step 4/11: resample to equal weights.
+        let mut rng_rs = streams.stream(1);
+        let idx = systematic_resample(&weights, n, &mut rng_rs)?;
+        Ok(FilterStep {
+            particles: idx.into_iter().map(|i| particles[i].clone()).collect(),
+            ess,
+            ln_evidence_increment: max + (total / n as f64).ln(),
+        })
+    }
+
+    /// The graceful-degradation posterior for a dropped step: the
+    /// previous step's particles carried forward unchanged (a prior draw
+    /// at `t = 0` on a stream untouched by the failed attempts — streams
+    /// 0/1 are propose/resample), flagged with `ess = 0` and a NaN
+    /// evidence increment.
+    fn degraded_step(&self, t: u64) -> FilterStep<M::State> {
+        let particles: Vec<M::State> = match self.steps.last() {
+            Some(prev) => prev.particles.clone(),
+            None => {
+                let mut rng = StreamFactory::new(self.pf.seed).child(t).stream(2);
+                (0..self.pf.n_particles)
+                    .map(|_| self.model.sample_initial(&mut rng))
+                    .collect()
+            }
+        };
+        FilterStep {
+            particles,
+            ess: 0.0,
+            ln_evidence_increment: f64::NAN,
+        }
+    }
 }
 
 impl<M: StateSpaceModel, Q: Proposal<M>> Surface for FilterSurface<'_, M, Q> {
@@ -421,20 +345,9 @@ impl<M: StateSpaceModel, Q: Proposal<M>> Surface for FilterSurface<'_, M, Q> {
     type Error = AssimError;
 
     fn attempt(&mut self, att: &Attempt<'_>) -> Result<Self::Value, AttemptFailure<AssimError>> {
-        let t = att.boundary;
-        let prev = self.steps.last().map(|s| &s.particles[..]);
-        let collapse = Collapse::Fail {
-            step: t,
-            attempt: att.attempt,
-        };
         att.run(
             "filter step",
-            || {
-                let obs = &self.observations[t as usize];
-                let streams = att.streams(t);
-                self.pf
-                    .step(self.model, self.proposal, obs, prev, &streams, collapse)
-            },
+            || self.step(att),
             |step| step.ln_evidence_increment,
         )
     }
@@ -445,22 +358,17 @@ impl<M: StateSpaceModel, Q: Proposal<M>> Surface for FilterSurface<'_, M, Q> {
                 state.report.metrics.inc("pf.resamples");
                 step
             }
-            None => {
-                let prev = self.steps.last().map(|s| &s.particles[..]);
-                self.pf.degraded_step(self.model, t, prev)
-            }
+            None => self.degraded_step(t),
         };
         state.report.metrics.observe("pf.ess", step.ess);
-        if let Some(encode) = self.encode {
-            state.completed.push((t, encode(&step)));
-        }
+        state.completed.push((t, encode_step(&step, self.width)));
         self.steps.push(step);
     }
 }
 
-/// A durable supervised filter run: the per-observation steps, the
-/// failure ledger, and — when the run stopped early — why, plus the final
-/// campaign state to resume from.
+/// A filter run: the per-observation steps, the failure ledger, and —
+/// when the run stopped early — why, plus the final campaign state to
+/// resume from.
 #[derive(Debug, Clone)]
 pub struct PfRun<S> {
     /// One [`FilterStep`] per *completed* observation (all of them for a
@@ -470,71 +378,69 @@ pub struct PfRun<S> {
     pub report: RunReport,
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopCause>,
-    /// The final campaign state; hand it back through
+    /// The final campaign state (always set); hand it back through
     /// [`RunOptions::resuming`] to continue.
     pub checkpoint: Option<CampaignState>,
 }
 
-/// Fixed-dimension encoding of a particle state into checkpoint floats —
-/// the bound [`ParticleFilter::run_durable`] needs to persist posteriors.
-/// Implemented for `f64` (scalar states) and `[f64; N]` (fixed vectors);
-/// user state types implement it in one obvious way.
+/// The checkpoint codec of a particle state: the floats a run's ledger
+/// holds for one particle, [`StateSpaceModel::state_width`] of them.
+/// Implemented for `f64` (width 1), `[f64; N]` (width `N`) and the
+/// wildfire model's [`FireState`](crate::wildfire::FireState); user state
+/// types implement it in one obvious way.
 pub trait ParticleState: Clone {
-    /// Floats per particle.
-    const DIM: usize;
-
-    /// Append exactly [`ParticleState::DIM`] floats.
+    /// Append this state's floats.
     fn encode(&self, out: &mut Vec<f64>);
 
-    /// Rebuild from exactly [`ParticleState::DIM`] floats.
-    fn decode(floats: &[f64]) -> Self;
+    /// Rebuild a state from the floats [`ParticleState::encode`] wrote.
+    /// Floats that no state encodes to are a typed
+    /// [`CheckpointError::Corrupt`], never a panic.
+    fn decode(floats: &[f64]) -> Result<Self, CheckpointError>;
 }
 
 impl ParticleState for f64 {
-    const DIM: usize = 1;
-
     fn encode(&self, out: &mut Vec<f64>) {
         out.push(*self);
     }
 
-    fn decode(floats: &[f64]) -> Self {
-        floats[0]
+    fn decode(floats: &[f64]) -> Result<Self, CheckpointError> {
+        <[f64; 1]>::decode(floats).map(|[x]| x)
     }
 }
 
 impl<const N: usize> ParticleState for [f64; N] {
-    const DIM: usize = N;
-
     fn encode(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(self);
     }
 
-    fn decode(floats: &[f64]) -> Self {
-        let mut v = [0.0; N];
-        v.copy_from_slice(&floats[..N]);
-        v
+    fn decode(floats: &[f64]) -> Result<Self, CheckpointError> {
+        floats.try_into().map_err(|_| CheckpointError::Corrupt {
+            reason: format!("a particle of {} floats, expected {N}", floats.len()),
+        })
     }
 }
 
 /// Ledger payload of one completed step: `[ess, ln_evidence_increment,
-/// particle₀…, particle₁…, …]`.
-fn encode_step<S: ParticleState>(step: &FilterStep<S>) -> Vec<f64> {
-    let mut out = Vec::with_capacity(2 + step.particles.len() * S::DIM);
+/// particle₀…, particle₁…, …]`, `width` floats a particle.
+fn encode_step<S: ParticleState>(step: &FilterStep<S>, width: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(2 + step.particles.len() * width);
     out.push(step.ess);
     out.push(step.ln_evidence_increment);
     for p in &step.particles {
         p.encode(&mut out);
     }
+    debug_assert_eq!(out.len(), 2 + step.particles.len() * width);
     out
 }
 
-/// Decode a ledger payload, surfacing shape mismatches as typed
-/// checkpoint corruption.
+/// Decode a ledger payload, surfacing shape mismatches and undecodable
+/// particles as typed checkpoint corruption.
 fn decode_step<S: ParticleState>(
     payload: &[f64],
     n_particles: usize,
+    width: usize,
 ) -> crate::Result<FilterStep<S>> {
-    let expected = 2 + n_particles * S::DIM;
+    let expected = 2 + n_particles * width;
     if payload.len() != expected {
         return Err(AssimError::Checkpoint(CheckpointError::Corrupt {
             reason: format!(
@@ -544,9 +450,9 @@ fn decode_step<S: ParticleState>(
         }));
     }
     let particles = payload[2..]
-        .chunks_exact(S::DIM)
+        .chunks_exact(width)
         .map(S::decode)
-        .collect::<Vec<S>>();
+        .collect::<Result<Vec<S>, _>>()?;
     Ok(FilterStep {
         particles,
         ess: payload[0],
@@ -586,6 +492,10 @@ mod tests {
         fn ln_likelihood(&self, state: &f64, obs: &f64) -> f64 {
             Normal::new(*state, self.r).unwrap().ln_pdf(*obs)
         }
+
+        fn state_width(&self) -> usize {
+            1
+        }
     }
 
     fn kalman_means(m: &LinGauss, ys: &[f64]) -> Vec<f64> {
@@ -623,6 +533,13 @@ mod tests {
         (xs, ys)
     }
 
+    /// The steps of a run under the default options.
+    fn run_steps(pf: &ParticleFilter, m: &LinGauss, ys: &[f64]) -> Vec<FilterStep<f64>> {
+        pf.run(m, &BootstrapProposal, ys, &RunOptions::default())
+            .unwrap()
+            .steps
+    }
+
     fn model() -> LinGauss {
         LinGauss {
             a: 0.9,
@@ -638,7 +555,7 @@ mod tests {
         let m = model();
         let (_, ys) = simulate(&m, 30, 1);
         let pf = ParticleFilter::new(2000, 2);
-        let steps = pf.run(&m, &BootstrapProposal, &ys);
+        let steps = run_steps(&pf, &m, &ys);
         let kalman = kalman_means(&m, &ys);
         for (t, (step, km)) in steps.iter().zip(&kalman).enumerate() {
             let est = step.estimate(|&x| x);
@@ -651,7 +568,7 @@ mod tests {
         let m = model();
         let (xs, ys) = simulate(&m, 40, 3);
         let pf = ParticleFilter::new(500, 4);
-        let steps = pf.run(&m, &BootstrapProposal, &ys);
+        let steps = run_steps(&pf, &m, &ys);
         // Open loop: propagate particles with NO observations.
         let mut rng = rng_from_seed(5);
         let mut open: Vec<f64> = (0..500).map(|_| m.sample_initial(&mut rng)).collect();
@@ -679,7 +596,7 @@ mod tests {
         let m = model();
         let (_, ys) = simulate(&m, 10, 6);
         let pf = ParticleFilter::new(300, 7);
-        let steps = pf.run(&m, &BootstrapProposal, &ys);
+        let steps = run_steps(&pf, &m, &ys);
         for s in &steps {
             assert!(s.ess >= 1.0 && s.ess <= 300.0);
         }
@@ -693,12 +610,12 @@ mod tests {
         let m = model();
         let (_, ys) = simulate(&m, 20, 8);
         let pf = ParticleFilter::new(500, 9);
-        let good = pf.run(&m, &BootstrapProposal, &ys);
+        let good = run_steps(&pf, &m, &ys);
         let ln_ev_good: f64 = good.iter().map(|s| s.ln_evidence_increment).sum();
         assert!(ln_ev_good.is_finite());
         // Shifted observations fit worse: evidence drops.
         let ys_bad: Vec<f64> = ys.iter().map(|y| y + 10.0).collect();
-        let bad = pf.run(&m, &BootstrapProposal, &ys_bad);
+        let bad = run_steps(&pf, &m, &ys_bad);
         let ln_ev_bad: f64 = bad.iter().map(|s| s.ln_evidence_increment).sum();
         assert!(ln_ev_bad < ln_ev_good - 10.0);
     }
@@ -708,8 +625,7 @@ mod tests {
         let m = model();
         let (_, ys) = simulate(&m, 10, 10);
         let run = || {
-            ParticleFilter::new(100, 11)
-                .run(&m, &BootstrapProposal, &ys)
+            run_steps(&ParticleFilter::new(100, 11), &m, &ys)
                 .iter()
                 .map(|s| s.estimate(|&x| x))
                 .collect::<Vec<f64>>()
@@ -723,23 +639,27 @@ mod tests {
         ParticleFilter::new(1, 1);
     }
 
+    /// Attempt 0 of every step draws the streams the filter always drew:
+    /// a digest of every particle's, ESS's and evidence increment's bits
+    /// over a 15-step, 200-particle run, captured from the filter before
+    /// it had one entry point. Never regenerate it to make a change pass.
     #[test]
-    fn supervised_fail_fast_matches_legacy_run() {
+    fn default_run_matches_its_golden_digest() {
+        use mde_numeric::codec::{fnv1a, FNV_OFFSET};
         let m = model();
         let (_, ys) = simulate(&m, 15, 20);
-        let pf = ParticleFilter::new(200, 21);
-        let legacy = pf.run(&m, &BootstrapProposal, &ys);
-        let (supervised, report) = pf
-            .run_supervised(&m, &BootstrapProposal, &ys, &RunOptions::default())
+        let run = ParticleFilter::new(200, 21)
+            .run(&m, &BootstrapProposal, &ys, &RunOptions::default())
             .unwrap();
-        assert_eq!(supervised.len(), legacy.len());
-        for (a, b) in legacy.iter().zip(&supervised) {
-            assert_eq!(a.particles, b.particles);
-            assert_eq!(a.ess, b.ess);
-            assert_eq!(a.ln_evidence_increment, b.ln_evidence_increment);
-        }
-        assert_eq!(report.succeeded, 15);
-        assert!(report.failures.is_empty());
+        let bits = |h, x: f64| fnv1a(h, &x.to_bits().to_le_bytes());
+        let digest = run.steps.iter().fold(FNV_OFFSET, |h, s| {
+            let h = s.particles.iter().fold(h, |h, &p| bits(h, p));
+            bits(bits(h, s.ess), s.ln_evidence_increment)
+        });
+        assert_eq!(run.steps.len(), 15);
+        assert_eq!(digest, 0x638b_3abc_fe95_a8ec);
+        assert_eq!(run.report.succeeded, 15);
+        assert!(run.report.failures.is_empty());
     }
 
     #[test]
@@ -753,14 +673,12 @@ mod tests {
             reseed: true,
         })
         .with_faults(FaultPlan::new().fail_on(5, 0, FaultKind::Panic));
-        let (steps, report) = pf
-            .run_supervised(&m, &BootstrapProposal, &ys, &opts)
-            .unwrap();
+        let PfRun { steps, report, .. } = pf.run(&m, &BootstrapProposal, &ys, &opts).unwrap();
         assert_eq!(steps.len(), 12);
         assert_eq!(report.retried, 1);
         assert_eq!(report.failure_keys(), vec![(5, 0, FailureKind::Panic)]);
         // Step 5 recovered on a different stream; later steps still track.
-        let clean = pf.run(&m, &BootstrapProposal, &ys);
+        let clean = run_steps(&pf, &m, &ys);
         assert_ne!(steps[5].particles, clean[5].particles);
         assert!(steps[5].ln_evidence_increment.is_finite());
     }
@@ -774,9 +692,7 @@ mod tests {
         let policy = mde_numeric::RunPolicy::BestEffort { min_fraction: 0.5 };
         let fault_plan = FaultPlan::new().fail_on(3, 0, FaultKind::Nan);
         let opts = RunOptions::policy(policy).with_faults(fault_plan.clone());
-        let (steps, report) = pf
-            .run_supervised(&m, &BootstrapProposal, &ys, &opts)
-            .unwrap();
+        let PfRun { steps, report, .. } = pf.run(&m, &BootstrapProposal, &ys, &opts).unwrap();
         assert_eq!(steps.len(), 10, "one FilterStep per observation");
         assert_eq!(report.dropped, 1);
         assert!(report.ci_widened);
@@ -795,7 +711,7 @@ mod tests {
         let strict = RunOptions::policy(mde_numeric::RunPolicy::BestEffort { min_fraction: 1.0 })
             .with_faults(fault_plan);
         assert!(matches!(
-            pf.run_supervised(&m, &BootstrapProposal, &ys, &strict),
+            pf.run(&m, &BootstrapProposal, &ys, &strict),
             Err(AssimError::TooManyFailures { .. })
         ));
     }
@@ -828,15 +744,8 @@ mod tests {
         let (_, mut ys) = simulate(&m, 6, 40);
         ys[3] = f64::NAN;
         let pf = ParticleFilter::new(50, 41);
-        // Unsupervised: the documented uniform fallback, visible as -inf
-        // evidence — not NaN weights resampled to fifty copies of particle 0.
-        let steps = pf.run(&m, &NanOnNanObs, &ys);
-        assert_eq!(steps.len(), 6);
-        assert_eq!(steps[3].ln_evidence_increment, f64::NEG_INFINITY);
-        assert!((steps[3].ess - 50.0).abs() < 1e-9);
-        assert!(steps[4].ln_evidence_increment.is_finite());
-        // Supervised: recorded as a non-finite step, under every policy.
-        match pf.run_supervised(&m, &NanOnNanObs, &ys, &RunOptions::default()) {
+        // Recorded as a non-finite step, under every policy.
+        match pf.run(&m, &NanOnNanObs, &ys, &RunOptions::default()) {
             Err(AssimError::StepFailed {
                 step: 3, message, ..
             }) => {
@@ -846,46 +755,75 @@ mod tests {
         }
         let best_effort =
             RunOptions::policy(mde_numeric::RunPolicy::BestEffort { min_fraction: 0.5 });
-        let (steps, report) = pf
-            .run_supervised(&m, &NanOnNanObs, &ys, &best_effort)
-            .unwrap();
+        let PfRun { steps, report, .. } = pf.run(&m, &NanOnNanObs, &ys, &best_effort).unwrap();
         assert_eq!(report.failure_keys(), vec![(3, 0, FailureKind::NonFinite)]);
         assert_eq!(steps[3].particles, steps[2].particles);
     }
 
+    /// Bootstrap proposal under which every particle is impossible at an
+    /// observation of exactly zero.
+    struct ImpossibleAtZero;
+
+    impl Proposal<LinGauss> for ImpossibleAtZero {
+        fn sample(&self, m: &LinGauss, prev: Option<&f64>, obs: &f64, rng: &mut Rng) -> f64 {
+            BootstrapProposal.sample(m, prev, obs, rng)
+        }
+
+        fn ln_weight(
+            &self,
+            m: &LinGauss,
+            _prev: Option<&f64>,
+            state: &f64,
+            obs: &f64,
+            _rng: &mut Rng,
+        ) -> f64 {
+            if *obs == 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                m.ln_likelihood(state, obs)
+            }
+        }
+    }
+
     #[test]
-    fn durable_run_matches_supervised_and_resumes_bit_identically() {
+    fn a_collapsed_step_is_a_typed_failure_under_the_default_policy() {
+        let m = model();
+        let (_, mut ys) = simulate(&m, 6, 42);
+        ys[2] = 0.0;
+        let pf = ParticleFilter::new(50, 43);
+        match pf.run(&m, &ImpossibleAtZero, &ys, &RunOptions::default()) {
+            Err(AssimError::StepFailed {
+                step: 2,
+                attempt: 0,
+                message,
+            }) => assert!(message.contains("collapsed"), "{message}"),
+            other => panic!("expected StepFailed at step 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn preempted_run_resumes_bit_identically_and_refuses_a_foreign_state() {
         use mde_numeric::resilience::FaultPlan;
         let m = model();
         let (_, ys) = simulate(&m, 12, 30);
         let pf = ParticleFilter::new(80, 31);
-        let (clean_steps, clean_report) = pf
-            .run_supervised(&m, &BootstrapProposal, &ys, &RunOptions::default())
+        let clean = pf
+            .run(&m, &BootstrapProposal, &ys, &RunOptions::default())
             .unwrap();
-        let durable = pf
-            .run_durable(&m, &BootstrapProposal, &ys, &RunOptions::default())
-            .unwrap();
-        assert!(durable.stopped.is_none());
-        assert_eq!(durable.report, clean_report);
-        for (a, b) in clean_steps.iter().zip(&durable.steps) {
-            assert_eq!(a.particles, b.particles);
-            assert_eq!(a.ess, b.ess);
-        }
+        assert!(clean.stopped.is_none());
         // Preempt mid-run, resume, compare.
         let opts = RunOptions::default().with_faults(FaultPlan::new().preempt_at(5));
-        let partial = pf.run_durable(&m, &BootstrapProposal, &ys, &opts).unwrap();
+        let partial = pf.run(&m, &BootstrapProposal, &ys, &opts).unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted));
         assert_eq!(partial.steps.len(), 5);
         let state = partial.checkpoint.unwrap();
         // The checkpoint round-trips through the binary codec losslessly.
         let state = CampaignState::decode(&state.encode()).unwrap();
         let resume = RunOptions::default().resuming(state);
-        let resumed = pf
-            .run_durable(&m, &BootstrapProposal, &ys, &resume)
-            .unwrap();
+        let resumed = pf.run(&m, &BootstrapProposal, &ys, &resume).unwrap();
         assert!(resumed.stopped.is_none());
         assert_eq!(resumed.steps.len(), 12);
-        for (a, b) in clean_steps.iter().zip(&resumed.steps) {
+        for (a, b) in clean.steps.iter().zip(&resumed.steps) {
             assert_eq!(a.particles, b.particles);
             assert_eq!(a.ess, b.ess);
             assert_eq!(
@@ -893,17 +831,17 @@ mod tests {
                 b.ln_evidence_increment.to_bits()
             );
         }
-        assert_eq!(resumed.report, clean_report);
+        assert_eq!(resumed.report, clean.report);
         // A foreign checkpoint (different particle count) is refused.
         let other = ParticleFilter::new(81, 31);
         let foreign = other
-            .run_durable(&m, &BootstrapProposal, &ys, &opts)
+            .run(&m, &BootstrapProposal, &ys, &opts)
             .unwrap()
             .checkpoint
             .unwrap();
         let foreign = RunOptions::default().resuming(foreign);
         assert!(matches!(
-            pf.run_durable(&m, &BootstrapProposal, &ys, &foreign),
+            pf.run(&m, &BootstrapProposal, &ys, &foreign),
             Err(AssimError::Checkpoint(CheckpointError::Mismatch { .. }))
         ));
     }

@@ -171,6 +171,7 @@ mod tests {
     use super::*;
     use crate::pf::{BootstrapProposal, ParticleFilter};
     use crate::wildfire::default_scenario;
+    use mde_numeric::resilience::RunOptions;
     use mde_numeric::rng::{chaos_seed, rng_from_seed, StreamFactory};
     use mde_numeric::stats::Summary;
 
@@ -291,8 +292,12 @@ mod tests {
                     .sum::<f64>()
                     / truth.len() as f64
             };
-            let boot = err(&pf.run(&filter_model, &BootstrapProposal, &obs));
-            diff.push(err(&pf.run(&filter_model, &aware, &obs)) - boot);
+            let opts = RunOptions::default();
+            let boot = pf
+                .run(&filter_model, &BootstrapProposal, &obs, &opts)
+                .unwrap();
+            let sa = pf.run(&filter_model, &aware, &obs, &opts).unwrap();
+            diff.push(err(&sa.steps) - err(&boot.steps));
         }
         let se = diff.sample_std_dev() / (diff.count() as f64).sqrt();
         assert!(

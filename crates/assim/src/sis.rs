@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use crate::pf::{BootstrapProposal, ParticleFilter};
     use mde_numeric::dist::{Continuous, Normal};
+    use mde_numeric::resilience::RunOptions;
     use mde_numeric::rng::rng_from_seed;
 
     struct LinGauss;
@@ -110,6 +111,10 @@ mod tests {
 
         fn ln_likelihood(&self, state: &f64, obs: &f64) -> f64 {
             Normal::new(*state, 0.7).unwrap().ln_pdf(*obs)
+        }
+
+        fn state_width(&self) -> usize {
+            1
         }
     }
 
@@ -150,7 +155,10 @@ mod tests {
         // and tracks better at late times.
         let (xs, ys) = simulate(40, 3);
         let sis = run_sis(&LinGauss, &BootstrapProposal, &ys, 200, 4);
-        let sir = ParticleFilter::new(200, 4).run(&LinGauss, &BootstrapProposal, &ys);
+        let sir = ParticleFilter::new(200, 4)
+            .run(&LinGauss, &BootstrapProposal, &ys, &RunOptions::default())
+            .unwrap()
+            .steps;
         // ESS after resampling (measured pre-resample each step) stays far
         // above SIS's collapsed tail.
         let sis_tail_ess = sis[35..].iter().map(|s| s.ess).sum::<f64>() / 5.0;

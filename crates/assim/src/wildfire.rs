@@ -13,7 +13,8 @@
 //! measurement frequencies and the model's time-scale granularity" — here
 //! one step per observation, matching \[56\].
 
-use crate::pf::StateSpaceModel;
+use crate::pf::{ParticleState, StateSpaceModel};
+use mde_numeric::checkpoint::CheckpointError;
 use mde_numeric::dist::{Continuous, Normal};
 use mde_numeric::rng::Rng;
 
@@ -64,6 +65,44 @@ impl FireState {
     /// Cells ever touched by fire.
     pub fn footprint(&self) -> usize {
         self.burning_count() + self.burned_count()
+    }
+}
+
+/// Two floats a cell, lossless to the bit: `[-1, 0]` unburned, `[-2, 0]`
+/// burned, `[age, intensity]` burning.
+impl ParticleState for FireState {
+    fn encode(&self, out: &mut Vec<f64>) {
+        for cell in &self.cells {
+            out.extend(match *cell {
+                CellFire::Unburned => [-1.0, 0.0],
+                CellFire::Burned => [-2.0, 0.0],
+                CellFire::Burning { age, intensity } => [f64::from(age), intensity],
+            });
+        }
+    }
+
+    fn decode(floats: &[f64]) -> Result<Self, CheckpointError> {
+        let corrupt = |reason: String| CheckpointError::Corrupt { reason };
+        let pairs = floats.chunks_exact(2);
+        if !pairs.remainder().is_empty() {
+            let n = floats.len();
+            return Err(corrupt(format!("{n} floats are not two a cell")));
+        }
+        let cells = pairs
+            .map(|cell| match (cell[0], cell[1]) {
+                (-1.0, _) => Ok(CellFire::Unburned),
+                (-2.0, _) => Ok(CellFire::Burned),
+                (age, intensity) if age.fract() == 0.0 && (0.0..=255.0).contains(&age) => {
+                    Ok(CellFire::Burning {
+                        age: age as u8,
+                        intensity,
+                    })
+                }
+                (age, _) if age >= 0.0 => Err(corrupt(format!("burning age {age} is not a u8"))),
+                (tag, _) => Err(corrupt(format!("bad cell tag {tag}"))),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(FireState { cells })
     }
 }
 
@@ -279,6 +318,10 @@ impl StateSpaceModel for FireModel {
             .enumerate()
             .map(|(s, &y)| noise.ln_pdf(y - self.expected_temp(state, s)))
             .sum()
+    }
+
+    fn state_width(&self) -> usize {
+        2 * self.cfg.width * self.cfg.height
     }
 }
 

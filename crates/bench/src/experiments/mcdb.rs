@@ -193,7 +193,7 @@ pub fn mcdb_plan_once_report() -> String {
 /// monotone.
 fn star_catalog() -> Catalog {
     const FACTS: u64 = 65_536;
-    const DIMS: u64 = 1_000;
+    const N_DIM: u64 = 1_000;
     let mut db = Catalog::new();
     db.insert(
         Table::build(
@@ -208,7 +208,7 @@ fn star_catalog() -> Catalog {
         .rows((0..FACTS).map(|i| {
             let h = (i.wrapping_mul(2_654_435_761).wrapping_add(21)) % 100_003;
             vec![
-                Value::from((h % DIMS) as i64),
+                Value::from((h % N_DIM) as i64),
                 Value::from((h % 16) as i64),
                 Value::from(h as f64 / 100.0 - 450.0),
                 Value::from(i as i64),
@@ -226,7 +226,7 @@ fn star_catalog() -> Catalog {
                 ("LABEL", DataType::Str),
             ],
         )
-        .rows((0..DIMS).map(|j| {
+        .rows((0..N_DIM).map(|j| {
             vec![
                 Value::from(j as i64),
                 Value::from(1.0 + (j * 7 % 1000) as f64 / 1000.0),

@@ -10,7 +10,10 @@
 //! The master seed comes from `MDE_CHAOS_SEED` (default 11) so CI can
 //! sweep a seed matrix over the same assertions.
 
-use model_data_ecosystems::assim::pf::{BootstrapProposal, ParticleFilter, StateSpaceModel};
+use model_data_ecosystems::assim::pf::{
+    BootstrapProposal, ParticleFilter, ParticleState, PfRun, StateSpaceModel,
+};
+use model_data_ecosystems::assim::wildfire::default_scenario;
 use model_data_ecosystems::assim::AssimError;
 use model_data_ecosystems::calibrate::optim::{genetic_algorithm, random_search, Bounds, GaConfig};
 use model_data_ecosystems::calibrate::CalibrateError;
@@ -29,7 +32,7 @@ use model_data_ecosystems::numeric::resilience::{
     CancelToken, CheckpointSpec, Deadline, FaultKind, FaultPlan, RunOptions, RunPolicy, RunReport,
     StopCause,
 };
-use model_data_ecosystems::numeric::rng::{chaos_seed, Rng};
+use model_data_ecosystems::numeric::rng::{chaos_seed, Rng, StreamFactory};
 use model_data_ecosystems::numeric::{CampaignState, CheckpointError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -467,7 +470,7 @@ fn foreign_checkpoints_are_refused_across_every_surface() {
     let pf = ParticleFilter::new(64, seed);
     let ys = vec![0.0; 6];
     let err = pf
-        .run_durable(&ar1_model(), &BootstrapProposal, &ys, &foreign)
+        .run(&ar1_model(), &BootstrapProposal, &ys, &foreign)
         .unwrap_err();
     assert!(
         matches!(
@@ -512,7 +515,7 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
             "particle-filter",
             Box::new(|seed, opts| {
                 let pf = ParticleFilter::new(32, seed);
-                match pf.run_durable(&model, &BootstrapProposal, &ys, opts) {
+                match pf.run(&model, &BootstrapProposal, &ys, opts) {
                     Ok(run) => done(run.checkpoint),
                     Err(AssimError::Checkpoint(e)) => Err(Some(e)),
                     Err(_) => Err(None),
@@ -633,9 +636,7 @@ fn for_each_durable_surface(test: impl Fn(&str, &dyn Fn(&RunOptions) -> Sliced))
     let (model, ys) = (ar1_model(), ar1_observations(6));
     test("particle-filter", &|opts| {
         let pf = ParticleFilter::new(32, seed);
-        let run = pf
-            .run_durable(&model, &BootstrapProposal, &ys, opts)
-            .unwrap();
+        let run = pf.run(&model, &BootstrapProposal, &ys, opts).unwrap();
         let steps = run.steps.iter().flat_map(|s| {
             let mut v = s.particles.clone();
             v.extend([s.ess, s.ln_evidence_increment]);
@@ -798,6 +799,10 @@ impl StateSpaceModel for Ar1 {
     fn ln_likelihood(&self, state: &f64, obs: &f64) -> f64 {
         Normal::new(*state, self.r).unwrap().ln_pdf(*obs)
     }
+
+    fn state_width(&self) -> usize {
+        1
+    }
 }
 
 fn ar1_model() -> Ar1 {
@@ -814,9 +819,18 @@ fn ar1_observations(t: usize) -> Vec<f64> {
     (0..t).map(|i| (i as f64 * 0.7).sin() * 2.0).collect()
 }
 
-fn assert_pf_runs_identical(
-    resumed: &model_data_ecosystems::assim::PfRun<f64>,
-    baseline: &model_data_ecosystems::assim::PfRun<f64>,
+/// Every particle of every step as the bits of its ledger floats.
+fn particle_bits<S: ParticleState>(particles: &[S]) -> Vec<u64> {
+    let mut floats = Vec::new();
+    for p in particles {
+        p.encode(&mut floats);
+    }
+    floats.into_iter().map(f64::to_bits).collect()
+}
+
+fn assert_pf_runs_identical<S: ParticleState>(
+    resumed: &PfRun<S>,
+    baseline: &PfRun<S>,
     context: &str,
 ) {
     assert_eq!(
@@ -825,9 +839,11 @@ fn assert_pf_runs_identical(
         "{context}: step counts"
     );
     for (t, (a, b)) in resumed.steps.iter().zip(&baseline.steps).enumerate() {
-        let pa: Vec<u64> = a.particles.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u64> = b.particles.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pa, pb, "{context}: particles diverged at step {t}");
+        assert_eq!(
+            particle_bits(&a.particles),
+            particle_bits(&b.particles),
+            "{context}: particles diverged at step {t}"
+        );
         assert_eq!(
             a.ess.to_bits(),
             b.ess.to_bits(),
@@ -857,18 +873,18 @@ fn pf_preempted_runs_resume_bit_identically_at_every_step() {
     let ys = ar1_observations(t);
     let pf = ParticleFilter::new(200, seed);
     let baseline = pf
-        .run_durable(&model, &BootstrapProposal, &ys, &RunOptions::default())
+        .run(&model, &BootstrapProposal, &ys, &RunOptions::default())
         .unwrap();
     assert_eq!(baseline.steps.len(), t);
 
     for cut in 0..t as u64 {
         let partial = pf
-            .run_durable(&model, &BootstrapProposal, &ys, &preempt_opts(cut))
+            .run(&model, &BootstrapProposal, &ys, &preempt_opts(cut))
             .unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
         assert_eq!(partial.steps.len(), cut as usize);
         let resumed = pf
-            .run_durable(
+            .run(
                 &model,
                 &BootstrapProposal,
                 &ys,
@@ -886,17 +902,15 @@ fn pf_checkpoint_survives_the_disk_round_trip() {
     let ys = ar1_observations(8);
     let pf = ParticleFilter::new(150, seed);
     let baseline = pf
-        .run_durable(&model, &BootstrapProposal, &ys, &RunOptions::default())
+        .run(&model, &BootstrapProposal, &ys, &RunOptions::default())
         .unwrap();
 
     let scratch = ScratchFile::new("pf-disk");
     let opts = preempt_opts(4).with_checkpoint(CheckpointSpec::new(scratch.path()).every(1));
-    let partial = pf
-        .run_durable(&model, &BootstrapProposal, &ys, &opts)
-        .unwrap();
+    let partial = pf.run(&model, &BootstrapProposal, &ys, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Preempted));
     let resumed = pf
-        .run_durable(
+        .run(
             &model,
             &BootstrapProposal,
             &ys,
@@ -904,6 +918,82 @@ fn pf_checkpoint_survives_the_disk_round_trip() {
         )
         .unwrap();
     assert_pf_runs_identical(&resumed, &baseline, "pf resume from disk");
+}
+
+/// The wildfire model's states — a grid of tagged cells, not a fixed
+/// vector — checkpoint like any other: a 16-particle, 6-step run preempted
+/// before every step and resumed through its checkpoint file equals the
+/// uninterrupted run bit for bit.
+#[test]
+fn wildfire_runs_preempted_at_every_step_resume_bit_identically_through_disk() {
+    let seed = chaos_seed();
+    let model = default_scenario();
+    let (_, obs) = model.simulate_truth(6, &mut StreamFactory::new(seed).stream(0));
+    let pf = ParticleFilter::new(16, seed);
+    let opts = RunOptions::default();
+    let baseline = pf.run(&model, &BootstrapProposal, &obs, &opts).unwrap();
+    assert_eq!(baseline.steps.len(), 6);
+    for cut in 0..6 {
+        let scratch = ScratchFile::new(&format!("wildfire-{cut}"));
+        let opts = preempt_opts(cut).with_checkpoint(CheckpointSpec::new(scratch.path()));
+        let partial = pf.run(&model, &BootstrapProposal, &obs, &opts).unwrap();
+        assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
+        assert_eq!(partial.steps.len(), cut as usize);
+        let resume = resuming_from(scratch.path()).unwrap();
+        let resumed = pf.run(&model, &BootstrapProposal, &obs, &resume).unwrap();
+        assert_pf_runs_identical(&resumed, &baseline, &format!("wildfire resume at {cut}"));
+    }
+}
+
+/// A wildfire ledger whose particle floats no fire state encodes to — a
+/// bad cell tag, a fractional or out-of-range burning age, a float too
+/// few — is a typed `Corrupt` on resume, never a panic.
+#[test]
+fn hostile_wildfire_ledgers_are_typed_corruption() {
+    let seed = chaos_seed();
+    let model = default_scenario();
+    let (_, obs) = model.simulate_truth(4, &mut StreamFactory::new(seed).stream(1));
+    let pf = ParticleFilter::new(16, seed);
+    let state = pf
+        .run(&model, &BootstrapProposal, &obs, &preempt_opts(2))
+        .unwrap()
+        .checkpoint
+        .unwrap();
+    // Step 0's payload: `[ess, evidence, cell₀ tag, cell₀ intensity, …]`,
+    // two floats a cell; a burning cell's tag is its age.
+    let payload = &state.completed[0].1;
+    let burning = (2..payload.len())
+        .step_by(2)
+        .find(|&i| payload[i] >= 0.0)
+        .expect("the prior ignites a cell");
+    type Damage = Box<dyn Fn(&mut Vec<f64>)>;
+    let hostile: [(&str, Damage, &str); 6] = [
+        ("bad tag", Box::new(|p| p[2] = -3.0), "tag"),
+        ("NaN tag", Box::new(|p| p[2] = f64::NAN), "tag"),
+        ("fractional age", Box::new(move |p| p[burning] = 1.5), "age"),
+        ("age past u8", Box::new(move |p| p[burning] = 256.0), "age"),
+        (
+            "float too few",
+            Box::new(|p| p.truncate(p.len() - 1)),
+            "floats",
+        ),
+        ("float too many", Box::new(|p| p.push(-1.0)), "floats"),
+    ];
+    for (name, damage, says) in hostile {
+        let mut state = state.clone();
+        damage(&mut state.completed[0].1);
+        // Through the binary codec, as a file on disk would carry it.
+        let state = CampaignState::decode(&state.encode()).unwrap();
+        match pf.run(&model, &BootstrapProposal, &obs, &resuming(state)) {
+            Err(AssimError::Checkpoint(CheckpointError::Corrupt { reason })) => {
+                assert!(reason.contains(says), "{name}: {reason}")
+            }
+            other => panic!(
+                "{name}: expected Corrupt, got {:?}",
+                other.map(|run| run.steps.len())
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ fn composite_supervision_retries_and_degrades_gracefully() {
 
 #[test]
 fn particle_filter_degrades_gracefully_under_best_effort() {
-    use model_data_ecosystems::assim::pf::{BootstrapProposal, ParticleFilter};
+    use model_data_ecosystems::assim::pf::{BootstrapProposal, ParticleFilter, PfRun};
     use model_data_ecosystems::assim::wildfire::default_scenario;
     use model_data_ecosystems::numeric::rng::rng_from_seed;
 
@@ -342,8 +342,8 @@ fn particle_filter_degrades_gracefully_under_best_effort() {
     let faults = FaultPlan::new().fail_on(3, 0, FaultKind::Nan);
     let opts =
         RunOptions::policy(RunPolicy::BestEffort { min_fraction: 0.5 }).with_faults(faults.clone());
-    let (steps, report) = ParticleFilter::new(40, 1)
-        .run_supervised(&model, &BootstrapProposal, &obs, &opts)
+    let PfRun { steps, report, .. } = ParticleFilter::new(40, 1)
+        .run(&model, &BootstrapProposal, &obs, &opts)
         .unwrap();
     // Output shape is preserved: one step per observation even though one
     // assimilation step was dropped.

@@ -9,6 +9,7 @@ use model_data_ecosystems::assim::wildfire::default_scenario;
 use model_data_ecosystems::mcdb::prelude::*;
 use model_data_ecosystems::mcdb::query::AggSpec;
 use model_data_ecosystems::mcdb::simstep::SelfJoinSim;
+use model_data_ecosystems::numeric::resilience::RunOptions;
 use model_data_ecosystems::numeric::rng::rng_from_seed;
 use std::sync::Arc;
 
@@ -136,7 +137,10 @@ fn wildfire_filter_tracks_truth() {
     let mut rng = rng_from_seed(77);
     let (truth, obs) = model.simulate_truth(12, &mut rng);
     let pf = ParticleFilter::new(150, 5);
-    let steps = pf.run(&model, &BootstrapProposal, &obs);
+    let steps = pf
+        .run(&model, &BootstrapProposal, &obs, &RunOptions::default())
+        .unwrap()
+        .steps;
     let mut total_err = 0.0;
     for (s, t) in steps.iter().zip(&truth) {
         total_err += (s.estimate(|x| x.burning_count() as f64) - t.burning_count() as f64).abs();
