@@ -228,7 +228,7 @@ impl ParticleFilter {
             steps: filter.steps,
             report: state.report.clone(),
             stopped,
-            checkpoint: Some(state),
+            checkpoint: state,
         })
     }
 
@@ -378,9 +378,9 @@ pub struct PfRun<S> {
     pub report: RunReport,
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopCause>,
-    /// The final campaign state (always set); hand it back through
+    /// The final campaign state; hand it back through
     /// [`RunOptions::resuming`] to continue.
-    pub checkpoint: Option<CampaignState>,
+    pub checkpoint: CampaignState,
 }
 
 /// The checkpoint codec of a particle state: the floats a run's ledger
@@ -816,7 +816,7 @@ mod tests {
         let partial = pf.run(&m, &BootstrapProposal, &ys, &opts).unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted));
         assert_eq!(partial.steps.len(), 5);
-        let state = partial.checkpoint.unwrap();
+        let state = partial.checkpoint;
         // The checkpoint round-trips through the binary codec losslessly.
         let state = CampaignState::decode(&state.encode()).unwrap();
         let resume = RunOptions::default().resuming(state);
@@ -837,8 +837,7 @@ mod tests {
         let foreign = other
             .run(&m, &BootstrapProposal, &ys, &opts)
             .unwrap()
-            .checkpoint
-            .unwrap();
+            .checkpoint;
         let foreign = RunOptions::default().resuming(foreign);
         assert!(matches!(
             pf.run(&m, &BootstrapProposal, &ys, &foreign),

@@ -179,10 +179,11 @@ pub fn mcdb_plan_once_report() -> String {
          the removed bundle generator, which ran the driver and parameter queries once, 77 ms.\n\
          Inside a Monte Carlo run (the run total column; the realize column is the public\n\
          prepare + realize, which must re-run both queries) the driver query, the parameter\n\
-         query and every sub-plan that reads no stochastic table run once per run. Still paid\n\
-         per replicate: one VG call per driver row through `Vec<Row>` (two allocations, 70-90 ns\n\
-         each), and any join of a pinned input to a stochastic table, even on a key the select\n\
-         list only passes through.\n",
+         query and every sub-plan that reads no stochastic table run once per run. A VG is\n\
+         called once per batch of driver rows (Normal writes its draws straight into a column),\n\
+         a run keeps its parameter columns, and a join of a pinned input to a stochastic table\n\
+         keeps its pair list while the stochastic side's key bits repeat. Still paid per\n\
+         replicate: the draws, the select list and the stochastic suffix of the plan.\n",
     );
     out.push_str(&frame_stages_section());
     out

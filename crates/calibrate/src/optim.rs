@@ -224,7 +224,7 @@ pub struct OptimRun {
     /// Final campaign state — hand it back through
     /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
     /// to continue the run.
-    pub checkpoint: Option<CampaignState>,
+    pub checkpoint: CampaignState,
 }
 
 /// Minimize with a real-coded genetic algorithm — tournament selection,
@@ -284,7 +284,7 @@ pub fn genetic_algorithm(
         best,
         report: state.report.clone(),
         stopped,
-        checkpoint: Some(state),
+        checkpoint: state,
     })
 }
 
@@ -407,7 +407,7 @@ pub fn random_search(
         best,
         report: state.report.clone(),
         stopped,
-        checkpoint: Some(state),
+        checkpoint: state,
     })
 }
 
@@ -732,7 +732,7 @@ mod tests {
             let partial = genetic_algorithm(rugged, &bounds(), &cfg, 11, &opts)
                 .expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
-            let state = partial.checkpoint.expect("partial checkpoint");
+            let state = partial.checkpoint;
             assert_eq!(state.cursor, cut);
             let resume = RunOptions::default().resuming(state);
             let resumed = genetic_algorithm(rugged, &bounds(), &cfg, 11, &resume).expect("resume");
@@ -753,7 +753,7 @@ mod tests {
         let cfg = small_cfg();
         let run =
             genetic_algorithm(rugged, &bounds(), &cfg, 11, &RunOptions::default()).expect("run");
-        let state = run.checkpoint.expect("state");
+        let state = run.checkpoint;
         // Different seed → fingerprint mismatch, surfaced as a typed error.
         let resume = RunOptions::default().resuming(state);
         let err = genetic_algorithm(rugged, &bounds(), &cfg, 12, &resume)
@@ -801,7 +801,7 @@ mod tests {
             let partial = random_search(rugged, &bounds(), evals, 11, &opts)
                 .expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
-            let resume = RunOptions::default().resuming(partial.checkpoint.expect("state"));
+            let resume = RunOptions::default().resuming(partial.checkpoint);
             let resumed = random_search(rugged, &bounds(), evals, 11, &resume).expect("resume");
             let best = resumed.best.expect("best");
             assert_eq!(bits(&best.x), bits(&base_best.x), "cut at {cut}");
@@ -817,7 +817,7 @@ mod tests {
             .expect("expired deadline is not an error");
         assert_eq!(run.stopped, Some(StopCause::Deadline));
         assert!(run.best.is_none(), "no boundary completed");
-        let state = run.checkpoint.expect("state");
+        let state = run.checkpoint;
         assert_eq!(state.cursor, 0);
         // The checkpoint resumes to the full result once time allows.
         let resume = RunOptions::default().resuming(state);

@@ -247,7 +247,7 @@ impl MonteCarloQuery {
             result: McResult::new(samples),
             report: state.report.clone(),
             stopped: None,
-            checkpoint: Some(state),
+            checkpoint: state,
         }))
     }
 
@@ -258,7 +258,7 @@ impl MonteCarloQuery {
         if run.stopped.is_some() {
             return;
         }
-        let Some(state) = &run.checkpoint else { return };
+        let state = &run.checkpoint;
         let spec_fingerprint = key.spec_fingerprint;
         cache.insert_durable(CacheEntry {
             key,
@@ -300,7 +300,7 @@ impl MonteCarloQuery {
             result: McResult::new(samples),
             report: state.report.clone(),
             stopped,
-            checkpoint: Some(state),
+            checkpoint: state,
         })
     }
 }
@@ -456,7 +456,7 @@ pub struct McRun {
     /// through [`RunOptions::resuming`] (it is also what
     /// [`CampaignState::load`] reads back from disk when a
     /// [`CheckpointSpec`](mde_numeric::CheckpointSpec) is attached).
-    pub checkpoint: Option<CampaignState>,
+    pub checkpoint: CampaignState,
 }
 
 /// The Monte Carlo sample of a query result, with estimation helpers.
@@ -885,6 +885,135 @@ mod tests {
                 answer.as_f64().unwrap().to_bits()
             })
             .collect()
+    }
+
+    /// Any task replicate by replicate over the public API, nothing pinned:
+    /// replicate `i` realizes spec `k` on stream `k` of
+    /// `StreamFactory::new(OLAP_SEED).child(i)`.
+    fn by_hand(task: &MonteCarloQuery, db: &Catalog) -> Vec<u64> {
+        (0..OLAP_N as u64)
+            .map(|i| {
+                let streams = StreamFactory::new(OLAP_SEED).child(i);
+                let mut scratch = db.clone();
+                for (k, spec) in task.specs.iter().enumerate() {
+                    let t = spec.realize(&scratch, &mut streams.stream(k as u64));
+                    scratch.insert(t.unwrap());
+                }
+                let answer = scratch.query(&task.query).unwrap().scalar().unwrap();
+                answer.as_f64().unwrap().to_bits()
+            })
+            .collect()
+    }
+
+    /// The task's replicates through one prepared (pinned) plan, as a run
+    /// executes them, and the probes its memoizing join ran.
+    fn pinned_loop(task: &MonteCarloQuery, db: &Catalog) -> (Vec<u64>, Option<u64>) {
+        let prepared = prepare_task(&task.specs, &task.query, db).unwrap();
+        let mut scratch = db.clone();
+        let samples = (0..OLAP_N as u64)
+            .map(|i| {
+                let streams = StreamFactory::new(OLAP_SEED).child(i);
+                realize_and_query(&prepared, &mut scratch, &streams)
+                    .unwrap()
+                    .to_bits()
+            })
+            .collect();
+        (samples, prepared.query.join_probes())
+    }
+
+    fn shock_task(ddl: &str) -> MonteCarloQuery {
+        let registry = crate::sql::VgRegistry::standard();
+        let mut specs = Vec::new();
+        for stmt in ddl.split(';') {
+            specs.push(crate::sql::parse_create_random_table(stmt, &registry).unwrap());
+        }
+        MonteCarloQuery::new(specs, olap_task().query)
+    }
+
+    #[test]
+    fn a_join_to_a_pinned_input_probes_once_while_the_keys_repeat() {
+        let db = olap_catalog();
+        let by_hand = olap_by_hand(&db, 0, |i| StreamFactory::new(OLAP_SEED).child(i));
+        // `SK` is the driver's `DK` in every replicate: one probe a run.
+        assert_eq!(pinned_loop(&olap_task(), &db), (by_hand.clone(), Some(1)));
+        let run = olap_task()
+            .run_with_options(&db, OLAP_N, OLAP_SEED, &RunOptions::default())
+            .unwrap();
+        assert_eq!(bits(&run), by_hand);
+    }
+
+    #[test]
+    fn a_join_key_drawn_by_the_vg_misses_every_replicate() {
+        // The key is a Poisson draw: it changes from replicate to replicate,
+        // so every replicate probes.
+        let task = shock_task(
+            "CREATE TABLE SHOCK(SK, S) AS FOR EACH DIM \
+             WITH Poisson(W * 10) SELECT VALUE AS SK, W AS S",
+        );
+        let db = olap_catalog();
+        let (samples, probes) = pinned_loop(&task, &db);
+        assert_eq!(samples, by_hand(&task, &db));
+        assert_eq!(probes, Some(OLAP_N as u64));
+    }
+
+    #[test]
+    fn a_variable_cardinality_walk_misses_and_a_fixed_one_hits() {
+        let db = olap_catalog();
+        // The number of walk steps per `DIM` row is drawn in each
+        // replicate, so the walk's rows — and its keys — differ: a miss
+        // every replicate.
+        let drawn = shock_task(
+            "CREATE TABLE STEPS(DK, N, W) AS FOR EACH DIM \
+             WITH Poisson(2) SELECT DK, VALUE AS N, W; \
+             CREATE TABLE SHOCK(SK, S) AS FOR EACH STEPS \
+             WITH BackwardWalk(W, 0.25, N) SELECT DK AS SK, PRICE AS S",
+        );
+        let (samples, probes) = pinned_loop(&drawn, &db);
+        assert_eq!(samples, by_hand(&drawn, &db));
+        assert_eq!(probes, Some(OLAP_N as u64));
+        // Three steps per row in every replicate: the same keys, one probe.
+        let fixed = shock_task(
+            "CREATE TABLE SHOCK(SK, S) AS FOR EACH DIM \
+             WITH BackwardWalk(W, 0.25, 3) SELECT DK AS SK, PRICE AS S",
+        );
+        let (samples, probes) = pinned_loop(&fixed, &db);
+        assert_eq!(samples, by_hand(&fixed, &db));
+        assert_eq!(probes, Some(1));
+    }
+
+    #[test]
+    fn a_failed_first_probe_leaves_no_pair_list() {
+        // The join spills every input, into a directory that is not there
+        // yet: replicate 0's probe fails after the pinned `FACT` side is
+        // filled.
+        let dir = std::env::temp_dir().join(format!("mde_mc_memo_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut db = olap_catalog();
+        db.set_spill_config(crate::storage::SpillConfig {
+            threshold_rows: 0,
+            partitions: 2,
+            dir: Some(dir.clone()),
+            ..crate::storage::SpillConfig::default()
+        });
+        let task = olap_task();
+        let prepared = prepare_task(&task.specs, &task.query, &db).unwrap();
+        let mut scratch = db.clone();
+        let streams = |i: u64| StreamFactory::new(OLAP_SEED).child(i);
+        let err = realize_and_query(&prepared, &mut scratch, &streams(0)).unwrap_err();
+        assert!(err.to_string().contains("mde_mc_memo"), "{err}");
+        assert_eq!(prepared.query.join_probes(), Some(0));
+        // With the directory in place the same replicates answer as the
+        // unpinned loop does, and only the first probes.
+        std::fs::create_dir_all(&dir).unwrap();
+        let samples: Vec<u64> = (0..OLAP_N as u64)
+            .map(|i| {
+                let v = realize_and_query(&prepared, &mut scratch, &streams(i));
+                v.unwrap().to_bits()
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(samples, olap_by_hand(&olap_catalog(), 0, streams));
+        assert_eq!(prepared.query.join_probes(), Some(1));
     }
 
     fn bits(run: &McRun) -> Vec<u64> {
@@ -1372,7 +1501,7 @@ mod tests {
         assert_eq!(partial.stopped, Some(StopCause::Preempted));
         assert_eq!(partial.result.n(), 9);
         assert_eq!(partial.result.samples(), &clean.result.samples()[..9]);
-        let state = partial.checkpoint.unwrap();
+        let state = partial.checkpoint;
         assert_eq!(state.cursor, 9);
         let resume = RunOptions::default().resuming(state);
         let resumed = q.run_with_options(&db, 24, 13, &resume).unwrap();
@@ -1401,7 +1530,7 @@ mod tests {
         let run = q.run_with_options(&db, 16, 5, &opts).unwrap();
         assert_eq!(run.stopped, Some(StopCause::Deadline));
         assert_eq!(run.result.n(), 0);
-        let state = run.checkpoint.unwrap();
+        let state = run.checkpoint;
         assert_eq!(state.cursor, 0);
         // The partial state resumes to the full run.
         let resumed = q

@@ -60,7 +60,7 @@ use crate::McdbError;
 use mde_numeric::obs::{Counter, Span, Tracer};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A unit of data flowing between physical operators: a shared columnar
 /// batch plus an optional selection vector of row indices into it. Both are
@@ -258,6 +258,9 @@ enum PhysOp {
         emit_left: Vec<bool>,
         emit_right: Vec<bool>,
         schema: Schema,
+        /// Set by [`PreparedQuery::pin_invariant`] when it pins exactly one
+        /// input.
+        memo: Option<Arc<JoinMemo>>,
     },
     /// Hash-grouped aggregation with pre-evaluated argument columns.
     Aggregate {
@@ -280,32 +283,109 @@ enum PhysOp {
     /// as the child of a join or as the root.
     Pinned {
         input: Box<PhysOp>,
-        cell: Arc<PinCell>,
+        cell: Arc<PinCell<Chunk>>,
     },
 }
 
-/// The fill-once cell of a [`PhysOp::Pinned`] node, shared by the clones of
-/// the plan that holds it. A pinned plan is executed by one Monte Carlo run
-/// on one thread, so a fill never races another.
-#[derive(Debug, Default)]
-struct PinCell {
-    chunk: OnceLock<Chunk>,
+/// A fill-once cell: the output of a [`PhysOp::Pinned`] node, or a
+/// stochastic table's realization inputs
+/// ([`PreparedRandomTable`](crate::random_table::PreparedRandomTable)),
+/// shared by the clones of the plan that holds it. A pinned plan is
+/// executed by one Monte Carlo run on one thread, so a fill never races
+/// another.
+#[derive(Debug)]
+pub(crate) struct PinCell<T> {
+    value: OnceLock<T>,
 }
 
-impl PinCell {
-    /// The pinned chunk, produced by `fill` if no execution has produced it
+impl<T> Default for PinCell<T> {
+    fn default() -> Self {
+        PinCell {
+            value: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> PinCell<T> {
+    /// The pinned value, produced by `fill` if no execution has produced it
     /// yet. A `fill` that returns an error or panics leaves the cell empty:
     /// that execution fails as it would have unpinned, and the next one
     /// runs the sub-plan again.
-    fn get_or_try_fill(
+    pub(crate) fn get_or_try_fill(
         &self,
-        fill: impl FnOnce() -> crate::Result<Chunk>,
-    ) -> crate::Result<&Chunk> {
-        if let Some(chunk) = self.chunk.get() {
-            return Ok(chunk);
+        fill: impl FnOnce() -> crate::Result<T>,
+    ) -> crate::Result<&T> {
+        if let Some(value) = self.value.get() {
+            return Ok(value);
         }
-        let chunk = fill()?;
-        Ok(self.chunk.get_or_init(|| chunk))
+        let value = fill()?;
+        Ok(self.value.get_or_init(|| value))
+    }
+}
+
+/// The memo of a [`PhysOp::HashJoin`] with exactly one [`PhysOp::Pinned`]
+/// input: the join structure its last completed execution built, which
+/// depends only on the pinned input and on the join keys of the other —
+/// *volatile* — input. Made only where a pinned node is, so it lives and
+/// dies with one Monte Carlo run's prepared plan (and its clones).
+struct JoinMemo {
+    /// Whether the pinned input is the left one.
+    pinned_left: bool,
+    last: Mutex<Option<Arc<JoinMemoEntry>>>,
+    /// Probes run (a memo hit runs none): a deterministic count.
+    probes: Counter,
+}
+
+/// The flags, not the batches.
+impl std::fmt::Debug for JoinMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JoinMemo")
+            .field("pinned_left", &self.pinned_left)
+            .field("probes", &self.probes.get())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One execution's join structure, keyed by its inputs. Everything is
+/// shared with that execution: keeping it copies nothing.
+struct JoinMemoEntry {
+    /// The pinned input's batch, compared by address (a filled pin cell
+    /// never changes, so this only guards the memo's own reasoning).
+    pinned: Arc<Batch>,
+    /// The volatile input: its key columns and selection are the key.
+    volatile: Chunk,
+    /// The volatile input's half of the pair list: its batch row behind
+    /// each output row.
+    volatile_rows: Vec<u32>,
+    /// The output batch; a hit reuses its pinned-side columns.
+    out: Arc<Batch>,
+}
+
+impl JoinMemoEntry {
+    /// Whether an execution with inputs `pinned` and `volatile` (join keys
+    /// at `keys`) builds this entry's pair list: the same pinned batch, and
+    /// the volatile keys equal to the bit, null masks included, under the
+    /// same selection.
+    fn matches(&self, pinned: &Chunk, volatile: &Chunk, keys: &[usize]) -> bool {
+        Arc::ptr_eq(&self.pinned, &pinned.batch)
+            && self.volatile.sel_slice() == volatile.sel_slice()
+            && keys
+                .iter()
+                .all(|&k| same_bits(self.volatile.batch.column(k), volatile.batch.column(k)))
+    }
+}
+
+/// Lane-for-lane equality by representation: floats by bit pattern (so
+/// `0.0` and `-0.0` differ and a NaN equals itself), the other types as
+/// `==` compares them, null masks included.
+fn same_bits(a: &ColumnVec, b: &ColumnVec) -> bool {
+    match (a, b) {
+        (ColumnVec::Float { data: x, nulls: nx }, ColumnVec::Float { data: y, nulls: ny }) => {
+            nx == ny
+                && x.len() == y.len()
+                && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        }
+        _ => a == b,
     }
 }
 
@@ -391,19 +471,51 @@ impl PreparedQuery {
     /// Pin every maximal sub-plan that scans none of the `volatile` tables:
     /// it runs in the first execution that reaches it and its output chunk
     /// is shared by every execution after (and by every clone of this plan).
-    /// The caller guarantees what the pinned nodes rely on — every catalog
-    /// this plan executes against holds the same tables under every name
-    /// outside `volatile` — which is why only the Monte Carlo prepare path
-    /// calls this.
-    pub(crate) fn pin_invariant(&mut self, volatile: &[&str]) {
-        if pin_below(&mut self.root, volatile) {
+    /// A join with one pinned input memoizes its pair list (see
+    /// [`PhysOp::HashJoin`]'s `memo`). The caller guarantees what the
+    /// pinned nodes rely on — every catalog this plan executes against
+    /// holds the same tables under every name outside `volatile` — which
+    /// is why only the Monte Carlo prepare path calls this. Returns whether
+    /// the whole plan is invariant.
+    pub(crate) fn pin_invariant(&mut self, volatile: &[&str]) -> bool {
+        let invariant = pin_below(&mut self.root, volatile);
+        if invariant {
             pin(&mut self.root);
         }
+        invariant
     }
 
     /// The result schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The probes run by this plan's memoizing joins (see `JoinMemo`), or
+    /// `None` when it has none.
+    #[cfg(test)]
+    pub(crate) fn join_probes(&self) -> Option<u64> {
+        fn walk(op: &PhysOp) -> Option<u64> {
+            match op {
+                PhysOp::Scan { .. } | PhysOp::Values { .. } => None,
+                PhysOp::Filter { input, .. }
+                | PhysOp::Project { input, .. }
+                | PhysOp::Aggregate { input, .. }
+                | PhysOp::Sort { input, .. }
+                | PhysOp::Limit { input, .. }
+                | PhysOp::Pinned { input, .. } => walk(input),
+                PhysOp::HashJoin {
+                    left, right, memo, ..
+                } => [
+                    memo.as_ref().map(|m| m.probes.get()),
+                    walk(left),
+                    walk(right),
+                ]
+                .into_iter()
+                .flatten()
+                .reduce(|a, b| a + b),
+            }
+        }
+        walk(&self.root)
     }
 
     /// How many times this prepared plan has been executed.
@@ -528,6 +640,7 @@ fn build(plan: &Plan, catalog: &Catalog) -> crate::Result<(PhysOp, Schema)> {
                     emit_left: vec![true; ls.len()],
                     emit_right: vec![true; rs.len()],
                     schema: schema.clone(),
+                    memo: None,
                 },
                 schema,
             ))
@@ -617,12 +730,22 @@ fn pin_below(op: &mut PhysOp, volatile: &[&str]) -> bool {
         | PhysOp::Aggregate { input, .. }
         | PhysOp::Sort { input, .. }
         | PhysOp::Limit { input, .. } => pin_below(input, volatile),
-        PhysOp::HashJoin { left, right, .. } => {
+        PhysOp::HashJoin {
+            left, right, memo, ..
+        } => {
             match (pin_below(left, volatile), pin_below(right, volatile)) {
                 (true, true) => return true,
                 (true, false) => pin(left),
                 (false, true) => pin(right),
                 (false, false) => {}
+            }
+            let pinned = |op: &PhysOp| matches!(op, PhysOp::Pinned { .. });
+            if pinned(left) != pinned(right) {
+                *memo = Some(Arc::new(JoinMemo {
+                    pinned_left: pinned(left),
+                    last: Mutex::new(None),
+                    probes: Counter::new(),
+                }));
             }
             false
         }
@@ -818,6 +941,7 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             emit_left,
             emit_right,
             schema,
+            memo,
         } => {
             let mut span = parent.child("join");
             let lc = run(left, ctx, &span)?;
@@ -825,6 +949,35 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
             let (l_lanes, r_lanes) = (lc.len(), rc.len());
             span.record("left_rows", l_lanes);
             span.record("right_rows", r_lanes);
+            // With one input pinned, the pair list is a function of the
+            // other input's keys and selection: while they repeat, only that
+            // input's columns are gathered again. (Every write to the memo
+            // is one whole entry, so a poisoned lock still holds a valid
+            // one.)
+            let memo = memo.as_deref().map(|m| match m.pinned_left {
+                true => (m, &lc, &rc, &right_keys[..]),
+                false => (m, &rc, &lc, &left_keys[..]),
+            });
+            if let Some((m, pinned, volatile, keys)) = memo {
+                let last = m.last.lock().unwrap_or_else(|e| e.into_inner()).clone();
+                if let Some(hit) = last.filter(|e| e.matches(pinned, volatile, keys)) {
+                    span.record("memo_hit", true);
+                    let n_left = emit_left.len();
+                    let kept = |range: std::ops::Range<usize>| hit.out.columns()[range].to_vec();
+                    let cols = if m.pinned_left {
+                        let mut cols = kept(0..n_left);
+                        cols.extend(gather_emitted(&rc, &hit.volatile_rows, emit_right));
+                        cols
+                    } else {
+                        let mut cols = gather_emitted(&lc, &hit.volatile_rows, emit_left);
+                        cols.extend(kept(n_left..schema.len()));
+                        cols
+                    };
+                    span.record("rows_out", hit.volatile_rows.len());
+                    let batch = Batch::from_columns(schema.clone(), cols, hit.volatile_rows.len())?;
+                    return Ok(Chunk::from_batch(Arc::new(batch)));
+                }
+            }
 
             // The batch rows of the matching (left, right) pairs, in the
             // reference output order: ascending left lane, then ascending
@@ -884,25 +1037,21 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
                 join_rows(ctx, &l_side, &r_side)
             };
 
-            // A column no ancestor binds is never read, so it is emitted as
-            // an O(1) untyped all-null placeholder instead of a gather.
-            let gather = |side: &Chunk, sel: &[u32], emit: &[bool]| {
-                emit.iter()
-                    .enumerate()
-                    .map(|(k, &emit)| {
-                        if emit {
-                            side.batch.column(k).gather(sel)
-                        } else {
-                            ColumnVec::AllNull { len: sel.len() }
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let mut cols = gather(&lc, &l_sel, emit_left);
-            cols.extend(gather(&rc, &r_sel, emit_right));
+            let mut cols = gather_emitted(&lc, &l_sel, emit_left);
+            cols.extend(gather_emitted(&rc, &r_sel, emit_right));
             span.record("rows_out", l_sel.len());
-            let batch = Batch::from_columns(schema.clone(), cols, l_sel.len())?;
-            Ok(Chunk::from_batch(Arc::new(batch)))
+            let batch = Arc::new(Batch::from_columns(schema.clone(), cols, l_sel.len())?);
+            if let Some((m, pinned, volatile, _)) = memo {
+                m.probes.inc();
+                let entry = JoinMemoEntry {
+                    pinned: Arc::clone(&pinned.batch),
+                    volatile: volatile.clone(),
+                    volatile_rows: if m.pinned_left { r_sel } else { l_sel },
+                    out: Arc::clone(&batch),
+                };
+                *m.last.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(entry));
+            }
+            Ok(Chunk::from_batch(batch))
         }
         PhysOp::Aggregate {
             input,
@@ -1018,6 +1167,21 @@ fn run(op: &PhysOp, ctx: &ExecCtx, parent: &Span) -> crate::Result<Chunk> {
         // and counters; a later one shares the chunk (two `Arc` clones).
         PhysOp::Pinned { input, cell } => cell.get_or_try_fill(|| run(input, ctx, parent)).cloned(),
     }
+}
+
+/// A join input's output columns: the ones an ancestor binds gathered at
+/// `sel`, the others an O(1) untyped all-null placeholder (never read).
+fn gather_emitted(side: &Chunk, sel: &[u32], emit: &[bool]) -> Vec<ColumnVec> {
+    emit.iter()
+        .enumerate()
+        .map(|(k, &emit)| {
+            if emit {
+                side.batch.column(k).gather(sel)
+            } else {
+                ColumnVec::AllNull { len: sel.len() }
+            }
+        })
+        .collect()
 }
 
 /// The filter kernel: the batch rows behind the lanes of `chunk` where
@@ -1768,7 +1932,7 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = cell.get_or_try_fill(|| panic!("mid-fill"));
         }));
-        assert!(panicked.is_err() && cell.chunk.get().is_none());
+        assert!(panicked.is_err() && cell.value.get().is_none());
         // The first fill that returns fills the cell; later reads never fill.
         let sales = catalog().get("sales").unwrap().batch();
         let filled = cell.get_or_try_fill(|| Ok(Chunk::from_batch(Arc::clone(&sales))));

@@ -13,20 +13,21 @@
 //! the VG function once per driver row — parametrized by a SQL query over
 //! the non-random tables and/or by expressions over the driver row — and
 //! runs the `SELECT` projection, which sees the driver row's columns and
-//! the VG output's columns side by side. Everything but the VG call itself
-//! (a row-wise trait) is columnar: parameters are evaluated over the driver
-//! batch, VG cells land in typed columns, and the select list runs through
-//! the executor's projection kernel.
+//! the VG output's columns side by side. It is columnar throughout:
+//! parameters are evaluated over the driver batch, the VG gets the whole
+//! batch of calls at once ([`VgFunction::generate_batch`]) and fills typed
+//! columns, and the select list runs through the executor's projection
+//! kernel.
 
 use crate::expr::BoundExpr;
 use crate::query::batch::Batch;
 use crate::query::column::ColumnVec;
-use crate::query::physical::project_batch;
+use crate::query::physical::{project_batch, PinCell};
 use crate::query::{Catalog, Plan, PreparedQuery};
 use crate::schema::{DataType, Schema};
 use crate::table::{Row, Table};
 use crate::value::Value;
-use crate::vg::VgFunction;
+use crate::vg::{VgColumns, VgFunction, VgParams};
 use crate::{expr::Expr, McdbError};
 use mde_numeric::rng::Rng;
 use std::sync::Arc;
@@ -142,6 +143,7 @@ impl RandomTableSpec {
             carried,
             combined,
             out_schema,
+            pinned_inputs: None,
         })
     }
 
@@ -167,7 +169,8 @@ impl RandomTableSpec {
 /// ([`MonteCarloQuery`](crate::mc::MonteCarloQuery)) something does: every
 /// replicate starts from the run's base catalog, so there each of the two
 /// queries runs once per run unless it reads a table realized earlier in
-/// the replicate.
+/// the replicate — and where neither does, the parameter expressions are
+/// evaluated once per run too.
 #[derive(Clone)]
 pub struct PreparedRandomTable {
     name: String,
@@ -182,6 +185,20 @@ pub struct PreparedRandomTable {
     /// Driver columns, then VG output columns: what the select list sees.
     combined: Schema,
     out_schema: Schema,
+    /// Set by [`PreparedRandomTable::pin_invariant`] when the driver and
+    /// parameter queries are wholly invariant: the realization inputs,
+    /// computed by the first realization that gets through them and shared
+    /// by every later one (and by every clone).
+    pinned_inputs: Option<Arc<PinCell<RealizeInputs>>>,
+}
+
+/// What a realization computes before its first VG call: the driver batch,
+/// the parameter query's one row, and the per-row parameter columns.
+#[derive(Debug)]
+pub(crate) struct RealizeInputs {
+    driver: Arc<Batch>,
+    base: Row,
+    params: Vec<ColumnVec>,
 }
 
 impl std::fmt::Debug for PreparedRandomTable {
@@ -208,11 +225,17 @@ impl PreparedRandomTable {
     /// Run the driver and parameter queries' sub-plans that scan none of
     /// the `volatile` tables once for every realization from here on (see
     /// `PreparedQuery::pin_invariant` for what the caller — the Monte Carlo
-    /// prepare path, and nothing else — must guarantee).
+    /// prepare path, and nothing else — must guarantee). Where both queries
+    /// are invariant whole, so are the parameter columns evaluated over the
+    /// driver's result, and they are kept with it.
     pub(crate) fn pin_invariant(&mut self, volatile: &[&str]) {
-        self.driver.pin_invariant(volatile);
-        if let Some(q) = &mut self.params_query {
-            q.pin_invariant(volatile);
+        let driver = self.driver.pin_invariant(volatile);
+        let params = self
+            .params_query
+            .as_mut()
+            .is_none_or(|q| q.pin_invariant(volatile));
+        if driver && params {
+            self.pinned_inputs = Some(Arc::default());
         }
     }
 
@@ -222,80 +245,72 @@ impl PreparedRandomTable {
     /// RNG consumption is the contract every sample bit rests on: one VG
     /// invocation per driver row, in driver order, all on `rng`.
     ///
-    /// The work is columnar around those calls: the parameter expressions
-    /// are evaluated over the whole driver batch, each VG cell is appended
-    /// to a column typed as the VG declares it (`NULL` is admitted
-    /// anywhere, an `Int` cell widens into a `Float` column), the driver
-    /// columns the select list binds are repeated once per row their VG
-    /// call emitted, and the select list runs through the executor's
-    /// projection kernel. A realization with one bad cell fails with the
-    /// error a row-at-a-time evaluation raises for that cell (which lets
-    /// through two things that are typed errors here: a VG row wider or
-    /// narrower than the VG's schema, and a mistyped cell that no select
-    /// expression reads). With several, the first in this order wins: parameter expressions (in order, each
+    /// The work is columnar: the parameter expressions are evaluated over
+    /// the whole driver batch, the VG takes the batch of calls in one
+    /// [`VgFunction::generate_batch`] and fills columns typed as it
+    /// declares them (`NULL` is admitted anywhere, an `Int` cell widens
+    /// into a `Float` column), the driver columns the select list binds
+    /// are repeated once per row their VG call emitted, and the select list
+    /// runs through the executor's projection kernel. A realization with
+    /// one bad cell fails with the error a row-at-a-time evaluation raises
+    /// for that cell (which lets through two things that are typed errors
+    /// here: a VG row wider or narrower than the VG's schema, and a
+    /// mistyped cell that no select expression reads). With several, the
+    /// first in this order wins: parameter expressions (in order, each
     /// at its first failing driver row), VG calls in driver order (the
     /// parameter count, the call's own error, the shape and types of the
     /// rows it returned), then select columns in order, each at its first
     /// invalid lane.
     pub fn realize(&self, catalog: &Catalog, rng: &mut Rng) -> crate::Result<Table> {
-        let driver = self.driver.execute(catalog)?.batch();
-        let mut params = self.base_params(catalog)?;
-        let n_base = params.len();
-        let param_cols: Vec<ColumnVec> = self
-            .bound_param_exprs
-            .iter()
-            .map(|e| e.eval_batch(&driver, None))
-            .collect::<crate::Result<_>>()?;
-
-        let n_driver = driver.schema().len();
-        let vg_schema = &self.combined.columns()[n_driver..];
-        let mut vg_cols: Vec<ColumnVec> = vg_schema
-            .iter()
-            .map(|c| ColumnVec::placeholders(0, c.dtype))
-            .collect();
-        // The driver row behind each output row.
-        let mut repeat: Vec<u32> = Vec::with_capacity(driver.len());
-        let mut one_each = true;
-        for r in 0..driver.len() {
-            params.truncate(n_base);
-            params.extend(param_cols.iter().map(|c| c.value(r)));
-            self.vg.check_arity(&params)?;
-            let emitted = self.vg.generate(&params, rng)?;
-            one_each &= emitted.len() == 1;
-            for vrow in emitted {
-                if vrow.len() != vg_cols.len() {
-                    return Err(McdbError::ArityMismatch {
-                        context: format!("VG function `{}` output row", self.vg.name()),
-                        expected: vg_cols.len(),
-                        found: vrow.len(),
-                    });
-                }
-                for (j, v) in vrow.iter().enumerate() {
-                    let widened = match (v, vg_schema[j].dtype) {
-                        (Value::Int(x), DataType::Float) => Value::Float(*x as f64),
-                        _ => v.clone(),
-                    };
-                    if vg_cols[j].push(widened).is_err() {
-                        return Err(self.mistyped_cell_error(&driver.row(r), &vrow, j));
-                    }
-                }
-                repeat.push(r as u32);
+        let computed;
+        let inputs = match &self.pinned_inputs {
+            Some(cell) => cell.get_or_try_fill(|| self.inputs(catalog))?,
+            None => {
+                computed = self.inputs(catalog)?;
+                &computed
             }
-        }
+        };
+        let driver = &inputs.driver;
+        let vg_schema = &self.combined.columns()[driver.schema().len()..];
+        let mistyped =
+            |r: usize, vrow: &[Value], j: usize| self.mistyped_cell_error(&driver.row(r), vrow, j);
+        let mut out = VgColumns::new(self.vg.name(), vg_schema, &mistyped);
+        let params = VgParams::new(&inputs.base, &inputs.params, driver.len());
+        self.vg.generate_batch(&params, rng, &mut out)?;
+        // `repeat`: the driver row behind each output row, where some call
+        // emitted other than one row.
+        let (vg_cols, repeat) = out.finish();
 
-        let len = repeat.len();
+        let len = repeat.as_ref().map_or(driver.len(), Vec::len);
         let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.combined.len());
         for (col, &carried) in driver.columns().iter().zip(&self.carried) {
-            columns.push(match (carried, one_each) {
+            columns.push(match (carried, &repeat) {
                 (false, _) => ColumnVec::AllNull { len },
-                (true, true) => col.clone(),
-                (true, false) => col.gather(&repeat),
+                (true, None) => col.clone(),
+                (true, Some(repeat)) => col.gather(repeat),
             });
         }
         columns.extend(vg_cols);
         let combined = Batch::from_columns(self.combined.clone(), columns, len)?;
         let out = project_batch(combined, &self.bound_select, &self.out_schema)?;
         Ok(Table::from_batch(self.name.clone(), Arc::new(out)))
+    }
+
+    /// The driver batch, the parameter query's row and the parameter
+    /// columns, each step's error first.
+    fn inputs(&self, catalog: &Catalog) -> crate::Result<RealizeInputs> {
+        let driver = self.driver.execute(catalog)?.batch();
+        let base = self.base_params(catalog)?;
+        let params = self
+            .bound_param_exprs
+            .iter()
+            .map(|e| e.eval_batch(&driver, None))
+            .collect::<crate::Result<_>>()?;
+        Ok(RealizeInputs {
+            driver,
+            base,
+            params,
+        })
     }
 
     /// The parameter query's one row: the values that prefix every VG

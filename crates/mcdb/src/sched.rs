@@ -87,15 +87,14 @@ impl Campaign for McCampaign {
                 // they are excluded from the estimate but visible in the
                 // deterministic ledger, and the CI is flagged as widened.
                 let n = self.n as u64;
-                let cursor = run.checkpoint.as_ref().map_or(n, |s| s.cursor);
-                run.report.record_shed(n.saturating_sub(cursor));
+                run.report
+                    .record_shed(n.saturating_sub(run.checkpoint.cursor));
             }
             // Preempted / deadline / shed under a strict policy: park the
             // checkpoint so the next slice resumes at the cursor.
             Some(_) => {
-                let resumable = run.checkpoint.is_some();
-                self.opts.resume = run.checkpoint;
-                return Ok(CampaignStep::Boundary { resumable });
+                self.opts.resume = Some(run.checkpoint);
+                return Ok(CampaignStep::Boundary { resumable: true });
             }
         }
         Ok(CampaignStep::Done(CampaignOutput {

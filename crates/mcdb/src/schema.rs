@@ -3,6 +3,7 @@
 pub use crate::value::DataType;
 use crate::value::Value;
 use crate::McdbError;
+use std::sync::Arc;
 
 /// A named, typed column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,10 +24,12 @@ impl Column {
     }
 }
 
-/// An ordered collection of columns.
+/// An ordered collection of columns. Immutable once built, and shared:
+/// every batch an operator emits carries its schema, so a clone is a
+/// reference count, not a copy of the names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
@@ -40,7 +43,9 @@ impl Schema {
                 )));
             }
         }
-        Ok(Schema { columns })
+        Ok(Schema {
+            columns: columns.into(),
+        })
     }
 
     /// Convenience constructor from `(name, type)` pairs.
@@ -94,7 +99,7 @@ impl Schema {
                 found: row.len(),
             });
         }
-        for (v, c) in row.iter().zip(&self.columns) {
+        for (v, c) in row.iter().zip(self.columns.iter()) {
             if let Some(t) = v.data_type() {
                 if t != c.dtype {
                     return Err(McdbError::type_mismatch(
@@ -120,8 +125,8 @@ impl Schema {
     /// Concatenate two schemas (for joins). Collisions on the right side
     /// are disambiguated with the given prefix (`prefix.name`).
     pub fn concat(&self, other: &Schema, collision_prefix: &str) -> crate::Result<Schema> {
-        let mut cols = self.columns.clone();
-        for c in &other.columns {
+        let mut cols = self.columns.to_vec();
+        for c in other.columns.iter() {
             let name = if self.contains(&c.name) {
                 format!("{collision_prefix}.{}", c.name)
             } else {

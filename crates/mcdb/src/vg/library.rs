@@ -1,7 +1,7 @@
 //! The built-in VG function library — the paper's worked examples plus
 //! general-purpose generators.
 
-use super::{float_param, VgFunction};
+use super::{check_width, float_param, VgColumns, VgFunction, VgParams};
 use crate::schema::{DataType, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -10,6 +10,48 @@ use mde_numeric::rng::Rng;
 
 fn value_schema(dtype: DataType) -> Schema {
     Schema::from_pairs(&[("VALUE", dtype)]).expect("static schema")
+}
+
+/// A VG that draws one `Float` a call from `N` float parameters: its
+/// parameter names, in order, and the draw. `generate` and
+/// `generate_batch` are both written once over these, so the batch is the
+/// row loop by construction.
+trait FloatDraw<const N: usize>: VgFunction {
+    const PARAMS: [&'static str; N];
+
+    fn draw(x: [f64; N], rng: &mut Rng) -> crate::Result<f64>;
+
+    /// [`VgFunction::generate`]: one row holding one draw.
+    fn generate_one(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
+        self.check_arity(params)?;
+        let mut x = [0.0; N];
+        for (idx, what) in Self::PARAMS.iter().enumerate() {
+            x[idx] = float_param(params, idx, self.name(), what)?;
+        }
+        Ok(vec![vec![Value::Float(Self::draw(x, rng)?)]])
+    }
+
+    /// [`VgFunction::generate_batch`]: call by call, the parameters read
+    /// straight from the parameter columns, the draws into one column.
+    fn generate_floats(
+        &self,
+        params: &VgParams<'_>,
+        rng: &mut Rng,
+        out: &mut VgColumns<'_>,
+    ) -> crate::Result<()> {
+        if params.rows() > 0 {
+            check_width(self.name(), self.arity(), params.width())?;
+        }
+        let mut values = Vec::with_capacity(params.rows());
+        for r in 0..params.rows() {
+            let mut x = [0.0; N];
+            for (idx, what) in Self::PARAMS.iter().enumerate() {
+                x[idx] = params.float(r, idx, self.name(), what)?;
+            }
+            values.push(Self::draw(x, rng)?);
+        }
+        out.push_floats(values)
+    }
 }
 
 /// `Normal(mean, std)` → one row `(VALUE: Float)`.
@@ -32,11 +74,24 @@ impl VgFunction for NormalVg {
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
-        self.check_arity(params)?;
-        let mean = float_param(params, 0, self.name(), "mean")?;
-        let std = float_param(params, 1, self.name(), "std")?;
-        let d = Normal::new(mean, std)?;
-        Ok(vec![vec![Value::Float(d.sample(rng))]])
+        self.generate_one(params, rng)
+    }
+
+    fn generate_batch(
+        &self,
+        params: &VgParams<'_>,
+        rng: &mut Rng,
+        out: &mut VgColumns<'_>,
+    ) -> crate::Result<()> {
+        self.generate_floats(params, rng, out)
+    }
+}
+
+impl FloatDraw<2> for NormalVg {
+    const PARAMS: [&'static str; 2] = ["mean", "std"];
+
+    fn draw([mean, std]: [f64; 2], rng: &mut Rng) -> crate::Result<f64> {
+        Ok(Normal::new(mean, std)?.sample(rng))
     }
 }
 
@@ -58,11 +113,24 @@ impl VgFunction for UniformVg {
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
-        self.check_arity(params)?;
-        let lo = float_param(params, 0, self.name(), "lo")?;
-        let hi = float_param(params, 1, self.name(), "hi")?;
-        let d = mde_numeric::dist::Uniform::new(lo, hi)?;
-        Ok(vec![vec![Value::Float(d.sample(rng))]])
+        self.generate_one(params, rng)
+    }
+
+    fn generate_batch(
+        &self,
+        params: &VgParams<'_>,
+        rng: &mut Rng,
+        out: &mut VgColumns<'_>,
+    ) -> crate::Result<()> {
+        self.generate_floats(params, rng, out)
+    }
+}
+
+impl FloatDraw<2> for UniformVg {
+    const PARAMS: [&'static str; 2] = ["lo", "hi"];
+
+    fn draw([lo, hi]: [f64; 2], rng: &mut Rng) -> crate::Result<f64> {
+        Ok(mde_numeric::dist::Uniform::new(lo, hi)?.sample(rng))
     }
 }
 
@@ -291,10 +359,24 @@ impl VgFunction for ExponentialVg {
     }
 
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>> {
-        self.check_arity(params)?;
-        let rate = float_param(params, 0, self.name(), "rate")?;
-        let d = Exponential::new(rate)?;
-        Ok(vec![vec![Value::Float(d.sample(rng))]])
+        self.generate_one(params, rng)
+    }
+
+    fn generate_batch(
+        &self,
+        params: &VgParams<'_>,
+        rng: &mut Rng,
+        out: &mut VgColumns<'_>,
+    ) -> crate::Result<()> {
+        self.generate_floats(params, rng, out)
+    }
+}
+
+impl FloatDraw<1> for ExponentialVg {
+    const PARAMS: [&'static str; 1] = ["rate"];
+
+    fn draw([rate]: [f64; 1], rng: &mut Rng) -> crate::Result<f64> {
+        Ok(Exponential::new(rate)?.sample(rng))
     }
 }
 

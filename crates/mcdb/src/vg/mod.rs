@@ -30,9 +30,11 @@ pub use library::{
     NormalVg, PoissonVg, StockOptionVg, UniformVg,
 };
 
-use crate::schema::Schema;
+use crate::query::column::{ColumnVec, NullMask};
+use crate::schema::{Column, DataType, Schema};
 use crate::table::Row;
 use crate::value::Value;
+use crate::McdbError;
 use mde_numeric::rng::Rng;
 
 /// A variable-generation function: the pluggable stochastic model of a
@@ -58,18 +60,198 @@ pub trait VgFunction: Send + Sync {
     /// Generate one realization.
     fn generate(&self, params: &[Value], rng: &mut Rng) -> crate::Result<Vec<Row>>;
 
-    /// Validate parameter count against [`VgFunction::arity`].
-    fn check_arity(&self, params: &[Value]) -> crate::Result<()> {
-        if let Some(n) = self.arity() {
-            if params.len() != n {
-                return Err(crate::McdbError::ArityMismatch {
-                    context: format!("VG function `{}`", self.name()),
-                    expected: n,
-                    found: params.len(),
-                });
-            }
+    /// Generate the realizations of a batch of calls — one per driver row,
+    /// in driver order, all on `rng` — into `out`. This is the one entry a
+    /// stochastic table's realization calls.
+    ///
+    /// The default body is the row loop: build call `r`'s parameter list,
+    /// check it against [`VgFunction::arity`], [`VgFunction::generate`],
+    /// and append the rows it returned to `out`. An
+    /// override must be that loop to the bit: the same cells, the same
+    /// draws from `rng` in the same order, and on failure the error the
+    /// loop raises, at the row where it raises it.
+    fn generate_batch(
+        &self,
+        params: &VgParams<'_>,
+        rng: &mut Rng,
+        out: &mut VgColumns<'_>,
+    ) -> crate::Result<()> {
+        let mut call = Vec::with_capacity(params.width());
+        for r in 0..params.rows() {
+            params.call(r, &mut call);
+            self.check_arity(&call)?;
+            out.push_rows(r, self.generate(&call, rng)?)?;
         }
         Ok(())
+    }
+
+    /// Validate parameter count against [`VgFunction::arity`].
+    fn check_arity(&self, params: &[Value]) -> crate::Result<()> {
+        check_width(self.name(), self.arity(), params.len())
+    }
+}
+
+/// The arity check on a parameter count.
+fn check_width(vg: &str, arity: Option<usize>, found: usize) -> crate::Result<()> {
+    match arity {
+        Some(expected) if found != expected => Err(McdbError::ArityMismatch {
+            context: format!("VG function `{vg}`"),
+            expected,
+            found,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The parameter lists of a batch of VG calls, one call per driver row:
+/// the parameter query's one row, which prefixes every list, then one
+/// column per per-row parameter expression.
+#[derive(Debug, Clone, Copy)]
+pub struct VgParams<'a> {
+    base: &'a [Value],
+    columns: &'a [ColumnVec],
+    rows: usize,
+}
+
+impl<'a> VgParams<'a> {
+    /// `rows` calls over `base` followed by lane `r` of each of `columns`.
+    pub(crate) fn new(base: &'a [Value], columns: &'a [ColumnVec], rows: usize) -> Self {
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
+        VgParams {
+            base,
+            columns,
+            rows,
+        }
+    }
+
+    /// Number of calls.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of parameters in each call's list.
+    pub fn width(&self) -> usize {
+        self.base.len() + self.columns.len()
+    }
+
+    /// Call `r`'s parameter list, written over `out`.
+    pub fn call(&self, r: usize, out: &mut Vec<Value>) {
+        out.clear();
+        out.extend_from_slice(self.base);
+        out.extend(self.columns.iter().map(|c| c.value(r)));
+    }
+
+    /// Parameter `idx` of call `r` as [`float_param`] reads it from the
+    /// list [`VgParams::call`] builds — same value, same error — without
+    /// building the list.
+    pub(crate) fn float(&self, r: usize, idx: usize, vg: &str, what: &str) -> crate::Result<f64> {
+        let Some(k) = idx.checked_sub(self.base.len()) else {
+            return float_param(self.base, idx, vg, what);
+        };
+        match self.columns.get(k) {
+            Some(ColumnVec::Float { data, nulls }) if !nulls.is_null(r) => Ok(data[r]),
+            Some(ColumnVec::Int { data, nulls }) if !nulls.is_null(r) => Ok(data[r] as f64),
+            Some(c) => {
+                let v = c.value(r);
+                v.as_f64().map_err(|_| not_numeric(vg, idx, what, &v))
+            }
+            None => Err(missing_param(vg, idx, what, self.width())),
+        }
+    }
+}
+
+/// Where a batch of VG calls writes its rows: one column per output column
+/// the VG declares (`NULL` is admitted anywhere, an `Int` cell widens into
+/// a `Float` column), and the call behind each output row.
+pub struct VgColumns<'a> {
+    vg: &'a str,
+    declared: &'a [Column],
+    columns: Vec<ColumnVec>,
+    /// The call (driver row) behind each output row.
+    calls: Vec<u32>,
+    /// Whether every call so far emitted exactly one row.
+    one_each: bool,
+    /// The error for call `r`'s row `vrow` whose cell `j` does not fit its
+    /// column.
+    mistyped: &'a dyn Fn(usize, &[Value], usize) -> McdbError,
+}
+
+impl<'a> VgColumns<'a> {
+    /// Empty output columns typed as `declared`, the output schema of `vg`.
+    pub(crate) fn new(
+        vg: &'a str,
+        declared: &'a [Column],
+        mistyped: &'a dyn Fn(usize, &[Value], usize) -> McdbError,
+    ) -> Self {
+        VgColumns {
+            vg,
+            declared,
+            columns: declared
+                .iter()
+                .map(|c| ColumnVec::placeholders(0, c.dtype))
+                .collect(),
+            calls: Vec::new(),
+            one_each: true,
+            mistyped,
+        }
+    }
+
+    /// Append the rows call `r` returned. A row of another width than the
+    /// declared schema is an arity error, and a cell its column cannot
+    /// hold is the error `mistyped` makes of it.
+    pub(crate) fn push_rows(&mut self, r: usize, rows: Vec<Row>) -> crate::Result<()> {
+        self.one_each &= rows.len() == 1;
+        for vrow in rows {
+            if vrow.len() != self.columns.len() {
+                return Err(McdbError::ArityMismatch {
+                    context: format!("VG function `{}` output row", self.vg),
+                    expected: self.columns.len(),
+                    found: vrow.len(),
+                });
+            }
+            for (j, v) in vrow.iter().enumerate() {
+                let widened = match (v, self.declared[j].dtype) {
+                    (Value::Int(x), DataType::Float) => Value::Float(*x as f64),
+                    _ => v.clone(),
+                };
+                if self.columns[j].push(widened).is_err() {
+                    return Err((self.mistyped)(r, &vrow, j));
+                }
+            }
+            self.calls.push(r as u32);
+        }
+        Ok(())
+    }
+
+    /// One `Float` row per call, `values[r]` for call `r`: for the whole
+    /// batch, in place of appending rows call by call. A VG that declares one
+    /// `Float` column hands its draws over as they are; any other schema
+    /// gets them as one row per call.
+    pub fn push_floats(&mut self, values: Vec<f64>) -> crate::Result<()> {
+        debug_assert!(self.calls.is_empty(), "push_floats takes the whole batch");
+        if let [Column {
+            dtype: DataType::Float,
+            ..
+        }] = self.declared
+        {
+            let nulls = NullMask::all_valid(values.len());
+            self.columns = vec![ColumnVec::Float {
+                data: values,
+                nulls,
+            }];
+            return Ok(());
+        }
+        for (r, x) in values.into_iter().enumerate() {
+            self.push_rows(r, vec![vec![Value::Float(x)]])?;
+        }
+        Ok(())
+    }
+
+    /// The output columns, and the call behind each row — `None` when every
+    /// call emitted exactly one row, so row `r` is call `r`'s.
+    pub(crate) fn finish(self) -> (Vec<ColumnVec>, Option<Vec<u32>>) {
+        let calls = (!self.one_each).then_some(self.calls);
+        (self.columns, calls)
     }
 }
 
@@ -80,19 +262,217 @@ pub(crate) fn float_param(
     vg: &str,
     what: &str,
 ) -> crate::Result<f64> {
-    params
+    let v = params
         .get(idx)
-        .ok_or_else(|| crate::McdbError::ArityMismatch {
-            context: format!("VG function `{vg}` ({what})"),
-            expected: idx + 1,
-            found: params.len(),
-        })?
-        .as_f64()
-        .map_err(|_| {
-            crate::McdbError::type_mismatch(
-                format!("VG function `{vg}` parameter {idx} ({what})"),
-                "numeric",
-                format!("{}", params[idx]),
-            )
-        })
+        .ok_or_else(|| missing_param(vg, idx, what, params.len()))?;
+    v.as_f64().map_err(|_| not_numeric(vg, idx, what, v))
+}
+
+fn missing_param(vg: &str, idx: usize, what: &str, found: usize) -> McdbError {
+    McdbError::ArityMismatch {
+        context: format!("VG function `{vg}` ({what})"),
+        expected: idx + 1,
+        found,
+    }
+}
+
+fn not_numeric(vg: &str, idx: usize, what: &str, v: &Value) -> McdbError {
+    McdbError::type_mismatch(
+        format!("VG function `{vg}` parameter {idx} ({what})"),
+        "numeric",
+        format!("{v}"),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mde_numeric::rng::{for_cases, rng_from_seed};
+    use std::sync::Arc;
+
+    /// A draw of valid parameters for one call.
+    type ParamDraw = fn(&mut Rng) -> Vec<f64>;
+
+    /// Each library VG with its parameter draw.
+    fn library() -> Vec<(Arc<dyn VgFunction>, ParamDraw)> {
+        vec![
+            (Arc::new(NormalVg), |g| {
+                vec![g.gen_range(-50.0..50.0), g.gen_range(0.1..10.0)]
+            }),
+            (Arc::new(UniformVg), |g| {
+                let lo = g.gen_range(-50.0..50.0);
+                vec![lo, lo + g.gen_range(0.5..10.0)]
+            }),
+            (Arc::new(ExponentialVg), |g| vec![g.gen_range(0.1..5.0)]),
+            (Arc::new(PoissonVg), |g| vec![g.gen_range(0.5..20.0)]),
+            (Arc::new(DiscreteChoiceVg::new(&["a", "b", "c"])), |g| {
+                (0..3).map(|_| g.gen_range(0.1..3.0)).collect()
+            }),
+            (Arc::new(BackwardWalkVg), |g| {
+                vec![
+                    g.gen_range(50.0..150.0),
+                    g.gen_range(0.1..5.0),
+                    g.gen_range(0..4) as f64,
+                ]
+            }),
+            (Arc::new(StockOptionVg), |g| {
+                vec![
+                    g.gen_range(50.0..150.0),
+                    g.gen_range(50.0..150.0),
+                    g.gen_range(-0.1..0.1),
+                    g.gen_range(0.05..0.5),
+                    g.gen_range(0..6) as f64,
+                ]
+            }),
+            (Arc::new(BayesianDemandVg), |g| {
+                vec![
+                    g.gen_range(0.5..5.0),
+                    g.gen_range(0.5..5.0),
+                    g.gen_range(0..10) as f64,
+                    g.gen_range(0..40) as f64,
+                    g.gen_range(5.0..15.0),
+                    10.0,
+                    g.gen_range(0.0..3.0),
+                ]
+            }),
+            (Arc::new(BetaVg), |g| {
+                vec![g.gen_range(0.5..5.0), g.gen_range(0.5..5.0)]
+            }),
+            (Arc::new(BernoulliVg), |g| vec![g.gen_range(0.0..1.0)]),
+        ]
+    }
+
+    /// A parameter value that may be invalid: `NULL`, NaN, non-positive,
+    /// or not a number at all.
+    fn spoiled(g: &mut Rng) -> Value {
+        match g.gen_range(0..4) {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(-g.gen_range(0.0..2.0)),
+            _ => Value::from("x"),
+        }
+    }
+
+    /// Strictly the same cell: same variant, floats by bit pattern.
+    fn same_cell(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+            (Value::Null, Value::Null) => true,
+            (Value::Int(p), Value::Int(q)) => p == q,
+            (Value::Str(p), Value::Str(q)) => p == q,
+            (Value::Bool(p), Value::Bool(q)) => p == q,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn the_batch_entry_is_the_per_row_loop_over_the_vg_library() {
+        let mut outcomes = [0usize; 2];
+        for_cases(48, |g| {
+            for (vg, draw) in library() {
+                let rows = g.gen_range(0usize..24);
+                let calls: Vec<Vec<f64>> = (0..rows.max(1)).map(|_| draw(g)).collect();
+                let width = calls[0].len();
+                // The first `n_base` parameters come from the parameter
+                // query (the first call's), the rest from columns, each
+                // `Float` or rounded into an `Int` column.
+                let n_base = g.gen_range(0..=width);
+                let mut base: Vec<Value> =
+                    calls[0][..n_base].iter().map(|&x| Value::from(x)).collect();
+                let mut cells: Vec<Vec<Value>> = (n_base..width)
+                    .map(|k| {
+                        let int = g.gen_range(0..3) == 0;
+                        (0..rows)
+                            .map(|r| match int {
+                                true => Value::Int(calls[r][k].round() as i64),
+                                false => Value::Float(calls[r][k]),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // One spoiled parameter in half the cases; a parameter too
+                // many or too few in some.
+                if g.gen_range(0..2) == 0 && rows > 0 {
+                    let k = g.gen_range(0..width);
+                    match k.checked_sub(n_base) {
+                        None => base[k] = spoiled(g),
+                        Some(c) => cells[c][g.gen_range(0..rows)] = spoiled(g),
+                    }
+                }
+                match g.gen_range(0..12) {
+                    0 => cells.push(vec![Value::from(1.0); rows]),
+                    1 if !cells.is_empty() => drop(cells.pop()),
+                    _ => {}
+                }
+                // A text cell among numbers makes the whole column text.
+                let columns: Vec<ColumnVec> = cells
+                    .into_iter()
+                    .map(|c| {
+                        ColumnVec::from_values(c.clone()).unwrap_or_else(|_| {
+                            let text = c.iter().map(|v| Value::from(v.to_string().as_str()));
+                            ColumnVec::from_values(text.collect()).unwrap()
+                        })
+                    })
+                    .collect();
+                let params = VgParams::new(&base, &columns, rows);
+                let seed = g.next_u64();
+
+                // The oracle: one `generate` per row on its own list.
+                let mut oracle_rng = rng_from_seed(seed);
+                let oracle: crate::Result<Vec<(usize, Row)>> = (|| {
+                    let mut out = Vec::new();
+                    for r in 0..rows {
+                        let mut call = base.clone();
+                        call.extend(columns.iter().map(|c| c.value(r)));
+                        vg.check_arity(&call)?;
+                        out.extend(
+                            vg.generate(&call, &mut oracle_rng)?
+                                .into_iter()
+                                .map(|row| (r, row)),
+                        );
+                    }
+                    Ok(out)
+                })();
+
+                let schema = vg.output_schema();
+                let mistyped = |r: usize, _: &[Value], j: usize| {
+                    McdbError::invalid_plan(format!("cell {j} of call {r} mistyped"))
+                };
+                let mut out = VgColumns::new(vg.name(), schema.columns(), &mistyped);
+                let mut batch_rng = rng_from_seed(seed);
+                let batch = vg.generate_batch(&params, &mut batch_rng, &mut out);
+                let name = vg.name();
+                match (batch, oracle) {
+                    (Ok(()), Ok(want)) => {
+                        let (cols, calls) = out.finish();
+                        let n_out = calls.as_ref().map_or(rows, Vec::len);
+                        assert_eq!(n_out, want.len(), "{name}: rows");
+                        for (i, (r, row)) in want.iter().enumerate() {
+                            assert_eq!(calls.as_ref().map_or(i, |c| c[i] as usize), *r, "{name}");
+                            for (j, cell) in row.iter().enumerate() {
+                                let got = cols[j].value(i);
+                                assert!(
+                                    same_cell(&got, cell),
+                                    "{name} row {i}: {got:?} vs {cell:?}"
+                                );
+                            }
+                        }
+                        outcomes[0] += 1;
+                    }
+                    (Err(e), Err(want)) => {
+                        assert_eq!(e, want, "{name}");
+                        outcomes[1] += 1;
+                    }
+                    (got, want) => panic!("{name}: batch {got:?}, per-row {want:?}"),
+                }
+                assert_eq!(
+                    batch_rng.next_u64(),
+                    oracle_rng.next_u64(),
+                    "{name}: generator state"
+                );
+            }
+        });
+        // Both outcomes were compared, many times.
+        assert!(outcomes.iter().all(|&n| n > 48), "{outcomes:?}");
+    }
 }

@@ -77,7 +77,7 @@ pub struct ScreeningRun {
     /// Final campaign state — hand it back through
     /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
     /// to continue the run.
-    pub checkpoint: Option<CampaignState>,
+    pub checkpoint: CampaignState,
 }
 
 /// Sequential bifurcation over a response with assumed-positive main
@@ -142,7 +142,7 @@ pub fn sequential_bifurcation<R: ResponseSurface>(
         result,
         report: state.report.clone(),
         stopped,
-        checkpoint: Some(state),
+        checkpoint: state,
     })
 }
 
@@ -545,7 +545,7 @@ mod tests {
         let baseline =
             sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("uninterrupted");
         let base = baseline.result.expect("result");
-        let rounds = baseline.checkpoint.as_ref().expect("state").cursor;
+        let rounds = baseline.checkpoint.cursor;
         assert!(rounds >= 4, "expected several rounds, got {rounds}");
 
         for cut in 0..rounds {
@@ -554,7 +554,7 @@ mod tests {
                 sequential_bifurcation(&r, &cfg, 7, &opts).expect("preempted run is not an error");
             assert_eq!(partial.stopped, Some(StopCause::Preempted));
             assert!(partial.result.is_none(), "cut at {cut} leaves queued work");
-            let state = partial.checkpoint.expect("state");
+            let state = partial.checkpoint;
             assert_eq!(state.cursor, cut);
             // Round-trip the state through the binary codec, as a real
             // preemption would.
@@ -563,11 +563,10 @@ mod tests {
             let resumed = sequential_bifurcation(&r, &cfg, 7, &resume).expect("resume");
             let result = resumed.result.expect("resumed to completion");
             assert_eq!(result, base, "cut at {cut}");
-            let final_state = resumed.checkpoint.expect("final state");
+            let final_state = resumed.checkpoint;
             assert_eq!(final_state.cursor, rounds);
             assert_eq!(
-                final_state.floats,
-                baseline.checkpoint.as_ref().unwrap().floats,
+                final_state.floats, baseline.checkpoint.floats,
                 "probe cache must be bit-identical after resume at {cut}"
             );
         }
@@ -578,7 +577,7 @@ mod tests {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
         let run = sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("run");
-        let state = run.checkpoint.expect("state");
+        let state = run.checkpoint;
         let resume = RunOptions::default().resuming(state);
         let err = sequential_bifurcation(&r, &cfg, 8, &resume)
             .expect_err("mismatched seed must be refused");
@@ -593,7 +592,7 @@ mod tests {
         let r = small_sparse_response();
         let cfg = BifurcationConfig::default();
         let run = sequential_bifurcation(&r, &cfg, 7, &RunOptions::default()).expect("run");
-        let mut state = run.checkpoint.expect("state");
+        let mut state = run.checkpoint;
         // Claim more cached probes than there are stored values.
         let last = state.ints.len() - 1;
         state.ints[last - state.floats.len()] += 1;
@@ -618,7 +617,7 @@ mod tests {
             sequential_bifurcation(&r, &cfg, 7, &opts).expect("expired deadline is not an error");
         assert_eq!(run.stopped, Some(StopCause::Deadline));
         assert!(run.result.is_none());
-        let state = run.checkpoint.expect("state");
+        let state = run.checkpoint;
         assert_eq!(state.cursor, 0);
         let resume = RunOptions::default().resuming(state);
         let resumed = sequential_bifurcation(&r, &cfg, 7, &resume).expect("resume");

@@ -124,7 +124,7 @@ fn cache_hit_replays_a_faulted_run_bit_identically() {
     let warm = task.run_with_options(&db, N, SEED, &cached_opts).unwrap();
     assert_eq!(base.result, warm.result);
     assert_eq!(base.report, warm.report);
-    let state = warm.checkpoint.expect("replay carries final state");
+    let state = warm.checkpoint;
     assert_eq!(state.cursor, N as u64);
     assert_eq!(state.completed.len(), base.result.n());
     let stats = cache.stats();

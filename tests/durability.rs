@@ -164,10 +164,7 @@ fn mc_preempted_runs_resume_bit_identically_at_every_boundary() {
             .unwrap();
         assert_eq!(partial.stopped, Some(StopCause::Preempted), "cut {cut}");
         assert_eq!(partial.result.n(), cut as usize, "cut {cut}");
-        let state = partial
-            .checkpoint
-            .clone()
-            .expect("stopped run carries a checkpoint");
+        let state = partial.checkpoint.clone();
         assert_eq!(state.cursor, cut);
 
         let resumed = q.run_with_options(&db, n, seed, &resuming(state)).unwrap();
@@ -201,7 +198,7 @@ fn mc_faulted_preempted_resumed_run_matches_its_golden() {
     preempted.faults = preempted.faults.map(|plan| plan.preempt_at(11));
     let partial = q.run_with_options(&db, n, seed, &preempted).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Preempted));
-    let partial_state = partial.checkpoint.unwrap();
+    let partial_state = partial.checkpoint;
     let resumed = q
         .run_with_options(
             &db,
@@ -211,7 +208,7 @@ fn mc_faulted_preempted_resumed_run_matches_its_golden() {
         )
         .unwrap();
     assert_eq!(resumed.stopped, None);
-    let final_state = resumed.checkpoint.unwrap();
+    let final_state = resumed.checkpoint;
     let samples: Vec<u64> = resumed
         .result
         .samples()
@@ -315,9 +312,7 @@ fn mc_rebuilt_plan_with_inline_strings_resumes_its_own_checkpoint() {
         .run_with_options(&db, n, seed, &RunOptions::default())
         .unwrap();
     let partial = q.run_with_options(&db, n, seed, &preempt_opts(5)).unwrap();
-    let state = partial
-        .checkpoint
-        .expect("stopped run carries a checkpoint");
+    let state = partial.checkpoint;
     for _ in 0..4 {
         let (db, rebuilt) = inline_strings_setup();
         let resumed = rebuilt
@@ -343,7 +338,7 @@ fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
     assert_eq!(run.stopped, Some(StopCause::Deadline));
     assert_eq!(run.result.n(), 0);
     let resumed = q
-        .run_with_options(&db, n, seed, &resuming(run.checkpoint.unwrap()))
+        .run_with_options(&db, n, seed, &resuming(run.checkpoint))
         .unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume after deadline");
 
@@ -355,7 +350,7 @@ fn mc_deadline_and_cancellation_stop_cleanly_with_partial_results() {
     assert_eq!(run.stopped, Some(StopCause::Cancelled));
     assert_eq!(run.result.n(), 0);
     let resumed = q
-        .run_with_options(&db, n, seed, &resuming(run.checkpoint.unwrap()))
+        .run_with_options(&db, n, seed, &resuming(run.checkpoint))
         .unwrap();
     assert_mc_runs_identical(&resumed, &baseline, "resume after cancellation");
 }
@@ -500,7 +495,7 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
     let response = screening_response();
     let model = ar1_model();
     let ys = ar1_observations(6);
-    let done = |checkpoint: Option<CampaignState>| Ok(checkpoint.expect("final checkpoint"));
+    let done = |checkpoint: CampaignState| Ok(checkpoint);
 
     let surfaces: Vec<(&str, Surface)> = vec![
         (
@@ -571,8 +566,7 @@ fn resuming_a_foreign_state_is_a_typed_checkpoint_error_on_all_five_surfaces() {
         .1
         .run_with_options(&db, 10, seed, &preempt_opts(1))
         .unwrap()
-        .checkpoint
-        .unwrap();
+        .checkpoint;
 
     for (i, (name, run)) in surfaces.iter().enumerate() {
         // Its own state resumes; the same surface's state from another seed
@@ -613,13 +607,13 @@ fn sliced(
     value: impl IntoIterator<Item = f64>,
     report: RunReport,
     stopped: Option<StopCause>,
-    checkpoint: Option<CampaignState>,
+    state: CampaignState,
 ) -> Sliced {
     Sliced {
         value: value.into_iter().map(f64::to_bits).collect(),
         report,
         stopped,
-        state: checkpoint.expect("final checkpoint"),
+        state,
     }
 }
 
@@ -888,7 +882,7 @@ fn pf_preempted_runs_resume_bit_identically_at_every_step() {
                 &model,
                 &BootstrapProposal,
                 &ys,
-                &resuming(partial.checkpoint.unwrap()),
+                &resuming(partial.checkpoint),
             )
             .unwrap();
         assert_pf_runs_identical(&resumed, &baseline, &format!("pf resume at {cut}"));
@@ -957,8 +951,7 @@ fn hostile_wildfire_ledgers_are_typed_corruption() {
     let state = pf
         .run(&model, &BootstrapProposal, &obs, &preempt_opts(2))
         .unwrap()
-        .checkpoint
-        .unwrap();
+        .checkpoint;
     // Step 0's payload: `[ess, evidence, cell₀ tag, cell₀ intensity, …]`,
     // two floats a cell; a burning cell's tag is its age.
     let payload = &state.completed[0].1;
@@ -1064,7 +1057,7 @@ fn random_search_deadline_checkpoint_resumes_to_the_full_budget() {
     let partial = random_search(rosenbrock, &bounds, evals, seed, &opts).unwrap();
     assert_eq!(partial.stopped, Some(StopCause::Deadline));
     assert!(partial.best.is_none());
-    let resume = resuming(partial.checkpoint.unwrap());
+    let resume = resuming(partial.checkpoint);
     let resumed = random_search(rosenbrock, &bounds, evals, seed, &resume).unwrap();
     assert_optim_runs_identical(&resumed, &baseline, "rs resume after deadline");
 }
