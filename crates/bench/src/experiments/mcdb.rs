@@ -6,6 +6,7 @@ use mde_mcdb::prelude::*;
 use mde_mcdb::query::{AggFunc, AggSpec, PreparedQuery};
 use mde_mcdb::vg::NormalVg;
 use mde_numeric::rng::StreamFactory;
+use mde_numeric::stats::quantiles;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,86 +71,119 @@ fn bits(samples: &[f64]) -> Vec<u64> {
     samples.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Runs of each E3 cell; a cell prints their median and quartiles.
+const E3_RUNS: usize = 5;
+
+/// One E3 run at `n_items` × `n_iters`: N × realize and N × execute of the
+/// split loop, then the `run` total and the plan-per-replicate total, with
+/// the three loops' samples asserted equal bit for bit.
+fn plan_once_cells(n_items: usize, n_iters: usize, seed: u64) -> [Duration; 4] {
+    let db = catalog(n_items);
+    let spec = sales_spec();
+    let plan = revenue_plan();
+    // Replicate `i` realizes spec `k` on stream `k` of child `i`.
+    let streams = StreamFactory::new(seed);
+
+    // The default loop taken apart: prepare once, then clock the two
+    // halves of every replicate separately.
+    let prepared_spec = spec.prepare(&db).expect("prepare spec");
+    let mut scratch = db.clone();
+    scratch.insert(Table::new(
+        prepared_spec.name(),
+        prepared_spec.output_schema().clone(),
+    ));
+    let prepared_plan = PreparedQuery::prepare(&plan, &scratch).expect("prepare plan");
+    let (mut realize, mut execute) = (Duration::ZERO, Duration::ZERO);
+    let mut split = Vec::with_capacity(n_iters);
+    for i in 0..n_iters {
+        let mut rng = streams.child(i as u64).stream(0);
+        let t = Instant::now();
+        let sales = prepared_spec.realize(&scratch, &mut rng).expect("realize");
+        realize += t.elapsed();
+        scratch.insert(sales);
+        let t = Instant::now();
+        let answer = prepared_plan.execute(&scratch).expect("execute");
+        execute += t.elapsed();
+        split.push(scalar(answer));
+    }
+
+    // The default path, end to end.
+    let t = Instant::now();
+    let run = MonteCarloQuery::new(vec![spec.clone()], plan.clone())
+        .run(&db, n_iters, seed)
+        .expect("run");
+    let run_total = t.elapsed();
+
+    // Plan per replicate: nothing prepared, the spec and the query are
+    // planned and bound again inside every replicate.
+    let t = Instant::now();
+    let mut scratch = db.clone();
+    let mut replanned = Vec::with_capacity(n_iters);
+    for i in 0..n_iters {
+        let mut rng = streams.child(i as u64).stream(0);
+        let sales = spec.realize(&scratch, &mut rng).expect("realize");
+        scratch.insert(sales);
+        replanned.push(scalar(scratch.query(&plan).expect("query")));
+    }
+    let replan_total = t.elapsed();
+
+    assert_eq!(
+        bits(run.samples()),
+        bits(&replanned),
+        "run / plan-per-replicate divergence"
+    );
+    assert_eq!(
+        bits(run.samples()),
+        bits(&split),
+        "run / split-loop divergence"
+    );
+    [realize, execute, run_total, replan_total]
+}
+
 /// E3: what one Monte Carlo replicate costs and where — generation against
 /// plan execution, planning once against planning per replicate, and (the
 /// `run` total against the split loop's) the invariant part run once.
 pub fn mcdb_plan_once_report() -> String {
     const SEED: u64 = 1;
-    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
     let mut out = String::new();
     out.push_str("E3 | §2.1 MCDB: plan once, execute per replicate\n");
-    out.push_str("query: SELECT SUM(1.1*AMT) FROM SALES WHERE REGION='east' (N MC replicates)\n\n");
+    out.push_str("query: SELECT SUM(1.1*AMT) FROM SALES WHERE REGION='east' (N MC replicates)\n");
+    out.push_str(&format!(
+        "cells: median [quartiles] of {E3_RUNS} runs, ms\n\n"
+    ));
     let mut rows = Vec::new();
+    // Per size, how the two totals' quartile ranges compare.
+    let mut totals = Vec::new();
     for &(n_items, n_iters) in &[(100usize, 100usize), (500, 200), (1000, 500)] {
-        let db = catalog(n_items);
-        let spec = sales_spec();
-        let plan = revenue_plan();
-        // Replicate `i` realizes spec `k` on stream `k` of child `i`.
-        let streams = StreamFactory::new(SEED);
-
-        // The default loop taken apart: prepare once, then clock the two
-        // halves of every replicate separately.
-        let prepared_spec = spec.prepare(&db).expect("prepare spec");
-        let mut scratch = db.clone();
-        scratch.insert(Table::new(
-            prepared_spec.name(),
-            prepared_spec.output_schema().clone(),
+        let runs: Vec<[Duration; 4]> = (0..E3_RUNS)
+            .map(|_| plan_once_cells(n_items, n_iters, SEED))
+            .collect();
+        // Per column: [q1, median, q3] in ms.
+        let cells: Vec<Vec<f64>> = (0..4)
+            .map(|c| {
+                let ms: Vec<f64> = runs.iter().map(|r| r[c].as_secs_f64() * 1e3).collect();
+                quantiles(&ms, &[0.25, 0.5, 0.75]).expect("runs")
+            })
+            .collect();
+        let cell = |q: &[f64]| format!("{:.1} [{:.1}, {:.1}]", q[1], q[0], q[2]);
+        let (run_q, replan_q) = (&cells[2], &cells[3]);
+        totals.push(format!(
+            "{n_items}x{n_iters} {}",
+            if run_q[2] < replan_q[0] {
+                "run faster"
+            } else if replan_q[2] < run_q[0] {
+                "plan-per-replicate faster"
+            } else {
+                "ranges overlap"
+            }
         ));
-        let prepared_plan = PreparedQuery::prepare(&plan, &scratch).expect("prepare plan");
-        let (mut realize, mut execute) = (Duration::ZERO, Duration::ZERO);
-        let mut split = Vec::with_capacity(n_iters);
-        for i in 0..n_iters {
-            let mut rng = streams.child(i as u64).stream(0);
-            let t = Instant::now();
-            let sales = prepared_spec.realize(&scratch, &mut rng).expect("realize");
-            realize += t.elapsed();
-            scratch.insert(sales);
-            let t = Instant::now();
-            let answer = prepared_plan.execute(&scratch).expect("execute");
-            execute += t.elapsed();
-            split.push(scalar(answer));
-        }
-
-        // The default path, end to end.
-        let t = Instant::now();
-        let run = MonteCarloQuery::new(vec![spec.clone()], plan.clone())
-            .run(&db, n_iters, SEED)
-            .expect("run");
-        let run_total = t.elapsed();
-
-        // Plan per replicate: nothing prepared, the spec and the query are
-        // planned and bound again inside every replicate.
-        let t = Instant::now();
-        let mut scratch = db.clone();
-        let mut replanned = Vec::with_capacity(n_iters);
-        for i in 0..n_iters {
-            let mut rng = streams.child(i as u64).stream(0);
-            let sales = spec.realize(&scratch, &mut rng).expect("realize");
-            scratch.insert(sales);
-            replanned.push(scalar(scratch.query(&plan).expect("query")));
-        }
-        let replan_total = t.elapsed();
-
-        assert_eq!(
-            bits(run.samples()),
-            bits(&replanned),
-            "run / plan-per-replicate divergence"
-        );
-        assert_eq!(
-            bits(run.samples()),
-            bits(&split),
-            "run / split-loop divergence"
-        );
         rows.push(vec![
             format!("{n_items}x{n_iters}"),
-            ms(realize),
-            ms(execute),
-            format!(
-                "{:.0}%",
-                100.0 * realize.as_secs_f64() / (realize + execute).as_secs_f64()
-            ),
-            ms(run_total),
-            ms(replan_total),
+            cell(&cells[0]),
+            cell(&cells[1]),
+            format!("{:.0}%", 100.0 * cells[0][1] / (cells[0][1] + cells[1][1])),
+            cell(run_q),
+            cell(replan_q),
         ]);
     }
     out.push_str(&crate::render_table(
@@ -165,8 +199,14 @@ pub fn mcdb_plan_once_report() -> String {
     ));
     out.push_str(
         "\nSemantics verified: `MonteCarloQuery::run`, the split loop and the plan-per-replicate\n\
-         loop return the same samples bit for bit.\n\
-         Finding: the paper's claim - executing the plan once beats N-fold execution - has\n\
+         loop return the same samples bit for bit.\n",
+    );
+    out.push_str(&format!(
+        "The two totals' quartile ranges: {}.\n",
+        totals.join(", ")
+    ));
+    out.push_str(
+        "Finding: the paper's claim - executing the plan once beats N-fold execution - has\n\
          nothing to win on this substrate. Executing the prepared plan (the execute column) is\n\
          the small part of a replicate, and planning again in every replicate costs only what\n\
          the two totals differ by. A tuple-bundle interpreter that executed the plan once\n\

@@ -14,11 +14,21 @@
 //! (this engine's columns are unambiguous without them):
 //!
 //! ```sql
-//! CREATE TABLE SBP_DATA AS
+//! CREATE TABLE SBP_DATA(PID, GENDER, SBP) AS
 //!   FOR EACH PATIENTS
 //!   WITH Normal(SELECT MEAN, STD FROM SBP_PARAM)
-//!   SELECT PID, GENDER, VALUE AS SBP
+//!   SELECT PID, GENDER, VALUE
 //! ```
+//!
+//! The grammar is a set of methods on the SELECT parser's cursor: the
+//! subquery is read by the SELECT grammar, the arguments and the projection
+//! by its expression rule, in place on one token stream.
+//!
+//! The column list after the table name is optional. When present it names
+//! the output columns by position — above, the third column is `SBP`, not
+//! `VALUE` — and must name as many columns as the SELECT projects; a count
+//! that differs is an error stating both counts. Without it, a column is
+//! named by its `AS` alias, else by the column it reads, else `col_<i>`.
 //!
 //! `WITH <vg>(…)` parametrizes the VG function either with a bare subquery
 //! (evaluated once per realization, its single row prefixing the VG
@@ -28,8 +38,8 @@
 //! VG functions plug in exactly like the paper's "user- and system-defined
 //! libraries".
 
-use super::lexer::{tokenize, SqlError, Token, TokenKind};
-use super::parser::{parse_expression_at, parse_select_tokens};
+use super::lexer::{SqlError, TokenKind};
+use super::parser::Parser;
 use crate::expr::Expr;
 use crate::query::Plan;
 use crate::random_table::RandomTableSpec;
@@ -98,218 +108,153 @@ pub fn parse_create_random_table(
     sql: &str,
     registry: &VgRegistry,
 ) -> Result<RandomTableSpec, SqlError> {
-    let tokens = tokenize(sql)?;
-    let mut pos = 0usize;
+    Parser::parse_all(sql, |p| p.create_random_table(registry))
+}
 
-    let err_at = |tokens: &[Token], pos: usize, msg: String| -> SqlError {
-        SqlError::new(msg, Some(tokens[pos.min(tokens.len() - 1)].pos))
-    };
-    let word_at = |tokens: &[Token], pos: usize, word: &str| -> bool {
-        match &tokens[pos].kind {
-            TokenKind::Ident(s) => s.eq_ignore_ascii_case(word),
-            TokenKind::Keyword(k) => k.eq_ignore_ascii_case(word),
-            _ => false,
-        }
-    };
-    let expect_word = |tokens: &[Token], pos: &mut usize, word: &str| -> Result<(), SqlError> {
-        if word_at(tokens, *pos, word) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err_at(
-                tokens,
-                *pos,
-                format!("expected {word}, found {}", tokens[*pos].kind),
-            ))
-        }
-    };
-    let expect_ident =
-        |tokens: &[Token], pos: &mut usize, what: &str| -> Result<String, SqlError> {
-            match &tokens[*pos].kind {
-                TokenKind::Ident(s) => {
-                    let s = s.clone();
-                    *pos += 1;
-                    Ok(s)
+impl Parser {
+    /// `CREATE TABLE name [(column, …)] AS FOR EACH driver WITH vg(args)
+    /// SELECT item, …`, read in place: the subquery with
+    /// [`Parser::select_statement`], the arguments and the projection with
+    /// [`Parser::expression`].
+    pub(super) fn create_random_table(
+        &mut self,
+        registry: &VgRegistry,
+    ) -> Result<RandomTableSpec, SqlError> {
+        // CREATE TABLE name [(cols…)] AS FOR EACH driver
+        self.expect_word("CREATE")?;
+        self.expect_word("TABLE")?;
+        let table_name = self.expect_ident("table name")?;
+        let mut columns: Option<(usize, Vec<String>)> = None;
+        if self.next_is_sym("(") {
+            let at = self.bump().pos;
+            let mut names = Vec::new();
+            loop {
+                names.push(self.expect_ident("column name")?);
+                if !self.eat_sym(",") {
+                    break;
                 }
-                other => Err(err_at(
-                    tokens,
-                    *pos,
-                    format!("expected {what}, found {other}"),
-                )),
             }
-        };
-    let is_sym = |tokens: &[Token], pos: usize, sym: &str| -> bool {
-        matches!(&tokens[pos].kind, TokenKind::Symbol(s) if *s == sym)
-    };
-    let expect_sym = |tokens: &[Token], pos: &mut usize, sym: &str| -> Result<(), SqlError> {
-        if is_sym(tokens, *pos, sym) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err_at(
-                tokens,
-                *pos,
-                format!("expected `{sym}`, found {}", tokens[*pos].kind),
-            ))
+            self.expect_sym(")")?;
+            columns = Some((at, names));
         }
-    };
-    /// Index of the symbol closing the paren that was opened just before
-    /// `start` (depth accounting over the token stream).
-    fn matching_close(tokens: &[Token], start: usize) -> Result<usize, SqlError> {
-        let mut depth = 1usize;
-        let mut i = start;
-        loop {
-            match &tokens[i].kind {
-                TokenKind::Eof => {
-                    return Err(SqlError::new("unbalanced parentheses", Some(tokens[i].pos)))
-                }
-                TokenKind::Symbol("(") => depth += 1,
-                TokenKind::Symbol(")") => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(i);
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
+        self.expect_word("AS")?;
+        self.expect_word("FOR")?;
+        self.expect_word("EACH")?;
+        let driver = self.expect_ident("driver table name")?;
 
-    // CREATE TABLE name [(cols…)] AS FOR EACH driver
-    expect_word(&tokens, &mut pos, "CREATE")?;
-    expect_word(&tokens, &mut pos, "TABLE")?;
-    let table_name = expect_ident(&tokens, &mut pos, "table name")?;
-    if is_sym(&tokens, pos, "(") {
-        pos += 1;
-        loop {
-            let _ = expect_ident(&tokens, &mut pos, "column name")?;
-            if is_sym(&tokens, pos, ",") {
-                pos += 1;
-            } else {
-                break;
-            }
-        }
-        expect_sym(&tokens, &mut pos, ")")?;
-    }
-    expect_word(&tokens, &mut pos, "AS")?;
-    expect_word(&tokens, &mut pos, "FOR")?;
-    expect_word(&tokens, &mut pos, "EACH")?;
-    let driver = expect_ident(&tokens, &mut pos, "driver table name")?;
-
-    // WITH Vg( params )
-    expect_word(&tokens, &mut pos, "WITH")?;
-    let vg_name = expect_ident(&tokens, &mut pos, "VG function name")?;
-    let vg = registry
-        .get(&vg_name)
-        .ok_or_else(|| {
-            err_at(
-                &tokens,
-                pos,
-                format!(
+        // WITH Vg( params )
+        self.expect_word("WITH")?;
+        let vg_name = self.expect_ident("VG function name")?;
+        let vg = registry
+            .get(&vg_name)
+            .ok_or_else(|| {
+                self.error_here(format!(
                     "unknown VG function `{vg_name}` (registered: {})",
                     registry.names().join(", ")
-                ),
-            )
-        })?
-        .clone();
-    expect_sym(&tokens, &mut pos, "(")?;
-    let args_close = matching_close(&tokens, pos)?;
-
-    let mut params_query: Option<Plan> = None;
-    let mut param_exprs: Vec<Expr> = Vec::new();
-    if matches!(tokens[pos].kind, TokenKind::Keyword("SELECT")) {
-        // Bare subquery fills the whole argument list (the paper's form).
-        params_query = Some(parse_select_tokens(&tokens, pos, args_close)?);
-        pos = args_close + 1;
-    } else if pos == args_close {
-        // Empty argument list.
-        pos = args_close + 1;
-    } else {
-        // Optional parenthesized subquery as the first argument.
-        if is_sym(&tokens, pos, "(") && matches!(tokens[pos + 1].kind, TokenKind::Keyword("SELECT"))
-        {
-            let sub_close = matching_close(&tokens, pos + 1)?;
-            params_query = Some(parse_select_tokens(&tokens, pos + 1, sub_close)?);
-            pos = sub_close + 1;
-            if is_sym(&tokens, pos, ",") {
-                pos += 1;
+                ))
+            })?
+            .clone();
+        self.expect_sym("(")?;
+        let args_close = self.matching_close()?;
+        let mut params_query: Option<Plan> = None;
+        let mut param_exprs: Vec<Expr> = Vec::new();
+        if self.next_is_kw("SELECT") {
+            // Bare subquery fills the whole argument list (the paper's form).
+            params_query = Some(self.select_statement()?);
+        } else {
+            // Optional parenthesized subquery as the first argument.
+            if self.next_is_sym("(")
+                && matches!(self.tokens[self.pos + 1].kind, TokenKind::Keyword("SELECT"))
+            {
+                self.bump();
+                params_query = Some(self.select_statement()?);
+                self.expect_sym(")")?;
+                self.eat_sym(",");
+            }
+            while self.pos < args_close {
+                param_exprs.push(self.expression()?);
+                if !self.eat_sym(",") {
+                    break;
+                }
             }
         }
-        while pos < args_close {
-            let (e, next) = parse_expression_at(&tokens, pos)?;
-            param_exprs.push(e);
-            pos = next;
-            if is_sym(&tokens, pos, ",") {
-                pos += 1;
-            } else {
+        if self.pos != args_close {
+            return Err(self.error_here(format!("unexpected {} in VG arguments", self.peek().kind)));
+        }
+        self.bump();
+
+        // SELECT projection over driver ++ VG columns.
+        if !self.next_is_kw("SELECT") {
+            return Err(self.error_here(format!(
+                "expected SELECT projection, found {}",
+                self.peek().kind
+            )));
+        }
+        self.bump();
+        let mut select: Vec<(String, Expr)> = Vec::new();
+        loop {
+            let expr = self.expression()?;
+            let name = match (self.optional_alias()?, &expr) {
+                (Some(alias), _) => alias,
+                (None, Expr::Col(c)) => c.clone(),
+                (None, _) => format!("col_{}", select.len() + 1),
+            };
+            select.push((name, expr));
+            if !self.eat_sym(",") {
                 break;
             }
         }
-        if pos != args_close {
-            return Err(err_at(
-                &tokens,
-                pos,
-                format!("unexpected {} in VG arguments", tokens[pos].kind),
-            ));
-        }
-        pos = args_close + 1;
-    }
-
-    // SELECT projection over driver ++ VG columns.
-    if !matches!(tokens[pos].kind, TokenKind::Keyword("SELECT")) {
-        return Err(err_at(
-            &tokens,
-            pos,
-            format!("expected SELECT projection, found {}", tokens[pos].kind),
-        ));
-    }
-    pos += 1;
-    let mut select: Vec<(String, Expr)> = Vec::new();
-    loop {
-        let (expr, next) = parse_expression_at(&tokens, pos)?;
-        pos = next;
-        let name = if word_at(&tokens, pos, "AS") {
-            pos += 1;
-            expect_ident(&tokens, &mut pos, "alias")?
-        } else {
-            match &expr {
-                Expr::Col(c) => c.clone(),
-                _ => format!("col_{}", select.len() + 1),
+        // A column list names the output columns by position.
+        if let Some((at, names)) = columns {
+            if names.len() != select.len() {
+                return Err(SqlError::new(
+                    format!(
+                        "column list names {} columns but the SELECT projects {}",
+                        names.len(),
+                        select.len()
+                    ),
+                    Some(at),
+                ));
             }
-        };
-        select.push((name, expr));
-        if is_sym(&tokens, pos, ",") {
-            pos += 1;
-        } else {
-            break;
+            for ((name, _), column) in select.iter_mut().zip(names) {
+                *name = column;
+            }
         }
-    }
-    if !matches!(tokens[pos].kind, TokenKind::Eof) {
-        return Err(err_at(
-            &tokens,
-            pos,
-            format!("unexpected trailing {}", tokens[pos].kind),
-        ));
+
+        let mut builder = RandomTableSpec::builder(table_name)
+            .for_each(Plan::scan(driver))
+            .with_vg(vg);
+        if let Some(q) = params_query {
+            builder = builder.vg_params_query(q);
+        }
+        if !param_exprs.is_empty() {
+            builder = builder.vg_params_exprs(&param_exprs);
+        }
+        let refs: Vec<(&str, Expr)> = select
+            .iter()
+            .map(|(n, e)| (n.as_str(), e.clone()))
+            .collect();
+        builder
+            .select(&refs)
+            .build()
+            .map_err(|e| SqlError::new(e.to_string(), None))
     }
 
-    let mut builder = RandomTableSpec::builder(table_name)
-        .for_each(Plan::scan(driver))
-        .with_vg(vg);
-    if let Some(q) = params_query {
-        builder = builder.vg_params_query(q);
+    /// Index of the `)` closing the paren just consumed, by a depth scan
+    /// over the tokens ahead.
+    fn matching_close(&self) -> Result<usize, SqlError> {
+        let mut depth = 0usize;
+        for (i, token) in self.tokens.iter().enumerate().skip(self.pos) {
+            match token.kind {
+                TokenKind::Symbol("(") => depth += 1,
+                TokenKind::Symbol(")") if depth == 0 => return Ok(i),
+                TokenKind::Symbol(")") => depth -= 1,
+                _ => {}
+            }
+        }
+        let eof = self.tokens.last().map(|t| t.pos);
+        Err(SqlError::new("unbalanced parentheses", eof))
     }
-    if !param_exprs.is_empty() {
-        builder = builder.vg_params_exprs(&param_exprs);
-    }
-    let refs: Vec<(&str, Expr)> = select
-        .iter()
-        .map(|(n, e)| (n.as_str(), e.clone()))
-        .collect();
-    builder
-        .select(&refs)
-        .build()
-        .map_err(|e| SqlError::new(e.to_string(), None))
 }
 
 #[cfg(test)]
@@ -363,6 +308,38 @@ mod tests {
         for v in t.column_f64("SBP").unwrap() {
             assert!((30.0..210.0).contains(&v), "implausible SBP {v}");
         }
+    }
+
+    #[test]
+    fn column_list_names_the_output_columns() {
+        // The paper's form: the list, not the projection, names `SBP`.
+        let spec = parse_create_random_table(
+            "CREATE TABLE SBP_DATA(PID, GENDER, SBP) AS \
+             FOR EACH PATIENTS \
+             WITH Normal(SELECT MEAN, STD FROM SBP_PARAM) \
+             SELECT PID, GENDER, VALUE",
+            &VgRegistry::standard(),
+        )
+        .unwrap();
+        let t = spec.realize(&catalog(), &mut rng_from_seed(1)).unwrap();
+        assert_eq!(t.schema().names(), vec!["PID", "GENDER", "SBP"]);
+    }
+
+    #[test]
+    fn column_list_of_another_length_is_an_error() {
+        let err = parse_create_random_table(
+            "CREATE TABLE SBP_DATA(PID, SBP) AS \
+             FOR EACH PATIENTS \
+             WITH Normal(SELECT MEAN, STD FROM SBP_PARAM) \
+             SELECT PID, GENDER, VALUE",
+            &VgRegistry::standard(),
+        )
+        .unwrap_err();
+        assert_eq!(err.pos, Some(21), "{err}");
+        assert!(
+            err.message.contains('2') && err.message.contains('3'),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,20 +3,32 @@
 //! Every query the paper shows — the SBP stochastic-table parametrization,
 //! the Indemics observation and intervention queries of Algorithm 1, the
 //! "revenue from East Coast customers" what-if — is written in SQL. This
-//! module provides the textual front end: a hand-written lexer and
-//! recursive-descent parser translating a practical SELECT subset into the
-//! engine's logical [`Plan`]s:
+//! module provides the textual front end: a hand-written lexer and one
+//! recursive-descent parser for the two statements the engine runs, told
+//! apart by their first word:
 //!
-//! ```sql
-//! SELECT region, SUM(amount * 1.1) AS taxed
-//! FROM sales JOIN regions ON region = name
-//! WHERE amount > 10 AND NOT region = 'north'
-//! GROUP BY region
-//! ORDER BY taxed DESC
-//! LIMIT 10
-//! ```
+//! - a `SELECT` query, translated into the engine's logical [`Plan`]:
 //!
-//! Supported: `SELECT` lists with expressions, aliases, `*`, and the
+//!   ```sql
+//!   SELECT region, SUM(amount * 1.1) AS taxed
+//!   FROM sales JOIN regions ON region = name
+//!   WHERE amount > 10 AND NOT region = 'north'
+//!   GROUP BY region
+//!   ORDER BY taxed DESC
+//!   LIMIT 10
+//!   ```
+//!
+//! - MCDB's stochastic-table declaration `CREATE TABLE … AS FOR EACH … WITH
+//!   Vg(…) SELECT …`, into a [`RandomTableSpec`] (grammar and rules in
+//!   `ddl.rs`).
+//!
+//! [`parse_statement`] takes either and returns a [`Statement`];
+//! [`plan_from_sql`] and [`parse_create_random_table`] are its typed entry
+//! points for a caller that knows which one it holds. All three run the
+//! same token cursor, and the DDL reads its subquery, arguments and
+//! projection with the SELECT grammar's own rules.
+//!
+//! Supported in a SELECT: lists with expressions, aliases, `*`, and the
 //! aggregates `COUNT(*) | COUNT | SUM | AVG | MIN | MAX`; `FROM` with any
 //! number of `JOIN … ON a = b [AND c = d]` equi-joins; `WHERE` with full
 //! boolean/comparison/arithmetic expressions, `IS [NOT] NULL`, and the
@@ -33,14 +45,37 @@ mod parser;
 
 pub use ddl::{parse_create_random_table, VgRegistry};
 pub use lexer::{tokenize, SqlError, Token, TokenKind};
-pub use parser::parse_select;
 
 use crate::query::{Catalog, Plan};
+use crate::random_table::RandomTableSpec;
 use crate::table::Table;
+use parser::Parser;
+
+/// One parsed SQL statement.
+#[derive(Debug)]
+pub enum Statement {
+    /// A `SELECT` query.
+    Select(Plan),
+    /// A `CREATE TABLE … AS FOR EACH …` stochastic-table declaration.
+    CreateRandomTable(RandomTableSpec),
+}
+
+/// Parse one statement of either kind: `CREATE` opens a stochastic-table
+/// declaration, anything else is read as a SELECT.
+pub fn parse_statement(sql: &str, registry: &VgRegistry) -> Result<Statement, SqlError> {
+    Parser::parse_all(sql, |p| {
+        if p.next_is_word("CREATE") {
+            p.create_random_table(registry)
+                .map(Statement::CreateRandomTable)
+        } else {
+            p.select_statement().map(Statement::Select)
+        }
+    })
+}
 
 /// Parse a SQL SELECT into a logical plan.
 pub fn plan_from_sql(sql: &str) -> Result<Plan, SqlError> {
-    parse_select(sql)
+    Parser::parse_all(sql, Parser::select_statement)
 }
 
 impl Catalog {

@@ -1,52 +1,11 @@
-//! Recursive-descent SQL parser producing logical [`Plan`]s.
+//! The recursive-descent SQL parser: one token cursor ([`Parser`]) and the
+//! SELECT grammar that produces logical [`Plan`]s. The stochastic-table
+//! DDL's grammar is a further set of cursor methods in `ddl.rs`.
 
 use super::lexer::{tokenize, SqlError, Token, TokenKind};
 use crate::expr::{Expr, ScalarFunc};
 use crate::query::{AggFunc, AggSpec, Plan, SortKey};
 use crate::value::Value;
-
-/// Parse one SQL SELECT statement into a plan.
-pub fn parse_select(sql: &str) -> Result<Plan, SqlError> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let plan = p.select_statement()?;
-    p.expect_eof()?;
-    Ok(plan)
-}
-
-/// Crate-internal: parse a SELECT from an already-lexed token slice
-/// (`[start, end)`), for the DDL parser's embedded subqueries. The slice
-/// must form a complete statement.
-pub(crate) fn parse_select_tokens(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-) -> Result<Plan, SqlError> {
-    let mut sub: Vec<Token> = tokens[start..end].to_vec();
-    let eof_pos = sub.last().map(|t| t.pos).unwrap_or(0);
-    sub.push(Token {
-        kind: TokenKind::Eof,
-        pos: eof_pos,
-    });
-    let mut p = Parser {
-        tokens: sub,
-        pos: 0,
-    };
-    let plan = p.select_statement()?;
-    p.expect_eof()?;
-    Ok(plan)
-}
-
-/// Crate-internal: parse one expression starting at `pos` within a token
-/// stream; returns the expression and the position just past it.
-pub(crate) fn parse_expression_at(tokens: &[Token], pos: usize) -> Result<(Expr, usize), SqlError> {
-    let mut p = Parser {
-        tokens: tokens.to_vec(),
-        pos,
-    };
-    let e = p.expression()?;
-    Ok((e, p.pos))
-}
 
 /// One parsed select item.
 enum SelectItem {
@@ -62,25 +21,42 @@ enum SelectItem {
     },
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A cursor over one statement's tokens. Both grammars are its methods:
+/// the SELECT grammar here, the stochastic-table DDL in `ddl.rs`.
+pub(super) struct Parser {
+    pub(super) tokens: Vec<Token>,
+    pub(super) pos: usize,
 }
 
 impl Parser {
-    fn peek(&self) -> &Token {
+    /// Lex `sql` and parse all of it with `rule`: trailing tokens are an
+    /// error.
+    pub(super) fn parse_all<T>(
+        sql: &str,
+        rule: impl FnOnce(&mut Parser) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        let mut p = Parser {
+            tokens: tokenize(sql)?,
+            pos: 0,
+        };
+        let parsed = rule(&mut p)?;
+        p.expect_eof()?;
+        Ok(parsed)
+    }
+
+    pub(super) fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
-    fn next_is_kw(&self, kw: &str) -> bool {
+    pub(super) fn next_is_kw(&self, kw: &str) -> bool {
         matches!(&self.peek().kind, TokenKind::Keyword(k) if *k == kw)
     }
 
-    fn next_is_sym(&self, sym: &str) -> bool {
+    pub(super) fn next_is_sym(&self, sym: &str) -> bool {
         matches!(&self.peek().kind, TokenKind::Symbol(s) if *s == sym)
     }
 
-    fn bump(&mut self) -> Token {
+    pub(super) fn bump(&mut self) -> Token {
         let t = self.tokens[self.pos].clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
@@ -97,7 +73,7 @@ impl Parser {
         }
     }
 
-    fn eat_sym(&mut self, sym: &str) -> bool {
+    pub(super) fn eat_sym(&mut self, sym: &str) -> bool {
         if self.next_is_sym(sym) {
             self.bump();
             true
@@ -114,7 +90,7 @@ impl Parser {
         }
     }
 
-    fn expect_sym(&mut self, sym: &str) -> Result<(), SqlError> {
+    pub(super) fn expect_sym(&mut self, sym: &str) -> Result<(), SqlError> {
         if self.eat_sym(sym) {
             Ok(())
         } else {
@@ -122,7 +98,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, SqlError> {
+    pub(super) fn expect_ident(&mut self, what: &str) -> Result<String, SqlError> {
         match &self.peek().kind {
             TokenKind::Ident(name) => {
                 let name = name.clone();
@@ -130,6 +106,25 @@ impl Parser {
                 Ok(name)
             }
             other => Err(self.error_here(format!("expected {what}, found {other}"))),
+        }
+    }
+
+    /// Whether the next token spells `word`, case-insensitively, as a
+    /// keyword or an identifier: the DDL's words are not keywords.
+    pub(super) fn next_is_word(&self, word: &str) -> bool {
+        match &self.peek().kind {
+            TokenKind::Ident(s) => s.eq_ignore_ascii_case(word),
+            TokenKind::Keyword(k) => k.eq_ignore_ascii_case(word),
+            _ => false,
+        }
+    }
+
+    pub(super) fn expect_word(&mut self, word: &str) -> Result<(), SqlError> {
+        if self.next_is_word(word) {
+            self.bump();
+            Ok(())
+        } else {
+            Err(self.error_here(format!("expected {word}, found {}", self.peek().kind)))
         }
     }
 
@@ -141,13 +136,13 @@ impl Parser {
         }
     }
 
-    fn error_here(&self, message: String) -> SqlError {
+    pub(super) fn error_here(&self, message: String) -> SqlError {
         SqlError::new(message, Some(self.peek().pos))
     }
 
     // ---- statement structure ----
 
-    fn select_statement(&mut self) -> Result<Plan, SqlError> {
+    pub(super) fn select_statement(&mut self) -> Result<Plan, SqlError> {
         self.expect_kw("SELECT")?;
         let items = self.select_list()?;
 
@@ -302,7 +297,7 @@ impl Parser {
         Ok(SelectItem::Expr { expr, alias })
     }
 
-    fn optional_alias(&mut self) -> Result<Option<String>, SqlError> {
+    pub(super) fn optional_alias(&mut self) -> Result<Option<String>, SqlError> {
         if self.eat_kw("AS") {
             Ok(Some(self.expect_ident("alias")?))
         } else {
@@ -408,7 +403,7 @@ impl Parser {
 
     // ---- expressions (precedence climbing) ----
 
-    fn expression(&mut self) -> Result<Expr, SqlError> {
+    pub(super) fn expression(&mut self) -> Result<Expr, SqlError> {
         self.or_expr()
     }
 
@@ -603,15 +598,16 @@ fn default_agg_name(func: AggFunc, index: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::plan_from_sql;
 
     #[test]
     fn literal_typing_int_vs_float() {
-        let p = parse_select("SELECT * FROM t WHERE a = 5").unwrap();
+        let p = plan_from_sql("SELECT * FROM t WHERE a = 5").unwrap();
         let Plan::Filter { predicate, .. } = p else {
             panic!()
         };
         assert_eq!(predicate, Expr::col("a").eq(Expr::lit(Value::Int(5))));
-        let p = parse_select("SELECT * FROM t WHERE a = 5.0").unwrap();
+        let p = plan_from_sql("SELECT * FROM t WHERE a = 5.0").unwrap();
         let Plan::Filter { predicate, .. } = p else {
             panic!()
         };
@@ -621,7 +617,7 @@ mod tests {
     #[test]
     fn operator_precedence() {
         // a + b * 2 parses as a + (b * 2).
-        let p = parse_select("SELECT a + b * 2 AS x FROM t").unwrap();
+        let p = plan_from_sql("SELECT a + b * 2 AS x FROM t").unwrap();
         let Plan::Project { exprs, .. } = p else {
             panic!()
         };
@@ -630,7 +626,7 @@ mod tests {
             Expr::col("a").add(Expr::col("b").mul(Expr::lit(Value::Int(2))))
         );
         // NOT binds tighter than AND; AND tighter than OR.
-        let p = parse_select("SELECT * FROM t WHERE NOT a = 1 AND b = 2 OR c = 3").unwrap();
+        let p = plan_from_sql("SELECT * FROM t WHERE NOT a = 1 AND b = 2 OR c = 3").unwrap();
         let Plan::Filter { predicate, .. } = p else {
             panic!()
         };
@@ -644,7 +640,7 @@ mod tests {
 
     #[test]
     fn unary_minus_and_parens() {
-        let p = parse_select("SELECT -(a + 1) AS x FROM t").unwrap();
+        let p = plan_from_sql("SELECT -(a + 1) AS x FROM t").unwrap();
         let Plan::Project { exprs, .. } = p else {
             panic!()
         };
@@ -657,25 +653,25 @@ mod tests {
     #[test]
     fn non_group_arithmetic_in_aggregate_select_rejected() {
         // a + 1 is neither an aggregate nor a bare GROUP BY column.
-        let e = parse_select("SELECT a, a + 1, COUNT(*) FROM t GROUP BY a").unwrap_err();
+        let e = plan_from_sql("SELECT a, a + 1, COUNT(*) FROM t GROUP BY a").unwrap_err();
         assert!(e.to_string().contains("GROUP BY"), "{e}");
     }
 
     #[test]
     fn non_group_expression_rejected() {
-        let e = parse_select("SELECT b FROM t GROUP BY a").unwrap_err();
+        let e = plan_from_sql("SELECT b FROM t GROUP BY a").unwrap_err();
         assert!(e.to_string().contains("GROUP BY"));
     }
 
     #[test]
     fn derived_names() {
-        let p = parse_select("SELECT a, a + 1 FROM t").unwrap();
+        let p = plan_from_sql("SELECT a, a + 1 FROM t").unwrap();
         let Plan::Project { exprs, .. } = p else {
             panic!()
         };
         assert_eq!(exprs[0].0, "a");
         assert_eq!(exprs[1].0, "expr_2");
-        let p = parse_select("SELECT COUNT(*), SUM(a) FROM t").unwrap();
+        let p = plan_from_sql("SELECT COUNT(*), SUM(a) FROM t").unwrap();
         let Plan::Aggregate { aggs, .. } = p else {
             panic!()
         };
@@ -686,7 +682,7 @@ mod tests {
     #[test]
     fn select_order_reorders_group_output() {
         // SUM first, group col second: a projection restores select order.
-        let p = parse_select("SELECT SUM(b) AS s, a FROM t GROUP BY a").unwrap();
+        let p = plan_from_sql("SELECT SUM(b) AS s, a FROM t GROUP BY a").unwrap();
         let Plan::Project { exprs, input } = p else {
             panic!("expected projection on top")
         };
@@ -697,7 +693,7 @@ mod tests {
 
     #[test]
     fn multi_join_chain() {
-        let p = parse_select("SELECT * FROM a JOIN b ON x = y JOIN c ON u = v AND w = z").unwrap();
+        let p = plan_from_sql("SELECT * FROM a JOIN b ON x = y JOIN c ON u = v AND w = z").unwrap();
         let Plan::Join { on, left, .. } = p else {
             panic!()
         };

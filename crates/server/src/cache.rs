@@ -11,7 +11,7 @@
 //! Eviction is FIFO at a fixed capacity; counters are atomics so the
 //! hot path takes one short mutex hold for the map probe.
 
-use mde_mcdb::prelude::Catalog;
+use mde_mcdb::prelude::{Catalog, Plan};
 use mde_mcdb::query::PreparedQuery;
 use mde_mcdb::sql::plan_from_sql;
 use std::collections::{HashMap, VecDeque};
@@ -57,19 +57,40 @@ impl PlanCache {
     }
 
     /// Parse, plan, and prepare `sql` against `catalog`, reusing a
-    /// cached plan when the catalog shape and query text match.
+    /// cached plan when the catalog shape and query text match: a
+    /// [`probe`](Self::probe), and on a miss a parse and a
+    /// [`fill`](Self::fill).
     pub fn prepare(&self, catalog: &Catalog, sql: &str) -> mde_mcdb::Result<Arc<PreparedQuery>> {
-        let key = (catalog.schema_fingerprint(), sql.to_string());
-        if let Some(hit) = self.inner.lock().expect("cache lock").map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.probe(catalog, sql) {
+            return Ok(hit);
         }
-        // Prepare outside the lock: planning is the expensive part and
-        // two sessions racing on the same key just do the work twice.
         let plan =
             plan_from_sql(sql).map_err(|e| mde_mcdb::McdbError::invalid_plan(e.to_string()))?;
-        let prepared = Arc::new(PreparedQuery::prepare(&plan, catalog)?);
+        self.fill(catalog, sql, &plan)
+    }
+
+    /// The plan cached for `sql` at this catalog shape, if any; a hit is
+    /// counted, a miss is counted by the [`fill`](Self::fill) that follows.
+    pub fn probe(&self, catalog: &Catalog, sql: &str) -> Option<Arc<PreparedQuery>> {
+        let key = (catalog.schema_fingerprint(), sql.to_string());
+        let hit = Arc::clone(self.inner.lock().expect("cache lock").map.get(&key)?);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Prepare `plan`, parsed from `sql`, against `catalog` and cache it
+    /// under the text and the catalog shape.
+    pub fn fill(
+        &self,
+        catalog: &Catalog,
+        sql: &str,
+        plan: &Plan,
+    ) -> mde_mcdb::Result<Arc<PreparedQuery>> {
+        // Prepare outside the lock: planning is the expensive part and
+        // two sessions racing on the same key just do the work twice.
+        let prepared = Arc::new(PreparedQuery::prepare(plan, catalog)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let key = (catalog.schema_fingerprint(), sql.to_string());
         let mut inner = self.inner.lock().expect("cache lock");
         if !inner.map.contains_key(&key) {
             while inner.map.len() >= self.capacity {

@@ -166,18 +166,14 @@ pub enum Request {
     },
     /// Liveness probe.
     Ping,
-    /// Execute a SQL query against the current catalog snapshot.
+    /// Execute one SQL statement: a SELECT against the current catalog
+    /// snapshot, or a stochastic-table declaration (`CREATE TABLE … AS FOR
+    /// EACH …`) registered in this session. `VG` is an alias of `SQL`.
     Sql {
-        /// Query text (frame body).
+        /// Statement text (frame body).
         sql: String,
         /// Request options.
         opts: RequestOpts,
-    },
-    /// Register a stochastic-table DDL (`CREATE TABLE … AS FOR EACH …`)
-    /// in this session.
-    Vg {
-        /// DDL text (frame body).
-        ddl: String,
     },
     /// Create an ordinary table (catalog snapshot swap).
     Create {
@@ -327,11 +323,10 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
             tenant: require("tenant")?.to_string(),
         }),
         "PING" => Ok(Request::Ping),
-        "SQL" => Ok(Request::Sql {
+        "SQL" | "VG" => Ok(Request::Sql {
             sql: body_sql()?,
             opts: opts()?,
         }),
-        "VG" => Ok(Request::Vg { ddl: body_sql()? }),
         "CREATE" => {
             let name = require("name")?.to_string();
             let cols = require("cols")?;

@@ -41,7 +41,7 @@ use mde_core::CampaignSpec;
 use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::{Catalog, DataType, Table};
 use mde_mcdb::random_table::RandomTableSpec;
-use mde_mcdb::sql::{parse_create_random_table, plan_from_sql, VgRegistry};
+use mde_mcdb::sql::{parse_statement, plan_from_sql, Statement, VgRegistry};
 use mde_mcdb::McCampaign;
 use mde_numeric::resilience::{
     catch_panic, CheckpointSpec, FaultPlan, RunOptions, RunPolicy, StopCause,
@@ -417,15 +417,6 @@ impl Session {
                 "1".to_string(),
             )]))),
             Request::Sql { sql, opts } => self.exec_sql(&sql, &opts, token),
-            Request::Vg { ddl } => {
-                let spec = parse_create_random_table(&ddl, &self.engine.vg)
-                    .map_err(|e| WireError::fatal(WireCode::Parse, e.to_string()))?;
-                self.specs.push(spec);
-                Ok(Outcome::Reply(encode_ok(&[(
-                    "specs",
-                    self.specs.len().to_string(),
-                )])))
-            }
             Request::Create { name, columns } => {
                 let cols: Vec<(&str, DataType)> =
                     columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
@@ -484,11 +475,26 @@ impl Session {
             return Err(WireError::fatal(WireCode::Cancelled, "request cancelled"));
         }
         let snapshot = self.engine.snapshot();
-        let prepared = self
-            .engine
-            .cache
-            .prepare(&snapshot, sql)
-            .map_err(|e| WireError::fatal(WireCode::Parse, e.to_string()))?;
+        let cache = &self.engine.cache;
+        // A hit parses nothing; only a miss reads the statement.
+        let prepared = match cache.probe(&snapshot, sql) {
+            Some(hit) => hit,
+            None => match parse_statement(sql, &self.engine.vg)
+                .map_err(|e| WireError::fatal(WireCode::Parse, e.to_string()))?
+            {
+                Statement::Select(plan) => cache
+                    .fill(&snapshot, sql, &plan)
+                    .map_err(|e| WireError::fatal(WireCode::Parse, e.to_string()))?,
+                // A declaration belongs to this session and is never cached.
+                Statement::CreateRandomTable(spec) => {
+                    self.specs.push(spec);
+                    return Ok(Outcome::Reply(encode_ok(&[(
+                        "specs",
+                        self.specs.len().to_string(),
+                    )])));
+                }
+            },
+        };
         let table = prepared
             .execute(&snapshot)
             .map_err(|e| WireError::fatal(WireCode::Exec, e.to_string()))?;

@@ -47,7 +47,7 @@ fn main() {
     );
 
     // ---- The paper's stochastic-table DDL, verbatim shape.
-    let ddl = "CREATE TABLE SBP_DATA(PID, GENDER, SBP) AS \
+    let ddl = "CREATE TABLE SBP_DATA(PID, GENDER, AGE, SBP) AS \
                FOR EACH PATIENTS \
                WITH Normal(SELECT MEAN, STD FROM SBP_PARAM) \
                SELECT PID, GENDER, AGE, VALUE AS SBP";

@@ -145,6 +145,47 @@ fn clean_session_matches_library_bit_for_bit() {
     server.shutdown();
 }
 
+/// `VG` is an alias of `SQL`: a declaration sent either way registers the
+/// same random table, so both sessions answer one `MC` frame with the same
+/// bits. Malformed DDL over `SQL` is a typed `PARSE` error the session
+/// survives, and a declaration neither hits nor fills the plan cache.
+#[test]
+fn a_declaration_over_sql_registers_what_vg_does() {
+    let server = Server::start(seed_catalog(), ServerConfig::default()).expect("server starts");
+    let cache_counts = |c: &mut Client| {
+        let map = c.send("STATS").expect("stats").expect_ok("STATS");
+        (map["cache_hits"].clone(), map["cache_misses"].clone())
+    };
+    let mut a = connect(&server);
+    let ok = a.send(&format!("VG\n{DDL}")).expect("vg").expect_ok("VG");
+    assert_eq!(ok["specs"], "1");
+
+    let mut b = connect(&server);
+    let before = cache_counts(&mut b);
+    for malformed in [
+        "CREATE TABLE SALES AS FOR EACH ITEMS WITH Normal(1, 2 SELECT IID",
+        "CREATE TABLE SALES(IID) AS FOR EACH ITEMS WITH Normal(1, 2) SELECT IID, VALUE",
+    ] {
+        let err = b
+            .sql(malformed, None)
+            .expect("malformed DDL")
+            .expect_err("malformed DDL");
+        assert_eq!(err.code, WireCode::Parse, "{malformed}");
+    }
+    let ok = b.sql(DDL, None).expect("DDL over SQL").expect_ok("DDL");
+    assert_eq!(ok["specs"], "1");
+    assert_eq!(
+        cache_counts(&mut b),
+        before,
+        "a declaration skips the plan cache"
+    );
+
+    let seed = chaos_seed();
+    let (via_vg, via_sql) = (wire_mc(&mut a, 32, seed), wire_mc(&mut b, 32, seed));
+    assert_eq!(via_vg.to_bits(), via_sql.to_bits());
+    server.shutdown();
+}
+
 #[test]
 fn bad_deadlines_and_budgets_are_rejected_at_parse_time() {
     let server = Server::start(seed_catalog(), ServerConfig::default()).expect("server starts");
