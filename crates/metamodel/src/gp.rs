@@ -48,6 +48,7 @@ use mde_numeric::linalg::Cholesky;
 use mde_numeric::obs::RunMetrics;
 use mde_numeric::optim::{bfgs, BfgsConfig};
 use mde_numeric::NumericError;
+use std::time::Instant;
 
 /// Configuration for GP fitting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +140,8 @@ impl GpModel {
     /// stored point with one evaluation instead of searching (module doc).
     /// With or without a cache, hit or miss, the model is the same to the
     /// bit; the ledger shows the difference (`gp.factorizations` is 1 on a
-    /// hit).
+    /// hit). A search books its wall time as the out-of-band duration
+    /// `gp.search`, so a remembered hit has none.
     pub fn fit_remembered(
         ws: &mut KernelWorkspace,
         ys: &[f64],
@@ -196,9 +198,11 @@ impl GpModel {
                 }
                 _ => None,
             });
+        let mut search_time = None;
         let (log_params, beta0) = match accepted {
             Some(hit) => hit,
             None => {
+                let started = Instant::now();
                 let found = bfgs(
                     |lp, grad| match evaluate(ws, lp, Some(grad)) {
                         Ok((_, nll)) => nll,
@@ -212,6 +216,7 @@ impl GpModel {
                         max_step: MAX_LOG_STEP,
                     },
                 )?;
+                search_time = Some(started.elapsed());
                 let (beta0, nll) = evaluate(ws, &found.x, None)?;
                 if let Some((c, key)) = cached {
                     let mut values = found.x.clone();
@@ -221,6 +226,9 @@ impl GpModel {
                 (found.x, beta0)
             }
         };
+        if let (Some(m), Some(d)) = (metrics, search_time) {
+            m.observe_duration("gp.search", d);
+        }
 
         let (l, alpha) = ws.take_factored();
         Ok(GpModel {
@@ -264,11 +272,7 @@ impl GpModel {
         require_finite("x", x)?;
         require_finite("y", &[y])?;
         validate_noise(&[noise_var], 1)?;
-        let col: Vec<f64> = self
-            .xs
-            .iter()
-            .map(|xi| self.tau2 * correlation(x, xi, &self.thetas))
-            .collect();
+        let col = self.cross_covariance(x);
         let diag = self.tau2 + noise_var + self.jitter * (1.0 + self.tau2);
         // Border the factor first: on failure (non-SPD border) the factor
         // — and hence the model — is untouched.
@@ -314,23 +318,47 @@ impl GpModel {
 
     /// The predictor of equation (6) at `x0`.
     pub fn predict(&self, x0: &[f64]) -> f64 {
-        let k: Vec<f64> = self
-            .xs
+        let k = self.cross_covariance(x0);
+        self.beta0 + k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum::<f64>()
+    }
+
+    /// [`GpModel::predict`] at `x0` — the same bits, summed in the same
+    /// order — and its gradient `∂Ŷ/∂x0` into `grad`. Differentiating
+    /// equation (6) through the Gaussian correlation (5) gives
+    /// `∂Ŷ/∂x0_k = Σᵢ kᵢ·αᵢ·(−2θ_k·(x0_k − x_{i,k}))`, one more pass over
+    /// the `n` covariances `kᵢ` the value already computed: no further
+    /// `exp`.
+    ///
+    /// # Panics
+    /// If `grad` is not as long as `x0`.
+    pub fn predict_gradient(&self, x0: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(grad.len(), x0.len(), "one gradient slot per coordinate");
+        let k = self.cross_covariance(x0);
+        let value = self.beta0 + k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum::<f64>();
+        grad.fill(0.0);
+        for ((ki, ai), xi) in k.iter().zip(&self.alpha).zip(&self.xs) {
+            let w = ki * ai;
+            for (((g, x), xik), theta) in grad.iter_mut().zip(x0).zip(xi).zip(&self.thetas) {
+                *g += w * (-2.0 * theta * (x - xik));
+            }
+        }
+        value
+    }
+
+    /// `Σ_M(x₀, xᵢ) = τ²·R(x₀, xᵢ)` for every design point, in design
+    /// order.
+    fn cross_covariance(&self, x0: &[f64]) -> Vec<f64> {
+        self.xs
             .iter()
             .map(|xi| self.tau2 * correlation(x0, xi, &self.thetas))
-            .collect();
-        self.beta0 + k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum::<f64>()
+            .collect()
     }
 
     /// The kriging variance (predictive MSE, ignoring β₀-estimation
     /// inflation) at `x0`.
     #[cfg(test)]
     fn predict_variance(&self, x0: &[f64]) -> f64 {
-        let k: Vec<f64> = self
-            .xs
-            .iter()
-            .map(|xi| self.tau2 * correlation(x0, xi, &self.thetas))
-            .collect();
+        let k = self.cross_covariance(x0);
         let si_k = self.chol.solve(&k).expect("factorized covariance");
         (self.tau2 - k.iter().zip(&si_k).map(|(a, b)| a * b).sum::<f64>()).max(0.0)
     }
@@ -1021,6 +1049,96 @@ mod tests {
         let (per_screen, per_krig) = (screen.evals / screen.fits, krig.evals / krig.fits);
         assert!(per_screen <= 80, "65x8: {per_screen} evaluations a fit");
         assert!(per_krig <= 40, "n x 2: {per_krig} evaluations a fit");
+    }
+
+    /// Holds `predict_gradient` to `predict` at `x0`: the value to the bit,
+    /// the gradient to central differences of `predict`.
+    fn assert_gradient_oracle(gp: &GpModel, x0: &[f64]) {
+        let mut grad = vec![f64::NAN; x0.len()];
+        let value = gp.predict_gradient(x0, &mut grad);
+        assert_eq!(value.to_bits(), gp.predict(x0).to_bits(), "value at {x0:?}");
+        let h = 1e-6;
+        for k in 0..x0.len() {
+            let (mut up, mut down) = (x0.to_vec(), x0.to_vec());
+            up[k] += h;
+            down[k] -= h;
+            let fd = (gp.predict(&up) - gp.predict(&down)) / (2.0 * h);
+            // What the two sides can agree to: the analytic sum rounds
+            // relative to its terms' magnitudes `Σ |kᵢαᵢ|·2θ_k·|Δx|`, the
+            // difference quotient relative to `(|β₀| + Σ |kᵢαᵢ|) / h`, and
+            // both sums cancel when `α` is large (a nearly singular `Σ`).
+            let (mut terms, mut slopes) = (gp.beta0.abs(), 0.0);
+            for (xi, a) in gp.xs.iter().zip(&gp.alpha) {
+                let w = (gp.tau2 * correlation(x0, xi, &gp.thetas) * a).abs();
+                terms += w;
+                slopes += w * 2.0 * gp.thetas[k] * (x0[k] - xi[k]).abs();
+            }
+            let tol = 1e-6 * slopes + 1e-8 * terms + 1e-12;
+            assert!(
+                (grad[k] - fd).abs() <= tol,
+                "∂Ŷ/∂x_{k} at {x0:?}: analytic {} vs central {fd} (tolerance {tol})",
+                grad[k]
+            );
+        }
+    }
+
+    #[test]
+    fn predict_gradient_is_predict_and_its_derivative() {
+        // Deterministic and stochastic fits over d 1–4, before and after
+        // rank-1 appends; probes at design points, near them and in the
+        // space between, including outside the design's hull.
+        for_cases(32, |rng| {
+            let d = rng.gen_range(1..=4usize);
+            let n = rng.gen_range(6..=30usize);
+            let noisy = rng.gen::<f64>() < 0.5;
+            let smooth = |x: &[f64]| (2.0 * x[0]).sin() + x[d - 1] * x[d - 1];
+            let (xs, mut ys, noise) = random_problem(rng, n, d, noisy);
+            if !noisy {
+                // Interpolation is only as exact as the fit is well
+                // conditioned: a rough response on close points is not.
+                ys = xs.iter().map(|x| smooth(x)).collect();
+            }
+            let mut gp = GpModel::fit_stochastic(&xs, &ys, &noise, &GpConfig::default()).unwrap();
+            assert_eq!(gp.is_stochastic(), noisy);
+            for round in 0..2 {
+                let probes: Vec<Vec<f64>> = (0..6)
+                    .map(|_| (0..d).map(|_| rng.gen_range(-1.3..1.3)).collect())
+                    .chain(
+                        gp.xs
+                            .iter()
+                            .take(3)
+                            .map(|x| x.iter().map(|v| v + 1e-3).collect()),
+                    )
+                    .chain(gp.xs.iter().take(3).cloned())
+                    .collect();
+                for x0 in &probes {
+                    assert_gradient_oracle(&gp, x0);
+                }
+                if !noisy {
+                    // Equation (6) interpolates a deterministic fit, up to
+                    // the pull of the numerical nugget: `Σα = y − β₀·1`
+                    // gives `yᵢ − Ŷ(xᵢ) = jitter·(1 + τ²)·αᵢ`.
+                    let nugget = gp.jitter * (1.0 + gp.tau2);
+                    let mut grad = vec![0.0; d];
+                    for ((x, y), a) in gp.xs.iter().zip(&gp.ys).zip(&gp.alpha) {
+                        let v = gp.predict_gradient(x, &mut grad);
+                        assert!(
+                            (v - y).abs() <= nugget * a.abs() + 1e-6 * (1.0 + y.abs()),
+                            "Ŷ({x:?}) = {v} vs {y}"
+                        );
+                    }
+                }
+                if round == 0 {
+                    for _ in 0..2 {
+                        let x: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        let v = if noisy { 0.05 } else { 0.0 };
+                        if gp.append_point(&x, smooth(&x), v, None).is_err() {
+                            return;
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

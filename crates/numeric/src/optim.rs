@@ -2,9 +2,11 @@
 //!
 //! §3.1 of the paper cites Nelder–Mead (via Fabretti 2013) as a workhorse
 //! for calibrating agent-based models whose objectives are expensive,
-//! noisy, and gradient-free; the kriging surrogate search uses it too.
-//! §4.1's Gaussian-process fitting has an analytic likelihood gradient, so
-//! it follows it with [`bfgs`] instead of feeling its way with a simplex.
+//! noisy, and gradient-free. §4.1's Gaussian-process fitting has an
+//! analytic likelihood gradient, and a fitted kriging surrogate has an
+//! analytic predictor gradient, so both the likelihood search and the
+//! kriging-calibration surrogate search follow theirs with [`bfgs`]
+//! instead of feeling their way with a simplex.
 //! Both live in the numeric substrate, return the same [`OptimResult`], and
 //! treat a non-finite objective the same way: as `+∞`, a point to back
 //! away from.
