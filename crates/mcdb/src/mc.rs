@@ -10,17 +10,24 @@
 //! aggregate query and runs `N` iterations on the calling thread (MCDB
 //! spreads them over a parallel-database backend; at the sizes this
 //! workspace runs, a second thread never paid for itself). There is one
-//! replicate path. Specs and query are prepared once per run; the part of
-//! them no replicate can change — every sub-plan of the query, of a driver
-//! or of a parameter query that reads no table realized before it in the
-//! replicate — runs once per run, in the first replicate that reaches it,
-//! and is shared by all replicates; every replicate then realizes the specs
-//! ([`PreparedRandomTable::realize`]) and runs the stochastic rest of the
-//! plan on the vectorized engine. Where MCDB executes the plan once
-//! over tuple bundles, this engine plans once, runs the invariant part
-//! once, and realizes and runs the stochastic suffix per replicate (E3 in
-//! EXPERIMENTS.md measures what that costs). The result object answers
-//! the paper's analysis patterns:
+//! RNG layout and one engine. Specs and query are prepared once per run;
+//! the part of them no replicate can change — every sub-plan of the query,
+//! of a driver or of a parameter query that reads no table realized before
+//! it in the replicate — runs once per run, in the first replicate that
+//! reaches it, and is shared by all replicates. The stochastic rest runs,
+//! as MCDB runs a plan once over tuple bundles, once per **tuple bundle**
+//! where the task allows it: when every spec's inputs are invariant, no
+//! spec shadows a base table and the query reaches its stochastic table
+//! through filters, projections and aggregates alone, attempt 0 of a run
+//! of replicates realizes them into one batch tagged by lane and one
+//! execution of the query, grouped by lane, answers them all
+//! (`BundlePlan`). Everything else — retries, a discarded bundle's
+//! replicates, a lane without exactly one answer row, an ineligible task —
+//! takes the one-replicate path: realize the specs
+//! ([`PreparedRandomTable::realize`]) and run the stochastic rest of the
+//! plan. Both give sample `i` the same bits (E3 in EXPERIMENTS.md measures
+//! what each costs). The result object answers the paper's analysis
+//! patterns:
 //!
 //! * moments and confidence intervals (plain MCDB);
 //! * **extreme quantiles** for risk analysis (MCDB-R, Arumugam et al.);
@@ -48,23 +55,34 @@
 //! bit-identical to one that was never interrupted. The loop is the
 //! boundary protocol's [`drive`], as for every other durable surface.
 
+use crate::expr::Expr;
 use crate::query::{Catalog, Plan, PreparedQuery};
-use crate::random_table::{PreparedRandomTable, RandomTableSpec};
+use crate::random_table::{Draws, PreparedRandomTable, RandomTableSpec};
+use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
+use crate::value::Value;
 use mde_numeric::cache::{CacheEntry, CacheHandle, CacheKey, Provenance};
 use mde_numeric::checkpoint::{CampaignState, Fingerprint};
 use mde_numeric::resilience::{
-    drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
+    catch_panic, drive, Attempt, AttemptFailure, RunOptions, RunReport, StopCause, Surface,
 };
 use mde_numeric::rng::StreamFactory;
 use mde_numeric::stats::{
     mean_confidence_interval, proportion_confidence_interval, quantile, ConfidenceInterval, Summary,
 };
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Campaign tag written into every Monte Carlo checkpoint.
 const CAMPAIGN_MC: &str = "mcdb.monte-carlo";
+
+/// The rows a tuple bundle grows to at most — fewer where the catalog's
+/// spill threshold is lower, so that a bundle's group-by never spills.
+const BUNDLE_ROWS: usize = 4096;
+
+/// The column that tags each row of a tuple bundle with its lane. No SQL
+/// text can name it: an identifier starts with a letter or `_`.
+const LANE: &str = "#lane";
 
 /// A Monte Carlo estimation task: realize the stochastic tables, run the
 /// query, collect the scalar result; repeat.
@@ -289,10 +307,22 @@ impl MonteCarloQuery {
         // would fail identically on every attempt — so they abort under
         // every policy, exactly as fatal runtime errors did when planning
         // happened inside each replicate.
+        let prepare = Instant::now();
+        let prepared = prepare_task(&self.specs, &self.query, catalog)?;
+        // A bundle answers two boundaries or more.
+        let bundles = (state.total - state.cursor > 1)
+            .then(|| bundle_plan(&prepared, &self.query, catalog))
+            .flatten();
+        let metrics = &mut state.report.metrics;
+        metrics.observe_duration("mc.prepare", prepare.elapsed());
         let mut surface = McSurface {
-            prepared: prepare_task(&self.specs, &self.query, catalog)?,
+            ahead: bundles.map(|plan| Ahead::new(plan, catalog)),
+            prepared,
             scratch: catalog.clone(),
             started: Instant::now(),
+            opts,
+            total: state.total,
+            from_lane: false,
         };
         let stopped = drive(&mut surface, &mut state, opts)?;
         let samples = state.completed.iter().map(|(_, v)| v[0]).collect();
@@ -307,16 +337,85 @@ impl MonteCarloQuery {
 
 /// A Monte Carlo run as a boundary [`Surface`]: boundary `i` is replicate
 /// `i`, and a success keeps one scalar sample.
-struct McSurface {
+struct McSurface<'a> {
     prepared: PreparedMc,
     /// The base catalog that attempts realize into (see [`replicate`]).
     scratch: Catalog,
     /// When attempt 0 of the current replicate began: `mc.replicate` times
     /// a replicate with its retries.
     started: Instant,
+    /// The run's options: a bundle stops before a boundary they stop at.
+    opts: &'a RunOptions,
+    /// The run's boundary count: a bundle never reaches past it.
+    total: u64,
+    /// The tuple bundles of a task that has a lane-aware plan.
+    ahead: Option<Ahead>,
+    /// Whether the current attempt's value is a bundle lane's answer.
+    from_lane: bool,
 }
 
-impl Surface for McSurface {
+/// A run's tuple bundles: the lane-aware plan, the catalog bundles are
+/// realized into, and the answers of the last bundle, kept for the
+/// boundaries they belong to.
+struct Ahead {
+    plan: BundlePlan,
+    /// The base catalog plus the last bundle's lane-tagged tables.
+    scratch: Catalog,
+    /// The last bundle's boundaries: `first..end`. Those a discarded bundle
+    /// had reached take the one-replicate path.
+    first: u64,
+    end: u64,
+    /// Attempt-0 answer per lane; `None` for a lane the one-replicate path
+    /// answers.
+    answers: Vec<Option<f64>>,
+    /// How long building the last bundle took, until a commit books it.
+    took: Option<Duration>,
+}
+
+impl Ahead {
+    fn new(plan: BundlePlan, catalog: &Catalog) -> Ahead {
+        Ahead {
+            plan,
+            scratch: catalog.clone(),
+            first: 0,
+            end: 0,
+            answers: Vec::new(),
+            took: None,
+        }
+    }
+}
+
+impl McSurface<'_> {
+    /// Attempt 0 of boundary `att.boundary` as a bundle answers it: from the
+    /// last bundle, or from a new one that starts here. `None` sends the
+    /// boundary down the one-replicate path.
+    fn lane_answer(&mut self, att: &Attempt<'_>) -> Option<f64> {
+        let ahead = self.ahead.as_mut()?;
+        let b = att.boundary;
+        if !(ahead.first..ahead.end).contains(&b) {
+            let started = Instant::now();
+            let mut reached = 0;
+            let bundle = catch_panic(|| {
+                let (specs, scratch) = (&self.prepared.specs, &mut ahead.scratch);
+                let stop = |r: u64| r == self.total || self.opts.stop_cause(r).is_some();
+                realize_bundle(&ahead.plan, specs, scratch, att, &stop, &mut reached)
+            });
+            // An error or a panic discards the whole bundle, so that each
+            // boundary it reached fails, or not, on its own.
+            ahead.answers = bundle.ok().and_then(Result::ok).unwrap_or_default();
+            ahead.first = b;
+            ahead.end = b + reached.max(1);
+            ahead.took = (reached > 0).then(|| started.elapsed());
+        }
+        ahead
+            .answers
+            .get((b - ahead.first) as usize)
+            .copied()
+            .flatten()
+    }
+}
+
+impl Surface for McSurface<'_> {
     type Value = f64;
     type Error = crate::McdbError;
 
@@ -324,10 +423,20 @@ impl Surface for McSurface {
         if att.attempt == 0 {
             self.started = Instant::now();
         }
-        let (prepared, scratch) = (&self.prepared, &mut self.scratch);
+        self.from_lane = false;
         att.run(
             "replicate",
-            || realize_and_query(prepared, scratch, &att.streams(att.boundary)),
+            || {
+                // Retries draw from their own streams: never a lane's.
+                if att.attempt == 0 {
+                    if let Some(v) = self.lane_answer(att) {
+                        self.from_lane = true;
+                        return Ok(v);
+                    }
+                }
+                let streams = att.streams(att.boundary);
+                realize_and_query(&self.prepared, &mut self.scratch, &streams)
+            },
             |v| *v,
         )
     }
@@ -335,6 +444,14 @@ impl Surface for McSurface {
     fn commit(&mut self, state: &mut CampaignState, i: u64, sample: Option<f64>) {
         let metrics = &mut state.report.metrics;
         metrics.observe_duration("mc.replicate", self.started.elapsed());
+        if let Some(took) = self.ahead.as_mut().and_then(|a| a.took.take()) {
+            metrics.observe_duration("mc.bundle", took);
+        }
+        let path = match self.from_lane && sample.is_some() {
+            true => "mc.bundled",
+            false => "mc.unbundled",
+        };
+        metrics.add_io(path, 1);
         if let Some(value) = sample {
             metrics.observe("mc.sample", value);
             state.completed.push((i, vec![value]));
@@ -358,6 +475,24 @@ struct PreparedMc {
     /// them back first; empty for the usual task, whose stochastic tables
     /// have names of their own.
     shadowed: Vec<Arc<Table>>,
+}
+
+/// A task's lane-aware form (DESIGN §3). Where every spec keeps its
+/// realization inputs for the run, no spec shadows a base table, and the
+/// query reaches its stochastic table through filters, projections and
+/// aggregates alone, the replicates of a *tuple bundle* are realized into
+/// one batch per spec, each row tagged with its replicate's lane, and one
+/// execution of this plan answers them all.
+struct BundlePlan {
+    /// Per spec: its output schema with the lane column last.
+    schemas: Vec<Schema>,
+    /// The query with the lane carried through every projection and put
+    /// first in every grouping, so each lane's aggregates fold that
+    /// replicate's rows alone, in the order its own execution folds them.
+    query: PreparedQuery,
+    /// The lane's column and the answer's in the query's output.
+    lane: usize,
+    value: usize,
 }
 
 /// Prepare the specs and query against the base catalog. Specs prepare in
@@ -393,6 +528,160 @@ fn prepare_task(
         query,
         shadowed: volatile.iter().filter_map(|v| catalog.shared(v)).collect(),
     })
+}
+
+/// The lane-aware plan of a prepared task, prepared and pinned as its own
+/// query is (`query` and `catalog` are what `prepared` came from) — or
+/// `None` where the task is not eligible: a spec that does not keep its
+/// realization inputs, a spec that shadows a base table, an answer of
+/// more than one column, a query that reaches its stochastic table
+/// through anything but filters, projections and aggregates, or a name
+/// that takes the lane column's.
+fn bundle_plan(prepared: &PreparedMc, query: &Plan, catalog: &Catalog) -> Option<BundlePlan> {
+    let specs = &prepared.specs;
+    let eligible = prepared.shadowed.is_empty()
+        && prepared.query.schema().len() == 1
+        && specs.iter().all(PreparedRandomTable::keeps_inputs);
+    if !eligible {
+        return None;
+    }
+    let volatile: Vec<&str> = specs.iter().map(PreparedRandomTable::name).collect();
+    let lane_query = carry_lane(query, &volatile)?;
+    let mut planning = catalog.clone();
+    let mut schemas = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let mut columns = spec.output_schema().columns().to_vec();
+        columns.push(Column::new(LANE, DataType::Int));
+        let schema = Schema::new(columns).ok()?;
+        planning.insert(Table::new(spec.name(), schema.clone()));
+        schemas.push(schema);
+    }
+    let mut lane_query = PreparedQuery::prepare(&lane_query, &planning).ok()?;
+    lane_query.pin_invariant(&volatile);
+    let lane = lane_query.schema().index_of(LANE).ok()?;
+    (lane_query.schema().len() == 2).then_some(BundlePlan {
+        schemas,
+        query: lane_query,
+        lane,
+        value: 1 - lane,
+    })
+}
+
+/// `query` with the lane carried from the stochastic table it scans up to
+/// its output: every projection passes it on, every aggregate groups by it
+/// first. `None` unless that path is filters, projections and aggregates
+/// alone.
+fn carry_lane(query: &Plan, stochastic: &[&str]) -> Option<Plan> {
+    let carried = |input: &Plan| carry_lane(input, stochastic).map(Box::new);
+    Some(match query {
+        Plan::Scan { table } if stochastic.contains(&table.as_str()) => query.clone(),
+        Plan::Filter { input, predicate } => Plan::Filter {
+            input: carried(input)?,
+            predicate: predicate.clone(),
+        },
+        Plan::Project { input, exprs } => Plan::Project {
+            input: carried(input)?,
+            exprs: exprs
+                .iter()
+                .cloned()
+                .chain([(LANE.to_string(), Expr::col(LANE))])
+                .collect(),
+        },
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => Plan::Aggregate {
+            input: carried(input)?,
+            group_by: [LANE.to_string()]
+                .into_iter()
+                .chain(group_by.iter().cloned())
+                .collect(),
+            aggs: aggs.clone(),
+        },
+        Plan::Scan { .. }
+        | Plan::Values { .. }
+        | Plan::Join { .. }
+        | Plan::Sort { .. }
+        | Plan::Limit { .. } => return None,
+    })
+}
+
+/// Realize a tuple bundle and answer it. Lane `k` is replicate
+/// `att.boundary + k` on its attempt-0 streams; lanes are added until the
+/// bundle holds [`BUNDLE_ROWS`] rows (or the spill threshold's worth, one
+/// row a VG call) or `stop` says the next boundary is not to run. A bundle
+/// of one lane would only cost more than the one-replicate path, so none is
+/// built. Returns each lane's answer ([`lane_answers`]); `reached` counts
+/// the lanes whose draws began.
+fn realize_bundle(
+    plan: &BundlePlan,
+    specs: &[PreparedRandomTable],
+    scratch: &mut Catalog,
+    att: &Attempt<'_>,
+    stop: &dyn Fn(u64) -> bool,
+    reached: &mut u64,
+) -> crate::Result<Vec<Option<f64>>> {
+    let inputs = specs
+        .iter()
+        .map(|spec| {
+            spec.kept_inputs(scratch)
+                .expect("an eligible spec keeps its inputs")
+        })
+        .collect::<crate::Result<Vec<_>>>()?;
+    // A lane's rows where every VG call emits one.
+    let per_lane: usize = inputs.iter().map(|i| i.rows()).sum();
+    let cap = BUNDLE_ROWS.min(scratch.spill_config().threshold_rows);
+    let first = att.boundary;
+    if per_lane == 0 || 2 * per_lane > cap || stop(first + 1) {
+        return Ok(Vec::new());
+    }
+    let mut draws: Vec<Draws> = specs
+        .iter()
+        .zip(inputs)
+        .map(|(spec, inputs)| Draws::new(spec, inputs))
+        .collect();
+    let mut rows = 0;
+    for r in first.. {
+        if r > first && (rows + per_lane > cap || stop(r)) {
+            break;
+        }
+        *reached += 1;
+        let streams = att.streams(r);
+        for (k, spec) in draws.iter_mut().enumerate() {
+            rows += spec.draw(&mut streams.stream(k as u64))?;
+        }
+    }
+    for (spec, schema) in draws.into_iter().zip(&plan.schemas) {
+        scratch.insert(spec.assemble(Some(schema))?);
+    }
+    let out = plan.query.execute(scratch)?;
+    Ok(lane_answers(&out, plan, *reached as usize))
+}
+
+/// Each lane's answer in the lane-aware query's output: the value of its
+/// one row as a sample, or `None` — no row, several, or a value that is no
+/// sample — for the one-replicate path to answer (or refuse, in its own
+/// words).
+fn lane_answers(out: &Table, plan: &BundlePlan, lanes: usize) -> Vec<Option<f64>> {
+    let batch = out.batch();
+    let (tags, values) = (batch.column(plan.lane), batch.column(plan.value));
+    let mut answers = vec![None; lanes];
+    let mut rows = vec![0u32; lanes];
+    for i in 0..batch.len() {
+        let lane = tags.value(i).as_i64().expect("a lane number") as usize;
+        rows[lane] += 1;
+        answers[lane] = match values.value(i) {
+            Value::Null => None,
+            v => v.as_f64().ok(),
+        };
+    }
+    for (answer, rows) in answers.iter_mut().zip(rows) {
+        if rows != 1 {
+            *answer = None;
+        }
+    }
+    answers
 }
 
 /// One replicate, or one retry attempt of one — the body every Monte Carlo
@@ -690,6 +979,7 @@ mod tests {
     use crate::value::Value;
     use crate::vg::NormalVg;
     use mde_numeric::resilience::{FaultKind, RunPolicy};
+    use mde_numeric::rng::StreamFactory;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -1146,6 +1436,378 @@ mod tests {
         // third; the one that succeeded read everything once.
         assert_eq!(starved.reads() - before, 3 + starved.pages_of_one_scan());
         assert_eq!(gate.calls.load(Ordering::SeqCst), OLAP_N as u64 + 1);
+    }
+
+    // ---- tuple bundles -----------------------------------------------------
+
+    /// `Wobbly(mode)` → one row `(X: Float, J: Int)` on one uniform draw `u`:
+    /// `X = u`, `J` near `i64::MAX` when `u < 0.2` (else 1). Where
+    /// `u < 0.05` mode 1 fails with a retryable error and mode 2 panics.
+    /// Counts its calls.
+    #[derive(Debug, Default)]
+    struct Wobbly {
+        calls: AtomicU64,
+    }
+
+    impl crate::vg::VgFunction for Wobbly {
+        fn name(&self) -> &str {
+            "Wobbly"
+        }
+        fn output_schema(&self) -> crate::schema::Schema {
+            crate::schema::Schema::from_pairs(&[("X", DataType::Float), ("J", DataType::Int)])
+                .unwrap()
+        }
+        fn arity(&self) -> Option<usize> {
+            Some(1)
+        }
+        fn generate(
+            &self,
+            params: &[Value],
+            rng: &mut mde_numeric::rng::Rng,
+        ) -> crate::Result<Vec<crate::table::Row>> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let u: f64 = rng.gen();
+            match (params[0].as_i64()?, u < 0.05) {
+                (1, true) => Err(mde_numeric::NumericError::SingularMatrix {
+                    context: "a wobbly draw",
+                }
+                .into()),
+                (2, true) => panic!("a wobbly draw panicked"),
+                _ => {
+                    let j = if u < 0.2 { i64::MAX - 10 } else { 1 };
+                    Ok(vec![vec![Value::from(u), Value::from(j)]])
+                }
+            }
+        }
+    }
+
+    /// `ITEMS(IID, KIND, MU, SD, RATE)` of `n` rows.
+    fn items_catalog(n: usize) -> Catalog {
+        let mut db = Catalog::new();
+        db.insert(
+            Table::build(
+                "ITEMS",
+                &[
+                    ("IID", DataType::Int),
+                    ("KIND", DataType::Str),
+                    ("MU", DataType::Float),
+                    ("SD", DataType::Float),
+                    ("RATE", DataType::Float),
+                ],
+            )
+            .rows((0..n).map(|i| {
+                vec![
+                    Value::from(i as i64),
+                    Value::from(["a", "b", "c"][i % 3]),
+                    Value::from(10.0 + 1.5 * i as f64),
+                    Value::from(0.5 + 0.75 * (i % 4) as f64),
+                    Value::from(0.5 + i as f64),
+                ]
+            }))
+            .finish()
+            .unwrap(),
+        );
+        db
+    }
+
+    /// `SALES` (`Normal(MU, SD)` per item), `DEMAND` (`Poisson(RATE)`) and
+    /// `WOBBLE` (`Wobbly(mode)`), each driven by `ITEMS` alone.
+    fn item_specs(mode: i64, wobbly: &Arc<Wobbly>) -> Vec<RandomTableSpec> {
+        let spec = |name: &str, vg: Arc<dyn crate::vg::VgFunction>, params: &[Expr]| {
+            RandomTableSpec::builder(name)
+                .for_each(Plan::scan("ITEMS"))
+                .with_vg(vg)
+                .vg_params_exprs(params)
+        };
+        vec![
+            spec(
+                "SALES",
+                Arc::new(NormalVg),
+                &[Expr::col("MU"), Expr::col("SD")],
+            )
+            .select(&[
+                ("IID", Expr::col("IID")),
+                ("KIND", Expr::col("KIND")),
+                ("AMT", Expr::col("VALUE")),
+            ])
+            .build()
+            .unwrap(),
+            spec(
+                "DEMAND",
+                Arc::new(crate::vg::PoissonVg),
+                &[Expr::col("RATE")],
+            )
+            .select(&[("IID", Expr::col("IID")), ("D", Expr::col("VALUE"))])
+            .build()
+            .unwrap(),
+            spec("WOBBLE", wobbly.clone(), &[Expr::lit(mode)])
+                .select(&[("X", Expr::col("X")), ("J", Expr::col("J"))])
+                .build()
+                .unwrap(),
+        ]
+    }
+
+    fn sql(text: &str) -> Plan {
+        crate::sql::plan_from_sql(text).unwrap()
+    }
+
+    /// Queries a bundle answers: every aggregate, filters that leave some
+    /// replicates without a row, nested aggregates, projections over and
+    /// under aggregates, an `Int` sum that overflows in some replicates.
+    fn bundled_plans() -> Vec<Plan> {
+        let sum = |name: &str, col: &str| {
+            vec![AggSpec::new(
+                name,
+                crate::query::AggFunc::Sum,
+                Expr::col(col),
+            )]
+        };
+        vec![
+            sql("SELECT SUM(AMT) AS S FROM SALES"),
+            sql("SELECT COUNT(*) AS N FROM SALES WHERE AMT > 16"),
+            sql("SELECT AVG(AMT) AS A FROM SALES WHERE AMT > 16"),
+            sql("SELECT MIN(D) AS M FROM DEMAND WHERE D > 2"),
+            sql("SELECT MAX(AMT) AS M FROM SALES WHERE KIND <> 'b'"),
+            Plan::scan("SALES")
+                .aggregate(&["KIND"], sum("T", "AMT"))
+                .aggregate(
+                    &[],
+                    vec![AggSpec::new(
+                        "M",
+                        crate::query::AggFunc::Max,
+                        Expr::col("T"),
+                    )],
+                ),
+            Plan::scan("DEMAND")
+                .aggregate(&[], sum("S", "D"))
+                .project(&[("X", Expr::col("S").mul(Expr::lit(2)).add(Expr::lit(1)))]),
+            Plan::scan("SALES")
+                .project(&[("T", Expr::col("AMT").mul(Expr::lit(1.2)))])
+                .filter(Expr::col("T").lt(Expr::lit(20.0)))
+                .aggregate(&[], sum("S", "T")),
+            sql("SELECT SUM(X) AS S FROM WOBBLE"),
+            sql("SELECT SUM(J) AS S FROM WOBBLE"),
+        ]
+    }
+
+    /// Queries a bundle leaves to the one-replicate path: a join, a top-k,
+    /// a query that reads no stochastic table.
+    fn unbundled_plans() -> Vec<Plan> {
+        let sum = vec![AggSpec::new(
+            "S",
+            crate::query::AggFunc::Sum,
+            Expr::col("AMT"),
+        )];
+        vec![
+            Plan::scan("SALES")
+                .join(Plan::scan("DEMAND"), &[("IID", "IID")])
+                .aggregate(&[], sum.clone()),
+            Plan::scan("SALES")
+                .sort(vec![crate::query::SortKey::desc(Expr::col("AMT"))])
+                .limit(3)
+                .aggregate(&[], sum),
+            sql("SELECT COUNT(*) AS N FROM ITEMS"),
+        ]
+    }
+
+    /// Replicate `i` by hand over the public API: realize spec `k` on
+    /// `StreamFactory::new(seed).child(i).stream(k)`, run the query — its
+    /// sample's bits, or what refused it.
+    fn hand_loop(
+        task: &MonteCarloQuery,
+        db: &Catalog,
+        n: u64,
+        seed: u64,
+    ) -> Vec<Result<u64, String>> {
+        (0..n)
+            .map(|i| {
+                let streams = StreamFactory::new(seed).child(i);
+                let answer = catch_panic(|| {
+                    let mut scratch = db.clone();
+                    for (k, spec) in task.specs.iter().enumerate() {
+                        scratch.insert(spec.realize(&scratch, &mut streams.stream(k as u64))?);
+                    }
+                    scratch.query(&task.query)?.scalar()
+                });
+                match answer {
+                    Err(panic) => Err(panic),
+                    Ok(Err(e)) => Err(e.to_string()),
+                    Ok(Ok(Value::Null)) => Err("produced NULL".into()),
+                    Ok(Ok(v)) => Ok(v.as_f64().unwrap().to_bits()),
+                }
+            })
+            .collect()
+    }
+
+    /// Run `task` under fail-fast and best-effort and hold both to the hand
+    /// loop; returns the lanes the best-effort run's bundles answered.
+    fn check_against_hand_loop(task: &MonteCarloQuery, db: &Catalog, n: u64, seed: u64) -> u64 {
+        let by_hand = hand_loop(task, db, n, seed);
+        let what = format!("{:?}", task.query);
+        // Fail-fast: every sample, or the first replicate's refusal.
+        let run = task.run_with_options(db, n as usize, seed, &RunOptions::default());
+        match (by_hand.iter().find_map(|r| r.as_ref().err()), run) {
+            (None, Ok(run)) => {
+                let want: Vec<u64> = by_hand.iter().map(|r| *r.as_ref().unwrap()).collect();
+                assert_eq!(bits(&run), want, "{what}");
+            }
+            (Some(refusal), Err(e)) => assert!(e.to_string().contains(refusal), "{what}: {e}"),
+            (want, got) => panic!("{what}: by hand {want:?}, run {:?}", got.map(|r| bits(&r))),
+        }
+        // Best effort: the same samples, and each retryable failure on its
+        // own boundary with its own text.
+        let opts = RunOptions::policy(RunPolicy::BestEffort { min_fraction: 0.0 });
+        match task.run_with_options(db, n as usize, seed, &opts) {
+            Ok(run) => {
+                let kept: Vec<u64> = by_hand.iter().filter_map(|r| r.clone().ok()).collect();
+                assert_eq!(bits(&run), kept, "{what}");
+                let failed: Vec<(u64, &String)> = by_hand
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, r)| r.as_ref().err().map(|e| (i as u64, e)))
+                    .collect();
+                assert_eq!(run.report.failures.len(), failed.len(), "{what}");
+                for (f, (i, e)) in run.report.failures.iter().zip(failed) {
+                    assert_eq!((f.replicate, f.attempt), (i, 0), "{what}");
+                    assert!(f.message.contains(e.as_str()), "{what}: {}", f.message);
+                }
+                let metrics = &run.report.metrics;
+                let lanes = metrics.io_counter("mc.bundled");
+                assert_eq!(lanes + metrics.io_counter("mc.unbundled"), n, "{what}");
+                lanes
+            }
+            // A fatal refusal aborts best effort too.
+            Err(e) => {
+                let e = e.to_string();
+                let mut refusals = by_hand.iter().filter_map(|r| r.as_ref().err());
+                assert!(refusals.any(|r| e.contains(r.as_str())), "{what}: {e}");
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn bundled_run_equals_the_plan_per_replicate_loop() {
+        let mut bundled = [0u64; 10];
+        mde_numeric::rng::for_cases(12, |rng| {
+            let items = rng.gen_range(1usize..9);
+            let n = rng.gen_range(1u64..40);
+            let seed = rng.gen_range(0u64..1000);
+            let mode = rng.gen_range(0i64..3);
+            let db = items_catalog(items);
+            let wobbly = Arc::new(Wobbly::default());
+            for (plan, lanes) in bundled_plans().into_iter().zip(&mut bundled) {
+                let task = MonteCarloQuery::new(item_specs(mode, &wobbly), plan);
+                *lanes += check_against_hand_loop(&task, &db, n, seed);
+            }
+            for plan in unbundled_plans() {
+                let task = MonteCarloQuery::new(item_specs(mode, &wobbly), plan);
+                assert_eq!(check_against_hand_loop(&task, &db, n, seed), 0);
+            }
+        });
+        // Every eligible query had lanes answered by bundles.
+        assert!(bundled.iter().all(|&lanes| lanes > 0), "{bundled:?}");
+    }
+
+    #[test]
+    fn a_stochastic_driver_or_a_shadowed_table_takes_the_one_replicate_path() {
+        let db = items_catalog(5);
+        let wobbly = Arc::new(Wobbly::default());
+        let mut specs = item_specs(0, &wobbly);
+        // `WALK` is driven by `SALES`.
+        specs.push(
+            crate::sql::parse_create_random_table(
+                "CREATE TABLE WALK(IID, P) AS FOR EACH SALES \
+                 WITH BackwardWalk(AMT, 2.0, 2) SELECT IID, PRICE AS P",
+                &crate::sql::VgRegistry::standard(),
+            )
+            .unwrap(),
+        );
+        let walk = MonteCarloQuery::new(specs, sql("SELECT SUM(AMT) AS S FROM SALES"));
+        assert_eq!(check_against_hand_loop(&walk, &db, 12, 3), 0);
+        // `ITEMS` is shadowed by a perturbed copy of itself.
+        let mut specs = item_specs(0, &wobbly);
+        specs.insert(
+            0,
+            crate::sql::parse_create_random_table(
+                "CREATE TABLE ITEMS(IID, KIND, MU, SD, RATE) AS FOR EACH ITEMS \
+                 WITH Normal(MU, 1.0) SELECT IID, KIND, VALUE AS MU, SD, RATE",
+                &crate::sql::VgRegistry::standard(),
+            )
+            .unwrap(),
+        );
+        let shadowed = MonteCarloQuery::new(specs, sql("SELECT SUM(AMT) AS S FROM SALES"));
+        assert_eq!(check_against_hand_loop(&shadowed, &db, 12, 3), 0);
+    }
+
+    #[test]
+    fn a_bundle_splits_at_its_row_cap_and_stays_under_the_spill_threshold() {
+        let wobbly = Arc::new(Wobbly::default());
+        let task = || MonteCarloQuery::new(item_specs(0, &wobbly), bundled_plans().remove(0));
+        let bundles = |run: &McRun| run.report.metrics.duration("mc.bundle").unwrap().count();
+        // Three specs of 500 rows: two lanes a bundle, and the last
+        // replicate alone on the one-replicate path.
+        let db = items_catalog(500);
+        assert_eq!(check_against_hand_loop(&task(), &db, 7, 11), 6);
+        // A spill threshold of 40 rows holds three lanes of 4 items by 3
+        // specs. A spill would fail on the missing directory and leave the
+        // lanes to the one-replicate path.
+        let mut db = items_catalog(4);
+        let dir = std::env::temp_dir().join(format!("mde_mc_nowhere_{}", std::process::id()));
+        db.set_spill_config(crate::storage::SpillConfig {
+            threshold_rows: 40,
+            dir: Some(dir.join("missing")),
+            ..crate::storage::SpillConfig::default()
+        });
+        assert_eq!(check_against_hand_loop(&task(), &db, 10, 11), 9);
+        let run = task().run_with_options(&db, 10, 11, &RunOptions::default());
+        assert_eq!(bundles(&run.unwrap()), 3);
+        // Below two lanes' rows there is no bundle at all.
+        db.set_spill_config(crate::storage::SpillConfig {
+            threshold_rows: 23,
+            ..crate::storage::SpillConfig::default()
+        });
+        assert_eq!(check_against_hand_loop(&task(), &db, 10, 11), 0);
+    }
+
+    #[test]
+    fn a_bundle_stops_before_a_preempted_boundary() {
+        use mde_numeric::resilience::FaultPlan;
+        let db = items_catalog(3);
+        let wobbly = Arc::new(Wobbly::default());
+        let task = MonteCarloQuery::new(item_specs(0, &wobbly), bundled_plans().remove(8));
+        let opts = RunOptions::default().with_faults(FaultPlan::new().preempt_at(5));
+        let partial = task.run_with_options(&db, 20, 5, &opts).unwrap();
+        assert_eq!(partial.stopped, Some(StopCause::Preempted));
+        assert_eq!(partial.report.metrics.io_counter("mc.bundled"), 5);
+        // Five replicates of three items: no draw for a replicate that
+        // never ran.
+        assert_eq!(wobbly.calls.load(Ordering::SeqCst), 15);
+        let resumed = task
+            .run_with_options(
+                &db,
+                20,
+                5,
+                &RunOptions::default().resuming(partial.checkpoint),
+            )
+            .unwrap();
+        let clean = task.run(&db, 20, 5).unwrap();
+        assert_eq!(resumed.result.samples(), clean.samples());
+    }
+
+    #[test]
+    fn a_bundled_run_never_builds_a_row_view() {
+        let db = items_catalog(6);
+        let wobbly = Arc::new(Wobbly::default());
+        let views = Table::row_views_built();
+        for plan in bundled_plans() {
+            let task = MonteCarloQuery::new(item_specs(0, &wobbly), plan);
+            let run = task.run_with_options(&db, 16, 9, &RunOptions::default());
+            if let Ok(run) = run {
+                assert!(run.report.metrics.io_counter("mc.bundled") > 0);
+            }
+        }
+        assert_eq!(Table::row_views_built(), views);
     }
 
     #[test]

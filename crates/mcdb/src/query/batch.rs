@@ -88,6 +88,11 @@ impl Batch {
         })
     }
 
+    /// The columns, by value.
+    pub(crate) fn into_columns(self) -> Vec<ColumnVec> {
+        self.columns
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len

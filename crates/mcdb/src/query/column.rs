@@ -79,6 +79,14 @@ impl NullMask {
         }
     }
 
+    /// Append `n` valid lanes.
+    pub(crate) fn extend_valid(&mut self, n: usize) {
+        self.len += n;
+        if let Some(bits) = &mut self.bits {
+            bits.resize(self.len.div_ceil(64), 0);
+        }
+    }
+
     /// Whether any lane is null.
     pub fn any_null(&self) -> bool {
         match &self.bits {

@@ -21,7 +21,7 @@
 
 use crate::expr::BoundExpr;
 use crate::query::batch::Batch;
-use crate::query::column::ColumnVec;
+use crate::query::column::{ColumnVec, NullMask};
 use crate::query::physical::{project_batch, PinCell};
 use crate::query::{Catalog, Plan, PreparedQuery};
 use crate::schema::{DataType, Schema};
@@ -201,6 +201,102 @@ pub(crate) struct RealizeInputs {
     params: Vec<ColumnVec>,
 }
 
+impl RealizeInputs {
+    /// Driver rows: the rows a realization has when every VG call emits one.
+    pub(crate) fn rows(&self) -> usize {
+        self.driver.len()
+    }
+}
+
+/// The VG calls of one or more realizations of a stochastic table, drawn
+/// one after another into the same columns, before the driver columns and
+/// the select list meet them: one realization, or the lanes of a tuple
+/// bundle.
+pub(crate) struct Draws<'a> {
+    spec: &'a PreparedRandomTable,
+    inputs: &'a RealizeInputs,
+    out: VgColumns<'a>,
+    /// Output rows per realization.
+    lanes: Vec<usize>,
+}
+
+impl<'a> Draws<'a> {
+    pub(crate) fn new(spec: &'a PreparedRandomTable, inputs: &'a RealizeInputs) -> Draws<'a> {
+        let driver = &inputs.driver;
+        let vg_schema = &spec.combined.columns()[driver.schema().len()..];
+        let mistyped = move |r: usize, vrow: &[Value], j: usize| {
+            spec.mistyped_cell_error(&driver.row(r), vrow, j)
+        };
+        Draws {
+            spec,
+            inputs,
+            out: VgColumns::new(spec.vg.name(), vg_schema, mistyped),
+            lanes: Vec::new(),
+        }
+    }
+
+    /// One more realization's VG calls — one per driver row, in driver
+    /// order, all on `rng`. Returns the rows they emitted.
+    pub(crate) fn draw(&mut self, rng: &mut Rng) -> crate::Result<usize> {
+        let inputs = self.inputs;
+        let params = VgParams::new(&inputs.base, &inputs.params, inputs.driver.len());
+        let before = self.out.rows();
+        self.spec.vg.generate_batch(&params, rng, &mut self.out)?;
+        let rows = self.out.rows() - before;
+        self.lanes.push(rows);
+        Ok(rows)
+    }
+
+    /// The table the realizations make, one after the other: each output
+    /// row joins its VG row to the driver row behind it, and the select list
+    /// runs once over all of them. With `lane_schema` — the output schema
+    /// plus one `Int` column — that column holds each row's realization: a
+    /// tuple bundle.
+    pub(crate) fn assemble(self, lane_schema: Option<&Schema>) -> crate::Result<Table> {
+        let spec = self.spec;
+        let driver = &self.inputs.driver;
+        let (vg_cols, calls) = self.out.finish();
+        let len = self.lanes.iter().sum();
+        // The driver row behind each output row, where they are not the
+        // driver's rows verbatim.
+        let behind = match (calls, self.lanes.len()) {
+            (Some(calls), _) => Some(calls),
+            (None, 1) => None,
+            (None, lanes) => {
+                let mut rows = Vec::with_capacity(len);
+                for _ in 0..lanes {
+                    rows.extend(0..driver.len() as u32);
+                }
+                Some(rows)
+            }
+        };
+        let mut columns: Vec<ColumnVec> = Vec::with_capacity(spec.combined.len());
+        for (col, &carried) in driver.columns().iter().zip(&spec.carried) {
+            columns.push(match (carried, &behind) {
+                (false, _) => ColumnVec::AllNull { len },
+                (true, None) => col.clone(),
+                (true, Some(rows)) => col.gather(rows),
+            });
+        }
+        columns.extend(vg_cols);
+        let combined = Batch::from_columns(spec.combined.clone(), columns, len)?;
+        let mut out = project_batch(combined, &spec.bound_select, &spec.out_schema)?;
+        if let Some(schema) = lane_schema {
+            let mut columns = out.into_columns();
+            let mut lanes = Vec::with_capacity(len);
+            for (lane, &rows) in self.lanes.iter().enumerate() {
+                lanes.resize(lanes.len() + rows, lane as i64);
+            }
+            columns.push(ColumnVec::Int {
+                data: lanes,
+                nulls: NullMask::all_valid(len),
+            });
+            out = Batch::from_columns(schema.clone(), columns, len)?;
+        }
+        Ok(Table::from_batch(spec.name.clone(), Arc::new(out)))
+    }
+}
+
 impl std::fmt::Debug for PreparedRandomTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedRandomTable")
@@ -263,37 +359,31 @@ impl PreparedRandomTable {
     /// invalid lane.
     pub fn realize(&self, catalog: &Catalog, rng: &mut Rng) -> crate::Result<Table> {
         let computed;
-        let inputs = match &self.pinned_inputs {
-            Some(cell) => cell.get_or_try_fill(|| self.inputs(catalog))?,
+        let inputs = match self.kept_inputs(catalog) {
+            Some(kept) => kept?,
             None => {
                 computed = self.inputs(catalog)?;
                 &computed
             }
         };
-        let driver = &inputs.driver;
-        let vg_schema = &self.combined.columns()[driver.schema().len()..];
-        let mistyped =
-            |r: usize, vrow: &[Value], j: usize| self.mistyped_cell_error(&driver.row(r), vrow, j);
-        let mut out = VgColumns::new(self.vg.name(), vg_schema, &mistyped);
-        let params = VgParams::new(&inputs.base, &inputs.params, driver.len());
-        self.vg.generate_batch(&params, rng, &mut out)?;
-        // `repeat`: the driver row behind each output row, where some call
-        // emitted other than one row.
-        let (vg_cols, repeat) = out.finish();
+        let mut draws = Draws::new(self, inputs);
+        draws.draw(rng)?;
+        draws.assemble(None)
+    }
 
-        let len = repeat.as_ref().map_or(driver.len(), Vec::len);
-        let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.combined.len());
-        for (col, &carried) in driver.columns().iter().zip(&self.carried) {
-            columns.push(match (carried, &repeat) {
-                (false, _) => ColumnVec::AllNull { len },
-                (true, None) => col.clone(),
-                (true, Some(repeat)) => col.gather(repeat),
-            });
-        }
-        columns.extend(vg_cols);
-        let combined = Batch::from_columns(self.combined.clone(), columns, len)?;
-        let out = project_batch(combined, &self.bound_select, &self.out_schema)?;
-        Ok(Table::from_batch(self.name.clone(), Arc::new(out)))
+    /// Whether [`PreparedRandomTable::pin_invariant`] found the driver and
+    /// parameter queries wholly invariant, so a run keeps their results.
+    pub(crate) fn keeps_inputs(&self) -> bool {
+        self.pinned_inputs.is_some()
+    }
+
+    /// The realization inputs a Monte Carlo run keeps, computed by the first
+    /// realization that gets through them; `None` unless
+    /// [`PreparedRandomTable::pin_invariant`] found both queries wholly
+    /// invariant.
+    pub(crate) fn kept_inputs(&self, catalog: &Catalog) -> Option<crate::Result<&RealizeInputs>> {
+        let cell = self.pinned_inputs.as_ref()?;
+        Some(cell.get_or_try_fill(|| self.inputs(catalog)))
     }
 
     /// The driver batch, the parameter query's row and the parameter

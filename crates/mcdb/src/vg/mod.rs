@@ -30,7 +30,7 @@ pub use library::{
     NormalVg, PoissonVg, StockOptionVg, UniformVg,
 };
 
-use crate::query::column::{ColumnVec, NullMask};
+use crate::query::column::ColumnVec;
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -160,9 +160,14 @@ impl<'a> VgParams<'a> {
     }
 }
 
+/// The error for call `r`'s row `vrow` whose cell `j` does not fit its
+/// column, as a stochastic table's select list would meet it.
+type Mistyped<'a> = Box<dyn Fn(usize, &[Value], usize) -> McdbError + 'a>;
+
 /// Where a batch of VG calls writes its rows: one column per output column
 /// the VG declares (`NULL` is admitted anywhere, an `Int` cell widens into
-/// a `Float` column), and the call behind each output row.
+/// a `Float` column), and the call behind each output row. Batches written
+/// one after another — the replicates of a tuple bundle — append.
 pub struct VgColumns<'a> {
     vg: &'a str,
     declared: &'a [Column],
@@ -171,9 +176,7 @@ pub struct VgColumns<'a> {
     calls: Vec<u32>,
     /// Whether every call so far emitted exactly one row.
     one_each: bool,
-    /// The error for call `r`'s row `vrow` whose cell `j` does not fit its
-    /// column.
-    mistyped: &'a dyn Fn(usize, &[Value], usize) -> McdbError,
+    mistyped: Mistyped<'a>,
 }
 
 impl<'a> VgColumns<'a> {
@@ -181,7 +184,7 @@ impl<'a> VgColumns<'a> {
     pub(crate) fn new(
         vg: &'a str,
         declared: &'a [Column],
-        mistyped: &'a dyn Fn(usize, &[Value], usize) -> McdbError,
+        mistyped: impl Fn(usize, &[Value], usize) -> McdbError + 'a,
     ) -> Self {
         VgColumns {
             vg,
@@ -192,8 +195,13 @@ impl<'a> VgColumns<'a> {
                 .collect(),
             calls: Vec::new(),
             one_each: true,
-            mistyped,
+            mistyped: Box::new(mistyped),
         }
+    }
+
+    /// Rows written so far.
+    pub(crate) fn rows(&self) -> usize {
+        self.calls.len()
     }
 
     /// Append the rows call `r` returned. A row of another width than the
@@ -228,17 +236,13 @@ impl<'a> VgColumns<'a> {
     /// `Float` column hands its draws over as they are; any other schema
     /// gets them as one row per call.
     pub fn push_floats(&mut self, values: Vec<f64>) -> crate::Result<()> {
-        debug_assert!(self.calls.is_empty(), "push_floats takes the whole batch");
-        if let [Column {
-            dtype: DataType::Float,
-            ..
-        }] = self.declared
-        {
-            let nulls = NullMask::all_valid(values.len());
-            self.columns = vec![ColumnVec::Float {
-                data: values,
-                nulls,
-            }];
+        if let [ColumnVec::Float { data, nulls }] = &mut self.columns[..] {
+            self.calls.extend(0..values.len() as u32);
+            nulls.extend_valid(values.len());
+            match data.is_empty() {
+                true => *data = values,
+                false => data.extend_from_slice(&values),
+            }
             return Ok(());
         }
         for (r, x) in values.into_iter().enumerate() {
@@ -438,7 +442,7 @@ mod tests {
                 let mistyped = |r: usize, _: &[Value], j: usize| {
                     McdbError::invalid_plan(format!("cell {j} of call {r} mistyped"))
                 };
-                let mut out = VgColumns::new(vg.name(), schema.columns(), &mistyped);
+                let mut out = VgColumns::new(vg.name(), schema.columns(), mistyped);
                 let mut batch_rng = rng_from_seed(seed);
                 let batch = vg.generate_batch(&params, &mut batch_rng, &mut out);
                 let name = vg.name();

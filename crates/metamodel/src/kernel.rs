@@ -96,15 +96,20 @@ impl KernelWorkspace {
         }
         let n = xs.len();
         let npairs = n * (n - 1) / 2;
-        let mut sqd = vec![Vec::with_capacity(npairs.max(n)); d];
-        for i in 1..n {
-            for j in 0..i {
-                for (k, col) in sqd.iter_mut().enumerate() {
-                    let diff = xs[i][k] - xs[j][k];
-                    col.push(diff * diff);
+        // One dimension at a time, each into a vector sized for its pairs:
+        // the pair-major loop wrote the `d` vectors in turn.
+        let sqd = (0..d)
+            .map(|k| {
+                let mut col = Vec::with_capacity(npairs);
+                for i in 1..n {
+                    col.extend(xs[..i].iter().map(|xj| {
+                        let diff = xs[i][k] - xj[k];
+                        diff * diff
+                    }));
                 }
-            }
-        }
+                col
+            })
+            .collect();
         Ok(KernelWorkspace {
             xs: xs.to_vec(),
             d,
@@ -176,11 +181,10 @@ impl KernelWorkspace {
         debug_assert_eq!(thetas.len(), self.d);
         debug_assert_eq!(noise_var.len(), n);
         let nugget = jitter * (1.0 + tau2);
-        let cols: Vec<&[f64]> = self.sqd.iter().map(|c| c.as_slice()).collect();
         let mut p = 0;
         for i in 0..n {
             let row = self.sigma.row_mut(i);
-            kernels::exp_neg_weighted(&mut row[..i], tau2, thetas, &cols, p);
+            kernels::exp_neg_weighted(&mut row[..i], tau2, thetas, &self.sqd, p);
             p += i;
             row[i] = tau2 + noise_var[i] + nugget;
         }

@@ -130,19 +130,19 @@ pub fn dot4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 
 /// runs over `k` in order from `0.0`, and the exponential is the platform
 /// libm's `exp`, so `out[j]` is bit for bit `scale * (-s).exp()` of that
 /// sum, a pure function of the inputs.
-pub fn exp_neg_weighted(
+pub fn exp_neg_weighted<C: AsRef<[f64]>>(
     out: &mut [f64],
     scale: f64,
     thetas: &[f64],
-    cols: &[&[f64]],
+    cols: &[C],
     offset: usize,
 ) {
     debug_assert_eq!(thetas.len(), cols.len());
-    debug_assert!(cols.iter().all(|c| c.len() >= offset + out.len()));
+    debug_assert!(cols.iter().all(|c| c.as_ref().len() >= offset + out.len()));
     for (j, v) in out.iter_mut().enumerate() {
         let mut s = 0.0;
         for (&th, col) in thetas.iter().zip(cols) {
-            s += th * col[offset + j];
+            s += th * col.as_ref()[offset + j];
         }
         *v = scale * (-s).exp();
     }

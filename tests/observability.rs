@@ -220,6 +220,77 @@ fn resumed_campaign_metrics_match_uninterrupted() {
     assert!(baseline.report.metrics.io_counter("ckpt.bytes") == 0);
 }
 
+/// What a Monte Carlo run spent where is out of band: `mc.prepare` per run,
+/// `mc.bundle` per tuple bundle, and the replicates answered by a bundle
+/// (`mc.bundled`) or by the one-replicate path (`mc.unbundled`). They differ
+/// between an uninterrupted, a resumed and a cached run of one campaign;
+/// the deterministic ledger does not.
+#[test]
+fn mc_attribution_is_out_of_band() {
+    use model_data_ecosystems::numeric::cache::{CacheHandle, DEFAULT_MAX_BYTES};
+    let seed = chaos_seed();
+    let n = 16;
+    let (db, q) = normal_setup();
+    let policy = RunOptions::policy(RunPolicy::Retry {
+        max_attempts: 3,
+        reseed: true,
+    })
+    .with_faults(FaultPlan::new().fail_on(3, 0, FaultKind::Panic));
+    let full = q.run_with_options(&db, n, seed, &policy).unwrap();
+    let fm = &full.report.metrics;
+    // One bundle answers every replicate but the retried one: its retry
+    // draws from streams of its own.
+    assert_eq!(fm.duration("mc.prepare").unwrap().count(), 1);
+    assert_eq!(fm.duration("mc.bundle").unwrap().count(), 1);
+    assert_eq!(
+        (fm.io_counter("mc.bundled"), fm.io_counter("mc.unbundled")),
+        (n as u64 - 1, 1)
+    );
+
+    // Resumed from disk, where out-of-band entries are not kept: the
+    // second run books only its own replicates, 9 to 15.
+    let scratch = ScratchFile::new("attribution");
+    let spec = model_data_ecosystems::numeric::resilience::CheckpointSpec::new(scratch.path());
+    let mut preempted = policy.clone().with_checkpoint(spec);
+    preempted.faults = preempted.faults.map(|plan| plan.preempt_at(9));
+    let partial = q.run_with_options(&db, n, seed, &preempted).unwrap();
+    assert_eq!(partial.stopped, Some(StopCause::Preempted));
+    assert_eq!(partial.report.metrics.io_counter("mc.bundled"), 8);
+    let state = CampaignState::load(scratch.path()).unwrap();
+    let resumed = q
+        .run_with_options(&db, n, seed, &policy.clone().resuming(state))
+        .unwrap();
+    let rm = &resumed.report.metrics;
+    assert_eq!(rm.duration("mc.prepare").unwrap().count(), 1);
+    assert_eq!(rm.io_counter("mc.bundled"), n as u64 - 9);
+
+    // A hit replayed from a reopened cache file prepares nothing and
+    // answers no replicate.
+    let file = ScratchFile::new("attribution-cache");
+    let reopen = || {
+        CacheHandle::open_or_recover(file.path(), DEFAULT_MAX_BYTES)
+            .unwrap()
+            .0
+    };
+    let cached = policy.clone().with_cache(reopen());
+    q.run_with_options(&db, n, seed, &cached).unwrap();
+    let hit = q
+        .run_with_options(&db, n, seed, &policy.clone().with_cache(reopen()))
+        .unwrap();
+    let hm = &hit.report.metrics;
+    assert!(hm.duration("mc.prepare").is_none());
+    assert_eq!(
+        hm.io_counter("mc.bundled") + hm.io_counter("mc.unbundled"),
+        0
+    );
+
+    for run in [&resumed, &hit] {
+        assert_eq!(run.result.samples(), full.result.samples());
+        assert_eq!(run.report, full.report);
+        assert_eq!(run.checkpoint.encode(), full.checkpoint.encode());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Golden span tree
 // ---------------------------------------------------------------------------
