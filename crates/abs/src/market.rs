@@ -204,11 +204,6 @@ impl MarketModel {
         })
     }
 
-    /// The personas.
-    pub fn personas(&self) -> &[Persona] {
-        &self.personas
-    }
-
     /// Run to the configured horizon, returning the per-tick observations.
     pub fn run(&mut self, seed: u64) -> Vec<MarketObs> {
         crate::engine::run_model(self, self.cfg.ticks, seed)

@@ -55,6 +55,7 @@ impl FireState {
     }
 
     /// Number of burned-out cells.
+    #[cfg(test)]
     fn burned_count(&self) -> usize {
         self.cells
             .iter()
@@ -63,7 +64,8 @@ impl FireState {
     }
 
     /// Cells ever touched by fire.
-    pub fn footprint(&self) -> usize {
+    #[cfg(test)]
+    fn footprint(&self) -> usize {
         self.burning_count() + self.burned_count()
     }
 }

@@ -32,7 +32,7 @@ pub enum WeightMatrix {
 
 impl WeightMatrix {
     /// The quadratic form `gᵀWg`.
-    pub fn quadratic(&self, g: &[f64]) -> f64 {
+    fn quadratic(&self, g: &[f64]) -> f64 {
         match self {
             WeightMatrix::Identity => g.iter().map(|v| v * v).sum(),
             WeightMatrix::Diagonal(d) => {
@@ -255,7 +255,7 @@ mod tests {
         let g = [1.0, 2.0];
         assert_eq!(WeightMatrix::Identity.quadratic(&g), 5.0);
         assert_eq!(WeightMatrix::Diagonal(vec![2.0, 0.5]).quadratic(&g), 4.0);
-        let w = Matrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 1.0]).unwrap();
+        let w = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 1.0]]).unwrap();
         assert_eq!(WeightMatrix::Full(w).quadratic(&g), 6.0);
     }
 

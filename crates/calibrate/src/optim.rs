@@ -222,7 +222,7 @@ pub struct OptimRun {
     /// Why the campaign stopped early, or `None` if it ran to completion.
     pub stopped: Option<StopCause>,
     /// Final campaign state — hand it back through
-    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
+    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save_ledgered`])
     /// to continue the run.
     pub checkpoint: CampaignState,
 }

@@ -275,7 +275,7 @@ impl ExecutablePlan<'_> {
     /// order, harmonizing data along every edge (schema mapping + time
     /// alignment) — "data transformations must be performed at every Monte
     /// Carlo repetition".
-    pub fn run_once(
+    fn run_once(
         &self,
         params: &ParamAssignment,
         rep_streams: &StreamFactory,

@@ -26,7 +26,9 @@
 //! use mde_harmonize::series::TimeSeries;
 //!
 //! // An upstream model emits daily output…
-//! let daily = TimeSeries::from_fn("demand", 0.0, 1.0, 28, |t| 100.0 + t).unwrap();
+//! let days: Vec<f64> = (0..28).map(f64::from).collect();
+//! let demand = days.iter().map(|t| 100.0 + t).collect();
+//! let daily = TimeSeries::univariate("demand", days, demand).unwrap();
 //! // …but the downstream model consumes weekly means.
 //! let weekly = align(&daily, &[6.0, 13.0, 20.0, 27.0],
 //!                    AlignSpec::Aggregate(AggMethod::Mean)).unwrap();

@@ -72,7 +72,8 @@ impl TimeSeries {
     }
 
     /// Sample a function on a regular grid `t0, t0+dt, …` (`n` points).
-    pub fn from_fn(
+    #[cfg(test)]
+    pub(crate) fn from_fn(
         name: impl Into<String>,
         t0: f64,
         dt: f64,

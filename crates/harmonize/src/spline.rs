@@ -108,7 +108,8 @@ impl NaturalCubicSpline {
     }
 
     /// The spline constants `σ_0, …, σ_m`.
-    pub fn sigmas(&self) -> &[f64] {
+    #[cfg(test)]
+    fn sigmas(&self) -> &[f64] {
         &self.sigma
     }
 

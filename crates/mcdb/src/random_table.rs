@@ -618,7 +618,11 @@ mod tests {
                     same_cells(t, want),
                     "{spec:?}:\n{t}\nvs the oracle's\n{want}"
                 );
-                assert_eq!(a.next_u64(), b.next_u64(), "generator state after {spec:?}");
+                assert_eq!(
+                    a.gen::<u64>(),
+                    b.gen::<u64>(),
+                    "generator state after {spec:?}"
+                );
             }
             (Err(e), Err(want)) => assert_eq!(e, want, "{spec:?}"),
             (got, want) => panic!("{spec:?}: columnar {got:?}, oracle {want:?}"),

@@ -419,7 +419,7 @@ mod tests {
                     })
                     .collect();
                 let params = VgParams::new(&base, &columns, rows);
-                let seed = g.next_u64();
+                let seed = g.gen::<u64>();
 
                 // The oracle: one `generate` per row on its own list.
                 let mut oracle_rng = rng_from_seed(seed);
@@ -470,8 +470,8 @@ mod tests {
                     (got, want) => panic!("{name}: batch {got:?}, per-row {want:?}"),
                 }
                 assert_eq!(
-                    batch_rng.next_u64(),
-                    oracle_rng.next_u64(),
+                    batch_rng.gen::<u64>(),
+                    oracle_rng.gen::<u64>(),
                     "{name}: generator state"
                 );
             }

@@ -540,7 +540,7 @@ mod tests {
                 for v in d.matrix.iter().flatten() {
                     designs = fold(designs, v.to_bits());
                 }
-                draws = fold(draws, rng.next_u64());
+                draws = fold(draws, rng.gen::<u64>());
             }
         }
         assert_eq!(

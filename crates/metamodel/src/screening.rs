@@ -75,7 +75,7 @@ pub struct ScreeningRun {
     /// Why the campaign stopped early, or `None` if it ran to completion.
     pub stopped: Option<StopCause>,
     /// Final campaign state — hand it back through
-    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save`])
+    /// [`RunOptions::resuming`] (or persist with [`CampaignState::save_ledgered`])
     /// to continue the run.
     pub checkpoint: CampaignState,
 }

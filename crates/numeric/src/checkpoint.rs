@@ -16,7 +16,7 @@
 //!   header) written and read with [`crate::codec`] — no external
 //!   serialization dependency, and every decode failure is a typed
 //!   [`CheckpointError`], never a panic.
-//! * Crash-consistent [`CampaignState::save`]: write to a temporary
+//! * Crash-consistent [`CampaignState::save_ledgered`]: write to a temporary
 //!   sibling, `fsync` the file, atomically rename over the destination,
 //!   then `fsync` the directory — a reader observes either the old or the
 //!   new checkpoint, never a torn one.
@@ -462,26 +462,15 @@ impl CampaignState {
     /// directory so the rename itself is durable. A crash at any point
     /// leaves either the previous checkpoint or this one — never a torn
     /// file.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        self.save_stats(path).map(|_| ())
-    }
-
-    /// [`CampaignState::save`], additionally reporting how much was
-    /// written and how long the durability syscalls took — the codec's
-    /// observability surface. Callers feed the stats into a
-    /// [`RunMetrics`](crate::obs::RunMetrics) ledger's *out-of-band*
-    /// section: bytes and latencies vary run to run, so they must never
-    /// enter fingerprints, equality, or resumed state.
-    fn save_stats(&self, path: &Path) -> Result<SaveStats> {
-        write_atomic(path, &self.encode())
-    }
-
-    /// [`CampaignState::save`], folding the save's cost into this state's
-    /// own ledger (out-of-band, so the bytes just written — and any later
-    /// resume — are unaffected). What [`CampaignState::commit`]'s cadence
-    /// and [`CampaignState::seal`] call.
+    ///
+    /// How much was written and how long the durability syscalls took go
+    /// into this state's own [`RunMetrics`](crate::obs::RunMetrics)
+    /// ledger, in its *out-of-band* section: bytes and latencies vary run
+    /// to run, so they never enter fingerprints, equality, or resumed
+    /// state. What [`CampaignState::commit`]'s cadence and a run's final
+    /// seal call.
     pub fn save_ledgered(&mut self, path: &Path) -> Result<()> {
-        let stats = self.save_stats(path)?;
+        let stats = write_atomic(path, &self.encode())?;
         stats.record_into(&mut self.report.metrics);
         Ok(())
     }
@@ -700,12 +689,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mde-ckpt-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ckpt");
-        let s = sample_state();
-        s.save(&path).unwrap();
+        let mut s = sample_state();
+        s.save_ledgered(&path).unwrap();
         // Overwrite with a newer cursor — atomic replacement.
         let mut s2 = s.clone();
         s2.cursor = 8;
-        s2.save(&path).unwrap();
+        s2.save_ledgered(&path).unwrap();
         let loaded = CampaignState::load(&path).unwrap();
         assert_eq!(loaded.cursor, 8);
         assert!(

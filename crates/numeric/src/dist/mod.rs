@@ -14,25 +14,19 @@
 
 mod beta;
 mod categorical;
-mod empirical;
 mod exponential;
 mod gamma;
-mod lognormal;
 mod normal;
 mod poisson;
 pub mod special;
-mod triangular;
 mod uniform;
 
 pub use beta::Beta;
 pub use categorical::{Bernoulli, Categorical};
-pub use empirical::Empirical;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use lognormal::LogNormal;
 pub use normal::Normal;
 pub use poisson::Poisson;
-pub use triangular::Triangular;
 pub use uniform::Uniform;
 
 use crate::rng::Rng;

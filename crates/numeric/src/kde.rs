@@ -92,11 +92,6 @@ impl KernelDensity {
         })
     }
 
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.data.len()

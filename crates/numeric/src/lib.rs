@@ -11,12 +11,11 @@
 //!   VG-function library of the Monte Carlo database, the sensor model of
 //!   the wildfire assimilator, and the calibration test beds.
 //! * [`stats`] — streaming summary statistics (Welford), covariance,
-//!   empirical quantiles and CDFs, confidence intervals, histograms, and the
-//!   small time-series toolkit used by the Figure 1 extrapolation
-//!   experiment.
-//! * [`linalg`] — dense matrices with Cholesky and LU factorizations, a
-//!   Thomas tridiagonal solver (the cubic-spline system of §2.2), and
-//!   ordinary least squares (polynomial metamodels of §4.1).
+//!   empirical quantiles, confidence intervals, and the small time-series
+//!   toolkit used by the Figure 1 extrapolation experiment.
+//! * [`linalg`] — dense matrices with the Cholesky factorization, a Thomas
+//!   tridiagonal solver (the cubic-spline system of §2.2), and ordinary
+//!   least squares (polynomial metamodels of §4.1).
 //! * [`kde`] — kernel density estimation with the kernels discussed in
 //!   §3.2 (Gaussian, Laplacian `e^{-|x|}`, Epanechnikov) and standard
 //!   bandwidth rules, used by the sensor-aware particle-filter proposal.
@@ -52,8 +51,8 @@
 //!   per-entry provenance, so revisited parameter points cost a lookup
 //!   instead of a Monte Carlo campaign.
 //!
-//! The crate is deliberately dependency-light (only `rand`): the paper's
-//! systems are reproduced from scratch, so the numeric layer is too.
+//! The crate depends on no other crate: the paper's systems are
+//! reproduced from scratch, so the numeric layer is too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

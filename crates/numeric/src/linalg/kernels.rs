@@ -32,7 +32,7 @@
 //! ≤1e-12 of each other across block-boundary sizes.
 //!
 //! Everything here is sequential, allocation-free plain Rust with one body
-//! per kernel. The contract is bits, not a tolerance: [`dot`], [`dot4`]
+//! per kernel. The contract is bits, not a tolerance: [`dot`], `dot4`
 //! and [`exp_neg_weighted`] document a fixed summation order, and every
 //! step is a separate IEEE multiply or add, so a factorization's bits
 //! depend on its inputs alone — on every host, independent of call site.
@@ -87,7 +87,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// length. Like [`dot`], the bits are a function of the inputs alone, but
 /// not those of a single-accumulator loop.
 #[inline]
-pub fn dot4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
+fn dot4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
     let n = a.len();
     let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
     let mut even = [0.0f64; 4];

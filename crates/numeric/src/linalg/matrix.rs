@@ -38,7 +38,8 @@ impl Matrix {
     }
 
     /// Create from a row-major `Vec` of length `rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> crate::Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> crate::Result<Self> {
         if data.len() != rows * cols {
             return Err(NumericError::dim(
                 "Matrix::from_vec",
@@ -149,7 +150,8 @@ impl Matrix {
 
     /// Maximum absolute entry difference against another matrix of the same
     /// shape (∞-norm of the difference); `None` if shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
         if self.rows != other.rows || self.cols != other.cols {
             return None;
         }

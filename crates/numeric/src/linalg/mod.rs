@@ -1,27 +1,22 @@
 //! Dense and structured linear algebra.
 //!
-//! The paper's mathematics needs exactly four solvers, all provided here
+//! The paper's mathematics needs exactly three solvers, all provided here
 //! from scratch:
 //!
 //! * a **tridiagonal (Thomas) solver** for the natural-cubic-spline system
 //!   of §2.2 — the exact baseline that DSGD is compared against;
 //! * **Cholesky** factorization for kriging covariance matrices (§4.1) and
 //!   MSM weight matrices (§3.1);
-//! * **LU with partial pivoting** as the general-purpose fallback (GP
-//!   covariances with added noise need not be formed symmetrically by
-//!   callers);
 //! * **ordinary least squares** for polynomial metamodels (§4.1) and the
 //!   Figure 1 trend fit.
 
 mod cholesky;
 pub mod kernels;
-mod lu;
 mod matrix;
 mod ols;
 mod tridiagonal;
 
 pub use cholesky::Cholesky;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use ols::{ols, OlsFit};
-pub use tridiagonal::{solve_tridiagonal, Tridiagonal};
+pub use tridiagonal::Tridiagonal;

@@ -84,21 +84,6 @@ impl Tridiagonal {
         Ok(y)
     }
 
-    /// The `i`th row as a dense vector (used by SGD's per-row gradient
-    /// computations and by tests comparing against dense solvers).
-    pub fn dense_row(&self, i: usize) -> Vec<f64> {
-        let n = self.n();
-        let mut row = vec![0.0; n];
-        if i > 0 {
-            row[i - 1] = self.sub[i - 1];
-        }
-        row[i] = self.diag[i];
-        if i + 1 < n {
-            row[i + 1] = self.sup[i];
-        }
-        row
-    }
-
     /// Residual 2-norm `‖A·x − b‖₂`.
     pub fn residual_norm(&self, x: &[f64], b: &[f64]) -> crate::Result<f64> {
         let ax = self.mul_vec(x)?;
@@ -120,83 +105,55 @@ impl Tridiagonal {
     /// Solve `A·x = b` by the Thomas algorithm (no pivoting — valid for the
     /// diagonally dominant systems produced by spline construction).
     pub fn solve(&self, b: &[f64]) -> crate::Result<Vec<f64>> {
-        solve_tridiagonal(&self.sub, &self.diag, &self.sup, b)
-    }
-}
+        let (sub, diag, sup) = (&self.sub, &self.diag, &self.sup);
+        let n = diag.len();
+        if b.len() != n {
+            return Err(NumericError::dim(
+                "Tridiagonal::solve",
+                format!("rhs of length {n}"),
+                format!("length {}", b.len()),
+            ));
+        }
 
-/// Thomas algorithm on raw diagonal slices. `sub` and `sup` must be one
-/// element shorter than `diag`; `b` must match `diag` in length.
-pub fn solve_tridiagonal(
-    sub: &[f64],
-    diag: &[f64],
-    sup: &[f64],
-    b: &[f64],
-) -> crate::Result<Vec<f64>> {
-    let n = diag.len();
-    if n == 0 {
-        return Err(NumericError::EmptyInput {
-            context: "solve_tridiagonal",
-        });
-    }
-    if sub.len() + 1 != n || sup.len() + 1 != n || b.len() != n {
-        return Err(NumericError::dim(
-            "solve_tridiagonal",
-            format!("sub/sup length {}, rhs length {n}", n - 1),
-            format!("sub {}, sup {}, rhs {}", sub.len(), sup.len(), b.len()),
-        ));
-    }
-
-    // Forward sweep.
-    let mut c_prime = vec![0.0; n - 1.min(n)];
-    c_prime.resize(n.saturating_sub(1), 0.0);
-    let mut d_prime = vec![0.0; n];
-    let mut denom = diag[0];
-    if denom.abs() < 1e-300 {
-        return Err(NumericError::SingularMatrix {
-            context: "solve_tridiagonal (zero pivot)",
-        });
-    }
-    if n > 1 {
-        c_prime[0] = sup[0] / denom;
-    }
-    d_prime[0] = b[0] / denom;
-    for i in 1..n {
-        denom = diag[i] - sub[i - 1] * c_prime[i - 1];
+        // Forward sweep.
+        let mut c_prime = vec![0.0; n - 1];
+        let mut d_prime = vec![0.0; n];
+        let mut denom = diag[0];
         if denom.abs() < 1e-300 {
             return Err(NumericError::SingularMatrix {
-                context: "solve_tridiagonal (zero pivot)",
+                context: "Tridiagonal::solve (zero pivot)",
             });
         }
-        if i < n - 1 {
-            c_prime[i] = sup[i] / denom;
+        if n > 1 {
+            c_prime[0] = sup[0] / denom;
         }
-        d_prime[i] = (b[i] - sub[i - 1] * d_prime[i - 1]) / denom;
-    }
+        d_prime[0] = b[0] / denom;
+        for i in 1..n {
+            denom = diag[i] - sub[i - 1] * c_prime[i - 1];
+            if denom.abs() < 1e-300 {
+                return Err(NumericError::SingularMatrix {
+                    context: "Tridiagonal::solve (zero pivot)",
+                });
+            }
+            if i < n - 1 {
+                c_prime[i] = sup[i] / denom;
+            }
+            d_prime[i] = (b[i] - sub[i - 1] * d_prime[i - 1]) / denom;
+        }
 
-    // Back substitution.
-    let mut x = d_prime;
-    for i in (0..n - 1).rev() {
-        let next = x[i + 1];
-        x[i] -= c_prime[i] * next;
+        // Back substitution.
+        let mut x = d_prime;
+        for i in (0..n - 1).rev() {
+            let next = x[i + 1];
+            x[i] -= c_prime[i] * next;
+        }
+        Ok(x)
     }
-    Ok(x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::{Lu, Matrix};
-
-    fn to_dense(t: &Tridiagonal) -> Matrix {
-        let n = t.n();
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for (j, v) in t.dense_row(i).into_iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        m
-    }
 
     #[test]
     fn construction_validates_lengths() {
@@ -207,23 +164,24 @@ mod tests {
 
     #[test]
     fn solve_1x1() {
-        let x = solve_tridiagonal(&[], &[4.0], &[], &[8.0]).unwrap();
+        let t = Tridiagonal::new(vec![], vec![4.0], vec![]).unwrap();
+        let x = t.solve(&[8.0]).unwrap();
         assert_eq!(x, vec![2.0]);
     }
 
     #[test]
-    fn solve_matches_dense_lu() {
-        // Spline-like diagonally dominant system.
+    fn solve_recovers_a_known_solution() {
+        // Spline-like diagonally dominant system with a chosen solution.
         let n = 20;
         let sub = vec![1.0; n - 1];
         let diag = vec![4.0; n];
         let sup = vec![1.0; n - 1];
         let t = Tridiagonal::new(sub, diag, sup).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let b = t.mul_vec(&x_true).unwrap();
 
         let x = t.solve(&b).unwrap();
-        let x_dense = Lu::new(&to_dense(&t)).unwrap().solve(&b).unwrap();
-        for (a, c) in x.iter().zip(&x_dense) {
+        for (a, c) in x.iter().zip(&x_true) {
             assert!((a - c).abs() < 1e-10);
         }
         assert!(t.residual_norm(&x, &b).unwrap() < 1e-10);
@@ -256,16 +214,9 @@ mod tests {
     fn detects_zero_pivot() {
         // diag[0] = 0 forces an immediate zero pivot (Thomas has no
         // pivoting).
-        let r = solve_tridiagonal(&[1.0], &[0.0, 1.0], &[1.0], &[1.0, 1.0]);
+        let t = Tridiagonal::new(vec![1.0], vec![0.0, 1.0], vec![1.0]).unwrap();
+        let r = t.solve(&[1.0, 1.0]);
         assert!(matches!(r, Err(NumericError::SingularMatrix { .. })));
-    }
-
-    #[test]
-    fn dense_row_structure() {
-        let t = Tridiagonal::new(vec![7.0, 8.0], vec![1.0, 2.0, 3.0], vec![4.0, 5.0]).unwrap();
-        assert_eq!(t.dense_row(0), vec![1.0, 4.0, 0.0]);
-        assert_eq!(t.dense_row(1), vec![7.0, 2.0, 5.0]);
-        assert_eq!(t.dense_row(2), vec![0.0, 8.0, 3.0]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    [`CheckpointSpec::due`] says so;
 //!
 //! and, once no boundary is left or a stop fired, **seal** —
-//! [`CampaignState::seal`] normalises the ledger, enforces the best-effort
+//! `CampaignState::seal` normalises the ledger, enforces the best-effort
 //! floor on unstopped runs, and writes the final checkpoint.
 //!
 //! [`drive`] loops these for a [`Surface`]; a surface supplies only what is
@@ -179,7 +179,7 @@ impl CampaignState {
     /// for an open-ended campaign, the attempted ones — and write the
     /// final checkpoint. A stopped run is partial by design and is sealed
     /// with whatever it has.
-    pub fn seal<E: BoundaryError>(
+    pub(crate) fn seal<E: BoundaryError>(
         &mut self,
         opts: &RunOptions,
         stopped: Option<StopCause>,

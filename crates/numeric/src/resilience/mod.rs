@@ -602,7 +602,7 @@ impl FaultPlan {
     /// The fault scheduled for `(replicate, attempt)`, if any. Scheduling
     /// faults (preemption notices, stalls, slowdowns, queue-full
     /// injections) are not per-replicate failures and are never returned
-    /// here; see [`FaultPlan::preempts`], [`FaultPlan::stalls_worker`],
+    /// here; see `FaultPlan::preempts`, [`FaultPlan::stalls_worker`],
     /// [`FaultPlan::slow_worker_ms`], and [`FaultPlan::queue_full`].
     pub fn lookup(&self, replicate: u64, attempt: u32) -> Option<FaultKind> {
         self.faults
@@ -616,7 +616,7 @@ impl FaultPlan {
     /// Whether a preemption notice has fired by `boundary`: true when any
     /// scheduled preempt has `at <= boundary`, mirroring how a real
     /// preemption notice stays raised once delivered.
-    pub fn preempts(&self, boundary: u64) -> bool {
+    fn preempts(&self, boundary: u64) -> bool {
         self.faults
             .iter()
             .any(|f| f.kind == FaultKind::Preempt && f.replicate <= boundary)
@@ -1007,7 +1007,7 @@ impl PartialEq for CancelToken {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSpec {
     /// Destination file (written crash-consistently; see
-    /// `CampaignState::save`).
+    /// `CampaignState::save_ledgered`).
     pub path: PathBuf,
     /// Write a checkpoint every `every` completed boundaries (≥ 1).
     /// Parallel surfaces may commit only at stop/completion — the

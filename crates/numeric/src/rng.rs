@@ -47,7 +47,7 @@ pub struct Rng {
 impl Rng {
     /// Build from a 64-bit seed, expanded to the 256-bit state with
     /// SplitMix64.
-    pub fn seed_from_u64(mut state: u64) -> Rng {
+    fn seed_from_u64(mut state: u64) -> Rng {
         let mut s = [0u64; 4];
         for word in &mut s {
             *word = splitmix64(state);
@@ -58,7 +58,7 @@ impl Rng {
 
     /// Next uniform 64-bit word.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;

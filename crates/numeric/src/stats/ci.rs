@@ -22,11 +22,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
-    }
-
     /// Whether the interval contains `x`.
     pub fn contains(&self, x: f64) -> bool {
         self.lo <= x && x <= self.hi
@@ -139,12 +134,11 @@ mod tests {
         for _ in 0..9900 {
             s_large.push(d.sample(&mut rng));
         }
-        let w_small = mean_confidence_interval(&s_small, 0.95)
-            .unwrap()
-            .half_width();
-        let w_large = mean_confidence_interval(&s_large, 0.95)
-            .unwrap()
-            .half_width();
+        let width = |s: &Summary| {
+            let ci = mean_confidence_interval(s, 0.95).unwrap();
+            ci.hi - ci.lo
+        };
+        let (w_small, w_large) = (width(&s_small), width(&s_large));
         // 100x the data → ~10x narrower.
         assert!(w_large < w_small / 5.0);
     }
@@ -175,7 +169,7 @@ mod tests {
         assert!((ci.estimate - 0.5).abs() < 1e-12);
         assert!(ci.contains(0.5));
         // Known half-width ≈ 0.0975 for Wilson at n=100, p=0.5.
-        assert!((ci.half_width() - 0.0975).abs() < 0.005);
+        assert!(((ci.hi - ci.lo) / 2.0 - 0.0975).abs() < 0.005);
     }
 
     #[test]

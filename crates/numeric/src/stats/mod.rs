@@ -5,20 +5,15 @@
 //! report: means with confidence intervals (MCDB query results), variances
 //! and covariances (the `V₁`, `V₂` statistics of the result-caching
 //! optimizer, §2.3), quantiles including extreme quantiles (MCDB-R risk
-//! analysis), histograms and empirical CDFs (distribution features of the
-//! query-result distribution), and the small time-series toolkit behind the
-//! Figure 1 extrapolation experiment.
+//! analysis), and the small time-series toolkit behind the Figure 1
+//! extrapolation experiment.
 
-mod batch;
 mod ci;
-mod histogram;
 mod quantile;
 mod summary;
 mod timeseries;
 
-pub use batch::{batch_means, batch_means_ci, lag1_autocorrelation, BatchMeans};
 pub use ci::{mean_confidence_interval, proportion_confidence_interval, ConfidenceInterval};
-pub use histogram::Histogram;
-pub use quantile::{ecdf, quantile, quantiles, Ecdf};
-pub use summary::{covariance, BivariateSummary, Summary};
-pub use timeseries::{fit_ar1, fit_linear_trend, Ar1Fit, LinearTrend, TrendAr1Model};
+pub use quantile::{quantile, quantiles};
+pub use summary::{BivariateSummary, Summary};
+pub use timeseries::{Ar1Fit, LinearTrend, TrendAr1Model};

@@ -1,4 +1,4 @@
-//! Empirical quantiles and the empirical CDF.
+//! Empirical quantiles.
 //!
 //! MCDB-style Monte Carlo query processing estimates "distribution features
 //! of interest such as moments and quantiles" (§2.1); MCDB-R's risk
@@ -58,47 +58,6 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(n) - 1]
 }
 
-/// The empirical cumulative distribution function of a sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Build from observations (at least one).
-    pub fn new(data: &[f64]) -> crate::Result<Self> {
-        if data.is_empty() {
-            return Err(NumericError::EmptyInput {
-                context: "Ecdf::new",
-            });
-        }
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite data"));
-        Ok(Ecdf { sorted })
-    }
-
-    /// `F̂(x)` = fraction of observations `<= x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        self.sorted.partition_point(|&v| v <= x) as f64 / self.sorted.len() as f64
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false after construction.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-}
-
-/// Convenience constructor mirroring the free-function style of
-/// [`quantile`].
-pub fn ecdf(data: &[f64]) -> crate::Result<Ecdf> {
-    Ecdf::new(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,15 +97,5 @@ mod tests {
         let data: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
         assert_eq!(quantile(&data, 0.999).unwrap(), 9990.0);
         assert_eq!(quantile(&data, 0.9999).unwrap(), 9999.0);
-    }
-
-    #[test]
-    fn ecdf_eval() {
-        let e = Ecdf::new(&[1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert_eq!(e.eval(0.0), 0.0);
-        assert_eq!(e.eval(1.0), 0.25);
-        assert_eq!(e.eval(2.0), 0.75);
-        assert_eq!(e.eval(3.9), 0.75);
-        assert_eq!(e.eval(4.0), 1.0);
     }
 }

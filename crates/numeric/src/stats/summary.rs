@@ -197,19 +197,6 @@ impl BivariateSummary {
     }
 }
 
-/// One-shot unbiased sample covariance of two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "covariance requires equal lengths");
-    let mut acc = BivariateSummary::new();
-    for (&x, &y) in xs.iter().zip(ys) {
-        acc.push(x, y);
-    }
-    acc.sample_covariance()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,23 +264,5 @@ mod tests {
         }
         assert!((acc.sample_covariance() - 2.0 * acc.sample_variance_x()).abs() < 1e-9);
         assert!((acc.correlation() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn covariance_of_independent_streams_is_small() {
-        let xs: Vec<f64> = (0..2000)
-            .map(|i| ((i * 7919) % 1000) as f64 / 1000.0)
-            .collect();
-        let ys: Vec<f64> = (0..2000)
-            .map(|i| ((i * 104729) % 1000) as f64 / 1000.0)
-            .collect();
-        let c = covariance(&xs, &ys);
-        assert!(c.abs() < 0.01, "pseudo-independent covariance was {c}");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn covariance_rejects_mismatched_lengths() {
-        covariance(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -28,7 +28,7 @@ impl LinearTrend {
 }
 
 /// Fit a linear trend to `(t, y)` pairs by OLS.
-pub fn fit_linear_trend(ts: &[f64], ys: &[f64]) -> crate::Result<LinearTrend> {
+fn fit_linear_trend(ts: &[f64], ys: &[f64]) -> crate::Result<LinearTrend> {
     if ts.len() != ys.len() {
         return Err(NumericError::dim(
             "fit_linear_trend",
@@ -85,13 +85,13 @@ pub struct Ar1Fit {
 impl Ar1Fit {
     /// `h`-step-ahead forecast from the last observation `x_last`:
     /// `μ + φ^h (x_last − μ)`.
-    pub fn forecast(&self, x_last: f64, h: u32) -> f64 {
+    fn forecast(&self, x_last: f64, h: u32) -> f64 {
         self.mean + self.phi.powi(h as i32) * (x_last - self.mean)
     }
 }
 
 /// Fit an AR(1) model by conditional least squares (lag-1 regression).
-pub fn fit_ar1(xs: &[f64]) -> crate::Result<Ar1Fit> {
+fn fit_ar1(xs: &[f64]) -> crate::Result<Ar1Fit> {
     if xs.len() < 3 {
         return Err(NumericError::EmptyInput {
             context: "fit_ar1 (need >= 3 points)",

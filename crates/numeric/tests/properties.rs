@@ -4,10 +4,8 @@
 use mde_numeric::dist::special::{
     reg_inc_beta, reg_lower_gamma, std_normal_cdf, std_normal_quantile,
 };
-use mde_numeric::dist::{
-    Continuous, Distribution, Exponential, LogNormal, Normal, Triangular, Uniform,
-};
-use mde_numeric::linalg::{solve_tridiagonal, Cholesky, Lu, Matrix, Tridiagonal};
+use mde_numeric::dist::{Continuous, Distribution, Exponential, Normal, Uniform};
+use mde_numeric::linalg::{Cholesky, Matrix, Tridiagonal};
 use mde_numeric::rng::{for_cases, rng_from_seed, Rng, StreamFactory};
 use mde_numeric::stats::{quantile, quantiles, Summary};
 
@@ -18,34 +16,6 @@ fn finite_vec(rng: &mut Rng, len: std::ops::Range<usize>) -> Vec<f64> {
 }
 
 // ---------- linalg ----------
-
-/// LU solves random well-conditioned systems: A·x ≈ b after solving.
-#[test]
-fn lu_solves_diagonally_dominant_systems() {
-    for_cases(64, |rng| {
-        let n = rng.gen_range(1usize..12);
-        let seed = rng.gen_range(0u64..1000);
-        let mut rng = rng_from_seed(seed);
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            let mut row_sum = 0.0;
-            for j in 0..n {
-                if i != j {
-                    let v = rng.gen::<f64>() * 2.0 - 1.0;
-                    a[(i, j)] = v;
-                    row_sum += v.abs();
-                }
-            }
-            a[(i, i)] = row_sum + 1.0; // strict diagonal dominance
-        }
-        let x_true: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        let b = a.mul_vec(&x_true).unwrap();
-        let x = Lu::new(&a).unwrap().solve(&b).unwrap();
-        for (p, q) in x.iter().zip(&x_true) {
-            assert!((p - q).abs() < 1e-8, "{p} vs {q}");
-        }
-    });
-}
 
 /// Cholesky round-trips: L·Lᵀ = A for random SPD matrices.
 #[test]
@@ -63,21 +33,29 @@ fn cholesky_roundtrip() {
         let a = &(&b.transpose() * &b) + &Matrix::identity(n);
         let ch = Cholesky::new(&a).unwrap();
         let recon = &ch.l().clone() * &ch.l().transpose();
-        assert!(recon.max_abs_diff(&a).unwrap() < 1e-9);
-        // Solve consistency with LU.
+        let worst = recon
+            .data()
+            .iter()
+            .zip(a.data())
+            .map(|(p, q)| (p - q).abs());
+        assert!(worst.fold(0.0, f64::max) < 1e-9);
+        // The solve satisfies its system: ‖A·x − b‖ is at rounding level.
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let x1 = ch.solve(&rhs).unwrap();
-        let x2 = Lu::new(&a).unwrap().solve(&rhs).unwrap();
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-8);
-        }
+        let x = ch.solve(&rhs).unwrap();
+        let ax = a.mul_vec(&x).unwrap();
+        let residual = ax
+            .iter()
+            .zip(&rhs)
+            .map(|(p, q)| (p - q).powi(2))
+            .sum::<f64>();
+        assert!(residual.sqrt() < 1e-8, "residual {}", residual.sqrt());
     });
 }
 
-/// Thomas agrees with dense LU on random diagonally dominant
-/// tridiagonal systems.
+/// Thomas recovers a chosen solution of random diagonally dominant
+/// tridiagonal systems, with a residual at rounding level.
 #[test]
-fn thomas_matches_lu() {
+fn thomas_recovers_known_solutions() {
     for_cases(64, |rng| {
         let n = rng.gen_range(1usize..40);
         let seed = rng.gen_range(0u64..1000);
@@ -100,19 +78,12 @@ fn thomas_matches_lu() {
                 d
             })
             .collect();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        let x = solve_tridiagonal(&sub, &diag, &sup, &b).unwrap();
-        // Dense comparison.
-        let t = Tridiagonal::new(sub.clone(), diag.clone(), sup.clone()).unwrap();
-        let mut dense = Matrix::zeros(n, n);
-        for i in 0..n {
-            for (j, v) in t.dense_row(i).into_iter().enumerate() {
-                dense[(i, j)] = v;
-            }
-        }
-        let x2 = Lu::new(&dense).unwrap().solve(&b).unwrap();
-        for (p, q) in x.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-8);
+        let x_true: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+        let t = Tridiagonal::new(sub, diag, sup).unwrap();
+        let b = t.mul_vec(&x_true).unwrap();
+        let x = t.solve(&b).unwrap();
+        for (p, q) in x.iter().zip(&x_true) {
+            assert!((p - q).abs() < 1e-8, "{p} vs {q}");
         }
         assert!(t.residual_norm(&x, &b).unwrap() < 1e-8);
     });
@@ -162,7 +133,7 @@ fn quantiles_monotone_and_bounded() {
 #[test]
 fn continuous_distribution_laws() {
     for_cases(64, |rng| {
-        let pick = rng.gen_range(0u8..5);
+        let pick = rng.gen_range(0u8..3);
         let a = rng.gen_range(0.1f64..5.0);
         let b = rng.gen_range(0.1f64..5.0);
         let xs: Vec<f64> = (0..rng.gen_range(1..20))
@@ -171,9 +142,7 @@ fn continuous_distribution_laws() {
         let d: Box<dyn Continuous> = match pick {
             0 => Box::new(Normal::new(a - 2.5, b).unwrap()),
             1 => Box::new(Exponential::new(a).unwrap()),
-            2 => Box::new(Uniform::new(-a, a + b).unwrap()),
-            3 => Box::new(LogNormal::new(a - 2.5, b.min(1.5)).unwrap()),
-            _ => Box::new(Triangular::new(-a, 0.0, b).unwrap()),
+            _ => Box::new(Uniform::new(-a, a + b).unwrap()),
         };
         let mut sorted = xs.clone();
         sorted.sort_by(|p, q| p.partial_cmp(q).unwrap());
