@@ -294,7 +294,7 @@ pub struct RegridCost {
 
 /// Execute `regrid`: map each active source value to its target cell and
 /// aggregate. Target cells receiving no values hold `None`.
-pub fn regrid(
+fn regrid(
     source: &GridField,
     target_grid: &Arc<Grid>,
     target_dim: u8,

@@ -44,18 +44,6 @@ pub struct PoolStats {
     pub budget: usize,
 }
 
-impl PoolStats {
-    /// Hit fraction of all lookups (`0.0` when the pool is untouched).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Frame {
     data: Arc<Vec<u8>>,
     referenced: bool,

@@ -35,9 +35,19 @@
 //!   consulted so a final calibration result can be traced back to the
 //!   exact cached runs that produced it via [`provenance_of`][p].
 //!
+//! A slot holds its entry's encoded body, never a decoded entry. Opening a
+//! file reads it once into one shared image, verifies every seal, walks
+//! every entry body field by field without building anything, and indexes
+//! each entry by a digest of its key; a slot's body is a range of that
+//! image. A hit confirms its key against the leading words of the body and
+//! decodes only what its caller takes: an [`ObjectiveScope`] lookup the
+//! values, [`CacheHandle::get`] the whole entry, [`provenance_of`][p] the
+//! provenance. A persist copies the bodies it writes.
+//!
 //! The safety contract is the checkpoint codec's: a corrupt entry is
 //! always a recompute, never a wrong answer. Every decode failure is a
-//! typed [`CacheError`]; [`ResultCache::open_or_recover`] drops a damaged
+//! typed [`CacheError`], raised at open: the walk fails exactly where a
+//! whole decode would. [`ResultCache::open_or_recover`] drops a damaged
 //! segment and every one after it (an `MDECACHE1` entry at a time) and
 //! keeps the state the segments before it left. Cache `hits`/`misses`/
 //! `evictions` counters are deterministic (pure functions of the call
@@ -57,8 +67,10 @@ use crate::codec::{
     fnv1a, put_f64s, put_sealed, put_str, put_u64, put_u64s, Cursor, LenPrefix, FNV_OFFSET,
 };
 use crate::resilience::RunReport;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -255,6 +267,91 @@ impl CacheKey {
     }
 }
 
+/// A key as a lookup probes for it: the fields of a [`CacheKey`], with the
+/// point borrowed as bit patterns or as the floats they came from, so a
+/// lookup builds no key.
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    spec_fingerprint: u64,
+    point: Point<'a>,
+    replicates: u64,
+    master_seed: u64,
+}
+
+#[derive(Clone, Copy)]
+enum Point<'a> {
+    Bits(&'a [u64]),
+    Floats(&'a [f64]),
+}
+
+impl Point<'_> {
+    fn len(self) -> usize {
+        match self {
+            Point::Bits(b) => b.len(),
+            Point::Floats(f) => f.len(),
+        }
+    }
+
+    fn word(self, i: usize) -> u64 {
+        match self {
+            Point::Bits(b) => b[i],
+            Point::Floats(f) => f[i].to_bits(),
+        }
+    }
+}
+
+impl<'a> Probe<'a> {
+    fn of(key: &'a CacheKey) -> Self {
+        Probe {
+            spec_fingerprint: key.spec_fingerprint,
+            point: Point::Bits(&key.param_point_bits),
+            replicates: key.replicates,
+            master_seed: key.master_seed,
+        }
+    }
+
+    /// The key's words as an entry body begins with them:
+    /// `spec_fingerprint ‖ n ‖ point[..n] ‖ replicates ‖ master_seed`.
+    fn words(self) -> impl Iterator<Item = u64> + 'a {
+        let n = self.point.len();
+        [self.spec_fingerprint, n as u64]
+            .into_iter()
+            .chain((0..n).map(move |i| self.point.word(i)))
+            .chain([self.replicates, self.master_seed])
+    }
+
+    /// Whether the held `body` is this key's entry.
+    fn is_key_of(self, body: &[u8]) -> bool {
+        self.words().eq(le_words(key_bytes(body)))
+    }
+}
+
+/// Digest of a key's words (see [`Probe::words`]): what the index is
+/// keyed by. Each step is a bijection of the state for a fixed word and of
+/// the word for a fixed state, so keys of one length that differ in one
+/// word never collide; any two keys may, and the index holds both.
+fn key_digest(words: impl Iterator<Item = u64>) -> u64 {
+    #[cfg(test)]
+    if let Some(forced) = tests::FORCED_DIGEST.with(std::cell::Cell::get) {
+        return forced;
+    }
+    words.fold(0x243F_6A88_85A3_08D3, |h, w| {
+        (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31)
+    })
+}
+
+/// The leading words of a walked entry body that encode its key.
+fn key_bytes(body: &[u8]) -> &[u8] {
+    let n = u64::from_le_bytes(body[8..16].try_into().expect("a walked body holds its key"));
+    &body[..8 * (4 + n as usize)]
+}
+
+/// Little-endian `u64` words of `raw`, whose length is a multiple of 8.
+fn le_words(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    raw.chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")))
+}
+
 /// Where a cached result came from: the campaign that produced it and the
 /// content hashes of the cached entries it was derived from. A
 /// calibration result's `upstream` lists the exact MC evaluations that
@@ -343,13 +440,13 @@ fn encode_entry_body(entry: &CacheEntry) -> Vec<u8> {
 
 fn decode_entry_body(body: &[u8]) -> Result<CacheEntry> {
     let mut cur = Cursor::new(body, &corrupt);
-    let spec_fingerprint = cur.u64()?;
-    let param_point_bits = cur.u64s()?;
-    let replicates = cur.u64()?;
-    let master_seed = cur.u64()?;
-    let campaign = cur.str(LenPrefix::U64)?.to_string();
-    let prov_fingerprint = cur.u64()?;
-    let upstream = cur.u64s()?;
+    let key = CacheKey {
+        spec_fingerprint: cur.u64()?,
+        param_point_bits: cur.u64s()?,
+        replicates: cur.u64()?,
+        master_seed: cur.u64()?,
+    };
+    let provenance = decode_provenance(&mut cur)?;
     let values = cur.f64s()?;
     let ints = cur.u64s()?;
     let report = match cur.u8()? {
@@ -361,21 +458,112 @@ fn decode_entry_body(body: &[u8]) -> Result<CacheEntry> {
         return Err(cur.corrupt(format!("{} trailing bytes after entry", cur.remaining())));
     }
     Ok(CacheEntry {
-        key: CacheKey {
-            spec_fingerprint,
-            param_point_bits,
-            replicates,
-            master_seed,
-        },
+        key,
         values,
         ints,
         report,
-        provenance: Provenance {
-            campaign,
-            spec_fingerprint: prov_fingerprint,
-            upstream,
-        },
+        provenance,
     })
+}
+
+fn decode_provenance(cur: &mut Cursor<'_, CacheError>) -> Result<Provenance> {
+    Ok(Provenance {
+        campaign: cur.str(LenPrefix::U64)?.to_string(),
+        spec_fingerprint: cur.u64()?,
+        upstream: cur.u64s()?,
+    })
+}
+
+/// The raw words of what [`put_u64s`] wrote, read as [`Cursor::u64s`]
+/// reads them.
+fn words<'a>(cur: &mut Cursor<'a, CacheError>) -> Result<&'a [u8]> {
+    let n = cur.count()?;
+    cur.bytes(n.saturating_mul(8))
+}
+
+/// Check an entry body without building anything: every read
+/// [`decode_entry_body`] makes, in its order, so it fails exactly where
+/// and as that does.
+fn walk_entry_body(body: &[u8]) -> Result<()> {
+    let mut cur = Cursor::new(body, &corrupt);
+    cur.u64()?;
+    words(&mut cur)?;
+    cur.u64()?;
+    cur.u64()?;
+    skip_provenance(&mut cur)?;
+    words(&mut cur)?;
+    words(&mut cur)?;
+    match cur.u8()? {
+        0 => {}
+        1 => walk_report(&mut cur)?,
+        b => return Err(cur.corrupt(format!("invalid report marker {b}"))),
+    }
+    if cur.remaining() != 0 {
+        return Err(cur.corrupt(format!("{} trailing bytes after entry", cur.remaining())));
+    }
+    Ok(())
+}
+
+fn skip_provenance(cur: &mut Cursor<'_, CacheError>) -> Result<()> {
+    cur.str(LenPrefix::U64)?;
+    cur.u64()?;
+    words(cur)?;
+    Ok(())
+}
+
+/// [`decode_report`]'s reads, building nothing.
+fn walk_report(cur: &mut Cursor<'_, CacheError>) -> Result<()> {
+    for _ in 0..5 {
+        cur.count()?;
+    }
+    cur.u8()?;
+    for _ in 0..cur.count()? {
+        cur.u64()?;
+        cur.u64()?;
+        match cur.u8()? {
+            0..=2 => {}
+            other => return Err(cur.corrupt(format!("unknown failure kind tag {other}"))),
+        }
+        cur.str(LenPrefix::U64)?;
+    }
+    for _ in 0..cur.count()? {
+        cur.str(LenPrefix::U64)?;
+        cur.u64()?;
+    }
+    for _ in 0..cur.count()? {
+        cur.str(LenPrefix::U64)?;
+        cur.u64()?;
+        cur.u64()?;
+        cur.u64()?;
+        for _ in 0..cur.count()? {
+            cur.u64()?;
+            cur.u64()?;
+        }
+    }
+    Ok(())
+}
+
+/// Why a read of a held body cannot fail.
+const WALKED: &str = "a held entry body was walked when it was loaded or encoded";
+
+/// A cursor over a held body, just past its key.
+fn after_key(body: &[u8]) -> Cursor<'_, CacheError> {
+    Cursor::new(&body[key_bytes(body).len()..], &corrupt)
+}
+
+fn held_entry(body: &[u8]) -> CacheEntry {
+    decode_entry_body(body).expect(WALKED)
+}
+
+fn held_provenance(body: &[u8]) -> Provenance {
+    decode_provenance(&mut after_key(body)).expect(WALKED)
+}
+
+fn held_values(body: &[u8]) -> Vec<f64> {
+    let mut cur = after_key(body);
+    skip_provenance(&mut cur)
+        .and_then(|()| cur.f64s())
+        .expect(WALKED)
 }
 
 // ---------------------------------------------------------------------------
@@ -402,16 +590,60 @@ pub struct CacheStats {
 }
 
 struct Slot {
-    entry: CacheEntry,
+    /// The buffer holding the entry's encoded body: the image of the file
+    /// it was loaded from, or the body `insert` encoded.
+    buf: Arc<Vec<u8>>,
+    /// Where the body sits in `buf`: walked when it was loaded, or
+    /// encoded by `insert`.
+    body: Range<usize>,
     /// Content hash of the encoded body.
     hash: u64,
-    /// Size of the entry's record in a segment: the body plus its
-    /// 16-byte hash and length.
-    bytes: u64,
-    /// LRU tick of the last hit or insert.
+    /// LRU tick of the last hit or insert. No two slots share one.
     last_used: u64,
     /// Tick of the insert that made this slot.
     born: u64,
+}
+
+impl Slot {
+    fn body(&self) -> &[u8] {
+        &self.buf[self.body.clone()]
+    }
+
+    /// Size of the entry's record in a segment: the body plus its 16-byte
+    /// hash and length.
+    fn bytes(&self) -> u64 {
+        16 + self.body.len() as u64
+    }
+}
+
+/// The slots whose keys share a digest: one, and more only when distinct
+/// keys collide.
+struct Bucket {
+    slot: Slot,
+    more: Vec<Slot>,
+}
+
+impl Bucket {
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        std::iter::once(&self.slot).chain(&self.more)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
+        std::iter::once(&mut self.slot).chain(&mut self.more)
+    }
+
+    /// Hold `slot`, returning the slot of the same key it replaced.
+    fn put(&mut self, slot: Slot) -> Option<Slot> {
+        let key = key_bytes(slot.body());
+        let held = self.iter_mut().find(|s| key_bytes(s.body()) == key);
+        match held {
+            Some(held) => Some(std::mem::replace(held, slot)),
+            None => {
+                self.more.push(slot);
+                None
+            }
+        }
+    }
 }
 
 /// The cache proper: an in-memory content-addressed index with optional
@@ -422,8 +654,11 @@ struct Slot {
 pub struct ResultCache {
     path: Option<PathBuf>,
     max_bytes: u64,
-    slots: BTreeMap<CacheKey, Slot>,
-    /// Sum of `bytes` over `slots`, kept by every insert and removal.
+    /// Key digest → the slots of the keys with that digest.
+    index: HashMap<u64, Bucket>,
+    /// Number of slots in `index`.
+    entries: usize,
+    /// Sum of `bytes()` over the slots, kept by every insert and removal.
     bytes: u64,
     tick: u64,
     /// `tick` when the file last matched the cache: a slot born after it
@@ -453,7 +688,8 @@ impl ResultCache {
         ResultCache {
             path: None,
             max_bytes: DEFAULT_MAX_BYTES,
-            slots: BTreeMap::new(),
+            index: HashMap::new(),
+            entries: 0,
             bytes: 0,
             tick: 0,
             persisted_tick: 0,
@@ -491,8 +727,8 @@ impl ResultCache {
             max_bytes,
             ..ResultCache::in_memory()
         };
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
+        let image = match std::fs::read(path) {
+            Ok(b) => Arc::new(b),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((cache, 0)),
             Err(e) => {
                 return Err(CacheError::Io {
@@ -501,7 +737,7 @@ impl ResultCache {
                 })
             }
         };
-        let dropped = match cache.load_from(&bytes) {
+        let dropped = match cache.load_from(&image) {
             Ok(d) => d,
             Err(e) if strict => return Err(e),
             // A bad magic, or a damaged segment: keep what the segments
@@ -517,59 +753,71 @@ impl ResultCache {
         Ok((cache, dropped))
     }
 
-    /// Decode a cache file into `self.slots`. A returned error leaves the
-    /// state the file held before the damage, which the recovery mode
-    /// keeps; `MDECACHE1` per-entry damage is counted and skipped instead.
-    /// Only an undamaged `MDECACHE2` file is one the next persist appends
-    /// to.
-    fn load_from(&mut self, bytes: &[u8]) -> Result<usize> {
-        let version = Version::of(bytes).ok_or_else(|| CacheError::Corrupt {
+    /// Index a cache file's entries, whose slots hold ranges of `image`. A
+    /// returned error leaves the state the file held before the damage,
+    /// which the recovery mode keeps; `MDECACHE1` per-entry damage is
+    /// counted and skipped instead. Only an undamaged `MDECACHE2` file is
+    /// one the next persist appends to.
+    fn load_from(&mut self, image: &Arc<Vec<u8>>) -> Result<usize> {
+        let version = Version::of(image).ok_or_else(|| CacheError::Corrupt {
             reason: "bad magic: not an MDECACHE file".into(),
         })?;
-        let cur = Cursor::new(&bytes[MAGIC.len()..], &corrupt);
+        let cur = Cursor::new(&image[MAGIC.len()..], &corrupt);
         match version {
-            Version::V1 => self.load_v1(cur),
+            Version::V1 => self.load_v1(image, cur),
             Version::V2 => {
-                self.replay(cur)?;
-                self.file_len = Some(bytes.len() as u64);
+                self.replay(image, cur)?;
+                self.file_len = Some(image.len() as u64);
                 Ok(0)
             }
         }
     }
 
+    /// A slot for `body`, a walked entry body inside `image`, made at the
+    /// next tick.
+    fn slot_in(&mut self, image: &Arc<Vec<u8>>, body: &[u8], hash: u64) -> (u64, Slot) {
+        let start = body.as_ptr() as usize - image.as_ptr() as usize;
+        self.tick += 1;
+        let slot = Slot {
+            buf: Arc::clone(image),
+            body: start..start + body.len(),
+            hash,
+            last_used: self.tick,
+            born: self.tick,
+        };
+        (key_digest(le_words(key_bytes(body))), slot)
+    }
+
     /// Replay `MDECACHE2` segments in file order, each whole or not at
     /// all; the first that does not read or verify ends the replay with
     /// its error.
-    fn replay(&mut self, mut cur: Cursor<'_, CacheError>) -> Result<()> {
-        // Content hash → key of every live slot, for the segments' dead and
-        // recency lists.
-        let mut keys: HashMap<u64, CacheKey> = HashMap::new();
+    fn replay(&mut self, image: &Arc<Vec<u8>>, mut cur: Cursor<'_, CacheError>) -> Result<()> {
+        // Content hash → key digest of every live slot, for the segments'
+        // dead and recency lists.
+        let mut digests: HashMap<u64, u64> = HashMap::new();
+        let mut records = Vec::new();
         while cur.remaining() > 0 {
             let body =
                 cur.sealed(|expected, found| CacheError::ChecksumMismatch { expected, found })?;
-            let segment = Segment::decode(body)?;
-            for hash in segment.dead {
-                if let Some(slot) = keys.remove(&hash).and_then(|k| self.slots.remove(&k)) {
-                    self.bytes -= slot.bytes;
+            let (dead, recency) = walk_segment(body, &mut records)?;
+            for hash in le_words(dead) {
+                if let Some(digest) = digests.remove(&hash) {
+                    self.remove(digest, |s| s.hash == hash);
                 }
             }
-            for (hash, bytes, entry) in segment.entries {
-                self.tick += 1;
-                let key = entry.key.clone();
-                let slot = Slot {
-                    entry,
-                    hash,
-                    bytes,
-                    last_used: self.tick,
-                    born: self.tick,
-                };
-                if let Some(old) = self.put(slot) {
-                    keys.remove(&old.hash);
+            for &(hash, body) in &records {
+                let (digest, slot) = self.slot_in(image, body, hash);
+                if let Some(old) = self.put(digest, slot) {
+                    digests.remove(&old.hash);
                 }
-                keys.insert(hash, key);
+                digests.insert(hash, digest);
             }
-            for hash in segment.recency {
-                if let Some(slot) = keys.get(&hash).and_then(|k| self.slots.get_mut(k)) {
+            for hash in le_words(recency) {
+                let slot = digests
+                    .get(&hash)
+                    .and_then(|d| self.index.get_mut(d))
+                    .and_then(|b| b.iter_mut().find(|s| s.hash == hash));
+                if let Some(slot) = slot {
                     self.tick += 1;
                     slot.last_used = self.tick;
                 }
@@ -579,8 +827,8 @@ impl ResultCache {
     }
 
     /// Read an `MDECACHE1` image. Framing damage is an error; an entry that
-    /// fails its checksum or decode is counted and skipped.
-    fn load_v1(&mut self, mut cur: Cursor<'_, CacheError>) -> Result<usize> {
+    /// fails its checksum or walk is counted and skipped.
+    fn load_v1(&mut self, image: &Arc<Vec<u8>>, mut cur: Cursor<'_, CacheError>) -> Result<usize> {
         let n_entries = cur.u64()?;
         let mut dropped = 0usize;
         for _ in 0..n_entries {
@@ -590,40 +838,37 @@ impl ResultCache {
             let len = cur.count()?;
             let body = cur.bytes(len)?;
             let found = fnv1a(FNV_OFFSET, body);
-            if found != stored {
+            if found != stored || walk_entry_body(body).is_err() {
                 dropped += 1;
                 continue;
             }
-            match decode_entry_body(body) {
-                Ok(entry) => {
-                    // File order is ascending last-used; re-assigning
-                    // ticks in file order preserves eviction order across
-                    // a save/load cycle.
-                    self.tick += 1;
-                    self.put(Slot {
-                        hash: found,
-                        bytes: 16 + len as u64,
-                        last_used: self.tick,
-                        born: self.tick,
-                        entry,
-                    });
-                }
-                Err(_) => dropped += 1,
-            }
+            // File order is ascending last-used; re-assigning ticks in
+            // file order preserves eviction order across a save/load
+            // cycle.
+            let (digest, slot) = self.slot_in(image, body, found);
+            self.put(digest, slot);
         }
         Ok(dropped)
     }
 
-    /// Look up `key`, counting a hit or miss and bumping recency. Returns
-    /// the entry and its content hash.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<(CacheEntry, u64)> {
+    /// Look up `probe`, counting a hit or miss and bumping recency; a hit
+    /// returns what `read` takes from its body, and its content hash.
+    fn lookup_with<T>(
+        &mut self,
+        probe: Probe<'_>,
+        read: impl FnOnce(&[u8]) -> T,
+    ) -> Option<(T, u64)> {
         let t0 = Instant::now();
-        let found = match self.slots.get_mut(key) {
+        let slot = self
+            .index
+            .get_mut(&key_digest(probe.words()))
+            .and_then(|b| b.iter_mut().find(|s| probe.is_key_of(s.body())));
+        let found = match slot {
             Some(slot) => {
                 self.tick += 1;
                 slot.last_used = self.tick;
                 self.hits += 1;
-                Some((slot.entry.clone(), slot.hash))
+                Some((read(slot.body()), slot.hash))
             }
             None => {
                 self.misses += 1;
@@ -634,55 +879,98 @@ impl ResultCache {
         found
     }
 
+    /// Look up `key`, counting a hit or miss and bumping recency. Returns
+    /// the entry and its content hash.
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<(CacheEntry, u64)> {
+        self.lookup_with(Probe::of(key), held_entry)
+    }
+
     /// Insert `entry`, evicting least-recently-used entries while the
     /// encoded size exceeds the bound (the fresh entry itself is never
     /// evicted). Returns the entry's content hash.
     pub fn insert(&mut self, entry: CacheEntry) -> u64 {
         let body = encode_entry_body(&entry);
         let hash = fnv1a(FNV_OFFSET, &body);
-        let key = entry.key.clone();
-        self.tick += 1;
-        let replaced = self.put(Slot {
-            hash,
-            bytes: 16 + body.len() as u64,
-            last_used: self.tick,
-            born: self.tick,
-            entry,
-        });
-        if let Some(old) = replaced {
+        let image = Arc::new(body);
+        let (digest, slot) = self.slot_in(&image, &image, hash);
+        if let Some(old) = self.put(digest, slot) {
             self.bury(&old);
         }
-        while self.bytes > self.max_bytes && self.slots.len() > 1 {
+        while self.bytes > self.max_bytes && self.entries > 1 {
+            // The fresh slot holds the newest tick, so with another slot
+            // held it is never the least recently used.
             let victim = self
-                .slots
+                .index
                 .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(v) => {
-                    let evicted = self.slots.remove(&v).expect("victim is held");
-                    self.bytes -= evicted.bytes;
-                    self.evictions += 1;
-                    self.bury(&evicted);
-                }
-                None => break,
-            }
+                .flat_map(|(&digest, b)| b.iter().map(move |s| (s.last_used, digest)))
+                .min();
+            let Some((last_used, digest)) = victim else {
+                break;
+            };
+            let evicted = self
+                .remove(digest, |s| s.last_used == last_used)
+                .expect("victim is held");
+            self.evictions += 1;
+            self.bury(&evicted);
         }
         hash
     }
 
     /// Provenance of the entry at `key`, if cached.
     pub fn provenance_of(&self, key: &CacheKey) -> Option<Provenance> {
-        self.slots.get(key).map(|s| s.entry.provenance.clone())
+        let probe = Probe::of(key);
+        let slot = self
+            .index
+            .get(&key_digest(probe.words()))?
+            .iter()
+            .find(|s| probe.is_key_of(s.body()))?;
+        Some(held_provenance(slot.body()))
     }
 
-    /// Hold `slot` under its entry's key, returning the slot it replaced.
-    fn put(&mut self, slot: Slot) -> Option<Slot> {
-        self.bytes += slot.bytes;
-        let old = self.slots.insert(slot.entry.key.clone(), slot)?;
-        self.bytes -= old.bytes;
-        Some(old)
+    /// Hold `slot` under `digest`, its key's, returning the slot of the
+    /// same key it replaced.
+    fn put(&mut self, digest: u64, slot: Slot) -> Option<Slot> {
+        self.bytes += slot.bytes();
+        let old = match self.index.entry(digest) {
+            Entry::Vacant(v) => {
+                v.insert(Bucket {
+                    slot,
+                    more: Vec::new(),
+                });
+                None
+            }
+            Entry::Occupied(o) => o.into_mut().put(slot),
+        };
+        match &old {
+            Some(old) => self.bytes -= old.bytes(),
+            None => self.entries += 1,
+        }
+        old
+    }
+
+    /// Take out the slot under `digest` that `pick` selects, if any.
+    fn remove(&mut self, digest: u64, pick: impl Fn(&Slot) -> bool) -> Option<Slot> {
+        let Entry::Occupied(mut o) = self.index.entry(digest) else {
+            return None;
+        };
+        let bucket = o.get_mut();
+        let slot = if pick(&bucket.slot) {
+            match bucket.more.pop() {
+                Some(next) => std::mem::replace(&mut bucket.slot, next),
+                None => o.remove().slot,
+            }
+        } else {
+            let i = bucket.more.iter().position(pick)?;
+            bucket.more.swap_remove(i)
+        };
+        self.bytes -= slot.bytes();
+        self.entries -= 1;
+        Some(slot)
+    }
+
+    /// Every held slot, in no particular order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.index.values().flat_map(Bucket::iter)
     }
 
     /// Note that `slot` left the cache: if the file holds it, the next
@@ -705,7 +993,7 @@ impl ResultCache {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            entries: self.slots.len() as u64,
+            entries: self.entries as u64,
             bytes: self.bytes,
             persist_failures: self.persist_failures,
         }
@@ -724,21 +1012,16 @@ impl ResultCache {
     /// order, so the recency list is left empty when it would name only
     /// them.
     fn segment(&self, since: u64, dead: &[u64]) -> Vec<u8> {
-        let mut used: Vec<&Slot> = self
-            .slots
-            .values()
-            .filter(|s| s.last_used > since)
-            .collect();
+        let mut used: Vec<&Slot> = self.slots().filter(|s| s.last_used > since).collect();
         used.sort_unstable_by_key(|s| s.last_used);
         let born: Vec<&Slot> = used.iter().copied().filter(|s| s.born > since).collect();
         let mut body = Vec::new();
         put_u64s(&mut body, dead);
         put_u64(&mut body, born.len() as u64);
         for slot in &born {
-            let entry = encode_entry_body(&slot.entry);
             put_u64(&mut body, slot.hash);
-            put_u64(&mut body, entry.len() as u64);
-            body.extend_from_slice(&entry);
+            put_u64(&mut body, slot.body.len() as u64);
+            body.extend_from_slice(slot.body());
         }
         let recency: Vec<u64> = if born.len() == used.len() {
             Vec::new()
@@ -804,35 +1087,29 @@ impl ResultCache {
     }
 }
 
-/// One decoded `MDECACHE2` segment (see [`ResultCache::segment`]).
-struct Segment {
-    dead: Vec<u64>,
-    /// Content hash, record size and entry, in the order written.
-    entries: Vec<(u64, u64, CacheEntry)>,
-    recency: Vec<u64>,
-}
-
-impl Segment {
-    fn decode(body: &[u8]) -> Result<Segment> {
-        let mut cur = Cursor::new(body, &corrupt);
-        let dead = cur.u64s()?;
-        let n = cur.count()?;
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let hash = cur.u64()?;
-            let len = cur.count()?;
-            entries.push((hash, 16 + len as u64, decode_entry_body(cur.bytes(len)?)?));
-        }
-        let recency = cur.u64s()?;
-        if cur.remaining() != 0 {
-            return Err(cur.corrupt(format!("{} trailing bytes after segment", cur.remaining())));
-        }
-        Ok(Segment {
-            dead,
-            entries,
-            recency,
-        })
+/// Walk one `MDECACHE2` segment body (see [`ResultCache::segment`]) whole,
+/// every entry body included, before any of it is applied. Its entries go
+/// to `records` as `(content hash, body)` in the order written; its dead
+/// and recency lists are returned as raw words.
+fn walk_segment<'a>(
+    body: &'a [u8],
+    records: &mut Vec<(u64, &'a [u8])>,
+) -> Result<(&'a [u8], &'a [u8])> {
+    records.clear();
+    let mut cur = Cursor::new(body, &corrupt);
+    let dead = words(&mut cur)?;
+    for _ in 0..cur.count()? {
+        let hash = cur.u64()?;
+        let len = cur.count()?;
+        let entry = cur.bytes(len)?;
+        walk_entry_body(entry)?;
+        records.push((hash, entry));
     }
+    let recency = words(&mut cur)?;
+    if cur.remaining() != 0 {
+        return Err(cur.corrupt(format!("{} trailing bytes after segment", cur.remaining())));
+    }
+    Ok((dead, recency))
 }
 
 impl fmt::Debug for ResultCache {
@@ -887,12 +1164,6 @@ impl CacheHandle {
     /// Look up `key` (counts a hit or miss).
     pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
         self.lock().lookup(key).map(|(entry, _)| entry)
-    }
-
-    /// Look up `key`, also returning the entry's content hash for
-    /// provenance tracking.
-    fn get_with_hash(&self, key: &CacheKey) -> Option<(CacheEntry, u64)> {
-        self.lock().lookup(key)
     }
 
     /// Insert an entry; returns its content hash.
@@ -1012,14 +1283,15 @@ impl ObjectiveScope {
     /// Cached values for `x`, if present (tracks the hit's hash as
     /// upstream).
     pub fn lookup(&mut self, x: &[f64]) -> Option<Vec<f64>> {
-        let key = self.key(x);
-        match self.handle.get_with_hash(&key) {
-            Some((entry, hash)) => {
-                self.upstream.push(hash);
-                Some(entry.values)
-            }
-            None => None,
-        }
+        let probe = Probe {
+            spec_fingerprint: self.spec_fingerprint,
+            point: Point::Floats(x),
+            replicates: self.replicates,
+            master_seed: self.master_seed,
+        };
+        let (values, hash) = self.handle.lock().lookup_with(probe, held_values)?;
+        self.upstream.push(hash);
+        Some(values)
     }
 
     /// Store freshly computed `values` for `x` (tracked as upstream).
@@ -1103,6 +1375,13 @@ impl ObjectiveScope {
 mod tests {
     use super::*;
     use crate::resilience::{ErrorClass as _, Severity};
+
+    thread_local! {
+        /// When set, the digest every key gets on this thread, so that
+        /// every key collides with every other.
+        pub(super) static FORCED_DIGEST: std::cell::Cell<Option<u64>> =
+            const { std::cell::Cell::new(None) };
+    }
 
     fn entry(seed: u64, x: &[f64], values: Vec<f64>) -> CacheEntry {
         CacheEntry::leaf(
@@ -1197,7 +1476,7 @@ mod tests {
             let probe = encode_entry_body(&entry(0, &[0.0], vec![0.0; 3])).len() as u64 + 16;
             let mut cache = ResultCache::in_memory();
             cache.max_bytes = probe * rng.gen_range(1..5);
-            let held = |c: &ResultCache| c.slots.values().map(|s| s.bytes).sum::<u64>();
+            let held = |c: &ResultCache| c.slots().map(Slot::bytes).sum::<u64>();
             for _ in 0..40 {
                 // Six keys, so most inserts replace a slot of the same key
                 // with a different size; the small bound forces evictions.
@@ -1211,7 +1490,12 @@ mod tests {
                 assert_eq!(cache.stats().bytes, held(&cache));
             }
             let mut reloaded = ResultCache::in_memory();
-            assert_eq!(reloaded.load_from(&cache.image()).expect("replay"), 0);
+            assert_eq!(
+                reloaded
+                    .load_from(&Arc::new(cache.image()))
+                    .expect("replay"),
+                0
+            );
             assert_eq!(reloaded.stats().bytes, held(&reloaded));
             assert_eq!(reloaded.stats().bytes, cache.stats().bytes);
         });
@@ -1383,5 +1667,329 @@ mod tests {
         let c: CacheError = CheckpointError::Corrupt { reason: "x".into() }.into();
         assert!(matches!(c, CacheError::Corrupt { .. }));
         assert!(c.to_string().contains("corrupt"));
+    }
+
+    /// A key from a small pool, so inserts replace and lookups hit.
+    fn pooled_key(rng: &mut crate::rng::Rng) -> CacheKey {
+        let point: Vec<f64> = (0..rng.gen_range(0..3usize))
+            .map(|_| [0.5, -0.0, 2.0][rng.gen_range(0..3usize)])
+            .collect();
+        CacheKey::for_point(
+            [0xA1, 0xB2][rng.gen_range(0..2usize)],
+            &point,
+            4,
+            rng.gen_range(0..3u64),
+        )
+    }
+
+    fn pooled_entry(rng: &mut crate::rng::Rng) -> CacheEntry {
+        let key = pooled_key(rng);
+        let values = (0..rng.gen_range(0..6usize))
+            .map(|_| rng.gen::<f64>())
+            .collect();
+        let mut e = CacheEntry::leaf(key, "golden.insert", values);
+        e.ints = (0..rng.gen_range(0..3u64)).collect();
+        e.provenance.upstream = (0..rng.gen_range(0..3usize)).map(|_| rng.gen()).collect();
+        if rng.gen::<f64>() < 0.4 {
+            let mut report = RunReport::new();
+            report.attempted = rng.gen_range(1..9usize);
+            report.succeeded = report.attempted - 1;
+            report.failures.push(crate::resilience::FailureRecord {
+                replicate: rng.gen_range(0..8u64),
+                attempt: 0,
+                kind: crate::resilience::FailureKind::NonFinite,
+                message: "nan — at replicate".into(),
+            });
+            report.metrics.add("mc.completed", report.succeeded as u64);
+            report.metrics.observe("mc.sample", rng.gen::<f64>());
+            e.report = Some(report);
+        }
+        e
+    }
+
+    /// Digest of everything a caller can observe of the cache over a seeded
+    /// sequence of inserts (with and without reports), lookups through
+    /// `get`, an `ObjectiveScope` and `provenance_of`, replacements,
+    /// evictions under a small bound, persists (appends and rewrites) and
+    /// reopens: the stats after each step, every returned entry's encoding,
+    /// and the file after each persist.
+    fn observable_digest(name: &str) -> u64 {
+        let dir = std::env::temp_dir().join(format!("mde_cache_golden_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(format!("{name}.mdecache"));
+        let _ = std::fs::remove_file(&path);
+        let mut rng = crate::rng::rng_from_seed(0x60_1D);
+        let max_bytes = 2_400;
+        let mut handle = CacheHandle::new(ResultCache::open(&path, max_bytes).expect("open"));
+        let mut digest = FNV_OFFSET;
+        let fold = |digest: &mut u64, bytes: &[u8]| *digest = fnv1a(*digest, bytes);
+        let (mut rewrites, mut last_len) = (0, 0);
+        for step in 0..400 {
+            let op = rng.gen_range(0..100u32);
+            match op {
+                0..=34 => {
+                    let e = pooled_entry(&mut rng);
+                    let hash = if op < 5 {
+                        handle.insert_durable(e)
+                    } else {
+                        handle.insert(e)
+                    };
+                    fold(&mut digest, &hash.to_le_bytes());
+                }
+                35..=54 => {
+                    let found = handle.get(&pooled_key(&mut rng));
+                    fold(
+                        &mut digest,
+                        &found.map_or(vec![2], |e| encode_entry_body(&e)),
+                    );
+                }
+                55..=74 => {
+                    let key = pooled_key(&mut rng);
+                    let x: Vec<f64> = key
+                        .param_point_bits
+                        .iter()
+                        .map(|&b| f64::from_bits(b))
+                        .collect();
+                    let mut scope = ObjectiveScope::new(
+                        handle.clone(),
+                        "golden.scope",
+                        key.spec_fingerprint,
+                        key.replicates,
+                        key.master_seed,
+                    );
+                    let v = scope.memoize(&x, || vec![step as f64, 0.25]);
+                    fold(&mut digest, &f64s_bytes(&v));
+                    fold(
+                        &mut digest,
+                        &f64s_bytes(&scope.lookup(&x).unwrap_or_default()),
+                    );
+                    let trace = scope.store_trace(vec![step as f64]);
+                    fold(&mut digest, &trace.to_le_bytes());
+                    let prov = handle.provenance_of(&scope.trace_key());
+                    fold(&mut digest, format!("{prov:?}").as_bytes());
+                }
+                75..=84 => {
+                    let prov = handle.provenance_of(&pooled_key(&mut rng));
+                    fold(&mut digest, format!("{prov:?}").as_bytes());
+                }
+                85..=94 => {
+                    let saved = handle.persist().expect("persist").is_some();
+                    let file = std::fs::read(&path).unwrap_or_default();
+                    if saved && file.len() < last_len {
+                        rewrites += 1;
+                    }
+                    last_len = file.len();
+                    fold(&mut digest, &file);
+                }
+                _ => {
+                    drop(handle);
+                    let (cache, dropped) =
+                        ResultCache::open_or_recover(&path, max_bytes).expect("reopen");
+                    assert_eq!(dropped, 0, "step {step}");
+                    handle = CacheHandle::new(cache);
+                }
+            }
+            fold(&mut digest, format!("{:?}", handle.stats()).as_bytes());
+        }
+        let stats = handle.stats();
+        assert!(stats.evictions > 0 && stats.hits > 0 && stats.misses > 0);
+        assert!(rewrites > 0, "no persist rewrote the file");
+        let _ = std::fs::remove_file(&path);
+        digest
+    }
+
+    fn f64s_bytes(v: &[f64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_f64s(&mut out, v);
+        out
+    }
+
+    /// The digest of [`observable_digest`] as the cache computed it when it
+    /// decoded every entry at open and held decoded entries. Never
+    /// regenerate it: a change must reproduce it.
+    const OBSERVABLE_GOLDEN: u64 = 0x503c_912c_4034_b5ed;
+
+    #[test]
+    fn observable_behaviour_matches_its_golden_digest() {
+        assert_eq!(observable_digest("plain"), OBSERVABLE_GOLDEN);
+    }
+
+    /// With every key's digest the same, the index holds each key apart
+    /// by its words: the same sequence gives the same golden.
+    #[test]
+    fn observable_behaviour_is_the_same_when_every_key_collides() {
+        FORCED_DIGEST.with(|d| d.set(Some(0x5EED)));
+        let digest = observable_digest("collide");
+        FORCED_DIGEST.with(|d| d.set(None));
+        assert_eq!(digest, OBSERVABLE_GOLDEN);
+    }
+
+    /// The walk at open refuses exactly the bodies a whole decode refuses,
+    /// with the same error: every cut and random byte changes of bodies
+    /// with and without reports.
+    #[test]
+    fn the_walk_fails_exactly_where_the_decode_fails() {
+        let bodies = [
+            encode_entry_body(&entry_with_report(3)),
+            encode_entry_body(&entry(4, &[], vec![])),
+        ];
+        let agree = |bytes: &[u8]| {
+            assert_eq!(
+                walk_entry_body(bytes).err(),
+                decode_entry_body(bytes).err(),
+                "{bytes:?}"
+            );
+        };
+        for body in &bodies {
+            for keep in 0..=body.len() {
+                agree(&body[..keep]);
+            }
+        }
+        crate::rng::for_cases(2_000, |rng| {
+            let mut bad = bodies[rng.gen_range(0..2usize)].clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..bad.len());
+                bad[at] = [0, 1, 2, 3, 7, 9, 0x80, 0xFF, rng.gen::<u64>() as u8]
+                    [rng.gen_range(0..9usize)];
+            }
+            agree(&bad);
+        });
+    }
+
+    /// An entry body laid out by hand, field by field, so a test can put a
+    /// bad value where the encoder never would: `report` is appended after
+    /// the marker byte as given, and `values_count` overrides the values'
+    /// count word.
+    fn hand_body(marker: u8, report: &[u8], values_count: Option<u64>) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u64(&mut body, 0xABCD);
+        put_u64s(&mut body, &[1.0f64.to_bits()]);
+        put_u64(&mut body, 8);
+        put_u64(&mut body, 5);
+        put_str(&mut body, LenPrefix::U64, "test.campaign");
+        put_u64(&mut body, 0xABCD);
+        put_u64s(&mut body, &[]);
+        put_u64(&mut body, values_count.unwrap_or(2));
+        put_u64(&mut body, 1.5f64.to_bits());
+        put_u64(&mut body, 2.5f64.to_bits());
+        put_u64s(&mut body, &[]);
+        body.push(marker);
+        body.extend_from_slice(report);
+        body
+    }
+
+    /// Entry bodies that no encoder writes, each with the error the cache
+    /// has always refused it with.
+    fn malformed_bodies() -> Vec<(&'static str, Vec<u8>, CacheError)> {
+        let corrupt = |reason: &str| CacheError::Corrupt {
+            reason: reason.into(),
+        };
+        let mut bad_tag = Vec::new();
+        for count in [1, 1, 0, 0, 0] {
+            put_u64(&mut bad_tag, count);
+        }
+        bad_tag.push(0);
+        put_u64(&mut bad_tag, 1);
+        put_u64(&mut bad_tag, 0);
+        put_u64(&mut bad_tag, 0);
+        bad_tag.push(9);
+        put_str(&mut bad_tag, LenPrefix::U64, "boom");
+        put_u64(&mut bad_tag, 0);
+        put_u64(&mut bad_tag, 0);
+        let mut trailing = hand_body(0, &[], None);
+        trailing.extend_from_slice(&[1, 2, 3]);
+        vec![
+            (
+                "report marker 7",
+                hand_body(7, &[], None),
+                corrupt("invalid report marker 7"),
+            ),
+            (
+                "failure-kind tag 9",
+                hand_body(1, &bad_tag, None),
+                corrupt("unknown failure kind tag 9"),
+            ),
+            (
+                "count past the end",
+                hand_body(0, &[], Some(1 << 20)),
+                corrupt("length 1048576 exceeds 25 remaining bytes"),
+            ),
+            (
+                "trailing bytes",
+                trailing,
+                corrupt("3 trailing bytes after entry"),
+            ),
+        ]
+    }
+
+    /// One `MDECACHE2` segment holding `bodies` as new entries.
+    fn segment_of(bodies: &[&[u8]]) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u64s(&mut body, &[]);
+        put_u64(&mut body, bodies.len() as u64);
+        for b in bodies {
+            put_u64(&mut body, fnv1a(FNV_OFFSET, b));
+            put_u64(&mut body, b.len() as u64);
+            body.extend_from_slice(b);
+        }
+        put_u64s(&mut body, &[]);
+        let mut out = Vec::new();
+        put_sealed(&mut out, &body);
+        out
+    }
+
+    /// A sealed segment whose checksum verifies but which holds a malformed
+    /// entry is refused at open, with the entry's typed error: strict open
+    /// returns it, and recovery drops that segment and keeps the ones
+    /// before it. An `MDECACHE1` file drops just the entry.
+    #[test]
+    fn a_sealed_but_malformed_entry_is_refused_at_open() {
+        let dir = std::env::temp_dir().join(format!("mde_cache_malformed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("malformed.mdecache");
+        let good = encode_entry_body(&entry_with_report(1));
+        let later = encode_entry_body(&entry(2, &[2.0], vec![2.0]));
+        let good_key = CacheKey::for_point(0xABCD, &[1.5, -0.0], 8, 1);
+        for (what, bad, expected) in malformed_bodies() {
+            let mut file = MAGIC.to_vec();
+            file.extend_from_slice(&segment_of(&[&good]));
+            file.extend_from_slice(&segment_of(&[&later, &bad]));
+            std::fs::write(&path, &file).expect("write");
+            let err = ResultCache::open(&path, DEFAULT_MAX_BYTES).expect_err(what);
+            assert_eq!(err, expected, "{what}");
+            let (mut cache, dropped) =
+                ResultCache::open_or_recover(&path, DEFAULT_MAX_BYTES).expect(what);
+            assert_eq!((dropped, cache.stats().entries), (1, 1), "{what}");
+            let (hit, _) = cache.lookup(&good_key).expect(what);
+            assert_eq!(hit, entry_with_report(1), "{what}");
+
+            let mut v1 = MAGIC_V1.to_vec();
+            put_u64(&mut v1, 3);
+            for body in [&good, &bad, &later] {
+                put_u64(&mut v1, fnv1a(FNV_OFFSET, body));
+                put_u64(&mut v1, body.len() as u64);
+                v1.extend_from_slice(body);
+            }
+            std::fs::write(&path, &v1).expect("write");
+            let err = ResultCache::open(&path, DEFAULT_MAX_BYTES).expect_err(what);
+            assert_eq!(
+                err,
+                CacheError::Corrupt {
+                    reason: "1 undecodable entries".into()
+                },
+                "{what}"
+            );
+            let (mut cache, dropped) =
+                ResultCache::open_or_recover(&path, DEFAULT_MAX_BYTES).expect(what);
+            assert_eq!((dropped, cache.stats().entries), (1, 2), "{what}");
+            assert!(cache.lookup(&good_key).is_some(), "{what}");
+            assert!(
+                cache
+                    .lookup(&CacheKey::for_point(0xABCD, &[2.0], 8, 2))
+                    .is_some(),
+                "{what}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -822,13 +822,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline that never expires — the explicit form of a saturated
-    /// [`Deadline::after`], useful as an EDF sort key for campaigns
-    /// without a wall-clock budget.
-    pub fn never() -> Self {
-        Deadline { deadline: None }
-    }
-
     /// The absolute expiry instant, or `None` for a never-expiring
     /// deadline. Earliest-deadline-first dispatch orders `Some` before
     /// `None`.

@@ -172,14 +172,17 @@ mod draw {
     }
 
     /// Uniform integer in `[0, span)` by widening multiply (Lemire), with
-    /// rejection so that every value is exactly equally likely.
+    /// rejection so that every value is exactly equally likely. A draw is
+    /// rejected when its low word is below `2⁶⁴ mod span`, which is below
+    /// `span`: so the division that computes it runs only for a low word
+    /// below `span`.
     #[inline]
     pub fn below(rng: &mut Rng, span: u64) -> u64 {
         debug_assert!(span > 0);
-        let threshold = span.wrapping_neg() % span;
         loop {
             let wide = (rng.next_u64() as u128) * (span as u128);
-            if (wide as u64) >= threshold {
+            let low = wide as u64;
+            if low >= span || low >= span.wrapping_neg() % span {
                 return (wide >> 64) as u64;
             }
         }
@@ -326,6 +329,37 @@ pub fn for_cases(n: u64, mut property: impl FnMut(&mut Rng)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `draw::below` as it was first written, dividing on every call: the
+    /// oracle for the one that divides only when a draw may be rejected.
+    fn below_dividing_every_call(rng: &mut Rng, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let wide = (rng.next_u64() as u128) * (span as u128);
+            if (wide as u64) >= threshold {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    /// Same outputs and same generator state afterwards, so every stream is
+    /// bit-identical. `2⁶³ + 1` rejects about half its draws, which covers
+    /// the loop.
+    #[test]
+    fn bounded_draws_match_the_dividing_oracle() {
+        for span in [1, 2, 3, 65, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            for seed in 0..8 {
+                let (mut a, mut b) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+                for _ in 0..2_000 {
+                    assert_eq!(
+                        draw::below(&mut a, span),
+                        below_dividing_every_call(&mut b, span)
+                    );
+                }
+                assert_eq!(a, b, "span {span} seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn splitmix_mixes_adjacent_inputs() {
