@@ -1,7 +1,7 @@
 //! E3 / E16 — §2.1 MCDB: the cost of a Monte Carlo replicate and MCDB-R
 //! risk queries.
 
-use mde_mcdb::mc::{GroupedMonteCarloQuery, MonteCarloQuery};
+use mde_mcdb::mc::MonteCarloQuery;
 use mde_mcdb::prelude::*;
 use mde_mcdb::query::{AggFunc, AggSpec, PreparedQuery};
 use mde_mcdb::vg::NormalVg;
@@ -485,6 +485,14 @@ pub fn mcdb_risk_report() -> String {
     out.push_str(
         "\nWhich regions will see more than a 2% decline in sales with >= 50% probability?\n",
     );
+    // Last year's sales were 1000 in every region; next year's are
+    // N(forecast, 30).
+    let regions = [
+        ("east", 1010.0),
+        ("west", 985.0),
+        ("north", 940.0),
+        ("south", 979.0),
+    ];
     let mut db2 = Catalog::new();
     db2.insert(
         Table::build(
@@ -495,26 +503,11 @@ pub fn mcdb_risk_report() -> String {
                 ("FORECAST_MEAN", DataType::Float),
             ],
         )
-        .row(vec![
-            Value::from("east"),
-            Value::from(1000.0),
-            Value::from(1010.0),
-        ])
-        .row(vec![
-            Value::from("west"),
-            Value::from(1000.0),
-            Value::from(985.0),
-        ])
-        .row(vec![
-            Value::from("north"),
-            Value::from(1000.0),
-            Value::from(940.0),
-        ])
-        .row(vec![
-            Value::from("south"),
-            Value::from(1000.0),
-            Value::from(979.0),
-        ])
+        .rows(
+            regions.iter().map(|&(name, mean)| {
+                vec![Value::from(name), Value::from(1000.0), Value::from(mean)]
+            }),
+        )
         .finish()
         .expect("static"),
     );
@@ -533,27 +526,30 @@ pub fn mcdb_risk_report() -> String {
         ])
         .build()
         .expect("valid spec");
-    let grouped = GroupedMonteCarloQuery::new(
-        vec![spec],
-        Plan::scan("NEXT_SALES").aggregate(
-            &["REGION"],
-            vec![AggSpec::new(
-                "CHANGE",
-                AggFunc::Avg,
-                Expr::col("REL_CHANGE"),
-            )],
-        ),
-        "REGION",
-        "CHANGE",
+    // One Monte Carlo run per region on the same seed: replicate `i`
+    // realizes the same NEXT_SALES in every run, and the run for a region
+    // reads that region's row of the grouped decline.
+    let decline = Plan::scan("NEXT_SALES").aggregate(
+        &["REGION"],
+        vec![AggSpec::new(
+            "DECLINE",
+            AggFunc::Avg,
+            Expr::col("REL_CHANGE").neg(),
+        )],
     );
-    let res = grouped.run(&db2, 2000, 17).expect("grouped MC");
-    let decisions = res.threshold_below(-0.02, 0.5, 0.95).expect("decisions");
     let mut grows = Vec::new();
-    for (g, decision) in &decisions {
-        let r = res.group(g).expect("group present");
-        let p = r.prob_below(-0.02, 0.95).expect("wilson");
+    for (name, _) in regions {
+        let query = decline
+            .clone()
+            .filter(Expr::col("REGION").eq(Expr::lit(name)))
+            .project(&[("DECLINE", Expr::col("DECLINE"))]);
+        let res = MonteCarloQuery::new(vec![spec.clone()], query)
+            .run(&db2, 2000, 17)
+            .expect("per-region MC");
+        let p = res.prob_above(0.02, 0.95).expect("wilson");
+        let decision = res.threshold_decision(0.02, 0.5, 0.95).expect("decision");
         grows.push(vec![
-            g.to_string(),
+            name.to_string(),
             format!("{:.3}", p.estimate),
             match decision {
                 Some(true) => "YES — flag this region".into(),

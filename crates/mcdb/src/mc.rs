@@ -33,8 +33,14 @@
 //! * **extreme quantiles** for risk analysis (MCDB-R, Arumugam et al.);
 //! * **threshold queries** — "Which regions will see more than a 2% decline
 //!   in sales with at least 50% probability?" (Perez et al.) — via
-//!   [`McResult::prob_above`]/[`McResult::threshold_decision`].
-
+//!   [`McResult::prob_above`]/[`McResult::threshold_decision`]. A grouped
+//!   question is one run per group on the same seed, its query the grouped
+//!   one filtered to that group's key (`… WHERE REGION = 'north'`):
+//!   replicate `i` realizes the same instance in every run, so each group's
+//!   sample is the one a single grouped pass would read for it, and every
+//!   group's run has the policy, checkpoints, cache and bundles below. A
+//!   realization that names a group twice answers its run with two rows,
+//!   which the run refuses as a non-scalar result.
 //!
 //! Runs are **supervised**: per-replicate execution is wrapped in
 //! `catch_unwind`, panics and non-finite samples become typed
@@ -339,7 +345,7 @@ impl MonteCarloQuery {
 /// `i`, and a success keeps one scalar sample.
 struct McSurface<'a> {
     prepared: PreparedMc,
-    /// The base catalog that attempts realize into (see [`replicate`]).
+    /// The base catalog that attempts realize into (see [`realize_and_query`]).
     scratch: Catalog,
     /// When attempt 0 of the current replicate began: `mc.replicate` times
     /// a replicate with its retries.
@@ -684,18 +690,19 @@ fn lane_answers(out: &Table, plan: &BundlePlan, lanes: usize) -> Vec<Option<f64>
     answers
 }
 
-/// One replicate, or one retry attempt of one — the body every Monte Carlo
-/// loop runs: start from the base catalog's tables, realize every
-/// stochastic table (spec `k` on `streams.stream(k)`), answer the query.
-/// `scratch` is a copy of the base catalog that earlier attempts have
-/// realized into; whatever they left under a spec's name is either put back
-/// here (a shadowed base table) or replaced before anything can read it (a
-/// plan can only name outputs of specs before it).
-fn replicate(
+/// One replicate, or one retry attempt of one, on the stream family
+/// [`Attempt::streams`](mde_numeric::resilience::Attempt::streams) chose:
+/// start from the base catalog's tables, realize every stochastic table
+/// (spec `k` on `streams.stream(k)`), answer the query, read the answer as
+/// the scalar sample. `scratch` is a copy of the base catalog that earlier
+/// attempts have realized into; whatever they left under a spec's name is
+/// either put back here (a shadowed base table) or replaced before anything
+/// can read it (a plan can only name outputs of specs before it).
+fn realize_and_query(
     prepared: &PreparedMc,
     scratch: &mut Catalog,
     streams: &StreamFactory,
-) -> crate::Result<Table> {
+) -> crate::Result<f64> {
     for base in &prepared.shadowed {
         scratch.insert_shared(Arc::clone(base));
     }
@@ -704,18 +711,7 @@ fn replicate(
         let t = spec.realize(scratch, &mut rng)?;
         scratch.insert(t);
     }
-    prepared.query.execute(scratch)
-}
-
-/// [`replicate`], its answer read as the scalar sample. The attempt body of
-/// a supervised replicate, on the stream family
-/// [`Attempt::streams`](mde_numeric::resilience::Attempt::streams) chose.
-fn realize_and_query(
-    prepared: &PreparedMc,
-    scratch: &mut Catalog,
-    streams: &StreamFactory,
-) -> crate::Result<f64> {
-    let v = replicate(prepared, scratch, streams)?.scalar()?;
+    let v = prepared.query.execute(scratch)?.scalar()?;
     if v.is_null() {
         // SQL aggregates over empty inputs yield NULL; represent as NaN?
         // No — surface it, the analyst must handle empty events.
@@ -804,16 +800,6 @@ impl McResult {
         )?)
     }
 
-    /// Estimated `P(result < x)` with a Wilson confidence interval.
-    pub fn prob_below(&self, x: f64, level: f64) -> crate::Result<ConfidenceInterval> {
-        let successes = self.samples.iter().filter(|&&v| v < x).count() as u64;
-        Ok(proportion_confidence_interval(
-            successes,
-            self.samples.len() as u64,
-            level,
-        )?)
-    }
-
     /// Threshold decision: is `P(result > x) >= p_min`?
     ///
     /// Returns `Some(true)`/`Some(false)` when the Wilson interval at the
@@ -835,137 +821,6 @@ impl McResult {
         } else {
             None
         })
-    }
-}
-
-/// A grouped Monte Carlo estimation task, for queries of the paper's shape
-/// "**Which regions** will see more than a 2% decline in sales with at
-/// least 50% probability?" — the query produces one `(group, value)` row
-/// per group per realization, and estimation runs per group.
-#[derive(Debug, Clone)]
-pub struct GroupedMonteCarloQuery {
-    specs: Vec<RandomTableSpec>,
-    query: Plan,
-    group_col: String,
-    value_col: String,
-}
-
-impl GroupedMonteCarloQuery {
-    /// Create a grouped task. The query must return, per realization, one
-    /// row per group with a `group_col` key and a numeric `value_col`.
-    pub fn new(
-        specs: Vec<RandomTableSpec>,
-        query: Plan,
-        group_col: impl Into<String>,
-        value_col: impl Into<String>,
-    ) -> Self {
-        GroupedMonteCarloQuery {
-            specs,
-            query,
-            group_col: group_col.into(),
-            value_col: value_col.into(),
-        }
-    }
-
-    /// Run `n` iterations, producing a per-group Monte Carlo sample.
-    ///
-    /// Every group must appear exactly once in every realization (the
-    /// natural outcome of a `GROUP BY` over a fixed dimension); anything
-    /// else is surfaced as an error rather than silently averaged.
-    pub fn run(&self, catalog: &Catalog, n: usize, seed: u64) -> crate::Result<McGroupedResult> {
-        let prepared = prepare_task(&self.specs, &self.query, catalog)?;
-        let gi = prepared.query.schema().index_of(&self.group_col)?;
-        let vi = prepared.query.schema().index_of(&self.value_col)?;
-        let factory = StreamFactory::new(seed);
-        let mut scratch = catalog.clone();
-        let mut groups: Vec<(crate::value::Value, Vec<f64>)> = Vec::new();
-        for i in 0..n {
-            let result = replicate(&prepared, &mut scratch, &factory.child(i as u64))?;
-            if i == 0 {
-                for row in result.rows() {
-                    groups.push((row[gi].clone(), Vec::with_capacity(n)));
-                }
-            }
-            if result.len() != groups.len() {
-                return Err(crate::McdbError::invalid_plan(format!(
-                    "iteration {i} produced {} groups, expected {}",
-                    result.len(),
-                    groups.len()
-                )));
-            }
-            // Every slot holds `i` samples before this realization; one that
-            // already holds `i + 1` was named by an earlier row of it. With
-            // the row count equal to the group count, no repeat means every
-            // group took exactly one row.
-            for row in result.rows() {
-                let slot = groups
-                    .iter_mut()
-                    .find(|(g, _)| g.group_eq(&row[gi]))
-                    .ok_or_else(|| {
-                        crate::McdbError::invalid_plan(format!(
-                            "iteration {i} produced unseen group `{}`",
-                            row[gi]
-                        ))
-                    })?;
-                if slot.1.len() > i {
-                    return Err(crate::McdbError::invalid_plan(format!(
-                        "iteration {i} produced group `{}` more than once",
-                        row[gi]
-                    )));
-                }
-                slot.1.push(row[vi].as_f64()?);
-            }
-        }
-        Ok(McGroupedResult {
-            groups: groups
-                .into_iter()
-                .map(|(g, samples)| (g, McResult::new(samples)))
-                .collect(),
-        })
-    }
-}
-
-/// Per-group Monte Carlo results.
-#[derive(Debug, Clone)]
-pub struct McGroupedResult {
-    /// `(group key, per-group sample)` in first-seen order.
-    pub groups: Vec<(crate::value::Value, McResult)>,
-}
-
-impl McGroupedResult {
-    /// The result for one group, if present.
-    pub fn group(&self, key: &crate::value::Value) -> Option<&McResult> {
-        self.groups
-            .iter()
-            .find(|(g, _)| g.group_eq(key))
-            .map(|(_, r)| r)
-    }
-
-    /// The paper's selection: groups whose `P(value < threshold) ≥ p_min`
-    /// is *confidently true* at the given confidence level (e.g. "regions
-    /// with a >2% decline with ≥50% probability" after projecting decline
-    /// as a value). Returns `(group, decision)` per group, where `None`
-    /// means inconclusive.
-    pub fn threshold_below(
-        &self,
-        threshold: f64,
-        p_min: f64,
-        level: f64,
-    ) -> crate::Result<Vec<(crate::value::Value, Option<bool>)>> {
-        self.groups
-            .iter()
-            .map(|(g, r)| {
-                let ci = r.prob_below(threshold, level)?;
-                let decision = if ci.lo >= p_min {
-                    Some(true)
-                } else if ci.hi < p_min {
-                    Some(false)
-                } else {
-                    None
-                };
-                Ok((g.clone(), decision))
-            })
-            .collect()
     }
 }
 
@@ -1553,7 +1408,8 @@ mod tests {
 
     /// Queries a bundle answers: every aggregate, filters that leave some
     /// replicates without a row, nested aggregates, projections over and
-    /// under aggregates, an `Int` sum that overflows in some replicates.
+    /// under aggregates, one group of a group-by, an `Int` sum that
+    /// overflows in some replicates.
     fn bundled_plans() -> Vec<Plan> {
         let sum = |name: &str, col: &str| {
             vec![AggSpec::new(
@@ -1585,6 +1441,10 @@ mod tests {
                 .project(&[("T", Expr::col("AMT").mul(Expr::lit(1.2)))])
                 .filter(Expr::col("T").lt(Expr::lit(20.0)))
                 .aggregate(&[], sum("S", "T")),
+            Plan::scan("SALES")
+                .aggregate(&["KIND"], sum("T", "AMT"))
+                .filter(Expr::col("KIND").eq(Expr::lit("a")))
+                .project(&[("T", Expr::col("T"))]),
             sql("SELECT SUM(X) AS S FROM WOBBLE"),
             sql("SELECT SUM(J) AS S FROM WOBBLE"),
         ]
@@ -1688,7 +1548,7 @@ mod tests {
 
     #[test]
     fn bundled_run_equals_the_plan_per_replicate_loop() {
-        let mut bundled = [0u64; 10];
+        let mut bundled = [0u64; 11];
         mde_numeric::rng::for_cases(12, |rng| {
             let items = rng.gen_range(1usize..9);
             let n = rng.gen_range(1u64..40);
@@ -1917,8 +1777,6 @@ mod tests {
             Some(false) => assert!(ci.hi < 0.5),
             None => assert!(ci.contains(0.5)),
         }
-        let below = res.prob_below(200.0, 0.95).unwrap();
-        assert!((below.estimate + ci.estimate - 1.0).abs() < 1e-12);
 
         // A deterministic inconclusive case: 50/100 successes straddles 0.5.
         let balanced = McResult::new(
@@ -1940,10 +1798,9 @@ mod tests {
         assert!(bad.run(&db, 2, 1).is_err());
     }
 
-    #[test]
-    fn grouped_query_answers_the_which_regions_question() {
-        // Two regions with different demand means; ask which will fall
-        // below a sales threshold with >= 50% probability.
+    /// Two regions with demand means 100 and 80, one row each per
+    /// realization.
+    fn regions_task(query: Plan) -> (Catalog, MonteCarloQuery) {
         let mut db = Catalog::new();
         db.insert(
             Table::build(
@@ -1962,65 +1819,60 @@ mod tests {
             .select(&[("REGION", Expr::col("NAME")), ("AMT", Expr::col("VALUE"))])
             .build()
             .unwrap();
-        let q = Plan::scan("SALES").aggregate(
+        (db, MonteCarloQuery::new(vec![spec], query))
+    }
+
+    /// The per-region query of a grouped one: its `REGION` rows filtered to
+    /// one region, that region's `TOTAL` projected.
+    fn one_region(grouped: Plan, region: &str) -> Plan {
+        grouped
+            .filter(Expr::col("REGION").eq(Expr::lit(region)))
+            .project(&[("TOTAL", Expr::col("TOTAL"))])
+    }
+
+    #[test]
+    fn grouped_query_answers_the_which_regions_question() {
+        // Ask which region will fall below a sales threshold with >= 50%
+        // probability, one run per region on the same seed. `TOTAL` is the
+        // negated sales, so "below 90" is `TOTAL > -90`.
+        let grouped = Plan::scan("SALES").aggregate(
             &["REGION"],
             vec![AggSpec::new(
                 "TOTAL",
                 crate::query::AggFunc::Sum,
-                Expr::col("AMT"),
+                Expr::col("AMT").neg(),
             )],
         );
-        let grouped = GroupedMonteCarloQuery::new(vec![spec], q, "REGION", "TOTAL");
-        let res = grouped.run(&db, 300, 5).unwrap();
-        assert_eq!(res.groups.len(), 2);
+        let run = |region: &str| {
+            let (db, task) = regions_task(one_region(grouped.clone(), region));
+            task.run(&db, 300, 5).unwrap()
+        };
+        let (east, west) = (run("east"), run("west"));
         // East ~ N(100, 5), west ~ N(80, 5): below 90 is a near-certain NO
         // for east, YES for west.
-        let decisions = res.threshold_below(90.0, 0.5, 0.95).unwrap();
-        let by_name = |n: &str| {
-            decisions
-                .iter()
-                .find(|(g, _)| g.group_eq(&Value::from(n)))
-                .unwrap()
-                .1
-        };
-        assert_eq!(by_name("east"), Some(false));
-        assert_eq!(by_name("west"), Some(true));
-        // Per-group results are real MC samples.
-        let east = res.group(&Value::from("east")).unwrap();
+        assert_eq!(
+            east.threshold_decision(-90.0, 0.5, 0.95).unwrap(),
+            Some(false)
+        );
+        assert_eq!(
+            west.threshold_decision(-90.0, 0.5, 0.95).unwrap(),
+            Some(true)
+        );
+        // Per-region results are real MC samples.
         assert_eq!(east.n(), 300);
-        assert!((east.mean() - 100.0).abs() < 2.0);
+        assert!((east.mean() + 100.0).abs() < 2.0);
     }
 
     #[test]
     fn grouped_query_refuses_a_realization_that_repeats_a_group() {
-        let mut db = Catalog::new();
-        db.insert(
-            Table::build(
-                "REGIONS",
-                &[("NAME", DataType::Str), ("MEAN", DataType::Float)],
-            )
-            .row(vec![Value::from("east"), Value::from(100.0)])
-            .row(vec![Value::from("west"), Value::from(80.0)])
-            .finish()
-            .unwrap(),
-        );
-        let spec = RandomTableSpec::builder("SALES")
-            .for_each(Plan::scan("REGIONS"))
-            .with_vg(std::sync::Arc::new(crate::vg::NormalVg))
-            .vg_params_exprs(&[Expr::col("MEAN"), Expr::lit(5.0)])
-            .select(&[("REGION", Expr::col("NAME")), ("AMT", Expr::col("VALUE"))])
-            .build()
-            .unwrap();
-        // Two rows per realization, both keyed `east`: the row count equals
-        // the group count, but one group is named twice and `west` never.
-        let q = Plan::scan("SALES")
+        // Two rows per realization, both keyed `east`: the region's run
+        // sees two answer rows, and refuses them rather than averaging.
+        let repeated = Plan::scan("SALES")
             .project(&[("REGION", Expr::lit("east")), ("TOTAL", Expr::col("AMT"))]);
-        let grouped = GroupedMonteCarloQuery::new(vec![spec], q, "REGION", "TOTAL");
-        match grouped.run(&db, 10, 5) {
-            Err(crate::McdbError::InvalidPlan { reason }) => {
-                assert!(reason.contains("`east`"), "{reason}")
-            }
-            other => panic!("expected a repeated-group error, got {other:?}"),
+        let (db, task) = regions_task(one_region(repeated, "east"));
+        match task.run(&db, 10, 5) {
+            Err(crate::McdbError::NonScalarResult { rows: 2, cols: 1 }) => {}
+            other => panic!("expected a non-scalar refusal, got {other:?}"),
         }
     }
 

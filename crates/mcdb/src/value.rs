@@ -160,17 +160,6 @@ impl Value {
         }
     }
 
-    /// Equality for grouping and join keys: Null groups with Null (unlike
-    /// SQL `=`, matching SQL `GROUP BY` semantics), numeric types compare
-    /// numerically.
-    pub fn group_eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Null, _) | (_, Value::Null) => false,
-            _ => self.sql_cmp(other) == Some(Ordering::Equal),
-        }
-    }
-
     /// A hashable key form for grouping/joining. Floats hash by bit
     /// pattern of their canonicalized value (`-0.0` → `0.0`); NaN keys are
     /// rejected upstream by table validation.
@@ -304,9 +293,6 @@ mod tests {
 
     #[test]
     fn group_semantics() {
-        assert!(Value::Null.group_eq(&Value::Null));
-        assert!(!Value::Null.group_eq(&Value::from(0)));
-        assert!(Value::from(2).group_eq(&Value::from(2.0)));
         assert_eq!(Value::Null.group_key(), GroupKey::Null);
         // -0.0 and 0.0 produce the same key.
         assert_eq!(Value::from(-0.0).group_key(), Value::from(0.0).group_key());
