@@ -544,7 +544,7 @@ pub(crate) fn eval_func(func: ScalarFunc, v: Value) -> crate::Result<Value> {
 
 use crate::query::batch::Batch;
 use crate::query::column::{ColumnVec, NullMask, StrDict};
-use crate::query::kernels::Lanes;
+use crate::query::kernels::{worth_indexing, Lanes};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -915,12 +915,12 @@ fn cmp_batch(
         };
         match (&la, &ra) {
             (StrOperand::Col(codes, dict, nulls), StrOperand::Const(lit))
-                if dict.worth_indexing(lanes) =>
+                if worth_indexing(dict.len(), lanes) =>
             {
                 return Ok(by_entry(codes, dict, nulls, lit, false));
             }
             (StrOperand::Const(lit), StrOperand::Col(codes, dict, nulls))
-                if dict.worth_indexing(lanes) =>
+                if worth_indexing(dict.len(), lanes) =>
             {
                 return Ok(by_entry(codes, dict, nulls, lit, true));
             }
@@ -1465,7 +1465,7 @@ mod tests {
             let tail = |from: usize| (from as u32..n as u32).collect::<Vec<u32>>();
             let (aligned, unaligned) = (tail(start / 64 * 64), tail(start));
             // Fewer lanes than dictionary entries (a gather shares the
-            // dictionary whole): the far side of `StrDict::worth_indexing`.
+            // dictionary whole): the far side of `kernels::worth_indexing`.
             let two = tail(n - n.min(2));
             let runs = [
                 Lanes::All(n),

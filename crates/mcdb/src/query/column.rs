@@ -249,14 +249,6 @@ impl StrDict {
         self.value(a).as_ref().cmp(self.value(b).as_ref())
     }
 
-    /// Whether a pass over the dictionary's entries pays for `lanes` lanes
-    /// of a column over it — the one rule for every kernel that would
-    /// index by code: a gathered column can carry a dictionary far larger
-    /// than itself.
-    pub(crate) fn worth_indexing(&self, lanes: usize) -> bool {
-        self.len() <= lanes
-    }
-
     /// The code of `s`, if the dictionary holds it.
     pub fn code_of(&self, s: &str) -> Option<u32> {
         self.index.get(s).copied()

@@ -6,7 +6,8 @@
 //! * [`hash_keys`] hashes key columns column-wise into one `Vec<u64>`;
 //!   [`KeyTable`] is the open-addressed table that maps a hash plus a
 //!   caller-supplied equality test to a dense key id. Group-by
-//!   ([`assign_groups`]) and every join ([`JoinIndex`]) share both.
+//!   ([`assign_groups`]) and every join ([`JoinIndex`]) share both off the
+//!   dense route (below).
 //! * [`accumulate`] folds one aggregate over its typed argument column
 //!   into per-group typed accumulators, **in lane order** — which is what
 //!   keeps first-seen group order and float accumulation order (hence
@@ -21,9 +22,20 @@
 //! # The key shape is resolved once per operator call
 //!
 //! No kernel matches a column's type per lane. [`assign_groups`] and
-//! [`JoinIndex`] look at the key columns once and take one of three
+//! [`JoinIndex`] look at the key columns once and take one of four
 //! routes:
 //!
+//! * **One key over a small domain** (dense): a string key's dictionary
+//!   codes (group-by), or an `Int` key whose non-NULL values `lo..=hi`
+//!   span a domain (group-by and join). The key *is* its slot — the code,
+//!   or `value − lo` — so the key's group or build key id is a flat array
+//!   indexed by slot: no hash, no probe chain, no equality test. One rule,
+//!   [`worth_indexing`], decides for both kinds of key whether the array
+//!   pays: its slots may not outnumber the lanes that fill it (a gathered
+//!   column can carry a dictionary far larger than itself, and a sparse
+//!   `Int` key such as `{0, 10¹²}` spans far more values than it has
+//!   lanes). A NULL lane has its own group slot and never joins; a probe
+//!   key below `lo` or above `hi` misses.
 //! * **One fixed-width key** (`Int`, `Float`, `Bool`): the lane's key is a
 //!   64-bit *word* (the integer, the canonical float bits, `0`/`1`) and its
 //!   hash is `fold_hash(0, hash_i64_one(word))` — a splitmix64 finaliser
@@ -37,10 +49,8 @@
 //!   reserved group in group-by — and a probe additionally checks once per
 //!   call that both sides have the same column type, since equal words of
 //!   different types are different keys.
-//! * **One string key** (group-by): the code *is* the key within one
-//!   dictionary; groups are an array indexed by code (a dictionary larger
-//!   than the lanes — `StrDict::worth_indexing` — takes the next route).
-//! * **Anything else** (composite keys, a string join key): the table is
+//! * **Anything else** (composite keys, a string join key, a string
+//!   group key whose dictionary is not [`worth_indexing`]): the table is
 //!   probed with the exact test `keys_equal` against each key's
 //!   representative row, so the answer never depends on the hash.
 //!
@@ -334,22 +344,68 @@ pub(crate) struct Groups {
     pub(crate) first_lane: Vec<u32>,
 }
 
+/// Whether a table indexed by key slot — a string key's dictionary code,
+/// an `Int` key's `value − lo` — pays for `lanes` lanes: its `domain`
+/// slots may not outnumber the lanes that fill it. The one rule for every
+/// kernel that would index by code or by value (module docs): a gathered
+/// column can carry a dictionary far larger than itself, and a sparse
+/// `Int` key spans far more values than it has lanes.
+pub(crate) fn worth_indexing(domain: usize, lanes: usize) -> bool {
+    domain <= lanes
+}
+
+/// The dense domain of an `Int` key over `lanes`: `(lo, slots)` with every
+/// non-NULL value `v` at slot `v − lo < slots`, when [`worth_indexing`]
+/// holds for it (no non-NULL lane: zero slots). `hi − lo` is taken as a
+/// `u64` (`wrapping_sub`), so no pair of `i64`s overflows it.
+fn dense_domain(data: &[i64], nulls: &NullMask, lanes: Lanes<'_>) -> Option<(i64, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    let nullable = nulls.any_null();
+    for_rows!(lanes, |_lane, row| {
+        if !(nullable && nulls.is_null(row)) {
+            lo = lo.min(data[row]);
+            hi = hi.max(data[row]);
+        }
+    });
+    if lo > hi {
+        return Some((0, 0));
+    }
+    let slots = usize::try_from(hi.wrapping_sub(lo) as u64)
+        .ok()?
+        .checked_add(1)?;
+    worth_indexing(slots, lanes.len()).then_some((lo, slots))
+}
+
+/// The slot of `Int` key `v` in the dense domain starting at `lo`, as a
+/// `u64`: a value below `lo` wraps to far above any domain's last slot.
+#[inline]
+fn slot_of(v: i64, lo: i64) -> u64 {
+    v.wrapping_sub(lo) as u64
+}
+
 /// Assign a dense group id to every lane by its key columns, walking lanes
 /// in order so ids come out in first-seen order. The key shape picks the
-/// route once (module docs): a word table without an equality test, an
-/// array indexed by string code, or the exact test inside the table probe.
+/// route once (module docs): an array indexed by string code or by `Int`
+/// value, a word table without an equality test, or the exact test inside
+/// the table probe.
 pub(crate) fn assign_groups(keys: &[&ColumnVec], lanes: Lanes<'_>) -> Groups {
     if let [key] = keys {
         match key {
-            ColumnVec::Str { codes, dict, nulls } if dict.worth_indexing(lanes.len()) => {
-                return group_codes(codes, dict.len(), nulls, lanes)
+            ColumnVec::Str { codes, dict, nulls } if worth_indexing(dict.len(), lanes.len()) => {
+                return group_slots(dict.len(), |r| codes[r] as usize, nulls, lanes)
             }
-            fixed => with_word_key!(
-                fixed,
-                |word, nulls| return group_words(word, nulls, lanes),
-                _ => {}
-            ),
+            ColumnVec::Int { data, nulls } => {
+                if let Some((lo, slots)) = dense_domain(data, nulls, lanes) {
+                    return group_slots(slots, |r| slot_of(data[r], lo) as usize, nulls, lanes);
+                }
+            }
+            _ => {}
         }
+        with_word_key!(
+            key,
+            |word, nulls| return group_words(word, nulls, lanes),
+            _ => {}
+        )
     }
     group_exact(keys, lanes, &hash_keys(keys, lanes))
 }
@@ -379,26 +435,28 @@ fn group_words(word: impl Fn(usize) -> u64, nulls: &NullMask, lanes: Lanes<'_>) 
     Groups { ids, first_lane }
 }
 
-/// Group-by on one string key: within one dictionary the code is the key,
-/// so the group of a code is an array lookup; ids are still handed out in
+/// Group-by on one key over a dense domain of `slots` slots, `slot(row)`
+/// the slot of a non-NULL row (a string code, an `Int`'s `value − lo`):
+/// the group of a slot is an array lookup, and ids are still handed out in
 /// first-seen *lane* order.
-fn group_codes(codes: &[u32], dict_len: usize, nulls: &NullMask, lanes: Lanes<'_>) -> Groups {
+fn group_slots(
+    slots: usize,
+    slot: impl Fn(usize) -> usize,
+    nulls: &NullMask,
+    lanes: Lanes<'_>,
+) -> Groups {
     const UNSEEN: u32 = u32::MAX;
     // The last slot is the NULL group's.
-    let mut group_of = vec![UNSEEN; dict_len + 1];
+    let mut group_of = vec![UNSEEN; slots + 1];
     let mut ids = Vec::with_capacity(lanes.len());
     let mut first_lane: Vec<u32> = Vec::new();
     for_rows!(lanes, |lane, row| {
-        let slot = if nulls.is_null(row) {
-            dict_len
-        } else {
-            codes[row] as usize
-        };
-        if group_of[slot] == UNSEEN {
-            group_of[slot] = first_lane.len() as u32;
+        let s = if nulls.is_null(row) { slots } else { slot(row) };
+        if group_of[s] == UNSEEN {
+            group_of[s] = first_lane.len() as u32;
             first_lane.push(lane as u32);
         }
-        ids.push(group_of[slot]);
+        ids.push(group_of[s]);
     });
     Groups { ids, first_lane }
 }
@@ -424,12 +482,14 @@ fn group_exact(keys: &[&ColumnVec], lanes: Lanes<'_>, hashes: &[u64]) -> Groups 
     Groups { ids, first_lane }
 }
 
-/// Flat hash index over the build side of an equi-join: a [`KeyTable`]
-/// over the distinct non-NULL keys plus, per key, its build lanes in
-/// ascending order (CSR layout) — so a probe emits each key's matches in
-/// ascending build lane.
+/// Flat index over the build side of an equi-join: the distinct non-NULL
+/// keys — by slot for one `Int` key over a dense domain, in a [`KeyTable`]
+/// otherwise — plus, per key, its build lanes in ascending order (CSR
+/// layout), so a probe emits each key's matches in ascending build lane.
 pub(crate) struct JoinIndex<'a> {
     keys: Vec<&'a ColumnVec>,
+    /// The dense route: `(lo, id of the key at each slot or NO_KEY)`.
+    direct: Option<(i64, Vec<u32>)>,
     table: KeyTable,
     /// Batch row of each key's first build lane (the equality witness).
     rep_row: Vec<u32>,
@@ -445,35 +505,55 @@ impl<'a> JoinIndex<'a> {
     pub(crate) fn build(keys: &[&'a ColumnVec], lanes: Lanes<'_>) -> JoinIndex<'a> {
         let mut index = JoinIndex {
             keys: keys.to_vec(),
-            table: KeyTable::with_capacity(lanes.len()),
+            direct: None,
+            table: KeyTable::with_capacity(0),
             rep_row: Vec::new(),
             offsets: Vec::new(),
             lanes: Vec::new(),
         };
         // The key id of every build lane, `NO_KEY` for a NULL key.
         let mut ids = vec![NO_KEY; lanes.len()];
-        let word_keyed = match keys {
-            [key] => with_word_key!(
-                key,
-                |word, nulls| {
-                    for_rows!(lanes, |lane, row| {
-                        if !nulls.is_null(row) {
-                            let (id, inserted) =
-                                index.table.find_or_insert(word_hash(word(row)), |_| true);
-                            if inserted {
-                                index.rep_row.push(row as u32);
-                            }
-                            ids[lane] = id;
+        if let [ColumnVec::Int { data, nulls }] = keys {
+            if let Some((lo, slots)) = dense_domain(data, nulls, lanes) {
+                let mut id_of = vec![NO_KEY; slots];
+                for_rows!(lanes, |lane, row| {
+                    if !nulls.is_null(row) {
+                        let id = &mut id_of[slot_of(data[row], lo) as usize];
+                        if *id == NO_KEY {
+                            *id = index.rep_row.len() as u32;
+                            index.rep_row.push(row as u32);
                         }
-                    });
-                    true
-                },
-                _ => false
-            ),
-            _ => false,
-        };
-        if !word_keyed {
-            index.insert_exact(lanes, &hash_keys(keys, lanes), &mut ids);
+                        ids[lane] = *id;
+                    }
+                });
+                index.direct = Some((lo, id_of));
+            }
+        }
+        if index.direct.is_none() {
+            index.table = KeyTable::with_capacity(lanes.len());
+            let word_keyed = match keys {
+                [key] => with_word_key!(
+                    key,
+                    |word, nulls| {
+                        for_rows!(lanes, |lane, row| {
+                            if !nulls.is_null(row) {
+                                let (id, inserted) =
+                                    index.table.find_or_insert(word_hash(word(row)), |_| true);
+                                if inserted {
+                                    index.rep_row.push(row as u32);
+                                }
+                                ids[lane] = id;
+                            }
+                        });
+                        true
+                    },
+                    _ => false
+                ),
+                _ => false,
+            };
+            if !word_keyed {
+                index.insert_exact(lanes, &hash_keys(keys, lanes), &mut ids);
+            }
         }
         let mut counts = vec![0u32; index.rep_row.len()];
         for &id in ids.iter().filter(|&&id| id != NO_KEY) {
@@ -495,6 +575,12 @@ impl<'a> JoinIndex<'a> {
             }
         }
         index
+    }
+
+    /// Whether the build took the dense route (module docs).
+    #[cfg(test)]
+    pub(crate) fn is_direct(&self) -> bool {
+        self.direct.is_some()
     }
 
     /// Key ids for the non-NULL build lanes, with the exact equality test
@@ -530,6 +616,19 @@ impl<'a> JoinIndex<'a> {
             .all(|(b, p)| b.dtype().is_some() && b.dtype() == p.dtype());
         if !same_types {
             out.fill(NO_KEY);
+            return;
+        }
+        if let (Some((lo, id_of)), [ColumnVec::Int { data, nulls }]) = (&self.direct, probe_keys) {
+            // A NULL lane, or a key outside `lo..=hi`, misses.
+            let nullable = nulls.any_null();
+            for_rows!(lanes, |lane, row| {
+                let slot = slot_of(data[row], *lo);
+                out[lane] = if slot < id_of.len() as u64 && !(nullable && nulls.is_null(row)) {
+                    id_of[slot as usize]
+                } else {
+                    NO_KEY
+                };
+            });
             return;
         }
         if let [key] = probe_keys {
@@ -583,6 +682,17 @@ impl<'a> JoinIndex<'a> {
     ) -> (Vec<u32>, Vec<u32>) {
         let mut probe_rows = Vec::with_capacity(hits.len());
         let mut build_rows = Vec::with_capacity(hits.len());
+        if self.lanes.len() == self.rep_row.len() {
+            // Every key has one build lane: key `id`'s is `lanes[id]`.
+            for_rows!(probe, |lane, row| {
+                // `NO_KEY` is past the end.
+                if let Some(&b) = self.lanes.get(hits[lane] as usize) {
+                    probe_rows.push(row as u32);
+                    build_rows.push(build.row(b as usize) as u32);
+                }
+            });
+            return (probe_rows, build_rows);
+        }
         for_rows!(probe, |lane, row| {
             if hits[lane] != NO_KEY {
                 for &b in self.build_lanes(hits[lane]) {
@@ -947,9 +1057,11 @@ mod tests {
     }
 
     /// `assign_groups` against a sort-free quadratic oracle over seeded
-    /// keys with NULLs — every route: one `Int`, `Float` (`-0.0`/`0.0`),
-    /// `Bool` or `Str` key (`""`, non-ASCII), and composites of them, over
-    /// a range and through a selection vector.
+    /// keys with NULLs — every route: one `Int` key over a dense domain
+    /// (`r % 3`; a domain of exactly the lanes) or not (values ×10¹⁵ with
+    /// `i64::MIN` / `i64::MAX`; a domain one slot wider than the lanes), one
+    /// `Float` (`-0.0`/`0.0`), `Bool` or `Str` key (`""`, non-ASCII), and
+    /// composites of them, over a range and through a selection vector.
     #[test]
     fn groups_match_quadratic_oracle_on_seeded_keys() {
         let mut rng = rng_from_seed(chaos_seed());
@@ -963,20 +1075,55 @@ mod tests {
                     })
                     .collect()
             };
-            let columns = [
+            let sparse = [
+                i64::MIN,
+                -2_000_000_000_000_000,
+                3_000_000_000_000_000,
+                i64::MAX,
+            ];
+            let drawn = [
                 draw(&|r| Value::from(r % 3)),
                 draw(&|r| Value::from([-0.0, 0.0, 1.5, -2.0][r as usize - 1])),
                 draw(&|r| Value::from(r % 2 == 0)),
                 draw(&|r| Value::str(["", "b", "ü", "b\u{0}"][r as usize - 1])),
+                draw(&|r| Value::from(sparse[r as usize - 1])),
             ];
+            // Lanes 0 and 1 hold the domain's ends: `extra` slots past the
+            // lanes, next to `i64::MIN` or `i64::MAX` at random.
+            let base = [i64::MIN, -1, i64::MAX - n as i64][rng.gen_range(0..3usize)];
+            let mut edge = |extra: i64| -> Vec<Value> {
+                (0..n)
+                    .map(|i| match i {
+                        0 => Value::from(base),
+                        1 => Value::from(base + n as i64 - 1 + extra),
+                        _ if rng.gen_range(0..5) == 0 => Value::Null,
+                        _ => Value::from(base + rng.gen_range(0..n as i64)),
+                    })
+                    .collect()
+            };
+            let (at_lanes, past_lanes) = (edge(0), edge(1));
+            let columns: Vec<Vec<Value>> =
+                drawn.into_iter().chain([at_lanes, past_lanes]).collect();
             let cols: Vec<ColumnVec> = columns.iter().map(|c| col(c.clone())).collect();
+            let dense_over_all = |j: usize| match &cols[j] {
+                ColumnVec::Int { data, nulls } => dense_domain(data, nulls, Lanes::All(n)),
+                other => panic!("column {j} is not Int: {other:?}"),
+            };
+            assert_eq!(dense_over_all(5), Some((base, n)), "domain = lanes");
+            if n > 1 {
+                assert_eq!(dense_over_all(6), None, "domain = lanes + 1");
+            }
             let sel: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
             for shape in [
                 vec![0],
                 vec![1],
                 vec![2],
                 vec![3],
+                vec![4],
+                vec![5],
+                vec![6],
                 vec![0, 3],
+                vec![4, 5],
                 vec![3, 0, 1, 2],
             ] {
                 let keys: Vec<&ColumnVec> = shape.iter().map(|&j| &cols[j]).collect();
@@ -1162,6 +1309,81 @@ mod tests {
         // Int and Float keys never match, even at equal numeric value.
         let floats = col(vec![Value::from(1.0), Value::from(2.0)]);
         assert!(join_lanes(&[&build], bl, &[&floats], Lanes::All(2)).is_empty());
+        assert!(index.is_direct(), "keys 1 and 2 over three lanes");
+
+        // Seeded `Int` builds on both sides of the dense rule — a domain of
+        // exactly the build lanes, and one slot more — with unique keys (a
+        // shuffled run) or repeated ones with NULLs, next to `i64::MIN` or
+        // `i64::MAX`; probes bring keys below `lo`, above `hi`, the extreme
+        // integers and NULL. The oracle is the quadratic join.
+        let mut rng = rng_from_seed(chaos_seed());
+        for case in 0..40 {
+            let n = rng.gen_range(1..=40usize);
+            let (unique, extra) = (case % 2 == 0, (case / 2 % 2) as i64);
+            let lo = [i64::MIN, -3, i64::MAX - n as i64][rng.gen_range(0..3usize)];
+            let hi = lo + n as i64 - 1 + extra;
+            // Both ends present, so the domain is `hi − lo + 1` slots.
+            let mut keys: Vec<i64> = vec![lo; n];
+            if n > 1 {
+                keys[1] = hi;
+                let mut inner: Vec<i64> = (lo + 1..hi).collect();
+                rng.shuffle(&mut inner);
+                for k in &mut keys[2..] {
+                    *k = if unique {
+                        inner.pop().expect("n − 2 inner keys")
+                    } else {
+                        lo + rng.gen_range(0..=hi - lo)
+                    };
+                }
+                rng.shuffle(&mut keys);
+            }
+            let keys: Vec<Value> = keys
+                .into_iter()
+                .map(|k| match rng.gen_range(0..4) {
+                    0 if !unique && k != lo && k != hi => Value::Null,
+                    _ => Value::from(k),
+                })
+                .collect();
+            let probe: Vec<Value> = (0..rng.gen_range(0..=60usize))
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => Value::Null,
+                    1 => Value::from(lo.wrapping_sub(1)),
+                    2 => Value::from(hi.wrapping_add(1)),
+                    3 => Value::from(i64::MIN),
+                    4 => Value::from(i64::MAX),
+                    _ => Value::from(lo + rng.gen_range(0..=hi - lo)),
+                })
+                .collect();
+            let (bc, pc) = (col(keys.clone()), col(probe.clone()));
+            let (bl, pl) = (Lanes::All(n), Lanes::All(probe.len()));
+            let mut want = Vec::new();
+            for (p, pv) in probe.iter().enumerate() {
+                for (b, bv) in keys.iter().enumerate() {
+                    if !pv.is_null() && pv.group_key() == bv.group_key() {
+                        want.push((p as u32, b as u32));
+                    }
+                }
+            }
+            let dense = n == 1 || extra == 0;
+            let index = JoinIndex::build(&[&bc], bl);
+            assert_eq!(index.is_direct(), dense, "case {case}: {keys:?}");
+            assert_eq!(join_lanes(&[&bc], bl, &[&pc], pl), want, "case {case}");
+            // Through selections, rows are read through the lanes.
+            let (bs, ps): (Vec<u32>, Vec<u32>) = (
+                (0..n as u32).rev().collect(),
+                (0..probe.len() as u32).step_by(2).collect(),
+            );
+            let index = JoinIndex::build(&[&bc], Lanes::Sel(&bs));
+            assert_eq!(index.is_direct(), dense, "case {case}, selected");
+            let mut hits = vec![0; ps.len()];
+            index.probe(&[&pc], Lanes::Sel(&ps), &mut hits);
+            let (p_rows, b_rows) = index.matches(&hits, Lanes::Sel(&ps), Lanes::Sel(&bs));
+            let mut got: Vec<(u32, u32)> = p_rows.into_iter().zip(b_rows).collect();
+            got.sort_unstable();
+            let mut want: Vec<(u32, u32)> = want.into_iter().filter(|(p, _)| p % 2 == 0).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "case {case}, selected");
+        }
     }
 
     #[test]

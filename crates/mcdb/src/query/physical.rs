@@ -1190,23 +1190,25 @@ fn filter_lanes(ctx: &ExecCtx, chunk: &Chunk, predicate: &BoundExpr) -> crate::R
     let lanes = chunk.len();
     if let Some(conjuncts) = filter_fast_path(chunk, predicate) {
         // Literal fast path: the comparison kernels consume the column
-        // slice and its null words directly, and a conjunction intersects
-        // its conjuncts' ascending selections.
+        // slice and its null words directly; the first conjunct selects
+        // and each later one refines that selection in place.
         ctx.count_select_lanes(lanes);
-        return Ok(conjuncts
-            .iter()
-            .map(|&(col, fast)| match (fast, chunk.batch.column(col)) {
-                (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => {
-                    select::cmp_f64_lit(op, data, lit, nulls.words())
-                }
-                (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => {
-                    select::cmp_i64_lit(op, data, lit, nulls.words())
-                }
+        let mut sel: Option<Vec<u32>> = None;
+        for &(col, fast) in &conjuncts {
+            sel = Some(match (fast, chunk.batch.column(col)) {
+                (FastCmp::F64(op, lit), ColumnVec::Float { data, nulls }) => match sel {
+                    None => select::cmp_f64_lit(op, data, lit, nulls.words()),
+                    Some(sel) => select::refine_f64_lit(sel, op, data, lit, nulls.words()),
+                },
+                (FastCmp::I64(op, lit), ColumnVec::Int { data, nulls }) => match sel {
+                    None => select::cmp_i64_lit(op, data, lit, nulls.words()),
+                    Some(sel) => select::refine_i64_lit(sel, op, data, lit, nulls.words()),
+                },
                 // `filter_fast_path` only emits matching pairs.
                 _ => Vec::new(),
-            })
-            .reduce(|acc, next| select::intersect_sorted(&acc, &next))
-            .unwrap_or_default());
+            });
+        }
+        return Ok(sel.unwrap_or_default());
     }
     // Generic path: evaluate the predicate, then compact true-and-not-null
     // lanes with the bool selection kernel.

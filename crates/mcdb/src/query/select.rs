@@ -1,5 +1,8 @@
 //! Selection kernels for the vectorized executor: a column against a
-//! literal, or a boolean column, turned into a selection vector.
+//! literal, or a boolean column, turned into a selection vector; and a
+//! selection vector refined by one more literal comparison, which is how a
+//! filter conjunction runs (the first conjunct selects, each later one
+//! refines the rows kept so far, in place).
 //!
 //! Every kernel is one branch-free loop in plain Rust. Each lane stores its
 //! index at the output cursor, and the cursor advances only past lanes that
@@ -86,24 +89,79 @@ pub fn cmp_i64_lit(op: CmpOp, data: &[i64], lit: i64, nulls: Option<&[u64]>) -> 
     cmp_lit(op, data, lit, nulls)
 }
 
-/// Intersect two ascending selection vectors — the conjunction of two
-/// filter kernels' outputs (a lane passes `a AND b` only when it is in
-/// both).
-pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
+/// The one refinement loop: keep the rows of the ascending selection `sel`
+/// where `keep` holds for `data[row]` and the null mask is clear, in place
+/// and in order — the next conjunct of a filter, read only at the rows the
+/// earlier ones kept. Branch-free like [`select`].
+#[inline(always)]
+fn refine<T: Copy>(
+    mut sel: Vec<u32>,
+    data: &[T],
+    nulls: Option<&[u64]>,
+    keep: impl Fn(T) -> bool,
+) -> Vec<u32> {
+    let mut n = 0;
+    match nulls {
+        None => {
+            for i in 0..sel.len() {
+                let row = sel[i];
+                sel[n] = row;
+                n += usize::from(keep(data[row as usize]));
+            }
+        }
+        Some(words) => {
+            for i in 0..sel.len() {
+                let row = sel[i] as usize;
+                sel[n] = row as u32;
+                n += usize::from(keep(data[row]) & (words[row / 64] >> (row % 64) & 1 == 0));
             }
         }
     }
-    out
+    sel.truncate(n);
+    sel
+}
+
+/// [`refine`] with the comparison resolved before the loop.
+fn refine_lit<T: Copy + PartialOrd>(
+    sel: Vec<u32>,
+    op: CmpOp,
+    data: &[T],
+    lit: T,
+    nulls: Option<&[u64]>,
+) -> Vec<u32> {
+    match op {
+        CmpOp::Eq => refine(sel, data, nulls, |a| a == lit),
+        CmpOp::Ne => refine(sel, data, nulls, |a| a != lit),
+        CmpOp::Lt => refine(sel, data, nulls, |a| a < lit),
+        CmpOp::Le => refine(sel, data, nulls, |a| a <= lit),
+        CmpOp::Gt => refine(sel, data, nulls, |a| a > lit),
+        CmpOp::Ge => refine(sel, data, nulls, |a| a >= lit),
+    }
+}
+
+/// Refine an ascending selection of an `f64` column's lanes to the
+/// non-null ones where the literal comparison holds: `a AND b` is
+/// [`cmp_f64_lit`] for `a`, then this for `b`. IEEE semantics as there.
+pub fn refine_f64_lit(
+    sel: Vec<u32>,
+    op: CmpOp,
+    data: &[f64],
+    lit: f64,
+    nulls: Option<&[u64]>,
+) -> Vec<u32> {
+    refine_lit(sel, op, data, lit, nulls)
+}
+
+/// Refine an ascending selection of an `i64` column's lanes to the
+/// non-null ones where the literal comparison holds.
+pub fn refine_i64_lit(
+    sel: Vec<u32>,
+    op: CmpOp,
+    data: &[i64],
+    lit: i64,
+    nulls: Option<&[u64]>,
+) -> Vec<u32> {
+    refine_lit(sel, op, data, lit, nulls)
 }
 
 /// Hash of one `i64` key part: splitmix64's finalizer over the key's
@@ -115,19 +173,4 @@ pub fn hash_i64_one(key: i64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn intersect_keeps_common_lanes_in_order() {
-        assert_eq!(
-            intersect_sorted(&[1, 3, 5, 9], &[0, 3, 4, 5, 10]),
-            vec![3, 5]
-        );
-        assert_eq!(intersect_sorted(&[], &[1, 2]), Vec::<u32>::new());
-        assert_eq!(intersect_sorted(&[7], &[7]), vec![7]);
-    }
 }

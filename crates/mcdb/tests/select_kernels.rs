@@ -8,7 +8,7 @@
 //! boundaries (a null-mask word is 64 lanes).
 
 use mde_mcdb::query::select::{
-    cmp_f64_lit, cmp_i64_lit, compact_bool_lanes, intersect_sorted, CmpOp,
+    cmp_f64_lit, cmp_i64_lit, compact_bool_lanes, refine_f64_lit, refine_i64_lit, CmpOp,
 };
 use mde_numeric::rng::for_cases;
 
@@ -187,9 +187,11 @@ fn compact_bool_equals_plain_filter() {
     });
 }
 
-/// A filter conjunction is the intersection of its conjuncts' selections:
-/// intersecting two comparison kernels' outputs equals the lanes where both
-/// predicates hold, and stays ascending.
+/// A filter conjunction is one selection refined by each later conjunct:
+/// refining the first comparison kernel's output by a second comparison
+/// keeps exactly the lanes where both predicates hold, ascending — on the
+/// same column with one mask, and with the second conjunct reading a
+/// different column (`i64` or `f64`, hostile values) under its own mask.
 #[test]
 fn conjunction_is_the_intersection() {
     for_cases(192, |rng| {
@@ -204,6 +206,13 @@ fn conjunction_is_the_intersection() {
         let hi_pick = rng.gen_range(0usize..8);
         let lo_op = OPS[rng.gen_range(0usize..6)];
         let hi_op = OPS[rng.gen_range(0usize..6)];
+        let kind = rng.gen_range(0usize..4);
+        let other_words: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| rng.gen()).collect();
+        let other_picks: Vec<usize> = (0..rng.gen_range(1..131))
+            .map(|_| rng.gen_range(0..12))
+            .collect();
+        let f_alt = f64::from_bits(rng.gen());
+        let f_lit = hostile_f64(rng.gen_range(0usize..12), f64::from_bits(rng.gen()));
         let len = edge_len(len_pick, len_rand);
         let data: Vec<i64> = (0..len)
             .map(|i| hostile_i64(picks[i % picks.len()], alts[i % alts.len()]))
@@ -215,17 +224,43 @@ fn conjunction_is_the_intersection() {
             hostile_i64(lo_pick, alts[0]),
             hostile_i64(hi_pick, alts[alts.len() - 1]),
         );
+        let ascending = |sel: &[u32]| sel.windows(2).all(|w| w[0] < w[1]);
         let a = cmp_i64_lit(lo_op, &data, lo, Some(&nulls));
-        let b = cmp_i64_lit(hi_op, &data, hi, Some(&nulls));
-        let both = intersect_sorted(&a, &b);
+        let both = refine_i64_lit(a.clone(), hi_op, &data, hi, Some(&nulls));
         let want = oracle(len, Some(&nulls), |l| {
             holds(lo_op, data[l], lo) && holds(hi_op, data[l], hi)
         });
         assert_eq!(&both, &want);
-        assert!(
-            both.windows(2).all(|w| w[0] < w[1]),
-            "selection stays ascending"
-        );
+        assert!(ascending(&both), "selection stays ascending");
+        // The second conjunct on another column, with NULLs of its own.
+        let mask = mask_for(kind, &other_words, len);
+        let null = |l: usize| {
+            mask.as_ref()
+                .is_some_and(|w| w[l / 64] >> (l % 64) & 1 != 0)
+        };
+        let ints: Vec<i64> = (0..len)
+            .map(|i| {
+                hostile_i64(
+                    other_picks[i % other_picks.len()] % 8,
+                    alts[(i * 7) % alts.len()],
+                )
+            })
+            .collect();
+        let got = refine_i64_lit(a.clone(), hi_op, &ints, hi, mask.as_deref());
+        let want = oracle(len, Some(&nulls), |l| {
+            holds(lo_op, data[l], lo) && holds(hi_op, ints[l], hi) && !null(l)
+        });
+        assert_eq!(&got, &want, "i64 second column, mask kind {kind}");
+        assert!(ascending(&got));
+        let floats: Vec<f64> = (0..len)
+            .map(|i| hostile_f64(other_picks[i % other_picks.len()], f_alt))
+            .collect();
+        let got = refine_f64_lit(a, hi_op, &floats, f_lit, mask.as_deref());
+        let want = oracle(len, Some(&nulls), |l| {
+            holds(lo_op, data[l], lo) && holds(hi_op, floats[l], f_lit) && !null(l)
+        });
+        assert_eq!(&got, &want, "f64 second column, mask kind {kind}");
+        assert!(ascending(&got));
     });
 }
 
@@ -283,5 +318,17 @@ fn zero_and_one_lane_inputs() {
     assert_eq!(compact_bool_lanes(&no_b, None), Vec::<u32>::new());
     assert_eq!(compact_bool_lanes(&[true], Some(&[0])), vec![0]);
     assert_eq!(compact_bool_lanes(&[true], Some(&[1])), Vec::<u32>::new());
-    assert_eq!(intersect_sorted(&[], &[0]), Vec::<u32>::new());
+    assert_eq!(
+        refine_i64_lit(Vec::new(), CmpOp::Eq, &[0], 0, Some(&[0])),
+        Vec::<u32>::new()
+    );
+    assert_eq!(
+        refine_f64_lit(vec![0], CmpOp::Ge, &[2.5], 1.0, None),
+        vec![0]
+    );
+    assert_eq!(
+        refine_f64_lit(vec![0], CmpOp::Ge, &[2.5], 1.0, Some(&[1])),
+        Vec::<u32>::new(),
+        "single null lane refines to nothing"
+    );
 }

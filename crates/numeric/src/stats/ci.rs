@@ -5,7 +5,7 @@
 //! face of those results.
 
 use super::Summary;
-use crate::dist::special::std_normal_quantile;
+use crate::dist::special::{std_normal_quantile, student_t_quantile};
 use crate::NumericError;
 
 /// A two-sided confidence interval with its point estimate.
@@ -28,11 +28,11 @@ impl ConfidenceInterval {
     }
 }
 
-/// Normal-theory confidence interval for a mean from a [`Summary`].
-///
-/// Uses the normal critical value; for the sample sizes in this workspace
-/// (hundreds to millions of Monte Carlo replications) the Student-t
-/// correction is negligible, and the paper's asymptotics are normal anyway.
+/// Student-t confidence interval for a mean from a [`Summary`]: the
+/// standard error times the critical value of t with `n − 1` degrees of
+/// freedom, exact for normal observations. The replicate counts this
+/// system runs are small (4 to 48 a query), and there the normal critical
+/// value is too narrow: at n = 16 its 95 % interval covers about 93 %.
 pub fn mean_confidence_interval(s: &Summary, level: f64) -> crate::Result<ConfidenceInterval> {
     if s.count() < 2 {
         return Err(NumericError::EmptyInput {
@@ -45,8 +45,8 @@ pub fn mean_confidence_interval(s: &Summary, level: f64) -> crate::Result<Confid
             format!("confidence level must be in (0,1), got {level}"),
         ));
     }
-    let z = std_normal_quantile(0.5 + level / 2.0);
-    let hw = z * s.standard_error();
+    let t = student_t_quantile(0.5 + level / 2.0, (s.count() - 1) as f64);
+    let hw = t * s.standard_error();
     Ok(ConfidenceInterval {
         estimate: s.mean(),
         lo: s.mean() - hw,
