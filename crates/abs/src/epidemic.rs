@@ -12,7 +12,7 @@
 //! complex interventions by specifying subsets of individuals together
 //! with the actions to be performed."
 //!
-//! The division of labor is reproduced exactly: [`EpidemicModel::step`] is
+//! The division of labor is reproduced exactly: `EpidemicModel::step` is
 //! the compute-intensive transition engine ("HPC"); [`EpidemicModel::
 //! export_tables`] publishes `Person` / `InfectedPerson` / `Contact`
 //! tables into an `mde-mcdb` [`Catalog`], against which observation and
@@ -43,7 +43,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// Short SQL-friendly code: `S`, `I`, `R`, `V`.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             HealthState::Susceptible => "S",
             HealthState::Infected { .. } => "I",
@@ -70,7 +70,7 @@ pub struct Person {
 
 /// Contact-edge types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContactKind {
+pub(crate) enum ContactKind {
     /// Within-household contact.
     Household,
     /// School contact.
@@ -83,7 +83,7 @@ pub enum ContactKind {
 
 impl ContactKind {
     /// SQL-friendly label.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ContactKind::Household => "household",
             ContactKind::School => "school",
@@ -95,7 +95,7 @@ impl ContactKind {
 
 /// An undirected contact edge with attributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Contact {
+pub(crate) struct Contact {
     /// First endpoint (index into the person vector).
     pub a: usize,
     /// Second endpoint.
@@ -163,7 +163,7 @@ pub struct EpidemicModel {
 
 impl EpidemicModel {
     /// Build from explicit people and contacts.
-    pub fn new(cfg: EpidemicConfig, people: Vec<Person>, contacts: Vec<Contact>) -> Self {
+    pub(crate) fn new(cfg: EpidemicConfig, people: Vec<Person>, contacts: Vec<Contact>) -> Self {
         let mut adjacency = vec![Vec::new(); people.len()];
         for (ci, c) in contacts.iter().enumerate() {
             adjacency[c.a].push(ci);
@@ -298,7 +298,8 @@ impl EpidemicModel {
     }
 
     /// Current simulated day.
-    pub fn day(&self) -> u32 {
+    #[cfg(test)]
+    fn day(&self) -> u32 {
         self.day
     }
 
@@ -337,7 +338,7 @@ impl EpidemicModel {
     }
 
     /// One day of disease dynamics (the "HPC" transition engine).
-    pub fn step(&mut self, rng: &mut Rng) {
+    pub(crate) fn step(&mut self, rng: &mut Rng) {
         // Transmission pass over active edges with an infectious endpoint.
         let mut newly_infected = Vec::new();
         let mut fear_bumps = Vec::new();
@@ -389,7 +390,7 @@ impl EpidemicModel {
     }
 
     /// Apply an intervention to a query-selected subset.
-    pub fn apply(&mut self, intervention: &Intervention) {
+    pub(crate) fn apply(&mut self, intervention: &Intervention) {
         match intervention {
             Intervention::Vaccinate(pids) => {
                 for pid in pids {

@@ -5,7 +5,7 @@ use std::fmt;
 /// Errors produced by the simulation models and their configuration
 /// validation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AbsError {
+pub(crate) enum AbsError {
     /// A model configuration was rejected before any agent was built.
     InvalidConfig {
         /// Which model rejected its configuration.
@@ -19,7 +19,8 @@ pub enum AbsError {
 
 impl AbsError {
     /// Shorthand for [`AbsError::InvalidConfig`].
-    pub fn config(context: &'static str, reason: impl Into<String>) -> Self {
+    #[cfg(test)]
+    fn config(context: &'static str, reason: impl Into<String>) -> Self {
         AbsError::InvalidConfig {
             context,
             reason: reason.into(),

@@ -4,8 +4,7 @@
 //! agent-based simulation (ABS) again and again; this crate implements
 //! every ABS the paper leans on:
 //!
-//! * [`engine`] — a small synchronous-stepping core plus a discrete-event
-//!   queue (the DEVS-flavored substrate).
+//! * [`engine`] — a small synchronous-stepping core.
 //! * [`traffic`] — Bonabeau's motivating example (§1): drivers that "slow
 //!   down at certain rates when someone appears in front", "accelerate to
 //!   a driver-dependent 'comfortable' speed when the road is clear", and
@@ -52,5 +51,3 @@ pub mod market;
 pub mod rangequery;
 pub mod schelling;
 pub mod traffic;
-
-pub use error::AbsError;

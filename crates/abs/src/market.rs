@@ -84,7 +84,7 @@ impl MarketConfig {
     /// personas, an odd or out-of-range lattice degree, a rewiring
     /// probability outside `[0, 1]`, or a zero-tick horizon is rejected
     /// with a fatal [`AbsError::InvalidConfig`] instead of a panic.
-    pub fn validate(&self) -> Result<(), AbsError> {
+    pub(crate) fn validate(&self) -> Result<(), AbsError> {
         let reject = |reason: String| {
             Err(AbsError::InvalidConfig {
                 context: "market model",
@@ -118,7 +118,7 @@ impl MarketConfig {
 
 /// A persona's state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Persona {
+pub(crate) struct Persona {
     /// Aware of the product?
     pub aware: bool,
     /// Perception / affinity in `[0, 1]`.
@@ -160,12 +160,16 @@ pub struct MarketModel {
 impl MarketModel {
     /// Build the persona network (Watts–Strogatz small world) and initial
     /// states.
-    pub fn new(cfg: MarketConfig, params: MarketParams, seed: u64) -> Self {
+    pub(crate) fn new(cfg: MarketConfig, params: MarketParams, seed: u64) -> Self {
         MarketModel::try_new(cfg, params, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible constructor: [`MarketConfig::validate`] then build.
-    pub fn try_new(cfg: MarketConfig, params: MarketParams, seed: u64) -> Result<Self, AbsError> {
+    pub(crate) fn try_new(
+        cfg: MarketConfig,
+        params: MarketParams,
+        seed: u64,
+    ) -> Result<Self, AbsError> {
         cfg.validate()?;
         let mut rng = rng_from_seed(seed);
         // Ring lattice + rewiring.
@@ -205,7 +209,7 @@ impl MarketModel {
     }
 
     /// Run to the configured horizon, returning the per-tick observations.
-    pub fn run(&mut self, seed: u64) -> Vec<MarketObs> {
+    pub(crate) fn run(&mut self, seed: u64) -> Vec<MarketObs> {
         crate::engine::run_model(self, self.cfg.ticks, seed)
     }
 

@@ -14,7 +14,7 @@ use mde_numeric::rng::{rng_from_seed, Rng};
 
 /// Cell contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellState {
+pub(crate) enum CellState {
     /// No agent.
     Empty,
     /// Group-A agent.
@@ -101,7 +101,8 @@ impl SchellingModel {
     }
 
     /// Access the grid (row-major).
-    pub fn grid(&self) -> &[CellState] {
+    #[cfg(test)]
+    fn grid(&self) -> &[CellState] {
         &self.grid
     }
 

@@ -56,7 +56,7 @@ impl TrafficConfig {
     /// probability is rejected with a fatal [`AbsError::InvalidConfig`]
     /// instead of a panic, so a supervised campaign can surface bad
     /// input as a classified error.
-    pub fn validate(&self) -> Result<(), AbsError> {
+    pub(crate) fn validate(&self) -> Result<(), AbsError> {
         let reject = |reason: String| {
             Err(AbsError::InvalidConfig {
                 context: "traffic model",
@@ -84,7 +84,7 @@ impl TrafficConfig {
 
 /// A car: lane, position, speed, and its driver's comfortable top speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Car {
+pub(crate) struct Car {
     /// Lane index.
     pub lane: usize,
     /// Cell position along the ring.
@@ -125,7 +125,7 @@ impl TrafficModel {
     }
 
     /// Fallible constructor: [`TrafficConfig::validate`] then build.
-    pub fn try_new(cfg: TrafficConfig, seed: u64) -> Result<Self, AbsError> {
+    pub(crate) fn try_new(cfg: TrafficConfig, seed: u64) -> Result<Self, AbsError> {
         cfg.validate()?;
         let mut rng = rng_from_seed(seed);
         let n_cells = cfg.lanes * cfg.length;
@@ -163,11 +163,6 @@ impl TrafficModel {
     #[cfg(test)]
     fn cars(&self) -> &[Car] {
         &self.cars
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TrafficConfig {
-        &self.cfg
     }
 
     /// Distance (in cells) to the next occupied cell ahead in `lane`,

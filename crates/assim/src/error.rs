@@ -43,7 +43,7 @@ pub enum AssimError {
 
 impl AssimError {
     /// Shorthand for [`AssimError::InvalidWeights`].
-    pub fn weights(context: &'static str, reason: impl Into<String>) -> Self {
+    pub(crate) fn weights(context: &'static str, reason: impl Into<String>) -> Self {
         AssimError::InvalidWeights {
             context,
             reason: reason.into(),

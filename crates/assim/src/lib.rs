@@ -37,10 +37,10 @@
 //! # Ok::<(), mde_assim::AssimError>(())
 //! ```
 //!
-//! [`ParticleFilter::run`] is the filter's one entry point: the same call
-//! takes a retry or best-effort policy, a deadline, a cancel token, a
-//! checkpoint file or a state to resume from through its
-//! [`RunOptions`](mde_numeric::resilience::RunOptions).
+//! [`ParticleFilter::run`](pf::ParticleFilter::run) is the filter's one
+//! entry point: the same call takes a retry or best-effort policy, a
+//! deadline, a cancel token, a checkpoint file or a state to resume from
+//! through its [`RunOptions`](mde_numeric::resilience::RunOptions).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +54,6 @@ pub mod sis;
 pub mod wildfire;
 
 pub use error::AssimError;
-pub use pf::{ParticleFilter, ParticleState, PfRun, Proposal, StateSpaceModel};
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, AssimError>;
+pub(crate) type Result<T> = std::result::Result<T, AssimError>;

@@ -46,7 +46,7 @@ fn check_weights(weights: &[f64], context: &'static str) -> crate::Result<f64> {
 
 /// Effective sample size `1 / Σ (Wⁱ)²` of normalized weights: `N` for
 /// uniform weights, `1` at full collapse.
-pub fn effective_sample_size(weights: &[f64]) -> f64 {
+pub(crate) fn effective_sample_size(weights: &[f64]) -> f64 {
     let s: f64 = weights.iter().map(|w| w * w).sum();
     if s <= 0.0 {
         0.0
@@ -61,7 +61,11 @@ pub fn effective_sample_size(weights: &[f64]) -> f64 {
 ///
 /// Degenerate weight vectors are surfaced as
 /// [`AssimError::InvalidWeights`] rather than panicking.
-pub fn systematic_resample(weights: &[f64], n: usize, rng: &mut Rng) -> crate::Result<Vec<usize>> {
+pub(crate) fn systematic_resample(
+    weights: &[f64],
+    n: usize,
+    rng: &mut Rng,
+) -> crate::Result<Vec<usize>> {
     let total = check_weights(weights, "systematic_resample")?;
     let step = total / n as f64;
     let mut u = rng.gen::<f64>() * step;

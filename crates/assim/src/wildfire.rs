@@ -138,11 +138,11 @@ pub struct FireModel {
 }
 
 /// Ambient temperature (°C) read by a sensor over a cold cell.
-pub const AMBIENT_TEMP: f64 = 20.0;
+pub(crate) const AMBIENT_TEMP: f64 = 20.0;
 /// Temperature contribution of a full-intensity burning cell.
-pub const BURNING_TEMP: f64 = 300.0;
+pub(crate) const BURNING_TEMP: f64 = 300.0;
 /// Residual temperature over a burned-out cell.
-pub const BURNED_TEMP: f64 = 60.0;
+pub(crate) const BURNED_TEMP: f64 = 60.0;
 
 impl FireModel {
     /// Create a model with a regular `sx × sy` sensor grid.
@@ -172,7 +172,7 @@ impl FireModel {
     }
 
     /// The sensor locations.
-    pub fn sensors(&self) -> &[(usize, usize)] {
+    pub(crate) fn sensors(&self) -> &[(usize, usize)] {
         &self.sensors
     }
 
@@ -205,7 +205,7 @@ impl FireModel {
 
     /// Draw a (noisy) observation vector from the state — used to
     /// synthesize "real-world" sensor streams from a ground-truth run.
-    pub fn observe(&self, state: &FireState, rng: &mut Rng) -> Vec<f64> {
+    pub(crate) fn observe(&self, state: &FireState, rng: &mut Rng) -> Vec<f64> {
         (0..self.sensors.len())
             .map(|s| {
                 self.expected_temp(state, s) + self.sensor_noise_std * Normal::sample_standard(rng)

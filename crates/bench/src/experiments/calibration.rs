@@ -33,7 +33,7 @@ fn observed(cfg: MarketConfig, theta_star: &MarketParams) -> Vec<f64> {
 }
 
 /// Regenerate the calibration contest table.
-pub fn calibration_contest_report() -> String {
+pub(crate) fn calibration_contest_report() -> String {
     let cfg = MarketConfig {
         n: 300,
         ticks: 30,

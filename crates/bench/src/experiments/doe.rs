@@ -10,7 +10,7 @@ use mde_numeric::rng::rng_from_seed;
 
 /// E11 — Figure 3: the resolution III 2^{7−4} design, plus the run-count /
 /// resolution table of §4.2.
-pub fn fig3_report() -> String {
+pub(crate) fn fig3_report() -> String {
     let mut out = String::new();
     out.push_str("E11 | Figure 3: resolution III design for seven parameters (8 runs)\n\n");
     let ff = resolution_iii_7();
@@ -67,7 +67,7 @@ fn response(x: &[f64], rng: &mut mde_numeric::rng::Rng) -> f64 {
 }
 
 /// E12 — Figure 4: the main-effects plot from the Figure 3 design.
-pub fn fig4_report() -> String {
+pub(crate) fn fig4_report() -> String {
     let d = resolution_iii_7().design();
     let mut rng = rng_from_seed(12);
     // 4 replications per run, as a practitioner would.
@@ -122,7 +122,7 @@ pub fn fig4_report() -> String {
 }
 
 /// E13 — Figure 5: Latin hypercube designs.
-pub fn fig5_report() -> String {
+pub(crate) fn fig5_report() -> String {
     let mut out = String::new();
     out.push_str("E13 | Figure 5: Latin hypercube design for two factors, nine runs\n\n");
     let d = orthogonal_lh_2x9();

@@ -22,7 +22,7 @@ fn spline_system(m: usize) -> (mde_numeric::linalg::Tridiagonal, Vec<f64>) {
 }
 
 /// Regenerate the DSGD-vs-Thomas comparison.
-pub fn dsgd_spline_report() -> String {
+pub(crate) fn dsgd_spline_report() -> String {
     let mut out = String::new();
     out.push_str("E5 | §2.2: natural-cubic-spline system min ||Ax-b||^2 by SGD/DSGD\n\n");
 

@@ -86,7 +86,7 @@ fn expert_simulation(
 }
 
 /// Regenerate Figure 1 as a report.
-pub fn fig1_report() -> String {
+pub(crate) fn fig1_report() -> String {
     let (years, values) = housing_series(1);
     let cut = years.iter().position(|&y| y > 2006.0).expect("has 2007");
     let (train_y, train_v) = (&years[..cut], &values[..cut]);

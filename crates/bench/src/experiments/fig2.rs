@@ -72,7 +72,7 @@ fn empirical_scaled_variance(
 }
 
 /// Regenerate the §2.3 tables.
-pub fn fig2_report() -> String {
+pub(crate) fn fig2_report() -> String {
     let (c1, c2, s1, s2) = (10.0, 1.0, 1.0, 1.0);
     let stats = Statistics {
         c1,

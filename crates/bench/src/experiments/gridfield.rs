@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Regenerate the rewrite cost/equivalence table.
-pub fn gridfield_rewrite_report() -> String {
+pub(crate) fn gridfield_rewrite_report() -> String {
     let mut out = String::new();
     out.push_str("E6 | §2.2: gridfield algebra — restrict/regrid commutation (Howe & Maier)\n");
     out.push_str("fine mesh -> coarse mesh regrid (Sum), then keep only a query region\n\n");

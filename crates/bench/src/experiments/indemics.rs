@@ -110,7 +110,7 @@ fn run(policy: Policy, seed: u64) -> (EpidemicModel, usize) {
 }
 
 /// Regenerate the Algorithm 1 comparison.
-pub fn indemics_report() -> String {
+pub(crate) fn indemics_report() -> String {
     let mut out = String::new();
     out.push_str("E7 | §2.4 Algorithm 1: query-driven interventions (Indemics)\n");
     out.push_str("1500 people, 120 days, 3 stochastic replicates per policy\n\n");

@@ -13,7 +13,7 @@ use mde_abs::schelling::{SchellingConfig, SchellingModel};
 use mde_abs::traffic::{fundamental_diagram, TrafficConfig, TrafficModel};
 
 /// Regenerate the intro demonstrations.
-pub fn intro_abs_report() -> String {
+pub(crate) fn intro_abs_report() -> String {
     let mut out = String::new();
     out.push_str("E0 | §1: agent-based simulation imitates emergent real-world behavior\n\n");
 

@@ -83,7 +83,7 @@ fn accuracy(seed: u64, nolh_tries: usize) -> Accuracy {
 
 /// Regenerate the metamodel accuracy comparison, then time a fit at the
 /// repo benchmark's two shapes.
-pub fn kriging_accuracy_report() -> String {
+pub(crate) fn kriging_accuracy_report() -> String {
     let acc = accuracy(21, 200);
     let mut out = String::new();
     out.push_str("E15 | §4.1: metamodel accuracy on a curved 2-D response\n");

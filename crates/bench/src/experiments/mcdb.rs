@@ -147,7 +147,7 @@ fn plan_once_cells(n_items: usize, n_iters: usize, seed: u64) -> ([Duration; 4],
 /// E3: what one Monte Carlo replicate costs and where — generation against
 /// plan execution, planning once against planning per replicate, and (the
 /// `run` total against the split loop's) the invariant part run once.
-pub fn mcdb_plan_once_report() -> String {
+pub(crate) fn mcdb_plan_once_report() -> String {
     const SEED: u64 = 1;
     let mut out = String::new();
     out.push_str("E3 | §2.1 MCDB: plan once, execute per replicate\n");
@@ -425,7 +425,7 @@ fn frame_stages_section() -> String {
 }
 
 /// E16: MCDB-R risk analysis (extreme quantiles) and threshold queries.
-pub fn mcdb_risk_report() -> String {
+pub(crate) fn mcdb_risk_report() -> String {
     let db = catalog(200);
     let q = MonteCarloQuery::new(vec![sales_spec()], revenue_plan());
     let res = q.run(&db, 4000, 7).expect("MC run");

@@ -18,24 +18,24 @@ mod screening;
 mod simsql;
 mod wildfire;
 
-pub use calibration::calibration_contest_report;
-pub use doe::{fig3_report, fig4_report, fig5_report};
-pub use dsgd::dsgd_spline_report;
-pub use fig1::fig1_report;
-pub use fig2::fig2_report;
-pub use gridfield::gridfield_rewrite_report;
-pub use indemics::indemics_report;
-pub use intro::intro_abs_report;
-pub use kriging::kriging_accuracy_report;
-pub use mcdb::{mcdb_plan_once_report, mcdb_risk_report};
-pub use predrange::prediction_range_report;
-pub use rangequery::rangequery_report;
-pub use screening::factor_screening_report;
-pub use simsql::simsql_markov_report;
-pub use wildfire::wildfire_assimilation_report;
+pub(crate) use calibration::calibration_contest_report;
+pub(crate) use doe::{fig3_report, fig4_report, fig5_report};
+pub(crate) use dsgd::dsgd_spline_report;
+pub(crate) use fig1::fig1_report;
+pub(crate) use fig2::fig2_report;
+pub(crate) use gridfield::gridfield_rewrite_report;
+pub(crate) use indemics::indemics_report;
+pub(crate) use intro::intro_abs_report;
+pub(crate) use kriging::kriging_accuracy_report;
+pub(crate) use mcdb::{mcdb_plan_once_report, mcdb_risk_report};
+pub(crate) use predrange::prediction_range_report;
+pub(crate) use rangequery::rangequery_report;
+pub(crate) use screening::factor_screening_report;
+pub(crate) use simsql::simsql_markov_report;
+pub(crate) use wildfire::wildfire_assimilation_report;
 
 /// One experiment: `(id, title, runner)`.
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+pub(crate) type Experiment = (&'static str, &'static str, fn() -> String);
 
 /// Every experiment as `(id, title, runner)` — the run-all battery.
 pub fn all() -> Vec<Experiment> {

@@ -50,7 +50,7 @@ fn media_blackout_adoption(theta2: &[f64]) -> f64 {
 }
 
 /// Regenerate the prediction-range experiment.
-pub fn prediction_range_report() -> String {
+pub(crate) fn prediction_range_report() -> String {
     let theta_star = [0.03, 0.08, 0.25];
     let observed = simulate_stats(&theta_star);
     // Calibrate only (media_reach, wom_strength); propensity fixed at truth

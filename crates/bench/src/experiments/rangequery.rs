@@ -10,7 +10,7 @@ use mde_numeric::rng::rng_from_seed;
 use std::time::Instant;
 
 /// Regenerate the range-query throughput table.
-pub fn rangequery_report() -> String {
+pub(crate) fn rangequery_report() -> String {
     let mut out = String::new();
     out.push_str("E8 | §2.4 PDES-MAS: range queries — k-d tree vs naive scan\n");
     out.push_str("query: within radius 1.0 (of a 100x100 world) AND age > 25; 200 queries\n\n");

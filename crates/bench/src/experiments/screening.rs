@@ -57,7 +57,7 @@ fn sb_seed_rates(k: usize, g: usize, master: u64) -> (usize, usize, usize) {
 }
 
 /// Regenerate the screening run-count table.
-pub fn factor_screening_report() -> String {
+pub(crate) fn factor_screening_report() -> String {
     let mut out = String::new();
     out.push_str("E14 | §4.3: factor screening\n\n");
     out.push_str("A) sequential bifurcation: k factors, g important (effect 2.0, noise 0.3)\n");

@@ -51,7 +51,7 @@ fn build_chain() -> (Catalog, MarkovChainSpec) {
 }
 
 /// Regenerate the SimSQL chain report: per-version queries over `D[0..T]`.
-pub fn simsql_markov_report() -> String {
+pub(crate) fn simsql_markov_report() -> String {
     let (base, spec) = build_chain();
     let steps = 12;
     let traj = spec.run(&base, steps, 11).expect("chain run");

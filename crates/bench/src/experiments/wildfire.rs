@@ -52,7 +52,7 @@ fn pf_errors<P: Proposal<FireModel>>(
 }
 
 /// Regenerate the assimilation comparison.
-pub fn wildfire_assimilation_report() -> String {
+pub(crate) fn wildfire_assimilation_report() -> String {
     let steps = 15;
     let truth_model = default_scenario();
     let mut rng = rng_from_seed(31);

@@ -13,7 +13,7 @@
 pub mod experiments;
 
 /// Render a simple aligned table: header plus rows of equal arity.
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -42,7 +42,7 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format a float compactly for report tables.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 1000.0 || v.abs() < 0.01 {

@@ -55,12 +55,12 @@ impl Bounds {
     }
 
     /// Dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.ranges.len()
     }
 
     /// A uniform random point.
-    pub fn sample(&self, rng: &mut Rng) -> Vec<f64> {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> Vec<f64> {
         self.ranges
             .iter()
             .map(|&(lo, hi)| lo + (hi - lo) * rng.gen::<f64>())
@@ -68,7 +68,7 @@ impl Bounds {
     }
 
     /// Clamp a point into the box.
-    pub fn clamp(&self, x: &mut [f64]) {
+    pub(crate) fn clamp(&self, x: &mut [f64]) {
         for (v, &(lo, hi)) in x.iter_mut().zip(&self.ranges) {
             *v = v.clamp(lo, hi);
         }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// An edge: upstream node's output feeds one input port of a downstream
 /// node, optionally through an explicit schema mapping.
 #[derive(Clone)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Upstream node index.
     pub from: usize,
     /// Downstream node index.
@@ -109,7 +109,7 @@ impl CompositeModel {
     }
 
     /// Node names in insertion order.
-    pub fn nodes(&self) -> &[String] {
+    pub(crate) fn nodes(&self) -> &[String] {
         &self.nodes
     }
 
@@ -266,11 +266,6 @@ pub struct ExecutablePlan<'r> {
 }
 
 impl ExecutablePlan<'_> {
-    /// The sink node index (composite output).
-    pub fn sink(&self) -> usize {
-        self.sink
-    }
-
     /// Execute one Monte Carlo repetition: run models in topological
     /// order, harmonizing data along every edge (schema mapping + time
     /// alignment) — "data transformations must be performed at every Monte

@@ -54,7 +54,7 @@ pub enum CoreError {
 
 impl CoreError {
     /// Shorthand for [`CoreError::InvalidComposite`].
-    pub fn invalid(reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
         CoreError::InvalidComposite {
             reason: reason.into(),
         }

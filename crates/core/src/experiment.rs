@@ -79,7 +79,7 @@ impl<'r> Experiment<'r> {
     /// Synthesize a [`ParamAssignment`] from a flat factor-value vector —
     /// the "templating mechanism" that writes each component model's
     /// parameter file.
-    pub fn assignment(&self, values: &[f64]) -> crate::Result<ParamAssignment> {
+    pub(crate) fn assignment(&self, values: &[f64]) -> crate::Result<ParamAssignment> {
         if values.len() != self.factors.len() {
             return Err(CoreError::invalid(format!(
                 "{} factor values for {} factors",

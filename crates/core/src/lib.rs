@@ -61,4 +61,4 @@ pub use error::CoreError;
 pub use sched::{CampaignReport, CampaignSpec, CampaignStatus, SchedConfig, SchedRun, Scheduler};
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, CoreError>;
+pub(crate) type Result<T> = std::result::Result<T, CoreError>;

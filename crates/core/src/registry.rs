@@ -102,7 +102,7 @@ impl Registry {
     }
 
     /// Look up a model.
-    pub fn model(&self, name: &str) -> crate::Result<&Arc<dyn SimModel>> {
+    pub(crate) fn model(&self, name: &str) -> crate::Result<&Arc<dyn SimModel>> {
         self.models
             .get(name)
             .ok_or_else(|| CoreError::NotRegistered {

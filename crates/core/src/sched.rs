@@ -69,7 +69,7 @@ impl PressureProbe {
 
     /// Sample the current pressure. Non-finite readings are treated as
     /// zero (a broken probe must not wedge admission shut).
-    pub fn sample(&self) -> f64 {
+    pub(crate) fn sample(&self) -> f64 {
         let v = (self.0)();
         if v.is_finite() {
             v

@@ -42,11 +42,6 @@ impl WhatIfSession {
         self
     }
 
-    /// The current deterministic catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// Run a descriptive (deterministic) query over the data alone.
     pub fn describe(&self, plan: &Plan) -> crate::Result<Table> {
         Ok(self.catalog.query(plan)?)

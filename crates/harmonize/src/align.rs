@@ -18,7 +18,7 @@ use crate::HarmonizeError;
 
 /// The alignment class Splash's time-aligner detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignmentClass {
+pub(crate) enum AlignmentClass {
     /// Target granularity coarser than source: aggregate source ticks into
     /// target windows.
     Aggregation,

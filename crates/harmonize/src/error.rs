@@ -27,21 +27,21 @@ pub enum HarmonizeError {
 
 impl HarmonizeError {
     /// Shorthand constructor for [`HarmonizeError::InvalidSeries`].
-    pub fn series(reason: impl Into<String>) -> Self {
+    pub(crate) fn series(reason: impl Into<String>) -> Self {
         HarmonizeError::InvalidSeries {
             reason: reason.into(),
         }
     }
 
     /// Shorthand constructor for [`HarmonizeError::InvalidTransform`].
-    pub fn transform(reason: impl Into<String>) -> Self {
+    pub(crate) fn transform(reason: impl Into<String>) -> Self {
         HarmonizeError::InvalidTransform {
             reason: reason.into(),
         }
     }
 
     /// Shorthand constructor for [`HarmonizeError::InvalidGrid`].
-    pub fn grid(reason: impl Into<String>) -> Self {
+    pub(crate) fn grid(reason: impl Into<String>) -> Self {
         HarmonizeError::InvalidGrid {
             reason: reason.into(),
         }

@@ -21,15 +21,6 @@ use crate::HarmonizeError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A cell: an identifier plus a topological dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
-    /// Cell id (dense, grid-local).
-    pub id: usize,
-    /// Topological dimension (0 = node, 1 = edge, 2 = face, …).
-    pub dim: u8,
-}
-
 /// A grid: cells of heterogeneous dimension plus the incidence relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
@@ -42,7 +33,7 @@ pub struct Grid {
 impl Grid {
     /// Create a grid from per-cell dimensions and strict incidence pairs
     /// `(x, y)` meaning `x ≤ y` with `dim(x) < dim(y)`.
-    pub fn new(dims: Vec<u8>, incidence: Vec<(usize, usize)>) -> crate::Result<Self> {
+    pub(crate) fn new(dims: Vec<u8>, incidence: Vec<(usize, usize)>) -> crate::Result<Self> {
         let n = dims.len();
         for &(x, y) in &incidence {
             if x >= n || y >= n {
@@ -130,21 +121,6 @@ impl Grid {
         ))
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Whether the grid has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.dims.is_empty()
-    }
-
-    /// Dimension of a cell.
-    pub fn dim(&self, cell: usize) -> u8 {
-        self.dims[cell]
-    }
-
     /// Ids of all cells of dimension `d`, in id order.
     pub fn cells_of_dim(&self, d: u8) -> Vec<usize> {
         (0..self.dims.len())
@@ -225,19 +201,10 @@ impl GridField {
         })
     }
 
-    /// The underlying grid.
-    pub fn grid(&self) -> &Arc<Grid> {
-        &self.grid
-    }
-
-    /// The bound dimension.
-    pub fn dim(&self) -> u8 {
-        self.dim
-    }
-
     /// Value bound to `cell` (None if restricted away or not of this
     /// dimension).
-    pub fn value(&self, cell: usize) -> Option<f64> {
+    #[cfg(test)]
+    fn value(&self, cell: usize) -> Option<f64> {
         self.cell_pos.get(&cell).and_then(|&k| self.data[k])
     }
 

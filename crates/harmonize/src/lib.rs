@@ -51,4 +51,4 @@ pub mod spline;
 pub use error::HarmonizeError;
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, HarmonizeError>;
+pub(crate) type Result<T> = std::result::Result<T, HarmonizeError>;

@@ -48,7 +48,7 @@ pub enum FieldSource {
 
 impl FieldSource {
     /// The source channels this rule reads.
-    pub fn referenced(&self) -> Vec<&str> {
+    pub(crate) fn referenced(&self) -> Vec<&str> {
         match self {
             FieldSource::Copy { channel } | FieldSource::Linear { channel, .. } => {
                 vec![channel.as_str()]

@@ -94,7 +94,7 @@ impl TimeSeries {
     }
 
     /// Index of a channel by name.
-    pub fn channel_index(&self, name: &str) -> crate::Result<usize> {
+    pub(crate) fn channel_index(&self, name: &str) -> crate::Result<usize> {
         self.channels.iter().position(|c| c == name).ok_or_else(|| {
             HarmonizeError::series(format!(
                 "unknown channel `{name}` (have: {})",

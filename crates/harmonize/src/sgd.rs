@@ -31,7 +31,7 @@ pub struct StepSchedule {
 
 impl StepSchedule {
     /// Step size at (0-based) iteration `n`.
-    pub fn at(&self, n: u64) -> f64 {
+    pub(crate) fn at(&self, n: u64) -> f64 {
         self.epsilon0 * ((n + 1) as f64).powf(-self.alpha)
     }
 }
@@ -52,7 +52,7 @@ impl Default for StepSchedule {
 /// The row-gradient scaling `m` (number of rows) from the paper is folded
 /// into `step` by the callers so the same kernel serves SGD and DSGD.
 #[inline]
-pub fn row_update(a: &Tridiagonal, b: &[f64], x: &mut [f64], i: usize, step: f64) {
+pub(crate) fn row_update(a: &Tridiagonal, b: &[f64], x: &mut [f64], i: usize, step: f64) {
     let n = a.n();
     // Residual of row i.
     let mut r = a.diag()[i] * x[i] - b[i];

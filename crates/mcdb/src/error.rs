@@ -135,7 +135,7 @@ impl McdbError {
     }
 
     /// Shorthand for [`McdbError::TypeMismatch`].
-    pub fn type_mismatch(
+    pub(crate) fn type_mismatch(
         context: impl Into<String>,
         expected: impl Into<String>,
         found: impl Into<String>,

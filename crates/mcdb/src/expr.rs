@@ -1,7 +1,7 @@
 //! Scalar expressions over rows.
 //!
 //! Expressions are built by name ([`Expr`]), then *bound* against a schema
-//! ([`BoundExpr`]) which resolves column references to indices once. The
+//! (`BoundExpr`) which resolves column references to indices once. The
 //! executor binds each operator's expressions a single time per plan, so
 //! per-row evaluation never does string lookups — the same logical/physical
 //! split a production engine uses.
@@ -223,7 +223,7 @@ impl Expr {
     /// The set of column names this expression references — used by the
     /// filter-pushdown planner to decide which side of a join a predicate
     /// belongs to.
-    pub fn referenced_columns(&self) -> BTreeSet<String> {
+    pub(crate) fn referenced_columns(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         self.collect_columns(&mut out);
         out
@@ -245,7 +245,7 @@ impl Expr {
     }
 
     /// Bind against a schema, resolving all column references.
-    pub fn bind(&self, schema: &Schema) -> crate::Result<BoundExpr> {
+    pub(crate) fn bind(&self, schema: &Schema) -> crate::Result<BoundExpr> {
         Ok(match self {
             Expr::Col(name) => BoundExpr::Col(schema.index_of(name)?),
             Expr::Lit(v) => BoundExpr::Lit(v.clone()),
@@ -266,7 +266,8 @@ impl Expr {
     }
 
     /// Bind and evaluate in one step (convenience for one-off evaluation).
-    pub fn eval(&self, row: &[Value], schema: &Schema) -> crate::Result<Value> {
+    #[cfg(test)]
+    fn eval(&self, row: &[Value], schema: &Schema) -> crate::Result<Value> {
         self.bind(schema)?.eval(row)
     }
 }
@@ -285,7 +286,7 @@ impl fmt::Display for Expr {
 
 /// An expression with column references resolved to row indices.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BoundExpr {
+pub(crate) enum BoundExpr {
     /// Column by index.
     Col(usize),
     /// Literal.
@@ -317,7 +318,7 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// Evaluate against a row.
-    pub fn eval(&self, row: &[Value]) -> crate::Result<Value> {
+    pub(crate) fn eval(&self, row: &[Value]) -> crate::Result<Value> {
         match self {
             BoundExpr::Col(i) => row
                 .get(*i)
@@ -352,7 +353,7 @@ impl BoundExpr {
 
     /// Evaluate as a filter predicate: SQL `WHERE` keeps a row only when
     /// the predicate is `true` (not `false`, not `NULL`).
-    pub fn eval_predicate(&self, row: &[Value]) -> crate::Result<bool> {
+    pub(crate) fn eval_predicate(&self, row: &[Value]) -> crate::Result<bool> {
         match self.eval(row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
@@ -1110,7 +1111,11 @@ impl BoundExpr {
     /// calling [`BoundExpr::eval`] on each selected row; typed kernels
     /// cover the common operand shapes and anything else falls back to the
     /// scalar evaluator per lane.
-    pub fn eval_batch(&self, batch: &Batch, sel: Option<&[u32]>) -> crate::Result<ColumnVec> {
+    pub(crate) fn eval_batch(
+        &self,
+        batch: &Batch,
+        sel: Option<&[u32]>,
+    ) -> crate::Result<ColumnVec> {
         self.eval_lanes(
             batch,
             match sel {

@@ -85,12 +85,13 @@ pub struct ChainTrajectory {
 
 impl ChainTrajectory {
     /// Number of states (`T + 1` for `T` transitions).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.states.len()
     }
 
     /// Whether the trajectory is empty (no states generated).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
 

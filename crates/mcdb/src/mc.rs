@@ -105,11 +105,6 @@ impl MonteCarloQuery {
         MonteCarloQuery { specs, query }
     }
 
-    /// The query plan.
-    pub fn query(&self) -> &Plan {
-        &self.query
-    }
-
     /// Run `n` Monte Carlo iterations: the three-argument convenience over
     /// [`MonteCarloQuery::run_with_options`] with default options.
     ///
@@ -753,7 +748,7 @@ pub struct McResult {
 
 impl McResult {
     /// Wrap a sample vector.
-    pub fn new(samples: Vec<f64>) -> Self {
+    pub(crate) fn new(samples: Vec<f64>) -> Self {
         let summary = Summary::from_slice(&samples);
         McResult { samples, summary }
     }
@@ -774,7 +769,8 @@ impl McResult {
     }
 
     /// Sample variance of the query result distribution.
-    pub fn variance(&self) -> f64 {
+    #[cfg(test)]
+    fn variance(&self) -> f64 {
         self.summary.sample_variance()
     }
 

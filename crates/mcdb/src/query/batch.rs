@@ -60,7 +60,7 @@ impl Batch {
 
     /// Assemble a batch from pre-built columns. All columns must have the
     /// same length and there must be one per schema column.
-    pub fn from_columns(
+    pub(crate) fn from_columns(
         schema: Schema,
         columns: Vec<ColumnVec>,
         len: usize,
@@ -104,7 +104,7 @@ impl Batch {
     }
 
     /// The batch schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
@@ -128,7 +128,7 @@ impl Batch {
     /// is a typed
     /// [`McdbError::RowOutOfBounds`](crate::McdbError::RowOutOfBounds), not
     /// a panic deep inside a column kernel.
-    pub fn gather(&self, sel: &[u32]) -> crate::Result<Batch> {
+    pub(crate) fn gather(&self, sel: &[u32]) -> crate::Result<Batch> {
         if let Some(&i) = sel.iter().find(|&&i| i as usize >= self.len) {
             return Err(crate::McdbError::RowOutOfBounds {
                 context: "Batch::gather".into(),

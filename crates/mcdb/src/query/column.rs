@@ -5,7 +5,7 @@
 //! vector (`Vec<i64>`, `Vec<f64>`, …) plus a [`NullMask`] recording which
 //! lanes are SQL `NULL`. Keeping the type tag per *column* instead of per
 //! *value* is what lets the expression kernels in
-//! [`BoundExpr::eval_batch`](crate::expr::BoundExpr::eval_batch) run tight
+//! `BoundExpr::eval_batch` run tight
 //! monomorphic loops over primitive slices instead of matching on a
 //! [`Value`] enum per row.
 //!
@@ -26,7 +26,7 @@ use std::sync::Arc;
 ///
 /// `bits: None` means "no nulls anywhere" so that fully valid columns (the
 /// common case) cost nothing to check; the bitmap is materialized lazily on
-/// the first [`NullMask::set_null`].
+/// the first `NullMask::set_null`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NullMask {
     len: usize,
@@ -36,23 +36,18 @@ pub struct NullMask {
 
 impl NullMask {
     /// An all-valid mask over `len` lanes.
-    pub fn all_valid(len: usize) -> Self {
+    pub(crate) fn all_valid(len: usize) -> Self {
         NullMask { len, bits: None }
     }
 
     /// Number of lanes covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the mask covers zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Whether lane `i` is null.
     #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
+    pub(crate) fn is_null(&self, i: usize) -> bool {
         match &self.bits {
             None => false,
             Some(b) => b[i / 64] & (1u64 << (i % 64)) != 0,
@@ -60,7 +55,7 @@ impl NullMask {
     }
 
     /// Mark lane `i` as null (materializes the bitmap on first use).
-    pub fn set_null(&mut self, i: usize) {
+    pub(crate) fn set_null(&mut self, i: usize) {
         let words = self.len.div_ceil(64);
         let bits = self.bits.get_or_insert_with(|| vec![0u64; words]);
         bits[i / 64] |= 1u64 << (i % 64);
@@ -88,7 +83,7 @@ impl NullMask {
     }
 
     /// Whether any lane is null.
-    pub fn any_null(&self) -> bool {
+    pub(crate) fn any_null(&self) -> bool {
         match &self.bits {
             None => false,
             Some(b) => b.iter().any(|&w| w != 0),
@@ -152,7 +147,7 @@ impl NullMask {
     }
 
     /// Select lanes by index, producing the gathered mask.
-    pub fn gather(&self, sel: &[u32]) -> NullMask {
+    pub(crate) fn gather(&self, sel: &[u32]) -> NullMask {
         let mut out = NullMask::all_valid(sel.len());
         if self.any_null() {
             for (k, &i) in sel.iter().enumerate() {
@@ -215,17 +210,12 @@ impl std::fmt::Debug for StrDict {
 
 impl StrDict {
     /// Number of distinct values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// Whether the dictionary holds no value.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The distinct values, indexed by code.
-    pub fn values(&self) -> &[Arc<str>] {
+    pub(crate) fn values(&self) -> &[Arc<str>] {
         &self.values
     }
 
@@ -255,7 +245,7 @@ impl StrDict {
     }
 
     /// The code of `s`, appending it as the next code if it is new.
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+    pub(crate) fn intern(&mut self, s: &Arc<str>) -> u32 {
         match self.code_of(s) {
             Some(code) => code,
             None => self.append(s),
@@ -536,7 +526,7 @@ impl ColumnVec {
     /// type than the column's is a typed error and leaves the column as it
     /// was.
     #[inline]
-    pub fn push(&mut self, v: Value) -> crate::Result<()> {
+    pub(crate) fn push(&mut self, v: Value) -> crate::Result<()> {
         match (&mut *self, v) {
             (ColumnVec::Int { data, nulls }, Value::Int(x)) => {
                 data.push(x);
@@ -587,7 +577,7 @@ impl ColumnVec {
     /// Build a column from owned values, inferring the type from the first
     /// non-null value. Mixed `Int`/`Float` lanes promote to `Float`; any
     /// other mix is a type error.
-    pub fn from_values(values: Vec<Value>) -> crate::Result<ColumnVec> {
+    pub(crate) fn from_values(values: Vec<Value>) -> crate::Result<ColumnVec> {
         let dtype = values.iter().find_map(|v| v.data_type());
         let Some(mut dtype) = dtype else {
             return Ok(ColumnVec::AllNull { len: values.len() });
@@ -656,7 +646,7 @@ impl ColumnVec {
     }
 
     /// A column whose every lane holds `v`.
-    pub fn broadcast(v: &Value, len: usize) -> ColumnVec {
+    pub(crate) fn broadcast(v: &Value, len: usize) -> ColumnVec {
         match v {
             Value::Null => ColumnVec::AllNull { len },
             Value::Int(x) => ColumnVec::Int {
@@ -676,7 +666,7 @@ impl ColumnVec {
     }
 
     /// Select lanes by index (a selection-vector gather).
-    pub fn gather(&self, sel: &[u32]) -> ColumnVec {
+    pub(crate) fn gather(&self, sel: &[u32]) -> ColumnVec {
         match self {
             ColumnVec::Int { data, nulls } => ColumnVec::Int {
                 data: sel.iter().map(|&i| data[i as usize]).collect(),
@@ -923,7 +913,7 @@ impl ColumnVec {
     /// Numeric widening to a declared column type: an `Int` column flowing
     /// into a `Float` column converts whole; everything else is unchanged
     /// (mismatches are caught by the projection validator).
-    pub fn coerce_to(self, dtype: DataType) -> ColumnVec {
+    pub(crate) fn coerce_to(self, dtype: DataType) -> ColumnVec {
         match (self, dtype) {
             (ColumnVec::Int { data, nulls }, DataType::Float) => ColumnVec::Float {
                 data: data.into_iter().map(|v| v as f64).collect(),

@@ -90,7 +90,8 @@ impl Catalog {
     }
 
     /// Whether a table exists.
-    pub fn contains(&self, name: &str) -> bool {
+    #[cfg(test)]
+    fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(name)
     }
 
@@ -484,7 +485,7 @@ impl Plan {
     ///
     /// Used for composite-model mismatch detection and by the executor to
     /// pre-validate plans.
-    pub fn output_schema(&self, catalog: &Catalog) -> crate::Result<Schema> {
+    pub(crate) fn output_schema(&self, catalog: &Catalog) -> crate::Result<Schema> {
         match self {
             Plan::Scan { table } => Ok(catalog.get(table)?.schema().clone()),
             Plan::Values { table } => Ok(table.schema().clone()),

@@ -25,7 +25,7 @@
 //! Execution is vectorized: data flows between operators as
 //! `Chunk`s — a shared [`Batch`] plus an optional selection vector —
 //! so filters, sorts, and limits never copy rows, and expression evaluation
-//! runs whole-column kernels ([`BoundExpr::eval_batch`]). Row-level
+//! runs whole-column kernels (`BoundExpr::eval_batch`). Row-level
 //! semantics (null propagation, Kleene logic, first-seen group order,
 //! Null join keys never matching, validation errors) are identical to the
 //! row-at-a-time [`super::reference`] interpreter, which differential tests
@@ -486,7 +486,7 @@ impl PreparedQuery {
     }
 
     /// The result schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 

@@ -89,7 +89,7 @@ impl RandomTableSpec {
     }
 
     /// The table name this spec realizes.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 

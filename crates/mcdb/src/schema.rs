@@ -16,7 +16,7 @@ pub struct Column {
 
 impl Column {
     /// Create a column.
-    pub fn new(name: impl Into<String>, dtype: DataType) -> Self {
+    pub(crate) fn new(name: impl Into<String>, dtype: DataType) -> Self {
         Column {
             name: name.into(),
             dtype,
@@ -34,7 +34,7 @@ pub struct Schema {
 
 impl Schema {
     /// Create a schema from columns; names must be unique.
-    pub fn new(columns: Vec<Column>) -> crate::Result<Self> {
+    pub(crate) fn new(columns: Vec<Column>) -> crate::Result<Self> {
         for (i, c) in columns.iter().enumerate() {
             if columns[..i].iter().any(|o| o.name == c.name) {
                 return Err(McdbError::invalid_plan(format!(
@@ -74,7 +74,7 @@ impl Schema {
     }
 
     /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> crate::Result<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> crate::Result<usize> {
         self.columns
             .iter()
             .position(|c| c.name == name)
@@ -85,13 +85,13 @@ impl Schema {
     }
 
     /// Whether the schema has a column with this name.
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.columns.iter().any(|c| c.name == name)
     }
 
     /// Validate that a row conforms to this schema (arity + per-column
     /// type, with `Null` always admitted).
-    pub fn validate_row(&self, row: &[Value]) -> crate::Result<()> {
+    pub(crate) fn validate_row(&self, row: &[Value]) -> crate::Result<()> {
         if row.len() != self.columns.len() {
             return Err(McdbError::ArityMismatch {
                 context: "Schema::validate_row".to_string(),
@@ -124,7 +124,7 @@ impl Schema {
 
     /// Concatenate two schemas (for joins). Collisions on the right side
     /// are disambiguated with the given prefix (`prefix.name`).
-    pub fn concat(&self, other: &Schema, collision_prefix: &str) -> crate::Result<Schema> {
+    pub(crate) fn concat(&self, other: &Schema, collision_prefix: &str) -> crate::Result<Schema> {
         let mut cols = self.columns.to_vec();
         for c in other.columns.iter() {
             let name = if self.contains(&c.name) {

@@ -42,7 +42,7 @@ where
 }
 
 /// Neighborhood expansion: maps a partition key to its adjacent keys.
-pub type AdjacencyFn = Arc<dyn Fn(&Value) -> Vec<Value> + Send + Sync>;
+pub(crate) type AdjacencyFn = Arc<dyn Fn(&Value) -> Vec<Value> + Send + Sync>;
 
 /// An ABS engine whose step is a neighborhood-partitioned self-join.
 pub struct SelfJoinSim {
@@ -73,7 +73,7 @@ impl SelfJoinSim {
 
     /// Execute one simulation step: the self-join plus transition, one
     /// partition at a time. Row order of the output matches the input.
-    pub fn step(&self, agents: &Table, seed: u64) -> crate::Result<Table> {
+    pub(crate) fn step(&self, agents: &Table, seed: u64) -> crate::Result<Table> {
         let key_idx = agents.schema().index_of(&self.key_column)?;
 
         // Partition agents: key -> row indices, remembering encounter order

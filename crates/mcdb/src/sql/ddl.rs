@@ -58,7 +58,7 @@ pub struct VgRegistry {
 
 impl VgRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VgRegistry::default()
     }
 
@@ -82,12 +82,12 @@ impl VgRegistry {
     }
 
     /// Look up by name (case-sensitive, like identifiers).
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn VgFunction>> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Arc<dyn VgFunction>> {
         self.entries.get(name)
     }
 
     /// Registered names, sorted.
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.entries.keys().map(|s| s.as_str()).collect();
         v.sort_unstable();
         v

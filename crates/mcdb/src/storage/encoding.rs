@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// How a page body is encoded. Tags are part of the on-disk format:
 /// never renumber, only append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
+pub(crate) enum Encoding {
     /// Values verbatim (floats by bit pattern, bools as a bitmap).
     Plain,
     /// Run-length: `(count, value)` pairs; wins on constant or sorted

@@ -40,7 +40,6 @@ pub mod pager;
 pub mod pool;
 pub mod spill;
 
-pub use encoding::Encoding;
 pub use pager::{PageMeta, PagedStore, DEFAULT_PAGE_SIZE, PAGE_MAGIC, TABLE_MAGIC};
 pub use pool::{BufferPool, PoolStats};
 pub use spill::SpillConfig;

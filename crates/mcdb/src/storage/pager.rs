@@ -25,10 +25,10 @@
 //!
 //! ## Versions
 //!
-//! [`PagedStore::write`] writes version 2 only: `MDETAB02` files of
+//! `PagedStore::write` writes version 2 only: `MDETAB02` files of
 //! `MDEPAGE2` frames, header and frames sealed with the word-parallel
 //! [`checksum64`]. Version 1 (`MDETAB01` / `MDEPAGE1`) has the same layout
-//! sealed with byte-serial FNV-1a; [`PagedStore::open`] still reads it, and
+//! sealed with byte-serial FNV-1a; `PagedStore::open` still reads it, and
 //! no option writes it. The file magic fixes the
 //! version of the whole file: the checksum of its header and of every
 //! frame, and the magic every frame must carry, so a frame of the other
@@ -40,7 +40,7 @@
 //! (`page_size - 28`). The directory says which column each page belongs
 //! to and how many values it holds, so a reader fetches only the pages of
 //! the columns it wants and knows each page's row offset before touching
-//! it ([`PagedStore::read_columns`]). The checksum covers everything after
+//! it (`PagedStore::read_columns`). The checksum covers everything after
 //! itself including the padding, so a bit flip anywhere in a frame —
 //! payload or padding — surfaces as
 //! [`McdbError::PageChecksumMismatch`], and a torn/truncated frame as
@@ -63,7 +63,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Magic prefix of a paged table file, as [`PagedStore::write`] writes it.
+/// Magic prefix of a paged table file, as `PagedStore::write` writes it.
 pub const TABLE_MAGIC: [u8; 8] = *b"MDETAB02";
 /// Magic prefix of every page frame of a [`TABLE_MAGIC`] file.
 pub const PAGE_MAGIC: [u8; 8] = *b"MDEPAGE2";
@@ -134,7 +134,7 @@ pub struct PageMeta {
 ///
 /// Stores are immutable once written (appends live in the owning
 /// [`Table`](crate::table::Table)'s in-memory tail); all mutation happens by
-/// atomically rewriting the whole file via [`PagedStore::write`].
+/// atomically rewriting the whole file via `PagedStore::write`.
 #[derive(Debug)]
 pub struct PagedStore {
     id: u64,
@@ -157,7 +157,7 @@ impl PagedStore {
     /// Encode `batch` as an `MDETAB02` paged table file at `path`,
     /// crash-consistently. Returns the I/O stats of the atomic write
     /// (out-of-band telemetry).
-    pub fn write(
+    pub(crate) fn write(
         path: &Path,
         name: &str,
         batch: &Batch,
@@ -255,7 +255,7 @@ impl PagedStore {
 
     /// Open a paged table file (`MDETAB02`, or a version 1 `MDETAB01`),
     /// validating its header, against `pool`.
-    pub fn open(path: &Path, pool: Arc<BufferPool>) -> crate::Result<Arc<PagedStore>> {
+    pub(crate) fn open(path: &Path, pool: Arc<BufferPool>) -> crate::Result<Arc<PagedStore>> {
         let display = path.display().to_string();
         let header_corrupt = page_corrupt(&display, u64::MAX);
         let mut f =
@@ -362,12 +362,12 @@ impl PagedStore {
     }
 
     /// Table name recorded in the file.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The schema recorded in the file.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
@@ -379,11 +379,6 @@ impl PagedStore {
     /// Number of page frames.
     pub fn n_pages(&self) -> usize {
         self.directory.len()
-    }
-
-    /// Frame size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Path of the backing file.
@@ -409,7 +404,7 @@ impl PagedStore {
     }
 
     /// Decode the entire table into a columnar [`Batch`]:
-    /// [`PagedStore::read_columns`] with every column marked. The decoded
+    /// `PagedStore::read_columns` with every column marked. The decoded
     /// batch is `PartialEq`-identical to the batch that was written.
     pub fn read_batch(&self) -> crate::Result<Batch> {
         self.read_columns(&vec![true; self.schema.len()])
@@ -429,7 +424,7 @@ impl PagedStore {
     /// thread, one pinned frame at a time, so the first failing page is the
     /// error and no page after it is read. Page reports (null bitmaps,
     /// chunk kind) are then folded in, in page order.
-    pub fn read_columns(&self, read: &[bool]) -> crate::Result<Batch> {
+    pub(crate) fn read_columns(&self, read: &[bool]) -> crate::Result<Batch> {
         let display = self.path.display().to_string();
         let mut assemblers: Vec<Option<ColumnAssembler>> = self
             .schema

@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// A row is an ordered vector of values matching a schema.
-pub type Row = Vec<Value>;
+pub(crate) type Row = Vec<Value>;
 
 #[cfg(test)]
 thread_local! {
@@ -106,7 +106,7 @@ impl Table {
     }
 
     /// Open a paged table file written by [`Table::to_paged`] (or
-    /// [`PagedStore::write`] directly), reading its frames through
+    /// `PagedStore::write` directly), reading its frames through
     /// `pool`. The table name and schema come from the validated file
     /// header; corruption surfaces as the typed
     /// [`McdbError::PageCorrupt`](crate::McdbError::PageCorrupt) /
@@ -164,7 +164,7 @@ impl Table {
     }
 
     /// Table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -182,10 +182,13 @@ impl Table {
     /// before writing, or read cells from [`Table::batch`].
     ///
     /// For a paged table the first call decodes the whole file —
-    /// deliberately unbounded by the pool budget, and it panics on a
-    /// corrupt file. The vectorized executor never calls it: its scans
-    /// stay columnar, read only the columns a plan binds, and surface
-    /// corruption as typed errors.
+    /// deliberately unbounded by the pool budget. The vectorized executor
+    /// never calls it: its scans stay columnar, read only the columns a
+    /// plan binds, and surface corruption as typed errors.
+    ///
+    /// # Panics
+    ///
+    /// On a paged table whose file fails to decode, as [`Table::batch`].
     pub fn rows(&self) -> &[Row] {
         self.rows_cache.get_or_init(|| {
             #[cfg(test)]
@@ -226,8 +229,12 @@ impl Table {
     /// The table's columns.
     ///
     /// Memory table: an `Arc` clone. Paged: the whole file decoded on
-    /// every call (decoded pages are cached only in the pool); panics on a
-    /// corrupt file — [`Table::try_batch`] is the fallible form.
+    /// every call (decoded pages are cached only in the pool).
+    ///
+    /// # Panics
+    ///
+    /// On a paged table whose file fails to decode (a corrupt or truncated
+    /// page); [`Table::try_batch`] is the fallible form.
     pub fn batch(&self) -> Arc<Batch> {
         self.try_batch().expect("paged table batch decode failed")
     }
@@ -296,7 +303,7 @@ impl Table {
     /// The single scalar value of a 1×1 table, or an error.
     pub fn scalar(&self) -> crate::Result<Value> {
         if self.len() == 1 && self.schema().len() == 1 {
-            Ok(self.batch().column(0).value(0))
+            Ok(self.try_batch()?.column(0).value(0))
         } else {
             Err(crate::McdbError::NonScalarResult {
                 rows: self.len(),
@@ -308,7 +315,7 @@ impl Table {
     /// Extract one column as a vector of values.
     pub fn column(&self, name: &str) -> crate::Result<Vec<Value>> {
         let i = self.schema().index_of(name)?;
-        let batch = self.batch();
+        let batch = self.try_batch()?;
         let col = batch.column(i);
         Ok((0..col.len()).map(|r| col.value(r)).collect())
     }
@@ -316,7 +323,7 @@ impl Table {
     /// Extract one numeric column as `f64`s (Nulls are skipped).
     pub fn column_f64(&self, name: &str) -> crate::Result<Vec<f64>> {
         let i = self.schema().index_of(name)?;
-        let batch = self.batch();
+        let batch = self.try_batch()?;
         let col = batch.column(i);
         (0..col.len())
             .filter(|&r| !col.is_null(r))
@@ -326,7 +333,7 @@ impl Table {
 
     /// Render as an aligned text table (for the figure-regeneration
     /// binaries and debugging).
-    pub fn render_ascii(&self) -> String {
+    pub(crate) fn render_ascii(&self) -> String {
         let names = self.schema().names();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
         let rendered: Vec<Vec<String>> = self

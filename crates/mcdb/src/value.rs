@@ -134,7 +134,8 @@ impl Value {
     }
 
     /// String view.
-    pub fn as_str(&self) -> crate::Result<&str> {
+    #[cfg(test)]
+    pub(crate) fn as_str(&self) -> crate::Result<&str> {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(McdbError::type_mismatch(
@@ -147,7 +148,7 @@ impl Value {
 
     /// SQL-style three-valued comparison: `None` when either side is Null
     /// or the types are incomparable. Ints and Floats compare numerically.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
@@ -163,7 +164,7 @@ impl Value {
     /// A hashable key form for grouping/joining. Floats hash by bit
     /// pattern of their canonicalized value (`-0.0` → `0.0`); NaN keys are
     /// rejected upstream by table validation.
-    pub fn group_key(&self) -> GroupKey {
+    pub(crate) fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
             Value::Int(i) => GroupKey::Int(*i),
@@ -179,7 +180,7 @@ impl Value {
 
 /// Hashable projection of a [`Value`] for hash joins and group-by.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
+pub(crate) enum GroupKey {
     /// Null key (groups with other Nulls).
     Null,
     /// Integer key.

@@ -169,7 +169,8 @@ pub struct DiscreteChoiceVg {
 
 impl DiscreteChoiceVg {
     /// Create with the category labels.
-    pub fn new(labels: &[&str]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(labels: &[&str]) -> Self {
         DiscreteChoiceVg {
             labels: labels.iter().map(|s| s.to_string()).collect(),
         }

@@ -125,17 +125,17 @@ impl<'a> VgParams<'a> {
     }
 
     /// Number of calls.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of parameters in each call's list.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.base.len() + self.columns.len()
     }
 
     /// Call `r`'s parameter list, written over `out`.
-    pub fn call(&self, r: usize, out: &mut Vec<Value>) {
+    pub(crate) fn call(&self, r: usize, out: &mut Vec<Value>) {
         out.clear();
         out.extend_from_slice(self.base);
         out.extend(self.columns.iter().map(|c| c.value(r)));
@@ -235,7 +235,7 @@ impl<'a> VgColumns<'a> {
     /// batch, in place of appending rows call by call. A VG that declares one
     /// `Float` column hands its draws over as they are; any other schema
     /// gets them as one row per call.
-    pub fn push_floats(&mut self, values: Vec<f64>) -> crate::Result<()> {
+    pub(crate) fn push_floats(&mut self, values: Vec<f64>) -> crate::Result<()> {
         if let [ColumnVec::Float { data, nulls }] = &mut self.columns[..] {
             self.calls.extend(0..values.len() as u32);
             nulls.extend_valid(values.len());

@@ -125,17 +125,17 @@ impl KernelWorkspace {
     }
 
     /// Number of design points currently held.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.xs.len()
     }
 
     /// Design-point dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.d
     }
 
     /// The design points.
-    pub fn xs(&self) -> &[Vec<f64>] {
+    pub(crate) fn xs(&self) -> &[Vec<f64>] {
         &self.xs
     }
 
@@ -176,7 +176,7 @@ impl KernelWorkspace {
     /// which fuses the `Σ_k θ_k·sqd_k[p]` reduction with a vectorized
     /// `exp(−s)` and writes `τ²·exp(−s)` straight into the strict lower
     /// triangle, then set the nugget-augmented diagonal.
-    pub fn fill(&mut self, tau2: f64, thetas: &[f64], noise_var: &[f64], jitter: f64) {
+    pub(crate) fn fill(&mut self, tau2: f64, thetas: &[f64], noise_var: &[f64], jitter: f64) {
         let n = self.xs.len();
         debug_assert_eq!(thetas.len(), self.d);
         debug_assert_eq!(noise_var.len(), n);

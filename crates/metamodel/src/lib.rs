@@ -49,7 +49,6 @@ pub mod response;
 pub mod screening;
 
 pub use error::MetamodelError;
-pub use screening::{ScreeningResult, ScreeningRun};
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, MetamodelError>;
+pub(crate) type Result<T> = std::result::Result<T, MetamodelError>;

@@ -22,7 +22,7 @@
 //!   only what changed since the one before: the entries inserted and
 //!   still live, the content hashes of the entries that left, and the
 //!   recency order of every slot used. A persist appends its segment with
-//!   [`append_durable`] and does no I/O when nothing changed. The file is
+//!   `append_durable` and does no I/O when nothing changed. The file is
 //!   rewritten whole as one segment, through [`write_atomic`], when it is
 //!   new, was read as `MDECACHE1` (still readable, never written), ended
 //!   in a torn segment, is not the length this cache last wrote, or holds
@@ -76,7 +76,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// File magic of what this build writes: `MDECACHE` + format version `2`.
-pub const MAGIC: [u8; 9] = *b"MDECACHE2";
+pub(crate) const MAGIC: [u8; 9] = *b"MDECACHE2";
 
 /// File magic of the first layout, which a current build reads and never
 /// writes.
@@ -205,7 +205,7 @@ impl From<CheckpointError> for CacheError {
 }
 
 /// Result alias for cache operations.
-pub type Result<T> = std::result::Result<T, CacheError>;
+pub(crate) type Result<T> = std::result::Result<T, CacheError>;
 
 /// The error a cache [`Cursor`] fails with.
 fn corrupt(reason: String) -> CacheError {
@@ -684,7 +684,7 @@ pub const DEFAULT_MAX_BYTES: u64 = 64 << 20;
 impl ResultCache {
     /// A purely in-memory cache (no persistence) with the default size
     /// bound.
-    pub fn in_memory() -> Self {
+    pub(crate) fn in_memory() -> Self {
         ResultCache {
             path: None,
             max_bytes: DEFAULT_MAX_BYTES,
@@ -1136,7 +1136,7 @@ pub struct CacheHandle(Arc<Mutex<ResultCache>>);
 
 impl CacheHandle {
     /// Wrap a cache for sharing.
-    pub fn new(cache: ResultCache) -> Self {
+    pub(crate) fn new(cache: ResultCache) -> Self {
         CacheHandle(Arc::new(Mutex::new(cache)))
     }
 
@@ -1276,13 +1276,13 @@ impl ObjectiveScope {
     }
 
     /// The key this scope derives for parameter point `x`.
-    pub fn key(&self, x: &[f64]) -> CacheKey {
+    pub(crate) fn key(&self, x: &[f64]) -> CacheKey {
         CacheKey::for_point(self.spec_fingerprint, x, self.replicates, self.master_seed)
     }
 
     /// Cached values for `x`, if present (tracks the hit's hash as
     /// upstream).
-    pub fn lookup(&mut self, x: &[f64]) -> Option<Vec<f64>> {
+    pub(crate) fn lookup(&mut self, x: &[f64]) -> Option<Vec<f64>> {
         let probe = Probe {
             spec_fingerprint: self.spec_fingerprint,
             point: Point::Floats(x),
@@ -1296,7 +1296,7 @@ impl ObjectiveScope {
 
     /// Store freshly computed `values` for `x` (tracked as upstream).
     /// Returns the entry's content hash.
-    pub fn store(&mut self, x: &[f64], values: Vec<f64>) -> u64 {
+    pub(crate) fn store(&mut self, x: &[f64], values: Vec<f64>) -> u64 {
         let entry = CacheEntry::leaf(self.key(x), &self.campaign, values);
         let hash = self.handle.insert(entry);
         self.upstream.push(hash);
@@ -1354,11 +1354,6 @@ impl ObjectiveScope {
     /// under, for [`provenance_of`](CacheHandle::provenance_of) queries.
     pub fn trace_key(&self) -> CacheKey {
         CacheKey::for_campaign(self.trace_fingerprint(), self.replicates, self.master_seed)
-    }
-
-    /// Upstream hashes consulted or produced so far.
-    pub fn upstream(&self) -> &[u64] {
-        &self.upstream
     }
 
     /// The shared cache this scope memoizes through.

@@ -23,7 +23,7 @@
 //! * [`CampaignState::start_or_resume`] — the one way every surface
 //!   begins a run: fresh at boundary 0, or from
 //!   [`RunOptions::resume`](crate::resilience::RunOptions::resume) after
-//!   [`CampaignState::validate`] has rejected a state whose campaign tag or
+//!   `CampaignState::validate` has rejected a state whose campaign tag or
 //!   seed/spec fingerprint does not match, so a checkpoint can never
 //!   silently resume the wrong campaign.
 //!
@@ -40,7 +40,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// What one crash-consistent [`write_atomic`] or [`append_durable`]
+/// What one crash-consistent [`write_atomic`] or `append_durable`
 /// cost: the encoded size and the latency of the durability syscalls.
 /// These are out-of-band measurements — callers record them via
 /// [`RunMetrics::add_io`](crate::obs::RunMetrics::add_io) /
@@ -63,7 +63,7 @@ impl SaveStats {
     /// and `ckpt.saves` I/O counters, `ckpt.fsync` and `ckpt.rename`
     /// duration histograms. Out-of-band by construction — none of it
     /// enters equality, fingerprints, or resumed state.
-    pub fn record_into(&self, metrics: &mut crate::obs::RunMetrics) {
+    pub(crate) fn record_into(&self, metrics: &mut crate::obs::RunMetrics) {
         metrics.add_io("ckpt.bytes", self.bytes);
         metrics.add_io("ckpt.saves", 1);
         metrics.observe_duration("ckpt.fsync", self.fsync);
@@ -117,7 +117,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<SaveStats> {
 /// whole file with [`write_atomic`] instead. A crash mid-append leaves the
 /// old bytes followed by a prefix of `bytes`, so what is appended must be
 /// recognisable when cut short (the cache's sealed segments are).
-pub fn append_durable(path: &Path, expected_len: u64, bytes: &[u8]) -> Result<Option<SaveStats>> {
+pub(crate) fn append_durable(
+    path: &Path,
+    expected_len: u64,
+    bytes: &[u8],
+) -> Result<Option<SaveStats>> {
     let io_err = |e: std::io::Error| CheckpointError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
@@ -147,7 +151,7 @@ pub fn append_durable(path: &Path, expected_len: u64, bytes: &[u8]) -> Result<Op
 /// with a bad-magic error, which surfaces as the fatal
 /// [`CheckpointError::Corrupt`] — the safe behavior, since a pre-shed
 /// ledger cannot be distinguished from one that shed zero replicates.
-pub const MAGIC: [u8; 8] = *b"MDECKPT2";
+pub(crate) const MAGIC: [u8; 8] = *b"MDECKPT2";
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -228,7 +232,7 @@ impl crate::resilience::ErrorClass for CheckpointError {
 }
 
 /// Result alias for checkpoint operations.
-pub type Result<T> = std::result::Result<T, CheckpointError>;
+pub(crate) type Result<T> = std::result::Result<T, CheckpointError>;
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -328,7 +332,7 @@ impl CampaignState {
 
     /// The state a run of the campaign identified by `(campaign,
     /// fingerprint)` continues from: `resume` once it
-    /// [`validate`](CampaignState::validate)s, else a fresh state at cursor
+    /// `validate`s, else a fresh state at cursor
     /// 0. Every durable surface starts here.
     pub fn start_or_resume(
         resume: Option<&CampaignState>,
@@ -354,7 +358,7 @@ impl CampaignState {
     /// Check that this checkpoint belongs to the campaign identified by
     /// `(campaign, fingerprint)`; a mismatch is a typed error, so a
     /// checkpoint can never silently resume the wrong campaign.
-    pub fn validate(&self, campaign: &str, fingerprint: u64) -> Result<()> {
+    pub(crate) fn validate(&self, campaign: &str, fingerprint: u64) -> Result<()> {
         if self.campaign != campaign {
             return Err(CheckpointError::Mismatch {
                 field: "campaign",
@@ -467,7 +471,7 @@ impl CampaignState {
     /// into this state's own [`RunMetrics`](crate::obs::RunMetrics)
     /// ledger, in its *out-of-band* section: bytes and latencies vary run
     /// to run, so they never enter fingerprints, equality, or resumed
-    /// state. What [`CampaignState::commit`]'s cadence and a run's final
+    /// state. What `CampaignState::commit`'s cadence and a run's final
     /// seal call.
     pub fn save_ledgered(&mut self, path: &Path) -> Result<()> {
         let stats = write_atomic(path, &self.encode())?;

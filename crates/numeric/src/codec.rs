@@ -2,8 +2,8 @@
 //! becomes little-endian bytes and back, and the two checksums that seal
 //! them.
 //!
-//! * The writers — [`put_u32`], [`put_u64`], [`put_i64`], [`put_u64s`],
-//!   [`put_f64s`], [`put_str`] and [`put_sealed`] — append to a `Vec<u8>`.
+//! * The writers — [`put_u32`], [`put_u64`], [`put_i64`], `put_u64s`,
+//!   `put_f64s`, [`put_str`] and `put_sealed` — append to a `Vec<u8>`.
 //! * [`Cursor`] reads them back over a byte slice. Every read is
 //!   bounds-checked, and a bad read returns the **caller's** error: the
 //!   cursor is built with the function that turns a reason string into
@@ -43,7 +43,7 @@ pub fn put_i64(out: &mut Vec<u8>, v: i64) {
 }
 
 /// Append a `u64` count, then each value.
-pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+pub(crate) fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
     put_u64(out, vs.len() as u64);
     for &v in vs {
         put_u64(out, v);
@@ -51,7 +51,7 @@ pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
 }
 
 /// Append a `u64` count, then each value by bit pattern.
-pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u64(out, vs.len() as u64);
     for v in vs {
         put_u64(out, v.to_bits());
@@ -71,7 +71,7 @@ pub fn put_str(out: &mut Vec<u8>, prefix: LenPrefix, s: &str) {
 /// their [`checksum64`]. [`Cursor::sealed`] reads it back. A frame is
 /// whole or it is refused, so a file of frames survives a cut as the
 /// frames before it (the `MDECACHE2` segments).
-pub fn put_sealed(out: &mut Vec<u8>, body: &[u8]) {
+pub(crate) fn put_sealed(out: &mut Vec<u8>, body: &[u8]) {
     put_u64(out, body.len() as u64);
     out.extend_from_slice(body);
     put_u64(out, checksum64(body));
@@ -94,7 +94,7 @@ impl<'a, E> Cursor<'a, E> {
     }
 
     /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -144,14 +144,14 @@ impl<'a, E> Cursor<'a, E> {
     }
 
     /// The next `f64`, by bit pattern.
-    pub fn f64(&mut self) -> Result<f64, E> {
+    pub(crate) fn f64(&mut self) -> Result<f64, E> {
         self.u64().map(f64::from_bits)
     }
 
     /// A `u64` element count, refused when it exceeds the bytes left
     /// (every element is at least one byte), so a damaged count cannot
     /// size an absurd allocation.
-    pub fn count(&mut self) -> Result<usize, E> {
+    pub(crate) fn count(&mut self) -> Result<usize, E> {
         let v = self.u64()?;
         let remaining = self.remaining();
         if v > remaining as u64 {
@@ -161,14 +161,14 @@ impl<'a, E> Cursor<'a, E> {
     }
 
     /// What [`put_u64s`] wrote.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, E> {
+    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, E> {
         let n = self.count()?;
         let raw = self.bytes(n.saturating_mul(8))?;
         Ok(raw.chunks_exact(8).map(le_word).collect())
     }
 
     /// What [`put_f64s`] wrote.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, E> {
+    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, E> {
         Ok(self.u64s()?.into_iter().map(f64::from_bits).collect())
     }
 
@@ -185,7 +185,7 @@ impl<'a, E> Cursor<'a, E> {
     /// The body of what [`put_sealed`] wrote. A frame cut short is the
     /// cursor's error; a body that does not sum to its stored checksum is
     /// `mismatch(stored, found)`.
-    pub fn sealed(&mut self, mismatch: impl FnOnce(u64, u64) -> E) -> Result<&'a [u8], E> {
+    pub(crate) fn sealed(&mut self, mismatch: impl FnOnce(u64, u64) -> E) -> Result<&'a [u8], E> {
         let n = self.count()?;
         let body = self.bytes(n)?;
         let stored = self.u64()?;

@@ -35,16 +35,6 @@ impl Beta {
             gb: Gamma::new(b, 1.0)?,
         })
     }
-
-    /// First shape parameter.
-    pub fn a(&self) -> f64 {
-        self.a
-    }
-
-    /// Second shape parameter.
-    pub fn b(&self) -> f64 {
-        self.b
-    }
 }
 
 impl Distribution for Beta {

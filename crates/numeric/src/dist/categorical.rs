@@ -26,11 +26,6 @@ impl Bernoulli {
         Ok(Bernoulli { p })
     }
 
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Draw a boolean outcome.
     pub fn sample_bool(&self, rng: &mut Rng) -> bool {
         rng.gen::<f64>() < self.p
@@ -126,17 +121,6 @@ impl Categorical {
         })
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Whether the distribution has zero categories (never true after
-    /// construction; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
-    }
-
     /// Draw a category index in O(1).
     pub fn sample_index(&self, rng: &mut Rng) -> usize {
         let k = self.probs.len();
@@ -149,7 +133,8 @@ impl Categorical {
     }
 
     /// Probability mass of category `i` (0 if out of range).
-    pub fn pmf(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, i: usize) -> f64 {
         self.probs.get(i).copied().unwrap_or(0.0)
     }
 }

@@ -24,11 +24,6 @@ impl Exponential {
         }
         Ok(Exponential { rate })
     }
-
-    /// The rate parameter `θ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl Distribution for Exponential {

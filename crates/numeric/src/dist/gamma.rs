@@ -36,16 +36,6 @@ impl Gamma {
         Ok(Gamma { shape, scale })
     }
 
-    /// The shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `θ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     fn sample_unit_scale(shape: f64, rng: &mut Rng) -> f64 {
         if shape < 1.0 {
             // Boost: if X ~ Gamma(k+1), U ~ U(0,1), then X·U^{1/k} ~ Gamma(k).

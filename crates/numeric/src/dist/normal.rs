@@ -51,16 +51,6 @@ impl Normal {
         }
     }
 
-    /// The mean parameter `mu`.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The standard deviation parameter `sigma`.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draw a standard normal variate from `rng`.
     pub fn sample_standard(rng: &mut Rng) -> f64 {
         // Marsaglia polar method; rejection loop accepts with prob π/4.

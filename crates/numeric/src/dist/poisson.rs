@@ -1,7 +1,6 @@
 //! The Poisson distribution — event counts per time tick in the demand and
 //! epidemic models.
 
-use super::special::reg_lower_gamma;
 use super::Distribution;
 use crate::rng::Rng;
 use crate::NumericError;
@@ -30,11 +29,6 @@ impl Poisson {
         Ok(Poisson { lambda })
     }
 
-    /// The mean parameter `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Draw a Poisson variate as a `u64` count.
     pub fn sample_count(&self, rng: &mut Rng) -> u64 {
         Self::sample_with_mean(self.lambda, rng)
@@ -60,20 +54,16 @@ impl Poisson {
     }
 
     /// Probability mass function `P(X = k)`.
-    pub fn pmf(&self, k: u64) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, k: u64) -> f64 {
         self.ln_pmf(k).exp()
     }
 
     /// Natural log of the pmf.
+    #[cfg(test)]
     fn ln_pmf(&self, k: u64) -> f64 {
         let kf = k as f64;
         kf * self.lambda.ln() - self.lambda - super::special::ln_gamma(kf + 1.0)
-    }
-
-    /// Cumulative distribution function `P(X <= k)`, via the identity
-    /// `P(X <= k) = Q(k+1, λ)` with the regularized incomplete gamma.
-    pub fn cdf(&self, k: u64) -> f64 {
-        1.0 - reg_lower_gamma(k as f64 + 1.0, self.lambda)
     }
 }
 
@@ -128,16 +118,6 @@ mod tests {
         // P(X=0) = e^-2, P(X=2) = 2 e^-2.
         assert!((d.pmf(0) - (-2.0f64).exp()).abs() < 1e-12);
         assert!((d.pmf(2) - 2.0 * (-2.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_matches_pmf_partial_sums() {
-        let d = Poisson::new(5.5).unwrap();
-        let mut acc = 0.0;
-        for k in 0..25 {
-            acc += d.pmf(k);
-            assert!((d.cdf(k) - acc).abs() < 1e-10, "cdf mismatch at k={k}");
-        }
     }
 
     #[test]

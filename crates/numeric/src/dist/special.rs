@@ -8,7 +8,7 @@
 
 /// Natural log of the gamma function, via the Lanczos approximation (g = 7,
 /// n = 9 coefficients). Accurate to ~1e-13 for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients for g = 7 from Godfrey's tables.
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [

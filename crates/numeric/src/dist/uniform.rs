@@ -22,21 +22,6 @@ impl Uniform {
         }
         Ok(Uniform { lo, hi })
     }
-
-    /// The standard uniform on `[0, 1)`.
-    pub fn standard() -> Self {
-        Uniform { lo: 0.0, hi: 1.0 }
-    }
-
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
 }
 
 impl Distribution for Uniform {

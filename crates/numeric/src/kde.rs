@@ -24,7 +24,7 @@ pub enum Kernel {
 
 impl Kernel {
     /// Evaluate the (normalized) kernel at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         match self {
             Kernel::Gaussian => (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt(),
             Kernel::Laplacian => 0.5 * (-x.abs()).exp(),
@@ -92,18 +92,8 @@ impl KernelDensity {
         })
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Always false after construction.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Evaluate the density estimate `f̂(x)`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         let (m, h) = (self.data.len() as f64, self.bandwidth);
         self.data
             .iter()

@@ -27,8 +27,8 @@
 //!   execution layer (Monte Carlo queries, composite plans, particle
 //!   filters) can speak it; `mde-core` re-exports it as the public API.
 //! * [`obs`] — the observability substrate: span-style structured
-//!   tracing with pluggable sinks, lock-free counters/gauges, mergeable
-//!   log-linear histograms, and the per-run [`RunMetrics`]
+//!   tracing with pluggable sinks, lock-free counters, mergeable
+//!   log-linear histograms, and the per-run [`RunMetrics`](obs::RunMetrics)
 //!   ledger attached to every [`RunReport`] — deterministic metric values
 //!   (bit-identical across thread counts and checkpoint/resume) with
 //!   wall-clock measurements carried out-of-band.
@@ -70,13 +70,8 @@ pub mod resilience;
 pub mod rng;
 pub mod stats;
 
-pub use cache::{
-    CacheEntry, CacheError, CacheHandle, CacheKey, CacheStats, ObjectiveScope, Provenance,
-    ResultCache,
-};
 pub use checkpoint::{write_atomic, CampaignState, CheckpointError, Fingerprint, SaveStats};
 pub use error::NumericError;
-pub use obs::{Counter, Gauge, Histogram, RunMetrics, Span, TraceSink, Tracer};
 pub use resilience::backoff::{Backoff, BackoffConfig};
 pub use resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use resilience::sched::{

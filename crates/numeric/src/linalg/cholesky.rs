@@ -35,7 +35,7 @@ impl Cholesky {
 
     /// Factor a matrix in place, consuming it — [`Cholesky::new`] without
     /// the defensive copy, for callers that already own a scratch matrix.
-    pub fn factor(mut a: Matrix) -> crate::Result<Self> {
+    pub(crate) fn factor(mut a: Matrix) -> crate::Result<Self> {
         kernels::cholesky_in_place(&mut a)?;
         Ok(Cholesky { l: a })
     }
@@ -55,7 +55,8 @@ impl Cholesky {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    #[cfg(test)]
+    fn dim(&self) -> usize {
         self.l.rows()
     }
 
@@ -64,12 +65,6 @@ impl Cholesky {
         let mut x = b.to_vec();
         kernels::solve_in_place(&self.l, &mut x)?;
         Ok(x)
-    }
-
-    /// Solve `A·x = b` in place: `b` enters as the right-hand side and
-    /// leaves as the solution. Zero allocation — the NLL-evaluation form.
-    pub fn solve_in_place(&self, b: &mut [f64]) -> crate::Result<()> {
-        kernels::solve_in_place(&self.l, b)
     }
 
     /// Extend the factorization by one bordered row/column in O(n²): given
@@ -257,17 +252,6 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn solve_in_place_matches_solve() {
-        let a = spd_test_matrix();
-        let ch = Cholesky::new(&a).unwrap();
-        let b = vec![0.3, 1.0, -4.0];
-        let x = ch.solve(&b).unwrap();
-        let mut y = b;
-        ch.solve_in_place(&mut y).unwrap();
-        assert_eq!(x, y);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //! same arithmetic over contiguous row slices:
 //!
 //! * [`cholesky_in_place`] — right-looking factorization in panels of
-//!   [`BLOCK`] columns. Each panel is factored with short in-panel dot
+//!   `BLOCK` columns. Each panel is factored with short in-panel dot
 //!   products (the diagonal micro-kernel plus a TRSM micro-kernel per
 //!   trailing row), then the trailing submatrix absorbs the panel via a
-//!   SYRK/GEMM-shaped update whose inner loop is a length-[`BLOCK`] dot
+//!   SYRK/GEMM-shaped update whose inner loop is a length-`BLOCK` dot
 //!   product of two contiguous slices — the cache-friendly, vectorizable
 //!   shape that carries ~all of the O(n³) work.
 //! * [`solve_in_place`] — fused forward/backward substitution in a single
 //!   right-hand-side buffer: the forward pass consumes contiguous row
 //!   prefixes, the backward pass is run in outer-product (saxpy) form so it
 //!   also streams rows instead of striding down columns.
-//! * [`forward_solve_in_place`] — the forward half alone, used by the
+//! * `forward_solve_in_place` — the forward half alone, used by the
 //!   rank-1 append ([`super::Cholesky::extend`]): appending design point
 //!   `x` to a factored `A = L·Lᵀ` needs only `l₂₁ = L⁻¹k` and
 //!   `l₂₂ = √(κ − l₂₁ᵀl₂₁)`.
@@ -46,7 +46,7 @@ use crate::NumericError;
 /// Panel width of the blocked factorization. 64 columns = a 512-byte row
 /// segment per panel row: two such segments (the SYRK operands) sit in L1
 /// while the trailing row is updated.
-pub const BLOCK: usize = 64;
+pub(crate) const BLOCK: usize = 64;
 
 /// Dot product of two equal-length slices with four independent
 /// accumulators, so the compiler can keep the multiply-adds in flight.
@@ -333,7 +333,7 @@ pub fn solve_in_place(l: &Matrix, b: &mut [f64]) -> crate::Result<()> {
 }
 
 /// Forward substitution `L·y = b` in place.
-pub fn forward_solve_in_place(l: &Matrix, b: &mut [f64]) -> crate::Result<()> {
+pub(crate) fn forward_solve_in_place(l: &Matrix, b: &mut [f64]) -> crate::Result<()> {
     let n = l.rows();
     if b.len() != n {
         return Err(NumericError::dim(

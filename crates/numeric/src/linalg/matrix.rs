@@ -79,12 +79,12 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -95,7 +95,7 @@ impl Matrix {
 
     /// Mutable raw row-major data — the entry point for the in-place
     /// kernels in [`crate::linalg::kernels`].
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -110,7 +110,8 @@ impl Matrix {
     }
 
     /// Copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
+    #[cfg(test)]
+    fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
@@ -137,15 +138,6 @@ impl Matrix {
         Ok((0..self.rows)
             .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum::<f64>())
             .collect())
-    }
-
-    /// Scale every entry by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
     }
 
     /// Maximum absolute entry difference against another matrix of the same
@@ -322,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn add_sub() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Matrix::identity(2);
         let sum = &a + &b;
@@ -330,7 +322,6 @@ mod tests {
         assert_eq!(sum[(0, 1)], 2.0);
         let diff = &sum - &b;
         assert_eq!(diff, a);
-        assert_eq!(a.scale(2.0)[(1, 1)], 8.0);
     }
 
     #[test]

@@ -29,16 +29,10 @@ impl OlsFit {
     ///
     /// # Panics
     /// Panics if `x` has a different length than the coefficient vector.
-    pub fn predict(&self, x: &[f64]) -> f64 {
+    #[cfg(test)]
+    fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.coefficients.len(), "regressor count mismatch");
         x.iter().zip(&self.coefficients).map(|(a, b)| a * b).sum()
-    }
-
-    /// Residual standard deviation with `p` parameters:
-    /// `sqrt(RSS / (n − p))`.
-    pub fn resid_std(&self, n_params: usize) -> f64 {
-        let dof = self.residuals.len().saturating_sub(n_params).max(1);
-        (self.rss / dof as f64).sqrt()
     }
 }
 
@@ -214,13 +208,5 @@ mod tests {
         let fit = ols(&x, &[5.0, 5.0, 5.0]).unwrap();
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
         assert!(fit.rss < 1e-20);
-    }
-
-    #[test]
-    fn resid_std_uses_dof() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x).collect();
-        let fit = ols(&model_matrix_with_intercept(&xs), &ys).unwrap();
-        assert!(fit.resid_std(2) < 1e-9);
     }
 }

@@ -69,7 +69,8 @@ impl Counter {
 
     /// Increment by `n`.
     #[inline]
-    pub fn add(&self, n: u64) {
+    #[cfg(test)]
+    fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -83,37 +84,6 @@ impl Clone for Counter {
     /// Clones snapshot the current value.
     fn clone(&self) -> Counter {
         Counter(AtomicU64::new(self.get()))
-    }
-}
-
-/// A lock-free last-write-wins gauge holding an `f64`.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at `0.0`.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl Clone for Gauge {
-    /// Clones snapshot the current value.
-    fn clone(&self) -> Gauge {
-        let g = Gauge::new();
-        g.set(self.get());
-        g
     }
 }
 
@@ -222,11 +192,6 @@ impl Histogram {
         self.max
     }
 
-    /// Whether nothing (finite or not) has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty() && self.nonfinite == 0
-    }
-
     /// Fold another histogram into this one. Addition bucket-by-bucket
     /// plus min/min and max/max — a commutative monoid, so merging is
     /// associative and order-insensitive.
@@ -285,12 +250,12 @@ impl Histogram {
 
     /// Raw `(bucket key, count)` pairs in key order — the codec's wire
     /// representation, paired with [`Histogram::from_raw`].
-    pub fn raw_buckets(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
+    pub(crate) fn raw_buckets(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
         self.buckets.iter().map(|(&k, &c)| (k, c))
     }
 
     /// Rebuild a histogram from its codec representation.
-    pub fn from_raw(
+    pub(crate) fn from_raw(
         buckets: impl IntoIterator<Item = (i64, u64)>,
         nonfinite: u64,
         min: Option<f64>,
@@ -471,31 +436,23 @@ impl RunMetrics {
         }
     }
 
-    /// Whether nothing has been recorded in any ledger.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.hists.is_empty()
-            && self.io.is_empty()
-            && self.durations.is_empty()
-    }
-
     /// Deterministic counters, in name order (codec + dump surface).
-    pub fn counter_entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+    pub(crate) fn counter_entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Deterministic histograms, in name order (codec + dump surface).
-    pub fn histogram_entries(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
+    pub(crate) fn histogram_entries(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
         self.hists.iter().map(|(k, h)| (k.as_str(), h))
     }
 
     /// Install a decoded deterministic counter (codec use).
-    pub fn set_counter(&mut self, name: impl Into<String>, v: u64) {
+    pub(crate) fn set_counter(&mut self, name: impl Into<String>, v: u64) {
         self.counters.insert(name.into(), v);
     }
 
     /// Install a decoded deterministic histogram (codec use).
-    pub fn set_histogram(&mut self, name: impl Into<String>, h: Histogram) {
+    pub(crate) fn set_histogram(&mut self, name: impl Into<String>, h: Histogram) {
         self.hists.insert(name.into(), h);
     }
 
@@ -805,7 +762,8 @@ impl Tracer {
     }
 
     /// Whether spans created from this tracer record and emit.
-    pub fn enabled(&self) -> bool {
+    #[cfg(test)]
+    fn enabled(&self) -> bool {
         self.shared.is_some()
     }
 
@@ -866,7 +824,8 @@ impl Span {
     }
 
     /// Whether this span records and emits.
-    pub fn enabled(&self) -> bool {
+    #[cfg(test)]
+    fn enabled(&self) -> bool {
         self.shared.is_some()
     }
 }
@@ -892,18 +851,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.clone().get(), 5);
-
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
-        assert_eq!(g.clone().get(), -2.5);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl BackoffConfig {
     /// `fingerprint` — a pure function of `(fingerprint, attempt)`, so the
     /// schedule is bit-identical no matter which worker thread computes
     /// it, and distinct campaigns desynchronize.
-    pub fn delay(&self, fingerprint: u64, attempt: u32) -> Duration {
+    pub(crate) fn delay(&self, fingerprint: u64, attempt: u32) -> Duration {
         let raw = self.raw_delay(attempt);
         let jitter = self.jitter.clamp(0.0, 1.0);
         if attempt == 0 || jitter == 0.0 || raw.is_zero() {

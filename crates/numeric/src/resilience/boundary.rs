@@ -10,12 +10,12 @@
 //!    [`RunPolicy`](super::RunPolicy); each attempt ([`Attempt::run`]) picks
 //!    its streams from `(seed, stream key, attempt)`, injects any scheduled
 //!    fault, contains panics, and classifies the result;
-//! 3. **commit** — [`CampaignState::commit`] absorbs the outcome into the
+//! 3. **commit** — `CampaignState::commit` absorbs the outcome into the
 //!    ledger, lets the surface fold the value (or the drop) into its own
 //!    state, and advances the cursor; an abort surfaces as the surface's
 //!    typed error instead;
 //! 4. **cadence** — still inside `commit`, a checkpoint is written when
-//!    [`CheckpointSpec::due`] says so;
+//!    `CheckpointSpec::due` says so;
 //!
 //! and, once no boundary is left or a stop fired, **seal** —
 //! `CampaignState::seal` normalises the ledger, enforces the best-effort
@@ -145,7 +145,7 @@ impl CampaignState {
     /// payload, advance the cursor, and write a checkpoint when `cadence`
     /// says one is due. An abort is returned as the aborting attempt's own
     /// typed error, or synthesised from its failure record.
-    pub fn commit<T, E: BoundaryError>(
+    pub(crate) fn commit<T, E: BoundaryError>(
         &mut self,
         boundary: u64,
         outcome: ReplicateOutcome<T, E>,

@@ -21,7 +21,7 @@
 //!   from `(master_seed, replicate, attempt)`, a pure function so that a
 //!   resumed or cached run stays bit-identical even when replicates are
 //!   retried.
-//! * [`supervise_replicate`] — the generic attempt loop under a policy.
+//! * `supervise_replicate` — the generic attempt loop under a policy.
 //! * [`boundary`] — the boundary protocol every campaign surface runs
 //!   through: one supervised attempt ([`Attempt::run`]), one commit and
 //!   seal on [`CampaignState`], and one sequential driver ([`drive`]) over
@@ -134,7 +134,7 @@ pub enum RunPolicy {
 
 impl RunPolicy {
     /// Total attempts allowed per replicate under this policy.
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         match self {
             RunPolicy::Retry { max_attempts, .. } => (*max_attempts).max(1),
             _ => 1,
@@ -142,7 +142,7 @@ impl RunPolicy {
     }
 
     /// Whether retries re-derive the random stream.
-    pub fn reseeds(&self) -> bool {
+    pub(crate) fn reseeds(&self) -> bool {
         match self {
             RunPolicy::Retry { reseed, .. } => *reseed,
             _ => true,
@@ -151,7 +151,7 @@ impl RunPolicy {
 
     /// Number of successful replicates required out of `n` for the run to
     /// be reported as a success.
-    pub fn required_successes(&self, n: usize) -> usize {
+    pub(crate) fn required_successes(&self, n: usize) -> usize {
         match self {
             RunPolicy::BestEffort { min_fraction } => {
                 ((min_fraction.clamp(0.0, 1.0) * n as f64).ceil() as usize).min(n)
@@ -224,7 +224,7 @@ pub struct FailureRecord {
 impl FailureRecord {
     /// The `(replicate, attempt, kind)` identity used to compare a ledger
     /// against an injected [`FaultPlan`].
-    pub fn key(&self) -> (u64, u32, FailureKind) {
+    pub(crate) fn key(&self) -> (u64, u32, FailureKind) {
         (self.replicate, self.attempt, self.kind)
     }
 }
@@ -254,7 +254,7 @@ pub struct RunReport {
     pub ci_widened: bool,
     /// The per-run metrics ledger (see [`crate::obs`]): replicate
     /// counters accumulate here automatically on every
-    /// [`RunReport::absorb`], and execution surfaces add their own
+    /// `RunReport::absorb`, and execution surfaces add their own
     /// counters, value histograms, and out-of-band latency/I/O
     /// measurements. Deterministic values are bit-identical across
     /// checkpoint/resume; out-of-band entries are excluded from equality
@@ -271,7 +271,7 @@ impl RunReport {
     /// Fold one replicate outcome into the ledger. The metrics ledger
     /// accumulates the same counts, so every supervised surface carries
     /// deterministic `replicates.*` / `attempts.*` metrics for free.
-    pub fn absorb<T, E>(&mut self, outcome: &ReplicateOutcome<T, E>) {
+    pub(crate) fn absorb<T, E>(&mut self, outcome: &ReplicateOutcome<T, E>) {
         self.attempted += 1;
         self.metrics.inc("replicates.attempted");
         let failures = match outcome {
@@ -316,7 +316,7 @@ impl RunReport {
     /// Sort the ledger by `(replicate, attempt)`: the order in which
     /// outcomes were absorbed is not part of a report, so two runs over
     /// the same boundaries compare equal however they absorbed them.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.failures.sort_by_key(|f| (f.replicate, f.attempt));
     }
 
@@ -333,7 +333,7 @@ impl RunReport {
 // ---------------------------------------------------------------------------
 
 /// A classified failure of one supervised attempt, produced by a layer's
-/// attempt closure and consumed by [`supervise_replicate`].
+/// attempt closure and consumed by `supervise_replicate`.
 #[derive(Debug)]
 pub struct AttemptFailure<E> {
     /// Failure kind for the ledger.
@@ -350,7 +350,7 @@ pub struct AttemptFailure<E> {
 
 impl<E: std::error::Error + ErrorClass> AttemptFailure<E> {
     /// Wrap a typed layer error, classifying it via [`ErrorClass`].
-    pub fn from_error(error: E) -> Self {
+    pub(crate) fn from_error(error: E) -> Self {
         AttemptFailure {
             kind: FailureKind::Error,
             message: error.to_string(),
@@ -364,7 +364,7 @@ impl<E> AttemptFailure<E> {
     /// A caught panic (always retryable: the panic was raised by one
     /// replicate's data/draws; a fresh stream may avoid it, and if it does
     /// not, the retry budget bounds the damage).
-    pub fn from_panic(message: impl Into<String>) -> Self {
+    pub(crate) fn from_panic(message: impl Into<String>) -> Self {
         AttemptFailure {
             kind: FailureKind::Panic,
             message: message.into(),
@@ -375,7 +375,7 @@ impl<E> AttemptFailure<E> {
 
     /// A non-finite sample (retryable: the offending value came from this
     /// replicate's draws).
-    pub fn non_finite(value: f64) -> Self {
+    pub(crate) fn non_finite(value: f64) -> Self {
         AttemptFailure {
             kind: FailureKind::NonFinite,
             message: format!("replicate produced non-finite sample {value}"),
@@ -387,7 +387,7 @@ impl<E> AttemptFailure<E> {
 
 /// The outcome of supervising one replicate to completion under a policy.
 #[derive(Debug)]
-pub enum ReplicateOutcome<T, E> {
+pub(crate) enum ReplicateOutcome<T, E> {
     /// The replicate produced a value (possibly after retries — the failed
     /// attempts are recorded).
     Success {
@@ -420,7 +420,7 @@ pub enum ReplicateOutcome<T, E> {
 /// retryable failures while the policy allows, aborts immediately on fatal
 /// ones, and converts terminal retryable failures into
 /// [`ReplicateOutcome::Dropped`] under a dropping policy.
-pub fn supervise_replicate<T, E>(
+pub(crate) fn supervise_replicate<T, E>(
     replicate: u64,
     policy: &RunPolicy,
     mut attempt: impl FnMut(u32) -> Result<T, AttemptFailure<E>>,
@@ -546,7 +546,7 @@ impl FaultKind {
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fault {
+pub(crate) struct Fault {
     /// Replicate to poison.
     pub replicate: u64,
     /// Attempt (zero-based) on which the fault fires; retries with higher
@@ -594,17 +594,12 @@ impl FaultPlan {
         self
     }
 
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// The fault scheduled for `(replicate, attempt)`, if any. Scheduling
     /// faults (preemption notices, stalls, slowdowns, queue-full
     /// injections) are not per-replicate failures and are never returned
     /// here; see `FaultPlan::preempts`, [`FaultPlan::stalls_worker`],
     /// [`FaultPlan::slow_worker_ms`], and [`FaultPlan::queue_full`].
-    pub fn lookup(&self, replicate: u64, attempt: u32) -> Option<FaultKind> {
+    pub(crate) fn lookup(&self, replicate: u64, attempt: u32) -> Option<FaultKind> {
         self.faults
             .iter()
             .find(|f| {
@@ -1025,7 +1020,7 @@ impl CheckpointSpec {
     }
 
     /// Whether a periodic checkpoint is due after `completed` boundaries.
-    pub fn due(&self, completed: u64) -> bool {
+    pub(crate) fn due(&self, completed: u64) -> bool {
         completed > 0 && completed.is_multiple_of(self.every.max(1))
     }
 }
@@ -1116,7 +1111,7 @@ impl RunOptions {
 
     /// The fault scheduled for `(replicate, attempt)`, if a plan is
     /// attached.
-    pub fn fault(&self, replicate: u64, attempt: u32) -> Option<FaultKind> {
+    pub(crate) fn fault(&self, replicate: u64, attempt: u32) -> Option<FaultKind> {
         self.faults
             .as_ref()
             .and_then(|p| p.lookup(replicate, attempt))

@@ -137,7 +137,7 @@ mod draw {
     /// Integer types [`Rng::gen_range`] can draw. One generic `SampleRange`
     /// impl per range shape lets an untyped literal range such as `1..=6`
     /// take its type from the call site.
-    pub trait SampleUniform: Sized + PartialOrd {
+    pub(crate) trait SampleUniform: Sized + PartialOrd {
         /// Uniform on `[lo, hi)`.
         fn sample_half_open(lo: Self, hi: Self, rng: &mut Rng) -> Self;
         /// Uniform on `[lo, hi]`.
@@ -177,7 +177,7 @@ mod draw {
     /// `span`: so the division that computes it runs only for a low word
     /// below `span`.
     #[inline]
-    pub fn below(rng: &mut Rng, span: u64) -> u64 {
+    pub(crate) fn below(rng: &mut Rng, span: u64) -> u64 {
         debug_assert!(span > 0);
         loop {
             let wide = (rng.next_u64() as u128) * (span as u128);
@@ -249,11 +249,6 @@ impl StreamFactory {
     /// Create a factory from a master seed.
     pub fn new(master_seed: u64) -> Self {
         StreamFactory { master_seed }
-    }
-
-    /// The master seed this factory derives all streams from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
     }
 
     /// Derive the 64-bit seed of stream `id` without constructing the RNG.

@@ -16,20 +16,12 @@ pub struct Summary {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
     /// Create an empty summary.
     pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Summary::default()
     }
 
     /// Build a summary from a slice in one pass.
@@ -47,8 +39,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Merge another summary into this one (parallel reduction), using the
@@ -68,8 +58,6 @@ impl Summary {
         self.mean += delta * n2 / n;
         self.m2 += other.m2 + delta * delta * n1 * n2 / n;
         self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -98,27 +86,17 @@ impl Summary {
     }
 
     /// Standard error of the mean `s/√n`; 0 when empty.
-    pub fn standard_error(&self) -> f64 {
+    pub(crate) fn standard_error(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
             self.sample_std_dev() / (self.n as f64).sqrt()
         }
     }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
-/// Streaming bivariate accumulator: means, variances, and covariance of a
-/// paired stream `(x, y)`.
+/// Streaming bivariate accumulator: the covariance of a paired stream
+/// `(x, y)`.
 ///
 /// This is the estimator behind the result-caching statistics 𝒮 of §2.3:
 /// `V₂` is the covariance of two composite-model outputs sharing an
@@ -128,8 +106,6 @@ pub struct BivariateSummary {
     n: u64,
     mean_x: f64,
     mean_y: f64,
-    m2x: f64,
-    m2y: f64,
     cxy: f64,
 }
 
@@ -145,22 +121,10 @@ impl BivariateSummary {
         let nf = self.n as f64;
         let dx = x - self.mean_x;
         self.mean_x += dx / nf;
-        self.m2x += dx * (x - self.mean_x);
         let dy = y - self.mean_y;
         self.mean_y += dy / nf;
-        self.m2y += dy * (y - self.mean_y);
         // Co-moment update uses the *new* mean of x and the *old* delta of y.
         self.cxy += dx * (y - self.mean_y);
-    }
-
-    /// Number of pairs.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the second coordinate.
-    pub fn mean_y(&self) -> f64 {
-        self.mean_y
     }
 
     /// Unbiased sample covariance; 0 with fewer than two pairs.
@@ -170,30 +134,6 @@ impl BivariateSummary {
         } else {
             self.cxy / (self.n - 1) as f64
         }
-    }
-
-    /// Unbiased sample variance of the first coordinate.
-    fn sample_variance_x(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2x / (self.n - 1) as f64
-        }
-    }
-
-    /// Unbiased sample variance of the second coordinate.
-    fn sample_variance_y(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2y / (self.n - 1) as f64
-        }
-    }
-
-    /// Pearson correlation coefficient; NaN if either variance is 0.
-    pub fn correlation(&self) -> f64 {
-        let d = (self.sample_variance_x() * self.sample_variance_y()).sqrt();
-        self.sample_covariance() / d
     }
 }
 
@@ -222,8 +162,6 @@ mod tests {
         let s = Summary::from_slice(&[5.0]);
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min(), 5.0);
-        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
@@ -236,8 +174,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-12);
         assert!((a.sample_variance() - whole.sample_variance()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]
@@ -255,14 +191,13 @@ mod tests {
 
     #[test]
     fn bivariate_known_covariance() {
-        // y = 2x exactly: cov = 2 var(x), corr = 1.
+        // y = 2x exactly: cov = 2 var(x) = 2 · 50·51/12.
         let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x).collect();
         let mut acc = BivariateSummary::new();
         for (&x, &y) in xs.iter().zip(&ys) {
             acc.push(x, y);
         }
-        assert!((acc.sample_covariance() - 2.0 * acc.sample_variance_x()).abs() < 1e-9);
-        assert!((acc.correlation() - 1.0).abs() < 1e-12);
+        assert!((acc.sample_covariance() - 425.0).abs() < 1e-9);
     }
 }

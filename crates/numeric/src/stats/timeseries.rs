@@ -22,7 +22,7 @@ pub struct LinearTrend {
 
 impl LinearTrend {
     /// Predicted value at time `t`.
-    pub fn predict(&self, t: f64) -> f64 {
+    pub(crate) fn predict(&self, t: f64) -> f64 {
         self.intercept + self.slope * t
     }
 }

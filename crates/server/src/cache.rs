@@ -58,8 +58,8 @@ impl PlanCache {
 
     /// Parse, plan, and prepare `sql` against `catalog`, reusing a
     /// cached plan when the catalog shape and query text match: a
-    /// [`probe`](Self::probe), and on a miss a parse and a
-    /// [`fill`](Self::fill).
+    /// `probe`, and on a miss a parse and a
+    /// `fill`.
     pub fn prepare(&self, catalog: &Catalog, sql: &str) -> mde_mcdb::Result<Arc<PreparedQuery>> {
         if let Some(hit) = self.probe(catalog, sql) {
             return Ok(hit);
@@ -71,7 +71,7 @@ impl PlanCache {
 
     /// The plan cached for `sql` at this catalog shape, if any; a hit is
     /// counted, a miss is counted by the [`fill`](Self::fill) that follows.
-    pub fn probe(&self, catalog: &Catalog, sql: &str) -> Option<Arc<PreparedQuery>> {
+    pub(crate) fn probe(&self, catalog: &Catalog, sql: &str) -> Option<Arc<PreparedQuery>> {
         let key = (catalog.schema_fingerprint(), sql.to_string());
         let hit = Arc::clone(self.inner.lock().expect("cache lock").map.get(&key)?);
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -80,7 +80,7 @@ impl PlanCache {
 
     /// Prepare `plan`, parsed from `sql`, against `catalog` and cache it
     /// under the text and the catalog shape.
-    pub fn fill(
+    pub(crate) fn fill(
         &self,
         catalog: &Catalog,
         sql: &str,
@@ -118,12 +118,14 @@ impl PlanCache {
     }
 
     /// Current number of cached plans.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.inner.lock().expect("cache lock").map.len()
     }
 
     /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

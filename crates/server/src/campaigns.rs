@@ -24,7 +24,7 @@
 //!
 //! On graceful drain the server cancels the scheduler's master drain
 //! token; in-flight slices stop at replicate boundaries (checkpoints
-//! persisted by the campaign itself) and [`CampaignHub::flush`] runs
+//! persisted by the campaign itself) and `CampaignHub::flush` runs
 //! one final batch so queued-but-orphaned campaigns settle as
 //! resumably-preempted instead of vanishing.
 
@@ -43,14 +43,14 @@ struct HubInner {
 }
 
 /// Multiplexes session-submitted campaigns onto one shared scheduler.
-pub struct CampaignHub {
+pub(crate) struct CampaignHub {
     inner: Mutex<HubInner>,
     cv: Condvar,
 }
 
 impl CampaignHub {
     /// A hub over a scheduler with `cfg`.
-    pub fn new(cfg: SchedConfig) -> Self {
+    pub(crate) fn new(cfg: SchedConfig) -> Self {
         CampaignHub {
             inner: Mutex::new(HubInner {
                 front: Scheduler::new(cfg),
@@ -63,7 +63,7 @@ impl CampaignHub {
 
     /// Admit a campaign. Synchronous: a typed [`Overloaded`] rejection
     /// surfaces immediately, before the session ever blocks.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         spec: CampaignSpec,
         campaign: Box<dyn Campaign>,
@@ -79,7 +79,7 @@ impl CampaignHub {
     /// its report. The calling session becomes the drainer when work is
     /// queued and nobody else is draining — batches execute outside the
     /// hub lock so concurrent submissions are never blocked on a run.
-    pub fn wait(&self, id: u64) -> CampaignReport {
+    pub(crate) fn wait(&self, id: u64) -> CampaignReport {
         let mut inner = self.inner.lock().expect("hub lock");
         loop {
             if let Some(report) = inner.done.remove(&id) {
@@ -107,7 +107,7 @@ impl CampaignHub {
     /// sweep settles every waiting campaign as resumably preempted and
     /// stops in-flight ones at their next boundary. Returns the number
     /// of campaigns settled by this final batch.
-    pub fn flush(&self) -> usize {
+    pub(crate) fn flush(&self) -> usize {
         let mut inner = self.inner.lock().expect("hub lock");
         // Woken by the drainer's `notify_all` (see `wait`).
         while inner.draining {
@@ -146,14 +146,14 @@ impl CampaignHub {
     }
 
     /// Campaigns admitted and waiting (excludes a batch mid-drain).
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.inner.lock().expect("hub lock").front.queued()
     }
 
     /// Summed cost of admitted, not-yet-settled campaigns — including a
     /// detached batch mid-drain, whose cost stays charged until
     /// reabsorption.
-    pub fn inflight_cost(&self) -> u64 {
+    pub(crate) fn inflight_cost(&self) -> u64 {
         self.inner.lock().expect("hub lock").front.admitted_cost()
     }
 }

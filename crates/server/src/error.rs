@@ -60,7 +60,7 @@ pub enum WireCode {
 
 impl WireCode {
     /// The wire token for this code.
-    pub fn token(&self) -> &'static str {
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             WireCode::BadFrame => "BAD_FRAME",
             WireCode::BadRequest => "BAD_REQUEST",
@@ -129,7 +129,7 @@ pub struct WireError {
 
 impl WireError {
     /// A non-retryable error with no hint.
-    pub fn fatal(code: WireCode, message: impl Into<String>) -> Self {
+    pub(crate) fn fatal(code: WireCode, message: impl Into<String>) -> Self {
         WireError {
             code,
             retryable: false,
@@ -139,7 +139,7 @@ impl WireError {
     }
 
     /// A retryable error with no hint.
-    pub fn retryable(code: WireCode, message: impl Into<String>) -> Self {
+    pub(crate) fn retryable(code: WireCode, message: impl Into<String>) -> Self {
         WireError {
             code,
             retryable: true,
@@ -149,13 +149,13 @@ impl WireError {
     }
 
     /// Attach a retry-after hint.
-    pub fn with_retry_after(mut self, ms: u64) -> Self {
+    pub(crate) fn with_retry_after(mut self, ms: u64) -> Self {
         self.retry_after_ms = Some(ms);
         self
     }
 
     /// Encode as the `ERR` wire line.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut line = format!(
             "ERR code={} retryable={}",
             self.code,
@@ -171,7 +171,7 @@ impl WireError {
 
     /// Decode an `ERR` wire line (client side). Returns `None` when the
     /// line is not a well-formed error frame.
-    pub fn decode(line: &str) -> Option<WireError> {
+    pub(crate) fn decode(line: &str) -> Option<WireError> {
         let rest = line.strip_prefix("ERR ")?;
         let mut code = None;
         let mut retryable = false;
@@ -243,7 +243,7 @@ pub struct RetryHints {
 
 impl RetryHints {
     /// A hint ladder for one session.
-    pub fn new(cfg: BackoffConfig, session: u64) -> Self {
+    pub(crate) fn new(cfg: BackoffConfig, session: u64) -> Self {
         let fingerprint = Fingerprint::new("serve.retry_hint")
             .push_u64(session)
             .finish();

@@ -17,7 +17,7 @@
 //!   [`CancelToken`](mde_numeric::CancelToken); a client disconnect
 //!   cancels its in-flight request cooperatively at the next replicate
 //!   boundary, persisting any configured checkpoint.
-//! * **Shared state** ([`cache`], [`session::Engine`]): catalog
+//! * **Shared state** ([`cache`], `session::Engine`): catalog
 //!   snapshots behind `Arc` swaps (readers never block on DDL) and a
 //!   prepared-plan cache keyed by catalog schema fingerprint.
 //! * **Admission** ([`campaigns`]): campaigns from every session fund a
@@ -45,8 +45,5 @@ pub mod server;
 pub mod session;
 
 pub use cache::{CacheStats, PlanCache};
-pub use campaigns::CampaignHub;
-pub use client::{Client, Reply};
 pub use error::{overloaded_to_wire, RetryHints, WireCode, WireError};
-pub use proto::{FrameError, ReadFrame, Request, MAX_DEADLINE_MS, MAX_FRAME_LEN, MAX_REPLICATES};
 pub use server::{DrainReport, Server, ServerConfig};

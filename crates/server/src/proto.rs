@@ -4,7 +4,7 @@
 //!
 //! Every message — request or reply — is one frame: a 4-byte big-endian
 //! payload length followed by that many bytes of UTF-8 text. Frames are
-//! bounded by [`MAX_FRAME_LEN`]; a zero-length or oversized header, a
+//! bounded by `MAX_FRAME_LEN`; a zero-length or oversized header, a
 //! mid-frame EOF, or non-UTF-8 payload is a typed [`FrameError`], never
 //! a panic or a hang — the read deadline on the socket bounds how long a
 //! slow-loris client can dribble one frame.
@@ -42,21 +42,21 @@ use mde_numeric::Priority;
 use std::io::{Read, Write};
 
 /// Upper bound on one frame's payload, request or reply.
-pub const MAX_FRAME_LEN: usize = 1 << 20;
+pub(crate) const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Protocol ceiling for wire-supplied deadlines: 24 hours. Anything
 /// above is almost certainly an overflow or a unit mistake.
-pub const MAX_DEADLINE_MS: u64 = 24 * 60 * 60 * 1000;
+pub(crate) const MAX_DEADLINE_MS: u64 = 24 * 60 * 60 * 1000;
 
 /// Protocol ceiling for wire-supplied replicate budgets.
-pub const MAX_REPLICATES: u64 = 100_000_000;
+pub(crate) const MAX_REPLICATES: u64 = 100_000_000;
 
 /// How reading one frame can fail.
 #[derive(Debug)]
 pub enum FrameError {
     /// Underlying socket error (includes read-deadline expiry).
     Io(std::io::Error),
-    /// The declared payload length exceeds [`MAX_FRAME_LEN`].
+    /// The declared payload length exceeds `MAX_FRAME_LEN`.
     TooLarge {
         /// Declared length.
         len: usize,
@@ -72,7 +72,7 @@ pub enum FrameError {
 impl FrameError {
     /// The typed wire error a server sends back (best-effort) before
     /// closing a connection whose framing failed.
-    pub fn to_wire(&self) -> WireError {
+    pub(crate) fn to_wire(&self) -> WireError {
         let msg = match self {
             FrameError::Io(e) => format!("frame read failed: {e}"),
             FrameError::TooLarge { len } => {

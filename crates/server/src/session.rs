@@ -61,7 +61,7 @@ const LIVENESS_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Whole-server counters (monotonic, lock-free).
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     /// Sessions accepted.
     pub sessions_opened: AtomicU64,
     /// Sessions fully torn down.
@@ -82,7 +82,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Counter snapshot as `(name, value)` pairs.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn snapshot(&self) -> Vec<(&'static str, u64)> {
         vec![
             (
                 "sessions_opened",
@@ -105,7 +105,7 @@ impl ServerMetrics {
 /// Shared execution state behind every session: the catalog snapshot
 /// cell, the prepared-plan cache, the campaign hub, and the drain
 /// machinery.
-pub struct Engine {
+pub(crate) struct Engine {
     /// Current catalog snapshot; DDL clones, mutates, and swaps the
     /// `Arc`, so readers pin a consistent snapshot for a whole request
     /// without holding any lock across execution.

@@ -17,8 +17,8 @@
 //! locate the empirical optimum the two-model closed form no longer gives.
 
 use crate::component::StochModel;
-use crate::rc::RcEstimate;
-use mde_numeric::rng::StreamFactory;
+use crate::rc::{rc_loop, replications, RcEstimate, Stage};
+use mde_numeric::rng::Rng;
 use mde_numeric::stats::Summary;
 use std::sync::Arc;
 
@@ -48,51 +48,18 @@ pub struct ChainRcConfig {
 impl ChainComposite {
     /// Execute nested result caching and estimate `θ = E[Y₃]`.
     pub fn run_rc(&self, cfg: &ChainRcConfig) -> RcEstimate {
-        assert!(cfg.n > 0, "need at least one replication");
-        for (name, a) in [("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)] {
-            assert!(a > 0.0 && a <= 1.0, "{name} must be in (0, 1], got {a}");
-        }
-        let m1_count = ((cfg.alpha1 * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
-        let m2_count = ((cfg.alpha2 * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
-        let factory = StreamFactory::new(cfg.seed);
-        let s1 = factory.child(0);
-        let s2 = factory.child(1);
-        let s3 = factory.child(2);
-
-        // Level-1 cache.
-        let cache1: Vec<Vec<f64>> = (0..m1_count)
-            .map(|j| {
-                let mut rng = s1.stream(j as u64);
-                self.m1.run(&[], &mut rng)
-            })
-            .collect();
-        // Level-2 cache, cycling deterministically through level 1.
-        let cache2: Vec<Vec<f64>> = (0..m2_count)
-            .map(|j| {
-                let mut rng = s2.stream(j as u64);
-                self.m2.run(&cache1[j % m1_count], &mut rng)
-            })
-            .collect();
-        // Final stage.
-        let mut samples = Vec::with_capacity(cfg.n);
-        let mut summary = Summary::new();
-        for i in 0..cfg.n {
-            let mut rng = s3.stream(i as u64);
-            let out = self.m3.run(&cache2[i % m2_count], &mut rng);
-            let y = out.first().copied().unwrap_or(f64::NAN);
-            summary.push(y);
-            samples.push(y);
-        }
-        RcEstimate {
-            theta_hat: summary.mean(),
-            sample_variance: summary.sample_variance(),
-            n: cfg.n,
-            m: m1_count, // level-1 runs; level-2 runs recoverable from cost
-            cost: m1_count as f64 * self.m1.cost()
-                + m2_count as f64 * self.m2.cost()
-                + cfg.n as f64 * self.m3.cost(),
-            samples,
-        }
+        let m1_count = replications("alpha1", cfg.alpha1, cfg.n);
+        let m2_count = replications("alpha2", cfg.alpha2, cfg.n);
+        let m1 = |x: &[f64], rng: &mut Rng| self.m1.run(x, rng);
+        let m2 = |x: &[f64], rng: &mut Rng| self.m2.run(x, rng);
+        let m3 = |x: &[f64], rng: &mut Rng| self.m3.run(x, rng);
+        let stages: [Stage; 3] = [
+            (m1_count, self.m1.cost(), &m1),
+            (m2_count, self.m2.cost(), &m2),
+            (cfg.n, self.m3.cost(), &m3),
+        ];
+        // `m` counts level-1 runs; level-2 runs are recoverable from cost.
+        rc_loop(cfg.seed, &stages, |_, fresh| fresh(), |i, m| i % m)
     }
 
     /// Measure empirical `cost × Var(θ̂)` (the Hammersley–Handscomb

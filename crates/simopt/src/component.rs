@@ -61,7 +61,7 @@ where
 }
 
 /// An inter-model transformation applied between composed models.
-pub type TransformFn = Arc<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync>;
+pub(crate) type TransformFn = Arc<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync>;
 
 /// The paper's Figure 2 composite: `M₁ → (transform) → M₂` in series. The
 /// transformation step is an optional deterministic function standing in
@@ -95,7 +95,7 @@ impl SeriesComposite {
     }
 
     /// Run `M₁` once on an empty input, applying the transformation.
-    pub fn run_m1(&self, rng: &mut Rng) -> Vec<f64> {
+    pub(crate) fn run_m1(&self, rng: &mut Rng) -> Vec<f64> {
         let y1 = self.m1.run(&[], rng);
         match &self.transform {
             Some(t) => t(&y1),
@@ -104,7 +104,7 @@ impl SeriesComposite {
     }
 
     /// Run `M₂` on a (cached or fresh) `M₁` output; returns scalar `Y₂`.
-    pub fn run_m2(&self, y1: &[f64], rng: &mut Rng) -> f64 {
+    pub(crate) fn run_m2(&self, y1: &[f64], rng: &mut Rng) -> f64 {
         let out = self.m2.run(y1, rng);
         out.first().copied().unwrap_or(f64::NAN)
     }

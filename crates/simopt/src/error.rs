@@ -16,7 +16,7 @@ pub enum SimoptError {
 
 impl SimoptError {
     /// Shorthand for [`SimoptError::InvalidBudget`].
-    pub fn budget(reason: impl Into<String>) -> Self {
+    pub(crate) fn budget(reason: impl Into<String>) -> Self {
         SimoptError::InvalidBudget {
             reason: reason.into(),
         }

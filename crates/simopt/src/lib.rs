@@ -51,6 +51,5 @@ pub mod rc;
 
 pub use component::{FnModel, SeriesComposite, StochModel};
 pub use efficiency::{asymptotic_efficiency, g_exact, g_tilde, optimal_alpha, Statistics};
-pub use error::SimoptError;
+pub(crate) use error::SimoptError;
 pub use pilot::{MetadataStore, PilotConfig};
-pub use rc::{RcConfig, RcEstimate};

@@ -91,7 +91,7 @@ impl MetadataStore {
 
     /// Record fresh observations, merging with any existing record by
     /// weighted averaging (a simple, monotone-weight online refinement).
-    pub fn observe(&mut self, key: impl Into<String>, stats: Statistics, weight: u64) {
+    pub(crate) fn observe(&mut self, key: impl Into<String>, stats: Statistics, weight: u64) {
         let key = key.into();
         match self.entries.get_mut(&key) {
             None => {

@@ -11,11 +11,11 @@
 
 use crate::component::SeriesComposite;
 use mde_numeric::cache::{CacheHandle, ObjectiveScope};
-use mde_numeric::rng::StreamFactory;
+use mde_numeric::rng::{Rng, StreamFactory};
 use mde_numeric::stats::Summary;
 
 /// Provenance campaign tag for RC cache entries.
-pub const CAMPAIGN_RC: &str = "simopt.rc";
+pub(crate) const CAMPAIGN_RC: &str = "simopt.rc";
 
 /// Configuration of an RC run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +54,7 @@ pub struct RcEstimate {
 /// share `M₁` randomness where possible (common random numbers, which
 /// sharpens the α-sweep experiments).
 pub fn run_rc(composite: &SeriesComposite, cfg: &RcConfig) -> RcEstimate {
-    rc_loop(composite, cfg, |_, fresh| fresh(), |i, m| i % m)
+    series_loop(composite, cfg, |_, fresh| fresh(), |i, m| i % m)
 }
 
 /// [`run_rc`] with phase 1 backed by the production content-addressed
@@ -79,7 +79,7 @@ pub fn run_rc_cached(
     cache: &CacheHandle,
 ) -> RcEstimate {
     let mut scope = ObjectiveScope::new(cache.clone(), CAMPAIGN_RC, spec_fingerprint, 1, cfg.seed);
-    rc_loop(
+    series_loop(
         composite,
         cfg,
         |j, fresh| scope.memoize(&[j as f64], fresh),
@@ -98,7 +98,7 @@ pub fn run_rc_cached(
 /// stream `(2, 0)`.
 pub fn run_rc_random_reuse(composite: &SeriesComposite, cfg: &RcConfig) -> RcEstimate {
     let mut pick_rng = StreamFactory::new(cfg.seed).child(2).stream(0);
-    rc_loop(
+    series_loop(
         composite,
         cfg,
         |_, fresh| fresh(),
@@ -106,48 +106,93 @@ pub fn run_rc_random_reuse(composite: &SeriesComposite, cfg: &RcConfig) -> RcEst
     )
 }
 
-/// The RC loop every runner shares. Phase 1 obtains the `m = ⌈αn⌉` `M₁`
-/// outputs, output `j` from `m1_output(j, fresh)`, where `fresh` runs
-/// `M₁` on stream `(0, j)`; phase 2 runs `M₂` `n` times, run `i` on stream
-/// `(1, i)` and fed the output `reuse(i, m)` picks.
-fn rc_loop(
+/// [`rc_loop`] over the two stages of a series composite: `⌈αn⌉` runs of
+/// `M₁`, then `n` of `M₂`.
+fn series_loop(
     composite: &SeriesComposite,
     cfg: &RcConfig,
-    mut m1_output: impl FnMut(usize, &dyn Fn() -> Vec<f64>) -> Vec<f64>,
+    m1_output: impl FnMut(usize, &dyn Fn() -> Vec<f64>) -> Vec<f64>,
+    reuse: impl FnMut(usize, usize) -> usize,
+) -> RcEstimate {
+    let m = replications("alpha", cfg.alpha, cfg.n);
+    let m1 = |_: &[f64], rng: &mut Rng| composite.run_m1(rng);
+    let m2 = |y1: &[f64], rng: &mut Rng| vec![composite.run_m2(y1, rng)];
+    let stages: [Stage; 2] = [
+        (m, composite.m1.cost(), &m1),
+        (cfg.n, composite.m2.cost(), &m2),
+    ];
+    rc_loop(cfg.seed, &stages, m1_output, reuse)
+}
+
+/// `⌈αn⌉`, at least 1 and at most `n`: how many times a stage with
+/// replication fraction `alpha` runs for `n` runs of the last stage.
+pub(crate) fn replications(name: &str, alpha: f64, n: usize) -> usize {
+    assert!(n > 0, "need at least one replication");
+    assert!(
+        alpha > 0.0 && alpha <= 1.0,
+        "{name} must be in (0, 1], got {alpha}"
+    );
+    ((alpha * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// One stage of a result-caching chain: how many times it runs, the
+/// nominal cost of a run, and one run on an input (an output of the stage
+/// before; empty for the first).
+pub(crate) type Stage<'a> = (usize, f64, &'a dyn Fn(&[f64], &mut Rng) -> Vec<f64>);
+
+/// The RC loop every runner shares, over a chain of at least two stages.
+/// Stage `s` runs on streams `(s, j)`. The first stage's output `j` comes
+/// from `first_output(j, fresh)`, where `fresh` runs the stage; each later
+/// stage but the last runs `runs` times, run `j` fed output `j mod m` of
+/// the stage before (deterministic cycling). The last stage's run `i` is
+/// fed the output `reuse(i, m)` picks, and the first coordinate of its
+/// output is the sample `Y`. The estimate's `m` counts first-stage runs,
+/// and its cost is every stage's runs times its unit cost.
+pub(crate) fn rc_loop(
+    seed: u64,
+    stages: &[Stage],
+    mut first_output: impl FnMut(usize, &dyn Fn() -> Vec<f64>) -> Vec<f64>,
     mut reuse: impl FnMut(usize, usize) -> usize,
 ) -> RcEstimate {
-    assert!(cfg.n > 0, "need at least one replication");
-    assert!(
-        cfg.alpha > 0.0 && cfg.alpha <= 1.0,
-        "alpha must be in (0, 1], got {}",
-        cfg.alpha
-    );
-    let m = ((cfg.alpha * cfg.n as f64).ceil() as usize).clamp(1, cfg.n);
-    let factory = StreamFactory::new(cfg.seed);
-    let m1_streams = factory.child(0);
-    let m2_streams = factory.child(1);
+    let factory = StreamFactory::new(seed);
+    let (&(runs, _, first), rest) = stages.split_first().expect("a chain has stages");
+    let (&(n, _, last), middle) = rest.split_last().expect("a chain has two stages");
 
-    // Phase 1: run and "cache to disk" the m M₁ outputs.
-    let outputs: Vec<Vec<f64>> = (0..m)
-        .map(|j| m1_output(j, &|| composite.run_m1(&mut m1_streams.stream(j as u64))))
+    // The first stage: run and "cache to disk" its outputs.
+    let streams = factory.child(0);
+    let mut outputs: Vec<Vec<f64>> = (0..runs)
+        .map(|j| first_output(j, &|| first(&[], &mut streams.stream(j as u64))))
         .collect();
+    for (s, &(runs, _, stage)) in middle.iter().enumerate() {
+        let streams = factory.child(s as u64 + 1);
+        outputs = (0..runs)
+            .map(|j| stage(&outputs[j % outputs.len()], &mut streams.stream(j as u64)))
+            .collect();
+    }
 
-    // Phase 2: n M₂ runs, each fed the M₁ output the reuse scheme picks.
-    let mut samples = Vec::with_capacity(cfg.n);
+    // The last stage: n runs, each fed the output the reuse scheme picks.
+    let streams = factory.child(stages.len() as u64 - 1);
+    let mut samples = Vec::with_capacity(n);
     let mut summary = Summary::new();
-    for i in 0..cfg.n {
-        let y1 = &outputs[reuse(i, m)];
-        let y2 = composite.run_m2(y1, &mut m2_streams.stream(i as u64));
-        summary.push(y2);
-        samples.push(y2);
+    for i in 0..n {
+        let input = &outputs[reuse(i, outputs.len())];
+        let y = last(input, &mut streams.stream(i as u64))
+            .first()
+            .copied()
+            .unwrap_or(f64::NAN);
+        summary.push(y);
+        samples.push(y);
     }
 
     RcEstimate {
         theta_hat: summary.mean(),
         sample_variance: summary.sample_variance(),
-        n: cfg.n,
-        m,
-        cost: m as f64 * composite.m1.cost() + cfg.n as f64 * composite.m2.cost(),
+        n,
+        m: runs,
+        cost: stages
+            .iter()
+            .map(|&(runs, cost, _)| runs as f64 * cost)
+            .sum(),
         samples,
     }
 }

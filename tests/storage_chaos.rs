@@ -114,6 +114,37 @@ fn bit_flips_surface_typed_errors_never_wrong_answers() {
                 batch.len()
             ),
         }
+        // The `Result`-returning accessors report the same damage.
+        if let Ok(t) = Table::open_paged(&victim, BufferPool::new(4)) {
+            for (read, res) in [
+                ("column", t.column("TAG").map(drop)),
+                ("column_f64", t.column_f64("V").map(drop)),
+            ] {
+                let e = res.expect_err(&format!("trial {trial}: {read} after a flip"));
+                assert_typed_storage_error(&e, &format!("trial {trial}: {read}"));
+            }
+        }
+    }
+
+    // `scalar` reads a 1×1 table.
+    let path = dir.join("one.mdet");
+    let one = Table::build("S", &[("X", DataType::Float)])
+        .rows([vec![Value::from(1.5)]])
+        .finish()
+        .unwrap();
+    drop(one.to_paged(&path, 256, BufferPool::new(4)).unwrap());
+    let pristine = std::fs::read(&path).unwrap();
+    for trial in 0..16 {
+        let byte = rng.gen_range(0..pristine.len());
+        let mut mutated = pristine.clone();
+        mutated[byte] ^= 1 << rng.gen_range(0..8u8);
+        std::fs::write(&path, &mutated).unwrap();
+        let e = Table::open_paged(&path, BufferPool::new(4))
+            .and_then(|t| t.scalar())
+            .expect_err(&format!(
+                "trial {trial}: a flip at byte {byte} went undetected"
+            ));
+        assert_typed_storage_error(&e, &format!("trial {trial}: scalar"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
